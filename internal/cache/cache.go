@@ -418,7 +418,7 @@ func (c *Cache) countMiss() {
 // min(SOA TTL, SOA MINIMUM) per RFC 2308. Messages with no usable TTL
 // (or TTL 0) are not cached.
 func (c *Cache) Put(name dnswire.Name, typ dnswire.Type, msg *dnswire.Message) bool {
-	ttl, negative, ok := cacheTTL(msg)
+	ttl, negative, ok := TTL(msg)
 	if !ok || ttl <= 0 {
 		return false
 	}
@@ -543,9 +543,12 @@ func (c *Cache) Instrument(reg *obs.Registry, prefix string) {
 	}
 }
 
-// cacheTTL derives the cache lifetime in seconds for a response and
-// whether the entry is negative (RFC 2308).
-func cacheTTL(msg *dnswire.Message) (ttl uint32, negative bool, ok bool) {
+// TTL derives the cache lifetime in seconds for a response and whether
+// it is a negative one (RFC 2308): the minimum Answer TTL, or for an
+// empty answer min(SOA TTL, SOA MINIMUM) from the Authority section.
+// ok is false when the message carries neither. It is the one
+// freshness rule, shared with the DoH server's Cache-Control.
+func TTL(msg *dnswire.Message) (ttl uint32, negative bool, ok bool) {
 	if len(msg.Answers) > 0 {
 		min := msg.Answers[0].TTL
 		for _, rr := range msg.Answers[1:] {

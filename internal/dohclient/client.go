@@ -3,19 +3,23 @@
 // breakdown (DNS lookup of the DoH server name, TCP connect, TLS
 // handshake, request round trip) mirrors the decomposition the paper
 // measures in Figure 2 and feeds the t_DoH / t_DoHR estimators.
+//
+// By default exchanges run on the package's own HTTP/1.1 engine
+// (engine.go): persistent connections, one Write and one in-place
+// parse per query, no net/http on the wire path. A client built with
+// Options.HTTPClient goes through net/http instead (nethttp.go) —
+// that is the route to HTTP/2, proxies and custom transports. Both
+// sit behind the one roundTripper seam and are held to the same
+// results by a differential test.
 package dohclient
 
 import (
-	"bytes"
 	"context"
 	"crypto/tls"
-	"encoding/base64"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"net/http/httptrace"
-	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -59,16 +63,17 @@ func (t Timing) Breakdown() map[string]time.Duration {
 }
 
 // Client is a DoH client bound to one server URL. The zero value is
-// not usable; construct with New.
+// not usable; construct with New. It is safe for concurrent use.
 type Client struct {
-	serverURL *url.URL
-	hc        *http.Client
-	usePOST   bool
-	// queryPrefix is the GET query string up to and including "dns="
-	// (preceded by the endpoint's own parameters when it has any),
-	// precomputed so the GET path builds the ?dns= value by direct
-	// append instead of url.Values round trips.
-	queryPrefix string
+	dest    *endpoint
+	rt      roundTripper
+	usePOST bool
+	// query is the request's raw query: for GET everything up to and
+	// including "dns=" (preceded by the endpoint's own parameters when
+	// it has any), so the transports build the ?dns= value by direct
+	// append instead of url.Values round trips; for POST the endpoint's
+	// own parameters.
+	query string
 
 	mu    sync.Mutex
 	stats Stats
@@ -83,23 +88,26 @@ type Stats struct {
 }
 
 // Options configures a Client. The zero value (and a nil *Options)
-// gives the defaults: GET requests, certificate verification on, a
-// pooled transport with a 30s overall timeout.
+// gives the defaults: GET requests, certificate verification on, HTTP/1.1
+// over pooled persistent connections with a 30s bound per exchange.
 type Options struct {
-	// HTTPClient substitutes the underlying *http.Client (tests,
-	// custom transports, proxied connections). It overrides
-	// InsecureTLS and Timeout.
+	// HTTPClient carries the exchanges over the given *http.Client
+	// instead of the built-in HTTP/1.1 engine: the route to HTTP/2
+	// (a transport with ForceAttemptHTTP2), proxies, custom transports
+	// and test servers' clients. It overrides InsecureTLS, Timeout and
+	// MaxIdleConnsPerHost.
 	HTTPClient *http.Client
 	// POST switches the client to RFC 8484 POST requests.
 	POST bool
 	// InsecureTLS accepts any server certificate; for loopback tests
 	// with self-signed certificates only.
 	InsecureTLS bool
-	// Timeout bounds each exchange at the HTTP layer (default 30s).
+	// Timeout bounds each exchange, connection set-up included
+	// (default 30s).
 	Timeout time.Duration
-	// MaxIdleConnsPerHost caps the idle connections the transport keeps
-	// per host (default 4). Under hedging or smart transport racing,
-	// size it to at least the fan-out (max(4, Policy.HedgeMax), or the
+	// MaxIdleConnsPerHost caps the idle connections the pool keeps per
+	// host (default 4). Under hedging or smart transport racing, size
+	// it to at least the fan-out (max(4, Policy.HedgeMax), or the
 	// number of destinations the smart racer first-queries
 	// concurrently): an HTTP/1.1 pool discards idle connections above
 	// the cap after each exchange, so a smaller cap silently re-pays
@@ -108,88 +116,90 @@ type Options struct {
 	MaxIdleConnsPerHost int
 }
 
+const (
+	wireContentType = "application/dns-message"
+	jsonContentType = "application/dns-json"
+	statusOK        = 200
+	// maxBody is the largest response body accepted.
+	maxBody = 1 << 20
+)
+
+// request is one HTTP exchange as both transports see it.
+type request struct {
+	dest *endpoint
+	// query is the raw query string; when dns is set on a GET it ends
+	// in "dns=" and the base64url of dns follows it.
+	query string
+	// dns is the packed DNS query: base64url-appended to query on GET,
+	// the body on POST, nil for the JSON API.
+	dns    []byte
+	post   bool
+	accept string
+}
+
+// response is what Exchange and QueryJSON need of a reply.
+type response struct {
+	status      int
+	reason      string // status line text, set when status is not 200
+	contentType string
+	body        []byte
+	// timing carries DNSLookup, Connect, TLSHandshake and Reused, as
+	// far as the transport got; the caller adds RoundTrip and Total.
+	timing Timing
+}
+
+// roundTripper is the seam between the client and the wire: the
+// engine by default, net/http behind Options.HTTPClient.
+type roundTripper interface {
+	// roundTrip sends req and reads the whole response, the body into
+	// body's storage and cut at maxBody+1 bytes. The response's timing
+	// is filled on failure too.
+	roundTrip(ctx context.Context, req request, body *dnswire.Buffer) (response, error)
+	// closeIdle drops the idle connections.
+	closeIdle()
+}
+
 // New creates a client for a DoH endpoint URL such as
 // "https://127.0.0.1:8443/dns-query". opts may be nil for defaults.
 func New(serverURL string, opts *Options) (*Client, error) {
-	u, err := url.Parse(serverURL)
+	dest, err := newEndpoint(serverURL)
 	if err != nil {
-		return nil, fmt.Errorf("dohclient: parsing server URL: %w", err)
-	}
-	if u.Scheme != "https" && u.Scheme != "http" {
-		return nil, fmt.Errorf("dohclient: unsupported scheme %q", u.Scheme)
+		return nil, fmt.Errorf("dohclient: server URL: %w", err)
 	}
 	if opts == nil {
 		opts = &Options{}
 	}
-	timeout := opts.Timeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	idle := opts.MaxIdleConnsPerHost
-	if idle <= 0 {
-		idle = 4
-	}
-	c := &Client{serverURL: u, usePOST: opts.POST}
-	c.queryPrefix = "dns="
-	if u.RawQuery != "" {
-		c.queryPrefix = u.RawQuery + "&dns="
-	}
-	switch {
-	case opts.HTTPClient != nil:
-		c.hc = opts.HTTPClient
-	case opts.InsecureTLS:
-		c.hc = &http.Client{
-			Transport: &http.Transport{
-				TLSClientConfig:     &tls.Config{InsecureSkipVerify: true},
-				MaxIdleConnsPerHost: idle,
-			},
-			Timeout: timeout,
-		}
-	default:
-		c.hc = &http.Client{
-			Transport: &http.Transport{MaxIdleConnsPerHost: idle},
-			Timeout:   timeout,
+	c := &Client{dest: dest, usePOST: opts.POST, query: dest.url.RawQuery}
+	if !c.usePOST {
+		c.query = "dns="
+		if dest.url.RawQuery != "" {
+			c.query = dest.url.RawQuery + "&dns="
 		}
 	}
+	if opts.HTTPClient != nil {
+		c.rt = httpTransport{hc: opts.HTTPClient}
+		return c, nil
+	}
+	e := &engine{
+		tlsConfig: &tls.Config{
+			ServerName:         dest.serverName,
+			InsecureSkipVerify: opts.InsecureTLS,
+			MinVersion:         tls.VersionTLS12,
+			// The engine speaks HTTP/1.1 only; offering h2 would let a
+			// server pick a protocol it cannot follow.
+			NextProtos: []string{"http/1.1"},
+		},
+		timeout: opts.Timeout,
+		maxIdle: opts.MaxIdleConnsPerHost,
+	}
+	if e.timeout <= 0 {
+		e.timeout = 30 * time.Second
+	}
+	if e.maxIdle <= 0 {
+		e.maxIdle = 4
+	}
+	c.rt = e
 	return c, nil
-}
-
-// Option configures a Client through the legacy variadic constructor.
-//
-// Deprecated: set the corresponding Options field and call New.
-type Option func(*Options)
-
-// WithHTTPClient substitutes the underlying *http.Client.
-//
-// Deprecated: set Options.HTTPClient.
-func WithHTTPClient(hc *http.Client) Option {
-	return func(o *Options) { o.HTTPClient = hc }
-}
-
-// WithPOST switches the client to RFC 8484 POST requests.
-//
-// Deprecated: set Options.POST.
-func WithPOST() Option {
-	return func(o *Options) { o.POST = true }
-}
-
-// WithInsecureTLS accepts any server certificate.
-//
-// Deprecated: set Options.InsecureTLS.
-func WithInsecureTLS() Option {
-	return func(o *Options) { o.InsecureTLS = true }
-}
-
-// NewLegacy is the pre-Options variadic constructor, kept so call
-// sites written against the old API keep compiling.
-//
-// Deprecated: use New with an *Options struct.
-func NewLegacy(serverURL string, opts ...Option) (*Client, error) {
-	var o Options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return New(serverURL, &o)
 }
 
 // Stats returns a snapshot of the counters.
@@ -211,75 +221,41 @@ func (c *Client) Query(ctx context.Context, name dnswire.Name, typ dnswire.Type)
 
 // Exchange sends the query q over DoH.
 func (c *Client) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Message, Timing, error) {
-	var timing Timing
 	scratch := dnswire.GetBuffer()
 	defer dnswire.PutBuffer(scratch)
 	wire, err := q.AppendPack(scratch.B[:0])
 	if err != nil {
-		return nil, timing, err
+		return nil, Timing{}, err
 	}
 	scratch.B = wire
-	req, err := c.buildRequest(ctx, wire)
-	if err != nil {
-		return nil, timing, err
-	}
-
-	// All trace callbacks capture the one heap-allocated state struct
-	// rather than boxing each timestamp and the Timing individually.
-	st := &exchangeTrace{}
-	trace := &httptrace.ClientTrace{
-		DNSStart: func(httptrace.DNSStartInfo) { st.dnsStart = time.Now() },
-		DNSDone: func(httptrace.DNSDoneInfo) {
-			if !st.dnsStart.IsZero() {
-				st.timing.DNSLookup = time.Since(st.dnsStart)
-			}
-		},
-		ConnectStart: func(string, string) { st.connStart = time.Now() },
-		ConnectDone: func(_, _ string, err error) {
-			if err == nil && !st.connStart.IsZero() {
-				st.timing.Connect = time.Since(st.connStart)
-			}
-		},
-		TLSHandshakeStart: func() { st.tlsStart = time.Now() },
-		TLSHandshakeDone: func(tls.ConnectionState, error) {
-			if !st.tlsStart.IsZero() {
-				st.timing.TLSHandshake = time.Since(st.tlsStart)
-			}
-		},
-		GotConn: func(info httptrace.GotConnInfo) {
-			st.timing.Reused = info.Reused
-		},
-	}
-	req = req.WithContext(httptrace.WithClientTrace(req.Context(), trace))
+	body := dnswire.GetBuffer()
+	defer dnswire.PutBuffer(body)
 
 	start := time.Now()
-	resp, err := c.hc.Do(req)
-	timing = st.timing
-	if err != nil {
-		c.count(func(s *Stats) { s.HTTPErrors++ })
-		return nil, timing, fmt.Errorf("dohclient: %w", err)
-	}
-	defer drainAndClose(resp.Body)
-	bodyBuf := dnswire.GetBuffer()
-	defer dnswire.PutBuffer(bodyBuf)
-	body, err := dnswire.ReadAllLimit(resp.Body, bodyBuf.B[:0], 1<<20)
-	bodyBuf.B = body
+	resp, err := c.rt.roundTrip(ctx, request{
+		dest: c.dest, query: c.query, dns: wire, post: c.usePOST, accept: wireContentType,
+	}, body)
+	timing := resp.timing
 	timing.Total = time.Since(start)
 	timing.RoundTrip = timing.Total - timing.DNSLookup - timing.Connect - timing.TLSHandshake
 	if err != nil {
 		c.count(func(s *Stats) { s.HTTPErrors++ })
-		return nil, timing, fmt.Errorf("dohclient: reading body: %w", err)
+		return nil, timing, fmt.Errorf("dohclient: %w", err)
 	}
-	if resp.StatusCode != http.StatusOK {
+	if resp.status != statusOK {
 		c.count(func(s *Stats) { s.HTTPErrors++ })
-		return nil, timing, fmt.Errorf("dohclient: server returned %s", resp.Status)
+		return nil, timing, fmt.Errorf("dohclient: server returned %s", resp.reason)
 	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/dns-message" {
+	if resp.contentType != wireContentType {
 		c.count(func(s *Stats) { s.WireErrors++ })
-		return nil, timing, fmt.Errorf("dohclient: unexpected content-type %q", ct)
+		return nil, timing, fmt.Errorf("dohclient: unexpected content-type %q", resp.contentType)
+	}
+	if len(resp.body) > maxBody {
+		c.count(func(s *Stats) { s.WireErrors++ })
+		return nil, timing, fmt.Errorf("dohclient: response body exceeds %d bytes", maxBody)
 	}
 	m := dnswire.GetMessage()
-	if err := dnswire.UnpackInto(body, m); err != nil {
+	if err := dnswire.UnpackInto(resp.body, m); err != nil {
 		dnswire.PutMessage(m)
 		c.count(func(s *Stats) { s.WireErrors++ })
 		return nil, timing, fmt.Errorf("dohclient: decoding response: %w", err)
@@ -298,54 +274,6 @@ func (c *Client) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Mes
 	return m, timing, nil
 }
 
-func (c *Client) buildRequest(ctx context.Context, wire []byte) (*http.Request, error) {
-	if c.usePOST {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.serverURL.String(), bytes.NewReader(wire))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "application/dns-message")
-		req.Header.Set("Accept", "application/dns-message")
-		return req, nil
-	}
-	// Build the GET request by hand: cloning the pre-parsed endpoint
-	// URL and swapping in the ?dns= query skips the url.Parse that
-	// http.NewRequest would re-run on every exchange.
-	u := *c.serverURL
-	u.RawQuery = c.rawQuery(wire)
-	req := &http.Request{
-		Method:     http.MethodGet,
-		URL:        &u,
-		Proto:      "HTTP/1.1",
-		ProtoMajor: 1,
-		ProtoMinor: 1,
-		Header:     http.Header{"Accept": acceptHeader},
-		Host:       u.Host,
-	}
-	return req.WithContext(ctx), nil
-}
-
-// acceptHeader is the shared, never-mutated Accept value for GET
-// requests.
-var acceptHeader = []string{"application/dns-message"}
-
-// rawQuery builds "[params&]dns=<base64url(wire)>" by appending the
-// RawURLEncoding of the wire message directly after the precomputed
-// prefix — no url.Values map, no parameter sort, no intermediate
-// base64 string. One allocation remains: the returned query string.
-func (c *Client) rawQuery(wire []byte) string {
-	scratch := dnswire.GetBuffer()
-	n := len(c.queryPrefix) + base64.RawURLEncoding.EncodedLen(len(wire))
-	scratch.Grow(n)
-	b := append(scratch.B[:0], c.queryPrefix...)
-	b = b[:n]
-	base64.RawURLEncoding.Encode(b[len(c.queryPrefix):], wire)
-	s := string(b)
-	scratch.B = b
-	dnswire.PutBuffer(scratch)
-	return s
-}
-
 func (c *Client) count(f func(*Stats)) {
 	c.mu.Lock()
 	f(&c.stats)
@@ -355,7 +283,7 @@ func (c *Client) count(f func(*Stats)) {
 // CloseIdleConnections drops pooled connections so the next exchange
 // pays the full handshake cost again (used to measure DoH1 vs DoHR).
 func (c *Client) CloseIdleConnections() {
-	c.hc.CloseIdleConnections()
+	c.rt.closeIdle()
 }
 
 // JSONAnswer is one record from the JSON DoH API.
@@ -381,66 +309,37 @@ type JSONResponse struct {
 }
 
 // QueryJSON resolves (name, typ) via the JSON DoH API at jsonURL
-// (e.g. "https://host/resolve") using the client's HTTP transport.
+// (e.g. "https://host/resolve") over the client's transport and
+// connection pool.
 func (c *Client) QueryJSON(ctx context.Context, jsonURL string, name dnswire.Name, typ dnswire.Type) (*JSONResponse, error) {
-	u, err := url.Parse(jsonURL)
+	dest, err := newEndpoint(jsonURL)
 	if err != nil {
-		return nil, fmt.Errorf("dohclient: parsing JSON URL: %w", err)
+		return nil, fmt.Errorf("dohclient: JSON URL: %w", err)
 	}
-	query := u.Query()
+	query := dest.url.Query()
 	query.Set("name", strings.TrimSuffix(string(dnswire.NewName(string(name))), "."))
-	query.Set("type", fmt.Sprint(uint16(typ)))
-	u.RawQuery = query.Encode()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u.String(), nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Accept", "application/dns-json")
-	resp, err := c.hc.Do(req)
+	query.Set("type", strconv.Itoa(int(typ)))
+	buf := dnswire.GetBuffer()
+	defer dnswire.PutBuffer(buf)
+	resp, err := c.rt.roundTrip(ctx, request{dest: dest, query: query.Encode(), accept: jsonContentType}, buf)
 	if err != nil {
 		c.count(func(s *Stats) { s.HTTPErrors++ })
 		return nil, fmt.Errorf("dohclient: %w", err)
 	}
-	defer drainAndClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
+	if resp.status != statusOK {
 		c.count(func(s *Stats) { s.HTTPErrors++ })
-		return nil, fmt.Errorf("dohclient: JSON API returned %s", resp.Status)
+		return nil, fmt.Errorf("dohclient: JSON API returned %s", resp.reason)
 	}
 	var body JSONResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&body); err != nil {
+	if len(resp.body) > maxBody {
+		err = fmt.Errorf("body exceeds %d bytes", maxBody)
+	} else {
+		err = json.Unmarshal(resp.body, &body)
+	}
+	if err != nil {
 		c.count(func(s *Stats) { s.WireErrors++ })
 		return nil, fmt.Errorf("dohclient: decoding JSON body: %w", err)
 	}
 	c.count(func(s *Stats) { s.Exchanges++ })
 	return &body, nil
-}
-
-// drainAndClose discards any unread remainder of body before closing
-// it. json.Decoder.Decode stops at the end of the JSON value and can
-// leave trailing bytes (the server's newline) and — on responses
-// without a Content-Length, where EOF only arrives with the terminal
-// chunk — the end-of-body marker unread; closing with unread data
-// makes http.Transport kill the connection instead of returning it to
-// the idle pool, so every JSON query would pay a fresh handshake. The
-// drain is bounded: a well-behaved remainder is a few bytes, and
-// anything larger is not worth reading just to save a dial.
-func drainAndClose(body io.ReadCloser) {
-	b := dnswire.GetBuffer()
-	b.Grow(4096)
-	buf := b.B[:4096]
-	for total := 0; total < 1<<20; {
-		n, err := body.Read(buf)
-		total += n
-		if err != nil {
-			break
-		}
-	}
-	dnswire.PutBuffer(b)
-	body.Close()
-}
-
-// exchangeTrace carries one exchange's httptrace state.
-type exchangeTrace struct {
-	timing                        Timing
-	dnsStart, connStart, tlsStart time.Time
 }

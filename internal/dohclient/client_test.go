@@ -18,8 +18,9 @@ import (
 	"repro/internal/recursive"
 )
 
-func newStack(t *testing.T) (*httptest.Server, *dohserver.Handler) {
-	t.Helper()
+// stackHandler is a DoH handler over a resolver that answers every
+// question with one A record.
+func stackHandler() *dohserver.Handler {
 	r := recursive.New(nil)
 	r.SetDefault(recursive.UpstreamFunc(func(_ context.Context, q *dnswire.Message) (*dnswire.Message, error) {
 		m := q.Reply()
@@ -30,7 +31,12 @@ func newStack(t *testing.T) (*httptest.Server, *dohserver.Handler) {
 		})
 		return m, nil
 	}))
-	h := dohserver.NewHandler(r)
+	return dohserver.NewHandler(r)
+}
+
+func newStack(t *testing.T) (*httptest.Server, *dohserver.Handler) {
+	t.Helper()
+	h := stackHandler()
 	srv := httptest.NewServer(h.Mux())
 	t.Cleanup(srv.Close)
 	return srv, h
@@ -329,65 +335,37 @@ func TestHTTP2EndToEnd(t *testing.T) {
 	}
 }
 
-func TestNewLegacyDelegatesToNew(t *testing.T) {
-	srv, _ := newStack(t)
-	defer srv.Close()
-
-	c, err := NewLegacy(srv.URL+"/dns-query", WithPOST(), WithHTTPClient(srv.Client()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := New(srv.URL+"/dns-query", &Options{POST: true, HTTPClient: srv.Client()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The deprecated constructor must be a pure adapter: same URL and
-	// the variadic options folded into the equivalent Options struct.
-	if c.serverURL.String() != want.serverURL.String() {
-		t.Errorf("serverURL = %q, want %q", c.serverURL, want.serverURL)
-	}
-	if c.usePOST != want.usePOST || c.hc != want.hc {
-		t.Errorf("legacy client = {post:%v hc:%p}, want {post:%v hc:%p}", c.usePOST, c.hc, want.usePOST, want.hc)
-	}
-	resp, _, err := c.Query(context.Background(), "legacy.a.com.", dnswire.TypeA)
-	if err != nil {
-		t.Fatalf("Query via NewLegacy client: %v", err)
-	}
-	if len(resp.Answers) != 1 {
-		t.Fatalf("answers = %v", resp.Answers)
-	}
-}
-
 // newCountingStack is newStack plus a server-side count of accepted
 // TCP connections, the ground truth for reuse assertions. wrap, when
 // non-nil, decorates the handler (barriers, streaming) and is
 // installed before the server starts.
-func newCountingStack(t *testing.T, wrap func(http.Handler) http.Handler) (*httptest.Server, *atomic.Int32) {
+func newCountingStack(t *testing.T, wrap func(http.Handler) http.Handler) (*httptest.Server, *connCounter) {
 	t.Helper()
-	r := recursive.New(nil)
-	r.SetDefault(recursive.UpstreamFunc(func(_ context.Context, q *dnswire.Message) (*dnswire.Message, error) {
-		m := q.Reply()
-		m.Answers = append(m.Answers, dnswire.ResourceRecord{
-			Name: q.Questions[0].Name, Type: dnswire.TypeA,
-			Class: dnswire.ClassIN, TTL: 60,
-			Data: dnswire.ARecord{Addr: netip.MustParseAddr("203.0.113.2")},
-		})
-		return m, nil
-	}))
-	var h http.Handler = dohserver.NewHandler(r).Mux()
+	var h http.Handler = stackHandler().Mux()
 	if wrap != nil {
 		h = wrap(h)
 	}
 	srv := httptest.NewUnstartedServer(h)
-	var conns atomic.Int32
+	var conns connCounter
 	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
-		if s == http.StateNew {
+		switch s {
+		case http.StateNew:
 			conns.Add(1)
+			conns.open.Add(1)
+		case http.StateClosed:
+			conns.open.Add(-1)
 		}
 	}
 	srv.Start()
 	t.Cleanup(srv.Close)
 	return srv, &conns
+}
+
+// connCounter counts the connections a server accepted (the embedded
+// counter) and how many of them are still open.
+type connCounter struct {
+	atomic.Int32
+	open atomic.Int32
 }
 
 // flushingWriter flushes after every write, forcing chunked framing

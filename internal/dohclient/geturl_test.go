@@ -1,6 +1,8 @@
 package dohclient
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/base64"
 	"net/http"
@@ -10,9 +12,10 @@ import (
 	"repro/internal/dnswire"
 )
 
-// TestBuildRequestMatchesLegacyEncoding pins the direct-append ?dns=
-// request builder to what the url.Values construction it replaced
-// produced.
+// TestBuildRequestMatchesLegacyEncoding pins both transports'
+// direct-append ?dns= request builders — the engine's request bytes and
+// the net/http path's *http.Request — to what the url.Values
+// construction they replaced produced.
 func TestBuildRequestMatchesLegacyEncoding(t *testing.T) {
 	wire, err := dnswire.NewQuery(42, "test.a.com.", dnswire.TypeA).Pack()
 	if err != nil {
@@ -22,22 +25,19 @@ func TestBuildRequestMatchesLegacyEncoding(t *testing.T) {
 		"https://doh.example/dns-query",
 		"https://doh.example:8443/dns-query?profile=low",
 		"http://127.0.0.1:8080/q",
+		"http://[::1]:8080",
 	} {
 		c, err := New(base, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		req, err := c.buildRequest(context.Background(), wire)
+		req := request{dest: c.dest, query: c.query, dns: wire, accept: wireContentType}
+		viaEngine, err := http.ReadRequest(bufio.NewReader(bytes.NewReader(appendRequest(nil, req))))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: engine request does not parse: %v", base, err)
 		}
-		if req.Method != http.MethodGet {
-			t.Errorf("%s: method %q, want GET", base, req.Method)
-		}
-		if got := req.Header.Get("Accept"); got != "application/dns-message" {
-			t.Errorf("%s: Accept = %q", base, got)
-		}
-		got := req.URL.String()
+		// A server-side parse leaves scheme and host out of URL.
+		viaEngine.URL.Scheme, viaEngine.URL.Host = c.dest.url.Scheme, viaEngine.Host
 
 		legacy, err := url.Parse(base)
 		if err != nil {
@@ -46,35 +46,52 @@ func TestBuildRequestMatchesLegacyEncoding(t *testing.T) {
 		q := legacy.Query()
 		q.Set("dns", base64.RawURLEncoding.EncodeToString(wire))
 		legacy.RawQuery = q.Encode()
+		if legacy.Path == "" {
+			legacy.Path = "/"
+		}
 
-		gu, err := url.Parse(got)
-		if err != nil {
-			t.Fatalf("buildRequest(%q) produced unparsable %q: %v", base, got, err)
-		}
-		if gu.Scheme != legacy.Scheme || gu.Host != legacy.Host || gu.Path != legacy.Path {
-			t.Errorf("%s: URL drifted: got %q, legacy %q", base, got, legacy.String())
-		}
-		// Parameter order may differ from url.Values' sorted encoding;
-		// the decoded parameter sets must not.
-		gq := gu.Query()
-		lq := legacy.Query()
-		if len(gq) != len(lq) {
-			t.Errorf("%s: query param count %d, legacy %d", base, len(gq), len(lq))
-		}
-		for k, v := range lq {
-			if len(gq[k]) != len(v) || gq.Get(k) != lq.Get(k) {
-				t.Errorf("%s: param %q = %q, legacy %q", base, k, gq[k], v)
+		for name, got := range map[string]*http.Request{
+			"engine":   viaEngine,
+			"net/http": buildRequest(context.Background(), req),
+		} {
+			if got.Method != http.MethodGet {
+				t.Errorf("%s %s: method %q, want GET", name, base, got.Method)
 			}
-		}
-		if base == "https://doh.example/dns-query" && got != legacy.String() {
-			// With no preexisting params the two must be byte-identical.
-			t.Errorf("got %q, want %q", got, legacy.String())
+			if accept := got.Header.Get("Accept"); accept != "application/dns-message" {
+				t.Errorf("%s %s: Accept = %q", name, base, accept)
+			}
+			gu, err := url.Parse(got.URL.String())
+			if err != nil {
+				t.Fatalf("%s %s: unparsable URL %q: %v", name, base, got.URL, err)
+			}
+			if gu.Path == "" {
+				gu.Path = "/"
+			}
+			if gu.Scheme != legacy.Scheme || gu.Host != legacy.Host || gu.Path != legacy.Path {
+				t.Errorf("%s %s: URL drifted: got %q, legacy %q", name, base, gu, legacy)
+			}
+			// Parameter order may differ from url.Values' sorted encoding;
+			// the decoded parameter sets must not.
+			gq, lq := gu.Query(), legacy.Query()
+			if len(gq) != len(lq) {
+				t.Errorf("%s %s: query param count %d, legacy %d", name, base, len(gq), len(lq))
+			}
+			for k, v := range lq {
+				if len(gq[k]) != len(v) || gq.Get(k) != lq.Get(k) {
+					t.Errorf("%s %s: param %q = %q, legacy %q", name, base, k, gq[k], v)
+				}
+			}
+			if base == "https://doh.example/dns-query" && gu.String() != legacy.String() {
+				// With no preexisting params the two must be byte-identical.
+				t.Errorf("%s: got %q, want %q", name, gu, legacy)
+			}
 		}
 	}
 }
 
-// TestRawQueryAllocs is the regression gate for the GET fast path:
-// only the returned query string itself may allocate.
+// TestRawQueryAllocs is the regression gate for the GET fast path: the
+// engine appends the whole request without allocating, and on the
+// net/http path only the returned query string itself may allocate.
 func TestRawQueryAllocs(t *testing.T) {
 	c, err := New("https://doh.example/dns-query", nil)
 	if err != nil {
@@ -84,8 +101,13 @@ func TestRawQueryAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.rawQuery(wire) // warm the pooled scratch
-	if n := testing.AllocsPerRun(1000, func() { _ = c.rawQuery(wire) }); n > 1 {
+	req := request{dest: c.dest, query: c.query, dns: wire, accept: wireContentType}
+	buf := appendRequest(nil, req)
+	if n := testing.AllocsPerRun(1000, func() { buf = appendRequest(buf[:0], req) }); n != 0 {
+		t.Errorf("appendRequest allocates %.1f per op, want 0", n)
+	}
+	rawQuery(c.query, wire) // warm the pooled scratch
+	if n := testing.AllocsPerRun(1000, func() { _ = rawQuery(c.query, wire) }); n > 1 {
 		t.Errorf("rawQuery allocates %.1f per op, want <= 1 (the query string)", n)
 	}
 }

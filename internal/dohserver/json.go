@@ -1,13 +1,11 @@
 package dohserver
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/dnsclient"
 	"repro/internal/dnswire"
@@ -69,8 +67,8 @@ func (h *Handler) ServeJSON(w http.ResponseWriter, r *http.Request) {
 
 	q := dnswire.NewQuery(dnsclient.RandomID(), name, typ)
 	h.queries.Add(1)
-	ctx, cancel := context.WithTimeout(r.Context(), 10*time.Second)
-	defer cancel()
+	ctx := h.resolveContext(r.Context())
+	defer ctx.stop()
 	resp, err := h.Resolver.Resolve(ctx, q)
 	if err != nil {
 		resp = q.Reply()

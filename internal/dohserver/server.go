@@ -13,9 +13,11 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/dnswire"
 	"repro/internal/recursive"
 )
@@ -40,6 +42,11 @@ type Handler struct {
 	// appendix commits to never inspecting ECS client addresses; by
 	// default this server removes them before resolution.
 	KeepECS bool
+
+	// resolveTimeout bounds one query's resolution, every upstream
+	// attempt included; zero means recursive.QueryTimeout, the bound the
+	// Do53 and DoT fronts apply. Tests shorten it.
+	resolveTimeout time.Duration
 
 	queries  atomic.Int64
 	scrubbed atomic.Int64
@@ -73,6 +80,12 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "malformed DNS message", http.StatusBadRequest)
 		return
 	}
+	if q.Header.Response {
+		// A response is not a query; the Do53 and DoT fronts drop these,
+		// HTTP can say so.
+		http.Error(w, "DNS message is a response, not a query", http.StatusBadRequest)
+		return
+	}
 	h.queries.Add(1)
 	if !h.KeepECS {
 		if stripped, err := dnswire.StripECS(q); err != nil {
@@ -83,8 +96,8 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), 10*time.Second)
-	defer cancel()
+	ctx := h.resolveContext(r.Context())
+	defer ctx.stop()
 	resp, err := h.Resolver.Resolve(ctx, q)
 	if err != nil {
 		resp = q.Reply()
@@ -97,28 +110,124 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	scratch.B = wire
-	w.Header().Set("Content-Type", ContentType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(wire)))
-	w.Header().Set("Cache-Control", "max-age="+strconv.Itoa(h.maxAge(resp)))
+	setHeaders(w.Header(), len(wire), h.maxAge(resp))
 	w.WriteHeader(http.StatusOK)
 	w.Write(wire)
 }
 
+// contentTypeValue is the shared Content-Type header value; header
+// maps only ever read it.
+var contentTypeValue = []string{ContentType}
+
+// setHeaders sets Content-Type, Content-Length and Cache-Control by
+// direct assignment under their canonical keys. The two computed values
+// cost two allocations between them: one string holding both texts,
+// one array holding both one-element value slices (Header.Set would
+// allocate a slice per header on top of each formatted string).
+func setHeaders(hdr http.Header, length, maxAge int) {
+	var text [48]byte
+	b := strconv.AppendInt(text[:0], int64(length), 10)
+	n := len(b)
+	b = strconv.AppendInt(append(b, "max-age="...), int64(maxAge), 10)
+	s := string(b)
+	values := [2]string{s[:n], s[n:]}
+	hdr["Content-Type"] = contentTypeValue
+	hdr["Content-Length"] = values[0:1:1]
+	hdr["Cache-Control"] = values[1:2:2]
+}
+
+// maxAge is the response's HTTP freshness lifetime in seconds
+// (RFC 8484 §5.1): the smallest Answer TTL, or for NXDOMAIN and NODATA
+// the RFC 2308 negative TTL — the rule the answer cache itself
+// applies — and 0 for anything else (SERVFAIL must not be cached by
+// HTTP intermediaries). Capped by MaxAge when set.
 func (h *Handler) maxAge(resp *dnswire.Message) int {
-	age := 0
-	if len(resp.Answers) > 0 {
-		age = int(resp.Answers[0].TTL)
-		for _, rr := range resp.Answers[1:] {
-			if int(rr.TTL) < age {
-				age = int(rr.TTL)
-			}
-		}
+	if rc := resp.Header.RCode; rc != dnswire.RCodeNoError && rc != dnswire.RCodeNXDomain {
+		return 0
 	}
+	ttl, _, _ := cache.TTL(resp)
+	age := int(ttl)
 	if h.MaxAge > 0 && age > int(h.MaxAge/time.Second) {
 		age = int(h.MaxAge / time.Second)
 	}
 	return age
 }
+
+// resolveContext bounds one resolution by the resolve timeout without
+// paying for a timer on queries the cache answers: the returned
+// context reports the deadline at once but arms its timer only when
+// something first asks for Done (or Err) — an upstream exchange, a wait
+// on another query's flight. A cache hit asks for neither.
+func (h *Handler) resolveContext(parent context.Context) *lazyTimeout {
+	d := h.resolveTimeout
+	if d <= 0 {
+		d = recursive.QueryTimeout
+	}
+	return &lazyTimeout{Context: parent, deadline: time.Now().Add(d)}
+}
+
+// lazyTimeout is a context.WithDeadline whose timer context is built on
+// first use. Once armed it answers Value through the armed context, so
+// package context recognises the pair as its own and links derived
+// contexts (an attempt timeout in the upstream's policy stack) straight
+// into the armed one instead of parking a goroutine on Done.
+type lazyTimeout struct {
+	context.Context
+	deadline time.Time
+
+	mu     sync.Mutex
+	armed  context.Context
+	cancel context.CancelFunc // nil until armed by use
+}
+
+func (c *lazyTimeout) arm() context.Context {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.armed == nil {
+		c.armed, c.cancel = context.WithDeadline(c.Context, c.deadline)
+	}
+	return c.armed
+}
+
+func (c *lazyTimeout) Deadline() (time.Time, bool) {
+	if d, ok := c.Context.Deadline(); ok && d.Before(c.deadline) {
+		return d, true
+	}
+	return c.deadline, true
+}
+
+func (c *lazyTimeout) Done() <-chan struct{} { return c.arm().Done() }
+func (c *lazyTimeout) Err() error            { return c.arm().Err() }
+
+func (c *lazyTimeout) Value(key any) any {
+	c.mu.Lock()
+	ctx := c.Context
+	if c.cancel != nil {
+		ctx = c.armed
+	}
+	c.mu.Unlock()
+	return ctx.Value(key)
+}
+
+// stop releases the timer if one was armed. A context that outlives
+// the request and is first used afterwards is cancelled from the start.
+func (c *lazyTimeout) stop() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.armed == nil {
+		c.armed = cancelledContext
+	} else if c.cancel != nil {
+		c.cancel()
+	}
+}
+
+// cancelledContext is what a lazyTimeout first used after stop
+// resolves to.
+var cancelledContext = func() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}()
 
 // extractQuery pulls the raw DNS message out of a DoH request,
 // returning an HTTP status on failure. POST bodies land in scratch's

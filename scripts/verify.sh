@@ -22,6 +22,11 @@ go test -race ./internal/cache/... ./internal/resolver/... \
 	./internal/checkpoint/...
 go test -race ./internal/serve/...
 go test -race ./internal/smart/...
+go test -race ./internal/dohclient/... ./internal/dohserver/...
+
+step "DoH exchange allocation budgets (client engine, server handler) + resolve bound"
+go test ./internal/dohclient/ -run 'TestWarmExchangeAllocBudget|TestRawQueryAllocs'
+go test ./internal/dohserver/ -run 'TestServeHTTPAllocBudget|TestResolveBoundFires'
 
 step "smart racing soak (short, race, chaos faults + exact accounting)"
 go test -race -run TestSmartSoak -short ./internal/smart/
