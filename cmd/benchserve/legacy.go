@@ -69,7 +69,7 @@ func (l *legacyDo53) handle(pkt []byte, src *net.UDPAddr) {
 	}
 	l.mu.Lock()
 	l.queries = append(l.queries, authserver.QueryLogEntry{
-		Time: time.Now(), Source: src,
+		Time: time.Now(), Source: src.AddrPort(),
 		Name: q.Questions[0].Name, Type: q.Questions[0].Type,
 		Protocol: "udp",
 	})

@@ -4,6 +4,7 @@ package main
 import (
 	"context"
 	"net"
+	"net/netip"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -231,7 +232,7 @@ func runPipelinedUDP(workers, window int, d time.Duration, addr string) loadResu
 // (a cache-missing recursive lookup's shape): ~1ms of latency, then an
 // echo with QR set so the generator can tell real answers from the
 // engine's SERVFAIL sheds.
-func overloadHandler(_ context.Context, out, raw []byte, _ net.Addr) ([]byte, error) {
+func overloadHandler(_ context.Context, out, raw []byte, _ netip.AddrPort) ([]byte, error) {
 	time.Sleep(time.Millisecond)
 	out = append(out, raw...)
 	if len(out) >= 3 {

@@ -47,17 +47,16 @@ func (z *Zone) TransferRecords() ([]dnswire.ResourceRecord, error) {
 	return out, nil
 }
 
-// answerAXFR builds the transfer response messages (a single message
-// here; large zones would chunk).
-func (s *Server) answerAXFR(q *dnswire.Message) (*dnswire.Message, error) {
+// answerAXFR fills resp, a reply skeleton, with the transfer (a single
+// message here; large zones would chunk).
+func (s *Server) answerAXFR(resp *dnswire.Message) error {
 	records, err := s.Zone.TransferRecords()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	resp := q.Reply()
 	resp.Header.Authoritative = true
 	resp.Answers = records
-	return resp, nil
+	return nil
 }
 
 // RequestAXFR fetches a full zone from server addr over TCP and

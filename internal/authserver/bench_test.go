@@ -2,7 +2,6 @@ package authserver
 
 import (
 	"context"
-	"net"
 	"net/netip"
 	"testing"
 
@@ -35,7 +34,7 @@ func BenchmarkServePacket(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	src := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 4242}
+	src := netip.MustParseAddrPort("127.0.0.1:4242")
 	out := make([]byte, 0, 512)
 	b.ReportAllocs()
 	b.ResetTimer()

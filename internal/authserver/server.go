@@ -4,6 +4,7 @@ import (
 	"context"
 	"log"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -16,8 +17,10 @@ import (
 // enumerate the recursive resolvers (and hence DoH points of presence)
 // that contact it.
 type QueryLogEntry struct {
-	Time     time.Time
-	Source   net.Addr
+	Time time.Time
+	// Source is the querier's address and port, as a value so logging
+	// a query allocates nothing.
+	Source   netip.AddrPort
 	Name     dnswire.Name
 	Type     dnswire.Type
 	Protocol string // "udp" or "tcp"
@@ -145,6 +148,9 @@ func (s *Server) logQuery(e QueryLogEntry) {
 	s.mu.Lock()
 	switch {
 	case len(s.queries) < limit:
+		if len(s.queries) == cap(s.queries) {
+			s.growQueryLog(limit)
+		}
 		s.queries = append(s.queries, e)
 	default:
 		// Ring is full: overwrite the oldest entry. (If the limit was
@@ -159,6 +165,29 @@ func (s *Server) logQuery(e QueryLogEntry) {
 	s.mu.Unlock()
 }
 
+// queryLogFirstBlock is the log's first allocation: room for a server
+// that sees a handful of queries (most tests, a zone probed once).
+const queryLogFirstBlock = 256
+
+// growQueryLog makes room in two steps: the first block, then the
+// whole ring at once. Left to append, a log on its way to the default
+// limit is re-copied some twenty times — five rings' worth of garbage
+// and as many multi-megabyte copies under s.mu, spread over the first
+// 65536 queries of a server under load, which is where a benchmark's
+// measured window sits.
+func (s *Server) growQueryLog(limit int) {
+	n := queryLogFirstBlock
+	if len(s.queries) >= n || limit < n {
+		n = limit
+	}
+	// Oldest first, so a ring that wrapped under a lower limit keeps its
+	// order when the limit is raised.
+	grown := make([]QueryLogEntry, len(s.queries), n)
+	k := copy(grown, s.queries[s.qhead:])
+	copy(grown[k:], s.queries[:s.qhead])
+	s.queries, s.qhead = grown, 0
+}
+
 func (s *Server) logf(format string, args ...any) {
 	if s.Logger != nil {
 		s.Logger.Printf(format, args...)
@@ -166,8 +195,8 @@ func (s *Server) logf(format string, args ...any) {
 }
 
 // servePacket answers one UDP datagram on the engine's scratch.
-func (s *Server) servePacket(_ context.Context, out, raw []byte, src net.Addr) ([]byte, error) {
-	if !s.Limiter.Allow(src) {
+func (s *Server) servePacket(_ context.Context, out, raw []byte, src netip.AddrPort) ([]byte, error) {
+	if s.Limiter != nil && !s.Limiter.Allow(net.UDPAddrFromAddrPort(src)) {
 		s.logf("authserver: rate-limited response to %v", src)
 		return nil, nil
 	}
@@ -175,22 +204,8 @@ func (s *Server) servePacket(_ context.Context, out, raw []byte, src net.Addr) (
 	if resp == nil {
 		return nil, nil
 	}
-	// Pack optimistically; almost every response fits the UDP payload
-	// limit, and the fitting case must not pay for a measuring pack.
-	wire, err := resp.AppendPack(out)
-	if err != nil {
-		s.logf("authserver: pack: %v", err)
-		return nil, nil
-	}
-	if len(wire)-len(out) <= dnswire.MaxUDPPayload {
-		return wire, nil
-	}
-	limited, err := resp.Truncate(dnswire.MaxUDPPayload)
-	if err != nil {
-		s.logf("authserver: truncate: %v", err)
-		return nil, nil
-	}
-	wire, err = limited.AppendPack(out)
+	defer dnswire.PutMessage(resp)
+	wire, err := resp.AppendPackLimit(out, dnswire.MaxUDPPayload)
 	if err != nil {
 		s.logf("authserver: pack: %v", err)
 		return nil, nil
@@ -201,10 +216,15 @@ func (s *Server) servePacket(_ context.Context, out, raw []byte, src net.Addr) (
 // serveMessage answers one framed TCP query; a nil return closes the
 // connection, matching how the legacy loop treated unparseable input.
 func (s *Server) serveMessage(_ context.Context, out, raw []byte, src net.Addr) ([]byte, error) {
-	resp := s.handlePacket(raw, src, "tcp")
+	var from netip.AddrPort
+	if tcp, ok := src.(*net.TCPAddr); ok {
+		from = tcp.AddrPort()
+	}
+	resp := s.handlePacket(raw, from, "tcp")
 	if resp == nil {
 		return nil, nil
 	}
+	defer dnswire.PutMessage(resp)
 	wire, err := resp.AppendPack(out)
 	if err != nil {
 		s.logf("authserver: pack: %v", err)
@@ -214,8 +234,10 @@ func (s *Server) serveMessage(_ context.Context, out, raw []byte, src net.Addr) 
 }
 
 // handlePacket parses a raw query and produces the response message,
-// or nil when the input is unparseable.
-func (s *Server) handlePacket(raw []byte, src net.Addr, proto string) *dnswire.Message {
+// or nil when the input is unparseable. The response comes from the
+// message pool and shares nothing with anyone (zone lookups return
+// copies), so the caller puts it back once it is packed.
+func (s *Server) handlePacket(raw []byte, src netip.AddrPort, proto string) *dnswire.Message {
 	// The decode target is pooled: the response only shares immutable
 	// strings and zone-owned records with it, never its slices.
 	q := dnswire.GetMessage()
@@ -232,22 +254,21 @@ func (s *Server) handlePacket(raw []byte, src net.Addr, proto string) *dnswire.M
 		Name: q.Questions[0].Name, Type: q.Questions[0].Type,
 		Protocol: proto,
 	})
+	resp := q.ReplyInto(dnswire.GetMessage())
 	if q.Questions[0].Type == TypeAXFR {
 		// Zone transfers only travel over TCP (RFC 5936 §4.2).
 		if proto != "tcp" {
-			resp := q.Reply()
 			resp.Header.RCode = dnswire.RCodeRefused
 			return resp
 		}
-		resp, err := s.answerAXFR(q)
-		if err != nil {
+		if err := s.answerAXFR(resp); err != nil {
 			s.logf("authserver: AXFR: %v", err)
-			resp = q.Reply()
 			resp.Header.RCode = dnswire.RCodeServFail
 		}
 		return resp
 	}
-	return s.Answer(q)
+	s.answer(q, resp)
+	return resp
 }
 
 // Answer produces the authoritative response for query q. It is
@@ -255,10 +276,16 @@ func (s *Server) handlePacket(raw []byte, src net.Addr, proto string) *dnswire.M
 // without sockets.
 func (s *Server) Answer(q *dnswire.Message) *dnswire.Message {
 	resp := q.Reply()
+	s.answer(q, resp)
+	return resp
+}
+
+// answer fills resp, the reply skeleton of q.
+func (s *Server) answer(q, resp *dnswire.Message) {
 	resp.Header.Authoritative = true
 	if q.Header.Opcode != dnswire.OpcodeQuery {
 		resp.Header.RCode = dnswire.RCodeNotImp
-		return resp
+		return
 	}
 	question := q.Questions[0]
 	rrs, result := s.Zone.Lookup(question.Name, question.Type)
@@ -293,7 +320,6 @@ func (s *Server) Answer(q *dnswire.Message) *dnswire.Message {
 	case NotInZone:
 		resp.Header.RCode = dnswire.RCodeRefused
 	}
-	return resp
 }
 
 func (s *Server) chaseCNAME(rrs []dnswire.ResourceRecord, typ dnswire.Type, depth int) []dnswire.ResourceRecord {

@@ -219,8 +219,66 @@ func TestServerQueryLogRecordsSources(t *testing.T) {
 		t.Fatalf("query log has %d entries, want 3", len(logEntries))
 	}
 	for _, e := range logEntries {
-		if e.Name != "www.a.com." || e.Protocol != "udp" || e.Source == nil {
+		if e.Name != "www.a.com." || e.Protocol != "udp" || !e.Source.IsValid() {
 			t.Errorf("bad log entry: %+v", e)
+		}
+	}
+}
+
+// The log allocates twice on its way to the limit — a first block, then
+// the whole ring — so a server under load stops allocating for its log
+// after the first few hundred queries instead of re-copying it all the
+// way through the first 65536 (where a benchmark's window sits).
+func TestQueryLogGrowsInTwoSteps(t *testing.T) {
+	s := NewServer(testZone(t))
+	entry := QueryLogEntry{Name: "www.a.com.", Type: dnswire.TypeA, Protocol: "udp"}
+	s.logQuery(entry)
+	if got := cap(s.queries); got != queryLogFirstBlock {
+		t.Fatalf("cap after the first query = %d, want %d", got, queryLogFirstBlock)
+	}
+	for i := 1; i <= queryLogFirstBlock; i++ {
+		s.logQuery(entry)
+	}
+	if got := cap(s.queries); got != DefaultQueryLogLimit {
+		t.Fatalf("cap after %d queries = %d, want the whole ring, %d", queryLogFirstBlock+1, got, DefaultQueryLogLimit)
+	}
+	if allocs := testing.AllocsPerRun(2*DefaultQueryLogLimit, func() { s.logQuery(entry) }); allocs != 0 {
+		t.Errorf("logQuery with the ring in place: %v allocs/op, want 0", allocs)
+	}
+	if got := len(s.QueryLog()); got != DefaultQueryLogLimit {
+		t.Errorf("log holds %d entries after wrapping, want %d", got, DefaultQueryLogLimit)
+	}
+}
+
+func TestQueryLogRingKeepsTheNewest(t *testing.T) {
+	s := NewServer(testZone(t))
+	s.QueryLogLimit = 4
+	for i := 0; i < 6; i++ {
+		s.logQuery(QueryLogEntry{Type: dnswire.Type(i)})
+	}
+	if got := cap(s.queries); got != 4 {
+		t.Errorf("cap = %d, want the limit, 4", got)
+	}
+	log := s.QueryLog()
+	if len(log) != 4 {
+		t.Fatalf("log holds %d entries, want 4", len(log))
+	}
+	for i, e := range log {
+		if want := dnswire.Type(i + 2); e.Type != want {
+			t.Errorf("entry %d is query %d, want %d (oldest first)", i, e.Type, want)
+		}
+	}
+	// A limit raised later is honoured from the next query on, and the
+	// wrapped ring keeps its order.
+	s.QueryLogLimit = 8
+	s.logQuery(QueryLogEntry{Type: 6})
+	log = s.QueryLog()
+	if len(log) != 5 {
+		t.Fatalf("log holds %d entries after the limit was raised, want 5", len(log))
+	}
+	for i, e := range log {
+		if want := dnswire.Type(i + 2); e.Type != want {
+			t.Errorf("after the raise, entry %d is query %d, want %d", i, e.Type, want)
 		}
 	}
 }

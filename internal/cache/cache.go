@@ -49,7 +49,6 @@
 package cache
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -152,7 +151,9 @@ type entry struct {
 	inserted time.Time
 	expires  time.Time
 	negative bool
-	elem     *list.Element
+	// prev and next link the entry into its shard's LRU list; the list
+	// is intrusive so an insert allocates the entry and nothing else.
+	prev, next *entry
 
 	// touched is the second-chance reference bit: set by every hit,
 	// cleared (with one reprieve) by the eviction scan.
@@ -170,10 +171,34 @@ type entry struct {
 // the read lock; Put, eviction, and dead-entry removal take the write
 // lock.
 type shard struct {
-	mu      sync.RWMutex
-	entries map[key]*entry
-	lru     *list.List // front = most recently inserted/reprieved
-	max     int
+	mu         sync.RWMutex
+	entries    map[key]*entry
+	head, tail *entry // LRU list; head = most recently inserted/reprieved
+	max        int
+}
+
+func (s *shard) pushFront(e *entry) {
+	e.prev, e.next = nil, s.head
+	if s.head != nil {
+		s.head.prev = e
+	} else {
+		s.tail = e
+	}
+	s.head = e
+}
+
+func (s *shard) unlink(e *entry) {
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		s.head = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	} else {
+		s.tail = e.prev
+	}
+	e.prev, e.next = nil, nil
 }
 
 // Cache is a sharded, TTL-aware DNS message cache with optional
@@ -194,6 +219,9 @@ type Cache struct {
 
 	hits, misses, negHits, evictions, puts, shared atomic.Int64
 	staleHits, prefetches, refreshes, refreshFails atomic.Int64
+	// size is the entry count across shards, kept as entries come and
+	// go so neither Len nor the entries gauge takes every shard lock.
+	size atomic.Int64
 
 	// inst mirrors the counters into an obs registry when Instrument
 	// was called; nil otherwise. Handles are resolved once so the hot
@@ -266,7 +294,6 @@ func New(cfg Config) *Cache {
 	base, rem := max/shards, max%shards
 	for i := range c.shards {
 		c.shards[i].entries = make(map[key]*entry)
-		c.shards[i].lru = list.New()
 		c.shards[i].max = base
 		if i < rem {
 			c.shards[i].max++
@@ -336,6 +363,25 @@ func (c *Cache) Get(name dnswire.Name, typ dnswire.Type) *dnswire.Message {
 // a detached background refresh is triggered), and (nil, Miss)
 // otherwise.
 func (c *Cache) Lookup(name dnswire.Name, typ dnswire.Type) (*dnswire.Message, Outcome) {
+	msg, outcome, _ := c.lookup(name, typ)
+	return msg, outcome
+}
+
+// LookupCopy is Lookup for a caller that stamps the answer with its
+// query's identity: the returned Message struct is always the caller's
+// own, copied here only when ageing or capping the TTLs had not already
+// made a copy. Its sections stay shared with the cache and read-only.
+func (c *Cache) LookupCopy(name dnswire.Name, typ dnswire.Type) (*dnswire.Message, Outcome) {
+	msg, outcome, private := c.lookup(name, typ)
+	if msg != nil && !private {
+		cp := *msg
+		msg = &cp
+	}
+	return msg, outcome
+}
+
+// lookup also reports whether msg is a copy made for this caller.
+func (c *Cache) lookup(name dnswire.Name, typ dnswire.Type) (msg *dnswire.Message, outcome Outcome, private bool) {
 	k := key{name.Canonical(), typ}
 	s := c.shardFor(k)
 	s.mu.RLock()
@@ -343,7 +389,7 @@ func (c *Cache) Lookup(name dnswire.Name, typ dnswire.Type) (*dnswire.Message, O
 	if !ok {
 		s.mu.RUnlock()
 		c.countMiss()
-		return nil, Miss
+		return nil, Miss, false
 	}
 	now := c.clock()
 	if now.Before(e.expires) {
@@ -371,9 +417,9 @@ func (c *Cache) Lookup(name dnswire.Name, typ dnswire.Type) (*dnswire.Message, O
 			c.launchRefresh(k, e, true)
 		}
 		if age < time.Second {
-			return msg, Fresh
+			return msg, Fresh, false
 		}
-		return ageTTLs(msg, age), Fresh
+		return ageTTLs(msg, age), Fresh, true
 	}
 	if c.staleTTL > 0 && now.Before(e.expires.Add(c.staleTTL)) {
 		// Serve-stale (RFC 8767): the expired entry answers with
@@ -389,7 +435,7 @@ func (c *Cache) Lookup(name dnswire.Name, typ dnswire.Type) (*dnswire.Message, O
 			inst.staleServed.Inc()
 		}
 		c.launchRefresh(k, e, false)
-		return staleCopy(msg, c.staleCap), Stale
+		return staleCopy(msg, c.staleCap), Stale, true
 	}
 	s.mu.RUnlock()
 
@@ -399,10 +445,11 @@ func (c *Cache) Lookup(name dnswire.Name, typ dnswire.Type) (*dnswire.Message, O
 	s.mu.Lock()
 	if cur, ok := s.entries[k]; ok && cur == e {
 		s.removeLocked(e)
+		c.size.Add(-1)
 	}
 	s.mu.Unlock()
 	c.countMiss()
-	return nil, Miss
+	return nil, Miss, false
 }
 
 func (c *Cache) countMiss() {
@@ -431,11 +478,13 @@ func (c *Cache) Put(name dnswire.Name, typ dnswire.Type, msg *dnswire.Message) b
 		expires:  now.Add(time.Duration(ttl) * time.Second),
 	}
 	var evicted int64
+	grew := int64(1)
 	s.mu.Lock()
 	if old, ok := s.entries[k]; ok {
 		s.removeLocked(old)
+		grew = 0
 	}
-	e.elem = s.lru.PushFront(e)
+	s.pushFront(e)
 	s.entries[k] = e
 	for len(s.entries) > s.max {
 		victim := s.secondChanceVictimLocked()
@@ -446,13 +495,14 @@ func (c *Cache) Put(name dnswire.Name, typ dnswire.Type, msg *dnswire.Message) b
 		evicted++
 	}
 	s.mu.Unlock()
+	size := c.size.Add(grew - evicted)
 	c.puts.Add(1)
 	if evicted > 0 {
 		c.evictions.Add(evicted)
 	}
 	if inst := c.inst; inst != nil {
 		inst.evictions.Add(evicted)
-		inst.entries.Set(float64(c.Len()))
+		inst.entries.Set(float64(size))
 	}
 	return true
 }
@@ -464,45 +514,30 @@ func (c *Cache) Put(name dnswire.Name, typ dnswire.Type, msg *dnswire.Message) b
 // away from the tail, one full pass is the worst case. The caller
 // holds s.mu.
 func (s *shard) secondChanceVictimLocked() *entry {
-	for scanned := s.lru.Len(); scanned > 0; scanned-- {
-		back := s.lru.Back()
-		if back == nil {
-			return nil
-		}
-		e := back.Value.(*entry)
+	for scanned := len(s.entries); scanned > 0 && s.tail != nil; scanned-- {
+		e := s.tail
 		if e.touched.CompareAndSwap(true, false) {
-			s.lru.MoveToFront(back)
+			s.unlink(e)
+			s.pushFront(e)
 			continue
 		}
 		return e
 	}
 	// Every entry was referenced this cycle: the tail (whose bit was
 	// cleared first) is the victim.
-	if back := s.lru.Back(); back != nil {
-		return back.Value.(*entry)
-	}
-	return nil
+	return s.tail
 }
 
 // removeLocked unlinks e from the shard; the caller holds s.mu.
 func (s *shard) removeLocked(e *entry) {
 	delete(s.entries, e.key)
-	s.lru.Remove(e.elem)
+	s.unlink(e)
 }
 
 // Len reports the number of live entries across all shards (including
 // expired entries not yet removed on access, and stale entries still
 // inside their serve-stale window).
-func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		n += len(s.entries)
-		s.mu.RUnlock()
-	}
-	return n
-}
+func (c *Cache) Len() int { return int(c.size.Load()) }
 
 // Stats returns a snapshot of the cumulative counters.
 func (c *Cache) Stats() Stats {
@@ -571,54 +606,53 @@ func TTL(msg *dnswire.Message) (ttl uint32, negative bool, ok bool) {
 	return 0, false, false
 }
 
+// ttlCopy is the private copy an aged or stale hit hands out: the
+// Message and room for a short answer section in one allocation.
+type ttlCopy struct {
+	dnswire.Message
+	rr [2]dnswire.ResourceRecord
+}
+
 // ageTTLs returns a copy of msg with every section's TTLs decremented
 // by age (floored at zero).
 func ageTTLs(msg *dnswire.Message, age time.Duration) *dnswire.Message {
-	dec := uint32(age / time.Second)
-	out := *msg
-	out.Answers = ageSection(msg.Answers, dec)
-	out.Authorities = ageSection(msg.Authorities, dec)
-	out.Additionals = ageSection(msg.Additionals, dec)
-	return &out
-}
-
-func ageSection(rrs []dnswire.ResourceRecord, dec uint32) []dnswire.ResourceRecord {
-	if len(rrs) == 0 {
-		return nil
-	}
-	out := make([]dnswire.ResourceRecord, len(rrs))
-	copy(out, rrs)
-	for i := range out {
-		if out[i].TTL > dec {
-			out[i].TTL -= dec
-		} else {
-			out[i].TTL = 0
-		}
-	}
-	return out
+	return copyTTLs(msg, uint32(age/time.Second), ^uint32(0))
 }
 
 // staleCopy returns a copy of msg with every TTL capped at cap — the
 // RFC 8767 §4 shape of a stale answer (never resurrect the original
 // TTL; tell downstream caches the data is on borrowed time).
 func staleCopy(msg *dnswire.Message, cap uint32) *dnswire.Message {
-	out := *msg
-	out.Answers = capSection(msg.Answers, cap)
-	out.Authorities = capSection(msg.Authorities, cap)
-	out.Additionals = capSection(msg.Additionals, cap)
-	return &out
+	return copyTTLs(msg, 0, cap)
 }
 
-func capSection(rrs []dnswire.ResourceRecord, cap uint32) []dnswire.ResourceRecord {
+// copyTTLs copies msg and its records with every TTL lowered by dec
+// (floored at zero) and then capped at cap.
+func copyTTLs(msg *dnswire.Message, dec, cap uint32) *dnswire.Message {
+	c := new(ttlCopy)
+	c.Message = *msg
+	c.Answers = copySection(c.rr[:0], msg.Answers, dec, cap)
+	c.Authorities = copySection(nil, msg.Authorities, dec, cap)
+	c.Additionals = copySection(nil, msg.Additionals, dec, cap)
+	return &c.Message
+}
+
+func copySection(dst, rrs []dnswire.ResourceRecord, dec, cap uint32) []dnswire.ResourceRecord {
 	if len(rrs) == 0 {
 		return nil
 	}
-	out := make([]dnswire.ResourceRecord, len(rrs))
-	copy(out, rrs)
-	for i := range out {
-		if out[i].TTL > cap {
-			out[i].TTL = cap
+	dst = append(dst, rrs...)
+	for i := range dst {
+		ttl := dst[i].TTL
+		if ttl > dec {
+			ttl -= dec
+		} else {
+			ttl = 0
 		}
+		if ttl > cap {
+			ttl = cap
+		}
+		dst[i].TTL = ttl
 	}
-	return out
+	return dst
 }

@@ -1,0 +1,130 @@
+package cache
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+	"time"
+
+	"repro/internal/dnswire"
+	"repro/internal/obs"
+)
+
+// lockedLen counts entries the slow way, under every shard lock, and
+// checks each shard's list against its map on the way.
+func lockedLen(t *testing.T, c *Cache) int {
+	t.Helper()
+	n := 0
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.RLock()
+		listed := 0
+		var prev *entry
+		for e := s.head; e != nil; prev, e = e, e.next {
+			if e.prev != prev || s.entries[e.key] != e {
+				t.Fatalf("shard %d: list and map disagree at %v", i, e.key)
+			}
+			listed++
+		}
+		if prev != s.tail || listed != len(s.entries) {
+			t.Fatalf("shard %d: %d listed, %d mapped, tail %v", i, listed, len(s.entries), s.tail)
+		}
+		n += listed
+		s.mu.RUnlock()
+	}
+	return n
+}
+
+// TestRunningSizeMatchesShards: Len and the entries gauge come from a
+// count kept as entries come and go. Through inserts, replacements,
+// evictions and expired entries removed on access it must equal what
+// the shards hold.
+func TestRunningSizeMatchesShards(t *testing.T) {
+	c, clock := newTestCache(64)
+	reg := obs.NewRegistry()
+	c.Instrument(reg, "cache")
+	rng := rand.New(rand.NewSource(1))
+	for step := 0; step < 4000; step++ {
+		name := dnswire.Name(fmt.Sprintf("n%03d.a.com.", rng.Intn(200)))
+		switch rng.Intn(4) {
+		case 0, 1:
+			c.Put(name, dnswire.TypeA, answer(name, uint32(1+rng.Intn(5))))
+		case 2:
+			c.Get(name, dnswire.TypeA)
+		default:
+			clock.Advance(time.Second)
+		}
+		if step%97 == 0 {
+			if got, want := c.Len(), lockedLen(t, c); got != want {
+				t.Fatalf("step %d: Len() = %d, shards hold %d", step, got, want)
+			}
+		}
+	}
+	want := lockedLen(t, c)
+	if got := c.Len(); got != want || want > 64 {
+		t.Fatalf("Len() = %d, shards hold %d (capacity 64)", got, want)
+	}
+	c.Put("last.a.com.", dnswire.TypeA, answer("last.a.com.", 60))
+	if got := reg.Gauge("cache_entries").Value(); int(got) != c.Len() {
+		t.Errorf("entries gauge = %v, Len() = %d", got, c.Len())
+	}
+}
+
+// TestLookupCopyIsTheCallersOwn: whatever the entry's age, the Message
+// struct LookupCopy returns can be stamped without reaching the stored
+// answer, and an aged hit is one copy, not a copy of a copy.
+func TestLookupCopyIsTheCallersOwn(t *testing.T) {
+	c, clock := newTestCache(64)
+	stored := answer("own.a.com.", 300)
+	c.Put("own.a.com.", dnswire.TypeA, stored)
+
+	young, outcome := c.LookupCopy("own.a.com.", dnswire.TypeA)
+	if outcome != Fresh || young == stored {
+		t.Fatalf("young hit: outcome %v, same pointer as stored %v", outcome, young == stored)
+	}
+	young.Header.ID = 0xBEEF
+	if stored.Header.ID == 0xBEEF {
+		t.Fatal("stamping a LookupCopy result changed the stored message")
+	}
+	if young.Answers[0].TTL != 300 {
+		t.Errorf("young hit TTL = %d", young.Answers[0].TTL)
+	}
+
+	clock.Advance(10 * time.Second)
+	aged, _ := c.LookupCopy("own.a.com.", dnswire.TypeA)
+	aged.Header.ID = 0xCAFE
+	if stored.Header.ID == 0xCAFE || aged.Answers[0].TTL != 290 || stored.Answers[0].TTL != 300 {
+		t.Fatalf("aged hit: stored ID %#x, TTLs %d/%d", stored.Header.ID, aged.Answers[0].TTL, stored.Answers[0].TTL)
+	}
+	if n := testing.AllocsPerRun(200, func() { c.LookupCopy("own.a.com.", dnswire.TypeA) }); n != 1 {
+		t.Errorf("aged single-answer hit: %.1f allocs, want 1 (message and answers in one)", n)
+	}
+	if msg, outcome := c.LookupCopy("absent.a.com.", dnswire.TypeA); msg != nil || outcome != Miss {
+		t.Errorf("miss = %v, %v", msg, outcome)
+	}
+}
+
+// TestPutAllocatesTheEntryOnly: the LRU list is threaded through the
+// entries, so an insert into a full shard — evicting — is one
+// allocation. It was two with container/list.
+func TestPutAllocatesTheEntryOnly(t *testing.T) {
+	c, _ := newTestCache(64)
+	msgs := make([]*dnswire.Message, 512)
+	names := make([]dnswire.Name, len(msgs))
+	for i := range msgs {
+		names[i] = dnswire.Name(fmt.Sprintf("p%03d.a.com.", i))
+		msgs[i] = answer(names[i], 60)
+		c.Put(names[i], dnswire.TypeA, msgs[i])
+	}
+	i := 0
+	n := testing.AllocsPerRun(400, func() {
+		c.Put(names[i%len(names)], dnswire.TypeA, msgs[i%len(names)])
+		i++
+	})
+	if n > 1 {
+		t.Errorf("Put: %.1f allocs, want 1", n)
+	}
+	if st := c.Stats(); st.Evictions == 0 {
+		t.Error("the measured inserts never evicted")
+	}
+}

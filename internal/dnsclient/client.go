@@ -256,7 +256,7 @@ func (c *Client) oneUDP(ctx context.Context, addr string, wire []byte, q *dnswir
 			dnswire.PutMessage(resp)
 			return nil, err
 		}
-		if err := dnswire.UnpackInto(buf[:n], resp); err != nil {
+		if err := dnswire.UnpackReplyInto(buf[:n], resp, q); err != nil {
 			// Malformed datagram from some middlebox: keep waiting
 			// for the real answer until the deadline.
 			continue
@@ -312,7 +312,7 @@ func (c *Client) ExchangeTCP(ctx context.Context, addr string, q *dnswire.Messag
 	}
 	scratch.B = raw
 	resp := dnswire.GetMessage()
-	if err := dnswire.UnpackInto(raw, resp); err != nil {
+	if err := dnswire.UnpackReplyInto(raw, resp, q); err != nil {
 		dnswire.PutMessage(resp)
 		return nil, err
 	}
@@ -345,8 +345,13 @@ func ReadTCPMessage(r io.Reader) ([]byte, error) {
 // its capacity suffices, allocating only for larger messages. The
 // returned slice aliases buf.
 func ReadTCPMessageBuf(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [2]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// The length prefix lands in buf's storage too (the message then
+	// overwrites it), so a caller with a buffer allocates nothing.
+	if cap(buf) < 2 {
+		buf = make([]byte, 2)
+	}
+	hdr := buf[:2]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
 	n := int(hdr[0])<<8 | int(hdr[1])

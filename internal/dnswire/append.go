@@ -192,9 +192,18 @@ func (m *Message) AppendPack(dst []byte) ([]byte, error) {
 // m's section slices (and, where the decoded content matches what m
 // already holds, its name strings and RData values). Decoding the
 // same message shape into a recycled *Message repeatedly — the
-// steady state of every transport hot loop — allocates nothing. On
-// error m is left partially overwritten and must not be used.
-func UnpackInto(msg []byte, m *Message) error {
+// steady state of every transport hot loop — allocates nothing. A
+// record's owner name that equals the name decoded just before it (the
+// question's, for the first record) shares that string. On error m is
+// left partially overwritten and must not be used.
+func UnpackInto(msg []byte, m *Message) error { return unpackInto(msg, m, nil) }
+
+// UnpackReplyInto is UnpackInto for the response to q: a question the
+// server echoed back reuses q's name string, so a client decoding its
+// answer makes no string for a name it already holds.
+func UnpackReplyInto(msg []byte, m, q *Message) error { return unpackInto(msg, m, q) }
+
+func unpackInto(msg []byte, m, q *Message) error {
 	if len(msg) < 12 {
 		return errTruncated
 	}
@@ -208,41 +217,47 @@ func UnpackInto(msg []byte, m *Message) error {
 	off := 12
 	oldQ := m.Questions
 	m.Questions = m.Questions[:0]
+	var last Name // the name decoded most recently
 	for i := 0; i < qd; i++ {
-		var q Question
+		var qn Question
 		var old Name
 		if i < len(oldQ) {
 			old = oldQ[i].Name
 		}
+		if q != nil && i < len(q.Questions) {
+			last = q.Questions[i].Name
+		}
 		var err error
-		q.Name, off, err = unpackNameReuse(msg, off, old)
+		qn.Name, off, err = unpackNameReuse(msg, off, old, last)
 		if err != nil {
 			return err
 		}
 		if off+4 > len(msg) {
 			return errTruncated
 		}
-		q.Type = Type(binary.BigEndian.Uint16(msg[off:]))
-		q.Class = Class(binary.BigEndian.Uint16(msg[off+2:]))
+		qn.Type = Type(binary.BigEndian.Uint16(msg[off:]))
+		qn.Class = Class(binary.BigEndian.Uint16(msg[off+2:]))
 		off += 4
-		m.Questions = append(m.Questions, q)
+		m.Questions = append(m.Questions, qn)
+		last = qn.Name
 	}
 	var err error
-	if m.Answers, off, err = unpackSectionInto(msg, off, an, m.Answers); err != nil {
+	if m.Answers, off, last, err = unpackSectionInto(msg, off, an, m.Answers, last); err != nil {
 		return err
 	}
-	if m.Authorities, off, err = unpackSectionInto(msg, off, ns, m.Authorities); err != nil {
+	if m.Authorities, off, last, err = unpackSectionInto(msg, off, ns, m.Authorities, last); err != nil {
 		return err
 	}
-	if m.Additionals, off, err = unpackSectionInto(msg, off, ar, m.Additionals); err != nil {
+	if m.Additionals, _, _, err = unpackSectionInto(msg, off, ar, m.Additionals, last); err != nil {
 		return err
 	}
 	return nil
 }
 
 // unpackSectionInto decodes n records into dst[:0], offering dst's
-// previous occupants as reuse candidates position by position.
-func unpackSectionInto(msg []byte, off, n int, dst []ResourceRecord) ([]ResourceRecord, int, error) {
+// previous occupants as reuse candidates position by position and last,
+// the name decoded just before, as the owner-name candidate.
+func unpackSectionInto(msg []byte, off, n int, dst []ResourceRecord, last Name) ([]ResourceRecord, int, Name, error) {
 	old := dst
 	dst = dst[:0]
 	for i := 0; i < n; i++ {
@@ -250,23 +265,23 @@ func unpackSectionInto(msg []byte, off, n int, dst []ResourceRecord) ([]Resource
 		if i < len(old) {
 			prev = old[i]
 		}
-		rr, next, err := unpackRRReuse(msg, off, prev)
+		rr, next, err := unpackRRReuse(msg, off, prev, last)
 		if err != nil {
-			return dst, 0, err
+			return dst, 0, last, err
 		}
 		dst = append(dst, rr)
-		off = next
+		off, last = next, rr.Name
 	}
-	return dst, off, nil
+	return dst, off, last, nil
 }
 
-// unpackRRReuse is unpackRR with a reuse candidate: when the decoded
-// name or RData equals prev's, the previous allocation is returned
-// instead of a fresh one.
-func unpackRRReuse(msg []byte, off int, prev ResourceRecord) (ResourceRecord, int, error) {
+// unpackRRReuse is unpackRR with reuse candidates: when the decoded
+// name equals prev's or last, or the RData equals prev's, the existing
+// allocation is returned instead of a fresh one.
+func unpackRRReuse(msg []byte, off int, prev ResourceRecord, last Name) (ResourceRecord, int, error) {
 	var rr ResourceRecord
 	var err error
-	rr.Name, off, err = unpackNameReuse(msg, off, prev.Name)
+	rr.Name, off, err = unpackNameReuse(msg, off, prev.Name, last)
 	if err != nil {
 		return rr, 0, err
 	}
@@ -323,7 +338,7 @@ func unpackRDataReuse(msg []byte, off, rdlen int, typ Type, prev RData) (RData, 
 		if p, ok := prev.(NSRecord); ok {
 			old = p.NS
 		}
-		n, _, err := unpackNameReuse(msg, off, old)
+		n, _, err := unpackNameReuse(msg, off, old, "")
 		if err != nil {
 			return nil, err
 		}
@@ -336,7 +351,7 @@ func unpackRDataReuse(msg []byte, off, rdlen int, typ Type, prev RData) (RData, 
 		if p, ok := prev.(CNAMERecord); ok {
 			old = p.Target
 		}
-		n, _, err := unpackNameReuse(msg, off, old)
+		n, _, err := unpackNameReuse(msg, off, old, "")
 		if err != nil {
 			return nil, err
 		}
@@ -349,7 +364,7 @@ func unpackRDataReuse(msg []byte, off, rdlen int, typ Type, prev RData) (RData, 
 		if p, ok := prev.(PTRRecord); ok {
 			old = p.Target
 		}
-		n, _, err := unpackNameReuse(msg, off, old)
+		n, _, err := unpackNameReuse(msg, off, old, "")
 		if err != nil {
 			return nil, err
 		}
@@ -362,11 +377,11 @@ func unpackRDataReuse(msg []byte, off, rdlen int, typ Type, prev RData) (RData, 
 		var r SOARecord
 		var err error
 		var next int
-		r.MName, next, err = unpackNameReuse(msg, off, old.MName)
+		r.MName, next, err = unpackNameReuse(msg, off, old.MName, "")
 		if err != nil {
 			return nil, err
 		}
-		r.RName, next, err = unpackNameReuse(msg, next, old.RName)
+		r.RName, next, err = unpackNameReuse(msg, next, old.RName, "")
 		if err != nil {
 			return nil, err
 		}
@@ -388,7 +403,7 @@ func unpackRDataReuse(msg []byte, off, rdlen int, typ Type, prev RData) (RData, 
 		}
 		old, hadOld := prev.(MXRecord)
 		pref := binary.BigEndian.Uint16(msg[off:])
-		n, _, err := unpackNameReuse(msg, off+2, old.MX)
+		n, _, err := unpackNameReuse(msg, off+2, old.MX, "")
 		if err != nil {
 			return nil, err
 		}

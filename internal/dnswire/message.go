@@ -36,26 +36,43 @@ type Message struct {
 	Additionals []ResourceRecord
 }
 
+// queryBlock is a Message and the storage of its one question in a
+// single allocation: the shape of every query and of every response
+// skeleton built from one.
+type queryBlock struct {
+	Message
+	q [1]Question
+}
+
 // NewQuery builds a recursive query for (name, type) with the given ID.
 func NewQuery(id uint16, name Name, typ Type) *Message {
-	return &Message{
-		Header:    Header{ID: id, Opcode: OpcodeQuery, RecursionDesired: true},
-		Questions: []Question{{Name: NewName(string(name)), Type: typ, Class: ClassIN}},
-	}
+	b := new(queryBlock)
+	b.Header = Header{ID: id, Opcode: OpcodeQuery, RecursionDesired: true}
+	b.q[0] = Question{Name: NewName(string(name)), Type: typ, Class: ClassIN}
+	b.Questions = b.q[:]
+	return &b.Message
 }
 
 // Reply builds a response skeleton mirroring the query's ID, question,
 // and RD flag.
 func (m *Message) Reply() *Message {
-	r := &Message{
-		Header: Header{
-			ID:               m.Header.ID,
-			Response:         true,
-			Opcode:           m.Header.Opcode,
-			RecursionDesired: m.Header.RecursionDesired,
-		},
+	b := new(queryBlock)
+	b.Questions = b.q[:0]
+	return m.ReplyInto(&b.Message)
+}
+
+// ReplyInto is Reply built in r, keeping r's section storage: the form
+// for a server that takes r from GetMessage and returns it with
+// PutMessage once the response is packed.
+func (m *Message) ReplyInto(r *Message) *Message {
+	r.Header = Header{
+		ID:               m.Header.ID,
+		Response:         true,
+		Opcode:           m.Header.Opcode,
+		RecursionDesired: m.Header.RecursionDesired,
 	}
-	r.Questions = append(r.Questions, m.Questions...)
+	r.Questions = append(r.Questions[:0], m.Questions...)
+	r.Answers, r.Authorities, r.Additionals = r.Answers[:0], r.Authorities[:0], r.Additionals[:0]
 	return r
 }
 
@@ -118,14 +135,33 @@ func Unpack(msg []byte) (*Message, error) {
 	return m, nil
 }
 
+// AppendPackLimit is AppendPack for a datagram of at most size bytes:
+// the message is packed once, and only one that does not fit is
+// truncated (whole records dropped from the tail, TC set) and packed
+// again. Both UDP fronts answer through it.
+func (m *Message) AppendPackLimit(dst []byte, size int) ([]byte, error) {
+	wire, err := m.AppendPack(dst)
+	if err != nil || len(wire)-len(dst) <= size {
+		return wire, err
+	}
+	limited, err := m.Truncate(size)
+	if err != nil {
+		return dst, err
+	}
+	return limited.AppendPack(dst)
+}
+
 // Truncate returns a copy of m that fits within size bytes when
 // packed, dropping whole records from the tail and setting TC when
 // anything was dropped. It is used by UDP responders.
 func (m *Message) Truncate(size int) (*Message, error) {
-	b, err := m.Pack()
+	scratch := GetBuffer()
+	defer PutBuffer(scratch)
+	b, err := m.AppendPack(scratch.B[:0])
 	if err != nil {
 		return nil, err
 	}
+	scratch.B = b
 	if len(b) <= size {
 		return m, nil
 	}
@@ -143,10 +179,10 @@ func (m *Message) Truncate(size int) (*Message, error) {
 			out.Answers = out.Answers[:len(out.Answers)-1]
 		}
 		out.Header.Truncated = true
-		b, err = out.Pack()
-		if err != nil {
+		if b, err = out.AppendPack(scratch.B[:0]); err != nil {
 			return nil, err
 		}
+		scratch.B = b
 		if len(b) <= size {
 			return &out, nil
 		}

@@ -41,7 +41,7 @@ func (n Name) IsRoot() bool { return n == "." || n == "" }
 func (n Name) Canonical() Name { return Name(strings.ToLower(string(NewName(string(n))))) }
 
 // Equal reports case-insensitive equality.
-func (n Name) Equal(m Name) bool { return n.Canonical() == m.Canonical() }
+func (n Name) Equal(m Name) bool { return n == m || n.Canonical() == m.Canonical() }
 
 // Labels splits the name into its labels, excluding the root.
 // "a.b.com." → ["a" "b" "com"].
@@ -51,6 +51,18 @@ func (n Name) Labels() []string {
 		return nil
 	}
 	return strings.Split(s, ".")
+}
+
+// NumLabels is len(n.Labels()) without building the labels.
+func (n Name) NumLabels() int {
+	if n.IsRoot() {
+		return 0
+	}
+	c := strings.Count(string(n), ".")
+	if n[len(n)-1] != '.' {
+		c++
+	}
+	return c
 }
 
 // Parent returns the name with the leftmost label removed.
@@ -163,10 +175,11 @@ func unpackName(msg []byte, off int) (Name, int, error) {
 	return Name(buf[:n]), next, nil
 }
 
-// unpackNameReuse is unpackName, but when the decoded name equals old
-// it returns old instead of allocating a fresh string. The comparison
-// against the stack scratch buffer is allocation-free.
-func unpackNameReuse(msg []byte, off int, old Name) (Name, int, error) {
+// unpackNameReuse is unpackName, but when the decoded name equals one
+// of the candidates it returns that string instead of allocating a
+// fresh one. The comparison against the stack scratch buffer is
+// allocation-free.
+func unpackNameReuse(msg []byte, off int, old, alt Name) (Name, int, error) {
 	var buf [nameBufSize]byte
 	n, next, err := unpackNameBuf(msg, off, buf[:])
 	if err != nil {
@@ -174,6 +187,9 @@ func unpackNameReuse(msg []byte, off int, old Name) (Name, int, error) {
 	}
 	if len(old) == n && string(old) == string(buf[:n]) {
 		return old, next, nil
+	}
+	if len(alt) == n && string(alt) == string(buf[:n]) {
+		return alt, next, nil
 	}
 	return Name(buf[:n]), next, nil
 }

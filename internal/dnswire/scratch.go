@@ -95,7 +95,24 @@ func ReadAllLimit(r io.Reader, b []byte, limit int) ([]byte, error) {
 	}
 }
 
-var msgPool = sync.Pool{New: func() any { return new(Message) }}
+// answerBlock is what the pool makes when it is empty: a Message with
+// room for one question and one answer allocated alongside it, so the
+// commonest response decodes into one object instead of three. The
+// upstream answer a resolver caches is such a pool miss on every query
+// (the cache keeps it), which is where the saving shows.
+type answerBlock struct {
+	Message
+	q  [1]Question
+	rr [1]ResourceRecord
+}
+
+func newAnswerBlock() *Message {
+	b := new(answerBlock)
+	b.Questions, b.Answers = b.q[:0], b.rr[:0]
+	return &b.Message
+}
+
+var msgPool = sync.Pool{New: func() any { return newAnswerBlock() }}
 
 // GetMessage returns a pooled message. Its sections retain the
 // capacity (and contents) of their previous use; UnpackInto resets

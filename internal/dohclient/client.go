@@ -255,7 +255,7 @@ func (c *Client) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Mes
 		return nil, timing, fmt.Errorf("dohclient: response body exceeds %d bytes", maxBody)
 	}
 	m := dnswire.GetMessage()
-	if err := dnswire.UnpackInto(resp.body, m); err != nil {
+	if err := dnswire.UnpackReplyInto(resp.body, m, q); err != nil {
 		dnswire.PutMessage(m)
 		c.count(func(s *Stats) { s.WireErrors++ })
 		return nil, timing, fmt.Errorf("dohclient: decoding response: %w", err)

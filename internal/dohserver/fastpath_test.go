@@ -209,11 +209,11 @@ func TestLazyTimeoutContract(t *testing.T) {
 
 	t.Run("deadline reported, nothing armed until asked", func(t *testing.T) {
 		ctx := h.resolveContext(context.Background())
-		defer ctx.stop()
+		defer ctx.Stop()
 		if d, ok := ctx.Deadline(); !ok || time.Until(d) > 30*time.Millisecond {
 			t.Errorf("Deadline() = %v, %v", d, ok)
 		}
-		if ctx.armed != nil {
+		if ctx.Armed() {
 			t.Error("timer armed before Done or Err was asked for")
 		}
 		if err := ctx.Err(); err != nil {
@@ -231,7 +231,7 @@ func TestLazyTimeoutContract(t *testing.T) {
 	t.Run("parent cancellation and earlier parent deadline", func(t *testing.T) {
 		parent, cancel := context.WithCancel(context.Background())
 		ctx := h.resolveContext(parent)
-		defer ctx.stop()
+		defer ctx.Stop()
 		cancel()
 		<-ctx.Done()
 		if err := ctx.Err(); err != context.Canceled {
@@ -240,7 +240,7 @@ func TestLazyTimeoutContract(t *testing.T) {
 		early, cancelEarly := context.WithTimeout(context.Background(), time.Millisecond)
 		defer cancelEarly()
 		ctx2 := h.resolveContext(early)
-		defer ctx2.stop()
+		defer ctx2.Stop()
 		want, _ := early.Deadline()
 		if d, _ := ctx2.Deadline(); !d.Equal(want) {
 			t.Errorf("Deadline() = %v, want the parent's %v", d, want)
@@ -248,7 +248,7 @@ func TestLazyTimeoutContract(t *testing.T) {
 	})
 	t.Run("derived contexts end with it", func(t *testing.T) {
 		ctx := h.resolveContext(context.Background())
-		defer ctx.stop()
+		defer ctx.Stop()
 		before := runtime.NumGoroutine()
 		child, cancel := context.WithTimeout(ctx, time.Hour)
 		defer cancel()
@@ -271,14 +271,14 @@ func TestLazyTimeoutContract(t *testing.T) {
 		if got := ctx.Value(key{}); got != "v" {
 			t.Errorf("Value after arming = %v", got)
 		}
-		ctx.stop()
+		ctx.Stop()
 		if got := ctx.Value(key{}); got != "v" {
 			t.Errorf("Value after stop = %v", got)
 		}
 	})
 	t.Run("first use after stop is already cancelled", func(t *testing.T) {
 		ctx := h.resolveContext(context.Background())
-		ctx.stop()
+		ctx.Stop()
 		select {
 		case <-ctx.Done():
 		default:

@@ -68,7 +68,7 @@ func (h *Handler) ServeJSON(w http.ResponseWriter, r *http.Request) {
 	q := dnswire.NewQuery(dnsclient.RandomID(), name, typ)
 	h.queries.Add(1)
 	ctx := h.resolveContext(r.Context())
-	defer ctx.stop()
+	defer ctx.Stop()
 	resp, err := h.Resolver.Resolve(ctx, q)
 	if err != nil {
 		resp = q.Reply()

@@ -13,11 +13,11 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/deadline"
 	"repro/internal/dnswire"
 	"repro/internal/recursive"
 )
@@ -97,7 +97,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 
 	ctx := h.resolveContext(r.Context())
-	defer ctx.stop()
+	defer ctx.Stop()
 	resp, err := h.Resolver.Resolve(ctx, q)
 	if err != nil {
 		resp = q.Reply()
@@ -154,80 +154,16 @@ func (h *Handler) maxAge(resp *dnswire.Message) int {
 }
 
 // resolveContext bounds one resolution by the resolve timeout without
-// paying for a timer on queries the cache answers: the returned
-// context reports the deadline at once but arms its timer only when
-// something first asks for Done (or Err) — an upstream exchange, a wait
-// on another query's flight. A cache hit asks for neither.
-func (h *Handler) resolveContext(parent context.Context) *lazyTimeout {
+// paying for a timer on queries the cache answers (see deadline.Lazy):
+// only an upstream exchange that waits on Done, or a wait on another
+// query's flight, arms it.
+func (h *Handler) resolveContext(parent context.Context) *deadline.Lazy {
 	d := h.resolveTimeout
 	if d <= 0 {
 		d = recursive.QueryTimeout
 	}
-	return &lazyTimeout{Context: parent, deadline: time.Now().Add(d)}
+	return deadline.New(parent, d)
 }
-
-// lazyTimeout is a context.WithDeadline whose timer context is built on
-// first use. Once armed it answers Value through the armed context, so
-// package context recognises the pair as its own and links derived
-// contexts (an attempt timeout in the upstream's policy stack) straight
-// into the armed one instead of parking a goroutine on Done.
-type lazyTimeout struct {
-	context.Context
-	deadline time.Time
-
-	mu     sync.Mutex
-	armed  context.Context
-	cancel context.CancelFunc // nil until armed by use
-}
-
-func (c *lazyTimeout) arm() context.Context {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.armed == nil {
-		c.armed, c.cancel = context.WithDeadline(c.Context, c.deadline)
-	}
-	return c.armed
-}
-
-func (c *lazyTimeout) Deadline() (time.Time, bool) {
-	if d, ok := c.Context.Deadline(); ok && d.Before(c.deadline) {
-		return d, true
-	}
-	return c.deadline, true
-}
-
-func (c *lazyTimeout) Done() <-chan struct{} { return c.arm().Done() }
-func (c *lazyTimeout) Err() error            { return c.arm().Err() }
-
-func (c *lazyTimeout) Value(key any) any {
-	c.mu.Lock()
-	ctx := c.Context
-	if c.cancel != nil {
-		ctx = c.armed
-	}
-	c.mu.Unlock()
-	return ctx.Value(key)
-}
-
-// stop releases the timer if one was armed. A context that outlives
-// the request and is first used afterwards is cancelled from the start.
-func (c *lazyTimeout) stop() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.armed == nil {
-		c.armed = cancelledContext
-	} else if c.cancel != nil {
-		c.cancel()
-	}
-}
-
-// cancelledContext is what a lazyTimeout first used after stop
-// resolves to.
-var cancelledContext = func() context.Context {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	return ctx
-}()
 
 // extractQuery pulls the raw DNS message out of a DoH request,
 // returning an HTTP status on failure. POST bodies land in scratch's

@@ -76,14 +76,16 @@ func (c *Client) Query(ctx context.Context, name dnswire.Name, typ dnswire.Type)
 }
 
 // Exchange sends q, reusing the pooled TLS connection when alive. On
-// a dead pooled connection it redials once.
+// a dead pooled connection it redials once. A connection on which any
+// I/O failed, freshly dialled or pooled, is never kept: the stream may
+// still deliver the late reply, and the next query would read that.
 func (c *Client) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Message, Timing, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	resp, timing, err := c.exchangeLocked(ctx, q)
 	if err != nil && timing.Reused {
-		// The pooled connection died under us; retry on a fresh one.
-		c.closeLocked()
+		// The pooled connection died under us (and is closed by now);
+		// retry on a fresh one.
 		resp, timing, err = c.exchangeLocked(ctx, q)
 	}
 	return resp, timing, err
@@ -126,43 +128,57 @@ func (c *Client) exchangeLocked(ctx context.Context, q *dnswire.Message) (*dnswi
 		timing.Reused = true
 	}
 
-	conn := c.conn
-	conn.SetDeadline(deadline)
+	c.conn.SetDeadline(deadline)
+	resp, sent, err := c.roundTrip(q, &timing, start)
+	if err != nil && sent {
+		// From the first byte written the stream is only good if the
+		// whole exchange is: a failed write, a read cut short by the
+		// deadline, or a frame that is not this query's answer all
+		// leave it out of step.
+		c.closeLocked()
+	}
+	return resp, timing, err
+}
+
+// roundTrip sends q on the pooled connection and reads its answer.
+// sent reports whether anything was written, that is, whether a failure
+// has spoiled the stream.
+func (c *Client) roundTrip(q *dnswire.Message, timing *Timing, start time.Time) (resp *dnswire.Message, sent bool, err error) {
 	scratch := dnswire.GetBuffer()
 	defer dnswire.PutBuffer(scratch)
 	// Pack behind the 2-byte length prefix so the frame goes out in a
 	// single TLS record write.
 	frame, err := q.AppendPack(append(scratch.B[:0], 0, 0))
 	if err != nil {
-		return nil, timing, err
+		return nil, false, err
 	}
 	wlen := len(frame) - 2
 	if wlen > 0xffff {
-		return nil, timing, fmt.Errorf("dot: message too large for framing: %d", wlen)
+		return nil, false, fmt.Errorf("dot: message too large for framing: %d", wlen)
 	}
 	frame[0], frame[1] = byte(wlen>>8), byte(wlen)
 	scratch.B = frame
 	rtStart := time.Now()
-	if _, err := conn.Write(frame); err != nil {
-		return nil, timing, fmt.Errorf("dot: write: %w", err)
+	if _, err := c.conn.Write(frame); err != nil {
+		return nil, true, fmt.Errorf("dot: write: %w", err)
 	}
-	raw, err := dnsclient.ReadTCPMessageBuf(conn, frame[:0])
+	raw, err := dnsclient.ReadTCPMessageBuf(c.conn, frame[:0])
 	if err != nil {
-		return nil, timing, fmt.Errorf("dot: read: %w", err)
+		return nil, true, fmt.Errorf("dot: read: %w", err)
 	}
 	scratch.B = raw
 	timing.RoundTrip = time.Since(rtStart)
 	timing.Total = time.Since(start)
-	resp := dnswire.GetMessage()
-	if err := dnswire.UnpackInto(raw, resp); err != nil {
+	resp = dnswire.GetMessage()
+	if err := dnswire.UnpackReplyInto(raw, resp, q); err != nil {
 		dnswire.PutMessage(resp)
-		return nil, timing, fmt.Errorf("dot: decode: %w", err)
+		return nil, true, fmt.Errorf("dot: decode: %w", err)
 	}
 	if resp.Header.ID != q.Header.ID {
 		dnswire.PutMessage(resp)
-		return nil, timing, errors.New("dot: response ID mismatch")
+		return nil, true, errors.New("dot: response ID mismatch")
 	}
-	return resp, timing, nil
+	return resp, true, nil
 }
 
 func (c *Client) timeout() time.Duration {

@@ -4,7 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
+	"net/netip"
+	"sort"
 	"sync"
 	"time"
 
@@ -52,9 +53,10 @@ var ErrNoUpstream = errors.New("recursive: no upstream for query")
 // answer — the query-coalescing behaviour production resolvers use to
 // survive request storms.
 type Resolver struct {
-	cache           *Cache
-	mu              sync.RWMutex
-	zones           map[dnswire.Name]Upstream
+	cache *Cache
+	mu    sync.RWMutex
+	// zones is kept longest suffix first, so the first match wins.
+	zones           []zoneRoute
 	defaultUpstream Upstream
 
 	flightMu sync.Mutex
@@ -65,6 +67,12 @@ type Resolver struct {
 	QueryDelay func(ctx context.Context) error
 }
 
+// zoneRoute sends queries under suffix (canonical form) to up.
+type zoneRoute struct {
+	suffix dnswire.Name
+	up     Upstream
+}
+
 // flightKey identifies one deduplicated upstream resolution.
 type flightKey struct {
 	name dnswire.Name
@@ -72,6 +80,8 @@ type flightKey struct {
 }
 
 // flight is one in-progress upstream resolution shared by waiters.
+// done is made by the first waiter, under flightMu: a miss nobody else
+// asks for — nearly every one — never builds a channel.
 type flight struct {
 	done chan struct{}
 	resp *dnswire.Message
@@ -88,7 +98,6 @@ func New(cache *Cache) *Resolver {
 	}
 	r := &Resolver{
 		cache:    cache,
-		zones:    make(map[dnswire.Name]Upstream),
 		inflight: make(map[flightKey]*flight),
 	}
 	cache.Unwrap().SetRefresher(r.refresh)
@@ -123,9 +132,20 @@ func (r *Resolver) Cache() *Cache { return r.cache }
 
 // AddZone routes queries under suffix to up.
 func (r *Resolver) AddZone(suffix dnswire.Name, up Upstream) {
+	suffix = suffix.Canonical()
+	route := zoneRoute{suffix: suffix, up: up}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.zones[suffix.Canonical()] = up
+	for i, z := range r.zones {
+		if z.suffix == suffix {
+			r.zones[i] = route
+			return
+		}
+	}
+	r.zones = append(r.zones, route)
+	sort.SliceStable(r.zones, func(i, j int) bool {
+		return r.zones[i].suffix.NumLabels() > r.zones[j].suffix.NumLabels()
+	})
 }
 
 // SetDefault routes unmatched queries to up.
@@ -138,16 +158,12 @@ func (r *Resolver) SetDefault(up Upstream) {
 func (r *Resolver) upstreamFor(name dnswire.Name) Upstream {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	best := r.defaultUpstream
-	bestLabels := -1
-	for suffix, up := range r.zones {
-		if name.IsSubdomainOf(suffix) {
-			if n := len(suffix.Labels()); n > bestLabels {
-				best, bestLabels = up, n
-			}
+	for _, z := range r.zones {
+		if name.IsSubdomainOf(z.suffix) {
+			return z.up
 		}
 	}
-	return best
+	return r.defaultUpstream
 }
 
 // Resolve answers q, consulting the cache first. It is safe for
@@ -157,16 +173,16 @@ func (r *Resolver) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Me
 		return nil, errors.New("recursive: query has no question")
 	}
 	question := q.Questions[0]
-	// The hit path is lock-light end to end: Lookup takes only a shard
-	// read lock (recency and popularity are per-entry atomics), and
-	// stale hits hand the refresh to a detached background flight.
-	// Cached messages are shared and read-only — copy before stamping.
-	if cached, _ := r.cache.Lookup(question.Name, question.Type); cached != nil {
-		resp := *cached
+	// The hit path is lock-light end to end: the lookup takes only a
+	// shard read lock (recency and popularity are per-entry atomics),
+	// and stale hits hand the refresh to a detached background flight.
+	// Cached messages are shared and read-only; LookupCopy hands back a
+	// Message struct of our own to stamp.
+	if resp, _ := r.cache.c.LookupCopy(question.Name, question.Type); resp != nil {
 		resp.Header.ID = q.Header.ID
 		resp.Header.RecursionDesired = q.Header.RecursionDesired
 		resp.Header.RecursionAvailable = true
-		return &resp, nil
+		return resp, nil
 	}
 	up := r.upstreamFor(question.Name)
 	if up == nil {
@@ -177,9 +193,13 @@ func (r *Resolver) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Me
 	key := flightKey{question.Name.Canonical(), question.Type}
 	r.flightMu.Lock()
 	if f, ok := r.inflight[key]; ok {
+		if f.done == nil {
+			f.done = make(chan struct{})
+		}
+		done := f.done
 		r.flightMu.Unlock()
 		select {
-		case <-f.done:
+		case <-done:
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
@@ -188,15 +208,18 @@ func (r *Resolver) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Me
 		}
 		return tailorResponse(f.resp, q), nil
 	}
-	f := &flight{done: make(chan struct{})}
+	f := &flight{}
 	r.inflight[key] = f
 	r.flightMu.Unlock()
 
 	f.resp, f.err = r.resolveMiss(ctx, up, q)
 	r.flightMu.Lock()
 	delete(r.inflight, key)
+	done := f.done
 	r.flightMu.Unlock()
-	close(f.done)
+	if done != nil {
+		close(done)
+	}
 
 	if f.err != nil {
 		return nil, f.err
@@ -225,7 +248,13 @@ func (r *Resolver) resolveMiss(ctx context.Context, up Upstream, q *dnswire.Mess
 }
 
 // tailorResponse stamps a shared response with one waiter's identity.
+// The query that was forwarded got its own ID and RD flag echoed back,
+// so its answer needs no copy; like a cache hit's sections, what
+// Resolve returns is read-only.
 func tailorResponse(shared *dnswire.Message, q *dnswire.Message) *dnswire.Message {
+	if shared.Header.ID == q.Header.ID && shared.Header.RecursionDesired == q.Header.RecursionDesired {
+		return shared
+	}
 	resp := *shared
 	resp.Header.ID = q.Header.ID
 	resp.Header.RecursionDesired = q.Header.RecursionDesired
@@ -319,7 +348,7 @@ func (s *Server) Close() error {
 // servePacket resolves one client datagram on a dispatch worker. The
 // context already carries QueryTimeout (and is cancelled early on a
 // forced shutdown).
-func (s *Server) servePacket(ctx context.Context, out, raw []byte, _ net.Addr) ([]byte, error) {
+func (s *Server) servePacket(ctx context.Context, out, raw []byte, _ netip.AddrPort) ([]byte, error) {
 	// The decode target is pooled; the resolver's response never
 	// aliases its slices (Reply copies the question, and cached
 	// responses are resolver-owned).
@@ -335,11 +364,7 @@ func (s *Server) servePacket(ctx context.Context, out, raw []byte, _ net.Addr) (
 		resp.Header.RCode = dnswire.RCodeServFail
 		resp.Header.RecursionAvailable = true
 	}
-	limited, err := resp.Truncate(dnswire.MaxUDPPayload)
-	if err != nil {
-		return nil, nil
-	}
-	wire, err := limited.AppendPack(out)
+	wire, err := resp.AppendPackLimit(out, dnswire.MaxUDPPayload)
 	if err != nil {
 		return nil, nil
 	}

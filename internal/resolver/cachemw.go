@@ -68,16 +68,15 @@ func (cw *cacheware) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.
 	}
 	question := q.Questions[0]
 	start := time.Now()
-	if cached, outcome := cw.cache.Lookup(question.Name, question.Type); cached != nil {
-		// Cached messages are shared and read-only: copy the struct
-		// before stamping this caller's identity.
-		resp := *cached
+	if resp, outcome := cw.cache.LookupCopy(question.Name, question.Type); resp != nil {
+		// Cached messages are shared and read-only: the struct
+		// LookupCopy returns is ours to stamp.
 		resp.Header.ID = q.Header.ID
 		d := time.Since(start)
 		if cw.hitHist != nil {
 			cw.hitHist.Observe(d)
 		}
-		return &resp, Timing{Total: d, Reused: true, Attempts: 1, Stale: outcome == cache.Stale}, nil
+		return resp, Timing{Total: d, Reused: true, Attempts: 1, Stale: outcome == cache.Stale}, nil
 	}
 
 	// Miss: resolve through next, collapsing concurrent misses for the

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/deadline"
 	"repro/internal/dnswire"
 	"repro/internal/obs"
 )
@@ -159,20 +160,22 @@ func Apply(r Resolver, p Policy) Resolver {
 // each call into next (place this layer below WithRetry so every
 // attempt gets its own budget); overall caps the context for the whole
 // stack above (place a second WithTimeout outermost for that). Either
-// may be zero.
+// may be zero; with both set the tighter one is the bound, since both
+// start at the same call. The bound is a deadline.Lazy: a transport
+// that reads ctx.Deadline() into a socket deadline (all three do) is
+// bounded without a timer, and one that waits on Done gets a real one.
 func WithTimeout(next Resolver, perAttempt, overall time.Duration) Resolver {
+	bound := perAttempt
+	if bound <= 0 || overall > 0 && overall < bound {
+		bound = overall
+	}
+	if bound <= 0 {
+		return next
+	}
 	return Func(func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, Timing, error) {
-		if overall > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, overall)
-			defer cancel()
-		}
-		if perAttempt > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, perAttempt)
-			defer cancel()
-		}
-		return next.Resolve(ctx, q)
+		bounded := deadline.New(ctx, bound)
+		defer bounded.Stop()
+		return next.Resolve(bounded, q)
 	})
 }
 

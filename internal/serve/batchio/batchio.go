@@ -7,7 +7,10 @@
 // engine exporting its internals.
 package batchio
 
-import "net"
+import (
+	"net"
+	"net/netip"
+)
 
 // MaxDatagram is the largest UDP payload a DNS message can occupy;
 // batch slots are sized to it so no legal message is truncated.
@@ -19,11 +22,12 @@ const MaxDatagram = 65535
 // responses back to the matching sources. On Linux this is backed by
 // recvmmsg/sendmmsg (one syscall per batch in each direction);
 // elsewhere — and whenever size is 1 — a portable loop moves one
-// datagram at a time.
+// datagram at a time. The source address is a value (IPv4 sources are
+// unmapped), so none of the four calls allocates.
 type Batch interface {
 	Read() (int, error)
 	Packet(i int) []byte
-	Addr(i int) *net.UDPAddr
+	Addr(i int) netip.AddrPort
 	Write(resps [][]byte) error
 }
 
@@ -40,7 +44,7 @@ type loopBatch struct {
 	conn *net.UDPConn
 	buf  []byte
 	n    int
-	src  *net.UDPAddr
+	src  netip.AddrPort
 }
 
 func newLoopBatch(conn *net.UDPConn) *loopBatch {
@@ -48,22 +52,22 @@ func newLoopBatch(conn *net.UDPConn) *loopBatch {
 }
 
 func (b *loopBatch) Read() (int, error) {
-	n, src, err := b.conn.ReadFromUDP(b.buf)
+	n, src, err := b.conn.ReadFromUDPAddrPort(b.buf)
 	if err != nil {
 		return 0, err
 	}
-	b.n, b.src = n, src
+	b.n, b.src = n, netip.AddrPortFrom(src.Addr().Unmap(), src.Port())
 	return 1, nil
 }
 
-func (b *loopBatch) Packet(int) []byte     { return b.buf[:b.n] }
-func (b *loopBatch) Addr(int) *net.UDPAddr { return b.src }
+func (b *loopBatch) Packet(int) []byte       { return b.buf[:b.n] }
+func (b *loopBatch) Addr(int) netip.AddrPort { return b.src }
 
 func (b *loopBatch) Write(resps [][]byte) error {
 	if len(resps) == 0 || len(resps[0]) == 0 {
 		return nil
 	}
-	_, err := b.conn.WriteToUDP(resps[0], b.src)
+	_, err := b.conn.WriteToUDPAddrPort(resps[0], b.src)
 	return err
 }
 

@@ -5,6 +5,7 @@ package batchio
 import (
 	"context"
 	"net"
+	"net/netip"
 	"runtime"
 	"syscall"
 	"unsafe"
@@ -93,6 +94,17 @@ type mmsgBatch struct {
 	siovs []iovec
 	shdrs []mmsghdr
 	n     int
+
+	// recv and send are the callbacks handed to the runtime poller,
+	// built once: a closure made per call escapes into the RawConn
+	// interface and takes its captured results to the heap with it.
+	// They talk to Read and sendmmsg through the fields below; each
+	// direction has its own, since a client may send and receive on
+	// two goroutines.
+	recv, send           func(fd uintptr) bool
+	sending              []mmsghdr
+	received, sent       uintptr
+	recvErrno, sendErrno syscall.Errno
 }
 
 func newMmsgBatch(conn *net.UDPConn, size int) (*mmsgBatch, error) {
@@ -120,6 +132,18 @@ func newMmsgBatch(conn *net.UDPConn, size int) (*mmsgBatch, error) {
 			iovlen:  1,
 		}
 	}
+	b.recv = func(fd uintptr) bool {
+		b.received, _, b.recvErrno = syscall.Syscall6(sysRecvmmsg, fd,
+			uintptr(unsafe.Pointer(&b.hdrs[0])), uintptr(len(b.hdrs)),
+			syscall.MSG_DONTWAIT, 0, 0)
+		return b.recvErrno != syscall.EAGAIN
+	}
+	b.send = func(fd uintptr) bool {
+		b.sent, _, b.sendErrno = syscall.Syscall6(sysSendmmsg, fd,
+			uintptr(unsafe.Pointer(&b.sending[0])), uintptr(len(b.sending)),
+			syscall.MSG_DONTWAIT, 0, 0)
+		return b.sendErrno != syscall.EAGAIN
+	}
 	return b, nil
 }
 
@@ -132,44 +156,32 @@ func (b *mmsgBatch) Read() (int, error) {
 		b.hdrs[i].hdr.flags = 0
 		b.hdrs[i].len = 0
 	}
-	var n uintptr
-	var errno syscall.Errno
-	err := b.rc.Read(func(fd uintptr) bool {
-		n, _, errno = syscall.Syscall6(sysRecvmmsg, fd,
-			uintptr(unsafe.Pointer(&b.hdrs[0])), uintptr(len(b.hdrs)),
-			syscall.MSG_DONTWAIT, 0, 0)
-		return errno != syscall.EAGAIN
-	})
+	err := b.rc.Read(b.recv)
 	runtime.KeepAlive(b)
 	if err != nil {
 		return 0, err
 	}
-	if errno != 0 {
-		return 0, errno
+	if b.recvErrno != 0 {
+		return 0, b.recvErrno
 	}
-	b.n = int(n)
+	b.n = int(b.received)
 	return b.n, nil
 }
 
 func (b *mmsgBatch) Packet(i int) []byte { return b.bufs[i][:b.hdrs[i].len] }
 
-// Addr decodes slot i's source into a fresh *net.UDPAddr (handlers may
-// retain it, so the sockaddr slot cannot be shared).
-func (b *mmsgBatch) Addr(i int) *net.UDPAddr {
+// Addr decodes slot i's source from its sockaddr slot.
+func (b *mmsgBatch) Addr(i int) netip.AddrPort {
 	name := &b.names[i]
 	family := uint16(name[0]) | uint16(name[1])<<8
-	port := int(name[2])<<8 | int(name[3])
+	port := uint16(name[2])<<8 | uint16(name[3])
 	switch family {
 	case syscall.AF_INET:
-		ip := make(net.IP, 4)
-		copy(ip, name[4:8])
-		return &net.UDPAddr{IP: ip, Port: port}
+		return netip.AddrPortFrom(netip.AddrFrom4([4]byte(name[4:8])), port)
 	case syscall.AF_INET6:
-		ip := make(net.IP, 16)
-		copy(ip, name[8:24])
-		return &net.UDPAddr{IP: ip, Port: port}
+		return netip.AddrPortFrom(netip.AddrFrom16([16]byte(name[8:24])).Unmap(), port)
 	}
-	return &net.UDPAddr{}
+	return netip.AddrPort{}
 }
 
 // Write sends the non-nil responses with as few sendmmsg calls as the
@@ -200,25 +212,18 @@ func (b *mmsgBatch) Write(resps [][]byte) error {
 // sendmmsg pushes hdrs out, continuing across partial sends, keeping
 // pkts alive for the duration of the raw syscalls.
 func (b *mmsgBatch) sendmmsg(hdrs []mmsghdr, pkts [][]byte) error {
-	off := 0
-	for off < len(hdrs) {
-		var sent uintptr
-		var errno syscall.Errno
-		err := b.rc.Write(func(fd uintptr) bool {
-			sent, _, errno = syscall.Syscall6(sysSendmmsg, fd,
-				uintptr(unsafe.Pointer(&hdrs[off])), uintptr(len(hdrs)-off),
-				syscall.MSG_DONTWAIT, 0, 0)
-			return errno != syscall.EAGAIN
-		})
+	for len(hdrs) > 0 {
+		b.sending = hdrs
+		err := b.rc.Write(b.send)
 		runtime.KeepAlive(b)
 		runtime.KeepAlive(pkts)
 		if err != nil {
 			return err
 		}
-		if errno != 0 {
-			return errno
+		if b.sendErrno != 0 {
+			return b.sendErrno
 		}
-		off += int(sent)
+		hdrs = hdrs[b.sent:]
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package batchio
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"testing"
 	"time"
 )
@@ -135,4 +136,65 @@ func TestReusePort(t *testing.T) {
 		t.Fatalf("second bind on %s: %v", first.LocalAddr(), err)
 	}
 	second.Close()
+}
+
+// TestBatchAllocationFree is the gate on the per-datagram cost of the
+// batch surface: Read, Packet, Addr and Write allocate nothing, on the
+// mmsg path and on the portable loop. Addr is also checked against the
+// socket the datagram really came from, on an IPv4 and (where the host
+// has one) a dual-stack listener, whose IPv4 sources must come back
+// unmapped.
+func TestBatchAllocationFree(t *testing.T) {
+	for _, tc := range []struct {
+		listen string
+		size   int
+	}{{"127.0.0.1:0", 8}, {"127.0.0.1:0", 1}, {"[::]:0", 8}} {
+		t.Run(fmt.Sprintf("%s size=%d", tc.listen, tc.size), func(t *testing.T) {
+			uaddr, _ := net.ResolveUDPAddr("udp", tc.listen)
+			srv, err := net.ListenUDP("udp", uaddr)
+			if err != nil {
+				t.Skipf("listen %s: %v", tc.listen, err)
+			}
+			defer srv.Close()
+			port := srv.LocalAddr().(*net.UDPAddr).Port
+			cli, err := net.Dial("udp", fmt.Sprintf("127.0.0.1:%d", port))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cli.Close()
+			want := cli.LocalAddr().(*net.UDPAddr).AddrPort()
+
+			b := New(srv, tc.size)
+			query, reply := []byte("ping"), make([]byte, 16)
+			resps := make([][]byte, tc.size)
+			deadline := time.Now().Add(30 * time.Second)
+			srv.SetReadDeadline(deadline)
+			cli.SetReadDeadline(deadline)
+			var got netip.AddrPort
+			exchange := func() {
+				if _, err := cli.Write(query); err != nil {
+					t.Fatal(err)
+				}
+				n, err := b.Read()
+				if err != nil || n != 1 {
+					t.Fatalf("Read = %d, %v", n, err)
+				}
+				got = b.Addr(0)
+				resps[0] = b.Packet(0)
+				if err := b.Write(resps[:n]); err != nil {
+					t.Fatal(err)
+				}
+				if n, err := cli.Read(reply); err != nil || string(reply[:n]) != "ping" {
+					t.Fatalf("echo = %q, %v", reply[:n], err)
+				}
+			}
+			exchange()
+			if allocs := testing.AllocsPerRun(200, exchange); allocs != 0 {
+				t.Errorf("Read+Addr+Packet+Write: %.1f allocs per datagram, want 0", allocs)
+			}
+			if got != want {
+				t.Errorf("Addr = %v, want the client's %v", got, want)
+			}
+		})
+	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"net"
+	"net/netip"
 	"time"
 )
 
@@ -125,7 +126,7 @@ func (s *Server) release() {
 // servePacketChecked invokes the packet handler with panic recovery: a
 // panicking handler yields SERVFAIL (or a drop for non-DNS payloads)
 // and increments serve_panic_total instead of killing the process.
-func (s *Server) servePacketChecked(ctx context.Context, out, raw []byte, src net.Addr) (resp []byte, err error) {
+func (s *Server) servePacketChecked(ctx context.Context, out, raw []byte, src netip.AddrPort) (resp []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.metrics.panics.Inc()

@@ -49,7 +49,7 @@ func TestAdmissionShedServfailUDP(t *testing.T) {
 	h := newBlockingHandler()
 	reg := obs.NewRegistry()
 	s, err := New("127.0.0.1:0", Options{
-		Packet:      PacketHandlerFunc(h.serve),
+		Packet:      packetFunc(h.serve),
 		Concurrency: 2,
 		Registry:    reg,
 		Protection:  Protection{MaxInflight: 1},
@@ -280,7 +280,7 @@ func panicOn(tag string, calls *atomic.Int64) func(context.Context, []byte, []by
 func TestPanicRecoveryPacket(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, err := New("127.0.0.1:0", Options{
-		Packet:   PacketHandlerFunc(panicOn("boom", nil)),
+		Packet:   packetFunc(panicOn("boom", nil)),
 		Registry: reg,
 	})
 	if err != nil {
@@ -406,7 +406,7 @@ func TestMaxConnsRejectsOverCap(t *testing.T) {
 		conn3.SetReadDeadline(time.Now().Add(time.Second))
 		msg := append([]byte{0, 1}, 'c')
 		if _, err := conn3.Write(msg); err == nil {
-			if got, err := readFrame(conn3) /* admitted */ ; err == nil && got == "ok:c" {
+			if got, err := readFrame(conn3); /* admitted */ err == nil && got == "ok:c" {
 				conn3.Close()
 				return
 			}
@@ -575,7 +575,7 @@ func TestShutdownShedAccounting(t *testing.T) {
 	h := newBlockingHandler()
 	reg := obs.NewRegistry()
 	s, err := New("127.0.0.1:0", Options{
-		Packet:      PacketHandlerFunc(h.serve),
+		Packet:      packetFunc(h.serve),
 		Concurrency: 2,
 		Registry:    reg,
 		Protection:  Protection{MaxInflight: 2},

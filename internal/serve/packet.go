@@ -3,7 +3,9 @@ package serve
 import (
 	"errors"
 	"net"
+	"net/netip"
 
+	"repro/internal/deadline"
 	"repro/internal/dnswire"
 	"repro/internal/serve/batchio"
 )
@@ -60,6 +62,7 @@ func (s *Server) packetInlineLoop(idx int, conn *net.UDPConn, b batchio.Batch) {
 		}
 	}()
 	qd := s.metrics.queueDepth[idx]
+	var lazy deadline.Lazy
 	errStreak := 0
 	for {
 		n, done := s.readBatch(b, &errStreak)
@@ -80,7 +83,7 @@ func (s *Server) packetInlineLoop(idx int, conn *net.UDPConn, b batchio.Batch) {
 			// query's own bytes, riding the same batched write as real
 			// responses — shedding must stay cheaper than serving.
 			if s.limiter != nil {
-				switch s.limiter.verdict(b.Addr(i)) {
+				switch s.limiter.verdict(b.Addr(i).Addr()) {
 				case rrlDrop:
 					s.metrics.rlDropped.Inc()
 					continue
@@ -102,11 +105,8 @@ func (s *Server) packetInlineLoop(idx int, conn *net.UDPConn, b batchio.Batch) {
 				}
 				continue
 			}
-			ctx, cancel := s.queryContext()
-			resp, err := s.servePacketChecked(ctx, outs[i].B[:0], raw, b.Addr(i))
-			if cancel != nil {
-				cancel()
-			}
+			resp, err := s.servePacketChecked(s.queryContext(&lazy), outs[i].B[:0], raw, b.Addr(i))
+			s.endQuery(&lazy)
 			s.release()
 			if err != nil || len(resp) == 0 {
 				if err != nil {
@@ -139,7 +139,7 @@ func (s *Server) packetInlineLoop(idx int, conn *net.UDPConn, b batchio.Batch) {
 // reused by the next Read.
 type dispatchItem struct {
 	buf *dnswire.Buffer
-	src *net.UDPAddr
+	src netip.AddrPort
 }
 
 // packetDispatchLoop feeds a per-listener worker pool. The channel is
@@ -172,7 +172,7 @@ func (s *Server) packetDispatchLoop(idx int, conn *net.UDPConn, b batchio.Batch)
 		for i := 0; i < n; i++ {
 			pkt := b.Packet(i)
 			if s.limiter != nil {
-				switch s.limiter.verdict(b.Addr(i)) {
+				switch s.limiter.verdict(b.Addr(i).Addr()) {
 				case rrlDrop:
 					s.metrics.rlDropped.Inc()
 					continue
@@ -180,7 +180,7 @@ func (s *Server) packetDispatchLoop(idx int, conn *net.UDPConn, b batchio.Batch)
 					s.metrics.rlSlipped.Inc()
 					if tc := appendTruncated(shedOut.B[:0], pkt); tc != nil {
 						shedOut.B = tc
-						conn.WriteToUDP(tc, b.Addr(i))
+						conn.WriteToUDPAddrPort(tc, b.Addr(i))
 					}
 					continue
 				}
@@ -191,7 +191,7 @@ func (s *Server) packetDispatchLoop(idx int, conn *net.UDPConn, b batchio.Batch)
 			if !s.admit() {
 				if sf := appendServFail(shedOut.B[:0], pkt); sf != nil {
 					shedOut.B = sf
-					conn.WriteToUDP(sf, b.Addr(i))
+					conn.WriteToUDPAddrPort(sf, b.Addr(i))
 				}
 				continue
 			}
@@ -216,12 +216,10 @@ func (s *Server) dispatchWorker(conn *net.UDPConn, ch chan dispatchItem) {
 	defer s.wg.Done()
 	out := dnswire.GetBuffer()
 	defer dnswire.PutBuffer(out)
+	var lazy deadline.Lazy
 	for it := range ch {
-		ctx, cancel := s.queryContext()
-		resp, err := s.servePacketChecked(ctx, out.B[:0], it.buf.B, it.src)
-		if cancel != nil {
-			cancel()
-		}
+		resp, err := s.servePacketChecked(s.queryContext(&lazy), out.B[:0], it.buf.B, it.src)
+		s.endQuery(&lazy)
 		dnswire.PutBuffer(it.buf)
 		if err != nil || len(resp) == 0 {
 			if err != nil {
@@ -232,7 +230,7 @@ func (s *Server) dispatchWorker(conn *net.UDPConn, ch chan dispatchItem) {
 			continue
 		}
 		out.B = resp
-		if _, werr := conn.WriteToUDP(resp, it.src); werr != nil {
+		if _, werr := conn.WriteToUDPAddrPort(resp, it.src); werr != nil {
 			if !s.draining.Load() {
 				s.logf("serve: udp write: %v", werr)
 			}

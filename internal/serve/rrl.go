@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"net"
 	"net/netip"
 	"sync"
 	"time"
@@ -70,26 +69,10 @@ func newRRLLimiter(rate, burst float64, slip int) *rrlLimiter {
 	}
 }
 
-// rrlKey masks src to its RRL prefix. The masked address (not a
+// rrlKey masks ip to its RRL prefix. The masked address (not a
 // netip.Prefix) is the map key: same information, smaller key.
-func rrlKey(src net.Addr) (netip.Addr, bool) {
-	var ip netip.Addr
-	switch a := src.(type) {
-	case *net.UDPAddr:
-		ip, _ = netip.AddrFromSlice(a.IP)
-	case *net.TCPAddr:
-		ip, _ = netip.AddrFromSlice(a.IP)
-	default:
-		ap, err := netip.ParseAddrPort(src.String())
-		if err != nil {
-			return netip.Addr{}, false
-		}
-		ip = ap.Addr()
-	}
+func rrlKey(ip netip.Addr) (netip.Addr, bool) {
 	ip = ip.Unmap()
-	if !ip.IsValid() {
-		return netip.Addr{}, false
-	}
 	bits := 24
 	if ip.Is6() {
 		bits = 56
@@ -103,7 +86,7 @@ func rrlKey(src net.Addr) (netip.Addr, bool) {
 
 // verdict classifies one query from src. Unbucketable addresses fail
 // open: rate limiting defends the server, it must never invent outages.
-func (l *rrlLimiter) verdict(src net.Addr) rrlVerdict {
+func (l *rrlLimiter) verdict(src netip.Addr) rrlVerdict {
 	key, ok := rrlKey(src)
 	if !ok {
 		return rrlSend

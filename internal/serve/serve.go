@@ -33,10 +33,12 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/deadline"
 	"repro/internal/obs"
 	"repro/internal/serve/batchio"
 )
@@ -46,18 +48,22 @@ import (
 // to out (engine-owned scratch with len 0) and returned. Returning a
 // nil or empty slice — or an error — drops the query without a
 // response, which is the correct reaction to malformed or rate-limited
-// input on UDP. src is the query's source address (always a
-// *net.UDPAddr) and may be retained. Handlers must not retain raw or
-// out past the call.
+// input on UDP. src is the query's source address as a value (IPv4
+// sources unmapped); a handler that wants a net.Addr to keep builds one
+// with net.UDPAddrFromAddrPort. Handlers must not retain raw or out
+// past the call, and ctx is theirs only until they return: with a
+// QueryTimeout the engine hands every query of a worker the same
+// deadline.Lazy, reset per query and stopped — cancelling whatever was
+// derived from it — when the handler returns.
 type PacketHandler interface {
-	ServePacket(ctx context.Context, out, raw []byte, src net.Addr) ([]byte, error)
+	ServePacket(ctx context.Context, out, raw []byte, src netip.AddrPort) ([]byte, error)
 }
 
 // PacketHandlerFunc adapts a function to PacketHandler.
-type PacketHandlerFunc func(ctx context.Context, out, raw []byte, src net.Addr) ([]byte, error)
+type PacketHandlerFunc func(ctx context.Context, out, raw []byte, src netip.AddrPort) ([]byte, error)
 
 // ServePacket implements PacketHandler.
-func (f PacketHandlerFunc) ServePacket(ctx context.Context, out, raw []byte, src net.Addr) ([]byte, error) {
+func (f PacketHandlerFunc) ServePacket(ctx context.Context, out, raw []byte, src netip.AddrPort) ([]byte, error) {
 	return f(ctx, out, raw, src)
 }
 
@@ -66,7 +72,8 @@ func (f PacketHandlerFunc) ServePacket(ctx context.Context, out, raw []byte, src
 // to the response, writing both in a single segment when the response
 // fits the handler's scratch. Returning nil (or an error) closes the
 // connection, mirroring how a DNS server treats an unparseable framed
-// message. src is the connection's remote address.
+// message. src is the connection's remote address; ctx follows the
+// PacketHandler rule.
 type StreamHandler interface {
 	ServeMessage(ctx context.Context, out, raw []byte, src net.Addr) ([]byte, error)
 }
@@ -114,8 +121,9 @@ type Options struct {
 	// switch.
 	Concurrency int
 
-	// QueryTimeout bounds each handler invocation with a derived
-	// context. 0 passes the engine's base context (no per-query timer).
+	// QueryTimeout bounds each handler invocation with a deadline
+	// context that costs a timer only when the handler waits on it
+	// (deadline.Lazy). 0 passes the engine's base context.
 	QueryTimeout time.Duration
 	// StreamIdleTimeout closes stream connections idle between frames
 	// (default 30s).
@@ -540,14 +548,23 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// queryContext derives the per-query context. Without a QueryTimeout
-// the base context is shared, so the inline fast path creates no
-// per-packet timer or allocation.
-func (s *Server) queryContext() (context.Context, context.CancelFunc) {
-	if s.opts.QueryTimeout > 0 {
-		return context.WithTimeout(s.baseCtx, s.opts.QueryTimeout)
+// queryContext starts one query's context on lazy, which the calling
+// goroutine owns and reuses for its next query; endQuery ends it.
+// Without a QueryTimeout the base context is shared. Either way the
+// packet and stream paths allocate nothing per query for it, and arm no
+// timer unless the handler waits on Done.
+func (s *Server) queryContext(lazy *deadline.Lazy) context.Context {
+	if s.opts.QueryTimeout <= 0 {
+		return s.baseCtx
 	}
-	return s.baseCtx, nil
+	lazy.Reset(s.baseCtx, time.Now().Add(s.opts.QueryTimeout))
+	return lazy
+}
+
+func (s *Server) endQuery(lazy *deadline.Lazy) {
+	if s.opts.QueryTimeout > 0 {
+		lazy.Stop()
+	}
 }
 
 // registerConn admits a stream connection. ok is false when the

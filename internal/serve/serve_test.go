@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/netip"
 	"sync"
 	"testing"
 	"time"
@@ -21,7 +22,7 @@ func tlsDial(addr string) (net.Conn, error) {
 }
 
 // echoPacket answers every datagram with "ok:" + the query bytes.
-func echoPacket(_ context.Context, out, raw []byte, _ net.Addr) ([]byte, error) {
+func echoPacket(_ context.Context, out, raw []byte, _ netip.AddrPort) ([]byte, error) {
 	out = append(out, "ok:"...)
 	return append(out, raw...), nil
 }
@@ -156,7 +157,7 @@ func TestPacketEngineLoopFallback(t *testing.T) {
 func TestPacketEngineDropsOnNilResponse(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, err := New("127.0.0.1:0", Options{
-		Packet: PacketHandlerFunc(func(_ context.Context, out, raw []byte, _ net.Addr) ([]byte, error) {
+		Packet: PacketHandlerFunc(func(_ context.Context, out, raw []byte, _ netip.AddrPort) ([]byte, error) {
 			if string(raw) == "drop" {
 				return nil, nil
 			}
@@ -194,7 +195,7 @@ func TestPacketEngineDispatchConcurrency(t *testing.T) {
 	// dispatch workers the whole set completes in roughly one sleep,
 	// not sixteen.
 	s, err := New("127.0.0.1:0", Options{
-		Packet: PacketHandlerFunc(func(ctx context.Context, out, raw []byte, _ net.Addr) ([]byte, error) {
+		Packet: PacketHandlerFunc(func(ctx context.Context, out, raw []byte, _ netip.AddrPort) ([]byte, error) {
 			select {
 			case <-time.After(20 * time.Millisecond):
 			case <-ctx.Done():
@@ -396,5 +397,13 @@ func TestReusePortTCP(t *testing.T) {
 	}
 	if lns[0].Addr().String() != lns[1].Addr().String() {
 		t.Fatalf("listeners on different addresses: %v vs %v", lns[0].Addr(), lns[1].Addr())
+	}
+}
+
+// packetFunc adapts a test handler written for the stream path (src a
+// net.Addr) to the packet path, so one handler serves both.
+func packetFunc(f func(context.Context, []byte, []byte, net.Addr) ([]byte, error)) PacketHandlerFunc {
+	return func(ctx context.Context, out, raw []byte, src netip.AddrPort) ([]byte, error) {
+		return f(ctx, out, raw, net.UDPAddrFromAddrPort(src))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"net/netip"
 	"testing"
 	"time"
 )
@@ -37,7 +38,7 @@ func (h *blockingHandler) serve(ctx context.Context, out, raw []byte, _ net.Addr
 // response, and Shutdown does not return until it has.
 func TestShutdownDrainsInflightUDP(t *testing.T) {
 	h := newBlockingHandler()
-	s, err := New("127.0.0.1:0", Options{Packet: PacketHandlerFunc(h.serve)})
+	s, err := New("127.0.0.1:0", Options{Packet: packetFunc(h.serve)})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -88,7 +89,7 @@ func TestShutdownDrainsInflightUDP(t *testing.T) {
 func TestShutdownDrainsInflightUDPDispatch(t *testing.T) {
 	h := newBlockingHandler()
 	s, err := New("127.0.0.1:0", Options{
-		Packet:      PacketHandlerFunc(h.serve),
+		Packet:      packetFunc(h.serve),
 		Concurrency: 4,
 	})
 	if err != nil {
@@ -184,7 +185,7 @@ func TestShutdownDeadlineExceeded(t *testing.T) {
 	entered := make(chan struct{})
 	cancelled := make(chan struct{})
 	s, err := New("127.0.0.1:0", Options{
-		Packet: PacketHandlerFunc(func(ctx context.Context, _, _ []byte, _ net.Addr) ([]byte, error) {
+		Packet: PacketHandlerFunc(func(ctx context.Context, _, _ []byte, _ netip.AddrPort) ([]byte, error) {
 			close(entered)
 			<-ctx.Done()
 			close(cancelled)

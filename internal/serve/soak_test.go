@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -27,7 +28,7 @@ func TestServeSoak(t *testing.T) {
 	reg := obs.NewRegistry()
 	var handled atomic.Int64
 	s, err := New("127.0.0.1:0", Options{
-		Packet: PacketHandlerFunc(func(_ context.Context, out, raw []byte, _ net.Addr) ([]byte, error) {
+		Packet: PacketHandlerFunc(func(_ context.Context, out, raw []byte, _ netip.AddrPort) ([]byte, error) {
 			handled.Add(1)
 			return append(out, raw...), nil
 		}),

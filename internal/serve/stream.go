@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/deadline"
 	"repro/internal/dnswire"
 )
 
@@ -64,8 +65,14 @@ var errFrameTooLarge = errors.New("serve: frame exceeds MaxFrameBytes")
 // frame across many idle windows.
 func (s *Server) readFrame(conn net.Conn, buf []byte) ([]byte, error) {
 	conn.SetReadDeadline(time.Now().Add(s.opts.StreamIdleTimeout))
-	var hdr [2]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+	// The length prefix is read into buf's own storage (the body then
+	// overwrites it): a local array would escape through the Reader
+	// interface and cost an allocation per frame.
+	if cap(buf) < 2 {
+		buf = make([]byte, 2, 512)
+	}
+	hdr := buf[:2]
+	if _, err := io.ReadFull(conn, hdr); err != nil {
 		return nil, err
 	}
 	n := int(hdr[0])<<8 | int(hdr[1])
@@ -139,6 +146,7 @@ func (s *Server) connLoop(conn net.Conn) {
 	defer dnswire.PutBuffer(rd)
 	wr := dnswire.GetBuffer()
 	defer dnswire.PutBuffer(wr)
+	var lazy deadline.Lazy
 	for {
 		if s.draining.Load() {
 			return
@@ -160,11 +168,8 @@ func (s *Server) connLoop(conn net.Conn) {
 		// write (one TLS record on DoT) on the common path.
 		wr.Grow(512)
 		buf := wr.B[:cap(wr.B)]
-		ctx, cancel := s.queryContext()
-		msg, err := s.serveMessageChecked(ctx, buf[2:2], raw, conn.RemoteAddr())
-		if cancel != nil {
-			cancel()
-		}
+		msg, err := s.serveMessageChecked(s.queryContext(&lazy), buf[2:2], raw, conn.RemoteAddr())
+		s.endQuery(&lazy)
 		s.release()
 		if err != nil || len(msg) == 0 || len(msg) > 0xffff {
 			if err != nil {
@@ -232,11 +237,9 @@ func (s *Server) connLoopPipelined(conn net.Conn) {
 			defer dnswire.PutBuffer(wr)
 			wr.Grow(512)
 			buf := wr.B[:cap(wr.B)]
-			ctx, cancel := s.queryContext()
-			msg, err := s.serveMessageChecked(ctx, buf[2:2], q.B, conn.RemoteAddr())
-			if cancel != nil {
-				cancel()
-			}
+			var lazy deadline.Lazy // one per frame in flight
+			msg, err := s.serveMessageChecked(s.queryContext(&lazy), buf[2:2], q.B, conn.RemoteAddr())
+			s.endQuery(&lazy)
 			s.release()
 			dnswire.PutBuffer(q)
 			if err != nil || len(msg) == 0 || len(msg) > 0xffff {

@@ -23,10 +23,26 @@ go test -race ./internal/cache/... ./internal/resolver/... \
 go test -race ./internal/serve/...
 go test -race ./internal/smart/...
 go test -race ./internal/dohclient/... ./internal/dohserver/...
+# The lazy deadline's semantics ride these: it fires for a parked handler
+# and a forced shutdown reaches one (serve), an attempt timeout bounds a
+# silent Do53/DoT upstream (resolver), nothing stays armed after Stop
+# (deadline), a late DoT reply cannot poison the next query (dot).
+go test -race ./internal/deadline/... ./internal/recursive/... ./internal/dot/...
 
 step "DoH exchange allocation budgets (client engine, server handler) + resolve bound"
 go test ./internal/dohclient/ -run 'TestWarmExchangeAllocBudget|TestRawQueryAllocs'
 go test ./internal/dohserver/ -run 'TestServeHTTPAllocBudget|TestResolveBoundFires'
+
+step "miss-path allocation gates (lazy deadline, batch I/O, message path, cache, recursive miss)"
+go test ./internal/deadline/ -run 'TestLazyUnarmedAnswersWithoutTimer'
+go test ./internal/serve/ -run 'TestQueryTimeoutAllocationFree'
+go test ./internal/serve/batchio/ -run 'TestBatchAllocationFree'
+go test ./internal/resolver/ -run 'TestWithTimeoutUnarmedAllocBudget'
+go test ./internal/dnswire/ \
+	-run 'TestUnpackReplyAllocBudget|TestQueryAndReplyAreOneAllocation|TestAppendPackLimit'
+go test ./internal/cache/ -run 'TestPutAllocatesTheEntryOnly|TestLookupCopyIsTheCallersOwn'
+go test ./internal/recursive/ -run 'TestResolveMissAllocBudget|TestResolveHitAllocBudget'
+go test ./internal/authserver/ -run 'TestQueryLogGrowsInTwoSteps'
 
 step "smart racing soak (short, race, chaos faults + exact accounting)"
 go test -race -run TestSmartSoak -short ./internal/smart/
