@@ -10,7 +10,8 @@ test:
 
 # verify runs the full tier-1 gate list from ROADMAP.md: build, vet,
 # all tests, race gates, the three short-mode soaks (chaos, serve,
-# overload), and the zero-allocation, allocation-budget + bench smokes.
+# overload), the campaign's timeline oracle, and the zero-allocation,
+# allocation-budget + bench smokes.
 verify:
 	./scripts/verify.sh
 

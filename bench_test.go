@@ -448,19 +448,50 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkMeasureDoH measures one full 22-step simulated DoH
-// measurement (the campaign's inner loop).
-func BenchmarkMeasureDoH(b *testing.B) {
+// benchMeasure times one simulated measurement on a Brazilian exit node
+// (the campaign's inner loop); the first call assigns the PoP, before
+// the timer starts.
+func benchMeasure(b *testing.B, measure func(sim *proxynet.Sim, node *proxynet.ExitNode)) {
 	sim := proxynet.NewSim(34)
 	node, err := sim.SelectExitNode("BR")
 	if err != nil {
 		b.Fatal(err)
 	}
+	measure(sim, node)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim.MeasureDoH(node, anycast.Cloudflare, "b.a.com.")
+		measure(sim, node)
 	}
+}
+
+// BenchmarkMeasureDoH measures one full 22-step simulated DoH
+// measurement.
+func BenchmarkMeasureDoH(b *testing.B) {
+	benchMeasure(b, func(sim *proxynet.Sim, node *proxynet.ExitNode) {
+		sim.MeasureDoH(node, anycast.Cloudflare, "b.a.com.")
+	})
+}
+
+// BenchmarkMeasureDoT measures one simulated DoT measurement.
+func BenchmarkMeasureDoT(b *testing.B) {
+	benchMeasure(b, func(sim *proxynet.Sim, node *proxynet.ExitNode) {
+		sim.MeasureDoT(node, anycast.Cloudflare, "b.a.com.")
+	})
+}
+
+// BenchmarkMeasureDoQ measures one simulated DoQ measurement.
+func BenchmarkMeasureDoQ(b *testing.B) {
+	benchMeasure(b, func(sim *proxynet.Sim, node *proxynet.ExitNode) {
+		sim.MeasureDoQ(node, anycast.Cloudflare, "b.a.com.")
+	})
+}
+
+// BenchmarkMeasureDo53 measures one simulated Do53 measurement.
+func BenchmarkMeasureDo53(b *testing.B) {
+	benchMeasure(b, func(sim *proxynet.Sim, node *proxynet.ExitNode) {
+		sim.MeasureDo53(node, "b.a.com.")
+	})
 }
 
 // BenchmarkLogisticFit measures the IRLS fit on campaign-scale data.

@@ -20,6 +20,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/geo"
@@ -91,34 +92,84 @@ type Provider struct {
 	SetupOverhead time.Duration
 }
 
-// AssignPoP picks the PoP an anycast route delivers the client to.
+// Assignment is one anycast routing decision and the two distances the
+// decision computed on the way.
+type Assignment struct {
+	// PoP is the point of presence the route delivers the client to.
+	PoP PoP
+	// DistanceKm is the client's geodesic distance to PoP.
+	DistanceKm float64
+	// NearestDistanceKm is the distance to the provider's closest PoP
+	// (what NearestPoP returns).
+	NearestDistanceKm float64
+}
+
+// AssignScratch holds Assign's two per-PoP work slices so that a
+// caller assigning many clients allocates them once. The zero value is
+// ready; a scratch serves one goroutine at a time.
+type AssignScratch struct {
+	dists, weights []float64
+}
+
+// grow returns s resliced to n elements, reallocating only when its
+// capacity is short.
+func grow(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
+}
+
+// scan fills scratch.dists with the client's distance to every PoP and
+// returns the index of the nearest: the first minimum under strict <,
+// the rule geo.Nearest applies.
+func (p *Provider) scan(client geo.Point, scratch *AssignScratch) int {
+	if len(p.PoPs) == 0 {
+		panic(fmt.Sprintf("anycast: provider %s has no PoPs", p.ID))
+	}
+	scratch.dists = grow(scratch.dists, len(p.PoPs))
+	nearest := 0
+	for i := range p.PoPs {
+		scratch.dists[i] = geo.DistanceKm(client, p.PoPs[i].Pos)
+		if scratch.dists[i] < scratch.dists[nearest] {
+			nearest = i
+		}
+	}
+	return nearest
+}
+
+// Assign picks the PoP an anycast route delivers the client to.
 // With RoutingNoiseKm = 0 it returns the nearest PoP; otherwise it
 // samples among PoPs with weight exp(-detour/temperature), where
 // detour is each PoP's extra distance over the nearest and the
 // temperature is RoutingNoiseKm — or MisrouteKm for the MisrouteProb
-// fraction of clients caught in a bad BGP catchment.
-func (p *Provider) AssignPoP(rng *rand.Rand, client geo.Point) PoP {
-	if len(p.PoPs) == 0 {
-		panic(fmt.Sprintf("anycast: provider %s has no PoPs", p.ID))
+// fraction of clients caught in a bad BGP catchment. The distances in
+// the result are the ones the choice was made on, bit-equal to
+// geo.DistanceKm and NearestPoP. A nil scratch allocates.
+func (p *Provider) Assign(rng *rand.Rand, client geo.Point, scratch *AssignScratch) Assignment {
+	if scratch == nil {
+		scratch = new(AssignScratch)
 	}
-	dists := make([]float64, len(p.PoPs))
-	nearest := 0
-	for i, pop := range p.PoPs {
-		dists[i] = geo.DistanceKm(client, pop.Pos)
-		if dists[i] < dists[nearest] {
-			nearest = i
-		}
-	}
+	nearest := p.scan(client, scratch)
+	dists := scratch.dists
+	chosen := p.choose(rng, nearest, scratch)
+	return Assignment{PoP: p.PoPs[chosen], DistanceKm: dists[chosen], NearestDistanceKm: dists[nearest]}
+}
+
+// choose samples the routed PoP's index from the scanned distances.
+func (p *Provider) choose(rng *rand.Rand, nearest int, scratch *AssignScratch) int {
+	dists := scratch.dists
 	temp := p.RoutingNoiseKm
 	if p.MisrouteProb > 0 && rng.Float64() < p.MisrouteProb {
 		temp = p.MisrouteKm
 	}
 	if temp <= 0 {
-		return p.PoPs[nearest]
+		return nearest
 	}
 	total := 0.0
-	weights := make([]float64, len(p.PoPs))
-	for i := range p.PoPs {
+	scratch.weights = grow(scratch.weights, len(dists))
+	weights := scratch.weights
+	for i := range dists {
 		w := math.Exp(-(dists[i] - dists[nearest]) / temp)
 		weights[i] = w
 		total += w
@@ -127,21 +178,23 @@ func (p *Provider) AssignPoP(rng *rand.Rand, client geo.Point) PoP {
 	for i, w := range weights {
 		u -= w
 		if u <= 0 {
-			return p.PoPs[i]
+			return i
 		}
 	}
-	return p.PoPs[len(p.PoPs)-1]
+	return len(dists) - 1
+}
+
+// AssignPoP is Assign without the distances or the scratch.
+func (p *Provider) AssignPoP(rng *rand.Rand, client geo.Point) PoP {
+	return p.Assign(rng, client, nil).PoP
 }
 
 // NearestPoP returns the geographically closest PoP and its distance
 // in kilometers (the paper's "potential improvement" baseline).
 func (p *Provider) NearestPoP(client geo.Point) (PoP, float64) {
-	pts := make([]geo.Point, len(p.PoPs))
-	for i, pop := range p.PoPs {
-		pts[i] = pop.Pos
-	}
-	idx, dist := geo.Nearest(client, pts)
-	return p.PoPs[idx], dist
+	var scratch AssignScratch
+	nearest := p.scan(client, &scratch)
+	return p.PoPs[nearest], scratch.dists[nearest]
 }
 
 // HostASes returns the distinct ASes the provider's PoPs announce
@@ -202,9 +255,25 @@ func jitterPos(ct world.Country, i int) geo.Point {
 	return geo.Jitter(ct.Centroid, 150, u, v)
 }
 
-// Catalogue builds the four providers with their placement strategies.
-// The same seed always yields the same fleets.
+// Catalogue returns the four providers with their placement strategies.
+// The fleets are the same on every call and built once per process: the
+// map is the caller's own, the Providers it points to (and their PoPs)
+// are shared read-only by every caller. To vary a provider, copy it and
+// replace the map entry (p := *cat[id]; p.MisrouteProb = x; cat[id] = &p);
+// never write through the pointer.
 func Catalogue() map[ProviderID]*Provider {
+	shared := sharedCatalogue()
+	cat := make(map[ProviderID]*Provider, len(shared))
+	for id, p := range shared {
+		cat[id] = p
+	}
+	return cat
+}
+
+var sharedCatalogue = sync.OnceValue(buildCatalogue)
+
+// buildCatalogue places the four fleets.
+func buildCatalogue() map[ProviderID]*Provider {
 	ranked := connectivityRank()
 
 	providers := map[ProviderID]*Provider{

@@ -170,3 +170,58 @@ func TestProviderIDsOrder(t *testing.T) {
 		t.Errorf("ProviderIDs = %v", ids)
 	}
 }
+
+// Assign is AssignPoP and NearestPoP in one scan: from the same seed it
+// must pick the PoP AssignPoP picks and leave the random stream where
+// AssignPoP leaves it, and its two distances must be bit-equal to
+// geo.DistanceKm and NearestPoP, with or without a reused scratch.
+func TestAssignMatchesAssignPoPAndNearestPoP(t *testing.T) {
+	var scratch AssignScratch
+	for _, id := range ProviderIDs() {
+		p := Catalogue()[id]
+		a, b, c := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
+		for _, ct := range world.All() {
+			client := ct.Centroid
+			want := p.AssignPoP(a, client)
+			got := p.Assign(b, client, &scratch)
+			fresh := p.Assign(c, client, nil)
+			if got != fresh {
+				t.Fatalf("%s/%s: reused scratch gives %+v, fresh %+v", id, ct.Code, got, fresh)
+			}
+			if got.PoP != want {
+				t.Fatalf("%s/%s: Assign picked %s, AssignPoP %s", id, ct.Code, got.PoP.ID, want.ID)
+			}
+			if d := geo.DistanceKm(client, want.Pos); got.DistanceKm != d {
+				t.Errorf("%s/%s: DistanceKm %v, geo.DistanceKm %v", id, ct.Code, got.DistanceKm, d)
+			}
+			if _, d := p.NearestPoP(client); got.NearestDistanceKm != d {
+				t.Errorf("%s/%s: NearestDistanceKm %v, NearestPoP %v", id, ct.Code, got.NearestDistanceKm, d)
+			}
+			pts := make([]geo.Point, len(p.PoPs))
+			for i, pop := range p.PoPs {
+				pts[i] = pop.Pos
+			}
+			idx, d := geo.Nearest(client, pts)
+			if pop, nd := p.NearestPoP(client); pop != p.PoPs[idx] || nd != d {
+				t.Errorf("%s/%s: NearestPoP = %s, %v; geo.Nearest says %s, %v", id, ct.Code, pop.ID, nd, p.PoPs[idx].ID, d)
+			}
+		}
+		if x, y := a.Int63(), b.Int63(); x != y {
+			t.Errorf("%s: Assign left the random stream elsewhere than AssignPoP", id)
+		}
+	}
+}
+
+// The catalogue's Providers are shared between callers; the map is not.
+func TestCatalogueMapIsTheCallers(t *testing.T) {
+	a, b := Catalogue(), Catalogue()
+	if a[Google] != b[Google] {
+		t.Error("Catalogue built the Google fleet twice")
+	}
+	p := *a[Google]
+	p.RoutingNoiseKm = 0
+	a[Google] = &p
+	if b[Google].RoutingNoiseKm == 0 || Catalogue()[Google].RoutingNoiseKm == 0 {
+		t.Error("replacing one caller's map entry changed another's")
+	}
+}

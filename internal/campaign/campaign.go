@@ -32,6 +32,7 @@ import (
 	"repro/internal/proxynet"
 	"repro/internal/resolver"
 	"repro/internal/sketch"
+	"repro/internal/stats"
 	"repro/internal/world"
 )
 
@@ -828,26 +829,13 @@ func (ds *Dataset) CountryDo53Ms(code string) (float64, bool) {
 		return med, true
 	}
 	var vals []float64
-	for _, c := range ds.Clients {
-		if c.CountryCode == code && c.Do53Valid {
+	for i := range ds.Clients {
+		if c := &ds.Clients[i]; c.CountryCode == code && c.Do53Valid {
 			vals = append(vals, c.Do53Ms)
 		}
 	}
-	if len(vals) == 0 {
-		return 0, false
-	}
-	// Simple median.
-	for i := range vals {
-		for j := i + 1; j < len(vals); j++ {
-			if vals[j] < vals[i] {
-				vals[i], vals[j] = vals[j], vals[i]
-			}
-		}
-	}
-	if len(vals)%2 == 1 {
-		return vals[len(vals)/2], true
-	}
-	return (vals[len(vals)/2-1] + vals[len(vals)/2]) / 2, true
+	med, err := stats.Median(vals)
+	return med, err == nil
 }
 
 // countrySeed derives a country's independent stream from the
@@ -892,9 +880,10 @@ func (lt *lossTracker) delta() int64 {
 }
 
 // nameScratch is a worker's reusable buffer for building the per-run
-// unique query names without fmt's reflection path. Only the buffer is
-// shared between countries; the sequence counter stays per-country so
-// the dataset remains a pure function of the configuration.
+// unique query names (and each client's prefix) without fmt's
+// reflection path. Only the buffer is shared between countries; the
+// sequence counter stays per-country so the dataset remains a pure
+// function of the configuration.
 type nameScratch struct{ buf []byte }
 
 // format renders fmt.Sprintf("%s-%08x-m.a.com.", code, seq)
@@ -906,6 +895,13 @@ func (s *nameScratch) format(code string, seq int) string {
 	b = append(b, "-m.a.com."...)
 	s.buf = b
 	return string(b)
+}
+
+// prefix24 renders geoip.Prefix24(addr).String(), allocating only the
+// returned string.
+func (s *nameScratch) prefix24(addr netip.Addr) string {
+	s.buf = geoip.Prefix24(addr).AppendTo(s.buf[:0])
+	return string(s.buf)
 }
 
 // appendHex08 appends v as lowercase hex, zero-padded to at least
@@ -1098,7 +1094,7 @@ func measureCountry(ctx context.Context, cfg Config, code string, providers []an
 		rec := ClientRecord{
 			ClientID:     node.ID,
 			CountryCode:  code,
-			Prefix:       geoip.Prefix24(node.Addr).String(),
+			Prefix:       scratch.prefix24(node.Addr),
 			Pos:          node.Pos,
 			DoH:          make(map[anycast.ProviderID]DoHResult),
 			NSDistanceKm: geo.DistanceKm(node.Pos, sim.Lab.Pos),

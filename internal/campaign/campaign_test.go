@@ -251,3 +251,38 @@ func TestCountrySeedsIndependent(t *testing.T) {
 		}
 	}
 }
+
+// CountryDo53Ms is the median of a country's valid client values, or
+// the Atlas remedy where there is one.
+func TestCountryDo53MsTable(t *testing.T) {
+	client := func(code string, ms float64, valid bool) ClientRecord {
+		return ClientRecord{CountryCode: code, Do53Ms: ms, Do53Valid: valid}
+	}
+	ds := &Dataset{
+		Clients: []ClientRecord{
+			client("BR", 30, true), client("BR", 10, true), client("BR", 20, true),
+			client("BR", 999, false), // invalid values never count
+			client("IT", 40, true), client("IT", 10, true), client("IT", 30, true), client("IT", 20, true),
+			client("US", 5, true), // the remedy wins over client data
+			client("FJ", 7, false),
+		},
+		AtlasDo53Ms: map[string]float64{"US": 23.5, "DE": 18.25},
+	}
+	for _, c := range []struct {
+		code string
+		want float64
+		ok   bool
+	}{
+		{"BR", 20, true},    // odd count: the middle value
+		{"IT", 25, true},    // even count: mean of the middle two
+		{"US", 23.5, true},  // Atlas-remedied, with client data present
+		{"DE", 18.25, true}, // Atlas-remedied, no clients at all
+		{"FJ", 0, false},    // only invalid values
+		{"ZZ", 0, false},    // no clients
+	} {
+		got, ok := ds.CountryDo53Ms(c.code)
+		if got != c.want || ok != c.ok {
+			t.Errorf("CountryDo53Ms(%s) = %v, %v; want %v, %v", c.code, got, ok, c.want, c.ok)
+		}
+	}
+}

@@ -41,6 +41,26 @@ var csvHeader = []string{
 // on all of them.
 const clientMetaCols = 8
 
+// formatFloats renders up to four values as the export's fixed
+// four-decimal fields. The fields are slices of one string built in buf,
+// so a row costs one allocation however many numbers it carries; buf is
+// returned for the next row.
+func formatFloats(buf []byte, fields *[4]string, vals ...float64) []byte {
+	var ends [4]int
+	buf = buf[:0]
+	for i, v := range vals {
+		buf = strconv.AppendFloat(buf, v, 'f', 4, 64)
+		ends[i] = len(buf)
+	}
+	s := string(buf)
+	start := 0
+	for i := range vals {
+		fields[i] = s[start:ends[i]]
+		start = ends[i]
+	}
+	return buf
+}
+
 // WriteCSV writes one row per (client, provider) measurement, plus one
 // provider-less row for each client with a valid Do53 baseline but no
 // valid DoH result, so the Do53 sample survives the round-trip.
@@ -49,31 +69,39 @@ func (ds *Dataset) WriteCSV(w io.Writer) error {
 	if err := cw.Write(csvHeader); err != nil {
 		return err
 	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
+	var (
+		buf []byte
+		f   [4]string
+		row = make([]string, len(csvHeader))
+
+		providers = anycast.ProviderIDs()
+	)
 	for i := range ds.Clients {
 		c := &ds.Clients[i]
-		meta := []string{
-			c.ClientID, c.CountryCode, c.Prefix,
-			f(c.Pos.Lat), f(c.Pos.Lon), f(c.NSDistanceKm),
-			f(c.Do53Ms), strconv.FormatBool(c.Do53Valid),
-		}
+		// The metadata columns are filled once per client; the provider
+		// rows below overwrite only the columns after them.
+		buf = formatFloats(buf, &f, c.Pos.Lat, c.Pos.Lon, c.NSDistanceKm, c.Do53Ms)
+		row[0], row[1], row[2] = c.ClientID, c.CountryCode, c.Prefix
+		row[3], row[4], row[5], row[6] = f[0], f[1], f[2], f[3]
+		row[7] = strconv.FormatBool(c.Do53Valid)
 		wrote := false
-		for _, pid := range anycast.ProviderIDs() {
+		for _, pid := range providers {
 			res, ok := c.DoH[pid]
 			if !ok || !res.Valid {
 				continue
 			}
-			row := append(append([]string(nil), meta...),
-				string(pid), f(res.TDoHMs), f(res.TDoHRMs),
-				res.PoPID, res.PoPCountry, f(res.PoPDistanceKm), f(res.NearestPoPDistanceKm),
-			)
+			buf = formatFloats(buf, &f, res.TDoHMs, res.TDoHRMs, res.PoPDistanceKm, res.NearestPoPDistanceKm)
+			row[8], row[9], row[10] = string(pid), f[0], f[1]
+			row[11], row[12], row[13], row[14] = res.PoPID, res.PoPCountry, f[2], f[3]
 			if err := cw.Write(row); err != nil {
 				return err
 			}
 			wrote = true
 		}
 		if !wrote && c.Do53Valid {
-			row := append(append([]string(nil), meta...), "", "", "", "", "", "", "")
+			for i := clientMetaCols; i < len(row); i++ {
+				row[i] = ""
+			}
 			if err := cw.Write(row); err != nil {
 				return err
 			}
@@ -119,15 +147,23 @@ func (ds *Dataset) WriteSmartCSV(w io.Writer) error {
 	if err := cw.Write(smartCSVHeader); err != nil {
 		return err
 	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
+	var (
+		buf []byte
+		f   [4]string
+		row = make([]string, len(smartCSVHeader))
+
+		providers = anycast.ProviderIDs()
+	)
 	for i := range ds.Clients {
 		c := &ds.Clients[i]
-		for _, pid := range anycast.ProviderIDs() {
+		for _, pid := range providers {
 			res, ok := c.Smart[pid]
 			if !ok || !res.Valid {
 				continue
 			}
-			if err := cw.Write([]string{c.ClientID, string(pid), res.Winner, f(res.TSmartMs), f(res.TSmartRMs)}); err != nil {
+			buf = formatFloats(buf, &f, res.TSmartMs, res.TSmartRMs)
+			row[0], row[1], row[2], row[3], row[4] = c.ClientID, string(pid), res.Winner, f[0], f[1]
+			if err := cw.Write(row); err != nil {
 				return err
 			}
 		}
@@ -219,9 +255,9 @@ func ReadCSV(main io.Reader, atlas io.Reader) (*Dataset, error) {
 		}
 	}
 	ds := &Dataset{AtlasDo53Ms: make(map[string]float64)}
-	byID := map[string]int{}          // client id -> index in ds.Clients
-	meta := map[string][]string{}     // client id -> first-seen metadata columns
-	bare := map[string]bool{}         // client id -> had a provider-less row
+	byID := map[string]int{}      // client id -> index in ds.Clients
+	meta := map[string][]string{} // client id -> first-seen metadata columns
+	bare := map[string]bool{}     // client id -> had a provider-less row
 	lineNo := 1
 	for {
 		row, err := cr.Read()

@@ -3,6 +3,7 @@ package campaign
 import (
 	"time"
 
+	"repro/internal/anycast"
 	"repro/internal/obs"
 	"repro/internal/proxynet"
 	"repro/internal/sketch"
@@ -48,16 +49,36 @@ func msDuration(ms float64) time.Duration {
 // datasets expose the same metric keys a direct run would.
 func sketchClients(clients []ClientRecord) *sketch.Set {
 	s := sketch.NewSet()
+	// Key strings are built once per provider and the country histogram
+	// is looked up once per run of same-country clients, not once per
+	// observation.
+	keys := make(map[anycast.ProviderID]*providerKeys, 4)
+	keysFor := func(pid anycast.ProviderID) *providerKeys {
+		k := keys[pid]
+		if k == nil {
+			k = newProviderKeys(pid)
+			keys[pid] = k
+		}
+		return k
+	}
+	var (
+		country    string
+		countryDoH *sketch.Histogram
+	)
 	for i := range clients {
 		c := &clients[i]
-		countryDoH := s.Touch("campaign_country_" + c.CountryCode + "_doh_ms")
+		if countryDoH == nil || c.CountryCode != country {
+			country = c.CountryCode
+			countryDoH = s.Touch("campaign_country_" + country + "_doh_ms")
+		}
 		for pid, res := range c.DoH {
 			if !res.Valid {
 				continue
 			}
+			k := keysFor(pid)
 			d := msDuration(res.TDoHMs)
-			s.Observe("campaign_doh_"+string(pid)+"_ms", d)
-			s.Observe("campaign_dohr_"+string(pid)+"_ms", msDuration(res.TDoHRMs))
+			s.Observe(k.doh, d)
+			s.Observe(k.dohr, msDuration(res.TDoHRMs))
 			countryDoH.Observe(d)
 		}
 		if c.Do53Valid {
@@ -67,23 +88,37 @@ func sketchClients(clients []ClientRecord) *sketch.Set {
 			if !res.Valid {
 				continue
 			}
-			s.Observe("campaign_dot_"+string(pid)+"_ms", msDuration(res.TDoTMs))
+			s.Observe(keysFor(pid).dot, msDuration(res.TDoTMs))
 		}
 		for pid, res := range c.DoQ {
 			if !res.Valid {
 				continue
 			}
-			s.Observe("campaign_doq_"+string(pid)+"_ms", msDuration(res.TDoQMs))
+			s.Observe(keysFor(pid).doq, msDuration(res.TDoQMs))
 		}
 		for pid, res := range c.Smart {
 			if !res.Valid {
 				continue
 			}
-			s.Observe("campaign_smart_"+string(pid)+"_ms", msDuration(res.TSmartMs))
-			s.Observe("campaign_smartr_"+string(pid)+"_ms", msDuration(res.TSmartRMs))
+			k := keysFor(pid)
+			s.Observe(k.smart, msDuration(res.TSmartMs))
+			s.Observe(k.smartr, msDuration(res.TSmartRMs))
 		}
 	}
 	return s
+}
+
+// providerKeys are one provider's sketch keys.
+type providerKeys struct {
+	doh, dohr, dot, doq, smart, smartr string
+}
+
+func newProviderKeys(pid anycast.ProviderID) *providerKeys {
+	key := func(kind string) string { return "campaign_" + kind + "_" + string(pid) + "_ms" }
+	return &providerKeys{
+		doh: key("doh"), dohr: key("dohr"), dot: key("dot"),
+		doq: key("doq"), smart: key("smart"), smartr: key("smartr"),
+	}
 }
 
 // absorbSketch registers one histogram per sketch key — on the

@@ -125,16 +125,18 @@ func (s *Service) Locate(addr netip.Addr) (string, bool) {
 	if s.MismatchRate <= 0 {
 		return truth, true
 	}
+	// The hash is over the prefix's text form, "10.1.2.0/24".
+	var text [32]byte
 	h := fnv.New32a()
-	p := Prefix24(addr)
-	h.Write([]byte(p.String()))
-	u := float64(h.Sum32()) / float64(1<<32)
+	h.Write(Prefix24(addr).AppendTo(text[:0]))
+	sum := h.Sum32()
+	u := float64(sum) / float64(1<<32)
 	if u >= s.MismatchRate {
 		return truth, true
 	}
 	// Mislabel: pick a deterministic other country.
 	all := world.All()
-	idx := int(h.Sum32()>>8) % len(all)
+	idx := int(sum>>8) % len(all)
 	if all[idx].Code == truth {
 		idx = (idx + 1) % len(all)
 	}

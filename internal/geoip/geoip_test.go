@@ -133,3 +133,17 @@ func TestPrefix24(t *testing.T) {
 		t.Errorf("Prefix24 = %v", p)
 	}
 }
+
+// Locate runs once per simulated client; it hashes the prefix's text
+// form from a stack buffer.
+func TestLocateAllocationFree(t *testing.T) {
+	alloc := NewAllocator(0)
+	svc := NewService(alloc)
+	addr, err := alloc.Next("BR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() { svc.Locate(addr) }); n != 0 {
+		t.Errorf("Locate allocates %v times per call, want 0", n)
+	}
+}

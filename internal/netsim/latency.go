@@ -153,7 +153,7 @@ func (m LatencyModel) OneWay(rng *rand.Rand, a, b Endpoint) time.Duration {
 	}
 	if m.LossProb > 0 && rng.Float64() < m.LossProb {
 		d += float64(m.LossPenalty)
-		m.countLoss()
+		countLoss(m.LossCounter)
 	}
 	if d < 0 {
 		d = 0
@@ -162,9 +162,9 @@ func (m LatencyModel) OneWay(rng *rand.Rand, a, b Endpoint) time.Duration {
 }
 
 // countLoss bumps the owner's loss counter, if any.
-func (m LatencyModel) countLoss() {
-	if m.LossCounter != nil {
-		atomic.AddInt64(m.LossCounter, 1)
+func countLoss(counter *int64) {
+	if counter != nil {
+		atomic.AddInt64(counter, 1)
 	}
 }
 

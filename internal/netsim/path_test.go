@@ -111,3 +111,37 @@ func TestCrossBorderAsymmetries(t *testing.T) {
 		t.Errorf("SE-US datacenter cross-border extra = %v, want tiny", extra)
 	}
 }
+
+// A path built from a precomputed mean is the path NewPath builds: same
+// draws, same traversals, and it counts losses on the model's counter
+// as it stood when the path was built.
+func TestPathFromMeanMatchesNewPath(t *testing.T) {
+	m := DefaultLatencyModel()
+	m.LossProb = 0.3
+	var losses int64
+	m.LossCounter = &losses
+	a, b := pathEndpoints()
+	r1, r2 := rand.New(rand.NewSource(4)), rand.New(rand.NewSource(4))
+	mean := m.MeanOneWay(a, b)
+	for i := 0; i < 50; i++ {
+		p, q := m.NewPath(r1, a, b), m.PathFromMean(r2, mean)
+		if p != q {
+			t.Fatalf("path %d: NewPath %+v, PathFromMean %+v", i, p, q)
+		}
+		if d, e := p.RTT(r1), q.RTT(r2); d != e {
+			t.Fatalf("path %d: round trips %v and %v", i, d, e)
+		}
+	}
+	if losses == 0 || losses%2 != 0 {
+		t.Errorf("loss counter = %d, want the same non-zero count from both paths", losses)
+	}
+	p := m.PathFromMean(r1, mean)
+	m.LossProb, m.LossCounter = 0, nil
+	before := losses
+	for i := 0; i < 50; i++ {
+		p.OneWay(r1)
+	}
+	if losses == before {
+		t.Error("a built path followed a later change to the model")
+	}
+}

@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"repro/internal/anycast"
-	"repro/internal/netsim"
-	"repro/internal/world"
 )
 
 // DoT extension: the paper focuses on DoH but frames it against
@@ -56,14 +54,13 @@ func (s *Sim) MeasureDoT(node *ExitNode, pid anycast.ProviderID, queryName strin
 		return obs, gt
 	}
 	provider := s.Providers[pid]
-	pop := s.PoPFor(node, pid)
-	popEndpoint := netsim.Endpoint{Pos: pop.Pos, Country: world.MustByCode(pop.CountryCode)}
+	route := s.route(node, pid)
 
-	pathCS := s.Model.NewPath(s.Rand, s.Lab, node.super)
-	pathSE := s.Model.NewPath(s.Rand, node.super, node.Endpoint)
-	pathER := s.Model.NewPath(s.Rand, node.Endpoint, node.ResolverEndpoint)
-	pathEP := s.Model.NewPath(s.Rand, node.Endpoint, popEndpoint)
-	pathPA := s.Model.NewPath(s.Rand, popEndpoint, s.Lab)
+	pathCS := s.Model.PathFromMean(s.Rand, node.meanCS)
+	pathSE := s.Model.PathFromMean(s.Rand, node.meanSE)
+	pathER := s.Model.PathFromMean(s.Rand, node.meanER)
+	pathEP := s.Model.PathFromMean(s.Rand, route.meanEP)
+	pathPA := s.Model.PathFromMean(s.Rand, route.meanPA)
 
 	proxy := s.sampleProxyTimeline()
 	obs.Proxy = proxy

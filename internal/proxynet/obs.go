@@ -72,11 +72,13 @@ type simInstruments struct {
 // receives the full 22-step Figure-2 timeline of every DoH
 // measurement.
 //
-// Call Instrument before the first measurement: established session
-// paths carry the previous loss-counter hook, so late instrumentation
-// would split loss accounting between the two counters. Instrument is
-// not safe to call concurrently with measurements. Loss events counted
-// before the call are carried over into the registry.
+// Call Instrument before the first measurement. Every measurement
+// builds its session paths from the model as it stands then, so the
+// simulator's own measurements follow the switch at once and loss
+// events counted before the call are carried over into the registry;
+// but a netsim.Path a caller built from s.Model earlier keeps the
+// counter it was built with, which Stats no longer reads. Instrument is
+// not safe to call concurrently with measurements.
 func (s *Sim) Instrument(reg *obs.Registry, tracer *obs.TraceRecorder) {
 	in := &simInstruments{
 		tracer:     tracer,

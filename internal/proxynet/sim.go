@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"net/netip"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -18,12 +19,21 @@ import (
 // Sim is the simulated proxy network: a measurement client and lab
 // servers in the US, Super Proxies in the 11 countries BrightData
 // operates them, and on-demand residential exit nodes everywhere.
+//
+// An exit node caches everything that follows from where it is (see
+// ExitNode), so Lab, Providers and the geometry fields of Model — every
+// field but JitterSigma, PacketSigma and the Loss* ones, which each
+// measurement reads afresh — must be set before SelectExitNode, as
+// EnableChaos and Instrument must precede the first measurement.
 type Sim struct {
 	// Model is the latency model shared by every session.
 	Model netsim.LatencyModel
 	// Rand drives all sampling; campaigns are reproducible by seed.
 	Rand *rand.Rand
-	// Providers is the DoH provider catalogue.
+	// Providers is the DoH provider catalogue. The map is this Sim's
+	// own; the Providers it points to are shared by every Sim in the
+	// process and read-only (anycast.Catalogue): to vary one, replace
+	// the entry with a modified copy.
 	Providers map[anycast.ProviderID]*anycast.Provider
 	// Lab hosts the measurement client, the web server, and the
 	// authoritative name server (the paper colocated all three in the
@@ -39,8 +49,11 @@ type Sim struct {
 
 	superProxies []netsim.Endpoint
 	superCodes   []string
+	superPts     []geo.Point // superProxies' positions, index-aligned
 	exitCounter  int
-	stats        simCounters
+	// assignScratch is PoP assignment's work space, reused across nodes.
+	assignScratch anycast.AssignScratch
+	stats         simCounters
 	// lossPtr is the live loss-event cell: &stats.lossEvents by
 	// default, redirected to a registry counter by Instrument.
 	lossPtr *int64
@@ -132,12 +145,21 @@ func NewSim(seed int64) *Sim {
 			Pos: ct.Centroid, Country: ct,
 		})
 		s.superCodes = append(s.superCodes, ct.Code)
+		s.superPts = append(s.superPts, ct.Centroid)
 	}
 	return s
 }
 
 // ExitNode is one residential vantage point, alive for the duration of
 // a measurement run (the paper issues several requests per exit node).
+//
+// A node computes once what is a pure function of its position, so
+// that a measurement costs its random draws and nothing else: the
+// jitter-free means of its five fixed routes at selection, and per
+// provider — at the first measurement or PoPFor that names it, which is
+// where the assignment's random draws fall — the PoP, its two
+// distances and the two route means through it. The exported position
+// fields are therefore read-only once SelectExitNode returns.
 type ExitNode struct {
 	// ID is the Super Proxy's stable identifier for the node; the
 	// paper counts unique clients by it.
@@ -161,9 +183,28 @@ type ExitNode struct {
 	// query (their default resolver is simply bad).
 	ResolverOverhead time.Duration
 	// super is the Super Proxy serving this node (the nearest one).
-	super      netsim.Endpoint
-	superCode  string
-	popChoices map[anycast.ProviderID]anycast.PoP
+	super     netsim.Endpoint
+	superCode string
+	// One-way route means: lab <-> Super Proxy, Super Proxy <-> exit,
+	// exit <-> ISP resolver, ISP resolver <-> lab, exit <-> lab.
+	meanCS, meanSE, meanER, meanRA, meanEL time.Duration
+	// In a Super-Proxy country the Super Proxy resolves Do53 names
+	// itself: Super Proxy <-> its colocated resolver, that resolver <->
+	// lab, Super Proxy <-> lab. Zero elsewhere.
+	meanSR, meanRL, meanSL time.Duration
+	// pops holds one route per provider measured so far, in order of
+	// first use; popBuf is its backing store for the usual four.
+	pops   []popRoute
+	popBuf [4]popRoute
+}
+
+// popRoute is a node's fixed route to one provider: the anycast
+// assignment and the means of the two legs through the assigned PoP
+// (exit <-> PoP, PoP <-> lab).
+type popRoute struct {
+	pid anycast.ProviderID
+	anycast.Assignment
+	meanEP, meanPA time.Duration
 }
 
 // resolverOverheadMedianShift and resolverOverheadSigma parameterize
@@ -201,7 +242,7 @@ func (s *Sim) SelectExitNode(countryCode string) (*ExitNode, error) {
 	pos := geo.Jitter(ct.Centroid, 420, s.Rand.Float64(), s.Rand.Float64())
 	resolverPos := geo.Jitter(ct.Centroid, 120, s.Rand.Float64(), s.Rand.Float64())
 	node := &ExitNode{
-		ID:      fmt.Sprintf("exit-%s-%06d", countryCode, s.exitCounter),
+		ID:      exitID(countryCode, s.exitCounter),
 		Country: ct,
 		Addr:    addr,
 		Pos:     pos,
@@ -212,21 +253,45 @@ func (s *Sim) SelectExitNode(countryCode string) (*ExitNode, error) {
 		ResolverOverhead: time.Duration(ct.ResolverOverheadMs *
 			math.Exp(resolverOverheadMedianShift+resolverOverheadSigma*s.Rand.NormFloat64()) *
 			float64(time.Millisecond)),
-		popChoices: make(map[anycast.ProviderID]anycast.PoP),
 	}
+	node.pops = node.popBuf[:0]
 	if s.Rand.Float64() < brokenResolverProb {
 		extra := brokenResolverMinMs + s.Rand.Float64()*(brokenResolverMaxMs-brokenResolverMinMs)
 		node.ResolverOverhead += time.Duration(extra * float64(time.Millisecond))
 	}
 	// The Super Proxy serving a client is the nearest of the 11.
-	pts := make([]geo.Point, len(s.superProxies))
-	for i, sp := range s.superProxies {
-		pts[i] = sp.Pos
-	}
-	idx, _ := geo.Nearest(pos, pts)
+	idx, _ := geo.Nearest(pos, s.superPts)
 	node.super = s.superProxies[idx]
 	node.superCode = s.superCodes[idx]
+
+	node.meanCS = s.Model.MeanOneWay(s.Lab, node.super)
+	node.meanSE = s.Model.MeanOneWay(node.super, node.Endpoint)
+	node.meanER = s.Model.MeanOneWay(node.Endpoint, node.ResolverEndpoint)
+	node.meanRA = s.Model.MeanOneWay(node.ResolverEndpoint, s.Lab)
+	node.meanEL = s.Model.MeanOneWay(node.Endpoint, s.Lab)
+	if world.IsSuperProxyCountry(countryCode) {
+		spResolver := netsim.Endpoint{Pos: node.super.Pos, Country: node.super.Country}
+		node.meanSR = s.Model.MeanOneWay(node.super, spResolver)
+		node.meanRL = s.Model.MeanOneWay(spResolver, s.Lab)
+		node.meanSL = s.Model.MeanOneWay(node.super, s.Lab)
+	}
 	return node, nil
+}
+
+// exitID renders fmt.Sprintf("exit-%s-%06d", code, n) for n >= 0,
+// allocating only the returned string.
+func exitID(code string, n int) string {
+	var num [20]byte
+	digits := strconv.AppendInt(num[:0], int64(n), 10)
+	b := make([]byte, 0, 32)
+	b = append(b, "exit-"...)
+	b = append(b, code...)
+	b = append(b, '-')
+	for i := len(digits); i < 6; i++ {
+		b = append(b, '0')
+	}
+	b = append(b, digits...)
+	return string(b)
 }
 
 // PlantGroundTruthNode provisions a controlled exit node for the
@@ -247,12 +312,26 @@ func (s *Sim) PlantGroundTruthNode(countryCode string) (*ExitNode, error) {
 // PoPFor returns (and fixes, for session consistency) the anycast PoP
 // this exit node reaches for the given provider.
 func (s *Sim) PoPFor(node *ExitNode, pid anycast.ProviderID) anycast.PoP {
-	if pop, ok := node.popChoices[pid]; ok {
-		return pop
+	return s.route(node, pid).PoP
+}
+
+// route returns the node's route to the provider, assigning the PoP on
+// first use. The pointer is good until the next route call on the node.
+func (s *Sim) route(node *ExitNode, pid anycast.ProviderID) *popRoute {
+	for i := range node.pops {
+		if node.pops[i].pid == pid {
+			return &node.pops[i]
+		}
 	}
-	pop := s.Providers[pid].AssignPoP(s.Rand, node.Pos)
-	node.popChoices[pid] = pop
-	return pop
+	a := s.Providers[pid].Assign(s.Rand, node.Pos, &s.assignScratch)
+	popEndpoint := netsim.Endpoint{Pos: a.PoP.Pos, Country: world.MustByCode(a.PoP.CountryCode)}
+	node.pops = append(node.pops, popRoute{
+		pid:        pid,
+		Assignment: a,
+		meanEP:     s.Model.MeanOneWay(node.Endpoint, popEndpoint),
+		meanPA:     s.Model.MeanOneWay(popEndpoint, s.Lab),
+	})
+	return &node.pops[len(node.pops)-1]
 }
 
 // DoHObservation is everything the measurement client can see for one
@@ -323,37 +402,37 @@ func (s *Sim) sampleProxyTimeline() ProxyTimeline {
 //	18-19 recursion: PoP <-> authoritative name server (cache miss)
 //	20    response: PoP -> exit
 //	21-22 response: exit -> Super Proxy -> client
+//
+// Every step waits for the one before it, so the session's clock is a
+// running sum; nothing is scheduled. What is fixed is the order of the
+// draws from s.Rand, because every golden file and the benchmark's CSV
+// hash follow from it: the PoP assignment if this is the node's first
+// use of the provider, the persistent factors of the five paths (CS,
+// SE, ER, EP, PA), the four proxy-timeline costs, then t1 .. t22 in
+// step order with TLS 1.2's two extra traversals right after t12's.
+// Chaos draws from its own stream. TestMeasureDoHMatchesEventTimeline
+// holds this to the event-driven timeline it replaced.
 func (s *Sim) MeasureDoH(node *ExitNode, pid anycast.ProviderID, queryName string) (DoHObservation, DoHGroundTruth) {
 	atomic.AddInt64(&s.stats.dohMeasurements, 1)
 	provider := s.Providers[pid]
-	pop := s.PoPFor(node, pid)
-	popEndpoint := netsim.Endpoint{Pos: pop.Pos, Country: world.MustByCode(pop.CountryCode)}
+	route := s.route(node, pid)
+	rng := s.Rand
 
 	// Session-persistent paths: consecutive packets on the same route
 	// are strongly correlated (Assumption 1 of the paper).
-	pathCS := s.Model.NewPath(s.Rand, s.Lab, node.super)         // client <-> Super Proxy
-	pathSE := s.Model.NewPath(s.Rand, node.super, node.Endpoint) // Super Proxy <-> exit
-	pathER := s.Model.NewPath(s.Rand, node.Endpoint, node.ResolverEndpoint)
-	pathEP := s.Model.NewPath(s.Rand, node.Endpoint, popEndpoint) // exit <-> PoP
-	pathPA := s.Model.NewPath(s.Rand, popEndpoint, s.Lab)         // PoP <-> auth NS
+	pathCS := s.Model.PathFromMean(rng, node.meanCS)  // client <-> Super Proxy
+	pathSE := s.Model.PathFromMean(rng, node.meanSE)  // Super Proxy <-> exit
+	pathER := s.Model.PathFromMean(rng, node.meanER)  // exit <-> ISP resolver
+	pathEP := s.Model.PathFromMean(rng, route.meanEP) // exit <-> PoP
+	pathPA := s.Model.PathFromMean(rng, route.meanPA) // PoP <-> auth NS
 
 	var gt DoHGroundTruth
-	gt.PoP = pop
-	gt.PoPDistanceKm = geo.DistanceKm(node.Pos, pop.Pos)
-	_, gt.NearestPoPDistanceKm = provider.NearestPoP(node.Pos)
+	gt.PoP = route.PoP
+	gt.PoPDistanceKm = route.DistanceKm
+	gt.NearestPoPDistanceKm = route.NearestDistanceKm
 
 	proxy := s.sampleProxyTimeline()
-
-	eng := netsim.NewEngine()
-	var obs DoHObservation
-	obs.Provider = pid
-	obs.QueryName = queryName
-	obs.Proxy = proxy
-
-	step := func(i int, d time.Duration) time.Duration {
-		gt.Steps[i] = d
-		return d
-	}
+	obs := DoHObservation{Provider: pid, QueryName: queryName, Proxy: proxy}
 
 	// The ISP resolver almost certainly has the DoH server's hostname
 	// cached (it is a popular name), so t3+t4 is one resolver RTT
@@ -363,80 +442,56 @@ func (s *Sim) MeasureDoH(node *ExitNode, pid anycast.ProviderID, queryName strin
 	tlsCompute := time.Millisecond
 	authSvc := 400 * time.Microsecond
 
+	t := &gt.Steps
+
 	// --- Phase 1: establish the tunnel (steps 1-8). T_A .. T_B ---
-	obs.TA = eng.Now() // zero
-	eng.At(step(1, pathCS.OneWay(s.Rand))+proxy.Auth+proxy.Init+proxy.SelectExit+proxy.Validate, func() {
-		eng.At(step(2, pathSE.OneWay(s.Rand)), func() {
-			t3 := pathER.OneWay(s.Rand)
-			t4 := pathER.OneWay(s.Rand) + resolverSvc
-			step(3, t3)
-			step(4, t4)
-			eng.At(t3+t4, func() {
-				t5 := pathEP.OneWay(s.Rand)
-				t6 := pathEP.OneWay(s.Rand) + provider.SetupOverhead/2
-				step(5, t5)
-				step(6, t6)
-				obs.Tun = TunTimeline{DNS: t3 + t4, Connect: t5 + t6}
-				eng.At(t5+t6, func() {
-					eng.At(step(7, pathSE.OneWay(s.Rand)), func() {
-						eng.At(step(8, pathCS.OneWay(s.Rand)), func() {
-							obs.TB = eng.Now()
-						})
-					})
-				})
-			})
-		})
-	})
-	eng.Run()
+	t[1] = pathCS.OneWay(rng)
+	t[2] = pathSE.OneWay(rng)
+	t[3] = pathER.OneWay(rng)
+	t[4] = pathER.OneWay(rng) + resolverSvc
+	t[5] = pathEP.OneWay(rng)
+	t[6] = pathEP.OneWay(rng) + provider.SetupOverhead/2
+	t[7] = pathSE.OneWay(rng)
+	t[8] = pathCS.OneWay(rng)
+	obs.Tun = TunTimeline{DNS: t[3] + t[4], Connect: t[5] + t[6]}
+	obs.TB = obs.TA + proxy.Total()
+	for i := 1; i <= 8; i++ {
+		obs.TB += t[i]
+	}
 
 	// --- Phase 2: TLS handshake (steps 9-14). T_C .. ---
 	obs.TC = obs.TB // the client fires the ClientHello immediately
-	eng.At(step(9, pathCS.OneWay(s.Rand)), func() {
-		eng.At(step(10, pathSE.OneWay(s.Rand)), func() {
-			t11 := pathEP.OneWay(s.Rand)
-			t12 := pathEP.OneWay(s.Rand) + tlsCompute + provider.SetupOverhead/2
-			if s.TLS12 {
-				// TLS 1.2 needs a second full round trip before the
-				// session is usable.
-				t11 += pathEP.OneWay(s.Rand)
-				t12 += pathEP.OneWay(s.Rand)
-			}
-			step(11, t11)
-			step(12, t12)
-			eng.At(t11+t12, func() {
-				eng.At(step(13, pathSE.OneWay(s.Rand)), func() {
-					eng.At(step(14, pathCS.OneWay(s.Rand)), func() {
-						// --- Phase 3: request (steps 15-22) ---
-						eng.At(step(15, pathCS.OneWay(s.Rand)), func() {
-							eng.At(step(16, pathSE.OneWay(s.Rand)), func() {
-								eng.At(step(17, pathEP.OneWay(s.Rand)), func() {
-									t18 := provider.ServiceTime + pathPA.OneWay(s.Rand)
-									t19 := pathPA.OneWay(s.Rand) + authSvc
-									step(18, t18)
-									step(19, t19)
-									eng.At(t18+t19, func() {
-										eng.At(step(20, pathEP.OneWay(s.Rand)), func() {
-											eng.At(step(21, pathSE.OneWay(s.Rand)), func() {
-												eng.At(step(22, pathCS.OneWay(s.Rand)), func() {
-													obs.TD = eng.Now()
-												})
-											})
-										})
-									})
-								})
-							})
-						})
-					})
-				})
-			})
-		})
-	})
-	eng.Run()
+	t[9] = pathCS.OneWay(rng)
+	t[10] = pathSE.OneWay(rng)
+	t[11] = pathEP.OneWay(rng)
+	t[12] = pathEP.OneWay(rng) + tlsCompute + provider.SetupOverhead/2
+	if s.TLS12 {
+		// TLS 1.2 needs a second full round trip before the
+		// session is usable.
+		t[11] += pathEP.OneWay(rng)
+		t[12] += pathEP.OneWay(rng)
+	}
+	t[13] = pathSE.OneWay(rng)
+	t[14] = pathCS.OneWay(rng)
 
-	gt.TDoH = gt.Steps[3] + gt.Steps[4] + gt.Steps[5] + gt.Steps[6] +
-		gt.Steps[11] + gt.Steps[12] +
-		gt.Steps[17] + gt.Steps[18] + gt.Steps[19] + gt.Steps[20]
-	gt.TDoHR = gt.Steps[17] + gt.Steps[18] + gt.Steps[19] + gt.Steps[20]
+	// --- Phase 3: request (steps 15-22). .. T_D ---
+	t[15] = pathCS.OneWay(rng)
+	t[16] = pathSE.OneWay(rng)
+	t[17] = pathEP.OneWay(rng)
+	t[18] = provider.ServiceTime + pathPA.OneWay(rng)
+	t[19] = pathPA.OneWay(rng) + authSvc
+	t[20] = pathEP.OneWay(rng)
+	t[21] = pathSE.OneWay(rng)
+	t[22] = pathCS.OneWay(rng)
+	obs.TD = obs.TC
+	for i := 9; i <= 22; i++ {
+		obs.TD += t[i]
+	}
+
+	gt.TDoH = t[3] + t[4] + t[5] + t[6] +
+		t[11] + t[12] +
+		t[17] + t[18] + t[19] + t[20]
+	gt.TDoHR = t[17] + t[18] + t[19] + t[20]
 	s.instr.recordDoH(pid, queryName, obs, gt)
 	// Chaos corrupts only what the client gets to see; ground truth
 	// and the instruments above already recorded what really happened.
@@ -473,8 +528,8 @@ type Do53GroundTruth struct {
 // overhead (the paper's "default configuration" performance).
 func (s *Sim) MeasureDo53(node *ExitNode, queryName string) (Do53Observation, Do53GroundTruth) {
 	atomic.AddInt64(&s.stats.do53Measure, 1)
-	pathER := s.Model.NewPath(s.Rand, node.Endpoint, node.ResolverEndpoint)
-	pathRA := s.Model.NewPath(s.Rand, node.ResolverEndpoint, s.Lab)
+	pathER := s.Model.PathFromMean(s.Rand, node.meanER)
+	pathRA := s.Model.PathFromMean(s.Rand, node.meanRA)
 
 	authSvc := 400 * time.Microsecond
 	trueDo53 := pathER.RTT(s.Rand) + node.ResolverOverhead + pathRA.RTT(s.Rand) + authSvc
@@ -489,12 +544,11 @@ func (s *Sim) MeasureDo53(node *ExitNode, queryName string) (Do53Observation, Do
 		// The Super Proxy resolves the name itself: the header value
 		// reflects a datacenter resolver colocated with the Super
 		// Proxy — useless for the exit node's Do53 performance.
-		spResolver := netsim.Endpoint{Pos: node.super.Pos, Country: node.super.Country}
-		pathSR := s.Model.NewPath(s.Rand, node.super, spResolver)
-		pathRL := s.Model.NewPath(s.Rand, spResolver, s.Lab)
+		pathSR := s.Model.PathFromMean(s.Rand, node.meanSR)
+		pathRL := s.Model.PathFromMean(s.Rand, node.meanRL)
 		obs.Tun = TunTimeline{
 			DNS:     pathSR.RTT(s.Rand) + pathRL.RTT(s.Rand) + 2*time.Millisecond,
-			Connect: s.Model.NewPath(s.Rand, node.super, s.Lab).RTT(s.Rand),
+			Connect: s.Model.PathFromMean(s.Rand, node.meanSL).RTT(s.Rand),
 		}
 		obs.ViaSuperProxy = true
 		s.instr.recordDo53(true, gt)
@@ -503,7 +557,7 @@ func (s *Sim) MeasureDo53(node *ExitNode, queryName string) (Do53Observation, Do
 
 	obs.Tun = TunTimeline{
 		DNS:     trueDo53,
-		Connect: s.Model.NewPath(s.Rand, node.Endpoint, s.Lab).RTT(s.Rand),
+		Connect: s.Model.PathFromMean(s.Rand, node.meanEL).RTT(s.Rand),
 	}
 	s.instr.recordDo53(false, gt)
 	return s.applyChaosDo53(obs), gt

@@ -44,6 +44,13 @@ go test ./internal/cache/ -run 'TestPutAllocatesTheEntryOnly|TestLookupCopyIsThe
 go test ./internal/recursive/ -run 'TestResolveMissAllocBudget|TestResolveHitAllocBudget'
 go test ./internal/authserver/ -run 'TestQueryLogGrowsInTwoSteps'
 
+step "campaign inner loop (timeline oracle, PoP assignment, allocation gates, catalogue sharing under race)"
+go test ./internal/proxynet/ \
+	-run 'TestMeasureDoHMatchesEventTimeline|TestMeasureAllocationFree|TestExitNodeCachesRouteMeans'
+go test ./internal/anycast/ -run 'TestAssignMatchesAssignPoPAndNearestPoP'
+go test ./internal/campaign/ -run 'TestCampaignAllocBudget'
+go test -race ./internal/anycast/...
+
 step "smart racing soak (short, race, chaos faults + exact accounting)"
 go test -race -run TestSmartSoak -short ./internal/smart/
 
