@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify bench e2e
+.PHONY: build test verify bench e2e loc
 
 build:
 	$(GO) build ./...
@@ -10,10 +10,20 @@ test:
 
 # verify runs the full tier-1 gate list from ROADMAP.md: build, vet,
 # all tests, race gates, the three short-mode soaks (chaos, serve,
-# overload), the campaign's timeline oracle, and the zero-allocation,
+# overload), the campaign's timeline oracle, transport-table test and
+# pinned export hash, the RRL bucket test, and the zero-allocation,
 # allocation-budget + bench smokes.
 verify:
 	./scripts/verify.sh
+
+# loc prints non-test Go lines per package and their total outside
+# bench/ (the benchmark's own directory): the figure simplification PRs
+# report before and after (24,479 before the one-transport-table PR).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | sed 's|^\./||' | \
+		while read f; do echo "$$(dirname $$f) $$(wc -l < $$f)"; done | \
+		awk '{n[$$1] += $$2; t += $$2} END {for (p in n) printf "%6d %s\n", n[p], p; printf "%6d total\n", t}' | \
+		sort -k2
 
 # e2e runs the end-to-end benchmark declared in BENCHMARK.json: the
 # live loopback DNS stack and the full-world campaign, measured rounds

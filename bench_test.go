@@ -473,18 +473,16 @@ func BenchmarkMeasureDoH(b *testing.B) {
 	})
 }
 
-// BenchmarkMeasureDoT measures one simulated DoT measurement.
-func BenchmarkMeasureDoT(b *testing.B) {
-	benchMeasure(b, func(sim *proxynet.Sim, node *proxynet.ExitNode) {
-		sim.MeasureDoT(node, anycast.Cloudflare, "b.a.com.")
-	})
-}
-
-// BenchmarkMeasureDoQ measures one simulated DoQ measurement.
-func BenchmarkMeasureDoQ(b *testing.B) {
-	benchMeasure(b, func(sim *proxynet.Sim, node *proxynet.ExitNode) {
-		sim.MeasureDoQ(node, anycast.Cloudflare, "b.a.com.")
-	})
+// BenchmarkMeasureSession measures one simulated DoT and one simulated
+// DoQ measurement.
+func BenchmarkMeasureSession(b *testing.B) {
+	for name, tr := range map[string]proxynet.Transport{"dot": proxynet.DoT, "doq": proxynet.DoQ} {
+		b.Run(name, func(b *testing.B) {
+			benchMeasure(b, func(sim *proxynet.Sim, node *proxynet.ExitNode) {
+				sim.MeasureSession(tr, node, anycast.Cloudflare, "b.a.com.")
+			})
+		})
+	}
 }
 
 // BenchmarkMeasureDo53 measures one simulated Do53 measurement.

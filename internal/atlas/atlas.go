@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/netsim"
+	"repro/internal/stats"
 	"repro/internal/world"
 )
 
@@ -84,8 +85,7 @@ func (n *Network) Probe(countryCode string) (*Probe, error) {
 func (n *Network) MeasureDo53(p *Probe) time.Duration {
 	pathPR := n.Model.NewPath(n.Rand, p.Endpoint, p.ResolverEndpoint)
 	pathRA := n.Model.NewPath(n.Rand, p.ResolverEndpoint, n.Auth)
-	authSvc := 400 * time.Microsecond
-	return pathPR.RTT(n.Rand) + p.ResolverOverhead + pathRA.RTT(n.Rand) + authSvc
+	return pathPR.RTT(n.Rand) + p.ResolverOverhead + pathRA.RTT(n.Rand) + netsim.AuthService
 }
 
 // CountryMedianDo53 provisions `probes` probes in the country, runs
@@ -106,18 +106,5 @@ func (n *Network) CountryMedianDo53(countryCode string, probes, runsPerProbe int
 			vals = append(vals, float64(n.MeasureDo53(p))/float64(time.Millisecond))
 		}
 	}
-	// Median without pulling in package stats (avoids a cycle-free
-	// but needless dependency for one reduction).
-	for i := range vals {
-		for j := i + 1; j < len(vals); j++ {
-			if vals[j] < vals[i] {
-				vals[i], vals[j] = vals[j], vals[i]
-			}
-		}
-	}
-	mid := len(vals) / 2
-	if len(vals)%2 == 1 {
-		return vals[mid], nil
-	}
-	return (vals[mid-1] + vals[mid]) / 2, nil
+	return stats.MustMedian(vals), nil
 }

@@ -29,16 +29,11 @@ type QueryLogEntry struct {
 // Server serves a Zone authoritatively over UDP and TCP. Transport
 // mechanics (socket sharding, batched datagram I/O, framing, graceful
 // drain) live in the serve engine; this type supplies the DNS
-// semantics: zone lookups, CNAME chasing, AXFR, rate limiting, and the
-// query log.
+// semantics: zone lookups, CNAME chasing, AXFR, and the query log.
 type Server struct {
 	Zone *Zone
 	// Logger, when set, receives one line per malformed packet.
 	Logger *log.Logger
-	// Limiter, when set, rate-limits UDP responses per source prefix
-	// (DNS amplification defense). TCP is exempt: a completed TCP
-	// handshake proves the source address.
-	Limiter *RateLimiter
 
 	// Listeners, BatchSize, and Concurrency tune the serving engine
 	// (see serve.Options); the zero values use the engine defaults
@@ -50,10 +45,10 @@ type Server struct {
 
 	// Protect configures the engine's overload protection (admission
 	// budget, RRL, stream governance — see serve.Protection). The zero
-	// value leaves every defense off. The engine-level RateLimit and
-	// the legacy Limiter above are independent: Limiter runs inside the
-	// handler for library users who construct one, RateLimit sheds
-	// before the handler runs.
+	// value leaves every defense off. Protect.RateLimit is the server's
+	// one response rate limiter (DNS amplification defense; UDP only, a
+	// completed TCP handshake proves the source address): it sheds before
+	// the handler runs, inside the engine's accounting identity.
 	Protect serve.Protection
 
 	// QueryLogLimit caps the in-memory query log. Once the log holds
@@ -196,10 +191,6 @@ func (s *Server) logf(format string, args ...any) {
 
 // servePacket answers one UDP datagram on the engine's scratch.
 func (s *Server) servePacket(_ context.Context, out, raw []byte, src netip.AddrPort) ([]byte, error) {
-	if s.Limiter != nil && !s.Limiter.Allow(net.UDPAddrFromAddrPort(src)) {
-		s.logf("authserver: rate-limited response to %v", src)
-		return nil, nil
-	}
 	resp := s.handlePacket(raw, src, "udp")
 	if resp == nil {
 		return nil, nil
@@ -340,14 +331,4 @@ func (s *Server) chaseCNAME(rrs []dnswire.ResourceRecord, typ dnswire.Type, dept
 		out = append(out, s.chaseCNAME(next, typ, depth+1)...)
 	}
 	return out
-}
-
-// WaitContext blocks until ctx is done, then closes the server. Handy
-// for cmd/ binaries.
-//
-// Deprecated: use Serve(ctx), which drains gracefully instead of
-// force-closing.
-func (s *Server) WaitContext(ctx context.Context) error {
-	<-ctx.Done()
-	return s.Close()
 }

@@ -2,7 +2,6 @@ package authserver
 
 import (
 	"context"
-	"net"
 	"net/netip"
 	"strings"
 	"testing"
@@ -10,6 +9,7 @@ import (
 
 	"repro/internal/dnsclient"
 	"repro/internal/dnswire"
+	"repro/internal/serve"
 )
 
 func testZone(t *testing.T) *Zone {
@@ -309,57 +309,11 @@ func TestServerNotImplementedOpcode(t *testing.T) {
 	}
 }
 
-func TestRateLimiterBuckets(t *testing.T) {
-	now := time.Unix(0, 0)
-	rl := NewRateLimiter(2, 4, func() time.Time { return now })
-	src := &net.UDPAddr{IP: net.IPv4(203, 0, 113, 7), Port: 4444}
-	// Burst of 4 allowed immediately.
-	for i := 0; i < 4; i++ {
-		if !rl.Allow(src) {
-			t.Fatalf("request %d denied within burst", i)
-		}
-	}
-	if rl.Allow(src) {
-		t.Fatal("request beyond burst allowed")
-	}
-	// Same /24, different host: shares the bucket (spoofing defense).
-	sibling := &net.UDPAddr{IP: net.IPv4(203, 0, 113, 99), Port: 5555}
-	if rl.Allow(sibling) {
-		t.Fatal("sibling host in the same /24 not rate-limited")
-	}
-	// A different prefix has its own bucket.
-	other := &net.UDPAddr{IP: net.IPv4(198, 51, 100, 1), Port: 1}
-	if !rl.Allow(other) {
-		t.Fatal("unrelated prefix denied")
-	}
-	// Tokens refill with time: 1 second restores 2 tokens.
-	now = now.Add(time.Second)
-	if !rl.Allow(src) || !rl.Allow(src) {
-		t.Fatal("refilled tokens not granted")
-	}
-	if rl.Allow(src) {
-		t.Fatal("over-refill allowed")
-	}
-}
-
-func TestRateLimiterDisabledAndNil(t *testing.T) {
-	src := &net.UDPAddr{IP: net.IPv4(1, 2, 3, 4)}
-	var nilRL *RateLimiter
-	if !nilRL.Allow(src) {
-		t.Fatal("nil limiter denied")
-	}
-	off := NewRateLimiter(0, 0, nil)
-	for i := 0; i < 100; i++ {
-		if !off.Allow(src) {
-			t.Fatal("disabled limiter denied")
-		}
-	}
-}
-
 func TestServerUDPRateLimited(t *testing.T) {
 	s := NewServer(testZone(t))
-	now := time.Unix(0, 0)
-	s.Limiter = NewRateLimiter(1, 2, func() time.Time { return now })
+	// A refill too slow to matter inside the test, and no TC=1 slip:
+	// over-limit queries are dropped, which the client sees as timeouts.
+	s.Protect = serve.Protection{RateLimit: 0.001, RateBurst: 2, RateSlip: -1}
 	if err := s.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

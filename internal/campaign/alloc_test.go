@@ -16,7 +16,8 @@ import (
 // row (9), the exit node, its ID and its prefix, and the per-country
 // set-up and Atlas remedy spread over 1,546 clients (the full world
 // reads about 3 lower). docs/performance.md "The campaign's inner loop"
-// has the per-site table.
+// has the per-site table. The budget is what the benchmark's 3 % bound
+// on the campaign workload's allocs_per_op would refuse too.
 func TestCampaignAllocBudget(t *testing.T) {
 	countries, err := ShardCountries(nil, 0, 16)
 	if err != nil {
@@ -48,7 +49,7 @@ func TestCampaignAllocBudget(t *testing.T) {
 	perClient := float64(after.Mallocs-before.Mallocs) / float64(kept)
 	t.Logf("%d kept clients, %.1f mallocs per client, %.0f bytes per client",
 		kept, perClient, float64(after.TotalAlloc-before.TotalAlloc)/float64(kept))
-	const budget = 60
+	const budget = 50
 	if perClient > budget {
 		t.Errorf("campaign allocates %.1f times per kept client, budget %d", perClient, budget)
 	}

@@ -16,6 +16,7 @@ import (
 	"hash/fnv"
 	"net/netip"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -32,6 +33,7 @@ import (
 	"repro/internal/proxynet"
 	"repro/internal/resolver"
 	"repro/internal/sketch"
+	"repro/internal/smart"
 	"repro/internal/stats"
 	"repro/internal/world"
 )
@@ -86,7 +88,7 @@ type Config struct {
 	// parallelism-invariant as a clean one.
 	Chaos proxynet.Chaos
 	// Breaker, when non-nil, arms one circuit breaker per
-	// provider×country measurement loop (DoH and DoT). Runs
+	// provider×country measurement loop (DoH, DoT and DoQ). Runs
 	// short-circuited by an open breaker are counted in
 	// TransportStats.Skipped, and trip totals surface in
 	// Dataset.Breakers and the resolver_<kind>_breaker_* gauges. Use a
@@ -179,7 +181,7 @@ func normalizeTransports(kinds []resolver.Kind) ([]resolver.Kind, error) {
 		seen[k] = true
 		out = append(out, k)
 	}
-	if seen[resolver.Smart] && !seen[resolver.DoH] && !seen[resolver.DoT] && !seen[resolver.DoQ] {
+	if seen[resolver.Smart] && !slices.ContainsFunc(out, smartCandidate) {
 		return nil, fmt.Errorf("campaign: smart requires at least one encrypted transport (doh, dot, or doq)")
 	}
 	return out, nil
@@ -214,46 +216,37 @@ func (r DoHResult) PotentialImprovementKm() float64 {
 	return d
 }
 
-// DoTResult is a client's (averaged) DoT measurement for one provider
-// when the extension DoT transport is enabled.
-type DoTResult struct {
-	// TDoTMs and TDoTRMs are the first-query and reused-connection
+// SessionResult is a client's (averaged) measurement for one provider
+// over one extension transport (DoT, DoQ) the campaign has enabled.
+type SessionResult struct {
+	// FirstMs and ReusedMs are the first-query and reused-connection
 	// resolution times (milliseconds, averaged over unblocked runs).
-	TDoTMs  float64
-	TDoTRMs float64
+	FirstMs  float64
+	ReusedMs float64
 	// BlockedRuns counts this client's runs dropped by port-853
 	// filtering for this provider. A client can be partially blocked:
 	// BlockedRuns > 0 with Valid still true means some runs got
 	// through and the timing fields are usable.
 	BlockedRuns int
 	// Blocked reports total blocking: every run was dropped, so no
-	// timing fields are valid. (BlockedRuns alone used to be folded
-	// into this flag, silently hiding partial blocking.)
+	// timing fields are valid.
 	Blocked bool
 	// Valid reports at least one unblocked measurement.
 	Valid bool
 }
 
-// DoQResult is a client's (averaged) DoQ measurement for one provider
-// when the extension DoQ transport is enabled.
-type DoQResult struct {
-	// TDoQMs and TDoQRMs are the first-query and reused-connection
-	// resolution times (milliseconds, averaged over unblocked runs).
-	TDoQMs  float64
-	TDoQRMs float64
-	// BlockedRuns counts this client's runs dropped by UDP/853
-	// filtering for this provider; a client can be partially blocked.
-	BlockedRuns int
-	// Blocked reports total blocking: every run was dropped.
-	Blocked bool
-	// Valid reports at least one unblocked measurement.
-	Valid bool
+// extensions is the campaign's side of proxynet's session table: the
+// kind that selects each row in Config.Transports, names its accounting
+// and metrics, and enters the smart race. Rows run in table order.
+var extensions = [proxynet.NumTransports]resolver.Kind{
+	proxynet.DoT: resolver.DoT,
+	proxynet.DoQ: resolver.DoQ,
 }
 
 // SmartResult is the derived fifth strategy — "best available
 // encrypted transport" — for one client and provider: a modeled
 // happy-eyeballs race over the client's measured encrypted transports
-// (DoH/DoT/DoQ, in that canonical launch order, smartStaggerMs apart),
+// (DoH, then the extensions in table order, smartStaggerMs apart),
 // remembering the winner for steady state. No wire queries are issued:
 // the column is a pure function of the measured per-transport results,
 // which is what keeps it byte-identical across shards and restores.
@@ -282,12 +275,9 @@ type ClientRecord struct {
 	Pos geo.Point
 	// DoH maps provider -> result.
 	DoH map[anycast.ProviderID]DoHResult
-	// DoT maps provider -> result; nil unless the campaign's
-	// Transports include resolver.DoT.
-	DoT map[anycast.ProviderID]DoTResult
-	// DoQ maps provider -> result; nil unless the campaign's
-	// Transports include resolver.DoQ.
-	DoQ map[anycast.ProviderID]DoQResult
+	// Sessions maps, per extension transport (proxynet.DoT, proxynet.DoQ),
+	// provider -> result; nil unless Transports include its kind.
+	Sessions [proxynet.NumTransports]map[anycast.ProviderID]SessionResult
 	// Smart maps provider -> derived best-encrypted-transport result;
 	// nil unless the campaign's Transports include resolver.Smart.
 	Smart map[anycast.ProviderID]SmartResult
@@ -361,13 +351,13 @@ type TransportStats struct {
 	Successes int
 	// Discards counts runs dropped by the estimator's plausibility
 	// checks (or, for Do53 in Super-Proxy countries, the §3.5
-	// invalidation) — plus blocked DoT sessions.
+	// invalidation) — plus blocked DoT and DoQ sessions.
 	Discards int
 	// LossEvents counts simulated retransmission-timeout events on
 	// the wire during the transport's measurement runs.
 	LossEvents int64
-	// Blocked counts DoT sessions dropped by port-853 filtering
-	// (always zero for other transports).
+	// Blocked counts DoT and DoQ sessions dropped by port-853 filtering
+	// (always zero for Do53 and DoH).
 	Blocked int
 	// Skipped counts runs that were never issued because an earlier
 	// run hit a permanent per-client failure (Do53 in a Super-Proxy
@@ -719,10 +709,13 @@ func finishObs(cfg Config, ds *Dataset, simTotal proxynet.SimStats) error {
 // while measuring a subset remains valid for the full campaign, which
 // is exactly the interrupt-then-resume path. Parallel and Obs are
 // schedule/reporting knobs with no effect on the records; AtlasProbes
-// only affects the remedy, which is recomputed on every run.
+// only affects the remedy, which is recomputed on every run. The
+// leading version is the journaled record's shape: v2 since
+// ClientRecord keeps its DoT and DoQ results in Sessions, so that a v1
+// journal is refused instead of restored with those results zeroed.
 func configKey(cfg Config, providers []anycast.ProviderID) string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "v1|seed=%d|runs=%d|max=%d|scale=%g|", cfg.Seed, cfg.RunsPerClient, cfg.MaxClients, cfg.ClientScale)
+	fmt.Fprintf(h, "v2|seed=%d|runs=%d|max=%d|scale=%g|", cfg.Seed, cfg.RunsPerClient, cfg.MaxClients, cfg.ClientScale)
 	for _, p := range providers {
 		fmt.Fprintf(h, "p=%s|", p)
 	}
@@ -859,24 +852,9 @@ type countryAccounting struct {
 	smartWins map[resolver.Kind]int
 	// simStats is the country simulator's final counter snapshot,
 	// merged into the campaign registry by Run. Per-country sims keep
-	// private counters (lossTracker needs sequential per-sim deltas),
+	// private counters (settle needs sequential per-sim loss deltas),
 	// so the registry view is assembled post-hoc.
 	simStats proxynet.SimStats
-}
-
-// lossTracker attributes the simulator's loss events to the
-// measurement that absorbed them, by snapshotting the counter around
-// each (sequential) measurement call.
-type lossTracker struct {
-	sim  *proxynet.Sim
-	last int64
-}
-
-func (lt *lossTracker) delta() int64 {
-	now := lt.sim.Stats().LossEvents
-	d := now - lt.last
-	lt.last = now
-	return d
 }
 
 // nameScratch is a worker's reusable buffer for building the per-run
@@ -924,62 +902,157 @@ func appendHex08(b []byte, v uint64) []byte {
 // dataset, so its parameters are pinned like the estimator's.
 const smartStaggerMs = 50.0
 
-// smartCandidateOrder is the canonical launch order of the derived
-// smart race: the paper's primary encrypted transport first, then the
-// extensions in the order they were added.
-var smartCandidateOrder = []resolver.Kind{resolver.DoH, resolver.DoT, resolver.DoQ}
+// smartCandidate reports whether kind can win the derived race: the
+// set deriveSmart launches from.
+func smartCandidate(kind resolver.Kind) bool {
+	return kind == resolver.DoH || slices.Contains(extensions[:], kind)
+}
 
 // deriveSmart models the smart racing resolver's behavior on one
-// client's measured results for one provider: candidates launch in
-// canonical order smartStaggerMs apart, the first arrival (launch
-// offset + first-query time) wins, and steady state takes the winner's
-// reused-connection latency. Invalid or fully blocked transports never
-// launch — the racing resolver's breaker eviction, in dataset form.
-func deriveSmart(rec *ClientRecord, pid anycast.ProviderID, wants map[resolver.Kind]bool) SmartResult {
-	var out SmartResult
-	slot := 0
-	consider := func(kind resolver.Kind, first, steady float64) {
-		arrival := float64(slot)*smartStaggerMs + first
-		slot++
-		if !out.Valid || arrival < out.TSmartMs {
-			out = SmartResult{TSmartMs: arrival, TSmartRMs: steady, Winner: string(kind), Valid: true}
+// client's measured results for one provider, by the resolver's own
+// rule (smart.RaceOutcome): the paper's primary encrypted transport
+// launches first, then the extensions in table order, smartStaggerMs
+// apart. Invalid or fully blocked transports never launch — the racing
+// resolver's breaker eviction, in dataset form — and neither do
+// transports the campaign did not measure, which have no result.
+func deriveSmart(rec *ClientRecord, pid anycast.ProviderID) SmartResult {
+	var kinds [1 + len(extensions)]resolver.Kind
+	var launches [1 + len(extensions)]smart.Launch
+	n := 0
+	if r := rec.DoH[pid]; r.Valid {
+		kinds[n], launches[n] = resolver.DoH, smart.Launch{First: r.TDoHMs, Reused: r.TDoHRMs}
+		n++
+	}
+	for tr, kind := range extensions {
+		if r := rec.Sessions[tr][pid]; r.Valid {
+			kinds[n], launches[n] = kind, smart.Launch{First: r.FirstMs, Reused: r.ReusedMs}
+			n++
 		}
 	}
-	for _, kind := range smartCandidateOrder {
-		if !wants[kind] {
-			continue
+	winner, first, steady := smart.RaceOutcome(smartStaggerMs, launches[:n])
+	if winner < 0 {
+		return SmartResult{}
+	}
+	return SmartResult{TSmartMs: first, TSmartRMs: steady, Winner: string(kinds[winner]), Valid: true}
+}
+
+// countryRun is what one country's measurement loops share: the
+// simulator, the accounting, and the steps every run takes around its
+// transport's own Measure call — admit before it, settle after it.
+type countryRun struct {
+	cache   *cache.Cache            // Config.Cache
+	policy  *resolver.BreakerPolicy // Config.Breaker
+	code    string
+	sim     *proxynet.Sim
+	scratch *nameScratch
+	acct    countryAccounting
+	// uuidSeq numbers the country's unique query names.
+	uuidSeq int
+	// lossSeen is the simulator's loss counter as of the last settled
+	// run; the difference is what the next (sequential) run absorbed.
+	lossSeen int64
+	// breakers holds one breaker per kind×provider, shared across the
+	// country's clients: a transport that is dead country-wide (blocked
+	// DoT, chaos-saturated DoH) trips after FailureThreshold consecutive
+	// failures, and the remaining runs are skipped instead of measured.
+	breakers map[breakerKey]*resolver.Breaker
+}
+
+type breakerKey struct {
+	kind resolver.Kind
+	pid  anycast.ProviderID
+}
+
+// breaker returns the kind×provider breaker, nil unless Config.Breaker
+// armed them.
+func (r *countryRun) breaker(kind resolver.Kind, pid anycast.ProviderID) *resolver.Breaker {
+	if r.policy == nil {
+		return nil
+	}
+	b := r.breakers[breakerKey{kind, pid}]
+	if b == nil {
+		if r.breakers == nil {
+			r.breakers = make(map[breakerKey]*resolver.Breaker)
 		}
-		switch kind {
-		case resolver.DoH:
-			if r, ok := rec.DoH[pid]; ok && r.Valid {
-				consider(kind, r.TDoHMs, r.TDoHRMs)
-			}
-		case resolver.DoT:
-			if r, ok := rec.DoT[pid]; ok && r.Valid {
-				consider(kind, r.TDoTMs, r.TDoTRMs)
-			}
-		case resolver.DoQ:
-			if r, ok := rec.DoQ[pid]; ok && r.Valid {
-				consider(kind, r.TDoQMs, r.TDoQRMs)
-			}
+		b = resolver.NewBreaker(*r.policy)
+		r.breakers[breakerKey{kind, pid}] = b
+	}
+	return b
+}
+
+// skip counts n runs that were never issued.
+func (r *countryRun) skip(kind resolver.Kind, n int) {
+	ts := r.acct.transports[kind]
+	ts.Skipped += n
+	r.acct.transports[kind] = ts
+}
+
+// admit opens a measurement run: the breaker gate (brk may be nil),
+// then a fresh query name, then the cache-busting tripwire
+// (Config.Cache) — every run's fresh name must miss the shared answer
+// cache; a hit proves a name was reused, so the run is skipped rather
+// than measured warm. ok false means the run was skipped, and counted.
+func (r *countryRun) admit(kind resolver.Kind, brk *resolver.Breaker) (name string, ok bool) {
+	if brk != nil && !brk.Allow() {
+		r.skip(kind, 1)
+		return "", false
+	}
+	r.uuidSeq++
+	name = r.scratch.format(r.code, r.uuidSeq)
+	if r.cache != nil && r.cache.Get(dnswire.NewName(name), dnswire.TypeA) != nil {
+		r.skip(kind, 1)
+		return "", false
+	}
+	return name, true
+}
+
+// settle closes an issued run: the tripwire's marker answer goes under
+// the consumed name, the breaker hears the outcome, and the run lands
+// in exactly one accounting bucket, with the loss events it absorbed.
+func (r *countryRun) settle(kind resolver.Kind, brk *resolver.Breaker, name string, discarded, blocked bool) {
+	if r.cache != nil {
+		qname := dnswire.NewName(name)
+		m := dnswire.NewQuery(1, qname, dnswire.TypeA).Reply()
+		m.Answers = append(m.Answers, dnswire.ResourceRecord{
+			Name: qname, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 300,
+			Data: dnswire.ARecord{Addr: markerAddr},
+		})
+		r.cache.Put(qname, dnswire.TypeA, m)
+	}
+	if brk != nil {
+		if discarded {
+			brk.Failure()
+		} else {
+			brk.Success()
 		}
 	}
-	return out
+	ts := r.acct.transports[kind]
+	ts.Queries++
+	losses := r.sim.Stats().LossEvents
+	ts.LossEvents += losses - r.lossSeen
+	r.lossSeen = losses
+	if discarded {
+		ts.Discards++
+	} else {
+		ts.Successes++
+	}
+	if blocked {
+		ts.Blocked++
+	}
+	r.acct.transports[kind] = ts
 }
 
 // measureCountry provisions and measures all of one country's clients
 // on a dedicated simulator. Cancellation is checked between clients:
 // an abandoned country returns the context error and is never
 // journaled, so a resumed campaign re-measures it in full. scratch
-// holds the calling worker's reusable name buffer (nil allocates one).
+// holds the calling worker's reusable name buffer.
 func measureCountry(ctx context.Context, cfg Config, code string, providers []anycast.ProviderID, scratch *nameScratch) ([]ClientRecord, countryAccounting, error) {
-	if scratch == nil {
-		scratch = new(nameScratch)
-	}
-	acct := countryAccounting{transports: make(map[resolver.Kind]TransportStats)}
+	run := countryRun{cache: cfg.Cache, policy: cfg.Breaker, code: code, scratch: scratch}
+	run.acct.transports = make(map[resolver.Kind]TransportStats)
 	ct, ok := world.ByCode(code)
 	if !ok {
-		return nil, acct, fmt.Errorf("campaign: unknown country %q", code)
+		return nil, run.acct, fmt.Errorf("campaign: unknown country %q", code)
 	}
 	sim := proxynet.NewSim(countrySeed(cfg.Seed, code))
 	if cfg.Chaos.Enabled() {
@@ -987,60 +1060,10 @@ func measureCountry(ctx context.Context, cfg Config, code string, providers []an
 		// seed: per-country, deterministic, schedule-independent.
 		sim.EnableChaos(countrySeed(cfg.Seed, code+"/chaos"), cfg.Chaos)
 	}
+	run.sim = sim
 	locator := geoip.NewService(sim.Alloc)
-	losses := &lossTracker{sim: sim}
 
-	// One breaker per kind×provider, shared across the country's
-	// clients: a transport that is dead country-wide (blocked DoT,
-	// chaos-saturated DoH) trips after FailureThreshold consecutive
-	// failures, and the remaining runs are skipped instead of measured.
-	var breakers map[resolver.Kind]map[anycast.ProviderID]*resolver.Breaker
-	brkFor := func(kind resolver.Kind, pid anycast.ProviderID) *resolver.Breaker {
-		if cfg.Breaker == nil {
-			return nil
-		}
-		if breakers == nil {
-			breakers = make(map[resolver.Kind]map[anycast.ProviderID]*resolver.Breaker)
-		}
-		m := breakers[kind]
-		if m == nil {
-			m = make(map[anycast.ProviderID]*resolver.Breaker)
-			breakers[kind] = m
-		}
-		b := m[pid]
-		if b == nil {
-			b = resolver.NewBreaker(*cfg.Breaker)
-			m[pid] = b
-		}
-		return b
-	}
-
-	wants := make(map[resolver.Kind]bool, len(cfg.Transports))
-	for _, k := range cfg.Transports {
-		wants[k] = true
-	}
-	account := func(kind resolver.Kind, discarded, blocked bool) {
-		ts := acct.transports[kind]
-		ts.Queries++
-		ts.LossEvents += losses.delta()
-		if discarded {
-			ts.Discards++
-		} else {
-			ts.Successes++
-		}
-		if blocked {
-			ts.Blocked++
-		}
-		acct.transports[kind] = ts
-	}
-	skip := func(kind resolver.Kind, n int) {
-		if n <= 0 {
-			return
-		}
-		ts := acct.transports[kind]
-		ts.Skipped += n
-		acct.transports[kind] = ts
-	}
+	wants := func(kind resolver.Kind) bool { return slices.Contains(cfg.Transports, kind) }
 
 	n := int(ct.ExitNodeWeight * cfg.ClientScale)
 	if n > cfg.MaxClients {
@@ -1050,45 +1073,19 @@ func measureCountry(ctx context.Context, cfg Config, code string, providers []an
 		n = 1
 	}
 	var out []ClientRecord
-	uuidSeq := 0
-	nextName := func() string {
-		uuidSeq++
-		return scratch.format(code, uuidSeq)
-	}
-	// Cache-busting tripwire (Config.Cache): every run's fresh name
-	// must miss the shared answer cache. A hit proves a name was
-	// reused, so the run is skipped rather than measured warm.
-	guardHit := func(name string) bool {
-		if cfg.Cache == nil {
-			return false
-		}
-		return cfg.Cache.Get(dnswire.NewName(name), dnswire.TypeA) != nil
-	}
-	guardMark := func(name string) {
-		if cfg.Cache == nil {
-			return
-		}
-		qname := dnswire.NewName(name)
-		m := dnswire.NewQuery(1, qname, dnswire.TypeA).Reply()
-		m.Answers = append(m.Answers, dnswire.ResourceRecord{
-			Name: qname, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 300,
-			Data: dnswire.ARecord{Addr: markerAddr},
-		})
-		cfg.Cache.Put(qname, dnswire.TypeA, m)
-	}
 	for i := 0; i < n; i++ {
 		if err := ctx.Err(); err != nil {
-			return nil, acct, err
+			return nil, run.acct, err
 		}
 		node, err := sim.SelectExitNode(code)
 		if err != nil {
-			return nil, acct, err
+			return nil, run.acct, err
 		}
 		// Country cross-check (paper §3.5): the proxy network's label
 		// vs the geolocation service's for the /24.
 		located, ok := locator.Locate(node.Addr)
 		if !ok || located != code {
-			acct.mismatch++
+			run.acct.mismatch++
 			continue
 		}
 		rec := ClientRecord{
@@ -1099,35 +1096,22 @@ func measureCountry(ctx context.Context, cfg Config, code string, providers []an
 			DoH:          make(map[anycast.ProviderID]DoHResult),
 			NSDistanceKm: geo.DistanceKm(node.Pos, sim.Lab.Pos),
 		}
-		if wants[resolver.DoH] {
+		if wants(resolver.DoH) {
 			for _, pid := range providers {
 				var sumDoH, sumDoHR float64
 				var got int
 				var res DoHResult
-				brk := brkFor(resolver.DoH, pid)
-				for run := 0; run < cfg.RunsPerClient; run++ {
-					if brk != nil && !brk.Allow() {
-						skip(resolver.DoH, 1)
-						continue
-					}
-					name := nextName()
-					if guardHit(name) {
-						skip(resolver.DoH, 1)
+				brk := run.breaker(resolver.DoH, pid)
+				for r := 0; r < cfg.RunsPerClient; r++ {
+					name, ok := run.admit(resolver.DoH, brk)
+					if !ok {
 						continue
 					}
 					obs, gt := sim.MeasureDoH(node, pid, name)
-					guardMark(name)
 					est, err := core.EstimateDoH(obs)
-					if brk != nil {
-						if err != nil {
-							brk.Failure()
-						} else {
-							brk.Success()
-						}
-					}
-					account(resolver.DoH, err != nil, false)
+					run.settle(resolver.DoH, brk, name, err != nil, false)
 					if err != nil {
-						acct.implausible++
+						run.acct.implausible++
 						continue
 					}
 					sumDoH += float64(est.TDoH) / float64(time.Millisecond)
@@ -1146,32 +1130,29 @@ func measureCountry(ctx context.Context, cfg Config, code string, providers []an
 				rec.DoH[pid] = res
 			}
 		}
-		if wants[resolver.Do53] {
+		if wants(resolver.Do53) {
 			var sum53 float64
 			var got53 int
-			for run := 0; run < cfg.RunsPerClient; run++ {
-				name := nextName()
-				if guardHit(name) {
-					skip(resolver.Do53, 1)
+			for r := 0; r < cfg.RunsPerClient; r++ {
+				name, ok := run.admit(resolver.Do53, nil)
+				if !ok {
 					continue
 				}
 				o, _ := sim.MeasureDo53(node, name)
-				guardMark(name)
 				v, err := core.EstimateDo53(o)
-				account(resolver.Do53, err != nil, false)
+				run.settle(resolver.Do53, nil, name, err != nil, false)
 				if err != nil {
 					if errors.Is(err, core.ErrSuperProxyResolution) {
 						// Permanent for this client: the Super Proxy
 						// answers every run. Stop issuing runs but count
 						// the ones we skip, so Queries+Skipped still
-						// adds up to the configured runs. (These used to
-						// vanish from the accounting entirely.)
-						skip(resolver.Do53, cfg.RunsPerClient-run-1)
+						// adds up to the configured runs.
+						run.skip(resolver.Do53, cfg.RunsPerClient-r-1)
 						break
 					}
 					// Implausible measurement: drop this run and keep
 					// going, symmetric with the DoH loop.
-					acct.implausible++
+					run.acct.implausible++
 					continue
 				}
 				sum53 += float64(v) / float64(time.Millisecond)
@@ -1182,133 +1163,73 @@ func measureCountry(ctx context.Context, cfg Config, code string, providers []an
 				rec.Do53Valid = true
 			}
 		}
-		if wants[resolver.DoT] {
-			rec.DoT = make(map[anycast.ProviderID]DoTResult)
+		for tr, kind := range extensions {
+			if !wants(kind) {
+				continue
+			}
+			results := make(map[anycast.ProviderID]SessionResult)
 			for _, pid := range providers {
-				var sumDoT, sumDoTR float64
+				var sumFirst, sumReused float64
 				var got, blocked int
-				brk := brkFor(resolver.DoT, pid)
-				for run := 0; run < cfg.RunsPerClient; run++ {
-					if brk != nil && !brk.Allow() {
-						skip(resolver.DoT, 1)
+				brk := run.breaker(kind, pid)
+				for r := 0; r < cfg.RunsPerClient; r++ {
+					name, ok := run.admit(kind, brk)
+					if !ok {
 						continue
 					}
-					name := nextName()
-					if guardHit(name) {
-						skip(resolver.DoT, 1)
-						continue
-					}
-					obs, gt := sim.MeasureDoT(node, pid, name)
-					guardMark(name)
-					if brk != nil {
-						if obs.Blocked {
-							brk.Failure()
-						} else {
-							brk.Success()
-						}
-					}
-					account(resolver.DoT, obs.Blocked, obs.Blocked)
+					obs, gt := sim.MeasureSession(proxynet.Transport(tr), node, pid, name)
+					run.settle(kind, brk, name, obs.Blocked, obs.Blocked)
 					if obs.Blocked {
 						blocked++
 						continue
 					}
-					// The simulator exposes ground truth for DoT (the
-					// extension transport has no estimator of its own).
-					sumDoT += float64(gt.TDoT) / float64(time.Millisecond)
-					sumDoTR += float64(gt.TDoTR) / float64(time.Millisecond)
+					// Ground truth: the extension transports have no
+					// estimator of their own.
+					sumFirst += float64(gt.First) / float64(time.Millisecond)
+					sumReused += float64(gt.Reused) / float64(time.Millisecond)
 					got++
 				}
-				res := DoTResult{
+				res := SessionResult{
 					BlockedRuns: blocked,
 					Blocked:     got == 0 && blocked > 0,
 				}
 				if got > 0 {
-					res.TDoTMs = sumDoT / float64(got)
-					res.TDoTRMs = sumDoTR / float64(got)
+					res.FirstMs = sumFirst / float64(got)
+					res.ReusedMs = sumReused / float64(got)
 					res.Valid = true
 				}
-				rec.DoT[pid] = res
+				results[pid] = res
 			}
+			rec.Sessions[tr] = results
 		}
-		if wants[resolver.DoQ] {
-			rec.DoQ = make(map[anycast.ProviderID]DoQResult)
-			for _, pid := range providers {
-				var sumDoQ, sumDoQR float64
-				var got, blocked int
-				brk := brkFor(resolver.DoQ, pid)
-				for run := 0; run < cfg.RunsPerClient; run++ {
-					if brk != nil && !brk.Allow() {
-						skip(resolver.DoQ, 1)
-						continue
-					}
-					name := nextName()
-					if guardHit(name) {
-						skip(resolver.DoQ, 1)
-						continue
-					}
-					obs, gt := sim.MeasureDoQ(node, pid, name)
-					guardMark(name)
-					if brk != nil {
-						if obs.Blocked {
-							brk.Failure()
-						} else {
-							brk.Success()
-						}
-					}
-					account(resolver.DoQ, obs.Blocked, obs.Blocked)
-					if obs.Blocked {
-						blocked++
-						continue
-					}
-					// Ground truth, like DoT: the extension transports
-					// have no estimator of their own.
-					sumDoQ += float64(gt.TDoQ) / float64(time.Millisecond)
-					sumDoQR += float64(gt.TDoQR) / float64(time.Millisecond)
-					got++
-				}
-				res := DoQResult{
-					BlockedRuns: blocked,
-					Blocked:     got == 0 && blocked > 0,
-				}
-				if got > 0 {
-					res.TDoQMs = sumDoQ / float64(got)
-					res.TDoQRMs = sumDoQR / float64(got)
-					res.Valid = true
-				}
-				rec.DoQ[pid] = res
-			}
-		}
-		if wants[resolver.Smart] {
+		if wants(resolver.Smart) {
 			rec.Smart = make(map[anycast.ProviderID]SmartResult)
 			for _, pid := range providers {
-				res := deriveSmart(&rec, pid, wants)
+				res := deriveSmart(&rec, pid)
 				rec.Smart[pid] = res
 				if res.Valid {
-					if acct.smartWins == nil {
-						acct.smartWins = make(map[resolver.Kind]int)
+					if run.acct.smartWins == nil {
+						run.acct.smartWins = make(map[resolver.Kind]int)
 					}
-					acct.smartWins[resolver.Kind(res.Winner)]++
+					run.acct.smartWins[resolver.Kind(res.Winner)]++
 				}
 			}
 		}
 		out = append(out, rec)
 	}
-	if breakers != nil {
-		acct.breakers = make(map[resolver.Kind]BreakerStats)
-		for kind, m := range breakers {
-			bs := acct.breakers[kind]
-			for _, b := range m {
-				snap := b.Snapshot()
-				bs.Trips += snap.Trips
-				bs.ShortCircuits += snap.ShortCircuits
-				bs.Probes += snap.Probes
-				if snap.State == resolver.BreakerOpen {
-					bs.EndedOpen++
-				}
+	if run.breakers != nil {
+		run.acct.breakers = make(map[resolver.Kind]BreakerStats)
+		for key, b := range run.breakers {
+			bs, snap := run.acct.breakers[key.kind], b.Snapshot()
+			bs.Trips += snap.Trips
+			bs.ShortCircuits += snap.ShortCircuits
+			bs.Probes += snap.Probes
+			if snap.State == resolver.BreakerOpen {
+				bs.EndedOpen++
 			}
-			acct.breakers[kind] = bs
+			run.acct.breakers[key.kind] = bs
 		}
 	}
-	acct.simStats = sim.Stats()
-	return out, acct, nil
+	run.acct.simStats = sim.Stats()
+	return out, run.acct, nil
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 
@@ -176,8 +177,10 @@ func (ds *Dataset) WriteSmartCSV(w io.Writer) error {
 // loaded with ReadCSV: each row's result lands on its client, the
 // SmartWins accounting is recomputed from the winner column, and the
 // sketch is rebuilt so the smart latency keys appear exactly as a live
-// campaign would have produced them. Rows naming unknown clients or
-// repeating a (client, provider) pair are corruption and fail loudly.
+// campaign would have produced them. Rows naming an unknown client,
+// repeating a (client, provider) pair, crediting a transport the race
+// never launches or carrying an impossible time are corruption and fail
+// loudly.
 func (ds *Dataset) ReadSmartCSV(r io.Reader) error {
 	cr := csv.NewReader(r)
 	header, err := cr.Read()
@@ -218,16 +221,24 @@ func (ds *Dataset) ReadSmartCSV(r io.Reader) error {
 		if _, dup := c.Smart[pid]; dup {
 			return fmt.Errorf("campaign: smart CSV line %d: duplicate provider %s for client %s", lineNo, pid, row[0])
 		}
+		winner := resolver.Kind(row[2])
+		if !smartCandidate(winner) {
+			return fmt.Errorf("campaign: smart CSV line %d: winner %q is not a transport the race launches", lineNo, row[2])
+		}
 		tsmart, err1 := strconv.ParseFloat(row[3], 64)
 		tsmartr, err2 := strconv.ParseFloat(row[4], 64)
 		if err := firstErr(err1, err2); err != nil {
 			return fmt.Errorf("campaign: smart CSV line %d: %w", lineNo, err)
 		}
+		// NaN fails both comparisons.
+		if !(tsmart >= 0 && tsmartr >= 0) || math.IsInf(tsmart, 1) || math.IsInf(tsmartr, 1) {
+			return fmt.Errorf("campaign: smart CSV line %d: times %s, %s ms are not finite and non-negative", lineNo, row[3], row[4])
+		}
 		c.Smart[pid] = SmartResult{TSmartMs: tsmart, TSmartRMs: tsmartr, Winner: row[2], Valid: true}
 		if ds.SmartWins == nil {
 			ds.SmartWins = make(map[resolver.Kind]int)
 		}
-		ds.SmartWins[resolver.Kind(row[2])]++
+		ds.SmartWins[winner]++
 	}
 	ds.Sketch = sketchClients(ds.Clients)
 	return nil

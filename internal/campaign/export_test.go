@@ -87,6 +87,36 @@ func TestCSVBadRows(t *testing.T) {
 	if _, err := ReadCSV(strings.NewReader(badBool), nil); err == nil {
 		t.Fatal("bad boolean accepted")
 	}
+
+	// The smart side table: the winner column feeds Dataset.SmartWins
+	// and the times feed the sketch, so neither may be taken on trust.
+	good := head + "c1,BR,10.0.0.0/24,0,0,0,1,true,cloudflare,1,1,p,BR,1,1\n"
+	smartHead := strings.Join(smartCSVHeader, ",") + "\n"
+	for name, c := range map[string]struct {
+		row string
+		ok  bool
+	}{
+		"a candidate wins":           {"c1,cloudflare,doq,12.5,3.25\n", true},
+		"winner the race never runs": {"c1,cloudflare,do53,12.5,3.25\n", false},
+		"winner not a transport":     {"c1,cloudflare,carrier-pigeon,12.5,3.25\n", false},
+		"NaN first-query time":       {"c1,cloudflare,doh,NaN,3.25\n", false},
+		"infinite steady state":      {"c1,cloudflare,doh,12.5,+Inf\n", false},
+		"negative first-query time":  {"c1,cloudflare,doh,-12.5,3.25\n", false},
+	} {
+		ds, err := ReadCSV(strings.NewReader(good), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = ds.ReadSmartCSV(strings.NewReader(smartHead + c.row))
+		switch {
+		case c.ok && err != nil:
+			t.Errorf("%s: %v", name, err)
+		case !c.ok && err == nil:
+			t.Errorf("%s: accepted (SmartWins %v)", name, ds.SmartWins)
+		case !c.ok && !strings.Contains(err.Error(), "line 2"):
+			t.Errorf("%s: error does not name the line: %v", name, err)
+		}
+	}
 }
 
 // TestCSVRoundTripDo53OnlyClient pins bugfix #1: a client whose DoH

@@ -11,7 +11,7 @@ import (
 
 // Observability aggregation: Run assembles the campaign's registry
 // view after the workers finish. Per-country simulators keep private
-// counters while measuring (the loss tracker attributes loss events
+// counters while measuring (countryRun.settle attributes loss events
 // to individual runs by sequential deltas, which a shared registry
 // would break under parallel workers), so everything here is fed from
 // the already-deterministic Dataset and per-country accounting. The
@@ -39,8 +39,7 @@ func msDuration(ms float64) time.Duration {
 //	campaign_dohr_<provider>_ms   reused-connection estimate
 //	campaign_country_<code>_doh_ms  all providers' DoH, per country
 //	campaign_do53_ms              valid default-resolver estimates
-//	campaign_dot_<provider>_ms    unblocked DoT ground truth
-//	campaign_doq_<provider>_ms    unblocked DoQ ground truth
+//	campaign_<dot|doq>_<provider>_ms  unblocked extension ground truth
 //	campaign_smart_<provider>_ms  derived smart-race first-query time
 //	campaign_smartr_<provider>_ms derived smart steady-state time
 //
@@ -84,17 +83,13 @@ func sketchClients(clients []ClientRecord) *sketch.Set {
 		if c.Do53Valid {
 			s.Observe("campaign_do53_ms", msDuration(c.Do53Ms))
 		}
-		for pid, res := range c.DoT {
-			if !res.Valid {
-				continue
+		for tr, results := range c.Sessions {
+			for pid, res := range results {
+				if !res.Valid {
+					continue
+				}
+				s.Observe(keysFor(pid).session[tr], msDuration(res.FirstMs))
 			}
-			s.Observe(keysFor(pid).dot, msDuration(res.TDoTMs))
-		}
-		for pid, res := range c.DoQ {
-			if !res.Valid {
-				continue
-			}
-			s.Observe(keysFor(pid).doq, msDuration(res.TDoQMs))
 		}
 		for pid, res := range c.Smart {
 			if !res.Valid {
@@ -110,15 +105,17 @@ func sketchClients(clients []ClientRecord) *sketch.Set {
 
 // providerKeys are one provider's sketch keys.
 type providerKeys struct {
-	doh, dohr, dot, doq, smart, smartr string
+	doh, dohr, smart, smartr string
+	session                  [len(extensions)]string
 }
 
 func newProviderKeys(pid anycast.ProviderID) *providerKeys {
 	key := func(kind string) string { return "campaign_" + kind + "_" + string(pid) + "_ms" }
-	return &providerKeys{
-		doh: key("doh"), dohr: key("dohr"), dot: key("dot"),
-		doq: key("doq"), smart: key("smart"), smartr: key("smartr"),
+	k := &providerKeys{doh: key("doh"), dohr: key("dohr"), smart: key("smart"), smartr: key("smartr")}
+	for tr, kind := range extensions {
+		k.session[tr] = key(string(kind))
 	}
+	return k
 }
 
 // absorbSketch registers one histogram per sketch key — on the

@@ -59,41 +59,43 @@ func TestDo53SkippedRunsAccounted(t *testing.T) {
 }
 
 // TestDoTBlockedRunsAccounted is the regression test for the DoT
-// blocking bug: DoTResult.Blocked only reports total blocking, so a
-// client with one blocked and one successful run used to be
-// indistinguishable from an unblocked one. BlockedRuns now carries
-// the per-client count, and summing it must reproduce the transport
-// total exactly.
+// blocking bug, run for every extension transport:
+// SessionResult.Blocked only reports total blocking, so a client with
+// one blocked and one successful run used to be indistinguishable from
+// an unblocked one. BlockedRuns now carries the per-client count, and
+// summing it must reproduce the transport total exactly.
 func TestDoTBlockedRunsAccounted(t *testing.T) {
-	cfg := smallConfig("BR", "NG", "ZA")
-	cfg.Transports = []resolver.Kind{resolver.DoH, resolver.Do53, resolver.DoT}
-	ds, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sumBlockedRuns, partial int
-	for _, c := range ds.Clients {
-		for _, res := range c.DoT {
-			sumBlockedRuns += res.BlockedRuns
-			if res.BlockedRuns > 0 && res.Valid {
-				partial++
-				if res.Blocked {
-					t.Fatalf("client %s: Blocked set despite a valid run (BlockedRuns=%d)", c.ClientID, res.BlockedRuns)
+	for tr, kind := range extensions {
+		cfg := smallConfig("BR", "NG", "ZA")
+		cfg.Transports = []resolver.Kind{resolver.DoH, resolver.Do53, kind}
+		ds, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sumBlockedRuns, partial int
+		for _, c := range ds.Clients {
+			for _, res := range c.Sessions[tr] {
+				sumBlockedRuns += res.BlockedRuns
+				if res.BlockedRuns > 0 && res.Valid {
+					partial++
+					if res.Blocked {
+						t.Fatalf("%s client %s: Blocked set despite a valid run (BlockedRuns=%d)", kind, c.ClientID, res.BlockedRuns)
+					}
+				}
+				if res.Blocked && res.BlockedRuns == 0 {
+					t.Fatalf("%s client %s: Blocked set with zero blocked runs", kind, c.ClientID)
 				}
 			}
-			if res.Blocked && res.BlockedRuns == 0 {
-				t.Fatalf("client %s: Blocked set with zero blocked runs", c.ClientID)
-			}
 		}
-	}
-	if got := ds.Transports[resolver.DoT].Blocked; sumBlockedRuns != got {
-		t.Errorf("sum of per-client BlockedRuns = %d, transport Blocked = %d; accounting diverged", sumBlockedRuns, got)
-	}
-	// At DoTBlockProb=3.5% with 2 runs per provider, partial blocking
-	// dominates total blocking; the fixture must actually contain it
-	// or this test is vacuous.
-	if partial == 0 {
-		t.Fatal("no partially-blocked DoT client in fixture; pick a different seed")
+		if got := ds.Transports[kind].Blocked; sumBlockedRuns != got {
+			t.Errorf("%s: sum of per-client BlockedRuns = %d, transport Blocked = %d; accounting diverged", kind, sumBlockedRuns, got)
+		}
+		// At a 3.5% (DoT) or 4.5% (DoQ) block probability with 2 runs
+		// per provider, partial blocking dominates total blocking; the
+		// fixture must actually contain it or this test is vacuous.
+		if partial == 0 {
+			t.Fatalf("no partially-blocked %s client in fixture; pick a different seed", kind)
+		}
 	}
 }
 

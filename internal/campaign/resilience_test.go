@@ -262,6 +262,12 @@ func TestConfigKey(t *testing.T) {
 	if key(base) != key(base) {
 		t.Error("configKey is not stable")
 	}
+	// The key this configuration had while ClientRecord journaled its
+	// DoT and DoQ results under their own field names: a journal of that
+	// shape must be refused, not restored with those results zeroed.
+	if key(base) == "5167e4a0e2de49b0" {
+		t.Error("a v1 journal's key still matches")
+	}
 	// Result-affecting knobs must change the key.
 	perturbed := map[string]Config{}
 	c := base

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/anycast"
+	"repro/internal/proxynet"
 	"repro/internal/resolver"
 )
 
@@ -46,11 +47,11 @@ func TestSmartStrategyDerived(t *testing.T) {
 			if r := c.DoH[pid]; r.Valid {
 				cands = append(cands, cand{resolver.DoH, r.TDoHMs, r.TDoHRMs})
 			}
-			if r := c.DoT[pid]; r.Valid {
-				cands = append(cands, cand{resolver.DoT, r.TDoTMs, r.TDoTRMs})
+			if r := c.Sessions[proxynet.DoT][pid]; r.Valid {
+				cands = append(cands, cand{resolver.DoT, r.FirstMs, r.ReusedMs})
 			}
-			if r := c.DoQ[pid]; r.Valid {
-				cands = append(cands, cand{resolver.DoQ, r.TDoQMs, r.TDoQRMs})
+			if r := c.Sessions[proxynet.DoQ][pid]; r.Valid {
+				cands = append(cands, cand{resolver.DoQ, r.FirstMs, r.ReusedMs})
 			}
 			if len(cands) == 0 {
 				if res.Valid {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/proxynet"
 	"repro/internal/resolver"
 )
 
@@ -97,9 +98,9 @@ func TestTransportStatsAccounted(t *testing.T) {
 	// DoT results must be populated when the transport is requested.
 	var dotResults, blocked int
 	for _, c := range ds.Clients {
-		for _, res := range c.DoT {
+		for _, res := range c.Sessions[proxynet.DoT] {
 			dotResults++
-			if res.Valid && (res.TDoTMs <= 0 || res.TDoTRMs <= 0) {
+			if res.Valid && (res.FirstMs <= 0 || res.ReusedMs <= 0) {
 				t.Fatalf("client %s: valid DoT result with non-positive timings: %+v", c.ClientID, res)
 			}
 			if res.Blocked {
@@ -153,7 +154,7 @@ func TestTransportSubsetSkipsMeasurements(t *testing.T) {
 				t.Errorf("client %s: DoH measured though not requested", c.ClientID)
 			}
 		}
-		if len(c.DoT) != 0 {
+		if len(c.Sessions[proxynet.DoT]) != 0 {
 			t.Errorf("client %s: DoT measured though not requested", c.ClientID)
 		}
 	}

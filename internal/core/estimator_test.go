@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/anycast"
 	"repro/internal/proxynet"
+	"repro/internal/stats"
 )
 
 func TestEstimateDoHRecoversGroundTruth(t *testing.T) {
@@ -48,8 +49,8 @@ func TestEstimateDoHRecoversGroundTruth(t *testing.T) {
 			if len(estM) < 7 {
 				t.Fatalf("%s/%s: only %d/10 plausible measurements", code, pid, len(estM))
 			}
-			dDoH := math.Abs(median(estM) - median(gtM))
-			dDoHR := math.Abs(median(estRM) - median(gtRM))
+			dDoH := math.Abs(stats.MustMedian(estM) - stats.MustMedian(gtM))
+			dDoHR := math.Abs(stats.MustMedian(estRM) - stats.MustMedian(gtRM))
 			if dDoH > worst {
 				worst = dDoH
 			}
@@ -57,8 +58,8 @@ func TestEstimateDoHRecoversGroundTruth(t *testing.T) {
 			// assumptions approximate; allow 20 ms or 5% of the true
 			// value, whichever is larger (well-connected countries
 			// land under 10 ms like the paper's Tables 1-2).
-			tolDoH := math.Max(15, 0.04*median(gtM))
-			tolDoHR := math.Max(15, 0.04*median(gtRM))
+			tolDoH := math.Max(15, 0.04*stats.MustMedian(gtM))
+			tolDoHR := math.Max(15, 0.04*stats.MustMedian(gtRM))
 			if dDoH > tolDoH {
 				t.Errorf("%s/%s: median tDoH error %.1f ms, want <= %.1f", code, pid, dDoH, tolDoH)
 			}
@@ -194,17 +195,5 @@ func TestValidationTablesReproduceSection4(t *testing.T) {
 	// The US is a Super-Proxy country: Do53 validation must error.
 	if _, err := ValidateDo53(sim, []string{"US"}, 2); err == nil {
 		t.Error("ValidateDo53(US) succeeded; the Super Proxy resolves there")
-	}
-}
-
-func TestMedianHelper(t *testing.T) {
-	if m := median(nil); m != 0 {
-		t.Errorf("median(nil) = %f", m)
-	}
-	if m := median([]float64{3, 1, 2}); m != 2 {
-		t.Errorf("median odd = %f", m)
-	}
-	if m := median([]float64{4, 1, 2, 3}); m != 2.5 {
-		t.Errorf("median even = %f", m)
 	}
 }

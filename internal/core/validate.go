@@ -2,11 +2,11 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/anycast"
 	"repro/internal/proxynet"
+	"repro/internal/stats"
 )
 
 // ValidationRow is one country of a ground-truth validation experiment
@@ -53,11 +53,15 @@ func ValidateDoH(sim *proxynet.Sim, provider anycast.ProviderID, countries []str
 			estDoHR = append(estDoHR, ms(est.TDoHR))
 			truthDoHR = append(truthDoHR, ms(gt.TDoHR))
 		}
+		if len(estDoH) == 0 {
+			// A row of zeros would read as a perfect estimate.
+			return nil, nil, fmt.Errorf("core: validation in %s: no plausible measurement in %d runs", code, runs)
+		}
 		doh = append(doh, ValidationRow{
-			CountryCode: code, EstimatedMs: median(estDoH), TruthMs: median(truthDoH),
+			CountryCode: code, EstimatedMs: stats.MustMedian(estDoH), TruthMs: stats.MustMedian(truthDoH),
 		})
 		dohr = append(dohr, ValidationRow{
-			CountryCode: code, EstimatedMs: median(estDoHR), TruthMs: median(truthDoHR),
+			CountryCode: code, EstimatedMs: stats.MustMedian(estDoHR), TruthMs: stats.MustMedian(truthDoHR),
 		})
 	}
 	return doh, dohr, nil
@@ -83,23 +87,10 @@ func ValidateDo53(sim *proxynet.Sim, countries []string, runs int) ([]Validation
 			truth = append(truth, ms(gt.TDo53))
 		}
 		rows = append(rows, ValidationRow{
-			CountryCode: code, EstimatedMs: median(est), TruthMs: median(truth),
+			CountryCode: code, EstimatedMs: stats.MustMedian(est), TruthMs: stats.MustMedian(truth),
 		})
 	}
 	return rows, nil
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
-}

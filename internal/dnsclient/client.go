@@ -111,29 +111,33 @@ func RandomID() uint16 {
 	return binary.BigEndian.Uint16(b[:])
 }
 
-// Timing is the per-phase breakdown of a Do53 exchange, with field
-// names unified across the transport clients (dohclient.Timing,
-// dot.Timing). Do53 is connectionless: there is no name lookup,
-// connect, or TLS phase to account separately, so RoundTrip equals
-// Total and the setup fields stay zero (TCP-fallback dial time is
-// folded into RoundTrip).
+// Timing is the per-phase breakdown of one exchange by a wire client:
+// the four terms of the paper's Equation 1 and their total, in the one
+// type all three clients return (dohclient.Timing and dot.Timing are
+// aliases). A phase a transport does not have stays zero. Do53 is
+// connectionless: there is no name lookup, connect, or TLS phase to
+// account separately, so RoundTrip equals Total (TCP-fallback dial time
+// is folded into RoundTrip).
 type Timing struct {
-	// DNSLookup is zero: the server is addressed by literal.
+	// DNSLookup is the time to resolve the server's own name (t3+t4 in
+	// the paper's Figure 2); DoH only, the others take a literal.
 	DNSLookup time.Duration
-	// Connect is zero for UDP exchanges.
+	// Connect is the TCP handshake time (t5+t6).
 	Connect time.Duration
-	// TLSHandshake is zero: Do53 is cleartext.
+	// TLSHandshake is the TLS session establishment time (t11+t12, one
+	// round trip under TLS 1.3).
 	TLSHandshake time.Duration
-	// RoundTrip is the query/response exchange time.
+	// RoundTrip is the query/response time once the connection is
+	// ready (for DoH, t17..t20 plus the HTTP exchange itself).
 	RoundTrip time.Duration
 	// Total is the wall-clock time of the whole exchange.
 	Total time.Duration
-	// Reused is false: every exchange stands alone.
+	// Reused reports whether an existing connection served the
+	// exchange, which then paid no setup; never for Do53.
 	Reused bool
 }
 
-// Breakdown returns the per-phase durations under the stable keys
-// shared by all transport timing structs.
+// Breakdown returns the per-phase durations under stable keys.
 func (t Timing) Breakdown() map[string]time.Duration {
 	return map[string]time.Duration{
 		"dns_lookup":    t.DNSLookup,

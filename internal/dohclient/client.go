@@ -28,39 +28,9 @@ import (
 	"repro/internal/dnswire"
 )
 
-// Timing is the per-phase breakdown of a single DoH exchange.
-// Reused-connection exchanges have zero DNSLookup/Connect/TLSHandshake.
-type Timing struct {
-	// DNSLookup is the time to resolve the DoH server's own name
-	// (t3+t4 in the paper's Figure 2).
-	DNSLookup time.Duration
-	// Connect is the TCP handshake time (t5+t6).
-	Connect time.Duration
-	// TLSHandshake is the TLS session establishment time (t11+t12,
-	// one round trip under TLS 1.3).
-	TLSHandshake time.Duration
-	// RoundTrip is the HTTP request/response time after the
-	// connection is ready (t17..t20 plus the exchange itself).
-	RoundTrip time.Duration
-	// Total is the wall-clock time of the whole exchange.
-	Total time.Duration
-	// Reused reports whether an existing TLS connection served the
-	// exchange.
-	Reused bool
-}
-
-// Breakdown returns the per-phase durations under the stable keys
-// shared by all transport timing structs (dnsclient.Timing,
-// dot.Timing).
-func (t Timing) Breakdown() map[string]time.Duration {
-	return map[string]time.Duration{
-		"dns_lookup":    t.DNSLookup,
-		"connect":       t.Connect,
-		"tls_handshake": t.TLSHandshake,
-		"round_trip":    t.RoundTrip,
-		"total":         t.Total,
-	}
-}
+// Timing is the per-phase breakdown of a single DoH exchange; zero
+// DNSLookup, Connect and TLSHandshake on a reused connection.
+type Timing = dnsclient.Timing
 
 // Client is a DoH client bound to one server URL. The zero value is
 // not usable; construct with New. It is safe for concurrent use.

@@ -23,36 +23,10 @@ import (
 // DefaultPort is the IANA-assigned DoT port.
 const DefaultPort = 853
 
-// Timing is the per-phase breakdown of a DoT exchange, with field
-// names unified across the transport clients (dnsclient.Timing,
-// dohclient.Timing).
-type Timing struct {
-	// DNSLookup is zero: Addr is a literal host:port, so there is no
-	// bootstrap lookup to account.
-	DNSLookup time.Duration
-	// Connect is the TCP handshake time (zero on reuse).
-	Connect time.Duration
-	// TLSHandshake is the TLS establishment time (zero on reuse).
-	TLSHandshake time.Duration
-	// RoundTrip is the framed query/response time.
-	RoundTrip time.Duration
-	// Total is the whole exchange.
-	Total time.Duration
-	// Reused reports whether a pooled connection served the query.
-	Reused bool
-}
-
-// Breakdown returns the per-phase durations under the stable keys
-// shared by all transport timing structs.
-func (t Timing) Breakdown() map[string]time.Duration {
-	return map[string]time.Duration{
-		"dns_lookup":    t.DNSLookup,
-		"connect":       t.Connect,
-		"tls_handshake": t.TLSHandshake,
-		"round_trip":    t.RoundTrip,
-		"total":         t.Total,
-	}
-}
+// Timing is the per-phase breakdown of a DoT exchange. DNSLookup is
+// zero (Addr is a literal host:port: no bootstrap lookup to account), as
+// are Connect and TLSHandshake on a pooled connection.
+type Timing = dnsclient.Timing
 
 // Client is a DoT client with a single pooled connection, mirroring
 // stub-resolver behavior (RFC 7858 recommends connection reuse).

@@ -37,14 +37,14 @@ func (s *Suite) ExtensionDoT() (*Report, error) {
 			_, gtDoH := sim.MeasureDoH(node, anycast.Cloudflare, "e2.a.com.")
 			doh1s = append(doh1s, ms(gtDoH.TDoH))
 			dohRs = append(dohRs, ms(gtDoH.TDoHR))
-			obs, gtDoT := sim.MeasureDoT(node, anycast.Cloudflare, "e3.a.com.")
+			obs, gtDoT := sim.MeasureSession(proxynet.DoT, node, anycast.Cloudflare, "e3.a.com.")
 			attempts++
 			if obs.Blocked {
 				blocked++
 				continue
 			}
-			dot1s = append(dot1s, ms(gtDoT.TDoT))
-			dotRs = append(dotRs, ms(gtDoT.TDoTR))
+			dot1s = append(dot1s, ms(gtDoT.First))
+			dotRs = append(dotRs, ms(gtDoT.Reused))
 		}
 	}
 	rep := &Report{ID: "Extension DoT", Title: "Do53 vs DoT vs DoH on identical vantage points (medians, ms)"}

@@ -95,6 +95,10 @@ func DefaultLatencyModel() LatencyModel {
 	}
 }
 
+// AuthService is the authoritative name server's time to answer one
+// query, the term every simulated cache-miss resolution ends with.
+const AuthService = 400 * time.Microsecond
+
 // MeanOneWay returns the deterministic (jitter-free) one-way delay
 // between a and b.
 func (m LatencyModel) MeanOneWay(a, b Endpoint) time.Duration {

@@ -85,20 +85,28 @@ func (h *Histogram) Observe(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
+	atomic.AddInt64(&h.counts[BucketIndex(h.bounds, d)], 1)
+	atomic.AddInt64(&h.sum, int64(d))
+	atomic.AddInt64(&h.count, 1)
+}
+
+// BucketIndex returns the bucket d falls in: bounds are ascending
+// inclusive upper bounds, len(bounds) is the overflow bucket. The one
+// search behind this package's atomic histograms and internal/sketch's
+// plain ones, which keeps the two in lockstep on the same stream.
+func BucketIndex(bounds []time.Duration, d time.Duration) int {
 	// Manual binary search: sort.Search's closure can escape and the
 	// hot path must not allocate.
-	lo, hi := 0, len(h.bounds)
+	lo, hi := 0, len(bounds)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if d > h.bounds[mid] {
+		if d > bounds[mid] {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	atomic.AddInt64(&h.counts[lo], 1)
-	atomic.AddInt64(&h.sum, int64(d))
-	atomic.AddInt64(&h.count, 1)
+	return lo
 }
 
 // Count returns the number of observations.
@@ -304,26 +312,38 @@ func (h *Histogram) snapshot(name string) HistogramValue {
 // fixed-bucket estimator. Observations in the overflow bucket are
 // attributed to the last finite bound.
 func (v HistogramValue) Quantile(q float64) time.Duration {
-	if v.Count == 0 || q <= 0 || q >= 1 {
+	return BucketQuantile(q, v.Count, len(v.Buckets), func(i int) (time.Duration, int64) {
+		return v.Buckets[i].UpperBound, v.Buckets[i].Count
+	})
+}
+
+// BucketQuantile is the estimator behind HistogramValue.Quantile over
+// any layout: total observations in n ascending buckets, bucket(i)
+// returning the i'th one's inclusive upper bound (negative for the
+// overflow bucket) and count. internal/sketch estimates with it too, so
+// campaign metrics and sketch-derived quantiles agree exactly.
+func BucketQuantile(q float64, total int64, n int, bucket func(i int) (upper time.Duration, count int64)) time.Duration {
+	if total == 0 || q <= 0 || q >= 1 {
 		return 0
 	}
-	rank := q * float64(v.Count)
+	rank := q * float64(total)
 	var cum int64
 	var lower time.Duration
-	for _, b := range v.Buckets {
+	for i := 0; i < n; i++ {
+		upper, count := bucket(i)
 		prev := cum
-		cum += b.Count
+		cum += count
 		if float64(cum) >= rank {
-			if b.UpperBound < 0 {
+			if upper < 0 {
 				// Overflow: no finite upper edge to interpolate
 				// toward; report the last finite bound.
 				return lower
 			}
-			frac := (rank - float64(prev)) / float64(b.Count)
-			return lower + time.Duration(frac*float64(b.UpperBound-lower))
+			frac := (rank - float64(prev)) / float64(count)
+			return lower + time.Duration(frac*float64(upper-lower))
 		}
-		if b.UpperBound >= 0 {
-			lower = b.UpperBound
+		if upper >= 0 {
+			lower = upper
 		}
 	}
 	return lower

@@ -47,13 +47,9 @@ var StepLabels = [23]string{
 type simInstruments struct {
 	tracer *obs.TraceRecorder
 
-	loss       *obs.Counter
-	dotBlocked *obs.Counter
-	doqBlocked *obs.Counter
-	measDoH    *obs.Counter
-	measDo53   *obs.Counter
-	measDoT    *obs.Counter
-	measDoQ    *obs.Counter
+	loss     *obs.Counter
+	measDoH  *obs.Counter
+	measDo53 *obs.Counter
 
 	chaosResets   *obs.Counter
 	chaosChurns   *obs.Counter
@@ -62,13 +58,18 @@ type simInstruments struct {
 	dohTotal, dohReused                      *obs.Histogram
 	dohDNS, dohConnect, dohTLS, dohRoundTrip *obs.Histogram
 	do53Total                                *obs.Histogram
-	dotTotal, dotReused                      *obs.Histogram
-	doqTotal, doqReused                      *obs.Histogram
+
+	// sessions holds the extension transports' handles, one entry per
+	// sessionProfiles row.
+	sessions [NumTransports]struct {
+		measured, blocked *obs.Counter
+		first, reused     *obs.Histogram
+	}
 }
 
-// Instrument attaches the simulator to reg: loss events, DoT port-853
-// blocks, per-transport measurement counts, and ground-truth phase
-// timings are recorded under proxynet_* names. tracer, when non-nil,
+// Instrument attaches the simulator to reg: loss events, DoT and DoQ
+// port-853 blocks, per-transport measurement counts, and ground-truth
+// phase timings are recorded under proxynet_* names. tracer, when non-nil,
 // receives the full 22-step Figure-2 timeline of every DoH
 // measurement.
 //
@@ -81,14 +82,10 @@ type simInstruments struct {
 // not safe to call concurrently with measurements.
 func (s *Sim) Instrument(reg *obs.Registry, tracer *obs.TraceRecorder) {
 	in := &simInstruments{
-		tracer:     tracer,
-		loss:       reg.Counter("proxynet_loss_events_total"),
-		dotBlocked: reg.Counter("proxynet_dot_blocked_total"),
-		doqBlocked: reg.Counter("proxynet_doq_blocked_total"),
-		measDoH:    reg.Counter("proxynet_doh_measurements_total"),
-		measDo53:   reg.Counter("proxynet_do53_measurements_total"),
-		measDoT:    reg.Counter("proxynet_dot_measurements_total"),
-		measDoQ:    reg.Counter("proxynet_doq_measurements_total"),
+		tracer:   tracer,
+		loss:     reg.Counter("proxynet_loss_events_total"),
+		measDoH:  reg.Counter("proxynet_doh_measurements_total"),
+		measDo53: reg.Counter("proxynet_do53_measurements_total"),
 
 		chaosResets:   reg.Counter("proxynet_chaos_resets_total"),
 		chaosChurns:   reg.Counter("proxynet_chaos_churns_total"),
@@ -101,10 +98,14 @@ func (s *Sim) Instrument(reg *obs.Registry, tracer *obs.TraceRecorder) {
 		dohTLS:       reg.Histogram("proxynet_doh_tls_handshake_ms", nil),
 		dohRoundTrip: reg.Histogram("proxynet_doh_round_trip_ms", nil),
 		do53Total:    reg.Histogram("proxynet_do53_ms", nil),
-		dotTotal:     reg.Histogram("proxynet_dot_ms", nil),
-		dotReused:    reg.Histogram("proxynet_dotr_ms", nil),
-		doqTotal:     reg.Histogram("proxynet_doq_ms", nil),
-		doqReused:    reg.Histogram("proxynet_doqr_ms", nil),
+	}
+	for tr := range in.sessions {
+		name := "proxynet_" + sessionProfiles[tr].name
+		h := &in.sessions[tr]
+		h.measured = reg.Counter(name + "_measurements_total")
+		h.blocked = reg.Counter(name + "_blocked_total")
+		h.first = reg.Histogram(name+"_ms", nil)
+		h.reused = reg.Histogram(name+"r_ms", nil)
 	}
 	// The registry counter becomes the single source of truth for loss
 	// events (Stats reads it back through lossPtr); earlier counts are
@@ -155,44 +156,21 @@ func (in *simInstruments) recordDo53(viaSuperProxy bool, gt Do53GroundTruth) {
 	}
 }
 
-// recordDoT feeds one unblocked DoT measurement into the registry.
-func (in *simInstruments) recordDoT(gt DoTGroundTruth) {
+// recordSession feeds one DoT or DoQ measurement into the registry. A
+// port-853 block still counts as a measurement attempted; it has no
+// timings to observe.
+func (in *simInstruments) recordSession(tr Transport, blocked bool, gt SessionGroundTruth) {
 	if in == nil {
 		return
 	}
-	in.measDoT.Inc()
-	in.dotTotal.Observe(gt.TDoT)
-	in.dotReused.Observe(gt.TDoTR)
-}
-
-// recordDoTBlocked counts a port-853 block (the measurement itself
-// still counts as attempted).
-func (in *simInstruments) recordDoTBlocked() {
-	if in == nil {
+	h := &in.sessions[tr]
+	h.measured.Inc()
+	if blocked {
+		h.blocked.Inc()
 		return
 	}
-	in.measDoT.Inc()
-	in.dotBlocked.Inc()
-}
-
-// recordDoQ feeds one unblocked DoQ measurement into the registry.
-func (in *simInstruments) recordDoQ(gt DoQGroundTruth) {
-	if in == nil {
-		return
-	}
-	in.measDoQ.Inc()
-	in.doqTotal.Observe(gt.TDoQ)
-	in.doqReused.Observe(gt.TDoQR)
-}
-
-// recordDoQBlocked counts a UDP/853 block (the measurement itself
-// still counts as attempted).
-func (in *simInstruments) recordDoQBlocked() {
-	if in == nil {
-		return
-	}
-	in.measDoQ.Inc()
-	in.doqBlocked.Inc()
+	h.first.Observe(gt.First)
+	h.reused.Observe(gt.Reused)
 }
 
 // recordChaos counts an injected failure by mode.

@@ -26,7 +26,7 @@ func TestInstrumentedSimFeedsRegistry(t *testing.T) {
 	}
 	sim.MeasureDo53(node, "q.a.com.")
 	for i := 0; i < 40; i++ {
-		sim.MeasureDoT(node, anycast.Cloudflare, "q.a.com.")
+		sim.MeasureSession(DoT, node, anycast.Cloudflare, "q.a.com.")
 	}
 
 	st := sim.Stats()
@@ -141,7 +141,7 @@ func TestInstrumentedSimDeterministic(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			sim.MeasureDoH(node, anycast.Quad9, "d.a.com.")
 			sim.MeasureDo53(node, "d.a.com.")
-			sim.MeasureDoT(node, anycast.Quad9, "d.a.com.")
+			sim.MeasureSession(DoT, node, anycast.Quad9, "d.a.com.")
 		}
 		return reg.Snapshot()
 	}

@@ -12,8 +12,8 @@ import (
 )
 
 // What a node caches must be what the measurements used to recompute on
-// every run, bit for bit: MeasureDoT, MeasureDoQ and MeasureDo53 read
-// the same fields MeasureDoH is held to the event timeline on.
+// every run, bit for bit: MeasureSession and MeasureDo53 read the same
+// fields MeasureDoH is held to the event timeline on.
 func TestExitNodeCachesRouteMeans(t *testing.T) {
 	sim := NewSim(21)
 	for _, code := range []string{"US", "JP", "BR", "KE", "FJ"} {
@@ -83,10 +83,10 @@ func TestMeasureAllocationFree(t *testing.T) {
 		sim.PoPFor(node, pid)
 	}
 	for name, measure := range map[string]func(){
-		"MeasureDoH":  func() { sim.MeasureDoH(node, anycast.Quad9, "a.a.com.") },
-		"MeasureDoT":  func() { sim.MeasureDoT(node, anycast.Google, "a.a.com.") },
-		"MeasureDoQ":  func() { sim.MeasureDoQ(node, anycast.NextDNS, "a.a.com.") },
-		"MeasureDo53": func() { sim.MeasureDo53(node, "a.a.com.") },
+		"MeasureDoH":          func() { sim.MeasureDoH(node, anycast.Quad9, "a.a.com.") },
+		"MeasureSession(DoT)": func() { sim.MeasureSession(DoT, node, anycast.Google, "a.a.com.") },
+		"MeasureSession(DoQ)": func() { sim.MeasureSession(DoQ, node, anycast.NextDNS, "a.a.com.") },
+		"MeasureDo53":         func() { sim.MeasureDo53(node, "a.a.com.") },
 	} {
 		if n := testing.AllocsPerRun(200, measure); n != 0 {
 			t.Errorf("%s allocates %v times per call, want 0", name, n)

@@ -41,10 +41,11 @@ type Sim struct {
 	Lab netsim.Endpoint
 	// Alloc assigns synthetic exit-node addresses.
 	Alloc *geoip.Allocator
-	// TLS12, when set, negotiates TLS 1.2 instead of 1.3 for DoH/DoT
-	// sessions: session establishment costs a second round trip
+	// TLS12, when set, negotiates TLS 1.2 instead of 1.3 for DoH and
+	// DoT sessions: session establishment costs a second round trip
 	// (RFC 8446 vs RFC 5246), the slowdown the paper's limitations
-	// section predicts for legacy clients.
+	// section predicts for legacy clients. DoQ, which has no TLS 1.2,
+	// pays netsim.Handshake's legacy count too, as an extra exchange.
 	TLS12 bool
 
 	superProxies []netsim.Endpoint
@@ -69,16 +70,16 @@ type Sim struct {
 // model escapes to helper services (Atlas probes share it).
 type simCounters struct {
 	lossEvents      int64
-	dotBlocked      int64
-	doqBlocked      int64
 	exitNodes       int64
 	dohMeasurements int64
 	do53Measure     int64
-	dotMeasure      int64
-	doqMeasure      int64
 	chaosResets     int64
 	chaosChurns     int64
 	chaosCorrupts   int64
+	// sessions and blocked count MeasureSession runs and the ones
+	// dropped by port filtering, per sessionProfiles row.
+	sessions [NumTransports]int64
+	blocked  [NumTransports]int64
 }
 
 // SimStats is a snapshot of the simulator's event counters — the
@@ -89,10 +90,9 @@ type SimStats struct {
 	// LossEvents counts retransmission-timeout loss events sampled on
 	// any path owned by this simulator.
 	LossEvents int64
-	// DoTBlocked counts DoT sessions dropped by port-853 filtering.
-	DoTBlocked int64
-	// DoQBlocked counts DoQ sessions dropped by UDP/853 filtering.
-	DoQBlocked int64
+	// DoTBlocked and DoQBlocked count sessions dropped by port-853
+	// filtering (TCP for DoT, UDP for DoQ).
+	DoTBlocked, DoQBlocked int64
 	// ExitNodes counts provisioned exit nodes.
 	ExitNodes int64
 	// DoHMeasurements, Do53Measurements, DoTMeasurements, and
@@ -112,13 +112,13 @@ type SimStats struct {
 func (s *Sim) Stats() SimStats {
 	return SimStats{
 		LossEvents:             atomic.LoadInt64(s.lossPtr),
-		DoTBlocked:             atomic.LoadInt64(&s.stats.dotBlocked),
-		DoQBlocked:             atomic.LoadInt64(&s.stats.doqBlocked),
+		DoTBlocked:             atomic.LoadInt64(&s.stats.blocked[DoT]),
+		DoQBlocked:             atomic.LoadInt64(&s.stats.blocked[DoQ]),
 		ExitNodes:              atomic.LoadInt64(&s.stats.exitNodes),
 		DoHMeasurements:        atomic.LoadInt64(&s.stats.dohMeasurements),
 		Do53Measurements:       atomic.LoadInt64(&s.stats.do53Measure),
-		DoTMeasurements:        atomic.LoadInt64(&s.stats.dotMeasure),
-		DoQMeasurements:        atomic.LoadInt64(&s.stats.doqMeasure),
+		DoTMeasurements:        atomic.LoadInt64(&s.stats.sessions[DoT]),
+		DoQMeasurements:        atomic.LoadInt64(&s.stats.sessions[DoQ]),
 		ChaosResets:            atomic.LoadInt64(&s.stats.chaosResets),
 		ChaosChurns:            atomic.LoadInt64(&s.stats.chaosChurns),
 		ChaosHeaderCorruptions: atomic.LoadInt64(&s.stats.chaosCorrupts),
@@ -225,6 +225,14 @@ const (
 // SuperProxyCountry returns the country code of the Super Proxy
 // serving this exit node.
 func (e *ExitNode) SuperProxyCountry() string { return e.superCode }
+
+// resolverSvc is what the ISP resolver adds to the lookup of an
+// encrypted-DNS server's hostname: it almost certainly has the popular
+// name cached, so on top of one resolver RTT the exit-side lookup costs
+// a sliver of its processing overhead.
+func (e *ExitNode) resolverSvc() time.Duration {
+	return time.Duration(0.3 * float64(e.ResolverOverhead))
+}
 
 // SelectExitNode asks the Super Proxy for a fresh exit node in the
 // given country, as the paper does per measurement run.
@@ -434,13 +442,9 @@ func (s *Sim) MeasureDoH(node *ExitNode, pid anycast.ProviderID, queryName strin
 	proxy := s.sampleProxyTimeline()
 	obs := DoHObservation{Provider: pid, QueryName: queryName, Proxy: proxy}
 
-	// The ISP resolver almost certainly has the DoH server's hostname
-	// cached (it is a popular name), so t3+t4 is one resolver RTT
-	// plus a sliver of its processing overhead.
-	resolverSvc := time.Duration(0.3 * float64(node.ResolverOverhead))
-	// TLS and HTTP processing costs at the PoP.
-	tlsCompute := time.Millisecond
-	authSvc := 400 * time.Microsecond
+	// TLS 1.3's one round trip is steps 11-12; whatever else the
+	// handshake table charges a TCP+TLS session rides on them.
+	_, tlsRTTs := netsim.TCPTLS.RoundTrips(s.TLS12)
 
 	t := &gt.Steps
 
@@ -448,7 +452,7 @@ func (s *Sim) MeasureDoH(node *ExitNode, pid anycast.ProviderID, queryName strin
 	t[1] = pathCS.OneWay(rng)
 	t[2] = pathSE.OneWay(rng)
 	t[3] = pathER.OneWay(rng)
-	t[4] = pathER.OneWay(rng) + resolverSvc
+	t[4] = pathER.OneWay(rng) + node.resolverSvc()
 	t[5] = pathEP.OneWay(rng)
 	t[6] = pathEP.OneWay(rng) + provider.SetupOverhead/2
 	t[7] = pathSE.OneWay(rng)
@@ -464,8 +468,8 @@ func (s *Sim) MeasureDoH(node *ExitNode, pid anycast.ProviderID, queryName strin
 	t[9] = pathCS.OneWay(rng)
 	t[10] = pathSE.OneWay(rng)
 	t[11] = pathEP.OneWay(rng)
-	t[12] = pathEP.OneWay(rng) + tlsCompute + provider.SetupOverhead/2
-	if s.TLS12 {
+	t[12] = pathEP.OneWay(rng) + netsim.CryptoCompute + provider.SetupOverhead/2
+	for i := 1; i < tlsRTTs; i++ {
 		// TLS 1.2 needs a second full round trip before the
 		// session is usable.
 		t[11] += pathEP.OneWay(rng)
@@ -479,7 +483,7 @@ func (s *Sim) MeasureDoH(node *ExitNode, pid anycast.ProviderID, queryName strin
 	t[16] = pathSE.OneWay(rng)
 	t[17] = pathEP.OneWay(rng)
 	t[18] = provider.ServiceTime + pathPA.OneWay(rng)
-	t[19] = pathPA.OneWay(rng) + authSvc
+	t[19] = pathPA.OneWay(rng) + netsim.AuthService
 	t[20] = pathEP.OneWay(rng)
 	t[21] = pathSE.OneWay(rng)
 	t[22] = pathCS.OneWay(rng)
@@ -531,8 +535,7 @@ func (s *Sim) MeasureDo53(node *ExitNode, queryName string) (Do53Observation, Do
 	pathER := s.Model.PathFromMean(s.Rand, node.meanER)
 	pathRA := s.Model.PathFromMean(s.Rand, node.meanRA)
 
-	authSvc := 400 * time.Microsecond
-	trueDo53 := pathER.RTT(s.Rand) + node.ResolverOverhead + pathRA.RTT(s.Rand) + authSvc
+	trueDo53 := pathER.RTT(s.Rand) + node.ResolverOverhead + pathRA.RTT(s.Rand) + netsim.AuthService
 
 	obs := Do53Observation{
 		Proxy:     s.sampleProxyTimeline(),

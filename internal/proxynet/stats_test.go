@@ -19,7 +19,7 @@ func TestSimStatsCountsMeasurements(t *testing.T) {
 	for i := 0; i < runs; i++ {
 		sim.MeasureDoH(node, anycast.Cloudflare, "s.a.com.")
 		sim.MeasureDo53(node, "s.a.com.")
-		sim.MeasureDoT(node, anycast.Cloudflare, "s.a.com.")
+		sim.MeasureSession(DoT, node, anycast.Cloudflare, "s.a.com.")
 	}
 	s := sim.Stats()
 	if s.ExitNodes != 1 {
@@ -62,7 +62,7 @@ func TestSimStatsDeterministicAcrossRuns(t *testing.T) {
 		}
 		for i := 0; i < 30; i++ {
 			sim.MeasureDoH(node, anycast.Cloudflare, "d.a.com.")
-			sim.MeasureDoT(node, anycast.Cloudflare, "d.a.com.")
+			sim.MeasureSession(DoT, node, anycast.Cloudflare, "d.a.com.")
 		}
 		return sim.Stats()
 	}

@@ -2,7 +2,6 @@ package resolver
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/dnsclient"
 	"repro/internal/dnswire"
@@ -28,7 +27,7 @@ type do53Resolver struct {
 
 func (r *do53Resolver) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Message, Timing, error) {
 	resp, t, err := r.client.ExchangeTimed(ctx, r.addr, q)
-	return resp, fromBreakdown(t.DNSLookup, t.Connect, t.TLSHandshake, t.RoundTrip, t.Total, t.Reused), err
+	return resp, fromBreakdown(t), err
 }
 
 // NewDoH wraps a DoH client (already bound to its endpoint URL) as a
@@ -43,7 +42,7 @@ type dohResolver struct {
 
 func (r *dohResolver) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Message, Timing, error) {
 	resp, t, err := r.client.Exchange(ctx, q)
-	return resp, fromBreakdown(t.DNSLookup, t.Connect, t.TLSHandshake, t.RoundTrip, t.Total, t.Reused), err
+	return resp, fromBreakdown(t), err
 }
 
 // NewDoT wraps a DoT client as a Resolver.
@@ -57,19 +56,19 @@ type dotResolver struct {
 
 func (r *dotResolver) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Message, Timing, error) {
 	resp, t, err := r.client.Exchange(ctx, q)
-	return resp, fromBreakdown(t.DNSLookup, t.Connect, t.TLSHandshake, t.RoundTrip, t.Total, t.Reused), err
+	return resp, fromBreakdown(t), err
 }
 
 // fromBreakdown assembles a unified Timing for a single transport
-// attempt.
-func fromBreakdown(dnsLookup, connect, tlsHandshake, roundTrip, total time.Duration, reused bool) Timing {
+// attempt from the wire client's.
+func fromBreakdown(t dnsclient.Timing) Timing {
 	return Timing{
-		DNSLookup:    dnsLookup,
-		Connect:      connect,
-		TLSHandshake: tlsHandshake,
-		RoundTrip:    roundTrip,
-		Total:        total,
-		Reused:       reused,
+		DNSLookup:    t.DNSLookup,
+		Connect:      t.Connect,
+		TLSHandshake: t.TLSHandshake,
+		RoundTrip:    t.RoundTrip,
+		Total:        t.Total,
+		Reused:       t.Reused,
 		Attempts:     1,
 	}
 }

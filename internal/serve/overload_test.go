@@ -5,6 +5,7 @@ import (
 	"context"
 	"io"
 	"net"
+	"net/netip"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -172,6 +173,53 @@ func TestAdmissionShedStream(t *testing.T) {
 	}
 	if got, err := readFrame(conn2); err != nil || !bytes.Equal([]byte(got), q3) {
 		t.Fatalf("post-shed frame: got %x err %v, want echo of %x", got, err, q3)
+	}
+}
+
+// TestRRLLimiterBuckets pins the token bucket itself on a fake clock:
+// the burst is granted at once, a host elsewhere in the /24 shares the
+// bucket (rotating through a prefix dodges nothing), another prefix has
+// its own, and tokens come back at the sustained rate, never beyond the
+// burst.
+func TestRRLLimiterBuckets(t *testing.T) {
+	now := time.Unix(0, 0)
+	l := newRRLLimiter(2, 4, -1)
+	l.now = func() time.Time { return now }
+	src := netip.MustParseAddr("203.0.113.7")
+	for i := 0; i < 4; i++ {
+		if v := l.verdict(src); v != rrlSend {
+			t.Fatalf("query %d inside the burst: verdict %d", i, v)
+		}
+	}
+	if v := l.verdict(src); v != rrlDrop {
+		t.Fatalf("query beyond the burst: verdict %d, want drop (slip is off)", v)
+	}
+	if v := l.verdict(netip.MustParseAddr("203.0.113.99")); v != rrlDrop {
+		t.Fatalf("sibling host in the same /24: verdict %d, want drop", v)
+	}
+	if v := l.verdict(netip.MustParseAddr("::ffff:203.0.113.50")); v != rrlDrop {
+		t.Fatalf("the /24 as a v4-mapped address: verdict %d, want drop", v)
+	}
+	if v := l.verdict(netip.MustParseAddr("198.51.100.1")); v != rrlSend {
+		t.Fatalf("unrelated prefix: verdict %d, want send", v)
+	}
+	// One second restores two tokens.
+	now = now.Add(time.Second)
+	if a, b := l.verdict(src), l.verdict(src); a != rrlSend || b != rrlSend {
+		t.Fatalf("refilled tokens not granted: verdicts %d, %d", a, b)
+	}
+	if v := l.verdict(src); v != rrlDrop {
+		t.Fatalf("third query after a two-token refill: verdict %d", v)
+	}
+	// An hour refills to the burst and no further.
+	now = now.Add(time.Hour)
+	for i := 0; i < 4; i++ {
+		if v := l.verdict(src); v != rrlSend {
+			t.Fatalf("query %d after a long idle: verdict %d", i, v)
+		}
+	}
+	if v := l.verdict(src); v != rrlDrop {
+		t.Fatalf("idle time banked more than the burst: verdict %d", v)
 	}
 }
 

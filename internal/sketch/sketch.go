@@ -18,9 +18,9 @@
 //     bucket of the true sample quantile, so the error is bounded by
 //     roughly one bucket width (the canonical layout below keeps
 //     relative bucket width <= 33%, typically ~20%).
-//     The estimator is byte-for-byte the one obs.HistogramValue uses,
-//     so campaign metrics and sketch-derived quantiles agree exactly
-//     when fed the same observations.
+//     The estimator is the one obs.HistogramValue uses
+//     (obs.BucketQuantile), so campaign metrics and sketch-derived
+//     quantiles agree exactly when fed the same observations.
 //
 // Histograms share one canonical bucket layout (LatencyBounds), which
 // is what makes any two sketches mergeable by construction and lets
@@ -35,6 +35,8 @@ package sketch
 import (
 	"sort"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // latencyBoundsUs builds the canonical bucket bounds in integer
@@ -104,16 +106,7 @@ func (h *Histogram) Observe(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	lo, hi := 0, len(canonicalBounds)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if d > canonicalBounds[mid] {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	h.counts[lo]++
+	h.counts[obs.BucketIndex(canonicalBounds, d)]++
 	h.sum += int64(d)
 	if h.count == 0 || int64(d) < h.min {
 		h.min = int64(d)
@@ -184,35 +177,17 @@ func (h *Histogram) BucketCounts() []int64 {
 }
 
 // Quantile estimates the q-quantile (0 < q < 1) by linear
-// interpolation within the bucket containing it — the identical
-// estimator obs.HistogramValue.Quantile applies, so the two never
-// disagree on the same data. Observations in the overflow bucket are
-// attributed to the last finite bound.
+// interpolation within the bucket containing it — the estimator
+// obs.HistogramValue.Quantile applies, so the two never disagree on the
+// same data. Observations in the overflow bucket are attributed to the
+// last finite bound.
 func (h *Histogram) Quantile(q float64) time.Duration {
-	if h.count == 0 || q <= 0 || q >= 1 {
-		return 0
-	}
-	rank := q * float64(h.count)
-	var cum int64
-	var lower time.Duration
-	for i, n := range h.counts {
-		prev := cum
-		cum += n
-		if float64(cum) >= rank {
-			if i == len(canonicalBounds) {
-				// Overflow: no finite upper edge to interpolate
-				// toward; report the last finite bound.
-				return lower
-			}
-			frac := (rank - float64(prev)) / float64(n)
-			upper := canonicalBounds[i]
-			return lower + time.Duration(frac*float64(upper-lower))
+	return obs.BucketQuantile(q, h.count, len(h.counts), func(i int) (time.Duration, int64) {
+		if i == len(canonicalBounds) {
+			return -1, h.counts[i]
 		}
-		if i < len(canonicalBounds) {
-			lower = canonicalBounds[i]
-		}
-	}
-	return lower
+		return canonicalBounds[i], h.counts[i]
+	})
 }
 
 // Set is a keyed collection of histograms — the campaign keys them by

@@ -21,10 +21,18 @@ import (
 // unscaled modeled durations, which is what the smart EWMA scores and
 // the bench percentiles read.
 //
-// The DoQ profile is the QUIC-handshake model the ROADMAP asks for: a
-// single combined transport+crypto round trip on first contact
-// (RFC 9250 over RFC 9000's 1-RTT handshake) instead of DoT/DoH's
-// TCP-then-TLS two round trips, and 0-RTT resumption on reuse.
+// What a kind pays on first contact is its row of netsim's handshake
+// table, which proxynet's campaign simulator charges too: DoH and DoT a
+// TCP connect and a TLS 1.3 round trip, DoQ the one combined round trip
+// of QUIC's handshake (RFC 9250 over RFC 9000), Do53 nothing. Reuse is
+// the bare exchange for all of them.
+
+// simHandshakes maps a kind to its row; an unlisted kind has no session.
+var simHandshakes = map[resolver.Kind]netsim.Handshake{
+	resolver.DoH: netsim.TCPTLS,
+	resolver.DoT: netsim.TCPTLS,
+	resolver.DoQ: netsim.QUIC,
+}
 
 // simDest is one destination's endpoints as a transport sees them.
 type simDest struct {
@@ -118,34 +126,13 @@ func (st *SimTransport) Resolve(ctx context.Context, q *dnswire.Message) (*dnswi
 // sampleLocked draws one exchange's modeled timeline. Caller holds mu.
 func (st *SimTransport) sampleLocked(d *simDest) resolver.Timing {
 	rtt := func() time.Duration { return st.model.RTT(st.rng, d.client, d.server) }
-	var t resolver.Timing
-	t.Attempts = 1
-	const tlsCompute = time.Millisecond
-	switch st.kind {
-	case resolver.Do53:
-		// Single UDP round trip, no session state.
-		t.RoundTrip = rtt() + d.service
-	case resolver.DoH, resolver.DoT:
-		// TCP handshake, then TLS 1.3 (one RTT), then the query.
-		if !d.warm {
-			t.Connect = rtt()
-			t.TLSHandshake = rtt() + tlsCompute
-		} else {
-			t.Reused = true
-		}
-		t.RoundTrip = rtt() + d.service
-	case resolver.DoQ:
-		// QUIC combines transport and crypto establishment into one
-		// round trip; resumption is 0-RTT.
-		if !d.warm {
-			t.TLSHandshake = rtt() + tlsCompute
-		} else {
-			t.Reused = true
-		}
-		t.RoundTrip = rtt() + d.service
-	default:
-		t.RoundTrip = rtt() + d.service
+	t := resolver.Timing{Attempts: 1}
+	if hs := simHandshakes[st.kind]; !d.warm {
+		t.Connect, t.TLSHandshake = hs.Draw(false, rtt)
+	} else if hs != netsim.NoHandshake {
+		t.Reused = true
 	}
+	t.RoundTrip = rtt() + d.service
 	t.Total = t.Connect + t.TLSHandshake + t.RoundTrip
 	return t
 }

@@ -430,6 +430,30 @@ func (s *Resolver) raceOrder(e *entry, skip int) []int {
 	return order
 }
 
+// Launch is one candidate as the race rule sees it: how long its first
+// query takes from its own launch, and how long a query takes on the
+// connection that leaves behind. Any unit, the stagger's.
+type Launch struct{ First, Reused float64 }
+
+// RaceOutcome is the rule race implements with goroutines and timers,
+// as a pure function — what the campaign derives its smart column with
+// and the tests of race take their expected winner from. Candidates
+// launch in slice order, stagger apart, so slot i arrives at
+// i*stagger + First; the lowest arrival wins, a tie going to the earlier
+// launch. It returns the winner's slot (-1 for no candidates), its
+// arrival (the race's first-query time) and its Reused (every later
+// query goes to the remembered winner alone).
+func RaceOutcome(stagger float64, launches []Launch) (winner int, first, steady float64) {
+	winner = -1
+	for slot, l := range launches {
+		arrival := float64(slot)*stagger + l.First
+		if winner < 0 || arrival < first {
+			winner, first, steady = slot, arrival, l.Reused
+		}
+	}
+	return winner, first, steady
+}
+
 // race runs the staggered happy-eyeballs race over the candidates and
 // remembers the winner. e may be nil (table full): the race still
 // resolves, it just isn't remembered. skip names a candidate excluded

@@ -45,6 +45,17 @@ func testQuery(name string) *dnswire.Message {
 	return resolver.Query(dnswire.NewName(name), dnswire.TypeA)
 }
 
+// ruleWinner is the slot RaceOutcome — the rule the campaign's smart
+// column is derived with — elects for stub candidates in launch order.
+func ruleWinner(stagger time.Duration, cands ...*stubCand) int {
+	launches := make([]Launch, len(cands))
+	for i, c := range cands {
+		launches[i] = Launch{First: float64(c.delay), Reused: float64(c.delay)}
+	}
+	winner, _, _ := RaceOutcome(float64(stagger), launches)
+	return winner
+}
+
 func TestNewRequiresTwoCandidates(t *testing.T) {
 	_, err := New(Config{Candidates: []Candidate{{Kind: resolver.Do53, Resolver: &stubCand{}}}})
 	if err == nil {
@@ -56,18 +67,23 @@ func TestRaceElectsFastestAndRemembers(t *testing.T) {
 	fast := &stubCand{delay: time.Millisecond, total: 10 * time.Millisecond}
 	mid := &stubCand{delay: 20 * time.Millisecond, total: 60 * time.Millisecond}
 	slow := &stubCand{delay: 40 * time.Millisecond, total: 90 * time.Millisecond}
+	const stagger = 2 * time.Millisecond
+	stubs := []*stubCand{slow, mid, fast}
+	cands := []Candidate{
+		{Kind: resolver.DoH, Resolver: slow},
+		{Kind: resolver.DoT, Resolver: mid},
+		{Kind: resolver.Do53, Resolver: fast},
+	}
 	s, err := New(Config{
-		SmartOptions: resolver.SmartOptions{Stagger: 2 * time.Millisecond, ProbeInterval: -1},
-		Candidates: []Candidate{
-			{Kind: resolver.DoH, Resolver: slow},
-			{Kind: resolver.DoT, Resolver: mid},
-			{Kind: resolver.Do53, Resolver: fast},
-		},
+		SmartOptions: resolver.SmartOptions{Stagger: stagger, ProbeInterval: -1},
+		Candidates:   cands,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	// fast launches last, four milliseconds in, and still arrives first.
+	want := ruleWinner(stagger, stubs...)
 
 	resp, _, err := s.Resolve(context.Background(), testQuery("first.a.com."))
 	if err != nil || resp == nil {
@@ -77,12 +93,15 @@ func TestRaceElectsFastestAndRemembers(t *testing.T) {
 	if st.Races != 1 || st.RacesFirst != 1 || st.Remembered != 0 {
 		t.Fatalf("after first query: %+v", st)
 	}
-	if st.WinsByCandidate[2] != 1 {
-		t.Fatalf("fastest candidate did not win: wins=%v", st.WinsByCandidate)
+	if st.WinsByCandidate[want] != 1 {
+		t.Fatalf("the race rule's winner (slot %d) did not win: wins=%v", want, st.WinsByCandidate)
 	}
 
 	// Steady state: only the remembered winner is queried.
-	before := [3]int64{slow.calls.Load(), mid.calls.Load(), fast.calls.Load()}
+	var before [3]int64
+	for i, c := range stubs {
+		before[i] = c.calls.Load()
+	}
 	for i := 0; i < 5; i++ {
 		if _, _, err := s.Resolve(context.Background(), testQuery("warm.a.com.")); err != nil {
 			t.Fatalf("warm query %d: %v", i, err)
@@ -92,14 +111,16 @@ func TestRaceElectsFastestAndRemembers(t *testing.T) {
 	if st.Remembered != 5 || st.Races != 1 {
 		t.Fatalf("steady state raced: %+v", st)
 	}
-	if got := fast.calls.Load() - before[2]; got != 5 {
-		t.Errorf("winner served %d of 5 warm queries", got)
+	for i, c := range stubs {
+		switch got := c.calls.Load() - before[i]; {
+		case i == want && got != 5:
+			t.Errorf("winner served %d of 5 warm queries", got)
+		case i != want && got != 0:
+			t.Errorf("loser in slot %d was queried %d times in steady state", i, got)
+		}
 	}
-	if slow.calls.Load() != before[0] || mid.calls.Load() != before[1] {
-		t.Error("losers were queried in steady state")
-	}
-	if got := s.WinsByKind()[resolver.Do53]; got != 1 {
-		t.Errorf("WinsByKind[do53] = %d, want 1", got)
+	if got := s.WinsByKind()[cands[want].Kind]; got != 1 {
+		t.Errorf("WinsByKind[%s] = %d, want 1", cands[want].Kind, got)
 	}
 }
 
@@ -109,8 +130,9 @@ func TestStaggerBoundsFirstRaceFanOut(t *testing.T) {
 	// is bounded, not an all-out fan-out.
 	fast := &stubCand{delay: time.Millisecond}
 	slow := &stubCand{delay: time.Millisecond}
+	const stagger = 250 * time.Millisecond
 	s, err := New(Config{
-		SmartOptions: resolver.SmartOptions{Stagger: 250 * time.Millisecond, ProbeInterval: -1},
+		SmartOptions: resolver.SmartOptions{Stagger: stagger, ProbeInterval: -1},
 		Candidates: []Candidate{
 			{Kind: resolver.Do53, Resolver: fast},
 			{Kind: resolver.DoH, Resolver: slow},
@@ -129,6 +151,10 @@ func TestStaggerBoundsFirstRaceFanOut(t *testing.T) {
 	}
 	if slow.calls.Load() != 0 {
 		t.Error("second candidate launched despite the winner answering first")
+	}
+	// Equal candidates: the stagger alone decides, for the earlier launch.
+	if want, wins := ruleWinner(stagger, fast, slow), s.Stats().WinsByCandidate; wins[want] != 1 {
+		t.Errorf("the race rule's winner (slot %d) did not win: wins=%v", want, wins)
 	}
 }
 

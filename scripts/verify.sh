@@ -44,11 +44,11 @@ go test ./internal/cache/ -run 'TestPutAllocatesTheEntryOnly|TestLookupCopyIsThe
 go test ./internal/recursive/ -run 'TestResolveMissAllocBudget|TestResolveHitAllocBudget'
 go test ./internal/authserver/ -run 'TestQueryLogGrowsInTwoSteps'
 
-step "campaign inner loop (timeline oracle, PoP assignment, allocation gates, catalogue sharing under race)"
+step "campaign inner loop (timeline oracle, transport table, PoP assignment, allocation gates, pinned export, catalogue sharing under race)"
 go test ./internal/proxynet/ \
-	-run 'TestMeasureDoHMatchesEventTimeline|TestMeasureAllocationFree|TestExitNodeCachesRouteMeans'
+	-run 'TestMeasureDoHMatchesEventTimeline|TestMeasureAllocationFree|TestExitNodeCachesRouteMeans|TestMeasureSessionRows|TestTLS12AddsARoundTrip'
 go test ./internal/anycast/ -run 'TestAssignMatchesAssignPoPAndNearestPoP'
-go test ./internal/campaign/ -run 'TestCampaignAllocBudget'
+go test ./internal/campaign/ -run 'TestCampaignAllocBudget|TestExportHashPinned'
 go test -race ./internal/anycast/...
 
 step "smart racing soak (short, race, chaos faults + exact accounting)"
@@ -73,8 +73,9 @@ go test -run 'TestCSVRoundTripDo53OnlyClient|TestReadCSVDuplicateMetadataMismatc
 step "serve soak (short, race)"
 go test -race -run TestServeSoak -short ./internal/serve/
 
-step "overload soak (short, race)"
+step "overload soak (short, race) + the one RRL token bucket on a fake clock"
 go test -race -run TestOverloadSoak -short ./internal/serve/
+go test ./internal/serve/ -run 'TestRRLLimiterBuckets'
 
 step "cache 0-alloc gate"
 go test ./internal/cache/ -bench=BenchmarkCacheHit -benchtime=1x \
