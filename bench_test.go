@@ -23,7 +23,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dnswire"
 	"repro/internal/experiments"
-	"repro/internal/netsim"
 	"repro/internal/proxynet"
 	"repro/internal/stats"
 	"repro/internal/webload"
@@ -433,19 +432,6 @@ func BenchmarkDNSWireUnpack(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkEngineThroughput measures the event engine.
-func BenchmarkEngineThroughput(b *testing.B) {
-	b.ReportAllocs()
-	e := netsim.NewEngine()
-	for i := 0; i < b.N; i++ {
-		e.At(time.Duration(i%1000)*time.Microsecond, func() {})
-		if e.Pending() > 4096 {
-			e.Run()
-		}
-	}
-	e.Run()
 }
 
 // benchMeasure times one simulated measurement on a Brazilian exit node

@@ -72,20 +72,6 @@ func runLoad(c int, d time.Duration, mk func(id int) func() error) loadResult {
 	return res
 }
 
-func do53Worker(addr string) func() error {
-	c := &dnsclient.Client{Timeout: 5 * time.Second}
-	q := dnswire.NewQuery(dnsclient.RandomID(), "bench.a.com.", dnswire.TypeA)
-	ctx := context.Background()
-	return func() error {
-		resp, _, err := c.Exchange(ctx, addr, q)
-		if err != nil {
-			return err
-		}
-		dnswire.PutMessage(resp)
-		return nil
-	}
-}
-
 func dotWorker(addr string) func() error {
 	c := &dot.Client{Addr: addr, TLSConfig: tlsutil.InsecureClientConfig()}
 	q := dnswire.NewQuery(dnsclient.RandomID(), "bench.a.com.", dnswire.TypeA)

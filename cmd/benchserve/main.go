@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -195,7 +196,7 @@ func main() {
 		}
 		r := runPipelinedUDP(pipeWorkers, 32, *dur, srv.Addr())
 		add("do53", n, serve.DefaultBatchSize, "inline", r, anchor)
-		srv.Close()
+		srv.Shutdown(context.Background())
 	}
 
 	// Overload: the engine with an admission budget far below the
@@ -254,7 +255,7 @@ func main() {
 		} else {
 			add("dot", n, 0, "stream", r, anchor)
 		}
-		ds.Close()
+		ds.Shutdown(context.Background())
 	}
 
 	// DoH: the RFC 8484 handler behind n SO_REUSEPORT accept queues,

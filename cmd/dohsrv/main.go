@@ -10,6 +10,7 @@ package main
 
 import (
 	"context"
+	"crypto/tls"
 	"flag"
 	"fmt"
 	"log"
@@ -79,12 +80,12 @@ func main() {
 	// its hit/miss/eviction counters land on /metrics as cache_*_total,
 	// and the serve-stale/prefetch counters as cache_stale_served_total,
 	// cache_prefetch_total, and cache_refresh_fail_total.
-	answerCache := recursive.WrapCache(cache.New(cache.Config{
+	answerCache := cache.New(cache.Config{
 		MaxEntries:        *cacheSize,
 		StaleTTL:          *staleTTL,
 		PrefetchThreshold: *prefetch,
-	}))
-	answerCache.Unwrap().Instrument(reg, "cache")
+	})
+	answerCache.Instrument(reg, "cache")
 	res := recursive.New(answerCache)
 	// Forwarding runs on the unified resolver API: Do53 transport with
 	// one retry and a per-attempt timeout, so a single dropped UDP
@@ -165,45 +166,37 @@ func main() {
 	if *maxInflight > 0 {
 		httpHandler = admissionMiddleware(mux, *maxInflight, reg.Counter("dohsrv_shed_total"))
 	}
-	srv := &http.Server{
-		Addr:         *listen,
-		Handler:      httpHandler,
-		ReadTimeout:  15 * time.Second,
-		WriteTimeout: 15 * time.Second,
-	}
-
-	httpErr := make(chan error, 1)
-	go func() {
-		switch {
-		case *plain:
-			fmt.Printf("dohsrv: http://%s%s -> zone %s via %s\n", *listen, dohserver.DefaultPath, *zone, *upstream)
-			httpErr <- srv.ListenAndServe()
-		case *certFile != "":
-			fmt.Printf("dohsrv: https://%s%s\n", *listen, dohserver.DefaultPath)
-			httpErr <- srv.ListenAndServeTLS(*certFile, *keyFile)
-		default:
-			cfg, err := tlsutil.ServerConfig(*listen)
-			if err != nil {
-				httpErr <- fmt.Errorf("generating certificate: %w", err)
-				return
-			}
-			srv.TLSConfig = cfg
-			fmt.Printf("dohsrv: https://%s%s (self-signed) -> zone %s via %s\n",
-				*listen, dohserver.DefaultPath, *zone, *upstream)
-			httpErr <- srv.ListenAndServeTLS("", "")
+	// TLS unless -plain: the -cert/-key pair, or a self-signed
+	// certificate for the listen host.
+	var tlsCfg *tls.Config
+	scheme, note := "http", ""
+	if !*plain {
+		scheme = "https"
+		var err error
+		if *certFile != "" {
+			var cert tls.Certificate
+			cert, err = tls.LoadX509KeyPair(*certFile, *keyFile)
+			tlsCfg = &tls.Config{Certificates: []tls.Certificate{cert}}
+		} else {
+			note = " (self-signed)"
+			tlsCfg, err = tlsutil.ServerConfig(*listen)
 		}
-	}()
+		if err != nil {
+			log.Fatalf("dohsrv: certificate: %v", err)
+		}
+	}
+	srv := dohserver.NewServer(httpHandler, tlsCfg)
+	if err := srv.ListenAndServe(*listen); err != nil {
+		log.Fatalf("dohsrv: %v", err)
+	}
+	fmt.Printf("dohsrv: %s://%s%s%s -> zone %s via %s\n", scheme, srv.Addr(), dohserver.DefaultPath, note, *zone, *upstream)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	select {
-	case err := <-httpErr:
-		log.Fatalf("dohsrv: %v", err)
-	case <-ctx.Done():
-	}
+	<-ctx.Done()
 	stop()
-	answerCache.Unwrap().Wait() // drain background refreshes
-	if st := answerCache.Unwrap().Stats(); *staleTTL > 0 || *prefetch > 0 {
+	answerCache.Wait() // drain background refreshes
+	if st := answerCache.Stats(); *staleTTL > 0 || *prefetch > 0 {
 		fmt.Printf("dohsrv: cache %d stale served, refresh %d ok / %d failed, %d prefetches\n",
 			st.StaleHits, st.Refreshes, st.RefreshFails, st.Prefetches)
 	}

@@ -133,11 +133,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	res := recursive.New(recursive.WrapCache(cache.New(cache.Config{
+	res := recursive.New(cache.New(cache.Config{
 		MaxEntries:        *cacheSize,
 		StaleTTL:          *staleTTL,
 		PrefetchThreshold: *prefetch,
-	})))
+	}))
 	var sm *smart.Resolver
 	switch {
 	case *roots != "":
@@ -196,8 +196,8 @@ func main() {
 	defer stop()
 	<-ctx.Done()
 	stop()
-	res.Cache().Unwrap().Wait() // drain background refreshes before reporting
-	st := res.Cache().Unwrap().Stats()
+	res.Cache().Wait() // drain background refreshes before reporting
+	st := res.Cache().Stats()
 	fmt.Printf("recursor: cache %d hits (%d negative, %d stale) / %d misses, %d evictions, shutting down\n",
 		st.Hits, st.NegativeHits, st.StaleHits, st.Misses, st.Evictions)
 	if *staleTTL > 0 || *prefetch > 0 {

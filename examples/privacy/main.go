@@ -69,7 +69,7 @@ func main() {
 	add(acom, "ns1.a.com.", dnswire.ARecord{Addr: acomIP})
 	add(acom, "very-private-subdomain.a.com.", dnswire.ARecord{Addr: netip.MustParseAddr("198.51.100.80")})
 	acomSrv := serve(acom)
-	defer acomSrv.Close()
+	defer acomSrv.Shutdown(context.Background())
 
 	com := authserver.NewZone("com.")
 	if err := com.SetSOA("ns1.gtld.com.", "h.gtld.com.", 1); err != nil {
@@ -80,7 +80,7 @@ func main() {
 	add(com, "a.com.", dnswire.NSRecord{NS: "ns1.a.com."})
 	add(com, "ns1.a.com.", dnswire.ARecord{Addr: acomIP})
 	comSrv := serve(com)
-	defer comSrv.Close()
+	defer comSrv.Shutdown(context.Background())
 
 	root := authserver.NewZone(".")
 	if err := root.SetSOA("ns1.root.", "h.root.", 1); err != nil {
@@ -91,7 +91,7 @@ func main() {
 	add(root, "com.", dnswire.NSRecord{NS: "ns1.gtld.com."})
 	add(root, "ns1.gtld.com.", dnswire.ARecord{Addr: comIP})
 	rootSrv := serve(root)
-	defer rootSrv.Close()
+	defer rootSrv.Shutdown(context.Background())
 
 	addrMap := map[netip.Addr]string{
 		rootIP: rootSrv.Addr(), comIP: comSrv.Addr(), acomIP: acomSrv.Addr(),
@@ -118,9 +118,9 @@ func main() {
 	fmt.Println("\n2. with QNAME minimization (RFC 7816):")
 	// Fresh servers to get clean logs.
 	rootSrvB, comSrvB, acomSrvB := serve(root), serve(com), serve(acom)
-	defer rootSrvB.Close()
-	defer comSrvB.Close()
-	defer acomSrvB.Close()
+	defer rootSrvB.Shutdown(context.Background())
+	defer comSrvB.Shutdown(context.Background())
+	defer acomSrvB.Shutdown(context.Background())
 	addrMapB := map[netip.Addr]string{
 		rootIP: rootSrvB.Addr(), comIP: comSrvB.Addr(), acomIP: acomSrvB.Addr(),
 	}

@@ -13,10 +13,8 @@ package main
 
 import (
 	"context"
-	"crypto/tls"
 	"fmt"
 	"log"
-	"net/http/httptest"
 	"net/netip"
 	"time"
 
@@ -25,6 +23,7 @@ import (
 	"repro/internal/dohclient"
 	"repro/internal/dohserver"
 	"repro/internal/recursive"
+	"repro/internal/tlsutil"
 )
 
 func main() {
@@ -43,25 +42,32 @@ func main() {
 	if err := auth.ListenAndServe("127.0.0.1:0"); err != nil {
 		log.Fatal(err)
 	}
-	defer auth.Close()
+	defer auth.Shutdown(context.Background())
 	fmt.Println("authoritative server:", auth.Addr())
 
 	// 2. Recursive resolver fronting it (the DoH backend).
 	res := recursive.New(nil)
 	res.AddZone("a.com.", &recursive.SocketUpstream{Addr: auth.Addr()})
 
-	// 3. RFC 8484 DoH server over TLS.
-	doh := httptest.NewTLSServer(dohserver.NewHandler(res).Mux())
-	defer doh.Close()
-	fmt.Println("DoH server:", doh.URL+dohserver.DefaultPath)
-
-	// 4. Resolve a unique name: cold, then over the warm connection.
-	client, err := dohclient.New(doh.URL+dohserver.DefaultPath,
-		&dohclient.Options{HTTPClient: doh.Client()})
+	// 3. RFC 8484 DoH server over TLS (1.3 is what the handshake below
+	// negotiates), on a self-signed certificate.
+	tlsCfg, err := tlsutil.ServerConfig("127.0.0.1")
 	if err != nil {
 		log.Fatal(err)
 	}
-	_ = tls.VersionTLS13 // the handshake below negotiates TLS 1.3
+	doh := dohserver.NewServer(dohserver.NewHandler(res).Mux(), tlsCfg)
+	if err := doh.ListenAndServe("127.0.0.1:0"); err != nil {
+		log.Fatal(err)
+	}
+	defer doh.Shutdown(context.Background())
+	url := "https://" + doh.Addr() + dohserver.DefaultPath
+	fmt.Println("DoH server:", url)
+
+	// 4. Resolve a unique name: cold, then over the warm connection.
+	client, err := dohclient.New(url, &dohclient.Options{InsecureTLS: true})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

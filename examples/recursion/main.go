@@ -51,7 +51,7 @@ func main() {
 	add(acom, "ns1.a.com.", 300, dnswire.ARecord{Addr: acomIP})
 	add(acom, "*.a.com.", 60, dnswire.ARecord{Addr: webIP})
 	acomSrv := serve(acom)
-	defer acomSrv.Close()
+	defer acomSrv.Shutdown(context.Background())
 
 	com := authserver.NewZone("com.")
 	if err := com.SetSOA("ns1.gtld.com.", "hostmaster.gtld.com.", 1); err != nil {
@@ -62,7 +62,7 @@ func main() {
 	add(com, "a.com.", 300, dnswire.NSRecord{NS: "ns1.a.com."})
 	add(com, "ns1.a.com.", 300, dnswire.ARecord{Addr: acomIP}) // glue
 	comSrv := serve(com)
-	defer comSrv.Close()
+	defer comSrv.Shutdown(context.Background())
 
 	root := authserver.NewZone(".")
 	if err := root.SetSOA("a.root-servers.test.", "hostmaster.root.", 1); err != nil {
@@ -73,7 +73,7 @@ func main() {
 	add(root, "com.", 300, dnswire.NSRecord{NS: "ns1.gtld.com."})
 	add(root, "ns1.gtld.com.", 300, dnswire.ARecord{Addr: comIP}) // glue
 	rootSrv := serve(root)
-	defer rootSrv.Close()
+	defer rootSrv.Shutdown(context.Background())
 
 	addrMap := map[netip.Addr]string{
 		rootIP: rootSrv.Addr(), comIP: comSrv.Addr(), acomIP: acomSrv.Addr(),
@@ -117,7 +117,7 @@ func main() {
 	r2, c2, a2 := queries()
 	fmt.Printf("  walk: root=%+d com=%+d a.com=%+d new queries (served from cache)\n", r2-r, c2-c, a2-a)
 
-	hits, misses := res.Cache().Stats()
-	fmt.Printf("\nresolver cache: %d hit, %d miss — the paper's UUID methodology\n", hits, misses)
+	st := res.Cache().Stats()
+	fmt.Printf("\nresolver cache: %d hit, %d miss — the paper's UUID methodology\n", st.Hits, st.Misses)
 	fmt.Println("forces the miss path above for every single measurement.")
 }

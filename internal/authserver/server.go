@@ -73,7 +73,7 @@ const DefaultQueryLogLimit = 1 << 16
 func NewServer(zone *Zone) *Server { return &Server{Zone: zone} }
 
 // ListenAndServe binds UDP and TCP on addr (e.g. "127.0.0.1:0") and
-// serves until Shutdown or Close. It returns once both listeners are
+// serves until Shutdown. It returns once both listeners are
 // accepting, so callers can immediately query Addr(). With an
 // ephemeral port, the engine retries until a matching UDP/TCP port
 // pair lines up.
@@ -108,17 +108,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return nil
 	}
 	return s.engine.Shutdown(ctx)
-}
-
-// Close force-stops the listeners without draining.
-//
-// Deprecated: prefer Shutdown (graceful) or Serve with a cancellable
-// context; Close remains for callers of the original bare lifecycle.
-func (s *Server) Close() error {
-	if s.engine == nil {
-		return nil
-	}
-	return s.engine.Close()
 }
 
 // QueryLog returns a snapshot of the query log, oldest first. When

@@ -112,7 +112,7 @@ func TestServerUDPEndToEnd(t *testing.T) {
 	if err := s.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatalf("ListenAndServe: %v", err)
 	}
-	defer s.Close()
+	defer s.Shutdown(context.Background())
 
 	var c dnsclient.Client
 	resp, rtt, err := c.Query(context.Background(), s.Addr(), "www.a.com.", dnswire.TypeA)
@@ -135,7 +135,7 @@ func TestServerCNAMEChainInResponse(t *testing.T) {
 	if err := s.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer s.Shutdown(context.Background())
 	var c dnsclient.Client
 	resp, _, err := c.Query(context.Background(), s.Addr(), "alias.a.com.", dnswire.TypeA)
 	if err != nil {
@@ -157,7 +157,7 @@ func TestServerNXDomainCarriesSOA(t *testing.T) {
 	if err := s.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer s.Shutdown(context.Background())
 	var c dnsclient.Client
 	// Note: the zone has a wildcard, so use a name *above* it.
 	resp, _, err := c.Query(context.Background(), s.Addr(), "a.com.", dnswire.TypeMX)
@@ -188,7 +188,7 @@ func TestServerTCPFallbackOnTruncation(t *testing.T) {
 	if err := s.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer s.Shutdown(context.Background())
 	var c dnsclient.Client
 	resp, _, err := c.Query(context.Background(), s.Addr(), "fat.a.com.", dnswire.TypeTXT)
 	if err != nil {
@@ -207,7 +207,7 @@ func TestServerQueryLogRecordsSources(t *testing.T) {
 	if err := s.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer s.Shutdown(context.Background())
 	var c dnsclient.Client
 	for i := 0; i < 3; i++ {
 		if _, _, err := c.Query(context.Background(), s.Addr(), "www.a.com.", dnswire.TypeA); err != nil {
@@ -288,7 +288,7 @@ func TestServerRefusesForeignZone(t *testing.T) {
 	if err := s.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer s.Shutdown(context.Background())
 	var c dnsclient.Client
 	resp, _, err := c.Query(context.Background(), s.Addr(), "www.elsewhere.net.", dnswire.TypeA)
 	if err != nil {
@@ -317,7 +317,7 @@ func TestServerUDPRateLimited(t *testing.T) {
 	if err := s.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer s.Shutdown(context.Background())
 	c := dnsclient.Client{Timeout: 300 * time.Millisecond, Retries: 0}
 	okCount, limited := 0, 0
 	for i := 0; i < 6; i++ {

@@ -196,7 +196,7 @@ func TestAXFREndToEnd(t *testing.T) {
 	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	defer srv.Shutdown(context.Background())
 
 	got, err := RequestAXFR(context.Background(), srv.Addr(), "a.com.")
 	if err != nil {
@@ -234,7 +234,7 @@ func TestAXFRRefusedOverUDP(t *testing.T) {
 	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	defer srv.Shutdown(context.Background())
 	var c dnsclient.Client
 	q := dnswire.NewQuery(1, "a.com.", TypeAXFR)
 	resp, _, err := c.Exchange(context.Background(), srv.Addr(), q)

@@ -380,9 +380,9 @@ func TestInstrumentMirrorsCounters(t *testing.T) {
 	c.Put("a.z.", dnswire.TypeA, answer("a.z.", 60))
 	c.Get("a.z.", dnswire.TypeA) // hit
 	c.Put("neg.z.", dnswire.TypeA, negative("neg.z.", 3600, 60))
-	c.Get("neg.z.", dnswire.TypeA) // negative hit
-	c.Put("b.z.", dnswire.TypeA, answer("b.z.", 60))  // evicts a.z.
-	c.Put("c.z.", dnswire.TypeA, answer("c.z.", 60))  // evicts neg.z.
+	c.Get("neg.z.", dnswire.TypeA)                   // negative hit
+	c.Put("b.z.", dnswire.TypeA, answer("b.z.", 60)) // evicts a.z.
+	c.Put("c.z.", dnswire.TypeA, answer("c.z.", 60)) // evicts neg.z.
 
 	want := map[string]int64{
 		"cache_hits_total":                2,

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -126,5 +127,23 @@ func TestPutAllocatesTheEntryOnly(t *testing.T) {
 	}
 	if st := c.Stats(); st.Evictions == 0 {
 		t.Error("the measured inserts never evicted")
+	}
+}
+
+// TestDoAloneAllocatesTheFlightOnly: the channel waiters park on is
+// made by the first of them, so a Do nobody joins — nearly every miss —
+// costs the flight and no channel. It was two.
+func TestDoAloneAllocatesTheFlightOnly(t *testing.T) {
+	c, _ := newTestCache(64)
+	msg := answer("alone.a.com.", 60)
+	fn := func() (*dnswire.Message, error) { return msg, nil }
+	ctx := context.Background()
+	n := testing.AllocsPerRun(400, func() {
+		if got, shared, err := c.Do(ctx, "alone.a.com.", dnswire.TypeA, fn); got != msg || shared || err != nil {
+			t.Fatalf("Do = %v, %v, %v", got, shared, err)
+		}
+	})
+	if n > 1 {
+		t.Errorf("Do with no waiter: %.1f allocs, want 1", n)
 	}
 }

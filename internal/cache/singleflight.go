@@ -7,7 +7,9 @@ import (
 )
 
 // flight is one in-progress resolution shared by every concurrent
-// caller asking for the same key.
+// caller asking for the same key. done is made by the first waiter,
+// under flightMu: a miss nobody else asks for — nearly every one —
+// never builds a channel.
 type flight struct {
 	done chan struct{}
 	msg  *dnswire.Message
@@ -29,26 +31,33 @@ func (c *Cache) Do(ctx context.Context, name dnswire.Name, typ dnswire.Type, fn 
 	k := key{name.Canonical(), typ}
 	c.flightMu.Lock()
 	if f, ok := c.inflight[k]; ok {
+		if f.done == nil {
+			f.done = make(chan struct{})
+		}
+		done := f.done
 		c.flightMu.Unlock()
 		c.shared.Add(1)
 		if inst := c.inst; inst != nil {
 			inst.shared.Inc()
 		}
 		select {
-		case <-f.done:
+		case <-done:
 			return f.msg, true, f.err
 		case <-ctx.Done():
 			return nil, true, ctx.Err()
 		}
 	}
-	f := &flight{done: make(chan struct{})}
+	f := &flight{}
 	c.inflight[k] = f
 	c.flightMu.Unlock()
 
 	f.msg, f.err = fn()
 	c.flightMu.Lock()
 	delete(c.inflight, k)
+	done := f.done
 	c.flightMu.Unlock()
-	close(f.done)
+	if done != nil {
+		close(done)
+	}
 	return f.msg, false, f.err
 }

@@ -112,9 +112,6 @@ func Open(dir, key string) (*Journal, error) {
 	return &Journal{dir: dir, key: key}, nil
 }
 
-// Dir returns the journal directory.
-func (j *Journal) Dir() string { return j.dir }
-
 // path maps a record name to its file. Names are restricted to a
 // conservative character set so they cannot traverse out of dir.
 func (j *Journal) path(name string) (string, error) {

@@ -52,7 +52,7 @@ func newRealStack(t *testing.T) *realStack {
 	if err := auth.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { auth.Close() })
+	t.Cleanup(func() { auth.Shutdown(context.Background()) })
 
 	res := recursive.New(nil)
 	res.AddZone("a.com.", &recursive.SocketUpstream{Addr: auth.Addr()})
@@ -60,7 +60,7 @@ func newRealStack(t *testing.T) *realStack {
 	if err := rec.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { rec.Close() })
+	t.Cleanup(func() { rec.Shutdown(context.Background()) })
 
 	web := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)

@@ -8,8 +8,11 @@ package dohserver
 
 import (
 	"context"
+	"crypto/tls"
 	"encoding/base64"
+	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -245,4 +248,76 @@ func (h *Handler) Mux() *http.ServeMux {
 	mux.Handle(DefaultPath, h)
 	mux.HandleFunc(JSONPath, h.ServeJSON)
 	return mux
+}
+
+// Timeout bounds the read of one request and the write of one response
+// on a Server's connections.
+const Timeout = 15 * time.Second
+
+// Server runs an http.Handler (usually a Handler's Mux) on net/http with
+// the lifecycle of the Do53 and DoT fronts: NewServer, ListenAndServe,
+// Addr, then Serve(ctx) or Shutdown(ctx).
+type Server struct {
+	http *http.Server
+	addr string        // "" until ListenAndServe
+	done chan struct{} // closed when the accept loop has returned
+	err  error         // what it returned; read after done
+}
+
+// NewServer serves h over TLS with cfg, which must carry a certificate,
+// or over plain HTTP when cfg is nil.
+func NewServer(h http.Handler, cfg *tls.Config) *Server {
+	return &Server{http: &http.Server{Handler: h, TLSConfig: cfg, ReadTimeout: Timeout, WriteTimeout: Timeout}}
+}
+
+// ListenAndServe binds addr and serves until Shutdown. It returns once
+// the listener accepts, so Addr is valid and clients may connect.
+func (s *Server) ListenAndServe(addr string) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	s.addr, s.done = ln.Addr().String(), make(chan struct{})
+	go func() {
+		defer close(s.done)
+		if s.http.TLSConfig != nil {
+			s.err = s.http.ServeTLS(ln, "", "")
+		} else {
+			s.err = s.http.Serve(ln)
+		}
+	}()
+	return nil
+}
+
+// Addr returns the bound address, or "" before ListenAndServe.
+func (s *Server) Addr() string { return s.addr }
+
+// Serve blocks until ctx is cancelled, then drains gracefully; should
+// serving stop by itself first, it returns the cause. Call after
+// ListenAndServe.
+func (s *Server) Serve(ctx context.Context) error {
+	select {
+	case <-ctx.Done():
+		return s.Shutdown(context.Background())
+	case <-s.done:
+		if errors.Is(s.err, http.ErrServerClosed) {
+			return nil // a Shutdown elsewhere
+		}
+		return s.err
+	}
+}
+
+// Shutdown stops accepting at once and lets requests in flight complete;
+// if ctx expires first it closes the connections left and returns ctx's
+// error. It is idempotent, and a no-op before ListenAndServe.
+func (s *Server) Shutdown(ctx context.Context) error {
+	if s.done == nil {
+		return nil
+	}
+	err := s.http.Shutdown(ctx)
+	if err != nil {
+		s.http.Close()
+	}
+	<-s.done
+	return err
 }

@@ -177,13 +177,9 @@ func (c *Client) closeLocked() {
 	}
 }
 
-// Handler answers decoded DNS queries on behalf of the server. A
-// *recursive.Resolver satisfies it structurally; declaring the
-// interface here keeps this package free of a dependency on the
-// recursion layer (which the unified resolver API sits below).
-type Handler interface {
-	Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error)
-}
+// Handler answers decoded DNS queries on behalf of the server: what
+// serve.Answer fronts. A *recursive.Resolver satisfies it structurally.
+type Handler = serve.Resolver
 
 // Server serves DoT by delegating to a Handler (typically a caching
 // recursive resolver). Accept loops, TLS, framing, idle deadlines,
@@ -212,13 +208,17 @@ func NewServer(res Handler, cfg *tls.Config) *Server {
 	return &Server{Resolver: res, TLSConfig: cfg}
 }
 
-// ListenAndServe binds addr and serves until Shutdown or Close.
+// ListenAndServe binds addr and serves until Shutdown.
 func (s *Server) ListenAndServe(addr string) error {
 	if s.TLSConfig == nil || len(s.TLSConfig.Certificates) == 0 && s.TLSConfig.GetCertificate == nil {
 		return errors.New("dot: server needs a TLS certificate")
 	}
 	engine, err := serve.New(addr, serve.Options{
-		Stream:            serve.StreamHandlerFunc(s.serveMessage),
+		// Unparseable input closes the connection (serve.Answer's nil
+		// response), matching RFC 7858 server behavior.
+		Stream: serve.StreamHandlerFunc(func(ctx context.Context, out, raw []byte, _ net.Addr) ([]byte, error) {
+			return serve.Answer(ctx, s.Resolver, out, raw, serve.MaxStreamPayload)
+		}),
 		TLSConfig:         s.TLSConfig,
 		Listeners:         s.Listeners,
 		QueryTimeout:      10 * time.Second,
@@ -246,39 +246,4 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return nil
 	}
 	return s.engine.Shutdown(ctx)
-}
-
-// Close force-stops the listener and connections without draining.
-//
-// Deprecated: prefer Shutdown (graceful) or Serve with a cancellable
-// context; Close remains for callers of the original bare lifecycle.
-func (s *Server) Close() error {
-	if s.engine == nil {
-		return nil
-	}
-	return s.engine.Close()
-}
-
-// serveMessage answers one framed query; returning nil closes the
-// connection (unparseable input), matching RFC 7858 server behavior.
-func (s *Server) serveMessage(ctx context.Context, out, raw []byte, _ net.Addr) ([]byte, error) {
-	// The decode target is pooled; the resolver's response is never
-	// pooled — caches may retain it.
-	q := dnswire.GetMessage()
-	defer dnswire.PutMessage(q)
-	if err := dnswire.UnpackInto(raw, q); err != nil ||
-		q.Header.Response || len(q.Questions) == 0 {
-		return nil, nil
-	}
-	resp, err := s.Resolver.Resolve(ctx, q)
-	if err != nil {
-		resp = q.Reply()
-		resp.Header.RCode = dnswire.RCodeServFail
-		resp.Header.RecursionAvailable = true
-	}
-	wire, err := resp.AppendPack(out)
-	if err != nil {
-		return nil, nil
-	}
-	return wire, nil
 }

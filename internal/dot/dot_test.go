@@ -31,7 +31,7 @@ func testServer(t *testing.T) *Server {
 	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { srv.Close() })
+	t.Cleanup(func() { srv.Shutdown(context.Background()) })
 	return srv
 }
 
@@ -112,7 +112,7 @@ func TestServFail(t *testing.T) {
 	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	defer srv.Shutdown(context.Background())
 	c := &Client{Addr: srv.Addr(), TLSConfig: tlsutil.InsecureClientConfig()}
 	defer c.Close()
 	resp, _, err := c.Query(context.Background(), "f.a.com.", dnswire.TypeA)

@@ -1,3 +1,16 @@
+// Package netsim is the model of the global Internet that the paper
+// measured through the BrightData proxy network: endpoints have
+// geographic positions and country attributes, and link delays come
+// from a calibrated latency model (propagation at fiber speed with path
+// inflation, residential last-mile penalties derived from each
+// country's broadband quality, and lognormal jitter). A Path is one
+// session's route through it, and Handshake is the table of round trips
+// each transport pays before its first query.
+//
+// Delays are drawn from a caller-supplied seeded source, not waited
+// for, so campaigns covering tens of thousands of clients run in
+// milliseconds of wall-clock time and are fully reproducible from a
+// seed.
 package netsim
 
 import (

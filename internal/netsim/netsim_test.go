@@ -10,85 +10,6 @@ import (
 	"repro/internal/world"
 )
 
-func TestEngineRunsInTimeOrder(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	e.At(30*time.Millisecond, func() { order = append(order, 3) })
-	e.At(10*time.Millisecond, func() { order = append(order, 1) })
-	e.At(20*time.Millisecond, func() { order = append(order, 2) })
-	e.Run()
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("order = %v", order)
-	}
-	if e.Now() != 30*time.Millisecond {
-		t.Errorf("Now = %v", e.Now())
-	}
-	if e.Processed() != 3 {
-		t.Errorf("Processed = %d", e.Processed())
-	}
-}
-
-func TestEngineFIFOForTies(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		e.At(5*time.Millisecond, func() { order = append(order, i) })
-	}
-	e.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("tie order = %v", order)
-		}
-	}
-}
-
-func TestEngineNestedScheduling(t *testing.T) {
-	e := NewEngine()
-	var times []time.Duration
-	e.At(10*time.Millisecond, func() {
-		times = append(times, e.Now())
-		e.At(5*time.Millisecond, func() {
-			times = append(times, e.Now())
-		})
-	})
-	e.Run()
-	if len(times) != 2 || times[0] != 10*time.Millisecond || times[1] != 15*time.Millisecond {
-		t.Fatalf("times = %v", times)
-	}
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	ran := 0
-	e.At(10*time.Millisecond, func() { ran++ })
-	e.At(50*time.Millisecond, func() { ran++ })
-	e.RunUntil(20 * time.Millisecond)
-	if ran != 1 {
-		t.Fatalf("ran = %d, want 1", ran)
-	}
-	if e.Now() != 20*time.Millisecond {
-		t.Errorf("Now = %v", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Errorf("Pending = %d", e.Pending())
-	}
-	e.Run()
-	if ran != 2 || e.Now() != 50*time.Millisecond {
-		t.Errorf("after Run: ran=%d now=%v", ran, e.Now())
-	}
-}
-
-func TestEngineNegativeDelayClamped(t *testing.T) {
-	e := NewEngine()
-	ran := false
-	e.At(-5*time.Millisecond, func() { ran = true })
-	e.Run()
-	if !ran || e.Now() != 0 {
-		t.Errorf("ran=%v now=%v", ran, e.Now())
-	}
-}
-
 func residential(code string) Endpoint {
 	ct := world.MustByCode(code)
 	return Endpoint{Pos: ct.Centroid, Country: ct, Residential: true}
@@ -170,106 +91,5 @@ func TestRTTPropertyNonNegative(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestNetworkSendDelivers(t *testing.T) {
-	n := NewNetwork(42)
-	var got []string
-	a := &Node{Name: "a", Endpoint: residential("BR")}
-	b := &Node{Name: "b", Endpoint: datacenter(world.MustByCode("US").Centroid),
-		Handler: func(net *Network, msg Message) {
-			got = append(got, msg.Kind)
-			if msg.From.Name != "a" {
-				t.Errorf("From = %v", msg.From)
-			}
-		}}
-	if err := n.AddNode(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.AddNode(b); err != nil {
-		t.Fatal(err)
-	}
-	n.Send(a, b, Message{Kind: "ping"})
-	n.Engine.Run()
-	if len(got) != 1 || got[0] != "ping" {
-		t.Fatalf("got = %v", got)
-	}
-	if n.Engine.Now() <= 0 {
-		t.Error("delivery took zero virtual time")
-	}
-	if n.Delivered() != 1 {
-		t.Errorf("Delivered = %d", n.Delivered())
-	}
-}
-
-func TestNetworkDuplicateNodeRejected(t *testing.T) {
-	n := NewNetwork(1)
-	if err := n.AddNode(&Node{Name: "x"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.AddNode(&Node{Name: "x"}); err == nil {
-		t.Fatal("duplicate accepted")
-	}
-	if err := n.AddNode(&Node{}); err == nil {
-		t.Fatal("empty name accepted")
-	}
-	if _, ok := n.Node("x"); !ok {
-		t.Error("Node lookup failed")
-	}
-	if n.NumNodes() != 1 {
-		t.Errorf("NumNodes = %d", n.NumNodes())
-	}
-}
-
-func TestNetworkCallMeasuresRTTPlusService(t *testing.T) {
-	n := NewNetwork(3)
-	n.Model.JitterSigma = 0
-	n.Model.LossProb = 0
-	a := &Node{Name: "client", Endpoint: residential("IT")}
-	b := &Node{Name: "server", Endpoint: datacenter(world.MustByCode("US").Centroid)}
-	service := 25 * time.Millisecond
-	var measured time.Duration
-	n.Call(a, b, service, func(rtt time.Duration) { measured = rtt })
-	n.Engine.Run()
-	want := n.Model.MeanRTT(a.Endpoint, b.Endpoint) + service
-	if measured != want {
-		t.Errorf("Call rtt = %v, want %v", measured, want)
-	}
-	if n.Engine.Now() != want {
-		t.Errorf("virtual time = %v, want %v", n.Engine.Now(), want)
-	}
-}
-
-func TestNetworkDeterministicAcrossRuns(t *testing.T) {
-	run := func() time.Duration {
-		n := NewNetwork(99)
-		a := &Node{Name: "a", Endpoint: residential("NG")}
-		b := &Node{Name: "b", Endpoint: datacenter(world.MustByCode("GB").Centroid)}
-		var total time.Duration
-		for i := 0; i < 50; i++ {
-			n.Call(a, b, 0, func(rtt time.Duration) { total += rtt })
-		}
-		n.Engine.Run()
-		return total
-	}
-	if r1, r2 := run(), run(); r1 != r2 {
-		t.Fatalf("non-deterministic: %v vs %v", r1, r2)
-	}
-}
-
-func TestSendAfterAddsProcessingDelay(t *testing.T) {
-	n := NewNetwork(5)
-	n.Model.JitterSigma = 0
-	n.Model.LossProb = 0
-	a := &Node{Name: "a", Endpoint: datacenter(geo.Point{Lat: 0, Lon: 0})}
-	var deliveredAt time.Duration
-	b := &Node{Name: "b", Endpoint: datacenter(geo.Point{Lat: 0, Lon: 0}),
-		Handler: func(net *Network, msg Message) { deliveredAt = net.Engine.Now() }}
-	n.SendAfter(40*time.Millisecond, a, b, Message{Kind: "x"})
-	n.Engine.Run()
-	oneWay := n.Model.MeanOneWay(a.Endpoint, b.Endpoint)
-	if deliveredAt != 40*time.Millisecond+oneWay {
-		t.Errorf("delivered at %v, want %v", deliveredAt, 40*time.Millisecond+oneWay)
 	}
 }

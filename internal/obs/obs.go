@@ -1,8 +1,6 @@
 // Package obs is the measurement harness's observability layer: a
 // dependency-free metrics registry (atomic counters, gauges, and
-// fixed-bucket latency histograms with quantile snapshots) plus a
-// trace-event recorder that captures the paper's 22-step Figure-2
-// timeline per measurement (trace.go).
+// fixed-bucket latency histograms with quantile snapshots).
 //
 // The paper's whole contribution is recovering per-phase timing from
 // opaque observables; this package gives our own stack the same
@@ -33,10 +31,6 @@ import (
 
 // Counter is a monotonically increasing counter. The zero value is
 // ready to use; all methods are safe for concurrent use.
-//
-// It is implemented over a plain int64 (not atomic.Int64) so Raw can
-// hand the underlying word to foreign counting hooks such as
-// netsim.LatencyModel.LossCounter.
 type Counter struct{ v int64 }
 
 // Add increments the counter by n (n < 0 is ignored; counters are
@@ -53,11 +47,6 @@ func (c *Counter) Inc() { atomic.AddInt64(&c.v, 1) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return atomic.LoadInt64(&c.v) }
-
-// Raw exposes the counter's underlying word for code that counts
-// through a *int64 hook (e.g. the latency model's loss counter). The
-// pointer must only be written with atomic operations.
-func (c *Counter) Raw() *int64 { return &c.v }
 
 // Gauge is a value that can go up and down (stored as float64 bits).
 // The zero value is ready to use.

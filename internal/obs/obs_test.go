@@ -28,15 +28,6 @@ func TestCounterGauge(t *testing.T) {
 	}
 }
 
-func TestCounterRawSharesStorage(t *testing.T) {
-	c := &Counter{}
-	p := c.Raw()
-	*p = 7 // foreign hook writes (atomically in real use)
-	if got := c.Value(); got != 7 {
-		t.Fatalf("counter = %d after Raw write, want 7", got)
-	}
-}
-
 func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat", []time.Duration{

@@ -101,15 +101,12 @@ func (s *Sim) chaosDraw() chaosEvent {
 	switch {
 	case u < reset:
 		atomic.AddInt64(&s.stats.chaosResets, 1)
-		s.instr.recordChaos(chaosReset)
 		return chaosReset
 	case u < churn:
 		atomic.AddInt64(&s.stats.chaosChurns, 1)
-		s.instr.recordChaos(chaosChurn)
 		return chaosChurn
 	case u < corrupt:
 		atomic.AddInt64(&s.stats.chaosCorrupts, 1)
-		s.instr.recordChaos(chaosCorrupt)
 		return chaosCorrupt
 	}
 	return chaosNone

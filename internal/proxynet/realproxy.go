@@ -144,15 +144,15 @@ func (p *RealProxy) handle(conn net.Conn) {
 	if err != nil {
 		if lr.N <= 0 {
 			// The request hit the header cap, not a genuine EOF.
-			io.WriteString(conn, "HTTP/1.1 431 Request Header Fields Too Large\r\nContent-Length: 0\r\n\r\n")
 			p.instr.reject()
+			io.WriteString(conn, "HTTP/1.1 431 Request Header Fields Too Large\r\nContent-Length: 0\r\n\r\n")
 		}
 		return
 	}
 	if req.Method != http.MethodConnect {
 		resp := "HTTP/1.1 405 Method Not Allowed\r\nContent-Length: 0\r\n\r\n"
-		io.WriteString(conn, resp)
 		p.instr.reject()
+		io.WriteString(conn, resp)
 		return
 	}
 
@@ -162,8 +162,8 @@ func (p *RealProxy) handle(conn net.Conn) {
 	}
 	host, port, err := net.SplitHostPort(req.Host)
 	if err != nil {
-		io.WriteString(conn, "HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n")
 		p.instr.reject()
+		io.WriteString(conn, "HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n")
 		return
 	}
 	proc := time.Since(procStart)
@@ -173,15 +173,15 @@ func (p *RealProxy) handle(conn net.Conn) {
 	target := host
 	if _, err := netip.ParseAddr(host); err != nil {
 		if p.ResolverAddr == "" {
-			io.WriteString(conn, "HTTP/1.1 502 Bad Gateway\r\nContent-Length: 0\r\n\r\n")
 			p.instr.reject()
+			io.WriteString(conn, "HTTP/1.1 502 Bad Gateway\r\nContent-Length: 0\r\n\r\n")
 			return
 		}
 		addr, dur, rerr := p.resolve(host)
 		dnsDur = dur
 		if rerr != nil {
-			io.WriteString(conn, "HTTP/1.1 502 Bad Gateway\r\nContent-Length: 0\r\n\r\n")
 			p.instr.reject()
+			io.WriteString(conn, "HTTP/1.1 502 Bad Gateway\r\nContent-Length: 0\r\n\r\n")
 			return
 		}
 		target = addr.String()
@@ -190,8 +190,8 @@ func (p *RealProxy) handle(conn net.Conn) {
 	connectStart := time.Now()
 	upstream, err := p.Dialer.Dial("tcp", net.JoinHostPort(target, port))
 	if err != nil {
-		io.WriteString(conn, "HTTP/1.1 502 Bad Gateway\r\nContent-Length: 0\r\n\r\n")
 		p.instr.reject()
+		io.WriteString(conn, "HTTP/1.1 502 Bad Gateway\r\nContent-Length: 0\r\n\r\n")
 		return
 	}
 	defer upstream.Close()

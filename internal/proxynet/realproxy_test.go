@@ -125,7 +125,7 @@ func TestRealProxyResolvesHostnames(t *testing.T) {
 	if err := dns.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	defer dns.Close()
+	defer dns.Shutdown(context.Background())
 
 	p := startProxy(t, dns.Addr())
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

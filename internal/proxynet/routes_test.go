@@ -72,7 +72,7 @@ func TestExitNodeCachesRouteMeans(t *testing.T) {
 
 // Once a node's PoPs are assigned, a measurement is its random draws:
 // no closure, no event heap, no distance or country lookup, and so no
-// allocation on an uninstrumented simulator.
+// allocation.
 func TestMeasureAllocationFree(t *testing.T) {
 	sim := NewSim(22)
 	node, err := sim.SelectExitNode("BR")

@@ -89,7 +89,6 @@ func (s *Sim) MeasureSession(tr Transport, node *ExitNode, pid anycast.ProviderI
 	if s.Rand.Float64() < sessionProfiles[tr].blockProb {
 		obs.Blocked = true
 		atomic.AddInt64(&s.stats.blocked[tr], 1)
-		s.instr.recordSession(tr, true, gt)
 		return obs, gt
 	}
 	provider := s.Providers[pid]
@@ -122,6 +121,5 @@ func (s *Sim) MeasureSession(tr Transport, node *ExitNode, pid anycast.ProviderI
 
 	gt.First = dns + connect + crypto + req
 	gt.Reused = req
-	s.instr.recordSession(tr, false, gt)
 	return obs, gt
 }

@@ -24,7 +24,7 @@ import (
 // ExitNode), so Lab, Providers and the geometry fields of Model — every
 // field but JitterSigma, PacketSigma and the Loss* ones, which each
 // measurement reads afresh — must be set before SelectExitNode, as
-// EnableChaos and Instrument must precede the first measurement.
+// EnableChaos must precede the first measurement.
 type Sim struct {
 	// Model is the latency model shared by every session.
 	Model netsim.LatencyModel
@@ -55,11 +55,6 @@ type Sim struct {
 	// assignScratch is PoP assignment's work space, reused across nodes.
 	assignScratch anycast.AssignScratch
 	stats         simCounters
-	// lossPtr is the live loss-event cell: &stats.lossEvents by
-	// default, redirected to a registry counter by Instrument.
-	lossPtr *int64
-	// instr holds the observability handles; nil until Instrument.
-	instr *simInstruments
 	// chaos holds the armed failure injector; nil until EnableChaos.
 	chaos *chaosState
 }
@@ -111,7 +106,7 @@ type SimStats struct {
 // Stats returns a snapshot of the simulator's event counters.
 func (s *Sim) Stats() SimStats {
 	return SimStats{
-		LossEvents:             atomic.LoadInt64(s.lossPtr),
+		LossEvents:             atomic.LoadInt64(&s.stats.lossEvents),
 		DoTBlocked:             atomic.LoadInt64(&s.stats.blocked[DoT]),
 		DoQBlocked:             atomic.LoadInt64(&s.stats.blocked[DoQ]),
 		ExitNodes:              atomic.LoadInt64(&s.stats.exitNodes),
@@ -138,8 +133,7 @@ func NewSim(seed int64) *Sim {
 		Lab:       netsim.Endpoint{Pos: labPosition, Country: world.MustByCode("US")},
 		Alloc:     geoip.NewAllocator(0),
 	}
-	s.lossPtr = &s.stats.lossEvents
-	s.Model.LossCounter = s.lossPtr
+	s.Model.LossCounter = &s.stats.lossEvents
 	for _, ct := range world.SuperProxyCountries() {
 		s.superProxies = append(s.superProxies, netsim.Endpoint{
 			Pos: ct.Centroid, Country: ct,
@@ -496,9 +490,8 @@ func (s *Sim) MeasureDoH(node *ExitNode, pid anycast.ProviderID, queryName strin
 		t[11] + t[12] +
 		t[17] + t[18] + t[19] + t[20]
 	gt.TDoHR = t[17] + t[18] + t[19] + t[20]
-	s.instr.recordDoH(pid, queryName, obs, gt)
 	// Chaos corrupts only what the client gets to see; ground truth
-	// and the instruments above already recorded what really happened.
+	// keeps what really happened.
 	return s.applyChaosDoH(obs), gt
 }
 
@@ -554,7 +547,6 @@ func (s *Sim) MeasureDo53(node *ExitNode, queryName string) (Do53Observation, Do
 			Connect: s.Model.PathFromMean(s.Rand, node.meanSL).RTT(s.Rand),
 		}
 		obs.ViaSuperProxy = true
-		s.instr.recordDo53(true, gt)
 		return s.applyChaosDo53(obs), gt
 	}
 
@@ -562,6 +554,5 @@ func (s *Sim) MeasureDo53(node *ExitNode, queryName string) (Do53Observation, Do
 		DNS:     trueDo53,
 		Connect: s.Model.PathFromMean(s.Rand, node.meanEL).RTT(s.Rand),
 	}
-	s.instr.recordDo53(false, gt)
 	return s.applyChaosDo53(obs), gt
 }

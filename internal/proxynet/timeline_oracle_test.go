@@ -13,9 +13,10 @@ import (
 )
 
 // measureDoHEventTimeline is MeasureDoH as it stood before the
-// straight-line rewrite, verbatim: 22 nested closures scheduled on a
-// netsim.Engine, every route mean and both PoP distances recomputed
-// from positions. It is the reference MeasureDoH is held to.
+// straight-line rewrite, verbatim: 22 nested closures scheduled on the
+// event engine of engine_test.go, every route mean and both PoP
+// distances recomputed from positions. It is the reference MeasureDoH
+// is held to.
 func (s *Sim) measureDoHEventTimeline(node *ExitNode, pid anycast.ProviderID, queryName string) (DoHObservation, DoHGroundTruth) {
 	atomic.AddInt64(&s.stats.dohMeasurements, 1)
 	provider := s.Providers[pid]
@@ -37,7 +38,7 @@ func (s *Sim) measureDoHEventTimeline(node *ExitNode, pid anycast.ProviderID, qu
 
 	proxy := s.sampleProxyTimeline()
 
-	eng := netsim.NewEngine()
+	eng := newEngine()
 	var obs DoHObservation
 	obs.Provider = pid
 	obs.QueryName = queryName
@@ -130,9 +131,8 @@ func (s *Sim) measureDoHEventTimeline(node *ExitNode, pid anycast.ProviderID, qu
 		gt.Steps[11] + gt.Steps[12] +
 		gt.Steps[17] + gt.Steps[18] + gt.Steps[19] + gt.Steps[20]
 	gt.TDoHR = gt.Steps[17] + gt.Steps[18] + gt.Steps[19] + gt.Steps[20]
-	s.instr.recordDoH(pid, queryName, obs, gt)
 	// Chaos corrupts only what the client gets to see; ground truth
-	// and the instruments above already recorded what really happened.
+	// keeps what really happened.
 	return s.applyChaosDoH(obs), gt
 }
 

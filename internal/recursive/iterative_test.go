@@ -34,7 +34,7 @@ func startHierarchy(t *testing.T) *hierarchy {
 		if err := s.ListenAndServe("127.0.0.1:0"); err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { s.Close() })
+		t.Cleanup(func() { s.Shutdown(context.Background()) })
 		return s
 	}
 
@@ -267,7 +267,7 @@ func TestIterativeLameDelegation(t *testing.T) {
 	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	defer srv.Shutdown(context.Background())
 
 	it := &Iterative{
 		Roots:        []string{srv.Addr()},

@@ -40,7 +40,7 @@ func cannedNames(n int) ([]dnswire.Name, cannedZone) {
 // list element, the Labels() split and the leader's private copy.
 func TestResolveMissAllocBudget(t *testing.T) {
 	names, zone := cannedNames(2048)
-	r := New(WrapCache(cache.New(cache.Config{MaxEntries: 256})))
+	r := New(cache.New(cache.Config{MaxEntries: 256}))
 	r.AddZone("a.com.", zone)
 	r.AddZone("other.example.", UpstreamFunc(func(context.Context, *dnswire.Message) (*dnswire.Message, error) {
 		return nil, ErrNoUpstream
@@ -66,7 +66,7 @@ func TestResolveMissAllocBudget(t *testing.T) {
 	if n > budget {
 		t.Errorf("recursive miss: %.1f allocs, budget %d", n, budget)
 	}
-	st := r.Cache().Unwrap().Stats()
+	st := r.Cache().Stats()
 	if st.Hits != 0 || st.Evictions == 0 {
 		t.Errorf("measured path was not the evicting miss path: %+v", st)
 	}
@@ -77,7 +77,7 @@ func TestResolveMissAllocBudget(t *testing.T) {
 // enough to have its TTLs aged (copied once while ageing).
 func TestResolveHitAllocBudget(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
-	r := New(NewCache(64, func() time.Time { return now }))
+	r := New(cache.New(cache.Config{MaxEntries: 64, Clock: func() time.Time { return now }}))
 	r.SetDefault(cannedZone{"hit.a.com.": answer("hit.a.com.", 3600)})
 	ctx := context.Background()
 	q := dnswire.NewQuery(77, "hit.a.com.", dnswire.TypeA)
@@ -95,7 +95,7 @@ func TestResolveHitAllocBudget(t *testing.T) {
 			t.Errorf("hit aged %v = %v", age, resp)
 		}
 	}
-	if hits, _ := r.Cache().Stats(); hits == 0 {
+	if r.Cache().Stats().Hits == 0 {
 		t.Error("measured queries did not hit the cache")
 	}
 }
@@ -132,17 +132,8 @@ func TestForwardedAnswerIsNotCopiedAgain(t *testing.T) {
 		resp, err := r.Resolve(context.Background(), dnswire.NewQuery(200, "share.a.com.", dnswire.TypeA))
 		waiter <- result{resp, err}
 	}()
-	// The waiter is parked once the flight has a channel for it.
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		r.flightMu.Lock()
-		var parked bool
-		for _, f := range r.inflight {
-			parked = f.done != nil
-		}
-		r.flightMu.Unlock()
-		if parked {
-			break
-		}
+	// The waiter is counted once it has joined the flight.
+	for deadline := time.Now().Add(5 * time.Second); r.Cache().Stats().SharedFlights == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("waiter never joined the flight")
 		}

@@ -1,14 +1,22 @@
+// Package recursive implements a caching recursive resolver. In this
+// reproduction it plays two roles from the paper's world: the ISP
+// "default resolver" that answers exit nodes' Do53 queries, and the
+// backend recursion engine inside each DoH provider's point of
+// presence. Upstream resolution is pluggable so the resolver runs
+// both over real sockets and on the virtual network.
 package recursive
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"net/netip"
 	"sort"
 	"sync"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/dnsclient"
 	"repro/internal/dnswire"
 	"repro/internal/serve"
@@ -49,18 +57,15 @@ var ErrNoUpstream = errors.New("recursive: no upstream for query")
 // Resolver is a caching recursive resolver. Zones map suffixes to
 // upstreams (the longest matching suffix wins); Default handles
 // everything else. Concurrent cache misses for the same (name, type)
-// are deduplicated: one upstream query runs, everyone shares the
-// answer — the query-coalescing behaviour production resolvers use to
-// survive request storms.
+// are deduplicated by the cache's singleflight (cache.Do): one upstream
+// query runs, everyone shares the answer — the query-coalescing
+// behaviour production resolvers use to survive request storms.
 type Resolver struct {
-	cache *Cache
+	cache *cache.Cache
 	mu    sync.RWMutex
 	// zones is kept longest suffix first, so the first match wins.
 	zones           []zoneRoute
 	defaultUpstream Upstream
-
-	flightMu sync.Mutex
-	inflight map[flightKey]*flight
 
 	// QueryDelay, when set, is invoked once per cache miss and may
 	// inject artificial latency (virtual-network mode).
@@ -73,36 +78,24 @@ type zoneRoute struct {
 	up     Upstream
 }
 
-// flightKey identifies one deduplicated upstream resolution.
-type flightKey struct {
-	name dnswire.Name
-	typ  dnswire.Type
-}
-
-// flight is one in-progress upstream resolution shared by waiters.
-// done is made by the first waiter, under flightMu: a miss nobody else
-// asks for — nearly every one — never builds a channel.
-type flight struct {
-	done chan struct{}
-	resp *dnswire.Message
-	err  error
-}
-
-// New creates a resolver with the given cache (nil for a default one).
+// New creates a resolver on c (nil for a cache of the default size).
 // The resolver installs itself as the cache's refresher, so when the
 // cache is configured for serve-stale or prefetch, background
-// refreshes route through the same zone table as client queries.
-func New(cache *Cache) *Resolver {
-	if cache == nil {
-		cache = NewCache(0, nil)
+// refreshes route through the same zone table as client queries, and
+// coalesces misses on the cache's singleflight: one cache serves one
+// resolver.
+func New(c *cache.Cache) *Resolver {
+	if c == nil {
+		c = cache.New(cache.Config{})
 	}
-	r := &Resolver{
-		cache:    cache,
-		inflight: make(map[flightKey]*flight),
-	}
-	cache.Unwrap().SetRefresher(r.refresh)
+	r := &Resolver{cache: c}
+	c.SetRefresher(r.refresh)
 	return r
 }
+
+// WrapCache returns c. It stands in for the veneer type New used to
+// take, for callers not yet moved to recursive.New(c).
+func WrapCache(c *cache.Cache) *cache.Cache { return c }
 
 // refresh is the cache's background-refresh hook: resolve (name, typ)
 // upstream with a fresh query ID and recursor response stamps. The
@@ -127,8 +120,9 @@ func (r *Resolver) refresh(ctx context.Context, name dnswire.Name, typ dnswire.T
 	return resp, nil
 }
 
-// Cache exposes the resolver's cache for inspection.
-func (r *Resolver) Cache() *Cache { return r.cache }
+// Cache exposes the resolver's cache: inspection, cache.Instrument,
+// and Wait on the way down.
+func (r *Resolver) Cache() *cache.Cache { return r.cache }
 
 // AddZone routes queries under suffix to up.
 func (r *Resolver) AddZone(suffix dnswire.Name, up Upstream) {
@@ -178,7 +172,7 @@ func (r *Resolver) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Me
 	// and stale hits hand the refresh to a detached background flight.
 	// Cached messages are shared and read-only; LookupCopy hands back a
 	// Message struct of our own to stamp.
-	if resp, _ := r.cache.c.LookupCopy(question.Name, question.Type); resp != nil {
+	if resp, _ := r.cache.LookupCopy(question.Name, question.Type); resp != nil {
 		resp.Header.ID = q.Header.ID
 		resp.Header.RecursionDesired = q.Header.RecursionDesired
 		resp.Header.RecursionAvailable = true
@@ -189,42 +183,16 @@ func (r *Resolver) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Me
 		return nil, fmt.Errorf("%w: %s", ErrNoUpstream, question.Name)
 	}
 
-	// Coalesce concurrent misses for the same question.
-	key := flightKey{question.Name.Canonical(), question.Type}
-	r.flightMu.Lock()
-	if f, ok := r.inflight[key]; ok {
-		if f.done == nil {
-			f.done = make(chan struct{})
-		}
-		done := f.done
-		r.flightMu.Unlock()
-		select {
-		case <-done:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		if f.err != nil {
-			return nil, f.err
-		}
-		return tailorResponse(f.resp, q), nil
+	// Coalesce concurrent misses for the same question. A waiter that
+	// gives up leaves the leader's resolution running, and an error is
+	// handed to the waiters of that flight only, never kept.
+	resp, _, err := r.cache.Do(ctx, question.Name, question.Type, func() (*dnswire.Message, error) {
+		return r.resolveMiss(ctx, up, q)
+	})
+	if err != nil {
+		return nil, err
 	}
-	f := &flight{}
-	r.inflight[key] = f
-	r.flightMu.Unlock()
-
-	f.resp, f.err = r.resolveMiss(ctx, up, q)
-	r.flightMu.Lock()
-	delete(r.inflight, key)
-	done := f.done
-	r.flightMu.Unlock()
-	if done != nil {
-		close(done)
-	}
-
-	if f.err != nil {
-		return nil, f.err
-	}
-	return tailorResponse(f.resp, q), nil
+	return tailorResponse(resp, q), nil
 }
 
 // resolveMiss performs the actual upstream resolution and caches it.
@@ -261,10 +229,13 @@ func tailorResponse(shared *dnswire.Message, q *dnswire.Message) *dnswire.Messag
 	return &resp
 }
 
-// Server exposes a Resolver over UDP, acting as the "default resolver"
-// an exit node's operating system points at. Transport mechanics run
-// on the serve engine in dispatch mode: recursion blocks on upstream
-// I/O, so each datagram goes to a worker pool instead of being
+// Server exposes a Resolver over UDP and, on the same port, TCP,
+// acting as the "default resolver" an exit node's operating system
+// points at. An answer over dnswire.MaxUDPPayload leaves the UDP side
+// truncated (TC=1), as does every RateSlip'th query over a Protect rate
+// limit, and the client's retry finds the TCP side. Transport mechanics
+// run on the serve engine in dispatch mode: recursion blocks on
+// upstream I/O, so each datagram goes to a worker pool instead of being
 // answered inline on the reader loop.
 type Server struct {
 	Resolver *Resolver
@@ -294,17 +265,24 @@ const DefaultConcurrency = 64
 // upstream iteration the resolver makes on its behalf.
 const QueryTimeout = 10 * time.Second
 
-// NewServer wraps r in a UDP server.
+// NewServer wraps r in a Do53 server.
 func NewServer(r *Resolver) *Server { return &Server{Resolver: r} }
 
-// ListenAndServe binds addr and serves until Shutdown or Close.
+// ListenAndServe binds addr, UDP and TCP, and serves until Shutdown.
 func (s *Server) ListenAndServe(addr string) error {
 	conc := s.Concurrency
 	if conc <= 0 {
 		conc = DefaultConcurrency
 	}
+	// The context either handler gets already carries QueryTimeout (and
+	// is cancelled early on a forced shutdown).
 	engine, err := serve.New(addr, serve.Options{
-		Packet:       serve.PacketHandlerFunc(s.servePacket),
+		Packet: serve.PacketHandlerFunc(func(ctx context.Context, out, raw []byte, _ netip.AddrPort) ([]byte, error) {
+			return serve.Answer(ctx, s.Resolver, out, raw, dnswire.MaxUDPPayload)
+		}),
+		Stream: serve.StreamHandlerFunc(func(ctx context.Context, out, raw []byte, _ net.Addr) ([]byte, error) {
+			return serve.Answer(ctx, s.Resolver, out, raw, serve.MaxStreamPayload)
+		}),
 		Listeners:    s.Listeners,
 		BatchSize:    s.BatchSize,
 		Concurrency:  conc,
@@ -332,41 +310,4 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return nil
 	}
 	return s.engine.Shutdown(ctx)
-}
-
-// Close force-stops the server without draining.
-//
-// Deprecated: prefer Shutdown (graceful) or Serve with a cancellable
-// context; Close remains for callers of the original bare lifecycle.
-func (s *Server) Close() error {
-	if s.engine == nil {
-		return nil
-	}
-	return s.engine.Close()
-}
-
-// servePacket resolves one client datagram on a dispatch worker. The
-// context already carries QueryTimeout (and is cancelled early on a
-// forced shutdown).
-func (s *Server) servePacket(ctx context.Context, out, raw []byte, _ netip.AddrPort) ([]byte, error) {
-	// The decode target is pooled; the resolver's response never
-	// aliases its slices (Reply copies the question, and cached
-	// responses are resolver-owned).
-	q := dnswire.GetMessage()
-	defer dnswire.PutMessage(q)
-	if err := dnswire.UnpackInto(raw, q); err != nil ||
-		q.Header.Response || len(q.Questions) == 0 {
-		return nil, nil
-	}
-	resp, err := s.Resolver.Resolve(ctx, q)
-	if err != nil {
-		resp = q.Reply()
-		resp.Header.RCode = dnswire.RCodeServFail
-		resp.Header.RecursionAvailable = true
-	}
-	wire, err := resp.AppendPackLimit(out, dnswire.MaxUDPPayload)
-	if err != nil {
-		return nil, nil
-	}
-	return wire, nil
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/authserver"
 	"repro/internal/dnsclient"
 	"repro/internal/dnswire"
+	"repro/internal/serve"
 )
 
 func answer(name dnswire.Name, ttl uint32) *dnswire.Message {
@@ -20,98 +21,6 @@ func answer(name dnswire.Name, ttl uint32) *dnswire.Message {
 		Data: dnswire.ARecord{Addr: netip.MustParseAddr("192.0.2.7")},
 	})
 	return m
-}
-
-func TestCachePutGet(t *testing.T) {
-	now := time.Unix(1000, 0)
-	c := NewCache(0, func() time.Time { return now })
-	if got := c.Get("x.a.com.", dnswire.TypeA); got != nil {
-		t.Fatal("empty cache returned an entry")
-	}
-	c.Put("x.a.com.", dnswire.TypeA, answer("x.a.com.", 60))
-	got := c.Get("X.A.COM.", dnswire.TypeA) // case-insensitive key
-	if got == nil {
-		t.Fatal("cache miss after Put")
-	}
-	if got.Answers[0].TTL != 60 {
-		t.Errorf("TTL = %d", got.Answers[0].TTL)
-	}
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 1 {
-		t.Errorf("stats = %d/%d, want 1/1", hits, misses)
-	}
-}
-
-func TestCacheExpiryAndTTLAging(t *testing.T) {
-	now := time.Unix(1000, 0)
-	c := NewCache(0, func() time.Time { return now })
-	c.Put("x.a.com.", dnswire.TypeA, answer("x.a.com.", 60))
-
-	now = now.Add(25 * time.Second)
-	got := c.Get("x.a.com.", dnswire.TypeA)
-	if got == nil {
-		t.Fatal("expired too early")
-	}
-	if got.Answers[0].TTL != 35 {
-		t.Errorf("aged TTL = %d, want 35", got.Answers[0].TTL)
-	}
-
-	now = now.Add(36 * time.Second)
-	if got := c.Get("x.a.com.", dnswire.TypeA); got != nil {
-		t.Fatal("entry survived past its TTL")
-	}
-}
-
-func TestCacheNegativeUsesSOAMinimum(t *testing.T) {
-	now := time.Unix(0, 0)
-	c := NewCache(0, func() time.Time { return now })
-	neg := dnswire.NewQuery(1, "gone.a.com.", dnswire.TypeA).Reply()
-	neg.Header.RCode = dnswire.RCodeNXDomain
-	neg.Authorities = append(neg.Authorities, dnswire.ResourceRecord{
-		Name: "a.com.", Type: dnswire.TypeSOA, Class: dnswire.ClassIN, TTL: 3600,
-		Data: dnswire.SOARecord{MName: "ns1.a.com.", RName: "h.a.com.", Minimum: 30},
-	})
-	c.Put("gone.a.com.", dnswire.TypeA, neg)
-	if c.Get("gone.a.com.", dnswire.TypeA) == nil {
-		t.Fatal("negative answer not cached")
-	}
-	now = now.Add(31 * time.Second)
-	if c.Get("gone.a.com.", dnswire.TypeA) != nil {
-		t.Fatal("negative entry outlived SOA minimum")
-	}
-}
-
-func TestCacheSkipsUncacheable(t *testing.T) {
-	c := NewCache(0, nil)
-	empty := dnswire.NewQuery(1, "e.a.com.", dnswire.TypeA).Reply()
-	c.Put("e.a.com.", dnswire.TypeA, empty) // no answers, no SOA
-	if c.Len() != 0 {
-		t.Error("cached a message with no TTL source")
-	}
-	zero := answer("z.a.com.", 0)
-	c.Put("z.a.com.", dnswire.TypeA, zero)
-	if c.Len() != 0 {
-		t.Error("cached a TTL-0 answer")
-	}
-}
-
-func TestCacheLRUEviction(t *testing.T) {
-	now := time.Unix(0, 0)
-	c := NewCache(3, func() time.Time { return now })
-	for _, n := range []dnswire.Name{"a.z.", "b.z.", "c.z."} {
-		c.Put(n, dnswire.TypeA, answer(n, 60))
-	}
-	c.Get("a.z.", dnswire.TypeA) // refresh a.z.
-	c.Put("d.z.", dnswire.TypeA, answer("d.z.", 60))
-	if c.Len() != 3 {
-		t.Fatalf("len = %d, want 3", c.Len())
-	}
-	if c.Get("b.z.", dnswire.TypeA) != nil {
-		t.Error("LRU entry b.z. not evicted")
-	}
-	if c.Get("a.z.", dnswire.TypeA) == nil {
-		t.Error("recently used a.z. was evicted")
-	}
 }
 
 func TestResolverCachesUpstreamAnswers(t *testing.T) {
@@ -220,7 +129,7 @@ func TestResolverServerOverUDPWithRealAuth(t *testing.T) {
 	if err := auth.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	defer auth.Close()
+	defer auth.Shutdown(context.Background())
 
 	r := New(nil)
 	r.AddZone("a.com.", &SocketUpstream{Addr: auth.Addr()})
@@ -228,7 +137,7 @@ func TestResolverServerOverUDPWithRealAuth(t *testing.T) {
 	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	defer srv.Shutdown(context.Background())
 
 	var c dnsclient.Client
 	resp, _, err := c.Query(context.Background(), srv.Addr(), "uuid-1234.a.com.", dnswire.TypeA)
@@ -265,7 +174,7 @@ func TestResolverServFailOnUpstreamError(t *testing.T) {
 	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	defer srv.Shutdown(context.Background())
 	var c dnsclient.Client
 	resp, _, err := c.Query(context.Background(), srv.Addr(), "x.fail.", dnswire.TypeA)
 	if err != nil {
@@ -383,4 +292,104 @@ func TestWaiterContextCancellation(t *testing.T) {
 	if err == nil {
 		t.Fatal("waiter ignored its context")
 	}
+}
+
+// TestSharedFlightIsCounted: concurrent misses for one name share one
+// upstream query on the cache's singleflight, each caller gets an answer
+// under its own ID, and every caller but the leader shows up in the
+// cache's SharedFlights — the figure behind
+// cache_singleflight_shared_total, which read 0 while the resolver kept
+// a singleflight of its own.
+func TestSharedFlightIsCounted(t *testing.T) {
+	var calls atomic.Int32
+	release := make(chan struct{})
+	r := New(nil)
+	r.SetDefault(UpstreamFunc(func(_ context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+		calls.Add(1)
+		<-release
+		return answer(q.Questions[0].Name, 60), nil
+	}))
+
+	const callers = 8
+	var wg sync.WaitGroup
+	ids := make([]uint16, callers)
+	for i := range ids {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := r.Resolve(context.Background(), dnswire.NewQuery(uint16(100+i), "shared.a.com.", dnswire.TypeA))
+			if err != nil {
+				t.Errorf("caller %d: %v", i, err)
+				return
+			}
+			ids[i] = resp.Header.ID
+		}(i)
+	}
+	// Every caller but the leader has joined once the counter says so.
+	for deadline := time.Now().Add(5 * time.Second); r.Cache().Stats().SharedFlights < callers-1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("SharedFlights = %d, want %d", r.Cache().Stats().SharedFlights, callers-1)
+		}
+	}
+	close(release)
+	wg.Wait()
+	for i, id := range ids {
+		if id != uint16(100+i) {
+			t.Errorf("caller %d got ID %d, want %d", i, id, 100+i)
+		}
+	}
+	if got := calls.Load(); got != 1 {
+		t.Errorf("upstream called %d times, want 1", got)
+	}
+	if got := r.Cache().Stats().SharedFlights; got != callers-1 {
+		t.Errorf("SharedFlights = %d, want %d", got, callers-1)
+	}
+}
+
+// TestRecursorAnswersOverTCP: whatever the UDP side truncates, the TCP
+// side of the same port answers whole — an answer over
+// dnswire.MaxUDPPayload, and a TC=1 slipped by the rate limiter. Before
+// the server listened on TCP the client's retry was refused.
+func TestRecursorAnswersOverTCP(t *testing.T) {
+	const records = 120
+	r := New(nil)
+	r.SetDefault(UpstreamFunc(func(_ context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+		m := q.Reply()
+		for i := 0; i < records; i++ {
+			m.Answers = append(m.Answers, dnswire.ResourceRecord{
+				Name: q.Questions[0].Name, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 60,
+				Data: dnswire.ARecord{Addr: netip.AddrFrom4([4]byte{192, 0, 2, byte(i)})},
+			})
+		}
+		return m, nil
+	}))
+	listen := func(protect serve.Protection) *Server {
+		srv := NewServer(r)
+		srv.Protect = protect
+		if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Shutdown(context.Background()) })
+		return srv
+	}
+	whole := func(c *dnsclient.Client, addr string, name dnswire.Name) {
+		t.Helper()
+		resp, _, err := c.Query(context.Background(), addr, name, dnswire.TypeA)
+		if err != nil {
+			t.Fatalf("Query %s: %v", name, err)
+		}
+		if resp.Header.Truncated || len(resp.Answers) != records {
+			t.Fatalf("%s: TC=%v with %d answers, want all %d", name, resp.Header.Truncated, len(resp.Answers), records)
+		}
+	}
+
+	whole(&dnsclient.Client{}, listen(serve.Protection{}).Addr(), "big.a.com.")
+
+	// One token, next to no refill: the first query spends it, the
+	// second's first datagram is dropped and its retry slipped TC=1
+	// (serve.DefaultRateSlip answers every second over-limit query).
+	limited := listen(serve.Protection{RateLimit: 0.001, RateBurst: 1}).Addr()
+	c := &dnsclient.Client{Timeout: 250 * time.Millisecond, Retries: 1}
+	whole(c, limited, "first.a.com.")
+	whole(c, limited, "slipped.a.com.")
 }

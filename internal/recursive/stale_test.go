@@ -30,11 +30,11 @@ func TestResolverServesStaleAcrossUpstreamOutage(t *testing.T) {
 		}
 		return answer(q.Questions[0].Name, 60), nil
 	})
-	r := New(WrapCache(cache.New(cache.Config{
+	r := New(cache.New(cache.Config{
 		Clock:       clock,
 		StaleTTL:    10 * time.Minute,
 		SyncRefresh: true,
-	})))
+	}))
 	r.SetDefault(up)
 
 	q := dnswire.NewQuery(7, "outage.example.", dnswire.TypeA)
@@ -55,7 +55,7 @@ func TestResolverServesStaleAcrossUpstreamOutage(t *testing.T) {
 	if !resp.Header.RecursionAvailable || resp.Header.ID != 7 {
 		t.Errorf("stale header not stamped: %+v", resp.Header)
 	}
-	if r.Cache().Unwrap().Stats().RefreshFails == 0 {
+	if r.Cache().Stats().RefreshFails == 0 {
 		t.Error("outage refresh attempt not recorded")
 	}
 

@@ -144,19 +144,6 @@ func (f Func) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Message
 	return f(ctx, q)
 }
 
-// Middleware wraps a Resolver with additional behavior (retry,
-// timeout, hedging, fault injection).
-type Middleware func(Resolver) Resolver
-
-// Chain applies middlewares to r in order: the first middleware is the
-// innermost (closest to the transport), the last is the outermost.
-func Chain(r Resolver, mws ...Middleware) Resolver {
-	for _, mw := range mws {
-		r = mw(r)
-	}
-	return r
-}
-
 // Query builds a query message for (name, typ) with a random ID, the
 // shape every transport accepts.
 func Query(name dnswire.Name, typ dnswire.Type) *dnswire.Message {

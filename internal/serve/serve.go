@@ -23,8 +23,8 @@
 // Lifecycle is context-aware: New binds and starts serving, Serve
 // blocks until the context is cancelled, and Shutdown drains in-flight
 // queries before closing (forcing the issue when its context expires).
-// The legacy ListenAndServe/Close surface on the wrapped servers
-// remains as a compatibility veneer over this API.
+// The servers built on it (authserver, recursive, dot) pass that
+// lifecycle through: NewServer, ListenAndServe, Addr, Serve, Shutdown.
 package serve
 
 import (
@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"repro/internal/deadline"
+	"repro/internal/dnswire"
 	"repro/internal/obs"
 	"repro/internal/serve/batchio"
 )
@@ -84,6 +85,46 @@ type StreamHandlerFunc func(ctx context.Context, out, raw []byte, src net.Addr) 
 // ServeMessage implements StreamHandler.
 func (f StreamHandlerFunc) ServeMessage(ctx context.Context, out, raw []byte, src net.Addr) ([]byte, error) {
 	return f(ctx, out, raw, src)
+}
+
+// Resolver answers decoded queries. It is what Answer fronts: a
+// *recursive.Resolver satisfies it structurally.
+type Resolver interface {
+	Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error)
+}
+
+// MaxStreamPayload is the largest message a 2-byte length prefix can
+// frame: Answer's limit on the stream path.
+const MaxStreamPayload = 0xffff
+
+// Answer is the whole of a handler that fronts a Resolver, for either
+// path: decode raw, resolve, turn a failed resolution into SERVFAIL, and
+// pack — once — onto out, truncating (TC=1) only an answer over limit
+// bytes: dnswire.MaxUDPPayload for a PacketHandler, so that the client
+// comes back over the stream side, MaxStreamPayload for a StreamHandler.
+// Input that is not a query with a question gets the handlers' refusal,
+// a nil response (dropped on UDP, connection closed on a stream).
+func Answer(ctx context.Context, r Resolver, out, raw []byte, limit int) ([]byte, error) {
+	// The decode target is pooled; the resolver's response never is —
+	// caches may retain it — and never aliases the query's slices
+	// (Reply copies the question).
+	q := dnswire.GetMessage()
+	defer dnswire.PutMessage(q)
+	if err := dnswire.UnpackInto(raw, q); err != nil ||
+		q.Header.Response || len(q.Questions) == 0 {
+		return nil, nil
+	}
+	resp, err := r.Resolve(ctx, q)
+	if err != nil {
+		resp = q.Reply()
+		resp.Header.RCode = dnswire.RCodeServFail
+		resp.Header.RecursionAvailable = true
+	}
+	wire, err := resp.AppendPackLimit(out, limit)
+	if err != nil {
+		return nil, nil
+	}
+	return wire, nil
 }
 
 // DefaultBatchSize is the datagrams-per-syscall budget used when

@@ -7,6 +7,9 @@ step() {
 	printf '\n== %s\n' "$*"
 }
 
+step "gofmt"
+test -z "$(gofmt -l .)" || { gofmt -l .; exit 1; }
+
 step "build"
 go build ./...
 
@@ -40,9 +43,13 @@ go test ./internal/serve/batchio/ -run 'TestBatchAllocationFree'
 go test ./internal/resolver/ -run 'TestWithTimeoutUnarmedAllocBudget'
 go test ./internal/dnswire/ \
 	-run 'TestUnpackReplyAllocBudget|TestQueryAndReplyAreOneAllocation|TestAppendPackLimit'
-go test ./internal/cache/ -run 'TestPutAllocatesTheEntryOnly|TestLookupCopyIsTheCallersOwn'
+go test ./internal/cache/ -run 'TestPutAllocatesTheEntryOnly|TestDoAloneAllocatesTheFlightOnly|TestLookupCopyIsTheCallersOwn'
 go test ./internal/recursive/ -run 'TestResolveMissAllocBudget|TestResolveHitAllocBudget'
 go test ./internal/authserver/ -run 'TestQueryLogGrowsInTwoSteps'
+
+step "one singleflight, one lifecycle (the recursor's shared flights are the cache's, its TCP side answers what UDP truncates, the DoH front's lifecycle)"
+go test -race ./internal/recursive/ -run 'TestSharedFlightIsCounted|TestRecursorAnswersOverTCP'
+go test -race ./internal/dohserver/ -run 'TestServerLifecycle|TestServerShutdownForcesOnExpiry'
 
 step "campaign inner loop (timeline oracle, transport table, PoP assignment, allocation gates, pinned export, catalogue sharing under race)"
 go test ./internal/proxynet/ \
