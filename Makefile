@@ -9,10 +9,9 @@ test:
 	$(GO) test ./...
 
 # verify runs the full tier-1 gate list from ROADMAP.md: gofmt, build, vet,
-# all tests, race gates, the three short-mode soaks (chaos, serve,
-# overload), the campaign's timeline oracle, transport-table test and
-# pinned export hash, the RRL bucket test, and the zero-allocation,
-# allocation-budget + bench smokes.
+# all tests once (allocation budgets, oracles, pinned hashes and golden
+# round trips run there), then what adds a mode: race gates, the
+# short-mode soaks (smart, chaos, serve, overload) and the bench smokes.
 verify:
 	./scripts/verify.sh
 
@@ -20,7 +19,8 @@ verify:
 # bench/ (the benchmark's own directory): the figure simplification PRs
 # report before and after (24,479 before the one-transport-table PR,
 # 24,176 after it; 23,562 after the one-of-each PR, whose other 103
-# lines are the event engine, now internal/proxynet/engine_test.go).
+# lines are the event engine, now internal/proxynet/engine_test.go;
+# 23,332 after the one-connection-path PR).
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | sed 's|^\./||' | \
 		while read f; do echo "$$(dirname $$f) $$(wc -l < $$f)"; done | \

@@ -286,7 +286,7 @@ func printTiming(i int, t resolver.Timing) {
 	for _, k := range keys {
 		fmt.Printf(" %s=%v", k, b[k].Round(time.Microsecond))
 	}
-	fmt.Printf(" attempts=%d reused=%v", t.Attempts, t.Reused)
+	fmt.Printf(" attempts=%d reused=%v", t.AttemptCount(), t.Reused)
 	if t.Stale {
 		fmt.Print(" stale=true")
 	}

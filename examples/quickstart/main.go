@@ -23,6 +23,7 @@ import (
 	"repro/internal/dohclient"
 	"repro/internal/dohserver"
 	"repro/internal/recursive"
+	"repro/internal/resolver"
 	"repro/internal/tlsutil"
 )
 
@@ -47,7 +48,7 @@ func main() {
 
 	// 2. Recursive resolver fronting it (the DoH backend).
 	res := recursive.New(nil)
-	res.AddZone("a.com.", &recursive.SocketUpstream{Addr: auth.Addr()})
+	res.AddZone("a.com.", resolver.UpstreamAdapter{R: resolver.NewDo53(auth.Addr(), nil)})
 
 	// 3. RFC 8484 DoH server over TLS (1.3 is what the handshake below
 	// negotiates), on a self-signed certificate.

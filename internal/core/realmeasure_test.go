@@ -17,6 +17,7 @@ import (
 	"repro/internal/dohserver"
 	"repro/internal/proxynet"
 	"repro/internal/recursive"
+	"repro/internal/resolver"
 )
 
 // realStack wires the complete paper pipeline over loopback sockets:
@@ -55,7 +56,7 @@ func newRealStack(t *testing.T) *realStack {
 	t.Cleanup(func() { auth.Shutdown(context.Background()) })
 
 	res := recursive.New(nil)
-	res.AddZone("a.com.", &recursive.SocketUpstream{Addr: auth.Addr()})
+	res.AddZone("a.com.", resolver.UpstreamAdapter{R: resolver.NewDo53(auth.Addr(), nil)})
 	rec := recursive.NewServer(res)
 	if err := rec.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -69,7 +70,7 @@ func newRealStack(t *testing.T) *realStack {
 	t.Cleanup(web.Close)
 
 	dohRes := recursive.New(nil)
-	dohRes.AddZone("a.com.", &recursive.SocketUpstream{Addr: auth.Addr()})
+	dohRes.AddZone("a.com.", resolver.UpstreamAdapter{R: resolver.NewDo53(auth.Addr(), nil)})
 	doh := httptest.NewTLSServer(dohserver.NewHandler(dohRes).Mux())
 	t.Cleanup(doh.Close)
 

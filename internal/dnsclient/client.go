@@ -1,6 +1,9 @@
 // Package dnsclient implements a conventional DNS ("Do53") stub client
 // over UDP with automatic TCP fallback when a response arrives
-// truncated (TC bit), as resolvers have done since RFC 1035.
+// truncated (TC bit), as resolvers have done since RFC 1035. It also
+// holds what the three wire clients share: the one Timing they return,
+// and (conn.go) the one connection path under the stream clients —
+// dohclient's engine, dot.Client and the TCP fallback here.
 package dnsclient
 
 import (
@@ -8,8 +11,6 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"io"
 	"net"
 	"sync"
 	"syscall"
@@ -35,11 +36,6 @@ type Client struct {
 	// UDPSize, when nonzero, attaches an EDNS0 OPT advertising this
 	// receive buffer size.
 	UDPSize uint16
-	// Dialer optionally overrides connection establishment; useful
-	// for tests and proxied transports.
-	Dialer interface {
-		DialContext(ctx context.Context, network, address string) (net.Conn, error)
-	}
 }
 
 func (c *Client) timeout() time.Duration {
@@ -49,22 +45,12 @@ func (c *Client) timeout() time.Duration {
 	return 5 * time.Second
 }
 
-func (c *Client) dialer() interface {
-	DialContext(ctx context.Context, network, address string) (net.Conn, error)
-} {
-	if c.Dialer != nil {
-		return c.Dialer
-	}
-	return &net.Dialer{}
-}
-
 // udpIdle pools connected UDP sockets per server address so a steady
 // query stream reuses a handful of sockets instead of paying a dial
-// (socket creation, connect, conn allocations) per exchange. Only the
-// default dialer participates: a custom Dialer's conns may carry
-// per-call state (proxied transports, tests). Stale datagrams left in
-// a reused socket's buffer are discarded by oneUDP's ID and question
-// checks, the same screen RFC 5452 prescribes for port reuse.
+// (socket creation, connect, conn allocations) per exchange. Stale
+// datagrams left in a reused socket's buffer are discarded by oneUDP's
+// ID and question checks, the same screen RFC 5452 prescribes for port
+// reuse.
 var udpIdle = struct {
 	sync.Mutex
 	m map[string][]net.Conn
@@ -111,16 +97,15 @@ func RandomID() uint16 {
 	return binary.BigEndian.Uint16(b[:])
 }
 
-// Timing is the per-phase breakdown of one exchange by a wire client:
-// the four terms of the paper's Equation 1 and their total, in the one
-// type all three clients return (dohclient.Timing and dot.Timing are
-// aliases). A phase a transport does not have stays zero. Do53 is
-// connectionless: there is no name lookup, connect, or TLS phase to
-// account separately, so RoundTrip equals Total (TCP-fallback dial time
-// is folded into RoundTrip).
+// Timing is the per-phase breakdown of one resolution: the four terms of
+// the paper's Equation 1 and their total, in the one type every client
+// and every policy layer returns (resolver.Timing, dohclient.Timing and
+// dot.Timing are aliases). A phase a transport does not have stays zero:
+// Do53 over UDP has no lookup, connect or TLS phase, so RoundTrip equals
+// Total (a TCP fallback is folded into RoundTrip).
 type Timing struct {
 	// DNSLookup is the time to resolve the server's own name (t3+t4 in
-	// the paper's Figure 2); DoH only, the others take a literal.
+	// the paper's Figure 2); zero for an IP literal.
 	DNSLookup time.Duration
 	// Connect is the TCP handshake time (t5+t6).
 	Connect time.Duration
@@ -130,14 +115,25 @@ type Timing struct {
 	// RoundTrip is the query/response time once the connection is
 	// ready (for DoH, t17..t20 plus the HTTP exchange itself).
 	RoundTrip time.Duration
-	// Total is the wall-clock time of the whole exchange.
+	// Total is the wall-clock time of the whole resolution, including
+	// retries and backoff sleeps when a policy layer is stacked above
+	// the transport.
 	Total time.Duration
 	// Reused reports whether an existing connection served the
 	// exchange, which then paid no setup; never for Do53.
 	Reused bool
+	// Attempts is the number of transport attempts the resolution
+	// consumed; retry and hedging layers add theirs. A bare transport
+	// leaves it zero, which means one: read it through AttemptCount.
+	Attempts int
+	// Stale reports that the answer came from an expired cache entry
+	// inside the serve-stale window (RFC 8767): TTLs are capped and a
+	// background refresh is under way. Implies Reused.
+	Stale bool
 }
 
-// Breakdown returns the per-phase durations under stable keys.
+// Breakdown returns the per-phase durations under stable keys, the same
+// for every transport: the form the analysis layer aggregates.
 func (t Timing) Breakdown() map[string]time.Duration {
 	return map[string]time.Duration{
 		"dns_lookup":    t.DNSLookup,
@@ -148,11 +144,12 @@ func (t Timing) Breakdown() map[string]time.Duration {
 	}
 }
 
-// ExchangeTimed is Exchange returning the unified Timing breakdown
-// instead of a bare duration (the form the resolver adapters consume).
-func (c *Client) ExchangeTimed(ctx context.Context, addr string, q *dnswire.Message) (*dnswire.Message, Timing, error) {
-	resp, rtt, err := c.Exchange(ctx, addr, q)
-	return resp, Timing{RoundTrip: rtt, Total: rtt}, err
+// AttemptCount is Attempts under its convention: zero means one.
+func (t Timing) AttemptCount() int {
+	if t.Attempts <= 0 {
+		return 1
+	}
+	return t.Attempts
 }
 
 // Query resolves (name, type) against server addr and returns the
@@ -218,14 +215,11 @@ func (c *Client) exchangeUDP(ctx context.Context, addr string, q *dnswire.Messag
 }
 
 func (c *Client) oneUDP(ctx context.Context, addr string, wire []byte, q *dnswire.Message) (*dnswire.Message, error) {
-	var conn net.Conn
-	if c.Dialer == nil {
-		conn = getIdleUDP(addr)
-	}
+	conn := getIdleUDP(addr)
 	if conn == nil {
+		var d net.Dialer
 		var err error
-		conn, err = c.dialer().DialContext(ctx, "udp", addr)
-		if err != nil {
+		if conn, err = d.DialContext(ctx, "udp", addr); err != nil {
 			return nil, err
 		}
 	}
@@ -233,7 +227,7 @@ func (c *Client) oneUDP(ctx context.Context, addr string, wire []byte, q *dnswir
 	// one that errored may be wedged, so it is closed instead.
 	reusable := false
 	defer func() {
-		if reusable && c.Dialer == nil {
+		if reusable {
 			putIdleUDP(addr, conn)
 		} else {
 			conn.Close()
@@ -279,95 +273,18 @@ func (c *Client) oneUDP(ctx context.Context, addr string, wire []byte, q *dnswir
 }
 
 // ExchangeTCP performs a single DNS-over-TCP exchange (RFC 1035 §4.2.2
-// two-byte length framing).
+// two-byte length framing) on a connection of its own, under the stream
+// clients' one discipline (conn.go) with nothing pooled.
 func (c *Client) ExchangeTCP(ctx context.Context, addr string, q *dnswire.Message) (*dnswire.Message, error) {
-	scratch := dnswire.GetBuffer()
-	defer dnswire.PutBuffer(scratch)
-	// Pack behind a 2-byte length placeholder so the frame goes out in
-	// one write; AppendPack keeps compression offsets message-relative.
-	frame, err := q.AppendPack(append(scratch.B[:0], 0, 0))
-	if err != nil {
-		return nil, err
+	var unpooled Pool
+	var resp *dnswire.Message
+	a := unpooled.Begin(ctx, addr, nil, c.timeout())
+	for a.Next() {
+		var err error
+		resp, err = ExchangeFramed(a.Conn, q)
+		a.Done(false, err)
 	}
-	wlen := len(frame) - 2
-	if wlen > 0xffff {
-		return nil, fmt.Errorf("dnsclient: message too large for TCP framing: %d", wlen)
-	}
-	frame[0], frame[1] = byte(wlen>>8), byte(wlen)
-	scratch.B = frame
-	conn, err := c.dialer().DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	deadline := time.Now().Add(c.timeout())
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
-	if err := conn.SetDeadline(deadline); err != nil {
-		return nil, err
-	}
-	if _, err := conn.Write(frame); err != nil {
-		return nil, err
-	}
-	raw, err := ReadTCPMessageBuf(conn, frame[:0]) // frame already sent; reuse its storage
-	if err != nil {
-		return nil, err
-	}
-	scratch.B = raw
-	resp := dnswire.GetMessage()
-	if err := dnswire.UnpackReplyInto(raw, resp, q); err != nil {
-		dnswire.PutMessage(resp)
-		return nil, err
-	}
-	if resp.Header.ID != q.Header.ID {
-		dnswire.PutMessage(resp)
-		return nil, ErrIDMismatch
-	}
-	return resp, nil
-}
-
-// WriteTCPMessage writes one length-prefixed DNS message.
-func WriteTCPMessage(w io.Writer, wire []byte) error {
-	if len(wire) > 0xffff {
-		return fmt.Errorf("dnsclient: message too large for TCP framing: %d", len(wire))
-	}
-	hdr := [2]byte{byte(len(wire) >> 8), byte(len(wire))}
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(wire)
-	return err
-}
-
-// ReadTCPMessage reads one length-prefixed DNS message.
-func ReadTCPMessage(r io.Reader) ([]byte, error) {
-	return ReadTCPMessageBuf(r, nil)
-}
-
-// ReadTCPMessageBuf is ReadTCPMessage reading into buf's storage when
-// its capacity suffices, allocating only for larger messages. The
-// returned slice aliases buf.
-func ReadTCPMessageBuf(r io.Reader, buf []byte) ([]byte, error) {
-	// The length prefix lands in buf's storage too (the message then
-	// overwrites it), so a caller with a buffer allocates nothing.
-	if cap(buf) < 2 {
-		buf = make([]byte, 2)
-	}
-	hdr := buf[:2]
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, err
-	}
-	n := int(hdr[0])<<8 | int(hdr[1])
-	if cap(buf) < n {
-		buf = make([]byte, n)
-	} else {
-		buf = buf[:n]
-	}
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
+	return resp, a.Err()
 }
 
 func hasOPT(m *dnswire.Message) bool {
@@ -384,9 +301,5 @@ func hasOPT(m *dnswire.Message) bool {
 // can race a server that is still binding, or reflect a transient
 // middlebox state — a retry moments later regularly succeeds).
 func retryableUDP(err error) bool {
-	var nerr net.Error
-	if errors.As(err, &nerr) && nerr.Timeout() {
-		return true
-	}
-	return errors.Is(err, syscall.ECONNREFUSED)
+	return IsTimeout(err) || errors.Is(err, syscall.ECONNREFUSED)
 }

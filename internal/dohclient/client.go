@@ -160,13 +160,10 @@ func New(serverURL string, opts *Options) (*Client, error) {
 			NextProtos: []string{"http/1.1"},
 		},
 		timeout: opts.Timeout,
-		maxIdle: opts.MaxIdleConnsPerHost,
+		pool:    dnsclient.Pool{MaxIdle: opts.MaxIdleConnsPerHost},
 	}
 	if e.timeout <= 0 {
 		e.timeout = 30 * time.Second
-	}
-	if e.maxIdle <= 0 {
-		e.maxIdle = 4
 	}
 	c.rt = e
 	return c, nil

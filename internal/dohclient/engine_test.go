@@ -20,11 +20,16 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dnsclient"
 	"repro/internal/dnswire"
 	"repro/internal/dohserver"
+	"repro/internal/dot"
 	"repro/internal/recursive"
 	"repro/internal/tlsutil"
 )
+
+// isTimeout is the shared discipline's test for a network timeout.
+var isTimeout = dnsclient.IsTimeout
 
 // rawServer is an HTTP/1.1 server that writes exactly the bytes a test
 // tells it to, and counts the connections it accepts.
@@ -432,7 +437,7 @@ func TestEngineCancellation(t *testing.T) {
 			if tc.wantErr == nil && !isTimeout(err) {
 				t.Errorf("err = %v, want a timeout", err)
 			}
-			if n := len(c.rt.(*engine).idle); n != 0 {
+			if n := c.rt.(*engine).pool.Idle(); n != 0 {
 				t.Errorf("%d idle connection(s) after an aborted exchange", n)
 			}
 			_, timing, err := c.Query(context.Background(), "next.a.com.", dnswire.TypeA)
@@ -460,12 +465,7 @@ func TestEnginePoolBoundUnderConcurrency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := c.rt.(*engine)
-	idle := func() int {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		return len(e.idle)
-	}
+	idle := c.rt.(*engine).pool.Idle
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -791,6 +791,89 @@ func TestWarmExchangeAllocBudget(t *testing.T) {
 		t.Errorf("warm GET exchange: %.1f allocs, budget %d", n, budget)
 	}
 	c.CloseIdleConnections()
+	<-served
+}
+
+// TestDoTWarmExchangeAllocBudget is the same gate for the other client on
+// the shared connection path (internal/dnsclient/conn.go): a warm DoT
+// exchange against a canned-response TLS server whose loop does not
+// allocate. No context hook here, so what is left is crypto/tls's record
+// reader.
+func TestDoTWarmExchangeAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not meaningful under the race detector")
+	}
+	cfg, err := tlsutil.ServerConfig("127.0.0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := tls.Listen("tcp", "127.0.0.1:0", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	q := dnswire.NewQuery(0x4242, "warm.a.com.", dnswire.TypeA)
+	m := q.Reply()
+	m.Answers = append(m.Answers, dnswire.ResourceRecord{
+		Name: "warm.a.com.", Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 60,
+		Data: dnswire.ARecord{Addr: netip.MustParseAddr("203.0.113.6")},
+	})
+	wire, err := m.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	canned := append([]byte{byte(len(wire) >> 8), byte(len(wire))}, wire...)
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		buf := make([]byte, 4096)
+		for {
+			// The client sends a frame in one Write, so one record, so one
+			// Read.
+			n, err := conn.Read(buf)
+			if err != nil {
+				return
+			}
+			if n < 2 || int(buf[0])<<8|int(buf[1]) != n-2 {
+				t.Errorf("frame did not arrive whole: %x", buf[:n])
+				return
+			}
+			if _, err := conn.Write(canned); err != nil {
+				return
+			}
+		}
+	}()
+
+	c := &dot.Client{Addr: ln.Addr().String(), TLSConfig: tlsutil.InsecureClientConfig()}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	warm := false
+	exchange := func() {
+		resp, timing, err := c.Exchange(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if timing.Reused != warm {
+			t.Fatalf("Reused = %v, want %v", timing.Reused, warm)
+		}
+		dnswire.PutMessage(resp)
+	}
+	exchange() // dial, handshake, warm the pools
+	warm = true
+	// Measured: 2, both inside crypto/tls's record reader, before and after
+	// dot.Client moved onto the shared path.
+	const budget = 3
+	n := testing.AllocsPerRun(200, exchange)
+	t.Logf("warm DoT exchange: %.1f allocs", n)
+	if n > budget {
+		t.Errorf("warm DoT exchange: %.1f allocs, budget %d", n, budget)
+	}
+	c.Close()
 	<-served
 }
 

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"repro/internal/dnsclient"
@@ -23,25 +22,31 @@ import (
 // DefaultPort is the IANA-assigned DoT port.
 const DefaultPort = 853
 
-// Timing is the per-phase breakdown of a DoT exchange. DNSLookup is
-// zero (Addr is a literal host:port: no bootstrap lookup to account), as
-// are Connect and TLSHandshake on a pooled connection.
+// Timing is the per-phase breakdown of a DoT exchange; zero DNSLookup,
+// Connect and TLSHandshake on a pooled connection.
 type Timing = dnsclient.Timing
 
-// Client is a DoT client with a single pooled connection, mirroring
-// stub-resolver behavior (RFC 7858 recommends connection reuse).
+// Client is a DoT client over a pool of persistent connections (RFC 7858
+// recommends reuse), one exchange at a time per connection: a query
+// issued beside a slow one takes a second connection instead of waiting.
+// Dial, pool, deadline and redial rules are the stream clients' shared
+// ones (internal/dnsclient/conn.go). It is safe for concurrent use.
 type Client struct {
 	// Addr is the server host:port.
 	Addr string
 	// TLSConfig configures the session; nil uses sane defaults with
 	// ServerName derived from Addr.
 	TLSConfig *tls.Config
-	// Timeout bounds each exchange (default 10s).
+	// Timeout bounds each exchange, connection set-up included (default
+	// 10s).
 	Timeout time.Duration
 
-	mu   sync.Mutex
-	conn *tls.Conn
+	pool dnsclient.Pool
 }
+
+// defaultTLS is the session configuration of a Client without one; the
+// dial fills in the ServerName from Addr.
+var defaultTLS = &tls.Config{MinVersion: tls.VersionTLS12}
 
 // Query resolves (name, typ) over DoT.
 func (c *Client) Query(ctx context.Context, name dnswire.Name, typ dnswire.Type) (*dnswire.Message, Timing, error) {
@@ -49,132 +54,33 @@ func (c *Client) Query(ctx context.Context, name dnswire.Name, typ dnswire.Type)
 	return c.Exchange(ctx, q)
 }
 
-// Exchange sends q, reusing the pooled TLS connection when alive. On
-// a dead pooled connection it redials once. A connection on which any
-// I/O failed, freshly dialled or pooled, is never kept: the stream may
-// still deliver the late reply, and the next query would read that.
+// Exchange sends q on a pooled connection when one is idle, else on a
+// fresh one, and keeps the connection only if the exchange succeeded.
 func (c *Client) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Message, Timing, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	resp, timing, err := c.exchangeLocked(ctx, q)
-	if err != nil && timing.Reused {
-		// The pooled connection died under us (and is closed by now);
-		// retry on a fresh one.
-		resp, timing, err = c.exchangeLocked(ctx, q)
+	cfg, timeout := c.TLSConfig, c.Timeout
+	if cfg == nil {
+		cfg = defaultTLS
 	}
-	return resp, timing, err
+	if timeout <= 0 {
+		timeout = 10 * time.Second
+	}
+	var resp *dnswire.Message
+	a := c.pool.Begin(ctx, c.Addr, cfg, timeout)
+	for a.Next() {
+		var err error
+		resp, err = dnsclient.ExchangeFramed(a.Conn, q)
+		a.Done(true, err)
+	}
+	if err := a.Err(); err != nil {
+		return nil, a.Timing, fmt.Errorf("dot: %w", err)
+	}
+	return resp, a.Timing, nil
 }
 
-func (c *Client) exchangeLocked(ctx context.Context, q *dnswire.Message) (*dnswire.Message, Timing, error) {
-	var timing Timing
-	start := time.Now()
-	deadline := start.Add(c.timeout())
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
-
-	if c.conn == nil {
-		host, _, err := net.SplitHostPort(c.Addr)
-		if err != nil {
-			return nil, timing, fmt.Errorf("dot: bad address %q: %v", c.Addr, err)
-		}
-		var d net.Dialer
-		connStart := time.Now()
-		raw, err := d.DialContext(ctx, "tcp", c.Addr)
-		if err != nil {
-			return nil, timing, fmt.Errorf("dot: dial: %w", err)
-		}
-		timing.Connect = time.Since(connStart)
-		cfg := c.TLSConfig
-		if cfg == nil {
-			cfg = &tls.Config{ServerName: host, MinVersion: tls.VersionTLS12}
-		}
-		tlsStart := time.Now()
-		conn := tls.Client(raw, cfg)
-		conn.SetDeadline(deadline)
-		if err := conn.HandshakeContext(ctx); err != nil {
-			raw.Close()
-			return nil, timing, fmt.Errorf("dot: TLS handshake: %w", err)
-		}
-		timing.TLSHandshake = time.Since(tlsStart)
-		c.conn = conn
-	} else {
-		timing.Reused = true
-	}
-
-	c.conn.SetDeadline(deadline)
-	resp, sent, err := c.roundTrip(q, &timing, start)
-	if err != nil && sent {
-		// From the first byte written the stream is only good if the
-		// whole exchange is: a failed write, a read cut short by the
-		// deadline, or a frame that is not this query's answer all
-		// leave it out of step.
-		c.closeLocked()
-	}
-	return resp, timing, err
-}
-
-// roundTrip sends q on the pooled connection and reads its answer.
-// sent reports whether anything was written, that is, whether a failure
-// has spoiled the stream.
-func (c *Client) roundTrip(q *dnswire.Message, timing *Timing, start time.Time) (resp *dnswire.Message, sent bool, err error) {
-	scratch := dnswire.GetBuffer()
-	defer dnswire.PutBuffer(scratch)
-	// Pack behind the 2-byte length prefix so the frame goes out in a
-	// single TLS record write.
-	frame, err := q.AppendPack(append(scratch.B[:0], 0, 0))
-	if err != nil {
-		return nil, false, err
-	}
-	wlen := len(frame) - 2
-	if wlen > 0xffff {
-		return nil, false, fmt.Errorf("dot: message too large for framing: %d", wlen)
-	}
-	frame[0], frame[1] = byte(wlen>>8), byte(wlen)
-	scratch.B = frame
-	rtStart := time.Now()
-	if _, err := c.conn.Write(frame); err != nil {
-		return nil, true, fmt.Errorf("dot: write: %w", err)
-	}
-	raw, err := dnsclient.ReadTCPMessageBuf(c.conn, frame[:0])
-	if err != nil {
-		return nil, true, fmt.Errorf("dot: read: %w", err)
-	}
-	scratch.B = raw
-	timing.RoundTrip = time.Since(rtStart)
-	timing.Total = time.Since(start)
-	resp = dnswire.GetMessage()
-	if err := dnswire.UnpackReplyInto(raw, resp, q); err != nil {
-		dnswire.PutMessage(resp)
-		return nil, true, fmt.Errorf("dot: decode: %w", err)
-	}
-	if resp.Header.ID != q.Header.ID {
-		dnswire.PutMessage(resp)
-		return nil, true, errors.New("dot: response ID mismatch")
-	}
-	return resp, true, nil
-}
-
-func (c *Client) timeout() time.Duration {
-	if c.Timeout > 0 {
-		return c.Timeout
-	}
-	return 10 * time.Second
-}
-
-// Close drops the pooled connection.
+// Close drops the pooled connections.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.closeLocked()
+	c.pool.CloseIdle()
 	return nil
-}
-
-func (c *Client) closeLocked() {
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
-	}
 }
 
 // Handler answers decoded DNS queries on behalf of the server: what

@@ -78,24 +78,40 @@ func TestConnectionReuse(t *testing.T) {
 	}
 }
 
+// TestReconnectAfterServerDropsConnection: a pooled connection the server
+// has closed costs exactly one redial, and the query is answered.
 func TestReconnectAfterServerDropsConnection(t *testing.T) {
-	srv := testServer(t)
-	c := &Client{Addr: srv.Addr(), TLSConfig: tlsutil.InsecureClientConfig(), Timeout: 3 * time.Second}
+	// The peer closes its first connection behind the answer.
+	srv := newPeer(t, func(conn, _ int) reaction {
+		if conn == 0 {
+			return answerThenClose
+		}
+		return answer
+	})
+	c := &Client{Addr: srv.addr(), TLSConfig: tlsutil.InsecureClientConfig(), Timeout: 3 * time.Second}
 	defer c.Close()
 	ctx := context.Background()
 	if _, _, err := c.Query(ctx, "a.a.com.", dnswire.TypeA); err != nil {
 		t.Fatal(err)
 	}
-	// Kill the pooled connection behind the client's back.
-	c.mu.Lock()
-	c.conn.Close()
-	c.mu.Unlock()
-	resp, _, err := c.Query(ctx, "b.a.com.", dnswire.TypeA)
+	if c.pool.Idle() != 1 {
+		t.Fatalf("%d idle connections after the first query, want 1", c.pool.Idle())
+	}
+	resp, timing, err := c.Query(ctx, "b.a.com.", dnswire.TypeA)
 	if err != nil {
 		t.Fatalf("Query after connection drop: %v", err)
 	}
 	if len(resp.Answers) != 1 {
 		t.Fatalf("answers = %v", resp.Answers)
+	}
+	if timing.Reused || timing.Connect <= 0 || timing.TLSHandshake <= 0 {
+		t.Errorf("timing = %+v, want the fresh connection's", timing)
+	}
+	if conns, _, asked := srv.seen(); conns != 2 || len(asked) != 2 {
+		t.Errorf("server saw %d connections and %d queries, want 2 and 2: one redial", conns, len(asked))
+	}
+	if c.pool.Idle() != 1 {
+		t.Errorf("%d idle connections after the redial, want 1", c.pool.Idle())
 	}
 }
 

@@ -49,9 +49,6 @@ func DistanceKm(a, b Point) float64 {
 	return 2 * EarthRadiusKm * math.Asin(math.Sqrt(h))
 }
 
-// DistanceMiles returns the great-circle distance in miles.
-func DistanceMiles(a, b Point) float64 { return DistanceKm(a, b) / KmPerMile }
-
 // Nearest returns the index of the point in candidates closest to from
 // and the distance in km. It returns (-1, +Inf) for an empty slice.
 func Nearest(from Point, candidates []Point) (int, float64) {
@@ -62,19 +59,6 @@ func Nearest(from Point, candidates []Point) (int, float64) {
 		}
 	}
 	return best, bestDist
-}
-
-// Midpoint returns the midpoint of the great-circle segment a-b.
-func Midpoint(a, b Point) Point {
-	lat1, lon1 := radians(a.Lat), radians(a.Lon)
-	lat2, lon2 := radians(b.Lat), radians(b.Lon)
-	dLon := lon2 - lon1
-	bx := math.Cos(lat2) * math.Cos(dLon)
-	by := math.Cos(lat2) * math.Sin(dLon)
-	lat := math.Atan2(math.Sin(lat1)+math.Sin(lat2),
-		math.Sqrt((math.Cos(lat1)+bx)*(math.Cos(lat1)+bx)+by*by))
-	lon := lon1 + math.Atan2(by, math.Cos(lat1)+bx)
-	return Point{Lat: lat * 180 / math.Pi, Lon: normalizeLon(lon * 180 / math.Pi)}
 }
 
 func normalizeLon(lon float64) float64 {

@@ -33,11 +33,12 @@ func TestDistanceKnownPairs(t *testing.T) {
 	}
 }
 
+// TestDistanceMilesConversion holds KmPerMile, the constant the analysis
+// layer divides by, to a known distance: New York to London is about
+// 3,460 statute miles.
 func TestDistanceMilesConversion(t *testing.T) {
-	km := DistanceKm(newYork, london)
-	mi := DistanceMiles(newYork, london)
-	if math.Abs(mi*KmPerMile-km) > 1e-9 {
-		t.Errorf("miles/km inconsistent: %f vs %f", mi*KmPerMile, km)
+	if mi := DistanceKm(newYork, london) / KmPerMile; math.Abs(mi-3460) > 40 {
+		t.Errorf("New York to London = %.0f miles, want 3460 ± 40", mi)
 	}
 }
 
@@ -69,18 +70,6 @@ func TestNearest(t *testing.T) {
 	}
 	if idx, d := Nearest(newYork, nil); idx != -1 || !math.IsInf(d, 1) {
 		t.Errorf("empty candidates: %d, %f", idx, d)
-	}
-}
-
-func TestMidpoint(t *testing.T) {
-	m := Midpoint(newYork, london)
-	// The midpoint must be roughly equidistant.
-	d1, d2 := DistanceKm(newYork, m), DistanceKm(london, m)
-	if math.Abs(d1-d2) > 1 {
-		t.Errorf("midpoint not equidistant: %.1f vs %.1f", d1, d2)
-	}
-	if !m.Valid() {
-		t.Errorf("midpoint invalid: %v", m)
 	}
 }
 

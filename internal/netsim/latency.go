@@ -190,8 +190,3 @@ func countLoss(counter *int64) {
 func (m LatencyModel) RTT(rng *rand.Rand, a, b Endpoint) time.Duration {
 	return m.OneWay(rng, a, b) + m.OneWay(rng, b, a)
 }
-
-// MeanRTT returns the deterministic round-trip delay.
-func (m LatencyModel) MeanRTT(a, b Endpoint) time.Duration {
-	return 2 * m.MeanOneWay(a, b)
-}

@@ -9,7 +9,6 @@ import (
 	"net"
 	"net/http"
 	"net/netip"
-	"strings"
 	"sync"
 	"time"
 
@@ -301,13 +300,4 @@ func DialViaProxy(ctx context.Context, proxyAddr, target string) (net.Conn, TunT
 	}
 	conn.SetDeadline(time.Time{})
 	return conn, tun, timeline, elapsed, nil
-}
-
-// HostOf extracts the hostname from a URL-ish "host:port" or plain
-// host string.
-func HostOf(target string) string {
-	if h, _, err := net.SplitHostPort(target); err == nil {
-		return h
-	}
-	return strings.TrimSpace(target)
 }

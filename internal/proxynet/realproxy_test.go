@@ -184,20 +184,6 @@ func TestRealProxyUnreachableUpstream(t *testing.T) {
 	}
 }
 
-func TestHostOf(t *testing.T) {
-	cases := map[string]string{
-		"example.com:443": "example.com",
-		"example.com":     "example.com",
-		" padded ":        "padded",
-		"127.0.0.1:80":    "127.0.0.1",
-	}
-	for in, want := range cases {
-		if got := HostOf(in); got != want {
-			t.Errorf("HostOf(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
 func TestRealProxyConcurrentTunnels(t *testing.T) {
 	target := echoTCP(t)
 	p := startProxy(t, "")

@@ -149,7 +149,7 @@ func TestMeasureSessionRows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rtt := model.MeanRTT(us, us)
+			rtt := 2 * model.MeanOneWay(us, us)
 			smartConnect, smartCrypto := cold.Connect/rtt, (cold.TLSHandshake-netsim.CryptoCompute)/rtt
 
 			sim, node := exactSim(t, 46, false, "PL")

@@ -23,8 +23,9 @@ import (
 )
 
 // Upstream answers queries on behalf of the resolver. Implementations
-// include real authoritative servers reached over UDP (SocketUpstream)
-// and virtual-network authoritative nodes in the simulator.
+// include real servers reached over any transport
+// (resolver.UpstreamAdapter) and virtual-network authoritative nodes in
+// the simulator.
 type Upstream interface {
 	// Resolve returns the authoritative response for q.
 	Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error)
@@ -36,19 +37,6 @@ type UpstreamFunc func(ctx context.Context, q *dnswire.Message) (*dnswire.Messag
 // Resolve implements Upstream.
 func (f UpstreamFunc) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
 	return f(ctx, q)
-}
-
-// SocketUpstream forwards queries to a fixed authoritative address
-// over UDP/TCP.
-type SocketUpstream struct {
-	Addr   string
-	Client dnsclient.Client
-}
-
-// Resolve implements Upstream.
-func (u *SocketUpstream) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
-	resp, _, err := u.Client.Exchange(ctx, u.Addr, q)
-	return resp, err
 }
 
 // ErrNoUpstream is returned when no upstream covers a query.

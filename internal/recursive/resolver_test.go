@@ -11,6 +11,7 @@ import (
 	"repro/internal/authserver"
 	"repro/internal/dnsclient"
 	"repro/internal/dnswire"
+	"repro/internal/resolver"
 	"repro/internal/serve"
 )
 
@@ -132,7 +133,7 @@ func TestResolverServerOverUDPWithRealAuth(t *testing.T) {
 	defer auth.Shutdown(context.Background())
 
 	r := New(nil)
-	r.AddZone("a.com.", &SocketUpstream{Addr: auth.Addr()})
+	r.AddZone("a.com.", resolver.UpstreamAdapter{R: resolver.NewDo53(auth.Addr(), nil)})
 	srv := NewServer(r)
 	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatal(err)

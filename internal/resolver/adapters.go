@@ -9,69 +9,30 @@ import (
 	"repro/internal/dot"
 )
 
-// NewDo53 wraps a Do53 stub client as a Resolver bound to one server
-// address. A nil client uses the zero-value dnsclient defaults. The
-// client's own UDP retransmission (Client.Retries) is protocol-level
-// behavior and stays below this API; policy-layer retries stack above.
+// The three transports are bindings of the wire clients' own methods:
+// each client returns the one Timing itself, so there is no adapter
+// type between a client and the policy layers.
+
+// NewDo53 binds a Do53 stub client to one server address. A nil client
+// uses the zero-value dnsclient defaults. The client's own UDP
+// retransmission (Client.Retries) is protocol-level behavior and stays
+// below this API; policy-layer retries stack above.
 func NewDo53(addr string, c *dnsclient.Client) Resolver {
 	if c == nil {
 		c = &dnsclient.Client{}
 	}
-	return &do53Resolver{addr: addr, client: c}
+	return Func(func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, Timing, error) {
+		resp, rtt, err := c.Exchange(ctx, addr, q)
+		return resp, Timing{RoundTrip: rtt, Total: rtt}, err
+	})
 }
 
-type do53Resolver struct {
-	addr   string
-	client *dnsclient.Client
-}
-
-func (r *do53Resolver) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Message, Timing, error) {
-	resp, t, err := r.client.ExchangeTimed(ctx, r.addr, q)
-	return resp, fromBreakdown(t), err
-}
-
-// NewDoH wraps a DoH client (already bound to its endpoint URL) as a
+// NewDoH is a DoH client (already bound to its endpoint URL) as a
 // Resolver.
-func NewDoH(c *dohclient.Client) Resolver {
-	return &dohResolver{client: c}
-}
+func NewDoH(c *dohclient.Client) Resolver { return Func(c.Exchange) }
 
-type dohResolver struct {
-	client *dohclient.Client
-}
-
-func (r *dohResolver) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Message, Timing, error) {
-	resp, t, err := r.client.Exchange(ctx, q)
-	return resp, fromBreakdown(t), err
-}
-
-// NewDoT wraps a DoT client as a Resolver.
-func NewDoT(c *dot.Client) Resolver {
-	return &dotResolver{client: c}
-}
-
-type dotResolver struct {
-	client *dot.Client
-}
-
-func (r *dotResolver) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Message, Timing, error) {
-	resp, t, err := r.client.Exchange(ctx, q)
-	return resp, fromBreakdown(t), err
-}
-
-// fromBreakdown assembles a unified Timing for a single transport
-// attempt from the wire client's.
-func fromBreakdown(t dnsclient.Timing) Timing {
-	return Timing{
-		DNSLookup:    t.DNSLookup,
-		Connect:      t.Connect,
-		TLSHandshake: t.TLSHandshake,
-		RoundTrip:    t.RoundTrip,
-		Total:        t.Total,
-		Reused:       t.Reused,
-		Attempts:     1,
-	}
-}
+// NewDoT is a DoT client as a Resolver.
+func NewDoT(c *dot.Client) Resolver { return Func(c.Exchange) }
 
 // UpstreamAdapter exposes a Resolver under the one-return-value
 // Resolve signature the recursive resolver's Upstream interface uses,
@@ -82,7 +43,7 @@ func fromBreakdown(t dnsclient.Timing) Timing {
 //		resolver.NewDo53(addr, nil), resolver.RetryPolicy{})})
 //
 // The adapter satisfies recursive.Upstream structurally; no import of
-// the recursive package is needed (or possible — it would cycle).
+// the recursive package is needed.
 type UpstreamAdapter struct {
 	// R performs the resolution.
 	R Resolver

@@ -64,7 +64,7 @@ type metricsRecorder struct {
 func (m *metricsRecorder) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Message, Timing, error) {
 	m.queries.Inc()
 	resp, t, err := m.next.Resolve(ctx, q)
-	m.attempts.Add(int64(t.attempts()))
+	m.attempts.Add(int64(t.AttemptCount()))
 	if err != nil {
 		m.errors.Inc()
 		return resp, t, err
@@ -100,16 +100,4 @@ func PublishPolicyMetrics(reg *obs.Registry, kind Kind, m *Metrics) {
 	reg.Gauge(metricName(kind, "hedges")).Set(float64(s.Hedges))
 	reg.Gauge(metricName(kind, "drops")).Set(float64(s.Drops))
 	reg.Gauge(metricName(kind, "failures")).Set(float64(s.Failures))
-}
-
-// PublishFaultStats exports a fault injector's counters into reg as
-// gauges (resolver_<kind>_fault_*). Idempotent like
-// PublishPolicyMetrics.
-func PublishFaultStats(reg *obs.Registry, kind Kind, st FaultStats) {
-	reg.Gauge(metricName(kind, "fault_calls")).Set(float64(st.Calls))
-	reg.Gauge(metricName(kind, "fault_drops")).Set(float64(st.Drops))
-	reg.Gauge(metricName(kind, "fault_servfails")).Set(float64(st.ServFails))
-	reg.Gauge(metricName(kind, "fault_truncations")).Set(float64(st.Truncations))
-	reg.Gauge(metricName(kind, "fault_slowdowns")).Set(float64(st.Slowdowns))
-	reg.Gauge(metricName(kind, "fault_passed")).Set(float64(st.Passed))
 }

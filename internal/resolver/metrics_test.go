@@ -86,7 +86,7 @@ func TestWithMetricsCountsErrors(t *testing.T) {
 // sources — injector and fixed transport; a wall-clock layer like
 // WithRetry's Total would be deterministic only in virtual time.)
 func TestWithMetricsDeterministicSnapshot(t *testing.T) {
-	run := func() obs.Snapshot {
+	run := func() (obs.Snapshot, FaultStats) {
 		reg := obs.NewRegistry()
 		q := testQuery()
 
@@ -104,7 +104,6 @@ func TestWithMetricsDeterministicSnapshot(t *testing.T) {
 		for i := 0; i < 40; i++ {
 			_, _, _ = mr.Resolve(context.Background(), q)
 		}
-		PublishFaultStats(reg, DoH, injector.Stats())
 
 		// Retry/hedge counters: a lossy retry stack whose integer
 		// counters are schedule-independent; published as gauges.
@@ -116,25 +115,23 @@ func TestWithMetricsDeterministicSnapshot(t *testing.T) {
 			_, _, _ = retry.Resolve(context.Background(), q)
 		}
 		PublishPolicyMetrics(reg, Do53, metrics)
-		return reg.Snapshot()
+		return reg.Snapshot(), injector.Stats()
 	}
-	a, b := run(), run()
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("snapshots differ across same-seed runs:\n%+v\nvs\n%+v", a, b)
+	a, faults := run()
+	b, faultsAgain := run()
+	if !reflect.DeepEqual(a, b) || faults != faultsAgain {
+		t.Fatalf("snapshots differ across same-seed runs:\n%+v %+v\nvs\n%+v %+v", a, faults, b, faultsAgain)
 	}
 	// The faults and retries must actually have fired for this to test
 	// anything.
-	var drops, retries float64
+	var retries float64
 	for _, g := range a.Gauges {
-		switch g.Name {
-		case "resolver_doh_fault_drops":
-			drops = g.Value
-		case "resolver_do53_retries":
+		if g.Name == "resolver_do53_retries" {
 			retries = g.Value
 		}
 	}
-	if drops == 0 || retries == 0 {
-		t.Fatalf("drops=%g retries=%g; determinism test is vacuous", drops, retries)
+	if faults.Drops == 0 || retries == 0 {
+		t.Fatalf("drops=%d retries=%g; determinism test is vacuous", faults.Drops, retries)
 	}
 }
 

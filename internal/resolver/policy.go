@@ -17,7 +17,7 @@ import (
 // the canonical order (innermost first):
 //
 //	transport -> WithFaults -> per-attempt WithTimeout -> WithRetry
-//	          -> WithHedging -> overall WithTimeout -> WithBreaker
+//	          -> WithHedgingN -> overall WithTimeout -> WithBreaker
 //	          -> entry metrics -> WithMetrics (registry histograms)
 //	          -> WithCache
 //
@@ -234,18 +234,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// Schedule returns the deterministic pre-jitter backoff delays for
-// retries 1..MaxAttempts-1: BaseDelay * Multiplier^i capped at
-// MaxDelay. Jitter is applied on top of these values at run time.
-func (p RetryPolicy) Schedule() []time.Duration {
-	p = p.withDefaults()
-	out := make([]time.Duration, 0, p.MaxAttempts-1)
-	for i := 0; i < p.MaxAttempts-1; i++ {
-		out = append(out, p.baseDelay(i))
-	}
-	return out
-}
-
 // baseDelay is the pre-jitter delay before retry i (0-based).
 func (p RetryPolicy) baseDelay(i int) time.Duration {
 	d := float64(p.BaseDelay) * math.Pow(p.Multiplier, float64(i))
@@ -334,9 +322,9 @@ func (r *retrier) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Mes
 			return nil, lastTiming, err
 		}
 		resp, t, err := r.next.Resolve(ctx, q)
-		attempts += t.attempts()
+		attempts += t.AttemptCount()
 		if r.p.Metrics != nil {
-			r.p.Metrics.Attempts.Add(int64(t.attempts()))
+			r.p.Metrics.Attempts.Add(int64(t.AttemptCount()))
 			if err != nil {
 				r.p.Metrics.Drops.Add(1)
 			}
@@ -387,116 +375,110 @@ func (r *retrier) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Mes
 	return lastResp, lastTiming, nil
 }
 
-// WithHedging fires a speculative second attempt when the first has
-// not answered within delay (or has already failed), and returns
-// whichever attempt succeeds first — the tail-latency hedge pattern.
-// The losing attempt is cancelled. metrics may be nil.
-func WithHedging(next Resolver, delay time.Duration, metrics *Metrics) Resolver {
-	return WithHedgingN(next, delay, 2, metrics)
-}
-
-// WithHedgingN generalizes WithHedging to a fan-out of max total
-// attempts: while no attempt has answered, a further speculative
-// attempt launches every delay (or immediately when one fails
-// outright) until max are in flight. The first success wins and
-// cancels the rest; if every attempt fails, the first failure is
-// returned. max below 2 is treated as 2.
+// WithHedgingN fires speculative further attempts when the first has
+// not answered within delay (or has already failed), up to max in
+// total, and returns whichever succeeds first — the tail-latency hedge
+// pattern, Race over max slots of the same transport. The losing
+// attempts are cancelled. max below 2 is treated as 2; metrics may be
+// nil.
 func WithHedgingN(next Resolver, delay time.Duration, max int, metrics *Metrics) Resolver {
 	if max < 2 {
 		max = 2
 	}
-	return &hedger{next: next, delay: delay, max: max, metrics: metrics}
+	return Func(func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, Timing, error) {
+		resp, t, _, launched, err := Race(ctx, max, delay, func(ctx context.Context, _ int) (*dnswire.Message, Timing, error) {
+			return next.Resolve(ctx, q)
+		})
+		if metrics != nil {
+			metrics.Hedges.Add(int64(launched - 1))
+		}
+		return resp, t, err
+	})
 }
 
-type hedger struct {
-	next    Resolver
-	delay   time.Duration
-	max     int
-	metrics *Metrics
-}
-
-type hedgeResult struct {
+// raceResult carries one slot's outcome.
+type raceResult struct {
+	slot int
 	resp *dnswire.Message
 	t    Timing
 	err  error
 }
 
-func (h *hedger) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Message, Timing, error) {
+// Race is the one staggered race: hedging runs it over attempts of one
+// transport, internal/smart over candidate transports. Slot 0 launches
+// at once; while no slot has answered, the next launches every stagger,
+// or immediately when one fails outright, until all slots are in flight.
+// The first success wins and cancels the rest through the context run
+// is given; its slot is returned as winner. When every slot fails,
+// winner is -1 and the first failure is returned; when ctx ends first,
+// winner is -1 and the error is ctx's. The Timing's Attempts counts the
+// slots that answered plus those still in flight, which consumed
+// transport work even though their results are discarded; launched is
+// the number of slots started.
+func Race(ctx context.Context, slots int, stagger time.Duration,
+	run func(ctx context.Context, slot int) (*dnswire.Message, Timing, error),
+) (resp *dnswire.Message, t Timing, winner, launched int, err error) {
 	start := time.Now()
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	results := make(chan hedgeResult, h.max)
+	results := make(chan raceResult, slots)
 	launch := func() {
+		slot := launched
 		go func() {
-			resp, t, err := h.next.Resolve(ctx, q)
-			results <- hedgeResult{resp, t, err}
+			m, t, err := run(ctx, slot)
+			results <- raceResult{slot, m, t, err}
 		}()
+		launched++
 	}
 	launch()
-	inflight, launched := 1, 1
 
-	timer := time.NewTimer(h.delay)
+	timer := time.NewTimer(stagger)
 	defer timer.Stop()
-
-	hedge := func() {
+	// next launches the next slot and, while more remain, arms the timer
+	// for the one after it.
+	next := func() {
 		launch()
-		inflight++
-		launched++
-		if h.metrics != nil {
-			h.metrics.Hedges.Add(1)
-		}
-		if launched < h.max {
-			// More fan-out available: arm the timer for the next hedge.
-			timer.Reset(h.delay)
+		if launched < slots {
+			timer.Reset(stagger)
 		}
 	}
 
-	var attempts int
-	var firstFail *hedgeResult
+	var answered, attempts int
+	var firstFail *raceResult
 	for {
 		select {
 		case res := <-results:
-			inflight--
-			attempts += res.t.attempts()
+			answered++
+			attempts += res.t.AttemptCount()
 			if res.err == nil {
-				res.t.Attempts = attempts + pendingAttempts(inflight)
+				res.t.Attempts = attempts + launched - answered
 				res.t.Total = time.Since(start)
-				return res.resp, res.t, nil
+				return res.resp, res.t, res.slot, launched, nil
 			}
 			if firstFail == nil {
 				firstFail = &res
 			}
-			if launched < h.max {
-				// An attempt failed outright before the hedge timer:
-				// fire the next hedge immediately rather than waiting.
+			if launched < slots {
+				// A slot failed outright before the stagger timer: launch
+				// the next immediately rather than waiting.
 				timer.Stop()
-				hedge()
+				next()
 				continue
 			}
-			if inflight == 0 {
+			if answered == launched {
 				firstFail.t.Attempts = attempts
 				firstFail.t.Total = time.Since(start)
-				return nil, firstFail.t, firstFail.err
+				return nil, firstFail.t, -1, launched, firstFail.err
 			}
 		case <-timer.C:
-			if launched < h.max {
-				hedge()
+			if launched < slots {
+				next()
 			}
 		case <-ctx.Done():
-			return nil, Timing{Attempts: attempts, Total: time.Since(start)}, ctx.Err()
+			return nil, Timing{Attempts: attempts, Total: time.Since(start)}, -1, launched, ctx.Err()
 		}
 	}
-}
-
-// pendingAttempts counts attempts still in flight when a winner
-// returns; they consumed transport work even though their results are
-// discarded.
-func pendingAttempts(inflight int) int {
-	if inflight < 0 {
-		return 0
-	}
-	return inflight
 }
 
 // withEntryMetrics counts Resolve calls entering the stack (failures

@@ -58,13 +58,13 @@ func TestRetrySchedule(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got := tt.p.Schedule()
-			if len(got) != len(tt.want) {
-				t.Fatalf("Schedule() = %v, want %v", got, tt.want)
+			p := tt.p.withDefaults()
+			if got := p.MaxAttempts - 1; got != len(tt.want) {
+				t.Fatalf("%d retries, want %d", got, len(tt.want))
 			}
-			for i := range got {
-				if got[i] != tt.want[i] {
-					t.Errorf("Schedule()[%d] = %v, want %v", i, got[i], tt.want[i])
+			for i, want := range tt.want {
+				if got := p.baseDelay(i); got != want {
+					t.Errorf("baseDelay(%d) = %v, want %v", i, got, want)
 				}
 			}
 		})
@@ -116,10 +116,10 @@ func TestRetryJitterDeterministic(t *testing.T) {
 		t.Error("different seeds produced identical jittered schedules")
 	}
 	// Jitter must stay within the +/-50% band of the pre-jitter delay.
-	base := RetryPolicy{MaxAttempts: 5, BaseDelay: 100 * time.Millisecond}.Schedule()
+	base := RetryPolicy{MaxAttempts: 5, BaseDelay: 100 * time.Millisecond}.withDefaults()
 	for i, d := range a {
-		lo := time.Duration(float64(base[i]) * 0.5)
-		hi := time.Duration(float64(base[i]) * 1.5)
+		lo := time.Duration(float64(base.baseDelay(i)) * 0.5)
+		hi := time.Duration(float64(base.baseDelay(i)) * 1.5)
 		if d < lo || d > hi {
 			t.Errorf("delay %d = %v outside jitter band [%v, %v]", i, d, lo, hi)
 		}
@@ -262,7 +262,7 @@ func TestHedgingWinsOnSlowPrimary(t *testing.T) {
 		return q.Reply(), Timing{Attempts: 1}, nil
 	})
 	m := &Metrics{}
-	r := WithHedging(next, time.Millisecond, m)
+	r := WithHedgingN(next, time.Millisecond, 2, m)
 	resp, timing, err := r.Resolve(context.Background(), Query("h.a.com.", dnswire.TypeA))
 	if err != nil {
 		t.Fatalf("Resolve: %v", err)
@@ -282,7 +282,7 @@ func TestHedgingImmediateOnPrimaryFailure(t *testing.T) {
 	// Primary fails fast: the hedge must fire before the hedge delay.
 	s := &stub{errs: []error{errWire, nil}}
 	m := &Metrics{}
-	r := WithHedging(s, time.Hour, m)
+	r := WithHedgingN(s, time.Hour, 2, m)
 	start := time.Now()
 	resp, _, err := r.Resolve(context.Background(), Query("h.a.com.", dnswire.TypeA))
 	if err != nil {

@@ -6,11 +6,11 @@
 //
 //	Resolve(ctx, query) (response, Timing, error)
 //
-// plus a composable policy layer (WithRetry, WithTimeout, WithHedging,
+// plus a composable policy layer (WithRetry, WithTimeout, WithHedgingN,
 // WithFaults) so retry, deadline, and drop-accounting semantics are
-// identical no matter which wire protocol carries the query. Adapters
-// for the three concrete clients live in adapters.go; every future
-// backend (DoQ, new providers) plugs into the same seam.
+// identical no matter which wire protocol carries the query. The three
+// concrete clients are bound in adapters.go; every future backend (DoQ,
+// new providers) plugs into the same seam.
 package resolver
 
 import (
@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/dnsclient"
 	"repro/internal/dnswire"
@@ -67,66 +66,11 @@ func (k Kind) Valid() bool {
 	return err == nil
 }
 
-// Timing is the unified per-phase breakdown of one resolution. It
-// subsumes the per-transport timing structs: phases a transport does
-// not have (Do53 has no TLS handshake; reused connections pay no
-// setup) are zero.
-type Timing struct {
-	// DNSLookup is the time to resolve the server's own name (DoH
-	// bootstrap; t3+t4 in the paper's Figure 2). Zero for transports
-	// addressed by IP literal.
-	DNSLookup time.Duration
-	// Connect is the TCP handshake time (zero on reuse, and for UDP).
-	Connect time.Duration
-	// TLSHandshake is the TLS establishment time (zero on reuse and
-	// for Do53).
-	TLSHandshake time.Duration
-	// RoundTrip is the query/response time once the transport is
-	// ready.
-	RoundTrip time.Duration
-	// Total is the wall-clock time of the whole resolution including
-	// retries and backoff sleeps when a policy layer is stacked above
-	// the transport.
-	Total time.Duration
-	// Reused reports whether an established connection served the
-	// exchange.
-	Reused bool
-	// Attempts is the number of transport attempts this resolution
-	// consumed (1 for a clean first try; retry and hedging layers add
-	// theirs). Zero means the layer below did not count — treat as 1.
-	Attempts int
-	// Stale reports that the answer came from an expired cache entry
-	// inside the serve-stale window (RFC 8767): TTLs are capped and a
-	// background refresh is under way. Implies Reused.
-	Stale bool
-}
-
-// Breakdown returns the per-phase durations keyed by stable names, the
-// form the analysis layer aggregates. Keys are identical across all
-// transports.
-func (t Timing) Breakdown() map[string]time.Duration {
-	return map[string]time.Duration{
-		"dns_lookup":    t.DNSLookup,
-		"connect":       t.Connect,
-		"tls_handshake": t.TLSHandshake,
-		"round_trip":    t.RoundTrip,
-		"total":         t.Total,
-	}
-}
-
-// Setup returns the connection-establishment share of the resolution
-// (everything but the round trip itself).
-func (t Timing) Setup() time.Duration {
-	return t.DNSLookup + t.Connect + t.TLSHandshake
-}
-
-// attempts normalizes the Attempts convention (zero means one).
-func (t Timing) attempts() int {
-	if t.Attempts <= 0 {
-		return 1
-	}
-	return t.Attempts
-}
+// Timing is the unified per-phase breakdown of one resolution: the wire
+// clients' own type, so a transport's timing reaches the policy layers
+// without a copy. Phases a transport does not have (Do53 has no TLS
+// handshake; reused connections pay no setup) are zero.
+type Timing = dnsclient.Timing
 
 // Resolver is the transport-agnostic resolution API. Implementations
 // must be safe for concurrent use.
@@ -160,7 +104,7 @@ type Metrics struct {
 	Attempts atomic.Int64
 	// Retries counts backoff retries taken by WithRetry.
 	Retries atomic.Int64
-	// Hedges counts speculative second attempts fired by WithHedging.
+	// Hedges counts speculative further attempts fired by WithHedgingN.
 	Hedges atomic.Int64
 	// Drops counts attempts that failed with a transport error (the
 	// paper's §3.5 measurement discards).

@@ -74,8 +74,12 @@ func TestTimingBreakdown(t *testing.T) {
 			t.Errorf("Breakdown[%q] = %v, want %v", k, b[k], v)
 		}
 	}
-	if got := timing.Setup(); got != 6*time.Millisecond {
-		t.Errorf("Setup() = %v, want 6ms", got)
+	if got := timing.AttemptCount(); got != 1 {
+		t.Errorf("AttemptCount() = %d on a bare transport's timing, want 1", got)
+	}
+	timing.Attempts = 3
+	if got := timing.AttemptCount(); got != 3 {
+		t.Errorf("AttemptCount() = %d, want 3", got)
 	}
 }
 

@@ -104,8 +104,13 @@ func TestAdmissionShedServfailUDP(t *testing.T) {
 	if !bytes.Equal(buf[:n], q1) {
 		t.Fatalf("parked query answered %x, want echo of %x", buf[:n], q1)
 	}
-	if got := reg.Gauge("serve_inflight").Value(); got != 0 {
-		t.Fatalf("serve_inflight = %v after drain, want 0", got)
+	// dispatchWorker holds the slot until it is done with the query, the
+	// write included, so the answer can arrive a moment before the gauge
+	// falls (the inline loop releases before it writes): wait for it.
+	for deadline := time.Now().Add(5 * time.Second); reg.Gauge("serve_inflight").Value() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("serve_inflight = %v after drain, want 0", reg.Gauge("serve_inflight").Value())
+		}
 	}
 }
 

@@ -78,11 +78,6 @@ func LatencyBounds() []time.Duration {
 	return out
 }
 
-// NumBuckets is the bucket count of the canonical layout including the
-// overflow bucket — the length obs histograms built on LatencyBounds
-// expect from BucketCounts.
-func NumBuckets() int { return len(canonicalBounds) + 1 }
-
 // Histogram is a mergeable fixed-bucket latency histogram with exact
 // streaming count/sum/min/max. The zero value is NOT ready; construct
 // with NewHistogram.

@@ -2,8 +2,8 @@
 // candidate transports (Do53/DoH/DoT/DoQ) behind the one Resolver
 // interface and minimizes observed latency per destination. The first
 // query to a destination races all healthy candidates with staggered
-// happy-eyeballs starts (the WithHedgingN cancellation pattern applied
-// across transports instead of across attempts of one transport); the
+// happy-eyeballs starts (resolver.Race, the loop WithHedgingN runs across
+// attempts of one transport, run across transports); the
 // winner is remembered in a sharded allocation-free table with EWMA
 // latency scoring and time decay, so steady-state queries take the
 // single remembered-fastest transport with zero racing overhead.
@@ -370,23 +370,6 @@ func (s *Resolver) feedBreaker(ctx context.Context, i int, err error) {
 	b.Failure()
 }
 
-// attemptsOrOne normalizes the Timing.Attempts convention (zero means
-// the layer below did not count — treat as one).
-func attemptsOrOne(t resolver.Timing) int {
-	if t.Attempts <= 0 {
-		return 1
-	}
-	return t.Attempts
-}
-
-// raceResult carries one candidate attempt's outcome.
-type raceResult struct {
-	idx  int
-	resp *dnswire.Message
-	t    resolver.Timing
-	err  error
-}
-
 // raceOrder returns the candidate launch order: healthy candidates
 // sorted by EWMA score ascending (unknown scores last, in Config
 // order), excluding skip when at least one alternative exists. With
@@ -454,88 +437,36 @@ func RaceOutcome(stagger float64, launches []Launch) (winner int, first, steady 
 	return winner, first, steady
 }
 
-// race runs the staggered happy-eyeballs race over the candidates and
-// remembers the winner. e may be nil (table full): the race still
-// resolves, it just isn't remembered. skip names a candidate excluded
-// from this race (the just-failed or just-evicted winner), -1 for
-// none.
+// race runs the staggered happy-eyeballs race over the candidates
+// (resolver.Race, the loop WithHedgingN runs over attempts of one
+// transport) and remembers the winner. e may be nil (table full): the
+// race still resolves, it just isn't remembered. skip names a candidate
+// excluded from this race (the just-failed or just-evicted winner), -1
+// for none.
 func (s *Resolver) race(ctx context.Context, q *dnswire.Message, e *entry, cause raceCause, skip int) (*dnswire.Message, resolver.Timing, error) {
 	s.races[cause].Add(1)
 	s.mRace.Inc()
 	order := s.raceOrder(e, skip)
-
-	start := time.Now()
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	results := make(chan raceResult, len(order))
-	launch := func(slot int) {
-		idx := order[slot]
-		go func() {
-			a := time.Now()
+	resp, t, slot, _, err := resolver.Race(ctx, len(order), s.opts.Stagger,
+		func(ctx context.Context, slot int) (*dnswire.Message, resolver.Timing, error) {
+			idx := order[slot]
+			start := time.Now()
 			resp, t, err := s.cands[idx].Resolver.Resolve(ctx, q)
 			s.feedBreaker(ctx, idx, err)
 			if err == nil && e != nil {
-				e.observeEwma(idx, latencyMicros(t, time.Since(a)), s.opts.Alpha)
+				e.observeEwma(idx, latencyMicros(t, time.Since(start)), s.opts.Alpha)
 			}
-			results <- raceResult{idx, resp, t, err}
-		}()
+			return resp, t, err
+		})
+	switch {
+	case slot >= 0:
+		s.won(e, order[slot], cause)
+	case ctx.Err() == nil:
+		// Every candidate lost; a caller that gave up is not a failed race.
+		s.raceFails.Add(1)
+		s.mRaceFail.Inc()
 	}
-	launch(0)
-	launched, inflight := 1, 1
-
-	timer := time.NewTimer(s.opts.Stagger)
-	defer timer.Stop()
-
-	var attempts int
-	var firstFail *raceResult
-	for {
-		select {
-		case res := <-results:
-			inflight--
-			attempts += attemptsOrOne(res.t)
-			if res.err == nil {
-				s.won(e, res.idx, cause)
-				if inflight > 0 {
-					attempts += inflight
-				}
-				res.t.Attempts = attempts
-				res.t.Total = time.Since(start)
-				return res.resp, res.t, nil
-			}
-			if firstFail == nil {
-				res := res
-				firstFail = &res
-			}
-			if launched < len(order) {
-				// A candidate failed outright: launch the next without
-				// waiting out the stagger.
-				timer.Stop()
-				launch(launched)
-				launched++
-				inflight++
-				continue
-			}
-			if inflight == 0 {
-				s.raceFails.Add(1)
-				s.mRaceFail.Inc()
-				firstFail.t.Attempts = attempts
-				firstFail.t.Total = time.Since(start)
-				return nil, firstFail.t, firstFail.err
-			}
-		case <-timer.C:
-			if launched < len(order) {
-				launch(launched)
-				launched++
-				inflight++
-				if launched < len(order) {
-					timer.Reset(s.opts.Stagger)
-				}
-			}
-		case <-ctx.Done():
-			return nil, resolver.Timing{Attempts: attempts, Total: time.Since(start)}, ctx.Err()
-		}
-	}
+	return resp, t, err
 }
 
 // won records a race winner: per-candidate win counters, the winner

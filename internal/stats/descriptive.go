@@ -109,30 +109,6 @@ func (e *ECDF) At(x float64) float64 {
 	return float64(idx) / float64(len(e.sorted))
 }
 
-// InverseAt returns the q-th quantile of the underlying sample using
-// the same estimator as Quantile: linear interpolation between order
-// statistics at position q*(n-1) (Hyndman–Fan type 7, the R default).
-// When the position lands exactly on an order statistic the tie-break
-// is that value itself (no averaging), so for any q,
-// InverseAt(q) == Quantile(sample, q) exactly. q <= 0 returns the
-// minimum and q >= 1 the maximum.
-func (e *ECDF) InverseAt(q float64) float64 {
-	if q <= 0 {
-		return e.sorted[0]
-	}
-	if q >= 1 {
-		return e.sorted[len(e.sorted)-1]
-	}
-	pos := q * float64(len(e.sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return e.sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return e.sorted[lo]*(1-frac) + e.sorted[hi]*frac
-}
-
 // Len reports the sample size.
 func (e *ECDF) Len() int { return len(e.sorted) }
 

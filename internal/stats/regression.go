@@ -23,9 +23,6 @@ type Coefficient struct {
 // OddsRatio is exp(Value); meaningful for logistic coefficients.
 func (c Coefficient) OddsRatio() float64 { return math.Exp(c.Value) }
 
-// Significant reports p < alpha.
-func (c Coefficient) Significant(alpha float64) bool { return c.P < alpha }
-
 // LinearModel is a fitted OLS regression.
 type LinearModel struct {
 	// Intercept is the constant term.
@@ -145,17 +142,6 @@ type LogisticModel struct {
 	Iterations int
 	// N is the number of observations.
 	N int
-}
-
-// Predict returns P(y=1 | x) under the fitted model.
-func (m *LogisticModel) Predict(x []float64) float64 {
-	eta := m.Intercept.Value
-	for j, c := range m.Coefficients {
-		if j < len(x) {
-			eta += c.Value * x[j]
-		}
-	}
-	return 1 / (1 + math.Exp(-eta))
 }
 
 // FitLogistic fits P(y=1) = sigmoid(b0 + b·x) by iteratively

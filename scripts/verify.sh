@@ -17,52 +17,46 @@ step "vet"
 go vet ./...
 
 step "unit tests (all packages)"
+# Everything that needs no extra mode runs here and only here: the
+# allocation budgets (they skip themselves under -race —
+# TestWarmExchangeAllocBudget, TestDoTWarmExchangeAllocBudget,
+# TestRawQueryAllocs, TestServeHTTPAllocBudget,
+# TestQueryTimeoutAllocationFree, TestBatchAllocationFree,
+# TestWithTimeoutUnarmedAllocBudget, TestResolveMissAllocBudget,
+# TestRememberedWinnerAllocationFree, TestCampaignAllocBudget,
+# TestMeasureAllocationFree and the dnswire, cache and authserver ones),
+# the campaign's timeline oracle and transport-table rows, the pinned
+# export hash, the golden CSV round trips, the RRL bucket test and the
+# fuzz corpora. The steps below add a mode: -race, a -short soak, or a
+# -bench smoke.
 go test ./...
 
 step "race gates (concurrency-heavy packages)"
+# The resolver gate carries TestStreamClientConformance (the one
+# connection discipline, for the DoH engine, dot.Client and ExchangeTCP)
+# and TestHedgingOverDoTTakesASecondConnection.
 go test -race ./internal/cache/... ./internal/resolver/... \
 	./internal/campaign/... ./internal/proxynet/... ./internal/obs/... \
-	./internal/checkpoint/...
+	./internal/checkpoint/... ./internal/anycast/...
 go test -race ./internal/serve/...
 go test -race ./internal/smart/...
 go test -race ./internal/dohclient/... ./internal/dohserver/...
 # The lazy deadline's semantics ride these: it fires for a parked handler
 # and a forced shutdown reaches one (serve), an attempt timeout bounds a
 # silent Do53/DoT upstream (resolver), nothing stays armed after Stop
-# (deadline), a late DoT reply cannot poison the next query (dot).
-go test -race ./internal/deadline/... ./internal/recursive/... ./internal/dot/...
-
-step "DoH exchange allocation budgets (client engine, server handler) + resolve bound"
-go test ./internal/dohclient/ -run 'TestWarmExchangeAllocBudget|TestRawQueryAllocs'
-go test ./internal/dohserver/ -run 'TestServeHTTPAllocBudget|TestResolveBoundFires'
-
-step "miss-path allocation gates (lazy deadline, batch I/O, message path, cache, recursive miss)"
-go test ./internal/deadline/ -run 'TestLazyUnarmedAnswersWithoutTimer'
-go test ./internal/serve/ -run 'TestQueryTimeoutAllocationFree'
-go test ./internal/serve/batchio/ -run 'TestBatchAllocationFree'
-go test ./internal/resolver/ -run 'TestWithTimeoutUnarmedAllocBudget'
-go test ./internal/dnswire/ \
-	-run 'TestUnpackReplyAllocBudget|TestQueryAndReplyAreOneAllocation|TestAppendPackLimit'
-go test ./internal/cache/ -run 'TestPutAllocatesTheEntryOnly|TestDoAloneAllocatesTheFlightOnly|TestLookupCopyIsTheCallersOwn'
-go test ./internal/recursive/ -run 'TestResolveMissAllocBudget|TestResolveHitAllocBudget'
-go test ./internal/authserver/ -run 'TestQueryLogGrowsInTwoSteps'
+# (deadline); and dot.Client's own rules — a late reply cannot poison the
+# next query, a silent server costs one timeout and no second connection
+# (TestSilentServerCostsOneTimeout), concurrent exchanges take their own
+# connections (TestConcurrentExchangesTakeTheirOwnConnections).
+go test -race ./internal/deadline/... ./internal/recursive/... ./internal/dot/... \
+	./internal/dnsclient/...
 
 step "one singleflight, one lifecycle (the recursor's shared flights are the cache's, its TCP side answers what UDP truncates, the DoH front's lifecycle)"
 go test -race ./internal/recursive/ -run 'TestSharedFlightIsCounted|TestRecursorAnswersOverTCP'
 go test -race ./internal/dohserver/ -run 'TestServerLifecycle|TestServerShutdownForcesOnExpiry'
 
-step "campaign inner loop (timeline oracle, transport table, PoP assignment, allocation gates, pinned export, catalogue sharing under race)"
-go test ./internal/proxynet/ \
-	-run 'TestMeasureDoHMatchesEventTimeline|TestMeasureAllocationFree|TestExitNodeCachesRouteMeans|TestMeasureSessionRows|TestTLS12AddsARoundTrip'
-go test ./internal/anycast/ -run 'TestAssignMatchesAssignPoPAndNearestPoP'
-go test ./internal/campaign/ -run 'TestCampaignAllocBudget|TestExportHashPinned'
-go test -race ./internal/anycast/...
-
 step "smart racing soak (short, race, chaos faults + exact accounting)"
 go test -race -run TestSmartSoak -short ./internal/smart/
-
-step "smart 0-alloc remembered-winner gate"
-go test ./internal/smart/ -run 'TestRememberedWinnerAllocationFree'
 
 step "chaos soak (short, race)"
 go test -race -run TestChaosSoak -short ./internal/campaign/
@@ -71,26 +65,18 @@ step "scale-out gates (golden merge + claim partition, race)"
 go test -race -run 'TestShardMergeByteIdenticalCSV|TestSmartShardMergeByteIdenticalCSV|TestClaimProtocolPartitionsCountries' \
 	./internal/campaign/
 go test -race -run 'TestClaimExactlyOneWinner' ./internal/checkpoint/
-go test -run 'TestShardedAnalysisIdentical' ./internal/analysis/
-
-step "round-trip bugfix gates"
-go test -run 'TestCSVRoundTripDo53OnlyClient|TestReadCSVDuplicateMetadataMismatch|TestWriteCSVGolden' \
-	./internal/campaign/
 
 step "serve soak (short, race)"
 go test -race -run TestServeSoak -short ./internal/serve/
 
-step "overload soak (short, race) + the one RRL token bucket on a fake clock"
+step "overload soak (short, race)"
 go test -race -run TestOverloadSoak -short ./internal/serve/
-go test ./internal/serve/ -run 'TestRRLLimiterBuckets'
 
-step "cache 0-alloc gate"
+step "cache 0-alloc gate + bench smoke"
 go test ./internal/cache/ -bench=BenchmarkCacheHit -benchtime=1x \
 	-run 'TestWarmHitAllocationFree'
 
-step "wire 0-alloc gate + bench smoke"
-go test ./internal/dnswire/ \
-	-run 'TestWirePackUnpackAllocationFree|TestQueryAppendPackAllocationFree'
+step "wire bench smoke"
 go test ./internal/dnswire/ -bench=BenchmarkWire -benchtime=1x -run '^$'
 
 step "obs 0-alloc bench smoke"
