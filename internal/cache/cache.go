@@ -35,9 +35,9 @@
 //     returns the stored message without copying (TTLs need no aging
 //     yet), so the warm path stays 0 allocs/op like the obs hot path
 //     (BenchmarkCacheHit pins this). Callers must treat returned
-//     messages as read-only; copy the struct before stamping headers.
-//     Stale hits always copy (their TTLs must be capped), so only
-//     they may allocate.
+//     messages as read-only; one that stamps headers copies the hit
+//     into storage of its own with LookupInto, which a server front
+//     reuses across queries, so that aged and stale hits copy for free.
 //
 // Determinism: given the same sequence of Get/Put calls the cache's
 // contents and counters are a pure function of that sequence — there
@@ -314,19 +314,22 @@ func nextPow2(n, def int) int {
 	return p
 }
 
-// shardFor hashes k to its shard (FNV-1a over the name bytes and the
-// type, inlined so the hot path does not allocate).
-func (c *Cache) shardFor(k key) *shard {
+// shardFor hashes k to its shard.
+func (c *Cache) shardFor(k key) *shard { return shardOf(c, k.name, k.typ) }
+
+// shardOf is shardFor on the name's string or its bytes: FNV-1a over
+// them and the type, inlined so the hot path does not allocate.
+func shardOf[N ~string | ~[]byte](c *Cache, name N, typ dnswire.Type) *shard {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	for i := 0; i < len(k.name); i++ {
-		h ^= uint64(k.name[i])
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
 		h *= prime64
 	}
-	h ^= uint64(k.typ)
+	h ^= uint64(typ)
 	h *= prime64
 	return &c.shards[h&c.mask]
 }
@@ -348,8 +351,8 @@ const (
 // TTLs are aged by the whole seconds spent in cache; a fresh hit
 // younger than one second returns the stored message itself without
 // copying (the allocation-free warm path). Returned messages are
-// shared and must be treated as read-only — copy the struct before
-// stamping the header (see resolver.WithCache, recursive.Resolver).
+// shared and must be treated as read-only — a caller that stamps the
+// header takes a copy of its own with LookupInto.
 // With serve-stale enabled, Get transparently serves stale answers;
 // use Lookup when the fresh/stale distinction matters.
 func (c *Cache) Get(name dnswire.Name, typ dnswire.Type) *dnswire.Message {
@@ -363,25 +366,56 @@ func (c *Cache) Get(name dnswire.Name, typ dnswire.Type) *dnswire.Message {
 // a detached background refresh is triggered), and (nil, Miss)
 // otherwise.
 func (c *Cache) Lookup(name dnswire.Name, typ dnswire.Type) (*dnswire.Message, Outcome) {
-	msg, outcome, _ := c.lookup(name, typ)
-	return msg, outcome
-}
-
-// LookupCopy is Lookup for a caller that stamps the answer with its
-// query's identity: the returned Message struct is always the caller's
-// own, copied here only when ageing or capping the TTLs had not already
-// made a copy. Its sections stay shared with the cache and read-only.
-func (c *Cache) LookupCopy(name dnswire.Name, typ dnswire.Type) (*dnswire.Message, Outcome) {
-	msg, outcome, private := c.lookup(name, typ)
-	if msg != nil && !private {
-		cp := *msg
-		msg = &cp
+	msg, outcome, dec, cap := c.lookup(name, typ)
+	if msg == nil || dec == 0 && cap == noCap {
+		return msg, outcome
 	}
-	return msg, outcome
+	return hitCopy(msg, nil, dec, cap), outcome
 }
 
-// lookup also reports whether msg is a copy made for this caller.
-func (c *Cache) lookup(name dnswire.Name, typ dnswire.Type) (msg *dnswire.Message, outcome Outcome, private bool) {
+// LookupInto is Lookup for a caller that stamps the answer with its
+// query's identity. A hit's header and question are copied into dst, and
+// every record into dst's own section storage with its TTL aged (an
+// entry at least a second old) or capped (a stale one); the records'
+// names and RData stay shared with the cache and read-only. dst's
+// sections never alias a cached message, so a caller that reuses dst
+// across queries — a pooled server front — pays nothing per hit once
+// they have grown. A nil dst is allocated here, with room for the
+// question and two records; a young hit then shares the stored records,
+// which need no edit. It returns dst (or the copy), or nil on a miss.
+func (c *Cache) LookupInto(name dnswire.Name, typ dnswire.Type, dst *dnswire.Message) (*dnswire.Message, Outcome) {
+	msg, outcome, dec, cap := c.lookup(name, typ)
+	if msg == nil {
+		return nil, Miss
+	}
+	return hitCopy(msg, dst, dec, cap), outcome
+}
+
+// KeyName returns the cache's own spelling — the canonical key string —
+// of the presentation-form name it holds an entry for under (name, typ),
+// or "" when it holds none. It neither counts nor touches the entry: a
+// server front asks it before decoding a query, so that the decode takes
+// this string (dnswire.UnpackReplyInto) instead of allocating one, and
+// then looks the query up as usual. Indexing the map with the bytes
+// allocates nothing.
+func (c *Cache) KeyName(name []byte, typ dnswire.Type) dnswire.Name {
+	s := shardOf(c, name, typ)
+	s.mu.RLock()
+	e, ok := s.entries[key{dnswire.Name(name), typ}]
+	s.mu.RUnlock()
+	if !ok {
+		return ""
+	}
+	return e.key.name
+}
+
+// noCap is the TTL cap of a fresh hit: none.
+const noCap = ^uint32(0)
+
+// lookup returns the stored message for (name, typ) and the TTL edit its
+// hit needs: lower every TTL by dec, then cap it at cap. A fresh hit
+// younger than a second needs none (0, noCap).
+func (c *Cache) lookup(name dnswire.Name, typ dnswire.Type) (msg *dnswire.Message, outcome Outcome, dec, cap uint32) {
 	k := key{name.Canonical(), typ}
 	s := c.shardFor(k)
 	s.mu.RLock()
@@ -389,7 +423,7 @@ func (c *Cache) lookup(name dnswire.Name, typ dnswire.Type) (msg *dnswire.Messag
 	if !ok {
 		s.mu.RUnlock()
 		c.countMiss()
-		return nil, Miss, false
+		return nil, Miss, 0, noCap
 	}
 	now := c.clock()
 	if now.Before(e.expires) {
@@ -416,10 +450,7 @@ func (c *Cache) lookup(name dnswire.Name, typ dnswire.Type) (msg *dnswire.Messag
 			hits >= c.prefetchMinHits {
 			c.launchRefresh(k, e, true)
 		}
-		if age < time.Second {
-			return msg, Fresh, false
-		}
-		return ageTTLs(msg, age), Fresh, true
+		return msg, Fresh, uint32(age / time.Second), noCap
 	}
 	if c.staleTTL > 0 && now.Before(e.expires.Add(c.staleTTL)) {
 		// Serve-stale (RFC 8767): the expired entry answers with
@@ -435,7 +466,9 @@ func (c *Cache) lookup(name dnswire.Name, typ dnswire.Type) (msg *dnswire.Messag
 			inst.staleServed.Inc()
 		}
 		c.launchRefresh(k, e, false)
-		return staleCopy(msg, c.staleCap), Stale, true
+		// RFC 8767 §4: never resurrect the original TTL; tell downstream
+		// caches the data is on borrowed time.
+		return msg, Stale, 0, c.staleCap
 	}
 	s.mu.RUnlock()
 
@@ -449,7 +482,7 @@ func (c *Cache) lookup(name dnswire.Name, typ dnswire.Type) (msg *dnswire.Messag
 	}
 	s.mu.Unlock()
 	c.countMiss()
-	return nil, Miss, false
+	return nil, Miss, 0, noCap
 }
 
 func (c *Cache) countMiss() {
@@ -606,42 +639,39 @@ func TTL(msg *dnswire.Message) (ttl uint32, negative bool, ok bool) {
 	return 0, false, false
 }
 
-// ttlCopy is the private copy an aged or stale hit hands out: the
-// Message and room for a short answer section in one allocation.
-type ttlCopy struct {
+// hitBlock is a private hit copy made in one allocation: the Message and
+// room for its question and a short answer section.
+type hitBlock struct {
 	dnswire.Message
+	q  [1]dnswire.Question
 	rr [2]dnswire.ResourceRecord
 }
 
-// ageTTLs returns a copy of msg with every section's TTLs decremented
-// by age (floored at zero).
-func ageTTLs(msg *dnswire.Message, age time.Duration) *dnswire.Message {
-	return copyTTLs(msg, uint32(age/time.Second), ^uint32(0))
-}
-
-// staleCopy returns a copy of msg with every TTL capped at cap — the
-// RFC 8767 §4 shape of a stale answer (never resurrect the original
-// TTL; tell downstream caches the data is on borrowed time).
-func staleCopy(msg *dnswire.Message, cap uint32) *dnswire.Message {
-	return copyTTLs(msg, 0, cap)
-}
-
-// copyTTLs copies msg and its records with every TTL lowered by dec
-// (floored at zero) and then capped at cap.
-func copyTTLs(msg *dnswire.Message, dec, cap uint32) *dnswire.Message {
-	c := new(ttlCopy)
-	c.Message = *msg
-	c.Answers = copySection(c.rr[:0], msg.Answers, dec, cap)
-	c.Authorities = copySection(nil, msg.Authorities, dec, cap)
-	c.Additionals = copySection(nil, msg.Additionals, dec, cap)
-	return &c.Message
+// hitCopy is the one private copy of a hit: dst, allocated when nil,
+// gets msg's header and question and every record with its TTL lowered
+// by dec (floored at zero) and then capped at cap. An allocated copy
+// with no TTL to edit shares msg's records instead.
+func hitCopy(msg, dst *dnswire.Message, dec, cap uint32) *dnswire.Message {
+	share := false
+	if dst == nil {
+		b := new(hitBlock)
+		b.Questions, b.Answers = b.q[:0], b.rr[:0]
+		dst, share = &b.Message, dec == 0 && cap == noCap
+	}
+	dst.Header = msg.Header
+	dst.Questions = append(dst.Questions[:0], msg.Questions...)
+	if share {
+		dst.Answers, dst.Authorities, dst.Additionals = msg.Answers, msg.Authorities, msg.Additionals
+		return dst
+	}
+	dst.Answers = copySection(dst.Answers, msg.Answers, dec, cap)
+	dst.Authorities = copySection(dst.Authorities, msg.Authorities, dec, cap)
+	dst.Additionals = copySection(dst.Additionals, msg.Additionals, dec, cap)
+	return dst
 }
 
 func copySection(dst, rrs []dnswire.ResourceRecord, dec, cap uint32) []dnswire.ResourceRecord {
-	if len(rrs) == 0 {
-		return nil
-	}
-	dst = append(dst, rrs...)
+	dst = append(dst[:0], rrs...)
 	for i := range dst {
 		ttl := dst[i].TTL
 		if ttl > dec {

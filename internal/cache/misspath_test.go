@@ -71,37 +71,90 @@ func TestRunningSizeMatchesShards(t *testing.T) {
 	}
 }
 
-// TestLookupCopyIsTheCallersOwn: whatever the entry's age, the Message
-// struct LookupCopy returns can be stamped without reaching the stored
-// answer, and an aged hit is one copy, not a copy of a copy.
+// TestLookupCopyIsTheCallersOwn (named for the LookupCopy that LookupInto
+// replaced): whatever the entry's age, the message LookupInto returns can
+// be stamped — header and question — without reaching the stored answer.
+// Into a nil dst a hit is one allocation, copy and answers together; into
+// a dst the caller reuses, an aged hit is none, and dst's sections never
+// alias the stored ones.
 func TestLookupCopyIsTheCallersOwn(t *testing.T) {
 	c, clock := newTestCache(64)
 	stored := answer("own.a.com.", 300)
 	c.Put("own.a.com.", dnswire.TypeA, stored)
+	stamp := func(m *dnswire.Message, id uint16) {
+		m.Header.ID = id
+		m.Questions[0].Name = "OWN.A.COM."
+	}
+	untouched := func(when string) {
+		t.Helper()
+		if stored.Header.ID != 1 || stored.Questions[0].Name != "own.a.com." || stored.Answers[0].TTL != 300 {
+			t.Fatalf("%s: the stored message changed: %v", when, stored)
+		}
+	}
 
-	young, outcome := c.LookupCopy("own.a.com.", dnswire.TypeA)
+	young, outcome := c.LookupInto("own.a.com.", dnswire.TypeA, nil)
 	if outcome != Fresh || young == stored {
 		t.Fatalf("young hit: outcome %v, same pointer as stored %v", outcome, young == stored)
 	}
-	young.Header.ID = 0xBEEF
-	if stored.Header.ID == 0xBEEF {
-		t.Fatal("stamping a LookupCopy result changed the stored message")
-	}
+	stamp(young, 0xBEEF)
+	untouched("stamping a young copy")
 	if young.Answers[0].TTL != 300 {
 		t.Errorf("young hit TTL = %d", young.Answers[0].TTL)
 	}
 
 	clock.Advance(10 * time.Second)
-	aged, _ := c.LookupCopy("own.a.com.", dnswire.TypeA)
-	aged.Header.ID = 0xCAFE
-	if stored.Header.ID == 0xCAFE || aged.Answers[0].TTL != 290 || stored.Answers[0].TTL != 300 {
-		t.Fatalf("aged hit: stored ID %#x, TTLs %d/%d", stored.Header.ID, aged.Answers[0].TTL, stored.Answers[0].TTL)
+	aged, _ := c.LookupInto("own.a.com.", dnswire.TypeA, nil)
+	stamp(aged, 0xCAFE)
+	untouched("stamping an aged copy")
+	if aged.Answers[0].TTL != 290 {
+		t.Fatalf("aged hit TTL = %d", aged.Answers[0].TTL)
 	}
-	if n := testing.AllocsPerRun(200, func() { c.LookupCopy("own.a.com.", dnswire.TypeA) }); n != 1 {
+	if n := testing.AllocsPerRun(200, func() { c.LookupInto("own.a.com.", dnswire.TypeA, nil) }); n != 1 {
 		t.Errorf("aged single-answer hit: %.1f allocs, want 1 (message and answers in one)", n)
 	}
-	if msg, outcome := c.LookupCopy("absent.a.com.", dnswire.TypeA); msg != nil || outcome != Miss {
+
+	var dst dnswire.Message
+	if got, _ := c.LookupInto("own.a.com.", dnswire.TypeA, &dst); got != &dst || dst.Answers[0].TTL != 290 {
+		t.Fatalf("hit into dst = %p (dst %p), TTL %d", got, &dst, dst.Answers[0].TTL)
+	}
+	if &dst.Answers[0] == &stored.Answers[0] || &dst.Questions[0] == &stored.Questions[0] {
+		t.Fatal("dst's sections alias the stored message")
+	}
+	stamp(&dst, 0xF00D)
+	dst.Answers[0].TTL = 1
+	untouched("writing into dst")
+	if n := testing.AllocsPerRun(200, func() { c.LookupInto("own.a.com.", dnswire.TypeA, &dst) }); n != 0 {
+		t.Errorf("aged hit into a reused dst: %.1f allocs, want 0", n)
+	}
+	if msg, outcome := c.LookupInto("absent.a.com.", dnswire.TypeA, &dst); msg != nil || outcome != Miss {
 		t.Errorf("miss = %v, %v", msg, outcome)
+	}
+}
+
+// TestKeyNameIsTheStoredSpelling: KeyName hands back the very string the
+// entry is keyed by, for the bytes of any name it holds under that type,
+// costs nothing and counts nothing.
+func TestKeyNameIsTheStoredSpelling(t *testing.T) {
+	c, _ := newTestCache(64)
+	c.Put("Key.A.com.", dnswire.TypeA, answer("Key.A.com.", 60))
+	name := []byte("key.a.com.")
+	got := c.KeyName(name, dnswire.TypeA)
+	if got != "key.a.com." {
+		t.Fatalf("KeyName = %q", got)
+	}
+	for _, absent := range []struct {
+		name string
+		typ  dnswire.Type
+	}{{"key.a.com.", dnswire.TypeAAAA}, {"Key.A.com.", dnswire.TypeA}, {"other.a.com.", dnswire.TypeA}} {
+		if got := c.KeyName([]byte(absent.name), absent.typ); got != "" {
+			t.Errorf("KeyName(%s, %v) = %q, want none", absent.name, absent.typ, got)
+		}
+	}
+	if n := testing.AllocsPerRun(200, func() { c.KeyName(name, dnswire.TypeA) }); n != 0 {
+		t.Errorf("KeyName: %.1f allocs, want 0", n)
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Errorf("KeyName was counted: %+v", st)
 	}
 }
 

@@ -203,6 +203,26 @@ func UnpackInto(msg []byte, m *Message) error { return unpackInto(msg, m, nil) }
 // answer makes no string for a name it already holds.
 func UnpackReplyInto(msg []byte, m, q *Message) error { return unpackInto(msg, m, q) }
 
+// NameBufSize is the scratch PeekQuestion needs: room for any name the
+// decoder accepts.
+const NameBufSize = nameBufSize
+
+// PeekQuestion decodes msg's first question name, in presentation form,
+// into buf and returns it with the question's type, allocating nothing;
+// ok is false when msg does not decode that far. A server looks the
+// name up with it before decoding the query, so that UnpackReplyInto can
+// take a spelling the server already holds instead of a fresh string.
+func PeekQuestion(msg []byte, buf *[NameBufSize]byte) (name []byte, typ Type, ok bool) {
+	if len(msg) < 12 || binary.BigEndian.Uint16(msg[4:]) == 0 {
+		return nil, 0, false
+	}
+	n, off, err := unpackNameBuf(msg, 12, buf[:])
+	if err != nil || off+2 > len(msg) {
+		return nil, 0, false
+	}
+	return buf[:n], Type(binary.BigEndian.Uint16(msg[off:])), true
+}
+
 func unpackInto(msg []byte, m, q *Message) error {
 	if len(msg) < 12 {
 		return errTruncated

@@ -54,6 +54,38 @@ func FuzzUnpack(f *testing.F) {
 	})
 }
 
+// FuzzHintedDecode pins UnpackReplyInto's known-name argument — how a
+// server front hands the decode the cache's spelling of the question
+// name — to the plain decode: for any bytes and any known name, decoding
+// with the hint accepts exactly what UnpackInto accepts and decodes to a
+// reflect.DeepEqual message. PeekQuestion, the lookup the hint comes
+// from, agrees with the first question decoded. The seed corpus
+// (testdata/fuzz/FuzzHintedDecode) holds a compressed second question,
+// the root name, a 255-byte name, a mixed-case name against its
+// lowercase hint and a truncated header.
+func FuzzHintedDecode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, known string) {
+		var plain, hinted Message
+		hint := Message{Questions: []Question{{Name: Name(known)}}}
+		plainErr := UnpackInto(data, &plain)
+		hintedErr := UnpackReplyInto(data, &hinted, &hint)
+		if (plainErr != nil) != (hintedErr != nil) {
+			t.Fatalf("accept drift: UnpackInto err=%v, hinted err=%v", plainErr, hintedErr)
+		}
+		if plainErr != nil {
+			return
+		}
+		if !reflect.DeepEqual(&plain, &hinted) {
+			t.Fatalf("decode drift:\nUnpackInto: %+v\nhinted:     %+v", &plain, &hinted)
+		}
+		var buf [NameBufSize]byte
+		name, typ, ok := PeekQuestion(data, &buf)
+		if len(plain.Questions) > 0 && (!ok || Name(name) != plain.Questions[0].Name || typ != plain.Questions[0].Type) {
+			t.Fatalf("PeekQuestion = %q, %v, %v; decoded %v", name, typ, ok, plain.Questions[0])
+		}
+	})
+}
+
 // sectionsEqual compares two RR sections structurally, tolerating the
 // nil-versus-empty slice difference a reused Message accumulates.
 func sectionsEqual(a, b []ResourceRecord) bool {

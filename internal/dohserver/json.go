@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/deadline"
 	"repro/internal/dnsclient"
 	"repro/internal/dnswire"
 )
@@ -67,7 +68,7 @@ func (h *Handler) ServeJSON(w http.ResponseWriter, r *http.Request) {
 
 	q := dnswire.NewQuery(dnsclient.RandomID(), name, typ)
 	h.queries.Add(1)
-	ctx := h.resolveContext(r.Context())
+	ctx := h.resolveContext(new(deadline.Lazy), r.Context())
 	defer ctx.Stop()
 	resp, err := h.Resolver.Resolve(ctx, q)
 	if err != nil {

@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -23,6 +24,7 @@ import (
 	"repro/internal/deadline"
 	"repro/internal/dnswire"
 	"repro/internal/recursive"
+	"repro/internal/serve"
 )
 
 // ContentType is the RFC 8484 media type for DNS messages.
@@ -65,11 +67,29 @@ func (h *Handler) Queries() int64 { return h.queries.Load() }
 // that was removed.
 func (h *Handler) ScrubbedECS() int64 { return h.scrubbed.Load() }
 
+// request is one DoH query's pooled storage: the serve front's Exchange
+// (query, hit answer, name scratch) and the resolve bound, reset per
+// query. Like the serve engine's per-worker bound, the resolver may use
+// the bound only until it returns.
+type request struct {
+	serve.Exchange
+	bound deadline.Lazy
+}
+
+var requests = sync.Pool{New: func() any { return new(request) }}
+
+func (x *request) put() {
+	if x.Reusable() {
+		requests.Put(x)
+	}
+}
+
 // ServeHTTP implements http.Handler.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	// Pooled per-request scratch: the POST body / response wire buffer
-	// and the decoded query. The resolver's response is never pooled —
-	// its cache may retain it.
+	// Pooled per-request scratch: the POST body / response wire buffer,
+	// and the request (decoded query, hit answer, resolve bound). A
+	// response from the resolver's flight is never pooled — its cache
+	// retains it.
 	scratch := dnswire.GetBuffer()
 	defer dnswire.PutBuffer(scratch)
 	raw, status, err := extractQuery(r, scratch)
@@ -77,9 +97,10 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), status)
 		return
 	}
-	q := dnswire.GetMessage()
-	defer dnswire.PutMessage(q)
-	if err := dnswire.UnpackInto(raw, q); err != nil || len(q.Questions) == 0 {
+	x := requests.Get().(*request)
+	defer x.put()
+	q := &x.Query
+	if err := x.Decode(raw, h.Resolver); err != nil || len(q.Questions) == 0 {
 		http.Error(w, "malformed DNS message", http.StatusBadRequest)
 		return
 	}
@@ -99,15 +120,10 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	ctx := h.resolveContext(r.Context())
+	ctx := h.resolveContext(&x.bound, r.Context())
 	defer ctx.Stop()
-	resp, err := h.Resolver.Resolve(ctx, q)
-	if err != nil {
-		resp = q.Reply()
-		resp.Header.RCode = dnswire.RCodeServFail
-		resp.Header.RecursionAvailable = true
-	}
-	wire, err := resp.AppendPack(scratch.B[:0]) // raw is dead after UnpackInto
+	resp := x.Resolve(ctx, h.Resolver)
+	wire, err := resp.AppendPack(scratch.B[:0]) // raw is dead after Decode
 	if err != nil {
 		http.Error(w, "response encoding failed", http.StatusInternalServerError)
 		return
@@ -156,16 +172,18 @@ func (h *Handler) maxAge(resp *dnswire.Message) int {
 	return age
 }
 
-// resolveContext bounds one resolution by the resolve timeout without
-// paying for a timer on queries the cache answers (see deadline.Lazy):
-// only an upstream exchange that waits on Done, or a wait on another
-// query's flight, arms it.
-func (h *Handler) resolveContext(parent context.Context) *deadline.Lazy {
+// resolveContext resets c as the bound on one resolution under parent,
+// the resolve timeout from now, and returns it. A query the cache
+// answers pays for no timer (see deadline.Lazy): only an upstream
+// exchange that waits on Done, or a wait on another query's flight, arms
+// it.
+func (h *Handler) resolveContext(c *deadline.Lazy, parent context.Context) *deadline.Lazy {
 	d := h.resolveTimeout
 	if d <= 0 {
 		d = recursive.QueryTimeout
 	}
-	return deadline.New(parent, d)
+	c.Reset(parent, time.Now().Add(d))
+	return c
 }
 
 // extractQuery pulls the raw DNS message out of a DoH request,

@@ -72,9 +72,10 @@ func TestResolveMissAllocBudget(t *testing.T) {
 	}
 }
 
-// TestResolveHitAllocBudget: a hit is one private copy to stamp,
-// whether the entry is young (the stored message, copied once) or old
-// enough to have its TTLs aged (copied once while ageing).
+// TestResolveHitAllocBudget: through Resolve a hit is one private copy
+// to stamp, whether the entry is young (the stored message, copied once)
+// or old enough to have its TTLs aged (copied once while ageing);
+// through ResolveInto with a dst the caller reuses it is none.
 func TestResolveHitAllocBudget(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	r := New(cache.New(cache.Config{MaxEntries: 64, Clock: func() time.Time { return now }}))
@@ -84,15 +85,25 @@ func TestResolveHitAllocBudget(t *testing.T) {
 	if _, err := r.Resolve(ctx, q); err != nil {
 		t.Fatal(err)
 	}
+	var dst dnswire.Message
 	for _, age := range []time.Duration{0, time.Minute} {
 		now = now.Add(age)
-		var resp *dnswire.Message
-		n := testing.AllocsPerRun(200, func() { resp, _ = r.Resolve(ctx, q) })
-		if n != 1 {
-			t.Errorf("hit on an entry aged %v: %.1f allocs, want 1", age, n)
-		}
-		if resp.Header.ID != 77 || !resp.Header.RecursionAvailable || resp.Answers[0].TTL != 3600-uint32(age/time.Second) {
-			t.Errorf("hit aged %v = %v", age, resp)
+		for _, row := range []struct {
+			name    string
+			resolve func() (*dnswire.Message, error)
+			want    float64
+		}{
+			{"Resolve", func() (*dnswire.Message, error) { return r.Resolve(ctx, q) }, 1},
+			{"ResolveInto", func() (*dnswire.Message, error) { return r.ResolveInto(ctx, q, &dst) }, 0},
+		} {
+			var resp *dnswire.Message
+			n := testing.AllocsPerRun(200, func() { resp, _ = row.resolve() })
+			if n != row.want {
+				t.Errorf("%s hit on an entry aged %v: %.1f allocs, want %.0f", row.name, age, n, row.want)
+			}
+			if resp.Header.ID != 77 || !resp.Header.RecursionAvailable || resp.Answers[0].TTL != 3600-uint32(age/time.Second) {
+				t.Errorf("%s hit aged %v = %v", row.name, age, resp)
+			}
 		}
 	}
 	if r.Cache().Stats().Hits == 0 {
@@ -133,11 +144,7 @@ func TestForwardedAnswerIsNotCopiedAgain(t *testing.T) {
 		waiter <- result{resp, err}
 	}()
 	// The waiter is counted once it has joined the flight.
-	for deadline := time.Now().Add(5 * time.Second); r.Cache().Stats().SharedFlights == 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("waiter never joined the flight")
-		}
-	}
+	waitForSharedFlights(t, r, 1)
 	close(release)
 	l, w := <-leader, <-waiter
 	if l.err != nil || w.err != nil {

@@ -149,8 +149,18 @@ func (r *Resolver) upstreamFor(name dnswire.Name) Upstream {
 }
 
 // Resolve answers q, consulting the cache first. It is safe for
-// concurrent use.
+// concurrent use. The answer's sections are read-only.
 func (r *Resolver) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+	return r.ResolveInto(ctx, q, nil)
+}
+
+// ResolveInto is Resolve answering a cache hit in dst: the hit is copied
+// into dst's own storage (cache.LookupInto) and stamped with q's ID, RD
+// flag and question, so a caller that reuses dst across queries pays
+// nothing for a hit. A miss returns the resolution's message and leaves
+// dst alone; a nil dst allocates the hit's copy. Either way the query
+// makes one cache lookup, and the answer's records are read-only.
+func (r *Resolver) ResolveInto(ctx context.Context, q, dst *dnswire.Message) (*dnswire.Message, error) {
 	if len(q.Questions) == 0 {
 		return nil, errors.New("recursive: query has no question")
 	}
@@ -158,12 +168,15 @@ func (r *Resolver) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Me
 	// The hit path is lock-light end to end: the lookup takes only a
 	// shard read lock (recency and popularity are per-entry atomics),
 	// and stale hits hand the refresh to a detached background flight.
-	// Cached messages are shared and read-only; LookupCopy hands back a
-	// Message struct of our own to stamp.
-	if resp, _ := r.cache.LookupCopy(question.Name, question.Type); resp != nil {
+	if resp, _ := r.cache.LookupInto(question.Name, question.Type, dst); resp != nil {
 		resp.Header.ID = q.Header.ID
 		resp.Header.RecursionDesired = q.Header.RecursionDesired
 		resp.Header.RecursionAvailable = true
+		if len(resp.Questions) > 0 {
+			// The asker's own spelling (RFC 1035 §4.1.2), not the one
+			// the entry was cached under.
+			resp.Questions[0] = question
+		}
 		return resp, nil
 	}
 	up := r.upstreamFor(question.Name)
@@ -203,18 +216,30 @@ func (r *Resolver) resolveMiss(ctx context.Context, up Upstream, q *dnswire.Mess
 	return resp, nil
 }
 
-// tailorResponse stamps a shared response with one waiter's identity.
-// The query that was forwarded got its own ID and RD flag echoed back,
-// so its answer needs no copy; like a cache hit's sections, what
-// Resolve returns is read-only.
+// tailored is a waiter's copy of a shared response and its own question
+// in one allocation.
+type tailored struct {
+	dnswire.Message
+	q [1]dnswire.Question
+}
+
+// tailorResponse stamps a shared response with one waiter's identity:
+// its ID, RD flag and question. The query that was forwarded got all
+// three echoed back, so its answer needs no copy; like a cache hit's
+// records, what Resolve returns is read-only.
 func tailorResponse(shared *dnswire.Message, q *dnswire.Message) *dnswire.Message {
-	if shared.Header.ID == q.Header.ID && shared.Header.RecursionDesired == q.Header.RecursionDesired {
+	echoed := len(shared.Questions) == 0 || shared.Questions[0] == q.Questions[0]
+	if echoed && shared.Header.ID == q.Header.ID && shared.Header.RecursionDesired == q.Header.RecursionDesired {
 		return shared
 	}
-	resp := *shared
-	resp.Header.ID = q.Header.ID
-	resp.Header.RecursionDesired = q.Header.RecursionDesired
-	return &resp
+	t := &tailored{Message: *shared}
+	t.Header.ID = q.Header.ID
+	t.Header.RecursionDesired = q.Header.RecursionDesired
+	if !echoed {
+		t.Questions = append(t.q[:0], shared.Questions...)
+		t.Questions[0] = q.Questions[0]
+	}
+	return &t.Message
 }
 
 // Server exposes a Resolver over UDP and, on the same port, TCP,

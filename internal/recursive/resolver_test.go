@@ -236,8 +236,8 @@ func TestConcurrentMissesCoalesced(t *testing.T) {
 			}
 		}(i)
 	}
-	// Give the goroutines time to pile up on the flight, then release.
-	time.Sleep(50 * time.Millisecond)
+	// Release once every caller but the leader has joined its flight.
+	waitForSharedFlights(t, r, waiters-1)
 	close(release)
 	wg.Wait()
 
@@ -274,24 +274,51 @@ func TestCoalescedErrorSharedButNotCached(t *testing.T) {
 	}
 }
 
+// TestWaiterContextCancellation: a waiter on another query's flight
+// gives up when its own context ends, and the leader's resolution runs
+// on. Each step waits on what it needs — the leader upstream, the waiter
+// counted on the flight — so the waiter cannot become the leader.
 func TestWaiterContextCancellation(t *testing.T) {
-	release := make(chan struct{})
-	defer close(release)
+	entered, release := make(chan struct{}), make(chan struct{})
 	up := UpstreamFunc(func(_ context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+		close(entered)
 		<-release
 		return answer(q.Questions[0].Name, 60), nil
 	})
 	r := New(nil)
 	r.SetDefault(up)
 
-	// Leader blocks; a waiter with a short context must abort.
-	go r.Resolve(context.Background(), dnswire.NewQuery(1, "slow.a.com.", dnswire.TypeA))
-	time.Sleep(20 * time.Millisecond)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	_, err := r.Resolve(ctx, dnswire.NewQuery(2, "slow.a.com.", dnswire.TypeA))
-	if err == nil {
-		t.Fatal("waiter ignored its context")
+	leader := make(chan error, 1)
+	go func() {
+		_, err := r.Resolve(context.Background(), dnswire.NewQuery(1, "slow.a.com.", dnswire.TypeA))
+		leader <- err
+	}()
+	<-entered
+	ctx, cancel := context.WithCancel(context.Background())
+	waiter := make(chan error, 1)
+	go func() {
+		_, err := r.Resolve(ctx, dnswire.NewQuery(2, "slow.a.com.", dnswire.TypeA))
+		waiter <- err
+	}()
+	waitForSharedFlights(t, r, 1)
+	cancel()
+	if err := <-waiter; err != context.Canceled {
+		t.Fatalf("waiter returned %v, want its context's error", err)
+	}
+	close(release)
+	if err := <-leader; err != nil {
+		t.Fatalf("leader: %v", err)
+	}
+}
+
+// waitForSharedFlights returns once n callers have joined another's
+// flight: the cache counts a waiter as it parks.
+func waitForSharedFlights(t *testing.T, r *Resolver, n int64) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); r.Cache().Stats().SharedFlights < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("SharedFlights = %d, want %d", r.Cache().Stats().SharedFlights, n)
+		}
 	}
 }
 
@@ -327,11 +354,7 @@ func TestSharedFlightIsCounted(t *testing.T) {
 		}(i)
 	}
 	// Every caller but the leader has joined once the counter says so.
-	for deadline := time.Now().Add(5 * time.Second); r.Cache().Stats().SharedFlights < callers-1; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("SharedFlights = %d, want %d", r.Cache().Stats().SharedFlights, callers-1)
-		}
-	}
+	waitForSharedFlights(t, r, callers-1)
 	close(release)
 	wg.Wait()
 	for i, id := range ids {

@@ -68,9 +68,9 @@ func (cw *cacheware) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.
 	}
 	question := q.Questions[0]
 	start := time.Now()
-	if resp, outcome := cw.cache.LookupCopy(question.Name, question.Type); resp != nil {
-		// Cached messages are shared and read-only: the struct
-		// LookupCopy returns is ours to stamp.
+	if resp, outcome := cw.cache.LookupInto(question.Name, question.Type, nil); resp != nil {
+		// Cached messages are shared and read-only: the copy LookupInto
+		// makes is ours to stamp, and our caller keeps it.
 		resp.Header.ID = q.Header.ID
 		d := time.Since(start)
 		if cw.hitHist != nil {

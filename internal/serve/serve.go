@@ -38,6 +38,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/deadline"
 	"repro/internal/dnswire"
 	"repro/internal/obs"
@@ -93,6 +94,86 @@ type Resolver interface {
 	Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error)
 }
 
+// CachedResolver is the upgrade a Resolver may offer, checked by type
+// assertion the way io.Copy looks for io.WriterTo; *recursive.Resolver
+// offers it. ResolveInto answers a cache hit in dst, storage the caller
+// owns and the resolver never retains, and Cache lends the decode the
+// cache's spelling of the question name. It is an upgrade rather than
+// part of Resolver because dot.Handler is Resolver, and wrappers that
+// implement only Resolve (a tracing one, say) must keep working: they
+// take the plain path.
+type CachedResolver interface {
+	ResolveInto(ctx context.Context, q, dst *dnswire.Message) (*dnswire.Message, error)
+	Cache() *cache.Cache
+}
+
+// Exchange is one query's storage on a server front: the decoded query,
+// the answer a cache hit is copied into and the scratch the decode looks
+// the question name up with. Through a CachedResolver a hit allocates
+// nothing from query bytes to answer, once a reused Exchange's storage
+// has grown. Answer pools its own; a front that decodes and packs itself
+// (the DoH handler) keeps one per request, pooled, and must not let the
+// answer outlive it.
+type Exchange struct {
+	// Query is what Decode decoded.
+	Query dnswire.Message
+
+	answer dnswire.Message
+	known  dnswire.Message // the cache's spelling of the question name
+	name   [dnswire.NameBufSize]byte
+}
+
+// Decode decodes raw into x.Query. Through a CachedResolver, a question
+// name the cache holds an entry for takes the cache's string rather than
+// a fresh one.
+func (x *Exchange) Decode(raw []byte, r Resolver) error {
+	cr, ok := r.(CachedResolver)
+	if !ok {
+		return dnswire.UnpackInto(raw, &x.Query)
+	}
+	var known dnswire.Name
+	if name, typ, ok := dnswire.PeekQuestion(raw, &x.name); ok {
+		known = cr.Cache().KeyName(name, typ)
+	}
+	x.known.Questions = append(x.known.Questions[:0], dnswire.Question{Name: known})
+	return dnswire.UnpackReplyInto(raw, &x.Query, &x.known)
+}
+
+// Resolve answers x.Query: into x's own storage through a
+// CachedResolver, with r.Resolve otherwise, and a failed resolution as
+// SERVFAIL built in x's storage. The answer is read-only and lives until
+// x is decoded into again.
+func (x *Exchange) Resolve(ctx context.Context, r Resolver) *dnswire.Message {
+	var resp *dnswire.Message
+	var err error
+	if cr, ok := r.(CachedResolver); ok {
+		resp, err = cr.ResolveInto(ctx, &x.Query, &x.answer)
+	} else {
+		resp, err = r.Resolve(ctx, &x.Query)
+	}
+	if err != nil {
+		resp = x.Query.ReplyInto(&x.answer)
+		resp.Header.RCode = dnswire.RCodeServFail
+		resp.Header.RecursionAvailable = true
+	}
+	return resp
+}
+
+// Reusable reports whether x is worth pooling: one whose sections
+// ballooned (a hostile query, a huge answer) is cheaper to drop than to
+// pin, by dnswire.PutMessage's rule.
+func (x *Exchange) Reusable() bool {
+	for _, m := range [2]*dnswire.Message{&x.Query, &x.answer} {
+		if cap(m.Questions) > 64 || cap(m.Answers) > 512 ||
+			cap(m.Authorities) > 512 || cap(m.Additionals) > 512 {
+			return false
+		}
+	}
+	return true
+}
+
+var exchanges = sync.Pool{New: func() any { return new(Exchange) }}
+
 // MaxStreamPayload is the largest message a 2-byte length prefix can
 // frame: Answer's limit on the stream path.
 const MaxStreamPayload = 0xffff
@@ -105,22 +186,19 @@ const MaxStreamPayload = 0xffff
 // Input that is not a query with a question gets the handlers' refusal,
 // a nil response (dropped on UDP, connection closed on a stream).
 func Answer(ctx context.Context, r Resolver, out, raw []byte, limit int) ([]byte, error) {
-	// The decode target is pooled; the resolver's response never is —
-	// caches may retain it — and never aliases the query's slices
-	// (Reply copies the question).
-	q := dnswire.GetMessage()
-	defer dnswire.PutMessage(q)
-	if err := dnswire.UnpackInto(raw, q); err != nil ||
-		q.Header.Response || len(q.Questions) == 0 {
+	// The Exchange is pooled; a resolver's own response never is —
+	// caches may retain it.
+	x := exchanges.Get().(*Exchange)
+	defer func() {
+		if x.Reusable() {
+			exchanges.Put(x)
+		}
+	}()
+	if err := x.Decode(raw, r); err != nil ||
+		x.Query.Header.Response || len(x.Query.Questions) == 0 {
 		return nil, nil
 	}
-	resp, err := r.Resolve(ctx, q)
-	if err != nil {
-		resp = q.Reply()
-		resp.Header.RCode = dnswire.RCodeServFail
-		resp.Header.RecursionAvailable = true
-	}
-	wire, err := resp.AppendPackLimit(out, limit)
+	wire, err := x.Resolve(ctx, r).AppendPackLimit(out, limit)
 	if err != nil {
 		return nil, nil
 	}

@@ -24,11 +24,13 @@ step "unit tests (all packages)"
 # TestQueryTimeoutAllocationFree, TestBatchAllocationFree,
 # TestWithTimeoutUnarmedAllocBudget, TestResolveMissAllocBudget,
 # TestRememberedWinnerAllocationFree, TestCampaignAllocBudget,
-# TestMeasureAllocationFree and the dnswire, cache and authserver ones),
+# TestMeasureAllocationFree, TestAnswerHitAllocationFree,
+# TestResolveHitAllocBudget and the dnswire, cache and authserver ones),
 # the campaign's timeline oracle and transport-table rows, the pinned
-# export hash, the golden CSV round trips, the RRL bucket test and the
-# fuzz corpora. The steps below add a mode: -race, a -short soak, or a
-# -bench smoke.
+# export hash, the golden CSV round trips, the hit path's parent-path
+# oracle (TestAnswersMatchTheParentPath), the RRL bucket test and the
+# fuzz corpora (FuzzHintedDecode's among them). The steps below add a
+# mode: -race, a -short soak, or a -bench smoke.
 go test ./...
 
 step "race gates (concurrency-heavy packages)"
@@ -54,6 +56,12 @@ go test -race ./internal/deadline/... ./internal/recursive/... ./internal/dot/..
 step "one singleflight, one lifecycle (the recursor's shared flights are the cache's, its TCP side answers what UDP truncates, the DoH front's lifecycle)"
 go test -race ./internal/recursive/ -run 'TestSharedFlightIsCounted|TestRecursorAnswersOverTCP'
 go test -race ./internal/dohserver/ -run 'TestServerLifecycle|TestServerShutdownForcesOnExpiry'
+
+step "the hit path (concurrent hits across fronts, one lookup per query, the asker's question, flights without sleeps; race)"
+go test -race ./internal/dohserver/ -run \
+	'TestConcurrentHitsAcrossFronts|TestFrontsCountOneLookupPerQuery|TestFrontsEchoTheAskersQuestion'
+go test -race -count=20 ./internal/recursive/ -run \
+	'TestConcurrentMissesCoalesced|TestWaiterContextCancellation|TestSharedFlightEchoesEachWaitersQuestion|TestHitEchoesTheAskersQuestion'
 
 step "smart racing soak (short, race, chaos faults + exact accounting)"
 go test -race -run TestSmartSoak -short ./internal/smart/
