@@ -20,11 +20,11 @@
 //     NoData) are cached for the SOA MINIMUM per RFC 2308.
 //   - Serve-stale (RFC 8767): with Config.StaleTTL set, expired
 //     entries are retained for the stale window and served (TTLs
-//     capped at Config.StaleTTLCap) while a detached singleflight
+//     capped at staleTTLCap) while a detached singleflight
 //     refresh repopulates the entry in the background — a dead
 //     upstream degrades to stale answers instead of errors.
 //   - Prefetch: with Config.PrefetchThreshold set, popular entries
-//     (per-entry hit count >= Config.PrefetchMinHits) are refreshed
+//     (per-entry hit count >= prefetchMinHits) are refreshed
 //     in the background before they expire, keeping hot names on the
 //     warm path even as TTLs run out. See stale.go.
 //   - Singleflight: Do collapses concurrent misses for the same key
@@ -57,45 +57,49 @@ import (
 	"repro/internal/obs"
 )
 
+// The cache's fixed tunings.
+const (
+	// numShards is the shard count of a cache large enough to fill
+	// them (a power of two, so the hash masks instead of dividing).
+	numShards = 16
+	// staleTTLCap caps, in seconds, the TTL stamped on stale answers
+	// (the RFC 8767 §4 recommendation).
+	staleTTLCap = 30
+	// prefetchMinHits is the popularity floor for prefetch: one-hit
+	// wonders are not worth refreshing forever.
+	prefetchMinHits = 3
+	// refreshTimeout bounds one background refresh; the refresh
+	// context is detached from any foreground caller.
+	refreshTimeout = 5 * time.Second
+	// refreshBackoff is the minimum spacing between refresh attempts
+	// for a key after a failed refresh, so a dead upstream under a
+	// stale-hit storm is not hammered.
+	refreshBackoff = time.Second
+)
+
 // Config parameterizes a Cache. The zero value gives the defaults.
 type Config struct {
 	// MaxEntries bounds the total entry count across all shards
-	// (default 65536). Capacity is split evenly across shards.
+	// (default 65536). Capacity is split evenly across the 16 shards;
+	// small caches are collapsed to fewer shards so per-shard capacity
+	// — and therefore LRU behaviour — stays meaningful.
 	MaxEntries int
-	// Shards is the shard count, rounded up to the next power of two
-	// (default 16). Small caches are automatically collapsed to fewer
-	// shards so per-shard capacity — and therefore LRU behaviour —
-	// stays meaningful.
-	Shards int
 	// Clock overrides the time source (tests, virtual-time studies).
 	// Nil means time.Now.
 	Clock func() time.Time
 
 	// StaleTTL, when positive, enables RFC 8767 serve-stale: expired
 	// entries are retained for this window past expiry and served
-	// stale (TTLs capped at StaleTTLCap) while a background refresh
+	// stale (TTLs capped at 30 s) while a background refresh
 	// repopulates them. Zero keeps the classic expiry-means-miss
 	// lifecycle.
 	StaleTTL time.Duration
-	// StaleTTLCap caps, in seconds, the TTL stamped on stale answers
-	// (default 30, the RFC 8767 §4 recommendation).
-	StaleTTLCap uint32
 	// PrefetchThreshold, when positive, enables popularity-driven
 	// prefetch: a fresh hit whose remaining TTL is below the
-	// threshold and whose entry has accumulated at least
-	// PrefetchMinHits hits since insertion triggers a background
-	// refresh before the entry expires.
+	// threshold and whose entry has accumulated at least 3 hits since
+	// insertion triggers a background refresh before the entry
+	// expires.
 	PrefetchThreshold time.Duration
-	// PrefetchMinHits is the popularity floor for prefetch (default
-	// 3): one-hit wonders are not worth refreshing forever.
-	PrefetchMinHits int64
-	// RefreshTimeout bounds one background refresh (default 5s). The
-	// refresh context is detached from any foreground caller.
-	RefreshTimeout time.Duration
-	// RefreshBackoff is the minimum spacing between refresh attempts
-	// for a key after a failed refresh (default 1s), so a dead
-	// upstream under a stale-hit storm is not hammered.
-	RefreshBackoff time.Duration
 	// SyncRefresh runs refreshes inline on the triggering Get instead
 	// of on a goroutine — deterministic mode for virtual-time studies
 	// and table-driven tests. Foreground Gets then pay the refresh
@@ -163,7 +167,7 @@ type entry struct {
 	// from zero, so prefetch continues only while a name stays hot.
 	hits atomic.Int64
 	// refreshFailedAt is the clock's UnixNano at the last failed
-	// refresh (0 = never), spacing retry attempts by RefreshBackoff.
+	// refresh (0 = never), spacing retry attempts by refreshBackoff.
 	refreshFailedAt atomic.Int64
 }
 
@@ -210,11 +214,7 @@ type Cache struct {
 	clock  func() time.Time
 
 	staleTTL          time.Duration
-	staleCap          uint32
 	prefetchThreshold time.Duration
-	prefetchMinHits   int64
-	refreshTimeout    time.Duration
-	refreshBackoff    time.Duration
 	syncRefresh       bool
 
 	hits, misses, negHits, evictions, puts, shared atomic.Int64
@@ -253,7 +253,7 @@ func New(cfg Config) *Cache {
 	if max <= 0 {
 		max = 65536
 	}
-	shards := nextPow2(cfg.Shards, 16)
+	shards := numShards
 	// A 16-way split of a tiny cache would give each shard capacity 0
 	// or 1 and destroy LRU locality; collapse until every shard holds
 	// at least 8 entries (or we are down to one shard).
@@ -268,27 +268,11 @@ func New(cfg Config) *Cache {
 		refreshing: make(map[key]struct{}),
 
 		staleTTL:          cfg.StaleTTL,
-		staleCap:          cfg.StaleTTLCap,
 		prefetchThreshold: cfg.PrefetchThreshold,
-		prefetchMinHits:   cfg.PrefetchMinHits,
-		refreshTimeout:    cfg.RefreshTimeout,
-		refreshBackoff:    cfg.RefreshBackoff,
 		syncRefresh:       cfg.SyncRefresh,
 	}
 	if c.clock == nil {
 		c.clock = time.Now
-	}
-	if c.staleCap == 0 {
-		c.staleCap = 30 // RFC 8767 §4 recommended cap
-	}
-	if c.prefetchMinHits <= 0 {
-		c.prefetchMinHits = 3
-	}
-	if c.refreshTimeout <= 0 {
-		c.refreshTimeout = 5 * time.Second
-	}
-	if c.refreshBackoff <= 0 {
-		c.refreshBackoff = time.Second
 	}
 	// Distribute capacity so the shard maxima sum exactly to max.
 	base, rem := max/shards, max%shards
@@ -300,18 +284,6 @@ func New(cfg Config) *Cache {
 		}
 	}
 	return c
-}
-
-// nextPow2 rounds n up to a power of two, with def for n <= 0.
-func nextPow2(n, def int) int {
-	if n <= 0 {
-		n = def
-	}
-	p := 1
-	for p < n {
-		p *= 2
-	}
-	return p
 }
 
 // shardFor hashes k to its shard.
@@ -362,7 +334,7 @@ func (c *Cache) Get(name dnswire.Name, typ dnswire.Type) *dnswire.Message {
 
 // Lookup is Get with the hit classification: (msg, Fresh) for a live
 // entry, (msg, Stale) for an expired entry inside the serve-stale
-// window (msg is a private copy with TTLs capped at StaleTTLCap, and
+// window (msg is a private copy with TTLs capped at staleTTLCap, and
 // a detached background refresh is triggered), and (nil, Miss)
 // otherwise.
 func (c *Cache) Lookup(name dnswire.Name, typ dnswire.Type) (*dnswire.Message, Outcome) {
@@ -447,7 +419,7 @@ func (c *Cache) lookup(name dnswire.Name, typ dnswire.Type) (msg *dnswire.Messag
 			}
 		}
 		if c.prefetchThreshold > 0 && remaining < c.prefetchThreshold &&
-			hits >= c.prefetchMinHits {
+			hits >= prefetchMinHits {
 			c.launchRefresh(k, e, true)
 		}
 		return msg, Fresh, uint32(age / time.Second), noCap
@@ -468,7 +440,7 @@ func (c *Cache) lookup(name dnswire.Name, typ dnswire.Type) (msg *dnswire.Messag
 		c.launchRefresh(k, e, false)
 		// RFC 8767 §4: never resurrect the original TTL; tell downstream
 		// caches the data is on borrowed time.
-		return msg, Stale, 0, c.staleCap
+		return msg, Stale, 0, staleTTLCap
 	}
 	s.mu.RUnlock()
 

@@ -15,8 +15,8 @@ func timeUnixNano(n int64) time.Time { return time.Unix(0, n) }
 // the cacheability decision (only NOERROR/NXDOMAIN answers with a
 // usable TTL are stored); the hook just fetches. The ctx passed in is
 // detached from any foreground caller — cancelling a client query
-// never cancels the refresh it triggered — and carries the cache's
-// RefreshTimeout.
+// never cancels the refresh it triggered — and carries a 5 s deadline
+// (refreshTimeout).
 type Refresher func(ctx context.Context, name dnswire.Name, typ dnswire.Type) (*dnswire.Message, error)
 
 // SetRefresher installs the upstream fetch hook serve-stale and
@@ -51,7 +51,7 @@ func (c *Cache) launchRefresh(k key, e *entry, prefetch bool) {
 	// stale-hit storm sees one probe per backoff window, not one per
 	// client query.
 	if failedAt := e.refreshFailedAt.Load(); failedAt != 0 {
-		if c.clock().Sub(timeUnixNano(failedAt)) < c.refreshBackoff {
+		if c.clock().Sub(timeUnixNano(failedAt)) < refreshBackoff {
 			return
 		}
 	}
@@ -89,7 +89,7 @@ func (c *Cache) runRefresh(k key, e *entry, fn Refresher) {
 		c.refreshWG.Done()
 	}()
 
-	ctx, cancel := context.WithTimeout(context.Background(), c.refreshTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), refreshTimeout)
 	defer cancel()
 	msg, err := fn(ctx, k.name, k.typ)
 	ok := err == nil && msg != nil &&

@@ -107,9 +107,8 @@ func TestServeStaleLifecycle(t *testing.T) {
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
 			c, clk := newStaleCache(Config{
-				StaleTTL:       2 * time.Minute,
-				RefreshBackoff: time.Second,
-				SyncRefresh:    true,
+				StaleTTL:    2 * time.Minute,
+				SyncRefresh: true,
 			})
 			var calls atomic.Int32
 			c.SetRefresher(tc.refresh(&calls))
@@ -202,8 +201,8 @@ func TestStaleServeNeverBlocksOnRefresh(t *testing.T) {
 
 func TestStaleRefreshDetachedFromCallerContext(t *testing.T) {
 	// The refresh context must be detached: it survives any foreground
-	// cancellation and carries the cache's RefreshTimeout deadline.
-	c, clk := newStaleCache(Config{StaleTTL: time.Minute, RefreshTimeout: 30 * time.Second})
+	// cancellation and carries the cache's 5 s refresh deadline.
+	c, clk := newStaleCache(Config{StaleTTL: time.Minute})
 	callerCtx, cancelCaller := context.WithCancel(context.Background())
 	ctxErr := make(chan error, 1)
 	c.SetRefresher(func(ctx context.Context, name dnswire.Name, typ dnswire.Type) (*dnswire.Message, error) {
@@ -212,8 +211,8 @@ func TestStaleRefreshDetachedFromCallerContext(t *testing.T) {
 		// caller's context would be dead here.
 		<-callerCtx.Done()
 		ctxErr <- ctx.Err()
-		if dl, ok := ctx.Deadline(); !ok || time.Until(dl) > 30*time.Second {
-			t.Error("refresh context missing the RefreshTimeout deadline")
+		if dl, ok := ctx.Deadline(); !ok || time.Until(dl) > refreshTimeout {
+			t.Error("refresh context missing the refresh deadline")
 		}
 		return answer(name, 60), nil
 	})
@@ -271,7 +270,6 @@ func TestPrefetchPopularEntries(t *testing.T) {
 	// is left to expire.
 	c, clk := newStaleCache(Config{
 		PrefetchThreshold: 10 * time.Second,
-		PrefetchMinHits:   3,
 		SyncRefresh:       true,
 	})
 	var calls atomic.Int32
@@ -321,7 +319,6 @@ func TestPrefetchPopularityResetsOnRefresh(t *testing.T) {
 	// continues only while the name keeps earning it.
 	c, clk := newStaleCache(Config{
 		PrefetchThreshold: 10 * time.Second,
-		PrefetchMinHits:   3,
 		SyncRefresh:       true,
 	})
 	var calls atomic.Int32
@@ -353,7 +350,6 @@ func TestStaleInstrumentCounters(t *testing.T) {
 	c, clk := newStaleCache(Config{
 		StaleTTL:          time.Minute,
 		PrefetchThreshold: 10 * time.Second,
-		PrefetchMinHits:   1,
 		SyncRefresh:       true,
 	})
 	c.Instrument(reg, "")
@@ -366,6 +362,9 @@ func TestStaleInstrumentCounters(t *testing.T) {
 	})
 	name := dnswire.Name("metrics.example.")
 	c.Put(name, dnswire.TypeA, answer(name, 60))
+	for i := 1; i < prefetchMinHits; i++ {
+		c.Get(name, dnswire.TypeA) // earn the popularity floor
+	}
 	clk.Advance(55 * time.Second)
 	c.Get(name, dnswire.TypeA) // prefetch (succeeds)
 	fail.Store(true)
@@ -398,8 +397,6 @@ func TestStaleSoak(t *testing.T) {
 		MaxEntries:        128,
 		StaleTTL:          10 * time.Second,
 		PrefetchThreshold: 2 * time.Second,
-		PrefetchMinHits:   2,
-		RefreshBackoff:    100 * time.Millisecond,
 	})
 	var flip atomic.Int64
 	c.SetRefresher(func(ctx context.Context, name dnswire.Name, typ dnswire.Type) (*dnswire.Message, error) {

@@ -119,17 +119,17 @@ func newProviderKeys(pid anycast.ProviderID) *providerKeys {
 }
 
 // absorbSketch registers one histogram per sketch key — on the
-// sketch's own bucket layout — and folds the aggregated buckets in.
+// default bucket layout, the sketch's own — and folds the aggregated
+// buckets in.
 // Exact: the resulting histograms are indistinguishable from ones fed
 // the original observation stream.
 func absorbSketch(reg *obs.Registry, s *sketch.Set) error {
 	if s == nil {
 		return nil
 	}
-	bounds := sketch.LatencyBounds()
 	for _, key := range s.Keys() {
 		h := s.Get(key)
-		if err := reg.Histogram(key, bounds).Absorb(h.BucketCounts(), h.Count(), h.Sum()); err != nil {
+		if err := reg.Histogram(key, nil).Absorb(h.BucketCounts(), h.Count(), h.Sum()); err != nil {
 			return err
 		}
 	}

@@ -16,11 +16,8 @@ package dohclient
 import (
 	"context"
 	"crypto/tls"
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -35,7 +32,6 @@ type Timing = dnsclient.Timing
 // Client is a DoH client bound to one server URL. The zero value is
 // not usable; construct with New. It is safe for concurrent use.
 type Client struct {
-	dest    *endpoint
 	rt      roundTripper
 	usePOST bool
 	// query is the request's raw query: for GET everything up to and
@@ -88,26 +84,24 @@ type Options struct {
 
 const (
 	wireContentType = "application/dns-message"
-	jsonContentType = "application/dns-json"
 	statusOK        = 200
 	// maxBody is the largest response body accepted.
 	maxBody = 1 << 20
 )
 
-// request is one HTTP exchange as both transports see it.
+// request is one HTTP exchange as both transports see it; the endpoint
+// it goes to is the transport's own.
 type request struct {
-	dest *endpoint
-	// query is the raw query string; when dns is set on a GET it ends
-	// in "dns=" and the base64url of dns follows it.
+	// query is the raw query string; on a GET it ends in "dns=" and the
+	// base64url of dns follows it.
 	query string
 	// dns is the packed DNS query: base64url-appended to query on GET,
-	// the body on POST, nil for the JSON API.
-	dns    []byte
-	post   bool
-	accept string
+	// the body on POST.
+	dns  []byte
+	post bool
 }
 
-// response is what Exchange and QueryJSON need of a reply.
+// response is what Exchange needs of a reply.
 type response struct {
 	status      int
 	reason      string // status line text, set when status is not 200
@@ -119,7 +113,8 @@ type response struct {
 }
 
 // roundTripper is the seam between the client and the wire: the
-// engine by default, net/http behind Options.HTTPClient.
+// engine by default, net/http behind Options.HTTPClient. Either is
+// bound to the client's one endpoint.
 type roundTripper interface {
 	// roundTrip sends req and reads the whole response, the body into
 	// body's storage and cut at maxBody+1 bytes. The response's timing
@@ -139,7 +134,7 @@ func New(serverURL string, opts *Options) (*Client, error) {
 	if opts == nil {
 		opts = &Options{}
 	}
-	c := &Client{dest: dest, usePOST: opts.POST, query: dest.url.RawQuery}
+	c := &Client{usePOST: opts.POST, query: dest.url.RawQuery}
 	if !c.usePOST {
 		c.query = "dns="
 		if dest.url.RawQuery != "" {
@@ -147,20 +142,23 @@ func New(serverURL string, opts *Options) (*Client, error) {
 		}
 	}
 	if opts.HTTPClient != nil {
-		c.rt = httpTransport{hc: opts.HTTPClient}
+		c.rt = httpTransport{hc: opts.HTTPClient, dest: dest}
 		return c, nil
 	}
 	e := &engine{
-		tlsConfig: &tls.Config{
+		dest:    dest,
+		timeout: opts.Timeout,
+		pool:    dnsclient.Pool{MaxIdle: opts.MaxIdleConnsPerHost},
+	}
+	if dest.https {
+		e.tlsConfig = &tls.Config{
 			ServerName:         dest.serverName,
 			InsecureSkipVerify: opts.InsecureTLS,
 			MinVersion:         tls.VersionTLS12,
 			// The engine speaks HTTP/1.1 only; offering h2 would let a
 			// server pick a protocol it cannot follow.
 			NextProtos: []string{"http/1.1"},
-		},
-		timeout: opts.Timeout,
-		pool:    dnsclient.Pool{MaxIdle: opts.MaxIdleConnsPerHost},
+		}
 	}
 	if e.timeout <= 0 {
 		e.timeout = 30 * time.Second
@@ -199,9 +197,7 @@ func (c *Client) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Mes
 	defer dnswire.PutBuffer(body)
 
 	start := time.Now()
-	resp, err := c.rt.roundTrip(ctx, request{
-		dest: c.dest, query: c.query, dns: wire, post: c.usePOST, accept: wireContentType,
-	}, body)
+	resp, err := c.rt.roundTrip(ctx, request{query: c.query, dns: wire, post: c.usePOST}, body)
 	timing := resp.timing
 	timing.Total = time.Since(start)
 	timing.RoundTrip = timing.Total - timing.DNSLookup - timing.Connect - timing.TLSHandshake
@@ -251,62 +247,4 @@ func (c *Client) count(f func(*Stats)) {
 // pays the full handshake cost again (used to measure DoH1 vs DoHR).
 func (c *Client) CloseIdleConnections() {
 	c.rt.closeIdle()
-}
-
-// JSONAnswer is one record from the JSON DoH API.
-type JSONAnswer struct {
-	Name string `json:"name"`
-	Type int    `json:"type"`
-	TTL  uint32 `json:"TTL"`
-	Data string `json:"data"`
-}
-
-// JSONResponse is the application/dns-json response schema used by
-// Google's and Cloudflare's JSON endpoints.
-type JSONResponse struct {
-	Status   int  `json:"Status"`
-	TC       bool `json:"TC"`
-	RD       bool `json:"RD"`
-	RA       bool `json:"RA"`
-	Question []struct {
-		Name string `json:"name"`
-		Type int    `json:"type"`
-	} `json:"Question"`
-	Answer []JSONAnswer `json:"Answer"`
-}
-
-// QueryJSON resolves (name, typ) via the JSON DoH API at jsonURL
-// (e.g. "https://host/resolve") over the client's transport and
-// connection pool.
-func (c *Client) QueryJSON(ctx context.Context, jsonURL string, name dnswire.Name, typ dnswire.Type) (*JSONResponse, error) {
-	dest, err := newEndpoint(jsonURL)
-	if err != nil {
-		return nil, fmt.Errorf("dohclient: JSON URL: %w", err)
-	}
-	query := dest.url.Query()
-	query.Set("name", strings.TrimSuffix(string(dnswire.NewName(string(name))), "."))
-	query.Set("type", strconv.Itoa(int(typ)))
-	buf := dnswire.GetBuffer()
-	defer dnswire.PutBuffer(buf)
-	resp, err := c.rt.roundTrip(ctx, request{dest: dest, query: query.Encode(), accept: jsonContentType}, buf)
-	if err != nil {
-		c.count(func(s *Stats) { s.HTTPErrors++ })
-		return nil, fmt.Errorf("dohclient: %w", err)
-	}
-	if resp.status != statusOK {
-		c.count(func(s *Stats) { s.HTTPErrors++ })
-		return nil, fmt.Errorf("dohclient: JSON API returned %s", resp.reason)
-	}
-	var body JSONResponse
-	if len(resp.body) > maxBody {
-		err = fmt.Errorf("body exceeds %d bytes", maxBody)
-	} else {
-		err = json.Unmarshal(resp.body, &body)
-	}
-	if err != nil {
-		c.count(func(s *Stats) { s.WireErrors++ })
-		return nil, fmt.Errorf("dohclient: decoding JSON body: %w", err)
-	}
-	c.count(func(s *Stats) { s.Exchanges++ })
-	return &body, nil
 }

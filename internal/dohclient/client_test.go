@@ -252,42 +252,6 @@ func TestContextCancellation(t *testing.T) {
 	}
 }
 
-func TestQueryJSON(t *testing.T) {
-	srv, _ := newStack(t)
-	c, err := New(srv.URL+dohserver.DefaultPath, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := c.QueryJSON(context.Background(), srv.URL+dohserver.JSONPath, "json1.a.com.", dnswire.TypeA)
-	if err != nil {
-		t.Fatalf("QueryJSON: %v", err)
-	}
-	if body.Status != 0 || len(body.Answer) != 1 {
-		t.Fatalf("body = %+v", body)
-	}
-	if body.Answer[0].Data != "203.0.113.2" {
-		t.Errorf("data = %q", body.Answer[0].Data)
-	}
-	if st := c.Stats(); st.Exchanges != 1 {
-		t.Errorf("stats = %+v", st)
-	}
-}
-
-func TestQueryJSONErrors(t *testing.T) {
-	srv, _ := newStack(t)
-	c, err := New(srv.URL+dohserver.DefaultPath, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wrong path -> 404 surfaces.
-	if _, err := c.QueryJSON(context.Background(), srv.URL+"/nope", "x.a.com.", dnswire.TypeA); err == nil {
-		t.Fatal("404 accepted")
-	}
-	if _, err := c.QueryJSON(context.Background(), "://bad", "x.a.com.", dnswire.TypeA); err == nil {
-		t.Fatal("bad URL accepted")
-	}
-}
-
 func TestHTTP2EndToEnd(t *testing.T) {
 	// Public DoH providers serve over HTTP/2; verify the stack works
 	// there and that streams multiplex over one connection.
@@ -366,53 +330,6 @@ func newCountingStack(t *testing.T, wrap func(http.Handler) http.Handler) (*http
 type connCounter struct {
 	atomic.Int32
 	open atomic.Int32
-}
-
-// flushingWriter flushes after every write, forcing chunked framing
-// with no Content-Length — how streaming JSON DoH endpoints respond.
-// EOF then only arrives with the terminal chunk, which a decoder that
-// stops at the end of the JSON value never reads.
-type flushingWriter struct{ http.ResponseWriter }
-
-func (f flushingWriter) Write(b []byte) (int, error) {
-	n, err := f.ResponseWriter.Write(b)
-	f.ResponseWriter.(http.Flusher).Flush()
-	return n, err
-}
-
-// TestQueryJSONConnectionReuse mirrors TestConnectionReuseDetected for
-// the JSON path. json.Decoder.Decode stops at the end of the JSON
-// value, leaving the trailing newline and the end-of-body chunk marker
-// unread; when those bytes have not yet arrived at Close time — here
-// the server delays the terminal chunk, as any real network does —
-// closing without draining makes the transport kill the connection and
-// every query dials anew. The drain blocks the few extra milliseconds
-// for EOF and keeps the connection pooled.
-func TestQueryJSONConnectionReuse(t *testing.T) {
-	srv, conns := newCountingStack(t, func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			next.ServeHTTP(flushingWriter{w}, r)
-			// Delay the terminal chunk so the body's EOF is still in
-			// flight when a non-draining client calls Close.
-			time.Sleep(30 * time.Millisecond)
-		})
-	})
-	c, err := New(srv.URL+dohserver.DefaultPath, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		body, err := c.QueryJSON(context.Background(), srv.URL+dohserver.JSONPath, "jr.a.com.", dnswire.TypeA)
-		if err != nil {
-			t.Fatalf("QueryJSON %d: %v", i, err)
-		}
-		if len(body.Answer) != 1 {
-			t.Fatalf("QueryJSON %d: body = %+v", i, body)
-		}
-	}
-	if got := conns.Load(); got != 1 {
-		t.Errorf("3 JSON queries used %d connections, want 1 (body not drained before close?)", got)
-	}
 }
 
 // TestMaxIdleConnsPerHostCoversHedgeFanOut pins the pool-sizing fix: a

@@ -65,7 +65,8 @@ func newEndpoint(rawURL string) (*endpoint, error) {
 // nothing of HTTP beyond that: no redirects, no cookies, no proxies, no
 // HTTP/2 (Options.HTTPClient is the route to those).
 type engine struct {
-	tlsConfig *tls.Config // ServerName is the client's own endpoint's
+	dest      *endpoint
+	tlsConfig *tls.Config // nil for http:// endpoints
 	timeout   time.Duration
 	pool      dnsclient.Pool
 }
@@ -90,18 +91,10 @@ func newConnState(c net.Conn) *connState {
 func (e *engine) roundTrip(ctx context.Context, req request, body *dnswire.Buffer) (response, error) {
 	buf := dnswire.GetBuffer()
 	defer dnswire.PutBuffer(buf)
-	buf.B = appendRequest(buf.B[:0], req)
+	buf.B = appendRequest(buf.B[:0], e.dest, req)
 
-	cfg := e.tlsConfig
-	if !req.dest.https {
-		cfg = nil
-	} else if cfg.ServerName != req.dest.serverName {
-		// Another origin than the client's own (QueryJSON).
-		cfg = cfg.Clone()
-		cfg.ServerName = req.dest.serverName
-	}
 	var resp response
-	a := e.pool.Begin(ctx, req.dest.addr, cfg, e.timeout)
+	a := e.pool.Begin(ctx, e.dest.addr, e.tlsConfig, e.timeout)
 	for a.Next() {
 		st, _ := a.State.(*connState)
 		if st == nil {
@@ -142,27 +135,26 @@ func do(w io.Writer, br *bufio.Reader, reqBytes []byte, body *dnswire.Buffer) (r
 	return resp, reusable, err
 }
 
-// appendRequest appends the whole request — head and, for POST, body —
-// so it leaves in one Write (one TLS record). A wire-format GET gets
+// appendRequest appends the whole request to dest — head and, for
+// POST, body — so it leaves in one Write (one TLS record). A GET gets
 // its ?dns= value base64url-encoded straight into place.
-func appendRequest(b []byte, req request) []byte {
+func appendRequest(b []byte, dest *endpoint, req request) []byte {
 	if req.post {
 		b = append(b, "POST "...)
 	} else {
 		b = append(b, "GET "...)
 	}
-	b = append(b, req.dest.path...)
+	b = append(b, dest.path...)
 	if req.query != "" {
 		b = append(b, '?')
 		b = append(b, req.query...)
-		if !req.post && req.dns != nil {
+		if !req.post {
 			b = base64.RawURLEncoding.AppendEncode(b, req.dns)
 		}
 	}
 	b = append(b, " HTTP/1.1\r\nHost: "...)
-	b = append(b, req.dest.host...)
-	b = append(b, "\r\nAccept: "...)
-	b = append(b, req.accept...)
+	b = append(b, dest.host...)
+	b = append(b, "\r\nAccept: "+wireContentType...)
 	if req.post {
 		b = append(b, "\r\nContent-Type: "+wireContentType+"\r\nContent-Length: "...)
 		b = strconv.AppendInt(b, int64(len(req.dns)), 10)

@@ -31,13 +31,14 @@ func TestBuildRequestMatchesLegacyEncoding(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		req := request{dest: c.dest, query: c.query, dns: wire, accept: wireContentType}
-		viaEngine, err := http.ReadRequest(bufio.NewReader(bytes.NewReader(appendRequest(nil, req))))
+		dest := c.rt.(*engine).dest
+		req := request{query: c.query, dns: wire}
+		viaEngine, err := http.ReadRequest(bufio.NewReader(bytes.NewReader(appendRequest(nil, dest, req))))
 		if err != nil {
 			t.Fatalf("%s: engine request does not parse: %v", base, err)
 		}
 		// A server-side parse leaves scheme and host out of URL.
-		viaEngine.URL.Scheme, viaEngine.URL.Host = c.dest.url.Scheme, viaEngine.Host
+		viaEngine.URL.Scheme, viaEngine.URL.Host = dest.url.Scheme, viaEngine.Host
 
 		legacy, err := url.Parse(base)
 		if err != nil {
@@ -52,7 +53,7 @@ func TestBuildRequestMatchesLegacyEncoding(t *testing.T) {
 
 		for name, got := range map[string]*http.Request{
 			"engine":   viaEngine,
-			"net/http": buildRequest(context.Background(), req),
+			"net/http": buildRequest(context.Background(), dest, req),
 		} {
 			if got.Method != http.MethodGet {
 				t.Errorf("%s %s: method %q, want GET", name, base, got.Method)
@@ -101,9 +102,9 @@ func TestRawQueryAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := request{dest: c.dest, query: c.query, dns: wire, accept: wireContentType}
-	buf := appendRequest(nil, req)
-	if n := testing.AllocsPerRun(1000, func() { buf = appendRequest(buf[:0], req) }); n != 0 {
+	dest, req := c.rt.(*engine).dest, request{query: c.query, dns: wire}
+	buf := appendRequest(nil, dest, req)
+	if n := testing.AllocsPerRun(1000, func() { buf = appendRequest(buf[:0], dest, req) }); n != 0 {
 		t.Errorf("appendRequest allocates %.1f per op, want 0", n)
 	}
 	rawQuery(c.query, wire) // warm the pooled scratch

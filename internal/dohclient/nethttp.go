@@ -18,7 +18,8 @@ import (
 // transports, at net/http's per-request cost. Phase timings come from
 // httptrace.
 type httpTransport struct {
-	hc *http.Client
+	hc   *http.Client
+	dest *endpoint
 }
 
 func (t httpTransport) roundTrip(ctx context.Context, req request, body *dnswire.Buffer) (response, error) {
@@ -48,7 +49,7 @@ func (t httpTransport) roundTrip(ctx context.Context, req request, body *dnswire
 			st.timing.Reused = info.Reused
 		},
 	}
-	hresp, err := t.hc.Do(buildRequest(httptrace.WithClientTrace(ctx, trace), req))
+	hresp, err := t.hc.Do(buildRequest(httptrace.WithClientTrace(ctx, trace), t.dest, req))
 	resp := response{timing: st.timing}
 	if err != nil {
 		return resp, err
@@ -69,11 +70,11 @@ func (t httpTransport) roundTrip(ctx context.Context, req request, body *dnswire
 
 func (t httpTransport) closeIdle() { t.hc.CloseIdleConnections() }
 
-// buildRequest builds the *http.Request by hand: cloning the pre-parsed
-// endpoint URL and swapping in the query skips the url.Parse that
-// http.NewRequest would re-run on every exchange.
-func buildRequest(ctx context.Context, req request) *http.Request {
-	u := *req.dest.url
+// buildRequest builds the *http.Request to dest by hand: cloning the
+// pre-parsed endpoint URL and swapping in the query skips the url.Parse
+// that http.NewRequest would re-run on every exchange.
+func buildRequest(ctx context.Context, dest *endpoint, req request) *http.Request {
+	u := *dest.url
 	u.RawQuery = req.query
 	hreq := &http.Request{
 		Method:     http.MethodGet,
@@ -81,11 +82,10 @@ func buildRequest(ctx context.Context, req request) *http.Request {
 		Proto:      "HTTP/1.1",
 		ProtoMajor: 1,
 		ProtoMinor: 1,
-		Header:     http.Header{"Accept": {req.accept}},
+		Header:     http.Header{"Accept": {wireContentType}},
 		Host:       u.Host,
 	}
-	switch {
-	case req.post:
+	if req.post {
 		hreq.Method = http.MethodPost
 		hreq.Header.Set("Content-Type", wireContentType)
 		hreq.Body = io.NopCloser(bytes.NewReader(req.dns))
@@ -93,7 +93,7 @@ func buildRequest(ctx context.Context, req request) *http.Request {
 		hreq.GetBody = func() (io.ReadCloser, error) {
 			return io.NopCloser(bytes.NewReader(req.dns)), nil
 		}
-	case req.dns != nil:
+	} else {
 		u.RawQuery = rawQuery(req.query, req.dns)
 	}
 	return hreq.WithContext(ctx)

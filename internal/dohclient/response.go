@@ -292,14 +292,11 @@ func equalFold(b []byte, lower string) bool {
 	return true
 }
 
-// mediaType returns b as a string without allocating for the two
-// types a DoH server answers with.
+// mediaType returns b as a string, without allocating for the type a
+// DoH answer carries.
 func mediaType(b []byte) string {
-	switch string(b) {
-	case wireContentType:
+	if string(b) == wireContentType {
 		return wireContentType
-	case jsonContentType:
-		return jsonContentType
 	}
 	return string(b)
 }

@@ -127,19 +127,35 @@ func (h *Histogram) Absorb(counts []int64, count int64, sum time.Duration) error
 	return nil
 }
 
-// DefaultLatencyBuckets is the standard resolution-latency bucket
-// layout: sub-millisecond to one minute, roughly logarithmic. It
-// covers everything from a reused-connection loopback exchange to a
-// retry loop that exhausted its backoff budget.
-func DefaultLatencyBuckets() []time.Duration {
-	return []time.Duration{
-		500 * time.Microsecond,
-		time.Millisecond, 2 * time.Millisecond, 5 * time.Millisecond,
-		10 * time.Millisecond, 20 * time.Millisecond, 50 * time.Millisecond,
-		100 * time.Millisecond, 200 * time.Millisecond, 500 * time.Millisecond,
-		time.Second, 2 * time.Second, 5 * time.Second,
-		10 * time.Second, 30 * time.Second, time.Minute,
+// latencyBuckets is the one latency bucket layout, built in integer
+// microseconds so it is bit-identical on every platform: three
+// sub-millisecond bounds, then four full decades (1ms-10s) on a
+// {1, 1.25, 1.5, 2, 2.5, 3, 4, 5, 6, 8} grid, then the 10s decade
+// truncated at 60s. Relative bucket width stays <= 33% above 1ms,
+// which bounds the error of a bucket-interpolated quantile.
+var latencyBuckets = func() []time.Duration {
+	out := []time.Duration{100 * time.Microsecond, 250 * time.Microsecond, 500 * time.Microsecond}
+	mults := []int64{100, 125, 150, 200, 250, 300, 400, 500, 600, 800}
+	for _, base := range []int64{1_000, 10_000, 100_000, 1_000_000} {
+		for _, m := range mults {
+			out = append(out, time.Duration(base*m/100)*time.Microsecond)
+		}
 	}
+	for _, m := range mults[:9] { // 10s decade stops at 60s
+		out = append(out, time.Duration(10_000_000*m/100)*time.Microsecond)
+	}
+	return out
+}()
+
+// DefaultLatencyBuckets returns the standard latency bucket layout
+// (ascending inclusive upper bounds, 100µs to 60s; observations above
+// the last bound land in an overflow bucket). It covers everything from
+// a reused-connection loopback exchange to a retry loop that exhausted
+// its backoff budget, and it is the layout internal/sketch histograms
+// use, so a registry histogram absorbs sketch buckets exactly. The
+// slice is a fresh copy.
+func DefaultLatencyBuckets() []time.Duration {
+	return append([]time.Duration(nil), latencyBuckets...)
 }
 
 // Registry is a named collection of metrics. Get-or-create lookups
@@ -196,7 +212,7 @@ func (r *Registry) Histogram(name string, bounds []time.Duration) *Histogram {
 	h, ok := r.hists[name]
 	if !ok {
 		if bounds == nil {
-			bounds = DefaultLatencyBuckets()
+			bounds = latencyBuckets
 		}
 		b := make([]time.Duration, len(bounds))
 		copy(b, bounds)

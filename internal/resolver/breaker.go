@@ -77,8 +77,6 @@ type BreakerPolicy struct {
 	SuccessesToClose int
 	// Now is the clock (default time.Now; tests inject a fake).
 	Now func() time.Time
-	// OnStateChange, when non-nil, observes every transition.
-	OnStateChange func(from, to BreakerState)
 }
 
 func (p BreakerPolicy) withDefaults() BreakerPolicy {
@@ -170,8 +168,7 @@ func gaugeValue(s BreakerState) float64 {
 
 // transition moves to the new state under b.mu.
 func (b *Breaker) transition(to BreakerState) {
-	from := b.state
-	if from == to {
+	if b.state == to {
 		return
 	}
 	b.state = to
@@ -191,9 +188,6 @@ func (b *Breaker) transition(to BreakerState) {
 	}
 	if b.instr != nil {
 		b.instr.open.Set(gaugeValue(to))
-	}
-	if b.p.OnStateChange != nil {
-		b.p.OnStateChange(from, to)
 	}
 }
 

@@ -2,6 +2,7 @@ package resolver
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -21,6 +22,35 @@ type fixed struct {
 
 func (f *fixed) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Message, Timing, error) {
 	return f.resp, f.t, f.err
+}
+
+// lossy fails a seeded share of calls with errWire and adds slow to the
+// timing of another share — a reproducible lossy path for the
+// determinism tests. Not safe for concurrent use.
+type lossy struct {
+	next           Resolver
+	rng            *rand.Rand
+	drop, slowProb float64
+	slow           time.Duration
+	drops          int
+}
+
+func newLossy(next Resolver, seed int64, drop, slowProb float64, slow time.Duration) *lossy {
+	return &lossy{next: next, rng: rand.New(rand.NewSource(seed)), drop: drop, slowProb: slowProb, slow: slow}
+}
+
+func (l *lossy) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Message, Timing, error) {
+	switch u := l.rng.Float64(); {
+	case u < l.drop:
+		l.drops++
+		return nil, Timing{Attempts: 1}, errWire
+	case u < l.drop+l.slowProb:
+		resp, t, err := l.next.Resolve(ctx, q)
+		t.RoundTrip += l.slow
+		t.Total += l.slow
+		return resp, t, err
+	}
+	return l.next.Resolve(ctx, q)
 }
 
 func testQuery() *dnswire.Message {
@@ -79,28 +109,26 @@ func TestWithMetricsCountsErrors(t *testing.T) {
 	}
 }
 
-// TestWithMetricsDeterministicSnapshot is the ISSUE 2 acceptance
-// check: under a fixed seed, fault-injected resolutions plus the
-// published retry/fault counters produce an identical registry
-// snapshot on every run. (Histograms are fed by deterministic timing
-// sources — injector and fixed transport; a wall-clock layer like
-// WithRetry's Total would be deterministic only in virtual time.)
+// TestWithMetricsDeterministicSnapshot: under a fixed seed, resolutions
+// over a lossy path plus the published retry counters produce an
+// identical registry snapshot on every run. (Histograms are fed by
+// deterministic timing sources — the seeded path and a fixed
+// transport; a wall-clock layer like WithRetry's Total would be
+// deterministic only in virtual time.)
 func TestWithMetricsDeterministicSnapshot(t *testing.T) {
-	run := func() (obs.Snapshot, FaultStats) {
+	run := func() (obs.Snapshot, int) {
 		reg := obs.NewRegistry()
 		q := testQuery()
 
-		// Histogram path: metrics over deterministic fault injection
-		// over a fixed-timing transport.
+		// Histogram path: metrics over a seeded lossy path over a
+		// fixed-timing transport.
 		base := &fixed{resp: q.Reply(), t: Timing{
 			DNSLookup: 2 * time.Millisecond, Connect: 3 * time.Millisecond,
 			TLSHandshake: 4 * time.Millisecond, RoundTrip: 5 * time.Millisecond,
 			Total: 14 * time.Millisecond, Attempts: 1,
 		}}
-		injector := WithFaults(base, FaultConfig{
-			Seed: 7, DropProb: 0.3, SlowProb: 0.2, SlowDelay: 40 * time.Millisecond,
-		})
-		mr := WithMetrics(injector, reg, DoH)
+		path := newLossy(base, 7, 0.3, 0.2, 40*time.Millisecond)
+		mr := WithMetrics(path, reg, DoH)
 		for i := 0; i < 40; i++ {
 			_, _, _ = mr.Resolve(context.Background(), q)
 		}
@@ -109,20 +137,20 @@ func TestWithMetricsDeterministicSnapshot(t *testing.T) {
 		// counters are schedule-independent; published as gauges.
 		metrics := &Metrics{}
 		var delays []time.Duration
-		retry := WithRetry(WithFaults(&stub{}, FaultConfig{Seed: 3, DropProb: 0.4}),
-			RetryPolicy{MaxAttempts: 3, Seed: 11, Sleep: recordingSleep(&delays), Metrics: metrics})
+		retry := WithRetry(newLossy(&stub{}, 3, 0.4, 0, 0),
+			RetryPolicy{MaxAttempts: 3, Sleep: recordingSleep(&delays), Metrics: metrics})
 		for i := 0; i < 20; i++ {
 			_, _, _ = retry.Resolve(context.Background(), q)
 		}
 		PublishPolicyMetrics(reg, Do53, metrics)
-		return reg.Snapshot(), injector.Stats()
+		return reg.Snapshot(), path.drops
 	}
-	a, faults := run()
-	b, faultsAgain := run()
-	if !reflect.DeepEqual(a, b) || faults != faultsAgain {
-		t.Fatalf("snapshots differ across same-seed runs:\n%+v %+v\nvs\n%+v %+v", a, faults, b, faultsAgain)
+	a, drops := run()
+	b, dropsAgain := run()
+	if !reflect.DeepEqual(a, b) || drops != dropsAgain {
+		t.Fatalf("snapshots differ across same-seed runs:\n%+v %d\nvs\n%+v %d", a, drops, b, dropsAgain)
 	}
-	// The faults and retries must actually have fired for this to test
+	// The drops and retries must actually have fired for this to test
 	// anything.
 	var retries float64
 	for _, g := range a.Gauges {
@@ -130,8 +158,8 @@ func TestWithMetricsDeterministicSnapshot(t *testing.T) {
 			retries = g.Value
 		}
 	}
-	if faults.Drops == 0 || retries == 0 {
-		t.Fatalf("drops=%d retries=%g; determinism test is vacuous", faults.Drops, retries)
+	if drops == 0 || retries == 0 {
+		t.Fatalf("drops=%d retries=%g; determinism test is vacuous", drops, retries)
 	}
 }
 

@@ -2,9 +2,6 @@ package resolver
 
 import (
 	"context"
-	"math"
-	"math/rand"
-	"sync"
 	"time"
 
 	"repro/internal/cache"
@@ -16,24 +13,20 @@ import (
 // Policy bundles the standard middleware stack. Apply composes it in
 // the canonical order (innermost first):
 //
-//	transport -> WithFaults -> per-attempt WithTimeout -> WithRetry
-//	          -> WithHedgingN -> overall WithTimeout -> WithBreaker
-//	          -> entry metrics -> WithMetrics (registry histograms)
-//	          -> WithCache
+//	transport -> per-attempt WithTimeout -> WithRetry -> WithHedgingN
+//	          -> WithBreaker -> entry metrics
+//	          -> WithMetrics (registry histograms) -> WithCache
 //
-// so each retry attempt is individually deadline-bounded, the retry
-// loop as a whole respects the overall deadline, injected faults look
-// to the policy layers exactly like wire faults, and the registry's
-// histograms see the end-to-end timing including backoff sleeps. The
-// cache sits outermost: a hit never enters the policy stack, and the
-// transport histograms below keep describing real resolutions only.
+// so each retry attempt is individually deadline-bounded and the
+// registry's histograms see the end-to-end timing including backoff
+// sleeps. The cache sits outermost: a hit never enters the policy
+// stack, and the transport histograms below keep describing real
+// resolutions only.
 type Policy struct {
 	// Retry, when non-nil, adds exponential-backoff retries.
 	Retry *RetryPolicy
 	// AttemptTimeout bounds each transport attempt.
 	AttemptTimeout time.Duration
-	// OverallTimeout bounds the whole resolution including backoff.
-	OverallTimeout time.Duration
 	// HedgeDelay, when positive, fires a speculative second attempt
 	// after this delay (set it near the transport's p95 latency).
 	HedgeDelay time.Duration
@@ -53,9 +46,6 @@ type Policy struct {
 	// trips it and later calls short-circuit with ErrBreakerOpen until
 	// a probe succeeds (see breaker.go for the state machine).
 	Breaker *BreakerPolicy
-	// Faults, when non-nil, injects deterministic faults below every
-	// other layer (tests).
-	Faults *FaultConfig
 	// Metrics, when non-nil, receives counters from every layer.
 	Metrics *Metrics
 	// Registry, when non-nil, adds a WithMetrics layer outermost so
@@ -65,30 +55,21 @@ type Policy struct {
 	// Kind names the transport in the registry's metric names
 	// (resolver_<kind>_*). Empty publishes under "all".
 	Kind Kind
-	// Smart tunes the composite racing resolver (internal/smart) when
-	// this policy is used to build one. Apply ignores it — the smart
-	// layer wraps N per-transport stacks, so it cannot be composed from
-	// inside a single stack; smart.New consumes these knobs instead.
-	// Carrying them here keeps every resolver-tuning surface (flags,
-	// configs) on one struct.
-	Smart *SmartOptions
 }
 
 // SmartOptions tunes the smart racing resolver (internal/smart): how
-// races are staggered, how winner memory is scored and decays, and how
+// races are staggered, how long a winner is remembered, and how
 // background re-probing is paced. The zero value of every field means
 // "use the smart package's default". Defined here (not in
-// internal/smart) so Policy can carry the knobs without an import
-// cycle; see internal/smart for the consumer.
+// internal/smart) so every resolver-tuning surface sits in one package;
+// see internal/smart for the consumer and its fixed constants (EWMA
+// weight, probe timeout, table size).
 type SmartOptions struct {
 	// Stagger is the happy-eyeballs delay between racing candidate
 	// launches (default 30ms). The presumed-fastest candidate starts
 	// first; each further candidate starts Stagger later unless an
 	// earlier one has already answered.
 	Stagger time.Duration
-	// Alpha is the EWMA weight of a new latency sample in a
-	// candidate's per-destination score, in (0, 1] (default 0.3).
-	Alpha float64
 	// ReRaceAfter is the winner-memory decay horizon: a remembered
 	// winner older than this is dropped and the next query races again
 	// (default 5m; negative disables decay).
@@ -97,26 +78,14 @@ type SmartOptions struct {
 	// candidates, per destination (default 15s; negative disables
 	// probing).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds each background probe (default 5s).
-	ProbeTimeout time.Duration
 	// SwitchMargin is the fraction of the winner's EWMA a loser must
 	// beat for the winner to switch, in (0, 1] (default 0.9: the loser
 	// must be at least 10% faster). Hysteresis against flapping.
 	SwitchMargin float64
-	// Shards is the winner-table shard count, rounded up to a power of
-	// two (default 16).
-	Shards int
-	// MaxDestinations caps remembered destinations across the table
-	// (default 4096). Beyond the cap, new destinations still resolve —
-	// every query races — but are not remembered.
-	MaxDestinations int
 }
 
 // Apply wraps r with the policy's middleware stack.
 func Apply(r Resolver, p Policy) Resolver {
-	if p.Faults != nil {
-		r = WithFaults(r, *p.Faults)
-	}
 	if p.AttemptTimeout > 0 {
 		r = WithTimeout(r, p.AttemptTimeout, 0)
 	}
@@ -128,14 +97,7 @@ func Apply(r Resolver, p Policy) Resolver {
 		r = WithRetry(r, rp)
 	}
 	if p.HedgeDelay > 0 {
-		max := p.HedgeMax
-		if max < 2 {
-			max = 2
-		}
-		r = WithHedgingN(r, p.HedgeDelay, max, p.Metrics)
-	}
-	if p.OverallTimeout > 0 {
-		r = WithTimeout(r, 0, p.OverallTimeout)
+		r = WithHedgingN(r, p.HedgeDelay, p.HedgeMax, p.Metrics)
 	}
 	if p.Breaker != nil {
 		b := NewBreaker(*p.Breaker)
@@ -179,35 +141,29 @@ func WithTimeout(next Resolver, perAttempt, overall time.Duration) Resolver {
 	})
 }
 
-// RetryPolicy parameterizes WithRetry: capped exponential backoff with
-// seeded (hence reproducible) jitter and a total backoff budget.
+// The retry backoff schedule: capped exponential, with a total budget.
+const (
+	// retryBaseDelay is the backoff before the first retry.
+	retryBaseDelay = 50 * time.Millisecond
+	// retryMaxDelay caps a single backoff delay.
+	retryMaxDelay = 2 * time.Second
+	// retryMultiplier grows the delay between retries.
+	retryMultiplier = 2
+	// retryBudget caps the cumulative backoff sleep; once spent, no
+	// further retries are taken.
+	retryBudget = 5 * time.Second
+)
+
+// RetryPolicy parameterizes WithRetry: how many attempts a resolution
+// gets. The backoff between them is fixed: 50 ms doubling per retry,
+// capped at 2 s per delay and 5 s in total.
 type RetryPolicy struct {
 	// MaxAttempts is the total attempt count including the first
 	// (default 3).
 	MaxAttempts int
-	// BaseDelay is the backoff before the first retry (default 50ms).
-	BaseDelay time.Duration
-	// MaxDelay caps a single backoff delay (default 2s).
-	MaxDelay time.Duration
-	// Multiplier grows the delay between retries (default 2).
-	Multiplier float64
-	// Jitter is the fraction of symmetric randomization applied to
-	// each delay: d' = d * (1 + Jitter*u), u uniform in [-1, 1). Zero
-	// disables jitter.
-	Jitter float64
-	// Budget caps the cumulative backoff sleep; once spent, no further
-	// retries are taken (default 5s; negative means unlimited).
-	Budget time.Duration
-	// RetryServFail also retries responses whose RCode is SERVFAIL
-	// (the transport succeeded but the upstream did not).
-	RetryServFail bool
-	// Seed drives the jitter stream, making schedules reproducible.
-	Seed int64
 	// Sleep waits between attempts; tests substitute a recording fake.
 	// The default honors context cancellation.
 	Sleep func(ctx context.Context, d time.Duration) error
-	// OnRetry, when non-nil, observes each retry decision.
-	OnRetry func(attempt int, delay time.Duration, cause error)
 	// Metrics, when non-nil, receives attempt/retry/drop counters.
 	Metrics *Metrics
 }
@@ -216,31 +172,19 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = 3
 	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 50 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 2 * time.Second
-	}
-	if p.Multiplier < 1 {
-		p.Multiplier = 2
-	}
-	if p.Budget == 0 {
-		p.Budget = 5 * time.Second
-	}
 	if p.Sleep == nil {
 		p.Sleep = sleepContext
 	}
 	return p
 }
 
-// baseDelay is the pre-jitter delay before retry i (0-based).
-func (p RetryPolicy) baseDelay(i int) time.Duration {
-	d := float64(p.BaseDelay) * math.Pow(p.Multiplier, float64(i))
-	if max := float64(p.MaxDelay); d > max {
-		d = max
+// backoff is the delay before retry i (0-based).
+func backoff(i int) time.Duration {
+	d := retryBaseDelay
+	for ; i > 0 && d < retryMaxDelay; i-- {
+		d *= retryMultiplier
 	}
-	return time.Duration(d)
+	return min(d, retryMaxDelay)
 }
 
 func sleepContext(ctx context.Context, d time.Duration) error {
@@ -255,64 +199,24 @@ func sleepContext(ctx context.Context, d time.Duration) error {
 }
 
 // WithRetry wraps next with the retry policy. A resolution succeeds on
-// the first attempt that returns a usable response; transport errors
-// (and, optionally, SERVFAIL responses) trigger capped exponential
-// backoff until attempts, budget, or context run out. The returned
-// Timing carries the winning attempt's phase breakdown with Attempts
-// and Total covering the whole loop.
+// the first attempt that returns a response — any RCode, SERVFAIL
+// included, is the upstream's answer; transport errors trigger capped
+// exponential backoff until attempts, budget, or context run out. The
+// returned Timing carries the winning attempt's phase breakdown with
+// Attempts and Total covering the whole loop.
 func WithRetry(next Resolver, p RetryPolicy) Resolver {
-	p = p.withDefaults()
-	return &retrier{next: next, p: p, rng: rand.New(rand.NewSource(p.Seed))}
+	return &retrier{next: next, p: p.withDefaults()}
 }
 
 type retrier struct {
 	next Resolver
 	p    RetryPolicy
-
-	mu  sync.Mutex
-	rng *rand.Rand
 }
-
-// jitter applies the policy's symmetric jitter to d from the seeded
-// stream.
-func (r *retrier) jitter(d time.Duration) time.Duration {
-	if r.p.Jitter <= 0 {
-		return d
-	}
-	r.mu.Lock()
-	u := 2*r.rng.Float64() - 1
-	r.mu.Unlock()
-	j := time.Duration(float64(d) * (1 + r.p.Jitter*u))
-	if j < 0 {
-		j = 0
-	}
-	return j
-}
-
-// retryable reports whether the attempt outcome warrants another try,
-// returning the cause to report.
-func (r *retrier) retryable(resp *dnswire.Message, err error) (error, bool) {
-	if err != nil {
-		return err, true
-	}
-	if r.p.RetryServFail && resp.Header.RCode == dnswire.RCodeServFail {
-		return errServFail, true
-	}
-	return nil, false
-}
-
-// errServFail is the retry cause reported for SERVFAIL responses.
-var errServFail = &rcodeError{dnswire.RCodeServFail}
-
-type rcodeError struct{ rcode dnswire.RCode }
-
-func (e *rcodeError) Error() string { return "resolver: upstream answered " + e.rcode.String() }
 
 func (r *retrier) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Message, Timing, error) {
 	start := time.Now()
 	var slept time.Duration
 	var attempts int
-	var lastResp *dnswire.Message
 	var lastTiming Timing
 	var lastErr error
 	for attempt := 1; attempt <= r.p.MaxAttempts; attempt++ {
@@ -329,29 +233,20 @@ func (r *retrier) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Mes
 				r.p.Metrics.Drops.Add(1)
 			}
 		}
-		cause, again := r.retryable(resp, err)
-		if !again {
+		if err == nil {
 			t.Attempts = attempts
 			t.Total = time.Since(start)
 			return resp, t, nil
 		}
-		lastResp, lastTiming, lastErr = resp, t, err
+		lastTiming, lastErr = t, err
 		if attempt == r.p.MaxAttempts || ctx.Err() != nil {
 			break
 		}
-		delay := r.jitter(r.p.baseDelay(attempt - 1))
-		if r.p.Budget >= 0 {
-			remaining := r.p.Budget - slept
-			if remaining <= 0 {
-				break
-			}
-			if delay > remaining {
-				delay = remaining
-			}
+		remaining := retryBudget - slept
+		if remaining <= 0 {
+			break
 		}
-		if r.p.OnRetry != nil {
-			r.p.OnRetry(attempt, delay, cause)
-		}
+		delay := min(backoff(attempt-1), remaining)
 		if r.p.Metrics != nil {
 			r.p.Metrics.Retries.Add(1)
 		}
@@ -364,15 +259,10 @@ func (r *retrier) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Mes
 	}
 	lastTiming.Attempts = attempts
 	lastTiming.Total = time.Since(start)
-	if lastErr != nil {
-		if r.p.Metrics != nil {
-			r.p.Metrics.Failures.Add(1)
-		}
-		return nil, lastTiming, lastErr
+	if r.p.Metrics != nil {
+		r.p.Metrics.Failures.Add(1)
 	}
-	// Retries exhausted on SERVFAIL responses: surface the response
-	// and let the caller inspect the RCode.
-	return lastResp, lastTiming, nil
+	return nil, lastTiming, lastErr
 }
 
 // WithHedgingN fires speculative further attempts when the first has

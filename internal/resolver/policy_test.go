@@ -3,6 +3,7 @@ package resolver
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -30,6 +31,7 @@ func (s *stub) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Messag
 var errWire = errors.New("wire timeout")
 
 func TestRetrySchedule(t *testing.T) {
+	// 50 ms doubling per retry, each delay capped at 2 s.
 	tests := []struct {
 		name string
 		p    RetryPolicy
@@ -42,13 +44,12 @@ func TestRetrySchedule(t *testing.T) {
 		},
 		{
 			name: "doubling capped",
-			p:    RetryPolicy{MaxAttempts: 5, BaseDelay: 100 * time.Millisecond, MaxDelay: 400 * time.Millisecond, Multiplier: 2},
-			want: []time.Duration{100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond, 400 * time.Millisecond},
-		},
-		{
-			name: "multiplier 1 is constant",
-			p:    RetryPolicy{MaxAttempts: 4, BaseDelay: 30 * time.Millisecond, Multiplier: 1},
-			want: []time.Duration{30 * time.Millisecond, 30 * time.Millisecond, 30 * time.Millisecond},
+			p:    RetryPolicy{MaxAttempts: 9},
+			want: []time.Duration{
+				50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond,
+				400 * time.Millisecond, 800 * time.Millisecond, 1600 * time.Millisecond,
+				2 * time.Second, 2 * time.Second,
+			},
 		},
 		{
 			name: "single attempt has no retries",
@@ -63,8 +64,8 @@ func TestRetrySchedule(t *testing.T) {
 				t.Fatalf("%d retries, want %d", got, len(tt.want))
 			}
 			for i, want := range tt.want {
-				if got := p.baseDelay(i); got != want {
-					t.Errorf("baseDelay(%d) = %v, want %v", i, got, want)
+				if got := backoff(i); got != want {
+					t.Errorf("backoff(%d) = %v, want %v", i, got, want)
 				}
 			}
 		})
@@ -76,53 +77,6 @@ func recordingSleep(delays *[]time.Duration) func(context.Context, time.Duration
 	return func(ctx context.Context, d time.Duration) error {
 		*delays = append(*delays, d)
 		return ctx.Err()
-	}
-}
-
-func TestRetryJitterDeterministic(t *testing.T) {
-	run := func(seed int64) []time.Duration {
-		var delays []time.Duration
-		s := &stub{errs: []error{errWire, errWire, errWire, errWire}}
-		r := WithRetry(s, RetryPolicy{
-			MaxAttempts: 5,
-			BaseDelay:   100 * time.Millisecond,
-			Jitter:      0.5,
-			Seed:        seed,
-			Budget:      -1,
-			Sleep:       recordingSleep(&delays),
-		})
-		if _, _, err := r.Resolve(context.Background(), Query("jitter.a.com.", dnswire.TypeA)); err != nil {
-			t.Fatalf("Resolve: %v", err)
-		}
-		return delays
-	}
-	a, b := run(7), run(7)
-	if len(a) != 4 || len(b) != 4 {
-		t.Fatalf("want 4 recorded delays, got %d and %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("delay %d differs across same-seed runs: %v vs %v", i, a[i], b[i])
-		}
-	}
-	c := run(8)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Error("different seeds produced identical jittered schedules")
-	}
-	// Jitter must stay within the +/-50% band of the pre-jitter delay.
-	base := RetryPolicy{MaxAttempts: 5, BaseDelay: 100 * time.Millisecond}.withDefaults()
-	for i, d := range a {
-		lo := time.Duration(float64(base.baseDelay(i)) * 0.5)
-		hi := time.Duration(float64(base.baseDelay(i)) * 1.5)
-		if d < lo || d > hi {
-			t.Errorf("delay %d = %v outside jitter band [%v, %v]", i, d, lo, hi)
-		}
 	}
 }
 
@@ -166,25 +120,29 @@ func TestRetryExhaustion(t *testing.T) {
 
 func TestRetryBudgetStopsRetries(t *testing.T) {
 	var delays []time.Duration
-	s := &stub{errs: []error{errWire, errWire, errWire, errWire, errWire}}
-	r := WithRetry(s, RetryPolicy{
-		MaxAttempts: 5,
-		BaseDelay:   100 * time.Millisecond,
-		Multiplier:  1,
-		Budget:      150 * time.Millisecond,
-		Sleep:       recordingSleep(&delays),
-	})
+	errs := make([]error, 10)
+	for i := range errs {
+		errs[i] = errWire
+	}
+	s := &stub{errs: errs}
+	r := WithRetry(s, RetryPolicy{MaxAttempts: len(errs), Sleep: recordingSleep(&delays)})
 	_, _, err := r.Resolve(context.Background(), Query("x.a.com.", dnswire.TypeA))
 	if !errors.Is(err, errWire) {
 		t.Fatalf("err = %v, want %v", err, errWire)
 	}
-	// First backoff spends 100ms, second is clamped to the remaining
-	// 50ms, then the budget is gone: 3 attempts total.
-	if len(delays) != 2 || delays[0] != 100*time.Millisecond || delays[1] != 50*time.Millisecond {
-		t.Errorf("delays = %v, want [100ms 50ms]", delays)
+	// Six backoffs spend 3.15 s of the 5 s budget, the seventh is
+	// clamped to the remaining 1.85 s, then the budget is gone: 8
+	// attempts of the 10 allowed.
+	want := []time.Duration{
+		50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond,
+		400 * time.Millisecond, 800 * time.Millisecond, 1600 * time.Millisecond,
+		1850 * time.Millisecond,
 	}
-	if s.calls != 3 {
-		t.Errorf("transport calls = %d, want 3", s.calls)
+	if !slices.Equal(delays, want) {
+		t.Errorf("delays = %v, want %v", delays, want)
+	}
+	if s.calls != 8 {
+		t.Errorf("transport calls = %d, want 8", s.calls)
 	}
 }
 
@@ -193,7 +151,6 @@ func TestRetryContextCancelledMidBackoff(t *testing.T) {
 	s := &stub{errs: []error{errWire, errWire, errWire}}
 	r := WithRetry(s, RetryPolicy{
 		MaxAttempts: 3,
-		BaseDelay:   time.Millisecond,
 		Sleep: func(ctx context.Context, d time.Duration) error {
 			cancel() // the caller gives up while we are backing off
 			return ctx.Err()
@@ -214,39 +171,27 @@ func TestRetryContextCancelledMidBackoff(t *testing.T) {
 	}
 }
 
-func TestRetryServFailThenSuccess(t *testing.T) {
-	// SERVFAIL -> retry -> clean answer, end to end through the fault
-	// injector and the Apply composition.
+func TestRetryTakesServFailAsTheAnswer(t *testing.T) {
+	// A SERVFAIL is the upstream's answer, not a transport fault: it
+	// returns on the first attempt, with no backoff and no drop.
+	servfail := Func(func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, Timing, error) {
+		resp := q.Reply()
+		resp.Header.RCode = dnswire.RCodeServFail
+		return resp, Timing{Attempts: 1}, nil
+	})
 	var delays []time.Duration
-	base := &stub{}
-	inj := WithFaults(base, FaultConfig{Script: []Fault{FaultServFail, FaultPass}})
-	r := WithRetry(inj, RetryPolicy{MaxAttempts: 3, RetryServFail: true, Sleep: recordingSleep(&delays)})
+	m := &Metrics{}
+	r := WithRetry(servfail, RetryPolicy{MaxAttempts: 3, Sleep: recordingSleep(&delays), Metrics: m})
 	resp, timing, err := r.Resolve(context.Background(), Query("sf.a.com.", dnswire.TypeA))
 	if err != nil {
 		t.Fatalf("Resolve: %v", err)
 	}
-	if resp.Header.RCode != dnswire.RCodeNoError {
-		t.Errorf("RCode = %v, want NOERROR", resp.Header.RCode)
+	if resp.Header.RCode != dnswire.RCodeServFail || timing.Attempts != 1 || len(delays) != 0 {
+		t.Errorf("RCode %v after %d attempts and %d backoffs, want SERVFAIL after 1 and 0",
+			resp.Header.RCode, timing.Attempts, len(delays))
 	}
-	if timing.Attempts != 2 {
-		t.Errorf("attempts = %d, want 2", timing.Attempts)
-	}
-	stats := inj.Stats()
-	if stats.ServFails != 1 || stats.Passed != 1 {
-		t.Errorf("injector stats = %+v, want 1 servfail + 1 pass", stats)
-	}
-}
-
-func TestRetryServFailExhaustionReturnsResponse(t *testing.T) {
-	var delays []time.Duration
-	inj := WithFaults(&stub{}, FaultConfig{Script: []Fault{FaultServFail, FaultServFail}})
-	r := WithRetry(inj, RetryPolicy{MaxAttempts: 2, RetryServFail: true, Sleep: recordingSleep(&delays)})
-	resp, _, err := r.Resolve(context.Background(), Query("sf.a.com.", dnswire.TypeA))
-	if err != nil {
-		t.Fatalf("Resolve: %v", err)
-	}
-	if resp == nil || resp.Header.RCode != dnswire.RCodeServFail {
-		t.Fatalf("want the final SERVFAIL response surfaced, got %v", resp)
+	if snap := m.Snapshot(); snap.Drops != 0 || snap.Retries != 0 || snap.Failures != 0 {
+		t.Errorf("metrics = %+v, want no drops, retries or failures", snap)
 	}
 }
 
@@ -355,14 +300,12 @@ func TestApplyComposition(t *testing.T) {
 	// Drop -> retry -> pass through the full canonical stack.
 	var delays []time.Duration
 	m := &Metrics{}
-	r := Apply(&stub{}, Policy{
+	r := Apply(&stub{errs: []error{errWire}}, Policy{
 		Retry: &RetryPolicy{
 			MaxAttempts: 3,
 			Sleep:       recordingSleep(&delays),
 		},
 		AttemptTimeout: time.Second,
-		OverallTimeout: 10 * time.Second,
-		Faults:         &FaultConfig{Script: []Fault{FaultDrop, FaultPass}},
 		Metrics:        m,
 	})
 	resp, timing, err := r.Resolve(context.Background(), Query("c.a.com.", dnswire.TypeA))

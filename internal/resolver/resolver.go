@@ -7,7 +7,8 @@
 //	Resolve(ctx, query) (response, Timing, error)
 //
 // plus a composable policy layer (WithRetry, WithTimeout, WithHedgingN,
-// WithFaults) so retry, deadline, and drop-accounting semantics are
+// WithBreaker, WithMetrics, WithCache; Apply composes them from one
+// Policy) so retry, deadline, and drop-accounting semantics are
 // identical no matter which wire protocol carries the query. The three
 // concrete clients are bound in adapters.go; every future backend (DoQ,
 // new providers) plugs into the same seam.

@@ -83,51 +83,6 @@ func TestTimingBreakdown(t *testing.T) {
 	}
 }
 
-func TestFaultInjectorDeterministic(t *testing.T) {
-	run := func(seed int64) FaultStats {
-		inj := WithFaults(&stub{}, FaultConfig{Seed: seed, DropProb: 0.3, ServFailProb: 0.2})
-		for i := 0; i < 200; i++ {
-			inj.Resolve(context.Background(), Query("d.a.com.", dnswire.TypeA))
-		}
-		return inj.Stats()
-	}
-	a, b := run(42), run(42)
-	if a != b {
-		t.Errorf("same seed produced different fault sequences: %+v vs %+v", a, b)
-	}
-	if a.Calls != 200 || a.Drops == 0 || a.ServFails == 0 || a.Passed == 0 {
-		t.Errorf("stats = %+v, want a mix of drops, servfails, and passes over 200 calls", a)
-	}
-	if a.Drops+a.ServFails+a.Truncations+a.Slowdowns+a.Passed != a.Calls {
-		t.Errorf("stats do not add up: %+v", a)
-	}
-}
-
-func TestFaultTruncate(t *testing.T) {
-	inj := WithFaults(&stub{}, FaultConfig{Script: []Fault{FaultTruncate}})
-	resp, _, err := inj.Resolve(context.Background(), Query("tc.a.com.", dnswire.TypeA))
-	if err != nil {
-		t.Fatalf("Resolve: %v", err)
-	}
-	if !resp.Header.Truncated {
-		t.Error("TC bit not set")
-	}
-	if len(resp.Answers) != 0 {
-		t.Errorf("truncated response kept %d answers", len(resp.Answers))
-	}
-}
-
-func TestFaultDropIsError(t *testing.T) {
-	inj := WithFaults(&stub{}, FaultConfig{Script: []Fault{FaultDrop}})
-	resp, _, err := inj.Resolve(context.Background(), Query("dr.a.com.", dnswire.TypeA))
-	if !errors.Is(err, ErrInjectedDrop) {
-		t.Fatalf("err = %v, want ErrInjectedDrop", err)
-	}
-	if resp != nil {
-		t.Error("resp must be nil on drop")
-	}
-}
-
 func TestUpstreamAdapter(t *testing.T) {
 	m := &Metrics{}
 	u := UpstreamAdapter{R: &stub{}, Metrics: m}

@@ -570,6 +570,91 @@ func TestStreamMaxFrameBytesClosesConn(t *testing.T) {
 	}
 }
 
+// TestStreamReadTimeoutClosesSlowloris: a client that announces a
+// frame and then sends one byte of its body is cut off once
+// StreamReadTimeout runs out, long before the idle timeout would; the
+// half-read frame counts nowhere in the engine's accounting, and a
+// client that sends whole frames — pausing longer than the read
+// timeout between them — is served throughout.
+func TestStreamReadTimeoutClosesSlowloris(t *testing.T) {
+	const readTimeout = 200 * time.Millisecond
+	var calls atomic.Int64
+	reg := obs.NewRegistry()
+	s, err := New("127.0.0.1:0", Options{
+		Stream: StreamHandlerFunc(func(_ context.Context, out, raw []byte, _ net.Addr) ([]byte, error) {
+			calls.Add(1)
+			return append(out, raw...), nil
+		}),
+		Registry:   reg,
+		Protection: Protection{StreamReadTimeout: readTimeout},
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+
+	slow, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer slow.Close()
+	good, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer good.Close()
+
+	start := time.Now()
+	if _, err := slow.Write([]byte{0, 12, 'x'}); err != nil { // announces 12, sends 1
+		t.Fatalf("write partial frame: %v", err)
+	}
+	closed := make(chan error, 1)
+	go func() {
+		slow.SetReadDeadline(time.Now().Add(10 * time.Second))
+		_, err := slow.Read(make([]byte, 1))
+		closed <- err
+	}()
+
+	// The whole-frame client, before, across and after the slow
+	// client's cut-off.
+	for i := 0; i < 2; i++ {
+		if got := frameExchange(t, good, "whole"); got != "whole" {
+			t.Fatalf("frame %d: got %q", i, got)
+		}
+		time.Sleep(2 * readTimeout)
+	}
+
+	select {
+	case err := <-closed:
+		if err != io.EOF {
+			t.Fatalf("slow client read: %v, want EOF (connection closed)", err)
+		}
+		if d := time.Since(start); d < readTimeout {
+			t.Fatalf("slow client cut off after %v, before the %v read timeout", d, readTimeout)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("slow client's connection never closed")
+	}
+	if got := frameExchange(t, good, "after"); got != "after" {
+		t.Fatalf("frame after the cut-off: got %q", got)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	// Exact accounting: the three whole frames were read, handled and
+	// answered; the half-read frame is no query at all.
+	streams := reg.Counter("serve_streams_total").Value()
+	streamQs := reg.Counter("serve_stream_queries_total").Value()
+	dropped := reg.Counter("serve_dropped_total").Value()
+	shed := reg.Counter("serve_shed_total").Value()
+	if streams != 2 || streamQs != 3 || calls.Load() != streamQs-dropped-shed || dropped != 0 || shed != 0 {
+		t.Fatalf("streams=%d stream_queries=%d handled=%d dropped=%d shed=%d, want 2, 3, 3, 0, 0",
+			streams, streamQs, calls.Load(), dropped, shed)
+	}
+}
+
 // TestPipelinedConnServesConcurrently: with MaxConnInflight > 1,
 // multiple frames on one connection are served concurrently (RFC 7766
 // §6.2.1.1), so eight 150 ms queries finish far sooner than their

@@ -16,17 +16,17 @@
 //     merge is associative, commutative, and schedule-independent.
 //   - Quantiles are bucket-interpolated: the estimate lands within one
 //     bucket of the true sample quantile, so the error is bounded by
-//     roughly one bucket width (the canonical layout below keeps
-//     relative bucket width <= 33%, typically ~20%).
+//     roughly one bucket width (the canonical layout keeps relative
+//     bucket width <= 33%, typically ~20%).
 //     The estimator is the one obs.HistogramValue uses
 //     (obs.BucketQuantile), so campaign metrics and sketch-derived
 //     quantiles agree exactly when fed the same observations.
 //
-// Histograms share one canonical bucket layout (LatencyBounds), which
-// is what makes any two sketches mergeable by construction and lets
-// internal/obs histograms absorb sketch buckets exactly (see
-// obs.Histogram.Absorb). docs/scaleout.md documents the accuracy
-// contract.
+// Histograms share one canonical bucket layout, the registry's
+// default (obs.DefaultLatencyBuckets), which is what makes any two
+// sketches mergeable by construction and lets internal/obs histograms
+// absorb sketch buckets exactly (see obs.Histogram.Absorb).
+// docs/scaleout.md documents the accuracy contract.
 //
 // Sketches are not safe for concurrent use; the campaign builds one
 // per country and merges them on a single goroutine.
@@ -39,44 +39,9 @@ import (
 	"repro/internal/obs"
 )
 
-// latencyBoundsUs builds the canonical bucket bounds in integer
-// microseconds: three sub-millisecond bounds, then four full decades
-// (1ms-10s) on a {1, 1.25, 1.5, 2, 2.5, 3, 4, 5, 6, 8} grid, then the
-// 10s decade truncated at 60s. Integer arithmetic only, so the layout
-// is bit-identical on every platform.
-func latencyBoundsUs() []int64 {
-	out := []int64{100, 250, 500}
-	mults := []int64{100, 125, 150, 200, 250, 300, 400, 500, 600, 800}
-	for _, base := range []int64{1_000, 10_000, 100_000, 1_000_000} {
-		for _, m := range mults {
-			out = append(out, base*m/100)
-		}
-	}
-	for _, m := range mults[:9] { // 10s decade stops at 60s
-		out = append(out, 10_000_000*m/100)
-	}
-	return out
-}
-
-var canonicalBounds = func() []time.Duration {
-	us := latencyBoundsUs()
-	out := make([]time.Duration, len(us))
-	for i, v := range us {
-		out[i] = time.Duration(v) * time.Microsecond
-	}
-	return out
-}()
-
-// LatencyBounds returns the canonical fixed bucket layout (ascending
-// inclusive upper bounds, 100µs to 60s; observations above the last
-// bound land in an overflow bucket). Every Histogram uses this layout,
-// which is what guarantees any two sketches merge exactly. The slice
-// is a fresh copy safe to pass to obs.Registry.Histogram.
-func LatencyBounds() []time.Duration {
-	out := make([]time.Duration, len(canonicalBounds))
-	copy(out, canonicalBounds)
-	return out
-}
+// canonicalBounds is every Histogram's bucket layout, which is what
+// guarantees any two sketches merge exactly.
+var canonicalBounds = obs.DefaultLatencyBuckets()
 
 // Histogram is a mergeable fixed-bucket latency histogram with exact
 // streaming count/sum/min/max. The zero value is NOT ready; construct

@@ -11,7 +11,7 @@ import (
 )
 
 func TestLatencyBoundsShape(t *testing.T) {
-	b := LatencyBounds()
+	b := obs.DefaultLatencyBuckets()
 	if len(b) != 52 {
 		t.Fatalf("canonical layout has %d bounds, want 52", len(b))
 	}
@@ -33,8 +33,8 @@ func TestLatencyBoundsShape(t *testing.T) {
 	}
 	// Mutating the returned slice must not corrupt the canonical layout.
 	b[0] = time.Hour
-	if LatencyBounds()[0] != 100*time.Microsecond {
-		t.Fatal("LatencyBounds returned shared storage")
+	if obs.DefaultLatencyBuckets()[0] != 100*time.Microsecond {
+		t.Fatal("DefaultLatencyBuckets returned shared storage")
 	}
 }
 
@@ -137,7 +137,7 @@ func TestObserveClampAndExactStats(t *testing.T) {
 // can pick adjacent samples.)
 func TestQuantileBucketAccuracy(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	bounds := LatencyBounds()
+	bounds := obs.DefaultLatencyBuckets()
 	for trial := 0; trial < 10; trial++ {
 		samples := randDurations(rng, 200+rng.Intn(800))
 		h := NewHistogram()
@@ -187,12 +187,12 @@ func TestQuantileMatchesObs(t *testing.T) {
 
 	h := NewHistogram()
 	reg := obs.NewRegistry()
-	direct := reg.Histogram("direct", LatencyBounds())
+	direct := reg.Histogram("direct", obs.DefaultLatencyBuckets())
 	for _, d := range samples {
 		h.Observe(d)
 		direct.Observe(d)
 	}
-	absorbed := reg.Histogram("absorbed", LatencyBounds())
+	absorbed := reg.Histogram("absorbed", obs.DefaultLatencyBuckets())
 	if err := absorbed.Absorb(h.BucketCounts(), h.Count(), h.Sum()); err != nil {
 		t.Fatal(err)
 	}
@@ -215,11 +215,11 @@ func TestQuantileMatchesObs(t *testing.T) {
 
 func TestAbsorbValidation(t *testing.T) {
 	reg := obs.NewRegistry()
-	h := reg.Histogram("x", LatencyBounds())
+	h := reg.Histogram("x", obs.DefaultLatencyBuckets())
 	if err := h.Absorb(make([]int64, 3), 0, 0); err == nil {
 		t.Fatal("wrong-length Absorb accepted")
 	}
-	bad := make([]int64, len(LatencyBounds())+1) // the layout plus its overflow bucket
+	bad := make([]int64, len(obs.DefaultLatencyBuckets())+1) // the layout plus its overflow bucket
 	bad[0] = -1
 	if err := h.Absorb(bad, -1, 0); err == nil {
 		t.Fatal("negative bucket count accepted")

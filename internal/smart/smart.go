@@ -31,6 +31,26 @@ import (
 	"repro/internal/resolver"
 )
 
+// The resolver's fixed tunings.
+const (
+	// alpha is the EWMA weight of a new latency sample in a candidate's
+	// per-destination score.
+	alpha = 0.3
+	// probeTimeout bounds each background probe.
+	probeTimeout = 5 * time.Second
+	// tableShards is the winner table's shard count (a power of two).
+	tableShards = 16
+	// maxDestinations caps remembered destinations across the table.
+	// Beyond the cap, new destinations still resolve — every query
+	// races — but are not remembered.
+	maxDestinations = 4096
+	// minProbeSamples is how many background probe samples a losing
+	// candidate's score must rest on before it may displace the
+	// winner: one inflated sample from the incumbent is not evidence
+	// that a loser is faster.
+	minProbeSamples = 3
+)
+
 // Candidate is one transport entered into the race.
 type Candidate struct {
 	// Kind labels the transport in metrics and stats.
@@ -160,26 +180,14 @@ func New(cfg Config) (*Resolver, error) {
 	if o.Stagger <= 0 {
 		o.Stagger = 30 * time.Millisecond
 	}
-	if o.Alpha <= 0 || o.Alpha > 1 {
-		o.Alpha = 0.3
-	}
 	if o.ReRaceAfter == 0 {
 		o.ReRaceAfter = 5 * time.Minute
 	}
 	if o.ProbeInterval == 0 {
 		o.ProbeInterval = 15 * time.Second
 	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = 5 * time.Second
-	}
 	if o.SwitchMargin <= 0 || o.SwitchMargin > 1 {
 		o.SwitchMargin = 0.9
-	}
-	if o.Shards <= 0 {
-		o.Shards = 16
-	}
-	if o.MaxDestinations <= 0 {
-		o.MaxDestinations = 4096
 	}
 	reg := cfg.Registry
 	if reg == nil {
@@ -194,7 +202,7 @@ func New(cfg Config) (*Resolver, error) {
 		opts:  o,
 		keyFn: cfg.KeyFunc,
 		now:   now,
-		tbl:   newTable(o.Shards, o.MaxDestinations),
+		tbl:   newTable(),
 		wins:  make([]atomic.Int64, len(cfg.Candidates)),
 
 		mQueries:    reg.Counter("smart_queries_total"),
@@ -322,7 +330,7 @@ func (s *Resolver) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Me
 	if err == nil {
 		s.remembered.Add(1)
 		s.mRemembered.Inc()
-		e.observeEwma(w, latencyMicros(t, time.Since(start)), s.opts.Alpha)
+		e.observeEwma(w, latencyMicros(t, time.Since(start)), alpha)
 		s.maybeProbe(e, w, q)
 		return resp, t, nil
 	}
@@ -454,7 +462,7 @@ func (s *Resolver) race(ctx context.Context, q *dnswire.Message, e *entry, cause
 			resp, t, err := s.cands[idx].Resolver.Resolve(ctx, q)
 			s.feedBreaker(ctx, idx, err)
 			if err == nil && e != nil {
-				e.observeEwma(idx, latencyMicros(t, time.Since(start)), s.opts.Alpha)
+				e.observeEwma(idx, latencyMicros(t, time.Since(start)), alpha)
 			}
 			return resp, t, err
 		})
@@ -542,7 +550,7 @@ func (s *Resolver) probe(e *entry, idx int, q *dnswire.Message) {
 	defer e.probing.Store(false)
 	s.probes.Add(1)
 	s.mProbe.Inc()
-	ctx, cancel := context.WithTimeout(context.Background(), s.opts.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	start := time.Now()
 	_, t, err := s.cands[idx].Resolver.Resolve(ctx, q)
@@ -552,15 +560,17 @@ func (s *Resolver) probe(e *entry, idx int, q *dnswire.Message) {
 		s.mProbeFail.Inc()
 		return
 	}
-	e.observeEwma(idx, latencyMicros(t, time.Since(start)), s.opts.Alpha)
+	e.observeEwma(idx, latencyMicros(t, time.Since(start)), alpha)
+	e.scores[idx].probes.Add(1)
 	s.maybeSwitch(e, idx)
 }
 
-// maybeSwitch promotes candidate idx to winner when its score beats
-// the incumbent's by the hysteresis margin.
+// maybeSwitch promotes candidate idx to winner when its score rests on
+// at least minProbeSamples probes and beats the incumbent's by the
+// hysteresis margin.
 func (s *Resolver) maybeSwitch(e *entry, idx int) {
 	w := int(e.winner.Load())
-	if w < 0 || w == idx {
+	if w < 0 || w == idx || e.scores[idx].probes.Load() < minProbeSamples {
 		return
 	}
 	loser, winner := e.loadEwma(idx), e.loadEwma(w)

@@ -3,6 +3,7 @@ package smart
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -283,8 +284,9 @@ func TestDecayReRaces(t *testing.T) {
 
 func TestProbeSwitchesWinner(t *testing.T) {
 	// a wins the race on wall clock but reports a slow modeled latency;
-	// the background probe then finds b decisively faster and switches
-	// the winner without any query paying for the discovery.
+	// the background probes then find b decisively faster and switch
+	// the winner without any query paying for the discovery — once b's
+	// score rests on minProbeSamples probes.
 	a := &stubCand{delay: time.Millisecond, total: 100 * time.Millisecond}
 	b := &stubCand{delay: 10 * time.Millisecond, total: 10 * time.Millisecond}
 	s, err := New(Config{
@@ -304,18 +306,22 @@ func TestProbeSwitchesWinner(t *testing.T) {
 	if _, _, err := s.Resolve(context.Background(), testQuery("p1.a.com.")); err != nil {
 		t.Fatal(err)
 	}
-	// Remembered hit triggers the probe of the loser.
-	if _, _, err := s.Resolve(context.Background(), testQuery("p2.a.com.")); err != nil {
-		t.Fatal(err)
+	// Each remembered hit triggers one probe of the loser.
+	for i := 1; i <= minProbeSamples; i++ {
+		if _, _, err := s.Resolve(context.Background(), testQuery("p2.a.com.")); err != nil {
+			t.Fatal(err)
+		}
+		s.wg.Wait() // the probe this query launched
+		want := int64(0)
+		if i == minProbeSamples {
+			want = 1
+		}
+		if st := s.Stats(); st.Probes != int64(i) || st.Switches != want {
+			t.Fatalf("after probe %d: Probes = %d, Switches = %d, want %d, %d (stats: %+v)",
+				i, st.Probes, st.Switches, i, want, st)
+		}
 	}
-	s.Close() // waits for the probe
-	st := s.Stats()
-	if st.Probes == 0 {
-		t.Fatal("no probe launched")
-	}
-	if st.Switches != 1 {
-		t.Fatalf("Switches = %d, want 1 (stats: %+v)", st.Switches, st)
-	}
+	s.Close()
 	// The switched-to winner now serves queries.
 	before := b.calls.Load()
 	if _, _, err := s.Resolve(context.Background(), testQuery("p3.a.com.")); err != nil {
@@ -326,15 +332,79 @@ func TestProbeSwitchesWinner(t *testing.T) {
 	}
 }
 
+func TestOneSlowSampleDoesNotFlipTheWinner(t *testing.T) {
+	// On smart's own clock, probes come due only when the test moves
+	// it. One inflated sample from the incumbent followed by one fast
+	// probe must not hand the slot over; three consistently faster
+	// probes must.
+	var clock atomic.Int64
+	const interval = time.Second
+	inc := &stubCand{total: 20 * time.Millisecond}
+	loser := &stubCand{delay: time.Hour, total: 10 * time.Millisecond}
+	s, err := New(Config{
+		SmartOptions: resolver.SmartOptions{
+			Stagger:       time.Hour, // the race never launches the loser
+			ProbeInterval: interval,
+			ReRaceAfter:   -1,
+		},
+		Candidates: []Candidate{
+			{Kind: resolver.DoT, Resolver: inc},
+			{Kind: resolver.DoH, Resolver: loser},
+		},
+		NowNanos: clock.Load,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	query := func() {
+		t.Helper()
+		if _, _, err := s.Resolve(context.Background(), testQuery("flip.a.com.")); err != nil {
+			t.Fatal(err)
+		}
+		s.wg.Wait() // any probe the query launched
+	}
+	query() // the race: the incumbent wins, scored at 20 ms
+	loser.delay = 0
+
+	// One slow incumbent sample (20 -> 74 ms), and the same query's
+	// probe scores the loser at 10 ms: far inside the margin, but one
+	// sample.
+	inc.total = 200 * time.Millisecond
+	clock.Add(int64(interval))
+	query()
+	inc.total = 20 * time.Millisecond
+	if st := s.Stats(); st.Probes != 1 || st.Switches != 0 {
+		t.Fatalf("after one slow sample and one probe: Probes = %d, Switches = %d, want 1, 0",
+			st.Probes, st.Switches)
+	}
+
+	for probe := 2; probe <= minProbeSamples; probe++ {
+		clock.Add(int64(interval))
+		query()
+		want := int64(0)
+		if probe == minProbeSamples {
+			want = 1
+		}
+		if st := s.Stats(); st.Probes != int64(probe) || st.Switches != want {
+			t.Fatalf("after probe %d: Probes = %d, Switches = %d, want %d, %d",
+				probe, st.Probes, st.Switches, probe, want)
+		}
+	}
+	before := loser.calls.Load()
+	query()
+	if loser.calls.Load() != before+1 {
+		t.Error("the switch did not take effect on the next query")
+	}
+}
+
 func TestTableFullStillResolves(t *testing.T) {
-	a := &stubCand{delay: time.Millisecond}
+	a := &stubCand{}
 	b := &stubCand{delay: 5 * time.Millisecond}
 	s, err := New(Config{
 		SmartOptions: resolver.SmartOptions{
-			Stagger:         time.Millisecond,
-			ProbeInterval:   -1,
-			Shards:          1,
-			MaxDestinations: 1,
+			Stagger:       time.Millisecond,
+			ProbeInterval: -1,
 		},
 		Candidates: []Candidate{
 			{Kind: resolver.Do53, Resolver: a},
@@ -346,24 +416,34 @@ func TestTableFullStillResolves(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, _, err := s.Resolve(context.Background(), testQuery("one.a.com.")); err != nil {
-		t.Fatal(err)
+	// Fill every shard: once maxDestinations are remembered, no shard
+	// has room for another.
+	var races int64
+	for i := 0; s.Stats().Destinations < maxDestinations; i++ {
+		if i == 4*maxDestinations {
+			t.Fatalf("table holds %d destinations after %d names, want %d",
+				s.Stats().Destinations, i, maxDestinations)
+		}
+		if _, _, err := s.Resolve(context.Background(), testQuery(fmt.Sprintf("d%d.a.com.", i))); err != nil {
+			t.Fatal(err)
+		}
+		races++
 	}
-	// Second destination exceeds the cap: resolved, never remembered.
+	// A further destination exceeds the cap: resolved, never remembered.
 	for i := 0; i < 3; i++ {
 		if _, _, err := s.Resolve(context.Background(), testQuery("two.a.com.")); err != nil {
 			t.Fatalf("over-cap destination query %d: %v", i, err)
 		}
 	}
 	st := s.Stats()
-	if st.Destinations != 1 {
-		t.Errorf("Destinations = %d, want 1 (cap)", st.Destinations)
+	if st.Destinations != maxDestinations {
+		t.Errorf("Destinations = %d, want %d (cap)", st.Destinations, maxDestinations)
 	}
-	if st.RacesFirst != 4 {
-		t.Errorf("RacesFirst = %d, want 4 (1 + 3 unremembered)", st.RacesFirst)
+	if st.RacesFirst != races+3 {
+		t.Errorf("RacesFirst = %d, want %d (%d + 3 unremembered)", st.RacesFirst, races+3, races)
 	}
-	// The remembered destination still steady-states.
-	if _, _, err := s.Resolve(context.Background(), testQuery("one.a.com.")); err != nil {
+	// A remembered destination still steady-states.
+	if _, _, err := s.Resolve(context.Background(), testQuery("d0.a.com.")); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Stats().Remembered; got != 1 {

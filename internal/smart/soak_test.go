@@ -30,14 +30,8 @@ func TestSmartSoak(t *testing.T) {
 		workers = 4
 	}
 
-	mk := func(delay time.Duration, seed int64) *resolver.Injector {
-		return resolver.WithFaults(&soakStub{delay: delay}, resolver.FaultConfig{
-			Seed:         seed,
-			DropProb:     0.05,
-			ServFailProb: 0.03,
-			SlowProb:     0.05,
-			SlowDelay:    2 * time.Millisecond,
-		})
+	mk := func(delay time.Duration, seed int64) resolver.Resolver {
+		return chaos(&soakStub{delay: delay}, seed)
 	}
 	cands := []Candidate{
 		{Kind: resolver.Do53, Resolver: mk(500*time.Microsecond, 1)},
@@ -53,7 +47,6 @@ func TestSmartSoak(t *testing.T) {
 		SmartOptions: resolver.SmartOptions{
 			Stagger:       500 * time.Microsecond,
 			ProbeInterval: 5 * time.Millisecond,
-			ProbeTimeout:  time.Second,
 			ReRaceAfter:   -1,
 		},
 		Candidates: cands,
@@ -167,6 +160,40 @@ func TestSmartSoak(t *testing.T) {
 		}
 	}
 	t.Logf("soak: %+v", st)
+}
+
+// chaos wraps next in the soak's seeded fault mix: per call, 5 % drops
+// (errStub), 3 % SERVFAIL answers, 5 % 2 ms slowdowns, the rest
+// through untouched.
+func chaos(next resolver.Resolver, seed int64) resolver.Resolver {
+	var mu sync.Mutex
+	rng := rand.New(rand.NewSource(seed))
+	return resolver.Func(func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, resolver.Timing, error) {
+		mu.Lock()
+		u := rng.Float64()
+		mu.Unlock()
+		switch {
+		case u < 0.05:
+			return nil, resolver.Timing{Attempts: 1}, errStub
+		case u < 0.08:
+			resp := q.Reply()
+			resp.Header.RCode = dnswire.RCodeServFail
+			return resp, resolver.Timing{Attempts: 1}, nil
+		case u < 0.13:
+			timer := time.NewTimer(2 * time.Millisecond)
+			defer timer.Stop()
+			select {
+			case <-timer.C:
+			case <-ctx.Done():
+				return nil, resolver.Timing{Attempts: 1}, ctx.Err()
+			}
+			resp, t, err := next.Resolve(ctx, q)
+			t.RoundTrip += 2 * time.Millisecond
+			t.Total += 2 * time.Millisecond
+			return resp, t, err
+		}
+		return next.Resolve(ctx, q)
+	})
 }
 
 // soakStub answers after a fixed delay until dead is flipped.

@@ -33,13 +33,21 @@ type entry struct {
 	// probeCursor round-robins which losing candidate the next probe
 	// measures.
 	probeCursor atomic.Uint32
-	// ewma holds each candidate's decayed latency score for this
-	// destination in microseconds; 0 means no sample yet.
-	ewma []atomic.Int64
+	// scores holds each candidate's latency score for this destination.
+	scores []score
+}
+
+// score is one candidate's memory for one destination.
+type score struct {
+	// ewma is the decayed latency score in microseconds; 0 means no
+	// sample yet.
+	ewma atomic.Int64
+	// probes counts the background probe samples folded into ewma.
+	probes atomic.Int32
 }
 
 // loadEwma returns candidate i's score in microseconds (0 = unknown).
-func (e *entry) loadEwma(i int) int64 { return e.ewma[i].Load() }
+func (e *entry) loadEwma(i int) int64 { return e.scores[i].ewma.Load() }
 
 // observeEwma folds one latency sample (microseconds) into candidate
 // i's score: first sample is taken verbatim, later samples with weight
@@ -50,7 +58,7 @@ func (e *entry) observeEwma(i int, micros int64, alpha float64) {
 		micros = 1 // keep 0 meaning "no sample"
 	}
 	for {
-		old := e.ewma[i].Load()
+		old := e.scores[i].ewma.Load()
 		var next int64
 		if old == 0 {
 			next = micros
@@ -60,7 +68,7 @@ func (e *entry) observeEwma(i int, micros int64, alpha float64) {
 				next = 1
 			}
 		}
-		if e.ewma[i].CompareAndSwap(old, next) {
+		if e.scores[i].ewma.CompareAndSwap(old, next) {
 			return
 		}
 	}
@@ -77,7 +85,7 @@ type tableShard struct {
 type table struct {
 	shards []tableShard
 	mask   uint64
-	// maxPerShard caps entries per shard; the global MaxDestinations
+	// maxPerShard caps entries per shard; the global maxDestinations
 	// cap distributed evenly. Full shards stop remembering (queries to
 	// new destinations keep racing) rather than evicting — losing a
 	// hot destination's memory to a scan would be worse than racing
@@ -86,16 +94,12 @@ type table struct {
 	size        atomic.Int64
 }
 
-func newTable(shards, maxDestinations int) *table {
-	n := 1
-	for n < shards {
-		n <<= 1
+func newTable() *table {
+	t := &table{
+		shards:      make([]tableShard, tableShards),
+		mask:        tableShards - 1,
+		maxPerShard: maxDestinations / tableShards,
 	}
-	per := maxDestinations / n
-	if per < 1 {
-		per = 1
-	}
-	t := &table{shards: make([]tableShard, n), mask: uint64(n - 1), maxPerShard: per}
 	for i := range t.shards {
 		t.shards[i].m = make(map[string]*entry)
 	}
@@ -134,7 +138,7 @@ func (t *table) insert(key string, candidates int) *entry {
 			sh.mu.Unlock()
 			return nil
 		}
-		e = &entry{ewma: make([]atomic.Int64, candidates)}
+		e = &entry{scores: make([]score, candidates)}
 		e.winner.Store(-1)
 		sh.m[key] = e
 		t.size.Add(1)

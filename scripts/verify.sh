@@ -66,6 +66,10 @@ go test -race -count=20 ./internal/recursive/ -run \
 step "smart racing soak (short, race, chaos faults + exact accounting)"
 go test -race -run TestSmartSoak -short ./internal/smart/
 
+step "knob-free contracts (race): a switch needs 3 probe samples, StreamReadTimeout cuts a slowloris"
+go test -race -count=5 ./internal/smart/ -run 'TestOneSlowSampleDoesNotFlipTheWinner|TestProbeSwitchesWinner'
+go test -race ./internal/serve/ -run TestStreamReadTimeoutClosesSlowloris
+
 step "chaos soak (short, race)"
 go test -race -run TestChaosSoak -short ./internal/campaign/
 
