@@ -90,6 +90,37 @@ type Provider struct {
 	// (session setup, intra-provider redirects). NextDNS, riding
 	// third-party infrastructure, pays a large one.
 	SetupOverhead time.Duration
+
+	// sites is the catalogue fleet's positions in geo.Site form; nil on
+	// a Provider literal. A copy of a catalogue Provider carries it, and
+	// scan reads it only while it was derived from the copy's PoPs.
+	sites *siteTable
+}
+
+// siteTable is a fleet's positions converted once for the haversine,
+// with the PoPs slice they were converted from.
+type siteTable struct {
+	pops  []PoP
+	sites []geo.Site
+}
+
+// appendSites appends each PoP's position in geo.Site form to dst.
+func appendSites(dst []geo.Site, pops []PoP) []geo.Site {
+	for i := range pops {
+		dst = append(dst, pops[i].Pos.Site())
+	}
+	return dst
+}
+
+// of returns t's sites when t was derived from pops itself (the same
+// backing array and length), and nil otherwise: a Provider literal, or
+// a copy whose PoPs were replaced or resliced, never reads a stale
+// table.
+func (t *siteTable) of(pops []PoP) []geo.Site {
+	if t == nil || len(pops) == 0 || len(t.pops) != len(pops) || &t.pops[0] != &pops[0] {
+		return nil
+	}
+	return t.sites
 }
 
 // Assignment is one anycast routing decision and the two distances the
@@ -104,11 +135,14 @@ type Assignment struct {
 	NearestDistanceKm float64
 }
 
-// AssignScratch holds Assign's two per-PoP work slices so that a
-// caller assigning many clients allocates them once. The zero value is
-// ready; a scratch serves one goroutine at a time.
+// AssignScratch holds Assign's per-PoP work slices so that a caller
+// assigning many clients allocates them once. The zero value is ready;
+// a scratch serves one goroutine at a time.
 type AssignScratch struct {
 	dists, weights []float64
+	// sites holds the converted PoP positions of a Provider without a
+	// table of its own.
+	sites []geo.Site
 }
 
 // grow returns s resliced to n elements, reallocating only when its
@@ -122,15 +156,23 @@ func grow(s []float64, n int) []float64 {
 
 // scan fills scratch.dists with the client's distance to every PoP and
 // returns the index of the nearest: the first minimum under strict <,
-// the rule geo.Nearest applies.
+// the rule geo.Nearest applies. The client is converted once per scan
+// and each PoP once per fleet (per scan for a Provider without a
+// table), so every distance is bit-equal to geo.DistanceKm.
 func (p *Provider) scan(client geo.Point, scratch *AssignScratch) int {
 	if len(p.PoPs) == 0 {
 		panic(fmt.Sprintf("anycast: provider %s has no PoPs", p.ID))
 	}
-	scratch.dists = grow(scratch.dists, len(p.PoPs))
+	sites := p.sites.of(p.PoPs)
+	if sites == nil {
+		scratch.sites = appendSites(scratch.sites[:0], p.PoPs)
+		sites = scratch.sites
+	}
+	from := client.Site()
+	scratch.dists = grow(scratch.dists, len(sites))
 	nearest := 0
-	for i := range p.PoPs {
-		scratch.dists[i] = geo.DistanceKm(client, p.PoPs[i].Pos)
+	for i := range sites {
+		scratch.dists[i] = from.DistanceKm(sites[i])
 		if scratch.dists[i] < scratch.dists[nearest] {
 			nearest = i
 		}
@@ -376,5 +418,8 @@ func buildCatalogue() map[ProviderID]*Provider {
 		idx++
 	}
 
+	for _, p := range providers {
+		p.sites = &siteTable{pops: p.PoPs, sites: appendSites(nil, p.PoPs)}
+	}
 	return providers
 }

@@ -197,17 +197,76 @@ func TestAssignMatchesAssignPoPAndNearestPoP(t *testing.T) {
 			if _, d := p.NearestPoP(client); got.NearestDistanceKm != d {
 				t.Errorf("%s/%s: NearestDistanceKm %v, NearestPoP %v", id, ct.Code, got.NearestDistanceKm, d)
 			}
-			pts := make([]geo.Point, len(p.PoPs))
+			sites := make([]geo.Site, len(p.PoPs))
 			for i, pop := range p.PoPs {
-				pts[i] = pop.Pos
+				sites[i] = pop.Pos.Site()
 			}
-			idx, d := geo.Nearest(client, pts)
+			idx, d := geo.Nearest(client.Site(), sites)
 			if pop, nd := p.NearestPoP(client); pop != p.PoPs[idx] || nd != d {
 				t.Errorf("%s/%s: NearestPoP = %s, %v; geo.Nearest says %s, %v", id, ct.Code, pop.ID, nd, p.PoPs[idx].ID, d)
 			}
 		}
 		if x, y := a.Int63(), b.Int63(); x != y {
 			t.Errorf("%s: Assign left the random stream elsewhere than AssignPoP", id)
+		}
+	}
+}
+
+// literal is p rebuilt as a Provider literal: the same fleet and
+// routing, no site table.
+func literal(p *Provider, pops []PoP) *Provider {
+	return &Provider{
+		ID: p.ID, Name: p.Name, Endpoint: p.Endpoint, PoPs: pops,
+		RoutingNoiseKm: p.RoutingNoiseKm, MisrouteProb: p.MisrouteProb, MisrouteKm: p.MisrouteKm,
+		ServiceTime: p.ServiceTime, SetupOverhead: p.SetupOverhead,
+	}
+}
+
+// sameAssignments runs Assign for n random clients on a and on b from
+// identically seeded streams and fails on the first differing result.
+func sameAssignments(t *testing.T, what string, a, b *Provider, n int) {
+	t.Helper()
+	clients := rand.New(rand.NewSource(11))
+	ra, rb := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
+	var sa, sb AssignScratch
+	for i := 0; i < n; i++ {
+		client := geo.Point{Lat: clients.Float64()*180 - 90, Lon: clients.Float64()*360 - 180}
+		if x, y := a.Assign(ra, client, &sa), b.Assign(rb, client, &sb); x != y {
+			t.Fatalf("%s, client %v: %+v vs %+v", what, client, x, y)
+		}
+	}
+	if ra.Int63() != rb.Int63() {
+		t.Fatalf("%s: the random streams ended in different places", what)
+	}
+}
+
+// Assign over the catalogue's precomputed site table is Assign over a
+// table-less Provider literal of the same fleet, result for result and
+// draw for draw, and a copy whose PoPs were replaced or resliced reads
+// its own PoPs, never the table it was copied with.
+func TestSiteTableMatchesProviderLiteral(t *testing.T) {
+	for _, id := range ProviderIDs() {
+		p := Catalogue()[id]
+		if p.sites.of(p.PoPs) == nil {
+			t.Fatalf("%s: catalogue provider has no site table", id)
+		}
+		sameAssignments(t, string(id)+" table vs literal", p, literal(p, p.PoPs), 10000)
+
+		moved := append([]PoP(nil), p.PoPs...)
+		for i := range moved {
+			moved[i].Pos = geo.Point{Lat: -moved[i].Pos.Lat, Lon: moved[i].Pos.Lon / 2}
+		}
+		cp := *p
+		cp.PoPs = moved
+		if cp.sites.of(cp.PoPs) != nil {
+			t.Fatalf("%s: a copy with replaced PoPs reads the old table", id)
+		}
+		sameAssignments(t, string(id)+" replaced PoPs", &cp, literal(p, moved), 2000)
+
+		for _, sub := range [][]PoP{p.PoPs[1:], p.PoPs[:len(p.PoPs)-1]} {
+			cp := *p
+			cp.PoPs = sub
+			sameAssignments(t, string(id)+" resliced PoPs", &cp, literal(p, sub), 500)
 		}
 	}
 }

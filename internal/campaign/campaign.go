@@ -18,6 +18,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -518,10 +519,9 @@ func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Per-worker scratch: one name buffer serves every country
-			// this worker measures, so steady-state runs allocate only
-			// the names themselves (which outlive the loop inside the
-			// cache guards and the simulator).
+			// Per-worker scratch: one name buffer and one set of name
+			// chunks serve every country this worker measures, so a run
+			// allocates nothing for its name but a share of a chunk.
 			scratch := new(nameScratch)
 			// finish records a completed country's aggregates, then
 			// optionally drops the client records: in DiscardClients
@@ -857,26 +857,56 @@ type countryAccounting struct {
 	simStats proxynet.SimStats
 }
 
+const chunkSize = 4 << 10
+
+// stringChunks cuts strings out of append-only chunks of chunkSize
+// bytes, so that strings that die together cost one allocation per
+// chunk instead of one each.
+// A chunk is written only past the strings already cut from it, and a
+// full one is dropped, never reused: a string once handed out is never
+// written again, and the garbage collector frees a chunk when the last
+// string cut from it dies. It is for strings that live for one run or
+// one row; one that is kept would pin its whole chunk. Not safe for
+// concurrent use.
+type stringChunks struct{ b strings.Builder }
+
+// cut returns b's bytes as a string.
+func (c *stringChunks) cut(b []byte) string {
+	if c.b.Cap()-c.b.Len() < len(b) {
+		c.b = strings.Builder{}
+		c.b.Grow(max(chunkSize, len(b)))
+	}
+	start := c.b.Len()
+	c.b.Write(b)
+	return c.b.String()[start:]
+}
+
 // nameScratch is a worker's reusable buffer for building the per-run
 // unique query names (and each client's prefix) without fmt's
 // reflection path. Only the buffer is shared between countries; the
 // sequence counter stays per-country so the dataset remains a pure
 // function of the configuration.
-type nameScratch struct{ buf []byte }
+type nameScratch struct {
+	buf []byte
+	// names holds the query names. A name lives for its run; only the
+	// cache-busting tripwire (Config.Cache) keeps names, the name of
+	// every run it lets through, so a chunk it pins holds little else.
+	names stringChunks
+}
 
 // format renders fmt.Sprintf("%s-%08x-m.a.com.", code, seq)
-// byte-for-byte, allocating only the returned string.
+// byte-for-byte, cut from the scratch's chunks.
 func (s *nameScratch) format(code string, seq int) string {
 	b := append(s.buf[:0], code...)
 	b = append(b, '-')
 	b = appendHex08(b, uint64(seq))
 	b = append(b, "-m.a.com."...)
 	s.buf = b
-	return string(b)
+	return s.names.cut(b)
 }
 
 // prefix24 renders geoip.Prefix24(addr).String(), allocating only the
-// returned string.
+// returned string: the record keeps it, so it must not pin a chunk.
 func (s *nameScratch) prefix24(addr netip.Addr) string {
 	s.buf = geoip.Prefix24(addr).AppendTo(s.buf[:0])
 	return string(s.buf)

@@ -43,17 +43,18 @@ var csvHeader = []string{
 const clientMetaCols = 8
 
 // formatFloats renders up to four values as the export's fixed
-// four-decimal fields. The fields are slices of one string built in buf,
-// so a row costs one allocation however many numbers it carries; buf is
-// returned for the next row.
-func formatFloats(buf []byte, fields *[4]string, vals ...float64) []byte {
+// four-decimal fields. The fields are slices of one string built in buf
+// and cut from chunks — they are dead once the row is written — so rows
+// cost an allocation per chunk, not one each; buf is returned for the
+// next row.
+func formatFloats(buf []byte, chunks *stringChunks, fields *[4]string, vals ...float64) []byte {
 	var ends [4]int
 	buf = buf[:0]
 	for i, v := range vals {
 		buf = strconv.AppendFloat(buf, v, 'f', 4, 64)
 		ends[i] = len(buf)
 	}
-	s := string(buf)
+	s := chunks.cut(buf)
 	start := 0
 	for i := range vals {
 		fields[i] = s[start:ends[i]]
@@ -71,9 +72,10 @@ func (ds *Dataset) WriteCSV(w io.Writer) error {
 		return err
 	}
 	var (
-		buf []byte
-		f   [4]string
-		row = make([]string, len(csvHeader))
+		buf    []byte
+		chunks stringChunks
+		f      [4]string
+		row    = make([]string, len(csvHeader))
 
 		providers = anycast.ProviderIDs()
 	)
@@ -81,7 +83,7 @@ func (ds *Dataset) WriteCSV(w io.Writer) error {
 		c := &ds.Clients[i]
 		// The metadata columns are filled once per client; the provider
 		// rows below overwrite only the columns after them.
-		buf = formatFloats(buf, &f, c.Pos.Lat, c.Pos.Lon, c.NSDistanceKm, c.Do53Ms)
+		buf = formatFloats(buf, &chunks, &f, c.Pos.Lat, c.Pos.Lon, c.NSDistanceKm, c.Do53Ms)
 		row[0], row[1], row[2] = c.ClientID, c.CountryCode, c.Prefix
 		row[3], row[4], row[5], row[6] = f[0], f[1], f[2], f[3]
 		row[7] = strconv.FormatBool(c.Do53Valid)
@@ -91,7 +93,7 @@ func (ds *Dataset) WriteCSV(w io.Writer) error {
 			if !ok || !res.Valid {
 				continue
 			}
-			buf = formatFloats(buf, &f, res.TDoHMs, res.TDoHRMs, res.PoPDistanceKm, res.NearestPoPDistanceKm)
+			buf = formatFloats(buf, &chunks, &f, res.TDoHMs, res.TDoHRMs, res.PoPDistanceKm, res.NearestPoPDistanceKm)
 			row[8], row[9], row[10] = string(pid), f[0], f[1]
 			row[11], row[12], row[13], row[14] = res.PoPID, res.PoPCountry, f[2], f[3]
 			if err := cw.Write(row); err != nil {
@@ -149,9 +151,10 @@ func (ds *Dataset) WriteSmartCSV(w io.Writer) error {
 		return err
 	}
 	var (
-		buf []byte
-		f   [4]string
-		row = make([]string, len(smartCSVHeader))
+		buf    []byte
+		chunks stringChunks
+		f      [4]string
+		row    = make([]string, len(smartCSVHeader))
 
 		providers = anycast.ProviderIDs()
 	)
@@ -162,7 +165,7 @@ func (ds *Dataset) WriteSmartCSV(w io.Writer) error {
 			if !ok || !res.Valid {
 				continue
 			}
-			buf = formatFloats(buf, &f, res.TSmartMs, res.TSmartRMs)
+			buf = formatFloats(buf, &chunks, &f, res.TSmartMs, res.TSmartRMs)
 			row[0], row[1], row[2], row[3], row[4] = c.ClientID, string(pid), res.Winner, f[0], f[1]
 			if err := cw.Write(row); err != nil {
 				return err

@@ -184,6 +184,20 @@ func TestWriteCSVInvalidDo53Contract(t *testing.T) {
 	}
 }
 
+// stripeConfig is the benchmark's stripe: the first of 16 shards of the
+// world (14 countries), campaign seed 2021, all five strategies.
+func stripeConfig(t *testing.T) Config {
+	t.Helper()
+	countries, err := ShardCountries(nil, 0, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(2021)
+	cfg.Transports = fiveTransportConfig().Transports
+	cfg.Countries = countries
+	return cfg
+}
+
 // TestExportHashPinned pins every byte the campaign exports for the
 // benchmark's stripe (14 countries, seed 2021, all five strategies) —
 // the DoT, DoQ and smart columns included, which the hand-built goldens
@@ -193,14 +207,7 @@ func TestWriteCSVInvalidDo53Contract(t *testing.T) {
 // rule or the CSV format, none of which a refactor may touch.
 func TestExportHashPinned(t *testing.T) {
 	const want = "840369e9c0948b6fa6b033599d2230e7d3f2f8b3465c1397e167158494c259cb"
-	countries, err := ShardCountries(nil, 0, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(2021)
-	cfg.Transports = fiveTransportConfig().Transports
-	cfg.Countries = countries
-	ds, err := Run(cfg)
+	ds, err := Run(stripeConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,10 +3,58 @@ package campaign
 import (
 	"reflect"
 	"testing"
+	"time"
 
+	"repro/internal/anycast"
 	"repro/internal/obs"
 	"repro/internal/resolver"
+	"repro/internal/stats"
 )
+
+// The sketch answers quantiles from its buckets. On the benchmark's
+// stripe, the p50, p90 and p99 of every provider's campaign_doh_<p>_ms
+// sketch lie within one bucket of the exact quantile (stats.Quantile)
+// of the clients' own values: docs/scaleout.md's accuracy contract,
+// held on campaign data rather than on synthetic samples.
+func TestSketchQuantilesWithinOneBucket(t *testing.T) {
+	ds, err := Run(stripeConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounds := obs.DefaultLatencyBuckets()
+	for _, pid := range anycast.ProviderIDs() {
+		key := "campaign_doh_" + string(pid) + "_ms"
+		var xs []float64
+		for i := range ds.Clients {
+			if res := ds.Clients[i].DoH[pid]; res.Valid {
+				xs = append(xs, float64(msDuration(res.TDoHMs)))
+			}
+		}
+		h := ds.Sketch.Get(key)
+		if h == nil || h.Count() != int64(len(xs)) || len(xs) < 100 {
+			t.Fatalf("%s: sketch %v against %d valid client values", key, h, len(xs))
+		}
+		for _, q := range []float64{0.5, 0.9, 0.99} {
+			exact, err := stats.Quantile(xs, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The exact value's bucket, widened by one bucket each way.
+			bi := obs.BucketIndex(bounds, time.Duration(exact))
+			lower, upper := time.Duration(0), bounds[len(bounds)-1]
+			if bi >= 2 {
+				lower = bounds[bi-2]
+			}
+			if bi+1 < len(bounds) {
+				upper = bounds[bi+1]
+			}
+			if got := h.Quantile(q); got < lower || got > upper {
+				t.Errorf("%s p%g: sketch %v outside [%v, %v] around the exact %v",
+					key, 100*q, got, lower, upper, time.Duration(exact))
+			}
+		}
+	}
+}
 
 // TestDo53SkippedRunsAccounted is the regression test for the Do53
 // accounting bug: in a Super-Proxy country the loop broke out on the

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -29,17 +30,45 @@ func TestNameScratchMatchesSprintf(t *testing.T) {
 	}
 }
 
-// Steady-state name formatting must cost exactly the returned string:
-// the scratch buffer is reused across runs.
+// A name handed out is never written again: names kept across several
+// chunk rollovers still read what fmt.Sprintf says, and so does a
+// string longer than a chunk.
+func TestNameScratchSurvivesChunkRollover(t *testing.T) {
+	s := new(nameScratch)
+	const n = 2000 // 20-byte names: about ten 4 KiB chunks
+	names := make([]string, n)
+	for i := range names {
+		names[i] = s.format("us", i)
+	}
+	long := make([]byte, 3*chunkSize)
+	for i := range long {
+		long[i] = byte('a' + i%26)
+	}
+	huge := s.names.cut(long)
+	after := s.format("br", 7)
+	for i, got := range names {
+		if want := fmt.Sprintf("%s-%08x-m.a.com.", "us", i); got != want {
+			t.Fatalf("name %d reads %q after the rollovers, want %q", i, got, want)
+		}
+	}
+	if huge != string(long) || after != "br-00000007-m.a.com." {
+		t.Fatal("a string cut around an oversize one was overwritten")
+	}
+}
+
+// Steady-state name formatting costs a share of a chunk: at most one
+// allocation per twenty names.
 func TestNameScratchAllocs(t *testing.T) {
 	s := new(nameScratch)
 	s.format("us", 1) // warm the buffer
-	seq := 0
-	allocs := testing.AllocsPerRun(1000, func() {
-		seq++
+	const n = 100000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for seq := 2; seq < n+2; seq++ {
 		_ = s.format("us", seq)
-	})
-	if allocs > 1 {
-		t.Fatalf("nameScratch.format allocates %v times per call, want <= 1", allocs)
+	}
+	runtime.ReadMemStats(&after)
+	if per := float64(after.Mallocs-before.Mallocs) / n; per > 0.05 {
+		t.Fatalf("nameScratch.format allocates %.3f times per name, want <= 0.05", per)
 	}
 }

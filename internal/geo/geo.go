@@ -33,28 +33,45 @@ func (p Point) Valid() bool {
 
 func radians(deg float64) float64 { return deg * math.Pi / 180 }
 
+// Site is a Point in the form the haversine reads: latitude and
+// longitude in radians and the cosine of the latitude. A position
+// measured against many others (a PoP against every client, a client
+// against every PoP) is converted once.
+type Site struct {
+	lat, lon, cosLat float64
+}
+
+// Site converts p for repeated distance computations.
+func (p Point) Site() Site {
+	lat := radians(p.Lat)
+	return Site{lat: lat, lon: radians(p.Lon), cosLat: math.Cos(lat)}
+}
+
 // DistanceKm returns the great-circle (haversine) distance in
-// kilometers between a and b.
-func DistanceKm(a, b Point) float64 {
-	lat1, lon1 := radians(a.Lat), radians(a.Lon)
-	lat2, lon2 := radians(b.Lat), radians(b.Lon)
-	dLat := lat2 - lat1
-	dLon := lon2 - lon1
+// kilometers between a and b; it is the one body of the formula, so it
+// is bit-equal to the package-level DistanceKm of the two Points.
+func (a Site) DistanceKm(b Site) float64 {
+	dLat := b.lat - a.lat
+	dLon := b.lon - a.lon
 	sinLat := math.Sin(dLat / 2)
 	sinLon := math.Sin(dLon / 2)
-	h := sinLat*sinLat + math.Cos(lat1)*math.Cos(lat2)*sinLon*sinLon
+	h := sinLat*sinLat + a.cosLat*b.cosLat*sinLon*sinLon
 	if h > 1 {
 		h = 1
 	}
 	return 2 * EarthRadiusKm * math.Asin(math.Sqrt(h))
 }
 
-// Nearest returns the index of the point in candidates closest to from
+// DistanceKm returns the great-circle (haversine) distance in
+// kilometers between a and b.
+func DistanceKm(a, b Point) float64 { return a.Site().DistanceKm(b.Site()) }
+
+// Nearest returns the index of the site in candidates closest to from
 // and the distance in km. It returns (-1, +Inf) for an empty slice.
-func Nearest(from Point, candidates []Point) (int, float64) {
+func Nearest(from Site, candidates []Site) (int, float64) {
 	best, bestDist := -1, math.Inf(1)
 	for i, c := range candidates {
-		if d := DistanceKm(from, c); d < bestDist {
+		if d := from.DistanceKm(c); d < bestDist {
 			best, bestDist = i, d
 		}
 	}

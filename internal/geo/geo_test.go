@@ -60,16 +60,71 @@ func TestDistanceProperties(t *testing.T) {
 }
 
 func TestNearest(t *testing.T) {
-	cands := []Point{london, sydney, nairobi}
-	idx, d := Nearest(newYork, cands)
+	cands := []Site{london.Site(), sydney.Site(), nairobi.Site()}
+	idx, d := Nearest(newYork.Site(), cands)
 	if idx != 0 {
 		t.Errorf("Nearest = %d, want 0 (London)", idx)
 	}
 	if math.Abs(d-5570) > 60 {
 		t.Errorf("distance = %.0f", d)
 	}
-	if idx, d := Nearest(newYork, nil); idx != -1 || !math.IsInf(d, 1) {
+	if idx, d := Nearest(newYork.Site(), nil); idx != -1 || !math.IsInf(d, 1) {
 		t.Errorf("empty candidates: %d, %f", idx, d)
+	}
+}
+
+// haversineInline is DistanceKm as it was written before Site existed,
+// both cosines taken inline: the reference the precomputed form must
+// reproduce bit for bit.
+func haversineInline(a, b Point) float64 {
+	lat1, lon1 := radians(a.Lat), radians(a.Lon)
+	lat2, lon2 := radians(b.Lat), radians(b.Lon)
+	dLat := lat2 - lat1
+	dLon := lon2 - lon1
+	sinLat := math.Sin(dLat / 2)
+	sinLon := math.Sin(dLon / 2)
+	h := sinLat*sinLat + math.Cos(lat1)*math.Cos(lat2)*sinLon*sinLon
+	if h > 1 {
+		h = 1
+	}
+	return 2 * EarthRadiusKm * math.Asin(math.Sqrt(h))
+}
+
+// Every distance the campaign exports and every PoP weight it samples
+// from is a haversine, so the precomputed form must not move a single
+// bit: over a grid that takes in both poles, both sides of the
+// antimeridian, antipodal pairs and identical points, Site.DistanceKm
+// and DistanceKm equal the inline formula by math.Float64bits.
+func TestSiteDistanceBitIdentical(t *testing.T) {
+	var pts []Point
+	lats := []float64{-90, -89.9999, -66.5, -45, -23.4, -1e-9, 0, 1e-9, 12.3456, 45, 60.1, 89.9999, 90}
+	lons := []float64{-180, -179.9999, -120.5, -90, -45.25, 0, 33.3, 90, 135.75, 179.9999, 180}
+	for _, lat := range lats {
+		for _, lon := range lons {
+			pts = append(pts, Point{lat, lon})
+		}
+	}
+	check := func(a, b Point) {
+		t.Helper()
+		want := math.Float64bits(haversineInline(a, b))
+		if got := math.Float64bits(a.Site().DistanceKm(b.Site())); got != want {
+			t.Fatalf("Site(%v).DistanceKm(%v) = %x, inline haversine %x", a, b, got, want)
+		}
+		if got := math.Float64bits(DistanceKm(a, b)); got != want {
+			t.Fatalf("DistanceKm(%v, %v) = %x, inline haversine %x", a, b, got, want)
+		}
+	}
+	for _, a := range pts {
+		antipode := Point{-a.Lat, normalizeLon(a.Lon + 180)}
+		check(a, a)
+		check(a, antipode)
+		check(antipode, a)
+		for _, b := range pts {
+			check(a, b)
+		}
+	}
+	if d := DistanceKm(Point{0, 179.9999}, Point{0, -179.9999}); d > 0.1 {
+		t.Errorf("across the antimeridian: %.4f km, want about 0.02", d)
 	}
 }
 

@@ -50,7 +50,7 @@ type Sim struct {
 
 	superProxies []netsim.Endpoint
 	superCodes   []string
-	superPts     []geo.Point // superProxies' positions, index-aligned
+	superSites   []geo.Site // superProxies' positions, index-aligned
 	exitCounter  int
 	// assignScratch is PoP assignment's work space, reused across nodes.
 	assignScratch anycast.AssignScratch
@@ -139,7 +139,7 @@ func NewSim(seed int64) *Sim {
 			Pos: ct.Centroid, Country: ct,
 		})
 		s.superCodes = append(s.superCodes, ct.Code)
-		s.superPts = append(s.superPts, ct.Centroid)
+		s.superSites = append(s.superSites, ct.Centroid.Site())
 	}
 	return s
 }
@@ -262,7 +262,7 @@ func (s *Sim) SelectExitNode(countryCode string) (*ExitNode, error) {
 		node.ResolverOverhead += time.Duration(extra * float64(time.Millisecond))
 	}
 	// The Super Proxy serving a client is the nearest of the 11.
-	idx, _ := geo.Nearest(pos, s.superPts)
+	idx, _ := geo.Nearest(pos.Site(), s.superSites)
 	node.super = s.superProxies[idx]
 	node.superCode = s.superCodes[idx]
 

@@ -24,13 +24,19 @@ step "unit tests (all packages)"
 # TestQueryTimeoutAllocationFree, TestBatchAllocationFree,
 # TestWithTimeoutUnarmedAllocBudget, TestResolveMissAllocBudget,
 # TestRememberedWinnerAllocationFree, TestCampaignAllocBudget,
-# TestMeasureAllocationFree, TestAnswerHitAllocationFree,
-# TestResolveHitAllocBudget and the dnswire, cache and authserver ones),
-# the campaign's timeline oracle and transport-table rows, the pinned
-# export hash, the golden CSV round trips, the hit path's parent-path
-# oracle (TestAnswersMatchTheParentPath), the RRL bucket test and the
-# fuzz corpora (FuzzHintedDecode's among them). The steps below add a
-# mode: -race, a -short soak, or a -bench smoke.
+# TestNameScratchAllocs, TestMeasureAllocationFree,
+# TestAnswerHitAllocationFree, TestResolveHitAllocBudget and the
+# dnswire, cache and authserver ones), the campaign's timeline oracle
+# and transport-table rows, the haversine's bit identity
+# (TestSiteDistanceBitIdentical) and the PoP site table against a
+# table-less Provider (TestSiteTableMatchesProviderLiteral), the string
+# chunks' rollover (TestNameScratchSurvivesChunkRollover), the pinned
+# export hash, the golden CSV round trips, the campaign sketch's
+# quantiles against exact ones (TestSketchQuantilesWithinOneBucket), the
+# hit path's parent-path oracle (TestAnswersMatchTheParentPath), the RRL
+# bucket test and the fuzz corpora (FuzzHintedDecode's and
+# FuzzCSVRoundTrip's among them). The steps below add a mode: -race, a
+# -short soak, or a -bench smoke.
 go test ./...
 
 step "race gates (concurrency-heavy packages)"
