@@ -22,7 +22,8 @@ verify:
 # lines are the event engine, now internal/proxynet/engine_test.go;
 # 23,332 after the one-connection-path PR; 23,504 after the hit-path PR,
 # 23,112 after the every-knob-has-a-caller PR, 23,207 after the
-# precomputed-trig and string-chunk PR).
+# precomputed-trig and string-chunk PR, 23,411 after the
+# per-provider-table PR).
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | sed 's|^\./||' | \
 		while read f; do echo "$$(dirname $$f) $$(wc -l < $$f)"; done | \

@@ -100,7 +100,7 @@ func (a *Analysis) buildRows() {
 		}
 		ct := world.MustByCode(c.CountryCode)
 		for _, pid := range anycast.ProviderIDs() {
-			res, ok := c.DoH[pid]
+			res, ok := c.DoH.Get(pid)
 			if !ok || !res.Valid {
 				continue
 			}
@@ -137,7 +137,7 @@ func (a *Analysis) ResolverDistributions() (doh1, dohr map[anycast.ProviderID][]
 			continue
 		}
 		for _, pid := range anycast.ProviderIDs() {
-			if res, ok := c.DoH[pid]; ok && res.Valid {
+			if res, ok := c.DoH.Get(pid); ok && res.Valid {
 				doh1[pid] = append(doh1[pid], res.TDoHMs)
 				dohr[pid] = append(dohr[pid], res.TDoHRMs)
 			}
@@ -162,7 +162,7 @@ func (a *Analysis) CountryMedianDoH1() map[anycast.ProviderID]map[string]float64
 			continue
 		}
 		for _, pid := range anycast.ProviderIDs() {
-			if res, ok := c.DoH[pid]; ok && res.Valid {
+			if res, ok := c.DoH.Get(pid); ok && res.Valid {
 				acc[pid][c.CountryCode] = append(acc[pid][c.CountryCode], res.TDoHMs)
 			}
 		}
@@ -187,7 +187,7 @@ func (a *Analysis) ObservedPoPs() map[anycast.ProviderID]int {
 	for i := range a.DS.Clients {
 		c := &a.DS.Clients[i]
 		for _, pid := range anycast.ProviderIDs() {
-			if res, ok := c.DoH[pid]; ok && res.Valid && res.PoPID != "" {
+			if res, ok := c.DoH.Get(pid); ok && res.Valid && res.PoPID != "" {
 				seen[pid][res.PoPID] = true
 			}
 		}
@@ -210,7 +210,7 @@ func (a *Analysis) PotentialImprovementMiles() map[anycast.ProviderID][]float64 
 			continue
 		}
 		for _, pid := range anycast.ProviderIDs() {
-			if res, ok := c.DoH[pid]; ok && res.Valid {
+			if res, ok := c.DoH.Get(pid); ok && res.Valid {
 				out[pid] = append(out[pid], res.PotentialImprovementKm()/geo.KmPerMile)
 			}
 		}
@@ -228,7 +228,7 @@ func (a *Analysis) ClientPoPDistanceMiles() map[anycast.ProviderID][]float64 {
 			continue
 		}
 		for _, pid := range anycast.ProviderIDs() {
-			if res, ok := c.DoH[pid]; ok && res.Valid {
+			if res, ok := c.DoH.Get(pid); ok && res.Valid {
 				out[pid] = append(out[pid], res.PoPDistanceKm/geo.KmPerMile)
 			}
 		}
@@ -256,7 +256,7 @@ func (a *Analysis) CountryDelta(n int) map[anycast.ProviderID]map[string]float64
 			continue
 		}
 		for _, pid := range anycast.ProviderIDs() {
-			res, okr := c.DoH[pid]
+			res, okr := c.DoH.Get(pid)
 			if !okr || !res.Valid {
 				continue
 			}
@@ -348,7 +348,7 @@ func (a *Analysis) RegionMedians(pid anycast.ProviderID) map[world.Region]Region
 			r = &regionAcc{}
 			acc[ct.Region] = r
 		}
-		if res, okr := c.DoH[pid]; okr && res.Valid {
+		if res, okr := c.DoH.Get(pid); okr && res.Valid {
 			r.doh1 = append(r.doh1, res.TDoHMs)
 			r.dohr = append(r.dohr, res.TDoHRMs)
 		}

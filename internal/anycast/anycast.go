@@ -40,7 +40,8 @@ const (
 
 // ProviderIDs lists the providers in the paper's order.
 func ProviderIDs() []ProviderID {
-	return []ProviderID{Cloudflare, Google, NextDNS, Quad9}
+	ids := providerIDs
+	return ids[:]
 }
 
 // PoP is one point of presence.

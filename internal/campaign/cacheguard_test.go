@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/anycast"
 	"repro/internal/cache"
 	"repro/internal/resolver"
 )
@@ -139,8 +140,8 @@ func TestCacheGuardSkipsReusedNames(t *testing.T) {
 		t.Errorf("skips (%d) != guard hits (%d)", ts.Skipped, hits)
 	}
 	for _, c := range second.Clients {
-		for pid, res := range c.DoH {
-			if res.Valid {
+		for _, pid := range anycast.ProviderIDs() {
+			if res, _ := c.DoH.Get(pid); res.Valid {
 				t.Fatalf("client %s provider %s valid despite all runs skipped", c.ClientID, pid)
 			}
 		}

@@ -274,14 +274,16 @@ type ClientRecord struct {
 	Prefix string
 	// Pos is the client's approximate location.
 	Pos geo.Point
-	// DoH maps provider -> result.
-	DoH map[anycast.ProviderID]DoHResult
-	// Sessions maps, per extension transport (proxynet.DoT, proxynet.DoQ),
-	// provider -> result; nil unless Transports include its kind.
-	Sessions [proxynet.NumTransports]map[anycast.ProviderID]SessionResult
-	// Smart maps provider -> derived best-encrypted-transport result;
-	// nil unless the campaign's Transports include resolver.Smart.
-	Smart map[anycast.ProviderID]SmartResult
+	// DoH holds the result per provider; empty unless Transports include
+	// resolver.DoH.
+	DoH anycast.PerProvider[DoHResult]
+	// Sessions holds, per extension transport (proxynet.DoT,
+	// proxynet.DoQ), the result per provider; empty unless Transports
+	// include its kind.
+	Sessions [proxynet.NumTransports]anycast.PerProvider[SessionResult]
+	// Smart holds the derived best-encrypted-transport result per
+	// provider; empty unless Transports include resolver.Smart.
+	Smart anycast.PerProvider[SmartResult]
 	// Do53Ms is the default-resolver resolution time (milliseconds).
 	Do53Ms float64
 	// Do53Valid is false in the 11 Super-Proxy countries.
@@ -433,6 +435,11 @@ func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
 	if providers == nil {
 		providers = anycast.ProviderIDs()
 	}
+	for _, pid := range providers {
+		if !anycast.Known(pid) {
+			return nil, fmt.Errorf("campaign: unknown provider %q", pid)
+		}
+	}
 	transports, err := normalizeTransports(cfg.Transports)
 	if err != nil {
 		return nil, err
@@ -499,7 +506,24 @@ func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
 	// pure function of the configuration: the same records come back
 	// whether countries run serially or on N workers, and a journaled
 	// country can be loaded back verbatim on resume.
-	results := make([][]ClientRecord, len(countries))
+	//
+	// Client records are the one order-dependent output, and each is
+	// written once: a country's client count is known before it runs,
+	// so the dataset's records are allocated in one piece, country i
+	// fills the window at offset[i] in place, and the windows are closed
+	// up in country order once the workers are done. Without kept
+	// records there are no windows; a worker reuses one buffer.
+	offset := make([]int, len(countries)+1)
+	for i, code := range countries {
+		offset[i+1] = offset[i]
+		if ct, ok := world.ByCode(code); ok {
+			offset[i+1] += clientsIn(cfg, ct)
+		}
+	}
+	var clients []ClientRecord
+	if !cfg.DiscardClients {
+		clients = make([]ClientRecord, offset[len(countries)])
+	}
 	kept := make([]int, len(countries))
 	errs := make([]error, len(countries))
 	completed := make([]bool, len(countries))
@@ -508,26 +532,29 @@ func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
 	// associative sums, so the result is schedule-independent, and not
 	// holding per-country sketches and accounting until the end is
 	// what keeps DiscardClients memory flat in the country count.
-	// Client records are the one order-dependent output; they stay in
-	// results[] and are concatenated in country order afterwards.
 	agg := sketch.NewSet()
 	var aggMu sync.Mutex
 	var simTotal proxynet.SimStats
 	var wg sync.WaitGroup
 	work := make(chan int)
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Per-worker scratch: one name buffer and one set of name
-			// chunks serve every country this worker measures, so a run
-			// allocates nothing for its name but a share of a chunk.
-			scratch := new(nameScratch)
-			// finish records a completed country's aggregates, then
-			// optionally drops the client records: in DiscardClients
-			// mode the sketch, accounting, and count are all that
-			// leave the worker, so peak memory stays bounded by the
-			// in-flight countries rather than the whole world.
+			w := new(worker)
+			// window returns the storage country idx's records go to,
+			// empty, with room for all of them.
+			window := func(idx int) []ClientRecord {
+				if cfg.DiscardClients {
+					w.buf = slices.Grow(w.buf[:0], offset[idx+1]-offset[idx])
+					return w.buf
+				}
+				return clients[offset[idx]:offset[idx]:offset[idx+1]]
+			}
+			// finish records a completed country's aggregates. In
+			// DiscardClients mode the sketch, accounting, and count are
+			// all that leave the worker, so peak memory stays bounded by
+			// the in-flight countries rather than the whole world.
 			finish := func(idx int, res []ClientRecord, acct countryAccounting) {
 				kept[idx] = len(res)
 				s := sketchClients(res)
@@ -549,9 +576,6 @@ func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
 				simTotal = addSimStats(simTotal, acct.simStats)
 				aggMu.Unlock()
 				completed[idx] = true
-				if cfg.DiscardClients {
-					results[idx] = nil
-				}
 			}
 			for idx := range work {
 				code := countries[idx]
@@ -579,13 +603,20 @@ func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
 					}
 					if ok {
 						res, acct := rec.restore()
-						results[idx] = res
+						if !cfg.DiscardClients {
+							win := window(idx)
+							if len(res) > cap(win) {
+								errs[idx] = fmt.Errorf("campaign: journal record for %s holds %d clients, the country provisions %d", code, len(res), cap(win))
+								continue
+							}
+							res = append(win, res...)
+						}
 						finish(idx, res, acct)
 						countryDone(code, kept[idx], true)
 						continue
 					}
 				}
-				res, acct, merr := measureCountry(ctx, cfg, code, providers, scratch)
+				res, acct, merr := measureCountry(ctx, cfg, code, providers, w, window(idx))
 				if merr != nil {
 					errs[idx] = merr
 					if claiming {
@@ -596,7 +627,6 @@ func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
 					}
 					continue
 				}
-				results[idx] = res
 				if journal != nil {
 					if jerr := journal.Put(code, newCountryRecord(res, acct)); jerr != nil {
 						errs[idx] = jerr
@@ -627,10 +657,14 @@ feed:
 		}
 	}
 	ds.Sketch = agg
-	for i := range countries {
-		if completed[i] {
-			ds.Clients = append(ds.Clients, results[i]...)
+	if clients != nil {
+		n := 0
+		for i := range countries {
+			if completed[i] {
+				n += copy(clients[n:], clients[offset[i]:offset[i]+kept[i]])
+			}
 		}
+		ds.Clients = clients[:n]
 	}
 
 	if err := ctx.Err(); err != nil {
@@ -796,7 +830,7 @@ func (ds *Dataset) AnalyzedCountries(minClients int, providers []anycast.Provide
 		for _, c := range clients {
 			ok := true
 			for _, pid := range providers {
-				if !c.DoH[pid].Valid {
+				if r, _ := c.DoH.Get(pid); !r.Valid {
 					ok = false
 					break
 				}
@@ -949,12 +983,12 @@ func deriveSmart(rec *ClientRecord, pid anycast.ProviderID) SmartResult {
 	var kinds [1 + len(extensions)]resolver.Kind
 	var launches [1 + len(extensions)]smart.Launch
 	n := 0
-	if r := rec.DoH[pid]; r.Valid {
+	if r, _ := rec.DoH.Get(pid); r.Valid {
 		kinds[n], launches[n] = resolver.DoH, smart.Launch{First: r.TDoHMs, Reused: r.TDoHRMs}
 		n++
 	}
 	for tr, kind := range extensions {
-		if r := rec.Sessions[tr][pid]; r.Valid {
+		if r, _ := rec.Sessions[tr].Get(pid); r.Valid {
 			kinds[n], launches[n] = kind, smart.Launch{First: r.FirstMs, Reused: r.ReusedMs}
 			n++
 		}
@@ -1072,12 +1106,32 @@ func (r *countryRun) settle(kind resolver.Kind, brk *resolver.Breaker, name stri
 	r.acct.transports[kind] = ts
 }
 
+// clientsIn is the number of exit nodes the campaign provisions in ct:
+// its weight times ClientScale, capped at MaxClients, at least one.
+func clientsIn(cfg Config, ct world.Country) int {
+	return max(min(int(ct.ExitNodeWeight*cfg.ClientScale), cfg.MaxClients), 1)
+}
+
+// worker is one worker goroutine's reusable state. Every country the
+// worker measures shares its name chunks and its exit node, and in
+// DiscardClients mode its record buffer, so that a kept client
+// allocates only the strings its record keeps.
+type worker struct {
+	names nameScratch
+	node  proxynet.ExitNode
+	// buf holds the records of the country in hand when the dataset
+	// does not keep them.
+	buf []ClientRecord
+}
+
 // measureCountry provisions and measures all of one country's clients
-// on a dedicated simulator. Cancellation is checked between clients:
-// an abandoned country returns the context error and is never
-// journaled, so a resumed campaign re-measures it in full. scratch
-// holds the calling worker's reusable name buffer.
-func measureCountry(ctx context.Context, cfg Config, code string, providers []anycast.ProviderID, scratch *nameScratch) ([]ClientRecord, countryAccounting, error) {
+// on a dedicated simulator, appending their records to out, which must
+// have room for clientsIn of them: the records are written in place,
+// never moved. Cancellation is checked between clients: an abandoned
+// country returns the context error and is never journaled, so a
+// resumed campaign re-measures it in full.
+func measureCountry(ctx context.Context, cfg Config, code string, providers []anycast.ProviderID, w *worker, out []ClientRecord) ([]ClientRecord, countryAccounting, error) {
+	scratch := &w.names
 	run := countryRun{cache: cfg.Cache, policy: cfg.Breaker, code: code, scratch: scratch}
 	run.acct.transports = make(map[resolver.Kind]TransportStats)
 	ct, ok := world.ByCode(code)
@@ -1095,20 +1149,15 @@ func measureCountry(ctx context.Context, cfg Config, code string, providers []an
 
 	wants := func(kind resolver.Kind) bool { return slices.Contains(cfg.Transports, kind) }
 
-	n := int(ct.ExitNodeWeight * cfg.ClientScale)
-	if n > cfg.MaxClients {
-		n = cfg.MaxClients
-	}
-	if n < 1 {
-		n = 1
-	}
-	var out []ClientRecord
-	for i := 0; i < n; i++ {
+	// The node is the worker's: the record keeps its ID and position,
+	// nothing that points into it.
+	node := &w.node
+	out = out[:0]
+	for range clientsIn(cfg, ct) {
 		if err := ctx.Err(); err != nil {
 			return nil, run.acct, err
 		}
-		node, err := sim.SelectExitNode(code)
-		if err != nil {
+		if err := sim.SelectExitNodeInto(code, node); err != nil {
 			return nil, run.acct, err
 		}
 		// Country cross-check (paper §3.5): the proxy network's label
@@ -1118,14 +1167,14 @@ func measureCountry(ctx context.Context, cfg Config, code string, providers []an
 			run.acct.mismatch++
 			continue
 		}
-		rec := ClientRecord{
+		out = append(out, ClientRecord{
 			ClientID:     node.ID,
 			CountryCode:  code,
 			Prefix:       scratch.prefix24(node.Addr),
 			Pos:          node.Pos,
-			DoH:          make(map[anycast.ProviderID]DoHResult),
 			NSDistanceKm: geo.DistanceKm(node.Pos, sim.Lab.Pos),
-		}
+		})
+		rec := &out[len(out)-1]
 		if wants(resolver.DoH) {
 			for _, pid := range providers {
 				var sumDoH, sumDoHR float64
@@ -1157,7 +1206,7 @@ func measureCountry(ctx context.Context, cfg Config, code string, providers []an
 					res.TDoHRMs = sumDoHR / float64(got)
 					res.Valid = true
 				}
-				rec.DoH[pid] = res
+				rec.DoH.Set(pid, res)
 			}
 		}
 		if wants(resolver.Do53) {
@@ -1197,7 +1246,6 @@ func measureCountry(ctx context.Context, cfg Config, code string, providers []an
 			if !wants(kind) {
 				continue
 			}
-			results := make(map[anycast.ProviderID]SessionResult)
 			for _, pid := range providers {
 				var sumFirst, sumReused float64
 				var got, blocked int
@@ -1228,15 +1276,13 @@ func measureCountry(ctx context.Context, cfg Config, code string, providers []an
 					res.ReusedMs = sumReused / float64(got)
 					res.Valid = true
 				}
-				results[pid] = res
+				rec.Sessions[tr].Set(pid, res)
 			}
-			rec.Sessions[tr] = results
 		}
 		if wants(resolver.Smart) {
-			rec.Smart = make(map[anycast.ProviderID]SmartResult)
 			for _, pid := range providers {
-				res := deriveSmart(&rec, pid)
-				rec.Smart[pid] = res
+				res := deriveSmart(rec, pid)
+				rec.Smart.Set(pid, res)
 				if res.Valid {
 					if run.acct.smartWins == nil {
 						run.acct.smartWins = make(map[resolver.Kind]int)
@@ -1245,7 +1291,6 @@ func measureCountry(ctx context.Context, cfg Config, code string, providers []an
 				}
 			}
 		}
-		out = append(out, rec)
 	}
 	if run.breakers != nil {
 		run.acct.breakers = make(map[resolver.Kind]BreakerStats)

@@ -31,10 +31,11 @@ func TestRunSmallCampaign(t *testing.T) {
 		}
 	}
 	for _, c := range ds.Clients {
-		if len(c.DoH) != 4 {
-			t.Fatalf("client %s has %d provider results", c.ClientID, len(c.DoH))
+		if c.DoH.Len() != 4 {
+			t.Fatalf("client %s has %d provider results", c.ClientID, c.DoH.Len())
 		}
-		for pid, res := range c.DoH {
+		for _, pid := range anycast.ProviderIDs() {
+			res, _ := c.DoH.Get(pid)
 			if !res.Valid {
 				continue
 			}
@@ -150,10 +151,8 @@ func TestCampaignDeterministicBySeed(t *testing.T) {
 		if ca.ClientID != cb.ClientID || ca.Do53Ms != cb.Do53Ms {
 			t.Fatalf("client %d differs: %+v vs %+v", i, ca, cb)
 		}
-		for _, pid := range anycast.ProviderIDs() {
-			if ca.DoH[pid] != cb.DoH[pid] {
-				t.Fatalf("client %d %s differs", i, pid)
-			}
+		if ca.DoH != cb.DoH {
+			t.Fatalf("client %d DoH results differ", i)
 		}
 	}
 }
@@ -208,10 +207,8 @@ func TestParallelismDoesNotChangeResults(t *testing.T) {
 		if a.ClientID != b.ClientID || a.Do53Ms != b.Do53Ms || a.Prefix != b.Prefix {
 			t.Fatalf("client %d differs across worker counts:\n%+v\n%+v", i, a, b)
 		}
-		for _, pid := range anycast.ProviderIDs() {
-			if a.DoH[pid] != b.DoH[pid] {
-				t.Fatalf("client %d %s differs across worker counts", i, pid)
-			}
+		if a.DoH != b.DoH {
+			t.Fatalf("client %d DoH results differ across worker counts", i)
 		}
 	}
 	if serial.DiscardedMismatch != parallel.DiscardedMismatch {
@@ -285,4 +282,13 @@ func TestCountryDo53MsTable(t *testing.T) {
 			t.Errorf("CountryDo53Ms(%s) = %v, %v; want %v, %v", c.code, got, ok, c.want, c.ok)
 		}
 	}
+}
+
+// table builds a per-provider table from a map literal.
+func table[T any](m map[anycast.ProviderID]T) anycast.PerProvider[T] {
+	var t anycast.PerProvider[T]
+	for pid, v := range m {
+		t.Set(pid, v)
+	}
+	return t
 }

@@ -89,7 +89,7 @@ func (ds *Dataset) WriteCSV(w io.Writer) error {
 		row[7] = strconv.FormatBool(c.Do53Valid)
 		wrote := false
 		for _, pid := range providers {
-			res, ok := c.DoH[pid]
+			res, ok := c.DoH.Get(pid)
 			if !ok || !res.Valid {
 				continue
 			}
@@ -161,7 +161,7 @@ func (ds *Dataset) WriteSmartCSV(w io.Writer) error {
 	for i := range ds.Clients {
 		c := &ds.Clients[i]
 		for _, pid := range providers {
-			res, ok := c.Smart[pid]
+			res, ok := c.Smart.Get(pid)
 			if !ok || !res.Valid {
 				continue
 			}
@@ -180,10 +180,10 @@ func (ds *Dataset) WriteSmartCSV(w io.Writer) error {
 // loaded with ReadCSV: each row's result lands on its client, the
 // SmartWins accounting is recomputed from the winner column, and the
 // sketch is rebuilt so the smart latency keys appear exactly as a live
-// campaign would have produced them. Rows naming an unknown client,
-// repeating a (client, provider) pair, crediting a transport the race
-// never launches or carrying an impossible time are corruption and fail
-// loudly.
+// campaign would have produced them. Rows naming an unknown client or a
+// provider outside the catalogue, repeating a (client, provider) pair,
+// crediting a transport the race never launches or carrying an
+// impossible time are corruption and fail loudly.
 func (ds *Dataset) ReadSmartCSV(r io.Reader) error {
 	cr := csv.NewReader(r)
 	header, err := cr.Read()
@@ -217,11 +217,11 @@ func (ds *Dataset) ReadSmartCSV(r io.Reader) error {
 			return fmt.Errorf("campaign: smart CSV line %d: unknown client %s", lineNo, row[0])
 		}
 		pid := anycast.ProviderID(row[1])
-		c := &ds.Clients[idx]
-		if c.Smart == nil {
-			c.Smart = make(map[anycast.ProviderID]SmartResult)
+		if !anycast.Known(pid) {
+			return fmt.Errorf("campaign: smart CSV line %d: unknown provider %q", lineNo, row[1])
 		}
-		if _, dup := c.Smart[pid]; dup {
+		c := &ds.Clients[idx]
+		if _, dup := c.Smart.Get(pid); dup {
 			return fmt.Errorf("campaign: smart CSV line %d: duplicate provider %s for client %s", lineNo, pid, row[0])
 		}
 		winner := resolver.Kind(row[2])
@@ -237,7 +237,7 @@ func (ds *Dataset) ReadSmartCSV(r io.Reader) error {
 		if !(tsmart >= 0 && tsmartr >= 0) || math.IsInf(tsmart, 1) || math.IsInf(tsmartr, 1) {
 			return fmt.Errorf("campaign: smart CSV line %d: times %s, %s ms are not finite and non-negative", lineNo, row[3], row[4])
 		}
-		c.Smart[pid] = SmartResult{TSmartMs: tsmart, TSmartRMs: tsmartr, Winner: row[2], Valid: true}
+		c.Smart.Set(pid, SmartResult{TSmartMs: tsmart, TSmartRMs: tsmartr, Winner: row[2], Valid: true})
 		if ds.SmartWins == nil {
 			ds.SmartWins = make(map[resolver.Kind]int)
 		}
@@ -253,7 +253,10 @@ func (ds *Dataset) ReadSmartCSV(r io.Reader) error {
 // (which never do), and rejects the corruption a bad shard merge
 // introduces: repeated client rows with mismatching metadata, a
 // provider measured twice for one client, or a provider-less row
-// coexisting with provider rows.
+// coexisting with provider rows. A provider outside the catalogue (which
+// WriteCSV would never write back), a position off the globe, and a
+// time or distance that is negative, infinite or NaN are rejected too,
+// each with its line number.
 func ReadCSV(main io.Reader, atlas io.Reader) (*Dataset, error) {
 	cr := csv.NewReader(main)
 	header, err := cr.Read()
@@ -282,13 +285,12 @@ func ReadCSV(main io.Reader, atlas io.Reader) (*Dataset, error) {
 		if err != nil {
 			return nil, fmt.Errorf("campaign: CSV line %d: %w", lineNo, err)
 		}
-		pf := func(i int) (float64, error) { return strconv.ParseFloat(row[i], 64) }
 		idx, ok := byID[row[0]]
 		if !ok {
-			lat, err1 := pf(3)
-			lon, err2 := pf(4)
-			nsDist, err3 := pf(5)
-			do53, err4 := pf(6)
+			lat, err1 := floatIn(row, 3, -90, 90)
+			lon, err2 := floatIn(row, 4, -180, 180)
+			nsDist, err3 := nonNegative(row, 5)
+			do53, err4 := nonNegative(row, 6)
 			valid, err5 := strconv.ParseBool(row[7])
 			if err := firstErr(err1, err2, err3, err4, err5); err != nil {
 				return nil, fmt.Errorf("campaign: CSV line %d: %w", lineNo, err)
@@ -298,7 +300,6 @@ func ReadCSV(main io.Reader, atlas io.Reader) (*Dataset, error) {
 				Pos:          geo.Point{Lat: lat, Lon: lon},
 				NSDistanceKm: nsDist,
 				Do53Ms:       do53, Do53Valid: valid,
-				DoH: make(map[anycast.ProviderID]DoHResult),
 			})
 			idx = len(ds.Clients) - 1
 			byID[row[0]] = idx
@@ -327,7 +328,7 @@ func ReadCSV(main io.Reader, atlas io.Reader) (*Dataset, error) {
 			if bare[row[0]] {
 				return nil, fmt.Errorf("campaign: CSV line %d: duplicate provider-less row for client %s", lineNo, row[0])
 			}
-			if len(ds.Clients[idx].DoH) > 0 {
+			if ds.Clients[idx].DoH.Len() > 0 {
 				return nil, fmt.Errorf("campaign: CSV line %d: provider-less row for client %s, which also has provider rows", lineNo, row[0])
 			}
 			bare[row[0]] = true
@@ -337,22 +338,25 @@ func ReadCSV(main io.Reader, atlas io.Reader) (*Dataset, error) {
 			return nil, fmt.Errorf("campaign: CSV line %d: provider row for client %s after a provider-less row", lineNo, row[0])
 		}
 		pid := anycast.ProviderID(row[8])
-		if _, dup := ds.Clients[idx].DoH[pid]; dup {
+		if !anycast.Known(pid) {
+			return nil, fmt.Errorf("campaign: CSV line %d: unknown provider %q", lineNo, row[8])
+		}
+		if _, dup := ds.Clients[idx].DoH.Get(pid); dup {
 			return nil, fmt.Errorf("campaign: CSV line %d: duplicate provider %s for client %s", lineNo, pid, row[0])
 		}
-		tdoh, err1 := pf(9)
-		tdohr, err2 := pf(10)
-		popDist, err3 := pf(13)
-		nearest, err4 := pf(14)
+		tdoh, err1 := nonNegative(row, 9)
+		tdohr, err2 := nonNegative(row, 10)
+		popDist, err3 := nonNegative(row, 13)
+		nearest, err4 := nonNegative(row, 14)
 		if err := firstErr(err1, err2, err3, err4); err != nil {
 			return nil, fmt.Errorf("campaign: CSV line %d: %w", lineNo, err)
 		}
-		ds.Clients[idx].DoH[pid] = DoHResult{
+		ds.Clients[idx].DoH.Set(pid, DoHResult{
 			TDoHMs: tdoh, TDoHRMs: tdohr,
 			PoPID: row[11], PoPCountry: row[12],
 			PoPDistanceKm: popDist, NearestPoPDistanceKm: nearest,
 			Valid: true,
-		}
+		})
 	}
 
 	if atlas != nil {
@@ -381,6 +385,26 @@ func ReadCSV(main io.Reader, atlas io.Reader) (*Dataset, error) {
 	ds.KeptClients = len(ds.Clients)
 	ds.Sketch = sketchClients(ds.Clients)
 	return ds, nil
+}
+
+// floatIn parses column i of a main-table row as a number in [lo, hi].
+// NaN fails both comparisons.
+func floatIn(row []string, i int, lo, hi float64) (float64, error) {
+	v, err := strconv.ParseFloat(row[i], 64)
+	if err == nil && !(v >= lo && v <= hi) {
+		err = fmt.Errorf("%s is %s, want a number in [%g, %g]", csvHeader[i], row[i], lo, hi)
+	}
+	return v, err
+}
+
+// nonNegative parses column i of a main-table row as a time or a
+// distance: finite and not negative.
+func nonNegative(row []string, i int) (float64, error) {
+	v, err := strconv.ParseFloat(row[i], 64)
+	if err == nil && !(v >= 0 && v <= math.MaxFloat64) {
+		err = fmt.Errorf("%s is %s, want a finite number >= 0", csvHeader[i], row[i])
+	}
+	return v, err
 }
 
 func firstErr(errs ...error) error {

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -38,7 +39,8 @@ func TestCSVRoundTrip(t *testing.T) {
 			t.Fatalf("client %d Do53 differs: %f vs %f", i, want.Do53Ms, have.Do53Ms)
 		}
 		for _, pid := range anycast.ProviderIDs() {
-			w, h := want.DoH[pid], have.DoH[pid]
+			w, _ := want.DoH.Get(pid)
+			h, _ := have.DoH.Get(pid)
 			if !w.Valid {
 				continue
 			}
@@ -131,16 +133,16 @@ func TestCSVRoundTripDo53OnlyClient(t *testing.T) {
 			{
 				ClientID: "c-doh", CountryCode: "BR", Prefix: "10.0.0.0/24",
 				Do53Ms: 50, Do53Valid: true,
-				DoH: map[anycast.ProviderID]DoHResult{
+				DoH: table(map[anycast.ProviderID]DoHResult{
 					anycast.Cloudflare: {TDoHMs: 100, TDoHRMs: 40, PoPID: "p", PoPCountry: "BR", Valid: true},
-				},
+				}),
 			},
 			{
 				ClientID: "c-do53-only", CountryCode: "BR", Prefix: "10.0.1.0/24",
 				Do53Ms: 77.25, Do53Valid: true,
-				DoH: map[anycast.ProviderID]DoHResult{
+				DoH: table(map[anycast.ProviderID]DoHResult{
 					anycast.Cloudflare: {Valid: false},
-				},
+				}),
 			},
 		},
 		AtlasDo53Ms: map[string]float64{},
@@ -165,7 +167,7 @@ func TestCSVRoundTripDo53OnlyClient(t *testing.T) {
 		if !c.Do53Valid || c.Do53Ms != 77.25 {
 			t.Errorf("Do53-only client mangled: %+v", c)
 		}
-		if len(c.DoH) != 0 {
+		if c.DoH.Len() != 0 {
 			t.Errorf("Do53-only client grew DoH results: %+v", c.DoH)
 		}
 	}
@@ -211,7 +213,7 @@ func TestReadCSVDuplicateMetadataMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("consistent duplicate rejected: %v", err)
 	}
-	if len(ds.Clients) != 1 || len(ds.Clients[0].DoH) != 2 {
+	if len(ds.Clients) != 1 || ds.Clients[0].DoH.Len() != 2 {
 		t.Fatalf("consistent duplicate misparsed: %+v", ds.Clients)
 	}
 }
@@ -241,7 +243,7 @@ func TestReadCSVRejectsCorruptMergeShapes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("valid provider-less row rejected: %v", err)
 	}
-	if len(ds.Clients) != 1 || len(ds.Clients[0].DoH) != 0 || !ds.Clients[0].Do53Valid {
+	if len(ds.Clients) != 1 || ds.Clients[0].DoH.Len() != 0 || !ds.Clients[0].Do53Valid {
 		t.Fatalf("provider-less row misparsed: %+v", ds.Clients)
 	}
 }
@@ -271,5 +273,66 @@ func TestCSVAnalysisEquivalence(t *testing.T) {
 	}
 	if len(ds.AnalyzedCountries(3, nil)) != len(got.AnalyzedCountries(3, nil)) {
 		t.Error("analyzed country sets differ after round trip")
+	}
+}
+
+// A provider outside the catalogue is refused by both readers, with its
+// line: WriteCSV and WriteSmartCSV write the catalogue's providers only,
+// so a row for any other would import and then vanish on the next export.
+func TestReadersRejectUnknownProvider(t *testing.T) {
+	head := strings.Join(csvHeader, ",") + "\n"
+	good := "c1,BR,10.0.0.0/24,0,0,0,1,true,cloudflare,1,1,p,BR,1,1\n"
+	foo := "c1,BR,10.0.0.0/24,0,0,0,1,true,foo,1,1,p,BR,1,1\n"
+	if _, err := ReadCSV(strings.NewReader(head+good+foo), nil); err == nil || !strings.Contains(err.Error(), "line 3") {
+		t.Errorf("ReadCSV of a row for provider foo: err = %v, want one naming line 3", err)
+	}
+
+	ds, err := ReadCSV(strings.NewReader(head+good), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	smart := strings.Join(smartCSVHeader, ",") + "\n" +
+		"c1,cloudflare,doh,12.5,3.25\n" +
+		"c1,foo,doh,12.5,3.25\n"
+	if err := ds.ReadSmartCSV(strings.NewReader(smart)); err == nil || !strings.Contains(err.Error(), "line 3") {
+		t.Errorf("ReadSmartCSV of a row for provider foo: err = %v, want one naming line 3", err)
+	}
+}
+
+// ReadCSV holds every number column to what the campaign can produce: a
+// position on the globe, and times and distances that are finite and
+// not negative. NaN and the infinities parse as floats, so each must be
+// refused by the range, not the parser.
+func TestReadCSVRejectsInvalidNumbers(t *testing.T) {
+	head := strings.Join(csvHeader, ",") + "\n"
+	good := []string{"c1", "BR", "10.0.0.0/24", "-10.5", "-52.25", "6800.5", "142.25", "true",
+		"cloudflare", "210.125", "95.5", "p", "BR", "850.25", "850.25"}
+	if _, err := ReadCSV(strings.NewReader(head+strings.Join(good, ",")+"\n"), nil); err != nil {
+		t.Fatalf("the valid row: %v", err)
+	}
+	for _, c := range []struct{ col, val string }{
+		{"lat", "NaN"},
+		{"lat", "90.5"},
+		{"lat", "-Inf"},
+		{"lon", "-180.5"},
+		{"lon", "NaN"},
+		{"ns_distance_km", "-1"},
+		{"ns_distance_km", "+Inf"},
+		{"do53_ms", "NaN"},
+		{"do53_ms", "-0.5"},
+		{"tdoh_ms", "-1"},
+		{"tdoh_ms", "Inf"},
+		{"tdohr_ms", "NaN"},
+		{"tdohr_ms", "-2"},
+		{"pop_distance_km", "-3"},
+		{"pop_distance_km", "NaN"},
+		{"nearest_pop_km", "+Inf"},
+	} {
+		row := slices.Clone(good)
+		row[slices.Index(csvHeader, c.col)] = c.val
+		_, err := ReadCSV(strings.NewReader(head+strings.Join(row, ",")+"\n"), nil)
+		if err == nil || !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), c.col) {
+			t.Errorf("%s = %s: err = %v, want one naming line 2 and the column", c.col, c.val, err)
+		}
 	}
 }

@@ -29,7 +29,7 @@ func goldenDataset() *Dataset {
 				NSDistanceKm: 6800.5,
 				Do53Ms:       142.25,
 				Do53Valid:    true,
-				DoH: map[anycast.ProviderID]DoHResult{
+				DoH: table(map[anycast.ProviderID]DoHResult{
 					anycast.Cloudflare: {
 						TDoHMs: 210.125, TDoHRMs: 95.5,
 						PoPID: "cf-gru", PoPCountry: "BR",
@@ -39,7 +39,7 @@ func goldenDataset() *Dataset {
 					// Invalid provider result: the estimator discarded
 					// every run, so the row must be omitted entirely.
 					anycast.Google: {Valid: false},
-				},
+				}),
 			},
 			{
 				// Do53-only client: every DoH result invalid, but the
@@ -54,10 +54,10 @@ func goldenDataset() *Dataset {
 				NSDistanceKm: 7920.125,
 				Do53Ms:       88.5,
 				Do53Valid:    true,
-				DoH: map[anycast.ProviderID]DoHResult{
+				DoH: table(map[anycast.ProviderID]DoHResult{
 					anycast.Cloudflare: {Valid: false},
 					anycast.Google:     {Valid: false},
-				},
+				}),
 			},
 			{
 				ClientID:     "exit-US-000002",
@@ -68,14 +68,14 @@ func goldenDataset() *Dataset {
 				// Super-Proxy country: Do53 invalid, value left zero.
 				Do53Ms:    0,
 				Do53Valid: false,
-				DoH: map[anycast.ProviderID]DoHResult{
+				DoH: table(map[anycast.ProviderID]DoHResult{
 					anycast.Quad9: {
 						TDoHMs: 55.0625, TDoHRMs: 21.5,
 						PoPID: "q9-iad", PoPCountry: "US",
 						PoPDistanceKm: 1450.5, NearestPoPDistanceKm: 320.125,
 						Valid: true,
 					},
-				},
+				}),
 			},
 		},
 		AtlasDo53Ms: map[string]float64{"US": 23.4375, "DE": 18.125},

@@ -51,18 +51,20 @@ func sketchClients(clients []ClientRecord) *sketch.Set {
 	// Key strings are built once per provider and the country histogram
 	// is looked up once per run of same-country clients, not once per
 	// observation.
-	keys := make(map[anycast.ProviderID]*providerKeys, 4)
+	var keys anycast.PerProvider[*providerKeys]
 	keysFor := func(pid anycast.ProviderID) *providerKeys {
-		k := keys[pid]
-		if k == nil {
+		k, ok := keys.Get(pid)
+		if !ok {
 			k = newProviderKeys(pid)
-			keys[pid] = k
+			keys.Set(pid, k)
 		}
 		return k
 	}
 	var (
 		country    string
 		countryDoH *sketch.Histogram
+
+		providers = anycast.ProviderIDs()
 	)
 	for i := range clients {
 		c := &clients[i]
@@ -70,7 +72,8 @@ func sketchClients(clients []ClientRecord) *sketch.Set {
 			country = c.CountryCode
 			countryDoH = s.Touch("campaign_country_" + country + "_doh_ms")
 		}
-		for pid, res := range c.DoH {
+		for _, pid := range providers {
+			res, _ := c.DoH.Get(pid)
 			if !res.Valid {
 				continue
 			}
@@ -83,15 +86,17 @@ func sketchClients(clients []ClientRecord) *sketch.Set {
 		if c.Do53Valid {
 			s.Observe("campaign_do53_ms", msDuration(c.Do53Ms))
 		}
-		for tr, results := range c.Sessions {
-			for pid, res := range results {
+		for tr := range c.Sessions {
+			for _, pid := range providers {
+				res, _ := c.Sessions[tr].Get(pid)
 				if !res.Valid {
 					continue
 				}
 				s.Observe(keysFor(pid).session[tr], msDuration(res.FirstMs))
 			}
 		}
-		for pid, res := range c.Smart {
+		for _, pid := range providers {
+			res, _ := c.Smart.Get(pid)
 			if !res.Valid {
 				continue
 			}

@@ -26,7 +26,7 @@ func TestSketchQuantilesWithinOneBucket(t *testing.T) {
 		key := "campaign_doh_" + string(pid) + "_ms"
 		var xs []float64
 		for i := range ds.Clients {
-			if res := ds.Clients[i].DoH[pid]; res.Valid {
+			if res, _ := ds.Clients[i].DoH.Get(pid); res.Valid {
 				xs = append(xs, float64(msDuration(res.TDoHMs)))
 			}
 		}
@@ -122,7 +122,8 @@ func TestDoTBlockedRunsAccounted(t *testing.T) {
 		}
 		var sumBlockedRuns, partial int
 		for _, c := range ds.Clients {
-			for _, res := range c.Sessions[tr] {
+			for _, pid := range anycast.ProviderIDs() {
+				res, _ := c.Sessions[tr].Get(pid)
 				sumBlockedRuns += res.BlockedRuns
 				if res.BlockedRuns > 0 && res.Valid {
 					partial++
@@ -187,8 +188,8 @@ func TestCampaignObsSnapshot(t *testing.T) {
 	// Histogram counts line up with valid client records.
 	var validDoH, validDo53 int
 	for _, c := range ds.Clients {
-		for _, res := range c.DoH {
-			if res.Valid {
+		for _, pid := range anycast.ProviderIDs() {
+			if res, _ := c.DoH.Get(pid); res.Valid {
 				validDoH++
 			}
 		}

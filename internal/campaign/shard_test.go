@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/anycast"
+	"repro/internal/proxynet"
 	"repro/internal/world"
 )
 
@@ -392,6 +394,35 @@ func TestDiscardClientsKeepsAggregates(t *testing.T) {
 		w, g := full.Sketch.Get(key), ds.Sketch.Get(key)
 		if g == nil || w.Count() != g.Count() || w.Sum() != g.Sum() {
 			t.Errorf("sketch %s differs in discard mode", key)
+		}
+	}
+}
+
+// Merge returns records of its own: writing to a merged record's
+// per-provider tables reaches no part it was merged from.
+func TestMergeOwnsItsRecords(t *testing.T) {
+	a, err := Run(fiveTransportConfig("LU"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Run(fiveTransportConfig("MT"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]ClientRecord(nil), a.Clients...)
+	merged, err := Merge(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range merged.Clients {
+		c := &merged.Clients[i]
+		c.DoH.Set(anycast.Cloudflare, DoHResult{TDoHMs: -1})
+		c.Sessions[proxynet.DoT].Set(anycast.Google, SessionResult{FirstMs: -1})
+		c.Smart.Set(anycast.Quad9, SmartResult{Winner: "merged"})
+	}
+	for i := range a.Clients {
+		if a.Clients[i] != want[i] {
+			t.Fatalf("writing to the merged dataset changed part client %d:\n got %+v\nwant %+v", i, a.Clients[i], want[i])
 		}
 	}
 }

@@ -33,24 +33,24 @@ func TestSmartStrategyDerived(t *testing.T) {
 	valid := 0
 	for i := range ds.Clients {
 		c := &ds.Clients[i]
-		if c.Smart == nil {
-			t.Fatal("client missing Smart map with resolver.Smart enabled")
+		if c.Smart.Len() != anycast.NumProviders {
+			t.Fatalf("client has %d Smart results with resolver.Smart enabled", c.Smart.Len())
 		}
 		for _, pid := range anycast.ProviderIDs() {
-			res := c.Smart[pid]
+			res, _ := c.Smart.Get(pid)
 			// Recompute the race by hand.
 			type cand struct {
 				kind          resolver.Kind
 				first, steady float64
 			}
 			var cands []cand
-			if r := c.DoH[pid]; r.Valid {
+			if r, _ := c.DoH.Get(pid); r.Valid {
 				cands = append(cands, cand{resolver.DoH, r.TDoHMs, r.TDoHRMs})
 			}
-			if r := c.Sessions[proxynet.DoT][pid]; r.Valid {
+			if r, _ := c.Sessions[proxynet.DoT].Get(pid); r.Valid {
 				cands = append(cands, cand{resolver.DoT, r.FirstMs, r.ReusedMs})
 			}
-			if r := c.Sessions[proxynet.DoQ][pid]; r.Valid {
+			if r, _ := c.Sessions[proxynet.DoQ].Get(pid); r.Valid {
 				cands = append(cands, cand{resolver.DoQ, r.FirstMs, r.ReusedMs})
 			}
 			if len(cands) == 0 {

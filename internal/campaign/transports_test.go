@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/anycast"
 	"repro/internal/proxynet"
 	"repro/internal/resolver"
 )
@@ -98,7 +99,11 @@ func TestTransportStatsAccounted(t *testing.T) {
 	// DoT results must be populated when the transport is requested.
 	var dotResults, blocked int
 	for _, c := range ds.Clients {
-		for _, res := range c.Sessions[proxynet.DoT] {
+		for _, pid := range anycast.ProviderIDs() {
+			res, ok := c.Sessions[proxynet.DoT].Get(pid)
+			if !ok {
+				continue
+			}
 			dotResults++
 			if res.Valid && (res.FirstMs <= 0 || res.ReusedMs <= 0) {
 				t.Fatalf("client %s: valid DoT result with non-positive timings: %+v", c.ClientID, res)
@@ -149,12 +154,10 @@ func TestTransportSubsetSkipsMeasurements(t *testing.T) {
 		if !c.Do53Valid {
 			t.Errorf("client %s: Do53 invalid in BR", c.ClientID)
 		}
-		for _, res := range c.DoH {
-			if res.Valid {
-				t.Errorf("client %s: DoH measured though not requested", c.ClientID)
-			}
+		if c.DoH.Len() != 0 {
+			t.Errorf("client %s: DoH measured though not requested", c.ClientID)
 		}
-		if len(c.Sessions[proxynet.DoT]) != 0 {
+		if c.Sessions[proxynet.DoT].Len() != 0 {
 			t.Errorf("client %s: DoT measured though not requested", c.ClientID)
 		}
 	}

@@ -122,8 +122,9 @@ func (s *Suite) Table3() (*Report, error) {
 	for _, pid := range anycast.ProviderIDs() {
 		clients := 0
 		countries := map[string]bool{}
-		for _, c := range s.Dataset.Clients {
-			if res, ok := c.DoH[pid]; ok && res.Valid {
+		for i := range s.Dataset.Clients {
+			c := &s.Dataset.Clients[i]
+			if res, _ := c.DoH.Get(pid); res.Valid {
 				clients++
 				countries[c.CountryCode] = true
 			}
@@ -134,7 +135,8 @@ func (s *Suite) Table3() (*Report, error) {
 	// countries are covered by the Atlas remedy.
 	do53Clients := 0
 	do53Countries := map[string]bool{}
-	for _, c := range s.Dataset.Clients {
+	for i := range s.Dataset.Clients {
+		c := &s.Dataset.Clients[i]
 		if c.Do53Valid {
 			do53Clients++
 			do53Countries[c.CountryCode] = true
@@ -382,7 +384,8 @@ func (s *Suite) Figure7() (*Report, error) {
 func (s *Suite) Figure8() (*Report, error) {
 	byRegion := map[world.Region]int{}
 	prefixes := map[string]bool{}
-	for _, c := range s.Dataset.Clients {
+	for i := range s.Dataset.Clients {
+		c := &s.Dataset.Clients[i]
 		ct := world.MustByCode(c.CountryCode)
 		byRegion[ct.Region]++
 		prefixes[c.Prefix] = true

@@ -92,6 +92,85 @@ func TestMeasureAllocationFree(t *testing.T) {
 			t.Errorf("%s allocates %v times per call, want 0", name, n)
 		}
 	}
+	// Selecting into a reused node costs the one thing the dataset keeps
+	// of it: the ID string.
+	reused := new(ExitNode)
+	if n := testing.AllocsPerRun(200, func() {
+		if err := sim.SelectExitNodeInto("BR", reused); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("SelectExitNodeInto allocates %v times per call, want 1 (the ID)", n)
+	}
+}
+
+// A node selected into again is a fresh node: on two identically seeded
+// simulators, one reusing a single node for every client and one asking
+// for a new node per client, every observation and ground truth of all
+// four measurements agree, and so do the counters and both random
+// streams afterwards. The countries alternate in and out of Super-Proxy
+// countries (US, JP, DE), where a node carries three more route means.
+func TestSelectExitNodeIntoMatchesFresh(t *testing.T) {
+	countries := []string{"US", "BR", "JP", "KE", "KE", "DE", "IT"}
+	chaos := Chaos{ExitChurnProb: 0.2, HeaderCorruptProb: 0.3, ConnResetProb: 0.2}
+	for _, withChaos := range []bool{false, true} {
+		reused, fresh := NewSim(31), NewSim(31)
+		if withChaos {
+			reused.EnableChaos(131, chaos)
+			fresh.EnableChaos(131, chaos)
+		}
+		var node ExitNode
+		for i, code := range countries {
+			at := fmt.Sprintf("chaos=%v client %d (%s)", withChaos, i, code)
+			if err := reused.SelectExitNodeInto(code, &node); err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.SelectExitNode(code)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if node.ID != want.ID || node.Addr != want.Addr || node.Pos != want.Pos ||
+				node.ResolverOverhead != want.ResolverOverhead || node.SuperProxyCountry() != want.SuperProxyCountry() {
+				t.Fatalf("%s: reused node %s differs from fresh node %s", at, node.ID, want.ID)
+			}
+			name := fmt.Sprintf("%s-%d.a.com.", code, i)
+			gotO53, gotGT53 := reused.MeasureDo53(&node, name)
+			wantO53, wantGT53 := fresh.MeasureDo53(want, name)
+			if gotO53 != wantO53 || gotGT53 != wantGT53 {
+				t.Fatalf("%s: Do53\n got %+v %+v\nwant %+v %+v", at, gotO53, gotGT53, wantO53, wantGT53)
+			}
+			// The first use of each provider assigns its route: DoQ for
+			// one half of the clients, DoH for the other.
+			for _, pid := range anycast.ProviderIDs() {
+				if i%2 == 0 {
+					gotS, gotSGT := reused.MeasureSession(DoQ, &node, pid, name)
+					wantS, wantSGT := fresh.MeasureSession(DoQ, want, pid, name)
+					if gotS != wantS || gotSGT != wantSGT {
+						t.Fatalf("%s %s: DoQ\n got %+v %+v\nwant %+v %+v", at, pid, gotS, gotSGT, wantS, wantSGT)
+					}
+				}
+				gotO, gotGT := reused.MeasureDoH(&node, pid, name)
+				wantO, wantGT := fresh.MeasureDoH(want, pid, name)
+				if gotO != wantO || gotGT != wantGT {
+					t.Fatalf("%s %s: DoH\n got %+v %+v\nwant %+v %+v", at, pid, gotO, gotGT, wantO, wantGT)
+				}
+				gotS, gotSGT := reused.MeasureSession(DoT, &node, pid, name)
+				wantS, wantSGT := fresh.MeasureSession(DoT, want, pid, name)
+				if gotS != wantS || gotSGT != wantSGT {
+					t.Fatalf("%s %s: DoT\n got %+v %+v\nwant %+v %+v", at, pid, gotS, gotSGT, wantS, wantSGT)
+				}
+			}
+		}
+		if g, w := reused.Stats(), fresh.Stats(); g != w {
+			t.Errorf("chaos=%v: stats %+v, want %+v", withChaos, g, w)
+		}
+		if g, w := reused.Rand.Int63(), fresh.Rand.Int63(); g != w {
+			t.Errorf("chaos=%v: random stream diverged (next Int63 %d, want %d)", withChaos, g, w)
+		}
+		if withChaos && reused.chaos.rng.Int63() != fresh.chaos.rng.Int63() {
+			t.Error("chaos stream diverged")
+		}
+	}
 }
 
 func TestExitIDMatchesSprintf(t *testing.T) {

@@ -153,7 +153,8 @@ func NewSim(seed int64) *Sim {
 // provider — at the first measurement or PoPFor that names it, which is
 // where the assignment's random draws fall — the PoP, its two
 // distances and the two route means through it. The exported position
-// fields are therefore read-only once SelectExitNode returns.
+// fields are therefore read-only once SelectExitNode (or
+// SelectExitNodeInto) returns, until the node is selected into again.
 type ExitNode struct {
 	// ID is the Super Proxy's stable identifier for the node; the
 	// paper counts unique clients by it.
@@ -189,7 +190,7 @@ type ExitNode struct {
 	// pops holds one route per provider measured so far, in order of
 	// first use; popBuf is its backing store for the usual four.
 	pops   []popRoute
-	popBuf [4]popRoute
+	popBuf [anycast.NumProviders]popRoute
 }
 
 // popRoute is a node's fixed route to one provider: the anycast
@@ -231,19 +232,32 @@ func (e *ExitNode) resolverSvc() time.Duration {
 // SelectExitNode asks the Super Proxy for a fresh exit node in the
 // given country, as the paper does per measurement run.
 func (s *Sim) SelectExitNode(countryCode string) (*ExitNode, error) {
+	node := new(ExitNode)
+	if err := s.SelectExitNodeInto(countryCode, node); err != nil {
+		return nil, err
+	}
+	return node, nil
+}
+
+// SelectExitNodeInto is SelectExitNode into a node the caller owns, so
+// that one node serves client after client: every field is overwritten
+// and the routes of the node's previous client are forgotten. It draws
+// from Rand exactly as SelectExitNode does and allocates only the ID.
+// On an error node is left as it was.
+func (s *Sim) SelectExitNodeInto(countryCode string, node *ExitNode) error {
 	ct, ok := world.ByCode(countryCode)
 	if !ok {
-		return nil, fmt.Errorf("proxynet: unknown country %q", countryCode)
+		return fmt.Errorf("proxynet: unknown country %q", countryCode)
 	}
 	addr, err := s.Alloc.Next(countryCode)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.exitCounter++
 	atomic.AddInt64(&s.stats.exitNodes, 1)
 	pos := geo.Jitter(ct.Centroid, 420, s.Rand.Float64(), s.Rand.Float64())
 	resolverPos := geo.Jitter(ct.Centroid, 120, s.Rand.Float64(), s.Rand.Float64())
-	node := &ExitNode{
+	*node = ExitNode{
 		ID:      exitID(countryCode, s.exitCounter),
 		Country: ct,
 		Addr:    addr,
@@ -277,7 +291,7 @@ func (s *Sim) SelectExitNode(countryCode string) (*ExitNode, error) {
 		node.meanRL = s.Model.MeanOneWay(spResolver, s.Lab)
 		node.meanSL = s.Model.MeanOneWay(node.super, s.Lab)
 	}
-	return node, nil
+	return nil
 }
 
 // exitID renders fmt.Sprintf("exit-%s-%06d", code, n) for n >= 0,

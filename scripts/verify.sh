@@ -31,7 +31,13 @@ step "unit tests (all packages)"
 # (TestSiteDistanceBitIdentical) and the PoP site table against a
 # table-less Provider (TestSiteTableMatchesProviderLiteral), the string
 # chunks' rollover (TestNameScratchSurvivesChunkRollover), the pinned
-# export hash, the golden CSV round trips, the campaign sketch's
+# export hash and journal hash (TestJournalHashPinned), a journal record
+# of the map-based shape restoring (TestJournalRestoresMapShapedRecord),
+# a reused exit node against fresh ones
+# (TestSelectExitNodeIntoMatchesFresh), merged records owned by the
+# merge (TestMergeOwnsItsRecords), the CSV readers' refusals
+# (TestReadersRejectUnknownProvider, TestReadCSVRejectsInvalidNumbers),
+# the golden CSV round trips, the campaign sketch's
 # quantiles against exact ones (TestSketchQuantilesWithinOneBucket), the
 # hit path's parent-path oracle (TestAnswersMatchTheParentPath), the RRL
 # bucket test and the fuzz corpora (FuzzHintedDecode's and
