@@ -215,8 +215,8 @@ func (s *Server) serveMessage(_ context.Context, out, raw []byte, src net.Addr) 
 
 // handlePacket parses a raw query and produces the response message,
 // or nil when the input is unparseable. The response comes from the
-// message pool and shares nothing with anyone (zone lookups return
-// copies), so the caller puts it back once it is packed.
+// message pool and shares nothing with anyone (zone lookups copy into
+// it), so the caller puts it back once it is packed.
 func (s *Server) handlePacket(raw []byte, src netip.AddrPort, proto string) *dnswire.Message {
 	// The decode target is pooled: the response only shares immutable
 	// strings and zone-owned records with it, never its slices.
@@ -268,7 +268,7 @@ func (s *Server) answer(q, resp *dnswire.Message) {
 		return
 	}
 	question := q.Questions[0]
-	rrs, result := s.Zone.Lookup(question.Name, question.Type)
+	rrs, result := s.Zone.lookupInto(resp.Answers[:0], question.Name, question.Type)
 	switch result {
 	case Success:
 		resp.Answers = rrs

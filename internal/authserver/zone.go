@@ -27,11 +27,11 @@ type Zone struct {
 
 	mu       sync.RWMutex
 	rrsets   map[rrKey][]dnswire.ResourceRecord
-	names    map[dnswire.Name]bool // existing owner names, for NXDOMAIN vs NODATA
+	names    map[dnswire.Name]bool // existing names (owners, wildcards, empty non-terminals)
 	soa      dnswire.ResourceRecord
 	haveSOA  bool
 	nsNames  []dnswire.ResourceRecord
-	wildcard map[dnswire.Name][]dnswire.ResourceRecord // wildcard base name -> records
+	wildcard map[dnswire.Name][]dnswire.ResourceRecord // wildcard base name -> records (none for an empty non-terminal)
 	// delegations maps subzone cuts (NS records below the apex) to
 	// their NS RRsets; queries at or under a cut yield referrals.
 	delegations map[dnswire.Name][]dnswire.ResourceRecord
@@ -52,8 +52,8 @@ func NewZone(origin dnswire.Name) *Zone {
 func (z *Zone) Origin() dnswire.Name { return z.origin }
 
 // Add inserts a record. Wildcard owner names ("*.a.com.") register
-// wildcard RRsets that synthesize answers for any non-existent name
-// under their base.
+// wildcard RRsets that synthesize answers for names under their base
+// that do not exist (RFC 4592).
 func (z *Zone) Add(rr dnswire.ResourceRecord) error {
 	name := rr.Name.Canonical()
 	if rr.Data == nil {
@@ -65,10 +65,9 @@ func (z *Zone) Add(rr dnswire.ResourceRecord) error {
 	if rr.Class == 0 {
 		rr.Class = dnswire.ClassIN
 	}
-	labels := name.Labels()
-	isWildcard := len(labels) > 0 && labels[0] == "*"
+	wildcard := isWildcard(name)
 	base := name
-	if isWildcard {
+	if wildcard {
 		base = name.Parent()
 	}
 	if !base.IsSubdomainOf(z.origin) {
@@ -76,18 +75,12 @@ func (z *Zone) Add(rr dnswire.ResourceRecord) error {
 	}
 	z.mu.Lock()
 	defer z.mu.Unlock()
-	if isWildcard {
+	z.register(name)
+	if wildcard {
 		z.wildcard[base] = append(z.wildcard[base], rr)
 		return nil
 	}
 	z.rrsets[rrKey{name, rr.Type}] = append(z.rrsets[rrKey{name, rr.Type}], rr)
-	// Register the owner and all empty non-terminals up to the apex.
-	for n := name; ; n = n.Parent() {
-		z.names[n] = true
-		if n.Equal(z.origin) || n.IsRoot() {
-			break
-		}
-	}
 	if rr.Type == dnswire.TypeSOA && name.Equal(z.origin) {
 		z.soa = rr
 		z.haveSOA = true
@@ -102,6 +95,28 @@ func (z *Zone) Add(rr dnswire.ResourceRecord) error {
 	}
 	return nil
 }
+
+// register marks name and every empty non-terminal above it, up to the
+// apex, as existing. A wildcard among them is a source of synthesis for
+// its parent even when it owns no records itself (RFC 4592 §4.9, an
+// empty non-terminal wildcard): what it synthesizes is NODATA, not
+// NXDOMAIN.
+func (z *Zone) register(name dnswire.Name) {
+	for n := name; ; n = n.Parent() {
+		z.names[n] = true
+		if isWildcard(n) {
+			if _, ok := z.wildcard[n.Parent()]; !ok {
+				z.wildcard[n.Parent()] = nil
+			}
+		}
+		if n.Equal(z.origin) || n.IsRoot() {
+			break
+		}
+	}
+}
+
+// isWildcard reports whether name's first label is "*".
+func isWildcard(name dnswire.Name) bool { return strings.HasPrefix(string(name), "*.") }
 
 // SetSOA installs a standard SOA at the apex.
 func (z *Zone) SetSOA(mname, rname dnswire.Name, serial uint32) error {
@@ -133,9 +148,19 @@ const (
 )
 
 // Lookup resolves (name, typ) within the zone, applying wildcard
-// synthesis (RFC 1034 §4.3.3): a wildcard matches only names that do
-// not exist explicitly.
+// synthesis (RFC 4592): a wildcard answers only for a name that does not
+// exist, and only the wildcard directly below the name's closest
+// encloser — its nearest existing ancestor — may. The records are the
+// caller's own copy.
 func (z *Zone) Lookup(name dnswire.Name, typ dnswire.Type) ([]dnswire.ResourceRecord, LookupResult) {
+	return z.lookupInto(nil, name, typ)
+}
+
+// lookupInto is Lookup with an answer's records (Success) appended to
+// dst, so a server builds the answer section in its reply's own storage;
+// a referral's NS set is a fresh copy. Nothing returned aliases the
+// zone's storage.
+func (z *Zone) lookupInto(dst []dnswire.ResourceRecord, name dnswire.Name, typ dnswire.Type) ([]dnswire.ResourceRecord, LookupResult) {
 	name = name.Canonical()
 	if !name.IsSubdomainOf(z.origin) {
 		return nil, NotInZone
@@ -154,67 +179,72 @@ func (z *Zone) Lookup(name dnswire.Name, typ dnswire.Type) ([]dnswire.ResourceRe
 	}
 
 	if z.names[name] {
-		if rrs := z.matchType(z.rrsets[rrKey{name, typ}], typ, name); len(rrs) > 0 {
-			return rrs, Success
+		if isWildcard(name) {
+			// The wildcard's own name is answered from its records as
+			// they stand (RFC 4592 §2.3: in a query it is not special).
+			return synthesize(dst, z.wildcard[name.Parent()], name, typ)
+		}
+		if rrs := z.rrsets[rrKey{name, typ}]; len(rrs) > 0 && typ != dnswire.TypeANY {
+			return append(dst, rrs...), Success
 		}
 		// CNAME at the name answers any type (except when the query
 		// asked for the CNAME itself, handled above).
 		if rrs := z.rrsets[rrKey{name, dnswire.TypeCNAME}]; len(rrs) > 0 && typ != dnswire.TypeCNAME {
-			return append([]dnswire.ResourceRecord(nil), rrs...), Success
+			return append(dst, rrs...), Success
 		}
 		if typ == dnswire.TypeANY {
-			var all []dnswire.ResourceRecord
+			n := len(dst)
 			for k, rrs := range z.rrsets {
 				if k.name == name {
-					all = append(all, rrs...)
+					dst = append(dst, rrs...)
 				}
 			}
-			if len(all) > 0 {
-				return all, Success
+			if len(dst) > n {
+				return dst, Success
 			}
 		}
 		return nil, NoData
 	}
 
-	// Wildcard synthesis: walk ancestors looking for a wildcard base.
-	for base := name.Parent(); ; base = base.Parent() {
-		if rrs, ok := z.wildcard[base]; ok {
-			return synthesize(rrs, name, typ)
-		}
-		if base.Equal(z.origin) || base.IsRoot() {
+	// The name does not exist: find its closest encloser (RFC 4592
+	// §3.3.1). Only a wildcard directly below it synthesizes; one
+	// further up is shadowed by the existing name between.
+	ce := name
+	for ce != z.origin {
+		ce = ce.Parent()
+		if z.names[ce] {
 			break
 		}
+	}
+	if rrs, ok := z.wildcard[ce]; ok {
+		return synthesize(dst, rrs, name, typ)
 	}
 	return nil, NXDomain
 }
 
-func (z *Zone) matchType(rrs []dnswire.ResourceRecord, typ dnswire.Type, name dnswire.Name) []dnswire.ResourceRecord {
-	if typ == dnswire.TypeANY {
-		return nil // handled by caller
-	}
-	return append([]dnswire.ResourceRecord(nil), rrs...)
-}
-
-// synthesize copies wildcard records onto the queried owner name.
-func synthesize(rrs []dnswire.ResourceRecord, name dnswire.Name, typ dnswire.Type) ([]dnswire.ResourceRecord, LookupResult) {
-	var out []dnswire.ResourceRecord
-	var cname []dnswire.ResourceRecord
+// synthesize appends the wildcard's records of the asked type (every
+// record for ANY), or failing those its CNAME, to dst with name as their
+// owner.
+func synthesize(dst, rrs []dnswire.ResourceRecord, name dnswire.Name, typ dnswire.Type) ([]dnswire.ResourceRecord, LookupResult) {
+	n := len(dst)
 	for _, rr := range rrs {
-		rr.Name = name
-		switch {
-		case rr.Type == typ || typ == dnswire.TypeANY:
-			out = append(out, rr)
-		case rr.Type == dnswire.TypeCNAME:
-			cname = append(cname, rr)
+		if rr.Type == typ || typ == dnswire.TypeANY {
+			rr.Name = name
+			dst = append(dst, rr)
 		}
 	}
-	if len(out) > 0 {
-		return out, Success
+	if len(dst) == n {
+		for _, rr := range rrs {
+			if rr.Type == dnswire.TypeCNAME {
+				rr.Name = name
+				dst = append(dst, rr)
+			}
+		}
 	}
-	if len(cname) > 0 {
-		return cname, Success
+	if len(dst) == n {
+		return nil, NoData
 	}
-	return nil, NoData
+	return dst, Success
 }
 
 // Glue returns address records stored at name even when the name

@@ -2,8 +2,11 @@ package cache
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -183,10 +186,14 @@ func TestPutAllocatesTheEntryOnly(t *testing.T) {
 	}
 }
 
-// TestDoAloneAllocatesTheFlightOnly: the channel waiters park on is
-// made by the first of them, so a Do nobody joins — nearly every miss —
-// costs the flight and no channel. It was two.
-func TestDoAloneAllocatesTheFlightOnly(t *testing.T) {
+// TestDoAloneAllocatesNothing: the channel waiters park on is made by
+// the first of them, and a flight nobody joined goes back to a pool once
+// its leader is done, so a Do nobody joins — nearly every miss — costs
+// nothing. It read two, then one (the flight).
+func TestDoAloneAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
 	c, _ := newTestCache(64)
 	msg := answer("alone.a.com.", 60)
 	fn := func() (*dnswire.Message, error) { return msg, nil }
@@ -196,7 +203,108 @@ func TestDoAloneAllocatesTheFlightOnly(t *testing.T) {
 			t.Fatalf("Do = %v, %v, %v", got, shared, err)
 		}
 	})
-	if n > 1 {
-		t.Errorf("Do with no waiter: %.1f allocs, want 1", n)
+	if n != 0 {
+		t.Errorf("Do with no waiter: %.1f allocs, want 0", n)
+	}
+}
+
+// TestRecycledFlightsKeepTheirResults: joined flights and lone ones run
+// side by side for many rounds, so flights recycled by lone leaders are
+// reused by leaders that others join and the other way round. Every
+// caller gets its own key's result — a flight recycled while a waiter
+// still held it would hand that waiter another key's result, or none —
+// and SharedFlights counts exactly the waiters. Run it under -race with
+// -count=20.
+func TestRecycledFlightsKeepTheirResults(t *testing.T) {
+	const (
+		rounds  = 20
+		joined  = 4 // keys with a leader held in fn while waiters join
+		waiters = 3 // per joined key
+		lone    = 4 // keys only ever asked for by one goroutine
+		loneDos = 50
+	)
+	c, _ := newTestCache(64)
+	ctx := context.Background()
+	key := func(kind string, i int) dnswire.Name { return dnswire.Name(fmt.Sprintf("%s%d.a.com.", kind, i)) }
+	msgs := make(map[dnswire.Name]*dnswire.Message)
+	for i := 0; i < joined; i++ {
+		msgs[key("j", i)] = answer(key("j", i), 60)
+	}
+	for i := 0; i < lone; i++ {
+		msgs[key("l", i)] = answer(key("l", i), 60)
+	}
+	// Odd keys fail: an error is a result the waiters must share too.
+	result := func(name dnswire.Name) (*dnswire.Message, error) {
+		if name[1] == '1' || name[1] == '3' {
+			return nil, errors.New(string(name))
+		}
+		return msgs[name], nil
+	}
+	check := func(name dnswire.Name, got *dnswire.Message, err error) {
+		want, wantErr := result(name)
+		if got != want || (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Errorf("%s: got %v, %v; want %v, %v", name, got, err, want, wantErr)
+		}
+	}
+
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		release := make(chan struct{})
+		for i := 0; i < joined; i++ {
+			name := key("j", i)
+			entered := make(chan struct{})
+			wg.Add(1 + waiters)
+			go func() {
+				defer wg.Done()
+				got, shared, err := c.Do(ctx, name, dnswire.TypeA, func() (*dnswire.Message, error) {
+					close(entered)
+					<-release
+					return result(name)
+				})
+				if shared {
+					t.Errorf("%s: the leader reported a shared flight", name)
+				}
+				check(name, got, err)
+			}()
+			<-entered
+			for w := 0; w < waiters; w++ {
+				go func() {
+					defer wg.Done()
+					got, shared, err := c.Do(ctx, name, dnswire.TypeA, func() (*dnswire.Message, error) {
+						t.Errorf("%s: a waiter ran fn while the leader was in flight", name)
+						return nil, nil
+					})
+					if !shared {
+						t.Errorf("%s: a waiter led its own flight", name)
+					}
+					check(name, got, err)
+				}()
+			}
+		}
+		for i := 0; i < lone; i++ {
+			name := key("l", i)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for n := 0; n < loneDos; n++ {
+					got, shared, err := c.Do(ctx, name, dnswire.TypeA, func() (*dnswire.Message, error) { return result(name) })
+					if shared {
+						t.Errorf("%s: a lone caller joined a flight", name)
+					}
+					check(name, got, err)
+				}
+			}()
+		}
+		want := int64((round + 1) * joined * waiters)
+		for deadline := time.Now().Add(10 * time.Second); c.Stats().SharedFlights < want; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: SharedFlights = %d, want %d", round, c.Stats().SharedFlights, want)
+			}
+		}
+		close(release)
+		wg.Wait()
+		if got := c.Stats().SharedFlights; got != want {
+			t.Fatalf("round %d: SharedFlights = %d, want exactly %d", round, got, want)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"context"
+	"sync"
 
 	"repro/internal/dnswire"
 )
@@ -15,6 +16,12 @@ type flight struct {
 	msg  *dnswire.Message
 	err  error
 }
+
+// flightPool recycles flights nobody joined. Waiters only take a flight,
+// and set its done, under flightMu, so once the leader has removed its
+// flight from inflight under that lock a nil done proves no one else
+// holds it.
+var flightPool = sync.Pool{New: func() any { return new(flight) }}
 
 // Do collapses concurrent misses for (name, typ): the first caller
 // runs fn, every concurrent caller blocks until that resolution
@@ -47,17 +54,21 @@ func (c *Cache) Do(ctx context.Context, name dnswire.Name, typ dnswire.Type, fn 
 			return nil, true, ctx.Err()
 		}
 	}
-	f := &flight{}
+	f := flightPool.Get().(*flight)
 	c.inflight[k] = f
 	c.flightMu.Unlock()
 
-	f.msg, f.err = fn()
+	msg, err = fn()
+	f.msg, f.err = msg, err
 	c.flightMu.Lock()
 	delete(c.inflight, k)
 	done := f.done
 	c.flightMu.Unlock()
 	if done != nil {
-		close(done)
+		close(done) // the waiters own f now
+	} else {
+		*f = flight{}
+		flightPool.Put(f)
 	}
-	return f.msg, false, f.err
+	return msg, false, err
 }

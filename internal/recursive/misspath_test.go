@@ -36,9 +36,13 @@ func cannedNames(n int) ([]dnswire.Name, cannedZone) {
 
 // TestResolveMissAllocBudget: a miss through the resolver — zone
 // match, flight, upstream, insert into a full cache, answer — costs the
-// flight and the cache entry. It read 6 with the flight's channel, the
-// list element, the Labels() split and the leader's private copy.
+// cache entry: the flight nobody joined is recycled. It read 6 with the
+// flight's channel, the list element, the Labels() split and the
+// leader's private copy, then 2 with the flight.
 func TestResolveMissAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
 	names, zone := cannedNames(2048)
 	r := New(cache.New(cache.Config{MaxEntries: 256}))
 	r.AddZone("a.com.", zone)
@@ -60,7 +64,7 @@ func TestResolveMissAllocBudget(t *testing.T) {
 	for range names[:512] { // fill the cache: the measured inserts all evict
 		resolve()
 	}
-	const budget = 3
+	const budget = 1
 	n := testing.AllocsPerRun(1000, resolve)
 	t.Logf("recursive miss over a canned upstream: %.1f allocs", n)
 	if n > budget {

@@ -2,6 +2,7 @@ package resolver
 
 import (
 	"context"
+	"sync"
 	"time"
 
 	"repro/internal/cache"
@@ -126,6 +127,11 @@ func Apply(r Resolver, p Policy) Resolver {
 // start at the same call. The bound is a deadline.Lazy: a transport
 // that reads ctx.Deadline() into a socket deadline (all three do) is
 // bounded without a timer, and one that waits on Done gets a real one.
+//
+// The Lazy comes from a pool and goes back when next returns, so next
+// must keep the rule stated on Resolver: ctx is its own only until it
+// returns. Apply places this layer directly over a wire transport, which
+// never outlives its call.
 func WithTimeout(next Resolver, perAttempt, overall time.Duration) Resolver {
 	bound := perAttempt
 	if bound <= 0 || overall > 0 && overall < bound {
@@ -135,10 +141,21 @@ func WithTimeout(next Resolver, perAttempt, overall time.Duration) Resolver {
 		return next
 	}
 	return Func(func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, Timing, error) {
-		bounded := deadline.New(ctx, bound)
-		defer bounded.Stop()
+		bounded := boundPool.Get().(*deadline.Lazy)
+		bounded.Reset(ctx, time.Now().Add(bound))
+		defer releaseBound(bounded)
 		return next.Resolve(bounded, q)
 	})
+}
+
+// boundPool holds WithTimeout's attempt bounds between calls.
+var boundPool = sync.Pool{New: func() any { return new(deadline.Lazy) }}
+
+// releaseBound ends an attempt's bound — cancelling whatever the callee
+// derived from it — and returns it to the pool.
+func releaseBound(c *deadline.Lazy) {
+	c.Stop()
+	boundPool.Put(c)
 }
 
 // The retry backoff schedule: capped exponential, with a total budget.

@@ -75,6 +75,12 @@ type Timing = dnsclient.Timing
 
 // Resolver is the transport-agnostic resolution API. Implementations
 // must be safe for concurrent use.
+//
+// ctx is the implementation's only until Resolve returns: the caller
+// may reset and reuse it for another call from then on. WithTimeout
+// hands each attempt a pooled deadline.Lazy, stopped — cancelling
+// whatever was derived from it — and put back when the attempt returns,
+// as the serve engine does with each query's.
 type Resolver interface {
 	// Resolve sends q and returns the response with its per-phase
 	// timing. The returned message is nil exactly when err is non-nil.

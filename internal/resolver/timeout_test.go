@@ -6,6 +6,8 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,10 +19,13 @@ import (
 )
 
 // TestWithTimeoutUnarmedAllocBudget: bounding an attempt that never
-// waits on its context costs the lazy deadline itself and nothing
-// else. context.WithTimeout read 5 here (timer context, timer, stop
-// closure), 7 once a child derived from it.
+// waits on its context costs nothing: the lazy deadline comes from a
+// pool. context.WithTimeout read 5 here (timer context, timer, stop
+// closure), 7 once a child derived from it; a fresh deadline.Lazy read 1.
 func TestWithTimeoutUnarmedAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
 	q := Query("t.a.com.", dnswire.TypeA)
 	canned := q.Reply()
 	var complaint string
@@ -50,10 +55,70 @@ func TestWithTimeoutUnarmedAllocBudget(t *testing.T) {
 		if complaint != "" {
 			t.Fatalf("%s: %s", name, complaint)
 		}
-		if n > 1 {
-			t.Errorf("%s: %.1f allocs per unarmed WithTimeout, budget 1", name, n)
+		if n != 0 {
+			t.Errorf("%s: %.1f allocs per unarmed WithTimeout, want 0", name, n)
 		}
 	}
+}
+
+// TestPooledBoundIsEachAttemptsOwn: concurrent attempts share one pool
+// of bounds, some arming theirs with Done and some not. Each attempt
+// gets a bound that starts unarmed, sits under its own caller's context
+// and carries its own deadline for the whole call, and an armed bound's
+// Done is closed by the time Resolve returns — the Stop that comes
+// before it goes back to the pool. Run it under -race.
+func TestPooledBoundIsEachAttemptsOwn(t *testing.T) {
+	const (
+		bound    = time.Minute
+		workers  = 8
+		attempts = 300
+	)
+	type caller struct{}
+	var armedDone [workers]<-chan struct{}
+	next := Func(func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, Timing, error) {
+		w := ctx.Value(caller{}).(int)
+		lazy, ok := ctx.(*deadline.Lazy)
+		if !ok || lazy.Armed() || ctx.Err() != nil {
+			t.Errorf("worker %d: attempt bound %T armed or dead on entry", w, ctx)
+		}
+		d, _ := ctx.Deadline()
+		if w%2 == 0 {
+			armedDone[w] = ctx.Done()
+		}
+		runtime.Gosched() // let the other workers take and return bounds
+		if got, _ := ctx.Deadline(); got != d || ctx.Value(caller{}) != w || ctx.Err() != nil {
+			t.Errorf("worker %d: the bound changed under the attempt", w)
+		}
+		if until := time.Until(d); until <= 0 || until > bound {
+			t.Errorf("worker %d: deadline %v from now, want within %v", w, until, bound)
+		}
+		return q.Reply(), Timing{Attempts: 1}, nil
+	})
+	r := WithTimeout(next, bound, 0)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx := context.WithValue(context.Background(), caller{}, w)
+			q := Query("t.a.com.", dnswire.TypeA)
+			for i := 0; i < attempts; i++ {
+				if _, _, err := r.Resolve(ctx, q); err != nil {
+					t.Error(err)
+					return
+				}
+				if done := armedDone[w]; done != nil {
+					select {
+					case <-done:
+					default:
+						t.Errorf("worker %d: an armed bound was still live after Resolve returned", w)
+					}
+					armedDone[w] = nil
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestWithTimeoutNoBound: with neither bound set there is nothing to

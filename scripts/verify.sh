@@ -23,10 +23,13 @@ step "unit tests (all packages)"
 # TestRawQueryAllocs, TestServeHTTPAllocBudget,
 # TestQueryTimeoutAllocationFree, TestBatchAllocationFree,
 # TestWithTimeoutUnarmedAllocBudget, TestResolveMissAllocBudget,
+# TestDoAloneAllocatesNothing, TestWildcardAnswerAllocBudget,
 # TestRememberedWinnerAllocationFree, TestCampaignAllocBudget,
 # TestNameScratchAllocs, TestMeasureAllocationFree,
 # TestAnswerHitAllocationFree, TestResolveHitAllocBudget and the
-# dnswire, cache and authserver ones), the campaign's timeline oracle
+# dnswire, cache and authserver ones), RFC 4592's wildcard examples
+# (TestWildcardClosestEncloser), the measurement zone's pinned replies
+# (TestMeasurementZoneAnswersPinned), the campaign's timeline oracle
 # and transport-table rows, the haversine's bit identity
 # (TestSiteDistanceBitIdentical) and the PoP site table against a
 # table-less Provider (TestSiteTableMatchesProviderLiteral), the string
@@ -51,7 +54,7 @@ step "race gates (concurrency-heavy packages)"
 # and TestHedgingOverDoTTakesASecondConnection.
 go test -race ./internal/cache/... ./internal/resolver/... \
 	./internal/campaign/... ./internal/proxynet/... ./internal/obs/... \
-	./internal/checkpoint/... ./internal/anycast/...
+	./internal/checkpoint/... ./internal/anycast/... ./internal/authserver/...
 go test -race ./internal/serve/...
 go test -race ./internal/smart/...
 go test -race ./internal/dohclient/... ./internal/dohserver/...
@@ -68,6 +71,10 @@ go test -race ./internal/deadline/... ./internal/recursive/... ./internal/dot/..
 step "one singleflight, one lifecycle (the recursor's shared flights are the cache's, its TCP side answers what UDP truncates, the DoH front's lifecycle)"
 go test -race ./internal/recursive/ -run 'TestSharedFlightIsCounted|TestRecursorAnswersOverTCP'
 go test -race ./internal/dohserver/ -run 'TestServerLifecycle|TestServerShutdownForcesOnExpiry'
+
+step "a miss allocates only what it keeps (a recycled flight keeps its result, a pooled attempt bound is each attempt's own; race)"
+go test -race -count=20 ./internal/cache/ -run TestRecycledFlightsKeepTheirResults
+go test -race ./internal/resolver/ -run 'TestPooledBoundIsEachAttemptsOwn|TestAttemptTimeoutBoundsSilentUpstream'
 
 step "the hit path (concurrent hits across fronts, one lookup per query, the asker's question, flights without sleeps; race)"
 go test -race ./internal/dohserver/ -run \
