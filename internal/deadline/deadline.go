@@ -33,19 +33,15 @@ import (
 //     derived from it. A Lazy first used after Stop is cancelled from
 //     the start.
 //
-// The zero value is not a valid context; use New, or Reset one that the
-// caller owns and reuses (the serve engine keeps one per worker).
+// The zero value is not a valid context; Reset one that the caller owns
+// and reuses (the serve engine keeps one per worker, the resolver's
+// timeout layer takes its from a pool).
 type Lazy struct {
 	mu       sync.Mutex
 	parent   context.Context
 	deadline time.Time
 	armed    context.Context    // nil until Done is asked for, or Stop
 	cancel   context.CancelFunc // non-nil only while armed holds a timer
-}
-
-// New returns a context that expires d from now.
-func New(parent context.Context, d time.Duration) *Lazy {
-	return &Lazy{parent: parent, deadline: time.Now().Add(d)}
 }
 
 // Reset stops c and makes it a fresh context under parent that expires

@@ -8,12 +8,20 @@ import (
 	"time"
 )
 
+// reset builds a Lazy the way its owners do: Reset on storage the caller
+// holds, here to expire d from now.
+func reset(parent context.Context, d time.Duration) *Lazy {
+	c := new(Lazy)
+	c.Reset(parent, time.Now().Add(d))
+	return c
+}
+
 // TestLazyUnarmedAnswersWithoutTimer: Deadline, Err and Value are
 // answered from the struct; none of them builds the timer context.
 func TestLazyUnarmedAnswersWithoutTimer(t *testing.T) {
 	type key struct{}
 	parent := context.WithValue(context.Background(), key{}, "v")
-	c := New(parent, time.Hour)
+	c := reset(parent, time.Hour)
 	defer c.Stop()
 	if d, ok := c.Deadline(); !ok || time.Until(d) > time.Hour || time.Until(d) < 59*time.Minute {
 		t.Errorf("Deadline() = %v, %v", d, ok)
@@ -60,7 +68,7 @@ func TestLazyErrByClock(t *testing.T) {
 // Lazy, and a parent's earlier deadline is the one reported.
 func TestLazyParentErrWins(t *testing.T) {
 	parent, cancel := context.WithCancel(context.Background())
-	c := New(parent, time.Hour)
+	c := reset(parent, time.Hour)
 	defer c.Stop()
 	cancel()
 	if err := c.Err(); err != context.Canceled {
@@ -72,7 +80,7 @@ func TestLazyParentErrWins(t *testing.T) {
 	early, cancelEarly := context.WithTimeout(context.Background(), time.Minute)
 	defer cancelEarly()
 	want, _ := early.Deadline()
-	c2 := New(early, time.Hour)
+	c2 := reset(early, time.Hour)
 	defer c2.Stop()
 	if d, _ := c2.Deadline(); !d.Equal(want) {
 		t.Errorf("Deadline() = %v, want the parent's %v", d, want)
@@ -82,7 +90,7 @@ func TestLazyParentErrWins(t *testing.T) {
 // TestLazyFiresForAWaiter: someone parked on Done is woken at the
 // deadline, without a goroutine of package context's in between.
 func TestLazyFiresForAWaiter(t *testing.T) {
-	c := New(context.Background(), 30*time.Millisecond)
+	c := reset(context.Background(), 30*time.Millisecond)
 	defer c.Stop()
 	before := runtime.NumGoroutine()
 	child, cancel := context.WithCancel(c)
@@ -109,7 +117,7 @@ func TestLazyFiresForAWaiter(t *testing.T) {
 // which is what stops its runtime timer — and with it everything
 // derived; Stop on an unarmed one never builds a timer at all.
 func TestLazyStopLeavesNothingArmed(t *testing.T) {
-	c := New(context.Background(), time.Hour)
+	c := reset(context.Background(), time.Hour)
 	child, cancel := context.WithTimeout(c, time.Hour)
 	defer cancel()
 	done := c.Done()
@@ -125,7 +133,7 @@ func TestLazyStopLeavesNothingArmed(t *testing.T) {
 		t.Errorf("Err() = %v after Stop, want Canceled", err)
 	}
 
-	idle := New(context.Background(), time.Hour)
+	idle := reset(context.Background(), time.Hour)
 	idle.Stop()
 	if idle.Armed() {
 		t.Error("Stop armed an idle context")
@@ -188,7 +196,7 @@ func TestLazyResetStartsAfresh(t *testing.T) {
 // TestLazyConcurrentUse: every method from many goroutines at once, for
 // the race detector.
 func TestLazyConcurrentUse(t *testing.T) {
-	c := New(context.Background(), 20*time.Millisecond)
+	c := reset(context.Background(), 20*time.Millisecond)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)

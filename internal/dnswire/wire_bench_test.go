@@ -58,8 +58,8 @@ func BenchmarkWirePackUnpack(b *testing.B) {
 }
 
 // BenchmarkWirePackUnpackLegacy is the same round trip through the
-// allocating wrappers, kept for before/after comparison in
-// BENCH_wire.json.
+// allocating wrappers, kept for before/after comparison with
+// BenchmarkWirePackUnpack.
 func BenchmarkWirePackUnpackLegacy(b *testing.B) {
 	src := benchResponse()
 	b.ReportAllocs()

@@ -1,10 +1,7 @@
 // Package batchio provides the platform layer under the serving
-// engine: SO_REUSEPORT socket creation and batched datagram I/O
-// (recvmmsg/sendmmsg on Linux, a portable one-datagram loop
-// elsewhere). It is split from the engine so both sides of a
-// measurement can use it — the server's listener shards and a load
-// generator pipelining queries from the client side — without the
-// engine exporting its internals.
+// engine's listener shards: SO_REUSEPORT socket creation and batched
+// datagram I/O (recvmmsg/sendmmsg on Linux, a portable one-datagram
+// loop elsewhere).
 package batchio
 
 import (
@@ -70,63 +67,3 @@ func (b *loopBatch) Write(resps [][]byte) error {
 	_, err := b.conn.WriteToUDPAddrPort(resps[0], b.src)
 	return err
 }
-
-// Conn is the client-side twin: batched send and receive on a
-// connected UDP socket, for load generators and pipelining clients.
-// Send moves all pkts with as few syscalls as the platform allows;
-// Recv fills up to size slots and reports how many, with Packet
-// exposing slot i until the next Recv.
-type Conn struct {
-	impl connImpl
-}
-
-type connImpl interface {
-	Send(pkts [][]byte) error
-	Recv() (int, error)
-	Packet(i int) []byte
-}
-
-// NewConn wraps a connected UDP socket (from net.Dial) for batched
-// exchange of up to size datagrams per syscall.
-func NewConn(conn *net.UDPConn, size int) (*Conn, error) {
-	impl, err := newConnImpl(conn, size)
-	if err != nil {
-		return nil, err
-	}
-	return &Conn{impl: impl}, nil
-}
-
-func (c *Conn) Send(pkts [][]byte) error { return c.impl.Send(pkts) }
-func (c *Conn) Recv() (int, error)       { return c.impl.Recv() }
-func (c *Conn) Packet(i int) []byte      { return c.impl.Packet(i) }
-
-// loopConn is the portable Conn fallback: one datagram per syscall.
-type loopConn struct {
-	conn *net.UDPConn
-	buf  []byte
-	n    int
-}
-
-func newLoopConn(conn *net.UDPConn) *loopConn {
-	return &loopConn{conn: conn, buf: make([]byte, MaxDatagram)}
-}
-
-func (c *loopConn) Send(pkts [][]byte) error {
-	for _, p := range pkts {
-		if _, err := c.conn.Write(p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (c *loopConn) Recv() (int, error) {
-	n, err := c.conn.Read(c.buf)
-	if err != nil {
-		return 0, err
-	}
-	c.n = n
-	return 1, nil
-}
-
-func (c *loopConn) Packet(int) []byte { return c.buf[:c.n] }

@@ -31,13 +31,6 @@ func ListenUDPReusePort(addr string) (*net.UDPConn, error) {
 	return pc.(*net.UDPConn), nil
 }
 
-// ListenTCPReusePort is the stream-side twin, used to give an HTTP
-// (DoH) front end several kernel accept queues on one port.
-func ListenTCPReusePort(addr string) (net.Listener, error) {
-	lc := reusePortConfig()
-	return lc.Listen(context.Background(), "tcp", addr)
-}
-
 func reusePortConfig() net.ListenConfig {
 	return net.ListenConfig{Control: func(_, _ string, rc syscall.RawConn) error {
 		var serr error
@@ -99,8 +92,8 @@ type mmsgBatch struct {
 	// built once: a closure made per call escapes into the RawConn
 	// interface and takes its captured results to the heap with it.
 	// They talk to Read and sendmmsg through the fields below; each
-	// direction has its own, since a client may send and receive on
-	// two goroutines.
+	// direction has its own, so a read and a write may run on two
+	// goroutines.
 	recv, send           func(fd uintptr) bool
 	sending              []mmsghdr
 	received, sent       uintptr
@@ -238,42 +231,3 @@ func newBatch(conn *net.UDPConn, size int) Batch {
 	}
 	return newLoopBatch(conn)
 }
-
-// mmsgConn is the connected-socket client side: sendmmsg with a nil
-// destination (the connected peer) and recvmmsg ignoring sources.
-type mmsgConn struct {
-	b *mmsgBatch
-}
-
-func newConnImpl(conn *net.UDPConn, size int) (connImpl, error) {
-	if size <= 1 {
-		return newLoopConn(conn), nil
-	}
-	b, err := newMmsgBatch(conn, size)
-	if err != nil {
-		return newLoopConn(conn), nil
-	}
-	return &mmsgConn{b: b}, nil
-}
-
-func (c *mmsgConn) Send(pkts [][]byte) error {
-	off := 0
-	for off < len(pkts) {
-		m := 0
-		for off+m < len(pkts) && m < len(c.b.shdrs) {
-			p := pkts[off+m]
-			c.b.siovs[m] = iovec{base: &p[0], len: uint64(len(p))}
-			c.b.shdrs[m].hdr = msghdr{iov: &c.b.siovs[m], iovlen: 1}
-			c.b.shdrs[m].len = 0
-			m++
-		}
-		if err := c.b.sendmmsg(c.b.shdrs[:m], pkts[off:off+m]); err != nil {
-			return err
-		}
-		off += m
-	}
-	return nil
-}
-
-func (c *mmsgConn) Recv() (int, error)  { return c.b.Read() }
-func (c *mmsgConn) Packet(i int) []byte { return c.b.Packet(i) }

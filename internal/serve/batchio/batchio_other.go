@@ -15,14 +15,6 @@ func ListenUDPReusePort(string) (*net.UDPConn, error) {
 	return nil, errors.ErrUnsupported
 }
 
-func ListenTCPReusePort(string) (net.Listener, error) {
-	return nil, errors.ErrUnsupported
-}
-
 func newBatch(conn *net.UDPConn, _ int) Batch {
 	return newLoopBatch(conn)
-}
-
-func newConnImpl(conn *net.UDPConn, _ int) (connImpl, error) {
-	return newLoopConn(conn), nil
 }

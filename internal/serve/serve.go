@@ -403,40 +403,6 @@ func New(addr string, opts Options) (*Server, error) {
 	return s, nil
 }
 
-// ReusePortTCP binds n TCP listeners to one address via SO_REUSEPORT,
-// giving an HTTP (DoH) front end n independent kernel accept queues.
-// n of 1 is always a plain listen; n > 1 requires platform support.
-func ReusePortTCP(addr string, n int) ([]net.Listener, error) {
-	if n <= 1 {
-		ln, err := net.Listen("tcp", addr)
-		if err != nil {
-			return nil, err
-		}
-		return []net.Listener{ln}, nil
-	}
-	if !batchio.ReusePortAvailable {
-		return nil, errors.New("serve: SO_REUSEPORT unavailable on this platform")
-	}
-	lns := make([]net.Listener, 0, n)
-	first, err := batchio.ListenTCPReusePort(addr)
-	if err != nil {
-		return nil, err
-	}
-	lns = append(lns, first)
-	bound := first.Addr().String()
-	for i := 1; i < n; i++ {
-		ln, err := batchio.ListenTCPReusePort(bound)
-		if err != nil {
-			for _, l := range lns {
-				l.Close()
-			}
-			return nil, err
-		}
-		lns = append(lns, ln)
-	}
-	return lns, nil
-}
-
 // bind sets up the listeners. With both handlers present, UDP and TCP
 // share one port (the authoritative-server shape); an ephemeral port
 // that cannot be paired is retried with a fresh one.

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/serve/batchio"
 	"repro/internal/tlsutil"
 )
 
@@ -376,27 +375,6 @@ func TestServeReturnsOnContextCancel(t *testing.T) {
 		if _, err := conn.Read(make([]byte, 16)); err == nil {
 			t.Fatal("server still answering after Serve returned")
 		}
-	}
-}
-
-func TestReusePortTCP(t *testing.T) {
-	lns, err := ReusePortTCP("127.0.0.1:0", 2)
-	if err != nil {
-		if !batchio.ReusePortAvailable {
-			t.Skip("SO_REUSEPORT unavailable")
-		}
-		t.Fatalf("ReusePortTCP: %v", err)
-	}
-	defer func() {
-		for _, ln := range lns {
-			ln.Close()
-		}
-	}()
-	if len(lns) != 2 {
-		t.Fatalf("got %d listeners, want 2", len(lns))
-	}
-	if lns[0].Addr().String() != lns[1].Addr().String() {
-		t.Fatalf("listeners on different addresses: %v vs %v", lns[0].Addr(), lns[1].Addr())
 	}
 }
 

@@ -13,13 +13,13 @@ import (
 )
 
 // Simulated candidate transports on the netsim latency model, used by
-// cmd/benchsmart and the package tests: each SimTransport models one
+// this package's tests and proxynet's: each SimTransport models one
 // wire protocol's timeline (handshakes, reuse, per-destination paths)
 // between a per-destination client endpoint and a server endpoint,
-// sleeping the modeled time scaled down by TimeScale so races behave
-// like the real thing at bench speed. The returned Timing carries the
-// unscaled modeled durations, which is what the smart EWMA scores and
-// the bench percentiles read.
+// sleeping the modeled time scaled down by TimeScale (a large enough
+// scale sleeps not at all). The returned Timing carries the unscaled
+// modeled durations, which is what the smart EWMA scores and the
+// tests' percentiles read.
 //
 // What a kind pays on first contact is its row of netsim's handshake
 // table, which proxynet's campaign simulator charges too: DoH and DoT a

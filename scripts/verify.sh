@@ -25,6 +25,7 @@ step "unit tests (all packages)"
 # TestWithTimeoutUnarmedAllocBudget, TestResolveMissAllocBudget,
 # TestDoAloneAllocatesNothing, TestWildcardAnswerAllocBudget,
 # TestRememberedWinnerAllocationFree, TestCampaignAllocBudget,
+# TestDiscardClientsMemoryFlat (discard mode's kept heap per country),
 # TestNameScratchAllocs, TestMeasureAllocationFree,
 # TestAnswerHitAllocationFree, TestResolveHitAllocBudget and the
 # dnswire, cache and authserver ones), RFC 4592's wildcard examples
@@ -44,8 +45,10 @@ step "unit tests (all packages)"
 # quantiles against exact ones (TestSketchQuantilesWithinOneBucket), the
 # hit path's parent-path oracle (TestAnswersMatchTheParentPath), the RRL
 # bucket test and the fuzz corpora (FuzzHintedDecode's and
-# FuzzCSVRoundTrip's among them). The steps below add a mode: -race, a
-# -short soak, or a -bench smoke.
+# FuzzCSVRoundTrip's among them) and the racing resolver's acceptance
+# gate against each fixed transport
+# (TestSmartConvergesToPerDestinationBest). The steps below add a mode:
+# -race, a -short soak, or a -bench smoke.
 go test ./...
 
 step "race gates (concurrency-heavy packages)"
@@ -85,8 +88,11 @@ go test -race -count=20 ./internal/recursive/ -run \
 step "smart racing soak (short, race, chaos faults + exact accounting)"
 go test -race -run TestSmartSoak -short ./internal/smart/
 
-step "knob-free contracts (race): a switch needs 3 probe samples, StreamReadTimeout cuts a slowloris"
+step "knob-free contracts (race): a switch needs 3 probe samples, smart converges to each destination's best, StreamReadTimeout cuts a slowloris"
 go test -race -count=5 ./internal/smart/ -run 'TestOneSlowSampleDoesNotFlipTheWinner|TestProbeSwitchesWinner'
+# TestSmartConvergesToPerDestinationBest runs on smart's own clock with no
+# sleep: repeated under -race, a hidden wall-clock dependence flakes here.
+go test -race -count=5 ./internal/smart/ -run TestSmartConvergesToPerDestinationBest
 go test -race ./internal/serve/ -run TestStreamReadTimeoutClosesSlowloris
 
 step "chaos soak (short, race)"
