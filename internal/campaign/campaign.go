@@ -527,11 +527,12 @@ func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
 	kept := make([]int, len(countries))
 	errs := make([]error, len(countries))
 	completed := make([]bool, len(countries))
-	// Shared aggregates, merged into as countries complete: the sketch
-	// merge and every accounting figure are commutative and
-	// associative sums, so the result is schedule-independent, and not
-	// holding per-country sketches and accounting until the end is
-	// what keeps DiscardClients memory flat in the country count.
+	// Shared aggregates, folded into as countries complete: every
+	// sketch accumulator and accounting figure is a commutative and
+	// associative sum (or min, or max), so the result is
+	// schedule-independent, and not holding per-country records and
+	// accounting until the end is what keeps DiscardClients memory flat
+	// in the country count.
 	agg := sketch.NewSet()
 	var aggMu sync.Mutex
 	var simTotal proxynet.SimStats
@@ -551,15 +552,14 @@ func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
 				}
 				return clients[offset[idx]:offset[idx]:offset[idx+1]]
 			}
-			// finish records a completed country's aggregates. In
-			// DiscardClients mode the sketch, accounting, and count are
-			// all that leave the worker, so peak memory stays bounded by
-			// the in-flight countries rather than the whole world.
+			// finish folds a completed country into the aggregates. In
+			// DiscardClients mode its observations, accounting, and count
+			// are all that leave the worker, so peak memory stays bounded
+			// by the in-flight countries rather than the whole world.
 			finish := func(idx int, res []ClientRecord, acct countryAccounting) {
 				kept[idx] = len(res)
-				s := sketchClients(res)
 				aggMu.Lock()
-				agg.Merge(s)
+				foldClients(agg, res)
 				ds.KeptClients += len(res)
 				ds.DiscardedMismatch += acct.mismatch
 				ds.DiscardedImplausible += acct.implausible

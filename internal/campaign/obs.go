@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"sync"
 	"time"
 
 	"repro/internal/anycast"
@@ -17,11 +18,12 @@ import (
 // the already-deterministic Dataset and per-country accounting. The
 // snapshot is therefore identical for any Config.Parallel.
 //
-// Latency histograms route through internal/sketch: each country's
-// clients are reduced to a keyed sketch set (the keys ARE the obs
-// metric names), country sketches merge exactly into Dataset.Sketch,
-// and the registry histograms — registered on the sketch's canonical
-// bucket layout — absorb the merged buckets verbatim. The same
+// Latency histograms route through internal/sketch: each finished
+// country's clients are folded into the run's one keyed sketch set (the
+// keys ARE the obs metric names), Dataset.Sketch, and the registry
+// histograms — registered on the sketch's canonical bucket layout —
+// absorb its buckets verbatim. Every accumulator is an integer sum, min
+// or max, so the order countries fold in cannot show. The same
 // pipeline therefore serves a single process, the DiscardClients
 // constant-memory mode, and N merged shards, all with identical
 // histogram snapshots.
@@ -32,8 +34,13 @@ func msDuration(ms float64) time.Duration {
 	return time.Duration(ms * float64(time.Millisecond))
 }
 
-// sketchClients reduces client records to the campaign's mergeable
-// latency sketches:
+// sketchClients reduces client records to a fresh set of the
+// campaign's mergeable latency sketches.
+func sketchClients(clients []ClientRecord) *sketch.Set {
+	return foldClients(sketch.NewSet(), clients)
+}
+
+// foldClients observes client records into s and returns it:
 //
 //	campaign_doh_<provider>_ms    first-query DoH estimate per provider
 //	campaign_dohr_<provider>_ms   reused-connection estimate
@@ -46,26 +53,20 @@ func msDuration(ms float64) time.Duration {
 // A country histogram is registered (Touch) for every client's
 // country even when no DoH result is valid, so sketched and merged
 // datasets expose the same metric keys a direct run would.
-func sketchClients(clients []ClientRecord) *sketch.Set {
-	s := sketch.NewSet()
-	// Key strings are built once per provider and the country histogram
-	// is looked up once per run of same-country clients, not once per
-	// observation.
-	var keys anycast.PerProvider[*providerKeys]
-	keysFor := func(pid anycast.ProviderID) *providerKeys {
-		k, ok := keys.Get(pid)
-		if !ok {
-			k = newProviderKeys(pid)
-			keys.Set(pid, k)
-		}
-		return k
-	}
+func foldClients(s *sketch.Set, clients []ClientRecord) *sketch.Set {
+	// The country histogram is looked up once per run of same-country
+	// clients, not once per observation.
 	var (
 		country    string
 		countryDoH *sketch.Histogram
 
+		keys      = sharedProviderKeys()
 		providers = anycast.ProviderIDs()
 	)
+	keysFor := func(pid anycast.ProviderID) *providerKeys {
+		k, _ := keys.Get(pid)
+		return k
+	}
 	for i := range clients {
 		c := &clients[i]
 		if countryDoH == nil || c.CountryCode != country {
@@ -114,14 +115,20 @@ type providerKeys struct {
 	session                  [len(extensions)]string
 }
 
-func newProviderKeys(pid anycast.ProviderID) *providerKeys {
-	key := func(kind string) string { return "campaign_" + kind + "_" + string(pid) + "_ms" }
-	k := &providerKeys{doh: key("doh"), dohr: key("dohr"), smart: key("smart"), smartr: key("smartr")}
-	for tr, kind := range extensions {
-		k.session[tr] = key(string(kind))
+// sharedProviderKeys is every catalogue provider's sketch keys, built
+// once per process and never written.
+var sharedProviderKeys = sync.OnceValue(func() *anycast.PerProvider[*providerKeys] {
+	keys := new(anycast.PerProvider[*providerKeys])
+	for _, pid := range anycast.ProviderIDs() {
+		key := func(kind string) string { return "campaign_" + kind + "_" + string(pid) + "_ms" }
+		k := &providerKeys{doh: key("doh"), dohr: key("dohr"), smart: key("smart"), smartr: key("smartr")}
+		for tr, kind := range extensions {
+			k.session[tr] = key(string(kind))
+		}
+		keys.Set(pid, k)
 	}
-	return k
-}
+	return keys
+})
 
 // absorbSketch registers one histogram per sketch key — on the
 // default bucket layout, the sketch's own — and folds the aggregated

@@ -54,10 +54,41 @@ var (
 	ErrSuperProxyResolution = errors.New("core: Do53 resolved at the Super Proxy")
 )
 
+// implausibleError is the ErrImplausible an estimator returns, with
+// what made the observation implausible. It formats its message only
+// when Error is called: a campaign counts thousands of discarded runs
+// and reads none of their messages.
+type implausibleError struct {
+	kind implausibleKind
+	est  Estimate      // negativeEstimate
+	dns  time.Duration // badDNSHeader
+}
+
+type implausibleKind uint8
+
+const (
+	outOfOrder implausibleKind = iota
+	negativeEstimate
+	badDNSHeader
+)
+
+func (e *implausibleError) Error() string {
+	switch e.kind {
+	case negativeEstimate:
+		return fmt.Sprintf("%v: negative estimate (tDoH=%v tDoHR=%v rtt=%v)",
+			ErrImplausible, e.est.TDoH, e.est.TDoHR, e.est.RTT)
+	case badDNSHeader:
+		return fmt.Sprintf("%v: header DNS value %v", ErrImplausible, e.dns)
+	}
+	return ErrImplausible.Error() + ": timestamps out of order"
+}
+
+func (e *implausibleError) Unwrap() error { return ErrImplausible }
+
 // EstimateDoH applies Equations 6-8 to a DoH observation.
 func EstimateDoH(obs proxynet.DoHObservation) (Estimate, error) {
 	if obs.TB < obs.TA || obs.TD < obs.TC {
-		return Estimate{}, fmt.Errorf("%w: timestamps out of order", ErrImplausible)
+		return Estimate{}, &implausibleError{kind: outOfOrder}
 	}
 	tunnel := obs.TB - obs.TA              // Σ t1..t8 + tBD      (Eq 5)
 	exchange := obs.TD - obs.TC            // Σ t9..t22           (Eq 2)
@@ -70,8 +101,7 @@ func EstimateDoH(obs proxynet.DoHObservation) (Estimate, error) {
 		TDoHR: exchange - 2*tunnel + 2*setup + 2*tBD - obs.Tun.Connect, // Eq 8
 	}
 	if est.TDoH <= 0 || est.TDoHR <= 0 || est.RTT < 0 {
-		return est, fmt.Errorf("%w: negative estimate (tDoH=%v tDoHR=%v rtt=%v)",
-			ErrImplausible, est.TDoH, est.TDoHR, est.RTT)
+		return est, &implausibleError{kind: negativeEstimate, est: est}
 	}
 	return est, nil
 }
@@ -87,7 +117,7 @@ func EstimateDo53(obs proxynet.Do53Observation) (time.Duration, error) {
 	// the header was missing or mangled, not that the lookup was
 	// instant. Same §3.5 treatment as an inconsistent DoH observation.
 	if obs.Tun.DNS <= 0 {
-		return 0, fmt.Errorf("%w: header DNS value %v", ErrImplausible, obs.Tun.DNS)
+		return 0, &implausibleError{kind: badDNSHeader, dns: obs.Tun.DNS}
 	}
 	return obs.Tun.DNS, nil
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -107,6 +109,36 @@ func TestEstimateDoHRejectsGarbage(t *testing.T) {
 	bad2 := proxynet.DoHObservation{TA: 0, TB: 100, TC: 100, TD: 90}
 	if _, err := EstimateDoH(bad2); err == nil {
 		t.Fatal("TD < TC accepted")
+	}
+}
+
+// TestImplausibleErrorText: an implausible observation's error is
+// ErrImplausible to errors.Is and reads as the fmt.Errorf wrapping it
+// replaced did.
+func TestImplausibleErrorText(t *testing.T) {
+	msec := time.Millisecond
+	_, order := EstimateDoH(proxynet.DoHObservation{TA: 10, TB: 5})
+	negObs := proxynet.DoHObservation{TB: 100 * msec, TC: 100 * msec, TD: 110 * msec}
+	est, negative := EstimateDoH(negObs)
+	_, header := EstimateDo53(proxynet.Do53Observation{Tun: proxynet.TunTimeline{DNS: -5 * msec}})
+	for _, tc := range []struct {
+		err  error
+		want error
+	}{
+		{order, fmt.Errorf("%w: timestamps out of order", ErrImplausible)},
+		{negative, fmt.Errorf("%w: negative estimate (tDoH=%v tDoHR=%v rtt=%v)",
+			ErrImplausible, est.TDoH, est.TDoHR, est.RTT)},
+		{header, fmt.Errorf("%w: header DNS value %v", ErrImplausible, -5*msec)},
+	} {
+		if !errors.Is(tc.err, ErrImplausible) {
+			t.Errorf("errors.Is(%v, ErrImplausible) = false", tc.err)
+		}
+		if tc.err == nil || tc.err.Error() != tc.want.Error() {
+			t.Errorf("error %q, want %q", tc.err, tc.want)
+		}
+	}
+	if est.TDoH >= 0 {
+		t.Errorf("negative-estimate observation estimated tDoH=%v", est.TDoH)
 	}
 }
 

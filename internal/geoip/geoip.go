@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/netip"
-	"sort"
 	"sync"
 
 	"repro/internal/world"
@@ -20,57 +19,70 @@ import (
 // country-label disagreements.
 const DefaultMismatchRate = 0.0088
 
+// prefixes24 is the number of /24s in 10.0.0.0/8, the space every
+// country's prefixes are carved from.
+const prefixes24 = 1 << 16
+
+// worldCodes is every country code in sorted order, and each code's
+// position in it: country i owns the /24s from i×blocks on. Built once
+// per process and never written, so every Allocator and Service reads
+// it without a lock.
+type worldCodes struct {
+	codes []string
+	index map[string]int
+}
+
+var sharedCodes = sync.OnceValue(func() *worldCodes {
+	all := world.All() // sorted by code
+	w := &worldCodes{codes: make([]string, len(all)), index: make(map[string]int, len(all))}
+	for i, ct := range all {
+		w.codes[i] = ct.Code
+		w.index[ct.Code] = i
+	}
+	return w
+})
+
 // Allocator hands out synthetic /24 prefixes per country. Prefixes
 // are carved from 10.0.0.0/8: each country gets a contiguous range of
-// /24s in code order, large enough for its exit-node population.
+// /24s in code order, large enough for its exit-node population. The
+// ranges are the shared code table's; an Allocator owns only its
+// per-country counters.
 type Allocator struct {
 	mu     sync.Mutex
-	bases  map[string]int // country code -> base /24 index
-	next   map[string]int // country code -> next host counter
-	blocks int            // /24 blocks per country
+	next   []int // by code position: the next host counter
+	blocks int   // /24 blocks per country
 }
 
 // NewAllocator builds an allocator with room for blocks /24s per
-// country (default 256).
+// country (default 256). Every country's range must fit in
+// 10.0.0.0/8, so blocks is clamped to the largest count that does:
+// 65,536 /24s over the world's countries, 292 for its 224.
 func NewAllocator(blocks int) *Allocator {
 	if blocks <= 0 {
 		blocks = 256
 	}
-	a := &Allocator{
-		bases:  make(map[string]int),
-		next:   make(map[string]int),
-		blocks: blocks,
-	}
-	var codes []string
-	for _, ct := range world.All() {
-		codes = append(codes, ct.Code)
-	}
-	sort.Strings(codes)
-	for i, code := range codes {
-		a.bases[code] = i * blocks
-	}
-	return a
+	w := sharedCodes()
+	blocks = min(blocks, prefixes24/len(w.codes))
+	return &Allocator{next: make([]int, len(w.codes)), blocks: blocks}
 }
 
-// Next returns a fresh address in the given country's space. Each
-// call yields a distinct address; consecutive calls walk /24s so that
-// clients land in many distinct prefixes (the paper keys clients by
-// /24).
+// Next returns a fresh address in the given country's space.
+// Consecutive calls walk /24s so that clients land in many distinct
+// prefixes (the paper keys clients by /24). The first blocks×254 calls
+// for a country yield distinct addresses; after that the country's
+// addresses repeat from its first.
 func (a *Allocator) Next(countryCode string) (netip.Addr, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	base, ok := a.bases[countryCode]
+	i, ok := sharedCodes().index[countryCode]
 	if !ok {
 		return netip.Addr{}, fmt.Errorf("geoip: unknown country %q", countryCode)
 	}
-	n := a.next[countryCode]
-	a.next[countryCode] = n + 1
-	blockIdx := base + n%a.blocks
+	a.mu.Lock()
+	n := a.next[i]
+	a.next[i] = n + 1
+	a.mu.Unlock()
+	blockIdx := i*a.blocks + n%a.blocks
 	host := 1 + (n/a.blocks)%254
-	b1 := 10
-	b2 := (blockIdx >> 8) % 256
-	b3 := blockIdx % 256
-	return netip.AddrFrom4([4]byte{byte(b1), byte(b2), byte(b3), byte(host)}), nil
+	return netip.AddrFrom4([4]byte{10, byte(blockIdx >> 8), byte(blockIdx), byte(host)}), nil
 }
 
 // CountryOfPrefix recovers the true country that owns addr's /24.
@@ -82,15 +94,12 @@ func (a *Allocator) CountryOfPrefix(addr netip.Addr) (string, bool) {
 	if b[0] != 10 {
 		return "", false
 	}
-	blockIdx := int(b[1])<<8 | int(b[2])
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for code, base := range a.bases {
-		if blockIdx >= base && blockIdx < base+a.blocks {
-			return code, true
-		}
+	codes := sharedCodes().codes
+	i := (int(b[1])<<8 | int(b[2])) / a.blocks
+	if i >= len(codes) {
+		return "", false
 	}
-	return "", false
+	return codes[i], true
 }
 
 // Prefix24 returns the /24 prefix containing addr, the granularity at
@@ -135,10 +144,10 @@ func (s *Service) Locate(addr netip.Addr) (string, bool) {
 		return truth, true
 	}
 	// Mislabel: pick a deterministic other country.
-	all := world.All()
-	idx := int(sum>>8) % len(all)
-	if all[idx].Code == truth {
-		idx = (idx + 1) % len(all)
+	codes := sharedCodes().codes
+	idx := int(sum>>8) % len(codes)
+	if codes[idx] == truth {
+		idx = (idx + 1) % len(codes)
 	}
-	return all[idx].Code, true
+	return codes[idx], true
 }

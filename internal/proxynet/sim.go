@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -48,10 +49,7 @@ type Sim struct {
 	// pays netsim.Handshake's legacy count too, as an extra exchange.
 	TLS12 bool
 
-	superProxies []netsim.Endpoint
-	superCodes   []string
-	superSites   []geo.Site // superProxies' positions, index-aligned
-	exitCounter  int
+	exitCounter int
 	// assignScratch is PoP assignment's work space, reused across nodes.
 	assignScratch anycast.AssignScratch
 	stats         simCounters
@@ -123,6 +121,31 @@ func (s *Sim) Stats() SimStats {
 // labPosition approximates the paper's US deployment (us-east).
 var labPosition = geo.Point{Lat: 39.04, Lon: -77.49}
 
+// superProxyTable is the 11 Super Proxies in code order: each one's
+// network attachment, code and precomputed position, index-aligned.
+// It is a function of the world alone, so it is built once per process
+// and every Sim reads it; nothing writes it after.
+type superProxyTable struct {
+	endpoints []netsim.Endpoint
+	codes     []string
+	sites     []geo.Site
+}
+
+var superProxies = sync.OnceValue(func() *superProxyTable {
+	cts := world.SuperProxyCountries()
+	t := &superProxyTable{
+		endpoints: make([]netsim.Endpoint, len(cts)),
+		codes:     make([]string, len(cts)),
+		sites:     make([]geo.Site, len(cts)),
+	}
+	for i, ct := range cts {
+		t.endpoints[i] = netsim.Endpoint{Pos: ct.Centroid, Country: ct}
+		t.codes[i] = ct.Code
+		t.sites[i] = ct.Centroid.Site()
+	}
+	return t
+})
+
 // NewSim constructs the simulated network with the calibrated default
 // latency model and the standard provider catalogue.
 func NewSim(seed int64) *Sim {
@@ -134,13 +157,6 @@ func NewSim(seed int64) *Sim {
 		Alloc:     geoip.NewAllocator(0),
 	}
 	s.Model.LossCounter = &s.stats.lossEvents
-	for _, ct := range world.SuperProxyCountries() {
-		s.superProxies = append(s.superProxies, netsim.Endpoint{
-			Pos: ct.Centroid, Country: ct,
-		})
-		s.superCodes = append(s.superCodes, ct.Code)
-		s.superSites = append(s.superSites, ct.Centroid.Site())
-	}
 	return s
 }
 
@@ -276,9 +292,10 @@ func (s *Sim) SelectExitNodeInto(countryCode string, node *ExitNode) error {
 		node.ResolverOverhead += time.Duration(extra * float64(time.Millisecond))
 	}
 	// The Super Proxy serving a client is the nearest of the 11.
-	idx, _ := geo.Nearest(pos.Site(), s.superSites)
-	node.super = s.superProxies[idx]
-	node.superCode = s.superCodes[idx]
+	sp := superProxies()
+	idx, _ := geo.Nearest(pos.Site(), sp.sites)
+	node.super = sp.endpoints[idx]
+	node.superCode = sp.codes[idx]
 
 	node.meanCS = s.Model.MeanOneWay(s.Lab, node.super)
 	node.meanSE = s.Model.MeanOneWay(node.super, node.Endpoint)

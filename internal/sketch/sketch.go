@@ -28,8 +28,8 @@
 // absorb sketch buckets exactly (see obs.Histogram.Absorb).
 // docs/scaleout.md documents the accuracy contract.
 //
-// Sketches are not safe for concurrent use; the campaign builds one
-// per country and merges them on a single goroutine.
+// Sketches are not safe for concurrent use; the campaign folds each
+// finished country into its one set under a lock.
 package sketch
 
 import (

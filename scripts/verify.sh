@@ -57,7 +57,8 @@ step "race gates (concurrency-heavy packages)"
 # and TestHedgingOverDoTTakesASecondConnection.
 go test -race ./internal/cache/... ./internal/resolver/... \
 	./internal/campaign/... ./internal/proxynet/... ./internal/obs/... \
-	./internal/checkpoint/... ./internal/anycast/... ./internal/authserver/...
+	./internal/checkpoint/... ./internal/anycast/... ./internal/authserver/... \
+	./internal/geoip/...
 go test -race ./internal/serve/...
 go test -race ./internal/smart/...
 go test -race ./internal/dohclient/... ./internal/dohserver/...
@@ -94,6 +95,10 @@ go test -race -count=5 ./internal/smart/ -run 'TestOneSlowSampleDoesNotFlipTheWi
 # sleep: repeated under -race, a hidden wall-clock dependence flakes here.
 go test -race -count=5 ./internal/smart/ -run TestSmartConvergesToPerDestinationBest
 go test -race ./internal/serve/ -run TestStreamReadTimeoutClosesSlowloris
+
+step "shared world tables (the /24 table against its map-walking oracle on every /24, simulators measuring at once on the shared tables; race)"
+go test ./internal/geoip/ -run 'TestSharedTableMatchesOracle|TestAllocatorClampsBlocks'
+go test -race -count=10 ./internal/proxynet/ -run TestConcurrentSimulatorsShareWorldTables
 
 step "chaos soak (short, race)"
 go test -race -run TestChaosSoak -short ./internal/campaign/
