@@ -30,7 +30,6 @@ func main() {
 	zoneFile := flag.String("zonefile", "", "BIND-style master file to load instead of the built-in zone")
 	secondary := flag.String("secondary", "", "act as a secondary: AXFR the zone from this primary (host:port)")
 	listeners := flag.Int("listeners", 1, "parallel UDP listener shards (SO_REUSEPORT where available)")
-	batch := flag.Int("batch", 0, "datagrams per batched syscall (0 = engine default, 1 = no batching)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 	maxInflight := flag.Int("max-inflight", 0, "admission budget: max queries in flight before shedding SERVFAIL (0 = unlimited)")
 	maxConns := flag.Int("max-conns", 0, "max concurrent TCP connections (0 = unlimited)")
@@ -87,7 +86,6 @@ func main() {
 	srv := authserver.NewServer(zone)
 	srv.Logger = log.New(os.Stderr, "authdns: ", log.LstdFlags)
 	srv.Listeners = *listeners
-	srv.BatchSize = *batch
 	srv.Protect = serve.Protection{
 		MaxInflight:        *maxInflight,
 		RateLimit:          *rrl,

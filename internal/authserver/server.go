@@ -27,20 +27,19 @@ type QueryLogEntry struct {
 }
 
 // Server serves a Zone authoritatively over UDP and TCP. Transport
-// mechanics (socket sharding, batched datagram I/O, framing, graceful
-// drain) live in the serve engine; this type supplies the DNS
+// mechanics (socket sharding, datagram I/O, framing, graceful drain)
+// live in the serve engine; this type supplies the DNS
 // semantics: zone lookups, CNAME chasing, AXFR, and the query log.
 type Server struct {
 	Zone *Zone
 	// Logger, when set, receives one line per malformed packet.
 	Logger *log.Logger
 
-	// Listeners, BatchSize, and Concurrency tune the serving engine
-	// (see serve.Options); the zero values use the engine defaults
-	// (inline handling, which suits this CPU-light handler). Set them
-	// before ListenAndServe.
+	// Listeners and Concurrency tune the serving engine (see
+	// serve.Options); the zero values use the engine defaults (one
+	// listener, inline handling, which suits this CPU-light handler).
+	// Set them before ListenAndServe.
 	Listeners   int
-	BatchSize   int
 	Concurrency int
 
 	// Protect configures the engine's overload protection (admission
@@ -82,7 +81,6 @@ func (s *Server) ListenAndServe(addr string) error {
 		Packet:      serve.PacketHandlerFunc(s.servePacket),
 		Stream:      serve.StreamHandlerFunc(s.serveMessage),
 		Listeners:   s.Listeners,
-		BatchSize:   s.BatchSize,
 		Concurrency: s.Concurrency,
 		Logf:        s.logf,
 		Protection:  s.Protect,

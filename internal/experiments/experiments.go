@@ -442,17 +442,3 @@ func (s *Suite) All() ([]*Report, error) {
 	}
 	return out, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -253,12 +253,11 @@ func tailorResponse(shared *dnswire.Message, q *dnswire.Message) *dnswire.Messag
 type Server struct {
 	Resolver *Resolver
 
-	// Listeners, BatchSize, and Concurrency tune the serving engine
-	// (see serve.Options). Zero values pick the defaults; Concurrency
+	// Listeners and Concurrency tune the serving engine (see
+	// serve.Options). Zero values pick the defaults; Concurrency
 	// defaults to DefaultConcurrency because the handler blocks. Set
 	// them before ListenAndServe.
 	Listeners   int
-	BatchSize   int
 	Concurrency int
 
 	// Protect configures the engine's overload protection (admission
@@ -297,7 +296,6 @@ func (s *Server) ListenAndServe(addr string) error {
 			return serve.Answer(ctx, s.Resolver, out, raw, serve.MaxStreamPayload)
 		}),
 		Listeners:    s.Listeners,
-		BatchSize:    s.BatchSize,
 		Concurrency:  conc,
 		QueryTimeout: QueryTimeout,
 		Protection:   s.Protect,

@@ -45,11 +45,6 @@ func BenchmarkServeUDPInline(b *testing.B) {
 	benchExchange(b, benchEngine(b, Options{}).Addr())
 }
 
-// BenchmarkServeUDPLoopFallback pins the portable one-datagram path.
-func BenchmarkServeUDPLoopFallback(b *testing.B) {
-	benchExchange(b, benchEngine(b, Options{BatchSize: 1}).Addr())
-}
-
 // BenchmarkServeUDPDispatch measures the dispatch (worker-pool) path
 // blocking handlers take.
 func BenchmarkServeUDPDispatch(b *testing.B) {

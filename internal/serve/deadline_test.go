@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/netip"
@@ -34,20 +35,24 @@ func checkUnarmed(ctx context.Context, timeout time.Duration) string {
 // costs a handler that does not block: nothing. One exchange over
 // loopback with preallocated client buffers, the engine serving in this
 // process, so AllocsPerRun sees every allocation of the whole packet or
-// stream path — context, timer, source address, batch I/O. It used to
-// read 6 on the dispatch path for the timer context alone.
+// stream path — context, timer, source address, datagram I/O. It used
+// to read 6 on the dispatch path for the timer context alone. The
+// packet handler also checks its source against the client's socket:
+// on a dual-stack listener a client on 127.0.0.1 must arrive as an
+// unmapped IPv4 address, the address RRL keys its /24 on.
 func TestQueryTimeoutAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
 	}
 	const timeout = 10 * time.Second
-	var complaint string // written by the one serving goroutine, read between exchanges
+	var complaint string       // written by the one serving goroutine, read between exchanges
+	var wantSrc netip.AddrPort // the client socket's address, set before the exchanges
 	packet := PacketHandlerFunc(func(ctx context.Context, out, raw []byte, src netip.AddrPort) ([]byte, error) {
 		if msg := checkUnarmed(ctx, timeout); msg != "" {
 			complaint = msg
 		}
-		if !src.IsValid() {
-			complaint = "no source address"
+		if src != wantSrc {
+			complaint = fmt.Sprintf("handler saw source %v, want the client's %v", src, wantSrc)
 		}
 		return append(out, raw...), nil
 	})
@@ -58,34 +63,43 @@ func TestQueryTimeoutAllocationFree(t *testing.T) {
 		return append(out, raw...), nil
 	})
 	for _, tc := range []struct {
-		name string
-		opts Options
-		tcp  bool
+		name   string
+		listen string
+		opts   Options
+		tcp    bool
 	}{
-		{"packet inline", Options{Packet: packet}, false},
-		{"packet dispatch", Options{Packet: packet, Concurrency: 2}, false},
-		{"packet loop fallback", Options{Packet: packet, BatchSize: 1}, false},
-		{"stream", Options{Stream: stream}, true},
+		{"packet inline", "127.0.0.1:0", Options{Packet: packet}, false},
+		{"packet dispatch", "127.0.0.1:0", Options{Packet: packet, Concurrency: 2}, false},
+		{"packet dual-stack", "[::]:0", Options{Packet: packet}, false},
+		{"stream", "127.0.0.1:0", Options{Stream: stream}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			complaint = ""
 			tc.opts.QueryTimeout = timeout
-			s, err := New("127.0.0.1:0", tc.opts)
+			s, err := New(tc.listen, tc.opts)
 			if err != nil {
+				if tc.listen != "127.0.0.1:0" {
+					t.Skipf("listen %s: %v", tc.listen, err)
+				}
 				t.Fatal(err)
 			}
 			defer s.Close()
+			_, port, _ := net.SplitHostPort(s.Addr())
 			network := "udp"
 			query := []byte("0123456789abcdef")
 			if tc.tcp {
 				network = "tcp"
 				query = append([]byte{0, 16}, query...)
 			}
-			conn, err := net.Dial(network, s.Addr())
+			conn, err := net.Dial(network, net.JoinHostPort("127.0.0.1", port))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer conn.Close()
+			if !tc.tcp {
+				local := conn.LocalAddr().(*net.UDPAddr).AddrPort()
+				wantSrc = netip.AddrPortFrom(local.Addr().Unmap(), local.Port())
+			}
 			conn.SetDeadline(time.Now().Add(30 * time.Second))
 			reply := make([]byte, 64)
 			exchange := func() {

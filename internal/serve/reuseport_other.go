@@ -1,6 +1,6 @@
 //go:build !(linux && (amd64 || arm64))
 
-package batchio
+package serve
 
 import (
 	"errors"
@@ -13,8 +13,4 @@ const ReusePortAvailable = false
 
 func ListenUDPReusePort(string) (*net.UDPConn, error) {
 	return nil, errors.ErrUnsupported
-}
-
-func newBatch(conn *net.UDPConn, _ int) Batch {
-	return newLoopBatch(conn)
 }

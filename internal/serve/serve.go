@@ -12,9 +12,10 @@
 //     it receives the raw query bytes and appends the raw response to a
 //     scratch slice the engine owns. The engine shards the UDP socket
 //     across Options.Listeners reader loops (SO_REUSEPORT where the
-//     platform supports it, a shared socket otherwise) and moves
-//     datagrams in recvmmsg/sendmmsg-shaped batches of Options.BatchSize
-//     with a portable one-at-a-time fallback.
+//     platform supports it, a shared socket otherwise) and moves one
+//     datagram per syscall in each direction: the paper's clients send
+//     one query and wait for its answer, a pattern that never builds the
+//     socket backlog a multi-datagram syscall would amortise.
 //   - A StreamHandler answers queries carried over 2-byte length-framed
 //     TCP or TLS connections (RFC 1035 §4.2.2, RFC 7858). The engine
 //     owns accept loops, per-connection framing, idle deadlines, and
@@ -42,7 +43,6 @@ import (
 	"repro/internal/deadline"
 	"repro/internal/dnswire"
 	"repro/internal/obs"
-	"repro/internal/serve/batchio"
 )
 
 // PacketHandler answers one datagram query in wire format. raw holds
@@ -205,11 +205,6 @@ func Answer(ctx context.Context, r Resolver, out, raw []byte, limit int) ([]byte
 	return wire, nil
 }
 
-// DefaultBatchSize is the datagrams-per-syscall budget used when
-// Options.BatchSize is zero. 32 covers the socket backlog a busy
-// loopback benchmark accumulates while one batch is being answered.
-const DefaultBatchSize = 32
-
 // Options configures a Server. The zero value serves nothing; at least
 // one of Packet and Stream must be set.
 type Options struct {
@@ -228,16 +223,12 @@ type Options struct {
 	// socket otherwise) and stream accept goroutines. 0 means 1; set
 	// runtime.NumCPU() for per-core sharding.
 	Listeners int
-	// BatchSize caps datagrams moved per batched read/write syscall.
-	// 0 uses DefaultBatchSize; 1 forces the portable loop fallback.
-	BatchSize int
 	// Concurrency, when positive, dispatches each datagram to a
 	// per-listener pool of that many worker goroutines instead of
 	// answering inline on the reader loop. Use it when the handler
 	// blocks (a recursive resolver doing upstream I/O); leave it zero
 	// for CPU-bound handlers (an authoritative zone lookup), where the
-	// inline path answers whole batches without a single goroutine
-	// switch.
+	// inline path answers every datagram without a goroutine switch.
 	Concurrency int
 
 	// QueryTimeout bounds each handler invocation with a deadline
@@ -257,10 +248,9 @@ type Options struct {
 	Protection
 
 	// Registry receives engine metrics: serve_packets_total,
-	// serve_responses_total, serve_dropped_total, serve_batches_total,
-	// the serve_batch_size gauge, stream counters, one
-	// serve_listener_<i>_queue_depth gauge per listener (dispatch
-	// backlog in dispatch mode, last batch size inline), and the
+	// serve_responses_total (replies sent), serve_dropped_total,
+	// stream counters, one serve_listener_<i>_queue_depth gauge per
+	// listener (the dispatch backlog; 0 inline), and the
 	// overload-protection surface: serve_shed_total,
 	// serve_ratelimit_{dropped,slipped}_total, serve_panic_total,
 	// serve_conns_rejected_total, serve_frame_oversize_total, and the
@@ -311,8 +301,6 @@ type metrics struct {
 	packets    *obs.Counter
 	responses  *obs.Counter
 	dropped    *obs.Counter
-	batches    *obs.Counter
-	batchSize  *obs.Gauge
 	streams    *obs.Counter
 	streamQs   *obs.Counter
 	queueDepth []*obs.Gauge // one per listener
@@ -339,9 +327,6 @@ func New(addr string, opts Options) (*Server, error) {
 	}
 	if opts.Listeners <= 0 {
 		opts.Listeners = 1
-	}
-	if opts.BatchSize <= 0 {
-		opts.BatchSize = DefaultBatchSize
 	}
 	if opts.StreamIdleTimeout <= 0 {
 		opts.StreamIdleTimeout = 30 * time.Second
@@ -376,8 +361,6 @@ func New(addr string, opts Options) (*Server, error) {
 		packets:   reg.Counter("serve_packets_total"),
 		responses: reg.Counter("serve_responses_total"),
 		dropped:   reg.Counter("serve_dropped_total"),
-		batches:   reg.Counter("serve_batches_total"),
-		batchSize: reg.Gauge("serve_batch_size"),
 		streams:   reg.Counter("serve_streams_total"),
 		streamQs:  reg.Counter("serve_stream_queries_total"),
 		shed:      reg.Counter("serve_shed_total"),
@@ -456,7 +439,7 @@ func (s *Server) bind(addr string) error {
 // flows across them); otherwise all shards read one shared socket,
 // which still overlaps handler work with socket waits.
 func listenUDPShards(addr string, n int) ([]*net.UDPConn, bool, error) {
-	if n == 1 || !batchio.ReusePortAvailable {
+	if n == 1 || !ReusePortAvailable {
 		uaddr, err := net.ResolveUDPAddr("udp", addr)
 		if err != nil {
 			return nil, false, err
@@ -468,14 +451,14 @@ func listenUDPShards(addr string, n int) ([]*net.UDPConn, bool, error) {
 		return []*net.UDPConn{c}, n > 1, nil
 	}
 	conns := make([]*net.UDPConn, 0, n)
-	first, err := batchio.ListenUDPReusePort(addr)
+	first, err := ListenUDPReusePort(addr)
 	if err != nil {
 		return nil, false, err
 	}
 	conns = append(conns, first)
 	bound := first.LocalAddr().String()
 	for i := 1; i < n; i++ {
-		c, err := batchio.ListenUDPReusePort(bound)
+		c, err := ListenUDPReusePort(bound)
 		if err != nil {
 			// REUSEPORT bind raced (or is restricted); fall back to the
 			// shared-socket layout on what we have.
@@ -536,7 +519,7 @@ func (s *Server) Serve(ctx context.Context) error {
 }
 
 // Shutdown gracefully stops the server: intake stops at once, then
-// in-flight queries (the batch being answered, queued dispatch work,
+// in-flight queries (the datagram being answered, queued dispatch work,
 // the frame a stream connection is serving) run to completion and
 // their responses are written. If ctx expires first, query contexts
 // are cancelled and every socket is force-closed; Shutdown then still

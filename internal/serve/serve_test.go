@@ -71,20 +71,61 @@ func frameExchange(t *testing.T, conn net.Conn, payload string) string {
 	return string(resp)
 }
 
+// packetModes are the two ways a listener answers datagrams: on the
+// reader itself, or through a dispatch pool. Concurrency 1 keeps the
+// dispatch answers in arrival order.
+var packetModes = []struct {
+	name string
+	opts Options
+}{
+	{"inline", Options{}},
+	{"dispatch", Options{Concurrency: 1}},
+}
+
+// TestPacketEngineEcho writes a window of datagrams back to back from
+// one socket, so they queue in the socket buffer while earlier ones are
+// answered, and checks every one comes back intact.
 func TestPacketEngineEcho(t *testing.T) {
-	s, err := New("127.0.0.1:0", Options{Packet: PacketHandlerFunc(echoPacket)})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer s.Close()
-	for i := 0; i < 5; i++ {
-		q := fmt.Sprintf("q%d", i)
-		if got := udpExchange(t, s.Addr(), q); got != "ok:"+q {
-			t.Fatalf("exchange %d: got %q", i, got)
-		}
+	for _, mode := range packetModes {
+		t.Run(mode.name, func(t *testing.T) {
+			mode.opts.Packet = PacketHandlerFunc(echoPacket)
+			s, err := New("127.0.0.1:0", mode.opts)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			defer s.Close()
+			conn, err := net.Dial("udp", s.Addr())
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			defer conn.Close()
+			const window = 20
+			for i := 0; i < window; i++ {
+				if _, err := conn.Write([]byte(fmt.Sprintf("q%02d", i))); err != nil {
+					t.Fatalf("write: %v", err)
+				}
+			}
+			seen := make(map[string]bool)
+			buf := make([]byte, 64)
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			for len(seen) < window {
+				n, err := conn.Read(buf)
+				if err != nil {
+					t.Fatalf("read after %d/%d answers: %v", len(seen), window, err)
+				}
+				seen[string(buf[:n])] = true
+			}
+			for i := 0; i < window; i++ {
+				if q := fmt.Sprintf("ok:q%02d", i); !seen[q] {
+					t.Fatalf("%q never answered", q)
+				}
+			}
+		})
 	}
 }
 
+// TestPacketEngineMultiListener sends from 64 sockets at once across
+// four listener shards; each socket must get its own query's answer.
 func TestPacketEngineMultiListener(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, err := New("127.0.0.1:0", Options{
@@ -139,53 +180,54 @@ func TestPacketEngineMultiListener(t *testing.T) {
 	}
 }
 
-func TestPacketEngineLoopFallback(t *testing.T) {
-	s, err := New("127.0.0.1:0", Options{
-		Packet:    PacketHandlerFunc(echoPacket),
-		BatchSize: 1, // forces the portable one-datagram loop
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer s.Close()
-	if got := udpExchange(t, s.Addr(), "hello"); got != "ok:hello" {
-		t.Fatalf("got %q", got)
-	}
-}
-
+// TestPacketEngineDropsOnNilResponse: a handler's nil response and a
+// response the socket refuses (one byte over the largest IPv4 UDP
+// payload) are both dropped — counted in serve_dropped_total, not in
+// serve_responses_total — and the query after them is still answered.
 func TestPacketEngineDropsOnNilResponse(t *testing.T) {
-	reg := obs.NewRegistry()
-	s, err := New("127.0.0.1:0", Options{
-		Packet: PacketHandlerFunc(func(_ context.Context, out, raw []byte, _ netip.AddrPort) ([]byte, error) {
-			if string(raw) == "drop" {
-				return nil, nil
+	for _, mode := range packetModes {
+		t.Run(mode.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			mode.opts.Registry = reg
+			mode.opts.Packet = PacketHandlerFunc(func(_ context.Context, out, raw []byte, _ netip.AddrPort) ([]byte, error) {
+				switch string(raw) {
+				case "drop":
+					return nil, nil
+				case "oversize":
+					return append(out, make([]byte, 65508)...), nil
+				}
+				return append(out, raw...), nil
+			})
+			s, err := New("127.0.0.1:0", mode.opts)
+			if err != nil {
+				t.Fatalf("New: %v", err)
 			}
-			return append(out, raw...), nil
-		}),
-		Registry: reg,
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer s.Close()
-	conn, err := net.Dial("udp", s.Addr())
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer conn.Close()
-	conn.Write([]byte("drop"))
-	conn.Write([]byte("keep"))
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	buf := make([]byte, 64)
-	n, err := conn.Read(buf)
-	if err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	if string(buf[:n]) != "keep" {
-		t.Fatalf("got %q, want the dropped packet to vanish", buf[:n])
-	}
-	if got := reg.Counter("serve_dropped_total").Value(); got != 1 {
-		t.Fatalf("serve_dropped_total = %d, want 1", got)
+			defer s.Close()
+			conn, err := net.Dial("udp", s.Addr())
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			defer conn.Close()
+			conn.Write([]byte("drop"))
+			conn.Write([]byte("oversize"))
+			conn.Write([]byte("keep"))
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			buf := make([]byte, 64)
+			n, err := conn.Read(buf)
+			if err != nil {
+				t.Fatalf("read: %v", err)
+			}
+			if string(buf[:n]) != "keep" {
+				t.Fatalf("got %q, want the dropped packets to vanish", buf[:n])
+			}
+			// The answer can arrive a moment before it is counted; Close
+			// returns once the serving goroutines have.
+			s.Close()
+			dropped, responses := reg.Counter("serve_dropped_total").Value(), reg.Counter("serve_responses_total").Value()
+			if dropped != 2 || responses != 1 {
+				t.Fatalf("serve_dropped_total = %d, serve_responses_total = %d, want 2 and 1", dropped, responses)
+			}
+		})
 	}
 }
 
@@ -384,4 +426,25 @@ func packetFunc(f func(context.Context, []byte, []byte, net.Addr) ([]byte, error
 	return func(ctx context.Context, out, raw []byte, src netip.AddrPort) ([]byte, error) {
 		return f(ctx, out, raw, net.UDPAddrFromAddrPort(src))
 	}
+}
+
+// TestReusePort binds two UDP sockets to one port where the platform
+// allows it, and checks the advertised capability matches reality.
+func TestReusePort(t *testing.T) {
+	if !ReusePortAvailable {
+		if _, err := ListenUDPReusePort("127.0.0.1:0"); err == nil {
+			t.Fatal("ListenUDPReusePort succeeded with ReusePortAvailable=false")
+		}
+		t.Skip("SO_REUSEPORT unavailable on this platform")
+	}
+	first, err := ListenUDPReusePort("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("first bind: %v", err)
+	}
+	defer first.Close()
+	second, err := ListenUDPReusePort(first.LocalAddr().String())
+	if err != nil {
+		t.Fatalf("second bind on %s: %v", first.LocalAddr(), err)
+	}
+	second.Close()
 }

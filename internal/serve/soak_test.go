@@ -14,12 +14,11 @@ import (
 )
 
 // TestServeSoak is the sustained-load gate: closed-loop UDP and TCP
-// clients hammer one engine (sharded listeners, batched reads, a
-// dispatch pool) for a while, then a graceful Shutdown runs under
-// load. It must be race-clean (tier-1 runs it with -race) and the
-// engine's accounting must balance exactly: every datagram read was
-// either answered or deliberately dropped, and every client query got
-// its response.
+// clients hammer one engine (sharded listeners, a dispatch pool) for a
+// while, then a graceful Shutdown runs under load. It must be
+// race-clean (tier-1 runs it with -race) and the engine's accounting
+// must balance exactly: every datagram read was either answered or
+// deliberately dropped, and every client query got its response.
 func TestServeSoak(t *testing.T) {
 	duration := 3 * time.Second
 	if testing.Short() {

@@ -21,8 +21,9 @@ step "unit tests (all packages)"
 # allocation budgets (they skip themselves under -race —
 # TestWarmExchangeAllocBudget, TestDoTWarmExchangeAllocBudget,
 # TestRawQueryAllocs, TestServeHTTPAllocBudget,
-# TestQueryTimeoutAllocationFree, TestBatchAllocationFree,
-# TestWithTimeoutUnarmedAllocBudget, TestResolveMissAllocBudget,
+# TestQueryTimeoutAllocationFree (its dual-stack row holds the datagram
+# source unmapped), TestWithTimeoutUnarmedAllocBudget,
+# TestResolveMissAllocBudget,
 # TestDoAloneAllocatesNothing, TestWildcardAnswerAllocBudget,
 # TestRememberedWinnerAllocationFree, TestCampaignAllocBudget,
 # TestDiscardClientsMemoryFlat (discard mode's kept heap per country),
