@@ -14,30 +14,21 @@ import (
 	"log"
 	"net/netip"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/authserver"
+	"repro/internal/cmdconfig"
 	"repro/internal/dnswire"
-	"repro/internal/serve"
 )
 
 func main() {
-	listen := flag.String("listen", "127.0.0.1:5300", "UDP+TCP listen address")
+	serving := cmdconfig.ServingFlags("127.0.0.1:5300", cmdconfig.Listeners|cmdconfig.MaxConns|cmdconfig.RRL)
 	zoneName := flag.String("zone", "a.com", "zone origin")
 	target := flag.String("addr", "127.0.0.1", "A record target for the wildcard")
 	zoneFile := flag.String("zonefile", "", "BIND-style master file to load instead of the built-in zone")
 	secondary := flag.String("secondary", "", "act as a secondary: AXFR the zone from this primary (host:port)")
-	listeners := flag.Int("listeners", 1, "parallel UDP listener shards (SO_REUSEPORT where available)")
-	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
-	maxInflight := flag.Int("max-inflight", 0, "admission budget: max queries in flight before shedding SERVFAIL (0 = unlimited)")
-	maxConns := flag.Int("max-conns", 0, "max concurrent TCP connections (0 = unlimited)")
-	rrl := flag.Float64("rrl", 0, "UDP response rate limit per source prefix, responses/sec (0 = off)")
-	rrlBurst := flag.Float64("rrl-burst", 0, "RRL token-bucket burst (0 = same as -rrl)")
-	rrlSlip := flag.Int("rrl-slip", 0, "answer every Nth rate-limited query with TC=1 (0 = default 2, negative = never)")
-	writeTimeout := flag.Duration("write-timeout", 0, "per-response TCP write deadline (0 = idle timeout, negative = none)")
-	maxFrame := flag.Int("max-frame", 0, "max TCP request frame bytes; oversize closes the connection (0 = 64KiB-1)")
+	flag.DurationVar(&serving.StreamWriteTimeout, "write-timeout", 0, "per-response TCP write deadline (0 = idle timeout, negative = none)")
+	flag.IntVar(&serving.MaxFrameBytes, "max-frame", 0, "max TCP request frame bytes; oversize closes the connection (0 = 64KiB-1)")
 	flag.Parse()
 
 	origin := dnswire.NewName(*zoneName)
@@ -85,29 +76,16 @@ func main() {
 
 	srv := authserver.NewServer(zone)
 	srv.Logger = log.New(os.Stderr, "authdns: ", log.LstdFlags)
-	srv.Listeners = *listeners
-	srv.Protect = serve.Protection{
-		MaxInflight:        *maxInflight,
-		RateLimit:          *rrl,
-		RateBurst:          *rrlBurst,
-		RateSlip:           *rrlSlip,
-		MaxConns:           *maxConns,
-		MaxFrameBytes:      *maxFrame,
-		StreamWriteTimeout: *writeTimeout,
-	}
-	if err := srv.ListenAndServe(*listen); err != nil {
+	srv.Listeners = serving.Listeners
+	srv.Protect = serving.Protection
+	if err := srv.ListenAndServe(serving.Listen); err != nil {
 		log.Fatalf("authdns: %v", err)
 	}
 	fmt.Printf("authdns: serving %s on %s (%s)\n", origin, srv.Addr(), zone)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	<-ctx.Done()
-	stop()
-	fmt.Printf("authdns: %d queries served, shutting down\n", len(srv.QueryLog()))
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
+	err := serving.Run(context.Background(), cmdconfig.Report{Prefix: "authdns:"}, srv)
+	fmt.Printf("authdns: %d queries served\n", len(srv.QueryLog()))
+	if err != nil {
 		log.Fatalf("authdns: shutdown: %v", err)
 	}
 }

@@ -143,14 +143,20 @@ func main() {
 
 	start := time.Now()
 	var suite *experiments.Suite
+	var ds *campaign.Dataset
 	var err error
 	switch {
 	case *merge:
-		suite, err = mergeSuite(cfg, flag.Args(), *minClients)
+		ds, err = mergeDatasets(flag.Args())
 	case *importDir != "":
-		suite, err = importSuite(cfg, *importDir, *minClients)
+		ds, err = readDataset(*importDir)
 	default:
 		suite, err = experiments.NewSuiteContext(ctx, cfg, *minClients)
+	}
+	if ds != nil {
+		// An imported or merged release: Tables 1-2 still run fresh
+		// validation simulations, everything else reads its data.
+		suite = &experiments.Suite{Config: cfg, Dataset: ds, Analysis: analysis.New(ds, *minClients), MinClients: *minClients}
 	}
 	interrupted := err != nil && errors.Is(err, context.Canceled) && suite != nil
 	if err != nil && !interrupted {
@@ -328,26 +334,10 @@ func readDataset(dir string) (*campaign.Dataset, error) {
 	return ds, nil
 }
 
-// importSuite loads a dataset release and prepares the analyses over
-// it (Tables 1-2 still run fresh validation simulations; everything
-// else reads the imported data).
-func importSuite(cfg campaign.Config, dir string, minClients int) (*experiments.Suite, error) {
-	ds, err := readDataset(dir)
-	if err != nil {
-		return nil, err
-	}
-	return &experiments.Suite{
-		Config:     cfg,
-		Dataset:    ds,
-		Analysis:   analysis.New(ds, minClients),
-		MinClients: minClients,
-	}, nil
-}
-
-// mergeSuite loads N shard export directories, merges them into one
-// dataset (validating the shard partition), and prepares the analyses
-// over it — equivalent to importSuite over an unsharded export.
-func mergeSuite(cfg campaign.Config, dirs []string, minClients int) (*experiments.Suite, error) {
+// mergeDatasets loads N shard export directories and merges them into
+// one dataset (validating the shard partition) — what readDataset reads
+// from an unsharded export.
+func mergeDatasets(dirs []string) (*campaign.Dataset, error) {
 	if len(dirs) == 0 {
 		return nil, errors.New("-merge needs shard export directories as arguments")
 	}
@@ -364,12 +354,7 @@ func mergeSuite(cfg campaign.Config, dirs []string, minClients int) (*experiment
 		return nil, err
 	}
 	fmt.Fprintf(os.Stderr, "worldstudy: merged %d shards: %d clients\n", len(dirs), len(ds.Clients))
-	return &experiments.Suite{
-		Config:     cfg,
-		Dataset:    ds,
-		Analysis:   analysis.New(ds, minClients),
-		MinClients: minClients,
-	}, nil
+	return ds, nil
 }
 
 // parseShard parses "i/N" with 1 <= i <= N.

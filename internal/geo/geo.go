@@ -11,9 +11,8 @@ import (
 
 // Earth radius constants.
 const (
-	EarthRadiusKm    = 6371.0
-	KmPerMile        = 1.609344
-	EarthRadiusMiles = EarthRadiusKm / KmPerMile
+	EarthRadiusKm = 6371.0
+	KmPerMile     = 1.609344
 )
 
 // Point is a latitude/longitude pair in degrees.

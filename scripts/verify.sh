@@ -55,11 +55,13 @@ go test ./...
 step "race gates (concurrency-heavy packages)"
 # The resolver gate carries TestStreamClientConformance (the one
 # connection discipline, for the DoH engine, dot.Client and ExchangeTCP)
-# and TestHedgingOverDoTTakesASecondConnection.
+# and TestHedgingOverDoTTakesASecondConnection; the cmdconfig gate races
+# the commands' forwarder against live loopback candidates and drains a
+# server with a query in flight.
 go test -race ./internal/cache/... ./internal/resolver/... \
 	./internal/campaign/... ./internal/proxynet/... ./internal/obs/... \
 	./internal/checkpoint/... ./internal/anycast/... ./internal/authserver/... \
-	./internal/geoip/...
+	./internal/geoip/... ./internal/cmdconfig/...
 go test -race ./internal/serve/...
 go test -race ./internal/smart/...
 go test -race ./internal/dohclient/... ./internal/dohserver/...
