@@ -290,3 +290,43 @@ func splitTop(expr string, sep byte) []string {
 	}
 	return append(parts, expr[start:])
 }
+
+// docTestName is a test, fuzz or benchmark function's name as the docs
+// write it.
+var docTestName = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)
+
+// TestDocsNameTests holds every Test*, Fuzz* and Benchmark* name in the
+// docs (docs/*.md, README.md, DESIGN.md, EXPERIMENTS.md) to a function
+// of a _test.go file, or to the prefix of one: the docs name families
+// such as BenchmarkObs* by their common prefix.
+func TestDocsNameTests(t *testing.T) {
+	var all []string
+	for _, fns := range testFuncs(t) {
+		all = append(all, fns...)
+	}
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := 0
+	for _, doc := range append(docs, "README.md", "DESIGN.md", "EXPERIMENTS.md") {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range docTestName.FindAllString(string(text), -1) {
+			names++
+			found := false
+			for _, fn := range all {
+				if strings.HasPrefix(fn, name) {
+					found = true
+					break
+				}
+			}
+			if !found {
+				t.Errorf("%s: %s names no test function", doc, name)
+			}
+		}
+	}
+	t.Logf("%d names checked", names)
+}

@@ -88,8 +88,9 @@ func (n Name) IsSubdomainOf(zone Name) bool {
 	return nc == zc || strings.HasSuffix(nc, "."+zc)
 }
 
-// validate checks RFC 1035 length limits.
-func (n Name) validate() error {
+// Validate checks RFC 1035 length limits: no empty label, none over 63
+// octets, at most 255 octets on the wire.
+func (n Name) Validate() error {
 	if n.IsRoot() {
 		return nil
 	}

@@ -4,20 +4,16 @@
 // handshake, request round trip) mirrors the decomposition the paper
 // measures in Figure 2 and feeds the t_DoH / t_DoHR estimators.
 //
-// By default exchanges run on the package's own HTTP/1.1 engine
+// Exchanges are RFC 8484 GETs on the package's own HTTP/1.1 engine
 // (engine.go): persistent connections, one Write and one in-place
-// parse per query, no net/http on the wire path. A client built with
-// Options.HTTPClient goes through net/http instead (nethttp.go) —
-// that is the route to HTTP/2, proxies and custom transports. Both
-// sit behind the one roundTripper seam and are held to the same
-// results by a differential test.
+// parse per query, no net/http on the wire path. A differential test
+// holds it to what a plain net/http client gets from the same server.
 package dohclient
 
 import (
 	"context"
 	"crypto/tls"
 	"fmt"
-	"net/http"
 	"sync"
 	"time"
 
@@ -32,14 +28,7 @@ type Timing = dnsclient.Timing
 // Client is a DoH client bound to one server URL. The zero value is
 // not usable; construct with New. It is safe for concurrent use.
 type Client struct {
-	rt      roundTripper
-	usePOST bool
-	// query is the request's raw query: for GET everything up to and
-	// including "dns=" (preceded by the endpoint's own parameters when
-	// it has any), so the transports build the ?dns= value by direct
-	// append instead of url.Values round trips; for POST the endpoint's
-	// own parameters.
-	query string
+	e engine
 
 	mu    sync.Mutex
 	stats Stats
@@ -54,17 +43,9 @@ type Stats struct {
 }
 
 // Options configures a Client. The zero value (and a nil *Options)
-// gives the defaults: GET requests, certificate verification on, HTTP/1.1
-// over pooled persistent connections with a 30s bound per exchange.
+// gives the defaults: certificate verification on, HTTP/1.1 over pooled
+// persistent connections with a 30s bound per exchange.
 type Options struct {
-	// HTTPClient carries the exchanges over the given *http.Client
-	// instead of the built-in HTTP/1.1 engine: the route to HTTP/2
-	// (a transport with ForceAttemptHTTP2), proxies, custom transports
-	// and test servers' clients. It overrides InsecureTLS, Timeout and
-	// MaxIdleConnsPerHost.
-	HTTPClient *http.Client
-	// POST switches the client to RFC 8484 POST requests.
-	POST bool
 	// InsecureTLS accepts any server certificate; for loopback tests
 	// with self-signed certificates only.
 	InsecureTLS bool
@@ -77,8 +58,7 @@ type Options struct {
 	// number of destinations the smart racer first-queries
 	// concurrently): an HTTP/1.1 pool discards idle connections above
 	// the cap after each exchange, so a smaller cap silently re-pays
-	// the handshake and inflates t_DoHR. Ignored when HTTPClient is
-	// set.
+	// the handshake and inflates t_DoHR.
 	MaxIdleConnsPerHost int
 }
 
@@ -89,18 +69,6 @@ const (
 	maxBody = 1 << 20
 )
 
-// request is one HTTP exchange as both transports see it; the endpoint
-// it goes to is the transport's own.
-type request struct {
-	// query is the raw query string; on a GET it ends in "dns=" and the
-	// base64url of dns follows it.
-	query string
-	// dns is the packed DNS query: base64url-appended to query on GET,
-	// the body on POST.
-	dns  []byte
-	post bool
-}
-
 // response is what Exchange needs of a reply.
 type response struct {
 	status      int
@@ -108,20 +76,8 @@ type response struct {
 	contentType string
 	body        []byte
 	// timing carries DNSLookup, Connect, TLSHandshake and Reused, as
-	// far as the transport got; the caller adds RoundTrip and Total.
+	// far as the exchange got; the caller adds RoundTrip and Total.
 	timing Timing
-}
-
-// roundTripper is the seam between the client and the wire: the
-// engine by default, net/http behind Options.HTTPClient. Either is
-// bound to the client's one endpoint.
-type roundTripper interface {
-	// roundTrip sends req and reads the whole response, the body into
-	// body's storage and cut at maxBody+1 bytes. The response's timing
-	// is filled on failure too.
-	roundTrip(ctx context.Context, req request, body *dnswire.Buffer) (response, error)
-	// closeIdle drops the idle connections.
-	closeIdle()
 }
 
 // New creates a client for a DoH endpoint URL such as
@@ -134,22 +90,12 @@ func New(serverURL string, opts *Options) (*Client, error) {
 	if opts == nil {
 		opts = &Options{}
 	}
-	c := &Client{usePOST: opts.POST, query: dest.url.RawQuery}
-	if !c.usePOST {
-		c.query = "dns="
-		if dest.url.RawQuery != "" {
-			c.query = dest.url.RawQuery + "&dns="
-		}
-	}
-	if opts.HTTPClient != nil {
-		c.rt = httpTransport{hc: opts.HTTPClient, dest: dest}
-		return c, nil
-	}
-	e := &engine{
+	c := &Client{e: engine{
 		dest:    dest,
 		timeout: opts.Timeout,
 		pool:    dnsclient.Pool{MaxIdle: opts.MaxIdleConnsPerHost},
-	}
+	}}
+	e := &c.e
 	if dest.https {
 		e.tlsConfig = &tls.Config{
 			ServerName:         dest.serverName,
@@ -163,7 +109,6 @@ func New(serverURL string, opts *Options) (*Client, error) {
 	if e.timeout <= 0 {
 		e.timeout = 30 * time.Second
 	}
-	c.rt = e
 	return c, nil
 }
 
@@ -197,7 +142,7 @@ func (c *Client) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Mes
 	defer dnswire.PutBuffer(body)
 
 	start := time.Now()
-	resp, err := c.rt.roundTrip(ctx, request{query: c.query, dns: wire, post: c.usePOST}, body)
+	resp, err := c.e.roundTrip(ctx, wire, body)
 	timing := resp.timing
 	timing.Total = time.Since(start)
 	timing.RoundTrip = timing.Total - timing.DNSLookup - timing.Connect - timing.TLSHandshake
@@ -246,5 +191,5 @@ func (c *Client) count(f func(*Stats)) {
 // CloseIdleConnections drops pooled connections so the next exchange
 // pays the full handshake cost again (used to measure DoH1 vs DoHR).
 func (c *Client) CloseIdleConnections() {
-	c.rt.closeIdle()
+	c.e.pool.CloseIdle()
 }

@@ -64,21 +64,6 @@ func TestQueryGET(t *testing.T) {
 	}
 }
 
-func TestQueryPOST(t *testing.T) {
-	srv, _ := newStack(t)
-	c, err := New(srv.URL+dohserver.DefaultPath, &Options{POST: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, _, err := c.Query(context.Background(), "q2.a.com.", dnswire.TypeA)
-	if err != nil {
-		t.Fatalf("Query: %v", err)
-	}
-	if len(resp.Answers) != 1 {
-		t.Fatalf("answers = %v", resp.Answers)
-	}
-}
-
 func TestConnectionReuseDetected(t *testing.T) {
 	srv, _ := newStack(t)
 	c, err := New(srv.URL+dohserver.DefaultPath, nil)
@@ -249,53 +234,6 @@ func TestContextCancellation(t *testing.T) {
 	}
 	if time.Since(start) > 3*time.Second {
 		t.Error("cancellation not honored promptly")
-	}
-}
-
-func TestHTTP2EndToEnd(t *testing.T) {
-	// Public DoH providers serve over HTTP/2; verify the stack works
-	// there and that streams multiplex over one connection.
-	var proto string
-	r := recursive.New(nil)
-	r.SetDefault(recursive.UpstreamFunc(func(_ context.Context, q *dnswire.Message) (*dnswire.Message, error) {
-		m := q.Reply()
-		m.Answers = append(m.Answers, dnswire.ResourceRecord{
-			Name: q.Questions[0].Name, Type: dnswire.TypeA,
-			Class: dnswire.ClassIN, TTL: 60,
-			Data: dnswire.ARecord{Addr: netip.MustParseAddr("203.0.113.7")},
-		})
-		return m, nil
-	}))
-	h := dohserver.NewHandler(r)
-	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		proto = req.Proto
-		h.ServeHTTP(w, req)
-	}))
-	srv.EnableHTTP2 = true
-	srv.StartTLS()
-	defer srv.Close()
-
-	c, err := New(srv.URL+"/dns-query", &Options{HTTPClient: srv.Client()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, _, err := c.Query(context.Background(), "h2.a.com.", dnswire.TypeA)
-	if err != nil {
-		t.Fatalf("Query over h2: %v", err)
-	}
-	if len(resp.Answers) != 1 {
-		t.Fatalf("answers = %v", resp.Answers)
-	}
-	if proto != "HTTP/2.0" {
-		t.Errorf("served over %s, want HTTP/2.0", proto)
-	}
-	// Second query reuses the same h2 connection (stream, not dial).
-	_, timing, err := c.Query(context.Background(), "h2b.a.com.", dnswire.TypeA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !timing.Reused {
-		t.Error("second h2 query did not reuse the connection")
 	}
 }
 

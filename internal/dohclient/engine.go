@@ -9,7 +9,6 @@ import (
 	"io"
 	"net"
 	"net/url"
-	"strconv"
 	"time"
 
 	"repro/internal/dnsclient"
@@ -19,12 +18,15 @@ import (
 // endpoint is a parsed request URL: where to connect and what to put
 // in the request line and Host header.
 type endpoint struct {
-	url        *url.URL
 	https      bool
 	addr       string // host:port to dial
 	host       string // Host header
 	serverName string // TLS SNI and the name the certificate must carry
 	path       string // escaped request path, never empty
+	// query is the request's raw query up to and including "dns="
+	// (after the URL's own parameters when it has any): the ?dns= value
+	// is appended to it directly, with no url.Values round trip.
+	query string
 }
 
 func newEndpoint(rawURL string) (*endpoint, error) {
@@ -46,24 +48,28 @@ func newEndpoint(rawURL string) (*endpoint, error) {
 	if path == "" {
 		path = "/"
 	}
+	query := "dns="
+	if u.RawQuery != "" {
+		query = u.RawQuery + "&dns="
+	}
 	return &endpoint{
-		url:        u,
 		https:      u.Scheme == "https",
 		addr:       net.JoinHostPort(u.Hostname(), port),
 		host:       u.Host,
 		serverName: u.Hostname(),
 		path:       path,
+		query:      query,
 	}, nil
 }
 
-// engine is the default transport: HTTP/1.1 over an idle pool of
+// engine is the client's transport: HTTP/1.1 over an idle pool of
 // persistent connections, one exchange at a time per connection,
 // written and read on the caller's goroutine as dot.Client does, and
 // under the same dial, pool, deadline and redial rules
 // (internal/dnsclient/conn.go). It speaks exactly what a DoH exchange
 // needs — one request in one Write, one response parsed in place — and
 // nothing of HTTP beyond that: no redirects, no cookies, no proxies, no
-// HTTP/2 (Options.HTTPClient is the route to those).
+// HTTP/2.
 type engine struct {
 	dest      *endpoint
 	tlsConfig *tls.Config // nil for http:// endpoints
@@ -88,10 +94,13 @@ func newConnState(c net.Conn) *connState {
 	}
 }
 
-func (e *engine) roundTrip(ctx context.Context, req request, body *dnswire.Buffer) (response, error) {
+// roundTrip sends a GET for the packed query dns and reads the whole
+// response, the body into body's storage and cut at maxBody+1 bytes.
+// The response's timing is filled on failure too.
+func (e *engine) roundTrip(ctx context.Context, dns []byte, body *dnswire.Buffer) (response, error) {
 	buf := dnswire.GetBuffer()
 	defer dnswire.PutBuffer(buf)
-	buf.B = appendRequest(buf.B[:0], e.dest, req)
+	buf.B = appendRequest(buf.B[:0], e.dest, dns)
 
 	var resp response
 	a := e.pool.Begin(ctx, e.dest.addr, e.tlsConfig, e.timeout)
@@ -135,35 +144,17 @@ func do(w io.Writer, br *bufio.Reader, reqBytes []byte, body *dnswire.Buffer) (r
 	return resp, reusable, err
 }
 
-// appendRequest appends the whole request to dest — head and, for
-// POST, body — so it leaves in one Write (one TLS record). A GET gets
-// its ?dns= value base64url-encoded straight into place.
-func appendRequest(b []byte, dest *endpoint, req request) []byte {
-	if req.post {
-		b = append(b, "POST "...)
-	} else {
-		b = append(b, "GET "...)
-	}
+// appendRequest appends the whole GET request for the packed query dns
+// to b, its ?dns= value base64url-encoded straight into place, so it
+// leaves in one Write (one TLS record).
+func appendRequest(b []byte, dest *endpoint, dns []byte) []byte {
+	b = append(b, "GET "...)
 	b = append(b, dest.path...)
-	if req.query != "" {
-		b = append(b, '?')
-		b = append(b, req.query...)
-		if !req.post {
-			b = base64.RawURLEncoding.AppendEncode(b, req.dns)
-		}
-	}
+	b = append(b, '?')
+	b = append(b, dest.query...)
+	b = base64.RawURLEncoding.AppendEncode(b, dns)
 	b = append(b, " HTTP/1.1\r\nHost: "...)
 	b = append(b, dest.host...)
-	b = append(b, "\r\nAccept: "+wireContentType...)
-	if req.post {
-		b = append(b, "\r\nContent-Type: "+wireContentType+"\r\nContent-Length: "...)
-		b = strconv.AppendInt(b, int64(len(req.dns)), 10)
-	}
-	b = append(b, "\r\n\r\n"...)
-	if req.post {
-		b = append(b, req.dns...)
-	}
+	b = append(b, "\r\nAccept: "+wireContentType+"\r\n\r\n"...)
 	return b
 }
-
-func (e *engine) closeIdle() { e.pool.CloseIdle() }

@@ -13,6 +13,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"net/netip"
 	"strings"
 	"sync"
@@ -437,7 +438,7 @@ func TestEngineCancellation(t *testing.T) {
 			if tc.wantErr == nil && !isTimeout(err) {
 				t.Errorf("err = %v, want a timeout", err)
 			}
-			if n := c.rt.(*engine).pool.Idle(); n != 0 {
+			if n := c.e.pool.Idle(); n != 0 {
 				t.Errorf("%d idle connection(s) after an aborted exchange", n)
 			}
 			_, timing, err := c.Query(context.Background(), "next.a.com.", dnswire.TypeA)
@@ -465,7 +466,7 @@ func TestEnginePoolBoundUnderConcurrency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idle := c.rt.(*engine).pool.Idle
+	idle := c.e.pool.Idle
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -505,10 +506,11 @@ func TestEnginePoolBoundUnderConcurrency(t *testing.T) {
 	}
 }
 
-// TestEngineMatchesHTTPClientPath is the differential test over the
-// roundTripper seam: against one dohserver, over TLS, the engine and the
-// Options.HTTPClient path return the same messages, the same Reused
-// sequence and the same Stats, for GET and POST, across connection
+// TestEngineMatchesHTTPClientPath is the differential test of the
+// engine against net/http: against one dohserver, over TLS, the engine
+// and a plain http.Client GET of the same URL (one transport per
+// client, judged by the client's rules) return the same messages, the
+// same Reused sequence and fail on the same steps, across connection
 // drops and HTTP-level failures.
 func TestEngineMatchesHTTPClientPath(t *testing.T) {
 	r := recursive.New(nil)
@@ -551,28 +553,17 @@ func TestEngineMatchesHTTPClientPath(t *testing.T) {
 		failed bool
 		reused bool
 	}
-	run := func(t *testing.T, opts func() *Options) ([]outcome, Stats) {
-		clients := map[string]*Client{}
-		var total Stats
+	// run plays the script through exchange, which keeps one client per
+	// path.
+	run := func(t *testing.T, exchange func(path string, drop bool, q *dnswire.Message) (*dnswire.Message, bool, error)) []outcome {
 		var out []outcome
 		for i, s := range script {
 			path := s.path
 			if path == "" {
 				path = dohserver.DefaultPath
 			}
-			c := clients[path]
-			if c == nil {
-				var err error
-				if c, err = New(srv.URL+path, opts()); err != nil {
-					t.Fatal(err)
-				}
-				clients[path] = c
-			}
-			if s.drop {
-				c.CloseIdleConnections()
-			}
-			resp, timing, err := c.Exchange(context.Background(), dnswire.NewQuery(uint16(100+i), s.name, dnswire.TypeA))
-			o := outcome{failed: err != nil, reused: timing.Reused}
+			resp, reused, err := exchange(path, s.drop, dnswire.NewQuery(uint16(100+i), s.name, dnswire.TypeA))
+			o := outcome{failed: err != nil, reused: reused}
 			if err == nil {
 				wire, err := resp.Pack()
 				if err != nil {
@@ -582,6 +573,50 @@ func TestEngineMatchesHTTPClientPath(t *testing.T) {
 			}
 			out = append(out, o)
 		}
+		return out
+	}
+	t.Run("GET", func(t *testing.T) {
+		clients := map[string]*Client{}
+		viaEngine := run(t, func(path string, drop bool, q *dnswire.Message) (*dnswire.Message, bool, error) {
+			c := clients[path]
+			if c == nil {
+				var err error
+				if c, err = New(srv.URL+path, &Options{InsecureTLS: true}); err != nil {
+					t.Fatal(err)
+				}
+				clients[path] = c
+			}
+			if drop {
+				c.CloseIdleConnections()
+			}
+			m, timing, err := c.Exchange(context.Background(), q)
+			return m, timing.Reused, err
+		})
+		transports := map[string]*http.Client{}
+		viaHTTP := run(t, func(path string, drop bool, q *dnswire.Message) (*dnswire.Message, bool, error) {
+			hc := transports[path]
+			if hc == nil {
+				// One transport per client, as the engine keeps one pool
+				// per client.
+				tr := srv.Client().Transport.(*http.Transport).Clone()
+				tr.ForceAttemptHTTP2 = false
+				tr.TLSClientConfig.NextProtos = nil
+				hc = &http.Client{Transport: tr}
+				transports[path] = hc
+			}
+			if drop {
+				hc.CloseIdleConnections()
+			}
+			return netHTTPGet(hc, srv.URL+path, q)
+		})
+		for i := range script {
+			if viaEngine[i] != viaHTTP[i] {
+				t.Errorf("step %d (%+v): engine {failed:%v reused:%v wire:%x}, net/http {failed:%v reused:%v wire:%x}",
+					i, script[i], viaEngine[i].failed, viaEngine[i].reused, viaEngine[i].wire,
+					viaHTTP[i].failed, viaHTTP[i].reused, viaHTTP[i].wire)
+			}
+		}
+		var total Stats
 		for _, c := range clients {
 			st := c.Stats()
 			total.Exchanges += st.Exchanges
@@ -590,34 +625,52 @@ func TestEngineMatchesHTTPClientPath(t *testing.T) {
 			total.WireErrors += st.WireErrors
 			c.CloseIdleConnections()
 		}
-		return out, total
+		for _, hc := range transports {
+			hc.CloseIdleConnections()
+		}
+		if want := (Stats{Exchanges: 7, Reused: 5, HTTPErrors: 1, WireErrors: 1}); total != want {
+			t.Errorf("stats = %+v, want %+v", total, want)
+		}
+	})
+}
+
+// netHTTPGet is the differential test's reference exchange: a plain
+// net/http GET of url with q as its ?dns= value, held to the client's
+// rules (200, application/dns-message, the query's ID echoed). It
+// reports whether the request went out on a reused connection.
+func netHTTPGet(hc *http.Client, url string, q *dnswire.Message) (*dnswire.Message, bool, error) {
+	wire, err := q.Pack()
+	if err != nil {
+		return nil, false, err
 	}
-	for _, post := range []bool{false, true} {
-		t.Run(map[bool]string{false: "GET", true: "POST"}[post], func(t *testing.T) {
-			viaEngine, engineStats := run(t, func() *Options { return &Options{POST: post, InsecureTLS: true} })
-			viaHTTP, httpStats := run(t, func() *Options {
-				// One transport per client, as the engine keeps one pool per
-				// client.
-				tr := srv.Client().Transport.(*http.Transport).Clone()
-				tr.ForceAttemptHTTP2 = false
-				tr.TLSClientConfig.NextProtos = nil
-				return &Options{POST: post, HTTPClient: &http.Client{Transport: tr}}
-			})
-			for i := range script {
-				if viaEngine[i] != viaHTTP[i] {
-					t.Errorf("step %d (%+v): engine {failed:%v reused:%v wire:%x}, net/http {failed:%v reused:%v wire:%x}",
-						i, script[i], viaEngine[i].failed, viaEngine[i].reused, viaEngine[i].wire,
-						viaHTTP[i].failed, viaHTTP[i].reused, viaHTTP[i].wire)
-				}
-			}
-			if engineStats != httpStats {
-				t.Errorf("stats: engine %+v, net/http %+v", engineStats, httpStats)
-			}
-			if want := (Stats{Exchanges: 7, Reused: 5, HTTPErrors: 1, WireErrors: 1}); engineStats != want {
-				t.Errorf("stats = %+v, want %+v", engineStats, want)
-			}
-		})
+	var reused bool
+	ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
+		GotConn: func(info httptrace.GotConnInfo) { reused = info.Reused },
+	})
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"?dns="+base64.RawURLEncoding.EncodeToString(wire), nil)
+	if err != nil {
+		return nil, false, err
 	}
+	req.Header.Set("Accept", wireContentType)
+	resp, err := hc.Do(req)
+	if err != nil {
+		return nil, reused, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	switch {
+	case err != nil:
+		return nil, reused, err
+	case resp.StatusCode != http.StatusOK:
+		return nil, reused, fmt.Errorf("server returned %s", resp.Status)
+	case resp.Header.Get("Content-Type") != wireContentType:
+		return nil, reused, fmt.Errorf("unexpected content-type %q", resp.Header.Get("Content-Type"))
+	}
+	m, err := dnswire.Unpack(body)
+	if err == nil && m.Header.ID != q.Header.ID {
+		err = errors.New("response ID mismatch")
+	}
+	return m, reused, err
 }
 
 // TestEngineTLSDefaults pins the security properties of the default
@@ -641,7 +694,7 @@ func TestEngineTLSDefaults(t *testing.T) {
 	if st := c.Stats(); st.HTTPErrors != 1 {
 		t.Errorf("stats = %+v", st)
 	}
-	cfg := c.rt.(*engine).tlsConfig
+	cfg := c.e.tlsConfig
 	if cfg.InsecureSkipVerify || cfg.MinVersion != tls.VersionTLS12 || cfg.ServerName != "127.0.0.1" {
 		t.Errorf("TLS config = {InsecureSkipVerify:%v MinVersion:%#x ServerName:%q}", cfg.InsecureSkipVerify, cfg.MinVersion, cfg.ServerName)
 	}

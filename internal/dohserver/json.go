@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/deadline"
 	"repro/internal/dnsclient"
@@ -45,7 +46,6 @@ type JSONResponse struct {
 	RA       bool           `json:"RA"`
 	Question []JSONQuestion `json:"Question"`
 	Answer   []JSONAnswer   `json:"Answer,omitempty"`
-	Comment  string         `json:"Comment,omitempty"`
 }
 
 // ServeJSON answers the ?name=&type= JSON API.
@@ -60,6 +60,16 @@ func (h *Handler) ServeJSON(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := dnswire.NewName(rawName)
+	if err := name.Validate(); err != nil {
+		// The wire path could never carry it.
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	if !utf8.ValidString(rawName) {
+		// Nor could a JSON answer echo it.
+		http.Error(w, "name is not UTF-8", http.StatusBadRequest)
+		return
+	}
 	typ, err := parseTypeParam(r.URL.Query().Get("type"))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -95,7 +105,7 @@ func (h *Handler) ServeJSON(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	w.Header().Set("Content-Type", JSONContentType)
-	w.Header().Set("Cache-Control", fmt.Sprintf("max-age=%d", h.maxAge(resp)))
+	w.Header().Set("Cache-Control", fmt.Sprintf("max-age=%d", maxAge(resp)))
 	json.NewEncoder(w).Encode(body)
 }
 

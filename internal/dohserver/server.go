@@ -38,15 +38,11 @@ const maxRequestSize = 64 * 1024
 
 // Handler serves RFC 8484 DoH requests by delegating to a resolver.
 type Handler struct {
-	// Resolver answers the decoded DNS queries.
+	// Resolver answers the decoded DNS queries. EDNS Client Subnet
+	// options are scrubbed from every query before it gets there: the
+	// paper's ethics appendix commits to never inspecting ECS client
+	// addresses.
 	Resolver *recursive.Resolver
-	// MaxAge caps the Cache-Control max-age; 0 uses the answer TTL.
-	MaxAge time.Duration
-	// KeepECS disables the default privacy scrub of EDNS Client
-	// Subnet options from incoming queries. The paper's ethics
-	// appendix commits to never inspecting ECS client addresses; by
-	// default this server removes them before resolution.
-	KeepECS bool
 
 	// resolveTimeout bounds one query's resolution, every upstream
 	// attempt included; zero means recursive.QueryTimeout, the bound the
@@ -111,13 +107,11 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	h.queries.Add(1)
-	if !h.KeepECS {
-		if stripped, err := dnswire.StripECS(q); err != nil {
-			http.Error(w, "malformed EDNS options", http.StatusBadRequest)
-			return
-		} else if stripped {
-			h.scrubbed.Add(1)
-		}
+	if stripped, err := dnswire.StripECS(q); err != nil {
+		http.Error(w, "malformed EDNS options", http.StatusBadRequest)
+		return
+	} else if stripped {
+		h.scrubbed.Add(1)
 	}
 
 	ctx := h.resolveContext(&x.bound, r.Context())
@@ -129,7 +123,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	scratch.B = wire
-	setHeaders(w.Header(), len(wire), h.maxAge(resp))
+	setHeaders(w.Header(), len(wire), maxAge(resp))
 	w.WriteHeader(http.StatusOK)
 	w.Write(wire)
 }
@@ -159,17 +153,13 @@ func setHeaders(hdr http.Header, length, maxAge int) {
 // (RFC 8484 §5.1): the smallest Answer TTL, or for NXDOMAIN and NODATA
 // the RFC 2308 negative TTL — the rule the answer cache itself
 // applies — and 0 for anything else (SERVFAIL must not be cached by
-// HTTP intermediaries). Capped by MaxAge when set.
-func (h *Handler) maxAge(resp *dnswire.Message) int {
+// HTTP intermediaries).
+func maxAge(resp *dnswire.Message) int {
 	if rc := resp.Header.RCode; rc != dnswire.RCodeNoError && rc != dnswire.RCodeNXDomain {
 		return 0
 	}
 	ttl, _, _ := cache.TTL(resp)
-	age := int(ttl)
-	if h.MaxAge > 0 && age > int(h.MaxAge/time.Second) {
-		age = int(h.MaxAge / time.Second)
-	}
-	return age
+	return int(ttl)
 }
 
 // resolveContext resets c as the bound on one resolution under parent,

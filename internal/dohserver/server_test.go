@@ -8,7 +8,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"net/netip"
+	"strings"
 	"testing"
 
 	"repro/internal/dnswire"
@@ -192,18 +194,6 @@ func TestServFailOnResolverError(t *testing.T) {
 	}
 }
 
-func TestMaxAgeCapped(t *testing.T) {
-	h := NewHandler(testResolver())
-	h.MaxAge = 10e9 // 10 seconds
-	rec := httptest.NewRecorder()
-	req := httptest.NewRequest(http.MethodGet,
-		DefaultPath+"?dns="+base64.RawURLEncoding.EncodeToString(packedQuery(t, "c.a.com.")), nil)
-	h.ServeHTTP(rec, req)
-	if cc := rec.Header().Get("Cache-Control"); cc != "max-age=10" {
-		t.Errorf("cache-control = %q, want max-age=10 (TTL 42 capped)", cc)
-	}
-}
-
 func TestECSScrubbedByDefault(t *testing.T) {
 	var sawECS, sawQuery bool
 	r := recursive.New(nil)
@@ -254,27 +244,51 @@ func TestECSScrubbedByDefault(t *testing.T) {
 	if h.ScrubbedECS() != 1 {
 		t.Errorf("ScrubbedECS = %d", h.ScrubbedECS())
 	}
+}
 
-	// With KeepECS the option passes through (fresh name so the
-	// shared resolver cache does not absorb the query).
-	h2 := NewHandler(r)
-	h2.KeepECS = true
-	srv2 := httptest.NewServer(h2.Mux())
-	defer srv2.Close()
-	sawECS = false
-	q2 := dnswire.NewQuery(4, "ecs2.a.com.", dnswire.TypeA)
-	q2.Additionals = q.Additionals
-	wire2, err := q2.Pack()
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2, err := http.Get(srv2.URL + DefaultPath + "?dns=" + base64.RawURLEncoding.EncodeToString(wire2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if !sawECS {
-		t.Error("ECS scrubbed even with KeepECS")
+// TestHTTP2EndToEnd: public DoH providers serve over HTTP/2, and the
+// handler does too when the listener negotiates h2 by ALPN. Two GETs on
+// one net/http client are answered over HTTP/2.0, the second as a new
+// stream on the first one's connection.
+func TestHTTP2EndToEnd(t *testing.T) {
+	srv := httptest.NewUnstartedServer(NewHandler(testResolver()).Mux())
+	srv.EnableHTTP2 = true
+	srv.StartTLS()
+	defer srv.Close()
+
+	hc := srv.Client()
+	for i, name := range []dnswire.Name{"h2.a.com.", "h2b.a.com."} {
+		var reused bool
+		ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
+			GotConn: func(info httptrace.GotConnInfo) { reused = info.Reused },
+		})
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet,
+			srv.URL+DefaultPath+"?dns="+base64.RawURLEncoding.EncodeToString(packedQuery(t, name)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := hc.Do(req)
+		if err != nil {
+			t.Fatalf("GET over h2: %v", err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Proto != "HTTP/2.0" {
+			t.Errorf("%s: served over %s, want HTTP/2.0", name, resp.Proto)
+		}
+		m, err := dnswire.Unpack(body)
+		if err != nil {
+			t.Fatalf("%s: status %s, body does not unpack: %v", name, resp.Status, err)
+		}
+		if len(m.Answers) != 1 {
+			t.Errorf("%s: answers = %v", name, m.Answers)
+		}
+		if reused != (i == 1) {
+			t.Errorf("%s: reused = %v, want %v", name, reused, i == 1)
+		}
 	}
 }
 
@@ -312,38 +326,36 @@ func TestJSONAPI(t *testing.T) {
 	}
 }
 
+// TestJSONAPIParamValidation: a missing name, an unknown type, a name
+// the wire format cannot carry (a label over 63 octets, a name over 255,
+// an empty label) and one that is not UTF-8 are 400s; numeric and default types, and a label
+// of exactly 63 octets, are answered.
 func TestJSONAPIParamValidation(t *testing.T) {
 	h := NewHandler(testResolver())
 	srv := httptest.NewServer(h.Mux())
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + JSONPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("missing name: status = %s", resp.Status)
-	}
-
-	resp2, err := http.Get(srv.URL + JSONPath + "?name=x.a.com&type=BOGUS")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad type: status = %s", resp2.Status)
-	}
-
-	// Numeric and default types work.
-	for _, qs := range []string{"?name=y.a.com&type=28", "?name=z.a.com"} {
-		r, err := http.Get(srv.URL + JSONPath + qs)
+	for _, tc := range []struct {
+		query string
+		want  int
+	}{
+		{"", http.StatusBadRequest},
+		{"?name=x.a.com&type=BOGUS", http.StatusBadRequest},
+		{"?name=" + strings.Repeat("l", 70) + ".a.com", http.StatusBadRequest},
+		{"?name=" + strings.Repeat("abcdefghi.", 30) + "a.com", http.StatusBadRequest}, // 305 octets
+		{"?name=a..b.a.com", http.StatusBadRequest},
+		{"?name=%FF.a.com", http.StatusBadRequest}, // a JSON answer could not echo it
+		{"?name=y.a.com&type=28", http.StatusOK},
+		{"?name=z.a.com", http.StatusOK},
+		{"?name=" + strings.Repeat("l", 63) + ".a.com", http.StatusOK},
+	} {
+		resp, err := http.Get(srv.URL + JSONPath + tc.query)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.Body.Close()
-		if r.StatusCode != http.StatusOK {
-			t.Errorf("%s: status = %s", qs, r.Status)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%q: status = %s, want %d", tc.query, resp.Status, tc.want)
 		}
 	}
 }

@@ -125,11 +125,10 @@ func (s *Server) ListenAndServe(addr string) error {
 		Stream: serve.StreamHandlerFunc(func(ctx context.Context, out, raw []byte, _ net.Addr) ([]byte, error) {
 			return serve.Answer(ctx, s.Resolver, out, raw, serve.MaxStreamPayload)
 		}),
-		TLSConfig:         s.TLSConfig,
-		Listeners:         s.Listeners,
-		QueryTimeout:      10 * time.Second,
-		StreamIdleTimeout: 30 * time.Second,
-		Protection:        s.Protect,
+		TLSConfig:    s.TLSConfig,
+		Listeners:    s.Listeners,
+		QueryTimeout: 10 * time.Second,
+		Protection:   s.Protect,
 	})
 	if err != nil {
 		return err

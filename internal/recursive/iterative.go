@@ -23,10 +23,6 @@ type Iterative struct {
 	Roots []string
 	// Client performs the per-server exchanges.
 	Client dnsclient.Client
-	// MaxReferrals bounds the delegation walk (default 16).
-	MaxReferrals int
-	// MaxCNAME bounds cross-zone CNAME chasing (default 8).
-	MaxCNAME int
 	// AddrToServer maps an address learned from glue or NS
 	// resolution to the dial string. The default appends the root
 	// hints' port (real deployments: 53). Tests and split-horizon
@@ -65,26 +61,20 @@ func (it *Iterative) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.
 	return resp, nil
 }
 
-func (it *Iterative) maxReferrals() int {
-	if it.MaxReferrals > 0 {
-		return it.MaxReferrals
-	}
-	return 16
-}
-
-func (it *Iterative) maxCNAME() int {
-	if it.MaxCNAME > 0 {
-		return it.MaxCNAME
-	}
-	return 8
-}
+const (
+	// maxReferrals bounds the delegation walk of one name.
+	maxReferrals = 16
+	// maxRestarts bounds cross-zone CNAME chases and glueless NS
+	// side-resolutions, each a fresh walk from the roots.
+	maxRestarts = 8
+)
 
 // resolveName walks the tree for (name, typ). depth counts restarts
 // (cross-zone CNAME chases and glueless NS side-resolutions), each of
-// which begins a fresh walk from the roots; it is bounded by MaxCNAME
+// which begins a fresh walk from the roots; it is bounded by maxRestarts
 // so circular glueless delegations terminate instead of recursing.
 func (it *Iterative) resolveName(ctx context.Context, name dnswire.Name, typ dnswire.Type, depth int) (*dnswire.Message, error) {
-	if depth > it.maxCNAME() {
+	if depth > maxRestarts {
 		return nil, errors.New("recursive: restart limit exceeded (circular delegation or CNAME chain)")
 	}
 	servers := append([]string(nil), it.Roots...)
@@ -92,7 +82,7 @@ func (it *Iterative) resolveName(ctx context.Context, name dnswire.Name, typ dns
 	// asking about the top-level label only.
 	labels := name.Labels()
 	exposed := 1
-	for hop := 0; hop < it.maxReferrals(); hop++ {
+	for hop := 0; hop < maxReferrals; hop++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

@@ -54,10 +54,6 @@ type Resolver struct {
 	// zones is kept longest suffix first, so the first match wins.
 	zones           []zoneRoute
 	defaultUpstream Upstream
-
-	// QueryDelay, when set, is invoked once per cache miss and may
-	// inject artificial latency (virtual-network mode).
-	QueryDelay func(ctx context.Context) error
 }
 
 // zoneRoute sends queries under suffix (canonical form) to up.
@@ -92,11 +88,6 @@ func (r *Resolver) refresh(ctx context.Context, name dnswire.Name, typ dnswire.T
 	up := r.upstreamFor(name)
 	if up == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNoUpstream, name)
-	}
-	if r.QueryDelay != nil {
-		if err := r.QueryDelay(ctx); err != nil {
-			return nil, err
-		}
 	}
 	q := dnswire.NewQuery(dnsclient.RandomID(), name, typ)
 	resp, err := up.Resolve(ctx, q)
@@ -198,11 +189,6 @@ func (r *Resolver) ResolveInto(ctx context.Context, q, dst *dnswire.Message) (*d
 
 // resolveMiss performs the actual upstream resolution and caches it.
 func (r *Resolver) resolveMiss(ctx context.Context, up Upstream, q *dnswire.Message) (*dnswire.Message, error) {
-	if r.QueryDelay != nil {
-		if err := r.QueryDelay(ctx); err != nil {
-			return nil, err
-		}
-	}
 	resp, err := up.Resolve(ctx, q)
 	if err != nil {
 		return nil, err

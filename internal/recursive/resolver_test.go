@@ -186,27 +186,6 @@ func TestResolverServFailOnUpstreamError(t *testing.T) {
 	}
 }
 
-func TestQueryDelayHookRuns(t *testing.T) {
-	var delayed atomic.Int32
-	r := New(nil)
-	r.SetDefault(UpstreamFunc(func(_ context.Context, q *dnswire.Message) (*dnswire.Message, error) {
-		return answer(q.Questions[0].Name, 60), nil
-	}))
-	r.QueryDelay = func(context.Context) error {
-		delayed.Add(1)
-		return nil
-	}
-	// First resolve: miss -> delay. Second: hit -> no delay.
-	for i := 0; i < 2; i++ {
-		if _, err := r.Resolve(context.Background(), dnswire.NewQuery(1, "d.a.com.", dnswire.TypeA)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if delayed.Load() != 1 {
-		t.Errorf("delay hook ran %d times, want 1 (only on cache miss)", delayed.Load())
-	}
-}
-
 func TestConcurrentMissesCoalesced(t *testing.T) {
 	// Many goroutines miss on the same name simultaneously: exactly
 	// one upstream query must run.

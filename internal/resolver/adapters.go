@@ -47,19 +47,10 @@ func NewDoT(c *dot.Client) Resolver { return Func(c.Exchange) }
 type UpstreamAdapter struct {
 	// R performs the resolution.
 	R Resolver
-	// Metrics, when non-nil, counts queries and drops crossing the
-	// adapter.
-	Metrics *Metrics
 }
 
 // Resolve implements the Upstream shape.
 func (u UpstreamAdapter) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
-	if u.Metrics != nil {
-		u.Metrics.Queries.Add(1)
-	}
 	resp, _, err := u.R.Resolve(ctx, q)
-	if err != nil && u.Metrics != nil {
-		u.Metrics.Failures.Add(1)
-	}
 	return resp, err
 }

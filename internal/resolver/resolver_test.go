@@ -84,18 +84,13 @@ func TestTimingBreakdown(t *testing.T) {
 }
 
 func TestUpstreamAdapter(t *testing.T) {
-	m := &Metrics{}
-	u := UpstreamAdapter{R: &stub{}, Metrics: m}
+	u := UpstreamAdapter{R: &stub{}}
 	resp, err := u.Resolve(context.Background(), Query("u.a.com.", dnswire.TypeA))
 	if err != nil || resp == nil {
 		t.Fatalf("Resolve: %v", err)
 	}
-	if _, err := (UpstreamAdapter{R: &stub{errs: []error{errWire}}, Metrics: m}).Resolve(
+	if _, err := (UpstreamAdapter{R: &stub{errs: []error{errWire}}}).Resolve(
 		context.Background(), Query("u.a.com.", dnswire.TypeA)); !errors.Is(err, errWire) {
 		t.Fatalf("err = %v, want %v", err, errWire)
-	}
-	snap := m.Snapshot()
-	if snap.Queries != 2 || snap.Failures != 1 {
-		t.Errorf("metrics = %+v, want queries=2 failures=1", snap)
 	}
 }

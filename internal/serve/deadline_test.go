@@ -157,7 +157,6 @@ func TestQueryTimeoutFires(t *testing.T) {
 		{"packet inline", Options{Packet: packet}, false},
 		{"packet dispatch", Options{Packet: packet, Concurrency: 2}, false},
 		{"stream", Options{Stream: stream}, true},
-		{"stream pipelined", Options{Stream: stream, Protection: Protection{MaxConnInflight: 4}}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.opts.QueryTimeout = timeout

@@ -109,7 +109,7 @@ func FuzzReadFrame(f *testing.F) {
 		if limit == 0 {
 			limit = 0xffff // what New makes of an unset MaxFrameBytes
 		}
-		s := &Server{opts: Options{StreamIdleTimeout: time.Second, Protection: Protection{MaxFrameBytes: limit}}}
+		s := &Server{opts: Options{Protection: Protection{MaxFrameBytes: limit}}}
 		s.metrics.oversize = reg.Counter("serve_frame_oversize_total")
 		conn := &scriptConn{r: bytes.NewReader(stream)}
 

@@ -30,8 +30,7 @@ import (
 //     MaxFrameBytes rejects oversized frames before buffering them,
 //     StreamWriteTimeout unsticks writers pinned by slow readers, and
 //     StreamReadTimeout paces the body of an announced frame
-//     (slowloris). MaxConnInflight > 1 additionally serves pipelined
-//     frames on one connection concurrently (RFC 7766 §6.2.1.1).
+//     (slowloris). Frames on one connection are served in order.
 //   - Panic recovery: a handler panic is converted into SERVFAIL plus
 //     serve_panic_total instead of a crash. This one is always on.
 //
@@ -69,11 +68,6 @@ type Protection struct {
 	// accepted connections are closed immediately and counted in
 	// serve_conns_rejected_total. 0 means unlimited.
 	MaxConns int
-	// MaxConnInflight, when > 1, serves that many pipelined frames of
-	// one stream connection concurrently, writing responses possibly
-	// out of order (clients match on message ID, RFC 7766 §7). 0 or 1
-	// serves frames strictly sequentially (the historical behavior).
-	MaxConnInflight int
 	// MaxFrameBytes caps the request frame length a stream connection
 	// may announce. An oversize frame closes the connection before its
 	// body is buffered (serve_frame_oversize_total). 0 means the
@@ -82,7 +76,7 @@ type Protection struct {
 
 	// StreamWriteTimeout bounds each response write so a client that
 	// stops reading cannot pin a connection goroutine forever once the
-	// kernel buffers fill. 0 uses StreamIdleTimeout; negative disables
+	// kernel buffers fill. 0 uses the 30 s idle timeout; negative disables
 	// the deadline.
 	StreamWriteTimeout time.Duration
 	// StreamReadTimeout, when positive, bounds reading the body of a

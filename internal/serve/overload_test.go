@@ -655,56 +655,6 @@ func TestStreamReadTimeoutClosesSlowloris(t *testing.T) {
 	}
 }
 
-// TestPipelinedConnServesConcurrently: with MaxConnInflight > 1,
-// multiple frames on one connection are served concurrently (RFC 7766
-// §6.2.1.1), so eight 150 ms queries finish far sooner than their
-// 1.2 s sequential sum.
-func TestPipelinedConnServesConcurrently(t *testing.T) {
-	s, err := New("127.0.0.1:0", Options{
-		Stream: StreamHandlerFunc(func(_ context.Context, out, raw []byte, _ net.Addr) ([]byte, error) {
-			time.Sleep(150 * time.Millisecond)
-			return append(out, raw...), nil
-		}),
-		Protection: Protection{MaxConnInflight: 8},
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer s.Close()
-
-	conn, err := net.Dial("tcp", s.Addr())
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer conn.Close()
-	const frames = 8
-	var batch []byte
-	want := map[string]bool{}
-	for i := 0; i < frames; i++ {
-		q := string(dnsShaped(uint16(i), "pipeline"))
-		want[q] = true
-		batch = append(batch, 0, byte(len(q)))
-		batch = append(batch, q...)
-	}
-	start := time.Now()
-	if _, err := conn.Write(batch); err != nil {
-		t.Fatalf("write batch: %v", err)
-	}
-	for i := 0; i < frames; i++ {
-		got, err := readFrame(conn)
-		if err != nil {
-			t.Fatalf("read response %d: %v", i, err)
-		}
-		if !want[got] {
-			t.Fatalf("unexpected or duplicate response %x", got)
-		}
-		delete(want, got)
-	}
-	if d := time.Since(start); d > 700*time.Millisecond {
-		t.Fatalf("8 pipelined 150ms queries took %v, frames are being serialized", d)
-	}
-}
-
 // TestShutdownShedAccounting pins the satellite contract: queries shed
 // while a Shutdown drain is in progress are still counted, and the
 // engine's balance — packets read = answered + dropped + shed — holds

@@ -174,6 +174,10 @@ func (x *Exchange) Reusable() bool {
 
 var exchanges = sync.Pool{New: func() any { return new(Exchange) }}
 
+// streamIdleTimeout closes stream connections idle between frames, and
+// is the default StreamWriteTimeout.
+const streamIdleTimeout = 30 * time.Second
+
 // MaxStreamPayload is the largest message a 2-byte length prefix can
 // frame: Answer's limit on the stream path.
 const MaxStreamPayload = 0xffff
@@ -235,16 +239,13 @@ type Options struct {
 	// context that costs a timer only when the handler waits on it
 	// (deadline.Lazy). 0 passes the engine's base context.
 	QueryTimeout time.Duration
-	// StreamIdleTimeout closes stream connections idle between frames
-	// (default 30s).
-	StreamIdleTimeout time.Duration
 
 	// Protection holds the overload-protection knobs: admission
 	// control (MaxInflight), per-prefix UDP response rate limiting
 	// (RateLimit/RateBurst/RateSlip), and stream governance (MaxConns,
-	// MaxConnInflight, MaxFrameBytes, StreamWriteTimeout,
-	// StreamReadTimeout). See overload.go; the zero value disables
-	// everything except per-query panic recovery.
+	// MaxFrameBytes, StreamWriteTimeout, StreamReadTimeout). See
+	// overload.go; the zero value disables everything except per-query
+	// panic recovery.
 	Protection
 
 	// Registry receives engine metrics: serve_packets_total,
@@ -328,15 +329,12 @@ func New(addr string, opts Options) (*Server, error) {
 	if opts.Listeners <= 0 {
 		opts.Listeners = 1
 	}
-	if opts.StreamIdleTimeout <= 0 {
-		opts.StreamIdleTimeout = 30 * time.Second
-	}
 	switch {
 	case opts.StreamWriteTimeout == 0:
 		// A slow-reading client must not pin a connection goroutine on
 		// conn.Write forever once the kernel buffers fill, so the write
 		// deadline defaults on, mirroring the idle deadline.
-		opts.StreamWriteTimeout = opts.StreamIdleTimeout
+		opts.StreamWriteTimeout = streamIdleTimeout
 	case opts.StreamWriteTimeout < 0:
 		opts.StreamWriteTimeout = 0
 	}

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"io"
 	"net"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/deadline"
@@ -45,11 +43,7 @@ func (s *Server) acceptLoop() {
 			return // draining
 		}
 		s.wg.Add(1)
-		if s.opts.MaxConnInflight > 1 {
-			go s.connLoopPipelined(conn)
-		} else {
-			go s.connLoop(conn)
-		}
+		go s.connLoop(conn)
 	}
 }
 
@@ -64,7 +58,7 @@ var errFrameTooLarge = errors.New("serve: frame exceeds MaxFrameBytes")
 // (when set) paces the body so a dribbling client cannot stretch one
 // frame across many idle windows.
 func (s *Server) readFrame(conn net.Conn, buf []byte) ([]byte, error) {
-	conn.SetReadDeadline(time.Now().Add(s.opts.StreamIdleTimeout))
+	conn.SetReadDeadline(time.Now().Add(streamIdleTimeout))
 	// The length prefix is read into buf's own storage (the body then
 	// overwrites it): a local array would escape through the Reader
 	// interface and cost an allocation per frame.
@@ -181,85 +175,5 @@ func (s *Server) connLoop(conn net.Conn) {
 		if err := s.writeResponse(conn, buf, msg); err != nil {
 			return
 		}
-	}
-}
-
-// connLoopPipelined serves one connection with up to MaxConnInflight
-// frames in flight concurrently (RFC 7766 §6.2.1.1): the reader keeps
-// pulling frames while handlers run, responses are written as they
-// complete — possibly out of order, which framed DNS permits because
-// clients match on message ID — and a full in-flight window blocks the
-// reader, pushing backpressure into the kernel instead of buffering
-// unbounded queries.
-func (s *Server) connLoopPipelined(conn net.Conn) {
-	var cwg sync.WaitGroup
-	defer s.wg.Done()
-	defer s.unregisterConn(conn)
-	defer conn.Close()
-	defer cwg.Wait() // outstanding responses flush before the close
-	rd := dnswire.GetBuffer()
-	defer dnswire.PutBuffer(rd)
-	shedWr := dnswire.GetBuffer()
-	defer dnswire.PutBuffer(shedWr)
-	sem := make(chan struct{}, s.opts.MaxConnInflight)
-	var wmu sync.Mutex // serialises response writes
-	var dead atomic.Bool
-	for {
-		if s.draining.Load() || dead.Load() {
-			return
-		}
-		raw, err := s.readFrame(conn, rd.B[:0])
-		if err != nil {
-			return
-		}
-		rd.B = raw
-		s.metrics.streamQs.Inc()
-		if !s.admit() {
-			wmu.Lock()
-			ok := s.shedStream(conn, shedWr, raw)
-			wmu.Unlock()
-			if !ok {
-				return
-			}
-			continue
-		}
-		// The frame is copied off the read buffer: the reader moves on
-		// to the next frame while this one is still being served.
-		q := dnswire.GetBuffer()
-		q.Grow(len(raw))
-		q.B = append(q.B[:0], raw...)
-		sem <- struct{}{} // in-flight window: blocks the reader when full
-		cwg.Add(1)
-		go func() {
-			defer cwg.Done()
-			defer func() { <-sem }()
-			wr := dnswire.GetBuffer()
-			defer dnswire.PutBuffer(wr)
-			wr.Grow(512)
-			buf := wr.B[:cap(wr.B)]
-			var lazy deadline.Lazy // one per frame in flight
-			msg, err := s.serveMessageChecked(s.queryContext(&lazy), buf[2:2], q.B, conn.RemoteAddr())
-			s.endQuery(&lazy)
-			s.release()
-			dnswire.PutBuffer(q)
-			if err != nil || len(msg) == 0 || len(msg) > 0xffff {
-				if err != nil {
-					s.logf("serve: stream handler: %v", err)
-				}
-				s.metrics.dropped.Inc()
-				// A refusal closes the connection in sequential mode;
-				// here the close also wakes the blocked reader.
-				dead.Store(true)
-				conn.Close()
-				return
-			}
-			wmu.Lock()
-			werr := s.writeResponse(conn, buf, msg)
-			wmu.Unlock()
-			if werr != nil {
-				dead.Store(true)
-				conn.Close()
-			}
-		}()
 	}
 }

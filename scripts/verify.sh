@@ -45,8 +45,9 @@ step "unit tests (all packages)"
 # the golden CSV round trips, the campaign sketch's
 # quantiles against exact ones (TestSketchQuantilesWithinOneBucket), the
 # hit path's parent-path oracle (TestAnswersMatchTheParentPath), the RRL
-# bucket test and the fuzz corpora (FuzzHintedDecode's and
-# FuzzCSVRoundTrip's among them) and the racing resolver's acceptance
+# bucket test and the fuzz corpora (FuzzHintedDecode's, FuzzCSVRoundTrip's
+# and FuzzDoHRequest's among them), the docs' test names resolving
+# (TestDocsNameTests) and the racing resolver's acceptance
 # gate against each fixed transport
 # (TestSmartConvergesToPerDestinationBest). The steps below add a mode:
 # -race, a -short soak, or a -bench smoke.
