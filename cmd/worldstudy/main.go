@@ -43,6 +43,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -79,6 +80,11 @@ func main() {
 	shard := flag.String("shard", "", "i/N (1-based): measure only the i-th of N country partitions; with -resume, claim countries in the shared journal")
 	merge := flag.Bool("merge", false, "combine shard export directories (given as arguments) into one dataset; analyses run on the merged data")
 	flag.Parse()
+	wanted, err := parseOnly(*only, *extensions)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "worldstudy: %v\n", err)
+		os.Exit(2)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -144,7 +150,6 @@ func main() {
 	start := time.Now()
 	var suite *experiments.Suite
 	var ds *campaign.Dataset
-	var err error
 	switch {
 	case *merge:
 		ds, err = mergeDatasets(flag.Args())
@@ -240,12 +245,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("worldstudy: %v", err)
 	}
-	wanted := map[string]bool{}
-	for _, id := range strings.Split(*only, ",") {
-		if id = strings.TrimSpace(id); id != "" {
-			wanted[id] = true
-		}
-	}
 	if *extensions {
 		ext, err := suite.AllExtensions()
 		if err != nil {
@@ -259,6 +258,27 @@ func main() {
 		}
 		fmt.Println(rep)
 	}
+}
+
+// parseOnly returns the report IDs -only names, or an error listing
+// the valid IDs when one names no report that would print.
+func parseOnly(only string, extensions bool) (map[string]bool, error) {
+	valid := experiments.IDs(extensions)
+	wanted := map[string]bool{}
+	for _, id := range strings.Split(only, ",") {
+		if id = strings.TrimSpace(id); id == "" {
+			continue
+		}
+		if !slices.Contains(valid, id) {
+			hint := ""
+			if slices.Contains(experiments.IDs(true), id) {
+				hint = " (it needs -extensions)"
+			}
+			return nil, fmt.Errorf("-only: no report %q%s; valid IDs: %s", id, hint, strings.Join(valid, ", "))
+		}
+		wanted[id] = true
+	}
+	return wanted, nil
 }
 
 // writeMetrics dumps the campaign's observability snapshot ("-" means

@@ -1,0 +1,110 @@
+package main
+
+import (
+	"errors"
+	"flag"
+	"os"
+	"os/exec"
+	"reflect"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// TestMain runs the command itself, on a flag set of its own, when a
+// test re-executes this binary through command.
+func TestMain(m *testing.M) {
+	if os.Getenv("RUN_AS_COMMAND") != "" {
+		flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// command is this test binary started as the command with args.
+func command(args ...string) *exec.Cmd {
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "RUN_AS_COMMAND=1")
+	return cmd
+}
+
+// TestFlagsMatchGolden holds the command's flag set to
+// testdata/flags.golden, recorded from its -h output before -only
+// checked its IDs: a flag added, removed or renamed, or a type or
+// default changed, fails it; usage text does not.
+func TestFlagsMatchGolden(t *testing.T) {
+	out, err := command("-h").CombinedOutput()
+	if err != nil {
+		t.Fatalf("-h: %v\n%s", err, out)
+	}
+	want, err := os.ReadFile("testdata/flags.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := flagTable(string(out)); got != string(want) {
+		t.Errorf("flag set changed:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+var defaultUsage = regexp.MustCompile(` \(default (.*)\)$`)
+
+// flagTable reduces -h output to one line per flag: its name, its type
+// as -h shows it (bool where it shows none) and its default where -h
+// shows one (it leaves zero values out).
+func flagTable(help string) string {
+	var b strings.Builder
+	for _, entry := range strings.Split(help, "\n  -")[1:] {
+		lines := strings.Split(strings.TrimRight(entry, "\n"), "\n")
+		head := strings.Fields(strings.SplitN(lines[0], "\t", 2)[0])
+		if len(head) == 1 {
+			head = append(head, "bool")
+		}
+		b.WriteString(strings.Join(head, " "))
+		if m := defaultUsage.FindStringSubmatch(lines[len(lines)-1]); m != nil {
+			b.WriteString(" " + m[1])
+		}
+		b.WriteString("\n")
+	}
+	return b.String()
+}
+
+// TestOnlyRejectsUnprintedIDs: an ID that names no report that would
+// print is a usage error before any campaign runs — an unknown ID, a
+// miscased one, and an extension without -extensions, which gets a hint.
+func TestOnlyRejectsUnprintedIDs(t *testing.T) {
+	for _, c := range []struct{ id, want string }{
+		{"Table 7", "valid IDs: Table 1, Table 2"},
+		{"table 1", `no report "table 1"`},
+		{"Table 1,Extension Webload", "(it needs -extensions)"},
+	} {
+		out, err := command("-only", c.id).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("-only %q: err = %v, want exit status 2\n%s", c.id, err, out)
+		}
+		if !strings.Contains(string(out), c.want) || strings.Contains(string(out), "campaign") {
+			t.Errorf("-only %q: output lacks %q or ran the campaign:\n%s", c.id, c.want, out)
+		}
+	}
+}
+
+// TestOnlyPrintsTheNamedReports: -only prints exactly the reports it
+// names, in paper order.
+func TestOnlyPrintsTheNamedReports(t *testing.T) {
+	cmd := command("-scale", "0.05", "-only", "Table 1,Figure 6")
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	var headers []string
+	for _, line := range strings.Split(string(out), "\n") {
+		if strings.HasPrefix(line, "=== ") {
+			id, _, _ := strings.Cut(line, ":")
+			headers = append(headers, id)
+		}
+	}
+	if want := []string{"=== Table 1", "=== Figure 6"}; !reflect.DeepEqual(headers, want) {
+		t.Errorf("headers = %q, want %q", headers, want)
+	}
+}

@@ -295,10 +295,16 @@ func splitTop(expr string, sep byte) []string {
 // write it.
 var docTestName = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)
 
+// docPath is a command, example or internal package directory as the
+// docs name it.
+var docPath = regexp.MustCompile(`(?:\./|\b)examples/[\w-]+|\./(?:cmd|internal)/[\w-]+`)
+
 // TestDocsNameTests holds every Test*, Fuzz* and Benchmark* name in the
 // docs (docs/*.md, README.md, DESIGN.md, EXPERIMENTS.md) to a function
 // of a _test.go file, or to the prefix of one: the docs name families
-// such as BenchmarkObs* by their common prefix.
+// such as BenchmarkObs* by their common prefix. Every examples/<dir>,
+// ./cmd/<dir> and ./internal/<dir> they or the verify skill's SKILL.md
+// name must be a directory in the tree.
 func TestDocsNameTests(t *testing.T) {
 	var all []string
 	for _, fns := range testFuncs(t) {
@@ -308,11 +314,21 @@ func TestDocsNameTests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := 0
-	for _, doc := range append(docs, "README.md", "DESIGN.md", "EXPERIMENTS.md") {
+	const skill = ".claude/skills/verify/SKILL.md"
+	names, paths := 0, 0
+	for _, doc := range append(docs, "README.md", "DESIGN.md", "EXPERIMENTS.md", skill) {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, path := range docPath.FindAllString(string(text), -1) {
+			paths++
+			if fi, err := os.Stat(path); err != nil || !fi.IsDir() {
+				t.Errorf("%s: %s is not a directory in the tree", doc, path)
+			}
+		}
+		if doc == skill {
+			continue
 		}
 		for _, name := range docTestName.FindAllString(string(text), -1) {
 			names++
@@ -328,5 +344,5 @@ func TestDocsNameTests(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d names checked", names)
+	t.Logf("%d names and %d paths checked", names, paths)
 }

@@ -317,6 +317,26 @@ func TestLinearTable6PerProvider(t *testing.T) {
 	}
 }
 
+// MedianDeltaByPredicate returns the median DoH1-Do53 delta split by a
+// country predicate — used for headline comparisons like "clients from
+// slow-bandwidth countries see a 350 ms median slowdown vs 112 ms".
+func (a *Analysis) MedianDeltaByPredicate(n int, pred func(world.Country) bool) (in, out float64, err error) {
+	var yes, no []float64
+	for _, r := range a.rows {
+		if pred(r.Country) {
+			yes = append(yes, r.DeltaMs(n))
+		} else {
+			no = append(no, r.DeltaMs(n))
+		}
+	}
+	in, err = stats.Median(yes)
+	if err != nil {
+		return 0, 0, err
+	}
+	out, err = stats.Median(no)
+	return in, out, err
+}
+
 func TestMedianDeltaBySlowBandwidth(t *testing.T) {
 	a := sharedAnalysis(t)
 	slow, fast, err := a.MedianDeltaByPredicate(1, func(ct world.Country) bool { return !ct.Fast() })

@@ -240,35 +240,6 @@ func (p *Provider) NearestPoP(client geo.Point) (PoP, float64) {
 	return p.PoPs[nearest], scratch.dists[nearest]
 }
 
-// HostASes returns the distinct ASes the provider's PoPs announce
-// from.
-func (p *Provider) HostASes() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, pop := range p.PoPs {
-		if !seen[pop.HostAS] {
-			seen[pop.HostAS] = true
-			out = append(out, pop.HostAS)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// PoPCountries returns the distinct countries hosting PoPs.
-func (p *Provider) PoPCountries() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, pop := range p.PoPs {
-		if !seen[pop.CountryCode] {
-			seen[pop.CountryCode] = true
-			out = append(out, pop.CountryCode)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // connectivityRank orders countries by how attractive they are for
 // edge deployment: a blend of AS count (IXP presence), bandwidth, and
 // exit-node weight (market size).

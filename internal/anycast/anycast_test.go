@@ -2,11 +2,41 @@ package anycast
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/geo"
 	"repro/internal/world"
 )
+
+// HostASes returns the distinct ASes the provider's PoPs announce
+// from.
+func (p *Provider) HostASes() []string {
+	seen := map[string]bool{}
+	var out []string
+	for _, pop := range p.PoPs {
+		if !seen[pop.HostAS] {
+			seen[pop.HostAS] = true
+			out = append(out, pop.HostAS)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// PoPCountries returns the distinct countries hosting PoPs.
+func (p *Provider) PoPCountries() []string {
+	seen := map[string]bool{}
+	var out []string
+	for _, pop := range p.PoPs {
+		if !seen[pop.CountryCode] {
+			seen[pop.CountryCode] = true
+			out = append(out, pop.CountryCode)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
 
 func TestCatalogueFleetSizes(t *testing.T) {
 	cat := Catalogue()

@@ -2,8 +2,8 @@
 // http.Handler: GET with the base64url ?dns= parameter and POST with
 // an application/dns-message body. Each DoH provider point of presence
 // in the reproduction fronts a recursive resolver with this handler;
-// the same handler also runs over real TLS sockets in the examples and
-// cmd/dohsrv.
+// the same handler also runs over real TLS sockets in cmd/dohsrv and
+// examples/quickstart.
 package dohserver
 
 import (

@@ -419,26 +419,50 @@ func (s *Suite) Figure9() (*Report, error) {
 	return rep, nil
 }
 
-// All regenerates every artifact in paper order.
-func (s *Suite) All() ([]*Report, error) {
-	type gen struct {
-		name string
-		fn   func() (*Report, error)
-	}
-	gens := []gen{
+// generator names the report a Suite method renders.
+type generator struct {
+	id string
+	fn func() (*Report, error)
+}
+
+// paper is the paper's artifacts in paper order.
+func (s *Suite) paper() []generator {
+	return []generator{
 		{"Table 1", s.Table1}, {"Table 2", s.Table2}, {"Table 3", s.Table3},
 		{"Figure 3", s.Figure3}, {"Figure 4", s.Figure4}, {"Figure 5", s.Figure5},
 		{"Figure 6", s.Figure6}, {"Figure 7", s.Figure7},
 		{"Table 4", s.Table4}, {"Table 5", s.Table5}, {"Table 6", s.Table6},
 		{"Figure 8", s.Figure8}, {"Figure 9", s.Figure9},
 	}
+}
+
+// render runs gens in order.
+func render(gens []generator) ([]*Report, error) {
 	var out []*Report
 	for _, g := range gens {
 		rep, err := g.fn()
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", g.name, err)
+			return nil, fmt.Errorf("experiments: %s: %w", g.id, err)
 		}
 		out = append(out, rep)
 	}
 	return out, nil
+}
+
+// All regenerates every artifact in paper order.
+func (s *Suite) All() ([]*Report, error) { return render(s.paper()) }
+
+// IDs returns the IDs of the reports All returns, in its order,
+// followed with extensions by those of AllExtensions. Nothing renders.
+func IDs(extensions bool) []string {
+	var s *Suite
+	gens := s.paper()
+	if extensions {
+		gens = append(gens, s.extensions()...)
+	}
+	ids := make([]string, len(gens))
+	for i, g := range gens {
+		ids[i] = g.id
+	}
+	return ids
 }

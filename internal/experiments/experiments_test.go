@@ -55,6 +55,21 @@ func TestAllReportsGenerate(t *testing.T) {
 			t.Errorf("missing %s", want)
 		}
 	}
+	checkIDs(t, IDs(false), reports)
+}
+
+// checkIDs holds the IDs worldstudy -only accepts to the reports that
+// render, in order.
+func checkIDs(t *testing.T, ids []string, reports []*Report) {
+	t.Helper()
+	if len(ids) != len(reports) {
+		t.Fatalf("IDs = %q for %d reports", ids, len(reports))
+	}
+	for i, r := range reports {
+		if ids[i] != r.ID {
+			t.Errorf("IDs[%d] = %q, report %d is %q", i, ids[i], i, r.ID)
+		}
+	}
 }
 
 func TestTable1WithinTolerance(t *testing.T) {

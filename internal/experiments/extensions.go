@@ -185,28 +185,18 @@ func shortRegion(r world.Region) string {
 	return string(r)
 }
 
-// AllExtensions regenerates the extension reports.
-func (s *Suite) AllExtensions() ([]*Report, error) {
-	type gen struct {
-		name string
-		fn   func() (*Report, error)
-	}
-	gens := []gen{
+// extensions is the extension reports in the order they print.
+func (s *Suite) extensions() []generator {
+	return []generator{
 		{"Extension DoT", s.ExtensionDoT},
 		{"Extension Cache", s.ExtensionCache},
 		{"Extension Webload", s.ExtensionWebload},
 		{"Extension TLS12", s.ExtensionTLS12},
 		{"Extension Regions", s.ExtensionRegions},
 	}
-	var out []*Report
-	for _, g := range gens {
-		rep, err := g.fn()
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", g.name, err)
-		}
-		out = append(out, rep)
-	}
-	return out, nil
 }
+
+// AllExtensions regenerates the extension reports.
+func (s *Suite) AllExtensions() ([]*Report, error) { return render(s.extensions()) }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

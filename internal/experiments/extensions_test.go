@@ -22,6 +22,7 @@ func TestAllExtensionsGenerate(t *testing.T) {
 			t.Errorf("%s has no lines", r.ID)
 		}
 	}
+	checkIDs(t, IDs(true)[len(IDs(false)):], reports)
 }
 
 func TestExtensionDoTShape(t *testing.T) {

@@ -1,15 +1,11 @@
 package proxynet
 
 import (
-	"context"
 	"testing"
 	"time"
 
 	"repro/internal/anycast"
-	"repro/internal/dnswire"
 	"repro/internal/netsim"
-	"repro/internal/resolver"
-	"repro/internal/smart"
 )
 
 // exactSim is a simulator whose every traversal costs its mean, so a
@@ -117,17 +113,11 @@ func TestMeasureSessionRows(t *testing.T) {
 		}
 	})
 
-	// The campaign's simulator and smart's SimTransport are two models
-	// of the same transports: per kind they must charge the same round
-	// trips before the first query, which is what sharing netsim's
-	// table is for.
-	t.Run("smart charges the same round trips", func(t *testing.T) {
-		model := netsim.DefaultLatencyModel()
-		model.JitterSigma, model.LossProb = 0, 0
-		us := netsim.Endpoint{Pos: labPosition}
-		q := resolver.Query(dnswire.NewName("x.a.com."), dnswire.TypeA)
-		// What proxynet charged between the lookup and the query, net of
-		// the provider's and the PoP's processing terms.
+	// What proxynet charges between the lookup and the query, net of
+	// the provider's and the PoP's processing terms, is its row of
+	// netsim's handshake table in exit <-> PoP round trips: smart's
+	// SimTransport reads the same rows, and its tests hold it to them.
+	t.Run("charges its handshake row", func(t *testing.T) {
 		session := func(tr Transport) func(*Sim, *ExitNode) (connect, crypto time.Duration) {
 			return func(sim *Sim, node *ExitNode) (connect, crypto time.Duration) {
 				obs, gt := unblocked(t, sim, tr, node, anycast.NextDNS)
@@ -140,24 +130,17 @@ func TestMeasureSessionRows(t *testing.T) {
 			return gt.Steps[5] + gt.Steps[6] - setup, gt.Steps[11] + gt.Steps[12] - setup - netsim.CryptoCompute
 		}
 		for _, c := range []struct {
-			kind    resolver.Kind
+			name    string
+			row     netsim.Handshake
 			charged func(*Sim, *ExitNode) (connect, crypto time.Duration)
-		}{{resolver.DoH, doh}, {resolver.DoT, session(DoT)}, {resolver.DoQ, session(DoQ)}} {
-			st := smart.NewSimTransport(c.kind, model, 1, 1e9, nil)
-			st.AddDestination("", us, us, 0)
-			_, cold, err := st.Resolve(context.Background(), q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rtt := 2 * model.MeanOneWay(us, us)
-			smartConnect, smartCrypto := cold.Connect/rtt, (cold.TLSHandshake-netsim.CryptoCompute)/rtt
-
+		}{{"doh", netsim.TCPTLS, doh}, {"dot", netsim.TCPTLS, session(DoT)}, {"doq", netsim.QUIC, session(DoQ)}} {
 			sim, node := exactSim(t, 46, false, "PL")
 			connect, crypto := c.charged(sim, node)
 			rttEP := 2 * sim.route(node, anycast.NextDNS).meanEP
-			if connect%rttEP != 0 || crypto%rttEP != 0 || smartConnect != connect/rttEP || smartCrypto != crypto/rttEP {
-				t.Errorf("%s: smart charges %d transport + %d crypto round trips, proxynet %v + %v at %v a round trip",
-					c.kind, smartConnect, smartCrypto, connect, crypto, rttEP)
+			nt, nc := c.row.RoundTrips(false)
+			if connect != time.Duration(nt)*rttEP || crypto != time.Duration(nc)*rttEP {
+				t.Errorf("%s: charges %v transport + %v crypto, want %d + %d round trips of %v",
+					c.name, connect, crypto, nt, nc, rttEP)
 			}
 		}
 	})

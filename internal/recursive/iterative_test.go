@@ -2,6 +2,7 @@ package recursive
 
 import (
 	"context"
+	"fmt"
 	"net/netip"
 	"strings"
 	"testing"
@@ -19,24 +20,57 @@ type hierarchy struct {
 	addrMap               map[netip.Addr]string
 }
 
-func mustAdd(t *testing.T, z *authserver.Zone, rr dnswire.ResourceRecord) {
+// startHierarchy is newHierarchy for a test: the servers shut down
+// when t ends.
+func startHierarchy(t *testing.T) *hierarchy {
 	t.Helper()
-	if err := z.Add(rr); err != nil {
-		t.Fatalf("Add(%v): %v", rr, err)
+	h, err := newHierarchy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(h.close)
+	return h
+}
+
+// newHierarchy starts the tree; close shuts it down.
+func newHierarchy() (*hierarchy, error) {
+	h := &hierarchy{addrMap: map[netip.Addr]string{}}
+	if err := h.start(); err != nil {
+		h.close()
+		return nil, err
+	}
+	return h, nil
+}
+
+func (h *hierarchy) close() {
+	for _, s := range []*authserver.Server{h.root, h.com, h.acom, h.bcom} {
+		if s != nil {
+			s.Shutdown(context.Background())
+		}
 	}
 }
 
-func startHierarchy(t *testing.T) *hierarchy {
-	t.Helper()
-	h := &hierarchy{addrMap: map[netip.Addr]string{}}
-	serve := func(z *authserver.Zone) *authserver.Server {
+func (h *hierarchy) start() error {
+	rr := func(name dnswire.Name, ttl uint32, data dnswire.RData) dnswire.ResourceRecord {
+		return dnswire.ResourceRecord{Name: name, TTL: ttl, Data: data}
+	}
+	serve := func(origin, primary, admin dnswire.Name, rrs ...dnswire.ResourceRecord) (*authserver.Server, error) {
+		z := authserver.NewZone(origin)
+		if err := z.SetSOA(primary, admin, 1); err != nil {
+			return nil, err
+		}
+		for _, r := range rrs {
+			if err := z.Add(r); err != nil {
+				return nil, fmt.Errorf("Add(%v): %w", r, err)
+			}
+		}
 		s := authserver.NewServer(z)
 		if err := s.ListenAndServe("127.0.0.1:0"); err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
-		t.Cleanup(func() { s.Shutdown(context.Background()) })
-		return s
+		return s, nil
 	}
+	var err error
 
 	// Synthetic addresses the glue records carry.
 	rootIP := netip.MustParseAddr("192.0.2.1")
@@ -45,76 +79,51 @@ func startHierarchy(t *testing.T) *hierarchy {
 	bcomIP := netip.MustParseAddr("192.0.2.4")
 
 	// Leaf zone a.com (glueful delegation).
-	acom := authserver.NewZone("a.com.")
-	if err := acom.SetSOA("ns1.a.com.", "h.a.com.", 1); err != nil {
-		t.Fatal(err)
+	if h.acom, err = serve("a.com.", "ns1.a.com.", "h.a.com.",
+		rr("a.com.", 300, dnswire.NSRecord{NS: "ns1.a.com."}),
+		rr("ns1.a.com.", 300, dnswire.ARecord{Addr: acomIP}),
+		rr("*.a.com.", 60, dnswire.ARecord{Addr: netip.MustParseAddr("198.51.100.80")}),
+		rr("www.a.com.", 60, dnswire.ARecord{Addr: netip.MustParseAddr("198.51.100.81")}),
+		rr("alias.a.com.", 60, dnswire.CNAMERecord{Target: "target.b.com."}),
+		rr("nsb.a.com.", 300, dnswire.ARecord{Addr: bcomIP})); err != nil {
+		return err
 	}
-	mustAdd(t, acom, dnswire.ResourceRecord{Name: "a.com.", TTL: 300,
-		Data: dnswire.NSRecord{NS: "ns1.a.com."}})
-	mustAdd(t, acom, dnswire.ResourceRecord{Name: "ns1.a.com.", TTL: 300,
-		Data: dnswire.ARecord{Addr: acomIP}})
-	mustAdd(t, acom, dnswire.ResourceRecord{Name: "*.a.com.", TTL: 60,
-		Data: dnswire.ARecord{Addr: netip.MustParseAddr("198.51.100.80")}})
-	mustAdd(t, acom, dnswire.ResourceRecord{Name: "www.a.com.", TTL: 60,
-		Data: dnswire.ARecord{Addr: netip.MustParseAddr("198.51.100.81")}})
-	mustAdd(t, acom, dnswire.ResourceRecord{Name: "alias.a.com.", TTL: 60,
-		Data: dnswire.CNAMERecord{Target: "target.b.com."}})
-	mustAdd(t, acom, dnswire.ResourceRecord{Name: "nsb.a.com.", TTL: 300,
-		Data: dnswire.ARecord{Addr: bcomIP}})
-	h.acom = serve(acom)
 
 	// Leaf zone b.com, reached via a glueless delegation: its name
 	// server host lives in a.com (out-of-bailiwick), so the resolver
 	// must side-resolve nsb.a.com before it can descend into b.com.
-	bcom := authserver.NewZone("b.com.")
-	if err := bcom.SetSOA("nsb.a.com.", "h.b.com.", 1); err != nil {
-		t.Fatal(err)
+	if h.bcom, err = serve("b.com.", "nsb.a.com.", "h.b.com.",
+		rr("b.com.", 300, dnswire.NSRecord{NS: "nsb.a.com."}),
+		rr("target.b.com.", 60, dnswire.ARecord{Addr: netip.MustParseAddr("198.51.100.90")})); err != nil {
+		return err
 	}
-	mustAdd(t, bcom, dnswire.ResourceRecord{Name: "b.com.", TTL: 300,
-		Data: dnswire.NSRecord{NS: "nsb.a.com."}})
-	mustAdd(t, bcom, dnswire.ResourceRecord{Name: "target.b.com.", TTL: 60,
-		Data: dnswire.ARecord{Addr: netip.MustParseAddr("198.51.100.90")}})
-	h.bcom = serve(bcom)
 
 	// com zone: delegates a.com with glue and b.com without (its NS
 	// host nsb.a.com is out of bailiwick, so com cannot carry glue
 	// for it; the resolver side-resolves it through a.com).
-	com := authserver.NewZone("com.")
-	if err := com.SetSOA("ns1.gtld.com.", "h.gtld.com.", 1); err != nil {
-		t.Fatal(err)
+	if h.com, err = serve("com.", "ns1.gtld.com.", "h.gtld.com.",
+		rr("com.", 300, dnswire.NSRecord{NS: "ns1.gtld.com."}),
+		rr("ns1.gtld.com.", 300, dnswire.ARecord{Addr: comIP}),
+		rr("a.com.", 300, dnswire.NSRecord{NS: "ns1.a.com."}),
+		rr("ns1.a.com.", 300, dnswire.ARecord{Addr: acomIP}), // glue
+		rr("b.com.", 300, dnswire.NSRecord{NS: "nsb.a.com."})); err != nil {
+		return err
 	}
-	mustAdd(t, com, dnswire.ResourceRecord{Name: "com.", TTL: 300,
-		Data: dnswire.NSRecord{NS: "ns1.gtld.com."}})
-	mustAdd(t, com, dnswire.ResourceRecord{Name: "ns1.gtld.com.", TTL: 300,
-		Data: dnswire.ARecord{Addr: comIP}})
-	mustAdd(t, com, dnswire.ResourceRecord{Name: "a.com.", TTL: 300,
-		Data: dnswire.NSRecord{NS: "ns1.a.com."}})
-	mustAdd(t, com, dnswire.ResourceRecord{Name: "ns1.a.com.", TTL: 300,
-		Data: dnswire.ARecord{Addr: acomIP}}) // glue
-	mustAdd(t, com, dnswire.ResourceRecord{Name: "b.com.", TTL: 300,
-		Data: dnswire.NSRecord{NS: "nsb.a.com."}}) // out-of-bailiwick: no glue possible
-	h.com = serve(com)
 
-	// Root zone: delegates com.
-	root := authserver.NewZone(".")
-	if err := root.SetSOA("ns1.root.", "h.root.", 1); err != nil {
-		t.Fatal(err)
+	// Root zone: delegates com, with glue for the TLD.
+	if h.root, err = serve(".", "ns1.root.", "h.root.",
+		rr(".", 300, dnswire.NSRecord{NS: "ns1.root."}),
+		rr("ns1.root.", 300, dnswire.ARecord{Addr: rootIP}),
+		rr("com.", 300, dnswire.NSRecord{NS: "ns1.gtld.com."}),
+		rr("ns1.gtld.com.", 300, dnswire.ARecord{Addr: comIP})); err != nil {
+		return err
 	}
-	mustAdd(t, root, dnswire.ResourceRecord{Name: ".", TTL: 300,
-		Data: dnswire.NSRecord{NS: "ns1.root."}})
-	mustAdd(t, root, dnswire.ResourceRecord{Name: "ns1.root.", TTL: 300,
-		Data: dnswire.ARecord{Addr: rootIP}})
-	mustAdd(t, root, dnswire.ResourceRecord{Name: "com.", TTL: 300,
-		Data: dnswire.NSRecord{NS: "ns1.gtld.com."}})
-	mustAdd(t, root, dnswire.ResourceRecord{Name: "ns1.gtld.com.", TTL: 300,
-		Data: dnswire.ARecord{Addr: comIP}}) // glue for the TLD
-	h.root = serve(root)
 
 	h.addrMap[rootIP] = h.root.Addr()
 	h.addrMap[comIP] = h.com.Addr()
 	h.addrMap[acomIP] = h.acom.Addr()
 	h.addrMap[bcomIP] = h.bcom.Addr()
-	return h
+	return nil
 }
 
 func (h *hierarchy) iterative() *Iterative {

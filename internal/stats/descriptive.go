@@ -74,20 +74,6 @@ func Mean(xs []float64) (float64, error) {
 	return sum / float64(len(xs)), nil
 }
 
-// StdDev returns the sample standard deviation (n-1 denominator).
-func StdDev(xs []float64) (float64, error) {
-	if len(xs) < 2 {
-		return 0, ErrEmpty
-	}
-	m, _ := Mean(xs)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)-1)), nil
-}
-
 // ECDF is an empirical cumulative distribution function.
 type ECDF struct {
 	sorted []float64

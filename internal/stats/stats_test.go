@@ -42,17 +42,10 @@ func TestMedianQuantile(t *testing.T) {
 	}
 }
 
-func TestMeanStdDev(t *testing.T) {
+func TestMean(t *testing.T) {
 	m, err := Mean([]float64{2, 4, 6})
 	if err != nil || m != 4 {
 		t.Errorf("Mean = %f, %v", m, err)
-	}
-	sd, err := StdDev([]float64{2, 4, 6})
-	if err != nil || !almost(sd, 2, 1e-12) {
-		t.Errorf("StdDev = %f, %v", sd, err)
-	}
-	if _, err := StdDev([]float64{1}); err == nil {
-		t.Error("StdDev of singleton accepted")
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package tlsutil generates the ephemeral self-signed certificates
-// the loopback servers (DoH, DoT) use in tests, examples, and the
-// cmd/ tools when no certificate is supplied.
+// the loopback servers (DoH, DoT) use in tests, examples/quickstart,
+// and the cmd/ tools when no certificate is supplied.
 package tlsutil
 
 import (
