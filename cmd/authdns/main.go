@@ -30,6 +30,7 @@ func main() {
 	flag.DurationVar(&serving.StreamWriteTimeout, "write-timeout", 0, "per-response TCP write deadline (0 = idle timeout, negative = none)")
 	flag.IntVar(&serving.MaxFrameBytes, "max-frame", 0, "max TCP request frame bytes; oversize closes the connection (0 = 64KiB-1)")
 	flag.Parse()
+	ctx := serving.Notify(context.Background())
 
 	origin := dnswire.NewName(*zoneName)
 	var zone *authserver.Zone
@@ -83,7 +84,7 @@ func main() {
 	}
 	fmt.Printf("authdns: serving %s on %s (%s)\n", origin, srv.Addr(), zone)
 
-	err := serving.Run(context.Background(), cmdconfig.Report{Prefix: "authdns:"}, srv)
+	err := serving.Run(ctx, cmdconfig.Report{Prefix: "authdns:"}, srv)
 	fmt.Printf("authdns: %d queries served\n", len(srv.QueryLog()))
 	if err != nil {
 		log.Fatalf("authdns: shutdown: %v", err)

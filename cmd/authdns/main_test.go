@@ -1,11 +1,14 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"os"
 	"os/exec"
 	"regexp"
+	"slices"
 	"strings"
+	"syscall"
 	"testing"
 )
 
@@ -65,4 +68,36 @@ func flagTable(help string) string {
 		b.WriteString("\n")
 	}
 	return b.String()
+}
+
+// TestSignalOnTheFirstLineDrains: SIGTERM sent the moment the first line
+// is read drains the server, reports and exits 0, because the handler is
+// installed before anything is printed. Run it with -count=20.
+func TestSignalOnTheFirstLineDrains(t *testing.T) {
+	cmd := command("-listen", "127.0.0.1:0")
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Kill()
+	lines := bufio.NewScanner(stdout)
+	if !lines.Scan() {
+		t.Fatal("nothing announced")
+	}
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	var rest []string
+	for lines.Scan() {
+		rest = append(rest, lines.Text())
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Errorf("exit after SIGTERM: %v", err)
+	}
+	if !slices.Contains(rest, "authdns: shutting down") {
+		t.Errorf("output after SIGTERM: %q", rest)
+	}
 }

@@ -65,6 +65,7 @@ func main() {
 	dotListen := flag.String("dot", "", "also serve DNS-over-TLS on this address (e.g. 127.0.0.1:8853)")
 	metrics := flag.Bool("metrics", true, "expose the /metrics text endpoint")
 	flag.Parse()
+	ctx := serving.Notify(context.Background())
 
 	reg := obs.NewRegistry()
 	answerCache := answers.New()
@@ -140,7 +141,7 @@ func main() {
 	fmt.Printf("dohsrv: %s://%s%s%s -> zone %s via %s\n", scheme, srv.Addr(), dohserver.DefaultPath, note, *zone, *upstream)
 
 	rep := cmdconfig.Report{Prefix: "dohsrv:", Cache: answerCache, Racer: racer}
-	if err := serving.Run(context.Background(), rep, dotSrv, srv); err != nil {
+	if err := serving.Run(ctx, rep, dotSrv, srv); err != nil {
 		log.Fatalf("dohsrv: shutdown: %v", err)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -159,6 +160,38 @@ func TestListenersServeTheCertificatePair(t *testing.T) {
 		t.Errorf("exit after SIGTERM: %v", err)
 	}
 	if len(rest) == 0 || rest[0] != "dohsrv: shutting down" {
+		t.Errorf("output after SIGTERM: %q", rest)
+	}
+}
+
+// TestSignalOnTheFirstLineDrains: SIGTERM sent the moment the first line
+// is read drains the server, reports and exits 0, because the handler is
+// installed before anything is printed — here the racer's line, printed before the listeners bind. Run it with -count=20.
+func TestSignalOnTheFirstLineDrains(t *testing.T) {
+	cmd := command("-listen", "127.0.0.1:0", "-upstream", "127.0.0.1:1", "-upstream-dot", "127.0.0.1:1")
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Kill()
+	lines := bufio.NewScanner(stdout)
+	if !lines.Scan() {
+		t.Fatal("nothing announced")
+	}
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	var rest []string
+	for lines.Scan() {
+		rest = append(rest, lines.Text())
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Errorf("exit after SIGTERM: %v", err)
+	}
+	if !slices.Contains(rest, "dohsrv: shutting down") {
 		t.Errorf("output after SIGTERM: %q", rest)
 	}
 }

@@ -47,6 +47,7 @@ func main() {
 	flag.DurationVar(&fwd.Timeout, "upstream-timeout", 3*time.Second, "per-attempt upstream timeout")
 	workers := flag.Int("workers", 0, "resolver workers per listener (0 = default pool size)")
 	flag.Parse()
+	ctx := serving.Notify(context.Background())
 
 	if *forward == "" && *roots == "" && *forwardDoH == "" && *forwardDoT == "" {
 		fmt.Fprintln(os.Stderr, "recursor: need -forward, -forward-doh/-forward-dot, or -roots")
@@ -92,7 +93,7 @@ func main() {
 		log.Fatalf("recursor: %v", err)
 	}
 	fmt.Printf("recursor: listening on %s, %s\n", srv.Addr(), mode)
-	if err := serving.Run(context.Background(), rep, srv); err != nil {
+	if err := serving.Run(ctx, rep, srv); err != nil {
 		log.Fatalf("recursor: shutdown: %v", err)
 	}
 }

@@ -1,12 +1,15 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"os"
 	"os/exec"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
+	"syscall"
 	"testing"
 
 	"repro/internal/cmdconfig"
@@ -76,5 +79,37 @@ func TestForwardersOrder(t *testing.T) {
 	want := []cmdconfig.Endpoint{{Kind: resolver.Do53, Addr: "a"}, {Kind: resolver.DoH, Addr: "b"}, {Kind: resolver.DoT, Addr: "c"}}
 	if got := forwarders("a", "b", "c"); !reflect.DeepEqual(got, want) {
 		t.Errorf("forwarders = %v, want %v", got, want)
+	}
+}
+
+// TestSignalOnTheFirstLineDrains: SIGTERM sent the moment the first line
+// is read drains the server, reports and exits 0, because the handler is
+// installed before anything is printed. Run it with -count=20.
+func TestSignalOnTheFirstLineDrains(t *testing.T) {
+	cmd := command("-listen", "127.0.0.1:0", "-forward", "127.0.0.1:1")
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Kill()
+	lines := bufio.NewScanner(stdout)
+	if !lines.Scan() {
+		t.Fatal("nothing announced")
+	}
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	var rest []string
+	for lines.Scan() {
+		rest = append(rest, lines.Text())
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Errorf("exit after SIGTERM: %v", err)
+	}
+	if !slices.Contains(rest, "recursor: shutting down") {
+		t.Errorf("output after SIGTERM: %q", rest)
 	}
 }

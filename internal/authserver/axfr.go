@@ -77,7 +77,7 @@ func RequestAXFR(ctx context.Context, addr string, origin dnswire.Name) (*Zone, 
 	}
 	conn.SetDeadline(deadline)
 
-	wire, err := q.Pack()
+	wire, err := q.AppendPack(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -87,13 +87,15 @@ func RequestAXFR(ctx context.Context, addr string, origin dnswire.Name) (*Zone, 
 
 	zone := NewZone(origin)
 	soaSeen := 0
+	// Each message of the transfer decodes into the last one's storage:
+	// Zone.Add keeps a record's value, and names and RData are immutable.
+	m := new(dnswire.Message)
 	for soaSeen < 2 {
 		raw, err := dnsclient.ReadTCPMessage(conn)
 		if err != nil {
 			return nil, fmt.Errorf("authserver: AXFR read: %w", err)
 		}
-		m, err := dnswire.Unpack(raw)
-		if err != nil {
+		if err := dnswire.UnpackInto(raw, m); err != nil {
 			return nil, fmt.Errorf("authserver: AXFR decode: %w", err)
 		}
 		if m.Header.RCode != dnswire.RCodeNoError {

@@ -31,9 +31,12 @@
 //     into one upstream resolution that every waiter shares — the
 //     query-coalescing behaviour production resolvers use to survive
 //     request storms.
+//   - One owner per message: Put stores a copy of the answer in the
+//     entry's own allocation and returns it, so the caller keeps its
+//     message (and may pool it).
 //   - Allocation-free warm hits: a fresh hit younger than one second
-//     returns the stored message without copying (TTLs need no aging
-//     yet), so the warm path stays 0 allocs/op like the obs hot path
+//     returns the stored copy itself (TTLs need no aging yet), so the
+//     warm path stays 0 allocs/op like the obs hot path
 //     (BenchmarkCacheHit pins this). Callers must treat returned
 //     messages as read-only; one that stamps headers copies the hit
 //     into storage of its own with LookupInto, which a server front
@@ -145,23 +148,25 @@ type key struct {
 	typ  dnswire.Type
 }
 
-// entry is one cached answer. Every field except the atomics is
-// immutable after insertion — entries are replaced wholesale by Put,
-// never edited — which is what lets the hit path read them under the
-// shard's read lock only.
+// entry is one cached answer in one allocation: the cache's own copy of
+// the message, with its question and a one-record answer inline (more
+// records go into one slice the three sections share). Every field
+// except the atomics is immutable after insertion — entries are
+// replaced wholesale by Put, never edited — which is what lets the hit
+// path read them under the shard's read lock only.
 type entry struct {
-	key      key
-	msg      *dnswire.Message
-	inserted time.Time
-	expires  time.Time
-	negative bool
+	key key
+	msg dnswire.Message
+	q   [1]dnswire.Question
+	rr  [1]dnswire.ResourceRecord
+	// inserted and expires are offsets from the cache's epoch.
+	inserted, expires time.Duration
 	// prev and next link the entry into its shard's LRU list; the list
 	// is intrusive so an insert allocates the entry and nothing else.
 	prev, next *entry
 
-	// touched is the second-chance reference bit: set by every hit,
-	// cleared (with one reprieve) by the eviction scan.
-	touched atomic.Bool
+	// flags holds flagTouched and flagNegative.
+	flags atomic.Uint32
 	// hits counts lookups served by this entry since insertion — the
 	// popularity signal the prefetcher reads. Replaced entries start
 	// from zero, so prefetch continues only while a name stays hot.
@@ -169,6 +174,46 @@ type entry struct {
 	// refreshFailedAt is the clock's UnixNano at the last failed
 	// refresh (0 = never), spacing retry attempts by refreshBackoff.
 	refreshFailedAt atomic.Int64
+}
+
+// The entry's flags.
+const (
+	// flagTouched is the second-chance reference bit: set by every hit,
+	// cleared (with one reprieve) by the eviction scan.
+	flagTouched uint32 = 1 << iota
+	// flagNegative marks an RFC 2308 negative answer; it never changes.
+	flagNegative
+)
+
+// touch sets e's reference bit. Hits hold the shard's read lock, and the
+// eviction scan, the one writer that clears the bit, holds the write
+// lock: every writer here stores the same word.
+func (e *entry) touch() {
+	if f := e.flags.Load(); f&flagTouched == 0 {
+		e.flags.Store(f | flagTouched)
+	}
+}
+
+// copyOf makes msg's header and sections e's own. Names and RData
+// values stay shared with msg: nothing edits them.
+func (e *entry) copyOf(msg *dnswire.Message) {
+	e.msg.Header = msg.Header
+	e.msg.Questions = append(e.q[:0], msg.Questions...)
+	rrs := e.rr[:]
+	if n := len(msg.Answers) + len(msg.Authorities) + len(msg.Additionals); n > len(rrs) {
+		rrs = make([]dnswire.ResourceRecord, n)
+	}
+	e.msg.Answers, rrs = carve(rrs, msg.Answers)
+	e.msg.Authorities, rrs = carve(rrs, msg.Authorities)
+	e.msg.Additionals, _ = carve(rrs, msg.Additionals)
+}
+
+// carve copies src to the front of buf and returns the copy, capped at
+// its length so that no append reaches the next section, and the rest
+// of buf.
+func carve(buf, src []dnswire.ResourceRecord) (section, rest []dnswire.ResourceRecord) {
+	n := copy(buf, src)
+	return buf[:n:n], buf[n:]
 }
 
 // shard is one lock domain: a map plus its LRU list. Hits take only
@@ -212,6 +257,9 @@ type Cache struct {
 	shards []shard
 	mask   uint64
 	clock  func() time.Time
+	// epoch is the clock's reading at New; entries keep their times as
+	// offsets from it.
+	epoch time.Time
 
 	staleTTL          time.Duration
 	prefetchThreshold time.Duration
@@ -274,6 +322,7 @@ func New(cfg Config) *Cache {
 	if c.clock == nil {
 		c.clock = time.Now
 	}
+	c.epoch = c.clock()
 	// Distribute capacity so the shard maxima sum exactly to max.
 	base, rem := max/shards, max%shards
 	for i := range c.shards {
@@ -285,6 +334,9 @@ func New(cfg Config) *Cache {
 	}
 	return c
 }
+
+// now is the clock's reading as an offset from the epoch.
+func (c *Cache) now() time.Duration { return c.clock().Sub(c.epoch) }
 
 // shardFor hashes k to its shard.
 func (c *Cache) shardFor(k key) *shard { return shardOf(c, k.name, k.typ) }
@@ -352,9 +404,9 @@ func (c *Cache) Lookup(name dnswire.Name, typ dnswire.Type) (*dnswire.Message, O
 // names and RData stay shared with the cache and read-only. dst's
 // sections never alias a cached message, so a caller that reuses dst
 // across queries — a pooled server front — pays nothing per hit once
-// they have grown. A nil dst is allocated here, with room for the
-// question and two records; a young hit then shares the stored records,
-// which need no edit. It returns dst (or the copy), or nil on a miss.
+// they have grown, and one that pools its answers cannot reach an entry.
+// A nil dst is allocated here, with room for the question and two
+// records. It returns dst (or the copy), or nil on a miss.
 func (c *Cache) LookupInto(name dnswire.Name, typ dnswire.Type, dst *dnswire.Message) (*dnswire.Message, Outcome) {
 	msg, outcome, dec, cap := c.lookup(name, typ)
 	if msg == nil {
@@ -397,15 +449,15 @@ func (c *Cache) lookup(name dnswire.Name, typ dnswire.Type) (msg *dnswire.Messag
 		c.countMiss()
 		return nil, Miss, 0, noCap
 	}
-	now := c.clock()
-	if now.Before(e.expires) {
+	now := c.now()
+	if now < e.expires {
 		// Fresh hit: recency and popularity land in per-entry atomics,
 		// never the LRU list — the read lock is all a hit takes.
-		e.touched.Store(true)
+		e.touch()
 		hits := e.hits.Add(1)
-		msg, negative := e.msg, e.negative
-		age := now.Sub(e.inserted)
-		remaining := e.expires.Sub(now)
+		msg, negative := &e.msg, e.flags.Load()&flagNegative != 0
+		age := now - e.inserted
+		remaining := e.expires - now
 		s.mu.RUnlock()
 
 		c.hits.Add(1)
@@ -424,13 +476,13 @@ func (c *Cache) lookup(name dnswire.Name, typ dnswire.Type) (msg *dnswire.Messag
 		}
 		return msg, Fresh, uint32(age / time.Second), noCap
 	}
-	if c.staleTTL > 0 && now.Before(e.expires.Add(c.staleTTL)) {
+	if c.staleTTL > 0 && now < e.expires+c.staleTTL {
 		// Serve-stale (RFC 8767): the expired entry answers with
 		// capped TTLs while a detached refresh repopulates it. The
 		// serving path never blocks on that refresh.
-		e.touched.Store(true)
+		e.touch()
 		e.hits.Add(1)
-		msg := e.msg
+		msg := &e.msg
 		s.mu.RUnlock()
 
 		c.staleHits.Add(1)
@@ -464,24 +516,30 @@ func (c *Cache) countMiss() {
 	}
 }
 
-// Put caches msg as the answer for (name, typ) and reports whether it
-// was accepted. Positive answers live for the minimum answer TTL;
-// empty answers with an SOA authority are cached negatively for
-// min(SOA TTL, SOA MINIMUM) per RFC 2308. Messages with no usable TTL
-// (or TTL 0) are not cached.
-func (c *Cache) Put(name dnswire.Name, typ dnswire.Type, msg *dnswire.Message) bool {
+// Put caches a copy of msg as the answer for (name, typ) and returns the
+// cache's copy, or nil when it refuses the answer. Positive answers live
+// for the minimum answer TTL; empty answers with an SOA authority are
+// cached negatively for min(SOA TTL, SOA MINIMUM) per RFC 2308.
+// Messages with no usable TTL (or TTL 0) are refused.
+//
+// msg's header and section slices stay the caller's: once Put returns
+// the caller may edit msg or hand it to dnswire.PutMessage. Its names
+// and RData values, which nothing edits, are shared with the copy. The
+// copy is what hits return, so it is read-only: a caller that answers
+// with it stamps a copy of its own.
+func (c *Cache) Put(name dnswire.Name, typ dnswire.Type, msg *dnswire.Message) *dnswire.Message {
 	ttl, negative, ok := TTL(msg)
 	if !ok || ttl <= 0 {
-		return false
+		return nil
 	}
 	k := key{name.Canonical(), typ}
 	s := c.shardFor(k)
-	now := c.clock()
-	e := &entry{
-		key: k, msg: msg, negative: negative,
-		inserted: now,
-		expires:  now.Add(time.Duration(ttl) * time.Second),
+	now := c.now()
+	e := &entry{key: k, inserted: now, expires: now + time.Duration(ttl)*time.Second}
+	if negative {
+		e.flags.Store(flagNegative)
 	}
+	e.copyOf(msg)
 	var evicted int64
 	grew := int64(1)
 	s.mu.Lock()
@@ -509,7 +567,7 @@ func (c *Cache) Put(name dnswire.Name, typ dnswire.Type, msg *dnswire.Message) b
 		inst.evictions.Add(evicted)
 		inst.entries.Set(float64(size))
 	}
-	return true
+	return &e.msg
 }
 
 // secondChanceVictimLocked picks the eviction victim by the CLOCK
@@ -521,7 +579,8 @@ func (c *Cache) Put(name dnswire.Name, typ dnswire.Type, msg *dnswire.Message) b
 func (s *shard) secondChanceVictimLocked() *entry {
 	for scanned := len(s.entries); scanned > 0 && s.tail != nil; scanned-- {
 		e := s.tail
-		if e.touched.CompareAndSwap(true, false) {
+		if f := e.flags.Load(); f&flagTouched != 0 {
+			e.flags.Store(f &^ flagTouched)
 			s.unlink(e)
 			s.pushFront(e)
 			continue
@@ -620,22 +679,17 @@ type hitBlock struct {
 }
 
 // hitCopy is the one private copy of a hit: dst, allocated when nil,
-// gets msg's header and question and every record with its TTL lowered
-// by dec (floored at zero) and then capped at cap. An allocated copy
-// with no TTL to edit shares msg's records instead.
+// gets msg's header and question and every record, in its own section
+// storage, with its TTL lowered by dec (floored at zero) and then capped
+// at cap.
 func hitCopy(msg, dst *dnswire.Message, dec, cap uint32) *dnswire.Message {
-	share := false
 	if dst == nil {
 		b := new(hitBlock)
 		b.Questions, b.Answers = b.q[:0], b.rr[:0]
-		dst, share = &b.Message, dec == 0 && cap == noCap
+		dst = &b.Message
 	}
 	dst.Header = msg.Header
 	dst.Questions = append(dst.Questions[:0], msg.Questions...)
-	if share {
-		dst.Answers, dst.Authorities, dst.Additionals = msg.Answers, msg.Authorities, msg.Additionals
-		return dst
-	}
 	dst.Answers = copySection(dst.Answers, msg.Answers, dec, cap)
 	dst.Authorities = copySection(dst.Authorities, msg.Authorities, dec, cap)
 	dst.Additionals = copySection(dst.Additionals, msg.Additionals, dec, cap)

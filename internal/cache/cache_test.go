@@ -74,23 +74,34 @@ func TestPutGetCaseInsensitive(t *testing.T) {
 	}
 }
 
+// TestZeroAgeHitSharesStoredMessage: a hit younger than a second is the
+// cache's own copy, the one Put returned — two of them are one pointer
+// and cost nothing — while an aged hit is a copy with its TTLs aged and
+// the stored message left as it was.
 func TestZeroAgeHitSharesStoredMessage(t *testing.T) {
 	c, clk := newTestCache(0)
 	msg := answer("warm.a.com.", 60)
-	c.Put("warm.a.com.", dnswire.TypeA, msg)
-	if got := c.Get("warm.a.com.", dnswire.TypeA); got != msg {
-		t.Error("sub-second hit did not return the stored message (warm path must not copy)")
+	stored := c.Put("warm.a.com.", dnswire.TypeA, msg)
+	if stored == nil || stored == msg {
+		t.Fatalf("Put returned %p for the caller's %p: want the cache's own copy", stored, msg)
+	}
+	first, second := c.Get("warm.a.com.", dnswire.TypeA), c.Get("warm.a.com.", dnswire.TypeA)
+	if first != stored || second != stored {
+		t.Errorf("sub-second hits = %p, %p; want the stored %p (warm path must not copy)", first, second, stored)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.Get("warm.a.com.", dnswire.TypeA) }); n != 0 {
+		t.Errorf("sub-second hit: %.1f allocs, want 0", n)
 	}
 	clk.Advance(2 * time.Second)
 	got := c.Get("warm.a.com.", dnswire.TypeA)
-	if got == msg {
+	if got == stored {
 		t.Error("aged hit returned the stored message; aging must copy")
 	}
 	if got.Answers[0].TTL != 58 {
 		t.Errorf("aged TTL = %d, want 58", got.Answers[0].TTL)
 	}
-	if msg.Answers[0].TTL != 60 {
-		t.Errorf("stored message mutated: TTL = %d", msg.Answers[0].TTL)
+	if stored.Answers[0].TTL != 60 {
+		t.Errorf("stored message mutated: TTL = %d", stored.Answers[0].TTL)
 	}
 }
 

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/dnswire"
 	"repro/internal/obs"
@@ -76,14 +78,13 @@ func TestRunningSizeMatchesShards(t *testing.T) {
 
 // TestLookupCopyIsTheCallersOwn (named for the LookupCopy that LookupInto
 // replaced): whatever the entry's age, the message LookupInto returns can
-// be stamped — header and question — without reaching the stored answer.
-// Into a nil dst a hit is one allocation, copy and answers together; into
-// a dst the caller reuses, an aged hit is none, and dst's sections never
-// alias the stored ones.
+// be stamped — header, question and records — without reaching the stored
+// answer, so a caller may pool it. Into a nil dst a hit is one
+// allocation, copy and answers together; into a dst the caller reuses,
+// an aged hit is none, and dst's sections never alias the stored ones.
 func TestLookupCopyIsTheCallersOwn(t *testing.T) {
 	c, clock := newTestCache(64)
-	stored := answer("own.a.com.", 300)
-	c.Put("own.a.com.", dnswire.TypeA, stored)
+	stored := c.Put("own.a.com.", dnswire.TypeA, answer("own.a.com.", 300))
 	stamp := func(m *dnswire.Message, id uint16) {
 		m.Header.ID = id
 		m.Questions[0].Name = "OWN.A.COM."
@@ -99,10 +100,14 @@ func TestLookupCopyIsTheCallersOwn(t *testing.T) {
 	if outcome != Fresh || young == stored {
 		t.Fatalf("young hit: outcome %v, same pointer as stored %v", outcome, young == stored)
 	}
+	if &young.Answers[0] == &stored.Answers[0] {
+		t.Fatal("a young hit's copy shares the stored records")
+	}
 	stamp(young, 0xBEEF)
-	untouched("stamping a young copy")
-	if young.Answers[0].TTL != 300 {
-		t.Errorf("young hit TTL = %d", young.Answers[0].TTL)
+	young.Answers[0].TTL = 1
+	untouched("writing into a young copy")
+	if n := testing.AllocsPerRun(200, func() { c.LookupInto("own.a.com.", dnswire.TypeA, nil) }); n != 1 {
+		t.Errorf("young single-answer hit: %.1f allocs, want 1 (message and answers in one)", n)
 	}
 
 	clock.Advance(10 * time.Second)
@@ -158,6 +163,65 @@ func TestKeyNameIsTheStoredSpelling(t *testing.T) {
 	}
 	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
 		t.Errorf("KeyName was counted: %+v", st)
+	}
+}
+
+// TestPutCopiesTheMessage: Put keeps a copy, so the caller may edit the
+// message it put or hand it to the pool, where the next decode rewrites
+// its sections, and the entry still packs to the bytes it was put with.
+// Put returns that copy — the message hits share — or nil for an answer
+// it refuses; a longer answer is copied whole.
+func TestPutCopiesTheMessage(t *testing.T) {
+	c, _ := newTestCache(64)
+	other, err := answer("other.a.com.", 7).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := answer("long.a.com.", 300)
+	long.Answers = append(long.Answers, long.Answers[0], long.Answers[0])
+	long.Authorities = append(long.Authorities, negative("long.a.com.", 3600, 60).Authorities...)
+	for _, msg := range []*dnswire.Message{answer("put.a.com.", 300), negative("gone.a.com.", 3600, 60), long} {
+		name := msg.Questions[0].Name
+		want, err := msg.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored := c.Put(name, dnswire.TypeA, msg)
+		if stored == nil || stored == msg || c.Get(name, dnswire.TypeA) != stored {
+			t.Fatalf("%s: Put = %p for %p, Get = %p", name, stored, msg, c.Get(name, dnswire.TypeA))
+		}
+		msg.Header.ID = 0xBAD
+		msg.Questions[0].Name = "edited.a.com."
+		for _, rr := range [][]dnswire.ResourceRecord{msg.Answers, msg.Authorities} {
+			for i := range rr {
+				rr[i].TTL = 1
+			}
+		}
+		dnswire.PutMessage(msg)
+		for i := 0; i < 4; i++ {
+			if err := dnswire.UnpackInto(other, dnswire.GetMessage()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := c.Get(name, dnswire.TypeA).Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: the entry changed with the caller's message:\n got %x\nwant %x", name, got, want)
+		}
+	}
+	if got := c.Put("zero.a.com.", dnswire.TypeA, answer("zero.a.com.", 0)); got != nil {
+		t.Errorf("Put of a TTL-0 answer = %v, want nil", got)
+	}
+}
+
+// TestEntryFitsIn256Bytes: the entry, its message, question and one
+// record inline, is one 256-byte size class; a field that pushes it over
+// costs every cached answer the next class up.
+func TestEntryFitsIn256Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(entry{}); n > 256 {
+		t.Errorf("entry is %d bytes, want <= 256", n)
 	}
 }
 

@@ -13,7 +13,10 @@ func timeUnixNano(n int64) time.Time { return time.Unix(0, n) }
 // Refresher is the upstream fetch hook background refreshes run: it
 // resolves (name, typ) and returns the raw response. The cache owns
 // the cacheability decision (only NOERROR/NXDOMAIN answers with a
-// usable TTL are stored); the hook just fetches. The ctx passed in is
+// usable TTL are stored); the hook just fetches. The response becomes
+// the cache's: it keeps a copy (Put) and hands the message itself to
+// dnswire.PutMessage, so the hook returns a message nothing else holds
+// — names and RData aside, which may be shared. The ctx passed in is
 // detached from any foreground caller — cancelling a client query
 // never cancels the refresh it triggered — and carries a 5 s deadline
 // (refreshTimeout).
@@ -94,7 +97,8 @@ func (c *Cache) runRefresh(k key, e *entry, fn Refresher) {
 	msg, err := fn(ctx, k.name, k.typ)
 	ok := err == nil && msg != nil &&
 		(msg.Header.RCode == dnswire.RCodeNoError || msg.Header.RCode == dnswire.RCodeNXDomain) &&
-		c.Put(k.name, k.typ, msg)
+		c.Put(k.name, k.typ, msg) != nil
+	dnswire.PutMessage(msg)
 	if ok {
 		c.refreshes.Add(1)
 		e.refreshFailedAt.Store(0)

@@ -52,6 +52,8 @@ type Serving struct {
 	Drain     time.Duration
 	Listeners int
 	serve.Protection
+
+	stop context.CancelFunc // Notify's
 }
 
 // ServingFlags registers -listen (default listen), -drain, -max-inflight
@@ -75,15 +77,26 @@ func ServingFlags(listen string, with int) *Serving {
 	return s
 }
 
-// Run is a server's life after it listens: on SIGINT or SIGTERM (or
-// when ctx ends) it drains the servers at once within -drain, and only
-// then prints rep, so the totals count the queries answered during the
-// drain and the refreshes they started. It returns the drain's error:
-// the deadline's when a server had to be forced.
+// Notify returns ctx, ended by SIGINT or SIGTERM too, for Run. A command
+// calls it before it prints anything, so that a signal sent as soon as
+// its first line is read drains the servers rather than meeting Go's
+// default handling, which kills the process.
+func (s *Serving) Notify(ctx context.Context) context.Context {
+	ctx, s.stop = signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
+	return ctx
+}
+
+// Run is a server's life after it listens: when ctx ends — on Notify's
+// signals — it drains the servers at once within -drain, and only then
+// prints rep, so the totals count the queries answered during the drain
+// and the refreshes they started. A second signal kills the process. It
+// returns the drain's error: the deadline's when a server had to be
+// forced.
 func (s *Serving) Run(ctx context.Context, rep Report, servers ...interface{ Shutdown(context.Context) error }) error {
-	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	<-ctx.Done()
-	stop()
+	if s.stop != nil {
+		s.stop()
+	}
 	fmt.Println(rep.Prefix, "shutting down")
 	drain, cancel := context.WithTimeout(context.Background(), s.Drain)
 	defer cancel()

@@ -62,7 +62,7 @@ func (m *ProxyMeasurer) MeasureDoH(ctx context.Context, dohURL string, name dnsw
 	obs.QueryName = string(name)
 
 	q := dnswire.NewQuery(dnsclient.RandomID(), name, dnswire.TypeA)
-	wire, err := q.Pack()
+	wire, err := q.AppendPack(nil)
 	if err != nil {
 		return obs, nil, err
 	}
@@ -111,8 +111,10 @@ func (m *ProxyMeasurer) MeasureDoH(ctx context.Context, dohURL string, name dnsw
 	if resp.StatusCode != http.StatusOK {
 		return obs, nil, fmt.Errorf("core: DoH server returned %s", resp.Status)
 	}
-	msg, err := dnswire.Unpack(body)
-	if err != nil {
+	// Like a transport's, the answer is a pooled message the caller owns.
+	msg := dnswire.GetMessage()
+	if err := dnswire.UnpackInto(body, msg); err != nil {
+		dnswire.PutMessage(msg)
 		return obs, nil, fmt.Errorf("core: decoding DoH body: %w", err)
 	}
 	return obs, msg, nil

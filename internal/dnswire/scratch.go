@@ -97,9 +97,7 @@ func ReadAllLimit(r io.Reader, b []byte, limit int) ([]byte, error) {
 
 // answerBlock is what the pool makes when it is empty: a Message with
 // room for one question and one answer allocated alongside it, so the
-// commonest response decodes into one object instead of three. The
-// upstream answer a resolver caches is such a pool miss on every query
-// (the cache keeps it), which is where the saving shows.
+// commonest response decodes into one object instead of three.
 type answerBlock struct {
 	Message
 	q  [1]Question
@@ -122,8 +120,12 @@ func GetMessage() *Message {
 	return msgPool.Get().(*Message)
 }
 
-// PutMessage returns m to the pool. m (and any Name/RData it holds
-// that the caller did not copy out) must not be used afterwards.
+// PutMessage returns m to the pool; only m's owner may, and m must not
+// be used afterwards. Ownership is of the header and the section slices
+// (resolver.Resolver states the rule): the next UnpackInto rewrites
+// those in place. The names and RData values m holds are immutable and
+// may live on in copies — a cache's entry, say — since decoding only
+// ever replaces them.
 func PutMessage(m *Message) {
 	if m == nil {
 		return

@@ -91,7 +91,8 @@ func TestCacheControlMaxAge(t *testing.T) {
 			r.SetDefault(recursive.UpstreamFunc(func(_ context.Context, q *dnswire.Message) (*dnswire.Message, error) {
 				m := q.Reply()
 				m.Header.RCode = tc.rcode
-				m.Answers, m.Authorities = tc.answers, tc.authority
+				m.Answers = append(m.Answers, tc.answers...)
+				m.Authorities = append(m.Authorities, tc.authority...)
 				return m, nil
 			}))
 			h := NewHandler(r)

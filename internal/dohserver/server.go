@@ -84,8 +84,8 @@ func (x *request) put() {
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// Pooled per-request scratch: the POST body / response wire buffer,
 	// and the request (decoded query, hit answer, resolve bound). A
-	// response from the resolver's flight is never pooled — its cache
-	// retains it.
+	// response from the resolver's flight is not pooled: the cache and
+	// the flight's other waiters may hold it.
 	scratch := dnswire.GetBuffer()
 	defer dnswire.PutBuffer(scratch)
 	raw, status, err := extractQuery(r, scratch)

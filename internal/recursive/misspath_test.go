@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,9 +12,10 @@ import (
 	"repro/internal/dnswire"
 )
 
-// cannedZone answers from messages built ahead of time, stamped with
-// the query's ID the way a real upstream echoes it, so what the tests
-// below count is the resolver's own cost.
+// cannedZone answers from messages built ahead of time. Like a real
+// transport it answers in a pooled message of the caller's, stamped with
+// the query's ID, which the resolver hands back to the pool; so what the
+// tests below count is the resolver's own cost.
 type cannedZone map[dnswire.Name]*dnswire.Message
 
 func (z cannedZone) Resolve(_ context.Context, q *dnswire.Message) (*dnswire.Message, error) {
@@ -21,8 +23,14 @@ func (z cannedZone) Resolve(_ context.Context, q *dnswire.Message) (*dnswire.Mes
 	if !ok {
 		return nil, fmt.Errorf("no canned answer for %s", q.Questions[0].Name)
 	}
-	m.Header.ID = q.Header.ID
-	return m, nil
+	resp := dnswire.GetMessage()
+	resp.Header = m.Header
+	resp.Header.ID = q.Header.ID
+	resp.Questions = append(resp.Questions[:0], m.Questions...)
+	resp.Answers = append(resp.Answers[:0], m.Answers...)
+	resp.Authorities = append(resp.Authorities[:0], m.Authorities...)
+	resp.Additionals = append(resp.Additionals[:0], m.Additionals...)
+	return resp, nil
 }
 
 func cannedNames(n int) ([]dnswire.Name, cannedZone) {
@@ -115,9 +123,10 @@ func TestResolveHitAllocBudget(t *testing.T) {
 	}
 }
 
-// TestForwardedAnswerIsNotCopiedAgain: the query that went upstream
-// gets the upstream's answer as it stands — the ID and RD flag are its
-// own already — while a waiter on the same flight with another ID still
+// TestForwardedAnswerIsNotCopiedAgain: the query that went upstream gets
+// the cache's copy of the answer as it stands — the entry's own message,
+// whose ID and RD flag are its own already — and the upstream's message
+// goes back to the pool; a waiter on the same flight with another ID
 // gets a copy carrying its own.
 func TestForwardedAnswerIsNotCopiedAgain(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
@@ -154,11 +163,138 @@ func TestForwardedAnswerIsNotCopiedAgain(t *testing.T) {
 	if l.err != nil || w.err != nil {
 		t.Fatalf("errors: %v, %v", l.err, w.err)
 	}
-	if l.resp != upstreamAnswer {
-		t.Error("the forwarded query's answer was copied although ID and RD were its own")
+	stored := r.Cache().Get("share.a.com.", dnswire.TypeA)
+	if l.resp != stored {
+		t.Error("the forwarded query's answer is not the entry's message although ID and RD were its own")
 	}
-	if w.resp == upstreamAnswer || w.resp.Header.ID != 200 || upstreamAnswer.Header.ID != 100 {
-		t.Errorf("waiter got ID %d (shared message has %d)", w.resp.Header.ID, upstreamAnswer.Header.ID)
+	if l.resp == upstreamAnswer {
+		t.Error("the forwarded query got the upstream's message, which the cache does not keep")
+	}
+	if w.resp == stored || w.resp.Header.ID != 200 || stored.Header.ID != 100 {
+		t.Errorf("waiter got ID %d (shared message has %d)", w.resp.Header.ID, stored.Header.ID)
+	}
+}
+
+// TestCachedAnswersSurvivePoolChurn: the resolver hands each upstream
+// message back to the pool once the cache has its copy, so nothing the
+// pool lends out later may reach a cached answer. Concurrent misses, many
+// of them joined, over an upstream that answers in pooled messages the way
+// the transports do, run beside unrelated GetMessage/UnpackInto churn;
+// every entry holds its own answer and packs to the same bytes before and
+// after a second round of both. Run it under -race with -count=20.
+func TestCachedAnswersSurvivePoolChurn(t *testing.T) {
+	const (
+		names    = 48
+		askers   = 6
+		churners = 2
+	)
+	now := time.Unix(1_700_000_000, 0) // a fixed clock: hits are the entries themselves
+	r := New(cache.New(cache.Config{Clock: func() time.Time { return now }}))
+	addr := func(name dnswire.Name) netip.Addr {
+		var i byte
+		for j := 0; j < len(name); j++ {
+			i = i*31 + name[j]
+		}
+		return netip.AddrFrom4([4]byte{10, byte(len(name)), i, name[1]})
+	}
+	reply := func(q *dnswire.Message, records int) []byte {
+		m := q.Reply()
+		for i := 0; i < records; i++ {
+			m.Answers = append(m.Answers, dnswire.ResourceRecord{
+				Name: q.Questions[0].Name, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: uint32(300 + i),
+				Data: dnswire.ARecord{Addr: addr(q.Questions[0].Name)},
+			})
+		}
+		wire, err := m.Pack()
+		if err != nil {
+			panic(err)
+		}
+		return wire
+	}
+	r.SetDefault(UpstreamFunc(func(_ context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+		resp := dnswire.GetMessage()
+		if err := dnswire.UnpackReplyInto(reply(q, 1), resp, q); err != nil {
+			return nil, err
+		}
+		return resp, nil
+	}))
+	var junk [][]byte
+	for i := 0; i < 8; i++ {
+		junk = append(junk, reply(dnswire.NewQuery(uint16(i), dnswire.Name(fmt.Sprintf("junk%d.b.com.", i)), dnswire.TypeA), 1+i%3))
+	}
+	name := func(round string, i int) dnswire.Name { return dnswire.Name(fmt.Sprintf("%s%02d.a.com.", round, i)) }
+
+	round := func(round string) {
+		stop := make(chan struct{})
+		var churn, ask sync.WaitGroup
+		for g := 0; g < churners; g++ {
+			churn.Add(1)
+			go func() {
+				defer churn.Done()
+				for i := g; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					m := dnswire.GetMessage()
+					if err := dnswire.UnpackInto(junk[i%len(junk)], m); err != nil {
+						t.Error(err)
+						return
+					}
+					dnswire.PutMessage(m)
+				}
+			}()
+		}
+		for g := 0; g < askers; g++ {
+			ask.Add(1)
+			go func() {
+				defer ask.Done()
+				for i := 0; i < names; i++ {
+					n := name(round, (i+g*names/askers)%names)
+					resp, err := r.Resolve(context.Background(), dnswire.NewQuery(uint16(g<<8|i), n, dnswire.TypeA))
+					if err != nil {
+						t.Errorf("%s: %v", n, err)
+						continue
+					}
+					if len(resp.Answers) != 1 || resp.Answers[0].Name != n || resp.Answers[0].Data != (dnswire.ARecord{Addr: addr(n)}) {
+						t.Errorf("%s: answered %v", n, resp.Answers)
+					}
+				}
+			}()
+		}
+		ask.Wait()
+		close(stop)
+		churn.Wait()
+	}
+	packed := func() map[dnswire.Name]string {
+		entries := make(map[dnswire.Name]string, names)
+		for i := 0; i < names; i++ {
+			n := name("first", i)
+			m := r.Cache().Get(n, dnswire.TypeA)
+			if m == nil || len(m.Answers) != 1 || m.Answers[0].Name != n || m.Answers[0].Data != (dnswire.ARecord{Addr: addr(n)}) {
+				t.Fatalf("%s: cached %v", n, m)
+			}
+			wire, err := m.Pack()
+			if err != nil {
+				t.Fatal(err)
+			}
+			entries[n] = string(wire)
+		}
+		return entries
+	}
+
+	round("first")
+	before := packed()
+	round("second")
+	after := packed()
+	for n, wire := range before {
+		if after[n] != wire {
+			t.Errorf("%s: the entry changed:\n got %x\nwant %x", n, after[n], wire)
+		}
+	}
+	if st := r.Cache().Stats(); st.Puts < 2*names || st.SharedFlights+st.Hits == 0 {
+		t.Errorf("the rounds were not the misses they claim: %+v", st)
 	}
 }
 

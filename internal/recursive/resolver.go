@@ -26,6 +26,11 @@ import (
 // include real servers reached over any transport
 // (resolver.UpstreamAdapter) and virtual-network authoritative nodes in
 // the simulator.
+//
+// The ownership rule is resolver.Resolver's: the response's header and
+// section slices belong to the caller, its names and RData may be
+// shared. The Resolver edits the header, and once the cache has its
+// copy it hands the response to dnswire.PutMessage.
 type Upstream interface {
 	// Resolve returns the authoritative response for q.
 	Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error)
@@ -148,9 +153,11 @@ func (r *Resolver) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Me
 // ResolveInto is Resolve answering a cache hit in dst: the hit is copied
 // into dst's own storage (cache.LookupInto) and stamped with q's ID, RD
 // flag and question, so a caller that reuses dst across queries pays
-// nothing for a hit. A miss returns the resolution's message and leaves
-// dst alone; a nil dst allocates the hit's copy. Either way the query
-// makes one cache lookup, and the answer's records are read-only.
+// nothing for a hit. A miss returns the cache's copy of the answer —
+// the entry's own message when the query is the one that was forwarded —
+// and leaves dst alone; a nil dst allocates the hit's copy. Either way
+// the query makes one cache lookup, and the answer's records are
+// read-only.
 func (r *Resolver) ResolveInto(ctx context.Context, q, dst *dnswire.Message) (*dnswire.Message, error) {
 	if len(q.Questions) == 0 {
 		return nil, errors.New("recursive: query has no question")
@@ -187,7 +194,9 @@ func (r *Resolver) ResolveInto(ctx context.Context, q, dst *dnswire.Message) (*d
 	return tailorResponse(resp, q), nil
 }
 
-// resolveMiss performs the actual upstream resolution and caches it.
+// resolveMiss performs the actual upstream resolution and caches it. The
+// flight shares the cache's copy, and the upstream's message goes back
+// to the pool; an answer the cache refuses is shared as it came.
 func (r *Resolver) resolveMiss(ctx context.Context, up Upstream, q *dnswire.Message) (*dnswire.Message, error) {
 	resp, err := up.Resolve(ctx, q)
 	if err != nil {
@@ -197,7 +206,10 @@ func (r *Resolver) resolveMiss(ctx context.Context, up Upstream, q *dnswire.Mess
 	resp.Header.Authoritative = false
 	question := q.Questions[0]
 	if resp.Header.RCode == dnswire.RCodeNoError || resp.Header.RCode == dnswire.RCodeNXDomain {
-		r.cache.Put(question.Name, question.Type, resp)
+		if cached := r.cache.Put(question.Name, question.Type, resp); cached != nil {
+			dnswire.PutMessage(resp)
+			return cached, nil
+		}
 	}
 	return resp, nil
 }

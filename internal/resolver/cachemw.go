@@ -17,6 +17,11 @@ import (
 // inserted, and the cache itself rejects TTL-0 and TTL-less messages,
 // so errors and SERVFAILs are always re-resolved.
 //
+// Every answer is its caller's, as Resolver's ownership rule asks: the
+// leader keeps next's message (the cache stores a copy), and hits and
+// waiters get copies with sections of their own, so a caller may pool
+// what it gets.
+//
 // Place it outermost — above WithMetrics — so the transport's latency
 // histograms keep describing real resolutions: a microsecond cache hit
 // never lands in resolver_<kind>_total_ms. The hit path records into
@@ -69,8 +74,8 @@ func (cw *cacheware) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.
 	question := q.Questions[0]
 	start := time.Now()
 	if resp, outcome := cw.cache.LookupInto(question.Name, question.Type, nil); resp != nil {
-		// Cached messages are shared and read-only: the copy LookupInto
-		// makes is ours to stamp, and our caller keeps it.
+		// LookupInto's copy has sections of its own: ours to stamp, and
+		// our caller's to keep.
 		resp.Header.ID = q.Header.ID
 		d := time.Since(start)
 		if cw.hitHist != nil {
@@ -80,15 +85,24 @@ func (cw *cacheware) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.
 	}
 
 	// Miss: resolve through next, collapsing concurrent misses for the
-	// same question into one transport resolution.
+	// same question into one transport resolution. The leader keeps next's
+	// answer; the flight carries a message its caller cannot reach — the
+	// cache's copy, or a private one when the cache refuses the answer.
+	var own *dnswire.Message
 	var leaderTiming Timing
 	msg, shared, err := cw.cache.Do(ctx, question.Name, question.Type, func() (*dnswire.Message, error) {
 		resp, t, err := cw.next.Resolve(ctx, q)
 		leaderTiming = t
-		if err == nil && (resp.Header.RCode == dnswire.RCodeNoError || resp.Header.RCode == dnswire.RCodeNXDomain) {
-			cw.cache.Put(question.Name, question.Type, resp)
+		if err != nil {
+			return nil, err
 		}
-		return resp, err
+		own = resp
+		if resp.Header.RCode == dnswire.RCodeNoError || resp.Header.RCode == dnswire.RCodeNXDomain {
+			if cached := cw.cache.Put(question.Name, question.Type, resp); cached != nil {
+				return cached, nil
+			}
+		}
+		return private(resp), nil
 	})
 	if err != nil {
 		return nil, Timing{Total: time.Since(start)}, err
@@ -96,14 +110,20 @@ func (cw *cacheware) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.
 	if shared {
 		// Another caller's flight answered us: its message is shared,
 		// and its Timing belongs to the leader — report only our wait.
-		resp := *msg
+		resp := private(msg)
 		resp.Header.ID = q.Header.ID
-		return &resp, Timing{Total: time.Since(start), Attempts: 1}, nil
+		return resp, Timing{Total: time.Since(start), Attempts: 1}, nil
 	}
-	// The leader's message was just handed to cache.Put, which retains
-	// it for warm hits. Return a private copy so callers stamping
-	// Header fields (every server does, for the client's query ID)
-	// don't corrupt the shared cached message under concurrent hits.
-	resp := *msg
-	return &resp, leaderTiming, nil
+	return own, leaderTiming, nil
+}
+
+// private copies m into sections of its own; names and RData stay shared.
+func private(m *dnswire.Message) *dnswire.Message {
+	return &dnswire.Message{
+		Header:      m.Header,
+		Questions:   append([]dnswire.Question(nil), m.Questions...),
+		Answers:     append([]dnswire.ResourceRecord(nil), m.Answers...),
+		Authorities: append([]dnswire.ResourceRecord(nil), m.Authorities...),
+		Additionals: append([]dnswire.ResourceRecord(nil), m.Additionals...),
+	}
 }

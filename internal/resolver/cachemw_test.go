@@ -1,6 +1,7 @@
 package resolver
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/netip"
@@ -268,5 +269,69 @@ func TestWithHedgingNAllFail(t *testing.T) {
 	}
 	if timing.Attempts != 3 {
 		t.Errorf("Timing.Attempts = %d, want 3", timing.Attempts)
+	}
+}
+
+// TestPooledAnswersLeaveTheCacheIntact: every answer WithCache returns is
+// its caller's, sections included — the leader's, a waiter's on its
+// flight and a young hit's — so a caller that pools its answers, and then
+// decodes other messages into the pool, cannot reach a cached record.
+func TestPooledAnswersLeaveTheCacheIntact(t *testing.T) {
+	const name = "pooled.example."
+	entered, release := make(chan struct{}), make(chan struct{})
+	next := Func(func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, Timing, error) {
+		close(entered)
+		<-release
+		return cachedAnswer(q, 300), Timing{Attempts: 1}, nil
+	})
+	c := cache.New(cache.Config{})
+	r := WithCache(next, c, nil, DoH)
+	ctx := context.Background()
+
+	answers := make(chan *dnswire.Message, 2)
+	resolve := func() {
+		resp, _, err := r.Resolve(ctx, Query(name, dnswire.TypeA))
+		if err != nil {
+			t.Error(err)
+		}
+		answers <- resp
+	}
+	go resolve()
+	<-entered
+	go resolve()
+	for c.Stats().SharedFlights < 1 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	leader, waiter := <-answers, <-answers
+	hit, _, err := r.Resolve(ctx, Query(name, dnswire.TypeA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := c.Get(name, dnswire.TypeA).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	other := cachedAnswer(Query("other.example.", dnswire.TypeA), 7)
+	other.Answers[0].Data = dnswire.ARecord{Addr: netip.MustParseAddr("198.51.100.1")}
+	otherWire, err := other.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []*dnswire.Message{leader, waiter, hit} {
+		dnswire.PutMessage(m)
+	}
+	for i := 0; i < 3; i++ {
+		if err := dnswire.UnpackInto(otherWire, dnswire.GetMessage()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := c.Get(name, dnswire.TypeA).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("pooled answers rewrote the cached one:\n got %x\nwant %x", got, want)
 	}
 }

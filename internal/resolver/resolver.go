@@ -76,6 +76,12 @@ type Timing = dnsclient.Timing
 // Resolver is the transport-agnostic resolution API. Implementations
 // must be safe for concurrent use.
 //
+// A message has one owner. The response's header and section slices
+// belong to the caller, which may edit them or hand the message to
+// dnswire.PutMessage; its names and RData values may be shared, since
+// nothing edits them. So an implementation never returns a message it
+// keeps — a cache answers with a copy — nor one it returns twice.
+//
 // ctx is the implementation's only until Resolve returns: the caller
 // may reset and reuse it for another call from then on. WithTimeout
 // hands each attempt a pooled deadline.Lazy, stopped — cancelling

@@ -190,8 +190,9 @@ const MaxStreamPayload = 0xffff
 // Input that is not a query with a question gets the handlers' refusal,
 // a nil response (dropped on UDP, connection closed on a stream).
 func Answer(ctx context.Context, r Resolver, out, raw []byte, limit int) ([]byte, error) {
-	// The Exchange is pooled; a resolver's own response never is —
-	// caches may retain it.
+	// The Exchange is pooled. A resolver's own response is not pooled
+	// here: a serve.Resolver may answer with a message it shares, such as
+	// the cache's copy that recursive hands the query it forwarded.
 	x := exchanges.Get().(*Exchange)
 	defer func() {
 		if x.Reusable() {

@@ -23,7 +23,8 @@ step "unit tests (all packages)"
 # TestRawQueryAllocs, TestServeHTTPAllocBudget,
 # TestQueryTimeoutAllocationFree (its dual-stack row holds the datagram
 # source unmapped), TestWithTimeoutUnarmedAllocBudget,
-# TestResolveMissAllocBudget,
+# TestResolveMissAllocBudget, TestPutCopiesTheMessage,
+# TestEntryFitsIn256Bytes, TestPooledAnswersLeaveTheCacheIntact,
 # TestDoAloneAllocatesNothing, TestWildcardAnswerAllocBudget,
 # TestRememberedWinnerAllocationFree, TestCampaignAllocBudget,
 # TestDiscardClientsMemoryFlat (discard mode's kept heap per country),
@@ -83,6 +84,10 @@ go test -race ./internal/dohserver/ -run 'TestServerLifecycle|TestServerShutdown
 step "a miss allocates only what it keeps (a recycled flight keeps its result, a pooled attempt bound is each attempt's own; race)"
 go test -race -count=20 ./internal/cache/ -run TestRecycledFlightsKeepTheirResults
 go test -race ./internal/resolver/ -run 'TestPooledBoundIsEachAttemptsOwn|TestAttemptTimeoutBoundsSilentUpstream'
+
+step "a message has one owner (cached answers survive pool churn, race; a signal on a server's first line drains it)"
+go test -race -count=20 ./internal/recursive/ -run TestCachedAnswersSurvivePoolChurn
+go test -count=20 ./cmd/authdns/ ./cmd/recursor/ ./cmd/dohsrv/ -run TestSignalOnTheFirstLineDrains
 
 step "the hit path (concurrent hits across fronts, one lookup per query, the asker's question, flights without sleeps; race)"
 go test -race ./internal/dohserver/ -run \
