@@ -120,7 +120,6 @@ func main() {
 		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 			reg.Gauge("dohsrv_queries").Set(float64(handler.Queries()))
 			reg.Gauge("dohsrv_scrubbed_ecs").Set(float64(handler.ScrubbedECS()))
-			reg.Gauge("dohsrv_cache_entries").Set(float64(answerCache.Len()))
 			snapshot.ServeHTTP(w, r)
 		})
 	}

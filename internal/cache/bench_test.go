@@ -5,22 +5,20 @@ import (
 	"time"
 
 	"repro/internal/dnswire"
+	"repro/internal/obs"
 )
 
 // The warm-hit path must stay allocation-free like the obs hot path: a
 // cache that allocates per hit would perturb the warm-path latencies
 // the §5 cache-hit experiments measure (ISSUE 4 acceptance criterion).
 
+// Each gate runs on a bare cache and on one instrumented into a
+// registry, as bench/ and dohsrv run it.
+
 func TestWarmHitAllocationFree(t *testing.T) {
-	c, _ := newTestCache(0)
-	name := dnswire.Name("warm.example.")
-	c.Put(name, dnswire.TypeA, answer(name, 300))
-	if n := testing.AllocsPerRun(1000, func() {
-		if c.Get(name, dnswire.TypeA) == nil {
-			t.Fatal("warm entry missed")
-		}
-	}); n != 0 {
-		t.Errorf("warm Get allocates %.1f per op, want 0", n)
+	for _, instrumented := range []bool{false, true} {
+		c, _ := newTestCache(0)
+		warmHitAllocs(t, c, instrumented)
 	}
 }
 
@@ -29,12 +27,23 @@ func TestWarmHitAllocationFree(t *testing.T) {
 // must not pay for the stale machinery. (Stale hits themselves copy
 // and may allocate — that is by design.)
 func TestWarmHitAllocationFreeWithStale(t *testing.T) {
-	clk := &virtualClock{now: time.Unix(1000, 0)}
-	c := New(Config{
-		Clock:             clk.Now,
-		StaleTTL:          time.Hour,
-		PrefetchThreshold: 10 * time.Second,
-	})
+	for _, instrumented := range []bool{false, true} {
+		clk := &virtualClock{now: time.Unix(1000, 0)}
+		c := New(Config{
+			Clock:             clk.Now,
+			StaleTTL:          time.Hour,
+			PrefetchThreshold: 10 * time.Second,
+		})
+		warmHitAllocs(t, c, instrumented)
+	}
+}
+
+// warmHitAllocs fails t if a warm Get on c allocates.
+func warmHitAllocs(t *testing.T, c *Cache, instrumented bool) {
+	t.Helper()
+	if instrumented {
+		c.Instrument(obs.NewRegistry(), "cache")
+	}
 	name := dnswire.Name("warm.example.")
 	c.Put(name, dnswire.TypeA, answer(name, 300))
 	if n := testing.AllocsPerRun(1000, func() {
@@ -42,7 +51,7 @@ func TestWarmHitAllocationFreeWithStale(t *testing.T) {
 			t.Fatal("warm entry missed")
 		}
 	}); n != 0 {
-		t.Errorf("warm Get with stale config allocates %.1f per op, want 0", n)
+		t.Errorf("warm Get (instrumented %v) allocates %.1f per op, want 0", instrumented, n)
 	}
 }
 

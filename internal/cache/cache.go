@@ -265,16 +265,14 @@ type Cache struct {
 	prefetchThreshold time.Duration
 	syncRefresh       bool
 
-	hits, misses, negHits, evictions, puts, shared atomic.Int64
-	staleHits, prefetches, refreshes, refreshFails atomic.Int64
+	// The cache's ledger: one obs handle per count, which Stats reads
+	// and Instrument files in a registry. Each event is one atomic add.
+	hits, misses, negHits, evictions, puts, shared *obs.Counter
+	staleHits, prefetches, refreshes, refreshFails *obs.Counter
+	entries                                        *obs.Gauge
 	// size is the entry count across shards, kept as entries come and
 	// go so neither Len nor the entries gauge takes every shard lock.
 	size atomic.Int64
-
-	// inst mirrors the counters into an obs registry when Instrument
-	// was called; nil otherwise. Handles are resolved once so the hot
-	// path touches plain atomics only.
-	inst *instruments
 
 	flightMu sync.Mutex
 	inflight map[key]*flight
@@ -285,14 +283,6 @@ type Cache struct {
 	refreshMu  sync.Mutex
 	refreshing map[key]struct{}
 	refreshWG  sync.WaitGroup
-}
-
-// instruments holds the registry handles Instrument resolved.
-type instruments struct {
-	hits, misses, negHits, evictions   *obs.Counter
-	shared                             *obs.Counter
-	staleServed, prefetch, refreshFail *obs.Counter
-	entries                            *obs.Gauge
 }
 
 // New creates a cache from cfg.
@@ -332,6 +322,7 @@ func New(cfg Config) *Cache {
 			c.shards[i].max++
 		}
 	}
+	c.Instrument(obs.NewRegistry(), "")
 	return c
 }
 
@@ -446,7 +437,7 @@ func (c *Cache) lookup(name dnswire.Name, typ dnswire.Type) (msg *dnswire.Messag
 	e, ok := s.entries[k]
 	if !ok {
 		s.mu.RUnlock()
-		c.countMiss()
+		c.misses.Inc()
 		return nil, Miss, 0, noCap
 	}
 	now := c.now()
@@ -460,15 +451,9 @@ func (c *Cache) lookup(name dnswire.Name, typ dnswire.Type) (msg *dnswire.Messag
 		remaining := e.expires - now
 		s.mu.RUnlock()
 
-		c.hits.Add(1)
+		c.hits.Inc()
 		if negative {
-			c.negHits.Add(1)
-		}
-		if inst := c.inst; inst != nil {
-			inst.hits.Inc()
-			if negative {
-				inst.negHits.Inc()
-			}
+			c.negHits.Inc()
 		}
 		if c.prefetchThreshold > 0 && remaining < c.prefetchThreshold &&
 			hits >= prefetchMinHits {
@@ -485,10 +470,7 @@ func (c *Cache) lookup(name dnswire.Name, typ dnswire.Type) (msg *dnswire.Messag
 		msg := &e.msg
 		s.mu.RUnlock()
 
-		c.staleHits.Add(1)
-		if inst := c.inst; inst != nil {
-			inst.staleServed.Inc()
-		}
+		c.staleHits.Inc()
 		c.launchRefresh(k, e, false)
 		// RFC 8767 §4: never resurrect the original TTL; tell downstream
 		// caches the data is on borrowed time.
@@ -505,15 +487,8 @@ func (c *Cache) lookup(name dnswire.Name, typ dnswire.Type) (msg *dnswire.Messag
 		c.size.Add(-1)
 	}
 	s.mu.Unlock()
-	c.countMiss()
+	c.misses.Inc()
 	return nil, Miss, 0, noCap
-}
-
-func (c *Cache) countMiss() {
-	c.misses.Add(1)
-	if inst := c.inst; inst != nil {
-		inst.misses.Inc()
-	}
 }
 
 // Put caches a copy of msg as the answer for (name, typ) and returns the
@@ -558,15 +533,9 @@ func (c *Cache) Put(name dnswire.Name, typ dnswire.Type, msg *dnswire.Message) *
 		evicted++
 	}
 	s.mu.Unlock()
-	size := c.size.Add(grew - evicted)
-	c.puts.Add(1)
-	if evicted > 0 {
-		c.evictions.Add(evicted)
-	}
-	if inst := c.inst; inst != nil {
-		inst.evictions.Add(evicted)
-		inst.entries.Set(float64(size))
-	}
+	c.entries.Set(float64(c.size.Add(grew - evicted)))
+	c.puts.Inc()
+	c.evictions.Add(evicted)
 	return &e.msg
 }
 
@@ -606,40 +575,38 @@ func (c *Cache) Len() int { return int(c.size.Load()) }
 // Stats returns a snapshot of the cumulative counters.
 func (c *Cache) Stats() Stats {
 	return Stats{
-		Hits:          c.hits.Load(),
-		Misses:        c.misses.Load(),
-		NegativeHits:  c.negHits.Load(),
-		StaleHits:     c.staleHits.Load(),
-		Evictions:     c.evictions.Load(),
-		Puts:          c.puts.Load(),
-		SharedFlights: c.shared.Load(),
-		Prefetches:    c.prefetches.Load(),
-		Refreshes:     c.refreshes.Load(),
-		RefreshFails:  c.refreshFails.Load(),
+		Hits:          c.hits.Value(),
+		Misses:        c.misses.Value(),
+		NegativeHits:  c.negHits.Value(),
+		StaleHits:     c.staleHits.Value(),
+		Evictions:     c.evictions.Value(),
+		Puts:          c.puts.Value(),
+		SharedFlights: c.shared.Value(),
+		Prefetches:    c.prefetches.Value(),
+		Refreshes:     c.refreshes.Value(),
+		RefreshFails:  c.refreshFails.Value(),
 	}
 }
 
-// Instrument mirrors the cache's counters into reg under
-// <prefix>_{hits,misses,negative_hits,evictions,singleflight_shared,
-// stale_served,prefetch,refresh_fail}_total plus a <prefix>_entries
-// gauge. An empty prefix uses "cache". Call it once, before the cache
-// is shared; handles are resolved here so the hot path stays
-// allocation-free.
+// Instrument files the cache's own counters in reg, under
+// <prefix>_{hits,misses,negative_hits,stale_served,evictions,puts,
+// singleflight_shared,prefetch,refreshes,refresh_fail}_total (the Stats
+// fields in order) plus a <prefix>_entries gauge. An empty prefix uses
+// "cache". New files them in a private registry; call Instrument once,
+// before the cache is shared, and Stats and reg read the same counts
+// from then on. A name is one count: two caches instrumented under one
+// prefix in one registry share their Stats.
 func (c *Cache) Instrument(reg *obs.Registry, prefix string) {
 	if prefix == "" {
 		prefix = "cache"
 	}
-	c.inst = &instruments{
-		hits:        reg.Counter(prefix + "_hits_total"),
-		misses:      reg.Counter(prefix + "_misses_total"),
-		negHits:     reg.Counter(prefix + "_negative_hits_total"),
-		evictions:   reg.Counter(prefix + "_evictions_total"),
-		shared:      reg.Counter(prefix + "_singleflight_shared_total"),
-		staleServed: reg.Counter(prefix + "_stale_served_total"),
-		prefetch:    reg.Counter(prefix + "_prefetch_total"),
-		refreshFail: reg.Counter(prefix + "_refresh_fail_total"),
-		entries:     reg.Gauge(prefix + "_entries"),
-	}
+	counter := func(what string) *obs.Counter { return reg.Counter(prefix + "_" + what + "_total") }
+	c.hits, c.misses, c.negHits = counter("hits"), counter("misses"), counter("negative_hits")
+	c.staleHits, c.evictions, c.puts = counter("stale_served"), counter("evictions"), counter("puts")
+	c.shared, c.prefetches = counter("singleflight_shared"), counter("prefetch")
+	c.refreshes, c.refreshFails = counter("refreshes"), counter("refresh_fail")
+	c.entries = reg.Gauge(prefix + "_entries")
+	c.entries.Set(float64(c.size.Load()))
 }
 
 // TTL derives the cache lifetime in seconds for a response and whether

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -412,9 +413,32 @@ func TestInstrumentMirrorsCounters(t *testing.T) {
 			t.Errorf("%s = %d, want %d", name, got[name], v)
 		}
 	}
+	checkLedger(t, reg, c)
+}
+
+// checkLedger fails t unless reg's counters are c's Stats, field by
+// field under its documented name, and nothing else.
+func checkLedger(t *testing.T, reg *obs.Registry, c *Cache) {
+	t.Helper()
 	st := c.Stats()
-	if st.Hits != 2 || st.Misses != 1 || st.NegativeHits != 1 || st.Evictions != 2 {
-		t.Errorf("internal stats diverged from registry: %+v", st)
+	want := map[string]int64{
+		"cache_hits_total":                st.Hits,
+		"cache_misses_total":              st.Misses,
+		"cache_negative_hits_total":       st.NegativeHits,
+		"cache_stale_served_total":        st.StaleHits,
+		"cache_evictions_total":           st.Evictions,
+		"cache_puts_total":                st.Puts,
+		"cache_singleflight_shared_total": st.SharedFlights,
+		"cache_prefetch_total":            st.Prefetches,
+		"cache_refreshes_total":           st.Refreshes,
+		"cache_refresh_fail_total":        st.RefreshFails,
+	}
+	got := map[string]int64{}
+	for _, cv := range reg.Snapshot().Counters {
+		got[cv.Name] = cv.Value
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("registry %v, Stats %+v", got, st)
 	}
 }
 

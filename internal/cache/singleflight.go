@@ -43,10 +43,7 @@ func (c *Cache) Do(ctx context.Context, name dnswire.Name, typ dnswire.Type, fn 
 		}
 		done := f.done
 		c.flightMu.Unlock()
-		c.shared.Add(1)
-		if inst := c.inst; inst != nil {
-			inst.shared.Inc()
-		}
+		c.shared.Inc()
 		select {
 		case <-done:
 			return f.msg, true, f.err

@@ -68,10 +68,7 @@ func (c *Cache) launchRefresh(k key, e *entry, prefetch bool) {
 	c.refreshMu.Unlock()
 
 	if prefetch {
-		c.prefetches.Add(1)
-		if inst := c.inst; inst != nil {
-			inst.prefetch.Inc()
-		}
+		c.prefetches.Inc()
 	}
 	if c.syncRefresh {
 		c.runRefresh(k, e, *fnp)
@@ -100,13 +97,10 @@ func (c *Cache) runRefresh(k key, e *entry, fn Refresher) {
 		c.Put(k.name, k.typ, msg) != nil
 	dnswire.PutMessage(msg)
 	if ok {
-		c.refreshes.Add(1)
+		c.refreshes.Inc()
 		e.refreshFailedAt.Store(0)
 		return
 	}
-	c.refreshFails.Add(1)
-	if inst := c.inst; inst != nil {
-		inst.refreshFail.Inc()
-	}
+	c.refreshFails.Inc()
 	e.refreshFailedAt.Store(c.clock().UnixNano())
 }

@@ -375,6 +375,7 @@ func TestStaleInstrumentCounters(t *testing.T) {
 		"cache_stale_served_total": 1,
 		"cache_prefetch_total":     1,
 		"cache_refresh_fail_total": 1,
+		"cache_refreshes_total":    1,
 	}
 	got := map[string]int64{}
 	for _, cv := range reg.Snapshot().Counters {
@@ -385,6 +386,7 @@ func TestStaleInstrumentCounters(t *testing.T) {
 			t.Errorf("%s = %d, want %d", n, got[n], v)
 		}
 	}
+	checkLedger(t, reg, c)
 }
 
 // TestStaleSoak is the -race workout for the serve-stale path:

@@ -77,11 +77,6 @@ type Config struct {
 	// each country's measurements derive from its own seed, so the
 	// schedule cannot leak into the data. 0 means GOMAXPROCS.
 	Parallel int
-	// Obs, when set, receives the campaign's observability aggregates
-	// (per-provider and per-country latency histograms, accounting
-	// gauges, merged simulator counters). When nil a private registry
-	// is used; either way Dataset.Obs carries the final snapshot.
-	Obs *obs.Registry
 	// Chaos, when any probability is non-zero, arms each country
 	// simulator's failure injector (exit churn, header corruption,
 	// tunnel resets). Chaos draws come from a per-country stream
@@ -106,8 +101,8 @@ type Config struct {
 	// and that run is skipped (counted in TransportStats.Skipped)
 	// instead of polluting the data with a warm-cache timing. Guard
 	// totals surface as campaign_cache_guard_* gauges in Dataset.Obs.
-	// Like Obs, the field is a reporting/tripwire knob with no effect
-	// on the records, so it stays out of the checkpoint config key.
+	// The field is a reporting/tripwire knob with no effect on the
+	// records, so it stays out of the checkpoint config key.
 	Cache *cache.Cache
 	// CheckpointDir, when set, journals every completed country so an
 	// interrupted campaign can resume without re-measuring. Records
@@ -713,10 +708,7 @@ var markerAddr = netip.MustParseAddr("192.0.2.1")
 // snapshot identical whether clients were retained or discarded, and
 // whether the dataset came from one process or N merged shards.
 func finishObs(cfg Config, ds *Dataset, simTotal proxynet.SimStats) error {
-	reg := cfg.Obs
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	if err := absorbSketch(reg, ds.Sketch); err != nil {
 		return err
 	}
@@ -741,7 +733,7 @@ func finishObs(cfg Config, ds *Dataset, simTotal proxynet.SimStats) error {
 // checkpoint journal may only be replayed under the same key. The
 // country list deliberately stays out of the hash: a journal written
 // while measuring a subset remains valid for the full campaign, which
-// is exactly the interrupt-then-resume path. Parallel and Obs are
+// is exactly the interrupt-then-resume path. Parallel and Cache are
 // schedule/reporting knobs with no effect on the records; AtlasProbes
 // only affects the remedy, which is recomputed on every run. The
 // leading version is the journaled record's shape: v2 since

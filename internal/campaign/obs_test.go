@@ -233,18 +233,3 @@ func TestCampaignObsDeterministicAcrossParallelism(t *testing.T) {
 		t.Fatal("campaign snapshots differ between Parallel=1 and Parallel=4")
 	}
 }
-
-// TestCampaignSharedRegistry checks that a caller-supplied registry
-// receives the same aggregates the snapshot reports.
-func TestCampaignSharedRegistry(t *testing.T) {
-	reg := obs.NewRegistry()
-	cfg := smallConfig("BR")
-	cfg.Obs = reg
-	ds, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(reg.Snapshot(), ds.Obs) {
-		t.Fatal("caller registry snapshot differs from Dataset.Obs")
-	}
-}

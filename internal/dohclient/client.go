@@ -14,11 +14,11 @@ import (
 	"context"
 	"crypto/tls"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/dnsclient"
 	"repro/internal/dnswire"
+	"repro/internal/obs"
 )
 
 // Timing is the per-phase breakdown of a single DoH exchange; zero
@@ -30,8 +30,8 @@ type Timing = dnsclient.Timing
 type Client struct {
 	e engine
 
-	mu    sync.Mutex
-	stats Stats
+	// The counts Stats reads.
+	exchanges, reused, httpErrors, wireErrors obs.Counter
 }
 
 // Stats aggregates client-side counters.
@@ -114,9 +114,12 @@ func New(serverURL string, opts *Options) (*Client, error) {
 
 // Stats returns a snapshot of the counters.
 func (c *Client) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
+	return Stats{
+		Exchanges:  c.exchanges.Value(),
+		Reused:     c.reused.Value(),
+		HTTPErrors: c.httpErrors.Value(),
+		WireErrors: c.wireErrors.Value(),
+	}
 }
 
 // Query resolves (name, typ) over DoH and returns the response plus
@@ -147,45 +150,37 @@ func (c *Client) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Mes
 	timing.Total = time.Since(start)
 	timing.RoundTrip = timing.Total - timing.DNSLookup - timing.Connect - timing.TLSHandshake
 	if err != nil {
-		c.count(func(s *Stats) { s.HTTPErrors++ })
+		c.httpErrors.Inc()
 		return nil, timing, fmt.Errorf("dohclient: %w", err)
 	}
 	if resp.status != statusOK {
-		c.count(func(s *Stats) { s.HTTPErrors++ })
+		c.httpErrors.Inc()
 		return nil, timing, fmt.Errorf("dohclient: server returned %s", resp.reason)
 	}
 	if resp.contentType != wireContentType {
-		c.count(func(s *Stats) { s.WireErrors++ })
+		c.wireErrors.Inc()
 		return nil, timing, fmt.Errorf("dohclient: unexpected content-type %q", resp.contentType)
 	}
 	if len(resp.body) > maxBody {
-		c.count(func(s *Stats) { s.WireErrors++ })
+		c.wireErrors.Inc()
 		return nil, timing, fmt.Errorf("dohclient: response body exceeds %d bytes", maxBody)
 	}
 	m := dnswire.GetMessage()
 	if err := dnswire.UnpackReplyInto(resp.body, m, q); err != nil {
 		dnswire.PutMessage(m)
-		c.count(func(s *Stats) { s.WireErrors++ })
+		c.wireErrors.Inc()
 		return nil, timing, fmt.Errorf("dohclient: decoding response: %w", err)
 	}
 	if m.Header.ID != q.Header.ID {
 		dnswire.PutMessage(m)
-		c.count(func(s *Stats) { s.WireErrors++ })
+		c.wireErrors.Inc()
 		return nil, timing, fmt.Errorf("dohclient: response ID mismatch")
 	}
-	c.mu.Lock()
-	c.stats.Exchanges++
+	c.exchanges.Inc()
 	if timing.Reused {
-		c.stats.Reused++
+		c.reused.Inc()
 	}
-	c.mu.Unlock()
 	return m, timing, nil
-}
-
-func (c *Client) count(f func(*Stats)) {
-	c.mu.Lock()
-	f(&c.stats)
-	c.mu.Unlock()
 }
 
 // CloseIdleConnections drops pooled connections so the next exchange

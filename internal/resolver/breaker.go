@@ -114,45 +114,44 @@ type BreakerSnapshot struct {
 type Breaker struct {
 	p BreakerPolicy
 
-	mu            sync.Mutex
-	state         BreakerState
-	consecFails   int
-	probeSuccess  int
-	openedAt      time.Time
-	skipsSinceUp  int // short circuits since the breaker last opened
-	trips         int64
-	shortCircuits int64
-	probes        int64
+	mu           sync.Mutex
+	state        BreakerState
+	consecFails  int
+	probeSuccess int
+	openedAt     time.Time
+	skipsSinceUp int // short circuits since the breaker last opened
 
-	instr *breakerInstruments
-}
-
-// breakerInstruments holds the obs registry handles for an
-// instrumented breaker.
-type breakerInstruments struct {
+	// The breaker's ledger, which Snapshot reads and Instrument files in
+	// a registry.
 	trips, shortCircuits, probes *obs.Counter
 	open                         *obs.Gauge
 }
 
-// NewBreaker constructs a closed breaker.
+// NewBreaker constructs a closed breaker. Its counters are its own, in
+// no registry: the campaign builds one breaker per provider × country.
 func NewBreaker(p BreakerPolicy) *Breaker {
-	return &Breaker{p: p.withDefaults()}
+	return &Breaker{
+		p:     p.withDefaults(),
+		trips: new(obs.Counter), shortCircuits: new(obs.Counter), probes: new(obs.Counter),
+		open: new(obs.Gauge),
+	}
 }
 
-// Instrument attaches the breaker to reg under
+// Instrument files the breaker's counters in reg under
 // resolver_<kind>_breaker_* names: _trips_total, _short_circuits_total
-// and _probes_total counters plus an _open gauge (1 open, 0.5
-// half-open, 0 closed). Call before the breaker is shared.
+// and _probes_total plus an _open gauge (1 open, 0.5 half-open, 0
+// closed). Call it before the breaker is shared; Snapshot and reg read
+// the same counts from then on. A name is one count: two breakers
+// instrumented under one kind in one registry share their Snapshot
+// counts.
 func (b *Breaker) Instrument(reg *obs.Registry, kind Kind) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.instr = &breakerInstruments{
-		trips:         reg.Counter(metricName(kind, "breaker_trips_total")),
-		shortCircuits: reg.Counter(metricName(kind, "breaker_short_circuits_total")),
-		probes:        reg.Counter(metricName(kind, "breaker_probes_total")),
-		open:          reg.Gauge(metricName(kind, "breaker_open")),
-	}
-	b.instr.open.Set(gaugeValue(b.state))
+	b.trips = reg.Counter(metricName(kind, "breaker_trips_total"))
+	b.shortCircuits = reg.Counter(metricName(kind, "breaker_short_circuits_total"))
+	b.probes = reg.Counter(metricName(kind, "breaker_probes_total"))
+	b.open = reg.Gauge(metricName(kind, "breaker_open"))
+	b.open.Set(gaugeValue(b.state))
 }
 
 func gaugeValue(s BreakerState) float64 {
@@ -173,12 +172,9 @@ func (b *Breaker) transition(to BreakerState) {
 	}
 	b.state = to
 	if to == BreakerOpen {
-		b.trips++
+		b.trips.Inc()
 		b.openedAt = b.p.Now()
 		b.skipsSinceUp = 0
-		if b.instr != nil {
-			b.instr.trips.Inc()
-		}
 	}
 	if to == BreakerHalfOpen {
 		b.probeSuccess = 0
@@ -186,9 +182,7 @@ func (b *Breaker) transition(to BreakerState) {
 	if to == BreakerClosed {
 		b.consecFails = 0
 	}
-	if b.instr != nil {
-		b.instr.open.Set(gaugeValue(to))
-	}
+	b.open.Set(gaugeValue(to))
 }
 
 // Allow reports whether a call may proceed. While open it returns
@@ -211,17 +205,11 @@ func (b *Breaker) Allow() bool {
 			due = true
 		}
 		if !due {
-			b.shortCircuits++
-			if b.instr != nil {
-				b.instr.shortCircuits.Inc()
-			}
+			b.shortCircuits.Inc()
 			return false
 		}
 		b.transition(BreakerHalfOpen)
-		b.probes++
-		if b.instr != nil {
-			b.instr.probes.Inc()
-		}
+		b.probes.Inc()
 		return true
 	}
 }
@@ -270,9 +258,9 @@ func (b *Breaker) Snapshot() BreakerSnapshot {
 	defer b.mu.Unlock()
 	return BreakerSnapshot{
 		State:         b.state,
-		Trips:         b.trips,
-		ShortCircuits: b.shortCircuits,
-		Probes:        b.probes,
+		Trips:         b.trips.Value(),
+		ShortCircuits: b.shortCircuits.Value(),
+		Probes:        b.probes.Value(),
 	}
 }
 

@@ -3,6 +3,7 @@ package resolver
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -194,6 +195,32 @@ func TestApplyWithBreakerAndRegistry(t *testing.T) {
 	}
 	if got := gauge("resolver_doh_breaker_open"); got != 1 {
 		t.Errorf("breaker_open gauge = %g, want 1", got)
+	}
+}
+
+// TestBreakerSnapshotIsItsRegistry: an instrumented breaker's Snapshot
+// reads the registry's counters, each under its documented name.
+func TestBreakerSnapshotIsItsRegistry(t *testing.T) {
+	reg := obs.NewRegistry()
+	b := NewBreaker(BreakerPolicy{FailureThreshold: 2, ProbeEvery: 3})
+	b.Instrument(reg, DoT)
+	for i := 0; i < 20; i++ { // trips, short circuits, failed probes
+		if b.Allow() {
+			b.Failure()
+		}
+	}
+	snap := b.Snapshot()
+	want := map[string]int64{
+		"resolver_dot_breaker_trips_total":          snap.Trips,
+		"resolver_dot_breaker_short_circuits_total": snap.ShortCircuits,
+		"resolver_dot_breaker_probes_total":         snap.Probes,
+	}
+	got := map[string]int64{}
+	for _, c := range reg.Snapshot().Counters {
+		got[c.Name] = c.Value
+	}
+	if !reflect.DeepEqual(got, want) || snap.Trips < 2 || snap.ShortCircuits == 0 || snap.Probes == 0 {
+		t.Errorf("registry %v, Snapshot %+v", got, snap)
 	}
 }
 

@@ -181,7 +181,7 @@ type RetryPolicy struct {
 	// Sleep waits between attempts; tests substitute a recording fake.
 	// The default honors context cancellation.
 	Sleep func(ctx context.Context, d time.Duration) error
-	// Metrics, when non-nil, receives attempt/retry/drop counters.
+	// Metrics, when non-nil, receives the retry and drop counters.
 	Metrics *Metrics
 }
 
@@ -244,11 +244,8 @@ func (r *retrier) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Mes
 		}
 		resp, t, err := r.next.Resolve(ctx, q)
 		attempts += t.AttemptCount()
-		if r.p.Metrics != nil {
-			r.p.Metrics.Attempts.Add(int64(t.AttemptCount()))
-			if err != nil {
-				r.p.Metrics.Drops.Add(1)
-			}
+		if err != nil && r.p.Metrics != nil {
+			r.p.Metrics.Drops.Add(1)
 		}
 		if err == nil {
 			t.Attempts = attempts
@@ -276,9 +273,6 @@ func (r *retrier) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Mes
 	}
 	lastTiming.Attempts = attempts
 	lastTiming.Total = time.Since(start)
-	if r.p.Metrics != nil {
-		r.p.Metrics.Failures.Add(1)
-	}
 	return nil, lastTiming, lastErr
 }
 
@@ -388,11 +382,17 @@ func Race(ctx context.Context, slots int, stagger time.Duration,
 	}
 }
 
-// withEntryMetrics counts Resolve calls entering the stack (failures
-// are counted by the retry layer, which sees the final outcome).
+// withEntryMetrics counts, once per resolution entering the stack, the
+// query, the attempts it consumed and whether it failed; the layers
+// below add only what they alone see (retries, drops, hedges).
 func withEntryMetrics(next Resolver, m *Metrics) Resolver {
 	return Func(func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, Timing, error) {
 		m.Queries.Add(1)
-		return next.Resolve(ctx, q)
+		resp, t, err := next.Resolve(ctx, q)
+		m.Attempts.Add(int64(t.AttemptCount()))
+		if err != nil {
+			m.Failures.Add(1)
+		}
+		return resp, t, err
 	})
 }

@@ -84,7 +84,7 @@ func TestRetrySucceedsAfterFailures(t *testing.T) {
 	var delays []time.Duration
 	s := &stub{errs: []error{errWire, errWire, nil}}
 	m := &Metrics{}
-	r := WithRetry(s, RetryPolicy{MaxAttempts: 3, Sleep: recordingSleep(&delays), Metrics: m})
+	r := Apply(s, Policy{Retry: &RetryPolicy{MaxAttempts: 3, Sleep: recordingSleep(&delays)}, Metrics: m})
 	resp, timing, err := r.Resolve(context.Background(), Query("x.a.com.", dnswire.TypeA))
 	if err != nil {
 		t.Fatalf("Resolve: %v", err)
@@ -102,7 +102,7 @@ func TestRetryExhaustion(t *testing.T) {
 	var delays []time.Duration
 	s := &stub{errs: []error{errWire, errWire, errWire}}
 	m := &Metrics{}
-	r := WithRetry(s, RetryPolicy{MaxAttempts: 3, Sleep: recordingSleep(&delays), Metrics: m})
+	r := Apply(s, Policy{Retry: &RetryPolicy{MaxAttempts: 3, Sleep: recordingSleep(&delays)}, Metrics: m})
 	resp, timing, err := r.Resolve(context.Background(), Query("x.a.com.", dnswire.TypeA))
 	if !errors.Is(err, errWire) {
 		t.Fatalf("err = %v, want %v", err, errWire)
@@ -115,6 +115,42 @@ func TestRetryExhaustion(t *testing.T) {
 	}
 	if got := m.Snapshot().Failures; got != 1 {
 		t.Errorf("failures = %d, want 1", got)
+	}
+}
+
+// TestPolicyMetricsWithoutRetry: a stack counts a resolution's
+// attempts and its failure once, at its entry, whether or not it
+// retries.
+func TestPolicyMetricsWithoutRetry(t *testing.T) {
+	ctx := context.Background()
+	q := Query("x.a.com.", dnswire.TypeA)
+	var delays []time.Duration
+	for _, tc := range []struct {
+		name string
+		run  func(m *Metrics)
+		want Snapshot
+	}{
+		{"hedged and bare, no retry", func(m *Metrics) {
+			ok := Apply(&stub{}, Policy{HedgeDelay: time.Hour, HedgeMax: 2, Metrics: m})
+			for i := 0; i < 3; i++ {
+				_, _, _ = ok.Resolve(ctx, q)
+			}
+			_, _, _ = Apply(&stub{errs: []error{errWire}}, Policy{Metrics: m}).Resolve(ctx, q)
+		}, Snapshot{Queries: 4, Attempts: 4, Failures: 1}},
+		{"retried to an answer", func(m *Metrics) {
+			retry := &RetryPolicy{MaxAttempts: 3, Sleep: recordingSleep(&delays)}
+			_, _, _ = Apply(&stub{errs: []error{errWire, nil}}, Policy{Retry: retry, Metrics: m}).Resolve(ctx, q)
+		}, Snapshot{Queries: 1, Attempts: 2, Retries: 1, Drops: 1}},
+		{"retried to exhaustion", func(m *Metrics) {
+			retry := &RetryPolicy{MaxAttempts: 2, Sleep: recordingSleep(&delays)}
+			_, _, _ = Apply(&stub{errs: []error{errWire, errWire}}, Policy{Retry: retry, Metrics: m}).Resolve(ctx, q)
+		}, Snapshot{Queries: 1, Attempts: 2, Retries: 1, Drops: 2, Failures: 1}},
+	} {
+		m := &Metrics{}
+		tc.run(m)
+		if got := m.Snapshot(); got != tc.want {
+			t.Errorf("%s: metrics = %+v, want %+v", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -113,17 +113,18 @@ func Query(name dnswire.Name, typ dnswire.Type) *dnswire.Message {
 type Metrics struct {
 	// Queries counts Resolve calls entering the stack.
 	Queries atomic.Int64
-	// Attempts counts transport attempts (>= Queries).
+	// Attempts counts transport attempts (>= Queries), at the stack's
+	// entry: each resolution adds its Timing.AttemptCount().
 	Attempts atomic.Int64
 	// Retries counts backoff retries taken by WithRetry.
 	Retries atomic.Int64
 	// Hedges counts speculative further attempts fired by WithHedgingN.
 	Hedges atomic.Int64
 	// Drops counts attempts that failed with a transport error (the
-	// paper's §3.5 measurement discards).
+	// paper's §3.5 measurement discards), counted by WithRetry.
 	Drops atomic.Int64
-	// Failures counts Resolve calls that exhausted the policy stack
-	// without an answer.
+	// Failures counts Resolve calls that left the stack without an
+	// answer.
 	Failures atomic.Int64
 }
 

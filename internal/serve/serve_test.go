@@ -172,6 +172,11 @@ func TestPacketEngineMultiListener(t *testing.T) {
 	for err := range errs {
 		t.Fatalf("exchange: %v", err)
 	}
+	// A response is counted after its write: drain the engine so every
+	// reply a client read has been counted.
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
 	if got := reg.Counter("serve_packets_total").Value(); got < queries {
 		t.Fatalf("serve_packets_total = %d, want >= %d", got, queries)
 	}

@@ -71,7 +71,7 @@ type Config struct {
 	resolver.SmartOptions
 	// Candidates are the transports to race, in preference order for
 	// the first race (ties and unknown scores launch in this order).
-	// At least two are required.
+	// At least two are required, of different kinds.
 	Candidates []Candidate
 	// KeyFunc maps a query to its destination key — the unit of winner
 	// memory. Nil treats every query as one destination (right for a
@@ -80,8 +80,10 @@ type Config struct {
 	// remembered-winner path is to stay allocation-free (substring
 	// extraction is fine).
 	KeyFunc func(q *dnswire.Message) string
-	// Registry, when non-nil, receives the smart_* metrics. Nil uses a
-	// private registry (Stats still works).
+	// Registry, when non-nil, holds the racer's counters under the
+	// smart_* names that Stats reads (docs/resolver.md). Nil uses a
+	// private registry. A name is one count: two racers filed in one
+	// registry share their Stats.
 	Registry *obs.Registry
 	// NowNanos is the clock used for decay and probe pacing
 	// (UnixNano); nil uses the wall clock. Test hook.
@@ -100,38 +102,48 @@ const (
 	numCauses
 )
 
-// Stats is a point-in-time snapshot of the resolver's accounting. All
-// identities hold exactly at quiescence (no query or probe in flight):
+// causeNames names each cause's counter, smart_race_<name>_total.
+var causeNames = [numCauses]string{"first", "expired", "winner_fail", "breaker_open"}
+
+// Stats is a point-in-time snapshot of the resolver's accounting, read
+// from the registry counters named beside each field. All identities
+// hold exactly at quiescence (no query or probe in flight):
 //
 //	Queries == Remembered + Races
 //	Races   == RacesFirst + RacesExpired + RacesWinnerFail + RacesBreakerOpen
 //	Races   == sum(WinsByCandidate) + RaceFailures
 type Stats struct {
-	// Queries counts Resolve calls.
+	// Queries counts Resolve calls (smart_queries_total).
 	Queries int64
 	// Remembered counts queries answered by the remembered winner
-	// without racing (the zero-overhead steady state).
+	// without racing, the zero-overhead steady state
+	// (smart_remembered_total).
 	Remembered int64
-	// Races counts queries that raced candidates, by cause.
+	// Races counts queries that raced candidates: the sum of its causes,
+	// smart_race_{first,expired,winner_fail,breaker_open}_total.
 	Races            int64
 	RacesFirst       int64
 	RacesExpired     int64
 	RacesWinnerFail  int64
 	RacesBreakerOpen int64
-	// RaceFailures counts races every candidate lost (query failed).
+	// RaceFailures counts races every candidate lost, so the query
+	// failed (smart_race_fail_total).
 	RaceFailures int64
-	// WinsByCandidate counts race wins per candidate, in Config order.
+	// WinsByCandidate counts race wins per candidate, in Config order
+	// (smart_win_<kind>_total).
 	WinsByCandidate []int64
-	// Probes counts background probes launched.
+	// Probes counts background probes launched (smart_probe_total).
 	Probes int64
-	// ProbeFailures counts probes that errored.
+	// ProbeFailures counts probes that errored (smart_probe_fail_total).
 	ProbeFailures int64
 	// Switches counts winner changes by a probe or a race electing a
-	// different candidate than the remembered one.
+	// different candidate than the remembered one (smart_switch_total).
 	Switches int64
-	// Evictions counts winners evicted because their breaker opened.
+	// Evictions counts winners evicted because their breaker opened
+	// (smart_fallback_total).
 	Evictions int64
-	// Destinations is the remembered-destination count.
+	// Destinations is the remembered-destination count, which the
+	// smart_destinations gauge publishes as of the last insert.
 	Destinations int64
 }
 
@@ -145,27 +157,13 @@ type Resolver struct {
 	now   func() int64
 	tbl   *table
 
-	queries    atomic.Int64
-	remembered atomic.Int64
-	races      [numCauses]atomic.Int64
-	raceFails  atomic.Int64
-	wins       []atomic.Int64
-	probes     atomic.Int64
-	probeFails atomic.Int64
-	switches   atomic.Int64
-	evictions  atomic.Int64
-
-	mQueries    *obs.Counter
-	mRemembered *obs.Counter
-	mRace       *obs.Counter
-	mRaceFail   *obs.Counter
-	mProbe      *obs.Counter
-	mProbeFail  *obs.Counter
-	mSwitch     *obs.Counter
-	mFallback   *obs.Counter
-	mWins       []*obs.Counter
-	mWinnerAge  *obs.Histogram
-	mEntries    *obs.Gauge
+	// The racer's ledger: one obs handle per count, which Stats reads.
+	queries, remembered, raceFails          *obs.Counter
+	races                                   [numCauses]*obs.Counter
+	wins                                    []*obs.Counter // per candidate
+	probes, probeFails, switches, evictions *obs.Counter
+	winnerAge                               *obs.Histogram
+	destinations                            *obs.Gauge
 
 	wg     sync.WaitGroup
 	closed atomic.Bool
@@ -203,22 +201,28 @@ func New(cfg Config) (*Resolver, error) {
 		keyFn: cfg.KeyFunc,
 		now:   now,
 		tbl:   newTable(),
-		wins:  make([]atomic.Int64, len(cfg.Candidates)),
 
-		mQueries:    reg.Counter("smart_queries_total"),
-		mRemembered: reg.Counter("smart_remembered_total"),
-		mRace:       reg.Counter("smart_race_total"),
-		mRaceFail:   reg.Counter("smart_race_fail_total"),
-		mProbe:      reg.Counter("smart_probe_total"),
-		mProbeFail:  reg.Counter("smart_probe_fail_total"),
-		mSwitch:     reg.Counter("smart_switch_total"),
-		mFallback:   reg.Counter("smart_fallback_total"),
-		mWinnerAge:  reg.Histogram("smart_winner_age_ms", nil),
-		mEntries:    reg.Gauge("smart_destinations"),
+		queries:      reg.Counter("smart_queries_total"),
+		remembered:   reg.Counter("smart_remembered_total"),
+		raceFails:    reg.Counter("smart_race_fail_total"),
+		probes:       reg.Counter("smart_probe_total"),
+		probeFails:   reg.Counter("smart_probe_fail_total"),
+		switches:     reg.Counter("smart_switch_total"),
+		evictions:    reg.Counter("smart_fallback_total"),
+		winnerAge:    reg.Histogram("smart_winner_age_ms", nil),
+		destinations: reg.Gauge("smart_destinations"),
 	}
-	s.mWins = make([]*obs.Counter, len(s.cands))
+	for c, name := range causeNames {
+		s.races[c] = reg.Counter("smart_race_" + name + "_total")
+	}
+	// A kind's win counter is one count, so a kind races once.
 	for i, c := range s.cands {
-		s.mWins[i] = reg.Counter("smart_win_" + string(c.Kind) + "_total")
+		for _, prev := range s.cands[:i] {
+			if prev.Kind == c.Kind {
+				return nil, fmt.Errorf("smart: two candidates of kind %q", c.Kind)
+			}
+		}
+		s.wins = append(s.wins, reg.Counter("smart_win_"+string(c.Kind)+"_total"))
 	}
 	return s, nil
 }
@@ -233,23 +237,23 @@ func (s *Resolver) Close() {
 // Stats snapshots the accounting counters.
 func (s *Resolver) Stats() Stats {
 	st := Stats{
-		Queries:          s.queries.Load(),
-		Remembered:       s.remembered.Load(),
-		RacesFirst:       s.races[causeFirst].Load(),
-		RacesExpired:     s.races[causeExpired].Load(),
-		RacesWinnerFail:  s.races[causeWinnerFail].Load(),
-		RacesBreakerOpen: s.races[causeBreakerOpen].Load(),
-		RaceFailures:     s.raceFails.Load(),
-		Probes:           s.probes.Load(),
-		ProbeFailures:    s.probeFails.Load(),
-		Switches:         s.switches.Load(),
-		Evictions:        s.evictions.Load(),
+		Queries:          s.queries.Value(),
+		Remembered:       s.remembered.Value(),
+		RacesFirst:       s.races[causeFirst].Value(),
+		RacesExpired:     s.races[causeExpired].Value(),
+		RacesWinnerFail:  s.races[causeWinnerFail].Value(),
+		RacesBreakerOpen: s.races[causeBreakerOpen].Value(),
+		RaceFailures:     s.raceFails.Value(),
+		Probes:           s.probes.Value(),
+		ProbeFailures:    s.probeFails.Value(),
+		Switches:         s.switches.Value(),
+		Evictions:        s.evictions.Value(),
 		Destinations:     s.tbl.len(),
 		WinsByCandidate:  make([]int64, len(s.wins)),
 	}
 	st.Races = st.RacesFirst + st.RacesExpired + st.RacesWinnerFail + st.RacesBreakerOpen
-	for i := range s.wins {
-		st.WinsByCandidate[i] = s.wins[i].Load()
+	for i, w := range s.wins {
+		st.WinsByCandidate[i] = w.Value()
 	}
 	return st
 }
@@ -258,7 +262,7 @@ func (s *Resolver) Stats() Stats {
 func (s *Resolver) WinsByKind() map[resolver.Kind]int64 {
 	out := make(map[resolver.Kind]int64, len(s.cands))
 	for i, c := range s.cands {
-		out[c.Kind] += s.wins[i].Load()
+		out[c.Kind] = s.wins[i].Value()
 	}
 	return out
 }
@@ -292,14 +296,13 @@ func latencyMicros(t resolver.Timing, elapsed time.Duration) int64 {
 // healthy, unexpired winner — is one table lookup plus the winner's
 // own Resolve; every other state funnels into a race.
 func (s *Resolver) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Message, resolver.Timing, error) {
-	s.queries.Add(1)
-	s.mQueries.Inc()
+	s.queries.Inc()
 	key := s.key(q)
 	e := s.tbl.get(key)
 	if e == nil {
 		e = s.tbl.insert(key, len(s.cands))
 		if e != nil {
-			s.mEntries.Set(float64(s.tbl.len()))
+			s.destinations.Set(float64(s.tbl.len()))
 		}
 		return s.race(ctx, q, e, causeFirst, -1)
 	}
@@ -318,8 +321,7 @@ func (s *Resolver) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Me
 		// next-best healthy candidate (the race below launches in EWMA
 		// order, so the next-best goes first).
 		if e.winner.CompareAndSwap(int32(w), -1) {
-			s.evictions.Add(1)
-			s.mFallback.Inc()
+			s.evictions.Inc()
 			s.observeWinnerAge(e)
 		}
 		return s.race(ctx, q, e, causeBreakerOpen, w)
@@ -328,8 +330,7 @@ func (s *Resolver) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Me
 	resp, t, err := s.cands[w].Resolver.Resolve(ctx, q)
 	s.feedBreaker(ctx, w, err)
 	if err == nil {
-		s.remembered.Add(1)
-		s.mRemembered.Inc()
+		s.remembered.Inc()
 		e.observeEwma(w, latencyMicros(t, time.Since(start)), alpha)
 		s.maybeProbe(e, w, q)
 		return resp, t, nil
@@ -357,7 +358,7 @@ func (s *Resolver) observeWinnerAge(e *entry) {
 	if age < 0 {
 		age = 0
 	}
-	s.mWinnerAge.Observe(time.Duration(age))
+	s.winnerAge.Observe(time.Duration(age))
 }
 
 // feedBreaker reports an attempt outcome to candidate i's breaker.
@@ -452,8 +453,7 @@ func RaceOutcome(stagger float64, launches []Launch) (winner int, first, steady 
 // excluded from this race (the just-failed or just-evicted winner), -1
 // for none.
 func (s *Resolver) race(ctx context.Context, q *dnswire.Message, e *entry, cause raceCause, skip int) (*dnswire.Message, resolver.Timing, error) {
-	s.races[cause].Add(1)
-	s.mRace.Inc()
+	s.races[cause].Inc()
 	order := s.raceOrder(e, skip)
 	resp, t, slot, _, err := resolver.Race(ctx, len(order), s.opts.Stagger,
 		func(ctx context.Context, slot int) (*dnswire.Message, resolver.Timing, error) {
@@ -471,8 +471,7 @@ func (s *Resolver) race(ctx context.Context, q *dnswire.Message, e *entry, cause
 		s.won(e, order[slot], cause)
 	case ctx.Err() == nil:
 		// Every candidate lost; a caller that gave up is not a failed race.
-		s.raceFails.Add(1)
-		s.mRaceFail.Inc()
+		s.raceFails.Inc()
 	}
 	return resp, t, err
 }
@@ -480,15 +479,13 @@ func (s *Resolver) race(ctx context.Context, q *dnswire.Message, e *entry, cause
 // won records a race winner: per-candidate win counters, the winner
 // slot, and switch accounting when the slot changes hands.
 func (s *Resolver) won(e *entry, idx int, cause raceCause) {
-	s.wins[idx].Add(1)
-	s.mWins[idx].Inc()
+	s.wins[idx].Inc()
 	if e == nil {
 		return
 	}
 	prev := e.winner.Swap(int32(idx))
 	if prev >= 0 && int(prev) != idx {
-		s.switches.Add(1)
-		s.mSwitch.Inc()
+		s.switches.Inc()
 		s.observeWinnerAge(e)
 	}
 	e.wonAt.Store(s.now())
@@ -548,16 +545,14 @@ func (s *Resolver) nextLoser(e *entry, winner int) int {
 func (s *Resolver) probe(e *entry, idx int, q *dnswire.Message) {
 	defer s.wg.Done()
 	defer e.probing.Store(false)
-	s.probes.Add(1)
-	s.mProbe.Inc()
+	s.probes.Inc()
 	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	start := time.Now()
 	_, t, err := s.cands[idx].Resolver.Resolve(ctx, q)
 	s.feedBreaker(ctx, idx, err)
 	if err != nil {
-		s.probeFails.Add(1)
-		s.mProbeFail.Inc()
+		s.probeFails.Inc()
 		return
 	}
 	e.observeEwma(idx, latencyMicros(t, time.Since(start)), alpha)
@@ -581,8 +576,7 @@ func (s *Resolver) maybeSwitch(e *entry, idx int) {
 		return
 	}
 	if e.winner.CompareAndSwap(int32(w), int32(idx)) {
-		s.switches.Add(1)
-		s.mSwitch.Inc()
+		s.switches.Inc()
 		s.observeWinnerAge(e)
 		e.wonAt.Store(s.now())
 	}

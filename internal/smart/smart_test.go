@@ -57,10 +57,20 @@ func ruleWinner(stagger time.Duration, cands ...*stubCand) int {
 	return winner
 }
 
+// TestNewRequiresTwoCandidates: New refuses a lone candidate, and two of
+// one kind, whose wins would be one count (smart_win_<kind>_total).
 func TestNewRequiresTwoCandidates(t *testing.T) {
-	_, err := New(Config{Candidates: []Candidate{{Kind: resolver.Do53, Resolver: &stubCand{}}}})
-	if err == nil {
-		t.Fatal("New accepted a single candidate")
+	for _, kinds := range [][]resolver.Kind{
+		{resolver.Do53},
+		{resolver.DoT, resolver.DoH, resolver.DoT},
+	} {
+		var cands []Candidate
+		for _, k := range kinds {
+			cands = append(cands, Candidate{Kind: k, Resolver: &stubCand{}})
+		}
+		if _, err := New(Config{Candidates: cands}); err == nil {
+			t.Errorf("New accepted candidates %v", kinds)
+		}
 	}
 }
 
@@ -499,24 +509,33 @@ func TestMetricsMatchStats(t *testing.T) {
 		}
 	}
 	st := s.Stats()
-	snap := reg.Snapshot()
-	counter := func(name string) int64 {
-		for _, c := range snap.Counters {
-			if c.Name == name {
-				return c.Value
-			}
-		}
-		return -1
-	}
+	c := counters(reg)
 	checks := map[string]int64{
-		"smart_queries_total":    st.Queries,
-		"smart_remembered_total": st.Remembered,
-		"smart_race_total":       st.Races,
-		"smart_win_do53_total":   st.WinsByCandidate[0],
+		"smart_queries_total":           st.Queries,
+		"smart_remembered_total":        st.Remembered,
+		"smart_race_first_total":        st.RacesFirst,
+		"smart_race_expired_total":      st.RacesExpired,
+		"smart_race_winner_fail_total":  st.RacesWinnerFail,
+		"smart_race_breaker_open_total": st.RacesBreakerOpen,
+		"smart_race_fail_total":         st.RaceFailures,
+		"smart_win_do53_total":          st.WinsByCandidate[0],
+		"smart_win_doh_total":           st.WinsByCandidate[1],
 	}
 	for name, want := range checks {
-		if got := counter(name); got != want {
+		if got, ok := c[name]; !ok || got != want {
 			t.Errorf("%s = %d, stats say %d", name, got, want)
 		}
 	}
+	if st.Races != 1 || st.Remembered != 3 {
+		t.Errorf("races=%d remembered=%d, want 1/3", st.Races, st.Remembered)
+	}
+}
+
+// counters returns reg's counters by name.
+func counters(reg *obs.Registry) map[string]int64 {
+	out := map[string]int64{}
+	for _, c := range reg.Snapshot().Counters {
+		out[c.Name] = c.Value
+	}
+	return out
 }

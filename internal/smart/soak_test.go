@@ -84,80 +84,75 @@ func TestSmartSoak(t *testing.T) {
 	wg.Wait()
 	s.Close()
 
-	st := s.Stats()
+	// The identities /debug/invariants checks, on the registry alone.
+	c := counters(reg)
 	total := int64(workers * queriesPerWorker)
+	races := c["smart_race_first_total"] + c["smart_race_expired_total"] +
+		c["smart_race_winner_fail_total"] + c["smart_race_breaker_open_total"]
+	wins := c["smart_win_do53_total"] + c["smart_win_doh_total"] +
+		c["smart_win_dot_total"] + c["smart_win_doq_total"]
 
 	// Identity 1: every query either took the remembered winner or
-	// raced.
-	if st.Queries != total {
-		t.Fatalf("Queries = %d, want %d", st.Queries, total)
+	// raced, for one of the four causes.
+	if c["smart_queries_total"] != total {
+		t.Fatalf("smart_queries_total = %d, want %d", c["smart_queries_total"], total)
 	}
-	if st.Remembered+st.Races != st.Queries {
-		t.Errorf("Remembered(%d) + Races(%d) != Queries(%d)", st.Remembered, st.Races, st.Queries)
+	if c["smart_remembered_total"]+races != c["smart_queries_total"] {
+		t.Errorf("remembered(%d) + races by cause(%d) != queries(%d)",
+			c["smart_remembered_total"], races, c["smart_queries_total"])
 	}
-	// Identity 2: the race causes partition the races.
-	causes := st.RacesFirst + st.RacesExpired + st.RacesWinnerFail + st.RacesBreakerOpen
-	if causes != st.Races {
-		t.Errorf("race causes sum to %d, Races = %d (%+v)", causes, st.Races, st)
+	// Identity 2: every race either crowned a winner or failed.
+	if wins+c["smart_race_fail_total"] != races {
+		t.Errorf("wins(%d) + race failures(%d) != races by cause(%d)", wins, c["smart_race_fail_total"], races)
 	}
-	// Identity 3: every race either crowned a winner or failed.
-	var wins int64
-	for _, w := range st.WinsByCandidate {
-		wins += w
-	}
-	if wins+st.RaceFailures != st.Races {
-		t.Errorf("wins(%d) + RaceFailures(%d) != Races(%d)", wins, st.RaceFailures, st.Races)
-	}
-	// Identity 4: the only way a caller sees an error is a failed race
+	// Identity 3: the only way a caller sees an error is a failed race
 	// (remembered-winner failures re-race instead of surfacing).
-	if failures.Load() != st.RaceFailures {
-		t.Errorf("caller failures = %d, RaceFailures = %d", failures.Load(), st.RaceFailures)
+	if failures.Load() != c["smart_race_fail_total"] {
+		t.Errorf("caller failures = %d, smart_race_fail_total = %d", failures.Load(), c["smart_race_fail_total"])
 	}
 	if successes.Load()+failures.Load() != total {
 		t.Errorf("caller accounting broken: %d + %d != %d", successes.Load(), failures.Load(), total)
 	}
-	// Identity 5: probes either succeeded or failed, nothing dangling
+	// Identity 4: probes either succeeded or failed, nothing dangling
 	// after Close.
-	if st.ProbeFailures > st.Probes {
-		t.Errorf("ProbeFailures(%d) > Probes(%d)", st.ProbeFailures, st.Probes)
+	if c["smart_probe_fail_total"] > c["smart_probe_total"] {
+		t.Errorf("probe failures(%d) > probes(%d)", c["smart_probe_fail_total"], c["smart_probe_total"])
 	}
 	// The dead candidate's breaker must have tripped and evicted any
 	// winners pointing at it.
 	if brk.State() != resolver.BreakerOpen {
 		t.Error("dead candidate's breaker never opened")
 	}
-	if st.RacesBreakerOpen+st.RacesWinnerFail == 0 {
+	if c["smart_race_breaker_open_total"]+c["smart_race_winner_fail_total"] == 0 {
 		t.Error("candidate death caused no re-races at all")
 	}
 
-	// The obs counters must mirror the atomic stats exactly.
-	snap := reg.Snapshot()
-	counter := func(name string) int64 {
-		for _, c := range snap.Counters {
-			if c.Name == name {
-				return c.Value
-			}
-		}
-		return -1
-	}
+	// Stats reads the same counters.
+	st := s.Stats()
 	checks := map[string]int64{
-		"smart_queries_total":    st.Queries,
-		"smart_remembered_total": st.Remembered,
-		"smart_race_total":       st.Races,
-		"smart_race_fail_total":  st.RaceFailures,
-		"smart_probe_total":      st.Probes,
-		"smart_probe_fail_total": st.ProbeFailures,
-		"smart_switch_total":     st.Switches,
-		"smart_fallback_total":   st.Evictions,
-		"smart_win_do53_total":   st.WinsByCandidate[0],
-		"smart_win_doh_total":    st.WinsByCandidate[1],
-		"smart_win_dot_total":    st.WinsByCandidate[2],
-		"smart_win_doq_total":    st.WinsByCandidate[3],
+		"smart_queries_total":           st.Queries,
+		"smart_remembered_total":        st.Remembered,
+		"smart_race_first_total":        st.RacesFirst,
+		"smart_race_expired_total":      st.RacesExpired,
+		"smart_race_winner_fail_total":  st.RacesWinnerFail,
+		"smart_race_breaker_open_total": st.RacesBreakerOpen,
+		"smart_race_fail_total":         st.RaceFailures,
+		"smart_probe_total":             st.Probes,
+		"smart_probe_fail_total":        st.ProbeFailures,
+		"smart_switch_total":            st.Switches,
+		"smart_fallback_total":          st.Evictions,
+		"smart_win_do53_total":          st.WinsByCandidate[0],
+		"smart_win_doh_total":           st.WinsByCandidate[1],
+		"smart_win_dot_total":           st.WinsByCandidate[2],
+		"smart_win_doq_total":           st.WinsByCandidate[3],
 	}
 	for name, want := range checks {
-		if got := counter(name); got != want {
+		if got, ok := c[name]; !ok || got != want {
 			t.Errorf("counter %s = %d, stats say %d", name, got, want)
 		}
+	}
+	if st.Races != races {
+		t.Errorf("Stats().Races = %d, causes sum to %d", st.Races, races)
 	}
 	t.Logf("soak: %+v", st)
 }

@@ -95,6 +95,10 @@ go test -race ./internal/dohserver/ -run \
 go test -race -count=20 ./internal/recursive/ -run \
 	'TestConcurrentMissesCoalesced|TestWaiterContextCancellation|TestSharedFlightEchoesEachWaitersQuestion|TestHitEchoesTheAskersQuestion'
 
+step "one ledger (every registered name is a row of docs/observability.md's table and back, a policy stack counts attempts and failures once at its entry; race)"
+go test -race -run TestMetricCatalogue .
+go test -race ./internal/resolver/ -run TestPolicyMetricsWithoutRetry
+
 step "smart racing soak (short, race, chaos faults + exact accounting)"
 go test -race -run TestSmartSoak -short ./internal/smart/
 
