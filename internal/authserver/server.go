@@ -35,12 +35,10 @@ type Server struct {
 	// Logger, when set, receives one line per malformed packet.
 	Logger *log.Logger
 
-	// Listeners and Concurrency tune the serving engine (see
-	// serve.Options); the zero values use the engine defaults (one
-	// listener, inline handling, which suits this CPU-light handler).
-	// Set them before ListenAndServe.
-	Listeners   int
-	Concurrency int
+	// Listeners is the number of the serving engine's listeners (see
+	// serve.Options); zero means one. Set it before ListenAndServe. The
+	// handler is CPU-light and runs inline on the reader.
+	Listeners int
 
 	// Protect configures the engine's overload protection (admission
 	// budget, RRL, stream governance — see serve.Protection). The zero
@@ -78,12 +76,11 @@ func NewServer(zone *Zone) *Server { return &Server{Zone: zone} }
 // pair lines up.
 func (s *Server) ListenAndServe(addr string) error {
 	engine, err := serve.New(addr, serve.Options{
-		Packet:      serve.PacketHandlerFunc(s.servePacket),
-		Stream:      serve.StreamHandlerFunc(s.serveMessage),
-		Listeners:   s.Listeners,
-		Concurrency: s.Concurrency,
-		Logf:        s.logf,
-		Protection:  s.Protect,
+		Packet:     serve.PacketHandlerFunc(s.servePacket),
+		Stream:     serve.StreamHandlerFunc(s.serveMessage),
+		Listeners:  s.Listeners,
+		Logf:       s.logf,
+		Protection: s.Protect,
 	})
 	if err != nil {
 		return err

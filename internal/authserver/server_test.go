@@ -318,7 +318,7 @@ func TestServerUDPRateLimited(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Shutdown(context.Background())
-	c := dnsclient.Client{Timeout: 300 * time.Millisecond, Retries: 0}
+	c := dnsclient.Client{Timeout: 300 * time.Millisecond}
 	okCount, limited := 0, 0
 	for i := 0; i < 6; i++ {
 		_, _, err := c.Query(context.Background(), s.Addr(), "www.a.com.", dnswire.TypeA)

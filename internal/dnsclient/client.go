@@ -1,9 +1,9 @@
 // Package dnsclient implements a conventional DNS ("Do53") stub client
 // over UDP with automatic TCP fallback when a response arrives
 // truncated (TC bit), as resolvers have done since RFC 1035. It also
-// holds what the three wire clients share: the one Timing they return,
-// and (conn.go) the one connection path under the stream clients —
-// dohclient's engine, dot.Client and the TCP fallback here.
+// holds what the wire clients share: the one Timing they return, and
+// (conn.go) the one connection path under all four — dohclient's
+// engine, dot.Client, and this client's UDP exchange and TCP fallback.
 package dnsclient
 
 import (
@@ -12,8 +12,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
-	"sync"
-	"syscall"
 	"time"
 
 	"repro/internal/dnswire"
@@ -26,16 +24,15 @@ var (
 )
 
 // Client is a Do53 stub resolver client. The zero value is usable and
-// applies the defaults below.
+// applies the defaults below; a Client must not be copied after first
+// use. It sends each query once: retrying is resolver.WithRetry's job.
 type Client struct {
 	// Timeout bounds a single UDP or TCP exchange. Default 5s.
 	Timeout time.Duration
-	// Retries is the number of additional UDP attempts after a
-	// timeout. Default 2.
-	Retries int
-	// UDPSize, when nonzero, attaches an EDNS0 OPT advertising this
-	// receive buffer size.
-	UDPSize uint16
+
+	// pool holds the client's connected UDP sockets, per server, under
+	// conn.go's rules.
+	pool Pool
 }
 
 func (c *Client) timeout() time.Duration {
@@ -43,47 +40,6 @@ func (c *Client) timeout() time.Duration {
 		return c.Timeout
 	}
 	return 5 * time.Second
-}
-
-// udpIdle pools connected UDP sockets per server address so a steady
-// query stream reuses a handful of sockets instead of paying a dial
-// (socket creation, connect, conn allocations) per exchange. Stale
-// datagrams left in a reused socket's buffer are discarded by oneUDP's
-// ID and question checks, the same screen RFC 5452 prescribes for port
-// reuse.
-var udpIdle = struct {
-	sync.Mutex
-	m map[string][]net.Conn
-}{m: make(map[string][]net.Conn)}
-
-const (
-	maxIdlePerAddr = 8
-	maxIdleAddrs   = 64
-)
-
-func getIdleUDP(addr string) net.Conn {
-	udpIdle.Lock()
-	defer udpIdle.Unlock()
-	conns := udpIdle.m[addr]
-	if len(conns) == 0 {
-		return nil
-	}
-	conn := conns[len(conns)-1]
-	udpIdle.m[addr] = conns[:len(conns)-1]
-	return conn
-}
-
-func putIdleUDP(addr string, conn net.Conn) {
-	udpIdle.Lock()
-	conns := udpIdle.m[addr]
-	if len(conns) >= maxIdlePerAddr ||
-		(len(conns) == 0 && len(udpIdle.m) >= maxIdleAddrs) {
-		udpIdle.Unlock()
-		conn.Close()
-		return
-	}
-	udpIdle.m[addr] = append(conns, conn)
-	udpIdle.Unlock()
 }
 
 // RandomID returns a cryptographically random query ID.
@@ -166,12 +122,6 @@ func (c *Client) Exchange(ctx context.Context, addr string, q *dnswire.Message) 
 	if len(q.Questions) == 0 {
 		return nil, 0, ErrNoQuestion
 	}
-	if c.UDPSize > 0 && !hasOPT(q) {
-		q.Additionals = append(q.Additionals, dnswire.ResourceRecord{
-			Name: ".", Type: dnswire.TypeOPT,
-			Data: dnswire.OPTRecord{UDPSize: c.UDPSize},
-		})
-	}
 	start := time.Now()
 	resp, err := c.exchangeUDP(ctx, addr, q)
 	if err != nil {
@@ -188,6 +138,7 @@ func (c *Client) Exchange(ctx context.Context, addr string, q *dnswire.Message) 
 	return resp, time.Since(start), nil
 }
 
+// exchangeUDP asks q on one of the pool's sockets to addr.
 func (c *Client) exchangeUDP(ctx context.Context, addr string, q *dnswire.Message) (*dnswire.Message, error) {
 	pkt := dnswire.GetBuffer()
 	defer dnswire.PutBuffer(pkt)
@@ -196,52 +147,24 @@ func (c *Client) exchangeUDP(ctx context.Context, addr string, q *dnswire.Messag
 		return nil, err
 	}
 	pkt.B = wire
-	attempts := c.Retries + 1
-	if attempts < 1 {
-		attempts = 1
+	var resp *dnswire.Message
+	a := c.pool.Begin(ctx, addr, nil, c.timeout())
+	a.datagram = true
+	for a.Next() {
+		resp, err = exchangeDatagram(a.Conn, wire, q)
+		a.Done(true, err)
 	}
-	var lastErr error
-	for i := 0; i < attempts; i++ {
-		resp, err := c.oneUDP(ctx, addr, wire, q)
-		if err == nil {
-			return resp, nil
-		}
-		lastErr = err
-		if !retryableUDP(err) {
-			break
-		}
-	}
-	return nil, lastErr
+	return resp, a.Err()
 }
 
-func (c *Client) oneUDP(ctx context.Context, addr string, wire []byte, q *dnswire.Message) (*dnswire.Message, error) {
-	conn := getIdleUDP(addr)
-	if conn == nil {
-		var d net.Dialer
-		var err error
-		if conn, err = d.DialContext(ctx, "udp", addr); err != nil {
-			return nil, err
-		}
-	}
-	// A socket that completed its exchange goes back to the idle pool;
-	// one that errored may be wedged, so it is closed instead.
-	reusable := false
-	defer func() {
-		if reusable {
-			putIdleUDP(addr, conn)
-		} else {
-			conn.Close()
-		}
-	}()
-	deadline := time.Now().Add(c.timeout())
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
-	if err := conn.SetDeadline(deadline); err != nil {
-		return nil, err
-	}
+// exchangeDatagram sends the packed query on conn and reads datagrams
+// until one answers q, screening as RFC 5452 prescribes for port reuse:
+// a malformed datagram, a wrong ID or a question other than q's (a stale
+// answer on a reused socket) is skipped, until the deadline. An I/O
+// failure means no datagram answered: a NoResponseError.
+func exchangeDatagram(conn net.Conn, wire []byte, q *dnswire.Message) (*dnswire.Message, error) {
 	if _, err := conn.Write(wire); err != nil {
-		return nil, err
+		return nil, NoResponseError{err}
 	}
 	rd := dnswire.GetBuffer()
 	defer dnswire.PutBuffer(rd)
@@ -252,22 +175,15 @@ func (c *Client) oneUDP(ctx context.Context, addr string, wire []byte, q *dnswir
 		n, err := conn.Read(buf)
 		if err != nil {
 			dnswire.PutMessage(resp)
-			return nil, err
+			return nil, NoResponseError{err}
 		}
-		if err := dnswire.UnpackReplyInto(buf[:n], resp, q); err != nil {
-			// Malformed datagram from some middlebox: keep waiting
-			// for the real answer until the deadline.
+		if dnswire.UnpackReplyInto(buf[:n], resp, q) != nil || resp.Header.ID != q.Header.ID {
 			continue
 		}
-		if resp.Header.ID != q.Header.ID {
-			continue // stale or spoofed; RFC 5452 says ignore
+		if len(resp.Questions) > 0 && (resp.Questions[0].Type != q.Questions[0].Type ||
+			!resp.Questions[0].Name.Equal(q.Questions[0].Name)) {
+			continue
 		}
-		if len(resp.Questions) > 0 && len(q.Questions) > 0 &&
-			(resp.Questions[0].Type != q.Questions[0].Type ||
-				!resp.Questions[0].Name.Equal(q.Questions[0].Name)) {
-			continue // echoed question disagrees: stale answer on a reused socket
-		}
-		reusable = true
 		return resp, nil
 	}
 }
@@ -285,21 +201,4 @@ func (c *Client) ExchangeTCP(ctx context.Context, addr string, q *dnswire.Messag
 		a.Done(false, err)
 	}
 	return resp, a.Err()
-}
-
-func hasOPT(m *dnswire.Message) bool {
-	for _, rr := range m.Additionals {
-		if rr.Type == dnswire.TypeOPT {
-			return true
-		}
-	}
-	return false
-}
-
-// retryableUDP reports whether a UDP exchange error is worth another
-// attempt: timeouts, and connection-refused (an ICMP port-unreachable
-// can race a server that is still binding, or reflect a transient
-// middlebox state — a retry moments later regularly succeeds).
-func retryableUDP(err error) bool {
-	return IsTimeout(err) || errors.Is(err, syscall.ECONNREFUSED)
 }

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/netip"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -14,9 +15,9 @@ import (
 )
 
 // echoServer answers every UDP query with a single A record, after
-// invoking mangle (which may alter the response or drop it by
-// returning nil).
-func echoServer(t *testing.T, mangle func(q *dnswire.Message) *dnswire.Message) string {
+// invoking mangle, which returns the datagrams to send in its place
+// (nil drops the query).
+func echoServer(t *testing.T, mangle func(resp *dnswire.Message) []*dnswire.Message) string {
 	t.Helper()
 	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -40,17 +41,15 @@ func echoServer(t *testing.T, mangle func(q *dnswire.Message) *dnswire.Message) 
 				Class: dnswire.ClassIN, TTL: 60,
 				Data: dnswire.ARecord{Addr: netip.MustParseAddr("192.0.2.1")},
 			})
+			sends := []*dnswire.Message{resp}
 			if mangle != nil {
-				resp = mangle(resp)
+				sends = mangle(resp)
 			}
-			if resp == nil {
-				continue
+			for _, m := range sends {
+				if wire, err := m.Pack(); err == nil {
+					conn.WriteToUDP(wire, src)
+				}
 			}
-			wire, err := resp.Pack()
-			if err != nil {
-				continue
-			}
-			conn.WriteToUDP(wire, src)
 		}
 	}()
 	return conn.LocalAddr().String()
@@ -68,54 +67,92 @@ func TestQueryBasic(t *testing.T) {
 	}
 }
 
+// TestQueryIgnoresMismatchedID: datagrams that do not answer the query —
+// a wrong ID, an echoed question that is not the query's — are skipped,
+// and the real answer that follows them is read, the query sent once.
 func TestQueryIgnoresMismatchedID(t *testing.T) {
 	var calls atomic.Int32
-	addr := echoServer(t, func(resp *dnswire.Message) *dnswire.Message {
-		if calls.Add(1) == 1 {
-			resp.Header.ID ^= 0xffff // first answer is spoofed
-		}
-		return resp
+	addr := echoServer(t, func(resp *dnswire.Message) []*dnswire.Message {
+		calls.Add(1)
+		spoofed, stale := *resp, *resp
+		spoofed.Header.ID ^= 0xffff
+		stale.Questions = []dnswire.Question{{Name: "other.example.", Type: dnswire.TypeA, Class: dnswire.ClassIN}}
+		return []*dnswire.Message{&spoofed, &stale, resp}
 	})
-	c := Client{Timeout: 500 * time.Millisecond, Retries: 2}
-	_, _, err := c.Query(context.Background(), addr, "host.example.", dnswire.TypeA)
-	// The spoofed response must be ignored; the retry then succeeds.
+	c := Client{Timeout: 3 * time.Second}
+	resp, _, err := c.Query(context.Background(), addr, "host.example.", dnswire.TypeA)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
-	if calls.Load() < 2 {
-		t.Errorf("server saw %d queries, want >= 2 (retry after spoofed reply)", calls.Load())
+	if !resp.Questions[0].Name.Equal("host.example.") || calls.Load() != 1 {
+		t.Errorf("answer for %s after %d queries, want host.example. after 1", resp.Questions[0].Name, calls.Load())
 	}
 }
 
-func TestQueryTimesOutAndRetries(t *testing.T) {
+// TestQueryTimesOut: a silent server costs one Timeout, and the query is
+// sent once: retrying is resolver.WithRetry's job.
+func TestQueryTimesOut(t *testing.T) {
 	var calls atomic.Int32
-	addr := echoServer(t, func(resp *dnswire.Message) *dnswire.Message {
+	addr := echoServer(t, func(*dnswire.Message) []*dnswire.Message {
 		calls.Add(1)
 		return nil // drop everything
 	})
-	c := Client{Timeout: 50 * time.Millisecond, Retries: 2}
+	c := Client{Timeout: 50 * time.Millisecond}
 	_, _, err := c.Query(context.Background(), addr, "host.example.", dnswire.TypeA)
-	var nerr net.Error
-	if !errors.As(err, &nerr) || !nerr.Timeout() {
+	if !IsTimeout(err) {
 		t.Fatalf("err = %v, want timeout", err)
 	}
-	if got := calls.Load(); got != 3 {
-		t.Errorf("attempts = %d, want 3 (1 + 2 retries)", got)
+	if got := calls.Load(); got != 1 {
+		t.Errorf("server saw %d queries, want 1", got)
 	}
 }
 
+// TestQueryRespectsContextDeadline: the context's deadline, earlier than
+// Timeout, ends the exchange and is the error.
 func TestQueryRespectsContextDeadline(t *testing.T) {
-	addr := echoServer(t, func(*dnswire.Message) *dnswire.Message { return nil })
-	c := Client{Timeout: 10 * time.Second, Retries: 0}
+	addr := echoServer(t, func(*dnswire.Message) []*dnswire.Message { return nil })
+	c := Client{Timeout: 10 * time.Second}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
 	_, _, err := c.Query(ctx, addr, "host.example.", dnswire.TypeA)
-	if err == nil {
-		t.Fatal("Query succeeded with all packets dropped")
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("err = %v, want context.DeadlineExceeded", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Errorf("Query took %v, context deadline not honored", elapsed)
+	}
+}
+
+// TestRefusedSocketIsRedialledOnce: a pooled socket refused before any
+// reply (ICMP port unreachable: the server it was connected to went
+// away) is replaced by a fresh one, once; a fresh socket refused is the
+// error.
+func TestRefusedSocketIsRedialledOnce(t *testing.T) {
+	dead, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadAddr := dead.LocalAddr().String()
+	dead.Close()
+	var c Client
+	if _, _, err := c.Query(context.Background(), deadAddr, "host.example.", dnswire.TypeA); !errors.Is(err, syscall.ECONNREFUSED) {
+		t.Skipf("no ICMP refusal on loopback here: %v", err)
+	}
+
+	// A socket connected to the dead port, pooled as the live server's.
+	addr := echoServer(t, nil)
+	refused, err := net.Dial("udp", deadAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.pool.put(idleConn{conn: refused, addr: addr})
+	resp, _, err := c.Query(context.Background(), addr, "host.example.", dnswire.TypeA)
+	if err != nil || len(resp.Answers) != 1 {
+		t.Fatalf("Query on a refused pooled socket: %v, want the answer from a fresh one", err)
+	}
+	if n := c.pool.Idle(); n != 1 {
+		t.Errorf("%d idle sockets, want 1: the fresh one", n)
 	}
 }
 
@@ -124,25 +161,6 @@ func TestExchangeNoQuestion(t *testing.T) {
 	_, _, err := c.Exchange(context.Background(), "127.0.0.1:1", &dnswire.Message{})
 	if err != ErrNoQuestion {
 		t.Fatalf("err = %v, want ErrNoQuestion", err)
-	}
-}
-
-func TestEDNSAttachedWhenConfigured(t *testing.T) {
-	addr := echoServer(t, nil)
-	c := Client{UDPSize: 4096}
-	q := dnswire.NewQuery(1, "e.example.", dnswire.TypeA)
-	_, _, err := c.Exchange(context.Background(), addr, q)
-	if err != nil {
-		t.Fatalf("Exchange: %v", err)
-	}
-	found := false
-	for _, rr := range q.Additionals {
-		if opt, ok := rr.Data.(dnswire.OPTRecord); ok && opt.UDPSize == 4096 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("query was not augmented with EDNS0 OPT")
 	}
 }
 
@@ -307,23 +325,42 @@ func TestUDPIgnoresMalformedDatagram(t *testing.T) {
 	}
 }
 
-func TestEDNSNotDuplicated(t *testing.T) {
-	addr := echoServer(t, nil)
-	c := Client{UDPSize: 4096}
-	q := dnswire.NewQuery(2, "dup.example.", dnswire.TypeA)
-	q.Additionals = append(q.Additionals, dnswire.ResourceRecord{
-		Name: ".", Type: dnswire.TypeOPT, Data: dnswire.OPTRecord{UDPSize: 1232},
-	})
-	if _, _, err := c.Exchange(context.Background(), addr, q); err != nil {
+// TestWarmExchangeAllocationFree: an exchange on a pooled socket
+// allocates nothing, the Attempt being a value on the caller's stack.
+// The peer answers in place (QR set, the query echoed) without
+// allocating either, since AllocsPerRun counts every goroutine.
+func TestWarmExchangeAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not meaningful under the race detector")
+	}
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
 		t.Fatal(err)
 	}
-	count := 0
-	for _, rr := range q.Additionals {
-		if rr.Type == dnswire.TypeOPT {
-			count++
+	defer conn.Close()
+	go func() {
+		buf := make([]byte, 512)
+		for {
+			n, src, err := conn.ReadFromUDPAddrPort(buf)
+			if err != nil {
+				return
+			}
+			buf[2] |= 0x80
+			conn.WriteToUDPAddrPort(buf[:n], src)
 		}
+	}()
+	var c Client
+	addr := conn.LocalAddr().String()
+	q := dnswire.NewQuery(1, "host.example.", dnswire.TypeA)
+	exchange := func() {
+		resp, _, err := c.Exchange(context.Background(), addr, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dnswire.PutMessage(resp)
 	}
-	if count != 1 {
-		t.Errorf("query carries %d OPT records, want 1 (existing preserved)", count)
+	exchange()
+	if n := testing.AllocsPerRun(100, exchange); n != 0 {
+		t.Errorf("warm exchange: %v allocations, want 0", n)
 	}
 }

@@ -14,19 +14,22 @@ import (
 	"repro/internal/dnswire"
 )
 
-// This file is the one connection path under the three stream clients:
-// dohclient's HTTP/1.1 engine, dot.Client and the Do53 TCP fallback dial,
-// pool, bound and redial here and nowhere else. The rules, once:
+// This file is the one connection path under the four wire clients:
+// dohclient's HTTP/1.1 engine, dot.Client, and the Do53 client's UDP
+// exchange and TCP fallback dial, pool, bound and redial here and nowhere
+// else. The rules, once:
 //
 //   - One deadline, min(now+timeout, ctx.Deadline()), read in Begin and
 //     armed on the socket; a failure under the context's own deadline, or
 //     after the context ended, is reported as the context's error.
 //   - An idle connection is reused most recently used first. If it fails
 //     before any byte of a response arrived, not by a timeout and with
-//     the context alive, the server had closed it: a DNS query is
-//     idempotent, so it is asked once more on a fresh connection.
-//   - A connection whose exchange failed is never kept: the stream may
-//     still deliver the late reply, and the next query would read that.
+//     the context alive, the server had closed it (for a datagram socket:
+//     an ICMP refusal): a DNS query is idempotent, so it is asked once
+//     more on a fresh connection.
+//   - A connection whose exchange failed is never kept: the stream or
+//     socket may still deliver the late reply, and the next query would
+//     read that.
 //
 // Nothing here asks the context for Done: a bare cancel() interrupts an
 // exchange only where the client arms its own hook (dohclient does), and
@@ -52,6 +55,11 @@ type idleConn struct {
 	addr   string
 }
 
+// maxIdleTotal bounds a pool's idle connections over all origins, so a
+// client that asks many servers (recursive.Iterative) does not pile up
+// idle sockets.
+const maxIdleTotal = 64
+
 // take removes the most recently used idle connection to the origin
 // and reports whether there was one.
 func (p *Pool) take(secure bool, addr string) (idleConn, bool) {
@@ -70,7 +78,7 @@ func (p *Pool) take(secure bool, addr string) (idleConn, bool) {
 }
 
 // put pools c, or closes it when its origin already has MaxIdle idle
-// connections.
+// connections or the pool maxIdleTotal.
 func (p *Pool) put(c idleConn) {
 	max := p.MaxIdle
 	if max <= 0 {
@@ -83,11 +91,12 @@ func (p *Pool) put(c idleConn) {
 			n++
 		}
 	}
-	if n < max {
+	keep := n < max && len(p.idle) < maxIdleTotal
+	if keep {
 		p.idle = append(p.idle, c)
 	}
 	p.mu.Unlock()
-	if n >= max {
+	if !keep {
 		c.conn.Close()
 	}
 }
@@ -142,6 +151,7 @@ type Attempt struct {
 	start     time.Time
 	deadline  time.Time
 	ctxBound  bool // the context's deadline is the one armed
+	datagram  bool // Conn is a connected UDP socket: a Do53 client's pool
 	step      attemptStep
 	err       error
 }
@@ -180,7 +190,14 @@ func (a *Attempt) Next() bool {
 	case stepRedial:
 		a.State = nil
 		a.step, a.Timing.Reused = stepLast, false
-		if a.Conn, a.err = dial(a.ctx, a.addr, a.tlsConfig, a.deadline, &a.Timing); a.err != nil {
+		if a.datagram {
+			// No phase to time: Do53 over UDP is all RoundTrip.
+			d := net.Dialer{Deadline: a.deadline}
+			a.Conn, a.err = d.DialContext(a.ctx, "udp", a.addr)
+		} else {
+			a.Conn, a.err = dial(a.ctx, a.addr, a.tlsConfig, a.deadline, &a.Timing)
+		}
+		if a.err != nil {
 			a.stamp()
 			return false
 		}

@@ -97,10 +97,6 @@ type Server struct {
 	// TLSConfig must carry a certificate.
 	TLSConfig *tls.Config
 
-	// Listeners is the number of parallel accept loops (see
-	// serve.Options); zero means one. Set before ListenAndServe.
-	Listeners int
-
 	// Protect configures the engine's overload protection (admission
 	// budget, connection caps, write deadlines — see serve.Protection).
 	// The zero value leaves every defense off.
@@ -126,7 +122,6 @@ func (s *Server) ListenAndServe(addr string) error {
 			return serve.Answer(ctx, s.Resolver, out, raw, serve.MaxStreamPayload)
 		}),
 		TLSConfig:    s.TLSConfig,
-		Listeners:    s.Listeners,
 		QueryTimeout: 10 * time.Second,
 		Protection:   s.Protect,
 	})

@@ -54,6 +54,7 @@ type RealProxy struct {
 	mu     sync.Mutex
 	closed bool
 	instr  *proxyInstruments
+	dns    dnsclient.Client // the exit side's lookups, its sockets reused
 }
 
 // proxyInstruments holds the registry handles for a running proxy.
@@ -235,12 +236,10 @@ func (p *RealProxy) handle(conn net.Conn) {
 
 // resolve performs the exit node's DNS lookup of host.
 func (p *RealProxy) resolve(host string) (netip.Addr, time.Duration, error) {
-	var c dnsclient.Client
-	c.Timeout = 5 * time.Second
 	ctx, cancel := context.WithTimeout(context.Background(), 6*time.Second)
 	defer cancel()
 	start := time.Now()
-	resp, _, err := c.Query(ctx, p.ResolverAddr, dnswire.NewName(host), dnswire.TypeA)
+	resp, _, err := p.dns.Query(ctx, p.ResolverAddr, dnswire.NewName(host), dnswire.TypeA)
 	dur := time.Since(start)
 	if err != nil {
 		return netip.Addr{}, dur, err

@@ -280,7 +280,6 @@ func TestIterativeLameDelegation(t *testing.T) {
 
 	it := &Iterative{Roots: []string{srv.Addr()}}
 	it.Client.Timeout = 300 * 1e6 // 300ms
-	it.Client.Retries = 0
 	_, err := it.Resolve(context.Background(), dnswire.NewQuery(1, "x.lame.com.", dnswire.TypeA))
 	if err == nil {
 		t.Fatal("lame delegation resolved")

@@ -375,9 +375,9 @@ func TestRecursorAnswersOverTCP(t *testing.T) {
 		t.Cleanup(func() { srv.Shutdown(context.Background()) })
 		return srv
 	}
-	whole := func(c *dnsclient.Client, addr string, name dnswire.Name) {
+	whole := func(r resolver.Resolver, name dnswire.Name) {
 		t.Helper()
-		resp, _, err := c.Query(context.Background(), addr, name, dnswire.TypeA)
+		resp, _, err := r.Resolve(context.Background(), resolver.Query(name, dnswire.TypeA))
 		if err != nil {
 			t.Fatalf("Query %s: %v", name, err)
 		}
@@ -386,13 +386,14 @@ func TestRecursorAnswersOverTCP(t *testing.T) {
 		}
 	}
 
-	whole(&dnsclient.Client{}, listen(serve.Protection{}).Addr(), "big.a.com.")
+	whole(resolver.NewDo53(listen(serve.Protection{}).Addr(), nil), "big.a.com.")
 
 	// One token, next to no refill: the first query spends it, the
 	// second's first datagram is dropped and its retry slipped TC=1
 	// (serve.DefaultRateSlip answers every second over-limit query).
 	limited := listen(serve.Protection{RateLimit: 0.001, RateBurst: 1}).Addr()
-	c := &dnsclient.Client{Timeout: 250 * time.Millisecond, Retries: 1}
-	whole(c, limited, "first.a.com.")
-	whole(c, limited, "slipped.a.com.")
+	retried := resolver.WithRetry(resolver.NewDo53(limited, &dnsclient.Client{Timeout: 250 * time.Millisecond}),
+		resolver.RetryPolicy{MaxAttempts: 2})
+	whole(retried, "first.a.com.")
+	whole(retried, "slipped.a.com.")
 }

@@ -14,9 +14,9 @@ import (
 // type between a client and the policy layers.
 
 // NewDo53 binds a Do53 stub client to one server address. A nil client
-// uses the zero-value dnsclient defaults. The client's own UDP
-// retransmission (Client.Retries) is protocol-level behavior and stays
-// below this API; policy-layer retries stack above.
+// uses the zero-value dnsclient defaults. The client sends each query
+// once, on the one connection path the other transports use; a resend
+// is a policy-layer retry (WithRetry) stacked above.
 func NewDo53(addr string, c *dnsclient.Client) Resolver {
 	if c == nil {
 		c = &dnsclient.Client{}

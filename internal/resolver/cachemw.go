@@ -19,8 +19,8 @@ import (
 //
 // Every answer is its caller's, as Resolver's ownership rule asks: the
 // leader keeps next's message (the cache stores a copy), and hits and
-// waiters get copies with sections of their own, so a caller may pool
-// what it gets.
+// waiters get copies with sections of their own, stamped with their own
+// query's ID, RD bit and question, so a caller may pool what it gets.
 //
 // Place it outermost — above WithMetrics — so the transport's latency
 // histograms keep describing real resolutions: a microsecond cache hit
@@ -76,7 +76,7 @@ func (cw *cacheware) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.
 	if resp, outcome := cw.cache.LookupInto(question.Name, question.Type, nil); resp != nil {
 		// LookupInto's copy has sections of its own: ours to stamp, and
 		// our caller's to keep.
-		resp.Header.ID = q.Header.ID
+		answerTo(resp, q)
 		d := time.Since(start)
 		if cw.hitHist != nil {
 			cw.hitHist.Observe(d)
@@ -110,11 +110,22 @@ func (cw *cacheware) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.
 	if shared {
 		// Another caller's flight answered us: its message is shared,
 		// and its Timing belongs to the leader — report only our wait.
-		resp := private(msg)
-		resp.Header.ID = q.Header.ID
-		return resp, Timing{Total: time.Since(start), Attempts: 1}, nil
+		return answerTo(private(msg), q), Timing{Total: time.Since(start), Attempts: 1}, nil
 	}
 	return own, leaderTiming, nil
+}
+
+// answerTo stamps resp, a copy of the caller's own, as the answer to q:
+// q's ID, RD bit and question. The cache matches names without regard to
+// case, so the asker whose answer filled it may have spelled its question
+// otherwise.
+func answerTo(resp, q *dnswire.Message) *dnswire.Message {
+	resp.Header.ID = q.Header.ID
+	resp.Header.RecursionDesired = q.Header.RecursionDesired
+	if len(resp.Questions) > 0 {
+		resp.Questions[0] = q.Questions[0]
+	}
+	return resp
 }
 
 // private copies m into sections of its own; names and RData stay shared.

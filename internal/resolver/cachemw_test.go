@@ -142,6 +142,65 @@ func TestWithCacheSingleflightCollapse(t *testing.T) {
 	}
 }
 
+// TestWithCacheAnswersEachAskersQuestion: a hit and a waiter on a shared
+// flight each get their own ID, RD bit and question spelling back, not
+// those of the asker whose answer filled the cache.
+func TestWithCacheAnswersEachAskersQuestion(t *testing.T) {
+	ask := func(name dnswire.Name, rd bool) *dnswire.Message {
+		q := Query(name, dnswire.TypeA)
+		q.Header.RecursionDesired = rd
+		return q
+	}
+	for _, row := range []string{"hit", "waiter"} {
+		t.Run(row, func(t *testing.T) {
+			entered, gate := make(chan struct{}, 1), make(chan struct{})
+			next := Func(func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, Timing, error) {
+				entered <- struct{}{}
+				<-gate
+				return cachedAnswer(q, 300), Timing{Attempts: 1}, nil
+			})
+			c := cache.New(cache.Config{})
+			r := WithCache(next, c, nil, DoH)
+			first := make(chan error, 1)
+			go func() {
+				_, _, err := r.Resolve(context.Background(), ask("WwW.Example.COM.", true))
+				first <- err
+			}()
+			<-entered // the first asker leads the flight
+			if row == "hit" {
+				close(gate)
+				if err := <-first; err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				go func() {
+					for c.Stats().SharedFlights < 1 {
+						time.Sleep(time.Millisecond)
+					}
+					close(gate)
+				}()
+			}
+			q := ask("www.example.com.", false)
+			resp, _, err := r.Resolve(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if row == "waiter" {
+				if err := <-first; err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st := c.Stats(); row == "hit" && st.Hits != 1 || row == "waiter" && st.SharedFlights != 1 {
+				t.Fatalf("cache stats = %+v, want the second asker a %s", st, row)
+			}
+			if h := resp.Header; h.ID != q.Header.ID || h.RecursionDesired || resp.Questions[0].Name != "www.example.com." {
+				t.Errorf("answered ID %d RD=%v for %s, want ID %d RD=false for www.example.com.",
+					h.ID, h.RecursionDesired, resp.Questions[0].Name, q.Header.ID)
+			}
+		})
+	}
+}
+
 func TestWithCacheBypassesMultiQuestion(t *testing.T) {
 	var calls atomic.Int32
 	next := Func(func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, Timing, error) {

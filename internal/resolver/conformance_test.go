@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -20,9 +21,12 @@ import (
 	"repro/internal/tlsutil"
 )
 
-// The three stream clients share one connection discipline
+// The four wire clients share one connection discipline
 // (internal/dnsclient/conn.go); this file holds each of them to it
-// against raw-socket peers, from the one package that imports all three.
+// against raw-socket peers, from the one package that imports them all:
+// the three stream clients in one table, the Do53 client's UDP exchange
+// in its own (a datagram peer sees no connections, so the sockets a
+// client keeps are counted where the kernel lists them).
 
 // reaction is what a peer does with one query.
 type reaction int
@@ -389,6 +393,234 @@ func TestStreamClientConformance(t *testing.T) {
 			waitFor(t, "the pooled connections to close", func() bool { _, open, _ := srv.seen(); return open == 0 })
 		})
 	}
+}
+
+// datagramPeer is a raw UDP server that does with each query what a
+// test tells it to, and records what it saw.
+type datagramPeer struct {
+	conn *net.UDPConn
+
+	mu      sync.Mutex
+	asked   int            // queries read
+	sources map[string]int // queries per client socket
+}
+
+// newDatagramPeer starts a peer. react is called with the query's number,
+// from 0; an answerThenClose is an answer.
+func newDatagramPeer(t *testing.T, react func(nth int) reaction) *datagramPeer {
+	t.Helper()
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	p := &datagramPeer{conn: conn, sources: make(map[string]int)}
+	go func() {
+		buf := make([]byte, 512)
+		for {
+			n, src, err := conn.ReadFromUDP(buf)
+			if err != nil {
+				return
+			}
+			q, err := dnswire.Unpack(buf[:n])
+			if err != nil {
+				continue
+			}
+			p.mu.Lock()
+			nth := p.asked
+			p.asked++
+			p.sources[src.String()]++
+			p.mu.Unlock()
+			if react(nth) == swallow {
+				continue
+			}
+			if reply, err := q.Reply().Pack(); err == nil {
+				conn.WriteToUDP(reply, src)
+			}
+		}
+	}()
+	return p
+}
+
+func (p *datagramPeer) addr() string { return p.conn.LocalAddr().String() }
+
+// seen returns the client sockets the queries came from and their number.
+func (p *datagramPeer) seen() (sockets, asked int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.sources), p.asked
+}
+
+// openSockets counts the UDP sockets connected to any of the peers, as
+// Linux lists them in /proc/net/udp: the ones a client holds, idle or
+// busy. The row is skipped where there is no such list.
+func openSockets(t *testing.T, peers ...*datagramPeer) int {
+	t.Helper()
+	raw, err := os.ReadFile("/proc/net/udp")
+	if err != nil {
+		t.Skipf("no socket list to count in: %v", err)
+	}
+	ports := make(map[string]bool)
+	for _, p := range peers {
+		ports[fmt.Sprintf("%04X", p.conn.LocalAddr().(*net.UDPAddr).Port)] = true
+	}
+	n := 0
+	for _, line := range strings.Split(string(raw), "\n")[1:] {
+		// The third field is the remote address, hex IP:port; an
+		// unconnected socket's is all zeros.
+		f := strings.Fields(line)
+		if len(f) < 3 {
+			continue
+		}
+		ip, port, _ := strings.Cut(f[2], ":")
+		if ports[port] && strings.Trim(ip, "0") != "" {
+			n++
+		}
+	}
+	return n
+}
+
+// TestDatagramClientConformance holds the Do53 client's UDP exchange to
+// the rules the stream clients keep: the context's own errors, one
+// Timeout for a silent peer and one datagram sent, no failed socket
+// kept, and its pool bound per server and in total.
+func TestDatagramClientConformance(t *testing.T) {
+	ctx := context.Background()
+	query := func(i int) *dnswire.Message {
+		return dnswire.NewQuery(uint16(100+i), dnswire.NewName(fmt.Sprintf("q%d.a.com.", i)), dnswire.TypeA)
+	}
+	swallowAll := func(int) reaction { return swallow }
+
+	t.Run("context deadline beats Timeout and is the error", func(t *testing.T) {
+		srv := newDatagramPeer(t, swallowAll)
+		r := NewDo53(srv.addr(), &dnsclient.Client{Timeout: 5 * time.Second})
+		short, cancel := context.WithTimeout(ctx, 80*time.Millisecond)
+		defer cancel()
+		start := time.Now()
+		_, _, err := r.Resolve(short, query(0))
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("err = %v, want context.DeadlineExceeded", err)
+		}
+		if elapsed := time.Since(start); elapsed < 80*time.Millisecond || elapsed > time.Second {
+			t.Errorf("the exchange took %v, want about 80ms", elapsed)
+		}
+	})
+
+	// The stream clients' known limit holds here too: a bare cancel()
+	// ends the exchange at the socket deadline.
+	t.Run("cancelled context is the error", func(t *testing.T) {
+		srv := newDatagramPeer(t, swallowAll)
+		const timeout = 300 * time.Millisecond
+		r := NewDo53(srv.addr(), &dnsclient.Client{Timeout: timeout})
+		cancellable, cancel := context.WithCancel(ctx)
+		time.AfterFunc(50*time.Millisecond, cancel)
+		start := time.Now()
+		_, _, err := r.Resolve(cancellable, query(0))
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("err = %v, want context.Canceled", err)
+		}
+		if elapsed := time.Since(start); elapsed > timeout*3/2 {
+			t.Errorf("the cancelled exchange took %v, want no more than its Timeout (%v)", elapsed, timeout)
+		}
+	})
+
+	t.Run("silent peer costs one Timeout and one datagram", func(t *testing.T) {
+		srv := newDatagramPeer(t, func(nth int) reaction {
+			if nth == 0 {
+				return answer
+			}
+			return swallow
+		})
+		const timeout = 300 * time.Millisecond
+		r := NewDo53(srv.addr(), &dnsclient.Client{Timeout: timeout})
+		if _, _, err := r.Resolve(ctx, query(0)); err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		_, _, err := r.Resolve(ctx, query(1))
+		elapsed := time.Since(start)
+		if !dnsclient.IsTimeout(err) {
+			t.Fatalf("err = %v, want a timeout", err)
+		}
+		if elapsed < timeout || elapsed > timeout*3/2 {
+			t.Errorf("silent peer held the exchange for %v, want one Timeout (%v)", elapsed, timeout)
+		}
+		if sockets, asked := srv.seen(); sockets != 1 || asked != 2 {
+			t.Errorf("peer saw %d sockets and %d queries, want 1 and 2: the pooled socket, and no resend", sockets, asked)
+		}
+		if n := openSockets(t, srv); n != 0 {
+			t.Errorf("%d sockets open after the timeout, want 0", n)
+		}
+	})
+
+	t.Run("failed socket is not kept", func(t *testing.T) {
+		srv := newDatagramPeer(t, func(nth int) reaction {
+			if nth == 0 {
+				return swallow
+			}
+			return answer
+		})
+		r := NewDo53(srv.addr(), &dnsclient.Client{Timeout: 3 * time.Second})
+		short, cancel := context.WithTimeout(ctx, 100*time.Millisecond)
+		_, _, err := r.Resolve(short, query(0))
+		cancel()
+		if err == nil {
+			t.Fatal("the swallowed query was answered")
+		}
+		// Closed, so the reply the peer may still send has no socket to
+		// wait in for the next query.
+		if n := openSockets(t, srv); n != 0 {
+			t.Errorf("%d sockets open after the failure, want 0", n)
+		}
+		resp, _, err := r.Resolve(ctx, query(1))
+		if err != nil || resp.Header.ID != 101 {
+			t.Fatalf("exchange after the failed one: %v, want the answer to 101", err)
+		}
+		if n := openSockets(t, srv); n != 1 {
+			t.Errorf("%d sockets open after a success, want 1, pooled", n)
+		}
+	})
+
+	t.Run("pool bound under concurrency", func(t *testing.T) {
+		const workers, perWorker, maxIdle = 12, 10, 4
+		srv := newDatagramPeer(t, func(int) reaction { return answer })
+		r := NewDo53(srv.addr(), &dnsclient.Client{Timeout: 5 * time.Second})
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < perWorker; i++ {
+					if _, _, err := r.Resolve(ctx, query(w*perWorker+i)); err != nil {
+						t.Errorf("worker %d query %d: %v", w, i, err)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		if n := openSockets(t, srv); n < 1 || n > maxIdle {
+			t.Errorf("%d sockets kept, want 1 to %d", n, maxIdle)
+		}
+		if _, asked := srv.seen(); asked != workers*perWorker {
+			t.Errorf("peer read %d queries, want %d", asked, workers*perWorker)
+		}
+	})
+
+	t.Run("idle sockets across servers within the total cap", func(t *testing.T) {
+		const servers, maxIdleTotal = 80, 64
+		c := &dnsclient.Client{Timeout: 5 * time.Second}
+		peers := make([]*datagramPeer, servers)
+		for i := range peers {
+			peers[i] = newDatagramPeer(t, func(int) reaction { return answer })
+			if _, _, err := NewDo53(peers[i].addr(), c).Resolve(ctx, query(i)); err != nil {
+				t.Fatalf("server %d: %v", i, err)
+			}
+		}
+		if n := openSockets(t, peers...); n < 1 || n > maxIdleTotal {
+			t.Errorf("%d sockets kept over %d servers, want 1 to %d", n, servers, maxIdleTotal)
+		}
+	})
 }
 
 // TestHedgingOverDoTTakesASecondConnection: dot.Client holds no lock

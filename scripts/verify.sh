@@ -20,6 +20,7 @@ step "unit tests (all packages)"
 # Everything that needs no extra mode runs here and only here: the
 # allocation budgets (they skip themselves under -race —
 # TestWarmExchangeAllocBudget, TestDoTWarmExchangeAllocBudget,
+# TestWarmExchangeAllocationFree (a warm Do53 UDP exchange),
 # TestRawQueryAllocs, TestServeHTTPAllocBudget,
 # TestQueryTimeoutAllocationFree (its dual-stack row holds the datagram
 # source unmapped), TestWithTimeoutUnarmedAllocBudget,
@@ -55,9 +56,13 @@ step "unit tests (all packages)"
 go test ./...
 
 step "race gates (concurrency-heavy packages)"
-# The resolver gate carries TestStreamClientConformance (the one
-# connection discipline, for the DoH engine, dot.Client and ExchangeTCP)
-# and TestHedgingOverDoTTakesASecondConnection; the cmdconfig gate races
+# The resolver gate carries the one connection discipline for the four
+# wire clients: TestStreamClientConformance (the DoH engine, dot.Client
+# and ExchangeTCP), TestDatagramClientConformance (the Do53 client's UDP
+# exchange against a raw UDP peer: the context's deadline and cancel as
+# its own errors, one Timeout and one datagram for a silent peer, no
+# failed socket kept, the per-server and total socket caps) and
+# TestHedgingOverDoTTakesASecondConnection; the cmdconfig gate races
 # the commands' forwarder against live loopback candidates and drains a
 # server with a query in flight.
 go test -race ./internal/cache/... ./internal/resolver/... \
@@ -73,7 +78,11 @@ go test -race ./internal/dohclient/... ./internal/dohserver/...
 # (deadline); and dot.Client's own rules — a late reply cannot poison the
 # next query, a silent server costs one timeout and no second connection
 # (TestSilentServerCostsOneTimeout), concurrent exchanges take their own
-# connections (TestConcurrentExchangesTakeTheirOwnConnections).
+# connections (TestConcurrentExchangesTakeTheirOwnConnections); and the
+# Do53 client's: a refused pooled socket is redialled once
+# (TestRefusedSocketIsRedialledOnce), the RFC 5452 screen
+# (TestQueryIgnoresMismatchedID), the deadline as the context's error
+# (TestQueryRespectsContextDeadline).
 go test -race ./internal/deadline/... ./internal/recursive/... ./internal/dot/... \
 	./internal/dnsclient/...
 
@@ -92,6 +101,7 @@ go test -count=20 ./cmd/authdns/ ./cmd/recursor/ ./cmd/dohsrv/ -run TestSignalOn
 step "the hit path (concurrent hits across fronts, one lookup per query, the asker's question, flights without sleeps; race)"
 go test -race ./internal/dohserver/ -run \
 	'TestConcurrentHitsAcrossFronts|TestFrontsCountOneLookupPerQuery|TestFrontsEchoTheAskersQuestion'
+go test -race ./internal/resolver/ -run TestWithCacheAnswersEachAskersQuestion
 go test -race -count=20 ./internal/recursive/ -run \
 	'TestConcurrentMissesCoalesced|TestWaiterContextCancellation|TestSharedFlightEchoesEachWaitersQuestion|TestHitEchoesTheAskersQuestion'
 
