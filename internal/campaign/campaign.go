@@ -294,26 +294,8 @@ type Dataset struct {
 	// AtlasDo53Ms maps the 11 Super-Proxy countries to their Atlas
 	// Do53 medians (milliseconds).
 	AtlasDo53Ms map[string]float64
-	// DiscardedMismatch counts clients dropped because the proxy
-	// network and the geolocation service disagreed on the country.
-	DiscardedMismatch int
-	// DiscardedImplausible counts measurements dropped by the
-	// estimator's plausibility checks.
-	DiscardedImplausible int
-	// Transports reports per-transport measurement accounting: how
-	// many queries ran, how many were discarded, and how many wire
-	// loss events they absorbed (paper §3.5's drop handling, reported
-	// per transport instead of silently lost).
-	Transports map[resolver.Kind]TransportStats
-	// Breakers reports circuit-breaker activity per transport kind;
-	// empty unless Config.Breaker armed them.
-	Breakers map[resolver.Kind]BreakerStats
-	// SmartWins counts, per transport kind, how many (client, provider)
-	// smart races that kind won; nil unless resolver.Smart is in the
-	// transport set. Kept as dataset accounting (not just derivable
-	// from Clients) so the constant-memory DiscardClients mode still
-	// reports the win split.
-	SmartWins map[resolver.Kind]int
+	// Accounting sums the countries' drop accounting.
+	Accounting
 	// Obs is the campaign's observability snapshot: per-provider and
 	// per-country latency histograms, accounting gauges, and the
 	// merged simulator counters. Deterministic for a given Config
@@ -336,6 +318,68 @@ type Dataset struct {
 	// country finished: Clients covers only the completed countries
 	// and the Atlas remedy was skipped.
 	Partial bool
+}
+
+// Accounting is the drop accounting of a country, of its journal record
+// (under these JSON names) and of a dataset, which sums its countries'.
+type Accounting struct {
+	// DiscardedMismatch counts clients dropped because the proxy
+	// network and the geolocation service disagreed on the country.
+	DiscardedMismatch int `json:"mismatch"`
+	// DiscardedImplausible counts measurements dropped by the
+	// estimator's plausibility checks.
+	DiscardedImplausible int `json:"implausible"`
+	// Transports reports per-transport measurement accounting: how
+	// many queries ran, how many were discarded, and how many wire
+	// loss events they absorbed (paper §3.5's drop handling, reported
+	// per transport instead of silently lost).
+	Transports map[resolver.Kind]TransportStats `json:"transports"`
+	// Breakers reports circuit-breaker activity per transport kind;
+	// empty unless Config.Breaker armed them.
+	Breakers map[resolver.Kind]BreakerStats `json:"breakers,omitempty"`
+	// SmartWins counts, per transport kind, how many (client, provider)
+	// smart races that kind won; nil unless resolver.Smart is in the
+	// transport set. Kept as accounting (not just derivable from
+	// Clients) so the constant-memory DiscardClients mode still reports
+	// the win split.
+	SmartWins map[resolver.Kind]int `json:"smart_wins,omitempty"`
+}
+
+// add sums o into a: the one fold, per country in Run and per part in
+// Merge.
+func (a *Accounting) add(o Accounting) {
+	a.DiscardedMismatch += o.DiscardedMismatch
+	a.DiscardedImplausible += o.DiscardedImplausible
+	for kind, ts := range o.Transports {
+		if a.Transports == nil {
+			a.Transports = make(map[resolver.Kind]TransportStats)
+		}
+		t := a.Transports[kind]
+		t.Queries += ts.Queries
+		t.Successes += ts.Successes
+		t.Discards += ts.Discards
+		t.LossEvents += ts.LossEvents
+		t.Blocked += ts.Blocked
+		t.Skipped += ts.Skipped
+		a.Transports[kind] = t
+	}
+	for kind, bs := range o.Breakers {
+		if a.Breakers == nil {
+			a.Breakers = make(map[resolver.Kind]BreakerStats)
+		}
+		b := a.Breakers[kind]
+		b.Trips += bs.Trips
+		b.ShortCircuits += bs.ShortCircuits
+		b.Probes += bs.Probes
+		b.EndedOpen += bs.EndedOpen
+		a.Breakers[kind] = b
+	}
+	for kind, n := range o.SmartWins {
+		if a.SmartWins == nil {
+			a.SmartWins = make(map[resolver.Kind]int)
+		}
+		a.SmartWins[kind] += n
+	}
 }
 
 // TransportStats is the per-transport drop accounting for a campaign.
@@ -366,17 +410,6 @@ type TransportStats struct {
 	Skipped int
 }
 
-// merge accumulates per-country stats into the dataset total.
-func (t TransportStats) merge(o TransportStats) TransportStats {
-	t.Queries += o.Queries
-	t.Successes += o.Successes
-	t.Discards += o.Discards
-	t.LossEvents += o.LossEvents
-	t.Blocked += o.Blocked
-	t.Skipped += o.Skipped
-	return t
-}
-
 // BreakerStats aggregates the per-provider×country circuit breakers
 // for one transport kind.
 type BreakerStats struct {
@@ -390,18 +423,6 @@ type BreakerStats struct {
 	// EndedOpen counts breakers still open when their country finished
 	// — the per-target "this transport is dead here" signal.
 	EndedOpen int64
-}
-
-// mergeBreakers accumulates per-country breaker stats.
-func mergeBreakers(dst map[resolver.Kind]BreakerStats, src map[resolver.Kind]BreakerStats) {
-	for kind, bs := range src {
-		d := dst[kind]
-		d.Trips += bs.Trips
-		d.ShortCircuits += bs.ShortCircuits
-		d.Probes += bs.Probes
-		d.EndedOpen += bs.EndedOpen
-		dst[kind] = d
-	}
 }
 
 // Run executes the campaign to completion (no cancellation).
@@ -443,8 +464,7 @@ func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
 
 	ds := &Dataset{
 		AtlasDo53Ms: make(map[string]float64),
-		Transports:  make(map[resolver.Kind]TransportStats, len(transports)),
-		Breakers:    make(map[resolver.Kind]BreakerStats),
+		Accounting:  Accounting{Transports: make(map[resolver.Kind]TransportStats, len(transports))},
 		Seed:        cfg.Seed,
 	}
 	for _, k := range transports {
@@ -485,7 +505,8 @@ func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
 		return nil, fmt.Errorf("campaign: ClaimOwner %q requires CheckpointDir (the claim journal)", cfg.ClaimOwner)
 	}
 	claiming := journal != nil && cfg.ClaimOwner != ""
-	// Serializes journaling + the OnCountryDone callback across workers.
+	// Serializes the OnCountryDone callback across workers. Journaling
+	// needs no lock: the journal is safe for concurrent use.
 	var doneMu sync.Mutex
 	countryDone := func(code string, clients int, resumed bool) {
 		if cfg.OnCountryDone == nil {
@@ -547,30 +568,32 @@ func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
 				}
 				return clients[offset[idx]:offset[idx]:offset[idx+1]]
 			}
-			// finish folds a completed country into the aggregates. In
-			// DiscardClients mode its observations, accounting, and count
-			// are all that leave the worker, so peak memory stays bounded
-			// by the in-flight countries rather than the whole world.
-			finish := func(idx int, res []ClientRecord, acct countryAccounting) {
-				kept[idx] = len(res)
-				aggMu.Lock()
-				foldClients(agg, res)
-				ds.KeptClients += len(res)
-				ds.DiscardedMismatch += acct.mismatch
-				ds.DiscardedImplausible += acct.implausible
-				for kind, stats := range acct.transports {
-					ds.Transports[kind] = ds.Transports[kind].merge(stats)
-				}
-				for kind, n := range acct.smartWins {
-					if ds.SmartWins == nil {
-						ds.SmartWins = make(map[resolver.Kind]int)
+			// country restores country idx from the journal, or measures
+			// and journals it.
+			country := func(idx int) (countryRecord, bool, error) {
+				code := countries[idx]
+				if journal != nil {
+					var rec countryRecord
+					ok, err := journal.Get(code, &rec)
+					if err != nil {
+						return rec, false, err
 					}
-					ds.SmartWins[kind] += n
+					if ok {
+						if !cfg.DiscardClients {
+							win := window(idx)
+							if len(rec.Clients) > cap(win) {
+								return rec, true, fmt.Errorf("campaign: journal record for %s holds %d clients, the country provisions %d", code, len(rec.Clients), cap(win))
+							}
+							rec.Clients = append(win, rec.Clients...)
+						}
+						return rec, true, nil
+					}
 				}
-				mergeBreakers(ds.Breakers, acct.breakers)
-				simTotal = addSimStats(simTotal, acct.simStats)
-				aggMu.Unlock()
-				completed[idx] = true
+				rec, err := measureCountry(ctx, cfg, code, providers, w, window(idx))
+				if err == nil && journal != nil {
+					err = journal.Put(code, rec)
+				}
+				return rec, false, err
 			}
 			for idx := range work {
 				code := countries[idx]
@@ -580,59 +603,39 @@ func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
 					// that shard's claim, and restoring it here would
 					// double-count it in the merged dataset. Not ours
 					// means not our problem — skip it entirely.
-					mine, cerr := journal.Claim(code, cfg.ClaimOwner)
-					if cerr != nil {
-						errs[idx] = cerr
+					mine, err := journal.Claim(code, cfg.ClaimOwner)
+					if err != nil {
+						errs[idx] = err
 						continue
 					}
 					if !mine {
 						continue
 					}
 				}
-				if journal != nil {
-					var rec countryRecord
-					ok, jerr := journal.Get(code, &rec)
-					if jerr != nil {
-						errs[idx] = jerr
-						continue
-					}
-					if ok {
-						res, acct := rec.restore()
-						if !cfg.DiscardClients {
-							win := window(idx)
-							if len(res) > cap(win) {
-								errs[idx] = fmt.Errorf("campaign: journal record for %s holds %d clients, the country provisions %d", code, len(res), cap(win))
-								continue
-							}
-							res = append(win, res...)
-						}
-						finish(idx, res, acct)
-						countryDone(code, kept[idx], true)
-						continue
-					}
-				}
-				res, acct, merr := measureCountry(ctx, cfg, code, providers, w, window(idx))
-				if merr != nil {
-					errs[idx] = merr
+				rec, resumed, err := country(idx)
+				if err != nil {
+					errs[idx] = err
 					if claiming {
 						// Failed or interrupted: hand the country back
 						// so a sibling shard (or a retry) can take it.
-						// Best-effort; the measurement error wins.
+						// Best-effort; the country's error wins.
 						journal.Release(code, cfg.ClaimOwner)
 					}
 					continue
 				}
-				if journal != nil {
-					if jerr := journal.Put(code, newCountryRecord(res, acct)); jerr != nil {
-						errs[idx] = jerr
-						if claiming {
-							journal.Release(code, cfg.ClaimOwner)
-						}
-						continue
-					}
-				}
-				finish(idx, res, acct)
-				countryDone(code, kept[idx], false)
+				// Fold the country into the aggregates. In DiscardClients
+				// mode its observations, accounting, and count are all
+				// that leave the worker, so peak memory stays bounded by
+				// the in-flight countries rather than the whole world.
+				kept[idx] = len(rec.Clients)
+				aggMu.Lock()
+				foldClients(agg, rec.Clients)
+				ds.KeptClients += len(rec.Clients)
+				ds.add(rec.Accounting)
+				simTotal = addSimStats(simTotal, rec.SimStats)
+				aggMu.Unlock()
+				completed[idx] = true
+				countryDone(code, kept[idx], resumed)
 			}
 		}()
 	}
@@ -755,45 +758,18 @@ func configKey(cfg Config, providers []anycast.ProviderID) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// countryRecord is the checkpoint journal payload for one completed
-// country: everything measureCountry produced, JSON-round-trippable
-// (float64 survives encoding/json exactly, so restored records are
+// countryRecord is what measureCountry produces for one country, and
+// its checkpoint journal payload: JSON-round-trippable (float64
+// survives encoding/json exactly, so restored records are
 // byte-identical in the CSV export).
 type countryRecord struct {
-	Clients     []ClientRecord                   `json:"clients"`
-	Mismatch    int                              `json:"mismatch"`
-	Implausible int                              `json:"implausible"`
-	Transports  map[resolver.Kind]TransportStats `json:"transports"`
-	Breakers    map[resolver.Kind]BreakerStats   `json:"breakers,omitempty"`
-	SmartWins   map[resolver.Kind]int            `json:"smart_wins,omitempty"`
-	SimStats    proxynet.SimStats                `json:"sim_stats"`
-}
-
-func newCountryRecord(clients []ClientRecord, acct countryAccounting) countryRecord {
-	return countryRecord{
-		Clients:     clients,
-		Mismatch:    acct.mismatch,
-		Implausible: acct.implausible,
-		Transports:  acct.transports,
-		Breakers:    acct.breakers,
-		SmartWins:   acct.smartWins,
-		SimStats:    acct.simStats,
-	}
-}
-
-func (r countryRecord) restore() ([]ClientRecord, countryAccounting) {
-	acct := countryAccounting{
-		mismatch:    r.Mismatch,
-		implausible: r.Implausible,
-		transports:  r.Transports,
-		breakers:    r.Breakers,
-		smartWins:   r.SmartWins,
-		simStats:    r.SimStats,
-	}
-	if acct.transports == nil {
-		acct.transports = make(map[resolver.Kind]TransportStats)
-	}
-	return r.Clients, acct
+	Clients []ClientRecord `json:"clients"`
+	Accounting
+	// SimStats is the country simulator's final counter snapshot,
+	// summed into the campaign registry by Run. Per-country sims keep
+	// private counters (settle needs sequential per-sim loss deltas),
+	// so the registry view is assembled post-hoc.
+	SimStats proxynet.SimStats `json:"sim_stats"`
 }
 
 // ClientsByCountry groups kept clients per country code.
@@ -863,24 +839,6 @@ func countrySeed(seed int64, code string) int64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d/%s", seed, code)
 	return int64(h.Sum64() & 0x7fffffffffffffff)
-}
-
-// countryAccounting carries one country's drop accounting back to Run.
-type countryAccounting struct {
-	mismatch    int
-	implausible int
-	transports  map[resolver.Kind]TransportStats
-	// breakers aggregates the country's provider breakers per kind;
-	// nil unless Config.Breaker armed them.
-	breakers map[resolver.Kind]BreakerStats
-	// smartWins counts smart-race wins per transport kind; nil unless
-	// resolver.Smart is in the transport set (and there was a win).
-	smartWins map[resolver.Kind]int
-	// simStats is the country simulator's final counter snapshot,
-	// merged into the campaign registry by Run. Per-country sims keep
-	// private counters (settle needs sequential per-sim loss deltas),
-	// so the registry view is assembled post-hoc.
-	simStats proxynet.SimStats
 }
 
 const chunkSize = 4 << 10
@@ -1001,7 +959,7 @@ type countryRun struct {
 	code    string
 	sim     *proxynet.Sim
 	scratch *nameScratch
-	acct    countryAccounting
+	acct    Accounting
 	// uuidSeq numbers the country's unique query names.
 	uuidSeq int
 	// lossSeen is the simulator's loss counter as of the last settled
@@ -1038,9 +996,9 @@ func (r *countryRun) breaker(kind resolver.Kind, pid anycast.ProviderID) *resolv
 
 // skip counts n runs that were never issued.
 func (r *countryRun) skip(kind resolver.Kind, n int) {
-	ts := r.acct.transports[kind]
+	ts := r.acct.Transports[kind]
 	ts.Skipped += n
-	r.acct.transports[kind] = ts
+	r.acct.Transports[kind] = ts
 }
 
 // admit opens a measurement run: the breaker gate (brk may be nil),
@@ -1062,10 +1020,59 @@ func (r *countryRun) admit(kind resolver.Kind, brk *resolver.Breaker) (name stri
 	return name, true
 }
 
+// runOutcome is how an issued run ended.
+type runOutcome int
+
+const (
+	runMeasured    runOutcome = iota // a usable estimate
+	runImplausible                   // dropped by the estimator's plausibility checks
+	runBlocked                       // dropped by port-853 filtering
+	// runPermanent is a failure every later run of the client repeats
+	// (Do53 behind a Super Proxy): the runs left are skipped, and
+	// counted, so Queries+Skipped still adds up to the configured runs.
+	runPermanent
+)
+
+// runs issues the n runs of kind one client makes to one destination
+// (brk may be nil): each is admitted, measured by measure, settled and
+// counted by its outcome. first and reused are the measured runs' mean
+// times in milliseconds, got counts those runs and blocked the blocked
+// ones. measure is called, never kept, so a closure passed to it stays
+// on its caller's stack.
+func (r *countryRun) runs(kind resolver.Kind, brk *resolver.Breaker, n int, measure func(name string) (first, reused time.Duration, o runOutcome)) (first, reused float64, got, blocked int) {
+loop:
+	for i := range n {
+		name, ok := r.admit(kind, brk)
+		if !ok {
+			continue
+		}
+		f, re, o := measure(name)
+		r.settle(kind, brk, name, o)
+		switch o {
+		case runMeasured:
+			first += float64(f) / float64(time.Millisecond)
+			reused += float64(re) / float64(time.Millisecond)
+			got++
+		case runImplausible:
+			r.acct.DiscardedImplausible++
+		case runBlocked:
+			blocked++
+		case runPermanent:
+			r.skip(kind, n-i-1)
+			break loop
+		}
+	}
+	if got > 0 {
+		first /= float64(got)
+		reused /= float64(got)
+	}
+	return first, reused, got, blocked
+}
+
 // settle closes an issued run: the tripwire's marker answer goes under
 // the consumed name, the breaker hears the outcome, and the run lands
 // in exactly one accounting bucket, with the loss events it absorbed.
-func (r *countryRun) settle(kind resolver.Kind, brk *resolver.Breaker, name string, discarded, blocked bool) {
+func (r *countryRun) settle(kind resolver.Kind, brk *resolver.Breaker, name string, o runOutcome) {
 	if r.cache != nil {
 		qname := dnswire.NewName(name)
 		m := dnswire.NewQuery(1, qname, dnswire.TypeA).Reply()
@@ -1076,26 +1083,26 @@ func (r *countryRun) settle(kind resolver.Kind, brk *resolver.Breaker, name stri
 		r.cache.Put(qname, dnswire.TypeA, m)
 	}
 	if brk != nil {
-		if discarded {
+		if o != runMeasured {
 			brk.Failure()
 		} else {
 			brk.Success()
 		}
 	}
-	ts := r.acct.transports[kind]
+	ts := r.acct.Transports[kind]
 	ts.Queries++
 	losses := r.sim.Stats().LossEvents
 	ts.LossEvents += losses - r.lossSeen
 	r.lossSeen = losses
-	if discarded {
+	if o != runMeasured {
 		ts.Discards++
 	} else {
 		ts.Successes++
 	}
-	if blocked {
+	if o == runBlocked {
 		ts.Blocked++
 	}
-	r.acct.transports[kind] = ts
+	r.acct.Transports[kind] = ts
 }
 
 // clientsIn is the number of exit nodes the campaign provisions in ct:
@@ -1122,13 +1129,13 @@ type worker struct {
 // never moved. Cancellation is checked between clients: an abandoned
 // country returns the context error and is never journaled, so a
 // resumed campaign re-measures it in full.
-func measureCountry(ctx context.Context, cfg Config, code string, providers []anycast.ProviderID, w *worker, out []ClientRecord) ([]ClientRecord, countryAccounting, error) {
+func measureCountry(ctx context.Context, cfg Config, code string, providers []anycast.ProviderID, w *worker, out []ClientRecord) (countryRecord, error) {
 	scratch := &w.names
 	run := countryRun{cache: cfg.Cache, policy: cfg.Breaker, code: code, scratch: scratch}
-	run.acct.transports = make(map[resolver.Kind]TransportStats)
+	run.acct.Transports = make(map[resolver.Kind]TransportStats)
 	ct, ok := world.ByCode(code)
 	if !ok {
-		return nil, run.acct, fmt.Errorf("campaign: unknown country %q", code)
+		return countryRecord{}, fmt.Errorf("campaign: unknown country %q", code)
 	}
 	sim := proxynet.NewSim(countrySeed(cfg.Seed, code))
 	if cfg.Chaos.Enabled() {
@@ -1147,16 +1154,16 @@ func measureCountry(ctx context.Context, cfg Config, code string, providers []an
 	out = out[:0]
 	for range clientsIn(cfg, ct) {
 		if err := ctx.Err(); err != nil {
-			return nil, run.acct, err
+			return countryRecord{}, err
 		}
 		if err := sim.SelectExitNodeInto(code, node); err != nil {
-			return nil, run.acct, err
+			return countryRecord{}, err
 		}
 		// Country cross-check (paper §3.5): the proxy network's label
 		// vs the geolocation service's for the /24.
 		located, ok := locator.Locate(node.Addr)
 		if !ok || located != code {
-			run.acct.mismatch++
+			run.acct.DiscardedMismatch++
 			continue
 		}
 		out = append(out, ClientRecord{
@@ -1169,69 +1176,38 @@ func measureCountry(ctx context.Context, cfg Config, code string, providers []an
 		rec := &out[len(out)-1]
 		if wants(resolver.DoH) {
 			for _, pid := range providers {
-				var sumDoH, sumDoHR float64
-				var got int
 				var res DoHResult
-				brk := run.breaker(resolver.DoH, pid)
-				for r := 0; r < cfg.RunsPerClient; r++ {
-					name, ok := run.admit(resolver.DoH, brk)
-					if !ok {
-						continue
-					}
+				first, reused, got, _ := run.runs(resolver.DoH, run.breaker(resolver.DoH, pid), cfg.RunsPerClient, func(name string) (time.Duration, time.Duration, runOutcome) {
 					obs, gt := sim.MeasureDoH(node, pid, name)
 					est, err := core.EstimateDoH(obs)
-					run.settle(resolver.DoH, brk, name, err != nil, false)
 					if err != nil {
-						run.acct.implausible++
-						continue
+						return 0, 0, runImplausible
 					}
-					sumDoH += float64(est.TDoH) / float64(time.Millisecond)
-					sumDoHR += float64(est.TDoHR) / float64(time.Millisecond)
-					got++
-					res.PoPID = gt.PoP.ID
-					res.PoPCountry = gt.PoP.CountryCode
-					res.PoPDistanceKm = gt.PoPDistanceKm
-					res.NearestPoPDistanceKm = gt.NearestPoPDistanceKm
-				}
+					res.PoPID, res.PoPCountry = gt.PoP.ID, gt.PoP.CountryCode
+					res.PoPDistanceKm, res.NearestPoPDistanceKm = gt.PoPDistanceKm, gt.NearestPoPDistanceKm
+					return est.TDoH, est.TDoHR, runMeasured
+				})
 				if got > 0 {
-					res.TDoHMs = sumDoH / float64(got)
-					res.TDoHRMs = sumDoHR / float64(got)
-					res.Valid = true
+					res.TDoHMs, res.TDoHRMs, res.Valid = first, reused, true
 				}
 				rec.DoH.Set(pid, res)
 			}
 		}
 		if wants(resolver.Do53) {
-			var sum53 float64
-			var got53 int
-			for r := 0; r < cfg.RunsPerClient; r++ {
-				name, ok := run.admit(resolver.Do53, nil)
-				if !ok {
-					continue
-				}
+			first, _, got, _ := run.runs(resolver.Do53, nil, cfg.RunsPerClient, func(name string) (time.Duration, time.Duration, runOutcome) {
 				o, _ := sim.MeasureDo53(node, name)
 				v, err := core.EstimateDo53(o)
-				run.settle(resolver.Do53, nil, name, err != nil, false)
-				if err != nil {
-					if errors.Is(err, core.ErrSuperProxyResolution) {
-						// Permanent for this client: the Super Proxy
-						// answers every run. Stop issuing runs but count
-						// the ones we skip, so Queries+Skipped still
-						// adds up to the configured runs.
-						run.skip(resolver.Do53, cfg.RunsPerClient-r-1)
-						break
-					}
-					// Implausible measurement: drop this run and keep
-					// going, symmetric with the DoH loop.
-					run.acct.implausible++
-					continue
+				switch {
+				case err == nil:
+					return v, 0, runMeasured
+				case errors.Is(err, core.ErrSuperProxyResolution):
+					// The Super Proxy answers every run of this client.
+					return 0, 0, runPermanent
 				}
-				sum53 += float64(v) / float64(time.Millisecond)
-				got53++
-			}
-			if got53 > 0 {
-				rec.Do53Ms = sum53 / float64(got53)
-				rec.Do53Valid = true
+				return 0, 0, runImplausible
+			})
+			if got > 0 {
+				rec.Do53Ms, rec.Do53Valid = first, true
 			}
 		}
 		for tr, kind := range extensions {
@@ -1239,34 +1215,18 @@ func measureCountry(ctx context.Context, cfg Config, code string, providers []an
 				continue
 			}
 			for _, pid := range providers {
-				var sumFirst, sumReused float64
-				var got, blocked int
-				brk := run.breaker(kind, pid)
-				for r := 0; r < cfg.RunsPerClient; r++ {
-					name, ok := run.admit(kind, brk)
-					if !ok {
-						continue
-					}
+				first, reused, got, blocked := run.runs(kind, run.breaker(kind, pid), cfg.RunsPerClient, func(name string) (time.Duration, time.Duration, runOutcome) {
 					obs, gt := sim.MeasureSession(proxynet.Transport(tr), node, pid, name)
-					run.settle(kind, brk, name, obs.Blocked, obs.Blocked)
 					if obs.Blocked {
-						blocked++
-						continue
+						return 0, 0, runBlocked
 					}
 					// Ground truth: the extension transports have no
 					// estimator of their own.
-					sumFirst += float64(gt.First) / float64(time.Millisecond)
-					sumReused += float64(gt.Reused) / float64(time.Millisecond)
-					got++
-				}
-				res := SessionResult{
-					BlockedRuns: blocked,
-					Blocked:     got == 0 && blocked > 0,
-				}
+					return gt.First, gt.Reused, runMeasured
+				})
+				res := SessionResult{BlockedRuns: blocked, Blocked: got == 0 && blocked > 0}
 				if got > 0 {
-					res.FirstMs = sumFirst / float64(got)
-					res.ReusedMs = sumReused / float64(got)
-					res.Valid = true
+					res.FirstMs, res.ReusedMs, res.Valid = first, reused, true
 				}
 				rec.Sessions[tr].Set(pid, res)
 			}
@@ -1276,27 +1236,26 @@ func measureCountry(ctx context.Context, cfg Config, code string, providers []an
 				res := deriveSmart(rec, pid)
 				rec.Smart.Set(pid, res)
 				if res.Valid {
-					if run.acct.smartWins == nil {
-						run.acct.smartWins = make(map[resolver.Kind]int)
+					if run.acct.SmartWins == nil {
+						run.acct.SmartWins = make(map[resolver.Kind]int)
 					}
-					run.acct.smartWins[resolver.Kind(res.Winner)]++
+					run.acct.SmartWins[resolver.Kind(res.Winner)]++
 				}
 			}
 		}
 	}
 	if run.breakers != nil {
-		run.acct.breakers = make(map[resolver.Kind]BreakerStats)
+		run.acct.Breakers = make(map[resolver.Kind]BreakerStats)
 		for key, b := range run.breakers {
-			bs, snap := run.acct.breakers[key.kind], b.Snapshot()
+			bs, snap := run.acct.Breakers[key.kind], b.Snapshot()
 			bs.Trips += snap.Trips
 			bs.ShortCircuits += snap.ShortCircuits
 			bs.Probes += snap.Probes
 			if snap.State == resolver.BreakerOpen {
 				bs.EndedOpen++
 			}
-			run.acct.breakers[key.kind] = bs
+			run.acct.Breakers[key.kind] = bs
 		}
 	}
-	run.acct.simStats = sim.Stats()
-	return out, run.acct, nil
+	return countryRecord{Clients: out, Accounting: run.acct, SimStats: sim.Stats()}, nil
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -212,6 +213,9 @@ func TestResumeByteIdenticalCSV(t *testing.T) {
 	if resumed.Transports[resolver.DoH] != uninterrupted.Transports[resolver.DoH] {
 		t.Errorf("DoH accounting differs after resume: %+v vs %+v",
 			resumed.Transports[resolver.DoH], uninterrupted.Transports[resolver.DoH])
+	}
+	if !reflect.DeepEqual(resumed.Accounting, uninterrupted.Accounting) {
+		t.Errorf("accounting differs after resume:\n got %+v\nwant %+v", resumed.Accounting, uninterrupted.Accounting)
 	}
 }
 

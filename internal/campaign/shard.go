@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/obs"
-	"repro/internal/resolver"
 	"repro/internal/sketch"
 	"repro/internal/world"
 )
@@ -58,9 +57,10 @@ func ShardCountries(countries []string, index, total int) ([]string, error) {
 // Clients are reassembled in canonical order (sorted by country code,
 // preserving each country's internal order), which is the order an
 // unsharded campaign emits, so the merged CSV export is byte-identical
-// to the unsharded one. Accounting sums; sketches merge exactly when
-// every part carries one and are otherwise rebuilt from the merged
-// client records; Obs is rebuilt from the merged sketch and
+// to the unsharded one. Accounting sums by the fold Run applies per
+// country; sketches merge exactly when every part carries one and are
+// otherwise rebuilt from the merged client records; Obs is rebuilt
+// from the merged sketch and
 // accounting (the per-run simulator gauges are not part of a dataset
 // release, so they are absent rather than fabricated).
 func Merge(parts ...*Dataset) (*Dataset, error) {
@@ -69,8 +69,6 @@ func Merge(parts ...*Dataset) (*Dataset, error) {
 	}
 	merged := &Dataset{
 		AtlasDo53Ms: make(map[string]float64),
-		Transports:  make(map[resolver.Kind]TransportStats),
-		Breakers:    make(map[resolver.Kind]BreakerStats),
 		Seed:        parts[0].Seed,
 	}
 	seenClient := make(map[string]bool)
@@ -102,18 +100,7 @@ func Merge(parts ...*Dataset) (*Dataset, error) {
 			merged.AtlasDo53Ms[code] = v
 		}
 		merged.KeptClients += p.KeptClients
-		merged.DiscardedMismatch += p.DiscardedMismatch
-		merged.DiscardedImplausible += p.DiscardedImplausible
-		for kind, ts := range p.Transports {
-			merged.Transports[kind] = merged.Transports[kind].merge(ts)
-		}
-		for kind, n := range p.SmartWins {
-			if merged.SmartWins == nil {
-				merged.SmartWins = make(map[resolver.Kind]int)
-			}
-			merged.SmartWins[kind] += n
-		}
-		mergeBreakers(merged.Breakers, p.Breakers)
+		merged.add(p.Accounting)
 		merged.Partial = merged.Partial || p.Partial
 		if p.Sketch == nil {
 			allSketched = false

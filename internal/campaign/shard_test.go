@@ -2,14 +2,20 @@ package campaign
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/anycast"
+	"repro/internal/checkpoint"
 	"repro/internal/proxynet"
+	"repro/internal/resolver"
 	"repro/internal/world"
 )
 
@@ -489,5 +495,127 @@ func TestMergeOwnsItsRecords(t *testing.T) {
 		if a.Clients[i] != want[i] {
 			t.Fatalf("writing to the merged dataset changed part client %d:\n got %+v\nwant %+v", i, a.Clients[i], want[i])
 		}
+	}
+}
+
+// Merge sums the shards' accounting to the unsharded run's: every
+// Accounting field, the kept-client count and every gauge but the
+// per-run simulator ones. The parts stay in memory, because a CSV
+// release carries no accounting.
+func TestMergeSumsAccountingLikeUnsharded(t *testing.T) {
+	countries := []string{"BR", "US", "IT", "NG", "AR", "MX", "ID", "DE", "TH"}
+	cfg := fiveTransportConfig(countries...)
+	cfg.Chaos = soakChaos
+	cfg.Breaker = &resolver.BreakerPolicy{FailureThreshold: 4, ProbeEvery: 6}
+	unsharded, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := unsharded.Accounting
+	if a.DiscardedMismatch == 0 || a.DiscardedImplausible == 0 || len(a.Transports) == 0 ||
+		len(a.Breakers) == 0 || len(a.SmartWins) == 0 {
+		t.Fatalf("an accounting field is zero, so the merge could drop it unseen: %+v", a)
+	}
+
+	const shards = 3
+	parts := make([]*Dataset, shards)
+	for i := range parts {
+		scfg := cfg
+		if scfg.Countries, err = ShardCountries(countries, i, shards); err != nil {
+			t.Fatal(err)
+		}
+		if parts[i], err = Run(scfg); err != nil {
+			t.Fatalf("shard %d: %v", i, err)
+		}
+	}
+	merged, err := Merge(parts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(merged.Accounting, unsharded.Accounting) {
+		t.Errorf("merged accounting differs from the unsharded run's:\n got %+v\nwant %+v", merged.Accounting, unsharded.Accounting)
+	}
+	if merged.KeptClients != unsharded.KeptClients {
+		t.Errorf("merged KeptClients = %d, the unsharded run's %d", merged.KeptClients, unsharded.KeptClients)
+	}
+	gauges := func(ds *Dataset) map[string]float64 {
+		m := make(map[string]float64)
+		for _, g := range ds.Obs.Gauges {
+			if !strings.HasPrefix(g.Name, "campaign_sim_") {
+				m[g.Name] = g.Value
+			}
+		}
+		return m
+	}
+	if got, want := gauges(merged), gauges(unsharded); !reflect.DeepEqual(got, want) {
+		t.Errorf("merged gauges differ from the unsharded run's:\n got %v\nwant %v", got, want)
+	}
+}
+
+// A country that fails gives its claim back on every failure path, so a
+// sibling shard measures it instead of skipping it as another's.
+func TestFailedCountryReleasesItsClaim(t *testing.T) {
+	cfg := smallConfig("LU")
+	fresh, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fresh.Clients) == 0 {
+		t.Fatal("LU kept no clients")
+	}
+	for _, row := range []struct {
+		name, wantErr string
+		// spoil leaves the LU record the failing run finds in dir.
+		spoil func(dir string) error
+	}{
+		{"corrupt record", "corrupt", func(dir string) error {
+			return os.WriteFile(filepath.Join(dir, "LU.json"), []byte("{"), 0o644)
+		}},
+		{"more clients than provisioned", "provisions", func(dir string) error {
+			c := cfg
+			c.CheckpointDir = dir
+			if _, err := Run(c); err != nil {
+				return err
+			}
+			journal, err := checkpoint.Open(dir, configKey(cfg, anycast.ProviderIDs()))
+			if err != nil {
+				return err
+			}
+			var rec countryRecord
+			if ok, err := journal.Get("LU", &rec); !ok || err != nil {
+				return fmt.Errorf("LU's journal record: found %v, %v", ok, err)
+			}
+			ct, _ := world.ByCode("LU")
+			for len(rec.Clients) <= clientsIn(cfg, ct) {
+				rec.Clients = append(rec.Clients, rec.Clients[0])
+			}
+			return journal.Put("LU", rec)
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := row.spoil(dir); err != nil {
+				t.Fatal(err)
+			}
+			run := func(owner string) (*Dataset, error) {
+				c := cfg
+				c.CheckpointDir = dir
+				c.ClaimOwner = owner
+				return Run(c)
+			}
+			if _, err := run("shard-a"); err == nil || !strings.Contains(err.Error(), row.wantErr) {
+				t.Fatalf("shard-a's run: err = %v, want one saying %q", err, row.wantErr)
+			}
+			if err := os.Remove(filepath.Join(dir, "LU.json")); err != nil {
+				t.Fatal(err)
+			}
+			ds, err := run("shard-b")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ds.Clients) != len(fresh.Clients) {
+				t.Errorf("shard-b kept %d clients of LU, a fresh run %d: the failed claim was not released", len(ds.Clients), len(fresh.Clients))
+			}
+		})
 	}
 }

@@ -273,9 +273,11 @@ type Server struct {
 }
 
 // NewServer serves h over TLS with cfg, which must carry a certificate,
-// or over plain HTTP when cfg is nil.
+// or over plain HTTP when cfg is nil. The server keeps a copy of cfg:
+// net/http adds its ALPN protocols to the config it serves, and cfg may
+// be a DoT front's too.
 func NewServer(h http.Handler, cfg *tls.Config) *Server {
-	return &Server{http: &http.Server{Handler: h, TLSConfig: cfg, ReadTimeout: Timeout, WriteTimeout: Timeout}}
+	return &Server{http: &http.Server{Handler: h, TLSConfig: cfg.Clone(), ReadTimeout: Timeout, WriteTimeout: Timeout}}
 }
 
 // ListenAndServe binds addr and serves until Shutdown. It returns once

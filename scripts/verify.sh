@@ -126,8 +126,8 @@ go test -race -count=10 ./internal/proxynet/ -run TestConcurrentSimulatorsShareW
 step "chaos soak (short, race)"
 go test -race -run TestChaosSoak -short ./internal/campaign/
 
-step "scale-out gates (golden merge + claim partition, race)"
-go test -race -run 'TestShardMergeByteIdenticalCSV|TestSmartShardMergeByteIdenticalCSV|TestClaimProtocolPartitionsCountries' \
+step "scale-out gates (golden merge, merged accounting, claim partition, a failed country's claim released; race)"
+go test -race -run 'TestShardMergeByteIdenticalCSV|TestSmartShardMergeByteIdenticalCSV|TestMergeSumsAccountingLikeUnsharded|TestClaimProtocolPartitionsCountries|TestFailedCountryReleasesItsClaim' \
 	./internal/campaign/
 go test -race -run 'TestClaimExactlyOneWinner' ./internal/checkpoint/
 
