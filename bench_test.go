@@ -9,6 +9,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -41,7 +42,7 @@ func benchSuite(b *testing.B) *experiments.Suite {
 		cfg := campaign.DefaultConfig(2021)
 		cfg.ClientScale = 0.5
 		cfg.AtlasProbes = 10
-		suite, suiteErr = experiments.NewSuite(cfg, 5)
+		suite, suiteErr = experiments.NewSuiteContext(context.Background(), cfg, 5)
 	})
 	if suiteErr != nil {
 		b.Fatal(suiteErr)

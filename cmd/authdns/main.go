@@ -14,7 +14,6 @@ import (
 	"log"
 	"net/netip"
 	"os"
-	"time"
 
 	"repro/internal/authserver"
 	"repro/internal/cmdconfig"
@@ -26,7 +25,6 @@ func main() {
 	zoneName := flag.String("zone", "a.com", "zone origin")
 	target := flag.String("addr", "127.0.0.1", "A record target for the wildcard")
 	zoneFile := flag.String("zonefile", "", "BIND-style master file to load instead of the built-in zone")
-	secondary := flag.String("secondary", "", "act as a secondary: AXFR the zone from this primary (host:port)")
 	flag.DurationVar(&serving.StreamWriteTimeout, "write-timeout", 0, "per-response TCP write deadline (0 = idle timeout, negative = none)")
 	flag.IntVar(&serving.MaxFrameBytes, "max-frame", 0, "max TCP request frame bytes; oversize closes the connection (0 = 64KiB-1)")
 	flag.Parse()
@@ -34,15 +32,7 @@ func main() {
 
 	origin := dnswire.NewName(*zoneName)
 	var zone *authserver.Zone
-	if *secondary != "" {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		z, err := authserver.RequestAXFR(ctx, *secondary, origin)
-		cancel()
-		if err != nil {
-			log.Fatalf("authdns: zone transfer from %s: %v", *secondary, err)
-		}
-		zone = z
-	} else if *zoneFile != "" {
+	if *zoneFile != "" {
 		f, err := os.Open(*zoneFile)
 		if err != nil {
 			log.Fatalf("authdns: %v", err)

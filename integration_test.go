@@ -2,6 +2,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -22,7 +23,7 @@ func TestEndToEndStudy(t *testing.T) {
 	cfg := campaign.DefaultConfig(4242)
 	cfg.ClientScale = 0.3
 	cfg.AtlasProbes = 6
-	suite, err := experiments.NewSuite(cfg, 4)
+	suite, err := experiments.NewSuiteContext(context.Background(), cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

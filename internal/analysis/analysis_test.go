@@ -62,6 +62,35 @@ func TestRowsWellFormed(t *testing.T) {
 	}
 }
 
+// TestDoHNAmortization pins the paper's DoH_N notation: the first
+// query pays DoH1, the other n-1 pay DoHR, so the average falls toward
+// DoHR as one connection carries more queries.
+func TestDoHNAmortization(t *testing.T) {
+	r := Row{DoH1Ms: 400, DoHRMs: 250}
+	prev := r.DoH1Ms
+	for _, tc := range []struct {
+		n    int
+		want float64
+	}{
+		{0, 400}, {1, 400}, // n <= 1 is DoH1
+		{10, 265},
+		{100, 251.5},
+		{1000, 250.15},
+	} {
+		got := r.DoHNMs(tc.n)
+		if got != tc.want {
+			t.Errorf("DoHNMs(%d) = %v, want %v", tc.n, got, tc.want)
+		}
+		if tc.n >= 10 && got >= prev {
+			t.Errorf("DoHNMs(%d) = %v, not below the previous %v", tc.n, got, prev)
+		}
+		if got < r.DoHRMs {
+			t.Errorf("DoHNMs(%d) = %v below DoHR %v", tc.n, got, r.DoHRMs)
+		}
+		prev = got
+	}
+}
+
 func TestProviderOrderingMatchesPaper(t *testing.T) {
 	a := sharedAnalysis(t)
 	doh1, dohr, do53 := a.ResolverDistributions()

@@ -29,7 +29,7 @@ type QueryLogEntry struct {
 // Server serves a Zone authoritatively over UDP and TCP. Transport
 // mechanics (socket sharding, datagram I/O, framing, graceful drain)
 // live in the serve engine; this type supplies the DNS
-// semantics: zone lookups, CNAME chasing, AXFR, and the query log.
+// semantics: zone lookups, CNAME chasing and the query log.
 type Server struct {
 	Zone *Zone
 	// Logger, when set, receives one line per malformed packet.
@@ -230,18 +230,6 @@ func (s *Server) handlePacket(raw []byte, src netip.AddrPort, proto string) *dns
 		Protocol: proto,
 	})
 	resp := q.ReplyInto(dnswire.GetMessage())
-	if q.Questions[0].Type == TypeAXFR {
-		// Zone transfers only travel over TCP (RFC 5936 §4.2).
-		if proto != "tcp" {
-			resp.Header.RCode = dnswire.RCodeRefused
-			return resp
-		}
-		if err := s.answerAXFR(resp); err != nil {
-			s.logf("authserver: AXFR: %v", err)
-			resp.Header.RCode = dnswire.RCodeServFail
-		}
-		return resp
-	}
 	s.answer(q, resp)
 	return resp
 }

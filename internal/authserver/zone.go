@@ -65,6 +65,12 @@ func (z *Zone) Add(rr dnswire.ResourceRecord) error {
 	if rr.Class == 0 {
 		rr.Class = dnswire.ClassIN
 	}
+	// A record the wire cannot carry (a label over 63 octets, a TXT
+	// string over 255 bytes) would leave every answer holding it
+	// unpackable: the codec's limits refuse it here, once.
+	if _, err := (&dnswire.Message{Answers: []dnswire.ResourceRecord{rr}}).AppendPack(nil); err != nil {
+		return fmt.Errorf("authserver: record %s: %w", rr.Name, err)
+	}
 	wildcard := isWildcard(name)
 	base := name
 	if wildcard {

@@ -1,12 +1,10 @@
 package authserver
 
 import (
-	"context"
 	"net/netip"
 	"strings"
 	"testing"
 
-	"repro/internal/dnsclient"
 	"repro/internal/dnswire"
 )
 
@@ -159,6 +157,36 @@ func TestZoneFileErrors(t *testing.T) {
 	}
 }
 
+// TestZoneRejectsRecordsTheWireCannotCarry: a record whose name or
+// RDATA breaks an RFC 1035 limit is refused at load, by the master-file
+// parser (its error names the line) and by Zone.Add alike. Accepted, it
+// would make every answer holding it unpackable, and the server would
+// drop those replies.
+func TestZoneRejectsRecordsTheWireCannotCarry(t *testing.T) {
+	label := strings.Repeat("l", 70)
+	txt := strings.Repeat("t", 300)
+	for _, tc := range []struct {
+		name string
+		line string
+		rr   dnswire.ResourceRecord
+	}{
+		{"CNAME target with a 70-octet label", "www CNAME " + label + ".a.com.",
+			dnswire.ResourceRecord{Name: "www.a.com.", Data: dnswire.CNAMERecord{Target: dnswire.Name(label + ".a.com.")}}},
+		{"300-byte TXT string", `www TXT "` + txt + `"`,
+			dnswire.ResourceRecord{Name: "www.a.com.", Data: dnswire.TXTRecord{Strings: []string{txt}}}},
+		{"70-octet owner label", label + " A 192.0.2.1",
+			dnswire.ResourceRecord{Name: dnswire.Name(label + ".a.com."), Data: dnswire.ARecord{Addr: netip.MustParseAddr("192.0.2.1")}}},
+	} {
+		_, err := ParseZoneFile(strings.NewReader("$ORIGIN a.com.\n"+tc.line+"\n"), "")
+		if err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("%s: ParseZoneFile error = %v, want one naming line 2", tc.name, err)
+		}
+		if err := NewZone("a.com.").Add(tc.rr); err == nil {
+			t.Errorf("%s: Zone.Add accepted it", tc.name)
+		}
+	}
+}
+
 func TestParseTTLUnits(t *testing.T) {
 	cases := map[string]uint32{
 		"60": 60, "5m": 300, "2h": 7200, "1d": 86400, "2w": 1209600, "30S": 30,
@@ -187,72 +215,5 @@ func TestZoneFileServedEndToEnd(t *testing.T) {
 	// CNAME chased to the A record.
 	if len(resp.Answers) != 2 {
 		t.Fatalf("answers = %v", resp.Answers)
-	}
-}
-
-func TestAXFREndToEnd(t *testing.T) {
-	z := parseSample(t)
-	srv := NewServer(z)
-	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Shutdown(context.Background())
-
-	got, err := RequestAXFR(context.Background(), srv.Addr(), "a.com.")
-	if err != nil {
-		t.Fatalf("RequestAXFR: %v", err)
-	}
-	// The secondary must answer the same lookups as the primary.
-	cases := []struct {
-		name dnswire.Name
-		typ  dnswire.Type
-	}{
-		{"www.a.com.", dnswire.TypeA},
-		{"www.a.com.", dnswire.TypeAAAA},
-		{"alias.a.com.", dnswire.TypeCNAME},
-		{"mail.a.com.", dnswire.TypeMX},
-		{"some-uuid.a.com.", dnswire.TypeA}, // wildcard survives transfer
-	}
-	for _, tc := range cases {
-		want, wres := z.Lookup(tc.name, tc.typ)
-		have, hres := got.Lookup(tc.name, tc.typ)
-		if wres != hres || len(want) != len(have) {
-			t.Errorf("%s %s: primary %v/%d, secondary %v/%d",
-				tc.name, tc.typ, wres, len(want), hres, len(have))
-		}
-	}
-	soaA, okA := z.SOA()
-	soaB, okB := got.SOA()
-	if !okA || !okB || soaA.Data.(dnswire.SOARecord).Serial != soaB.Data.(dnswire.SOARecord).Serial {
-		t.Error("SOA did not survive transfer")
-	}
-}
-
-func TestAXFRRefusedOverUDP(t *testing.T) {
-	z := parseSample(t)
-	srv := NewServer(z)
-	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Shutdown(context.Background())
-	var c dnsclient.Client
-	q := dnswire.NewQuery(1, "a.com.", TypeAXFR)
-	resp, _, err := c.Exchange(context.Background(), srv.Addr(), q)
-	if err != nil {
-		t.Fatalf("Exchange: %v", err)
-	}
-	if resp.Header.RCode != dnswire.RCodeRefused {
-		t.Errorf("UDP AXFR rcode = %v, want REFUSED", resp.Header.RCode)
-	}
-}
-
-func TestAXFRWithoutSOAFails(t *testing.T) {
-	z := NewZone("nosoa.test.")
-	if err := z.Add(dnswire.ResourceRecord{Name: "x.nosoa.test.", TTL: 1,
-		Data: dnswire.ARecord{Addr: netip.MustParseAddr("192.0.2.1")}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := z.TransferRecords(); err == nil {
-		t.Fatal("transfer without SOA succeeded")
 	}
 }

@@ -121,14 +121,3 @@ func EstimateDo53(obs proxynet.Do53Observation) (time.Duration, error) {
 	}
 	return obs.Tun.DNS, nil
 }
-
-// DoHN returns the average per-query resolution time over n queries
-// issued on a single TLS connection: the first pays the full t_DoH,
-// the remaining n-1 pay t_DoHR (the paper's DoH1/DoH10/DoH100/DoH1000
-// notation).
-func DoHN(tDoH, tDoHR time.Duration, n int) time.Duration {
-	if n <= 1 {
-		return tDoH
-	}
-	return (tDoH + time.Duration(n-1)*tDoHR) / time.Duration(n)
-}

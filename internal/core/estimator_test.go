@@ -167,31 +167,6 @@ func TestEstimateDo53(t *testing.T) {
 	}
 }
 
-func TestDoHNAmortization(t *testing.T) {
-	tDoH := 400 * time.Millisecond
-	tDoHR := 250 * time.Millisecond
-	if got := DoHN(tDoH, tDoHR, 1); got != tDoH {
-		t.Errorf("DoH1 = %v", got)
-	}
-	got10 := DoHN(tDoH, tDoHR, 10)
-	want10 := (tDoH + 9*tDoHR) / 10
-	if got10 != want10 {
-		t.Errorf("DoH10 = %v, want %v", got10, want10)
-	}
-	// Monotone: more reuse amortizes toward tDoHR.
-	got100 := DoHN(tDoH, tDoHR, 100)
-	got1000 := DoHN(tDoH, tDoHR, 1000)
-	if !(got1000 < got100 && got100 < got10 && got10 < tDoH) {
-		t.Errorf("amortization not monotone: %v %v %v %v", tDoH, got10, got100, got1000)
-	}
-	if got1000 < tDoHR {
-		t.Errorf("DoH1000 = %v below tDoHR = %v", got1000, tDoHR)
-	}
-	if got := DoHN(tDoH, tDoHR, 0); got != tDoH {
-		t.Errorf("DoHN(0) = %v, want tDoH", got)
-	}
-}
-
 func TestValidationTablesReproduceSection4(t *testing.T) {
 	sim := proxynet.NewSim(21)
 	// Table 1: six ground-truth countries.

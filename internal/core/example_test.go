@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/anycast"
 	"repro/internal/core"
@@ -30,14 +29,4 @@ func ExampleEstimateDoH() {
 	// With jitter disabled the estimator is exact to the millisecond.
 	fmt.Printf("estimate == truth: %v\n", est.TDoH.Round(1e6) == gt.TDoH.Round(1e6))
 	// Output: estimate == truth: true
-}
-
-// ExampleDoHN shows the connection-reuse amortization the paper's
-// DoH10/DoH100 notation describes: the first query pays the
-// handshakes, the rest ride the warm connection.
-func ExampleDoHN() {
-	tDoH := 400 * time.Millisecond  // first query
-	tDoHR := 250 * time.Millisecond // reused connection
-	fmt.Println(core.DoHN(tDoH, tDoHR, 10).Milliseconds(), "ms average over 10 queries")
-	// Output: 265 ms average over 10 queries
 }

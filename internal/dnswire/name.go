@@ -88,15 +88,6 @@ func (n Name) IsSubdomainOf(zone Name) bool {
 	return nc == zc || strings.HasSuffix(nc, "."+zc)
 }
 
-// Validate checks RFC 1035 length limits: no empty label, none over 63
-// octets, at most 255 octets on the wire.
-func (n Name) Validate() error {
-	if n.IsRoot() {
-		return nil
-	}
-	return validateNameString(string(NewName(string(n))))
-}
-
 // validateNameString checks RFC 1035 length limits by scanning the
 // normalized (trailing-dot, non-root) presentation form without
 // splitting it into label strings.

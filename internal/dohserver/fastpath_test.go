@@ -108,12 +108,6 @@ func TestCacheControlMaxAge(t *testing.T) {
 			if cl, n := rec.Header().Get("Content-Length"), rec.Body.Len(); cl != strconv.Itoa(n) {
 				t.Errorf("Content-Length = %q, body is %d bytes", cl, n)
 			}
-			// The JSON API shares the rule.
-			rec = httptest.NewRecorder()
-			h.ServeJSON(rec, httptest.NewRequest(http.MethodGet, JSONPath+"?name=m.a.com&type=A", nil))
-			if cc := rec.Header().Get("Cache-Control"); cc != tc.want {
-				t.Errorf("JSON Cache-Control = %q, want %q", cc, tc.want)
-			}
 		})
 	}
 }

@@ -248,13 +248,11 @@ func dnsQueryParam(rawQuery string) string {
 	return ""
 }
 
-// Mux returns an http.ServeMux with the wire-format handler mounted
-// at DefaultPath and the JSON API at JSONPath, mirroring public
-// providers' layouts.
+// Mux returns an http.ServeMux with the handler mounted at
+// DefaultPath, mirroring public providers' layouts.
 func (h *Handler) Mux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle(DefaultPath, h)
-	mux.HandleFunc(JSONPath, h.ServeJSON)
 	return mux
 }
 

@@ -4,13 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/base64"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httptrace"
 	"net/netip"
-	"strings"
 	"testing"
 
 	"repro/internal/dnswire"
@@ -289,95 +287,5 @@ func TestHTTP2EndToEnd(t *testing.T) {
 		if reused != (i == 1) {
 			t.Errorf("%s: reused = %v, want %v", name, reused, i == 1)
 		}
-	}
-}
-
-func TestJSONAPI(t *testing.T) {
-	h := NewHandler(testResolver())
-	srv := httptest.NewServer(h.Mux())
-	defer srv.Close()
-
-	resp, err := http.Get(srv.URL + JSONPath + "?name=j1.a.com&type=A")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %s", resp.Status)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != JSONContentType {
-		t.Errorf("content-type = %q", ct)
-	}
-	var body JSONResponse
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if body.Status != 0 {
-		t.Errorf("Status = %d", body.Status)
-	}
-	if len(body.Question) != 1 || body.Question[0].Name != "j1.a.com." || body.Question[0].Type != 1 {
-		t.Errorf("Question = %+v", body.Question)
-	}
-	if len(body.Answer) != 1 || body.Answer[0].Data != "203.0.113.1" || body.Answer[0].TTL != 42 {
-		t.Errorf("Answer = %+v", body.Answer)
-	}
-	if !body.RA {
-		t.Error("RA not set")
-	}
-}
-
-// TestJSONAPIParamValidation: a missing name, an unknown type, a name
-// the wire format cannot carry (a label over 63 octets, a name over 255,
-// an empty label) and one that is not UTF-8 are 400s; numeric and default types, and a label
-// of exactly 63 octets, are answered.
-func TestJSONAPIParamValidation(t *testing.T) {
-	h := NewHandler(testResolver())
-	srv := httptest.NewServer(h.Mux())
-	defer srv.Close()
-
-	for _, tc := range []struct {
-		query string
-		want  int
-	}{
-		{"", http.StatusBadRequest},
-		{"?name=x.a.com&type=BOGUS", http.StatusBadRequest},
-		{"?name=" + strings.Repeat("l", 70) + ".a.com", http.StatusBadRequest},
-		{"?name=" + strings.Repeat("abcdefghi.", 30) + "a.com", http.StatusBadRequest}, // 305 octets
-		{"?name=a..b.a.com", http.StatusBadRequest},
-		{"?name=%FF.a.com", http.StatusBadRequest}, // a JSON answer could not echo it
-		{"?name=y.a.com&type=28", http.StatusOK},
-		{"?name=z.a.com", http.StatusOK},
-		{"?name=" + strings.Repeat("l", 63) + ".a.com", http.StatusOK},
-	} {
-		resp, err := http.Get(srv.URL + JSONPath + tc.query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != tc.want {
-			t.Errorf("%q: status = %s, want %d", tc.query, resp.Status, tc.want)
-		}
-	}
-}
-
-func TestJSONAPIServFail(t *testing.T) {
-	r := recursive.New(nil)
-	r.SetDefault(recursive.UpstreamFunc(func(context.Context, *dnswire.Message) (*dnswire.Message, error) {
-		return nil, context.DeadlineExceeded
-	}))
-	h := NewHandler(r)
-	srv := httptest.NewServer(h.Mux())
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + JSONPath + "?name=f.a.com")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var body JSONResponse
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-	if body.Status != int(dnswire.RCodeServFail) {
-		t.Errorf("Status = %d, want SERVFAIL(2)", body.Status)
 	}
 }

@@ -19,9 +19,6 @@ import (
 	"repro/internal/serve"
 )
 
-// DefaultPort is the IANA-assigned DoT port.
-const DefaultPort = 853
-
 // Timing is the per-phase breakdown of a DoT exchange; zero DNSLookup,
 // Connect and TLSHandshake on a pooled connection.
 type Timing = dnsclient.Timing

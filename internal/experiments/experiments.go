@@ -54,15 +54,10 @@ type Suite struct {
 	MinClients int
 }
 
-// NewSuite runs the campaign and prepares the analysis.
-func NewSuite(cfg campaign.Config, minClients int) (*Suite, error) {
-	return NewSuiteContext(context.Background(), cfg, minClients)
-}
-
-// NewSuiteContext is NewSuite with cancellation. When ctx is canceled
-// mid-campaign the partially-measured dataset is still wrapped in a
-// Suite and returned alongside the context error, so the caller can
-// flush what was collected before exiting.
+// NewSuiteContext runs the campaign and prepares the analysis. When
+// ctx is canceled mid-campaign the partially-measured dataset is still
+// wrapped in a Suite and returned alongside the context error, so the
+// caller can flush what was collected before exiting.
 func NewSuiteContext(ctx context.Context, cfg campaign.Config, minClients int) (*Suite, error) {
 	ds, err := campaign.RunContext(ctx, cfg)
 	if ds == nil {

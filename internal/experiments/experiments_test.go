@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -20,7 +21,7 @@ func sharedSuite(t *testing.T) *Suite {
 		cfg := campaign.DefaultConfig(777)
 		cfg.ClientScale = 0.35
 		cfg.AtlasProbes = 8
-		shared, buildErr = NewSuite(cfg, 4)
+		shared, buildErr = NewSuiteContext(context.Background(), cfg, 4)
 	})
 	if buildErr != nil {
 		t.Fatal(buildErr)
@@ -182,11 +183,11 @@ func TestReportsDeterministic(t *testing.T) {
 	cfg.Countries = []string{"BR", "IT", "ZA", "TH", "PL", "CO", "EG", "VN"}
 	cfg.ClientScale = 0.3
 	cfg.AtlasProbes = 4
-	s1, err := NewSuite(cfg, 3)
+	s1, err := NewSuiteContext(context.Background(), cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := NewSuite(cfg, 3)
+	s2, err := NewSuiteContext(context.Background(), cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,11 +45,6 @@ const (
 // strategy) in canonical order.
 func Kinds() []Kind { return []Kind{Do53, DoH, DoT, DoQ, Smart} }
 
-// WireKinds returns the concrete wire transports — every Kind that
-// maps to a single protocol on the network, excluding the smart
-// composite.
-func WireKinds() []Kind { return []Kind{Do53, DoH, DoT, DoQ} }
-
 // ParseKind parses a transport name (case-insensitive; "do53", "doh",
 // "dot", "doq", or the composite "smart").
 func ParseKind(s string) (Kind, error) {

@@ -43,11 +43,6 @@ func TestParseKind(t *testing.T) {
 	if Kind("doq2").Valid() {
 		t.Error("unknown kind reported valid")
 	}
-	for _, k := range WireKinds() {
-		if k == Smart {
-			t.Error("WireKinds() includes the smart composite")
-		}
-	}
 }
 
 func TestTimingBreakdown(t *testing.T) {

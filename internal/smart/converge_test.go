@@ -23,9 +23,13 @@ type convergePoP struct {
 	service time.Duration
 }
 
+// convergeKinds are the four wire transports, in the order of a
+// convergeDest's pops.
+var convergeKinds = [4]resolver.Kind{resolver.Do53, resolver.DoH, resolver.DoT, resolver.DoQ}
+
 // convergeDest is one destination country: the client endpoint and the
-// PoP of each transport in resolver.WireKinds order (Do53, DoH, DoT,
-// DoQ). expect is the transport with the lowest warm latency.
+// PoP of each transport in convergeKinds order. expect is the transport
+// with the lowest warm latency.
 type convergeDest struct {
 	code   string
 	client geo.Point
@@ -87,7 +91,7 @@ func convergeDestOf(q *dnswire.Message) string {
 // Timing is all anyone reads.
 func newConvergeSet(model netsim.LatencyModel, seed int64, dests []convergeDest) []*SimTransport {
 	var set []*SimTransport
-	for i, kind := range resolver.WireKinds() {
+	for i, kind := range convergeKinds {
 		st := NewSimTransport(kind, model, seed+int64(i), 1e15, convergeDestOf)
 		for _, d := range dests {
 			pop := d.pops[i]
@@ -160,7 +164,7 @@ func TestSmartConvergesToPerDestinationBest(t *testing.T) {
 	var clock atomic.Int64
 	var cands []Candidate
 	for k, st := range newConvergeSet(model, 142, dests) {
-		cands = append(cands, Candidate{Kind: resolver.WireKinds()[k], Resolver: st})
+		cands = append(cands, Candidate{Kind: convergeKinds[k], Resolver: st})
 	}
 	s, err := New(Config{
 		SmartOptions: resolver.SmartOptions{
@@ -221,7 +225,7 @@ func TestSmartConvergesToPerDestinationBest(t *testing.T) {
 				d.code, smartP95, smartP95/best, best)
 		}
 	}
-	for k, kind := range resolver.WireKinds() {
+	for k, kind := range convergeKinds {
 		t.Logf("mean p95: smart %.2f ms, %s %.2f ms", meanSmart, kind, meanFixed[k])
 		if meanSmart >= meanFixed[k] {
 			t.Errorf("smart mean p95 %.2f ms does not beat %s's %.2f ms", meanSmart, kind, meanFixed[k])

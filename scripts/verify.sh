@@ -33,7 +33,8 @@ step "unit tests (all packages)"
 # TestAnswerHitAllocationFree, TestResolveHitAllocBudget and the
 # dnswire, cache and authserver ones), RFC 4592's wildcard examples
 # (TestWildcardClosestEncloser), the measurement zone's pinned replies
-# (TestMeasurementZoneAnswersPinned), the campaign's timeline oracle
+# (TestMeasurementZoneAnswersPinned), a zone refusing a record the wire
+# cannot carry (TestZoneRejectsRecordsTheWireCannotCarry), the campaign's timeline oracle
 # and transport-table rows, the haversine's bit identity
 # (TestSiteDistanceBitIdentical) and the PoP site table against a
 # table-less Provider (TestSiteTableMatchesProviderLiteral), the string
