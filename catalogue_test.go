@@ -16,6 +16,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/campaign"
 	"repro/internal/dnswire"
+	"repro/internal/dohserver"
 	"repro/internal/dot"
 	"repro/internal/obs"
 	"repro/internal/proxynet"
@@ -29,7 +30,8 @@ import (
 // names the code registers, both ways. It files every live component in
 // one registry — the serve engine as a DoT front over a policy stack
 // with a registry, a breaker and an instrumented cache, a smart racer
-// over that front and an authoritative server, a RealProxy — resolves a
+// over that front and an authoritative server, a DoH handler under
+// cmd/dohsrv's prefix, a RealProxy — resolves a
 // few queries through them, and adds the names a small guarded,
 // breaker-armed campaign publishes and the ones cmd/dohsrv's source
 // files (package main, so read as text). Every such name must match a
@@ -88,6 +90,7 @@ func TestMetricCatalogue(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer racer.Close()
+	dohserver.NewHandler(nil).Instrument(reg, "dohsrv") // as cmd/dohsrv files it
 	proxy := &proxynet.RealProxy{Obs: reg}
 	if err := proxy.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatal(err)

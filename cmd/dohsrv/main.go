@@ -86,6 +86,7 @@ func main() {
 	}
 	res.AddZone(dnswire.NewName(*zone), resolver.UpstreamAdapter{R: forwarder})
 	handler := dohserver.NewHandler(res)
+	handler.Instrument(reg, "dohsrv") // dohsrv_{queries,scrubbed_ecs}_total on /metrics
 
 	// Both listeners serve the -cert/-key pair, else a self-signed one.
 	certFor := func(addr string) (cfg *tls.Config, note string) {
@@ -115,13 +116,7 @@ func main() {
 	}
 	mux := handler.Mux()
 	if *metrics {
-		// Published at scrape time: the handler stays the source of truth.
-		snapshot := obs.Handler(reg)
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-			reg.Gauge("dohsrv_queries").Set(float64(handler.Queries()))
-			reg.Gauge("dohsrv_scrubbed_ecs").Set(float64(handler.ScrubbedECS()))
-			snapshot.ServeHTTP(w, r)
-		})
+		mux.Handle("/metrics", obs.Handler(reg))
 	}
 	var httpHandler http.Handler = mux
 	if serving.MaxInflight > 0 {

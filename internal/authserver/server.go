@@ -58,12 +58,17 @@ type Server struct {
 	mu      sync.Mutex
 	queries []QueryLogEntry // ring once len reaches the limit
 	qhead   int             // oldest entry when the ring has wrapped
-	engine  *serve.Server
+	// names holds the logged question names (guarded by mu), cut in the
+	// order they are logged: as the ring overwrites its oldest entries,
+	// the oldest chunks die with them.
+	names  dnswire.StringChunks
+	engine *serve.Server
 }
 
 // DefaultQueryLogLimit bounds the query log when QueryLogLimit is 0:
 // enough to enumerate every resolver PoP the paper's vantage points
-// uncover, small enough (~5 MB) to never matter.
+// uncover, small enough (~9 MB: 96 B an entry plus its name, 43 B for
+// the measurement zone's UUID names) to never matter.
 const DefaultQueryLogLimit = 1 << 16
 
 // NewServer returns a server for zone, not yet listening.
@@ -116,11 +121,16 @@ func (s *Server) QueryLog() []QueryLogEntry {
 	return append(out, s.queries[:s.qhead]...)
 }
 
-func (s *Server) logQuery(e QueryLogEntry) {
-	limit := s.QueryLogLimit
-	if limit == 0 {
-		limit = DefaultQueryLogLimit
+// queryLogLimit is QueryLogLimit with 0 read as the default.
+func (s *Server) queryLogLimit() int {
+	if s.QueryLogLimit == 0 {
+		return DefaultQueryLogLimit
 	}
+	return s.QueryLogLimit
+}
+
+func (s *Server) logQuery(e QueryLogEntry) {
+	limit := s.queryLogLimit()
 	if limit < 0 {
 		return
 	}
@@ -213,25 +223,40 @@ func (s *Server) serveMessage(_ context.Context, out, raw []byte, src net.Addr) 
 // message pool and shares nothing with anyone (zone lookups copy into
 // it), so the caller puts it back once it is packed.
 func (s *Server) handlePacket(raw []byte, src netip.AddrPort, proto string) *dnswire.Message {
-	// The decode target is pooled: the response only shares immutable
-	// strings and zone-owned records with it, never its slices.
-	q := dnswire.GetMessage()
-	defer dnswire.PutMessage(q)
-	if err := dnswire.UnpackInto(raw, q); err != nil {
-		s.logf("authserver: bad packet from %v: %v", src, err)
-		return nil
+	// The query is decoded into the pooled message its reply is then
+	// built in (ReplyInto keeps the ID, opcode, RD flag and question and
+	// empties the other sections): one message per query, not two.
+	m := dnswire.GetMessage()
+	// A logging server cuts the question name the log keeps from the
+	// log's chunks first and lends it to the decode, which then makes no
+	// string of its own; the pooled message's old question is dropped so
+	// that the log never keeps a string cut from elsewhere. A packet that
+	// then fails to decode wastes its cut; it is not logged.
+	var hint dnswire.Message
+	if s.queryLogLimit() > 0 {
+		var name [dnswire.NameBufSize]byte
+		if peeked, _, ok := dnswire.PeekQuestion(raw, &name); ok {
+			s.mu.Lock()
+			cut := dnswire.Name(s.names.Cut(peeked))
+			s.mu.Unlock()
+			hint.Questions = []dnswire.Question{{Name: cut}}
+			m.Questions = m.Questions[:0]
+		}
 	}
-	if q.Header.Response || len(q.Questions) == 0 {
+	if err := dnswire.UnpackReplyInto(raw, m, &hint); err != nil || m.Header.Response || len(m.Questions) == 0 {
+		if err != nil {
+			s.logf("authserver: bad packet from %v: %v", src, err)
+		}
+		dnswire.PutMessage(m)
 		return nil
 	}
 	s.logQuery(QueryLogEntry{
 		Time: time.Now(), Source: src,
-		Name: q.Questions[0].Name, Type: q.Questions[0].Type,
+		Name: m.Questions[0].Name, Type: m.Questions[0].Type,
 		Protocol: proto,
 	})
-	resp := q.ReplyInto(dnswire.GetMessage())
-	s.answer(q, resp)
-	return resp
+	s.answer(m, m.ReplyInto(m))
+	return m
 }
 
 // Answer produces the authoritative response for query q. It is

@@ -2,10 +2,13 @@ package authserver
 
 import (
 	"context"
+	"fmt"
 	"net/netip"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/dnsclient"
 	"repro/internal/dnswire"
@@ -280,6 +283,61 @@ func TestQueryLogRingKeepsTheNewest(t *testing.T) {
 		if want := dnswire.Type(i + 2); e.Type != want {
 			t.Errorf("after the raise, entry %d is query %d, want %d", i, e.Type, want)
 		}
+	}
+}
+
+// TestQueryLogNamesComeFromChunks wraps a small ring many times, with a
+// packet that peeks but fails to decode after every query. Every entry
+// reads the name asked, spelling included, no failed packet is logged,
+// and the heap the server keeps is its ring and the names in it, plus
+// the slack of the two chunks at the window's ends (the one being
+// written and the oldest, part dead): the log's chunks die with the
+// entries cut from them.
+func TestQueryLogNamesComeFromChunks(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory inflates the heap")
+	}
+	const limit, queries = 64, 200 * 64
+	name := func(i int) dnswire.Name { return dnswire.Name(fmt.Sprintf("q%06d.A.com.", i)) }
+	heap := func() int {
+		runtime.GC()
+		runtime.GC() // the first leaves sync.Pool's victim cache behind
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int(ms.HeapAlloc)
+	}
+	s := NewServer(testZone(t))
+	s.QueryLogLimit = limit
+	src := netip.MustParseAddrPort("192.0.2.53:53")
+	before := heap()
+	for i := 0; i < queries; i++ {
+		raw, err := dnswire.NewQuery(uint16(i), name(i), dnswire.TypeA).Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dnswire.PutMessage(s.handlePacket(raw, src, "udp"))
+		if s.handlePacket(raw[:len(raw)-2], src, "udp") != nil { // no class
+			t.Fatal("a packet without a question class was answered")
+		}
+	}
+	kept := heap() - before
+	runtime.KeepAlive(s)
+
+	log := s.QueryLog()
+	if len(log) != limit {
+		t.Fatalf("log holds %d entries, want %d", len(log), limit)
+	}
+	names := 0
+	for i, e := range log {
+		if want := name(queries - limit + i); e.Name != want {
+			t.Errorf("entry %d names %q, want %q", i, e.Name, want)
+		}
+		names += len(e.Name)
+	}
+	bound := cap(s.queries)*int(unsafe.Sizeof(QueryLogEntry{})) + names + 2*dnswire.ChunkSize
+	t.Logf("%d queries through a %d-entry ring: %d B kept, bound %d", queries, limit, kept, bound)
+	if kept > bound {
+		t.Errorf("the server keeps %d B after %d queries, want <= %d: chunks outlive their entries", kept, queries, bound)
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -841,30 +840,6 @@ func countrySeed(seed int64, code string) int64 {
 	return int64(h.Sum64() & 0x7fffffffffffffff)
 }
 
-const chunkSize = 4 << 10
-
-// stringChunks cuts strings out of append-only chunks of chunkSize
-// bytes, so that strings that die together cost one allocation per
-// chunk instead of one each.
-// A chunk is written only past the strings already cut from it, and a
-// full one is dropped, never reused: a string once handed out is never
-// written again, and the garbage collector frees a chunk when the last
-// string cut from it dies. It is for strings that live for one run or
-// one row; one that is kept would pin its whole chunk. Not safe for
-// concurrent use.
-type stringChunks struct{ b strings.Builder }
-
-// cut returns b's bytes as a string.
-func (c *stringChunks) cut(b []byte) string {
-	if c.b.Cap()-c.b.Len() < len(b) {
-		c.b = strings.Builder{}
-		c.b.Grow(max(chunkSize, len(b)))
-	}
-	start := c.b.Len()
-	c.b.Write(b)
-	return c.b.String()[start:]
-}
-
 // nameScratch is a worker's reusable buffer for building the per-run
 // unique query names (and each client's prefix) without fmt's
 // reflection path. Only the buffer is shared between countries; the
@@ -875,7 +850,11 @@ type nameScratch struct {
 	// names holds the query names. A name lives for its run; only the
 	// cache-busting tripwire (Config.Cache) keeps names, the name of
 	// every run it lets through, so a chunk it pins holds little else.
-	names stringChunks
+	names dnswire.StringChunks
+	// kept holds the records' prefixes, which live as long as the
+	// dataset: apart from the names, so that no kept string pins a
+	// chunk of dead ones.
+	kept dnswire.StringChunks
 }
 
 // format renders fmt.Sprintf("%s-%08x-m.a.com.", code, seq)
@@ -886,14 +865,14 @@ func (s *nameScratch) format(code string, seq int) string {
 	b = appendHex08(b, uint64(seq))
 	b = append(b, "-m.a.com."...)
 	s.buf = b
-	return s.names.cut(b)
+	return s.names.Cut(b)
 }
 
-// prefix24 renders geoip.Prefix24(addr).String(), allocating only the
-// returned string: the record keeps it, so it must not pin a chunk.
+// prefix24 renders geoip.Prefix24(addr).String(), cut from the
+// chunks of kept strings.
 func (s *nameScratch) prefix24(addr netip.Addr) string {
 	s.buf = geoip.Prefix24(addr).AppendTo(s.buf[:0])
-	return string(s.buf)
+	return s.kept.Cut(s.buf)
 }
 
 // appendHex08 appends v as lowercase hex, zero-padded to at least
@@ -1112,9 +1091,10 @@ func clientsIn(cfg Config, ct world.Country) int {
 }
 
 // worker is one worker goroutine's reusable state. Every country the
-// worker measures shares its name chunks and its exit node, and in
-// DiscardClients mode its record buffer, so that a kept client
-// allocates only the strings its record keeps.
+// worker measures shares its name chunks and its exit node (whose IDs
+// are cut from chunks the node carries), and in DiscardClients mode its
+// record buffer, so that a kept client allocates only its share of the
+// chunks its record's strings are cut from.
 type worker struct {
 	names nameScratch
 	node  proxynet.ExitNode

@@ -9,6 +9,7 @@ import (
 	"strconv"
 
 	"repro/internal/anycast"
+	"repro/internal/dnswire"
 	"repro/internal/geo"
 	"repro/internal/resolver"
 )
@@ -47,14 +48,14 @@ const clientMetaCols = 8
 // and cut from chunks — they are dead once the row is written — so rows
 // cost an allocation per chunk, not one each; buf is returned for the
 // next row.
-func formatFloats(buf []byte, chunks *stringChunks, fields *[4]string, vals ...float64) []byte {
+func formatFloats(buf []byte, chunks *dnswire.StringChunks, fields *[4]string, vals ...float64) []byte {
 	var ends [4]int
 	buf = buf[:0]
 	for i, v := range vals {
 		buf = strconv.AppendFloat(buf, v, 'f', 4, 64)
 		ends[i] = len(buf)
 	}
-	s := chunks.cut(buf)
+	s := chunks.Cut(buf)
 	start := 0
 	for i := range vals {
 		fields[i] = s[start:ends[i]]
@@ -73,7 +74,7 @@ func (ds *Dataset) WriteCSV(w io.Writer) error {
 	}
 	var (
 		buf    []byte
-		chunks stringChunks
+		chunks dnswire.StringChunks
 		f      [4]string
 		row    = make([]string, len(csvHeader))
 
@@ -152,7 +153,7 @@ func (ds *Dataset) WriteSmartCSV(w io.Writer) error {
 	}
 	var (
 		buf    []byte
-		chunks stringChunks
+		chunks dnswire.StringChunks
 		f      [4]string
 		row    = make([]string, len(smartCSVHeader))
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+
+	"repro/internal/dnswire"
 )
 
 // The append-based name formatter must reproduce the fmt.Sprintf
@@ -40,11 +42,11 @@ func TestNameScratchSurvivesChunkRollover(t *testing.T) {
 	for i := range names {
 		names[i] = s.format("us", i)
 	}
-	long := make([]byte, 3*chunkSize)
+	long := make([]byte, 3*dnswire.ChunkSize)
 	for i := range long {
 		long[i] = byte('a' + i%26)
 	}
-	huge := s.names.cut(long)
+	huge := s.names.Cut(long)
 	after := s.format("br", 7)
 	for i, got := range names {
 		if want := fmt.Sprintf("%s-%08x-m.a.com.", "us", i); got != want {

@@ -63,7 +63,8 @@ func (m *Message) Reply() *Message {
 
 // ReplyInto is Reply built in r, keeping r's section storage: the form
 // for a server that takes r from GetMessage and returns it with
-// PutMessage once the response is packed.
+// PutMessage once the response is packed. r may be m itself, the
+// pooled message the query was decoded into.
 func (m *Message) ReplyInto(r *Message) *Message {
 	r.Header = Header{
 		ID:               m.Header.ID,

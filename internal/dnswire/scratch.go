@@ -2,6 +2,7 @@ package dnswire
 
 import (
 	"io"
+	"strings"
 	"sync"
 )
 
@@ -137,4 +138,38 @@ func PutMessage(m *Message) {
 		return
 	}
 	msgPool.Put(m)
+}
+
+// ChunkSize is the size of a StringChunks chunk.
+const ChunkSize = 4 << 10
+
+// StringChunks cuts strings out of append-only chunks of ChunkSize
+// bytes, so that strings that die together cost one allocation per
+// chunk instead of one each. A chunk is written only past the strings
+// already cut from it, and a full one is dropped, never reused: a
+// string once handed out is never written again, and the garbage
+// collector frees a chunk when the last string cut from it dies.
+//
+// The rule for using it (docs/performance.md): a string is cut from a
+// chunk whose strings all live as long as it does. A kept string cut
+// from a chunk of short-lived ones pins them all, so a component keeps
+// one StringChunks per lifetime — a run's query names, a dataset's
+// client IDs, a query log's names. Not safe for concurrent use, and not
+// to be copied once used.
+type StringChunks struct{ b strings.Builder }
+
+// Cut returns b's bytes as a string. A cut longer than a chunk is an
+// allocation of its own, leaving the current chunk in place; an empty
+// one allocates nothing.
+func (c *StringChunks) Cut(b []byte) string {
+	switch {
+	case len(b) > ChunkSize:
+		return string(b)
+	case c.b.Cap()-c.b.Len() < len(b):
+		c.b = strings.Builder{}
+		c.b.Grow(ChunkSize)
+	}
+	start := c.b.Len()
+	c.b.Write(b)
+	return c.b.String()[start:]
 }

@@ -264,7 +264,7 @@ func TestConcurrentHitsAcrossFronts(t *testing.T) {
 	mu.Unlock()
 	want := make([][]byte, len(spellings))
 	for i, name := range spellings {
-		want[i] = parentAnswer(t, r, rawQuery(t, 0, name), 0, false)
+		want[i] = parentAnswer(t, r, rawQuery(t, 0, name), 0)
 	}
 	if ttl := binary.BigEndian.Uint32(want[0][len(want[0])-10:]); ttl != 240 {
 		t.Fatalf("oracle answer TTL %d, want 240", ttl)

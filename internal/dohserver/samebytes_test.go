@@ -21,19 +21,17 @@ import (
 )
 
 // parentAnswer is the parent tree's answer path, kept as the oracle:
-// decode into a message of its own, scrub ECS where the DoH front does
-// (scrub), Resolve, a failure as SERVFAIL, and pack — AppendPackLimit on
-// the Do53/DoT limit, AppendPack for DoH (limit 0).
-func parentAnswer(t testing.TB, r *recursive.Resolver, raw []byte, limit int, scrub bool) []byte {
+// decode into a message of its own, scrub ECS (as every front does),
+// Resolve, a failure as SERVFAIL, and pack — AppendPackLimit on the
+// Do53/DoT limit, AppendPack for DoH (limit 0).
+func parentAnswer(t testing.TB, r *recursive.Resolver, raw []byte, limit int) []byte {
 	t.Helper()
 	q := new(dnswire.Message)
 	if err := dnswire.UnpackInto(raw, q); err != nil {
 		t.Fatal(err)
 	}
-	if scrub {
-		if _, err := dnswire.StripECS(q); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := dnswire.StripECS(q); err != nil {
+		t.Fatal(err)
 	}
 	resp, err := r.Resolve(context.Background(), q)
 	if err != nil {
@@ -91,7 +89,7 @@ func sameBytesUpstream(down *atomic.Bool) recursive.UpstreamFunc {
 }
 
 // TestAnswersMatchTheParentPath: serve.Answer on the packet and the
-// stream limit, and the DoH handler (which scrubs ECS), answer byte for
+// stream limit, and the DoH handler (all three scrub ECS), answer byte for
 // byte what the parent's path (parentAnswer) packs, over
 // lowercase and mixed-case names, RD 0 and 1, EDNS with and without
 // ECS, negative entries, an entry aged until a TTL reaches 0, a stale
@@ -168,7 +166,7 @@ func TestAnswersMatchTheParentPath(t *testing.T) {
 				}
 			}
 			for _, limit := range []int{dnswire.MaxUDPPayload, serve.MaxStreamPayload} {
-				want := parentAnswer(t, r, raw, limit, false)
+				want := parentAnswer(t, r, raw, limit)
 				got, err := serve.Answer(context.Background(), r, nil, raw, limit)
 				if err != nil {
 					t.Fatal(err)
@@ -194,7 +192,7 @@ func TestAnswersMatchTheParentPath(t *testing.T) {
 					}
 				}
 			}
-			want := parentAnswer(t, r, raw, 0, true)
+			want := parentAnswer(t, r, raw, 0)
 			rec := httptest.NewRecorder()
 			NewHandler(r).ServeHTTP(rec, httptest.NewRequest(http.MethodGet,
 				DefaultPath+"?dns="+base64.RawURLEncoding.EncodeToString(raw), nil))

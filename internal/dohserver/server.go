@@ -17,12 +17,12 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cache"
 	"repro/internal/deadline"
 	"repro/internal/dnswire"
+	"repro/internal/obs"
 	"repro/internal/recursive"
 	"repro/internal/serve"
 )
@@ -39,9 +39,8 @@ const maxRequestSize = 64 * 1024
 // Handler serves RFC 8484 DoH requests by delegating to a resolver.
 type Handler struct {
 	// Resolver answers the decoded DNS queries. EDNS Client Subnet
-	// options are scrubbed from every query before it gets there: the
-	// paper's ethics appendix commits to never inspecting ECS client
-	// addresses.
+	// options are scrubbed from every query before it gets there, as on
+	// every front (serve.Exchange.Decode).
 	Resolver *recursive.Resolver
 
 	// resolveTimeout bounds one query's resolution, every upstream
@@ -49,19 +48,33 @@ type Handler struct {
 	// Do53 and DoT fronts apply. Tests shorten it.
 	resolveTimeout time.Duration
 
-	queries  atomic.Int64
-	scrubbed atomic.Int64
+	// queries and scrubbed are the counts Queries and ScrubbedECS read,
+	// filed in a registry by Instrument.
+	queries, scrubbed *obs.Counter
 }
 
-// NewHandler wraps r in a DoH handler.
-func NewHandler(r *recursive.Resolver) *Handler { return &Handler{Resolver: r} }
+// NewHandler wraps r in a DoH handler, its counts filed in a private
+// registry until Instrument files them in another.
+func NewHandler(r *recursive.Resolver) *Handler {
+	h := &Handler{Resolver: r}
+	h.Instrument(obs.NewRegistry(), "dohserver")
+	return h
+}
+
+// Instrument files the handler's counts in reg as counters named
+// prefix_queries_total and prefix_scrubbed_ecs_total. Call it before
+// serving: counts made before are not carried over.
+func (h *Handler) Instrument(reg *obs.Registry, prefix string) {
+	h.queries = reg.Counter(prefix + "_queries_total")
+	h.scrubbed = reg.Counter(prefix + "_scrubbed_ecs_total")
+}
 
 // Queries reports the number of well-formed DoH queries served.
-func (h *Handler) Queries() int64 { return h.queries.Load() }
+func (h *Handler) Queries() int64 { return h.queries.Value() }
 
 // ScrubbedECS reports how many queries arrived with an ECS option
 // that was removed.
-func (h *Handler) ScrubbedECS() int64 { return h.scrubbed.Load() }
+func (h *Handler) ScrubbedECS() int64 { return h.scrubbed.Value() }
 
 // request is one DoH query's pooled storage: the serve front's Exchange
 // (query, hit answer, name scratch) and the resolve bound, reset per
@@ -96,7 +109,8 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	x := requests.Get().(*request)
 	defer x.put()
 	q := &x.Query
-	if err := x.Decode(raw, h.Resolver); err != nil || len(q.Questions) == 0 {
+	scrubbed, err := x.Decode(raw, h.Resolver)
+	if err != nil || len(q.Questions) == 0 {
 		http.Error(w, "malformed DNS message", http.StatusBadRequest)
 		return
 	}
@@ -106,12 +120,9 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "DNS message is a response, not a query", http.StatusBadRequest)
 		return
 	}
-	h.queries.Add(1)
-	if stripped, err := dnswire.StripECS(q); err != nil {
-		http.Error(w, "malformed EDNS options", http.StatusBadRequest)
-		return
-	} else if stripped {
-		h.scrubbed.Add(1)
+	h.queries.Inc()
+	if scrubbed {
+		h.scrubbed.Inc()
 	}
 
 	ctx := h.resolveContext(&x.bound, r.Context())

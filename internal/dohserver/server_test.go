@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/base64"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,8 +12,10 @@ import (
 	"net/netip"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/dnswire"
 	"repro/internal/recursive"
+	"repro/internal/serve"
 )
 
 func testResolver() *recursive.Resolver {
@@ -241,6 +244,79 @@ func TestECSScrubbedByDefault(t *testing.T) {
 	}
 	if h.ScrubbedECS() != 1 {
 		t.Errorf("ScrubbedECS = %d", h.ScrubbedECS())
+	}
+}
+
+// TestAnswerScrubsECS: serve.Answer — the recursor's Do53 front and
+// every DoT server — scrubs a client's ECS option before the resolver
+// forwards the query, at the datagram and at the stream limit, and keeps
+// the query's other EDNS options; a query whose EDNS options are
+// malformed is refused there (nil: dropped, or the stream closed) and
+// answered 400 on DoH, and the upstream never sees it.
+func TestAnswerScrubsECS(t *testing.T) {
+	const cookie = 10 // RFC 7873's option code
+	var forwarded, sawECS, sawCookie int
+	r := recursive.New(cache.New(cache.Config{}))
+	r.SetDefault(recursive.UpstreamFunc(func(_ context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+		forwarded++
+		if _, ok, _ := dnswire.FindECS(q); ok {
+			sawECS++
+		}
+		for _, rr := range q.Additionals {
+			if opt, ok := rr.Data.(dnswire.OPTRecord); ok {
+				opts, _ := opt.Options()
+				for _, o := range opts {
+					if o.Code == cookie {
+						sawCookie++
+					}
+				}
+			}
+		}
+		return q.Reply(), nil
+	}))
+	ecs, err := (dnswire.ECS{Prefix: netip.MustParsePrefix("198.51.100.0/24")}).Option()
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := func(name dnswire.Name, opt dnswire.OPTRecord) []byte {
+		q := dnswire.NewQuery(7, name, dnswire.TypeA)
+		q.Additionals = []dnswire.ResourceRecord{{Name: ".", Type: dnswire.TypeOPT, Data: opt}}
+		raw, err := q.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	withECS := dnswire.OPTRecord{UDPSize: 1232}.WithOptions([]dnswire.EDNSOption{
+		ecs, {Code: cookie, Data: []byte("8 bytes!")},
+	})
+	for i, limit := range []int{dnswire.MaxUDPPayload, serve.MaxStreamPayload} {
+		// A name of its own per limit, so that the cache misses and the
+		// query is forwarded.
+		raw := query(dnswire.Name(fmt.Sprintf("ecs%d.a.com.", i)), withECS)
+		if got, err := serve.Answer(context.Background(), r, nil, raw, limit); err != nil || got == nil {
+			t.Fatalf("limit %d: Answer = %x, %v", limit, got, err)
+		}
+		if forwarded != i+1 || sawECS != 0 || sawCookie != i+1 {
+			t.Errorf("limit %d: %d forwarded, %d with ECS, %d with the cookie; want %d, 0, %d",
+				limit, forwarded, sawECS, sawCookie, i+1, i+1)
+		}
+	}
+
+	malformed := query("bad-edns.a.com.", dnswire.OPTRecord{UDPSize: 1232, Data: []byte{0, 8, 0}})
+	for _, limit := range []int{dnswire.MaxUDPPayload, serve.MaxStreamPayload} {
+		if got, err := serve.Answer(context.Background(), r, nil, malformed, limit); got != nil || err != nil {
+			t.Errorf("limit %d: malformed EDNS answered %x, %v; want a refusal", limit, got, err)
+		}
+	}
+	rec := httptest.NewRecorder()
+	NewHandler(r).ServeHTTP(rec, httptest.NewRequest(http.MethodGet,
+		DefaultPath+"?dns="+base64.RawURLEncoding.EncodeToString(malformed), nil))
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("DoH answered malformed EDNS with %d, want 400", rec.Code)
+	}
+	if forwarded != 2 {
+		t.Errorf("%d queries forwarded, want 2: malformed EDNS reached the upstream", forwarded)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/anycast"
+	"repro/internal/dnswire"
 	"repro/internal/geo"
 	"repro/internal/geoip"
 	"repro/internal/netsim"
@@ -193,6 +194,9 @@ type ExitNode struct {
 	// ~19% of the paper's clients *faster* on DoH even at the first
 	// query (their default resolver is simply bad).
 	ResolverOverhead time.Duration
+	// ids holds the IDs of the clients a reused node has served
+	// (SelectExitNodeInto); nil for a node of its own.
+	ids *dnswire.StringChunks
 	// super is the Super Proxy serving this node (the nearest one).
 	super     netsim.Endpoint
 	superCode string
@@ -246,10 +250,11 @@ func (e *ExitNode) resolverSvc() time.Duration {
 }
 
 // SelectExitNode asks the Super Proxy for a fresh exit node in the
-// given country, as the paper does per measurement run.
+// given country, as the paper does per measurement run. The node's ID
+// is a string of its own.
 func (s *Sim) SelectExitNode(countryCode string) (*ExitNode, error) {
 	node := new(ExitNode)
-	if err := s.SelectExitNodeInto(countryCode, node); err != nil {
+	if err := s.selectExitNode(countryCode, node, nil); err != nil {
 		return nil, err
 	}
 	return node, nil
@@ -258,9 +263,21 @@ func (s *Sim) SelectExitNode(countryCode string) (*ExitNode, error) {
 // SelectExitNodeInto is SelectExitNode into a node the caller owns, so
 // that one node serves client after client: every field is overwritten
 // and the routes of the node's previous client are forgotten. It draws
-// from Rand exactly as SelectExitNode does and allocates only the ID.
-// On an error node is left as it was.
+// from Rand exactly as SelectExitNode does. The IDs are cut from chunks
+// the node carries from client to client (dnswire.StringChunks), so a
+// caller that keeps them — a dataset keeps every client's — pays an
+// allocation per chunk, not one per node. On an error node is left as
+// it was.
 func (s *Sim) SelectExitNodeInto(countryCode string, node *ExitNode) error {
+	if node.ids == nil {
+		node.ids = new(dnswire.StringChunks)
+	}
+	return s.selectExitNode(countryCode, node, node.ids)
+}
+
+// selectExitNode fills node, cutting its ID from ids, or allocating it
+// when ids is nil.
+func (s *Sim) selectExitNode(countryCode string, node *ExitNode, ids *dnswire.StringChunks) error {
 	ct, ok := world.ByCode(countryCode)
 	if !ok {
 		return fmt.Errorf("proxynet: unknown country %q", countryCode)
@@ -273,8 +290,10 @@ func (s *Sim) SelectExitNodeInto(countryCode string, node *ExitNode) error {
 	atomic.AddInt64(&s.stats.exitNodes, 1)
 	pos := geo.Jitter(ct.Centroid, 420, s.Rand.Float64(), s.Rand.Float64())
 	resolverPos := geo.Jitter(ct.Centroid, 120, s.Rand.Float64(), s.Rand.Float64())
+	var id [32]byte
 	*node = ExitNode{
-		ID:      exitID(countryCode, s.exitCounter),
+		ID:      cutOrAlloc(ids, appendExitID(id[:0], countryCode, s.exitCounter)),
+		ids:     ids,
 		Country: ct,
 		Addr:    addr,
 		Pos:     pos,
@@ -311,20 +330,27 @@ func (s *Sim) SelectExitNodeInto(countryCode string, node *ExitNode) error {
 	return nil
 }
 
-// exitID renders fmt.Sprintf("exit-%s-%06d", code, n) for n >= 0,
-// allocating only the returned string.
-func exitID(code string, n int) string {
+// appendExitID appends fmt.Sprintf("exit-%s-%06d", code, n) for
+// n >= 0.
+func appendExitID(b []byte, code string, n int) []byte {
 	var num [20]byte
 	digits := strconv.AppendInt(num[:0], int64(n), 10)
-	b := make([]byte, 0, 32)
 	b = append(b, "exit-"...)
 	b = append(b, code...)
 	b = append(b, '-')
 	for i := len(digits); i < 6; i++ {
 		b = append(b, '0')
 	}
-	b = append(b, digits...)
-	return string(b)
+	return append(b, digits...)
+}
+
+// cutOrAlloc is b as a string cut from ids, or of its own when ids is
+// nil.
+func cutOrAlloc(ids *dnswire.StringChunks, b []byte) string {
+	if ids == nil {
+		return string(b)
+	}
+	return ids.Cut(b)
 }
 
 // PlantGroundTruthNode provisions a controlled exit node for the

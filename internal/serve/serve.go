@@ -123,20 +123,27 @@ type Exchange struct {
 	name   [dnswire.NameBufSize]byte
 }
 
-// Decode decodes raw into x.Query. Through a CachedResolver, a question
-// name the cache holds an entry for takes the cache's string rather than
-// a fresh one.
-func (x *Exchange) Decode(raw []byte, r Resolver) error {
-	cr, ok := r.(CachedResolver)
-	if !ok {
-		return dnswire.UnpackInto(raw, &x.Query)
+// Decode decodes raw into x.Query and strips any EDNS Client Subnet
+// option from it, reporting whether it found one: no front forwards a
+// client's subnet upstream (the paper's ethics appendix commits to
+// never inspecting ECS client addresses), and malformed EDNS options
+// fail the decode. Through a CachedResolver, a question name the cache
+// holds an entry for takes the cache's string rather than a fresh one.
+func (x *Exchange) Decode(raw []byte, r Resolver) (scrubbed bool, err error) {
+	if cr, ok := r.(CachedResolver); ok {
+		var known dnswire.Name
+		if name, typ, ok := dnswire.PeekQuestion(raw, &x.name); ok {
+			known = cr.Cache().KeyName(name, typ)
+		}
+		x.known.Questions = append(x.known.Questions[:0], dnswire.Question{Name: known})
+		err = dnswire.UnpackReplyInto(raw, &x.Query, &x.known)
+	} else {
+		err = dnswire.UnpackInto(raw, &x.Query)
 	}
-	var known dnswire.Name
-	if name, typ, ok := dnswire.PeekQuestion(raw, &x.name); ok {
-		known = cr.Cache().KeyName(name, typ)
+	if err != nil {
+		return false, err
 	}
-	x.known.Questions = append(x.known.Questions[:0], dnswire.Question{Name: known})
-	return dnswire.UnpackReplyInto(raw, &x.Query, &x.known)
+	return dnswire.StripECS(&x.Query)
 }
 
 // Resolve answers x.Query: into x's own storage through a
@@ -187,8 +194,9 @@ const MaxStreamPayload = 0xffff
 // pack — once — onto out, truncating (TC=1) only an answer over limit
 // bytes: dnswire.MaxUDPPayload for a PacketHandler, so that the client
 // comes back over the stream side, MaxStreamPayload for a StreamHandler.
-// Input that is not a query with a question gets the handlers' refusal,
-// a nil response (dropped on UDP, connection closed on a stream).
+// Input that is not a query with a question, or whose EDNS options are
+// malformed, gets the handlers' refusal, a nil response (dropped on UDP,
+// connection closed on a stream). Decode scrubs ECS on the way.
 func Answer(ctx context.Context, r Resolver, out, raw []byte, limit int) ([]byte, error) {
 	// The Exchange is pooled. A resolver's own response is not pooled
 	// here: a serve.Resolver may answer with a message it shares, such as
@@ -199,7 +207,7 @@ func Answer(ctx context.Context, r Resolver, out, raw []byte, limit int) ([]byte
 			exchanges.Put(x)
 		}
 	}()
-	if err := x.Decode(raw, r); err != nil ||
+	if _, err := x.Decode(raw, r); err != nil ||
 		x.Query.Header.Response || len(x.Query.Questions) == 0 {
 		return nil, nil
 	}

@@ -17,43 +17,11 @@ step "vet"
 go vet ./...
 
 step "unit tests (all packages)"
-# Everything that needs no extra mode runs here and only here: the
-# allocation budgets (they skip themselves under -race —
-# TestWarmExchangeAllocBudget, TestDoTWarmExchangeAllocBudget,
-# TestWarmExchangeAllocationFree (a warm Do53 UDP exchange),
-# TestRawQueryAllocs, TestServeHTTPAllocBudget,
-# TestQueryTimeoutAllocationFree (its dual-stack row holds the datagram
-# source unmapped), TestWithTimeoutUnarmedAllocBudget,
-# TestResolveMissAllocBudget, TestPutCopiesTheMessage,
-# TestEntryFitsIn256Bytes, TestPooledAnswersLeaveTheCacheIntact,
-# TestDoAloneAllocatesNothing, TestWildcardAnswerAllocBudget,
-# TestRememberedWinnerAllocationFree, TestCampaignAllocBudget,
-# TestDiscardClientsMemoryFlat (discard mode's kept heap per country),
-# TestNameScratchAllocs, TestMeasureAllocationFree,
-# TestAnswerHitAllocationFree, TestResolveHitAllocBudget and the
-# dnswire, cache and authserver ones), RFC 4592's wildcard examples
-# (TestWildcardClosestEncloser), the measurement zone's pinned replies
-# (TestMeasurementZoneAnswersPinned), a zone refusing a record the wire
-# cannot carry (TestZoneRejectsRecordsTheWireCannotCarry), the campaign's timeline oracle
-# and transport-table rows, the haversine's bit identity
-# (TestSiteDistanceBitIdentical) and the PoP site table against a
-# table-less Provider (TestSiteTableMatchesProviderLiteral), the string
-# chunks' rollover (TestNameScratchSurvivesChunkRollover), the pinned
-# export hash and journal hash (TestJournalHashPinned), a journal record
-# of the map-based shape restoring (TestJournalRestoresMapShapedRecord),
-# a reused exit node against fresh ones
-# (TestSelectExitNodeIntoMatchesFresh), merged records owned by the
-# merge (TestMergeOwnsItsRecords), the CSV readers' refusals
-# (TestReadersRejectUnknownProvider, TestReadCSVRejectsInvalidNumbers),
-# the golden CSV round trips, the campaign sketch's
-# quantiles against exact ones (TestSketchQuantilesWithinOneBucket), the
-# hit path's parent-path oracle (TestAnswersMatchTheParentPath), the RRL
-# bucket test and the fuzz corpora (FuzzHintedDecode's, FuzzCSVRoundTrip's
-# and FuzzDoHRequest's among them), the docs' test names resolving
-# (TestDocsNameTests) and the racing resolver's acceptance
-# gate against each fixed transport
-# (TestSmartConvergesToPerDestinationBest). The steps below add a mode:
-# -race, a -short soak, or a -bench smoke.
+# Every test that needs no extra mode runs here and only here: go test
+# ./... runs each Test, Example and Fuzz seed corpus in the tree, so the
+# allocation budgets, oracles, pinned hashes, golden round trips and
+# corpora need no list (a list would only drift). The steps below add a
+# mode: -race, a -short soak, or a -bench smoke.
 go test ./...
 
 step "race gates (concurrency-heavy packages)"
