@@ -32,15 +32,21 @@
 //     query-coalescing behaviour production resolvers use to survive
 //     request storms.
 //   - One owner per message: Put stores a copy of the answer in the
-//     entry's own allocation and returns it, so the caller keeps its
-//     message (and may pool it).
-//   - Allocation-free warm hits: a fresh hit younger than one second
-//     returns the stored copy itself (TTLs need no aging yet), so the
-//     warm path stays 0 allocs/op like the obs hot path
-//     (BenchmarkCacheHit pins this). Callers must treat returned
+//     entry's own storage, so the caller keeps its message (and may
+//     pool it).
+//   - Recycled entries: every copy out of an entry is made under its
+//     shard's read lock, so once Put holds the write lock nothing can
+//     read an entry it evicts or replaces, and it fills the new entry
+//     in that storage. The one exception is a hit that hands out the
+//     entry's own message (below): it marks the entry shared, and a
+//     shared entry is left to the garbage collector.
+//   - Allocation-free warm hits: a fresh Get or Lookup hit younger
+//     than one second returns the stored copy itself (TTLs need no
+//     aging yet), so the warm path stays 0 allocs/op like the obs hot
+//     path (BenchmarkCacheHit pins this). Callers must treat returned
 //     messages as read-only; one that stamps headers copies the hit
 //     into storage of its own with LookupInto, which a server front
-//     reuses across queries, so that aged and stale hits copy for free.
+//     reuses across queries, so that every hit copies for free.
 //
 // Determinism: given the same sequence of Get/Put calls the cache's
 // contents and counters are a pure function of that sequence — there
@@ -151,8 +157,8 @@ type key struct {
 // entry is one cached answer in one allocation: the cache's own copy of
 // the message, with its question and a one-record answer inline (more
 // records go into one slice the three sections share). Every field
-// except the atomics is immutable after insertion — entries are
-// replaced wholesale by Put, never edited — which is what lets the hit
+// except the atomics changes only under the shard's write lock — when
+// Put fills the entry, new or recycled — which is what lets the hit
 // path read them under the shard's read lock only.
 type entry struct {
 	key key
@@ -165,14 +171,15 @@ type entry struct {
 	// is intrusive so an insert allocates the entry and nothing else.
 	prev, next *entry
 
-	// flags holds flagTouched and flagNegative.
+	// flags holds flagTouched, flagNegative and flagShared.
 	flags atomic.Uint32
 	// hits counts lookups served by this entry since insertion — the
 	// popularity signal the prefetcher reads. Replaced entries start
 	// from zero, so prefetch continues only while a name stays hot.
 	hits atomic.Int64
 	// refreshFailedAt is the clock's UnixNano at the last failed
-	// refresh (0 = never), spacing retry attempts by refreshBackoff.
+	// refresh of the entry's key (0 = never), spacing retry attempts by
+	// refreshBackoff.
 	refreshFailedAt atomic.Int64
 }
 
@@ -183,14 +190,18 @@ const (
 	flagTouched uint32 = 1 << iota
 	// flagNegative marks an RFC 2308 negative answer; it never changes.
 	flagNegative
+	// flagShared marks an entry whose own message a hit handed out:
+	// Put never recycles it.
+	flagShared
 )
 
-// touch sets e's reference bit. Hits hold the shard's read lock, and the
-// eviction scan, the one writer that clears the bit, holds the write
-// lock: every writer here stores the same word.
-func (e *entry) touch() {
-	if f := e.flags.Load(); f&flagTouched == 0 {
-		e.flags.Store(f | flagTouched)
+// mark sets flag in e's flags. Hits set flags under the shard's read
+// lock, side by side, and only the write lock's holder clears one.
+func (e *entry) mark(flag uint32) {
+	for f := e.flags.Load(); f&flag == 0; f = e.flags.Load() {
+		if e.flags.CompareAndSwap(f, f|flag) {
+			return
+		}
 	}
 }
 
@@ -261,7 +272,7 @@ type Cache struct {
 	// offsets from it.
 	epoch time.Time
 
-	staleTTL          time.Duration
+	staleTTL          time.Duration // never negative
 	prefetchThreshold time.Duration
 	syncRefresh       bool
 
@@ -311,6 +322,9 @@ func New(cfg Config) *Cache {
 	}
 	if c.clock == nil {
 		c.clock = time.Now
+	}
+	if c.staleTTL < 0 {
+		c.staleTTL = 0
 	}
 	c.epoch = c.clock()
 	// Distribute capacity so the shard maxima sum exactly to max.
@@ -381,11 +395,7 @@ func (c *Cache) Get(name dnswire.Name, typ dnswire.Type) *dnswire.Message {
 // a detached background refresh is triggered), and (nil, Miss)
 // otherwise.
 func (c *Cache) Lookup(name dnswire.Name, typ dnswire.Type) (*dnswire.Message, Outcome) {
-	msg, outcome, dec, cap := c.lookup(name, typ)
-	if msg == nil || dec == 0 && cap == noCap {
-		return msg, outcome
-	}
-	return hitCopy(msg, nil, dec, cap), outcome
+	return c.lookup(name, typ, nil, false)
 }
 
 // LookupInto is Lookup for a caller that stamps the answer with its
@@ -399,11 +409,7 @@ func (c *Cache) Lookup(name dnswire.Name, typ dnswire.Type) (*dnswire.Message, O
 // A nil dst is allocated here, with room for the question and two
 // records. It returns dst (or the copy), or nil on a miss.
 func (c *Cache) LookupInto(name dnswire.Name, typ dnswire.Type, dst *dnswire.Message) (*dnswire.Message, Outcome) {
-	msg, outcome, dec, cap := c.lookup(name, typ)
-	if msg == nil {
-		return nil, Miss
-	}
-	return hitCopy(msg, dst, dec, cap), outcome
+	return c.lookup(name, typ, dst, true)
 }
 
 // KeyName returns the cache's own spelling — the canonical key string —
@@ -415,22 +421,24 @@ func (c *Cache) LookupInto(name dnswire.Name, typ dnswire.Type, dst *dnswire.Mes
 // allocates nothing.
 func (c *Cache) KeyName(name []byte, typ dnswire.Type) dnswire.Name {
 	s := shardOf(c, name, typ)
+	var known dnswire.Name
 	s.mu.RLock()
-	e, ok := s.entries[key{dnswire.Name(name), typ}]
-	s.mu.RUnlock()
-	if !ok {
-		return ""
+	if e, ok := s.entries[key{dnswire.Name(name), typ}]; ok {
+		known = e.key.name // read under the lock: Put may recycle e
 	}
-	return e.key.name
+	s.mu.RUnlock()
+	return known
 }
 
 // noCap is the TTL cap of a fresh hit: none.
 const noCap = ^uint32(0)
 
-// lookup returns the stored message for (name, typ) and the TTL edit its
-// hit needs: lower every TTL by dec, then cap it at cap. A fresh hit
-// younger than a second needs none (0, noCap).
-func (c *Cache) lookup(name dnswire.Name, typ dnswire.Type) (msg *dnswire.Message, outcome Outcome, dec, cap uint32) {
+// lookup answers (name, typ) from its entry. Every copy is made under the
+// shard's read lock, so that Put may recycle any entry it can lock: into
+// dst (allocated when nil) when into is set, and otherwise when the TTLs
+// need an edit. A fresh hit younger than a second without into is the
+// entry's own message, and marks the entry shared.
+func (c *Cache) lookup(name dnswire.Name, typ dnswire.Type, dst *dnswire.Message, into bool) (*dnswire.Message, Outcome) {
 	k := key{name.Canonical(), typ}
 	s := c.shardFor(k)
 	s.mu.RLock()
@@ -438,127 +446,169 @@ func (c *Cache) lookup(name dnswire.Name, typ dnswire.Type) (msg *dnswire.Messag
 	if !ok {
 		s.mu.RUnlock()
 		c.misses.Inc()
-		return nil, Miss, 0, noCap
+		return nil, Miss
 	}
 	now := c.now()
 	if now < e.expires {
 		// Fresh hit: recency and popularity land in per-entry atomics,
 		// never the LRU list — the read lock is all a hit takes.
-		e.touch()
+		e.mark(flagTouched)
 		hits := e.hits.Add(1)
-		msg, negative := &e.msg, e.flags.Load()&flagNegative != 0
-		age := now - e.inserted
-		remaining := e.expires - now
+		negative := e.flags.Load()&flagNegative != 0
+		msg := &e.msg
+		if dec := uint32((now - e.inserted) / time.Second); into || dec > 0 {
+			msg = hitCopy(msg, dst, dec, noCap)
+		} else {
+			e.mark(flagShared)
+		}
+		refresh := c.prefetchThreshold > 0 && e.expires-now < c.prefetchThreshold &&
+			hits >= prefetchMinHits && c.refreshDue(e)
 		s.mu.RUnlock()
 
 		c.hits.Inc()
 		if negative {
 			c.negHits.Inc()
 		}
-		if c.prefetchThreshold > 0 && remaining < c.prefetchThreshold &&
-			hits >= prefetchMinHits {
-			c.launchRefresh(k, e, true)
+		if refresh {
+			c.launchRefresh(k, true)
 		}
-		return msg, Fresh, uint32(age / time.Second), noCap
+		return msg, Fresh
 	}
-	if c.staleTTL > 0 && now < e.expires+c.staleTTL {
-		// Serve-stale (RFC 8767): the expired entry answers with
-		// capped TTLs while a detached refresh repopulates it. The
-		// serving path never blocks on that refresh.
-		e.touch()
+	if now < e.expires+c.staleTTL {
+		// Serve-stale (RFC 8767): the expired entry answers with capped
+		// TTLs — never the original ones, so downstream caches know the
+		// data is on borrowed time (§4) — while a detached refresh
+		// repopulates it. The serving path never blocks on that refresh.
+		e.mark(flagTouched)
 		e.hits.Add(1)
-		msg := &e.msg
+		msg := hitCopy(&e.msg, dst, 0, staleTTLCap)
+		refresh := c.refreshDue(e)
 		s.mu.RUnlock()
 
 		c.staleHits.Inc()
-		c.launchRefresh(k, e, false)
-		// RFC 8767 §4: never resurrect the original TTL; tell downstream
-		// caches the data is on borrowed time.
-		return msg, Stale, 0, staleTTLCap
+		if refresh {
+			c.launchRefresh(k, false)
+		}
+		return msg, Stale
 	}
 	s.mu.RUnlock()
 
-	// Dead: expired past the stale window. Upgrade to the write lock
-	// to remove it (re-checking, since the entry may have been
-	// replaced or removed while unlocked).
+	// Dead: expired past the stale window. Upgrade to the write lock to
+	// remove it, re-checking, since the key may have been filled afresh
+	// while unlocked.
 	s.mu.Lock()
-	if cur, ok := s.entries[k]; ok && cur == e {
-		s.removeLocked(e)
+	if cur, ok := s.entries[k]; ok && now >= cur.expires+c.staleTTL {
+		s.removeLocked(cur)
 		c.size.Add(-1)
 	}
 	s.mu.Unlock()
+	c.publishSize()
 	c.misses.Inc()
-	return nil, Miss, 0, noCap
+	return nil, Miss
 }
 
-// Put caches a copy of msg as the answer for (name, typ) and returns the
-// cache's copy, or nil when it refuses the answer. Positive answers live
-// for the minimum answer TTL; empty answers with an SOA authority are
-// cached negatively for min(SOA TTL, SOA MINIMUM) per RFC 2308.
-// Messages with no usable TTL (or TTL 0) are refused.
+// Put caches a copy of msg as the answer for (name, typ) and reports
+// whether it took it. Positive answers live for the minimum answer TTL;
+// empty answers with an SOA authority are cached negatively for
+// min(SOA TTL, SOA MINIMUM) per RFC 2308. Messages with no usable TTL
+// (or TTL 0) are refused.
 //
-// msg's header and section slices stay the caller's: once Put returns
-// the caller may edit msg or hand it to dnswire.PutMessage. Its names
-// and RData values, which nothing edits, are shared with the copy. The
-// copy is what hits return, so it is read-only: a caller that answers
-// with it stamps a copy of its own.
-func (c *Cache) Put(name dnswire.Name, typ dnswire.Type, msg *dnswire.Message) *dnswire.Message {
+// msg stays the caller's: once Put returns the caller may edit msg or
+// hand it to dnswire.PutMessage. Its names and RData values, which
+// nothing edits, are shared with the copy.
+//
+// The copy is made in the storage of the entry the answer replaces or
+// the one it evicts, unless a hit has handed that entry's message out:
+// so an insert into a full shard allocates nothing.
+func (c *Cache) Put(name dnswire.Name, typ dnswire.Type, msg *dnswire.Message) bool {
 	ttl, negative, ok := TTL(msg)
 	if !ok || ttl <= 0 {
-		return nil
+		return false
 	}
 	k := key{name.Canonical(), typ}
 	s := c.shardFor(k)
 	now := c.now()
-	e := &entry{key: k, inserted: now, expires: now + time.Duration(ttl)*time.Second}
-	if negative {
-		e.flags.Store(flagNegative)
-	}
-	e.copyOf(msg)
-	var evicted int64
-	grew := int64(1)
+	grew, evicted := int64(1), int64(0)
+	keep, reprieves := true, 0
 	s.mu.Lock()
+	var e *entry // the storage the answer takes over, if any
 	if old, ok := s.entries[k]; ok {
 		s.removeLocked(old)
-		grew = 0
-	}
-	s.pushFront(e)
-	s.entries[k] = e
-	for len(s.entries) > s.max {
-		victim := s.secondChanceVictimLocked()
-		if victim == nil {
-			break
+		e, grew = old, 0
+	} else if len(s.entries) >= s.max {
+		// Full: evict the CLOCK victim, or the newcomer itself when every
+		// entry is referenced.
+		e, reprieves = s.victimLocked()
+		evicted, keep = 1, e != nil
+		if e != nil {
+			s.removeLocked(e)
 		}
-		s.removeLocked(victim)
-		evicted++
 	}
+	if keep {
+		if e == nil || e.flags.Load()&flagShared != 0 {
+			e = new(entry)
+		} else {
+			*e = entry{}
+		}
+		e.key, e.inserted, e.expires = k, now, now+time.Duration(ttl)*time.Second
+		if negative {
+			e.flags.Store(flagNegative)
+		}
+		e.copyOf(msg)
+		s.pushFront(e)
+		s.entries[k] = e
+	}
+	s.reprieveLocked(reprieves)
 	s.mu.Unlock()
-	c.entries.Set(float64(c.size.Add(grew - evicted)))
+	c.size.Add(grew - evicted)
+	c.publishSize()
 	c.puts.Inc()
 	c.evictions.Add(evicted)
-	return &e.msg
+	return true
 }
 
-// secondChanceVictimLocked picks the eviction victim by the CLOCK
-// algorithm: walk from the LRU tail; an entry whose reference bit is
-// set gets the bit cleared and one reprieve (moved to the front), an
-// entry whose bit is clear is the victim. Because cleared entries move
-// away from the tail, one full pass is the worst case. The caller
-// holds s.mu.
-func (s *shard) secondChanceVictimLocked() *entry {
-	for scanned := len(s.entries); scanned > 0 && s.tail != nil; scanned-- {
-		e := s.tail
-		if f := e.flags.Load(); f&flagTouched != 0 {
-			e.flags.Store(f &^ flagTouched)
-			s.unlink(e)
-			s.pushFront(e)
-			continue
+// publishSize sets the entries gauge to size, again whenever size moved
+// meanwhile: the last Set of all follows the last change, so at rest the
+// gauge is Len.
+func (c *Cache) publishSize() {
+	for n := c.size.Load(); ; {
+		c.entries.Set(float64(n))
+		m := c.size.Load()
+		if m == n {
+			return
 		}
-		return e
+		n = m
 	}
-	// Every entry was referenced this cycle: the tail (whose bit was
-	// cleared first) is the victim.
-	return s.tail
+}
+
+// victimLocked picks the eviction victim of an insert into a full shard
+// by the CLOCK algorithm, without moving anything: walking from the LRU
+// tail, the first entry whose reference bit is clear, and the count of
+// referenced entries the walk passed, each due a reprieve. When every
+// entry is referenced the newcomer itself is the victim: it returns nil
+// and the shard's length. The caller holds s.mu.
+func (s *shard) victimLocked() (victim *entry, reprieves int) {
+	for e := s.tail; e != nil; e = e.prev {
+		if e.flags.Load()&flagTouched == 0 {
+			return e, reprieves
+		}
+		reprieves++
+	}
+	return nil, reprieves
+}
+
+// reprieveLocked gives the n entries at the LRU tail their second
+// chance: each has its reference bit cleared and moves to the front.
+// Put calls it after the newcomer went to the front, so the reprieved
+// entries end up ahead of it, as when the scan ran after the insert. The
+// caller holds s.mu.
+func (s *shard) reprieveLocked(n int) {
+	for ; n > 0; n-- {
+		e := s.tail
+		e.flags.Store(e.flags.Load() &^ flagTouched)
+		s.unlink(e)
+		s.pushFront(e)
+	}
 }
 
 // removeLocked unlinks e from the shard; the caller holds s.mu.
@@ -606,7 +656,7 @@ func (c *Cache) Instrument(reg *obs.Registry, prefix string) {
 	c.shared, c.prefetches = counter("singleflight_shared"), counter("prefetch")
 	c.refreshes, c.refreshFails = counter("refreshes"), counter("refresh_fail")
 	c.entries = reg.Gauge(prefix + "_entries")
-	c.entries.Set(float64(c.size.Load()))
+	c.publishSize()
 }
 
 // TTL derives the cache lifetime in seconds for a response and whether
@@ -637,45 +687,18 @@ func TTL(msg *dnswire.Message) (ttl uint32, negative bool, ok bool) {
 	return 0, false, false
 }
 
-// hitBlock is a private hit copy made in one allocation: the Message and
-// room for its question and a short answer section.
-type hitBlock struct {
-	dnswire.Message
-	q  [1]dnswire.Question
-	rr [2]dnswire.ResourceRecord
-}
-
-// hitCopy is the one private copy of a hit: dst, allocated when nil,
-// gets msg's header and question and every record, in its own section
-// storage, with its TTL lowered by dec (floored at zero) and then capped
-// at cap.
+// hitCopy is the one private copy of a hit: msg copied into dst
+// (dnswire.Message.CopyInto, allocating when dst is nil), every record's
+// TTL lowered by dec (floored at zero) and then capped at cap.
 func hitCopy(msg, dst *dnswire.Message, dec, cap uint32) *dnswire.Message {
-	if dst == nil {
-		b := new(hitBlock)
-		b.Questions, b.Answers = b.q[:0], b.rr[:0]
-		dst = &b.Message
+	dst = msg.CopyInto(dst)
+	if dec == 0 && cap == noCap {
+		return dst
 	}
-	dst.Header = msg.Header
-	dst.Questions = append(dst.Questions[:0], msg.Questions...)
-	dst.Answers = copySection(dst.Answers, msg.Answers, dec, cap)
-	dst.Authorities = copySection(dst.Authorities, msg.Authorities, dec, cap)
-	dst.Additionals = copySection(dst.Additionals, msg.Additionals, dec, cap)
-	return dst
-}
-
-func copySection(dst, rrs []dnswire.ResourceRecord, dec, cap uint32) []dnswire.ResourceRecord {
-	dst = append(dst[:0], rrs...)
-	for i := range dst {
-		ttl := dst[i].TTL
-		if ttl > dec {
-			ttl -= dec
-		} else {
-			ttl = 0
+	for _, rrs := range [...][]dnswire.ResourceRecord{dst.Answers, dst.Authorities, dst.Additionals} {
+		for i := range rrs {
+			rrs[i].TTL = min(rrs[i].TTL-min(rrs[i].TTL, dec), cap)
 		}
-		if ttl > cap {
-			ttl = cap
-		}
-		dst[i].TTL = ttl
 	}
 	return dst
 }

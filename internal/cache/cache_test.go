@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/netip"
@@ -75,20 +76,19 @@ func TestPutGetCaseInsensitive(t *testing.T) {
 	}
 }
 
-// TestZeroAgeHitSharesStoredMessage: a hit younger than a second is the
-// cache's own copy, the one Put returned — two of them are one pointer
+// TestZeroAgeHitSharesStoredMessage: a Get younger than a second is the
+// cache's own copy — two of them are one pointer, not the message put,
 // and cost nothing — while an aged hit is a copy with its TTLs aged and
 // the stored message left as it was.
 func TestZeroAgeHitSharesStoredMessage(t *testing.T) {
 	c, clk := newTestCache(0)
 	msg := answer("warm.a.com.", 60)
-	stored := c.Put("warm.a.com.", dnswire.TypeA, msg)
-	if stored == nil || stored == msg {
-		t.Fatalf("Put returned %p for the caller's %p: want the cache's own copy", stored, msg)
+	if !c.Put("warm.a.com.", dnswire.TypeA, msg) {
+		t.Fatal("Put refused a 60 s answer")
 	}
-	first, second := c.Get("warm.a.com.", dnswire.TypeA), c.Get("warm.a.com.", dnswire.TypeA)
-	if first != stored || second != stored {
-		t.Errorf("sub-second hits = %p, %p; want the stored %p (warm path must not copy)", first, second, stored)
+	stored, second := c.Get("warm.a.com.", dnswire.TypeA), c.Get("warm.a.com.", dnswire.TypeA)
+	if stored == nil || stored == msg || second != stored {
+		t.Errorf("sub-second hits = %p, %p for the caller's %p; want one stored copy (warm path must not copy)", stored, second, msg)
 	}
 	if n := testing.AllocsPerRun(100, func() { c.Get("warm.a.com.", dnswire.TypeA) }); n != 0 {
 		t.Errorf("sub-second hit: %.1f allocs, want 0", n)
@@ -292,12 +292,22 @@ func TestConcurrentGetSetExpire(t *testing.T) {
 	}
 }
 
+// TestSingleflightCollapses: concurrent Dos for one key run fn once. The
+// leader gets fn's message itself, and every waiter one shared copy of it
+// that the flight took before the leader returned: equal to the leader's
+// answer, not the leader's message, and unchanged when the leader then
+// overwrites its own.
 func TestSingleflightCollapses(t *testing.T) {
 	c, _ := newTestCache(0)
 	var calls atomic.Int32
 	release := make(chan struct{})
 	const waiters = 8
 	var wg sync.WaitGroup
+	var leaderMsg *dnswire.Message
+	want, err := answer("flock.a.com.", 60).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
 	results := make([]*dnswire.Message, waiters)
 	sharedCount := atomic.Int32{}
 	for i := 0; i < waiters; i++ {
@@ -307,13 +317,19 @@ func TestSingleflightCollapses(t *testing.T) {
 			msg, shared, err := c.Do(context.Background(), "flock.a.com.", dnswire.TypeA, func() (*dnswire.Message, error) {
 				calls.Add(1)
 				<-release
-				return answer("flock.a.com.", 60), nil
+				leaderMsg = answer("flock.a.com.", 60)
+				return leaderMsg, nil
 			})
 			if err != nil {
 				t.Error(err)
 			}
 			if shared {
 				sharedCount.Add(1)
+			} else {
+				// The leader's answer is its own: overwrite it at once.
+				msg.Header.ID = 0xBAD
+				msg.Questions[0].Name = "overwritten.a.com."
+				msg.Answers[0].TTL = 1
 			}
 			results[i] = msg
 		}(i)
@@ -330,10 +346,27 @@ func TestSingleflightCollapses(t *testing.T) {
 	if got := sharedCount.Load(); got != waiters-1 {
 		t.Errorf("shared = %d, want %d", got, waiters-1)
 	}
-	for i := 1; i < waiters; i++ {
-		if results[i] != results[0] {
-			t.Fatalf("waiter %d got a different message", i)
+	var copied *dnswire.Message
+	for i, msg := range results {
+		if msg == leaderMsg {
+			continue
 		}
+		if copied == nil {
+			copied = msg
+		}
+		if msg != copied {
+			t.Fatalf("waiter %d got a copy of its own, want the one shared copy", i)
+		}
+	}
+	if copied == nil {
+		t.Fatal("no waiter got a copy")
+	}
+	got, err := copied.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("the waiters' copy changed with the leader's message:\n got %x\nwant %x", got, want)
 	}
 }
 

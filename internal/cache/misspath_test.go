@@ -44,11 +44,25 @@ func lockedLen(t *testing.T, c *Cache) int {
 // TestRunningSizeMatchesShards: Len and the entries gauge come from a
 // count kept as entries come and go. Through inserts, replacements,
 // evictions and expired entries removed on access it must equal what
-// the shards hold.
+// the shards hold, and the gauge must equal Len whenever the cache is
+// idle: after a random walk, after entries that expired are looked up
+// (the removal the gauge once missed), and after a round of concurrent
+// Puts and expiring lookups.
 func TestRunningSizeMatchesShards(t *testing.T) {
 	c, clock := newTestCache(64)
 	reg := obs.NewRegistry()
 	c.Instrument(reg, "cache")
+	gauge := reg.Gauge("cache_entries")
+	idle := func(when string) {
+		t.Helper()
+		want := lockedLen(t, c)
+		if got := c.Len(); got != want || want > 64 {
+			t.Fatalf("%s: Len() = %d, shards hold %d (capacity 64)", when, got, want)
+		}
+		if got := gauge.Value(); int(got) != want {
+			t.Fatalf("%s: entries gauge = %v, Len() = %d", when, got, want)
+		}
+	}
 	rng := rand.New(rand.NewSource(1))
 	for step := 0; step < 4000; step++ {
 		name := dnswire.Name(fmt.Sprintf("n%03d.a.com.", rng.Intn(200)))
@@ -61,19 +75,47 @@ func TestRunningSizeMatchesShards(t *testing.T) {
 			clock.Advance(time.Second)
 		}
 		if step%97 == 0 {
-			if got, want := c.Len(), lockedLen(t, c); got != want {
-				t.Fatalf("step %d: Len() = %d, shards hold %d", step, got, want)
-			}
+			idle(fmt.Sprintf("step %d", step))
 		}
 	}
-	want := lockedLen(t, c)
-	if got := c.Len(); got != want || want > 64 {
-		t.Fatalf("Len() = %d, shards hold %d (capacity 64)", got, want)
+	idle("after the walk")
+
+	c, clock = newTestCache(64)
+	reg = obs.NewRegistry()
+	c.Instrument(reg, "cache")
+	gauge = reg.Gauge("cache_entries")
+	for i := 0; i < 10; i++ {
+		c.Put(dnswire.Name(fmt.Sprintf("brief%d.a.com.", i)), dnswire.TypeA, answer("brief.a.com.", 1))
 	}
-	c.Put("last.a.com.", dnswire.TypeA, answer("last.a.com.", 60))
-	if got := reg.Gauge("cache_entries").Value(); int(got) != c.Len() {
-		t.Errorf("entries gauge = %v, Len() = %d", got, c.Len())
+	clock.Advance(2 * time.Second)
+	for i := 0; i < 10; i++ {
+		c.Get(dnswire.Name(fmt.Sprintf("brief%d.a.com.", i)), dnswire.TypeA)
 	}
+	if c.Len() != 0 {
+		t.Fatalf("Len() = %d after every entry expired and was looked up", c.Len())
+	}
+	idle("after expired entries were looked up")
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				name := dnswire.Name(fmt.Sprintf("c%03d.a.com.", (i*7+g*31)%150))
+				if i%3 == 2 {
+					c.Get(name, dnswire.TypeA)
+				} else {
+					c.Put(name, dnswire.TypeA, answer(name, uint32(1+i%3)))
+				}
+				if g == 0 && i%50 == 0 {
+					clock.Advance(time.Second)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	idle("after concurrent Puts and expiring lookups")
 }
 
 // TestLookupCopyIsTheCallersOwn (named for the LookupCopy that LookupInto
@@ -84,7 +126,8 @@ func TestRunningSizeMatchesShards(t *testing.T) {
 // an aged hit is none, and dst's sections never alias the stored ones.
 func TestLookupCopyIsTheCallersOwn(t *testing.T) {
 	c, clock := newTestCache(64)
-	stored := c.Put("own.a.com.", dnswire.TypeA, answer("own.a.com.", 300))
+	c.Put("own.a.com.", dnswire.TypeA, answer("own.a.com.", 300))
+	stored := c.Get("own.a.com.", dnswire.TypeA) // the entry's own message
 	stamp := func(m *dnswire.Message, id uint16) {
 		m.Header.ID = id
 		m.Questions[0].Name = "OWN.A.COM."
@@ -169,8 +212,8 @@ func TestKeyNameIsTheStoredSpelling(t *testing.T) {
 // TestPutCopiesTheMessage: Put keeps a copy, so the caller may edit the
 // message it put or hand it to the pool, where the next decode rewrites
 // its sections, and the entry still packs to the bytes it was put with.
-// Put returns that copy — the message hits share — or nil for an answer
-// it refuses; a longer answer is copied whole.
+// Put reports whether it took the answer (a sub-second Get then returns
+// the copy), and a longer answer is copied whole.
 func TestPutCopiesTheMessage(t *testing.T) {
 	c, _ := newTestCache(64)
 	other, err := answer("other.a.com.", 7).Pack()
@@ -186,9 +229,11 @@ func TestPutCopiesTheMessage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stored := c.Put(name, dnswire.TypeA, msg)
-		if stored == nil || stored == msg || c.Get(name, dnswire.TypeA) != stored {
-			t.Fatalf("%s: Put = %p for %p, Get = %p", name, stored, msg, c.Get(name, dnswire.TypeA))
+		if !c.Put(name, dnswire.TypeA, msg) {
+			t.Fatalf("%s: Put refused it", name)
+		}
+		if stored := c.Get(name, dnswire.TypeA); stored == nil || stored == msg {
+			t.Fatalf("%s: Get = %p for the put %p", name, stored, msg)
 		}
 		msg.Header.ID = 0xBAD
 		msg.Questions[0].Name = "edited.a.com."
@@ -211,8 +256,8 @@ func TestPutCopiesTheMessage(t *testing.T) {
 			t.Errorf("%s: the entry changed with the caller's message:\n got %x\nwant %x", name, got, want)
 		}
 	}
-	if got := c.Put("zero.a.com.", dnswire.TypeA, answer("zero.a.com.", 0)); got != nil {
-		t.Errorf("Put of a TTL-0 answer = %v, want nil", got)
+	if c.Put("zero.a.com.", dnswire.TypeA, answer("zero.a.com.", 0)) {
+		t.Error("Put took a TTL-0 answer")
 	}
 }
 
@@ -226,27 +271,42 @@ func TestEntryFitsIn256Bytes(t *testing.T) {
 }
 
 // TestPutAllocatesTheEntryOnly: the LRU list is threaded through the
-// entries, so an insert into a full shard — evicting — is one
-// allocation. It was two with container/list.
+// entries, so filling a shard allocates the entry and nothing else (it
+// was two allocations with container/list), and an insert into a full
+// shard — evicting or replacing — takes over the storage of the entry it
+// removes: none. It read one before entries were recycled.
 func TestPutAllocatesTheEntryOnly(t *testing.T) {
-	c, _ := newTestCache(64)
 	msgs := make([]*dnswire.Message, 512)
 	names := make([]dnswire.Name, len(msgs))
 	for i := range msgs {
 		names[i] = dnswire.Name(fmt.Sprintf("p%03d.a.com.", i))
 		msgs[i] = answer(names[i], 60)
-		c.Put(names[i], dnswire.TypeA, msgs[i])
 	}
-	i := 0
-	n := testing.AllocsPerRun(400, func() {
-		c.Put(names[i%len(names)], dnswire.TypeA, msgs[i%len(names)])
-		i++
-	})
-	if n > 1 {
-		t.Errorf("Put: %.1f allocs, want 1", n)
-	}
-	if st := c.Stats(); st.Evictions == 0 {
-		t.Error("the measured inserts never evicted")
+	for _, row := range []struct {
+		what     string
+		capacity int
+		want     float64
+	}{
+		{"a fill", 4096, 1},
+		{"an insert into a full shard", 64, 0},
+	} {
+		c, _ := newTestCache(row.capacity)
+		if row.want == 0 {
+			for i := range msgs {
+				c.Put(names[i], dnswire.TypeA, msgs[i])
+			}
+		}
+		i := 0
+		n := testing.AllocsPerRun(400, func() {
+			c.Put(names[i%len(names)], dnswire.TypeA, msgs[i%len(names)])
+			i++
+		})
+		if n != row.want {
+			t.Errorf("Put, %s: %.1f allocs, want %.0f", row.what, n, row.want)
+		}
+		if st := c.Stats(); (st.Evictions == 0) != (row.want == 1) {
+			t.Errorf("Put, %s: %d evictions", row.what, st.Evictions)
+		}
 	}
 }
 
@@ -277,8 +337,9 @@ func TestDoAloneAllocatesNothing(t *testing.T) {
 // reused by leaders that others join and the other way round. Every
 // caller gets its own key's result — a flight recycled while a waiter
 // still held it would hand that waiter another key's result, or none —
-// and SharedFlights counts exactly the waiters. Run it under -race with
-// -count=20.
+// and SharedFlights counts exactly the waiters. A leader gets fn's own
+// message and overwrites it at once; the waiters' copy must still hold
+// the answer afterwards. Run it under -race with -count=20.
 func TestRecycledFlightsKeepTheirResults(t *testing.T) {
 	const (
 		rounds  = 20
@@ -290,45 +351,70 @@ func TestRecycledFlightsKeepTheirResults(t *testing.T) {
 	c, _ := newTestCache(64)
 	ctx := context.Background()
 	key := func(kind string, i int) dnswire.Name { return dnswire.Name(fmt.Sprintf("%s%d.a.com.", kind, i)) }
-	msgs := make(map[dnswire.Name]*dnswire.Message)
-	for i := 0; i < joined; i++ {
-		msgs[key("j", i)] = answer(key("j", i), 60)
-	}
-	for i := 0; i < lone; i++ {
-		msgs[key("l", i)] = answer(key("l", i), 60)
+	wire := make(map[dnswire.Name][]byte)
+	for _, kind := range []string{"j", "l"} {
+		for i := 0; i < joined+lone; i++ {
+			b, err := answer(key(kind, i), 60).Pack()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wire[key(kind, i)] = b
+		}
 	}
 	// Odd keys fail: an error is a result the waiters must share too.
 	result := func(name dnswire.Name) (*dnswire.Message, error) {
 		if name[1] == '1' || name[1] == '3' {
 			return nil, errors.New(string(name))
 		}
-		return msgs[name], nil
+		return answer(name, 60), nil
 	}
 	check := func(name dnswire.Name, got *dnswire.Message, err error) {
-		want, wantErr := result(name)
-		if got != want || (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
-			t.Errorf("%s: got %v, %v; want %v, %v", name, got, err, want, wantErr)
+		t.Helper()
+		if _, wantErr := result(name); wantErr != nil {
+			if err == nil || err.Error() != wantErr.Error() || got != nil {
+				t.Errorf("%s: got %v, %v; want %v", name, got, err, wantErr)
+			}
+			return
+		}
+		if err != nil || got == nil {
+			t.Errorf("%s: got %v, %v", name, got, err)
+			return
+		}
+		if b, err := got.Pack(); err != nil || !bytes.Equal(b, wire[name]) {
+			t.Errorf("%s: answered %v", name, got)
+		}
+	}
+	overwrite := func(m *dnswire.Message) {
+		if m != nil {
+			m.Header.ID = 0xBAD
+			m.Questions[0].Name = "overwritten.a.com."
+			m.Answers[0].TTL = 1
 		}
 	}
 
 	for round := 0; round < rounds; round++ {
 		var wg sync.WaitGroup
 		release := make(chan struct{})
+		var waited [joined][waiters]*dnswire.Message
 		for i := 0; i < joined; i++ {
 			name := key("j", i)
 			entered := make(chan struct{})
 			wg.Add(1 + waiters)
 			go func() {
 				defer wg.Done()
+				var mine *dnswire.Message
 				got, shared, err := c.Do(ctx, name, dnswire.TypeA, func() (*dnswire.Message, error) {
 					close(entered)
 					<-release
-					return result(name)
+					m, err := result(name)
+					mine = m
+					return m, err
 				})
-				if shared {
-					t.Errorf("%s: the leader reported a shared flight", name)
+				if shared || got != mine {
+					t.Errorf("%s: the leader got %p (shared %v), not fn's %p", name, got, shared, mine)
 				}
 				check(name, got, err)
+				overwrite(got)
 			}()
 			<-entered
 			for w := 0; w < waiters; w++ {
@@ -342,6 +428,7 @@ func TestRecycledFlightsKeepTheirResults(t *testing.T) {
 						t.Errorf("%s: a waiter led its own flight", name)
 					}
 					check(name, got, err)
+					waited[i][w] = got
 				}()
 			}
 		}
@@ -356,6 +443,7 @@ func TestRecycledFlightsKeepTheirResults(t *testing.T) {
 						t.Errorf("%s: a lone caller joined a flight", name)
 					}
 					check(name, got, err)
+					overwrite(got)
 				}
 			}()
 		}
@@ -369,6 +457,14 @@ func TestRecycledFlightsKeepTheirResults(t *testing.T) {
 		wg.Wait()
 		if got := c.Stats().SharedFlights; got != want {
 			t.Fatalf("round %d: SharedFlights = %d, want exactly %d", round, got, want)
+		}
+		// Every leader has overwritten its answer by now.
+		for i := range waited {
+			for _, got := range waited[i] {
+				if _, err := result(key("j", i)); err == nil {
+					check(key("j", i), got, nil)
+				}
+			}
 		}
 	}
 }

@@ -29,6 +29,11 @@ var flightPool = sync.Pool{New: func() any { return new(flight) }}
 // waited on another's flight (true) or ran fn itself (false). Waiters
 // honour ctx cancellation without cancelling the leader's resolution.
 //
+// The leader gets fn's message itself. The waiters share one copy of it
+// (dnswire.Message.CopyInto), taken before the leader returns and only
+// when someone joined, so the leader may keep, stamp or pool its answer
+// at once; the waiters' copy is read-only.
+//
 // Do does not touch the cache's entries: the caller decides whether
 // and how to Put the result (resolver.WithCache inserts only
 // successful, cacheable answers). Sequential calls never share — an
@@ -56,16 +61,18 @@ func (c *Cache) Do(ctx context.Context, name dnswire.Name, typ dnswire.Type, fn 
 	c.flightMu.Unlock()
 
 	msg, err = fn()
-	f.msg, f.err = msg, err
 	c.flightMu.Lock()
 	delete(c.inflight, k)
 	done := f.done
 	c.flightMu.Unlock()
-	if done != nil {
-		close(done) // the waiters own f now
-	} else {
-		*f = flight{}
-		flightPool.Put(f)
+	if done == nil {
+		flightPool.Put(f) // untouched: nobody joined
+		return msg, false, err
 	}
+	if msg != nil {
+		f.msg = msg.CopyInto(nil)
+	}
+	f.err = err
+	close(done) // the waiters own f now
 	return msg, false, err
 }

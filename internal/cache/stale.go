@@ -41,22 +41,29 @@ func (c *Cache) SetRefresher(fn Refresher) {
 // refreshers before tearing down the upstream they resolve through.
 func (c *Cache) Wait() { c.refreshWG.Wait() }
 
+// refreshDue reports whether a hit on e may launch a refresh: a
+// refresher is installed and no refresh of e's key failed within
+// refreshBackoff, so a dead upstream under a stale-hit storm sees one
+// probe per backoff window, not one per client query. The caller holds
+// e's shard's read lock.
+func (c *Cache) refreshDue(e *entry) bool {
+	if c.refresher.Load() == nil {
+		return false
+	}
+	failedAt := e.refreshFailedAt.Load()
+	return failedAt == 0 || c.clock().Sub(timeUnixNano(failedAt)) >= refreshBackoff
+}
+
 // launchRefresh starts one deduplicated background refresh for k.
 // prefetch marks popularity-triggered refreshes (counted separately
-// from stale-triggered ones). Callers must not hold any shard lock:
-// in SyncRefresh mode the refresh — including its Put — runs inline.
-func (c *Cache) launchRefresh(k key, e *entry, prefetch bool) {
+// from stale-triggered ones). The refresh holds k, never an entry, so
+// Put may recycle the entry that launched it. Callers must not hold any
+// shard lock: in SyncRefresh mode the refresh — including its Put — runs
+// inline.
+func (c *Cache) launchRefresh(k key, prefetch bool) {
 	fnp := c.refresher.Load()
 	if fnp == nil {
 		return
-	}
-	// Space attempts after a failure so a dead upstream under a
-	// stale-hit storm sees one probe per backoff window, not one per
-	// client query.
-	if failedAt := e.refreshFailedAt.Load(); failedAt != 0 {
-		if c.clock().Sub(timeUnixNano(failedAt)) < refreshBackoff {
-			return
-		}
 	}
 	c.refreshMu.Lock()
 	if _, inflight := c.refreshing[k]; inflight {
@@ -71,17 +78,18 @@ func (c *Cache) launchRefresh(k key, e *entry, prefetch bool) {
 		c.prefetches.Inc()
 	}
 	if c.syncRefresh {
-		c.runRefresh(k, e, *fnp)
+		c.runRefresh(k, *fnp)
 		return
 	}
-	go c.runRefresh(k, e, *fnp)
+	go c.runRefresh(k, *fnp)
 }
 
 // runRefresh performs one background refresh: fetch through the
 // refresher on a detached, deadline-bounded context, store the answer
-// if it is cacheable, and otherwise record the failure and leave the
-// stale entry in place so it keeps serving until StaleTTL lapses.
-func (c *Cache) runRefresh(k key, e *entry, fn Refresher) {
+// if it is cacheable, and otherwise stamp the failure on the entry k has
+// now, if any, and leave it in place so it keeps serving until StaleTTL
+// lapses. A successful refresh's entry starts unstamped.
+func (c *Cache) runRefresh(k key, fn Refresher) {
 	defer func() {
 		c.refreshMu.Lock()
 		delete(c.refreshing, k)
@@ -94,13 +102,17 @@ func (c *Cache) runRefresh(k key, e *entry, fn Refresher) {
 	msg, err := fn(ctx, k.name, k.typ)
 	ok := err == nil && msg != nil &&
 		(msg.Header.RCode == dnswire.RCodeNoError || msg.Header.RCode == dnswire.RCodeNXDomain) &&
-		c.Put(k.name, k.typ, msg) != nil
+		c.Put(k.name, k.typ, msg)
 	dnswire.PutMessage(msg)
 	if ok {
 		c.refreshes.Inc()
-		e.refreshFailedAt.Store(0)
 		return
 	}
 	c.refreshFails.Inc()
-	e.refreshFailedAt.Store(c.clock().UnixNano())
+	s := c.shardFor(k)
+	s.mu.RLock()
+	if e, found := s.entries[k]; found {
+		e.refreshFailedAt.Store(c.clock().UnixNano())
+	}
+	s.mu.RUnlock()
 }

@@ -77,6 +77,33 @@ func (m *Message) ReplyInto(r *Message) *Message {
 	return r
 }
 
+// copyBlock is a copy made in one allocation: the Message and room for
+// its question and a short answer section.
+type copyBlock struct {
+	Message
+	q  [1]Question
+	rr [2]ResourceRecord
+}
+
+// CopyInto copies m's header and every section into dst's own section
+// storage, whose capacity it keeps, and returns dst: a reused dst costs
+// nothing once it has grown. Names and RData values stay shared with m,
+// since nothing edits them. A nil dst is allocated here, with room for
+// the question and two records.
+func (m *Message) CopyInto(dst *Message) *Message {
+	if dst == nil {
+		b := new(copyBlock)
+		b.Questions, b.Answers = b.q[:0], b.rr[:0]
+		dst = &b.Message
+	}
+	dst.Header = m.Header
+	dst.Questions = append(dst.Questions[:0], m.Questions...)
+	dst.Answers = append(dst.Answers[:0], m.Answers...)
+	dst.Authorities = append(dst.Authorities[:0], m.Authorities...)
+	dst.Additionals = append(dst.Additionals[:0], m.Additionals...)
+	return dst
+}
+
 // Pack encodes the message into wire format with name compression.
 // It is a thin wrapper over AppendPack; single-question queries skip
 // the compression table entirely.

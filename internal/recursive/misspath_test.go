@@ -44,9 +44,12 @@ func cannedNames(n int) ([]dnswire.Name, cannedZone) {
 
 // TestResolveMissAllocBudget: a miss through the resolver — zone
 // match, flight, upstream, insert into a full cache, answer — costs the
-// cache entry: the flight nobody joined is recycled. It read 6 with the
+// caller's copy of the answer through Resolve, and nothing through
+// ResolveInto into storage the caller reuses: the flight nobody joined is
+// recycled, the insert takes over the storage of the entry it evicts and
+// the upstream's message goes back to the pool. It read 6 with the
 // flight's channel, the list element, the Labels() split and the
-// leader's private copy, then 2 with the flight.
+// leader's private copy, then 2 with the flight, then 1: the entry.
 func TestResolveMissAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -59,24 +62,33 @@ func TestResolveMissAllocBudget(t *testing.T) {
 	}))
 	ctx := context.Background()
 	q := dnswire.NewQuery(1, names[0], dnswire.TypeA)
+	var dst dnswire.Message
 	i := 0
-	resolve := func() {
-		q.Header.ID++
-		q.Questions[0].Name = names[i%len(names)]
-		i++
-		resp, err := r.Resolve(ctx, q)
-		if err != nil || resp.Header.ID != q.Header.ID || len(resp.Answers) != 1 {
-			t.Fatalf("Resolve = %v, %v", resp, err)
+	for _, row := range []struct {
+		name    string
+		resolve func() (*dnswire.Message, error)
+		budget  float64
+	}{
+		{"Resolve", func() (*dnswire.Message, error) { return r.Resolve(ctx, q) }, 1},
+		{"ResolveInto", func() (*dnswire.Message, error) { return r.ResolveInto(ctx, q, &dst) }, 0},
+	} {
+		resolve := func() {
+			q.Header.ID++
+			q.Questions[0].Name = names[i%len(names)]
+			i++
+			resp, err := row.resolve()
+			if err != nil || resp.Header.ID != q.Header.ID || len(resp.Answers) != 1 || resp.Answers[0].Name != q.Questions[0].Name {
+				t.Fatalf("%s = %v, %v", row.name, resp, err)
+			}
 		}
-	}
-	for range names[:512] { // fill the cache: the measured inserts all evict
-		resolve()
-	}
-	const budget = 1
-	n := testing.AllocsPerRun(1000, resolve)
-	t.Logf("recursive miss over a canned upstream: %.1f allocs", n)
-	if n > budget {
-		t.Errorf("recursive miss: %.1f allocs, budget %d", n, budget)
+		for range names[:512] { // fill the cache: the measured inserts all evict
+			resolve()
+		}
+		n := testing.AllocsPerRun(1000, resolve)
+		t.Logf("recursive miss over a canned upstream through %s: %.1f allocs", row.name, n)
+		if n > row.budget {
+			t.Errorf("recursive miss through %s: %.1f allocs, budget %.0f", row.name, n, row.budget)
+		}
 	}
 	st := r.Cache().Stats()
 	if st.Hits != 0 || st.Evictions == 0 {
@@ -123,11 +135,13 @@ func TestResolveHitAllocBudget(t *testing.T) {
 	}
 }
 
-// TestForwardedAnswerIsNotCopiedAgain: the query that went upstream gets
-// the cache's copy of the answer as it stands — the entry's own message,
-// whose ID and RD flag are its own already — and the upstream's message
-// goes back to the pool; a waiter on the same flight with another ID
-// gets a copy carrying its own.
+// TestForwardedAnswerIsNotCopiedAgain: the query that went upstream is
+// answered in the caller's storage, from one copy of the upstream's
+// message, stamped with its own ID, RD bit and question spelling however
+// the upstream answered them; the upstream's message goes back to the
+// pool. A waiter on the same flight gets its own ID and spelling in its
+// own storage. Once the leader's storage is overwritten, the waiter's
+// answer and the cached entry are as they were.
 func TestForwardedAnswerIsNotCopiedAgain(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
 	var upstreamAnswer *dnswire.Message
@@ -136,24 +150,33 @@ func TestForwardedAnswerIsNotCopiedAgain(t *testing.T) {
 		close(entered)
 		<-release
 		upstreamAnswer = q.Reply()
+		// An upstream that answers under an ID and spelling of its own.
+		upstreamAnswer.Header.ID, upstreamAnswer.Header.RecursionDesired = 0xFFFF, true
+		upstreamAnswer.Questions[0].Name = "share.a.com."
 		upstreamAnswer.Answers = append(upstreamAnswer.Answers, dnswire.ResourceRecord{
-			Name: q.Questions[0].Name, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 60,
+			Name: "share.a.com.", Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 60,
 			Data: dnswire.ARecord{Addr: netip.MustParseAddr("192.0.2.1")},
 		})
 		return upstreamAnswer, nil
 	}))
+	ask := func(id uint16, name dnswire.Name) *dnswire.Message {
+		q := dnswire.NewQuery(id, name, dnswire.TypeA)
+		q.Header.RecursionDesired = false
+		return q
+	}
 	type result struct {
 		resp *dnswire.Message
 		err  error
 	}
+	var leaderDst, waiterDst dnswire.Message
 	leader, waiter := make(chan result, 1), make(chan result, 1)
 	go func() {
-		resp, err := r.Resolve(context.Background(), dnswire.NewQuery(100, "share.a.com.", dnswire.TypeA))
+		resp, err := r.ResolveInto(context.Background(), ask(100, "Share.A.com."), &leaderDst)
 		leader <- result{resp, err}
 	}()
 	<-entered
 	go func() {
-		resp, err := r.Resolve(context.Background(), dnswire.NewQuery(200, "share.a.com.", dnswire.TypeA))
+		resp, err := r.ResolveInto(context.Background(), ask(200, "SHARE.a.com."), &waiterDst)
 		waiter <- result{resp, err}
 	}()
 	// The waiter is counted once it has joined the flight.
@@ -163,15 +186,42 @@ func TestForwardedAnswerIsNotCopiedAgain(t *testing.T) {
 	if l.err != nil || w.err != nil {
 		t.Fatalf("errors: %v, %v", l.err, w.err)
 	}
-	stored := r.Cache().Get("share.a.com.", dnswire.TypeA)
-	if l.resp != stored {
-		t.Error("the forwarded query's answer is not the entry's message although ID and RD were its own")
+	for _, row := range []struct {
+		who  string
+		got  result
+		dst  *dnswire.Message
+		id   uint16
+		name dnswire.Name
+	}{{"leader", l, &leaderDst, 100, "Share.A.com."}, {"waiter", w, &waiterDst, 200, "SHARE.a.com."}} {
+		h := row.got.resp.Header
+		if row.got.resp != row.dst || row.got.resp == upstreamAnswer {
+			t.Errorf("%s: answered in %p, want its own storage %p", row.who, row.got.resp, row.dst)
+		}
+		if h.ID != row.id || h.RecursionDesired || !h.RecursionAvailable || row.dst.Questions[0].Name != row.name {
+			t.Errorf("%s: answered ID %d RD=%v RA=%v for %s, want ID %d RD=false RA=true for %s",
+				row.who, h.ID, h.RecursionDesired, h.RecursionAvailable, row.dst.Questions[0].Name, row.id, row.name)
+		}
+		if len(row.dst.Answers) != 1 || row.dst.Answers[0].Data != (dnswire.ARecord{Addr: netip.MustParseAddr("192.0.2.1")}) {
+			t.Errorf("%s: answered %v", row.who, row.dst.Answers)
+		}
 	}
-	if l.resp == upstreamAnswer {
-		t.Error("the forwarded query got the upstream's message, which the cache does not keep")
+	pack := func(m *dnswire.Message) string {
+		b, err := m.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
 	}
-	if w.resp == stored || w.resp.Header.ID != 200 || stored.Header.ID != 100 {
-		t.Errorf("waiter got ID %d (shared message has %d)", w.resp.Header.ID, stored.Header.ID)
+	waiterWire, storedWire := pack(&waiterDst), pack(r.Cache().Get("share.a.com.", dnswire.TypeA))
+	leaderDst.Header.ID = 0xBAD
+	leaderDst.Questions[0].Name = "overwritten.a.com."
+	leaderDst.Answers[0].TTL = 1
+	leaderDst.Answers[0].Data = dnswire.ARecord{Addr: netip.MustParseAddr("198.51.100.1")}
+	if pack(&waiterDst) != waiterWire {
+		t.Error("overwriting the leader's answer changed the waiter's")
+	}
+	if pack(r.Cache().Get("share.a.com.", dnswire.TypeA)) != storedWire {
+		t.Error("overwriting the leader's answer changed the cached entry")
 	}
 }
 

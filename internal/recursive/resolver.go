@@ -29,8 +29,8 @@ import (
 //
 // The ownership rule is resolver.Resolver's: the response's header and
 // section slices belong to the caller, its names and RData may be
-// shared. The Resolver edits the header, and once the cache has its
-// copy it hands the response to dnswire.PutMessage.
+// shared. The Resolver edits the header, and once the cache and the
+// asker have their copies it hands the response to dnswire.PutMessage.
 type Upstream interface {
 	// Resolve returns the authoritative response for q.
 	Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error)
@@ -150,13 +150,13 @@ func (r *Resolver) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Me
 	return r.ResolveInto(ctx, q, nil)
 }
 
-// ResolveInto is Resolve answering a cache hit in dst: the hit is copied
-// into dst's own storage (cache.LookupInto) and stamped with q's ID, RD
-// flag and question, so a caller that reuses dst across queries pays
-// nothing for a hit. A miss returns the cache's copy of the answer —
-// the entry's own message when the query is the one that was forwarded —
-// and leaves dst alone; a nil dst allocates the hit's copy. Either way
-// the query makes one cache lookup, and the answer's records are
+// ResolveInto is Resolve answering in dst: a hit is copied into dst's own
+// storage (cache.LookupInto), and so is a miss's answer, the upstream's
+// message once the cache has its copy or a waiter's share of another
+// query's flight. The answer is stamped with q's ID, RD flag and
+// question, so a caller that reuses dst across queries pays nothing for
+// either once dst has grown. A nil dst allocates the copy. Either way
+// the query makes one cache lookup, and the answer's names and RData are
 // read-only.
 func (r *Resolver) ResolveInto(ctx context.Context, q, dst *dnswire.Message) (*dnswire.Message, error) {
 	if len(q.Questions) == 0 {
@@ -166,78 +166,55 @@ func (r *Resolver) ResolveInto(ctx context.Context, q, dst *dnswire.Message) (*d
 	// The hit path is lock-light end to end: the lookup takes only a
 	// shard read lock (recency and popularity are per-entry atomics),
 	// and stale hits hand the refresh to a detached background flight.
-	if resp, _ := r.cache.LookupInto(question.Name, question.Type, dst); resp != nil {
-		resp.Header.ID = q.Header.ID
-		resp.Header.RecursionDesired = q.Header.RecursionDesired
-		resp.Header.RecursionAvailable = true
-		if len(resp.Questions) > 0 {
-			// The asker's own spelling (RFC 1035 §4.1.2), not the one
-			// the entry was cached under.
-			resp.Questions[0] = question
+	resp, _ := r.cache.LookupInto(question.Name, question.Type, dst)
+	if resp == nil {
+		up := r.upstreamFor(question.Name)
+		if up == nil {
+			return nil, fmt.Errorf("%w: %s", ErrNoUpstream, question.Name)
 		}
-		return resp, nil
+		// Coalesce concurrent misses for the same question. A waiter that
+		// gives up leaves the leader's resolution running, and an error is
+		// handed to the waiters of that flight only, never kept.
+		var shared bool
+		var err error
+		resp, shared, err = r.cache.Do(ctx, question.Name, question.Type, func() (*dnswire.Message, error) {
+			return r.resolveMiss(ctx, up, q, dst)
+		})
+		if err != nil {
+			return nil, err
+		}
+		if shared {
+			resp = resp.CopyInto(dst)
+		}
 	}
-	up := r.upstreamFor(question.Name)
-	if up == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNoUpstream, question.Name)
+	resp.Header.ID = q.Header.ID
+	resp.Header.RecursionDesired = q.Header.RecursionDesired
+	resp.Header.RecursionAvailable = true
+	if len(resp.Questions) > 0 {
+		// The asker's own spelling (RFC 1035 §4.1.2), not the one the
+		// entry was cached under.
+		resp.Questions[0] = question
 	}
-
-	// Coalesce concurrent misses for the same question. A waiter that
-	// gives up leaves the leader's resolution running, and an error is
-	// handed to the waiters of that flight only, never kept.
-	resp, _, err := r.cache.Do(ctx, question.Name, question.Type, func() (*dnswire.Message, error) {
-		return r.resolveMiss(ctx, up, q)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return tailorResponse(resp, q), nil
+	return resp, nil
 }
 
-// resolveMiss performs the actual upstream resolution and caches it. The
-// flight shares the cache's copy, and the upstream's message goes back
-// to the pool; an answer the cache refuses is shared as it came.
-func (r *Resolver) resolveMiss(ctx context.Context, up Upstream, q *dnswire.Message) (*dnswire.Message, error) {
+// resolveMiss performs the actual upstream resolution and caches it. It
+// answers from a copy of the upstream's message in dst, and the
+// upstream's message goes back to the pool.
+func (r *Resolver) resolveMiss(ctx context.Context, up Upstream, q, dst *dnswire.Message) (*dnswire.Message, error) {
 	resp, err := up.Resolve(ctx, q)
 	if err != nil {
 		return nil, err
 	}
 	resp.Header.RecursionAvailable = true
 	resp.Header.Authoritative = false
-	question := q.Questions[0]
 	if resp.Header.RCode == dnswire.RCodeNoError || resp.Header.RCode == dnswire.RCodeNXDomain {
-		if cached := r.cache.Put(question.Name, question.Type, resp); cached != nil {
-			dnswire.PutMessage(resp)
-			return cached, nil
-		}
+		question := q.Questions[0]
+		r.cache.Put(question.Name, question.Type, resp)
 	}
-	return resp, nil
-}
-
-// tailored is a waiter's copy of a shared response and its own question
-// in one allocation.
-type tailored struct {
-	dnswire.Message
-	q [1]dnswire.Question
-}
-
-// tailorResponse stamps a shared response with one waiter's identity:
-// its ID, RD flag and question. The query that was forwarded got all
-// three echoed back, so its answer needs no copy; like a cache hit's
-// records, what Resolve returns is read-only.
-func tailorResponse(shared *dnswire.Message, q *dnswire.Message) *dnswire.Message {
-	echoed := len(shared.Questions) == 0 || shared.Questions[0] == q.Questions[0]
-	if echoed && shared.Header.ID == q.Header.ID && shared.Header.RecursionDesired == q.Header.RecursionDesired {
-		return shared
-	}
-	t := &tailored{Message: *shared}
-	t.Header.ID = q.Header.ID
-	t.Header.RecursionDesired = q.Header.RecursionDesired
-	if !echoed {
-		t.Questions = append(t.q[:0], shared.Questions...)
-		t.Questions[0] = q.Questions[0]
-	}
-	return &t.Message
+	answer := resp.CopyInto(dst)
+	dnswire.PutMessage(resp)
+	return answer, nil
 }
 
 // Server exposes a Resolver over UDP and, on the same port, TCP,

@@ -18,9 +18,10 @@ import (
 // so errors and SERVFAILs are always re-resolved.
 //
 // Every answer is its caller's, as Resolver's ownership rule asks: the
-// leader keeps next's message (the cache stores a copy), and hits and
-// waiters get copies with sections of their own, stamped with their own
-// query's ID, RD bit and question, so a caller may pool what it gets.
+// leader keeps next's message (the cache stores a copy, and a flight
+// that others joined one more for them), and hits and waiters get copies
+// with sections of their own, stamped with their own query's ID, RD bit
+// and question, so a caller may pool what it gets.
 //
 // Place it outermost — above WithMetrics — so the transport's latency
 // histograms keep describing real resolutions: a microsecond cache hit
@@ -86,9 +87,8 @@ func (cw *cacheware) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.
 
 	// Miss: resolve through next, collapsing concurrent misses for the
 	// same question into one transport resolution. The leader keeps next's
-	// answer; the flight carries a message its caller cannot reach — the
-	// cache's copy, or a private one when the cache refuses the answer.
-	var own *dnswire.Message
+	// answer, the cache a copy, and the waiters one copy the flight took
+	// for them, which each copies again to stamp.
 	var leaderTiming Timing
 	msg, shared, err := cw.cache.Do(ctx, question.Name, question.Type, func() (*dnswire.Message, error) {
 		resp, t, err := cw.next.Resolve(ctx, q)
@@ -96,23 +96,20 @@ func (cw *cacheware) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.
 		if err != nil {
 			return nil, err
 		}
-		own = resp
 		if resp.Header.RCode == dnswire.RCodeNoError || resp.Header.RCode == dnswire.RCodeNXDomain {
-			if cached := cw.cache.Put(question.Name, question.Type, resp); cached != nil {
-				return cached, nil
-			}
+			cw.cache.Put(question.Name, question.Type, resp)
 		}
-		return private(resp), nil
+		return resp, nil
 	})
 	if err != nil {
 		return nil, Timing{Total: time.Since(start)}, err
 	}
 	if shared {
-		// Another caller's flight answered us: its message is shared,
-		// and its Timing belongs to the leader — report only our wait.
-		return answerTo(private(msg), q), Timing{Total: time.Since(start), Attempts: 1}, nil
+		// Another caller's flight answered us: its Timing belongs to the
+		// leader — report only our wait.
+		return answerTo(msg.CopyInto(nil), q), Timing{Total: time.Since(start), Attempts: 1}, nil
 	}
-	return own, leaderTiming, nil
+	return msg, leaderTiming, nil
 }
 
 // answerTo stamps resp, a copy of the caller's own, as the answer to q:
@@ -126,15 +123,4 @@ func answerTo(resp, q *dnswire.Message) *dnswire.Message {
 		resp.Questions[0] = q.Questions[0]
 	}
 	return resp
-}
-
-// private copies m into sections of its own; names and RData stay shared.
-func private(m *dnswire.Message) *dnswire.Message {
-	return &dnswire.Message{
-		Header:      m.Header,
-		Questions:   append([]dnswire.Question(nil), m.Questions...),
-		Answers:     append([]dnswire.ResourceRecord(nil), m.Answers...),
-		Authorities: append([]dnswire.ResourceRecord(nil), m.Authorities...),
-		Additionals: append([]dnswire.ResourceRecord(nil), m.Additionals...),
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net/netip"
 	"sync"
 	"sync/atomic"
@@ -198,6 +199,54 @@ func TestWithCacheAnswersEachAskersQuestion(t *testing.T) {
 					h.ID, h.RecursionDesired, resp.Questions[0].Name, q.Header.ID)
 			}
 		})
+	}
+}
+
+// TestWithCacheMissAllocatesNoEntry: a miss nobody joined, over a full
+// cache, costs WithCache nothing. The flight is recycled, the insert
+// takes over the storage of the entry it evicts, and the leader keeps
+// next's message, copied for no one. The next here answers in pooled
+// messages its caller hands back, so what is counted is WithCache's own.
+func TestWithCacheMissAllocatesNoEntry(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	names := make([]dnswire.Name, 2048)
+	for i := range names {
+		names[i] = dnswire.Name(fmt.Sprintf("m%05d.example.", i))
+	}
+	// Boxed once: an RData made per answer would be the test's allocation.
+	a := cachedAnswer(Query(names[0], dnswire.TypeA), 300).Answers[0].Data
+	next := Func(func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, Timing, error) {
+		resp := q.ReplyInto(dnswire.GetMessage())
+		resp.Answers = append(resp.Answers, dnswire.ResourceRecord{
+			Name: q.Questions[0].Name, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 300, Data: a,
+		})
+		return resp, Timing{Attempts: 1}, nil
+	})
+	c := cache.New(cache.Config{MaxEntries: 256})
+	r := WithCache(next, c, nil, DoH)
+	ctx := context.Background()
+	q := Query(names[0], dnswire.TypeA)
+	i := 0
+	resolve := func() {
+		q.Header.ID++
+		q.Questions[0].Name = names[i%len(names)]
+		i++
+		resp, _, err := r.Resolve(ctx, q)
+		if err != nil || resp.Header.ID != q.Header.ID || len(resp.Answers) != 1 || resp.Answers[0].Name != q.Questions[0].Name {
+			t.Fatalf("Resolve = %v, %v", resp, err)
+		}
+		dnswire.PutMessage(resp)
+	}
+	for range names[:512] { // fill the cache: the measured inserts all evict
+		resolve()
+	}
+	if n := testing.AllocsPerRun(1000, resolve); n != 0 {
+		t.Errorf("WithCache miss: %.1f allocs, want 0", n)
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Evictions == 0 || st.SharedFlights != 0 {
+		t.Errorf("measured path was not the lone evicting miss path: %+v", st)
 	}
 }
 

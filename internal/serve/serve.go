@@ -200,7 +200,7 @@ const MaxStreamPayload = 0xffff
 func Answer(ctx context.Context, r Resolver, out, raw []byte, limit int) ([]byte, error) {
 	// The Exchange is pooled. A resolver's own response is not pooled
 	// here: a serve.Resolver may answer with a message it shares, such as
-	// the cache's copy that recursive hands the query it forwarded.
+	// a cache's zero-copy hit.
 	x := exchanges.Get().(*Exchange)
 	defer func() {
 		if x.Reusable() {

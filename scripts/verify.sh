@@ -59,8 +59,9 @@ step "one singleflight, one lifecycle (the recursor's shared flights are the cac
 go test -race ./internal/recursive/ -run 'TestSharedFlightIsCounted|TestRecursorAnswersOverTCP'
 go test -race ./internal/dohserver/ -run 'TestServerLifecycle|TestServerShutdownForcesOnExpiry'
 
-step "a miss allocates only what it keeps (a recycled flight keeps its result, a pooled attempt bound is each attempt's own; race)"
+step "a miss allocates only what it keeps (a recycled flight keeps its result, a recycled entry its answers and counts, a pooled attempt bound is each attempt's own; race)"
 go test -race -count=20 ./internal/cache/ -run TestRecycledFlightsKeepTheirResults
+go test -race -count=20 ./internal/cache/ -run 'TestRecycledEntriesKeepTheirAnswers|TestRefreshFailureAfterRecycling'
 go test -race ./internal/resolver/ -run 'TestPooledBoundIsEachAttemptsOwn|TestAttemptTimeoutBoundsSilentUpstream'
 
 step "a message has one owner (cached answers survive pool churn, race; a signal on a server's first line drains it)"
