@@ -4,10 +4,10 @@ import (
 	"context"
 	"crypto/tls"
 	"fmt"
-	"net"
 	"net/netip"
 	"os"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -33,9 +33,11 @@ import (
 // over that front and an authoritative server, a DoH handler under
 // cmd/dohsrv's prefix, a RealProxy — resolves a
 // few queries through them, and adds the names a small guarded,
-// breaker-armed campaign publishes and the ones cmd/dohsrv's source
-// files (package main, so read as text). Every such name must match a
-// row of the table, and every name the table lists must be among them.
+// breaker-armed campaign publishes, the ones cmd/dohsrv's source
+// files (package main, so read as text) and every name an accounting
+// identity reads, which a misspelling would read as 0. Every such name
+// must match a row of the table, and every name the table lists must be
+// among them.
 // In the table, <kind>, <provider>, <code> and <n> stand for a
 // transport, a provider slug, a country code and a listener index.
 func TestMetricCatalogue(t *testing.T) {
@@ -69,13 +71,9 @@ func TestMetricCatalogue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	front, err := serve.New("127.0.0.1:0", serve.Options{
-		Stream: serve.StreamHandlerFunc(func(ctx context.Context, out, raw []byte, _ net.Addr) ([]byte, error) {
-			return serve.Answer(ctx, resolver.UpstreamAdapter{R: stack}, out, raw, serve.MaxStreamPayload)
-		}),
-		TLSConfig: tlsCfg, Listeners: 2, Registry: reg,
-	})
-	if err != nil {
+	front := dot.NewServer(resolver.UpstreamAdapter{R: stack}, tlsCfg)
+	front.Registry = reg
+	if err := front.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	defer front.Shutdown(context.Background())
@@ -138,6 +136,11 @@ func TestMetricCatalogue(t *testing.T) {
 	for _, m := range regexp.MustCompile(`"(dohsrv_[a-z_]+)"`).FindAllStringSubmatch(string(src), -1) {
 		names[m[1]] = true
 	}
+	for _, id := range slices.Concat(serve.Identities, smart.Identities) {
+		for _, name := range slices.Concat(id.Left, id.Right) {
+			names[name] = true
+		}
+	}
 
 	patterns := catalogue(t)
 	used := map[string]bool{}
@@ -154,7 +157,7 @@ func TestMetricCatalogue(t *testing.T) {
 			}
 		}
 		if !matched {
-			t.Errorf("%s is registered but no row of docs/observability.md lists it", name)
+			t.Errorf("%s is registered or in an identity, but no row of docs/observability.md lists it", name)
 		}
 	}
 	for p := range patterns {

@@ -18,6 +18,7 @@ import (
 	"repro/internal/authserver"
 	"repro/internal/cmdconfig"
 	"repro/internal/dnswire"
+	"repro/internal/obs"
 )
 
 func main() {
@@ -27,6 +28,7 @@ func main() {
 	zoneFile := flag.String("zonefile", "", "BIND-style master file to load instead of the built-in zone")
 	flag.DurationVar(&serving.StreamWriteTimeout, "write-timeout", 0, "per-response TCP write deadline (0 = idle timeout, negative = none)")
 	flag.IntVar(&serving.MaxFrameBytes, "max-frame", 0, "max TCP request frame bytes; oversize closes the connection (0 = 64KiB-1)")
+	debug := cmdconfig.DebugFlag()
 	flag.Parse()
 	ctx := serving.Notify(context.Background())
 
@@ -65,16 +67,22 @@ func main() {
 		}
 	}
 
+	reg := obs.NewRegistry()
 	srv := authserver.NewServer(zone)
 	srv.Logger = log.New(os.Stderr, "authdns: ", log.LstdFlags)
 	srv.Listeners = serving.Listeners
 	srv.Protect = serving.Protection
+	srv.Registry = reg
 	if err := srv.ListenAndServe(serving.Listen); err != nil {
 		log.Fatalf("authdns: %v", err)
 	}
 	fmt.Printf("authdns: serving %s on %s (%s)\n", origin, srv.Addr(), zone)
+	dbg, err := cmdconfig.Debug("authdns:", *debug, reg)
+	if err != nil {
+		log.Fatalf("authdns: %v", err)
+	}
 
-	err := serving.Run(ctx, cmdconfig.Report{Prefix: "authdns:"}, srv)
+	err = serving.Run(ctx, cmdconfig.Report{Prefix: "authdns:"}, srv, dbg)
 	fmt.Printf("authdns: %d queries served\n", len(srv.QueryLog()))
 	if err != nil {
 		log.Fatalf("authdns: shutdown: %v", err)

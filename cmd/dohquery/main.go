@@ -100,10 +100,7 @@ func main() {
 	}
 	rep := cmdconfig.Report{Prefix: ";;"}
 	if answers.MaxEntries > 0 {
-		rep.Cache = answers.New()
-		if *dumpMetrics {
-			rep.Cache.Instrument(reg, "cache")
-		}
+		rep.Cache = answers.New(reg)
 		fwd.Policy.Cache = rep.Cache
 	}
 

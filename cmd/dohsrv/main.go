@@ -28,14 +28,10 @@ import (
 )
 
 // admissionMiddleware bounds in-flight DoH requests: over budget, 503 +
-// Retry-After at once, counted in dohsrv_shed_total; /metrics is exempt.
+// Retry-After at once, counted in dohsrv_shed_total.
 func admissionMiddleware(next http.Handler, budget int, shed *obs.Counter) http.Handler {
 	sem := make(chan struct{}, budget)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/metrics" {
-			next.ServeHTTP(w, r)
-			return
-		}
 		select {
 		case sem <- struct{}{}:
 			defer func() { <-sem }()
@@ -63,13 +59,12 @@ func main() {
 	keyFile := flag.String("key", "", "TLS key (PEM)")
 	plain := flag.Bool("plain", false, "serve plain HTTP instead of HTTPS")
 	dotListen := flag.String("dot", "", "also serve DNS-over-TLS on this address (e.g. 127.0.0.1:8853)")
-	metrics := flag.Bool("metrics", true, "expose the /metrics text endpoint")
+	debug := cmdconfig.DebugFlag()
 	flag.Parse()
 	ctx := serving.Notify(context.Background())
 
 	reg := obs.NewRegistry()
-	answerCache := answers.New()
-	answerCache.Instrument(reg, "cache") // cache_*_total on /metrics
+	answerCache := answers.New(reg) // cache_*_total on /metrics
 	res := recursive.New(answerCache)
 	// One retry, so a single dropped datagram does not fail the request;
 	// resolver_<kind>_* and smart_* land on /metrics.
@@ -105,6 +100,7 @@ func main() {
 		return cfg, note
 	}
 	dotSrv := dot.NewServer(res, nil) // drained as a no-op unless -dot
+	dotSrv.Registry = reg
 	if *dotListen != "" {
 		var note string
 		dotSrv.TLSConfig, note = certFor(*dotListen)
@@ -114,13 +110,9 @@ func main() {
 		}
 		fmt.Printf("dohsrv: DoT on %s%s\n", dotSrv.Addr(), note)
 	}
-	mux := handler.Mux()
-	if *metrics {
-		mux.Handle("/metrics", obs.Handler(reg))
-	}
-	var httpHandler http.Handler = mux
+	var httpHandler http.Handler = handler.Mux()
 	if serving.MaxInflight > 0 {
-		httpHandler = admissionMiddleware(mux, serving.MaxInflight, reg.Counter("dohsrv_shed_total"))
+		httpHandler = admissionMiddleware(httpHandler, serving.MaxInflight, reg.Counter("dohsrv_shed_total"))
 	}
 	var tlsCfg *tls.Config
 	scheme, note := "http", ""
@@ -133,9 +125,13 @@ func main() {
 		log.Fatalf("dohsrv: %v", err)
 	}
 	fmt.Printf("dohsrv: %s://%s%s%s -> zone %s via %s\n", scheme, srv.Addr(), dohserver.DefaultPath, note, *zone, *upstream)
+	dbg, err := cmdconfig.Debug("dohsrv:", *debug, reg)
+	if err != nil {
+		log.Fatalf("dohsrv: %v", err)
+	}
 
 	rep := cmdconfig.Report{Prefix: "dohsrv:", Cache: answerCache, Racer: racer}
-	if err := serving.Run(ctx, rep, dotSrv, srv); err != nil {
+	if err := serving.Run(ctx, rep, dotSrv, srv, dbg); err != nil {
 		log.Fatalf("dohsrv: shutdown: %v", err)
 	}
 }

@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/cmdconfig"
 	"repro/internal/dnswire"
+	"repro/internal/obs"
 	"repro/internal/recursive"
 	"repro/internal/resolver"
 )
@@ -46,6 +47,7 @@ func main() {
 	attempts := flag.Int("upstream-attempts", 2, "max attempts per upstream query (retries on timeout/drop)")
 	flag.DurationVar(&fwd.Timeout, "upstream-timeout", 3*time.Second, "per-attempt upstream timeout")
 	workers := flag.Int("workers", 0, "resolver workers per listener (0 = default pool size)")
+	debug := cmdconfig.DebugFlag()
 	flag.Parse()
 	ctx := serving.Notify(context.Background())
 
@@ -53,10 +55,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "recursor: need -forward, -forward-doh/-forward-dot, or -roots")
 		os.Exit(2)
 	}
-	fwd.Policy = resolver.Policy{Retry: &resolver.RetryPolicy{MaxAttempts: *attempts}, AttemptTimeout: fwd.Timeout}
+	reg := obs.NewRegistry()
+	fwd.Policy = resolver.Policy{Retry: &resolver.RetryPolicy{MaxAttempts: *attempts}, AttemptTimeout: fwd.Timeout, Registry: reg}
 	fwd.Breaker, fwd.PerName = 3, true
 
-	res := recursive.New(answers.New())
+	res := recursive.New(answers.New(reg))
 	rep := cmdconfig.Report{Prefix: "recursor:", Cache: res.Cache()}
 	mode := "iterating from " + *roots
 	if *roots != "" {
@@ -89,11 +92,16 @@ func main() {
 	srv.Listeners = serving.Listeners
 	srv.Concurrency = *workers
 	srv.Protect = serving.Protection
+	srv.Registry = reg
 	if err := srv.ListenAndServe(serving.Listen); err != nil {
 		log.Fatalf("recursor: %v", err)
 	}
 	fmt.Printf("recursor: listening on %s, %s\n", srv.Addr(), mode)
-	if err := serving.Run(ctx, rep, srv); err != nil {
+	dbg, err := cmdconfig.Debug("recursor:", *debug, reg)
+	if err != nil {
+		log.Fatalf("recursor: %v", err)
+	}
+	if err := serving.Run(ctx, rep, srv, dbg); err != nil {
 		log.Fatalf("recursor: shutdown: %v", err)
 	}
 }

@@ -9,15 +9,16 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
+	"repro/internal/cmdconfig"
 	"repro/internal/obs"
 	"repro/internal/proxynet"
 )
@@ -26,9 +27,9 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:24000", "CONNECT proxy listen address")
 	resolver := flag.String("resolver", "", "DNS server for target resolution (host:port); empty = IP literals only")
 	delay := flag.Duration("processing-delay", 0, "artificial proxy processing delay (exercises t_BrightData accounting)")
-	metrics := flag.String("metrics", "", "serve the /metrics text endpoint on this address (e.g. 127.0.0.1:9310)")
 	handshakeTimeout := flag.Duration("handshake-timeout", 30*time.Second, "deadline for the whole CONNECT handshake; stalled clients are reaped")
 	maxHeaderBytes := flag.Int("max-header-bytes", 16<<10, "cap on buffered CONNECT request headers before answering 431")
+	debug := cmdconfig.DebugFlag()
 	flag.Parse()
 
 	reg := obs.NewRegistry()
@@ -45,34 +46,21 @@ func main() {
 	fmt.Printf("superproxy: CONNECT proxy on %s (resolver %q)\n", proxy.Addr(), *resolver)
 	fmt.Printf("superproxy: headers: %s, %s\n", proxynet.TunTimelineHeader, proxynet.TimelineHeader)
 
-	if *metrics != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", obs.Handler(reg))
-		msrv := &http.Server{
-			Addr:         *metrics,
-			Handler:      mux,
-			ReadTimeout:  10 * time.Second,
-			WriteTimeout: 10 * time.Second,
-		}
-		go func() {
-			if err := msrv.ListenAndServe(); err != http.ErrServerClosed {
-				log.Printf("superproxy: metrics listener: %v", err)
-			}
-		}()
-		defer msrv.Close()
-		fmt.Printf("superproxy: metrics on http://%s/metrics\n", *metrics)
+	dbg, err := cmdconfig.Debug("superproxy:", *debug, reg)
+	if err != nil {
+		log.Fatalf("superproxy: %v", err)
 	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
-	done := make(chan struct{})
+	// The proxy gets 5 s to wind its tunnels down; the debug listener,
+	// its context ended by then, closes at once.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	go func() {
 		proxy.Close()
-		close(done)
+		cancel()
 	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-	}
+	<-ctx.Done()
+	dbg.Shutdown(ctx)
 }

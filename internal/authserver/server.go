@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/dnswire"
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -47,6 +48,8 @@ type Server struct {
 	// completed TCP handshake proves the source address): it sheds before
 	// the handler runs, inside the engine's accounting identity.
 	Protect serve.Protection
+	// Registry files the engine's serve_* metrics; nil, a private one.
+	Registry *obs.Registry
 
 	// QueryLogLimit caps the in-memory query log. Once the log holds
 	// this many entries each new query overwrites the oldest, so a
@@ -86,6 +89,7 @@ func (s *Server) ListenAndServe(addr string) error {
 		Listeners:  s.Listeners,
 		Logf:       s.logf,
 		Protection: s.Protect,
+		Registry:   s.Registry,
 	})
 	if err != nil {
 		return err

@@ -1,6 +1,7 @@
 // Package cmdconfig is what authdns, recursor, dohsrv and dohquery share:
 // flag groups, the forwarder over upstream endpoints, the servers'
-// signal-then-drain lifecycle and the report of a cache and a racer.
+// signal-then-drain lifecycle and the report of a cache and a racer;
+// superproxy shares the debug listener.
 package cmdconfig
 
 import (
@@ -8,8 +9,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
+	"slices"
 	"syscall"
 	"time"
 
@@ -17,7 +21,9 @@ import (
 	"repro/internal/dnsclient"
 	"repro/internal/dnswire"
 	"repro/internal/dohclient"
+	"repro/internal/dohserver"
 	"repro/internal/dot"
+	"repro/internal/obs"
 	"repro/internal/resolver"
 	"repro/internal/serve"
 	"repro/internal/smart"
@@ -36,8 +42,12 @@ func CacheFlags(size int) *Cache {
 	return c
 }
 
-// New builds the cache the flags describe.
-func (c *Cache) New() *cache.Cache { return cache.New(c.Config) }
+// New builds the cache the flags describe, its counters filed in reg.
+func (c *Cache) New(reg *obs.Registry) *cache.Cache {
+	answers := cache.New(c.Config)
+	answers.Instrument(reg, "cache")
+	return answers
+}
 
 // The serving group's optional members, for ServingFlags.
 const (
@@ -110,6 +120,48 @@ func (s *Serving) Run(ctx context.Context, rep Report, servers ...interface{ Shu
 	}
 	rep.Print()
 	return err
+}
+
+// DebugFlag registers -debug, the debug listener's address.
+func DebugFlag() *string {
+	return flag.String("debug", "", "serve /metrics, /debug/pprof/ and /debug/invariants on this address (empty: none)")
+}
+
+// Debug serves reg on /metrics, the runtime's profiles on /debug/pprof/
+// and the accounting identities on /debug/invariants at addr, a listener
+// of its own, announced behind prefix. It returns the server to drain;
+// with addr empty it opens no socket and Shutdown is a no-op.
+func Debug(prefix, addr string, reg *obs.Registry) (*dohserver.Server, error) {
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", obs.Handler(reg))
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	ids := slices.Concat(serve.Identities, smart.Identities)
+	mux.HandleFunc("/debug/invariants", func(w http.ResponseWriter, _ *http.Request) {
+		diffs := obs.Check(reg, ids)
+		if slices.Min(diffs) < 0 {
+			w.WriteHeader(http.StatusInternalServerError)
+		}
+		for i, n := range diffs {
+			verdict := "ok"
+			if n < 0 {
+				verdict = "broken"
+			}
+			fmt.Fprintf(w, "%s %s inflight=%d\n", verdict, ids[i].Name, n)
+		}
+	})
+	srv := dohserver.NewServer(mux, nil)
+	if addr == "" {
+		return srv, nil
+	}
+	if err := srv.ListenAndServe(addr); err != nil {
+		return nil, fmt.Errorf("debug listener: %w", err)
+	}
+	fmt.Printf("%s debug on http://%s/\n", prefix, srv.Addr())
+	return srv, nil
 }
 
 // Report is a command's closing summary, each line behind Prefix.

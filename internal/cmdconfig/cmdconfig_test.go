@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"net/netip"
 	"os"
 	"strings"
@@ -16,15 +17,17 @@ import (
 	"repro/internal/authserver"
 	"repro/internal/dnsclient"
 	"repro/internal/dnswire"
+	"repro/internal/dohserver"
 	"repro/internal/dot"
+	"repro/internal/obs"
 	"repro/internal/recursive"
 	"repro/internal/resolver"
 	"repro/internal/tlsutil"
 )
 
 // authoritative serves a.com on loopback Do53, every name under it a
-// wildcard A record.
-func authoritative(t *testing.T) string {
+// wildcard A record, its engine filed in reg (nil: a private registry).
+func authoritative(t *testing.T, reg *obs.Registry) string {
 	t.Helper()
 	zone := authserver.NewZone("a.com.")
 	if err := zone.SetSOA("ns1.a.com.", "hostmaster.a.com.", 1); err != nil {
@@ -35,6 +38,7 @@ func authoritative(t *testing.T) string {
 		t.Fatal(err)
 	}
 	srv := authserver.NewServer(zone)
+	srv.Registry = reg
 	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -43,8 +47,8 @@ func authoritative(t *testing.T) string {
 }
 
 // dotFront serves DoT on loopback, forwarding to the Do53 server at
-// upstream, with a self-signed certificate.
-func dotFront(t *testing.T, upstream string) string {
+// upstream, with a self-signed certificate, its engine filed in reg.
+func dotFront(t *testing.T, upstream string, reg *obs.Registry) string {
 	t.Helper()
 	res := recursive.New(nil)
 	res.SetDefault(resolver.UpstreamAdapter{R: resolver.NewDo53(upstream, nil)})
@@ -53,6 +57,7 @@ func dotFront(t *testing.T, upstream string) string {
 		t.Fatal(err)
 	}
 	srv := dot.NewServer(res, cfg)
+	srv.Registry = reg
 	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +78,7 @@ func resolve(t *testing.T, r resolver.Resolver, name string) {
 
 func TestLoneEndpointIsItsPolicyStack(t *testing.T) {
 	f := &Forwarder{Timeout: 3 * time.Second, Breaker: 3, PerName: true}
-	r, racer, err := f.Build(Endpoint{Kind: resolver.DoH}, Endpoint{Kind: resolver.Do53, Addr: authoritative(t)})
+	r, racer, err := f.Build(Endpoint{Kind: resolver.DoH}, Endpoint{Kind: resolver.Do53, Addr: authoritative(t, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,9 +89,9 @@ func TestLoneEndpointIsItsPolicyStack(t *testing.T) {
 }
 
 func TestRacerKeysPerName(t *testing.T) {
-	auth := authoritative(t)
+	auth := authoritative(t, nil)
 	f := &Forwarder{Timeout: 3 * time.Second, Breaker: 3, PerName: true, Insecure: true}
-	r, racer, err := f.Build(Endpoint{resolver.Do53, auth}, Endpoint{resolver.DoT, dotFront(t, auth)})
+	r, racer, err := f.Build(Endpoint{resolver.Do53, auth}, Endpoint{resolver.DoT, dotFront(t, auth, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,9 +109,11 @@ func TestRacerKeysPerName(t *testing.T) {
 
 // TestRacerLaunchesInTheGivenOrder: with a stagger nothing outlasts,
 // only the first endpoint given is launched, so it wins the first race.
+// Each server's engine counts its queries in the registry it was given.
 func TestRacerLaunchesInTheGivenOrder(t *testing.T) {
-	auth := authoritative(t)
-	dotAddr := dotFront(t, auth)
+	authReg, dotReg := obs.NewRegistry(), obs.NewRegistry()
+	auth := authoritative(t, authReg)
+	dotAddr := dotFront(t, auth, dotReg)
 	for _, first := range []resolver.Kind{resolver.Do53, resolver.DoT} {
 		eps := []Endpoint{{resolver.Do53, auth}, {resolver.DoT, dotAddr}}
 		if first == resolver.DoT {
@@ -122,6 +129,9 @@ func TestRacerLaunchesInTheGivenOrder(t *testing.T) {
 		if wins := racer.WinsByKind(); wins[first] != 1 {
 			t.Errorf("%s listed first: wins %v", first, wins)
 		}
+	}
+	if p, q := authReg.Counter("serve_packets_total").Value(), dotReg.Counter("serve_stream_queries_total").Value(); p == 0 || q == 0 {
+		t.Errorf("serve_packets_total %d on the authoritative server, serve_stream_queries_total %d on the DoT front; want both > 0", p, q)
 	}
 }
 
@@ -154,7 +164,7 @@ func deadTLS(t *testing.T) (string, *atomic.Int64) {
 func TestDeadEndpointBreakerOpens(t *testing.T) {
 	dead, dials := deadTLS(t)
 	f := &Forwarder{Timeout: 3 * time.Second, Breaker: 3, PerName: true, Stagger: time.Hour, Insecure: true}
-	r, racer, err := f.Build(Endpoint{resolver.DoT, dead}, Endpoint{resolver.Do53, authoritative(t)})
+	r, racer, err := f.Build(Endpoint{resolver.DoT, dead}, Endpoint{resolver.Do53, authoritative(t, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,9 +214,9 @@ func (d draining) Shutdown(ctx context.Context) error {
 // when the lifecycle is cancelled is answered during the drain, and the
 // report counts it, its cache entry included.
 func TestRunReportsAfterTheDrain(t *testing.T) {
-	auth := resolver.NewDo53(authoritative(t), nil)
+	auth := resolver.NewDo53(authoritative(t, nil), nil)
 	asked, release := make(chan struct{}), make(chan struct{})
-	answers := (&Cache{}).New()
+	answers := (&Cache{}).New(obs.NewRegistry())
 	res := recursive.New(answers)
 	res.SetDefault(resolver.UpstreamAdapter{R: resolver.Func(func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, resolver.Timing, error) {
 		close(asked)
@@ -246,6 +256,67 @@ func TestRunReportsAfterTheDrain(t *testing.T) {
 	want := "test: shutting down\ntest: cache: 0 hits (0 negative, 0 stale) / 1 misses, 0 evictions, 1 entries\n"
 	if out != want {
 		t.Errorf("report:\n%s\nwant:\n%s", out, want)
+	}
+}
+
+// get returns the status and body of a GET of url.
+func get(t *testing.T, url string) (int, string) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(body)
+}
+
+// TestPprofOnlyOnTheDebugListener: the profiles net/http/pprof files in
+// http.DefaultServeMux are not on a DoH listener; the debug listener
+// serves them beside /metrics and /debug/invariants, a broken identity
+// as a 500; and without -debug it opens no socket.
+func TestPprofOnlyOnTheDebugListener(t *testing.T) {
+	doh := dohserver.NewServer(dohserver.NewHandler(recursive.New(nil)).Mux(), nil)
+	if err := doh.ListenAndServe("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer doh.Shutdown(context.Background())
+	reg := obs.NewRegistry()
+	var dbg *dohserver.Server
+	out := captureStdout(t, func() {
+		var err error
+		if dbg, err = Debug("test:", "127.0.0.1:0", reg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	defer dbg.Shutdown(context.Background())
+	if want := "test: debug on http://" + dbg.Addr() + "/\n"; out != want {
+		t.Errorf("announced %q, want %q", out, want)
+	}
+	if status, _ := get(t, "http://"+doh.Addr()+"/debug/pprof/"); status != http.StatusNotFound {
+		t.Errorf("/debug/pprof/ on the DoH listener: %d, want 404", status)
+	}
+	if status, body := get(t, "http://"+dbg.Addr()+"/debug/pprof/"); status != http.StatusOK || !strings.Contains(body, "goroutine") {
+		t.Errorf("/debug/pprof/ on the debug listener: %d %q", status, body)
+	}
+	want := "ok serve_queries inflight=0\nok smart_queries inflight=0\nok smart_races inflight=0\n"
+	if status, body := get(t, "http://"+dbg.Addr()+"/debug/invariants"); status != http.StatusOK || body != want {
+		t.Errorf("/debug/invariants: %d %q, want 200 %q", status, body, want)
+	}
+	reg.Counter("serve_responses_total").Inc() // a reply to no query
+	if status, body := get(t, "http://"+dbg.Addr()+"/metrics"); status != http.StatusOK || body != "counter serve_responses_total 1\n" {
+		t.Errorf("/metrics: %d %q", status, body)
+	}
+	if status, body := get(t, "http://"+dbg.Addr()+"/debug/invariants"); status != http.StatusInternalServerError ||
+		!strings.HasPrefix(body, "broken serve_queries inflight=-1\n") {
+		t.Errorf("/debug/invariants after a broken identity: %d %q, want 500", status, body)
+	}
+	unset, err := Debug("test:", "", reg)
+	if err != nil || unset.Addr() != "" {
+		t.Errorf("without -debug: listening on %q, err %v", unset.Addr(), err)
 	}
 }
 

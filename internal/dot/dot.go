@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/dnsclient"
 	"repro/internal/dnswire"
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -98,6 +99,8 @@ type Server struct {
 	// budget, connection caps, write deadlines — see serve.Protection).
 	// The zero value leaves every defense off.
 	Protect serve.Protection
+	// Registry files the engine's serve_* metrics; nil, a private one.
+	Registry *obs.Registry
 
 	engine *serve.Server
 }
@@ -121,6 +124,7 @@ func (s *Server) ListenAndServe(addr string) error {
 		TLSConfig:    s.TLSConfig,
 		QueryTimeout: 10 * time.Second,
 		Protection:   s.Protect,
+		Registry:     s.Registry,
 	})
 	if err != nil {
 		return err

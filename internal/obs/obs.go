@@ -227,6 +227,41 @@ func (r *Registry) Histogram(name string, bounds []time.Duration) *Histogram {
 	return h
 }
 
+// Identity is an accounting identity over counters: every event counted
+// in one of Left when it arrives is, once settled, counted in exactly
+// one of Right. A component declares its identities beside its counters.
+type Identity struct {
+	Name        string
+	Left, Right []string
+}
+
+// Check returns each identity's Left − Right on reg, which is 0 on a
+// quiescent registry. On a live one the difference is what is in
+// flight: Check reads every Right counter before any Left counter, and
+// an event is counted on the left before it settles on the right, so a
+// negative difference is a broken identity. A name reg has not
+// registered reads as 0; Check registers nothing.
+func Check(reg *Registry, ids []Identity) []int64 {
+	reg.mu.Lock()
+	defer reg.mu.Unlock()
+	sum := func(names []string) (n int64) {
+		for _, name := range names {
+			if c := reg.counters[name]; c != nil {
+				n += c.Value()
+			}
+		}
+		return n
+	}
+	diff := make([]int64, len(ids))
+	for i, id := range ids {
+		diff[i] = -sum(id.Right)
+	}
+	for i, id := range ids {
+		diff[i] += sum(id.Left)
+	}
+	return diff
+}
+
 // CounterValue is one counter in a snapshot.
 type CounterValue struct {
 	Name  string

@@ -19,6 +19,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/dnsclient"
 	"repro/internal/dnswire"
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -240,6 +241,8 @@ type Server struct {
 	// on upstreams, so an admission budget is the difference between
 	// shedding overload and queueing it into multi-second latency.
 	Protect serve.Protection
+	// Registry files the engine's serve_* metrics; nil, a private one.
+	Registry *obs.Registry
 
 	engine *serve.Server
 }
@@ -274,6 +277,7 @@ func (s *Server) ListenAndServe(addr string) error {
 		Concurrency:  conc,
 		QueryTimeout: QueryTimeout,
 		Protection:   s.Protect,
+		Registry:     s.Registry,
 	})
 	if err != nil {
 		return err

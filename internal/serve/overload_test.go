@@ -116,12 +116,18 @@ func TestAdmissionShedServfailUDP(t *testing.T) {
 
 // TestAdmissionShedStream pins the stream flavor: an over-budget frame
 // gets a framed SERVFAIL and the connection survives to be served once
-// the budget frees up.
+// the budget frees up. Every frame read is settled once: answered, shed
+// or, refused by the handler, dropped.
 func TestAdmissionShedStream(t *testing.T) {
 	h := newBlockingHandler()
 	reg := obs.NewRegistry()
 	s, err := New("127.0.0.1:0", Options{
-		Stream:     StreamHandlerFunc(h.serve),
+		Stream: StreamHandlerFunc(func(ctx context.Context, out, raw []byte, src net.Addr) ([]byte, error) {
+			if string(raw[headerLen:]) == "refuse" {
+				return nil, nil
+			}
+			return h.serve(ctx, out, raw, src)
+		}),
 		Registry:   reg,
 		Protection: Protection{MaxInflight: 1},
 	})
@@ -178,6 +184,19 @@ func TestAdmissionShedStream(t *testing.T) {
 	}
 	if got, err := readFrame(conn2); err != nil || !bytes.Equal([]byte(got), q3) {
 		t.Fatalf("post-shed frame: got %x err %v, want echo of %x", got, err, q3)
+	}
+	q4 := dnsShaped(4, "refuse")
+	if _, err := conn2.Write(append([]byte{0, byte(len(q4))}, q4...)); err != nil {
+		t.Fatalf("write frame4: %v", err)
+	}
+	if got, err := readFrame(conn2); err == nil {
+		t.Fatalf("refused frame answered %x", got)
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if diff := obs.Check(reg, Identities); diff[0] != 0 {
+		t.Fatalf("read - settled = %d in %v", diff[0], reg.Snapshot().Counters)
 	}
 }
 
@@ -723,14 +742,11 @@ func TestShutdownShedAccounting(t *testing.T) {
 		t.Fatal("Shutdown never returned")
 	}
 
-	packets := reg.Counter("serve_packets_total").Value()
-	responses := reg.Counter("serve_responses_total").Value()
-	dropped := reg.Counter("serve_dropped_total").Value()
-	shed := reg.Counter("serve_shed_total").Value()
-	if packets != responses+dropped+shed {
-		t.Fatalf("accounting imbalance through shutdown: packets=%d responses=%d dropped=%d shed=%d",
-			packets, responses, dropped, shed)
+	if diff := obs.Check(reg, Identities); diff[0] != 0 {
+		t.Fatalf("accounting imbalance through shutdown: read - settled = %d", diff[0])
 	}
+	responses := reg.Counter("serve_responses_total").Value()
+	shed := reg.Counter("serve_shed_total").Value()
 	if responses != 2 {
 		t.Fatalf("parked queries answered %d times, want 2", responses)
 	}

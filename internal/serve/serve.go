@@ -317,7 +317,7 @@ type metrics struct {
 
 	// Overload-protection surface (see overload.go). Every query read
 	// lands in exactly one of responses, dropped, shed, rlDropped, or
-	// rlSlipped — the accounting identity TestOverloadSoak pins.
+	// rlSlipped: Identities.
 	shed      *obs.Counter
 	rlDropped *obs.Counter
 	rlSlipped *obs.Counter
@@ -326,6 +326,16 @@ type metrics struct {
 	oversize  *obs.Counter
 	inflightG *obs.Gauge
 }
+
+// Identities is the engine's accounting identity: every query read, as
+// a datagram or a stream frame, is answered, dropped, shed or
+// rate-limited, exactly once.
+var Identities = []obs.Identity{{
+	Name: "serve_queries",
+	Left: []string{"serve_packets_total", "serve_stream_queries_total"},
+	Right: []string{"serve_responses_total", "serve_dropped_total", "serve_shed_total",
+		"serve_ratelimit_dropped_total", "serve_ratelimit_slipped_total"},
+}}
 
 // New binds addr and starts serving with the given options. The
 // returned server is live: Addr reports the bound address and queries

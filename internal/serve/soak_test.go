@@ -138,20 +138,17 @@ func TestServeSoak(t *testing.T) {
 	if total == 0 {
 		t.Fatal("soak produced no completed queries")
 	}
-	// Exact balance: the engine never loses a datagram it read.
-	if packets != responses+dropped {
-		t.Fatalf("accounting imbalance: packets=%d responses=%d dropped=%d",
-			packets, responses, dropped)
+	// Exact balance: the engine never loses a query it read.
+	if diff := obs.Check(reg, Identities); diff[0] != 0 {
+		t.Fatalf("accounting imbalance: read - settled = %d", diff[0])
 	}
 	if dropped != 0 {
-		t.Fatalf("echo soak dropped %d packets", dropped)
+		t.Fatalf("echo soak dropped %d queries", dropped)
 	}
 	// Every handled query came from a client that got its echo back
-	// (closed loop), so the handler count can lag the client count by
-	// at most nothing: both sides agree.
-	if handled.Load() != responses+streamQs {
-		t.Fatalf("handler ran %d times, engine counted %d datagram + %d stream queries",
-			handled.Load(), responses, streamQs)
+	// (closed loop): the handler ran once per response.
+	if handled.Load() != responses {
+		t.Fatalf("handler ran %d times, engine sent %d responses", handled.Load(), responses)
 	}
 	t.Logf("soak: %d queries (%d udp datagrams, %d stream frames) in %v",
 		total, packets, streamQs, duration)

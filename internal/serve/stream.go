@@ -173,7 +173,9 @@ func (s *Server) connLoop(conn net.Conn) {
 			return
 		}
 		if err := s.writeResponse(conn, buf, msg); err != nil {
+			s.metrics.dropped.Inc()
 			return
 		}
+		s.metrics.responses.Inc()
 	}
 }

@@ -102,16 +102,31 @@ const (
 	numCauses
 )
 
-// causeNames names each cause's counter, smart_race_<name>_total.
-var causeNames = [numCauses]string{"first", "expired", "winner_fail", "breaker_open"}
+// raceCounters names each cause's counter.
+var raceCounters = [numCauses]string{"smart_race_first_total", "smart_race_expired_total",
+	"smart_race_winner_fail_total", "smart_race_breaker_open_total"}
+
+// winCounter names the counter of kind's race wins.
+func winCounter(k resolver.Kind) string { return "smart_win_" + string(k) + "_total" }
+
+// Identities are the racer's accounting identities, exact at
+// quiescence (no query or probe in flight): every query took the
+// remembered winner or raced for one cause, and every race crowned a
+// winner or failed.
+var Identities = func() []obs.Identity {
+	races, settled := raceCounters[:], []string{"smart_race_fail_total"}
+	for _, k := range resolver.Kinds() {
+		settled = append(settled, winCounter(k))
+	}
+	return []obs.Identity{
+		{Name: "smart_queries", Left: []string{"smart_queries_total"}, Right: append([]string{"smart_remembered_total"}, races...)},
+		{Name: "smart_races", Left: races, Right: settled},
+	}
+}()
 
 // Stats is a point-in-time snapshot of the resolver's accounting, read
-// from the registry counters named beside each field. All identities
-// hold exactly at quiescence (no query or probe in flight):
-//
-//	Queries == Remembered + Races
-//	Races   == RacesFirst + RacesExpired + RacesWinnerFail + RacesBreakerOpen
-//	Races   == sum(WinsByCandidate) + RaceFailures
+// from the registry counters named beside each field, which Identities
+// relate.
 type Stats struct {
 	// Queries counts Resolve calls (smart_queries_total).
 	Queries int64
@@ -212,8 +227,8 @@ func New(cfg Config) (*Resolver, error) {
 		winnerAge:    reg.Histogram("smart_winner_age_ms", nil),
 		destinations: reg.Gauge("smart_destinations"),
 	}
-	for c, name := range causeNames {
-		s.races[c] = reg.Counter("smart_race_" + name + "_total")
+	for c, name := range raceCounters {
+		s.races[c] = reg.Counter(name)
 	}
 	// A kind's win counter is one count, so a kind races once.
 	for i, c := range s.cands {
@@ -222,7 +237,7 @@ func New(cfg Config) (*Resolver, error) {
 				return nil, fmt.Errorf("smart: two candidates of kind %q", c.Kind)
 			}
 		}
-		s.wins = append(s.wins, reg.Counter("smart_win_"+string(c.Kind)+"_total"))
+		s.wins = append(s.wins, reg.Counter(winCounter(c.Kind)))
 	}
 	return s, nil
 }

@@ -84,26 +84,18 @@ func TestSmartSoak(t *testing.T) {
 	wg.Wait()
 	s.Close()
 
-	// The identities /debug/invariants checks, on the registry alone.
+	// Identities 1 and 2, as /debug/invariants checks them: every query
+	// took the remembered winner or raced, and every race crowned a
+	// winner or failed.
 	c := counters(reg)
 	total := int64(workers * queriesPerWorker)
-	races := c["smart_race_first_total"] + c["smart_race_expired_total"] +
-		c["smart_race_winner_fail_total"] + c["smart_race_breaker_open_total"]
-	wins := c["smart_win_do53_total"] + c["smart_win_doh_total"] +
-		c["smart_win_dot_total"] + c["smart_win_doq_total"]
-
-	// Identity 1: every query either took the remembered winner or
-	// raced, for one of the four causes.
 	if c["smart_queries_total"] != total {
 		t.Fatalf("smart_queries_total = %d, want %d", c["smart_queries_total"], total)
 	}
-	if c["smart_remembered_total"]+races != c["smart_queries_total"] {
-		t.Errorf("remembered(%d) + races by cause(%d) != queries(%d)",
-			c["smart_remembered_total"], races, c["smart_queries_total"])
-	}
-	// Identity 2: every race either crowned a winner or failed.
-	if wins+c["smart_race_fail_total"] != races {
-		t.Errorf("wins(%d) + race failures(%d) != races by cause(%d)", wins, c["smart_race_fail_total"], races)
+	for i, diff := range obs.Check(reg, Identities) {
+		if diff != 0 {
+			t.Errorf("%s: left - right = %d in %v", Identities[i].Name, diff, c)
+		}
 	}
 	// Identity 3: the only way a caller sees an error is a failed race
 	// (remembered-winner failures re-race instead of surfacing).
@@ -151,7 +143,7 @@ func TestSmartSoak(t *testing.T) {
 			t.Errorf("counter %s = %d, stats say %d", name, got, want)
 		}
 	}
-	if st.Races != races {
+	if races := st.RacesFirst + st.RacesExpired + st.RacesWinnerFail + st.RacesBreakerOpen; st.Races != races {
 		t.Errorf("Stats().Races = %d, causes sum to %d", st.Races, races)
 	}
 	t.Logf("soak: %+v", st)

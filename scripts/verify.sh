@@ -32,8 +32,11 @@ step "race gates (concurrency-heavy packages)"
 # its own errors, one Timeout and one datagram for a silent peer, no
 # failed socket kept, the per-server and total socket caps) and
 # TestHedgingOverDoTTakesASecondConnection; the cmdconfig gate races
-# the commands' forwarder against live loopback candidates and drains a
-# server with a query in flight.
+# the commands' forwarder against live loopback candidates (each server
+# filing its engine in the registry it is given), drains a server with a
+# query in flight and serves the debug listener
+# (TestPprofOnlyOnTheDebugListener); the serve gate settles every
+# stream frame once (TestAdmissionShedStream).
 go test -race ./internal/cache/... ./internal/resolver/... \
 	./internal/campaign/... ./internal/proxynet/... ./internal/obs/... \
 	./internal/checkpoint/... ./internal/anycast/... ./internal/authserver/... \
@@ -75,11 +78,11 @@ go test -race ./internal/resolver/ -run TestWithCacheAnswersEachAskersQuestion
 go test -race -count=20 ./internal/recursive/ -run \
 	'TestConcurrentMissesCoalesced|TestWaiterContextCancellation|TestSharedFlightEchoesEachWaitersQuestion|TestHitEchoesTheAskersQuestion'
 
-step "one ledger (every registered name is a row of docs/observability.md's table and back, a policy stack counts attempts and failures once at its entry; race)"
+step "one ledger (every registered name and every name an identity reads is a row of docs/observability.md's table, and back; a policy stack counts attempts and failures once at its entry; race)"
 go test -race -run TestMetricCatalogue .
 go test -race ./internal/resolver/ -run TestPolicyMetricsWithoutRetry
 
-step "smart racing soak (short, race, chaos faults + exact accounting)"
+step "smart racing soak (short, race, chaos faults + smart.Identities exact)"
 go test -race -run TestSmartSoak -short ./internal/smart/
 
 step "knob-free contracts (race): a switch needs 3 probe samples, smart converges to each destination's best, StreamReadTimeout cuts a slowloris"
@@ -101,10 +104,10 @@ go test -race -run 'TestShardMergeByteIdenticalCSV|TestSmartShardMergeByteIdenti
 	./internal/campaign/
 go test -race -run 'TestClaimExactlyOneWinner' ./internal/checkpoint/
 
-step "serve soak (short, race)"
+step "serve soak (short, race, serve.Identities exact)"
 go test -race -run TestServeSoak -short ./internal/serve/
 
-step "overload soak (short, race)"
+step "overload soak (short, race, serve.Identities exact with every defense firing)"
 go test -race -run TestOverloadSoak -short ./internal/serve/
 
 step "cache 0-alloc gate + bench smoke"
