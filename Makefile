@@ -8,7 +8,7 @@ build:
 test:
 	$(GO) test ./...
 
-# verify runs the full tier-1 gate list from ROADMAP.md: gofmt, build, vet,
+# verify runs scripts/verify.sh, the one tier-1 gate list: gofmt, build, vet,
 # all tests once (allocation budgets, oracles, pinned hashes and golden
 # round trips run there), then what adds a mode: race gates, the
 # short-mode soaks (smart, chaos, serve, overload) and the bench smokes.

@@ -13,38 +13,50 @@ import (
 )
 
 // TestGatesNameTests holds every go test command written down in
-// scripts/verify.sh and in the bash blocks of the verify skill's
-// SKILL.md to tests that exist. go test passes a -run pattern that
-// matches nothing with "no tests to run", so a renamed test would
-// otherwise drop out of its gate unnoticed. Each top-level |
+// scripts/verify.sh, in the verify skill's SKILL.md and in docs/*.md
+// (bash blocks and inline code) to tests that exist. go test passes a -run
+// pattern that matches nothing with "no tests to run", so a renamed test
+// would otherwise drop out of its gate unnoticed. Each top-level |
 // alternative of each -run, -bench and -fuzz pattern must match at least
 // one function in the command's packages: Test, Fuzz and Example
 // functions for -run and -fuzz, Benchmark functions for -bench. As in go
 // test, only the part before the first / names a top-level function.
 // '^$' (run nothing) is the one pattern exempt.
+//
+// verify.sh is the one place a gate is written: a command outside it
+// that adds a mode (-race, -short, -count or -bench) must be one of its
+// lines, word for word, so a gate cannot be restated with a weaker mode
+// and drift from the one that runs.
 func TestGatesNameTests(t *testing.T) {
+	const verify = "scripts/verify.sh"
 	funcs := testFuncs(t)
-	verify, err := os.ReadFile("scripts/verify.sh")
+	docs, err := filepath.Glob("docs/*.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	skill, err := os.ReadFile(".claude/skills/verify/SKILL.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, source := range []struct {
-		name    string
-		scripts []string
-	}{
-		{"scripts/verify.sh", []string{string(verify)}},
-		{"SKILL.md", bashBlocks(string(skill))},
-	} {
-		src, scripts := source.name, source.scripts
+	gates := make(map[string]bool)
+	for _, src := range append([]string{verify, ".claude/skills/verify/SKILL.md"}, docs...) {
+		text, err := os.ReadFile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scripts := []string{string(text)}
+		if src != verify {
+			scripts = append(bashBlocks(string(text)), inlineCommands(string(text))...)
+		}
 		commands, patterns := 0, 0
 		for _, script := range scripts {
 			for _, line := range strings.Split(strings.ReplaceAll(script, "\\\n", " "), "\n") {
 				for _, cmd := range goTestCommands(line) {
 					commands++
+					key := strings.Join(cmd.words, " ")
+					switch {
+					case src == verify:
+						gates[key] = true
+					case cmd.mode && !gates[key]:
+						t.Errorf("%s: a go test command that adds a mode is not a line of scripts/verify.sh\n\t%s",
+							src, strings.TrimSpace(line))
+					}
 					for _, p := range cmd.patterns {
 						patterns++
 						checkPattern(t, src, line, cmd.pkgs, p, funcs)
@@ -52,7 +64,7 @@ func TestGatesNameTests(t *testing.T) {
 				}
 			}
 		}
-		if commands == 0 {
+		if src == verify && commands == 0 {
 			t.Errorf("%s: no go test command found", src)
 		}
 		t.Logf("%s: %d go test commands, %d patterns", src, commands, patterns)
@@ -65,22 +77,10 @@ func TestGatesNameTests(t *testing.T) {
 func testFuncs(t *testing.T) map[string][]string {
 	funcs := make(map[string][]string)
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
+	for _, path := range treeFiles(t, "_test.go") {
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
 		dir := filepath.ToSlash(filepath.Dir(path))
 		for _, decl := range f.Decls {
@@ -88,12 +88,31 @@ func testFuncs(t *testing.T) map[string][]string {
 				funcs[dir] = append(funcs[dir], fn.Name.Name)
 			}
 		}
+	}
+	return funcs
+}
+
+// treeFiles returns the files of the tree whose names end in suffix,
+// outside testdata and hidden directories.
+func treeFiles(t *testing.T, suffix string) []string {
+	t.Helper()
+	var files []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(path, suffix) {
+			files = append(files, path)
+		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return funcs
+	return files
 }
 
 // bashBlocks returns the bodies of markdown's ```bash fences.
@@ -115,11 +134,28 @@ func bashBlocks(md string) []string {
 	return blocks
 }
 
-// gateCommand is one go test invocation: its package arguments and
-// its patterns, each with the flag that carries it.
+// inlineCode is a go test command in markdown's inline code, which may
+// run over a line break.
+var inlineCode = regexp.MustCompile("`(go test [^`]*)`")
+
+// inlineCommands returns markdown's inline go test commands, each on one
+// line.
+func inlineCommands(md string) []string {
+	var cmds []string
+	for _, m := range inlineCode.FindAllStringSubmatch(md, -1) {
+		cmds = append(cmds, strings.Join(strings.Fields(m[1]), " "))
+	}
+	return cmds
+}
+
+// gateCommand is one go test invocation: its words from go on, its
+// package arguments, its patterns, each with the flag that carries it,
+// and whether it adds a mode (-race, -short, -count or -bench).
 type gateCommand struct {
+	words    []string
 	pkgs     []string
 	patterns []gatePattern
+	mode     bool
 }
 
 type gatePattern struct {
@@ -142,6 +178,7 @@ func goTestCommands(line string) []gateCommand {
 			continue
 		}
 		var cmd gateCommand
+		start := i
 		for i += 2; i < len(words) && words[i] != ""; i++ {
 			w := words[i]
 			if !strings.HasPrefix(w, "-") {
@@ -158,7 +195,12 @@ func goTestCommands(line string) []gateCommand {
 			if name == "run" || name == "bench" || name == "fuzz" {
 				cmd.patterns = append(cmd.patterns, gatePattern{name, value})
 			}
+			switch name {
+			case "race", "short", "count", "bench":
+				cmd.mode = true
+			}
 		}
+		cmd.words = words[start:i]
 		if len(cmd.pkgs) == 0 {
 			cmd.pkgs = []string{"."}
 		}
@@ -345,4 +387,76 @@ func TestDocsNameTests(t *testing.T) {
 		}
 	}
 	t.Logf("%d names and %d paths checked", names, paths)
+}
+
+// sectionCitation is a cited section of a doc as the tree writes it,
+// docs/<file>.md "<Section>" (a comma may follow the file), once line breaks and the comment markers
+// that open a continued line are folded into spaces.
+var sectionCitation = regexp.MustCompile(`docs/([\w-]+\.md),?\s+"([^"]+)"`)
+
+// foldLines joins continued lines: a line break, its indentation and a
+// leading // or # become one space.
+var foldLines = regexp.MustCompile(`\n[ \t]*(?://+|#+)?[ \t]*`)
+
+// TestSectionCitationsResolve holds every docs/<file>.md "<Section>"
+// citation in the Go files, the docs, ROADMAP.md, the verify skill's
+// SKILL.md and scripts/ to a heading of that file. A heading answers to
+// its text with or without a trailing parenthetical: "Smart racing"
+// names "## Smart racing (per-destination transport selection)".
+func TestSectionCitationsResolve(t *testing.T) {
+	files := []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md", ".claude/skills/verify/SKILL.md"}
+	for _, glob := range []string{"docs/*.md", "scripts/*"} {
+		matches, err := filepath.Glob(glob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, matches...)
+	}
+	files = append(files, treeFiles(t, ".go")...)
+	headings := make(map[string]map[string]bool)
+	cites := 0
+	for _, file := range files {
+		text, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range sectionCitation.FindAllStringSubmatch(foldLines.ReplaceAllString(string(text), " "), -1) {
+			doc, section := m[1], m[2]
+			if headings[doc] == nil {
+				headings[doc] = docHeadings(t, "docs/"+doc)
+			}
+			cites++
+			if !headings[doc][section] {
+				t.Errorf("%s: docs/%s %q names no heading of that file", file, doc, section)
+			}
+		}
+	}
+	t.Logf("%d citations in %d files", cites, len(files))
+}
+
+// docHeadings returns the headings of a markdown file outside its code
+// fences, each also without a trailing parenthetical.
+func docHeadings(t *testing.T, path string) map[string]bool {
+	t.Helper()
+	text, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heads := make(map[string]bool)
+	fence := false
+	for _, line := range strings.Split(string(text), "\n") {
+		if strings.HasPrefix(line, "```") {
+			fence = !fence
+			continue
+		}
+		rest, ok := strings.CutPrefix(strings.TrimLeft(line, "#"), " ")
+		if fence || !ok || !strings.HasPrefix(line, "#") {
+			continue
+		}
+		heads[rest] = true
+		if i := strings.LastIndex(rest, " ("); i > 0 && strings.HasSuffix(rest, ")") {
+			heads[rest[:i]] = true
+		}
+	}
+	return heads
 }

@@ -21,8 +21,8 @@ import (
 // benchmark's full world reads 0.55), and a share of a 4 KiB chunk for
 // the two kept strings, the 26 names and the export's number fields.
 // The budget is 1.32 plus 15 % (-race reads 1.44–1.48).
-// docs/performance.md "A country costs its clients" has the per-site
-// table.
+// docs/performance.md "A country costs its clients" has the rules that
+// hold it; CHANGES.md has the per-site history.
 func TestCampaignAllocBudget(t *testing.T) {
 	cfg := stripeConfig(t)
 	cfg.Parallel = 1

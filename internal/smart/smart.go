@@ -111,15 +111,16 @@ func winCounter(k resolver.Kind) string { return "smart_win_" + string(k) + "_to
 
 // Identities are the racer's accounting identities, exact at
 // quiescence (no query or probe in flight): every query took the
-// remembered winner or raced for one cause, and every race crowned a
-// winner or failed.
+// remembered winner, was abandoned by its caller during the winner's
+// exchange, or raced for one cause; and every race crowned a winner,
+// failed, or was abandoned by its caller with no winner.
 var Identities = func() []obs.Identity {
-	races, settled := raceCounters[:], []string{"smart_race_fail_total"}
+	races, settled := raceCounters[:], []string{"smart_race_fail_total", "smart_race_abandoned_total"}
 	for _, k := range resolver.Kinds() {
 		settled = append(settled, winCounter(k))
 	}
 	return []obs.Identity{
-		{Name: "smart_queries", Left: []string{"smart_queries_total"}, Right: append([]string{"smart_remembered_total"}, races...)},
+		{Name: "smart_queries", Left: []string{"smart_queries_total"}, Right: append([]string{"smart_remembered_total", "smart_abandoned_total"}, races...)},
 		{Name: "smart_races", Left: races, Right: settled},
 	}
 }()
@@ -172,8 +173,10 @@ type Resolver struct {
 	now   func() int64
 	tbl   *table
 
-	// The racer's ledger: one obs handle per count, which Stats reads.
+	// The racer's ledger: one obs handle per count, which Stats reads
+	// (the two abandon counts only settle Identities).
 	queries, remembered, raceFails          *obs.Counter
+	abandoned, raceAbandoned                *obs.Counter
 	races                                   [numCauses]*obs.Counter
 	wins                                    []*obs.Counter // per candidate
 	probes, probeFails, switches, evictions *obs.Counter
@@ -217,15 +220,17 @@ func New(cfg Config) (*Resolver, error) {
 		now:   now,
 		tbl:   newTable(),
 
-		queries:      reg.Counter("smart_queries_total"),
-		remembered:   reg.Counter("smart_remembered_total"),
-		raceFails:    reg.Counter("smart_race_fail_total"),
-		probes:       reg.Counter("smart_probe_total"),
-		probeFails:   reg.Counter("smart_probe_fail_total"),
-		switches:     reg.Counter("smart_switch_total"),
-		evictions:    reg.Counter("smart_fallback_total"),
-		winnerAge:    reg.Histogram("smart_winner_age_ms", nil),
-		destinations: reg.Gauge("smart_destinations"),
+		queries:       reg.Counter("smart_queries_total"),
+		remembered:    reg.Counter("smart_remembered_total"),
+		raceFails:     reg.Counter("smart_race_fail_total"),
+		abandoned:     reg.Counter("smart_abandoned_total"),
+		raceAbandoned: reg.Counter("smart_race_abandoned_total"),
+		probes:        reg.Counter("smart_probe_total"),
+		probeFails:    reg.Counter("smart_probe_fail_total"),
+		switches:      reg.Counter("smart_switch_total"),
+		evictions:     reg.Counter("smart_fallback_total"),
+		winnerAge:     reg.Histogram("smart_winner_age_ms", nil),
+		destinations:  reg.Gauge("smart_destinations"),
 	}
 	for c, name := range raceCounters {
 		s.races[c] = reg.Counter(name)
@@ -352,6 +357,7 @@ func (s *Resolver) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Me
 	}
 	if ctx.Err() != nil {
 		// The caller's context died, not the transport: no re-race.
+		s.abandoned.Inc()
 		return nil, t, err
 	}
 	// The remembered winner failed the query itself: demote it for
@@ -487,6 +493,8 @@ func (s *Resolver) race(ctx context.Context, q *dnswire.Message, e *entry, cause
 	case ctx.Err() == nil:
 		// Every candidate lost; a caller that gave up is not a failed race.
 		s.raceFails.Inc()
+	default:
+		s.raceAbandoned.Inc()
 	}
 	return resp, t, err
 }

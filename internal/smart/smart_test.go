@@ -487,6 +487,60 @@ func TestAllCandidatesFailing(t *testing.T) {
 	}
 }
 
+// TestAbandonedQueriesSettle: a caller whose context ends during the
+// remembered winner's exchange, and one whose context ends before any
+// candidate of a race answers, each settle on the right side of the
+// identity they leave open, once: Identities read all zeros afterwards.
+func TestAbandonedQueriesSettle(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		remembered bool // a first query elects a winner before the caller gives up
+	}{
+		{"during the remembered winner's exchange", true},
+		{"during a race nobody won", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var hang atomic.Bool
+			stall := resolver.Func(func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, resolver.Timing, error) {
+				if hang.Load() {
+					<-ctx.Done()
+					return nil, resolver.Timing{Attempts: 1}, ctx.Err()
+				}
+				return q.Reply(), resolver.Timing{Attempts: 1}, nil
+			})
+			reg := obs.NewRegistry()
+			s, err := New(Config{
+				SmartOptions: resolver.SmartOptions{Stagger: time.Millisecond, ProbeInterval: -1},
+				Candidates: []Candidate{
+					{Kind: resolver.Do53, Resolver: stall},
+					{Kind: resolver.DoH, Resolver: stall},
+				},
+				Registry: reg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if tc.remembered {
+				if _, _, err := s.Resolve(context.Background(), testQuery("ab.a.com.")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			hang.Store(true)
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+			defer cancel()
+			if _, _, err := s.Resolve(ctx, testQuery("ab.a.com.")); !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("err = %v, want the caller's deadline", err)
+			}
+			for i, diff := range obs.Check(reg, Identities) {
+				if diff != 0 {
+					t.Errorf("%s: left - right = %d in %v", Identities[i].Name, diff, counters(reg))
+				}
+			}
+		})
+	}
+}
+
 func TestMetricsMatchStats(t *testing.T) {
 	reg := obs.NewRegistry()
 	a := &stubCand{delay: time.Millisecond}

@@ -1,5 +1,9 @@
 #!/bin/sh
-# Tier-1 verification: every gate in ROADMAP.md, in one command.
+# Tier-1 verification: the one list of gates, in one command. A gate is
+# written here and nowhere else; the docs, ROADMAP.md and the verify
+# skill point at it, and TestGatesNameTests fails when they restate a
+# command that adds a mode (-race, -short, -count, -bench) that is not
+# one of these lines, word for word.
 # Run from the repo root: ./scripts/verify.sh  (or: make verify)
 set -eu
 
@@ -66,9 +70,11 @@ step "a miss allocates only what it keeps (a recycled flight keeps its result, a
 go test -race -count=20 ./internal/cache/ -run TestRecycledFlightsKeepTheirResults
 go test -race -count=20 ./internal/cache/ -run 'TestRecycledEntriesKeepTheirAnswers|TestRefreshFailureAfterRecycling'
 go test -race ./internal/resolver/ -run 'TestPooledBoundIsEachAttemptsOwn|TestAttemptTimeoutBoundsSilentUpstream'
+go test -race ./internal/deadline/... ./internal/recursive/... ./internal/dot/... ./internal/dnsclient/... ./internal/authserver/...
 
 step "a message has one owner (cached answers survive pool churn, race; a signal on a server's first line drains it)"
 go test -race -count=20 ./internal/recursive/ -run TestCachedAnswersSurvivePoolChurn
+go test -race -count=20 ./internal/recursive/ -run 'TestCachedAnswersSurvivePoolChurn|TestForwardedAnswerIsNotCopiedAgain'
 go test -count=20 ./cmd/authdns/ ./cmd/recursor/ ./cmd/dohsrv/ -run TestSignalOnTheFirstLineDrains
 
 step "the hit path (concurrent hits across fronts, one lookup per query, the asker's question, flights without sleeps; race)"
@@ -77,6 +83,7 @@ go test -race ./internal/dohserver/ -run \
 go test -race ./internal/resolver/ -run TestWithCacheAnswersEachAskersQuestion
 go test -race -count=20 ./internal/recursive/ -run \
 	'TestConcurrentMissesCoalesced|TestWaiterContextCancellation|TestSharedFlightEchoesEachWaitersQuestion|TestHitEchoesTheAskersQuestion'
+go test -race -count=200 ./internal/recursive/ -run 'TestConcurrentMissesCoalesced|TestWaiterContextCancellation|TestSharedFlightEchoesEachWaitersQuestion'
 
 step "one ledger (every registered name and every name an identity reads is a row of docs/observability.md's table, and back; a policy stack counts attempts and failures once at its entry; race)"
 go test -race -run TestMetricCatalogue .
@@ -113,12 +120,17 @@ go test -race -run TestOverloadSoak -short ./internal/serve/
 step "cache 0-alloc gate + bench smoke"
 go test ./internal/cache/ -bench=BenchmarkCacheHit -benchtime=1x \
 	-run 'TestWarmHitAllocationFree'
+go test ./internal/cache/ -bench=BenchmarkCacheHit -benchtime=1x
 
 step "wire bench smoke"
 go test ./internal/dnswire/ -bench=BenchmarkWire -benchtime=1x -run '^$'
+go test ./internal/dnswire/ -bench=BenchmarkWire -benchtime=1x
 
 step "obs 0-alloc bench smoke"
 go test ./internal/obs/ -bench=BenchmarkObs -benchtime=1x -run '^$'
+
+step "campaign inner-loop bench smoke"
+go test -run '^$' -bench 'BenchmarkMeasure' -benchtime 100000x .
 
 step "serve bench smoke"
 go test ./internal/serve/ -bench . -benchtime=1x -run '^$'
