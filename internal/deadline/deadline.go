@@ -26,9 +26,10 @@ import (
 //   - Err never arms either: unarmed, it is the parent's Err, else
 //     DeadlineExceeded once the clock passes the deadline.
 //   - Done arms: it builds context.WithDeadline(parent, deadline) and
-//     from then on Done, Err and Value are that context's, so package
-//     context recognises it as its own and links derived contexts
-//     straight into it instead of parking a goroutine on Done.
+//     from then on Done, Err (after the parent's) and Value are that
+//     context's, so package context recognises it as its own and links
+//     derived contexts straight into it instead of parking a goroutine
+//     on Done.
 //   - Stop releases the timer if one was armed and cancels everything
 //     derived from it. A Lazy first used after Stop is cancelled from
 //     the start.
@@ -102,14 +103,15 @@ func (c *Lazy) Done() <-chan struct{} {
 	return armed.Done()
 }
 
-// Err implements context.Context without arming.
+// Err implements context.Context without arming. The parent comes first:
+// Done(c) may be the parent's channel, and an armed c learns it closed late.
 func (c *Lazy) Err() error {
 	parent, armed, deadline := c.state()
-	if armed != nil {
-		return armed.Err()
-	}
 	if err := parent.Err(); err != nil {
 		return err
+	}
+	if armed != nil {
+		return armed.Err()
 	}
 	if !time.Now().Before(deadline) {
 		return context.DeadlineExceeded
@@ -127,6 +129,24 @@ func (c *Lazy) Value(key any) any {
 	}
 	c.mu.Unlock()
 	return ctx.Value(key)
+}
+
+// Done is ctx.Done() without arming a Lazy: an armed Lazy's own channel,
+// else that of its nearest ancestor that is not a Lazy. The caller
+// enforces an unarmed Lazy's own deadline, as a socket deadline read
+// from ctx.Deadline().
+func Done(ctx context.Context) <-chan struct{} {
+	for {
+		c, ok := ctx.(*Lazy)
+		if !ok {
+			return ctx.Done()
+		}
+		parent, armed, _ := c.state()
+		if armed != nil {
+			return armed.Done()
+		}
+		ctx = parent
+	}
 }
 
 // cancelledContext is what a Lazy first used after Stop resolves to.

@@ -218,3 +218,68 @@ func TestLazyConcurrentUse(t *testing.T) {
 		t.Error("Err() nil after the deadline and Stop")
 	}
 }
+
+// TestDoneLeavesLazyUnarmed: Done looks through unarmed Lazys to the
+// nearest other context without arming them, and answers an armed or
+// stopped one with its own channel.
+func TestDoneLeavesLazyUnarmed(t *testing.T) {
+	parent, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	outer := reset(parent, time.Hour)
+	defer outer.Stop()
+	inner := reset(outer, time.Hour)
+	defer inner.Stop()
+	if Done(inner) != parent.Done() {
+		t.Error("Done of unarmed Lazys is not their parent's")
+	}
+	if outer.Armed() || inner.Armed() {
+		t.Error("Done armed a Lazy")
+	}
+	if Done(context.Background()) != nil {
+		t.Error("Done(Background) is not nil")
+	}
+	if armed := outer.Done(); Done(inner) != armed {
+		t.Error("Done does not stop at an armed Lazy")
+	}
+	stopped := reset(parent, time.Hour)
+	stopped.Stop()
+	select {
+	case <-Done(stopped):
+	default:
+		t.Error("Done of a stopped Lazy is open")
+	}
+}
+
+// doneCtx is a parent that package context does not know, so an armed
+// Lazy under it learns of its end from a goroutine, a moment late.
+type doneCtx struct {
+	context.Context
+	done chan struct{}
+}
+
+func (c doneCtx) Done() <-chan struct{} { return c.done }
+
+func (c doneCtx) Err() error {
+	select {
+	case <-c.done:
+		return context.Canceled
+	default:
+		return nil
+	}
+}
+
+// TestErrOnceDoneCloses: once the channel Done returned has closed, Err
+// reports it, even when the Lazy was armed after Done looked through it
+// (a cold dial arms it mid-exchange).
+func TestErrOnceDoneCloses(t *testing.T) {
+	parent := doneCtx{context.Background(), make(chan struct{})}
+	c := reset(parent, time.Hour)
+	defer c.Stop()
+	done := Done(c)
+	c.Done() // armed after Done looked through it
+	close(parent.done)
+	<-done
+	if err := c.Err(); err != context.Canceled {
+		t.Errorf("Err() = %v after the watched channel closed, want Canceled", err)
+	}
+}

@@ -32,8 +32,8 @@ import (
 //     read that.
 //
 // Nothing here asks the context for Done: a bare cancel() interrupts an
-// exchange only where the client arms its own hook (dohclient does), and
-// a deadline.Lazy above stays unarmed.
+// exchange only where the client watches for it (dohclient does, through
+// deadline.Done), and a deadline.Lazy above stays unarmed.
 
 // Pool keeps the idle connections of one client. The zero value is
 // ready to use.
@@ -97,7 +97,16 @@ func (p *Pool) put(c idleConn) {
 	}
 	p.mu.Unlock()
 	if !keep {
-		c.conn.Close()
+		c.close()
+	}
+}
+
+// close closes the connection, and its State when that is an io.Closer:
+// the pool ends a connection's state wherever it ends the connection.
+func (c idleConn) close() {
+	c.conn.Close()
+	if st, ok := c.state.(io.Closer); ok {
+		st.Close()
 	}
 }
 
@@ -117,7 +126,7 @@ func (p *Pool) CloseIdle() {
 	p.idle = nil
 	p.mu.Unlock()
 	for _, c := range idle {
-		c.conn.Close()
+		c.close()
 	}
 }
 
@@ -138,8 +147,8 @@ type Attempt struct {
 	Conn net.Conn
 	// State is the owning client's per-connection state: nil on a fresh
 	// connection, and what the loop body leaves here is found again when
-	// the connection is reused (dohclient keeps its buffered reader
-	// there). The pool never looks at it.
+	// the connection is reused (dohclient keeps its reader and watcher
+	// there). The pool only closes it with the connection, if an io.Closer.
 	State any
 	// Timing is filled as the attempt goes, on failure too.
 	Timing Timing
@@ -212,10 +221,11 @@ func (a *Attempt) Next() bool {
 // whether the stream is in step for another one. A connection goes back
 // to the pool only when both say so.
 func (a *Attempt) Done(reusable bool, err error) {
+	c := idleConn{a.Conn, a.State, a.tlsConfig != nil, a.addr}
 	if err == nil && reusable {
-		a.pool.put(idleConn{a.Conn, a.State, a.tlsConfig != nil, a.addr})
+		a.pool.put(c)
 	} else {
-		a.Conn.Close()
+		c.close()
 	}
 	if err != nil && a.step == stepReused && unanswered(err) && !IsTimeout(err) && a.ctx.Err() == nil {
 		a.step = stepRedial

@@ -14,6 +14,7 @@ import (
 	"context"
 	"crypto/tls"
 	"fmt"
+	"runtime"
 	"time"
 
 	"repro/internal/dnsclient"
@@ -109,6 +110,9 @@ func New(serverURL string, opts *Options) (*Client, error) {
 	if e.timeout <= 0 {
 		e.timeout = 30 * time.Second
 	}
+	// An idle connection's watcher keeps it reachable, so the socket's
+	// own finalizer cannot close it once the client is dropped.
+	runtime.SetFinalizer(c, (*Client).CloseIdleConnections)
 	return c, nil
 }
 

@@ -9,8 +9,10 @@ import (
 	"io"
 	"net"
 	"net/url"
+	"sync"
 	"time"
 
+	"repro/internal/deadline"
 	"repro/internal/dnsclient"
 	"repro/internal/dnswire"
 )
@@ -64,8 +66,9 @@ func newEndpoint(rawURL string) (*endpoint, error) {
 
 // engine is the client's transport: HTTP/1.1 over an idle pool of
 // persistent connections, one exchange at a time per connection,
-// written and read on the caller's goroutine as dot.Client does, and
-// under the same dial, pool, deadline and redial rules
+// written and read on the caller's goroutine as dot.Client does (each
+// connection's one goroutine only watches for cancellation), and under
+// the same dial, pool, deadline and redial rules
 // (internal/dnsclient/conn.go). It speaks exactly what a DoH exchange
 // needs — one request in one Write, one response parsed in place — and
 // nothing of HTTP beyond that: no redirects, no cookies, no proxies, no
@@ -81,17 +84,50 @@ type engine struct {
 // (dnsclient.Attempt.State).
 type connState struct {
 	br *bufio.Reader
-	// abort fails the connection's pending and future I/O; it is what
-	// a cancelled context runs. Built once per connection so arming it
-	// per exchange allocates no closure.
-	abort func()
+	// watch hands the watcher one exchange's Done channel and settle ends
+	// that watch: two synchronous handoffs, no allocation. The watcher
+	// sets aborted before it takes the settle; the engine reads it after.
+	watch   chan (<-chan struct{})
+	settle  chan struct{}
+	aborted bool
 }
 
+// readers holds the connections' read buffers between connections.
+var readers = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, readBufferSize) }}
+
 func newConnState(c net.Conn) *connState {
-	return &connState{
-		br:    bufio.NewReaderSize(c, readBufferSize),
-		abort: func() { c.SetDeadline(time.Unix(1, 0)) },
+	st := &connState{
+		br:     readers.Get().(*bufio.Reader),
+		watch:  make(chan (<-chan struct{})),
+		settle: make(chan struct{}),
 	}
+	st.br.Reset(c)
+	go st.watcher(c)
+	return st
+}
+
+// watcher is c's cancellation: when the context of the exchange it
+// watches ends first, it fails c's pending and future I/O by poisoning
+// its deadline. It returns when the state is closed.
+func (st *connState) watcher(c net.Conn) {
+	for done := range st.watch {
+		select {
+		case <-done:
+			c.SetDeadline(time.Unix(1, 0))
+			st.aborted = true
+			<-st.settle
+		case <-st.settle:
+		}
+	}
+}
+
+// Close ends the watcher and returns the read buffer; the pool calls it
+// when it closes the connection.
+func (st *connState) Close() error {
+	close(st.watch)
+	st.br.Reset(nil)
+	readers.Put(st.br)
+	return nil
 }
 
 // roundTrip sends a GET for the packed query dns and reads the whole
@@ -102,6 +138,9 @@ func (e *engine) roundTrip(ctx context.Context, dns []byte, body *dnswire.Buffer
 	defer dnswire.PutBuffer(buf)
 	buf.B = appendRequest(buf.B[:0], e.dest, dns)
 
+	// A deadline.Lazy's own deadline is the socket's already: watching
+	// its parent leaves it unarmed.
+	done := deadline.Done(ctx)
 	var resp response
 	a := e.pool.Begin(ctx, e.dest.addr, e.tlsConfig, e.timeout)
 	for a.Next() {
@@ -110,19 +149,13 @@ func (e *engine) roundTrip(ctx context.Context, dns []byte, body *dnswire.Buffer
 			st = newConnState(a.Conn)
 			a.State = st
 		}
-		var stop func() bool
-		if ctx.Done() != nil {
-			stop = context.AfterFunc(ctx, st.abort)
-		}
+		st.watch <- done // nil, for a context that is never cancelled, never fires
 		var reusable bool
 		var err error
 		resp, reusable, err = do(a.Conn, st.br, buf.B, body)
-		if stop != nil && !stop() {
-			// The context ended mid-exchange and abort ran (or is running):
-			// the connection's deadline is poisoned.
-			reusable = false
-		}
-		a.Done(reusable, err)
+		st.settle <- struct{}{}
+		// An aborted exchange left the connection's deadline poisoned.
+		a.Done(reusable && !st.aborted, err)
 	}
 	resp.timing = a.Timing
 	return resp, a.Err()

@@ -21,6 +21,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/deadline"
 	"repro/internal/dnsclient"
 	"repro/internal/dnswire"
 	"repro/internal/dohserver"
@@ -408,6 +409,15 @@ func TestEngineCancellation(t *testing.T) {
 		{name: "Options.Timeout", opts: &Options{Timeout: 50 * time.Millisecond}, ctx: func() (context.Context, context.CancelFunc) {
 			return context.WithCancel(context.Background())
 		}},
+		// What resolver.WithTimeout hands the engine: the watcher watches
+		// the Lazy's parent and leaves the Lazy unarmed.
+		{name: "cancel above a Lazy", wantErr: context.Canceled, ctx: func() (context.Context, context.CancelFunc) {
+			parent, cancel := context.WithCancel(context.Background())
+			time.AfterFunc(50*time.Millisecond, cancel)
+			lazy := new(deadline.Lazy)
+			lazy.Reset(parent, time.Now().Add(time.Hour))
+			return lazy, func() { lazy.Stop(); cancel() }
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			release := make(chan struct{})
@@ -762,8 +772,8 @@ func newTLSStack(t *testing.T) *httptest.Server {
 // exchange over TLS. The peer is a canned-response TLS server whose
 // serving loop does not allocate, so the count is the client's:
 // packing, the request bytes, crypto/tls record I/O, the in-place head
-// parse, UnpackInto, and the context hook that makes an in-flight
-// exchange cancellable.
+// parse, UnpackInto, and the handoffs to the connection's watcher that
+// make an in-flight exchange cancellable.
 func TestWarmExchangeAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are not meaningful under the race detector")
@@ -834,10 +844,11 @@ func TestWarmExchangeAllocBudget(t *testing.T) {
 	}
 	exchange() // dial, handshake, warm the pools
 	warm = true
-	// Measured: 4 — two for the context hook, two inside crypto/tls's
-	// record reader. The issue's bar is 10; the gate sits closer so one
-	// stray allocation per exchange fails it.
-	const budget = 6
+	// Measured: 2, both inside crypto/tls's record reader; the watcher's
+	// handoffs allocate nothing (a context.AfterFunc hook per exchange
+	// cost 2 more). The gate leaves room for one stray allocation, not
+	// for a per-exchange hook.
+	const budget = 3
 	n := testing.AllocsPerRun(200, exchange)
 	t.Logf("warm GET exchange over TLS: %.1f allocs", n)
 	if n > budget {

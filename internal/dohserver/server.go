@@ -17,6 +17,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cache"
@@ -143,21 +144,41 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // maps only ever read it.
 var contentTypeValue = []string{ContentType}
 
+// headerValue is one shared header value and the integer it spells,
+// never changed once stored; its slice's capacity of 1 makes an Add copy.
+type headerValue struct {
+	key   int
+	value [1]string
+}
+
+// contentLengths and cacheControls are direct-mapped, lock-free tables
+// of shared values, filled on a miss: responses of one length, or one
+// max-age, share one value as contentTypeValue is shared.
+var contentLengths, cacheControls [256]atomic.Pointer[headerValue]
+
 // setHeaders sets Content-Type, Content-Length and Cache-Control by
-// direct assignment under their canonical keys. The two computed values
-// cost two allocations between them: one string holding both texts,
-// one array holding both one-element value slices (Header.Set would
-// allocate a slice per header on top of each formatted string).
+// direct assignment under their canonical keys (Header.Set would
+// allocate a slice per header). A hit in both tables allocates nothing;
+// a miss in either costs two allocations, one string holding both texts
+// and one array holding both values, which then replace what their
+// slots held.
 func setHeaders(hdr http.Header, length, maxAge int) {
-	var text [48]byte
-	b := strconv.AppendInt(text[:0], int64(length), 10)
-	n := len(b)
-	b = strconv.AppendInt(append(b, "max-age="...), int64(maxAge), 10)
-	s := string(b)
-	values := [2]string{s[:n], s[n:]}
+	ls, as := &contentLengths[uint(length)%256], &cacheControls[uint(maxAge)%256]
+	l, a := ls.Load(), as.Load()
+	if l == nil || l.key != length || a == nil || a.key != maxAge {
+		var text [48]byte
+		b := strconv.AppendInt(text[:0], int64(length), 10)
+		n := len(b)
+		b = strconv.AppendInt(append(b, "max-age="...), int64(maxAge), 10)
+		s := string(b)
+		values := &[2]headerValue{{length, [1]string{s[:n]}}, {maxAge, [1]string{s[n:]}}}
+		l, a = &values[0], &values[1]
+		ls.Store(l)
+		as.Store(a)
+	}
 	hdr["Content-Type"] = contentTypeValue
-	hdr["Content-Length"] = values[0:1:1]
-	hdr["Cache-Control"] = values[1:2:2]
+	hdr["Content-Length"] = l.value[:]
+	hdr["Cache-Control"] = a.value[:]
 }
 
 // maxAge is the response's HTTP freshness lifetime in seconds

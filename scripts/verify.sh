@@ -62,6 +62,9 @@ go test -race ./internal/dohclient/... ./internal/dohserver/...
 go test -race ./internal/deadline/... ./internal/recursive/... ./internal/dot/... \
 	./internal/dnsclient/...
 
+step "a DoH connection's cancellation watcher (two handoffs per exchange; it ends with its connection; race)"
+go test -race -count=20 ./internal/dohclient/ -run 'TestEngineCancellation|TestWatchersEndWithTheirConnections'
+
 step "one singleflight, one lifecycle (the recursor's shared flights are the cache's, its TCP side answers what UDP truncates, the DoH front's lifecycle)"
 go test -race ./internal/recursive/ -run 'TestSharedFlightIsCounted|TestRecursorAnswersOverTCP'
 go test -race ./internal/dohserver/ -run 'TestServerLifecycle|TestServerShutdownForcesOnExpiry'
