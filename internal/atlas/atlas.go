@@ -9,11 +9,9 @@ package atlas
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
-	"repro/internal/geo"
 	"repro/internal/netsim"
 	"repro/internal/stats"
 	"repro/internal/world"
@@ -30,9 +28,8 @@ type Probe struct {
 	// ResolverEndpoint is the probe's ISP default resolver.
 	ResolverEndpoint netsim.Endpoint
 	// ResolverOverhead is the probe's ISP resolver processing
-	// latency, drawn from the same per-host lognormal spread as the
-	// proxy network's exit nodes so the two networks remain
-	// statistically consistent (paper §4.4).
+	// latency, drawn as the proxy network's exit nodes draw theirs
+	// (netsim.ResidentialHost).
 	ResolverOverhead time.Duration
 }
 
@@ -61,22 +58,16 @@ func (n *Network) Probe(countryCode string) (*Probe, error) {
 		return nil, fmt.Errorf("atlas: unknown country %q", countryCode)
 	}
 	n.counter++
-	pos := geo.Jitter(ct.Centroid, 420, n.Rand.Float64(), n.Rand.Float64())
-	resolverPos := geo.Jitter(ct.Centroid, 120, n.Rand.Float64(), n.Rand.Float64())
-	p := &Probe{
-		ID:               fmt.Sprintf("probe-%s-%05d", countryCode, n.counter),
-		Country:          ct,
-		Endpoint:         netsim.Endpoint{Pos: pos, Country: ct, Residential: true},
-		ResolverEndpoint: netsim.Endpoint{Pos: resolverPos, Country: ct},
-		ResolverOverhead: time.Duration(ct.ResolverOverheadMs *
-			math.Exp(0.0+0.85*n.Rand.NormFloat64()) * float64(time.Millisecond)),
-	}
 	// Volunteer probes sit behind the same mix of ISP resolvers as
 	// exit nodes, including the occasional pathological one.
-	if n.Rand.Float64() < 0.14 {
-		p.ResolverOverhead += time.Duration((220 + n.Rand.Float64()*730) * float64(time.Millisecond))
-	}
-	return p, nil
+	host, resolverEP, overhead := netsim.ResidentialHost(n.Rand, ct)
+	return &Probe{
+		ID:               fmt.Sprintf("probe-%s-%05d", countryCode, n.counter),
+		Country:          ct,
+		Endpoint:         host,
+		ResolverEndpoint: resolverEP,
+		ResolverOverhead: overhead,
+	}, nil
 }
 
 // MeasureDo53 runs one conventional DNS measurement at the probe: a

@@ -142,7 +142,7 @@ func Run(cfg Config) ([]Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("cachestudy: unknown provider %q", cfg.Provider)
 	}
-	auth := netsim.Endpoint{Pos: geo.Point{Lat: 39.04, Lon: -77.49}, Country: world.MustByCode("US")}
+	auth := netsim.Lab
 
 	// Build the client population.
 	type client struct {

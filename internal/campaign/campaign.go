@@ -32,7 +32,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/proxynet"
 	"repro/internal/resolver"
-	"repro/internal/sketch"
 	"repro/internal/smart"
 	"repro/internal/stats"
 	"repro/internal/world"
@@ -127,8 +126,9 @@ type Config struct {
 	// stays out of the checkpoint config key.
 	ClaimOwner string
 	// DiscardClients, when true, drops each country's client records
-	// after they are sketched and journaled, keeping only the
-	// mergeable aggregates (Dataset.Sketch, accounting, KeptClients).
+	// after they are folded into Dataset.Obs's histograms and
+	// journaled, keeping only the aggregates (Obs, accounting,
+	// KeptClients).
 	// Peak memory is then bounded by the largest single country
 	// instead of the whole world — the constant-RSS mode for
 	// million-client scale-out. Dataset.Clients is empty; CSV export
@@ -300,12 +300,6 @@ type Dataset struct {
 	// merged simulator counters. Deterministic for a given Config
 	// regardless of Parallel.
 	Obs obs.Snapshot
-	// Sketch holds the campaign's mergeable latency aggregates, one
-	// fixed-bucket histogram per obs metric name (campaign_doh_<p>_ms,
-	// campaign_country_<cc>_doh_ms, ...). Sketches from shard datasets
-	// merge exactly (see internal/sketch), and the obs histograms
-	// above are built from this sketch, so the two always agree.
-	Sketch *sketch.Set
 	// KeptClients counts the clients the campaign measured and kept,
 	// including records dropped from Clients by Config.DiscardClients
 	// — the honest denominator in constant-memory mode (equal to
@@ -543,12 +537,11 @@ func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
 	errs := make([]error, len(countries))
 	completed := make([]bool, len(countries))
 	// Shared aggregates, folded into as countries complete: every
-	// sketch accumulator and accounting figure is a commutative and
-	// associative sum (or min, or max), so the result is
-	// schedule-independent, and not holding per-country records and
-	// accounting until the end is what keeps DiscardClients memory flat
-	// in the country count.
-	agg := sketch.NewSet()
+	// histogram bucket and accounting figure is a commutative and
+	// associative sum, so the result is schedule-independent, and not
+	// holding per-country records and accounting until the end is what
+	// keeps DiscardClients memory flat in the country count.
+	reg := obs.NewRegistry()
 	var aggMu sync.Mutex
 	var simTotal proxynet.SimStats
 	var wg sync.WaitGroup
@@ -557,7 +550,7 @@ func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w := new(worker)
+			w := &worker{fold: fold{reg: reg}}
 			// window returns the storage country idx's records go to,
 			// empty, with room for all of them.
 			window := func(idx int) []ClientRecord {
@@ -622,13 +615,14 @@ func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
 					}
 					continue
 				}
-				// Fold the country into the aggregates. In DiscardClients
+				// Fold the country into the aggregates: the histograms
+				// take atomic adds, the rest the lock. In DiscardClients
 				// mode its observations, accounting, and count are all
 				// that leave the worker, so peak memory stays bounded by
 				// the in-flight countries rather than the whole world.
 				kept[idx] = len(rec.Clients)
+				w.fold.clients(rec.Clients)
 				aggMu.Lock()
-				foldClients(agg, rec.Clients)
 				ds.KeptClients += len(rec.Clients)
 				ds.add(rec.Accounting)
 				simTotal = addSimStats(simTotal, rec.SimStats)
@@ -653,7 +647,6 @@ feed:
 			return nil, err
 		}
 	}
-	ds.Sketch = agg
 	if clients != nil {
 		n := 0
 		for i := range countries {
@@ -669,9 +662,7 @@ feed:
 		// and observability — but no Atlas remedy, which would hide
 		// the missing Do53 coverage behind fresh probe data.
 		ds.Partial = true
-		if oerr := finishObs(cfg, ds, simTotal); oerr != nil {
-			return nil, oerr
-		}
+		finishObs(cfg, reg, ds, simTotal)
 		return ds, fmt.Errorf("campaign: interrupted: %w", err)
 	}
 
@@ -692,9 +683,7 @@ feed:
 		ds.AtlasDo53Ms[ct.Code] = med
 	}
 
-	if err := finishObs(cfg, ds, simTotal); err != nil {
-		return nil, err
-	}
+	finishObs(cfg, reg, ds, simTotal)
 	return ds, nil
 }
 
@@ -702,18 +691,11 @@ feed:
 // each consumed name (TEST-NET-1, never a real measurement target).
 var markerAddr = netip.MustParseAddr("192.0.2.1")
 
-// finishObs assembles the observability view from the finished (or
-// partially finished) dataset; the snapshot is a pure function of the
-// records and accounting, so it inherits their schedule independence.
-// The latency histograms are absorbed from the mergeable sketch (same
-// bucket layout, exact integer merge), which is what keeps the
-// snapshot identical whether clients were retained or discarded, and
-// whether the dataset came from one process or N merged shards.
-func finishObs(cfg Config, ds *Dataset, simTotal proxynet.SimStats) error {
-	reg := obs.NewRegistry()
-	if err := absorbSketch(reg, ds.Sketch); err != nil {
-		return err
-	}
+// finishObs publishes the finished (or partially finished) dataset's
+// gauges into reg, which holds its folded histograms, and snapshots
+// it; the snapshot is a pure function of the records and accounting,
+// so it inherits their schedule independence.
+func finishObs(cfg Config, reg *obs.Registry, ds *Dataset, simTotal proxynet.SimStats) {
 	publishAccounting(reg, ds, simTotal)
 	if cfg.Cache != nil {
 		// Tripwire totals. Names are unique per run, so guard_hits is
@@ -727,7 +709,6 @@ func finishObs(cfg Config, ds *Dataset, simTotal proxynet.SimStats) error {
 		reg.Gauge("campaign_cache_guard_entries").Set(float64(cfg.Cache.Len()))
 	}
 	ds.Obs = reg.Snapshot()
-	return nil
 }
 
 // configKey hashes the result-affecting configuration. Two configs
@@ -1094,9 +1075,11 @@ func clientsIn(cfg Config, ct world.Country) int {
 // worker measures shares its name chunks and its exit node (whose IDs
 // are cut from chunks the node carries), and in DiscardClients mode its
 // record buffer, so that a kept client allocates only its share of the
-// chunks its record's strings are cut from.
+// chunks its record's strings are cut from. fold holds its handles on
+// the run's histograms.
 type worker struct {
 	names nameScratch
+	fold  fold
 	node  proxynet.ExitNode
 	// buf holds the records of the country in hand when the dataset
 	// does not keep them.

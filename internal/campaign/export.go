@@ -178,13 +178,12 @@ func (ds *Dataset) WriteSmartCSV(w io.Writer) error {
 }
 
 // ReadSmartCSV attaches a smart side table to a dataset previously
-// loaded with ReadCSV: each row's result lands on its client, the
-// SmartWins accounting is recomputed from the winner column, and the
-// sketch is rebuilt so the smart latency keys appear exactly as a live
-// campaign would have produced them. Rows naming an unknown client or a
-// provider outside the catalogue, repeating a (client, provider) pair,
-// crediting a transport the race never launches or carrying an
-// impossible time are corruption and fail loudly.
+// loaded with ReadCSV: each row's result lands on its client, and the
+// SmartWins accounting is recomputed from the winner column. Rows
+// naming an unknown client or a provider outside the catalogue,
+// repeating a (client, provider) pair, crediting a transport the race
+// never launches or carrying an impossible time are corruption and
+// fail loudly.
 func (ds *Dataset) ReadSmartCSV(r io.Reader) error {
 	cr := csv.NewReader(r)
 	header, err := cr.Read()
@@ -244,7 +243,6 @@ func (ds *Dataset) ReadSmartCSV(r io.Reader) error {
 		}
 		ds.SmartWins[winner]++
 	}
-	ds.Sketch = sketchClients(ds.Clients)
 	return nil
 }
 
@@ -384,7 +382,6 @@ func ReadCSV(main io.Reader, atlas io.Reader) (*Dataset, error) {
 		}
 	}
 	ds.KeptClients = len(ds.Clients)
-	ds.Sketch = sketchClients(ds.Clients)
 	return ds, nil
 }
 

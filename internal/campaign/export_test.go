@@ -91,7 +91,8 @@ func TestCSVBadRows(t *testing.T) {
 	}
 
 	// The smart side table: the winner column feeds Dataset.SmartWins
-	// and the times feed the sketch, so neither may be taken on trust.
+	// and the times feed Merge's histograms, so neither may be taken on
+	// trust.
 	good := head + "c1,BR,10.0.0.0/24,0,0,0,1,true,cloudflare,1,1,p,BR,1,1\n"
 	smartHead := strings.Join(smartCSVHeader, ",") + "\n"
 	for name, c := range map[string]struct {

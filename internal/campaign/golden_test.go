@@ -222,3 +222,23 @@ func TestExportHashPinned(t *testing.T) {
 		t.Errorf("WriteCSV + WriteSmartCSV hash to %s, want %s", got, want)
 	}
 }
+
+// TestObsHashPinned pins the stripe campaign's observability snapshot
+// in its text exposition: every latency histogram's buckets, count and
+// sum, and every accounting and simulator gauge. Like the export hash,
+// it moves only with the records or the metric set, which no change to
+// how the histograms are folded may touch.
+func TestObsHashPinned(t *testing.T) {
+	const want = "3832afdc9cafbc88e64d1cb0567cf3556702d57cfbaddc69e89bf52068827b02"
+	ds, err := Run(stripeConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	if err := ds.Obs.WriteText(h); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("Obs.WriteText hashes to %s, want %s", got, want)
+	}
+}

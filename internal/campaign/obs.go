@@ -7,26 +7,21 @@ import (
 	"repro/internal/anycast"
 	"repro/internal/obs"
 	"repro/internal/proxynet"
-	"repro/internal/sketch"
 )
 
-// Observability aggregation: Run assembles the campaign's registry
-// view after the workers finish. Per-country simulators keep private
-// counters while measuring (countryRun.settle attributes loss events
-// to individual runs by sequential deltas, which a shared registry
-// would break under parallel workers), so everything here is fed from
-// the already-deterministic Dataset and per-country accounting. The
-// snapshot is therefore identical for any Config.Parallel.
+// Observability aggregation: the run's one registry holds the latency
+// histograms and, once the workers finish, the accounting gauges.
+// Per-country simulators keep private counters while measuring
+// (countryRun.settle attributes loss events to individual runs by
+// sequential deltas, which a shared registry would break under
+// parallel workers), so everything here is fed from the
+// already-deterministic records and per-country accounting.
 //
-// Latency histograms route through internal/sketch: each finished
-// country's clients are folded into the run's one keyed sketch set (the
-// keys ARE the obs metric names), Dataset.Sketch, and the registry
-// histograms — registered on the sketch's canonical bucket layout —
-// absorb its buckets verbatim. Every accumulator is an integer sum, min
-// or max, so the order countries fold in cannot show. The same
-// pipeline therefore serves a single process, the DiscardClients
-// constant-memory mode, and N merged shards, all with identical
-// histogram snapshots.
+// Each finished country's clients fold straight into the registry's
+// histograms through the worker's handles. Every accumulator is an
+// atomic int64 sum, so the order countries fold in cannot show, and
+// the snapshot is identical for any Config.Parallel, with clients
+// retained or discarded. Merge folds its merged records the same way.
 
 // msDuration converts a dataset's millisecond float back into a
 // duration for histogram observation.
@@ -34,13 +29,36 @@ func msDuration(ms float64) time.Duration {
 	return time.Duration(ms * float64(time.Millisecond))
 }
 
-// sketchClients reduces client records to a fresh set of the
-// campaign's mergeable latency sketches.
-func sketchClients(clients []ClientRecord) *sketch.Set {
-	return foldClients(sketch.NewSet(), clients)
-}
+// Latency kinds per provider, the second index of a fold's handles:
+// the DoH pair, the smart pair, then the extensions in table order.
+const (
+	kindDoH = iota
+	kindDoHR
+	kindSmart
+	kindSmartR
+	kindSession // plus the extension's index in extensions
+	numKinds    = kindSession + len(extensions)
+)
 
-// foldClients observes client records into s and returns it:
+// histNames is every provider's histogram names by catalogue position
+// and kind, built once per process and never written.
+var histNames = sync.OnceValue(func() *[anycast.NumProviders][numKinds]string {
+	kinds := [numKinds]string{kindDoH: "doh", kindDoHR: "dohr", kindSmart: "smart", kindSmartR: "smartr"}
+	for tr, kind := range extensions {
+		kinds[kindSession+tr] = string(kind)
+	}
+	names := new([anycast.NumProviders][numKinds]string)
+	for p, pid := range anycast.ProviderIDs() {
+		for k, kind := range kinds {
+			names[p][k] = "campaign_" + kind + "_" + string(pid) + "_ms"
+		}
+	}
+	return names
+})
+
+// fold observes client records into reg, holding a handle per
+// histogram so that a name is looked up once, on its first
+// observation:
 //
 //	campaign_doh_<provider>_ms    first-query DoH estimate per provider
 //	campaign_dohr_<provider>_ms   reused-connection estimate
@@ -50,102 +68,58 @@ func sketchClients(clients []ClientRecord) *sketch.Set {
 //	campaign_smart_<provider>_ms  derived smart-race first-query time
 //	campaign_smartr_<provider>_ms derived smart steady-state time
 //
-// A country histogram is registered (Touch) for every client's
-// country even when no DoH result is valid, so sketched and merged
-// datasets expose the same metric keys a direct run would.
-func foldClients(s *sketch.Set, clients []ClientRecord) *sketch.Set {
-	// The country histogram is looked up once per run of same-country
-	// clients, not once per observation.
-	var (
-		country    string
-		countryDoH *sketch.Histogram
+// A country histogram is registered for every client's country even
+// when no DoH result is valid, so every run over the same clients
+// exposes the same names. One fold serves one goroutine.
+type fold struct {
+	reg        *obs.Registry
+	hists      [anycast.NumProviders][numKinds]*obs.Histogram
+	do53       *obs.Histogram
+	country    string
+	countryDoH *obs.Histogram
+}
 
-		keys      = sharedProviderKeys()
-		providers = anycast.ProviderIDs()
-	)
-	keysFor := func(pid anycast.ProviderID) *providerKeys {
-		k, _ := keys.Get(pid)
-		return k
+// observe records ms under provider position p's histogram of kind.
+func (f *fold) observe(p, kind int, ms float64) {
+	h := f.hists[p][kind]
+	if h == nil {
+		h = f.reg.Histogram(histNames()[p][kind], nil)
+		f.hists[p][kind] = h
 	}
+	h.Observe(msDuration(ms))
+}
+
+// clients folds client records into the registry.
+func (f *fold) clients(clients []ClientRecord) {
 	for i := range clients {
 		c := &clients[i]
-		if countryDoH == nil || c.CountryCode != country {
-			country = c.CountryCode
-			countryDoH = s.Touch("campaign_country_" + country + "_doh_ms")
+		if f.countryDoH == nil || c.CountryCode != f.country {
+			f.country = c.CountryCode
+			f.countryDoH = f.reg.Histogram("campaign_country_"+f.country+"_doh_ms", nil)
 		}
-		for _, pid := range providers {
-			res, _ := c.DoH.Get(pid)
-			if !res.Valid {
-				continue
+		for p, pid := range anycast.ProviderIDs() {
+			if res, _ := c.DoH.Get(pid); res.Valid {
+				f.observe(p, kindDoH, res.TDoHMs)
+				f.observe(p, kindDoHR, res.TDoHRMs)
+				f.countryDoH.Observe(msDuration(res.TDoHMs))
 			}
-			k := keysFor(pid)
-			d := msDuration(res.TDoHMs)
-			s.Observe(k.doh, d)
-			s.Observe(k.dohr, msDuration(res.TDoHRMs))
-			countryDoH.Observe(d)
+			for tr := range c.Sessions {
+				if res, _ := c.Sessions[tr].Get(pid); res.Valid {
+					f.observe(p, kindSession+tr, res.FirstMs)
+				}
+			}
+			if res, _ := c.Smart.Get(pid); res.Valid {
+				f.observe(p, kindSmart, res.TSmartMs)
+				f.observe(p, kindSmartR, res.TSmartRMs)
+			}
 		}
 		if c.Do53Valid {
-			s.Observe("campaign_do53_ms", msDuration(c.Do53Ms))
-		}
-		for tr := range c.Sessions {
-			for _, pid := range providers {
-				res, _ := c.Sessions[tr].Get(pid)
-				if !res.Valid {
-					continue
-				}
-				s.Observe(keysFor(pid).session[tr], msDuration(res.FirstMs))
+			if f.do53 == nil {
+				f.do53 = f.reg.Histogram("campaign_do53_ms", nil)
 			}
-		}
-		for _, pid := range providers {
-			res, _ := c.Smart.Get(pid)
-			if !res.Valid {
-				continue
-			}
-			k := keysFor(pid)
-			s.Observe(k.smart, msDuration(res.TSmartMs))
-			s.Observe(k.smartr, msDuration(res.TSmartRMs))
+			f.do53.Observe(msDuration(c.Do53Ms))
 		}
 	}
-	return s
-}
-
-// providerKeys are one provider's sketch keys.
-type providerKeys struct {
-	doh, dohr, smart, smartr string
-	session                  [len(extensions)]string
-}
-
-// sharedProviderKeys is every catalogue provider's sketch keys, built
-// once per process and never written.
-var sharedProviderKeys = sync.OnceValue(func() *anycast.PerProvider[*providerKeys] {
-	keys := new(anycast.PerProvider[*providerKeys])
-	for _, pid := range anycast.ProviderIDs() {
-		key := func(kind string) string { return "campaign_" + kind + "_" + string(pid) + "_ms" }
-		k := &providerKeys{doh: key("doh"), dohr: key("dohr"), smart: key("smart"), smartr: key("smartr")}
-		for tr, kind := range extensions {
-			k.session[tr] = key(string(kind))
-		}
-		keys.Set(pid, k)
-	}
-	return keys
-})
-
-// absorbSketch registers one histogram per sketch key — on the
-// default bucket layout, the sketch's own — and folds the aggregated
-// buckets in.
-// Exact: the resulting histograms are indistinguishable from ones fed
-// the original observation stream.
-func absorbSketch(reg *obs.Registry, s *sketch.Set) error {
-	if s == nil {
-		return nil
-	}
-	for _, key := range s.Keys() {
-		h := s.Get(key)
-		if err := reg.Histogram(key, nil).Absorb(h.BucketCounts(), h.Count(), h.Sum()); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // publishAccounting exports the campaign's drop accounting and the

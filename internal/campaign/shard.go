@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/obs"
-	"repro/internal/sketch"
 	"repro/internal/world"
 )
 
@@ -58,11 +57,11 @@ func ShardCountries(countries []string, index, total int) ([]string, error) {
 // preserving each country's internal order), which is the order an
 // unsharded campaign emits, so the merged CSV export is byte-identical
 // to the unsharded one. Accounting sums by the fold Run applies per
-// country; sketches merge exactly when every part carries one and are
-// otherwise rebuilt from the merged client records; Obs is rebuilt
-// from the merged sketch and
-// accounting (the per-run simulator gauges are not part of a dataset
-// release, so they are absent rather than fabricated).
+// country, and Obs folds the merged client records into a fresh
+// registry beside the merged accounting (the per-run simulator gauges
+// are not part of a dataset release, so they are absent rather than
+// fabricated). A part whose records were discarded
+// (Config.DiscardClients) has nothing to fold and is refused.
 func Merge(parts ...*Dataset) (*Dataset, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("campaign: nothing to merge")
@@ -73,13 +72,15 @@ func Merge(parts ...*Dataset) (*Dataset, error) {
 	}
 	seenClient := make(map[string]bool)
 	countryPart := make(map[string]int)
-	allSketched := true
 	for pi, p := range parts {
 		if p == nil {
 			return nil, fmt.Errorf("campaign: merge part %d is nil", pi)
 		}
 		if p.Seed != merged.Seed {
 			return nil, fmt.Errorf("campaign: merge part %d has seed %d, part 0 has %d", pi, p.Seed, merged.Seed)
+		}
+		if p.KeptClients != len(p.Clients) {
+			return nil, fmt.Errorf("campaign: merge part %d kept %d clients but carries %d records (a DiscardClients run has none to merge)", pi, p.KeptClients, len(p.Clients))
 		}
 		for i := range p.Clients {
 			c := &p.Clients[i]
@@ -102,9 +103,6 @@ func Merge(parts ...*Dataset) (*Dataset, error) {
 		merged.KeptClients += p.KeptClients
 		merged.add(p.Accounting)
 		merged.Partial = merged.Partial || p.Partial
-		if p.Sketch == nil {
-			allSketched = false
-		}
 	}
 	// Canonical client order: the unsharded campaign feeds countries in
 	// sorted-code order (world.All is sorted, ShardCountries sorts), so
@@ -114,21 +112,8 @@ func Merge(parts ...*Dataset) (*Dataset, error) {
 	sort.SliceStable(merged.Clients, func(i, j int) bool {
 		return merged.Clients[i].CountryCode < merged.Clients[j].CountryCode
 	})
-	if allSketched {
-		merged.Sketch = sketch.NewSet()
-		for _, p := range parts {
-			merged.Sketch.Merge(p.Sketch)
-		}
-	} else {
-		// At least one part carries only client records (e.g. loaded
-		// from a CSV release); rebuild from those. Exact with respect
-		// to the per-client data present.
-		merged.Sketch = sketchClients(merged.Clients)
-	}
 	reg := obs.NewRegistry()
-	if err := absorbSketch(reg, merged.Sketch); err != nil {
-		return nil, err
-	}
+	(&fold{reg: reg}).clients(merged.Clients)
 	publishDataset(reg, merged)
 	merged.Obs = reg.Snapshot()
 	return merged, nil

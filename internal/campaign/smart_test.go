@@ -93,15 +93,9 @@ func TestSmartStrategyDerived(t *testing.T) {
 	if st := ds.Transports[resolver.Smart]; st.Queries != 0 {
 		t.Errorf("derived smart column issued %d wire queries", st.Queries)
 	}
-	// And the smart sketch keys must exist.
-	found := false
-	for _, key := range ds.Sketch.Keys() {
-		if key == "campaign_smart_"+string(anycast.ProviderIDs()[0])+"_ms" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("sketch missing smart latency keys: %v", ds.Sketch.Keys())
+	// And the smart latency histograms must exist.
+	if !hasHistogram(ds, "campaign_smart_"+string(anycast.ProviderIDs()[0])+"_ms") {
+		t.Errorf("snapshot missing smart latency histograms: %v", ds.Obs.Histograms)
 	}
 }
 
@@ -167,8 +161,8 @@ func TestSmartShardMergeByteIdenticalCSV(t *testing.T) {
 		t.Errorf("merged SmartWins = %v, unsharded %v", merged.SmartWins, unsharded.SmartWins)
 	}
 
-	// The smart sketch keys survive the round trip with exact totals:
-	// compare against the reimported unsharded dataset (same 4-decimal
+	// The smart histograms survive the round trip exactly: compare
+	// against the reimported unsharded dataset (same 4-decimal
 	// rounding), not the in-memory run.
 	var umain, uatlas, usmart bytes.Buffer
 	if err := unsharded.WriteCSV(&umain); err != nil {
@@ -187,22 +181,31 @@ func TestSmartShardMergeByteIdenticalCSV(t *testing.T) {
 	if err := reimported.ReadSmartCSV(&usmart); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range reimported.Sketch.Keys() {
-		w, g := reimported.Sketch.Get(key), merged.Sketch.Get(key)
-		if g == nil {
-			t.Errorf("merged sketch missing %s", key)
-			continue
-		}
-		if w.Count() != g.Count() || w.Sum() != g.Sum() {
-			t.Errorf("sketch %s differs after merge: count %d/%d sum %d/%d",
-				key, w.Count(), g.Count(), w.Sum(), g.Sum())
+	whole, err := Merge(reimported)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hasHistogram(merged, "campaign_smartr_"+string(anycast.ProviderIDs()[0])+"_ms") {
+		t.Error("merged snapshot missing smart latency histograms")
+	}
+	if !reflect.DeepEqual(merged.Obs.Histograms, whole.Obs.Histograms) {
+		t.Error("merged histograms differ from the unsharded run's")
+	}
+}
+
+// hasHistogram reports whether ds's snapshot holds the named histogram.
+func hasHistogram(ds *Dataset, name string) bool {
+	for _, h := range ds.Obs.Histograms {
+		if h.Name == name {
+			return true
 		}
 	}
+	return false
 }
 
 // TestSmartDiscardModeKeepsWins pins the constant-memory contract for
 // the fifth column: DiscardClients drops the records but SmartWins and
-// the smart sketch keys survive, identical to the retaining run.
+// the smart histograms survive, identical to the retaining run.
 func TestSmartDiscardModeKeepsWins(t *testing.T) {
 	cfg := fiveTransportConfig("BR", "NG")
 	full, err := Run(cfg)
@@ -221,10 +224,8 @@ func TestSmartDiscardModeKeepsWins(t *testing.T) {
 	if !reflect.DeepEqual(ds.SmartWins, full.SmartWins) {
 		t.Errorf("discard-mode SmartWins = %v, retaining run %v", ds.SmartWins, full.SmartWins)
 	}
-	for _, key := range full.Sketch.Keys() {
-		w, g := full.Sketch.Get(key), ds.Sketch.Get(key)
-		if g == nil || w.Count() != g.Count() || w.Sum() != g.Sum() {
-			t.Errorf("sketch %s differs in discard mode", key)
-		}
+	if !hasHistogram(full, "campaign_smart_"+string(anycast.ProviderIDs()[0])+"_ms") ||
+		!reflect.DeepEqual(ds.Obs.Histograms, full.Obs.Histograms) {
+		t.Error("smart histograms differ in discard mode")
 	}
 }

@@ -37,6 +37,46 @@ type Endpoint struct {
 	Residential bool
 }
 
+// Lab is the paper's US deployment (us-east): the measurement client,
+// the DoH resolvers' upstream and the authoritative name server.
+var Lab = Endpoint{Pos: geo.Point{Lat: 39.04, Lon: -77.49}, Country: world.MustByCode("US")}
+
+// The ISP-resolver model. A residential host sits within
+// residentialRadiusKm of its country's centroid and its ISP default
+// resolver within resolverRadiusKm. The resolver's processing overhead
+// is the country's median (world.Country.ResolverOverheadMs) times a
+// per-host lognormal spread, and a brokenResolverProb share of hosts
+// sit behind pathological default resolvers (overloaded, lossy, or very
+// distant) that add hundreds of milliseconds. These hosts are the
+// population for whom switching to DoH is a win even on the first
+// query — the paper found 19.1% of clients sped up at DoH1.
+const (
+	residentialRadiusKm   = 420
+	resolverRadiusKm      = 120
+	resolverOverheadSigma = 0.85
+	brokenResolverProb    = 0.14
+	brokenResolverMinMs   = 220
+	brokenResolverMaxMs   = 950
+)
+
+// ResidentialHost draws a residential host in ct, its ISP default
+// resolver and that resolver's processing overhead. Proxy exit nodes
+// and Atlas probes are both such hosts, which keeps the two networks
+// statistically consistent (paper §4.4). The draws from rng come in a
+// fixed order that every pinned campaign output depends on: the host's
+// position (two), the resolver's (two), the overhead's spread, the
+// broken-resolver coin and, when it lands, the broken resolver's delay.
+func ResidentialHost(rng *rand.Rand, ct world.Country) (host, resolver Endpoint, overhead time.Duration) {
+	host = Endpoint{Pos: geo.Jitter(ct.Centroid, residentialRadiusKm, rng.Float64(), rng.Float64()), Country: ct, Residential: true}
+	resolver = Endpoint{Pos: geo.Jitter(ct.Centroid, resolverRadiusKm, rng.Float64(), rng.Float64()), Country: ct}
+	overhead = time.Duration(ct.ResolverOverheadMs * math.Exp(resolverOverheadSigma*rng.NormFloat64()) * float64(time.Millisecond))
+	if rng.Float64() < brokenResolverProb {
+		extra := brokenResolverMinMs + rng.Float64()*(brokenResolverMaxMs-brokenResolverMinMs)
+		overhead += time.Duration(extra * float64(time.Millisecond))
+	}
+	return host, resolver, overhead
+}
+
 // LatencyModel converts endpoint pairs into one-way delays. The
 // defaults are calibrated so that the campaign's global medians land
 // near the paper's (Do53 ≈ 234 ms, DoH1 ≈ 415 ms at the client level);

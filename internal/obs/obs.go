@@ -80,9 +80,9 @@ func (h *Histogram) Observe(d time.Duration) {
 }
 
 // BucketIndex returns the bucket d falls in: bounds are ascending
-// inclusive upper bounds, len(bounds) is the overflow bucket. The one
-// search behind this package's atomic histograms and internal/sketch's
-// plain ones, which keeps the two in lockstep on the same stream.
+// inclusive upper bounds, len(bounds) is the overflow bucket. The
+// search behind Histogram.Observe, exported for internal/sketch's
+// benchmark-only histogram.
 func BucketIndex(bounds []time.Duration, d time.Duration) int {
 	// Manual binary search: sort.Search's closure can escape and the
 	// hot path must not allocate.
@@ -100,32 +100,6 @@ func BucketIndex(bounds []time.Duration, d time.Duration) int {
 
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return atomic.LoadInt64(&h.count) }
-
-// Absorb folds pre-aggregated bucket counts into the histogram, as if
-// every underlying observation had been passed to Observe. counts must
-// have exactly len(bounds)+1 entries on the same bucket layout this
-// histogram was registered with (the last entry is the overflow
-// bucket); count is the total observation count and sum their exact
-// total duration. The merge is integer addition per bucket, so
-// absorbing is exact — a histogram fed via Absorb from mergeable
-// sketches (internal/sketch) is indistinguishable from one fed the
-// original stream. Safe for concurrent use with Observe.
-func (h *Histogram) Absorb(counts []int64, count int64, sum time.Duration) error {
-	if len(counts) != len(h.counts) {
-		return fmt.Errorf("obs: Absorb got %d buckets, histogram has %d", len(counts), len(h.counts))
-	}
-	for i, n := range counts {
-		if n < 0 {
-			return fmt.Errorf("obs: Absorb bucket %d has negative count %d", i, n)
-		}
-		if n != 0 {
-			atomic.AddInt64(&h.counts[i], n)
-		}
-	}
-	atomic.AddInt64(&h.sum, int64(sum))
-	atomic.AddInt64(&h.count, count)
-	return nil
-}
 
 // latencyBuckets is the one latency bucket layout, built in integer
 // microseconds so it is bit-identical on every platform: three
@@ -151,9 +125,7 @@ var latencyBuckets = func() []time.Duration {
 // (ascending inclusive upper bounds, 100µs to 60s; observations above
 // the last bound land in an overflow bucket). It covers everything from
 // a reused-connection loopback exchange to a retry loop that exhausted
-// its backoff budget, and it is the layout internal/sketch histograms
-// use, so a registry histogram absorbs sketch buckets exactly. The
-// slice is a fresh copy.
+// its backoff budget. The slice is a fresh copy.
 func DefaultLatencyBuckets() []time.Duration {
 	return append([]time.Duration(nil), latencyBuckets...)
 }
@@ -352,38 +324,26 @@ func (h *Histogram) snapshot(name string) HistogramValue {
 // fixed-bucket estimator. Observations in the overflow bucket are
 // attributed to the last finite bound.
 func (v HistogramValue) Quantile(q float64) time.Duration {
-	return BucketQuantile(q, v.Count, len(v.Buckets), func(i int) (time.Duration, int64) {
-		return v.Buckets[i].UpperBound, v.Buckets[i].Count
-	})
-}
-
-// BucketQuantile is the estimator behind HistogramValue.Quantile over
-// any layout: total observations in n ascending buckets, bucket(i)
-// returning the i'th one's inclusive upper bound (negative for the
-// overflow bucket) and count. internal/sketch estimates with it too, so
-// campaign metrics and sketch-derived quantiles agree exactly.
-func BucketQuantile(q float64, total int64, n int, bucket func(i int) (upper time.Duration, count int64)) time.Duration {
-	if total == 0 || q <= 0 || q >= 1 {
+	if v.Count == 0 || q <= 0 || q >= 1 {
 		return 0
 	}
-	rank := q * float64(total)
+	rank := q * float64(v.Count)
 	var cum int64
 	var lower time.Duration
-	for i := 0; i < n; i++ {
-		upper, count := bucket(i)
+	for _, b := range v.Buckets {
 		prev := cum
-		cum += count
+		cum += b.Count
 		if float64(cum) >= rank {
-			if upper < 0 {
+			if b.UpperBound < 0 {
 				// Overflow: no finite upper edge to interpolate
 				// toward; report the last finite bound.
 				return lower
 			}
-			frac := (rank - float64(prev)) / float64(count)
-			return lower + time.Duration(frac*float64(upper-lower))
+			frac := (rank - float64(prev)) / float64(b.Count)
+			return lower + time.Duration(frac*float64(b.UpperBound-lower))
 		}
-		if upper >= 0 {
-			lower = upper
+		if b.UpperBound >= 0 {
+			lower = b.UpperBound
 		}
 	}
 	return lower

@@ -2,11 +2,15 @@ package obs
 
 import (
 	"bytes"
+	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/stats"
 )
 
 func TestCounterGauge(t *testing.T) {
@@ -184,5 +188,80 @@ func TestQuantileEmptyAndEdge(t *testing.T) {
 	s := r.Snapshot().Histograms[0]
 	if got := s.Quantile(0.5); got != time.Millisecond {
 		t.Errorf("overflow-only p50 = %v, want last finite bound 1ms", got)
+	}
+}
+
+func TestLatencyBoundsShape(t *testing.T) {
+	b := DefaultLatencyBuckets()
+	if len(b) != 52 {
+		t.Fatalf("default layout has %d bounds, want 52", len(b))
+	}
+	if b[0] != 100*time.Microsecond || b[len(b)-1] != 60*time.Second {
+		t.Fatalf("bounds span %v..%v, want 100µs..60s", b[0], b[len(b)-1])
+	}
+	for i := 1; i < len(b); i++ {
+		if b[i] <= b[i-1] {
+			t.Fatalf("bounds not ascending at %d: %v <= %v", i, b[i], b[i-1])
+		}
+		// The accuracy contract: relative bucket width <= 33% above the
+		// sub-millisecond floor.
+		if b[i-1] >= time.Millisecond {
+			ratio := float64(b[i]) / float64(b[i-1])
+			if ratio > 1.34 {
+				t.Fatalf("bucket %d too wide: %v -> %v (ratio %.2f)", i, b[i-1], b[i], ratio)
+			}
+		}
+	}
+	// Mutating the returned slice must not corrupt the default layout.
+	b[0] = time.Hour
+	if DefaultLatencyBuckets()[0] != 100*time.Microsecond {
+		t.Fatal("DefaultLatencyBuckets returned shared storage")
+	}
+}
+
+// TestQuantileBucketAccuracy pins the accuracy contract: the bucket-
+// interpolated quantile of a default-layout histogram lies within one
+// bucket of the bucket holding the true sample quantile. (The ±1-bucket
+// slack covers the rank convention difference: Quantile uses rank q*n,
+// while stats.Quantile interpolates at q*(n-1) — at a bucket boundary
+// they can pick adjacent samples.)
+func TestQuantileBucketAccuracy(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	bounds := DefaultLatencyBuckets()
+	for trial := 0; trial < 10; trial++ {
+		reg := NewRegistry()
+		h := reg.Histogram("latency", nil)
+		xs := make([]float64, 200+rng.Intn(800))
+		for i := range xs {
+			// Log-uniform over ~200µs..20s, plus occasional overflow
+			// past 60s.
+			d := time.Duration(math.Exp(rng.Float64()*11.5) * float64(200*time.Microsecond))
+			if rng.Intn(50) == 0 {
+				d = 60*time.Second + time.Duration(rng.Intn(1e9))
+			}
+			h.Observe(d)
+			xs[i] = float64(d)
+		}
+		v := reg.Snapshot().Histograms[0]
+		for _, q := range []float64{0.25, 0.5, 0.9, 0.95} {
+			truth, err := stats.Quantile(xs, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Widen the true quantile to its bucket plus one bucket of
+			// slack on each side.
+			bi := min(BucketIndex(bounds, time.Duration(truth)), len(bounds)-1)
+			lower, upper := time.Duration(0), bounds[len(bounds)-1]
+			if bi >= 2 {
+				lower = bounds[bi-2]
+			}
+			if bi+1 < len(bounds) {
+				upper = bounds[bi+1]
+			}
+			if got := v.Quantile(q); got < lower || got > upper {
+				t.Fatalf("trial %d q=%v: estimate %v outside [%v, %v] (truth %v)",
+					trial, q, got, lower, upper, time.Duration(truth))
+			}
+		}
 	}
 }

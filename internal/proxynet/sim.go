@@ -2,7 +2,6 @@ package proxynet
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"net/netip"
 	"strconv"
@@ -119,9 +118,6 @@ func (s *Sim) Stats() SimStats {
 	}
 }
 
-// labPosition approximates the paper's US deployment (us-east).
-var labPosition = geo.Point{Lat: 39.04, Lon: -77.49}
-
 // superProxyTable is the 11 Super Proxies in code order: each one's
 // network attachment, code and precomputed position, index-aligned.
 // It is a function of the world alone, so it is built once per process
@@ -154,7 +150,7 @@ func NewSim(seed int64) *Sim {
 		Model:     netsim.DefaultLatencyModel(),
 		Rand:      rand.New(rand.NewSource(seed)),
 		Providers: anycast.Catalogue(),
-		Lab:       netsim.Endpoint{Pos: labPosition, Country: world.MustByCode("US")},
+		Lab:       netsim.Lab,
 		Alloc:     geoip.NewAllocator(0),
 	}
 	s.Model.LossCounter = &s.stats.lossEvents
@@ -222,21 +218,6 @@ type popRoute struct {
 	meanEP, meanPA time.Duration
 }
 
-// resolverOverheadMedianShift and resolverOverheadSigma parameterize
-// the per-client lognormal spread of ISP resolver quality, and a
-// brokenResolverProb fraction of clients sit behind pathological
-// default resolvers (overloaded, lossy, or very distant) that add
-// hundreds of milliseconds. These clients are the population for whom
-// switching to DoH is a win even on the first query — the paper found
-// 19.1% of clients sped up at DoH1.
-const (
-	resolverOverheadMedianShift = 0.0
-	resolverOverheadSigma       = 0.85
-	brokenResolverProb          = 0.14
-	brokenResolverMinMs         = 220
-	brokenResolverMaxMs         = 950
-)
-
 // SuperProxyCountry returns the country code of the Super Proxy
 // serving this exit node.
 func (e *ExitNode) SuperProxyCountry() string { return e.superCode }
@@ -288,31 +269,22 @@ func (s *Sim) selectExitNode(countryCode string, node *ExitNode, ids *dnswire.St
 	}
 	s.exitCounter++
 	atomic.AddInt64(&s.stats.exitNodes, 1)
-	pos := geo.Jitter(ct.Centroid, 420, s.Rand.Float64(), s.Rand.Float64())
-	resolverPos := geo.Jitter(ct.Centroid, 120, s.Rand.Float64(), s.Rand.Float64())
+	host, resolverEP, overhead := netsim.ResidentialHost(s.Rand, ct)
 	var id [32]byte
 	*node = ExitNode{
-		ID:      cutOrAlloc(ids, appendExitID(id[:0], countryCode, s.exitCounter)),
-		ids:     ids,
-		Country: ct,
-		Addr:    addr,
-		Pos:     pos,
-		Endpoint: netsim.Endpoint{
-			Pos: pos, Country: ct, Residential: true,
-		},
-		ResolverEndpoint: netsim.Endpoint{Pos: resolverPos, Country: ct},
-		ResolverOverhead: time.Duration(ct.ResolverOverheadMs *
-			math.Exp(resolverOverheadMedianShift+resolverOverheadSigma*s.Rand.NormFloat64()) *
-			float64(time.Millisecond)),
+		ID:               cutOrAlloc(ids, appendExitID(id[:0], countryCode, s.exitCounter)),
+		ids:              ids,
+		Country:          ct,
+		Addr:             addr,
+		Pos:              host.Pos,
+		Endpoint:         host,
+		ResolverEndpoint: resolverEP,
+		ResolverOverhead: overhead,
 	}
 	node.pops = node.popBuf[:0]
-	if s.Rand.Float64() < brokenResolverProb {
-		extra := brokenResolverMinMs + s.Rand.Float64()*(brokenResolverMaxMs-brokenResolverMinMs)
-		node.ResolverOverhead += time.Duration(extra * float64(time.Millisecond))
-	}
 	// The Super Proxy serving a client is the nearest of the 11.
 	sp := superProxies()
-	idx, _ := geo.Nearest(pos.Site(), sp.sites)
+	idx, _ := geo.Nearest(host.Pos.Site(), sp.sites)
 	node.super = sp.endpoints[idx]
 	node.superCode = sp.codes[idx]
 

@@ -132,21 +132,25 @@ func FitLinear(x [][]float64, y []float64, names []string) (*LinearModel, error)
 	return model, nil
 }
 
+// maxIRLSSteps bounds FitLogistic's Newton-Raphson iterations.
+const maxIRLSSteps = 100
+
 // LogisticModel is a fitted logistic regression.
 type LogisticModel struct {
 	// Intercept is the constant term.
 	Intercept Coefficient
 	// Coefficients are the covariate terms (log-odds scale).
 	Coefficients []Coefficient
-	// Iterations is how many IRLS steps convergence took.
-	Iterations int
 	// N is the number of observations.
 	N int
 }
 
 // FitLogistic fits P(y=1) = sigmoid(b0 + b·x) by iteratively
 // reweighted least squares (Newton-Raphson), with Wald statistics
-// from the final information matrix. y entries must be 0 or 1.
+// from the final information matrix. y entries must be 0 or 1. A fit
+// that has not converged after maxIRLSSteps steps is an error: a
+// perfectly separated covariate has no finite maximum-likelihood
+// estimate.
 func FitLogistic(x [][]float64, y []float64, names []string) (*LogisticModel, error) {
 	design, k, err := buildDesign(x, y, names)
 	if err != nil {
@@ -159,9 +163,11 @@ func FitLogistic(x [][]float64, y []float64, names []string) (*LogisticModel, er
 	}
 	n := len(y)
 	beta := make([]float64, k+1)
-	var iters int
 	var info *Matrix
-	for iters = 1; iters <= 100; iters++ {
+	for iters := 1; ; iters++ {
+		if iters > maxIRLSSteps {
+			return nil, fmt.Errorf("stats: logistic fit did not converge in %d IRLS steps (is a covariate perfectly separated?)", maxIRLSSteps)
+		}
 		eta, err := design.MulVec(beta)
 		if err != nil {
 			return nil, err
@@ -217,7 +223,7 @@ func FitLogistic(x [][]float64, y []float64, names []string) (*LogisticModel, er
 		}
 		return Coefficient{Name: name, Value: beta[j], StdErr: se, Z: z, P: TwoSidedP(z)}
 	}
-	model := &LogisticModel{Intercept: coef(0, "(intercept)"), Iterations: iters, N: n}
+	model := &LogisticModel{Intercept: coef(0, "(intercept)"), N: n}
 	for j := 0; j < k; j++ {
 		name := fmt.Sprintf("x%d", j)
 		if names != nil {

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -291,8 +292,23 @@ func TestFitLogisticRecoversOddsRatio(t *testing.T) {
 	if m.Coefficients[0].P >= 0.001 {
 		t.Error("strong logit effect not significant")
 	}
-	if m.Iterations <= 1 || m.Iterations > 50 {
-		t.Errorf("iterations = %d", m.Iterations)
+}
+
+// A dummy that separates the outcomes perfectly has no finite
+// maximum-likelihood estimate: IRLS walks its coefficient off toward
+// infinity, and FitLogistic says so instead of printing where the walk
+// stopped.
+func TestFitLogisticRejectsSeparatedDesign(t *testing.T) {
+	var x [][]float64
+	var y []float64
+	for i := 0; i < 40; i++ {
+		g := float64(i % 2)
+		x = append(x, []float64{g})
+		y = append(y, g)
+	}
+	m, err := FitLogistic(x, y, []string{"group"})
+	if err == nil || !strings.Contains(err.Error(), "converge") {
+		t.Fatalf("separated design: err = %v, want a convergence error (model %+v)", err, m)
 	}
 }
 

@@ -109,7 +109,7 @@ func Run(cfg Config) ([]Outcome, error) {
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	model := netsim.DefaultLatencyModel()
-	auth := netsim.Endpoint{Pos: geo.Point{Lat: 39.04, Lon: -77.49}, Country: world.MustByCode("US")}
+	auth := netsim.Lab
 
 	perPage := map[Protocol][]float64{}
 	for c := 0; c < cfg.Clients; c++ {

@@ -109,9 +109,10 @@ go test -race -count=10 ./internal/proxynet/ -run TestConcurrentSimulatorsShareW
 step "chaos soak (short, race)"
 go test -race -run TestChaosSoak -short ./internal/campaign/
 
-step "scale-out gates (golden merge, merged accounting, claim partition, a failed country's claim released; race)"
+step "scale-out gates (golden merge, merged accounting, claim partition, a failed country's claim released, workers folding into one registry; race)"
 go test -race -run 'TestShardMergeByteIdenticalCSV|TestSmartShardMergeByteIdenticalCSV|TestMergeSumsAccountingLikeUnsharded|TestClaimProtocolPartitionsCountries|TestFailedCountryReleasesItsClaim' \
 	./internal/campaign/
+go test -race -count=10 ./internal/campaign/ -run 'TestCampaignObsDeterministicAcrossParallelism|TestDiscardClientsKeepsAggregates|TestObsHashPinned'
 go test -race -run 'TestClaimExactlyOneWinner' ./internal/checkpoint/
 
 step "serve soak (short, race, serve.Identities exact)"
