@@ -7,6 +7,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -436,6 +437,9 @@ func render(gens []generator) ([]*Report, error) {
 	var out []*Report
 	for _, g := range gens {
 		rep, err := g.fn()
+		if errors.Is(err, stats.ErrRankDeficient) { // a small study's few countries
+			rep, err = &Report{ID: g.id, Title: "no fit", Lines: []string{err.Error()}}, nil
+		}
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", g.id, err)
 		}

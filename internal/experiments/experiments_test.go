@@ -203,3 +203,25 @@ func TestReportsDeterministic(t *testing.T) {
 		t.Errorf("Figure 4 not deterministic:\n%s\nvs\n%s", r1, r2)
 	}
 }
+
+// A campaign this small analyzes a handful of countries, so some of
+// Table 4's dummies are constant in its rows: the report says which in
+// place of the odds ratio of 1 the ridge made up, and the rest render.
+func TestSmallStudyReportsAliasedCovariates(t *testing.T) {
+	cfg := campaign.DefaultConfig(777)
+	cfg.ClientScale = 0.05
+	cfg.AtlasProbes = 8
+	s, err := NewSuiteContext(context.Background(), cfg, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports, err := s.All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rep := range reports {
+		if rep.ID == "Table 4" && !strings.Contains(rep.String(), "is a linear combination of the intercept") {
+			t.Errorf("Table 4 at scale 0.05 does not name its aliased covariate:\n%s", rep)
+		}
+	}
+}

@@ -35,46 +35,79 @@ type LinearModel struct {
 	N int
 }
 
-// buildDesign assembles [1 | X] and checks shapes.
-func buildDesign(x [][]float64, y []float64, names []string) (*Matrix, int, error) {
+// buildDesign assembles [1 | X], checks shapes and rank, and names the covariates (x0, x1, ... by default).
+func buildDesign(x [][]float64, y []float64, names []string) (*Matrix, []string, error) {
 	n := len(y)
 	if n == 0 {
-		return nil, 0, ErrEmpty
+		return nil, nil, ErrEmpty
 	}
 	if len(x) != n {
-		return nil, 0, fmt.Errorf("stats: %d rows of covariates for %d outcomes", len(x), n)
+		return nil, nil, fmt.Errorf("stats: %d rows of covariates for %d outcomes", len(x), n)
 	}
 	k := len(x[0])
 	if k == 0 {
-		return nil, 0, errors.New("stats: no covariates")
+		return nil, nil, errors.New("stats: no covariates")
 	}
-	if names != nil && len(names) != k {
-		return nil, 0, fmt.Errorf("stats: %d names for %d covariates", len(names), k)
+	if names == nil {
+		names = make([]string, k)
+		for j := range names {
+			names[j] = fmt.Sprintf("x%d", j)
+		}
+	}
+	if len(names) != k {
+		return nil, nil, fmt.Errorf("stats: %d names for %d covariates", len(names), k)
 	}
 	if n <= k+1 {
-		return nil, 0, fmt.Errorf("stats: %d observations cannot fit %d terms", n, k+1)
+		return nil, nil, fmt.Errorf("stats: %d observations cannot fit %d terms", n, k+1)
 	}
 	design := NewMatrix(n, k+1)
 	for i, row := range x {
 		if len(row) != k {
-			return nil, 0, fmt.Errorf("stats: ragged covariate row %d", i)
+			return nil, nil, fmt.Errorf("stats: ragged covariate row %d", i)
 		}
 		design.Set(i, 0, 1)
 		for j, v := range row {
 			design.Set(i, j+1, v)
 		}
 	}
-	return design, k, nil
+	return design, names, checkRank(design, names)
+}
+
+// ErrRankDeficient reports a covariate aliased with the design columns before it.
+var ErrRankDeficient = errors.New("stats: rank-deficient design")
+
+// checkRank names the first aliased covariate (a constant, a duplicate, dummies
+// summing to the intercept) before ridge makes up its coefficient: Cholesky pivot
+// j of XᵀX is what the columns before column j leave of its sum of squares.
+func checkRank(design *Matrix, names []string) error {
+	a, _ := design.Transpose().Mul(design) // conformable; factored in place
+	for j := 0; j < a.Rows(); j++ {
+		ss, pivot := a.At(j, j), a.At(j, j)
+		for i := 0; i < j; i++ {
+			v := a.At(j, i)
+			for c := 0; c < i; c++ {
+				v -= a.At(j, c) * a.At(i, c)
+			}
+			v /= a.At(i, i)
+			a.Set(j, i, v)
+			pivot -= v * v
+		}
+		if pivot <= 1e-10*ss { // j > 0: the intercept's pivot is n
+			return fmt.Errorf("%w: %q is a linear combination of the intercept and the covariates before it", ErrRankDeficient, names[j-1])
+		}
+		a.Set(j, j, math.Sqrt(pivot))
+	}
+	return nil
 }
 
 // FitLinear fits y = b0 + b·x by ordinary least squares and reports
 // Wald statistics per coefficient.
 func FitLinear(x [][]float64, y []float64, names []string) (*LinearModel, error) {
-	design, k, err := buildDesign(x, y, names)
+	design, names, err := buildDesign(x, y, names)
 	if err != nil {
 		return nil, err
 	}
-	n := len(y)
+	n, k := len(y), len(names)
 	xt := design.Transpose()
 	xtx, err := xt.Mul(design)
 	if err != nil {
@@ -119,11 +152,7 @@ func FitLinear(x [][]float64, y []float64, names []string) (*LinearModel, error)
 		return Coefficient{Name: name, Value: beta[j], StdErr: se, Z: z, P: TwoSidedP(z)}
 	}
 	model := &LinearModel{Intercept: coef(0, "(intercept)"), N: n}
-	for j := 0; j < k; j++ {
-		name := fmt.Sprintf("x%d", j)
-		if names != nil {
-			name = names[j]
-		}
+	for j, name := range names {
 		model.Coefficients = append(model.Coefficients, coef(j+1, name))
 	}
 	if ssTot > 0 {
@@ -152,7 +181,7 @@ type LogisticModel struct {
 // perfectly separated covariate has no finite maximum-likelihood
 // estimate.
 func FitLogistic(x [][]float64, y []float64, names []string) (*LogisticModel, error) {
-	design, k, err := buildDesign(x, y, names)
+	design, names, err := buildDesign(x, y, names)
 	if err != nil {
 		return nil, err
 	}
@@ -161,7 +190,7 @@ func FitLogistic(x [][]float64, y []float64, names []string) (*LogisticModel, er
 			return nil, fmt.Errorf("stats: logistic outcome %v not in {0,1}", v)
 		}
 	}
-	n := len(y)
+	n, k := len(y), len(names)
 	beta := make([]float64, k+1)
 	var info *Matrix
 	for iters := 1; ; iters++ {
@@ -224,21 +253,16 @@ func FitLogistic(x [][]float64, y []float64, names []string) (*LogisticModel, er
 		return Coefficient{Name: name, Value: beta[j], StdErr: se, Z: z, P: TwoSidedP(z)}
 	}
 	model := &LogisticModel{Intercept: coef(0, "(intercept)"), N: n}
-	for j := 0; j < k; j++ {
-		name := fmt.Sprintf("x%d", j)
-		if names != nil {
-			name = names[j]
-		}
+	for j, name := range names {
 		model.Coefficients = append(model.Coefficients, coef(j+1, name))
 	}
 	return model, nil
 }
 
-// ridge adds a tiny diagonal loading so rank-deficient designs — a
-// dummy column that is constant in a small sample — solve stably
-// instead of failing. Each diagonal entry is inflated relatively
-// (keeping coefficient estimates invariant under covariate rescaling)
-// with a small absolute floor for exactly-zero entries.
+// ridge adds a tiny diagonal loading so a nearly collinear design, one
+// that passes checkRank, solves stably. Each diagonal entry is inflated
+// relatively (keeping coefficient estimates invariant under covariate
+// rescaling) with a small absolute floor.
 func ridge(m *Matrix) {
 	n := m.Rows()
 	tr := 0.0

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -309,6 +310,137 @@ func TestFitLogisticRejectsSeparatedDesign(t *testing.T) {
 	m, err := FitLogistic(x, y, []string{"group"})
 	if err == nil || !strings.Contains(err.Error(), "converge") {
 		t.Fatalf("separated design: err = %v, want a convergence error (model %+v)", err, m)
+	}
+}
+
+// A constant covariate is aliased with the intercept, and a duplicated
+// one with its twin: neither coefficient is identified, so both fitters
+// return ErrRankDeficient naming the column instead of a coefficient
+// the ridge made up.
+func TestFitsRejectAliasedColumns(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	n := 200
+	constant := make([][]float64, n)
+	duplicate := make([][]float64, n)
+	y := make([]float64, n)
+	for i := range y {
+		a, b := rng.NormFloat64(), rng.NormFloat64()
+		constant[i] = []float64{a, 7, b}
+		duplicate[i] = []float64{a, b, a}
+		if rng.Float64() < 1/(1+math.Exp(-a)) {
+			y[i] = 1
+		}
+	}
+	fitters := map[string]func([][]float64, []float64, []string) error{
+		"FitLinear": func(x [][]float64, y []float64, names []string) error {
+			_, err := FitLinear(x, y, names)
+			return err
+		},
+		"FitLogistic": func(x [][]float64, y []float64, names []string) error {
+			_, err := FitLogistic(x, y, names)
+			return err
+		},
+	}
+	for fit, f := range fitters {
+		for _, tc := range []struct {
+			design  string
+			x       [][]float64
+			names   []string
+			aliased string
+		}{
+			{"constant", constant, []string{"a", "seven", "b"}, `"seven"`},
+			{"duplicate", duplicate, []string{"a", "b", "a again"}, `"a again"`},
+			{"constant, unnamed", constant, nil, `"x1"`},
+		} {
+			err := f(tc.x, y, tc.names)
+			if !errors.Is(err, ErrRankDeficient) || !strings.Contains(err.Error(), tc.aliased) {
+				t.Errorf("%s, %s column: err = %v, want ErrRankDeficient naming %s", fit, tc.design, err, tc.aliased)
+			}
+		}
+	}
+}
+
+// A 2x2 table has a closed form: the logistic slope is the log odds
+// ratio log(ad/bc), with Woolf's standard error sqrt(1/a+1/b+1/c+1/d),
+// and the intercept the log odds of the unexposed row.
+func TestFitLogisticMatchesTwoByTwoTable(t *testing.T) {
+	// exposed: a events, b non-events; unexposed: c events, d non-events.
+	const a, b, c, d = 37, 13, 21, 29
+	var x [][]float64
+	var y []float64
+	add := func(exposed, event float64, count int) {
+		for i := 0; i < count; i++ {
+			x = append(x, []float64{exposed})
+			y = append(y, event)
+		}
+	}
+	add(1, 1, a)
+	add(1, 0, b)
+	add(0, 1, c)
+	add(0, 0, d)
+	m, err := FitLogistic(x, y, []string{"exposed"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	logOR := math.Log(float64(a*d) / float64(b*c))
+	woolf := math.Sqrt(1.0/a + 1.0/b + 1.0/c + 1.0/d)
+	if got := m.Coefficients[0]; !almost(got.Value, logOR, 1e-9) || !almost(got.StdErr, woolf, 1e-9) {
+		t.Errorf("slope %v ± %v, want log OR %v ± %v (Woolf)", got.Value, got.StdErr, logOR, woolf)
+	}
+	if want := math.Log(float64(c) / d); !almost(m.Intercept.Value, want, 1e-9) {
+		t.Errorf("intercept %v, want the unexposed log odds %v", m.Intercept.Value, want)
+	}
+}
+
+// With one dummy per group but the first, the model is saturated: the
+// intercept is the reference group's log odds (logistic) or mean (OLS),
+// and intercept + coefficient is each other group's.
+func TestFitsSaturatedDummiesGiveGroupValues(t *testing.T) {
+	events := []int{3, 11, 20, 6}  // per group, of
+	sizes := []int{20, 25, 30, 40} // observations
+	var x [][]float64
+	var binary, value []float64
+	sums := make([]float64, len(sizes))
+	for g, size := range sizes {
+		for i := 0; i < size; i++ {
+			row := make([]float64, len(sizes)-1)
+			if g > 0 {
+				row[g-1] = 1
+			}
+			x = append(x, row)
+			event := 0.0
+			if i < events[g] {
+				event = 1
+			}
+			binary = append(binary, event)
+			v := float64(g*10+i%7) + 0.25*float64(i%3)
+			value = append(value, v)
+			sums[g] += v
+		}
+	}
+	logit, err := FitLogistic(x, binary, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ols, err := FitLinear(x, value, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g, size := range sizes {
+		gotLogit, gotMean := logit.Intercept.Value, ols.Intercept.Value
+		if g > 0 {
+			gotLogit += logit.Coefficients[g-1].Value
+			gotMean += ols.Coefficients[g-1].Value
+		}
+		if want := math.Log(float64(events[g]) / float64(size-events[g])); !almost(gotLogit, want, 1e-9) {
+			t.Errorf("group %d: log odds %v, want %v", g, gotLogit, want)
+		}
+		// The ridge's loading of the normal equations moves OLS by up to
+		// 1e-8 of a mean here; IRLS, whose fixed point it does not move,
+		// meets the log odds to 1e-9 absolute.
+		if want := sums[g] / float64(size); !almost(gotMean, want, 1e-7*want) {
+			t.Errorf("group %d: mean %v, want %v", g, gotMean, want)
+		}
 	}
 }
 

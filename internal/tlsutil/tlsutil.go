@@ -4,8 +4,7 @@
 package tlsutil
 
 import (
-	"crypto/ecdsa"
-	"crypto/elliptic"
+	"crypto/ed25519"
 	"crypto/rand"
 	"crypto/tls"
 	"crypto/x509"
@@ -15,13 +14,13 @@ import (
 	"time"
 )
 
-// SelfSigned returns an ephemeral ECDSA P-256 certificate valid for
-// host (an IP literal or DNS name, optionally host:port).
+// SelfSigned returns an ephemeral Ed25519 certificate valid for host (an IP literal or
+// DNS name, optionally host:port; a wildcard listener's empty or unspecified host: loopback).
 func SelfSigned(host string) (tls.Certificate, error) {
 	if h, _, err := net.SplitHostPort(host); err == nil {
 		host = h
 	}
-	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
+	pub, key, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
 		return tls.Certificate{}, err
 	}
@@ -30,15 +29,18 @@ func SelfSigned(host string) (tls.Certificate, error) {
 		Subject:      pkix.Name{CommonName: host},
 		NotBefore:    time.Now().Add(-time.Hour),
 		NotAfter:     time.Now().Add(365 * 24 * time.Hour),
-		KeyUsage:     x509.KeyUsageDigitalSignature | x509.KeyUsageKeyEncipherment,
+		KeyUsage:     x509.KeyUsageDigitalSignature, // RFC 8410: Ed25519 only signs
 		ExtKeyUsage:  []x509.ExtKeyUsage{x509.ExtKeyUsageServerAuth},
 	}
-	if ip := net.ParseIP(host); ip != nil {
+	switch ip := net.ParseIP(host); {
+	case host == "" || ip.IsUnspecified():
+		tmpl.IPAddresses, tmpl.DNSNames = []net.IP{net.IPv4(127, 0, 0, 1), net.IPv6loopback}, []string{"localhost"}
+	case ip != nil:
 		tmpl.IPAddresses = []net.IP{ip}
-	} else {
+	default:
 		tmpl.DNSNames = []string{host}
 	}
-	der, err := x509.CreateCertificate(rand.Reader, &tmpl, &tmpl, &key.PublicKey, key)
+	der, err := x509.CreateCertificate(rand.Reader, &tmpl, &tmpl, pub, key)
 	if err != nil {
 		return tls.Certificate{}, err
 	}

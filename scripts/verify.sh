@@ -65,6 +65,11 @@ go test -race ./internal/deadline/... ./internal/recursive/... ./internal/dot/..
 step "a DoH connection's cancellation watcher (two handoffs per exchange; it ends with its connection; race)"
 go test -race -count=20 ./internal/dohclient/ -run 'TestEngineCancellation|TestWatchersEndWithTheirConnections'
 
+step "the cold path (allocation budgets repeat)"
+# A fresh TCP + TLS 1.3 connection per query, client and server counted
+# together: the handshake's signature is the self-signed leaf's.
+go test -count=5 ./internal/dohclient/ ./internal/dot/ -run 'TestColdExchangeAllocBudget|TestColdDoTExchangeAllocBudget'
+
 step "one singleflight, one lifecycle (the recursor's shared flights are the cache's, its TCP side answers what UDP truncates, the DoH front's lifecycle)"
 go test -race ./internal/recursive/ -run 'TestSharedFlightIsCounted|TestRecursorAnswersOverTCP'
 go test -race ./internal/dohserver/ -run 'TestServerLifecycle|TestServerShutdownForcesOnExpiry'
