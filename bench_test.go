@@ -304,8 +304,8 @@ func BenchmarkAblationJitter(b *testing.B) {
 			var worst float64
 			for i := 0; i < b.N; i++ {
 				sim := proxynet.NewSim(31)
-				sim.Model.PacketSigma = sigma
-				sim.Model.LossProb = 0
+				sim.Params.Latency.PacketSigma = sigma
+				sim.Params.Latency.LossProb = 0
 				node, err := sim.PlantGroundTruthNode("IT")
 				if err != nil {
 					b.Fatal(err)
@@ -335,9 +335,7 @@ func BenchmarkAblationRouting(b *testing.B) {
 			var med float64
 			for i := 0; i < b.N; i++ {
 				sim := proxynet.NewSim(32)
-				p := *sim.Providers[anycast.Cloudflare]
-				p.MisrouteProb = prob
-				sim.Providers[anycast.Cloudflare] = &p
+				sim.Params.Providers.Of(anycast.Cloudflare).MisrouteProb = prob
 				var improvements []float64
 				for j := 0; j < 300; j++ {
 					node, err := sim.SelectExitNode([]string{"BR", "IT", "ZA", "TH", "PL", "EG"}[j%6])
@@ -400,7 +398,7 @@ func BenchmarkAblationCache(b *testing.B) {
 		}
 		var total time.Duration
 		for i := 0; i < b.N; i++ {
-			path := sim.Model.NewPath(sim.Rand, node.Endpoint, node.ResolverEndpoint)
+			path := sim.Params.Latency.NewPath(sim.Rand, node.Endpoint, node.ResolverEndpoint, nil)
 			total += path.RTT(sim.Rand) + time.Millisecond
 		}
 		b.ReportMetric(float64(total.Milliseconds())/float64(b.N), "mean-ms")
@@ -564,9 +562,9 @@ func BenchmarkAblationTLS12(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			sim.TLS12 = false
+			sim.Params.TLS12 = false
 			_, gt13 := sim.MeasureDoH(node, anycast.Cloudflare, "t.a.com.")
-			sim.TLS12 = true
+			sim.Params.TLS12 = true
 			_, gt12 := sim.MeasureDoH(node, anycast.Cloudflare, "t.a.com.")
 			diffs = append(diffs, float64(gt12.TDoH-gt13.TDoH)/1e6)
 		}

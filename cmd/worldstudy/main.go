@@ -61,7 +61,7 @@ import (
 
 func main() {
 	seed := flag.Int64("seed", 2021, "campaign seed (campaigns are fully reproducible)")
-	scale := flag.Float64("scale", 1.0, "client-count scale factor (1.0 reproduces the paper's ~22k clients)")
+	scale := flag.Float64("scale", 1.0, "client-count scale factor (2.7 gives ≈ 21.5k clients, the paper's ~22k)")
 	minClients := flag.Int("min-clients", 10, "per-country inclusion bar")
 	only := flag.String("only", "", "comma-separated artifact IDs to print (default: all)")
 	extensions := flag.Bool("extensions", false, "also run the extension experiments (DoT, cache study, page loads, TLS 1.2)")

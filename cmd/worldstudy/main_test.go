@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"os"
@@ -10,6 +11,8 @@ import (
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite ../../docs/full_study_output.txt from the run")
 
 // TestMain runs the command itself, on a flag set of its own, when a
 // test re-executes this binary through command.
@@ -106,5 +109,49 @@ func TestOnlyPrintsTheNamedReports(t *testing.T) {
 	}
 	if want := []string{"=== Table 1", "=== Figure 6"}; !reflect.DeepEqual(headers, want) {
 		t.Errorf("headers = %q, want %q", headers, want)
+	}
+}
+
+// TestPublishedReport runs the study EXPERIMENTS.md reports — seed 2021,
+// scale 2.7, with the extensions — and holds its stdout to
+// docs/full_study_output.txt, whose first line is the run's stderr
+// timing line and is not compared. -update rewrites the file: the new
+// run's first stderr line, then its stdout.
+func TestPublishedReport(t *testing.T) {
+	const published = "../../docs/full_study_output.txt"
+	cmd := command("-scale", "2.7", "-extensions")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("%v\n%s", err, stderr.Bytes())
+	}
+	if *update {
+		timing, _, _ := strings.Cut(stderr.String(), "\n")
+		if err := os.WriteFile(published, append([]byte(timing+"\n"), out...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	file, err := os.ReadFile(published)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want, _ := strings.Cut(string(file), "\n")
+	if got := string(out); got != want {
+		gotLines, wantLines := strings.Split(got, "\n"), strings.Split(want, "\n")
+		for i := 0; i < max(len(gotLines), len(wantLines)); i++ {
+			var g, w string
+			if i < len(gotLines) {
+				g = gotLines[i]
+			}
+			if i < len(wantLines) {
+				w = wantLines[i]
+			}
+			if g != w {
+				t.Errorf("stdout line %d differs from %s line %d (go test ./cmd/worldstudy -run TestPublishedReport -update rewrites it):\n got %q\nwant %q", i+1, published, i+2, g, w)
+				return
+			}
+		}
 	}
 }

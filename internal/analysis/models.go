@@ -132,8 +132,9 @@ type LinearResult struct {
 	Metric string
 	// Coef is the raw coefficient (ms per covariate unit).
 	Coef float64
-	// ScaledCoef is the coefficient after min-max scaling the
-	// covariate to [0,1] (ms per full range).
+	// ScaledCoef is the coefficient the fit gives the covariate
+	// min-max scaled to [0,1]: Coef times the column's range (ms per
+	// full range). Scaling a column moves no other term of an OLS fit.
 	ScaledCoef float64
 	// P is the Wald p-value of the raw fit.
 	P float64
@@ -176,38 +177,27 @@ func FitLinear(rows []Row, ns []int) ([]LinearModelResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("analysis: linear N=%d: %w", n, err)
 		}
-		// Scaled fit: min-max each covariate column.
-		cols := len(LinearCovariateNames)
-		scaled := make([][]float64, len(x))
-		for i := range scaled {
-			scaled[i] = make([]float64, cols)
-		}
-		for j := 0; j < cols; j++ {
-			col := make([]float64, len(x))
-			for i := range x {
-				col[i] = x[i][j]
-			}
-			s := stats.MinMaxScale(col)
-			for i := range x {
-				scaled[i][j] = s[i]
-			}
-		}
-		scaledModel, err := stats.FitLinear(scaled, y, LinearCovariateNames)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: scaled linear N=%d: %w", n, err)
-		}
 		res := LinearModelResult{N: n, R2: model.R2, NObs: model.N}
 		for j := range LinearCovariateNames {
 			res.Rows = append(res.Rows, LinearResult{
 				Metric:     LinearCovariateNames[j],
 				Coef:       model.Coefficients[j].Value,
-				ScaledCoef: scaledModel.Coefficients[j].Value,
+				ScaledCoef: model.Coefficients[j].Value * colRange(x, j),
 				P:          model.Coefficients[j].P,
 			})
 		}
 		out = append(out, res)
 	}
 	return out, nil
+}
+
+// colRange is column j's max minus its min.
+func colRange(x [][]float64, j int) float64 {
+	lo, hi := x[0][j], x[0][j]
+	for _, row := range x {
+		lo, hi = min(lo, row[j]), max(hi, row[j])
+	}
+	return hi - lo
 }
 
 // RowsForProvider filters rows to one DoH service (Table 6).

@@ -59,7 +59,9 @@ type PoP struct {
 	HostAS string
 }
 
-// Provider is a DoH resolution service.
+// Provider is a DoH resolution service: its fleet. How clients are
+// routed to the fleet and what a PoP charges is its Calibration, which
+// the simulator's calibration (netsim.Params) holds.
 type Provider struct {
 	// ID identifies the service.
 	ID ProviderID
@@ -69,6 +71,22 @@ type Provider struct {
 	Endpoint string
 	// PoPs is the fleet.
 	PoPs []PoP
+
+	// sites is PoPs' positions in geo.Site form, index-aligned.
+	sites []geo.Site
+}
+
+// newProvider builds a Provider with its fleet's site table.
+func newProvider(id ProviderID, name, endpoint string, pops []PoP) *Provider {
+	p := &Provider{ID: id, Name: name, Endpoint: endpoint, PoPs: pops}
+	for i := range pops {
+		p.sites = append(p.sites, pops[i].Pos.Site())
+	}
+	return p
+}
+
+// Calibration is one provider's anycast routing and service costs.
+type Calibration struct {
 	// RoutingNoiseKm is the anycast catchment temperature in
 	// kilometers: PoP selection samples with weight
 	// exp(-(dist - distNearest)/RoutingNoiseKm), so providers with
@@ -91,37 +109,20 @@ type Provider struct {
 	// (session setup, intra-provider redirects). NextDNS, riding
 	// third-party infrastructure, pays a large one.
 	SetupOverhead time.Duration
-
-	// sites is the catalogue fleet's positions in geo.Site form; nil on
-	// a Provider literal. A copy of a catalogue Provider carries it, and
-	// scan reads it only while it was derived from the copy's PoPs.
-	sites *siteTable
 }
 
-// siteTable is a fleet's positions converted once for the haversine,
-// with the PoPs slice they were converted from.
-type siteTable struct {
-	pops  []PoP
-	sites []geo.Site
-}
+// Calibrations holds one Calibration per provider, in ProviderIDs
+// order.
+type Calibrations [NumProviders]Calibration
 
-// appendSites appends each PoP's position in geo.Site form to dst.
-func appendSites(dst []geo.Site, pops []PoP) []geo.Site {
-	for i := range pops {
-		dst = append(dst, pops[i].Pos.Site())
+// Of returns pid's calibration, to read or to set in place. A provider
+// outside the catalogue panics, as PerProvider.Set does.
+func (c *Calibrations) Of(pid ProviderID) *Calibration {
+	i, ok := index(pid)
+	if !ok {
+		panic(fmt.Sprintf("anycast: no provider %q in the catalogue", pid))
 	}
-	return dst
-}
-
-// of returns t's sites when t was derived from pops itself (the same
-// backing array and length), and nil otherwise: a Provider literal, or
-// a copy whose PoPs were replaced or resliced, never reads a stale
-// table.
-func (t *siteTable) of(pops []PoP) []geo.Site {
-	if t == nil || len(pops) == 0 || len(t.pops) != len(pops) || &t.pops[0] != &pops[0] {
-		return nil
-	}
-	return t.sites
+	return &c[i]
 }
 
 // Assignment is one anycast routing decision and the two distances the
@@ -141,9 +142,6 @@ type Assignment struct {
 // a scratch serves one goroutine at a time.
 type AssignScratch struct {
 	dists, weights []float64
-	// sites holds the converted PoP positions of a Provider without a
-	// table of its own.
-	sites []geo.Site
 }
 
 // grow returns s resliced to n elements, reallocating only when its
@@ -158,17 +156,13 @@ func grow(s []float64, n int) []float64 {
 // scan fills scratch.dists with the client's distance to every PoP and
 // returns the index of the nearest: the first minimum under strict <,
 // the rule geo.Nearest applies. The client is converted once per scan
-// and each PoP once per fleet (per scan for a Provider without a
-// table), so every distance is bit-equal to geo.DistanceKm.
+// and each PoP once per fleet, so every distance is bit-equal to
+// geo.DistanceKm.
 func (p *Provider) scan(client geo.Point, scratch *AssignScratch) int {
 	if len(p.PoPs) == 0 {
 		panic(fmt.Sprintf("anycast: provider %s has no PoPs", p.ID))
 	}
-	sites := p.sites.of(p.PoPs)
-	if sites == nil {
-		scratch.sites = appendSites(scratch.sites[:0], p.PoPs)
-		sites = scratch.sites
-	}
+	sites := p.sites
 	from := client.Site()
 	scratch.dists = grow(scratch.dists, len(sites))
 	nearest := 0
@@ -181,30 +175,30 @@ func (p *Provider) scan(client geo.Point, scratch *AssignScratch) int {
 	return nearest
 }
 
-// Assign picks the PoP an anycast route delivers the client to.
-// With RoutingNoiseKm = 0 it returns the nearest PoP; otherwise it
+// Assign picks the PoP an anycast route under cal delivers the client
+// to. With RoutingNoiseKm = 0 it returns the nearest PoP; otherwise it
 // samples among PoPs with weight exp(-detour/temperature), where
 // detour is each PoP's extra distance over the nearest and the
 // temperature is RoutingNoiseKm — or MisrouteKm for the MisrouteProb
 // fraction of clients caught in a bad BGP catchment. The distances in
 // the result are the ones the choice was made on, bit-equal to
 // geo.DistanceKm and NearestPoP. A nil scratch allocates.
-func (p *Provider) Assign(rng *rand.Rand, client geo.Point, scratch *AssignScratch) Assignment {
+func (p *Provider) Assign(rng *rand.Rand, client geo.Point, cal *Calibration, scratch *AssignScratch) Assignment {
 	if scratch == nil {
 		scratch = new(AssignScratch)
 	}
 	nearest := p.scan(client, scratch)
 	dists := scratch.dists
-	chosen := p.choose(rng, nearest, scratch)
+	chosen := choose(rng, nearest, cal, scratch)
 	return Assignment{PoP: p.PoPs[chosen], DistanceKm: dists[chosen], NearestDistanceKm: dists[nearest]}
 }
 
 // choose samples the routed PoP's index from the scanned distances.
-func (p *Provider) choose(rng *rand.Rand, nearest int, scratch *AssignScratch) int {
+func choose(rng *rand.Rand, nearest int, cal *Calibration, scratch *AssignScratch) int {
 	dists := scratch.dists
-	temp := p.RoutingNoiseKm
-	if p.MisrouteProb > 0 && rng.Float64() < p.MisrouteProb {
-		temp = p.MisrouteKm
+	temp := cal.RoutingNoiseKm
+	if cal.MisrouteProb > 0 && rng.Float64() < cal.MisrouteProb {
+		temp = cal.MisrouteKm
 	}
 	if temp <= 0 {
 		return nearest
@@ -228,8 +222,8 @@ func (p *Provider) choose(rng *rand.Rand, nearest int, scratch *AssignScratch) i
 }
 
 // AssignPoP is Assign without the distances or the scratch.
-func (p *Provider) AssignPoP(rng *rand.Rand, client geo.Point) PoP {
-	return p.Assign(rng, client, nil).PoP
+func (p *Provider) AssignPoP(rng *rand.Rand, client geo.Point, cal *Calibration) PoP {
+	return p.Assign(rng, client, cal, nil).PoP
 }
 
 // NearestPoP returns the geographically closest PoP and its distance
@@ -269,58 +263,25 @@ func jitterPos(ct world.Country, i int) geo.Point {
 	return geo.Jitter(ct.Centroid, 150, u, v)
 }
 
-// Catalogue returns the four providers with their placement strategies.
-// The fleets are the same on every call and built once per process: the
-// map is the caller's own, the Providers it points to (and their PoPs)
-// are shared read-only by every caller. To vary a provider, copy it and
-// replace the map entry (p := *cat[id]; p.MisrouteProb = x; cat[id] = &p);
-// never write through the pointer.
-func Catalogue() map[ProviderID]*Provider {
-	shared := sharedCatalogue()
-	cat := make(map[ProviderID]*Provider, len(shared))
-	for id, p := range shared {
-		cat[id] = p
-	}
-	return cat
-}
+// Catalogue returns the four providers' fleets. The map and the
+// Providers are built once per process and shared by every caller:
+// read-only.
+func Catalogue() map[ProviderID]*Provider { return catalogue() }
 
-var sharedCatalogue = sync.OnceValue(buildCatalogue)
+var catalogue = sync.OnceValue(buildCatalogue)
 
 // buildCatalogue places the four fleets.
 func buildCatalogue() map[ProviderID]*Provider {
 	ranked := connectivityRank()
 
-	providers := map[ProviderID]*Provider{
-		Cloudflare: {
-			ID: Cloudflare, Name: "Cloudflare", Endpoint: "https://cloudflare-dns.com/dns-query",
-			RoutingNoiseKm: 90, MisrouteProb: 0.27, MisrouteKm: 2300,
-			ServiceTime: 10 * time.Millisecond,
-		},
-		Google: {
-			ID: Google, Name: "Google", Endpoint: "https://dns.google/dns-query",
-			RoutingNoiseKm: 80, MisrouteProb: 0.11, MisrouteKm: 2800,
-			ServiceTime: 22 * time.Millisecond,
-		},
-		NextDNS: {
-			ID: NextDNS, Name: "NextDNS", Endpoint: "https://dns.nextdns.io/dns-query",
-			RoutingNoiseKm: 60, MisrouteProb: 0.02, MisrouteKm: 2000,
-			ServiceTime: 40 * time.Millisecond, SetupOverhead: 130 * time.Millisecond,
-		},
-		Quad9: {
-			ID: Quad9, Name: "Quad9", Endpoint: "https://dns.quad9.net/dns-query",
-			RoutingNoiseKm: 280, MisrouteProb: 0.72, MisrouteKm: 2300,
-			ServiceTime: 18 * time.Millisecond,
-		},
-	}
-
 	// Cloudflare: 146 PoPs in the 146 best-connected countries —
 	// guaranteeing presence in mid-tier markets like Senegal.
-	cf := providers[Cloudflare]
+	var cf []PoP
 	for i, ct := range ranked {
 		if i >= 146 {
 			break
 		}
-		cf.PoPs = append(cf.PoPs, PoP{
+		cf = append(cf, PoP{
 			ID: fmt.Sprintf("cloudflare-%s-%d", ct.Code, i), Provider: Cloudflare,
 			Pos: jitterPos(ct, i), CountryCode: ct.Code, HostAS: "AS13335",
 		})
@@ -335,10 +296,10 @@ func buildCatalogue() map[ProviderID]*Provider {
 		"AU", "NZ", // Oceania
 		"CA", "MX", // North America again
 	}
-	g := providers[Google]
+	var g []PoP
 	for i, code := range googleHubs {
 		ct := world.MustByCode(code)
-		g.PoPs = append(g.PoPs, PoP{
+		g = append(g, PoP{
 			ID: fmt.Sprintf("google-%s-%d", code, i), Provider: Google,
 			Pos: jitterPos(ct, i*7+1), CountryCode: code, HostAS: "AS15169",
 		})
@@ -346,7 +307,7 @@ func buildCatalogue() map[ProviderID]*Provider {
 
 	// NextDNS: 107 PoPs across 47 host ASes, biased toward the same
 	// well-connected markets (it rides third-party infrastructure).
-	nd := providers[NextDNS]
+	var nd []PoP
 	hostASes := make([]string, 47)
 	for i := range hostASes {
 		switch i {
@@ -360,18 +321,18 @@ func buildCatalogue() map[ProviderID]*Provider {
 	}
 	for i := 0; i < 107 && i < len(ranked); i++ {
 		ct := ranked[i]
-		nd.PoPs = append(nd.PoPs, PoP{
+		nd = append(nd, PoP{
 			ID: fmt.Sprintf("nextdns-%s-%d", ct.Code, i), Provider: NextDNS,
 			Pos: jitterPos(ct, i*3+2), CountryCode: ct.Code, HostAS: hostASes[i%47],
 		})
 	}
 
 	// Quad9: ~150 PoPs with a deliberate Sub-Saharan Africa push.
-	q := providers[Quad9]
+	var q []PoP
 	added := map[string]int{}
 	for i := 0; i < 118 && i < len(ranked); i++ {
 		ct := ranked[i]
-		q.PoPs = append(q.PoPs, PoP{
+		q = append(q, PoP{
 			ID: fmt.Sprintf("quad9-%s-%d", ct.Code, i), Provider: Quad9,
 			Pos: jitterPos(ct, i*5+3), CountryCode: ct.Code, HostAS: "AS19281",
 		})
@@ -383,15 +344,17 @@ func buildCatalogue() map[ProviderID]*Provider {
 		if ct.Region != world.Africa || added[ct.Code] > 0 {
 			continue
 		}
-		q.PoPs = append(q.PoPs, PoP{
+		q = append(q, PoP{
 			ID: fmt.Sprintf("quad9-%s-%d", ct.Code, idx), Provider: Quad9,
 			Pos: jitterPos(ct, idx*5+3), CountryCode: ct.Code, HostAS: "AS19281",
 		})
 		idx++
 	}
 
-	for _, p := range providers {
-		p.sites = &siteTable{pops: p.PoPs, sites: appendSites(nil, p.PoPs)}
+	return map[ProviderID]*Provider{
+		Cloudflare: newProvider(Cloudflare, "Cloudflare", "https://cloudflare-dns.com/dns-query", cf),
+		Google:     newProvider(Google, "Google", "https://dns.google/dns-query", g),
+		NextDNS:    newProvider(NextDNS, "NextDNS", "https://dns.nextdns.io/dns-query", nd),
+		Quad9:      newProvider(Quad9, "Quad9", "https://dns.quad9.net/dns-query", q),
 	}
-	return providers
 }

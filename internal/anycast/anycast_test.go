@@ -1,6 +1,7 @@
 package anycast
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -128,46 +129,22 @@ func TestNextDNSHostASDiversity(t *testing.T) {
 }
 
 func TestAssignPoPZeroNoiseIsNearest(t *testing.T) {
-	cat := Catalogue()
-	p := *cat[Google]
-	p.RoutingNoiseKm = 0
+	p := Catalogue()[Google]
 	rng := rand.New(rand.NewSource(1))
 	client := world.MustByCode("IT").Centroid
-	got := p.AssignPoP(rng, client)
+	got := p.AssignPoP(rng, client, &Calibration{})
 	want, _ := p.NearestPoP(client)
 	if got.ID != want.ID {
 		t.Errorf("AssignPoP = %s, nearest = %s", got.ID, want.ID)
 	}
 }
 
-func TestAssignPoPNoiseCausesDetours(t *testing.T) {
-	cat := Catalogue()
-	q := cat[Quad9]
-	cf := cat[Cloudflare]
-	rng := rand.New(rand.NewSource(7))
-	detours := func(p *Provider) (sum float64, n int) {
-		for _, ct := range world.Analyzed() {
-			used := p.AssignPoP(rng, ct.Centroid)
-			_, nearest := p.NearestPoP(ct.Centroid)
-			sum += geo.DistanceKm(ct.Centroid, used.Pos) - nearest
-			n++
-		}
-		return sum, n
-	}
-	qSum, qn := detours(q)
-	cfSum, cfn := detours(cf)
-	qAvg, cfAvg := qSum/float64(qn), cfSum/float64(cfn)
-	if qAvg <= cfAvg {
-		t.Errorf("Quad9 mean detour %.0f km <= Cloudflare %.0f km; paper says Quad9 routing is far worse", qAvg, cfAvg)
-	}
-	if qAvg < 300 {
-		t.Errorf("Quad9 mean detour %.0f km, want >= 300 (median potential improvement 769 mi)", qAvg)
-	}
-}
-
 func TestCatalogueDeterministic(t *testing.T) {
 	a := Catalogue()
 	b := Catalogue()
+	if a[Google] != b[Google] {
+		t.Error("Catalogue built the Google fleet twice")
+	}
 	for _, id := range ProviderIDs() {
 		pa, pb := a[id], b[id]
 		if len(pa.PoPs) != len(pb.PoPs) {
@@ -208,13 +185,13 @@ func TestProviderIDsOrder(t *testing.T) {
 func TestAssignMatchesAssignPoPAndNearestPoP(t *testing.T) {
 	var scratch AssignScratch
 	for _, id := range ProviderIDs() {
-		p := Catalogue()[id]
+		p, cal := Catalogue()[id], &testCalibration
 		a, b, c := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
 		for _, ct := range world.All() {
 			client := ct.Centroid
-			want := p.AssignPoP(a, client)
-			got := p.Assign(b, client, &scratch)
-			fresh := p.Assign(c, client, nil)
+			want := p.AssignPoP(a, client, cal)
+			got := p.Assign(b, client, cal, &scratch)
+			fresh := p.Assign(c, client, cal, nil)
 			if got != fresh {
 				t.Fatalf("%s/%s: reused scratch gives %+v, fresh %+v", id, ct.Code, got, fresh)
 			}
@@ -242,75 +219,66 @@ func TestAssignMatchesAssignPoPAndNearestPoP(t *testing.T) {
 	}
 }
 
-// literal is p rebuilt as a Provider literal: the same fleet and
-// routing, no site table.
-func literal(p *Provider, pops []PoP) *Provider {
-	return &Provider{
-		ID: p.ID, Name: p.Name, Endpoint: p.Endpoint, PoPs: pops,
-		RoutingNoiseKm: p.RoutingNoiseKm, MisrouteProb: p.MisrouteProb, MisrouteKm: p.MisrouteKm,
-		ServiceTime: p.ServiceTime, SetupOverhead: p.SetupOverhead,
-	}
-}
+// testCalibration routes with both temperatures, so that Assign's
+// tests draw the misroute coin and sample the weights.
+var testCalibration = Calibration{RoutingNoiseKm: 150, MisrouteProb: 0.4, MisrouteKm: 2500}
 
-// sameAssignments runs Assign for n random clients on a and on b from
-// identically seeded streams and fails on the first differing result.
-func sameAssignments(t *testing.T, what string, a, b *Provider, n int) {
-	t.Helper()
-	clients := rand.New(rand.NewSource(11))
-	ra, rb := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
-	var sa, sb AssignScratch
-	for i := 0; i < n; i++ {
-		client := geo.Point{Lat: clients.Float64()*180 - 90, Lon: clients.Float64()*360 - 180}
-		if x, y := a.Assign(ra, client, &sa), b.Assign(rb, client, &sb); x != y {
-			t.Fatalf("%s, client %v: %+v vs %+v", what, client, x, y)
+// refAssign is Assign written out without the site table: every
+// distance from geo.DistanceKm, every weight from the rule's formula.
+func refAssign(rng *rand.Rand, pops []PoP, client geo.Point, cal *Calibration) Assignment {
+	dists := make([]float64, len(pops))
+	nearest := 0
+	for i, pop := range pops {
+		if dists[i] = geo.DistanceKm(client, pop.Pos); dists[i] < dists[nearest] {
+			nearest = i
 		}
 	}
-	if ra.Int63() != rb.Int63() {
-		t.Fatalf("%s: the random streams ended in different places", what)
+	temp, chosen := cal.RoutingNoiseKm, nearest
+	if rng.Float64() < cal.MisrouteProb {
+		temp = cal.MisrouteKm
 	}
+	weights, total := make([]float64, len(pops)), 0.0
+	for i, d := range dists {
+		weights[i] = math.Exp(-(d - dists[nearest]) / temp)
+		total += weights[i]
+	}
+	u := rng.Float64() * total
+	for chosen = 0; chosen < len(pops)-1; chosen++ {
+		if u -= weights[chosen]; u <= 0 {
+			break
+		}
+	}
+	return Assignment{PoP: pops[chosen], DistanceKm: dists[chosen], NearestDistanceKm: dists[nearest]}
 }
 
-// Assign over the catalogue's precomputed site table is Assign over a
-// table-less Provider literal of the same fleet, result for result and
-// draw for draw, and a copy whose PoPs were replaced or resliced reads
-// its own PoPs, never the table it was copied with.
+// Assign over a provider's site table, which newProvider converts once
+// for the catalogue and for any other fleet, is refAssign over the
+// fleet's own positions, result for result and draw for draw: for the
+// catalogue's fleets and for fleets built from moved or resliced PoPs.
 func TestSiteTableMatchesProviderLiteral(t *testing.T) {
 	for _, id := range ProviderIDs() {
 		p := Catalogue()[id]
-		if p.sites.of(p.PoPs) == nil {
-			t.Fatalf("%s: catalogue provider has no site table", id)
-		}
-		sameAssignments(t, string(id)+" table vs literal", p, literal(p, p.PoPs), 10000)
-
 		moved := append([]PoP(nil), p.PoPs...)
 		for i := range moved {
 			moved[i].Pos = geo.Point{Lat: -moved[i].Pos.Lat, Lon: moved[i].Pos.Lon / 2}
 		}
-		cp := *p
-		cp.PoPs = moved
-		if cp.sites.of(cp.PoPs) != nil {
-			t.Fatalf("%s: a copy with replaced PoPs reads the old table", id)
+		for k, pops := range [][]PoP{p.PoPs, moved, p.PoPs[1:], p.PoPs[:len(p.PoPs)-1]} {
+			fleet, n := newProvider(id, p.Name, p.Endpoint, pops), 2000
+			if k == 0 {
+				fleet, n = p, 10000 // the catalogue's own fleet
+			}
+			clients := rand.New(rand.NewSource(11))
+			ra, rb := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
+			var scratch AssignScratch
+			for i := 0; i < n; i++ {
+				client := geo.Point{Lat: clients.Float64()*180 - 90, Lon: clients.Float64()*360 - 180}
+				if x, y := fleet.Assign(ra, client, &testCalibration, &scratch), refAssign(rb, pops, client, &testCalibration); x != y {
+					t.Fatalf("%s (%d PoPs), client %v: %+v, reference %+v", id, len(pops), client, x, y)
+				}
+			}
+			if ra.Int63() != rb.Int63() {
+				t.Fatalf("%s (%d PoPs): the random streams ended in different places", id, len(pops))
+			}
 		}
-		sameAssignments(t, string(id)+" replaced PoPs", &cp, literal(p, moved), 2000)
-
-		for _, sub := range [][]PoP{p.PoPs[1:], p.PoPs[:len(p.PoPs)-1]} {
-			cp := *p
-			cp.PoPs = sub
-			sameAssignments(t, string(id)+" resliced PoPs", &cp, literal(p, sub), 500)
-		}
-	}
-}
-
-// The catalogue's Providers are shared between callers; the map is not.
-func TestCatalogueMapIsTheCallers(t *testing.T) {
-	a, b := Catalogue(), Catalogue()
-	if a[Google] != b[Google] {
-		t.Error("Catalogue built the Google fleet twice")
-	}
-	p := *a[Google]
-	p.RoutingNoiseKm = 0
-	a[Google] = &p
-	if b[Google].RoutingNoiseKm == 0 || Catalogue()[Google].RoutingNoiseKm == 0 {
-		t.Error("replacing one caller's map entry changed another's")
 	}
 }

@@ -35,8 +35,8 @@ type Probe struct {
 
 // Network is the probe fleet plus the measurement substrate.
 type Network struct {
-	// Model is the latency model (share it with the proxy simulator
-	// so the two networks are measuring the same world).
+	// Model is the latency model: the proxy simulator's Params.Latency,
+	// so the two networks are measuring the same world.
 	Model netsim.LatencyModel
 	// Rand drives sampling.
 	Rand *rand.Rand
@@ -74,8 +74,8 @@ func (n *Network) Probe(countryCode string) (*Probe, error) {
 // cache-miss resolution through its default resolver to the
 // authoritative server.
 func (n *Network) MeasureDo53(p *Probe) time.Duration {
-	pathPR := n.Model.NewPath(n.Rand, p.Endpoint, p.ResolverEndpoint)
-	pathRA := n.Model.NewPath(n.Rand, p.ResolverEndpoint, n.Auth)
+	pathPR := n.Model.NewPath(n.Rand, p.Endpoint, p.ResolverEndpoint, nil)
+	pathRA := n.Model.NewPath(n.Rand, p.ResolverEndpoint, n.Auth, nil)
 	return pathPR.RTT(n.Rand) + p.ResolverOverhead + pathRA.RTT(n.Rand) + netsim.AuthService
 }
 

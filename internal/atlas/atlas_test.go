@@ -16,7 +16,7 @@ func testAuth() netsim.Endpoint {
 }
 
 func TestProbeProvisioning(t *testing.T) {
-	n := New(1, netsim.DefaultLatencyModel(), testAuth())
+	n := New(1, netsim.DefaultParams().Latency, testAuth())
 	p, err := n.Probe("DE")
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +34,7 @@ func TestProbeProvisioning(t *testing.T) {
 }
 
 func TestMeasureDo53Positive(t *testing.T) {
-	n := New(2, netsim.DefaultLatencyModel(), testAuth())
+	n := New(2, netsim.DefaultParams().Latency, testAuth())
 	p, err := n.Probe("US")
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +46,7 @@ func TestMeasureDo53Positive(t *testing.T) {
 }
 
 func TestCountryMedianValidation(t *testing.T) {
-	n := New(3, netsim.DefaultLatencyModel(), testAuth())
+	n := New(3, netsim.DefaultParams().Latency, testAuth())
 	if _, err := n.CountryMedianDo53("US", 0, 5); err == nil {
 		t.Error("zero probes accepted")
 	}
@@ -64,7 +64,7 @@ func TestCountryMedianValidation(t *testing.T) {
 // medians must agree closely (paper: mean difference 7.6 ms).
 func TestAtlasAgreesWithBrightData(t *testing.T) {
 	sim := proxynet.NewSim(77)
-	at := New(78, sim.Model, sim.Lab)
+	at := New(78, sim.Params.Latency, sim.Lab)
 
 	overlap := []string{"BE", "ZA", "SE", "IT", "IR", "GR", "CH", "ES", "NO", "DK"}
 	var totalDiff float64

@@ -136,12 +136,11 @@ func Run(cfg Config) ([]Result, error) {
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	model := netsim.DefaultLatencyModel()
-	providers := anycast.Catalogue()
-	provider, ok := providers[cfg.Provider]
-	if !ok {
+	if !anycast.Known(cfg.Provider) {
 		return nil, fmt.Errorf("cachestudy: unknown provider %q", cfg.Provider)
 	}
+	params := netsim.DefaultParams()
+	model, provider := &params.Latency, params.Providers.Of(cfg.Provider)
 	auth := netsim.Lab
 
 	// Build the client population.
@@ -165,7 +164,7 @@ func Run(cfg Config) ([]Result, error) {
 			resolverIdx := i % cfg.ResolversPerCountry
 			resolverPos := geo.Jitter(ct.Centroid, 120,
 				float64(resolverIdx)/float64(cfg.ResolversPerCountry), 0.4)
-			pop := provider.AssignPoP(rng, pos)
+			pop := anycast.Catalogue()[cfg.Provider].AssignPoP(rng, pos, provider)
 			clients = append(clients, client{
 				endpoint:    netsim.Endpoint{Pos: pos, Country: ct, Residential: true},
 				country:     ct,

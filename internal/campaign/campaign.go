@@ -14,26 +14,20 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"net/netip"
 	"runtime"
 	"slices"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/anycast"
 	"repro/internal/atlas"
 	"repro/internal/cache"
 	"repro/internal/checkpoint"
-	"repro/internal/core"
-	"repro/internal/dnswire"
 	"repro/internal/geo"
-	"repro/internal/geoip"
+	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/proxynet"
 	"repro/internal/resolver"
-	"repro/internal/smart"
-	"repro/internal/stats"
 	"repro/internal/world"
 )
 
@@ -44,13 +38,15 @@ type Config struct {
 	// RunsPerClient is the number of measurement runs per exit node
 	// (the paper uses 2).
 	RunsPerClient int
-	// MinClients excludes countries with fewer available clients
-	// (the paper's threshold is 10).
+	// MinClients is the per-country inclusion bar the analysis applies
+	// (analysis.New's argument; the paper's threshold is 10 clients).
+	// The campaign measures every country regardless and never reads it.
 	MinClients int
 	// MaxClients caps per-country clients (the paper saw at most 282).
 	MaxClients int
 	// ClientScale multiplies each country's exit-node weight to set
-	// its client count; 1.0 reproduces the paper's ~22k total.
+	// its client count; zero means 1.0 (≈ 9.7k clients), and
+	// DefaultConfig's 2.7 gives ≈ 21.5k, the paper's ~22k.
 	ClientScale float64
 	// Providers lists the DoH services to measure; nil means all four.
 	Providers []anycast.ProviderID
@@ -238,26 +234,6 @@ var extensions = [proxynet.NumTransports]resolver.Kind{
 	proxynet.DoQ: resolver.DoQ,
 }
 
-// SmartResult is the derived fifth strategy — "best available
-// encrypted transport" — for one client and provider: a modeled
-// happy-eyeballs race over the client's measured encrypted transports
-// (DoH, then the extensions in table order, smartStaggerMs apart),
-// remembering the winner for steady state. No wire queries are issued:
-// the column is a pure function of the measured per-transport results,
-// which is what keeps it byte-identical across shards and restores.
-type SmartResult struct {
-	// TSmartMs is the first-query time: the race's winning arrival,
-	// min over candidates i of i*stagger + first_i.
-	TSmartMs float64
-	// TSmartRMs is the steady-state time: the winner's
-	// reused-connection latency (the remembered-winner fast path).
-	TSmartRMs float64
-	// Winner is the transport kind that won the race.
-	Winner string
-	// Valid reports at least one valid encrypted candidate.
-	Valid bool
-}
-
 // ClientRecord is one unique client in the dataset.
 type ClientRecord struct {
 	// ClientID is the proxy network's stable exit-node identifier.
@@ -313,111 +289,6 @@ type Dataset struct {
 	Partial bool
 }
 
-// Accounting is the drop accounting of a country, of its journal record
-// (under these JSON names) and of a dataset, which sums its countries'.
-type Accounting struct {
-	// DiscardedMismatch counts clients dropped because the proxy
-	// network and the geolocation service disagreed on the country.
-	DiscardedMismatch int `json:"mismatch"`
-	// DiscardedImplausible counts measurements dropped by the
-	// estimator's plausibility checks.
-	DiscardedImplausible int `json:"implausible"`
-	// Transports reports per-transport measurement accounting: how
-	// many queries ran, how many were discarded, and how many wire
-	// loss events they absorbed (paper §3.5's drop handling, reported
-	// per transport instead of silently lost).
-	Transports map[resolver.Kind]TransportStats `json:"transports"`
-	// Breakers reports circuit-breaker activity per transport kind;
-	// empty unless Config.Breaker armed them.
-	Breakers map[resolver.Kind]BreakerStats `json:"breakers,omitempty"`
-	// SmartWins counts, per transport kind, how many (client, provider)
-	// smart races that kind won; nil unless resolver.Smart is in the
-	// transport set. Kept as accounting (not just derivable from
-	// Clients) so the constant-memory DiscardClients mode still reports
-	// the win split.
-	SmartWins map[resolver.Kind]int `json:"smart_wins,omitempty"`
-}
-
-// add sums o into a: the one fold, per country in Run and per part in
-// Merge.
-func (a *Accounting) add(o Accounting) {
-	a.DiscardedMismatch += o.DiscardedMismatch
-	a.DiscardedImplausible += o.DiscardedImplausible
-	for kind, ts := range o.Transports {
-		if a.Transports == nil {
-			a.Transports = make(map[resolver.Kind]TransportStats)
-		}
-		t := a.Transports[kind]
-		t.Queries += ts.Queries
-		t.Successes += ts.Successes
-		t.Discards += ts.Discards
-		t.LossEvents += ts.LossEvents
-		t.Blocked += ts.Blocked
-		t.Skipped += ts.Skipped
-		a.Transports[kind] = t
-	}
-	for kind, bs := range o.Breakers {
-		if a.Breakers == nil {
-			a.Breakers = make(map[resolver.Kind]BreakerStats)
-		}
-		b := a.Breakers[kind]
-		b.Trips += bs.Trips
-		b.ShortCircuits += bs.ShortCircuits
-		b.Probes += bs.Probes
-		b.EndedOpen += bs.EndedOpen
-		a.Breakers[kind] = b
-	}
-	for kind, n := range o.SmartWins {
-		if a.SmartWins == nil {
-			a.SmartWins = make(map[resolver.Kind]int)
-		}
-		a.SmartWins[kind] += n
-	}
-}
-
-// TransportStats is the per-transport drop accounting for a campaign.
-type TransportStats struct {
-	// Queries counts measurement runs issued on the transport.
-	Queries int
-	// Successes counts runs that produced a usable estimate. Every
-	// issued run lands in exactly one bucket, so
-	// Queries == Successes + Discards always holds — the balance the
-	// chaos soak asserts on.
-	Successes int
-	// Discards counts runs dropped by the estimator's plausibility
-	// checks (or, for Do53 in Super-Proxy countries, the §3.5
-	// invalidation) — plus blocked DoT and DoQ sessions.
-	Discards int
-	// LossEvents counts simulated retransmission-timeout events on
-	// the wire during the transport's measurement runs.
-	LossEvents int64
-	// Blocked counts DoT and DoQ sessions dropped by port-853 filtering
-	// (always zero for Do53 and DoH).
-	Blocked int
-	// Skipped counts runs that were never issued because an earlier
-	// run hit a permanent per-client failure (Do53 in a Super-Proxy
-	// country: once the Super Proxy answers for the exit node, the
-	// remaining runs cannot succeed either). Queries + Skipped equals
-	// the configured runs, so nothing silently vanishes from the
-	// accounting.
-	Skipped int
-}
-
-// BreakerStats aggregates the per-provider×country circuit breakers
-// for one transport kind.
-type BreakerStats struct {
-	// Trips counts closed/half-open -> open transitions.
-	Trips int64
-	// ShortCircuits counts runs rejected while open (these are also in
-	// TransportStats.Skipped).
-	ShortCircuits int64
-	// Probes counts half-open probe admissions.
-	Probes int64
-	// EndedOpen counts breakers still open when their country finished
-	// — the per-target "this transport is dead here" signal.
-	EndedOpen int64
-}
-
 // Run executes the campaign to completion (no cancellation).
 func Run(cfg Config) (*Dataset, error) {
 	return RunContext(context.Background(), cfg)
@@ -431,11 +302,15 @@ func Run(cfg Config) (*Dataset, error) {
 // not journaled: a resumed campaign re-measures them from their own
 // seeds, which is what keeps resumption byte-identical.
 func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
+	def := DefaultConfig(cfg.Seed)
 	if cfg.RunsPerClient <= 0 {
-		cfg.RunsPerClient = 2
+		cfg.RunsPerClient = def.RunsPerClient
 	}
 	if cfg.MaxClients <= 0 {
-		cfg.MaxClients = 282
+		cfg.MaxClients = def.MaxClients
+	}
+	if cfg.AtlasProbes <= 0 {
+		cfg.AtlasProbes = def.AtlasProbes
 	}
 	if cfg.ClientScale <= 0 {
 		cfg.ClientScale = 1
@@ -453,6 +328,9 @@ func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The one calibration both networks draw from: every country's
+	// simulator and the Atlas remedy's probes.
+	params := netsim.DefaultParams()
 	cfg.Transports = transports
 
 	ds := &Dataset{
@@ -581,7 +459,7 @@ func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
 						return rec, true, nil
 					}
 				}
-				rec, err := measureCountry(ctx, cfg, code, providers, w, window(idx))
+				rec, err := measureCountry(ctx, cfg, params, code, providers, w, window(idx))
 				if err == nil && journal != nil {
 					err = journal.Put(code, rec)
 				}
@@ -667,16 +545,11 @@ feed:
 	}
 
 	// Remedy: Atlas Do53 medians for the Super-Proxy countries. The
-	// probe network shares the world's latency model and targets the
-	// same lab endpoint.
-	ref := proxynet.NewSim(cfg.Seed)
-	at := atlas.New(cfg.Seed+1, ref.Model, ref.Lab)
-	probes := cfg.AtlasProbes
-	if probes <= 0 {
-		probes = 25
-	}
+	// probe network shares the simulators' latency model and targets
+	// the same lab endpoint.
+	at := atlas.New(cfg.Seed+1, params.Latency, netsim.Lab)
 	for _, ct := range world.SuperProxyCountries() {
-		med, err := at.CountryMedianDo53(ct.Code, probes, 10)
+		med, err := at.CountryMedianDo53(ct.Code, cfg.AtlasProbes, 10)
 		if err != nil {
 			return nil, err
 		}
@@ -685,30 +558,6 @@ feed:
 
 	finishObs(cfg, reg, ds, simTotal)
 	return ds, nil
-}
-
-// markerAddr is the answer the cache-busting tripwire stores under
-// each consumed name (TEST-NET-1, never a real measurement target).
-var markerAddr = netip.MustParseAddr("192.0.2.1")
-
-// finishObs publishes the finished (or partially finished) dataset's
-// gauges into reg, which holds its folded histograms, and snapshots
-// it; the snapshot is a pure function of the records and accounting,
-// so it inherits their schedule independence.
-func finishObs(cfg Config, reg *obs.Registry, ds *Dataset, simTotal proxynet.SimStats) {
-	publishAccounting(reg, ds, simTotal)
-	if cfg.Cache != nil {
-		// Tripwire totals. Names are unique per run, so guard_hits is
-		// zero on a correct campaign; entries counts the consumed
-		// names and misses the guard lookups, both pure functions of
-		// the workload (the name->shard hash ignores scheduling, so
-		// the totals are Parallel-invariant like everything else).
-		st := cfg.Cache.Stats()
-		reg.Gauge("campaign_cache_guard_hits").Set(float64(st.Hits))
-		reg.Gauge("campaign_cache_guard_misses").Set(float64(st.Misses))
-		reg.Gauge("campaign_cache_guard_entries").Set(float64(cfg.Cache.Len()))
-	}
-	ds.Obs = reg.Snapshot()
 }
 
 // configKey hashes the result-affecting configuration. Two configs
@@ -736,489 +585,4 @@ func configKey(cfg Config, providers []anycast.ProviderID) string {
 		fmt.Fprintf(h, "brk=%d/%d/%d|", cfg.Breaker.FailureThreshold, cfg.Breaker.ProbeEvery, cfg.Breaker.SuccessesToClose)
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// countryRecord is what measureCountry produces for one country, and
-// its checkpoint journal payload: JSON-round-trippable (float64
-// survives encoding/json exactly, so restored records are
-// byte-identical in the CSV export).
-type countryRecord struct {
-	Clients []ClientRecord `json:"clients"`
-	Accounting
-	// SimStats is the country simulator's final counter snapshot,
-	// summed into the campaign registry by Run. Per-country sims keep
-	// private counters (settle needs sequential per-sim loss deltas),
-	// so the registry view is assembled post-hoc.
-	SimStats proxynet.SimStats `json:"sim_stats"`
-}
-
-// ClientsByCountry groups kept clients per country code.
-func (ds *Dataset) ClientsByCountry() map[string][]*ClientRecord {
-	out := make(map[string][]*ClientRecord)
-	for i := range ds.Clients {
-		c := &ds.Clients[i]
-		out[c.CountryCode] = append(out[c.CountryCode], c)
-	}
-	return out
-}
-
-// AnalyzedCountries returns the country codes that clear the
-// per-country inclusion bar: at least cfg.MinClients clients with a
-// valid measurement for every provider (paper §5.1).
-func (ds *Dataset) AnalyzedCountries(minClients int, providers []anycast.ProviderID) []string {
-	if providers == nil {
-		providers = anycast.ProviderIDs()
-	}
-	var out []string
-	for code, clients := range ds.ClientsByCountry() {
-		if world.IsExcluded(code) {
-			continue
-		}
-		n := 0
-		for _, c := range clients {
-			ok := true
-			for _, pid := range providers {
-				if r, _ := c.DoH.Get(pid); !r.Valid {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				n++
-			}
-		}
-		if n >= minClients {
-			out = append(out, code)
-		}
-	}
-	sort.Strings(out) // map iteration order must not leak to callers
-	return out
-}
-
-// CountryDo53Ms returns the country's Do53 median in milliseconds,
-// using client data where valid and the Atlas remedy in the 11
-// Super-Proxy countries. The second return is false when no data
-// exists.
-func (ds *Dataset) CountryDo53Ms(code string) (float64, bool) {
-	if med, ok := ds.AtlasDo53Ms[code]; ok {
-		return med, true
-	}
-	var vals []float64
-	for i := range ds.Clients {
-		if c := &ds.Clients[i]; c.CountryCode == code && c.Do53Valid {
-			vals = append(vals, c.Do53Ms)
-		}
-	}
-	med, err := stats.Median(vals)
-	return med, err == nil
-}
-
-// countrySeed derives a country's independent stream from the
-// campaign seed.
-func countrySeed(seed int64, code string) int64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d/%s", seed, code)
-	return int64(h.Sum64() & 0x7fffffffffffffff)
-}
-
-// nameScratch is a worker's reusable buffer for building the per-run
-// unique query names (and each client's prefix) without fmt's
-// reflection path. Only the buffer is shared between countries; the
-// sequence counter stays per-country so the dataset remains a pure
-// function of the configuration.
-type nameScratch struct {
-	buf []byte
-	// names holds the query names. A name lives for its run; only the
-	// cache-busting tripwire (Config.Cache) keeps names, the name of
-	// every run it lets through, so a chunk it pins holds little else.
-	names dnswire.StringChunks
-	// kept holds the records' prefixes, which live as long as the
-	// dataset: apart from the names, so that no kept string pins a
-	// chunk of dead ones.
-	kept dnswire.StringChunks
-}
-
-// format renders fmt.Sprintf("%s-%08x-m.a.com.", code, seq)
-// byte-for-byte, cut from the scratch's chunks.
-func (s *nameScratch) format(code string, seq int) string {
-	b := append(s.buf[:0], code...)
-	b = append(b, '-')
-	b = appendHex08(b, uint64(seq))
-	b = append(b, "-m.a.com."...)
-	s.buf = b
-	return s.names.Cut(b)
-}
-
-// prefix24 renders geoip.Prefix24(addr).String(), cut from the
-// chunks of kept strings.
-func (s *nameScratch) prefix24(addr netip.Addr) string {
-	s.buf = geoip.Prefix24(addr).AppendTo(s.buf[:0])
-	return s.kept.Cut(s.buf)
-}
-
-// appendHex08 appends v as lowercase hex, zero-padded to at least
-// eight digits — the %08x verb.
-func appendHex08(b []byte, v uint64) []byte {
-	const digits = "0123456789abcdef"
-	w := 8
-	for w < 16 && v>>(4*uint(w)) != 0 {
-		w++
-	}
-	for i := w - 1; i >= 0; i-- {
-		b = append(b, digits[(v>>(4*uint(i)))&0xf])
-	}
-	return b
-}
-
-// smartStaggerMs is the fixed happy-eyeballs stagger (milliseconds)
-// the derived smart strategy models between candidate launches. A
-// constant, not a Config knob: the column is part of the released
-// dataset, so its parameters are pinned like the estimator's.
-const smartStaggerMs = 50.0
-
-// smartCandidate reports whether kind can win the derived race: the
-// set deriveSmart launches from.
-func smartCandidate(kind resolver.Kind) bool {
-	return kind == resolver.DoH || slices.Contains(extensions[:], kind)
-}
-
-// deriveSmart models the smart racing resolver's behavior on one
-// client's measured results for one provider, by the resolver's own
-// rule (smart.RaceOutcome): the paper's primary encrypted transport
-// launches first, then the extensions in table order, smartStaggerMs
-// apart. Invalid or fully blocked transports never launch — the racing
-// resolver's breaker eviction, in dataset form — and neither do
-// transports the campaign did not measure, which have no result.
-func deriveSmart(rec *ClientRecord, pid anycast.ProviderID) SmartResult {
-	var kinds [1 + len(extensions)]resolver.Kind
-	var launches [1 + len(extensions)]smart.Launch
-	n := 0
-	if r, _ := rec.DoH.Get(pid); r.Valid {
-		kinds[n], launches[n] = resolver.DoH, smart.Launch{First: r.TDoHMs, Reused: r.TDoHRMs}
-		n++
-	}
-	for tr, kind := range extensions {
-		if r, _ := rec.Sessions[tr].Get(pid); r.Valid {
-			kinds[n], launches[n] = kind, smart.Launch{First: r.FirstMs, Reused: r.ReusedMs}
-			n++
-		}
-	}
-	winner, first, steady := smart.RaceOutcome(smartStaggerMs, launches[:n])
-	if winner < 0 {
-		return SmartResult{}
-	}
-	return SmartResult{TSmartMs: first, TSmartRMs: steady, Winner: string(kinds[winner]), Valid: true}
-}
-
-// countryRun is what one country's measurement loops share: the
-// simulator, the accounting, and the steps every run takes around its
-// transport's own Measure call — admit before it, settle after it.
-type countryRun struct {
-	cache   *cache.Cache            // Config.Cache
-	policy  *resolver.BreakerPolicy // Config.Breaker
-	code    string
-	sim     *proxynet.Sim
-	scratch *nameScratch
-	acct    Accounting
-	// uuidSeq numbers the country's unique query names.
-	uuidSeq int
-	// lossSeen is the simulator's loss counter as of the last settled
-	// run; the difference is what the next (sequential) run absorbed.
-	lossSeen int64
-	// breakers holds one breaker per kind×provider, shared across the
-	// country's clients: a transport that is dead country-wide (blocked
-	// DoT, chaos-saturated DoH) trips after FailureThreshold consecutive
-	// failures, and the remaining runs are skipped instead of measured.
-	breakers map[breakerKey]*resolver.Breaker
-}
-
-type breakerKey struct {
-	kind resolver.Kind
-	pid  anycast.ProviderID
-}
-
-// breaker returns the kind×provider breaker, nil unless Config.Breaker
-// armed them.
-func (r *countryRun) breaker(kind resolver.Kind, pid anycast.ProviderID) *resolver.Breaker {
-	if r.policy == nil {
-		return nil
-	}
-	b := r.breakers[breakerKey{kind, pid}]
-	if b == nil {
-		if r.breakers == nil {
-			r.breakers = make(map[breakerKey]*resolver.Breaker)
-		}
-		b = resolver.NewBreaker(*r.policy)
-		r.breakers[breakerKey{kind, pid}] = b
-	}
-	return b
-}
-
-// skip counts n runs that were never issued.
-func (r *countryRun) skip(kind resolver.Kind, n int) {
-	ts := r.acct.Transports[kind]
-	ts.Skipped += n
-	r.acct.Transports[kind] = ts
-}
-
-// admit opens a measurement run: the breaker gate (brk may be nil),
-// then a fresh query name, then the cache-busting tripwire
-// (Config.Cache) — every run's fresh name must miss the shared answer
-// cache; a hit proves a name was reused, so the run is skipped rather
-// than measured warm. ok false means the run was skipped, and counted.
-func (r *countryRun) admit(kind resolver.Kind, brk *resolver.Breaker) (name string, ok bool) {
-	if brk != nil && !brk.Allow() {
-		r.skip(kind, 1)
-		return "", false
-	}
-	r.uuidSeq++
-	name = r.scratch.format(r.code, r.uuidSeq)
-	if r.cache != nil && r.cache.Get(dnswire.NewName(name), dnswire.TypeA) != nil {
-		r.skip(kind, 1)
-		return "", false
-	}
-	return name, true
-}
-
-// runOutcome is how an issued run ended.
-type runOutcome int
-
-const (
-	runMeasured    runOutcome = iota // a usable estimate
-	runImplausible                   // dropped by the estimator's plausibility checks
-	runBlocked                       // dropped by port-853 filtering
-	// runPermanent is a failure every later run of the client repeats
-	// (Do53 behind a Super Proxy): the runs left are skipped, and
-	// counted, so Queries+Skipped still adds up to the configured runs.
-	runPermanent
-)
-
-// runs issues the n runs of kind one client makes to one destination
-// (brk may be nil): each is admitted, measured by measure, settled and
-// counted by its outcome. first and reused are the measured runs' mean
-// times in milliseconds, got counts those runs and blocked the blocked
-// ones. measure is called, never kept, so a closure passed to it stays
-// on its caller's stack.
-func (r *countryRun) runs(kind resolver.Kind, brk *resolver.Breaker, n int, measure func(name string) (first, reused time.Duration, o runOutcome)) (first, reused float64, got, blocked int) {
-loop:
-	for i := range n {
-		name, ok := r.admit(kind, brk)
-		if !ok {
-			continue
-		}
-		f, re, o := measure(name)
-		r.settle(kind, brk, name, o)
-		switch o {
-		case runMeasured:
-			first += float64(f) / float64(time.Millisecond)
-			reused += float64(re) / float64(time.Millisecond)
-			got++
-		case runImplausible:
-			r.acct.DiscardedImplausible++
-		case runBlocked:
-			blocked++
-		case runPermanent:
-			r.skip(kind, n-i-1)
-			break loop
-		}
-	}
-	if got > 0 {
-		first /= float64(got)
-		reused /= float64(got)
-	}
-	return first, reused, got, blocked
-}
-
-// settle closes an issued run: the tripwire's marker answer goes under
-// the consumed name, the breaker hears the outcome, and the run lands
-// in exactly one accounting bucket, with the loss events it absorbed.
-func (r *countryRun) settle(kind resolver.Kind, brk *resolver.Breaker, name string, o runOutcome) {
-	if r.cache != nil {
-		qname := dnswire.NewName(name)
-		m := dnswire.NewQuery(1, qname, dnswire.TypeA).Reply()
-		m.Answers = append(m.Answers, dnswire.ResourceRecord{
-			Name: qname, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 300,
-			Data: dnswire.ARecord{Addr: markerAddr},
-		})
-		r.cache.Put(qname, dnswire.TypeA, m)
-	}
-	if brk != nil {
-		if o != runMeasured {
-			brk.Failure()
-		} else {
-			brk.Success()
-		}
-	}
-	ts := r.acct.Transports[kind]
-	ts.Queries++
-	losses := r.sim.Stats().LossEvents
-	ts.LossEvents += losses - r.lossSeen
-	r.lossSeen = losses
-	if o != runMeasured {
-		ts.Discards++
-	} else {
-		ts.Successes++
-	}
-	if o == runBlocked {
-		ts.Blocked++
-	}
-	r.acct.Transports[kind] = ts
-}
-
-// clientsIn is the number of exit nodes the campaign provisions in ct:
-// its weight times ClientScale, capped at MaxClients, at least one.
-func clientsIn(cfg Config, ct world.Country) int {
-	return max(min(int(ct.ExitNodeWeight*cfg.ClientScale), cfg.MaxClients), 1)
-}
-
-// worker is one worker goroutine's reusable state. Every country the
-// worker measures shares its name chunks and its exit node (whose IDs
-// are cut from chunks the node carries), and in DiscardClients mode its
-// record buffer, so that a kept client allocates only its share of the
-// chunks its record's strings are cut from. fold holds its handles on
-// the run's histograms.
-type worker struct {
-	names nameScratch
-	fold  fold
-	node  proxynet.ExitNode
-	// buf holds the records of the country in hand when the dataset
-	// does not keep them.
-	buf []ClientRecord
-}
-
-// measureCountry provisions and measures all of one country's clients
-// on a dedicated simulator, appending their records to out, which must
-// have room for clientsIn of them: the records are written in place,
-// never moved. Cancellation is checked between clients: an abandoned
-// country returns the context error and is never journaled, so a
-// resumed campaign re-measures it in full.
-func measureCountry(ctx context.Context, cfg Config, code string, providers []anycast.ProviderID, w *worker, out []ClientRecord) (countryRecord, error) {
-	scratch := &w.names
-	run := countryRun{cache: cfg.Cache, policy: cfg.Breaker, code: code, scratch: scratch}
-	run.acct.Transports = make(map[resolver.Kind]TransportStats)
-	ct, ok := world.ByCode(code)
-	if !ok {
-		return countryRecord{}, fmt.Errorf("campaign: unknown country %q", code)
-	}
-	sim := proxynet.NewSim(countrySeed(cfg.Seed, code))
-	if cfg.Chaos.Enabled() {
-		// A chaos stream of its own, also derived from the campaign
-		// seed: per-country, deterministic, schedule-independent.
-		sim.EnableChaos(countrySeed(cfg.Seed, code+"/chaos"), cfg.Chaos)
-	}
-	run.sim = sim
-	locator := geoip.NewService(sim.Alloc)
-
-	wants := func(kind resolver.Kind) bool { return slices.Contains(cfg.Transports, kind) }
-
-	// The node is the worker's: the record keeps its ID and position,
-	// nothing that points into it.
-	node := &w.node
-	out = out[:0]
-	for range clientsIn(cfg, ct) {
-		if err := ctx.Err(); err != nil {
-			return countryRecord{}, err
-		}
-		if err := sim.SelectExitNodeInto(code, node); err != nil {
-			return countryRecord{}, err
-		}
-		// Country cross-check (paper §3.5): the proxy network's label
-		// vs the geolocation service's for the /24.
-		located, ok := locator.Locate(node.Addr)
-		if !ok || located != code {
-			run.acct.DiscardedMismatch++
-			continue
-		}
-		out = append(out, ClientRecord{
-			ClientID:     node.ID,
-			CountryCode:  code,
-			Prefix:       scratch.prefix24(node.Addr),
-			Pos:          node.Pos,
-			NSDistanceKm: geo.DistanceKm(node.Pos, sim.Lab.Pos),
-		})
-		rec := &out[len(out)-1]
-		if wants(resolver.DoH) {
-			for _, pid := range providers {
-				var res DoHResult
-				first, reused, got, _ := run.runs(resolver.DoH, run.breaker(resolver.DoH, pid), cfg.RunsPerClient, func(name string) (time.Duration, time.Duration, runOutcome) {
-					obs, gt := sim.MeasureDoH(node, pid, name)
-					est, err := core.EstimateDoH(obs)
-					if err != nil {
-						return 0, 0, runImplausible
-					}
-					res.PoPID, res.PoPCountry = gt.PoP.ID, gt.PoP.CountryCode
-					res.PoPDistanceKm, res.NearestPoPDistanceKm = gt.PoPDistanceKm, gt.NearestPoPDistanceKm
-					return est.TDoH, est.TDoHR, runMeasured
-				})
-				if got > 0 {
-					res.TDoHMs, res.TDoHRMs, res.Valid = first, reused, true
-				}
-				rec.DoH.Set(pid, res)
-			}
-		}
-		if wants(resolver.Do53) {
-			first, _, got, _ := run.runs(resolver.Do53, nil, cfg.RunsPerClient, func(name string) (time.Duration, time.Duration, runOutcome) {
-				o, _ := sim.MeasureDo53(node, name)
-				v, err := core.EstimateDo53(o)
-				switch {
-				case err == nil:
-					return v, 0, runMeasured
-				case errors.Is(err, core.ErrSuperProxyResolution):
-					// The Super Proxy answers every run of this client.
-					return 0, 0, runPermanent
-				}
-				return 0, 0, runImplausible
-			})
-			if got > 0 {
-				rec.Do53Ms, rec.Do53Valid = first, true
-			}
-		}
-		for tr, kind := range extensions {
-			if !wants(kind) {
-				continue
-			}
-			for _, pid := range providers {
-				first, reused, got, blocked := run.runs(kind, run.breaker(kind, pid), cfg.RunsPerClient, func(name string) (time.Duration, time.Duration, runOutcome) {
-					obs, gt := sim.MeasureSession(proxynet.Transport(tr), node, pid, name)
-					if obs.Blocked {
-						return 0, 0, runBlocked
-					}
-					// Ground truth: the extension transports have no
-					// estimator of their own.
-					return gt.First, gt.Reused, runMeasured
-				})
-				res := SessionResult{BlockedRuns: blocked, Blocked: got == 0 && blocked > 0}
-				if got > 0 {
-					res.FirstMs, res.ReusedMs, res.Valid = first, reused, true
-				}
-				rec.Sessions[tr].Set(pid, res)
-			}
-		}
-		if wants(resolver.Smart) {
-			for _, pid := range providers {
-				res := deriveSmart(rec, pid)
-				rec.Smart.Set(pid, res)
-				if res.Valid {
-					if run.acct.SmartWins == nil {
-						run.acct.SmartWins = make(map[resolver.Kind]int)
-					}
-					run.acct.SmartWins[resolver.Kind(res.Winner)]++
-				}
-			}
-		}
-	}
-	if run.breakers != nil {
-		run.acct.Breakers = make(map[resolver.Kind]BreakerStats)
-		for key, b := range run.breakers {
-			bs, snap := run.acct.Breakers[key.kind], b.Snapshot()
-			bs.Trips += snap.Trips
-			bs.ShortCircuits += snap.ShortCircuits
-			bs.Probes += snap.Probes
-			if snap.State == resolver.BreakerOpen {
-				bs.EndedOpen++
-			}
-			run.acct.Breakers[key.kind] = bs
-		}
-	}
-	return countryRecord{Clients: out, Accounting: run.acct, SimStats: sim.Stats()}, nil
 }

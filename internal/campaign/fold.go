@@ -7,10 +7,13 @@ import (
 	"repro/internal/anycast"
 	"repro/internal/obs"
 	"repro/internal/proxynet"
+	"repro/internal/resolver"
 )
 
-// Observability aggregation: the run's one registry holds the latency
-// histograms and, once the workers finish, the accounting gauges.
+// Folding a finished country into the run: its drop accounting sums
+// into the dataset's (Accounting.add), and its records into the run's
+// one registry, which holds the latency histograms and, once the
+// workers finish, the accounting gauges.
 // Per-country simulators keep private counters while measuring
 // (countryRun.settle attributes loss events to individual runs by
 // sequential deltas, which a shared registry would break under
@@ -192,4 +195,129 @@ func addSimStats(a, b proxynet.SimStats) proxynet.SimStats {
 	a.ChaosChurns += b.ChaosChurns
 	a.ChaosHeaderCorruptions += b.ChaosHeaderCorruptions
 	return a
+}
+
+// Accounting is the drop accounting of a country, of its journal record
+// (under these JSON names) and of a dataset, which sums its countries'.
+type Accounting struct {
+	// DiscardedMismatch counts clients dropped because the proxy
+	// network and the geolocation service disagreed on the country.
+	DiscardedMismatch int `json:"mismatch"`
+	// DiscardedImplausible counts measurements dropped by the
+	// estimator's plausibility checks.
+	DiscardedImplausible int `json:"implausible"`
+	// Transports reports per-transport measurement accounting: how
+	// many queries ran, how many were discarded, and how many wire
+	// loss events they absorbed (paper §3.5's drop handling, reported
+	// per transport instead of silently lost).
+	Transports map[resolver.Kind]TransportStats `json:"transports"`
+	// Breakers reports circuit-breaker activity per transport kind;
+	// empty unless Config.Breaker armed them.
+	Breakers map[resolver.Kind]BreakerStats `json:"breakers,omitempty"`
+	// SmartWins counts, per transport kind, how many (client, provider)
+	// smart races that kind won; nil unless resolver.Smart is in the
+	// transport set. Kept as accounting (not just derivable from
+	// Clients) so the constant-memory DiscardClients mode still reports
+	// the win split.
+	SmartWins map[resolver.Kind]int `json:"smart_wins,omitempty"`
+}
+
+// add sums o into a: the one fold, per country in Run and per part in
+// Merge.
+func (a *Accounting) add(o Accounting) {
+	a.DiscardedMismatch += o.DiscardedMismatch
+	a.DiscardedImplausible += o.DiscardedImplausible
+	for kind, ts := range o.Transports {
+		if a.Transports == nil {
+			a.Transports = make(map[resolver.Kind]TransportStats)
+		}
+		t := a.Transports[kind]
+		t.Queries += ts.Queries
+		t.Successes += ts.Successes
+		t.Discards += ts.Discards
+		t.LossEvents += ts.LossEvents
+		t.Blocked += ts.Blocked
+		t.Skipped += ts.Skipped
+		a.Transports[kind] = t
+	}
+	for kind, bs := range o.Breakers {
+		if a.Breakers == nil {
+			a.Breakers = make(map[resolver.Kind]BreakerStats)
+		}
+		b := a.Breakers[kind]
+		b.Trips += bs.Trips
+		b.ShortCircuits += bs.ShortCircuits
+		b.Probes += bs.Probes
+		b.EndedOpen += bs.EndedOpen
+		a.Breakers[kind] = b
+	}
+	for kind, n := range o.SmartWins {
+		if a.SmartWins == nil {
+			a.SmartWins = make(map[resolver.Kind]int)
+		}
+		a.SmartWins[kind] += n
+	}
+}
+
+// TransportStats is the per-transport drop accounting for a campaign.
+type TransportStats struct {
+	// Queries counts measurement runs issued on the transport.
+	Queries int
+	// Successes counts runs that produced a usable estimate. Every
+	// issued run lands in exactly one bucket, so
+	// Queries == Successes + Discards always holds — the balance the
+	// chaos soak asserts on.
+	Successes int
+	// Discards counts runs dropped by the estimator's plausibility
+	// checks (or, for Do53 in Super-Proxy countries, the §3.5
+	// invalidation) — plus blocked DoT and DoQ sessions.
+	Discards int
+	// LossEvents counts simulated retransmission-timeout events on
+	// the wire during the transport's measurement runs.
+	LossEvents int64
+	// Blocked counts DoT and DoQ sessions dropped by port-853 filtering
+	// (always zero for Do53 and DoH).
+	Blocked int
+	// Skipped counts runs that were never issued because an earlier
+	// run hit a permanent per-client failure (Do53 in a Super-Proxy
+	// country: once the Super Proxy answers for the exit node, the
+	// remaining runs cannot succeed either). Queries + Skipped equals
+	// the configured runs, so nothing silently vanishes from the
+	// accounting.
+	Skipped int
+}
+
+// BreakerStats aggregates the per-provider×country circuit breakers
+// for one transport kind.
+type BreakerStats struct {
+	// Trips counts closed/half-open -> open transitions.
+	Trips int64
+	// ShortCircuits counts runs rejected while open (these are also in
+	// TransportStats.Skipped).
+	ShortCircuits int64
+	// Probes counts half-open probe admissions.
+	Probes int64
+	// EndedOpen counts breakers still open when their country finished
+	// — the per-target "this transport is dead here" signal.
+	EndedOpen int64
+}
+
+// finishObs publishes the finished (or partially finished) dataset's
+// gauges into reg, which holds its folded histograms, and snapshots
+// it; the snapshot is a pure function of the records and accounting,
+// so it inherits their schedule independence.
+func finishObs(cfg Config, reg *obs.Registry, ds *Dataset, simTotal proxynet.SimStats) {
+	publishAccounting(reg, ds, simTotal)
+	if cfg.Cache != nil {
+		// Tripwire totals. Names are unique per run, so guard_hits is
+		// zero on a correct campaign; entries counts the consumed
+		// names and misses the guard lookups, both pure functions of
+		// the workload (the name->shard hash ignores scheduling, so
+		// the totals are Parallel-invariant like everything else).
+		st := cfg.Cache.Stats()
+		reg.Gauge("campaign_cache_guard_hits").Set(float64(st.Hits))
+		reg.Gauge("campaign_cache_guard_misses").Set(float64(st.Misses))
+		reg.Gauge("campaign_cache_guard_entries").Set(float64(cfg.Cache.Len()))
+	}
+	ds.Obs = reg.Snapshot()
 }

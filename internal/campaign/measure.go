@@ -1,0 +1,411 @@
+package campaign
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"hash/fnv"
+	"net/netip"
+	"slices"
+	"time"
+
+	"repro/internal/anycast"
+	"repro/internal/cache"
+	"repro/internal/core"
+	"repro/internal/dnswire"
+	"repro/internal/geo"
+	"repro/internal/geoip"
+	"repro/internal/netsim"
+	"repro/internal/proxynet"
+	"repro/internal/resolver"
+	"repro/internal/world"
+)
+
+// markerAddr is the answer the cache-busting tripwire stores under
+// each consumed name (TEST-NET-1, never a real measurement target).
+var markerAddr = netip.MustParseAddr("192.0.2.1")
+
+// countryRecord is what measureCountry produces for one country, and
+// its checkpoint journal payload: JSON-round-trippable (float64
+// survives encoding/json exactly, so restored records are
+// byte-identical in the CSV export).
+type countryRecord struct {
+	Clients []ClientRecord `json:"clients"`
+	Accounting
+	// SimStats is the country simulator's final counter snapshot,
+	// summed into the campaign registry by Run. Per-country sims keep
+	// private counters (settle needs sequential per-sim loss deltas),
+	// so the registry view is assembled post-hoc.
+	SimStats proxynet.SimStats `json:"sim_stats"`
+}
+
+// countrySeed derives a country's independent stream from the
+// campaign seed.
+func countrySeed(seed int64, code string) int64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%d/%s", seed, code)
+	return int64(h.Sum64() & 0x7fffffffffffffff)
+}
+
+// nameScratch is a worker's reusable buffer for building the per-run
+// unique query names (and each client's prefix) without fmt's
+// reflection path. Only the buffer is shared between countries; the
+// sequence counter stays per-country so the dataset remains a pure
+// function of the configuration.
+type nameScratch struct {
+	buf []byte
+	// names holds the query names. A name lives for its run; only the
+	// cache-busting tripwire (Config.Cache) keeps names, the name of
+	// every run it lets through, so a chunk it pins holds little else.
+	names dnswire.StringChunks
+	// kept holds the records' prefixes, which live as long as the
+	// dataset: apart from the names, so that no kept string pins a
+	// chunk of dead ones.
+	kept dnswire.StringChunks
+}
+
+// format renders fmt.Sprintf("%s-%08x-m.a.com.", code, seq)
+// byte-for-byte, cut from the scratch's chunks.
+func (s *nameScratch) format(code string, seq int) string {
+	b := append(s.buf[:0], code...)
+	b = append(b, '-')
+	b = appendHex08(b, uint64(seq))
+	b = append(b, "-m.a.com."...)
+	s.buf = b
+	return s.names.Cut(b)
+}
+
+// prefix24 renders geoip.Prefix24(addr).String(), cut from the
+// chunks of kept strings.
+func (s *nameScratch) prefix24(addr netip.Addr) string {
+	s.buf = geoip.Prefix24(addr).AppendTo(s.buf[:0])
+	return s.kept.Cut(s.buf)
+}
+
+// appendHex08 appends v as lowercase hex, zero-padded to at least
+// eight digits — the %08x verb.
+func appendHex08(b []byte, v uint64) []byte {
+	const digits = "0123456789abcdef"
+	w := 8
+	for w < 16 && v>>(4*uint(w)) != 0 {
+		w++
+	}
+	for i := w - 1; i >= 0; i-- {
+		b = append(b, digits[(v>>(4*uint(i)))&0xf])
+	}
+	return b
+}
+
+// countryRun is what one country's measurement loops share: the
+// simulator, the accounting, and the steps every run takes around its
+// transport's own Measure call — admit before it, settle after it.
+type countryRun struct {
+	cache   *cache.Cache            // Config.Cache
+	policy  *resolver.BreakerPolicy // Config.Breaker
+	code    string
+	sim     *proxynet.Sim
+	scratch *nameScratch
+	acct    Accounting
+	// uuidSeq numbers the country's unique query names.
+	uuidSeq int
+	// lossSeen is the simulator's loss counter as of the last settled
+	// run; the difference is what the next (sequential) run absorbed.
+	lossSeen int64
+	// breakers holds one breaker per kind×provider, shared across the
+	// country's clients: a transport that is dead country-wide (blocked
+	// DoT, chaos-saturated DoH) trips after FailureThreshold consecutive
+	// failures, and the remaining runs are skipped instead of measured.
+	breakers map[breakerKey]*resolver.Breaker
+}
+
+type breakerKey struct {
+	kind resolver.Kind
+	pid  anycast.ProviderID
+}
+
+// breaker returns the kind×provider breaker, nil unless Config.Breaker
+// armed them.
+func (r *countryRun) breaker(kind resolver.Kind, pid anycast.ProviderID) *resolver.Breaker {
+	if r.policy == nil {
+		return nil
+	}
+	b := r.breakers[breakerKey{kind, pid}]
+	if b == nil {
+		if r.breakers == nil {
+			r.breakers = make(map[breakerKey]*resolver.Breaker)
+		}
+		b = resolver.NewBreaker(*r.policy)
+		r.breakers[breakerKey{kind, pid}] = b
+	}
+	return b
+}
+
+// skip counts n runs that were never issued.
+func (r *countryRun) skip(kind resolver.Kind, n int) {
+	ts := r.acct.Transports[kind]
+	ts.Skipped += n
+	r.acct.Transports[kind] = ts
+}
+
+// admit opens a measurement run: the breaker gate (brk may be nil),
+// then a fresh query name, then the cache-busting tripwire
+// (Config.Cache) — every run's fresh name must miss the shared answer
+// cache; a hit proves a name was reused, so the run is skipped rather
+// than measured warm. ok false means the run was skipped, and counted.
+func (r *countryRun) admit(kind resolver.Kind, brk *resolver.Breaker) (name string, ok bool) {
+	if brk != nil && !brk.Allow() {
+		r.skip(kind, 1)
+		return "", false
+	}
+	r.uuidSeq++
+	name = r.scratch.format(r.code, r.uuidSeq)
+	if r.cache != nil && r.cache.Get(dnswire.NewName(name), dnswire.TypeA) != nil {
+		r.skip(kind, 1)
+		return "", false
+	}
+	return name, true
+}
+
+// runOutcome is how an issued run ended.
+type runOutcome int
+
+const (
+	runMeasured    runOutcome = iota // a usable estimate
+	runImplausible                   // dropped by the estimator's plausibility checks
+	runBlocked                       // dropped by port-853 filtering
+	// runPermanent is a failure every later run of the client repeats
+	// (Do53 behind a Super Proxy): the runs left are skipped, and
+	// counted, so Queries+Skipped still adds up to the configured runs.
+	runPermanent
+)
+
+// runs issues the n runs of kind one client makes to one destination
+// (brk may be nil): each is admitted, measured by measure, settled and
+// counted by its outcome. first and reused are the measured runs' mean
+// times in milliseconds, got counts those runs and blocked the blocked
+// ones. measure is called, never kept, so a closure passed to it stays
+// on its caller's stack.
+func (r *countryRun) runs(kind resolver.Kind, brk *resolver.Breaker, n int, measure func(name string) (first, reused time.Duration, o runOutcome)) (first, reused float64, got, blocked int) {
+loop:
+	for i := range n {
+		name, ok := r.admit(kind, brk)
+		if !ok {
+			continue
+		}
+		f, re, o := measure(name)
+		r.settle(kind, brk, name, o)
+		switch o {
+		case runMeasured:
+			first += float64(f) / float64(time.Millisecond)
+			reused += float64(re) / float64(time.Millisecond)
+			got++
+		case runImplausible:
+			r.acct.DiscardedImplausible++
+		case runBlocked:
+			blocked++
+		case runPermanent:
+			r.skip(kind, n-i-1)
+			break loop
+		}
+	}
+	if got > 0 {
+		first /= float64(got)
+		reused /= float64(got)
+	}
+	return first, reused, got, blocked
+}
+
+// settle closes an issued run: the tripwire's marker answer goes under
+// the consumed name, the breaker hears the outcome, and the run lands
+// in exactly one accounting bucket, with the loss events it absorbed.
+func (r *countryRun) settle(kind resolver.Kind, brk *resolver.Breaker, name string, o runOutcome) {
+	if r.cache != nil {
+		qname := dnswire.NewName(name)
+		m := dnswire.NewQuery(1, qname, dnswire.TypeA).Reply()
+		m.Answers = append(m.Answers, dnswire.ResourceRecord{
+			Name: qname, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 300,
+			Data: dnswire.ARecord{Addr: markerAddr},
+		})
+		r.cache.Put(qname, dnswire.TypeA, m)
+	}
+	if brk != nil {
+		if o != runMeasured {
+			brk.Failure()
+		} else {
+			brk.Success()
+		}
+	}
+	ts := r.acct.Transports[kind]
+	ts.Queries++
+	losses := r.sim.Stats().LossEvents
+	ts.LossEvents += losses - r.lossSeen
+	r.lossSeen = losses
+	if o != runMeasured {
+		ts.Discards++
+	} else {
+		ts.Successes++
+	}
+	if o == runBlocked {
+		ts.Blocked++
+	}
+	r.acct.Transports[kind] = ts
+}
+
+// clientsIn is the number of exit nodes the campaign provisions in ct:
+// its weight times ClientScale, capped at MaxClients, at least one.
+func clientsIn(cfg Config, ct world.Country) int {
+	return max(min(int(ct.ExitNodeWeight*cfg.ClientScale), cfg.MaxClients), 1)
+}
+
+// worker is one worker goroutine's reusable state. Every country the
+// worker measures shares its name chunks and its exit node (whose IDs
+// are cut from chunks the node carries), and in DiscardClients mode its
+// record buffer, so that a kept client allocates only its share of the
+// chunks its record's strings are cut from. fold holds its handles on
+// the run's histograms.
+type worker struct {
+	names nameScratch
+	fold  fold
+	node  proxynet.ExitNode
+	// buf holds the records of the country in hand when the dataset
+	// does not keep them.
+	buf []ClientRecord
+}
+
+// measureCountry provisions and measures all of one country's clients
+// on a dedicated simulator calibrated by params, appending their records to out, which must
+// have room for clientsIn of them: the records are written in place,
+// never moved. Cancellation is checked between clients: an abandoned
+// country returns the context error and is never journaled, so a
+// resumed campaign re-measures it in full.
+func measureCountry(ctx context.Context, cfg Config, params netsim.Params, code string, providers []anycast.ProviderID, w *worker, out []ClientRecord) (countryRecord, error) {
+	scratch := &w.names
+	run := countryRun{cache: cfg.Cache, policy: cfg.Breaker, code: code, scratch: scratch}
+	run.acct.Transports = make(map[resolver.Kind]TransportStats)
+	ct, ok := world.ByCode(code)
+	if !ok {
+		return countryRecord{}, fmt.Errorf("campaign: unknown country %q", code)
+	}
+	sim := proxynet.NewSim(countrySeed(cfg.Seed, code))
+	sim.Params = params
+	if cfg.Chaos.Enabled() {
+		// A chaos stream of its own, also derived from the campaign
+		// seed: per-country, deterministic, schedule-independent.
+		sim.EnableChaos(countrySeed(cfg.Seed, code+"/chaos"), cfg.Chaos)
+	}
+	run.sim = sim
+	locator := geoip.NewService(sim.Alloc)
+
+	wants := func(kind resolver.Kind) bool { return slices.Contains(cfg.Transports, kind) }
+
+	// The node is the worker's: the record keeps its ID and position,
+	// nothing that points into it.
+	node := &w.node
+	out = out[:0]
+	for range clientsIn(cfg, ct) {
+		if err := ctx.Err(); err != nil {
+			return countryRecord{}, err
+		}
+		if err := sim.SelectExitNodeInto(code, node); err != nil {
+			return countryRecord{}, err
+		}
+		// Country cross-check (paper §3.5): the proxy network's label
+		// vs the geolocation service's for the /24.
+		located, ok := locator.Locate(node.Addr)
+		if !ok || located != code {
+			run.acct.DiscardedMismatch++
+			continue
+		}
+		out = append(out, ClientRecord{
+			ClientID:     node.ID,
+			CountryCode:  code,
+			Prefix:       scratch.prefix24(node.Addr),
+			Pos:          node.Pos,
+			NSDistanceKm: geo.DistanceKm(node.Pos, sim.Lab.Pos),
+		})
+		rec := &out[len(out)-1]
+		if wants(resolver.DoH) {
+			for _, pid := range providers {
+				var res DoHResult
+				first, reused, got, _ := run.runs(resolver.DoH, run.breaker(resolver.DoH, pid), cfg.RunsPerClient, func(name string) (time.Duration, time.Duration, runOutcome) {
+					obs, gt := sim.MeasureDoH(node, pid, name)
+					est, err := core.EstimateDoH(obs)
+					if err != nil {
+						return 0, 0, runImplausible
+					}
+					res.PoPID, res.PoPCountry = gt.PoP.ID, gt.PoP.CountryCode
+					res.PoPDistanceKm, res.NearestPoPDistanceKm = gt.PoPDistanceKm, gt.NearestPoPDistanceKm
+					return est.TDoH, est.TDoHR, runMeasured
+				})
+				if got > 0 {
+					res.TDoHMs, res.TDoHRMs, res.Valid = first, reused, true
+				}
+				rec.DoH.Set(pid, res)
+			}
+		}
+		if wants(resolver.Do53) {
+			first, _, got, _ := run.runs(resolver.Do53, nil, cfg.RunsPerClient, func(name string) (time.Duration, time.Duration, runOutcome) {
+				o, _ := sim.MeasureDo53(node, name)
+				v, err := core.EstimateDo53(o)
+				switch {
+				case err == nil:
+					return v, 0, runMeasured
+				case errors.Is(err, core.ErrSuperProxyResolution):
+					// The Super Proxy answers every run of this client.
+					return 0, 0, runPermanent
+				}
+				return 0, 0, runImplausible
+			})
+			if got > 0 {
+				rec.Do53Ms, rec.Do53Valid = first, true
+			}
+		}
+		for tr, kind := range extensions {
+			if !wants(kind) {
+				continue
+			}
+			for _, pid := range providers {
+				first, reused, got, blocked := run.runs(kind, run.breaker(kind, pid), cfg.RunsPerClient, func(name string) (time.Duration, time.Duration, runOutcome) {
+					obs, gt := sim.MeasureSession(proxynet.Transport(tr), node, pid, name)
+					if obs.Blocked {
+						return 0, 0, runBlocked
+					}
+					// Ground truth: the extension transports have no
+					// estimator of their own.
+					return gt.First, gt.Reused, runMeasured
+				})
+				res := SessionResult{BlockedRuns: blocked, Blocked: got == 0 && blocked > 0}
+				if got > 0 {
+					res.FirstMs, res.ReusedMs, res.Valid = first, reused, true
+				}
+				rec.Sessions[tr].Set(pid, res)
+			}
+		}
+		if wants(resolver.Smart) {
+			for _, pid := range providers {
+				res := deriveSmart(rec, pid)
+				rec.Smart.Set(pid, res)
+				if res.Valid {
+					if run.acct.SmartWins == nil {
+						run.acct.SmartWins = make(map[resolver.Kind]int)
+					}
+					run.acct.SmartWins[resolver.Kind(res.Winner)]++
+				}
+			}
+		}
+	}
+	if run.breakers != nil {
+		run.acct.Breakers = make(map[resolver.Kind]BreakerStats)
+		for key, b := range run.breakers {
+			bs, snap := run.acct.Breakers[key.kind], b.Snapshot()
+			bs.Trips += snap.Trips
+			bs.ShortCircuits += snap.ShortCircuits
+			bs.Probes += snap.Probes
+			if snap.State == resolver.BreakerOpen {
+				bs.EndedOpen++
+			}
+			run.acct.Breakers[key.kind] = bs
+		}
+	}
+	return countryRecord{Clients: out, Accounting: run.acct, SimStats: sim.Stats()}, nil
+}

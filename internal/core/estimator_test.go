@@ -21,7 +21,7 @@ func TestEstimateDoHRecoversGroundTruth(t *testing.T) {
 	// Loss events are exercised by the campaign's drop accounting;
 	// here we isolate the stable-RTT/jitter error the paper's
 	// validation quantified.
-	sim.Model.LossProb = 0
+	sim.Params.Latency.LossProb = 0
 	countries := []string{"IE", "BR", "SE", "IT", "IN", "US", "NG", "JP", "AU", "TD"}
 	var worst float64
 	dropped, total := 0, 0
@@ -80,9 +80,9 @@ func TestEstimateDoHExactWithoutJitter(t *testing.T) {
 	// With jitter and loss disabled, the stable-RTT assumption holds
 	// exactly and the estimator must be exact too.
 	sim := proxynet.NewSim(12)
-	sim.Model.JitterSigma = 0
-	sim.Model.PacketSigma = 0
-	sim.Model.LossProb = 0
+	sim.Params.Latency.JitterSigma = 0
+	sim.Params.Latency.PacketSigma = 0
+	sim.Params.Latency.LossProb = 0
 	node, err := sim.SelectExitNode("FR")
 	if err != nil {
 		t.Fatal(err)

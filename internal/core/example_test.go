@@ -13,9 +13,9 @@ import (
 // observables only, comparing against the simulator's ground truth.
 func ExampleEstimateDoH() {
 	sim := proxynet.NewSim(7)
-	sim.Model.JitterSigma = 0
-	sim.Model.PacketSigma = 0
-	sim.Model.LossProb = 0
+	sim.Params.Latency.JitterSigma = 0
+	sim.Params.Latency.PacketSigma = 0
+	sim.Params.Latency.LossProb = 0
 
 	node, err := sim.SelectExitNode("IT")
 	if err != nil {

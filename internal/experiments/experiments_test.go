@@ -206,7 +206,7 @@ func TestReportsDeterministic(t *testing.T) {
 
 // A campaign this small analyzes a handful of countries, so some of
 // Table 4's dummies are constant in its rows: the report says which in
-// place of the odds ratio of 1 the ridge made up, and the rest render.
+// place of a made-up odds ratio of 1, and the rest render.
 func TestSmallStudyReportsAliasedCovariates(t *testing.T) {
 	cfg := campaign.DefaultConfig(777)
 	cfg.ClientScale = 0.05

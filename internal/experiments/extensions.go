@@ -104,16 +104,16 @@ func (s *Suite) ExtensionTLS12() (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			sim.TLS12 = false
+			sim.Params.TLS12 = false
 			_, gt13 := sim.MeasureDoH(node, anycast.Cloudflare, "t.a.com.")
-			sim.TLS12 = true
+			sim.Params.TLS12 = true
 			_, gt12 := sim.MeasureDoH(node, anycast.Cloudflare, "t.a.com.")
 			v13s = append(v13s, ms(gt13.TDoH))
 			v12s = append(v12s, ms(gt12.TDoH))
 			diffs = append(diffs, ms(gt12.TDoH)-ms(gt13.TDoH))
 		}
 	}
-	sim.TLS12 = false
+	sim.Params.TLS12 = false
 	rep := &Report{ID: "Extension TLS12", Title: "DoH1 under TLS 1.3 vs TLS 1.2 (paired per node)"}
 	rep.Lines = append(rep.Lines,
 		fmt.Sprintf("TLS 1.3 median: %6.0f ms", stats.MustMedian(v13s)),

@@ -32,10 +32,6 @@ var handshakes = [...]struct{ transport, crypto, legacy int }{
 	QUIC:        {0, 1, 1},
 }
 
-// CryptoCompute is the peer's CPU cost of one key exchange, charged
-// once per handshake that has one.
-const CryptoCompute = time.Millisecond
-
 // RoundTrips returns the row's transport and key-exchange round trips.
 func (h Handshake) RoundTrips(legacy bool) (transport, crypto int) {
 	row := handshakes[h]

@@ -16,7 +16,6 @@ package netsim
 import (
 	"math"
 	"math/rand"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/geo"
@@ -41,24 +40,6 @@ type Endpoint struct {
 // the DoH resolvers' upstream and the authoritative name server.
 var Lab = Endpoint{Pos: geo.Point{Lat: 39.04, Lon: -77.49}, Country: world.MustByCode("US")}
 
-// The ISP-resolver model. A residential host sits within
-// residentialRadiusKm of its country's centroid and its ISP default
-// resolver within resolverRadiusKm. The resolver's processing overhead
-// is the country's median (world.Country.ResolverOverheadMs) times a
-// per-host lognormal spread, and a brokenResolverProb share of hosts
-// sit behind pathological default resolvers (overloaded, lossy, or very
-// distant) that add hundreds of milliseconds. These hosts are the
-// population for whom switching to DoH is a win even on the first
-// query — the paper found 19.1% of clients sped up at DoH1.
-const (
-	residentialRadiusKm   = 420
-	resolverRadiusKm      = 120
-	resolverOverheadSigma = 0.85
-	brokenResolverProb    = 0.14
-	brokenResolverMinMs   = 220
-	brokenResolverMaxMs   = 950
-)
-
 // ResidentialHost draws a residential host in ct, its ISP default
 // resolver and that resolver's processing overhead. Proxy exit nodes
 // and Atlas probes are both such hosts, which keeps the two networks
@@ -77,10 +58,8 @@ func ResidentialHost(rng *rand.Rand, ct world.Country) (host, resolver Endpoint,
 	return host, resolver, overhead
 }
 
-// LatencyModel converts endpoint pairs into one-way delays. The
-// defaults are calibrated so that the campaign's global medians land
-// near the paper's (Do53 ≈ 234 ms, DoH1 ≈ 415 ms at the client level);
-// see EXPERIMENTS.md for measured values.
+// LatencyModel converts endpoint pairs into one-way delays. Its
+// calibrated values are DefaultParams().Latency.
 type LatencyModel struct {
 	// FiberKmPerMs is the signal speed in fiber (~200 km/ms).
 	FiberKmPerMs float64
@@ -115,42 +94,17 @@ type LatencyModel struct {
 	// JitterSigma is the sigma of the multiplicative lognormal jitter
 	// (path-to-path variation; see also PacketSigma).
 	JitterSigma float64
-	// PacketSigma is the sigma of the per-packet jitter on an
-	// established Path.
+	// PacketSigma is the sigma of the small per-packet jitter on an
+	// established Path. Within one proxy session consecutive packets on
+	// the same path see nearly identical delays — which is exactly the
+	// stable-RTT assumption the paper's estimator relies on (its
+	// validation found errors under 10 ms).
 	PacketSigma float64
 	// LossProb is the per-traversal probability of a loss event that
 	// adds LossPenalty (a retransmission timeout).
 	LossProb    float64
 	LossPenalty time.Duration
-	// LossCounter, when non-nil, is atomically incremented once per
-	// sampled loss event. Owners of a model (proxynet.Sim) use it to
-	// account for drops instead of losing them silently; Paths carry
-	// the pointer along, so losses on session paths are counted too.
-	LossCounter *int64
 }
-
-// DefaultLatencyModel returns the calibrated model.
-func DefaultLatencyModel() LatencyModel {
-	return LatencyModel{
-		FiberKmPerMs:               200,
-		PathInflation:              1.7,
-		BaseMs:                     0.35,
-		LastMileBaseMs:             3.0,
-		LastMileBandwidthFactor:    300,
-		ASSparsityMs:               9,
-		ASRef:                      200,
-		CrossBorderIncomeMs:        [4]float64{95, 48, 16, 0},
-		CrossBorderBandwidthFactor: 420,
-		JitterSigma:                0.16,
-		PacketSigma:                DefaultPacketSigma,
-		LossProb:                   0.0008,
-		LossPenalty:                180 * time.Millisecond,
-	}
-}
-
-// AuthService is the authoritative name server's time to answer one
-// query, the term every simulated cache-miss resolution ends with.
-const AuthService = 400 * time.Microsecond
 
 // MeanOneWay returns the deterministic (jitter-free) one-way delay
 // between a and b.
@@ -210,19 +164,11 @@ func (m LatencyModel) OneWay(rng *rand.Rand, a, b Endpoint) time.Duration {
 	}
 	if m.LossProb > 0 && rng.Float64() < m.LossProb {
 		d += float64(m.LossPenalty)
-		countLoss(m.LossCounter)
 	}
 	if d < 0 {
 		d = 0
 	}
 	return time.Duration(d)
-}
-
-// countLoss bumps the owner's loss counter, if any.
-func countLoss(counter *int64) {
-	if counter != nil {
-		atomic.AddInt64(counter, 1)
-	}
 }
 
 // RTT samples a jittered round-trip delay (two independent one-way

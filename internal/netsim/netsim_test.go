@@ -20,7 +20,7 @@ func datacenter(p geo.Point) Endpoint {
 }
 
 func TestLatencyGrowsWithDistance(t *testing.T) {
-	m := DefaultLatencyModel()
+	m := DefaultParams().Latency
 	us := datacenter(world.MustByCode("US").Centroid)
 	de := datacenter(world.MustByCode("DE").Centroid)
 	au := datacenter(world.MustByCode("AU").Centroid)
@@ -37,7 +37,7 @@ func TestLatencyGrowsWithDistance(t *testing.T) {
 }
 
 func TestLastMilePenaltyByBandwidth(t *testing.T) {
-	m := DefaultLatencyModel()
+	m := DefaultParams().Latency
 	target := datacenter(world.MustByCode("US").Centroid)
 	fast := m.MeanOneWay(residential("SE"), target) // 158 Mbps
 	slow := m.MeanOneWay(residential("TD"), target) // 3 Mbps
@@ -57,7 +57,7 @@ func TestLastMilePenaltyByBandwidth(t *testing.T) {
 }
 
 func TestJitterIsBoundedAndSeeded(t *testing.T) {
-	m := DefaultLatencyModel()
+	m := DefaultParams().Latency
 	a, b := residential("BR"), datacenter(world.MustByCode("US").Centroid)
 	mean := float64(m.MeanOneWay(a, b))
 
@@ -80,7 +80,7 @@ func TestJitterIsBoundedAndSeeded(t *testing.T) {
 }
 
 func TestRTTPropertyNonNegative(t *testing.T) {
-	m := DefaultLatencyModel()
+	m := DefaultParams().Latency
 	rng := rand.New(rand.NewSource(1))
 	countries := world.All()
 	f := func(i, j uint8) bool {

@@ -3,24 +3,17 @@ package netsim
 import (
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"time"
 )
-
-// DefaultPacketSigma is the default sigma of the small per-packet
-// jitter on an established path. Within one proxy session consecutive
-// packets on the same path see nearly identical delays — which is
-// exactly the stable-RTT assumption the paper's estimator relies on
-// (its validation found errors under 10 ms). Path-to-path variation
-// is governed by LatencyModel.JitterSigma instead.
-const DefaultPacketSigma = 0.010
 
 // Path is a fixed route between two endpoints with a persistent
 // sampled delay factor. Use one Path per (session, endpoint pair) so
 // repeated traversals during a session are strongly correlated.
 //
-// A Path carries the four model fields a traversal reads, as they were
-// when it was built, not the model: it is a small value that lives for
-// one session.
+// A Path carries the three model fields a traversal reads, as they were
+// when it was built, not the model, and the counter its losses go to:
+// it is a small value that lives for one session.
 type Path struct {
 	mean   time.Duration
 	factor float64
@@ -31,9 +24,11 @@ type Path struct {
 	lossCounter *int64
 }
 
-// NewPath samples the persistent path factor for the a-b route.
-func (m LatencyModel) NewPath(rng *rand.Rand, a, b Endpoint) Path {
-	return m.PathFromMean(rng, m.MeanOneWay(a, b))
+// NewPath samples the persistent path factor for the a-b route. Each
+// loss event the path samples is added to *losses, unless losses is
+// nil.
+func (m LatencyModel) NewPath(rng *rand.Rand, a, b Endpoint, losses *int64) Path {
+	return m.PathFromMean(rng, m.MeanOneWay(a, b), losses)
 }
 
 // PathFromMean is NewPath for a route whose MeanOneWay the caller
@@ -42,7 +37,7 @@ func (m LatencyModel) NewPath(rng *rand.Rand, a, b Endpoint) Path {
 // one route computes it once. It draws from rng exactly as NewPath
 // does. The receiver is a pointer only to spare the call a copy of the
 // model.
-func (m *LatencyModel) PathFromMean(rng *rand.Rand, mean time.Duration) Path {
+func (m *LatencyModel) PathFromMean(rng *rand.Rand, mean time.Duration, losses *int64) Path {
 	factor := 1.0
 	if m.JitterSigma > 0 {
 		factor = math.Exp(m.JitterSigma * rng.NormFloat64())
@@ -53,7 +48,7 @@ func (m *LatencyModel) PathFromMean(rng *rand.Rand, mean time.Duration) Path {
 		packetSigma: m.PacketSigma,
 		lossProb:    m.LossProb,
 		lossPenalty: m.LossPenalty,
-		lossCounter: m.LossCounter,
+		lossCounter: losses,
 	}
 }
 
@@ -72,7 +67,9 @@ func (p Path) OneWay(rng *rand.Rand) time.Duration {
 	}
 	if p.lossProb > 0 && rng.Float64() < p.lossProb {
 		d += float64(p.lossPenalty)
-		countLoss(p.lossCounter)
+		if p.lossCounter != nil {
+			atomic.AddInt64(p.lossCounter, 1)
+		}
 	}
 	if d < 0 {
 		d = 0

@@ -20,13 +20,13 @@ func TestPathPersistenceWithinSession(t *testing.T) {
 	// Samples on one path must be far more correlated than samples
 	// across independently created paths — the physical fact behind
 	// the paper's stable-RTT assumption.
-	m := DefaultLatencyModel()
+	m := DefaultParams().Latency
 	m.LossProb = 0
 	a, b := pathEndpoints()
 	rng := rand.New(rand.NewSource(9))
 
 	within := 0.0
-	p := m.NewPath(rng, a, b)
+	p := m.NewPath(rng, a, b, nil)
 	base := p.OneWay(rng)
 	for i := 0; i < 200; i++ {
 		d := p.OneWay(rng)
@@ -36,7 +36,7 @@ func TestPathPersistenceWithinSession(t *testing.T) {
 
 	across := 0.0
 	for i := 0; i < 200; i++ {
-		q := m.NewPath(rng, a, b)
+		q := m.NewPath(rng, a, b, nil)
 		d := q.OneWay(rng)
 		across += math.Abs(float64(d-base)) / float64(base)
 	}
@@ -52,24 +52,24 @@ func TestPathPersistenceWithinSession(t *testing.T) {
 }
 
 func TestPathMeanMatchesFactor(t *testing.T) {
-	m := DefaultLatencyModel()
+	m := DefaultParams().Latency
 	m.JitterSigma = 0
 	a, b := pathEndpoints()
 	rng := rand.New(rand.NewSource(1))
-	p := m.NewPath(rng, a, b)
+	p := m.NewPath(rng, a, b, nil)
 	if p.Mean() != m.MeanOneWay(a, b) {
 		t.Errorf("Mean = %v, want %v with zero jitter", p.Mean(), m.MeanOneWay(a, b))
 	}
 }
 
 func TestPathLossAddsPenalty(t *testing.T) {
-	m := DefaultLatencyModel()
+	m := DefaultParams().Latency
 	m.JitterSigma = 0
 	m.PacketSigma = 0
 	m.LossProb = 1 // every traversal loses
 	a, b := pathEndpoints()
 	rng := rand.New(rand.NewSource(2))
-	p := m.NewPath(rng, a, b)
+	p := m.NewPath(rng, a, b, nil)
 	d := p.OneWay(rng)
 	if d < m.LossPenalty {
 		t.Errorf("lossy traversal %v below the loss penalty %v", d, m.LossPenalty)
@@ -77,7 +77,7 @@ func TestPathLossAddsPenalty(t *testing.T) {
 }
 
 func TestCrossBorderAsymmetries(t *testing.T) {
-	m := DefaultLatencyModel()
+	m := DefaultParams().Latency
 	br := world.MustByCode("BR")
 	us := world.MustByCode("US")
 	se := world.MustByCode("SE")
@@ -113,18 +113,17 @@ func TestCrossBorderAsymmetries(t *testing.T) {
 }
 
 // A path built from a precomputed mean is the path NewPath builds: same
-// draws, same traversals, and it counts losses on the model's counter
-// as it stood when the path was built.
+// draws, same traversals, and it counts losses on the counter it was
+// built with, under the model as it stood when it was built.
 func TestPathFromMeanMatchesNewPath(t *testing.T) {
-	m := DefaultLatencyModel()
+	m := DefaultParams().Latency
 	m.LossProb = 0.3
 	var losses int64
-	m.LossCounter = &losses
 	a, b := pathEndpoints()
 	r1, r2 := rand.New(rand.NewSource(4)), rand.New(rand.NewSource(4))
 	mean := m.MeanOneWay(a, b)
 	for i := 0; i < 50; i++ {
-		p, q := m.NewPath(r1, a, b), m.PathFromMean(r2, mean)
+		p, q := m.NewPath(r1, a, b, &losses), m.PathFromMean(r2, mean, &losses)
 		if p != q {
 			t.Fatalf("path %d: NewPath %+v, PathFromMean %+v", i, p, q)
 		}
@@ -135,8 +134,8 @@ func TestPathFromMeanMatchesNewPath(t *testing.T) {
 	if losses == 0 || losses%2 != 0 {
 		t.Errorf("loss counter = %d, want the same non-zero count from both paths", losses)
 	}
-	p := m.PathFromMean(r1, mean)
-	m.LossProb, m.LossCounter = 0, nil
+	p := m.PathFromMean(r1, mean, &losses)
+	m.LossProb = 0
 	before := losses
 	for i := 0; i < 50; i++ {
 		p.OneWay(r1)

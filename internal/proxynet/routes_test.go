@@ -21,7 +21,7 @@ func TestExitNodeCachesRouteMeans(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := sim.Model
+		m := sim.Params.Latency
 		spResolver := netsim.Endpoint{Pos: node.super.Pos, Country: node.super.Country}
 		for _, c := range []struct {
 			name      string
@@ -60,7 +60,7 @@ func TestExitNodeCachesRouteMeans(t *testing.T) {
 			if want := geo.DistanceKm(node.Pos, pop.Pos); r.DistanceKm != want {
 				t.Errorf("%s/%s PoP distance = %v, want %v", code, pid, r.DistanceKm, want)
 			}
-			if _, want := sim.Providers[pid].NearestPoP(node.Pos); r.NearestDistanceKm != want {
+			if _, want := anycast.Catalogue()[pid].NearestPoP(node.Pos); r.NearestDistanceKm != want {
 				t.Errorf("%s/%s nearest-PoP distance = %v, want %v", code, pid, r.NearestDistanceKm, want)
 			}
 		}
@@ -183,16 +183,15 @@ func TestExitIDMatchesSprintf(t *testing.T) {
 	}
 }
 
-// Every Sim points at the one shared provider catalogue through a map
-// of its own: varying a provider on one simulator (by replacing the
-// entry with a modified copy) must not reach another.
+// Every Sim reads the one shared fleet catalogue through calibration
+// of its own: varying a provider on one simulator (in its Params) must
+// not reach another.
 func TestProvidersMapIsPerSim(t *testing.T) {
 	varied, other, ref := NewSim(23), NewSim(23), NewSim(23)
-	p := *varied.Providers[anycast.Cloudflare]
-	p.MisrouteProb, p.MisrouteKm = 1, 20000
-	varied.Providers[anycast.Cloudflare] = &p
-	if other.Providers[anycast.Cloudflare] == &p || other.Providers[anycast.Cloudflare].MisrouteProb == 1 {
-		t.Fatal("replacing one Sim's provider entry changed another Sim's")
+	cal := varied.Params.Providers.Of(anycast.Cloudflare)
+	cal.MisrouteProb, cal.MisrouteKm = 1, 20000
+	if other.Params != netsim.DefaultParams() {
+		t.Fatal("varying one Sim's provider changed another Sim's")
 	}
 	moved := false
 	for _, code := range []string{"BR", "IT", "ZA", "TH", "PL", "EG"} {

@@ -32,18 +32,14 @@ const (
 
 // sessionProfiles is the extension transports' table: the row's part of
 // its proxynet_<name>_* metric names, the probability that a middlebox
-// drops a session's port-853 traffic (DoH's port 443 is never blocked
-// this way), and how a session is established.
+// drops a session's port-853 traffic, and how a session is established.
 var sessionProfiles = [NumTransports]struct {
 	name      string
 	blockProb float64
 	handshake netsim.Handshake
 }{
-	DoT: {"dot", 0.035, netsim.TCPTLS},
-	// More exposed than DoT: UDP on an uncommon port trips both port
-	// filters and UDP-hostile NATs that ratelimit or block long-lived
-	// non-443 UDP flows.
-	DoQ: {"doq", 0.045, netsim.QUIC},
+	DoT: {"dot", netsim.DoTBlockProb, netsim.TCPTLS},
+	DoQ: {"doq", netsim.DoQBlockProb, netsim.QUIC},
 }
 
 // SessionObservation is the client-visible outcome of a DoT or DoQ
@@ -91,15 +87,15 @@ func (s *Sim) MeasureSession(tr Transport, node *ExitNode, pid anycast.ProviderI
 		atomic.AddInt64(&s.stats.blocked[tr], 1)
 		return obs, gt
 	}
-	provider := s.Providers[pid]
+	provider := s.Params.Providers.Of(pid)
 	route := s.route(node, pid)
 	rng := s.Rand
 
-	pathCS := s.Model.PathFromMean(rng, node.meanCS)
-	pathSE := s.Model.PathFromMean(rng, node.meanSE)
-	pathER := s.Model.PathFromMean(rng, node.meanER)
-	pathEP := s.Model.PathFromMean(rng, route.meanEP)
-	pathPA := s.Model.PathFromMean(rng, route.meanPA)
+	pathCS := s.path(node.meanCS)
+	pathSE := s.path(node.meanSE)
+	pathER := s.path(node.meanER)
+	pathEP := s.path(route.meanEP)
+	pathPA := s.path(route.meanPA)
 
 	obs.Proxy = s.sampleProxyTimeline()
 
@@ -109,7 +105,7 @@ func (s *Sim) MeasureSession(tr Transport, node *ExitNode, pid anycast.ProviderI
 	rttCS := pathCS.RTT(rng)
 	rttSE := pathSE.RTT(rng)
 	dns := pathER.RTT(rng) + node.resolverSvc()
-	connect, crypto := sessionProfiles[tr].handshake.Draw(s.TLS12, func() time.Duration { return pathEP.RTT(rng) })
+	connect, crypto := sessionProfiles[tr].handshake.Draw(s.Params.TLS12, func() time.Duration { return pathEP.RTT(rng) })
 	obs.Tun = TunTimeline{DNS: dns, Connect: connect}
 	obs.TB = rttCS + rttSE + dns + connect + obs.Proxy.Total()
 	obs.TC = obs.TB

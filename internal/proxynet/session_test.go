@@ -14,10 +14,10 @@ import (
 func exactSim(t *testing.T, seed int64, tls12 bool, code string) (*Sim, *ExitNode) {
 	t.Helper()
 	sim := NewSim(seed)
-	sim.Model.JitterSigma = 0
-	sim.Model.PacketSigma = 0
-	sim.Model.LossProb = 0
-	sim.TLS12 = tls12
+	sim.Params.Latency.JitterSigma = 0
+	sim.Params.Latency.PacketSigma = 0
+	sim.Params.Latency.LossProb = 0
+	sim.Params.TLS12 = tls12
 	node, err := sim.SelectExitNode(code)
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +47,7 @@ func TestMeasureSessionRows(t *testing.T) {
 		p := sessionProfiles[tr]
 		t.Run(p.name, func(t *testing.T) {
 			sim := NewSim(41)
-			sim.Model.LossProb = 0
+			sim.Params.Latency.LossProb = 0
 			node, err := sim.SelectExitNode("IT")
 			if err != nil {
 				t.Fatal(err)
@@ -126,7 +126,7 @@ func TestMeasureSessionRows(t *testing.T) {
 		}
 		doh := func(sim *Sim, node *ExitNode) (connect, crypto time.Duration) {
 			_, gt := sim.MeasureDoH(node, anycast.NextDNS, "x.a.com.")
-			setup := sim.Providers[anycast.NextDNS].SetupOverhead / 2
+			setup := sim.Params.Providers.Of(anycast.NextDNS).SetupOverhead / 2
 			return gt.Steps[5] + gt.Steps[6] - setup, gt.Steps[11] + gt.Steps[12] - setup - netsim.CryptoCompute
 		}
 		for _, c := range []struct {
@@ -152,7 +152,7 @@ func TestDoTCheaperThanDoHFirstQuery(t *testing.T) {
 	// time should not exceed DoH's.
 	for tr := Transport(0); tr < NumTransports; tr++ {
 		sim := NewSim(42)
-		sim.Model.LossProb = 0
+		sim.Params.Latency.LossProb = 0
 		node, err := sim.SelectExitNode("DE")
 		if err != nil {
 			t.Fatal(err)

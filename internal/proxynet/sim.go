@@ -22,32 +22,22 @@ import (
 // operates them, and on-demand residential exit nodes everywhere.
 //
 // An exit node caches everything that follows from where it is (see
-// ExitNode), so Lab, Providers and the geometry fields of Model — every
-// field but JitterSigma, PacketSigma and the Loss* ones, which each
-// measurement reads afresh — must be set before SelectExitNode, as
-// EnableChaos must precede the first measurement.
+// ExitNode), so Lab, the providers' routing and the geometry fields of
+// Params.Latency — every field but JitterSigma, PacketSigma and the
+// Loss* ones, which each measurement reads afresh — must be set before
+// SelectExitNode, as EnableChaos must precede the first measurement.
 type Sim struct {
-	// Model is the latency model shared by every session.
-	Model netsim.LatencyModel
+	// Params is the calibration a caller may vary (netsim.DefaultParams
+	// from NewSim). The fleets are anycast.Catalogue's.
+	Params netsim.Params
 	// Rand drives all sampling; campaigns are reproducible by seed.
 	Rand *rand.Rand
-	// Providers is the DoH provider catalogue. The map is this Sim's
-	// own; the Providers it points to are shared by every Sim in the
-	// process and read-only (anycast.Catalogue): to vary one, replace
-	// the entry with a modified copy.
-	Providers map[anycast.ProviderID]*anycast.Provider
 	// Lab hosts the measurement client, the web server, and the
 	// authoritative name server (the paper colocated all three in the
 	// US).
 	Lab netsim.Endpoint
 	// Alloc assigns synthetic exit-node addresses.
 	Alloc *geoip.Allocator
-	// TLS12, when set, negotiates TLS 1.2 instead of 1.3 for DoH and
-	// DoT sessions: session establishment costs a second round trip
-	// (RFC 8446 vs RFC 5246), the slowdown the paper's limitations
-	// section predicts for legacy clients. DoQ, which has no TLS 1.2,
-	// pays netsim.Handshake's legacy count too, as an extra exchange.
-	TLS12 bool
 
 	exitCounter int
 	// assignScratch is PoP assignment's work space, reused across nodes.
@@ -59,8 +49,8 @@ type Sim struct {
 
 // simCounters holds the event counters behind Stats. All fields are
 // updated atomically: campaigns read loss deltas between sequential
-// measurements, but the race detector must stay quiet when a Sim's
-// model escapes to helper services (Atlas probes share it).
+// measurements, and every path a Sim builds counts its losses into
+// lossEvents.
 type simCounters struct {
 	lossEvents      int64
 	exitNodes       int64
@@ -144,17 +134,20 @@ var superProxies = sync.OnceValue(func() *superProxyTable {
 })
 
 // NewSim constructs the simulated network with the calibrated default
-// latency model and the standard provider catalogue.
+// parameters.
 func NewSim(seed int64) *Sim {
-	s := &Sim{
-		Model:     netsim.DefaultLatencyModel(),
-		Rand:      rand.New(rand.NewSource(seed)),
-		Providers: anycast.Catalogue(),
-		Lab:       netsim.Lab,
-		Alloc:     geoip.NewAllocator(0),
+	return &Sim{
+		Params: netsim.DefaultParams(),
+		Rand:   rand.New(rand.NewSource(seed)),
+		Lab:    netsim.Lab,
+		Alloc:  geoip.NewAllocator(0),
 	}
-	s.Model.LossCounter = &s.stats.lossEvents
-	return s
+}
+
+// path builds a session path over a route of the given mean, counting
+// its losses in Stats.
+func (s *Sim) path(mean time.Duration) netsim.Path {
+	return s.Params.Latency.PathFromMean(s.Rand, mean, &s.stats.lossEvents)
 }
 
 // ExitNode is one residential vantage point, alive for the duration of
@@ -227,7 +220,7 @@ func (e *ExitNode) SuperProxyCountry() string { return e.superCode }
 // name cached, so on top of one resolver RTT the exit-side lookup costs
 // a sliver of its processing overhead.
 func (e *ExitNode) resolverSvc() time.Duration {
-	return time.Duration(0.3 * float64(e.ResolverOverhead))
+	return time.Duration(netsim.ResolverLookupShare * float64(e.ResolverOverhead))
 }
 
 // SelectExitNode asks the Super Proxy for a fresh exit node in the
@@ -288,16 +281,17 @@ func (s *Sim) selectExitNode(countryCode string, node *ExitNode, ids *dnswire.St
 	node.super = sp.endpoints[idx]
 	node.superCode = sp.codes[idx]
 
-	node.meanCS = s.Model.MeanOneWay(s.Lab, node.super)
-	node.meanSE = s.Model.MeanOneWay(node.super, node.Endpoint)
-	node.meanER = s.Model.MeanOneWay(node.Endpoint, node.ResolverEndpoint)
-	node.meanRA = s.Model.MeanOneWay(node.ResolverEndpoint, s.Lab)
-	node.meanEL = s.Model.MeanOneWay(node.Endpoint, s.Lab)
+	m := &s.Params.Latency
+	node.meanCS = m.MeanOneWay(s.Lab, node.super)
+	node.meanSE = m.MeanOneWay(node.super, node.Endpoint)
+	node.meanER = m.MeanOneWay(node.Endpoint, node.ResolverEndpoint)
+	node.meanRA = m.MeanOneWay(node.ResolverEndpoint, s.Lab)
+	node.meanEL = m.MeanOneWay(node.Endpoint, s.Lab)
 	if world.IsSuperProxyCountry(countryCode) {
 		spResolver := netsim.Endpoint{Pos: node.super.Pos, Country: node.super.Country}
-		node.meanSR = s.Model.MeanOneWay(node.super, spResolver)
-		node.meanRL = s.Model.MeanOneWay(spResolver, s.Lab)
-		node.meanSL = s.Model.MeanOneWay(node.super, s.Lab)
+		node.meanSR = m.MeanOneWay(node.super, spResolver)
+		node.meanRL = m.MeanOneWay(spResolver, s.Lab)
+		node.meanSL = m.MeanOneWay(node.super, s.Lab)
 	}
 	return nil
 }
@@ -354,13 +348,13 @@ func (s *Sim) route(node *ExitNode, pid anycast.ProviderID) *popRoute {
 			return &node.pops[i]
 		}
 	}
-	a := s.Providers[pid].Assign(s.Rand, node.Pos, &s.assignScratch)
+	a := anycast.Catalogue()[pid].Assign(s.Rand, node.Pos, s.Params.Providers.Of(pid), &s.assignScratch)
 	popEndpoint := netsim.Endpoint{Pos: a.PoP.Pos, Country: world.MustByCode(a.PoP.CountryCode)}
 	node.pops = append(node.pops, popRoute{
 		pid:        pid,
 		Assignment: a,
-		meanEP:     s.Model.MeanOneWay(node.Endpoint, popEndpoint),
-		meanPA:     s.Model.MeanOneWay(popEndpoint, s.Lab),
+		meanEP:     s.Params.Latency.MeanOneWay(node.Endpoint, popEndpoint),
+		meanPA:     s.Params.Latency.MeanOneWay(popEndpoint, s.Lab),
 	})
 	return &node.pops[len(node.pops)-1]
 }
@@ -408,10 +402,10 @@ func (s *Sim) sampleProxyTimeline() ProxyTimeline {
 		return time.Duration((lo + s.Rand.Float64()*(hi-lo)) * float64(time.Millisecond))
 	}
 	return ProxyTimeline{
-		Auth:       u(2, 8),
-		Init:       u(1, 5),
-		SelectExit: u(4, 18),
-		Validate:   u(0.5, 3),
+		Auth:       u(netsim.ProxyAuthMinMs, netsim.ProxyAuthMaxMs),
+		Init:       u(netsim.ProxyInitMinMs, netsim.ProxyInitMaxMs),
+		SelectExit: u(netsim.ProxySelectExitMinMs, netsim.ProxySelectExitMaxMs),
+		Validate:   u(netsim.ProxyValidateMinMs, netsim.ProxyValidateMaxMs),
 	}
 }
 
@@ -445,17 +439,17 @@ func (s *Sim) sampleProxyTimeline() ProxyTimeline {
 // holds this to the event-driven timeline it replaced.
 func (s *Sim) MeasureDoH(node *ExitNode, pid anycast.ProviderID, queryName string) (DoHObservation, DoHGroundTruth) {
 	atomic.AddInt64(&s.stats.dohMeasurements, 1)
-	provider := s.Providers[pid]
+	provider := s.Params.Providers.Of(pid)
 	route := s.route(node, pid)
 	rng := s.Rand
 
 	// Session-persistent paths: consecutive packets on the same route
 	// are strongly correlated (Assumption 1 of the paper).
-	pathCS := s.Model.PathFromMean(rng, node.meanCS)  // client <-> Super Proxy
-	pathSE := s.Model.PathFromMean(rng, node.meanSE)  // Super Proxy <-> exit
-	pathER := s.Model.PathFromMean(rng, node.meanER)  // exit <-> ISP resolver
-	pathEP := s.Model.PathFromMean(rng, route.meanEP) // exit <-> PoP
-	pathPA := s.Model.PathFromMean(rng, route.meanPA) // PoP <-> auth NS
+	pathCS := s.path(node.meanCS)  // client <-> Super Proxy
+	pathSE := s.path(node.meanSE)  // Super Proxy <-> exit
+	pathER := s.path(node.meanER)  // exit <-> ISP resolver
+	pathEP := s.path(route.meanEP) // exit <-> PoP
+	pathPA := s.path(route.meanPA) // PoP <-> auth NS
 
 	var gt DoHGroundTruth
 	gt.PoP = route.PoP
@@ -467,7 +461,7 @@ func (s *Sim) MeasureDoH(node *ExitNode, pid anycast.ProviderID, queryName strin
 
 	// TLS 1.3's one round trip is steps 11-12; whatever else the
 	// handshake table charges a TCP+TLS session rides on them.
-	_, tlsRTTs := netsim.TCPTLS.RoundTrips(s.TLS12)
+	_, tlsRTTs := netsim.TCPTLS.RoundTrips(s.Params.TLS12)
 
 	t := &gt.Steps
 
@@ -554,8 +548,8 @@ type Do53GroundTruth struct {
 // overhead (the paper's "default configuration" performance).
 func (s *Sim) MeasureDo53(node *ExitNode, queryName string) (Do53Observation, Do53GroundTruth) {
 	atomic.AddInt64(&s.stats.do53Measure, 1)
-	pathER := s.Model.PathFromMean(s.Rand, node.meanER)
-	pathRA := s.Model.PathFromMean(s.Rand, node.meanRA)
+	pathER := s.path(node.meanER)
+	pathRA := s.path(node.meanRA)
 
 	trueDo53 := pathER.RTT(s.Rand) + node.ResolverOverhead + pathRA.RTT(s.Rand) + netsim.AuthService
 
@@ -569,11 +563,11 @@ func (s *Sim) MeasureDo53(node *ExitNode, queryName string) (Do53Observation, Do
 		// The Super Proxy resolves the name itself: the header value
 		// reflects a datacenter resolver colocated with the Super
 		// Proxy — useless for the exit node's Do53 performance.
-		pathSR := s.Model.PathFromMean(s.Rand, node.meanSR)
-		pathRL := s.Model.PathFromMean(s.Rand, node.meanRL)
+		pathSR := s.path(node.meanSR)
+		pathRL := s.path(node.meanRL)
 		obs.Tun = TunTimeline{
 			DNS:     pathSR.RTT(s.Rand) + pathRL.RTT(s.Rand) + 2*time.Millisecond,
-			Connect: s.Model.PathFromMean(s.Rand, node.meanSL).RTT(s.Rand),
+			Connect: s.path(node.meanSL).RTT(s.Rand),
 		}
 		obs.ViaSuperProxy = true
 		return s.applyChaosDo53(obs), gt
@@ -581,7 +575,7 @@ func (s *Sim) MeasureDo53(node *ExitNode, queryName string) (Do53Observation, Do
 
 	obs.Tun = TunTimeline{
 		DNS:     trueDo53,
-		Connect: s.Model.PathFromMean(s.Rand, node.meanEL).RTT(s.Rand),
+		Connect: s.path(node.meanEL).RTT(s.Rand),
 	}
 	return s.applyChaosDo53(obs), gt
 }

@@ -227,9 +227,8 @@ func TestDo53SlowResolverCountriesAreSlower(t *testing.T) {
 }
 
 func TestWorldSuperProxyCount(t *testing.T) {
-	sim := NewSim(8)
-	if len(sim.Providers) != 4 {
-		t.Errorf("providers = %d", len(sim.Providers))
+	if n := len(anycast.Catalogue()); n != 4 {
+		t.Errorf("providers = %d", n)
 	}
 	if !world.IsSuperProxyCountry("SG") {
 		t.Error("SG not a Super Proxy country")

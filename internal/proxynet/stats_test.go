@@ -38,7 +38,7 @@ func TestSimStatsCountsLossEvents(t *testing.T) {
 	sim := NewSim(7)
 	// Crank the loss probability so a short run must sample losses;
 	// the counter pointer is shared with every Path the model spawns.
-	sim.Model.LossProb = 0.5
+	sim.Params.Latency.LossProb = 0.5
 	node, err := sim.SelectExitNode("US")
 	if err != nil {
 		t.Fatal(err)

@@ -19,17 +19,18 @@ import (
 // is held to.
 func (s *Sim) measureDoHEventTimeline(node *ExitNode, pid anycast.ProviderID, queryName string) (DoHObservation, DoHGroundTruth) {
 	atomic.AddInt64(&s.stats.dohMeasurements, 1)
-	provider := s.Providers[pid]
+	provider, cal := anycast.Catalogue()[pid], s.Params.Providers.Of(pid)
 	pop := s.PoPFor(node, pid)
 	popEndpoint := netsim.Endpoint{Pos: pop.Pos, Country: world.MustByCode(pop.CountryCode)}
 
 	// Session-persistent paths: consecutive packets on the same route
 	// are strongly correlated (Assumption 1 of the paper).
-	pathCS := s.Model.NewPath(s.Rand, s.Lab, node.super)         // client <-> Super Proxy
-	pathSE := s.Model.NewPath(s.Rand, node.super, node.Endpoint) // Super Proxy <-> exit
-	pathER := s.Model.NewPath(s.Rand, node.Endpoint, node.ResolverEndpoint)
-	pathEP := s.Model.NewPath(s.Rand, node.Endpoint, popEndpoint) // exit <-> PoP
-	pathPA := s.Model.NewPath(s.Rand, popEndpoint, s.Lab)         // PoP <-> auth NS
+	m, losses := &s.Params.Latency, &s.stats.lossEvents
+	pathCS := m.NewPath(s.Rand, s.Lab, node.super, losses)         // client <-> Super Proxy
+	pathSE := m.NewPath(s.Rand, node.super, node.Endpoint, losses) // Super Proxy <-> exit
+	pathER := m.NewPath(s.Rand, node.Endpoint, node.ResolverEndpoint, losses)
+	pathEP := m.NewPath(s.Rand, node.Endpoint, popEndpoint, losses) // exit <-> PoP
+	pathPA := m.NewPath(s.Rand, popEndpoint, s.Lab, losses)         // PoP <-> auth NS
 
 	var gt DoHGroundTruth
 	gt.PoP = pop
@@ -67,7 +68,7 @@ func (s *Sim) measureDoHEventTimeline(node *ExitNode, pid anycast.ProviderID, qu
 			step(4, t4)
 			eng.At(t3+t4, func() {
 				t5 := pathEP.OneWay(s.Rand)
-				t6 := pathEP.OneWay(s.Rand) + provider.SetupOverhead/2
+				t6 := pathEP.OneWay(s.Rand) + cal.SetupOverhead/2
 				step(5, t5)
 				step(6, t6)
 				obs.Tun = TunTimeline{DNS: t3 + t4, Connect: t5 + t6}
@@ -88,8 +89,8 @@ func (s *Sim) measureDoHEventTimeline(node *ExitNode, pid anycast.ProviderID, qu
 	eng.At(step(9, pathCS.OneWay(s.Rand)), func() {
 		eng.At(step(10, pathSE.OneWay(s.Rand)), func() {
 			t11 := pathEP.OneWay(s.Rand)
-			t12 := pathEP.OneWay(s.Rand) + tlsCompute + provider.SetupOverhead/2
-			if s.TLS12 {
+			t12 := pathEP.OneWay(s.Rand) + tlsCompute + cal.SetupOverhead/2
+			if s.Params.TLS12 {
 				// TLS 1.2 needs a second full round trip before the
 				// session is usable.
 				t11 += pathEP.OneWay(s.Rand)
@@ -104,7 +105,7 @@ func (s *Sim) measureDoHEventTimeline(node *ExitNode, pid anycast.ProviderID, qu
 						eng.At(step(15, pathCS.OneWay(s.Rand)), func() {
 							eng.At(step(16, pathSE.OneWay(s.Rand)), func() {
 								eng.At(step(17, pathEP.OneWay(s.Rand)), func() {
-									t18 := provider.ServiceTime + pathPA.OneWay(s.Rand)
+									t18 := cal.ServiceTime + pathPA.OneWay(s.Rand)
 									t19 := pathPA.OneWay(s.Rand) + authSvc
 									step(18, t18)
 									step(19, t19)
@@ -150,7 +151,7 @@ func TestMeasureDoHMatchesEventTimeline(t *testing.T) {
 		for _, tls12 := range []bool{false, true} {
 			for _, withChaos := range []bool{false, true} {
 				got, want := NewSim(seed), NewSim(seed)
-				got.TLS12, want.TLS12 = tls12, tls12
+				got.Params.TLS12, want.Params.TLS12 = tls12, tls12
 				if withChaos {
 					got.EnableChaos(seed+100, chaos)
 					want.EnableChaos(seed+100, chaos)

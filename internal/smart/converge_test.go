@@ -89,10 +89,10 @@ func convergeDestOf(q *dnswire.Message) string {
 // destination registered, seeds offset per kind for independent jitter.
 // The time scale is so large that no exchange sleeps: the modeled
 // Timing is all anyone reads.
-func newConvergeSet(model netsim.LatencyModel, seed int64, dests []convergeDest) []*SimTransport {
+func newConvergeSet(params netsim.Params, seed int64, dests []convergeDest) []*SimTransport {
 	var set []*SimTransport
 	for i, kind := range convergeKinds {
-		st := NewSimTransport(kind, model, seed+int64(i), 1e15, convergeDestOf)
+		st := NewSimTransport(kind, params, seed+int64(i), 1e15, convergeDestOf)
 		for _, d := range dests {
 			pop := d.pops[i]
 			client := netsim.Endpoint{Pos: d.client, Country: world.MustByCode(d.code), Residential: true}
@@ -135,9 +135,9 @@ func TestSmartConvergesToPerDestinationBest(t *testing.T) {
 	// The default model without loss and with less jitter: a 5% bound
 	// on p95 needs stable tails, and a 180 ms loss penalty in 0.08% of
 	// exchanges makes p95 a lottery at 400 samples.
-	model := netsim.DefaultLatencyModel()
-	model.LossProb = 0
-	model.JitterSigma = 0.08
+	params := netsim.DefaultParams()
+	params.Latency.LossProb = 0
+	params.Latency.JitterSigma = 0.08
 	ctx := context.Background()
 	query := func(code string) *dnswire.Message {
 		return resolver.Query(dnswire.NewName(code+".converge.example"), dnswire.TypeA)
@@ -145,7 +145,7 @@ func TestSmartConvergesToPerDestinationBest(t *testing.T) {
 
 	// Fixed transports: one query per destination sets up the session,
 	// then the steady-state sample.
-	fixed := newConvergeSet(model, 42, dests)
+	fixed := newConvergeSet(params, 42, dests)
 	fixedP95 := make([][]float64, len(fixed)) // [kind][dest]
 	for k, st := range fixed {
 		for _, d := range dests {
@@ -163,7 +163,7 @@ func TestSmartConvergesToPerDestinationBest(t *testing.T) {
 
 	var clock atomic.Int64
 	var cands []Candidate
-	for k, st := range newConvergeSet(model, 142, dests) {
+	for k, st := range newConvergeSet(params, 142, dests) {
 		cands = append(cands, Candidate{Kind: convergeKinds[k], Resolver: st})
 	}
 	s, err := New(Config{

@@ -50,8 +50,8 @@ type simDest struct {
 // the destination label from the query (nil means a single unnamed
 // destination). Safe for concurrent use.
 type SimTransport struct {
-	kind  resolver.Kind
-	model netsim.LatencyModel
+	kind   resolver.Kind
+	params netsim.Params
 	// scale divides modeled durations for the real sleep (>= 1).
 	scale float64
 	// destOf labels queries; nil means "".
@@ -65,13 +65,13 @@ type SimTransport struct {
 // NewSimTransport builds a simulated transport of the given kind.
 // timeScale >= 1 divides modeled time for the actual sleep (1 = real
 // time); destOf may be nil for a single-destination transport.
-func NewSimTransport(kind resolver.Kind, model netsim.LatencyModel, seed int64, timeScale float64, destOf func(q *dnswire.Message) string) *SimTransport {
+func NewSimTransport(kind resolver.Kind, params netsim.Params, seed int64, timeScale float64, destOf func(q *dnswire.Message) string) *SimTransport {
 	if timeScale < 1 {
 		timeScale = 1
 	}
 	return &SimTransport{
 		kind:   kind,
-		model:  model,
+		params: params,
 		scale:  timeScale,
 		destOf: destOf,
 		rng:    rand.New(rand.NewSource(seed)),
@@ -128,7 +128,7 @@ func (st *SimTransport) Resolve(ctx context.Context, q *dnswire.Message) (*dnswi
 
 // sampleLocked draws one exchange's modeled timeline. Caller holds mu.
 func (st *SimTransport) sampleLocked(d *simDest) resolver.Timing {
-	rtt := func() time.Duration { return st.model.RTT(st.rng, d.client, d.server) }
+	rtt := func() time.Duration { return st.params.Latency.RTT(st.rng, d.client, d.server) }
 	t := resolver.Timing{Attempts: 1}
 	if hs := simHandshakes[st.kind]; !d.warm {
 		t.Connect, t.TLSHandshake = hs.Draw(false, rtt)
@@ -150,7 +150,7 @@ func simEndpoints() (client, server netsim.Endpoint) {
 func newSim(t *testing.T, kind resolver.Kind) *SimTransport {
 	t.Helper()
 	c, srv := simEndpoints()
-	st := NewSimTransport(kind, netsim.DefaultLatencyModel(), 7, 1e6, nil)
+	st := NewSimTransport(kind, netsim.DefaultParams(), 7, 1e6, nil)
 	st.AddDestination("", c, srv, 0)
 	return st
 }
@@ -208,15 +208,15 @@ func TestSimTransportProtocolTimelines(t *testing.T) {
 	// On a jitter-free path a cold exchange charges its row of netsim's
 	// handshake table in round trips, the rows proxynet's campaign
 	// simulator charges (its TestMeasureSessionRows).
-	model := netsim.DefaultLatencyModel()
-	model.JitterSigma, model.LossProb = 0, 0
+	params := netsim.DefaultParams()
+	params.Latency.JitterSigma, params.Latency.LossProb = 0, 0
 	c, srv := simEndpoints()
-	rtt := model.MeanOneWay(c, srv) + model.MeanOneWay(srv, c)
+	rtt := params.Latency.MeanOneWay(c, srv) + params.Latency.MeanOneWay(srv, c)
 	for _, r := range []struct {
 		kind resolver.Kind
 		row  netsim.Handshake
 	}{{resolver.DoH, netsim.TCPTLS}, {resolver.DoT, netsim.TCPTLS}, {resolver.DoQ, netsim.QUIC}} {
-		st := NewSimTransport(r.kind, model, 7, 1e6, nil)
+		st := NewSimTransport(r.kind, params, 7, 1e6, nil)
 		st.AddDestination("", c, srv, 0)
 		_, cold, err := st.Resolve(context.Background(), q)
 		if err != nil {
@@ -259,7 +259,7 @@ func TestSimTransportCancellationKeepsCold(t *testing.T) {
 	c, srv := simEndpoints()
 	// Real time scale: the modeled exchange takes tens of milliseconds,
 	// so an already-cancelled context must win the select.
-	st := NewSimTransport(resolver.DoT, netsim.DefaultLatencyModel(), 7, 1, nil)
+	st := NewSimTransport(resolver.DoT, netsim.DefaultParams(), 7, 1, nil)
 	st.AddDestination("", c, srv, 0)
 	q := resolver.Query(dnswire.NewName("sim.a.com."), dnswire.TypeA)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -279,7 +279,7 @@ func TestSimTransportCancellationKeepsCold(t *testing.T) {
 }
 
 func TestSimTransportUnknownDestination(t *testing.T) {
-	st := NewSimTransport(resolver.Do53, netsim.DefaultLatencyModel(), 1, 1e6,
+	st := NewSimTransport(resolver.Do53, netsim.DefaultParams(), 1, 1e6,
 		func(q *dnswire.Message) string { return "nope" })
 	q := resolver.Query(dnswire.NewName("sim.a.com."), dnswire.TypeA)
 	if _, _, err := st.Resolve(context.Background(), q); err == nil {

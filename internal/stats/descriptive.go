@@ -119,30 +119,6 @@ func max(a, b int) int {
 	return b
 }
 
-// MinMaxScale rescales xs to [0,1]; constant inputs map to 0.
-func MinMaxScale(xs []float64) []float64 {
-	if len(xs) == 0 {
-		return nil
-	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	out := make([]float64, len(xs))
-	if hi == lo {
-		return out
-	}
-	for i, x := range xs {
-		out[i] = (x - lo) / (hi - lo)
-	}
-	return out
-}
-
 // NormalCDF is the standard normal CDF, used for Wald p-values.
 func NormalCDF(z float64) float64 {
 	return 0.5 * math.Erfc(-z/math.Sqrt2)

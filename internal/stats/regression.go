@@ -77,8 +77,8 @@ func buildDesign(x [][]float64, y []float64, names []string) (*Matrix, []string,
 var ErrRankDeficient = errors.New("stats: rank-deficient design")
 
 // checkRank names the first aliased covariate (a constant, a duplicate, dummies
-// summing to the intercept) before ridge makes up its coefficient: Cholesky pivot
-// j of XᵀX is what the columns before column j leave of its sum of squares.
+// summing to the intercept), whose coefficient a solve would make up: Cholesky
+// pivot j of XᵀX is what the columns before column j leave of its sum of squares.
 func checkRank(design *Matrix, names []string) error {
 	a, _ := design.Transpose().Mul(design) // conformable; factored in place
 	for j := 0; j < a.Rows(); j++ {
@@ -113,7 +113,6 @@ func FitLinear(x [][]float64, y []float64, names []string) (*LinearModel, error)
 	if err != nil {
 		return nil, err
 	}
-	ridge(xtx)
 	xty, err := xt.MulVec(y)
 	if err != nil {
 		return nil, err
@@ -223,7 +222,6 @@ func FitLogistic(x [][]float64, y []float64, names []string) (*LogisticModel, er
 				xtwx.Set(a, b, xtwx.At(b, a))
 			}
 		}
-		ridge(xtwx)
 		delta, err := SolveSPD(xtwx, grad)
 		if err != nil {
 			return nil, fmt.Errorf("stats: IRLS step %d: %w", iters, err)
@@ -257,20 +255,4 @@ func FitLogistic(x [][]float64, y []float64, names []string) (*LogisticModel, er
 		model.Coefficients = append(model.Coefficients, coef(j+1, name))
 	}
 	return model, nil
-}
-
-// ridge adds a tiny diagonal loading so a nearly collinear design, one
-// that passes checkRank, solves stably. Each diagonal entry is inflated
-// relatively (keeping coefficient estimates invariant under covariate
-// rescaling) with a small absolute floor.
-func ridge(m *Matrix) {
-	n := m.Rows()
-	tr := 0.0
-	for i := 0; i < n; i++ {
-		tr += m.At(i, i)
-	}
-	floor := (tr/float64(n))*1e-10 + 1e-12
-	for i := 0; i < n; i++ {
-		m.Set(i, i, m.At(i, i)*(1+1e-10)+floor)
-	}
 }

@@ -106,19 +106,6 @@ func TestECDFMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestMinMaxScale(t *testing.T) {
-	out := MinMaxScale([]float64{10, 20, 30})
-	if out[0] != 0 || out[1] != 0.5 || out[2] != 1 {
-		t.Errorf("MinMaxScale = %v", out)
-	}
-	if got := MinMaxScale([]float64{5, 5}); got[0] != 0 || got[1] != 0 {
-		t.Errorf("constant scale = %v", got)
-	}
-	if MinMaxScale(nil) != nil {
-		t.Error("nil scale != nil")
-	}
-}
-
 func TestNormalCDF(t *testing.T) {
 	if !almost(NormalCDF(0), 0.5, 1e-12) {
 		t.Errorf("Phi(0) = %f", NormalCDF(0))
@@ -315,8 +302,8 @@ func TestFitLogisticRejectsSeparatedDesign(t *testing.T) {
 
 // A constant covariate is aliased with the intercept, and a duplicated
 // one with its twin: neither coefficient is identified, so both fitters
-// return ErrRankDeficient naming the column instead of a coefficient
-// the ridge made up.
+// return ErrRankDeficient naming the column instead of a made-up
+// coefficient.
 func TestFitsRejectAliasedColumns(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	n := 200
@@ -435,10 +422,7 @@ func TestFitsSaturatedDummiesGiveGroupValues(t *testing.T) {
 		if want := math.Log(float64(events[g]) / float64(size-events[g])); !almost(gotLogit, want, 1e-9) {
 			t.Errorf("group %d: log odds %v, want %v", g, gotLogit, want)
 		}
-		// The ridge's loading of the normal equations moves OLS by up to
-		// 1e-8 of a mean here; IRLS, whose fixed point it does not move,
-		// meets the log odds to 1e-9 absolute.
-		if want := sums[g] / float64(size); !almost(gotMean, want, 1e-7*want) {
+		if want := sums[g] / float64(size); !almost(gotMean, want, 1e-9*want) {
 			t.Errorf("group %d: mean %v, want %v", g, gotMean, want)
 		}
 	}
@@ -527,5 +511,53 @@ func TestOLSScaleInvariance(t *testing.T) {
 	}
 	if !almost(m1.R2, m2.R2, 1e-6) {
 		t.Errorf("R2 changed under rescale: %f vs %f", m1.R2, m2.R2)
+	}
+}
+
+// TestOLSRescaledLargeCovariate is the metamorphic relation Table 5
+// relies on: multiplying a 1e5-magnitude covariate (GDP per capita) by
+// c divides its coefficient by c and leaves every other coefficient,
+// the intercept, every z and p and R² as they were, to 1e-9 relative.
+// A diagonal loading of XᵀX proportional to its mean diagonal breaks
+// it, because the large column sets that mean.
+func TestOLSRescaledLargeCovariate(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	n := 400
+	x := make([][]float64, n)
+	y := make([]float64, n)
+	for i := range x {
+		gdp := 1000 + rng.Float64()*174000
+		bw := 1 + rng.Float64()*200
+		dist := rng.Float64() * 3000
+		x[i] = []float64{gdp, bw, dist}
+		y[i] = 300 - 2e-4*gdp - 0.4*bw + 0.01*dist + rng.NormFloat64()*60
+	}
+	base, err := FitLinear(x, y, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b)) }
+	for _, c := range []float64{1e-5, 7.3, 1e3} {
+		scaled := make([][]float64, n)
+		for i, row := range x {
+			scaled[i] = []float64{row[0] * c, row[1], row[2]}
+		}
+		m, err := FitLinear(scaled, y, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := append([]Coefficient{base.Intercept}, base.Coefficients...)
+		for j, got := range append([]Coefficient{m.Intercept}, m.Coefficients...) {
+			w := want[j]
+			if j == 1 {
+				w.Value, w.StdErr = w.Value/c, w.StdErr/c
+			}
+			if !rel(got.Value, w.Value) || !rel(got.StdErr, w.StdErr) || !rel(got.Z, w.Z) || !rel(got.P, w.P) {
+				t.Errorf("c=%g, term %d: got %+v, want %+v", c, j, got, w)
+			}
+		}
+		if !rel(m.R2, base.R2) {
+			t.Errorf("c=%g: R2 %v, want %v", c, m.R2, base.R2)
+		}
 	}
 }

@@ -102,13 +102,13 @@ func Run(cfg Config) ([]Outcome, error) {
 	if cfg.Provider == "" {
 		cfg.Provider = anycast.Cloudflare
 	}
-	provider, ok := anycast.Catalogue()[cfg.Provider]
-	if !ok {
+	if !anycast.Known(cfg.Provider) {
 		return nil, fmt.Errorf("webload: unknown provider %q", cfg.Provider)
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	model := netsim.DefaultLatencyModel()
+	params := netsim.DefaultParams()
+	model, provider := &params.Latency, params.Providers.Of(cfg.Provider)
 	auth := netsim.Lab
 
 	perPage := map[Protocol][]float64{}
@@ -119,7 +119,7 @@ func Run(cfg Config) ([]Outcome, error) {
 			Pos: geo.Jitter(ct.Centroid, 120, rng.Float64(), rng.Float64()), Country: ct,
 		}
 		overhead := time.Duration(ct.ResolverOverheadMs * float64(time.Millisecond))
-		pop := provider.AssignPoP(rng, pos)
+		pop := anycast.Catalogue()[cfg.Provider].AssignPoP(rng, pos, provider)
 		popEP := netsim.Endpoint{Pos: pop.Pos, Country: world.MustByCode(pop.CountryCode)}
 
 		do53Query := func() float64 {
