@@ -23,10 +23,10 @@
 // order), give each its own -export directory, then combine them with
 // `-merge`. The merged dataset, its CSV export, and every analysis
 // table are byte-identical to an unsharded run with the same seed.
-// When shards share a -resume directory, the checkpoint journal's
-// claim protocol guarantees the partition at runtime too: even
-// overlapping or duplicated shard invocations never double-measure
-// (or double-count) a country. See docs/scaleout.md.
+// Shards of one campaign may share a -resume directory. Shards never
+// coordinate while they run: overlapping specs each measure their own
+// slice, and -merge refuses exports that share a country or a client.
+// See docs/scaleout.md.
 //
 // SIGINT/SIGTERM interrupt the campaign cleanly: completed countries
 // are flushed (and journaled under -resume) and the process exits 0.
@@ -77,7 +77,7 @@ func main() {
 	chaosChurn := flag.Float64("chaos-churn", 0, "probability per measurement that the exit node churns mid-tunnel")
 	chaosCorrupt := flag.Float64("chaos-corrupt", 0, "probability per measurement that the X-Luminati timing headers go missing or garbled")
 	chaosReset := flag.Float64("chaos-reset", 0, "probability per measurement that the Super-Proxy connection resets")
-	shard := flag.String("shard", "", "i/N (1-based): measure only the i-th of N country partitions; with -resume, claim countries in the shared journal")
+	shard := flag.String("shard", "", "i/N (1-based): measure only the i-th of N country partitions; combine the shards' exports with -merge")
 	merge := flag.Bool("merge", false, "combine shard export directories (given as arguments) into one dataset; analyses run on the merged data")
 	flag.Parse()
 	wanted, err := parseOnly(*only, *extensions)
@@ -120,11 +120,6 @@ func main() {
 		cfg.Countries, err = campaign.ShardCountries(nil, index-1, total)
 		if err != nil {
 			log.Fatalf("worldstudy: %v", err)
-		}
-		if *resume != "" {
-			// Shards sharing a journal directory claim their countries,
-			// so even overlapping shard specs partition exactly.
-			cfg.ClaimOwner = fmt.Sprintf("shard-%d-of-%d", index, total)
 		}
 		fmt.Fprintf(os.Stderr, "worldstudy: shard %d/%d: %d countries\n", index, total, len(cfg.Countries))
 	}

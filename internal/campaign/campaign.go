@@ -109,28 +109,6 @@ type Config struct {
 	// the record came from the checkpoint journal. Called from worker
 	// goroutines, serialized by the campaign.
 	OnCountryDone func(code string, clients int, resumed bool)
-	// ClaimOwner, when non-empty (requires CheckpointDir), arms the
-	// work-claim protocol for sharded campaigns: before measuring a
-	// country the worker claims it in the journal, and a country whose
-	// claim belongs to a different owner is skipped entirely — neither
-	// measured nor restored — so N processes sharing one journal
-	// directory partition the country list with no double-measuring
-	// and no double-counting. Claims are released when a country fails
-	// or is interrupted (making it claimable again) and kept when it
-	// completes (marking which shard's dataset owns it). Like Parallel,
-	// this is a scheduling knob: it cannot change any record, so it
-	// stays out of the checkpoint config key.
-	ClaimOwner string
-	// DiscardClients, when true, drops each country's client records
-	// after they are folded into Dataset.Obs's histograms and
-	// journaled, keeping only the aggregates (Obs, accounting,
-	// KeptClients).
-	// Peak memory is then bounded by the largest single country
-	// instead of the whole world — the constant-RSS mode for
-	// million-client scale-out. Dataset.Clients is empty; CSV export
-	// requires the full records, so the two are mutually exclusive by
-	// construction. A reporting knob: out of the config key.
-	DiscardClients bool
 }
 
 // DefaultConfig reproduces the paper's campaign shape: with the
@@ -276,10 +254,8 @@ type Dataset struct {
 	// merged simulator counters. Deterministic for a given Config
 	// regardless of Parallel.
 	Obs obs.Snapshot
-	// KeptClients counts the clients the campaign measured and kept,
-	// including records dropped from Clients by Config.DiscardClients
-	// — the honest denominator in constant-memory mode (equal to
-	// len(Clients) otherwise).
+	// KeptClients counts the clients the campaign measured and kept:
+	// len(Clients) for every dataset Run, ReadCSV or Merge returns.
 	KeptClients int
 	// Seed echoes the campaign seed.
 	Seed int64
@@ -372,10 +348,6 @@ func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
 			return nil, err
 		}
 	}
-	if cfg.ClaimOwner != "" && journal == nil {
-		return nil, fmt.Errorf("campaign: ClaimOwner %q requires CheckpointDir (the claim journal)", cfg.ClaimOwner)
-	}
-	claiming := journal != nil && cfg.ClaimOwner != ""
 	// Serializes the OnCountryDone callback across workers. Journaling
 	// needs no lock: the journal is safe for concurrent use.
 	var doneMu sync.Mutex
@@ -398,8 +370,7 @@ func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
 	// written once: a country's client count is known before it runs,
 	// so the dataset's records are allocated in one piece, country i
 	// fills the window at offset[i] in place, and the windows are closed
-	// up in country order once the workers are done. Without kept
-	// records there are no windows; a worker reuses one buffer.
+	// up in country order once the workers are done.
 	offset := make([]int, len(countries)+1)
 	for i, code := range countries {
 		offset[i+1] = offset[i]
@@ -407,18 +378,13 @@ func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
 			offset[i+1] += clientsIn(cfg, ct)
 		}
 	}
-	var clients []ClientRecord
-	if !cfg.DiscardClients {
-		clients = make([]ClientRecord, offset[len(countries)])
-	}
+	clients := make([]ClientRecord, offset[len(countries)])
 	kept := make([]int, len(countries))
 	errs := make([]error, len(countries))
 	completed := make([]bool, len(countries))
 	// Shared aggregates, folded into as countries complete: every
 	// histogram bucket and accounting figure is a commutative and
-	// associative sum, so the result is schedule-independent, and not
-	// holding per-country records and accounting until the end is what
-	// keeps DiscardClients memory flat in the country count.
+	// associative sum, so the result is schedule-independent.
 	reg := obs.NewRegistry()
 	var aggMu sync.Mutex
 	var simTotal proxynet.SimStats
@@ -432,10 +398,6 @@ func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
 			// window returns the storage country idx's records go to,
 			// empty, with room for all of them.
 			window := func(idx int) []ClientRecord {
-				if cfg.DiscardClients {
-					w.buf = slices.Grow(w.buf[:0], offset[idx+1]-offset[idx])
-					return w.buf
-				}
 				return clients[offset[idx]:offset[idx]:offset[idx+1]]
 			}
 			// country restores country idx from the journal, or measures
@@ -449,13 +411,11 @@ func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
 						return rec, false, err
 					}
 					if ok {
-						if !cfg.DiscardClients {
-							win := window(idx)
-							if len(rec.Clients) > cap(win) {
-								return rec, true, fmt.Errorf("campaign: journal record for %s holds %d clients, the country provisions %d", code, len(rec.Clients), cap(win))
-							}
-							rec.Clients = append(win, rec.Clients...)
+						win := window(idx)
+						if len(rec.Clients) > cap(win) {
+							return rec, true, fmt.Errorf("campaign: journal record for %s holds %d clients, the country provisions %d", code, len(rec.Clients), cap(win))
 						}
+						rec.Clients = append(win, rec.Clients...)
 						return rec, true, nil
 					}
 				}
@@ -466,38 +426,13 @@ func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
 				return rec, false, err
 			}
 			for idx := range work {
-				code := countries[idx]
-				if claiming {
-					// Claim BEFORE consulting the journal: a country
-					// another shard completed has a journal record AND
-					// that shard's claim, and restoring it here would
-					// double-count it in the merged dataset. Not ours
-					// means not our problem — skip it entirely.
-					mine, err := journal.Claim(code, cfg.ClaimOwner)
-					if err != nil {
-						errs[idx] = err
-						continue
-					}
-					if !mine {
-						continue
-					}
-				}
 				rec, resumed, err := country(idx)
 				if err != nil {
 					errs[idx] = err
-					if claiming {
-						// Failed or interrupted: hand the country back
-						// so a sibling shard (or a retry) can take it.
-						// Best-effort; the country's error wins.
-						journal.Release(code, cfg.ClaimOwner)
-					}
 					continue
 				}
 				// Fold the country into the aggregates: the histograms
-				// take atomic adds, the rest the lock. In DiscardClients
-				// mode its observations, accounting, and count are all
-				// that leave the worker, so peak memory stays bounded by
-				// the in-flight countries rather than the whole world.
+				// take atomic adds, the rest the lock.
 				kept[idx] = len(rec.Clients)
 				w.fold.clients(rec.Clients)
 				aggMu.Lock()
@@ -506,7 +441,7 @@ func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
 				simTotal = addSimStats(simTotal, rec.SimStats)
 				aggMu.Unlock()
 				completed[idx] = true
-				countryDone(code, kept[idx], resumed)
+				countryDone(countries[idx], kept[idx], resumed)
 			}
 		}()
 	}
@@ -525,15 +460,13 @@ feed:
 			return nil, err
 		}
 	}
-	if clients != nil {
-		n := 0
-		for i := range countries {
-			if completed[i] {
-				n += copy(clients[n:], clients[offset[i]:offset[i]+kept[i]])
-			}
+	n := 0
+	for i := range countries {
+		if completed[i] {
+			n += copy(clients[n:], clients[offset[i]:offset[i]+kept[i]])
 		}
-		ds.Clients = clients[:n]
 	}
+	ds.Clients = clients[:n]
 
 	if err := ctx.Err(); err != nil {
 		// Partial flush: the completed countries' records, accounting,
@@ -565,7 +498,9 @@ feed:
 // checkpoint journal may only be replayed under the same key. The
 // country list deliberately stays out of the hash: a journal written
 // while measuring a subset remains valid for the full campaign, which
-// is exactly the interrupt-then-resume path. Parallel and Cache are
+// is exactly the interrupt-then-resume path, and disjoint shards may
+// share one journal directory (shards whose lists overlap each restore
+// or measure their own slice; Merge refuses the overlap). Parallel and Cache are
 // schedule/reporting knobs with no effect on the records; AtlasProbes
 // only affects the remedy, which is recomputed on every run. The
 // leading version is the journaled record's shape: v2 since

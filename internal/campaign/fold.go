@@ -216,9 +216,10 @@ type Accounting struct {
 	Breakers map[resolver.Kind]BreakerStats `json:"breakers,omitempty"`
 	// SmartWins counts, per transport kind, how many (client, provider)
 	// smart races that kind won; nil unless resolver.Smart is in the
-	// transport set. Kept as accounting (not just derivable from
-	// Clients) so the constant-memory DiscardClients mode still reports
-	// the win split.
+	// transport set. Kept as accounting, summed per country like the
+	// discard counts, so the win split reaches the gauges without a
+	// pass over Clients; ReadSmartCSV recomputes it from the winner
+	// column.
 	SmartWins map[resolver.Kind]int `json:"smart_wins,omitempty"`
 }
 

@@ -259,17 +259,13 @@ func clientsIn(cfg Config, ct world.Country) int {
 
 // worker is one worker goroutine's reusable state. Every country the
 // worker measures shares its name chunks and its exit node (whose IDs
-// are cut from chunks the node carries), and in DiscardClients mode its
-// record buffer, so that a kept client allocates only its share of the
-// chunks its record's strings are cut from. fold holds its handles on
-// the run's histograms.
+// are cut from chunks the node carries), so that a kept client
+// allocates only its share of the chunks its record's strings are cut
+// from. fold holds its handles on the run's histograms.
 type worker struct {
 	names nameScratch
 	fold  fold
 	node  proxynet.ExitNode
-	// buf holds the records of the country in hand when the dataset
-	// does not keep them.
-	buf []ClientRecord
 }
 
 // measureCountry provisions and measures all of one country's clients

@@ -15,9 +15,10 @@ import (
 // to an unsharded run. Every per-country record is a pure function of
 // (Seed, country), so sharding cannot change any measurement; these
 // helpers only have to partition exactly and reassemble in canonical
-// order. The checkpoint claim protocol (Config.ClaimOwner) guards the
-// partition at runtime even when shard specs overlap or a campaign is
-// launched twice.
+// order. Shards never coordinate at runtime: specs that overlap each
+// measure (or restore from a shared journal) their own slice, and
+// Merge refuses the overlap by naming the client or country two parts
+// share.
 
 // ShardCountries returns the countries assigned to shard index out of
 // total: the full (or given) country list, sorted, striped round-robin
@@ -60,8 +61,7 @@ func ShardCountries(countries []string, index, total int) ([]string, error) {
 // country, and Obs folds the merged client records into a fresh
 // registry beside the merged accounting (the per-run simulator gauges
 // are not part of a dataset release, so they are absent rather than
-// fabricated). A part whose records were discarded
-// (Config.DiscardClients) has nothing to fold and is refused.
+// fabricated).
 func Merge(parts ...*Dataset) (*Dataset, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("campaign: nothing to merge")
@@ -78,9 +78,6 @@ func Merge(parts ...*Dataset) (*Dataset, error) {
 		}
 		if p.Seed != merged.Seed {
 			return nil, fmt.Errorf("campaign: merge part %d has seed %d, part 0 has %d", pi, p.Seed, merged.Seed)
-		}
-		if p.KeptClients != len(p.Clients) {
-			return nil, fmt.Errorf("campaign: merge part %d kept %d clients but carries %d records (a DiscardClients run has none to merge)", pi, p.KeptClients, len(p.Clients))
 		}
 		for i := range p.Clients {
 			c := &p.Clients[i]

@@ -2,11 +2,11 @@ package campaign
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -217,6 +217,21 @@ func TestMergeValidation(t *testing.T) {
 		t.Error("Atlas disagreement accepted")
 	}
 
+	// Two real runs whose country lists overlap, as from shard specs
+	// that overlap: the merge names what they share.
+	left, err := Run(smallConfig("BR", "LU"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	right, err := Run(smallConfig("LU", "MT"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Merge(left, right); err == nil ||
+		!strings.Contains(err.Error(), "country LU") && !strings.Contains(err.Error(), "client "+right.Clients[0].ClientID) {
+		t.Errorf("overlapping runs merged: err = %v, want one naming LU or its first client", err)
+	}
+
 	ok := mk()
 	ok.Clients[0].ClientID = "c2"
 	ok.Clients[0].CountryCode = "US"
@@ -232,34 +247,100 @@ func TestMergeValidation(t *testing.T) {
 	}
 }
 
-// A DiscardClients dataset keeps no records, so Merge, which folds the
-// merged records into its histograms, has nothing to fold and refuses
-// it rather than publish histograms that miss its clients.
-func TestMergeRefusesPartsWithoutRecords(t *testing.T) {
-	cfg := smallConfig("BR")
-	cfg.DiscardClients = true
-	lean, err := Run(cfg)
+// TestShardsShareOneJournal runs the two halves of a campaign at once
+// on one checkpoint directory: disjoint shards never touch each
+// other's records, so their merge is the unsharded export byte for
+// byte. A rerun of each shard restores every one of its countries from
+// the journal and exports the same bytes, and a file in the directory
+// that is no record (a stray LU.claim) changes nothing. Runs under
+// -race in the verify gate.
+func TestShardsShareOneJournal(t *testing.T) {
+	countries := []string{"BR", "US", "IT", "NG", "AR", "LU"}
+	cfg := smallConfig(countries...)
+	ref, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lean.KeptClients == 0 {
-		t.Fatal("BR kept no clients")
+	want := exportAll(t, ref)
+
+	dir := t.TempDir()
+	stale := []byte(`{"key":"0000000000000000","name":"LU","owner":"shard-9-of-9"}`)
+	if err := os.WriteFile(filepath.Join(dir, "LU.claim"), stale, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	kept, err := Run(smallConfig("IT"))
+	const shards = 2
+	run := func(i int, restored *[]string) (*Dataset, error) {
+		c := cfg
+		var err error
+		if c.Countries, err = ShardCountries(countries, i, shards); err != nil {
+			return nil, err
+		}
+		c.CheckpointDir = dir
+		c.Parallel = 2
+		c.OnCountryDone = func(code string, clients int, resumed bool) {
+			if resumed {
+				*restored = append(*restored, code)
+			}
+		}
+		return RunContext(context.Background(), c)
+	}
+
+	parts := make([]*Dataset, shards)
+	restored := make([][]string, shards)
+	errs := make([]error, shards)
+	var wg sync.WaitGroup
+	for i := range parts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			parts[i], errs[i] = run(i, &restored[i])
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("shard %d: %v", i, err)
+		}
+		if len(restored[i]) != 0 {
+			t.Errorf("shard %d restored %v from a journal nobody had written", i, restored[i])
+		}
+	}
+	merged, err := Merge(parts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Merge(kept, lean); err == nil || !strings.Contains(err.Error(), "DiscardClients") {
-		t.Errorf("Merge of a part without records: err = %v, want one naming DiscardClients", err)
+	if got := exportAll(t, merged); !bytes.Equal(got, want) {
+		t.Error("shards sharing a journal merge to a different export than the unsharded run")
+	}
+
+	for i, part := range parts {
+		var again []string
+		ds, err := run(i, &again)
+		if err != nil {
+			t.Fatalf("shard %d rerun: %v", i, err)
+		}
+		mine, _ := ShardCountries(countries, i, shards)
+		sort.Strings(again)
+		if !reflect.DeepEqual(again, mine) {
+			t.Errorf("shard %d rerun restored %v from the journal, want %v", i, again, mine)
+		}
+		if !bytes.Equal(exportAll(t, ds), exportAll(t, part)) {
+			t.Errorf("shard %d rerun exports different bytes than its first run", i)
+		}
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, "LU.claim")); err != nil || !bytes.Equal(got, stale) {
+		t.Errorf("the stale claim file was touched: %q, %v", got, err)
 	}
 }
 
 // TestClaimProtocolPartitionsCountries races two campaigns over the
-// SAME country list against one shared journal directory. The claim
-// protocol must partition the work exactly: every country measured by
-// exactly one run (no double-measure, no gap), and the merged result
-// byte-identical to a plain single-process run. Runs under -race in
-// the verify gate.
+// SAME country list against one shared journal directory. No claim
+// protocol splits that work any more: countries are partitioned only
+// by ShardCountries (TestShardsShareOneJournal). Each run measures or
+// restores the whole list, so each exports the single-process bytes,
+// whichever run wrote a record first; and Merge refuses the two as
+// overlapping parts instead of taking the overlap silently. Runs under
+// -race in the verify gate.
 func TestClaimProtocolPartitionsCountries(t *testing.T) {
 	countries := []string{"BR", "US", "IT", "NG", "AR", "MX"}
 	cfg := smallConfig(countries...)
@@ -270,217 +351,84 @@ func TestClaimProtocolPartitionsCountries(t *testing.T) {
 	want := exportAll(t, ref)
 
 	dir := t.TempDir()
-	var mu sync.Mutex
-	measured := map[string][]string{}
-	owners := []string{"shard-a", "shard-b"}
-	results := make(map[string]*Dataset)
-	errs := make(map[string]error)
+	parts := make([]*Dataset, 2)
+	errs := make([]error, 2)
 	var wg sync.WaitGroup
-	for _, owner := range owners {
+	for i := range parts {
 		wg.Add(1)
-		go func(owner string) {
+		go func() {
 			defer wg.Done()
 			c := cfg
 			c.CheckpointDir = dir
-			c.ClaimOwner = owner
 			c.Parallel = 2
-			c.OnCountryDone = func(code string, clients int, resumed bool) {
-				mu.Lock()
-				measured[owner] = append(measured[owner], code)
-				mu.Unlock()
-			}
-			ds, err := Run(c)
-			mu.Lock()
-			results[owner] = ds
-			errs[owner] = err
-			mu.Unlock()
-		}(owner)
+			parts[i], errs[i] = RunContext(context.Background(), c)
+		}()
 	}
 	wg.Wait()
-	for _, owner := range owners {
-		if errs[owner] != nil {
-			t.Fatalf("%s: %v", owner, errs[owner])
+	for i, part := range parts {
+		if errs[i] != nil {
+			t.Fatalf("run %d: %v", i, errs[i])
+		}
+		if got := exportAll(t, part); !bytes.Equal(got, want) {
+			t.Errorf("run %d on a shared journal differs from the single-process run", i)
 		}
 	}
-
-	// Exact partition: disjoint and covering.
-	byCountry := map[string]string{}
-	for _, owner := range owners {
-		for _, code := range measured[owner] {
-			if prev, dup := byCountry[code]; dup {
-				t.Errorf("country %s measured by both %s and %s", code, prev, owner)
-			}
-			byCountry[code] = owner
-		}
-	}
-	if len(byCountry) != len(countries) {
-		t.Errorf("claims covered %d of %d countries: %v", len(byCountry), len(countries), byCountry)
-	}
-
-	merged, err := Merge(results[owners[0]], results[owners[1]])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := exportAll(t, merged); !bytes.Equal(got, want) {
-		t.Error("claim-partitioned merge differs from single-process run")
+	if _, err := Merge(parts...); err == nil || !strings.Contains(err.Error(), "more than one merge part") {
+		t.Errorf("overlapping runs merged: err = %v, want a client in more than one merge part", err)
 	}
 }
 
-// TestClaimResumeAfterCompletion re-runs a claiming shard against its
-// finished journal: claims survive completion, so the rerun restores
-// its own countries from the journal and still refuses the sibling's.
+// TestClaimResumeAfterCompletion re-runs a shard against its finished
+// journal. The sibling shard, run afterwards on the same directory,
+// restores none of its countries (the first shard's records are not
+// its own), and the first shard's rerun restores every one of its
+// countries from the journal and exports the same bytes.
 func TestClaimResumeAfterCompletion(t *testing.T) {
 	countries := []string{"BR", "IT", "NG", "AR"}
 	dir := t.TempDir()
-	run := func(owner string, record *[]string) (*Dataset, error) {
+	run := func(i int, restored *[]string) (*Dataset, error) {
 		c := smallConfig(countries...)
+		var err error
+		if c.Countries, err = ShardCountries(countries, i, 2); err != nil {
+			return nil, err
+		}
 		c.CheckpointDir = dir
-		c.ClaimOwner = owner
 		c.OnCountryDone = func(code string, clients int, resumed bool) {
-			if record != nil {
-				*record = append(*record, code)
+			if resumed {
+				*restored = append(*restored, code)
 			}
 		}
 		return Run(c)
 	}
 	var first []string
-	dsA, err := run("shard-a", &first)
+	dsA, err := run(0, &first)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(first) != len(countries) {
-		t.Fatalf("uncontested shard measured %d of %d countries", len(first), len(countries))
+	if len(first) != 0 {
+		t.Fatalf("first run restored %v from an empty journal", first)
 	}
 
-	// A different owner joining afterwards gets nothing: every country
-	// already belongs to shard-a's dataset.
-	var stolen []string
-	dsB, err := run("shard-b", &stolen)
-	if err != nil {
+	var sibling []string
+	if _, err := run(1, &sibling); err != nil {
 		t.Fatal(err)
 	}
-	if len(stolen) != 0 || len(dsB.Clients) != 0 {
-		t.Errorf("completed claims were re-assigned: measured %v, %d clients", stolen, len(dsB.Clients))
+	if len(sibling) != 0 {
+		t.Errorf("sibling shard restored %v from the first shard's journal", sibling)
 	}
 
-	// The original owner re-running restores everything from the journal.
 	var rerun []string
-	dsA2, err := run("shard-a", &rerun)
+	dsA2, err := run(0, &rerun)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rerun) != len(countries) {
-		t.Errorf("owner rerun recovered %d of %d countries", len(rerun), len(countries))
+	mine, _ := ShardCountries(countries, 0, 2)
+	sort.Strings(rerun)
+	if !reflect.DeepEqual(rerun, mine) {
+		t.Errorf("rerun restored %v from the journal, want %v", rerun, mine)
 	}
 	if !bytes.Equal(exportAll(t, dsA), exportAll(t, dsA2)) {
-		t.Error("owner rerun differs from original run")
-	}
-}
-
-func TestClaimOwnerRequiresCheckpointDir(t *testing.T) {
-	cfg := smallConfig("BR")
-	cfg.ClaimOwner = "shard-1-of-2"
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("ClaimOwner without CheckpointDir accepted")
-	}
-}
-
-// TestDiscardClientsKeepsAggregates pins the constant-memory mode:
-// with DiscardClients set, per-client records are dropped after they
-// are folded, but every aggregate — accounting, latency histograms,
-// the rest of the observability snapshot — is identical to the
-// retaining run's.
-func TestDiscardClientsKeepsAggregates(t *testing.T) {
-	cfg := smallConfig("BR", "IT", "NG")
-	full, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lean := cfg
-	lean.DiscardClients = true
-	ds, err := Run(lean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ds.Clients) != 0 {
-		t.Errorf("DiscardClients retained %d client records", len(ds.Clients))
-	}
-	if ds.KeptClients != len(full.Clients) {
-		t.Errorf("KeptClients = %d, want %d", ds.KeptClients, len(full.Clients))
-	}
-	if len(full.Obs.Histograms) == 0 || !reflect.DeepEqual(ds.Obs, full.Obs) {
-		t.Error("observability snapshot differs between discard and retain runs")
-	}
-	for kind, ts := range full.Transports {
-		if ds.Transports[kind] != ts {
-			t.Errorf("%s accounting differs between discard and retain runs", kind)
-		}
-	}
-}
-
-// TestDiscardClientsMemoryFlat holds the constant-memory mode's claim:
-// with DiscardClients set, what a campaign's dataset keeps grows with
-// the countries it measured, not with their clients. It runs the 1/16
-// and the 4/16 stripe of the world (14 countries and 1,546 clients, 56
-// and 5,217) in both modes and reads the heap the dataset keeps:
-// HeapAlloc after runtime.GC() with the dataset still referenced, less
-// the same reading before Run. The process's resident high-water mark
-// is no gate: it moves 1.03–1.22x between repeated runs of one build.
-//
-// Measured (go1.24, linux/amd64, 2 vCPUs), ranges over 21 runs: discard
-// mode keeps 26.7–28.3 KB and 67.8–74.4 KB, 963–1,111 B per added
-// country (its latency histograms, now the registry's own, and
-// accounting; 11.0–12.6 B per added client); retain mode keeps
-// 1,362–1,378 KB and 4,565–4,575 KB, 871–874 B per added client. While
-// the histograms were a sketch set copied into the registry at the end,
-// discard mode read 1,542–1,585 B per added country. The bounds are
-// kept from then: at most 3,100 B per added country discarding, at
-// least 441 B per added client retaining.
-func TestDiscardClientsMemoryFlat(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's shadow memory inflates the heap")
-	}
-	const maxDiscardPerCountry, minRetainPerClient = 3100, 441
-	type reading struct{ countries, clients, bytes int }
-	heap := func() int {
-		runtime.GC()
-		runtime.GC() // the first leaves sync.Pool's victim cache behind
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return int(ms.HeapAlloc)
-	}
-	measure := func(stripes int, discard bool) reading {
-		countries, err := ShardCountries(nil, 0, 16/stripes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := DefaultConfig(1234)
-		cfg.Countries = countries
-		cfg.DiscardClients = discard
-		cfg.Parallel = 4
-		before := heap()
-		ds, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		kept := heap() - before
-		runtime.KeepAlive(ds)
-		return reading{len(countries), ds.KeptClients, kept}
-	}
-	measure(1, true) // page in the world tables and the shared provider catalogue
-	for _, discard := range []bool{true, false} {
-		one, four := measure(1, discard), measure(4, discard)
-		perCountry := float64(four.bytes-one.bytes) / float64(four.countries-one.countries)
-		perClient := float64(four.bytes-one.bytes) / float64(four.clients-one.clients)
-		t.Logf("discard=%v: %d B kept at %d countries, %d B at %d: %.0f B per added country, %.1f B per added client",
-			discard, one.bytes, one.countries, four.bytes, four.countries, perCountry, perClient)
-		if discard && perCountry > maxDiscardPerCountry {
-			t.Errorf("discard mode keeps %.0f B per added country, want <= %d", perCountry, maxDiscardPerCountry)
-		}
-		if !discard && perClient < minRetainPerClient {
-			t.Errorf("retain mode keeps %.1f B per added client, want >= %d: the reading no longer sees the records",
-				perClient, minRetainPerClient)
-		}
+		t.Error("rerun differs from the original run")
 	}
 }
 
@@ -567,17 +515,10 @@ func TestMergeSumsAccountingLikeUnsharded(t *testing.T) {
 	}
 }
 
-// A country that fails gives its claim back on every failure path, so a
-// sibling shard measures it instead of skipping it as another's.
-func TestFailedCountryReleasesItsClaim(t *testing.T) {
+// A country whose journal record is spoiled fails the run with the
+// reason, instead of restoring a record that is not the country's.
+func TestSpoiledJournalRecordFailsTheRun(t *testing.T) {
 	cfg := smallConfig("LU")
-	fresh, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fresh.Clients) == 0 {
-		t.Fatal("LU kept no clients")
-	}
 	for _, row := range []struct {
 		name, wantErr string
 		// spoil leaves the LU record the failing run finds in dir.
@@ -612,24 +553,10 @@ func TestFailedCountryReleasesItsClaim(t *testing.T) {
 			if err := row.spoil(dir); err != nil {
 				t.Fatal(err)
 			}
-			run := func(owner string) (*Dataset, error) {
-				c := cfg
-				c.CheckpointDir = dir
-				c.ClaimOwner = owner
-				return Run(c)
-			}
-			if _, err := run("shard-a"); err == nil || !strings.Contains(err.Error(), row.wantErr) {
-				t.Fatalf("shard-a's run: err = %v, want one saying %q", err, row.wantErr)
-			}
-			if err := os.Remove(filepath.Join(dir, "LU.json")); err != nil {
-				t.Fatal(err)
-			}
-			ds, err := run("shard-b")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(ds.Clients) != len(fresh.Clients) {
-				t.Errorf("shard-b kept %d clients of LU, a fresh run %d: the failed claim was not released", len(ds.Clients), len(fresh.Clients))
+			c := cfg
+			c.CheckpointDir = dir
+			if _, err := Run(c); err == nil || !strings.Contains(err.Error(), row.wantErr) {
+				t.Fatalf("run over a spoiled record: err = %v, want one saying %q", err, row.wantErr)
 			}
 		})
 	}

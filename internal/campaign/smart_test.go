@@ -202,30 +202,3 @@ func hasHistogram(ds *Dataset, name string) bool {
 	}
 	return false
 }
-
-// TestSmartDiscardModeKeepsWins pins the constant-memory contract for
-// the fifth column: DiscardClients drops the records but SmartWins and
-// the smart histograms survive, identical to the retaining run.
-func TestSmartDiscardModeKeepsWins(t *testing.T) {
-	cfg := fiveTransportConfig("BR", "NG")
-	full, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lean := cfg
-	lean.DiscardClients = true
-	ds, err := Run(lean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ds.Clients) != 0 {
-		t.Fatalf("DiscardClients retained %d records", len(ds.Clients))
-	}
-	if !reflect.DeepEqual(ds.SmartWins, full.SmartWins) {
-		t.Errorf("discard-mode SmartWins = %v, retaining run %v", ds.SmartWins, full.SmartWins)
-	}
-	if !hasHistogram(full, "campaign_smart_"+string(anycast.ProviderIDs()[0])+"_ms") ||
-		!reflect.DeepEqual(ds.Obs.Histograms, full.Obs.Histograms) {
-		t.Error("smart histograms differ in discard mode")
-	}
-}

@@ -1,12 +1,10 @@
 package checkpoint
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -61,19 +59,10 @@ func TestJournalKeyMismatchIgnored(t *testing.T) {
 	if err != nil || ok {
 		t.Fatalf("Get under wrong key = %v, %v; want false, nil", ok, err)
 	}
-	entries, err := j2.Entries()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		t.Errorf("Entries under wrong key = %v, want empty", entries)
-	}
-	got1, err := j1.Entries()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got1, []string{"BR"}) {
-		t.Errorf("Entries = %v, want [BR]", got1)
+	// The record is still there for its own configuration.
+	ok, err = j1.Get("BR", &got)
+	if err != nil || !ok || got.Code != "BR" {
+		t.Fatalf("Get under own key = %+v, %v, %v; want BR, true, nil", got, ok, err)
 	}
 }
 
@@ -159,138 +148,5 @@ func TestWriteFileAtomicReplaces(t *testing.T) {
 	}
 	if len(files) != 1 {
 		t.Errorf("dir has %d files, want 1", len(files))
-	}
-}
-
-func TestClaimExactlyOneWinner(t *testing.T) {
-	j, err := Open(t.TempDir(), "cfg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const claimants = 8
-	wins := make([]bool, claimants)
-	var wg sync.WaitGroup
-	for i := 0; i < claimants; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ok, err := j.Claim("BR", fmt.Sprintf("owner-%d", i))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			wins[i] = ok
-		}(i)
-	}
-	wg.Wait()
-	winners := 0
-	winner := ""
-	for i, ok := range wins {
-		if ok {
-			winners++
-			winner = fmt.Sprintf("owner-%d", i)
-		}
-	}
-	if winners != 1 {
-		t.Fatalf("claim had %d winners, want exactly 1", winners)
-	}
-	holder, held, err := j.ClaimedBy("BR")
-	if err != nil || !held || holder != winner {
-		t.Errorf("ClaimedBy = %q, %v, %v; want %q, true, nil", holder, held, err, winner)
-	}
-	// The winner re-claims its own work (restart path); losers still lose.
-	if ok, err := j.Claim("BR", winner); err != nil || !ok {
-		t.Errorf("winner re-claim = %v, %v; want true, nil", ok, err)
-	}
-	if ok, err := j.Claim("BR", "someone-else"); err != nil || ok {
-		t.Errorf("loser claim = %v, %v; want false, nil", ok, err)
-	}
-}
-
-func TestClaimReleaseSemantics(t *testing.T) {
-	j, err := Open(t.TempDir(), "cfg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok, err := j.Claim("US", "a"); err != nil || !ok {
-		t.Fatalf("initial claim = %v, %v", ok, err)
-	}
-	// Only the holder may release.
-	if err := j.Release("US", "b"); err == nil {
-		t.Error("non-holder release accepted")
-	}
-	if err := j.Release("US", "a"); err != nil {
-		t.Fatalf("holder release: %v", err)
-	}
-	// Releasing a claim that does not exist is a no-op.
-	if err := j.Release("US", "a"); err != nil {
-		t.Errorf("double release: %v", err)
-	}
-	// After release the work is claimable again, by anyone.
-	if ok, err := j.Claim("US", "b"); err != nil || !ok {
-		t.Errorf("post-release claim = %v, %v; want true, nil", ok, err)
-	}
-	// Validation.
-	if _, err := j.Claim("US", ""); err == nil {
-		t.Error("empty owner accepted")
-	}
-	if _, err := j.Claim("../evil", "a"); err == nil {
-		t.Error("unsafe claim name accepted")
-	}
-}
-
-// TestClaimStaleKeySweep: claims from an older configuration are swept
-// on Open, exactly like stale records are ignored — a re-keyed
-// campaign starts with a clean claim table.
-func TestClaimStaleKeySweep(t *testing.T) {
-	dir := t.TempDir()
-	j1, err := Open(dir, "cfg-old")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok, err := j1.Claim("BR", "a"); err != nil || !ok {
-		t.Fatalf("claim under old key = %v, %v", ok, err)
-	}
-
-	j2, err := Open(dir, "cfg-new")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, held, err := j2.ClaimedBy("BR"); err != nil || held {
-		t.Errorf("stale-key claim survived Open: held=%v err=%v", held, err)
-	}
-	if ok, err := j2.Claim("BR", "b"); err != nil || !ok {
-		t.Errorf("claim after sweep = %v, %v; want true, nil", ok, err)
-	}
-
-	// Same-key claims survive reopening: that is how a restarted shard
-	// recognizes its own in-progress work.
-	j3, err := Open(dir, "cfg-new")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if holder, held, err := j3.ClaimedBy("BR"); err != nil || !held || holder != "b" {
-		t.Errorf("same-key claim lost across reopen: %q, %v, %v", holder, held, err)
-	}
-}
-
-// TestClaimLiveKeyMismatch: two journals with different keys claiming
-// in one directory at the same time is a configuration error, and the
-// claim call says so instead of silently treating the name as taken.
-func TestClaimLiveKeyMismatch(t *testing.T) {
-	dir := t.TempDir()
-	j1, err := Open(dir, "cfg-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2, err := Open(dir, "cfg-2") // sweeps nothing: no claims yet
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok, err := j1.Claim("BR", "a"); err != nil || !ok {
-		t.Fatalf("claim = %v, %v", ok, err)
-	}
-	if _, err := j2.Claim("BR", "b"); err == nil {
-		t.Error("claim under mismatched live key did not error")
 	}
 }

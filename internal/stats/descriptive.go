@@ -119,14 +119,12 @@ func max(a, b int) int {
 	return b
 }
 
-// NormalCDF is the standard normal CDF, used for Wald p-values.
-func NormalCDF(z float64) float64 {
-	return 0.5 * math.Erfc(-z/math.Sqrt2)
-}
-
-// TwoSidedP converts a z statistic to a two-sided p-value.
+// TwoSidedP converts a z statistic to a two-sided p-value under the
+// standard normal (a Wald test's). It is erfc(|z|/√2) directly rather
+// than 2·(1 − Φ(|z|)), which rounds to exactly 0 once |z| passes about
+// 8.3.
 func TwoSidedP(z float64) float64 {
-	return 2 * (1 - NormalCDF(math.Abs(z)))
+	return math.Erfc(math.Abs(z) / math.Sqrt2)
 }
 
 // Pearson returns the Pearson correlation coefficient of the paired

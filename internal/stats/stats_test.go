@@ -106,15 +106,17 @@ func TestECDFMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestNormalCDF(t *testing.T) {
-	if !almost(NormalCDF(0), 0.5, 1e-12) {
-		t.Errorf("Phi(0) = %f", NormalCDF(0))
-	}
-	if !almost(NormalCDF(1.96), 0.975, 1e-3) {
-		t.Errorf("Phi(1.96) = %f", NormalCDF(1.96))
-	}
-	if !almost(TwoSidedP(1.96), 0.05, 1e-3) {
-		t.Errorf("p(1.96) = %f", TwoSidedP(1.96))
+func TestTwoSidedP(t *testing.T) {
+	for _, row := range []struct{ z, want float64 }{
+		{0, 1},
+		{1.96, 0.049995790296440868},
+		{-1.96, 0.049995790296440868},
+		{11.5, 1.3191542892227350e-30},
+		{29.6, 1.4942643846009697e-192},
+	} {
+		if got := TwoSidedP(row.z); math.Abs(got-row.want) > 1e-12*row.want {
+			t.Errorf("TwoSidedP(%v) = %v, want %v", row.z, got, row.want)
+		}
 	}
 }
 

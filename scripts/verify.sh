@@ -114,11 +114,10 @@ go test -race -count=10 ./internal/proxynet/ -run TestConcurrentSimulatorsShareW
 step "chaos soak (short, race)"
 go test -race -run TestChaosSoak -short ./internal/campaign/
 
-step "scale-out gates (golden merge, merged accounting, claim partition, a failed country's claim released, workers folding into one registry; race)"
-go test -race -run 'TestShardMergeByteIdenticalCSV|TestSmartShardMergeByteIdenticalCSV|TestMergeSumsAccountingLikeUnsharded|TestClaimProtocolPartitionsCountries|TestFailedCountryReleasesItsClaim' \
+step "scale-out gates (golden merge, merged accounting, shards and overlapping runs sharing one journal, a spoiled record failing its run, workers folding into one registry; race)"
+go test -race -run 'TestShardMergeByteIdenticalCSV|TestSmartShardMergeByteIdenticalCSV|TestMergeSumsAccountingLikeUnsharded|TestShardsShareOneJournal|TestClaimProtocolPartitionsCountries|TestSpoiledJournalRecordFailsTheRun' \
 	./internal/campaign/
-go test -race -count=10 ./internal/campaign/ -run 'TestCampaignObsDeterministicAcrossParallelism|TestDiscardClientsKeepsAggregates|TestObsHashPinned'
-go test -race -run 'TestClaimExactlyOneWinner' ./internal/checkpoint/
+go test -race -count=10 ./internal/campaign/ -run 'TestCampaignObsDeterministicAcrossParallelism|TestObsHashPinned'
 
 step "serve soak (short, race, serve.Identities exact)"
 go test -race -run TestServeSoak -short ./internal/serve/
