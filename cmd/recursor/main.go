@@ -1,13 +1,11 @@
-// Command recursor runs a caching recursive DNS resolver over UDP —
-// the "default resolver" role in the study. It operates in one of two
-// modes: forwarding (send cache misses to a fixed upstream, like an
-// ISP resolver pointing at a farm) or iterative (walk delegations
-// from root hints, like BIND).
+// Command recursor runs a caching recursive DNS resolver over UDP and
+// TCP — the "default resolver" role in the study. It forwards cache
+// misses to fixed upstreams, like an ISP resolver pointing at a farm,
+// and routes -zone suffixes past the default upstream.
 //
 // Usage:
 //
 //	recursor -listen 127.0.0.1:5353 -forward 127.0.0.1:5300
-//	recursor -listen 127.0.0.1:5353 -roots 127.0.0.1:5300
 //	recursor -listen 127.0.0.1:5353 -forward 8.8.8.8:53 -zone a.com=127.0.0.1:5300
 //	recursor -listen 127.0.0.1:5353 -forward 127.0.0.1:5300 -forward-doh https://... -forward-dot ADDR
 //	    # race the forwarding transports per query name, remember the winner
@@ -38,12 +36,10 @@ func main() {
 	serving := cmdconfig.ServingFlags("127.0.0.1:5353", cmdconfig.Listeners|cmdconfig.RRL)
 	answers := cmdconfig.CacheFlags(65536)
 	fwd := cmdconfig.ForwarderFlags()
-	forward := flag.String("forward", "", "forwarding mode: upstream resolver (host:port)")
+	forward := flag.String("forward", "", "upstream resolver (host:port)")
 	forwardDoH := flag.String("forward-doh", "", "additional DoH forwarding endpoint; with two or more forwarding endpoints, cache misses race the transports per name and remember the winner")
 	forwardDoT := flag.String("forward-dot", "", "additional DoT forwarding endpoint (host:port), raced like -forward-doh")
-	roots := flag.String("roots", "", "iterative mode: comma-separated root server addresses")
 	zones := flag.String("zone", "", "comma-separated zone=addr overrides routed past the default upstream")
-	minimize := flag.Bool("minimize", false, "QNAME minimization (RFC 7816) in iterative mode")
 	attempts := flag.Int("upstream-attempts", 2, "max attempts per upstream query (retries on timeout/drop)")
 	flag.DurationVar(&fwd.Timeout, "upstream-timeout", 3*time.Second, "per-attempt upstream timeout")
 	workers := flag.Int("workers", 0, "resolver workers per listener (0 = default pool size)")
@@ -51,8 +47,8 @@ func main() {
 	flag.Parse()
 	ctx := serving.Notify(context.Background())
 
-	if *forward == "" && *roots == "" && *forwardDoH == "" && *forwardDoT == "" {
-		fmt.Fprintln(os.Stderr, "recursor: need -forward, -forward-doh/-forward-dot, or -roots")
+	if *forward == "" && *forwardDoH == "" && *forwardDoT == "" {
+		fmt.Fprintln(os.Stderr, "recursor: need -forward or -forward-doh/-forward-dot")
 		os.Exit(2)
 	}
 	reg := obs.NewRegistry()
@@ -60,23 +56,16 @@ func main() {
 	fwd.Breaker, fwd.PerName = 3, true
 
 	res := recursive.New(answers.New(reg))
-	rep := cmdconfig.Report{Prefix: "recursor:", Cache: res.Cache()}
-	mode := "iterating from " + *roots
-	if *roots != "" {
-		res.SetDefault(&recursive.Iterative{Roots: strings.Split(*roots, ","), MinimizeQNames: *minimize})
-	} else {
-		up, racer, err := fwd.Build(forwarders(*forward, *forwardDoH, *forwardDoT)...)
-		if err != nil {
-			log.Fatalf("recursor: forwarder: %v", err)
-		}
-		mode = "forwarding to "
-		if racer != nil {
-			mode = "racing forwards to "
-		}
-		mode += strings.Join(strings.Fields(*forward+" "+*forwardDoH+" "+*forwardDoT), ", ")
-		rep.Racer = racer
-		res.SetDefault(resolver.UpstreamAdapter{R: up})
+	up, racer, err := fwd.Build(forwarders(*forward, *forwardDoH, *forwardDoT)...)
+	if err != nil {
+		log.Fatalf("recursor: forwarder: %v", err)
 	}
+	res.SetDefault(resolver.UpstreamAdapter{R: up})
+	mode := "forwarding to "
+	if racer != nil {
+		mode = "racing forwards to "
+	}
+	mode += strings.Join(strings.Fields(*forward+" "+*forwardDoH+" "+*forwardDoT), ", ")
 	if *zones != "" {
 		for _, pair := range strings.Split(*zones, ",") {
 			zone, addr, ok := strings.Cut(pair, "=")
@@ -101,6 +90,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("recursor: %v", err)
 	}
+	rep := cmdconfig.Report{Prefix: "recursor:", Cache: res.Cache(), Racer: racer}
 	if err := serving.Run(ctx, rep, srv, dbg); err != nil {
 		log.Fatalf("recursor: shutdown: %v", err)
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"os"
 	"os/exec"
@@ -49,6 +50,19 @@ func TestFlagsMatchGolden(t *testing.T) {
 	}
 	if got := flagTable(string(out)); got != string(want) {
 		t.Errorf("flag set changed:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestNoForwarderIsAUsageError: with no forwarding endpoint the command
+// exits 2 and names the flags it needs.
+func TestNoForwarderIsAUsageError(t *testing.T) {
+	out, err := command("-listen", "127.0.0.1:0").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("exit: %v, want status 2\n%s", err, out)
+	}
+	if want := "recursor: need -forward or -forward-doh/-forward-dot\n"; string(out) != want {
+		t.Errorf("output %q, want %q", out, want)
 	}
 }
 

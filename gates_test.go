@@ -333,16 +333,16 @@ func splitTop(expr string, sep byte) []string {
 	return append(parts, expr[start:])
 }
 
-// docTestName is a test, fuzz or benchmark function's name as the docs
-// write it.
-var docTestName = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)
+// docTestName is a test, fuzz, benchmark or example function's name as
+// the docs write it.
+var docTestName = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark|Example)[A-Z0-9_]\w*`)
 
 // docPath is a command, example or internal package directory as the
 // docs name it.
 var docPath = regexp.MustCompile(`(?:\./|\b)examples/[\w-]+|\./(?:cmd|internal)/[\w-]+`)
 
-// TestDocsNameTests holds every Test*, Fuzz* and Benchmark* name in the
-// docs (docs/*.md, README.md, DESIGN.md, EXPERIMENTS.md) to a function
+// TestDocsNameTests holds every Test*, Fuzz*, Benchmark* and Example*
+// name in the docs (docs/*.md, README.md, DESIGN.md, EXPERIMENTS.md) to a function
 // of a _test.go file, or to the prefix of one: the docs name families
 // such as BenchmarkObs* by their common prefix. Every examples/<dir>,
 // ./cmd/<dir> and ./internal/<dir> they or the verify skill's SKILL.md
@@ -387,6 +387,176 @@ func TestDocsNameTests(t *testing.T) {
 		}
 	}
 	t.Logf("%d names and %d paths checked", names, paths)
+}
+
+// docSymbol is a package-qualified name as the docs write it:
+// <pkg>.<Name>, or <pkg>.<Type>.<Name> for a field or method.
+var docSymbol = regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.([A-Z]\w*))?`)
+
+// inlineSpan is markdown's inline code, which may run over a line break.
+var inlineSpan = regexp.MustCompile("`[^`]+`")
+
+// TestDocsNameSymbols holds every <pkg>.<Name> in the inline code of the
+// docs (docs/*.md, README.md, DESIGN.md, EXPERIMENTS.md; fenced blocks
+// aside), where internal/<pkg> is a package of the tree, to what that
+// package declares: a top-level name, a method of any of its types (the
+// docs write cache.Do), a test function, or for <pkg>.<Type>.<Name> a
+// field, method or interface method of Type. A doc that names a deleted
+// or renamed symbol fails it.
+func TestDocsNameSymbols(t *testing.T) {
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs := make(map[string]*pkgSymbols)
+	refs := 0
+	for _, doc := range append(docs, "README.md", "DESIGN.md", "EXPERIMENTS.md") {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, span := range inlineSpan.FindAllString(unfenced(string(text)), -1) {
+			for _, m := range docSymbol.FindAllStringSubmatch(span, -1) {
+				pkg, name, member := m[1], m[2], m[3]
+				syms, ok := pkgs[pkg]
+				if !ok {
+					syms = readPkgSymbols(t, filepath.Join("internal", pkg))
+					pkgs[pkg] = syms
+				}
+				if syms == nil {
+					continue
+				}
+				refs++
+				if !syms.names(name, member) {
+					t.Errorf("%s: %s names nothing in internal/%s", doc, m[0], pkg)
+				}
+			}
+		}
+	}
+	t.Logf("%d references checked", refs)
+}
+
+// unfenced returns md without its fenced code blocks.
+func unfenced(md string) string {
+	var b strings.Builder
+	fence := false
+	for _, line := range strings.Split(md, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			fence = !fence
+			continue
+		}
+		if !fence {
+			b.WriteString(line + "\n")
+		}
+	}
+	return b.String()
+}
+
+// pkgSymbols is what one package declares, as its docs may name it.
+type pkgSymbols struct {
+	top     map[string]bool            // top-level declarations and test functions
+	methods map[string]bool            // methods of any type
+	members map[string]map[string]bool // type -> its fields, methods and interface methods
+}
+
+// names reports whether name, or name's member when member is set, is
+// declared.
+func (p *pkgSymbols) names(name, member string) bool {
+	if member != "" {
+		return p.members[name][member]
+	}
+	return p.top[name] || p.methods[name]
+}
+
+// readPkgSymbols parses the Go files of dir, or returns nil when dir is
+// no directory of the tree.
+func readPkgSymbols(t *testing.T, dir string) *pkgSymbols {
+	t.Helper()
+	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+		return nil
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &pkgSymbols{top: map[string]bool{}, methods: map[string]bool{}, members: map[string]map[string]bool{}}
+	member := func(typ, name string) {
+		if p.members[typ] == nil {
+			p.members[typ] = map[string]bool{}
+		}
+		p.members[typ][name] = true
+	}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		test := strings.HasSuffix(path, "_test.go")
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				switch {
+				case d.Recv != nil:
+					p.methods[d.Name.Name] = true
+					member(recvType(d.Recv.List[0].Type), d.Name.Name)
+				case !test || docTestName.MatchString(d.Name.Name):
+					p.top[d.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				if test {
+					continue
+				}
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							p.top[n.Name] = true
+						}
+					case *ast.TypeSpec:
+						p.top[s.Name.Name] = true
+						var fields *ast.FieldList
+						switch ty := s.Type.(type) {
+						case *ast.StructType:
+							fields = ty.Fields
+						case *ast.InterfaceType:
+							fields = ty.Methods
+						}
+						if fields == nil {
+							continue
+						}
+						for _, f := range fields.List {
+							for _, n := range f.Names {
+								member(s.Name.Name, n.Name)
+							}
+							if len(f.Names) == 0 { // embedded: named by its type
+								member(s.Name.Name, recvType(f.Type))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return p
+}
+
+// recvType is the name of a method receiver's or an embedded field's
+// type: T for T, *T, T[P] and pkg.T.
+func recvType(e ast.Expr) string {
+	switch x := e.(type) {
+	case *ast.StarExpr:
+		return recvType(x.X)
+	case *ast.IndexExpr:
+		return recvType(x.X)
+	case *ast.IndexListExpr:
+		return recvType(x.X)
+	case *ast.SelectorExpr:
+		return x.Sel.Name
+	case *ast.Ident:
+		return x.Name
+	}
+	return ""
 }
 
 // sectionCitation is a cited section of a doc as the tree writes it,

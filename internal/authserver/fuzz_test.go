@@ -14,6 +14,7 @@ import (
 // carry is refused at load, not dropped at answer time.
 func FuzzParseZoneFile(f *testing.F) {
 	f.Add(sampleZone)
+	f.Add(referralZone)
 	f.Add("$ORIGIN x.\nw A 192.0.2.1\n")
 	f.Add("$TTL 1h\n@ IN SOA a b (1 2 3 4 5)\n")
 	f.Add("; comment only\n")

@@ -292,24 +292,22 @@ func TestQueryLogRingKeepsTheNewest(t *testing.T) {
 // and the heap the server keeps is its ring and the names in it, plus
 // the slack of the two chunks at the window's ends (the one being
 // written and the oldest, part dead): the log's chunks die with the
-// entries cut from them.
+// entries cut from them. What the server keeps is what is still live of
+// the allocations made under this test's calls to handlePacket, read
+// from the allocation profile: the process's heap would also count what
+// other tests leave behind and what the runtime allocates for itself
+// meanwhile (an M and its g0, 5.5 KB, when it starts a thread).
 func TestQueryLogNamesComeFromChunks(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow memory inflates the heap")
 	}
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
 	const limit, queries = 64, 200 * 64
 	name := func(i int) dnswire.Name { return dnswire.Name(fmt.Sprintf("q%06d.A.com.", i)) }
-	heap := func() int {
-		runtime.GC()
-		runtime.GC() // the first leaves sync.Pool's victim cache behind
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return int(ms.HeapAlloc)
-	}
 	s := NewServer(testZone(t))
 	s.QueryLogLimit = limit
 	src := netip.MustParseAddrPort("192.0.2.53:53")
-	before := heap()
 	for i := 0; i < queries; i++ {
 		raw, err := dnswire.NewQuery(uint16(i), name(i), dnswire.TypeA).Pack()
 		if err != nil {
@@ -320,7 +318,9 @@ func TestQueryLogNamesComeFromChunks(t *testing.T) {
 			t.Fatal("a packet without a question class was answered")
 		}
 	}
-	kept := heap() - before
+	runtime.GC()
+	runtime.GC() // the first leaves sync.Pool's victim cache behind
+	kept := inUseUnder("repro/internal/authserver.TestQueryLogNamesComeFromChunks", "repro/internal/authserver.(*Server).handlePacket")
 	runtime.KeepAlive(s)
 
 	log := s.QueryLog()
@@ -339,6 +339,36 @@ func TestQueryLogNamesComeFromChunks(t *testing.T) {
 	if kept > bound {
 		t.Errorf("the server keeps %d B after %d queries, want <= %d: chunks outlive their entries", kept, queries, bound)
 	}
+}
+
+// inUseUnder sums the bytes still in use, as of the last completed GC,
+// of the profiled allocations whose stack passes through caller and
+// then callee.
+func inUseUnder(caller, callee string) int {
+	n, _ := runtime.MemProfile(nil, false)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	for {
+		var ok bool
+		if n, ok = runtime.MemProfile(recs, false); ok {
+			break
+		}
+		recs = make([]runtime.MemProfileRecord, n+64)
+	}
+	total := 0
+	for _, r := range recs[:n] {
+		frames := runtime.CallersFrames(r.Stack())
+		sawCallee := false
+		for more := true; more; {
+			var f runtime.Frame
+			f, more = frames.Next()
+			sawCallee = sawCallee || f.Function == callee
+			if f.Function == caller && sawCallee {
+				total += int(r.InUseBytes())
+				break
+			}
+		}
+	}
+	return total
 }
 
 func TestServerRefusesForeignZone(t *testing.T) {

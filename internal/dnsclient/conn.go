@@ -55,11 +55,6 @@ type idleConn struct {
 	addr   string
 }
 
-// maxIdleTotal bounds a pool's idle connections over all origins, so a
-// client that asks many servers (recursive.Iterative) does not pile up
-// idle sockets.
-const maxIdleTotal = 64
-
 // take removes the most recently used idle connection to the origin
 // and reports whether there was one.
 func (p *Pool) take(secure bool, addr string) (idleConn, bool) {
@@ -78,7 +73,7 @@ func (p *Pool) take(secure bool, addr string) (idleConn, bool) {
 }
 
 // put pools c, or closes it when its origin already has MaxIdle idle
-// connections or the pool maxIdleTotal.
+// connections.
 func (p *Pool) put(c idleConn) {
 	max := p.MaxIdle
 	if max <= 0 {
@@ -91,7 +86,7 @@ func (p *Pool) put(c idleConn) {
 			n++
 		}
 	}
-	keep := n < max && len(p.idle) < maxIdleTotal
+	keep := n < max
 	if keep {
 		p.idle = append(p.idle, c)
 	}

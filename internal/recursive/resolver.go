@@ -1,9 +1,8 @@
-// Package recursive implements a caching recursive resolver. In this
-// reproduction it plays two roles from the paper's world: the ISP
-// "default resolver" that answers exit nodes' Do53 queries, and the
-// backend recursion engine inside each DoH provider's point of
-// presence. Upstream resolution is pluggable so the resolver runs
-// both over real sockets and on the virtual network.
+// Package recursive implements a caching resolver that forwards each
+// cache miss to the upstream of its longest matching zone suffix. It is
+// the live stack's recursive hop: cmd/recursor runs it as a Do53
+// default resolver, and cmd/dohsrv answers its DoH and DoT fronts from
+// it. Upstream resolution is pluggable (Upstream).
 package recursive
 
 import (
@@ -23,10 +22,9 @@ import (
 	"repro/internal/serve"
 )
 
-// Upstream answers queries on behalf of the resolver. Implementations
-// include real servers reached over any transport
-// (resolver.UpstreamAdapter) and virtual-network authoritative nodes in
-// the simulator.
+// Upstream answers queries on behalf of the resolver. The commands'
+// upstreams are servers reached over any transport
+// (resolver.UpstreamAdapter); tests script theirs with UpstreamFunc.
 //
 // The ownership rule is resolver.Resolver's: the response's header and
 // section slices belong to the caller, its names and RData may be

@@ -34,7 +34,7 @@ step "race gates (concurrency-heavy packages)"
 # and ExchangeTCP), TestDatagramClientConformance (the Do53 client's UDP
 # exchange against a raw UDP peer: the context's deadline and cancel as
 # its own errors, one Timeout and one datagram for a silent peer, no
-# failed socket kept, the per-server and total socket caps) and
+# failed socket kept, the per-server socket cap) and
 # TestHedgingOverDoTTakesASecondConnection; the cmdconfig gate races
 # the commands' forwarder against live loopback candidates (each server
 # filing its engine in the registry it is given), drains a server with a
