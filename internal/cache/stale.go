@@ -111,7 +111,7 @@ func (c *Cache) runRefresh(k key, fn Refresher) {
 	c.refreshFails.Inc()
 	s := c.shardFor(k)
 	s.mu.RLock()
-	if e, found := s.entries[k]; found {
+	if e := find(&s.index, c.hashOf(k), k.name, k.typ); e != nil {
 		e.refreshFailedAt.Store(c.clock().UnixNano())
 	}
 	s.mu.RUnlock()

@@ -74,9 +74,10 @@ step "one singleflight, one lifecycle (the recursor's shared flights are the cac
 go test -race ./internal/recursive/ -run 'TestSharedFlightIsCounted|TestRecursorAnswersOverTCP'
 go test -race ./internal/dohserver/ -run 'TestServerLifecycle|TestServerShutdownForcesOnExpiry'
 
-step "a miss allocates only what it keeps (a recycled flight keeps its result, a recycled entry its answers and counts, a pooled attempt bound is each attempt's own; race)"
+step "a miss allocates only what it keeps (a recycled flight keeps its result, a recycled entry its answers and counts, the index's seed moves no eviction and it holds at most two slots per entry, a pooled attempt bound is each attempt's own; race)"
 go test -race -count=20 ./internal/cache/ -run TestRecycledFlightsKeepTheirResults
 go test -race -count=20 ./internal/cache/ -run 'TestRecycledEntriesKeepTheirAnswers|TestRefreshFailureAfterRecycling'
+go test -race -count=20 ./internal/cache/ -run 'TestCacheIsDeterministic|TestCacheFootprint|TestRecycledEntriesKeepTheirAnswers'
 go test -race ./internal/resolver/ -run 'TestPooledBoundIsEachAttemptsOwn|TestAttemptTimeoutBoundsSilentUpstream'
 go test -race ./internal/deadline/... ./internal/recursive/... ./internal/dot/... ./internal/dnsclient/... ./internal/authserver/...
 
