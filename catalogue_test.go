@@ -63,10 +63,9 @@ func TestMetricCatalogue(t *testing.T) {
 	answers := cache.New(cache.Config{})
 	answers.Instrument(reg, "cache")
 	policy := &resolver.Metrics{}
-	stack := resolver.Apply(resolver.NewDo53(auth.Addr(), nil), resolver.Policy{
-		Kind: resolver.Do53, Registry: reg, Metrics: policy,
-		Breaker: &resolver.BreakerPolicy{}, Cache: answers,
-	})
+	stack := resolver.WithCache(resolver.Apply(resolver.NewDo53(auth.Addr(), nil), resolver.Policy{
+		Kind: resolver.Do53, Registry: reg, Metrics: policy, Breaker: &resolver.BreakerPolicy{},
+	}), answers, reg, resolver.Do53)
 	tlsCfg, err := tlsutil.ServerConfig("127.0.0.1")
 	if err != nil {
 		t.Fatal(err)

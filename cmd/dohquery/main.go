@@ -98,11 +98,6 @@ func main() {
 	if *dumpMetrics {
 		fwd.Policy.Registry = reg
 	}
-	rep := cmdconfig.Report{Prefix: ";;"}
-	if answers.MaxEntries > 0 {
-		rep.Cache = answers.New(reg)
-		fwd.Policy.Cache = rep.Cache
-	}
 
 	eps, kind := endpoints(*dohURL, *dotAddr, *do53), resolver.Smart
 	for *transport == "auto" && eps[0].Addr == "" {
@@ -118,7 +113,12 @@ func main() {
 	if kind == resolver.Smart && racer == nil {
 		log.Fatal("-transport smart needs at least two of -doh/-dot/-do53")
 	}
-	rep.Racer = racer
+	rep := cmdconfig.Report{Prefix: ";;", Racer: racer}
+	if answers.MaxEntries > 0 {
+		// The cache wraps the whole forwarder: a hit skips the race.
+		rep.Cache = answers.New(reg)
+		res = resolver.WithCache(res, rep.Cache, fwd.Policy.Registry, kind)
+	}
 
 	for i := 0; i < *n; i++ {
 		qname := name

@@ -18,7 +18,7 @@ var (
 
 // sharedAnalysis runs one mid-size campaign for the whole test
 // package (scale 0.4 keeps it fast while covering every country).
-func sharedAnalysis(t *testing.T) *Analysis {
+func sharedAnalysis(t testing.TB) *Analysis {
 	t.Helper()
 	once.Do(func() {
 		cfg := campaign.DefaultConfig(2021)
@@ -279,6 +279,17 @@ func TestLogisticTable4Shape(t *testing.T) {
 	// The key covariates must be statistically significant.
 	if slow.P[1] > 0.001 {
 		t.Errorf("slow bandwidth p = %g, want < 0.001", slow.P[1])
+	}
+}
+
+// BenchmarkLogisticFit measures the IRLS fit on campaign-scale data.
+func BenchmarkLogisticFit(b *testing.B) {
+	a := sharedAnalysis(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := a.FitLogistic([]int{1}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -205,8 +205,8 @@ type Endpoint struct {
 }
 
 // Forwarder is how a command reaches its upstream endpoints. Policy
-// wraps each endpoint's transport (its Breaker a lone endpoint's only,
-// its Cache the whole forwarder); Timeout bounds every client exchange.
+// wraps each endpoint's transport (its Breaker a lone endpoint's only);
+// Timeout bounds every client exchange.
 // A racer gives each candidate a breaker tripping after Breaker
 // failures (0: none) and keys its winner memory by name if PerName.
 type Forwarder struct {
@@ -245,7 +245,7 @@ func (f *Forwarder) Build(eps ...Endpoint) (resolver.Resolver, *smart.Resolver, 
 		p.Kind = cfg.Candidates[0].Kind
 		return resolver.Apply(cfg.Candidates[0].Resolver, p), nil, nil
 	}
-	p.Breaker, p.Cache = nil, nil
+	p.Breaker = nil
 	for i, c := range cfg.Candidates {
 		p.Kind = c.Kind
 		cfg.Candidates[i].Resolver = resolver.Apply(c.Resolver, p)
@@ -261,8 +261,7 @@ func (f *Forwarder) Build(eps ...Endpoint) (resolver.Resolver, *smart.Resolver, 
 	if err != nil {
 		return nil, nil, err
 	}
-	// The cache wraps the racer, not each candidate: a hit skips the race.
-	return resolver.Apply(sm, resolver.Policy{Cache: f.Policy.Cache}), sm, nil
+	return sm, sm, nil
 }
 
 // transport is ep's bare client.

@@ -77,6 +77,40 @@ func TestEstimateDoHRecoversGroundTruth(t *testing.T) {
 }
 
 func TestEstimateDoHExactWithoutJitter(t *testing.T) {
+	// The jitter sweep: the per-packet jitter is all that breaks the
+	// stable-RTT assumption on a path, so without it the estimator is
+	// exact, and its median error on a planted Italian node grows with
+	// the jitter's sigma, staying within the ~10 ms the paper's
+	// validation found (Tables 1-2). It read 0, 1.22, 3.67 and 9.88 ms.
+	prev := -1.0
+	for _, sigma := range []float64{0, 0.01, 0.03, 0.08} {
+		sim := proxynet.NewSim(31)
+		sim.Params.Latency.PacketSigma = sigma
+		sim.Params.Latency.LossProb = 0
+		node, err := sim.PlantGroundTruthNode("IT")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var errs []float64
+		for j := 0; j < 10; j++ {
+			obs, gt := sim.MeasureDoH(node, anycast.Cloudflare, "abl.a.com.")
+			if est, err := EstimateDoH(obs); err == nil {
+				errs = append(errs, math.Abs(ms(est.TDoH-gt.TDoH)))
+			}
+		}
+		med := stats.MustMedian(errs)
+		t.Logf("packet sigma %.2f: median tDoH error %.2f ms", sigma, med)
+		switch {
+		case sigma == 0 && med != 0:
+			t.Errorf("packet sigma 0: median tDoH error %.3f ms, want exactly 0", med)
+		case med <= prev:
+			t.Errorf("packet sigma %.2f: median tDoH error %.2f ms, want above %.2f at the smaller sigma", sigma, med, prev)
+		case med > 10:
+			t.Errorf("packet sigma %.2f: median tDoH error %.2f ms, want <= 10", sigma, med)
+		}
+		prev = med
+	}
+
 	// With jitter and loss disabled, the stable-RTT assumption holds
 	// exactly and the estimator must be exact too.
 	sim := proxynet.NewSim(12)

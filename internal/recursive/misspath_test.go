@@ -43,11 +43,12 @@ func cannedNames(n int) ([]dnswire.Name, cannedZone) {
 }
 
 // TestResolveMissAllocBudget: a miss through the resolver — zone
-// match, flight, upstream, insert into a full cache, answer — costs the
-// caller's copy of the answer through Resolve, and nothing through
-// ResolveInto into storage the caller reuses: the flight nobody joined is
-// recycled, the insert takes over the storage of the entry it evicts and
-// the upstream's message goes back to the pool. It read 6 with the
+// match, flight, upstream, insert into a full cache, answer — costs one
+// message through Resolve, the upstream's, which the caller keeps and
+// this test never pools, and nothing through ResolveInto into storage
+// the caller reuses: the flight nobody joined is recycled, the insert
+// takes over the storage of the entry it evicts and the upstream's
+// message goes back to the pool. It read 6 with the
 // flight's channel, the list element, the Labels() split and the
 // leader's private copy, then 2 with the flight, then 1: the entry.
 func TestResolveMissAllocBudget(t *testing.T) {

@@ -28,8 +28,9 @@ import (
 //
 // The ownership rule is resolver.Resolver's: the response's header and
 // section slices belong to the caller, its names and RData may be
-// shared. The Resolver edits the header, and once the cache and the
-// asker have their copies it hands the response to dnswire.PutMessage.
+// shared. The Resolver edits the header, and once the cache has its
+// copy it hands the response to its asker (Resolve) or, copied into the
+// asker's storage (ResolveInto), to dnswire.PutMessage.
 type Upstream interface {
 	// Resolve returns the authoritative response for q.
 	Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error)
@@ -77,7 +78,9 @@ func New(c *cache.Cache) *Resolver {
 		c = cache.New(cache.Config{})
 	}
 	r := &Resolver{cache: c}
-	c.SetRefresher(r.refresh)
+	c.SetRefresher(func(ctx context.Context, name dnswire.Name, typ dnswire.Type) (*dnswire.Message, error) {
+		return r.fetch(ctx, dnswire.NewQuery(dnsclient.RandomID(), name, typ))
+	})
 	return r
 }
 
@@ -85,15 +88,15 @@ func New(c *cache.Cache) *Resolver {
 // take, for callers not yet moved to recursive.New(c).
 func WrapCache(c *cache.Cache) *cache.Cache { return c }
 
-// refresh is the cache's background-refresh hook: resolve (name, typ)
-// upstream with a fresh query ID and recursor response stamps. The
-// cache itself decides whether the answer is cacheable.
-func (r *Resolver) refresh(ctx context.Context, name dnswire.Name, typ dnswire.Type) (*dnswire.Message, error) {
+// fetch resolves q upstream, a client's miss or a background refresh,
+// and stamps the answer as the recursor's own. The cache decides
+// whether it is kept.
+func (r *Resolver) fetch(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+	name := q.Questions[0].Name
 	up := r.upstreamFor(name)
 	if up == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNoUpstream, name)
 	}
-	q := dnswire.NewQuery(dnsclient.RandomID(), name, typ)
 	resp, err := up.Resolve(ctx, q)
 	if err != nil {
 		return nil, err
@@ -144,76 +147,29 @@ func (r *Resolver) upstreamFor(name dnswire.Name) Upstream {
 }
 
 // Resolve answers q, consulting the cache first. It is safe for
-// concurrent use. The answer's sections are read-only.
+// concurrent use. The answer is the caller's, its names and RData
+// read-only.
 func (r *Resolver) Resolve(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
 	return r.ResolveInto(ctx, q, nil)
 }
 
-// ResolveInto is Resolve answering in dst: a hit is copied into dst's own
-// storage (cache.LookupInto), and so is a miss's answer, the upstream's
-// message once the cache has its copy or a waiter's share of another
-// query's flight. The answer is stamped with q's ID, RD flag and
-// question, so a caller that reuses dst across queries pays nothing for
-// either once dst has grown. A nil dst allocates the copy. Either way
-// the query makes one cache lookup, and the answer's names and RData are
-// read-only.
+// ResolveInto is Resolve answering in dst, by cache.Answer: a hit, a
+// waiter's share of another query's flight and the upstream's message
+// once the cache has its copy are all copied into dst's own storage and
+// stamped with q's ID, RD flag and question, so a caller that reuses dst
+// across queries pays nothing for either once dst has grown. With a nil
+// dst a hit allocates its copy and a miss keeps the upstream's message.
+// Either way the query makes one cache lookup. The hit path is
+// lock-light end to end: the lookup takes only a shard read lock, and
+// stale hits hand the refresh to a detached background flight. A waiter
+// that gives up leaves the leader's resolution running, and an error is
+// handed to the waiters of that flight only, never kept.
 func (r *Resolver) ResolveInto(ctx context.Context, q, dst *dnswire.Message) (*dnswire.Message, error) {
 	if len(q.Questions) == 0 {
 		return nil, errors.New("recursive: query has no question")
 	}
-	question := q.Questions[0]
-	// The hit path is lock-light end to end: the lookup takes only a
-	// shard read lock (recency and popularity are per-entry atomics),
-	// and stale hits hand the refresh to a detached background flight.
-	resp, _ := r.cache.LookupInto(question.Name, question.Type, dst)
-	if resp == nil {
-		up := r.upstreamFor(question.Name)
-		if up == nil {
-			return nil, fmt.Errorf("%w: %s", ErrNoUpstream, question.Name)
-		}
-		// Coalesce concurrent misses for the same question. A waiter that
-		// gives up leaves the leader's resolution running, and an error is
-		// handed to the waiters of that flight only, never kept.
-		var shared bool
-		var err error
-		resp, shared, err = r.cache.Do(ctx, question.Name, question.Type, func() (*dnswire.Message, error) {
-			return r.resolveMiss(ctx, up, q, dst)
-		})
-		if err != nil {
-			return nil, err
-		}
-		if shared {
-			resp = resp.CopyInto(dst)
-		}
-	}
-	resp.Header.ID = q.Header.ID
-	resp.Header.RecursionDesired = q.Header.RecursionDesired
-	resp.Header.RecursionAvailable = true
-	if len(resp.Questions) > 0 {
-		// The asker's own spelling (RFC 1035 §4.1.2), not the one the
-		// entry was cached under.
-		resp.Questions[0] = question
-	}
-	return resp, nil
-}
-
-// resolveMiss performs the actual upstream resolution and caches it. It
-// answers from a copy of the upstream's message in dst, and the
-// upstream's message goes back to the pool.
-func (r *Resolver) resolveMiss(ctx context.Context, up Upstream, q, dst *dnswire.Message) (*dnswire.Message, error) {
-	resp, err := up.Resolve(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	resp.Header.RecursionAvailable = true
-	resp.Header.Authoritative = false
-	if resp.Header.RCode == dnswire.RCodeNoError || resp.Header.RCode == dnswire.RCodeNXDomain {
-		question := q.Questions[0]
-		r.cache.Put(question.Name, question.Type, resp)
-	}
-	answer := resp.CopyInto(dst)
-	dnswire.PutMessage(resp)
-	return answer, nil
+	resp, _, err := r.cache.Answer(ctx, q, dst, r.fetch)
+	return resp, err
 }
 
 // Server exposes a Resolver over UDP and, on the same port, TCP,

@@ -298,7 +298,7 @@ func TestWithCacheHitHistogram(t *testing.T) {
 }
 
 func TestPolicyCacheOutermost(t *testing.T) {
-	// Through the full Policy stack, a cache hit must not enter the
+	// Over the full Policy stack, a cache hit must not enter the
 	// transport histograms: queries_total stays at the miss count.
 	var calls atomic.Int32
 	next := Func(func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, Timing, error) {
@@ -307,12 +307,11 @@ func TestPolicyCacheOutermost(t *testing.T) {
 	})
 	reg := obs.NewRegistry()
 	c := cache.New(cache.Config{})
-	r := Apply(next, Policy{
+	r := WithCache(Apply(next, Policy{
 		Retry:    &RetryPolicy{MaxAttempts: 2},
-		Cache:    c,
 		Registry: reg,
 		Kind:     DoH,
-	})
+	}), c, reg, DoH)
 	for i := 0; i < 5; i++ {
 		if _, _, err := r.Resolve(context.Background(), Query("outer.example.", dnswire.TypeA)); err != nil {
 			t.Fatal(err)

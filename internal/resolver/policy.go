@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/deadline"
 	"repro/internal/dnswire"
 	"repro/internal/obs"
@@ -16,12 +15,12 @@ import (
 //
 //	transport -> per-attempt WithTimeout -> WithRetry -> WithHedgingN
 //	          -> WithBreaker -> entry metrics
-//	          -> WithMetrics (registry histograms) -> WithCache
+//	          -> WithMetrics (registry histograms)
 //
 // so each retry attempt is individually deadline-bounded and the
 // registry's histograms see the end-to-end timing including backoff
-// sleeps. The cache sits outermost: a hit never enters the policy
-// stack, and the transport histograms below keep describing real
+// sleeps. A caller that caches wraps the stack in WithCache: a hit
+// never enters it, and the transport histograms keep describing real
 // resolutions only.
 type Policy struct {
 	// Retry, when non-nil, adds exponential-backoff retries.
@@ -38,10 +37,6 @@ type Policy struct {
 	// pool to at least this fan-out (Options.MaxIdleConnsPerHost) or
 	// the extra connections are discarded after each exchange.
 	HedgeMax int
-	// Cache, when non-nil, adds a WithCache layer outermost so answers
-	// are served from the shared TTL-aware cache (internal/cache) and
-	// concurrent misses collapse into one resolution.
-	Cache *cache.Cache
 	// Breaker, when non-nil, adds a circuit breaker above the retry
 	// and timeout layers: a run of consecutive end-to-end failures
 	// trips it and later calls short-circuit with ErrBreakerOpen until
@@ -112,9 +107,6 @@ func Apply(r Resolver, p Policy) Resolver {
 	}
 	if p.Registry != nil {
 		r = WithMetrics(r, p.Registry, p.Kind)
-	}
-	if p.Cache != nil {
-		r = WithCache(r, p.Cache, p.Registry, p.Kind)
 	}
 	return r
 }

@@ -31,27 +31,32 @@ const (
 	DoHWarm Protocol = "doh-warm"
 )
 
+// The typical-web page every workload loads.
+const (
+	// pagesPerClient is the number of pages each client loads.
+	pagesPerClient = 8
+	// meanDomains is the average number of domains per page (the
+	// web's median is ~20 distinct names).
+	meanDomains = 20
+	// resolverHitProb and popHitProb are cache-hit probabilities for
+	// the ISP resolver and the DoH PoP respectively.
+	resolverHitProb = 0.70
+	popHitProb      = 0.82
+	// fetchMs is the non-DNS portion of the page load, used to compute
+	// DNS's share.
+	fetchMs = 1800
+)
+
 // Config parameterizes the workload.
 type Config struct {
 	// Seed drives sampling.
 	Seed int64
 	// CountryCode locates the client population.
 	CountryCode string
-	// Clients and PagesPerClient size the workload.
-	Clients        int
-	PagesPerClient int
-	// MeanDomains is the average number of domains per page (the
-	// web's median is ~20 distinct names).
-	MeanDomains int
+	// Clients sizes the workload.
+	Clients int
 	// Waves is the dependency depth (HTML -> CSS/JS -> fonts/ads).
 	Waves int
-	// ResolverHitProb and PoPHitProb are cache-hit probabilities for
-	// the ISP resolver and the DoH PoP respectively.
-	ResolverHitProb float64
-	PoPHitProb      float64
-	// FetchMs is the non-DNS portion of the page load, used to
-	// compute DNS's share.
-	FetchMs float64
 	// Provider is the DoH service.
 	Provider anycast.ProviderID
 }
@@ -59,16 +64,11 @@ type Config struct {
 // DefaultConfig returns a typical-web workload in the given country.
 func DefaultConfig(seed int64, country string) Config {
 	return Config{
-		Seed:            seed,
-		CountryCode:     country,
-		Clients:         30,
-		PagesPerClient:  8,
-		MeanDomains:     20,
-		Waves:           3,
-		ResolverHitProb: 0.70,
-		PoPHitProb:      0.82,
-		FetchMs:         1800,
-		Provider:        anycast.Cloudflare,
+		Seed:        seed,
+		CountryCode: country,
+		Clients:     30,
+		Waves:       3,
+		Provider:    anycast.Cloudflare,
 	}
 }
 
@@ -96,7 +96,7 @@ func Run(cfg Config) ([]Outcome, error) {
 	if !ok {
 		return nil, fmt.Errorf("webload: unknown country %q", cfg.CountryCode)
 	}
-	if cfg.Clients <= 0 || cfg.PagesPerClient <= 0 || cfg.MeanDomains <= 0 || cfg.Waves <= 0 {
+	if cfg.Clients <= 0 || cfg.Waves <= 0 {
 		return nil, fmt.Errorf("webload: non-positive workload dimensions")
 	}
 	if cfg.Provider == "" {
@@ -124,14 +124,14 @@ func Run(cfg Config) ([]Outcome, error) {
 
 		do53Query := func() float64 {
 			lat := model.RTT(rng, client, resolverEP)
-			if rng.Float64() >= cfg.ResolverHitProb {
+			if rng.Float64() >= resolverHitProb {
 				lat += overhead + model.RTT(rng, resolverEP, auth)
 			}
 			return ms(lat)
 		}
 		dohQuery := func() float64 {
 			lat := model.RTT(rng, client, popEP) + provider.ServiceTime
-			if rng.Float64() >= cfg.PoPHitProb {
+			if rng.Float64() >= popHitProb {
 				lat += model.RTT(rng, popEP, auth)
 			}
 			return ms(lat)
@@ -144,8 +144,8 @@ func Run(cfg Config) ([]Outcome, error) {
 				ms(model.RTT(rng, client, popEP)+provider.SetupOverhead)
 		}
 
-		for p := 0; p < cfg.PagesPerClient; p++ {
-			nDomains := 1 + rng.Intn(cfg.MeanDomains*2-1) // uniform, mean ≈ MeanDomains
+		for p := 0; p < pagesPerClient; p++ {
+			nDomains := 1 + rng.Intn(meanDomains*2-1) // uniform, mean ≈ meanDomains
 			waves := splitWaves(nDomains, cfg.Waves, rng)
 
 			pageDNS := func(query func() float64, setup float64) float64 {
@@ -177,8 +177,8 @@ func Run(cfg Config) ([]Outcome, error) {
 		out = append(out, Outcome{
 			Protocol:     proto,
 			MedianDNSMs:  dns,
-			MedianPageMs: dns + cfg.FetchMs,
-			DNSShare:     dns / (dns + cfg.FetchMs),
+			MedianPageMs: dns + fetchMs,
+			DNSShare:     dns / (dns + fetchMs),
 		})
 	}
 	return out, nil

@@ -139,7 +139,7 @@ step "obs 0-alloc bench smoke"
 go test ./internal/obs/ -bench=BenchmarkObs -benchtime=1x -run '^$'
 
 step "campaign inner-loop bench smoke"
-go test -run '^$' -bench 'BenchmarkMeasure' -benchtime 100000x .
+go test -run '^$' -bench 'BenchmarkMeasure' -benchtime 100000x ./internal/proxynet
 
 step "serve bench smoke"
 go test ./internal/serve/ -bench . -benchtime=1x -run '^$'
