@@ -32,8 +32,8 @@ import (
 // with a registry, a breaker and an instrumented cache, a smart racer
 // over that front and an authoritative server, a DoH handler under
 // cmd/dohsrv's prefix, a RealProxy — resolves a
-// few queries through them, and adds the names a small guarded,
-// breaker-armed campaign publishes, the ones cmd/dohsrv's source
+// few queries through them, and adds the names a small chaotic
+// campaign publishes, the ones cmd/dohsrv's source
 // files (package main, so read as text) and every name an accounting
 // identity reads, which a misspelling would read as 0. Every such name
 // must match a row of the table, and every name the table lists must be
@@ -108,8 +108,6 @@ func TestMetricCatalogue(t *testing.T) {
 	cfg := campaign.DefaultConfig(2021)
 	cfg.Countries, cfg.ClientScale, cfg.AtlasProbes = []string{"BR"}, 0.2, 5
 	cfg.Transports = []resolver.Kind{resolver.Do53, resolver.DoH, resolver.DoT, resolver.DoQ, resolver.Smart}
-	cfg.Breaker = &resolver.BreakerPolicy{FailureThreshold: 3, ProbeEvery: 5}
-	cfg.Cache = cache.New(cache.Config{})
 	cfg.Chaos = proxynet.Chaos{ConnResetProb: 0.05}
 	ds, err := campaign.Run(cfg)
 	if err != nil {

@@ -13,7 +13,6 @@
 //	worldstudy -figures ./figs       # write plottable CDF series
 //	worldstudy -timeline BR          # one measurement's 22-step breakdown
 //	worldstudy -resume ./ckpt        # journal countries; re-run skips completed ones
-//	worldstudy -breaker 5            # circuit-break dead provider×country pairs
 //	worldstudy -chaos-churn 0.05     # inject exit-node churn into the simulation
 //	worldstudy -shard 1/3 -export ./s1   # measure shard 1 of 3 (see -merge)
 //	worldstudy -merge -export ./all ./s1 ./s2 ./s3   # combine shard exports
@@ -50,7 +49,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/anycast"
-	"repro/internal/cache"
 	"repro/internal/campaign"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
@@ -72,8 +70,6 @@ func main() {
 	transports := flag.String("transports", "", "comma-separated transports to measure (do53,doh,dot,doq, plus the derived smart racing strategy; default: the paper's do53,doh)")
 	metrics := flag.String("metrics", "", "write the campaign metrics snapshot in text exposition format (\"-\" = stderr, else a file path)")
 	resume := flag.String("resume", "", "checkpoint directory: journal each completed country and skip journaled ones on re-run")
-	breaker := flag.Int("breaker", 0, "circuit breaker: per provider×country, trip after this many consecutive failures (0 disables)")
-	cacheGuard := flag.Bool("cache-guard", false, "arm the cache-busting tripwire: assert every measurement name misses a shared answer cache")
 	chaosChurn := flag.Float64("chaos-churn", 0, "probability per measurement that the exit node churns mid-tunnel")
 	chaosCorrupt := flag.Float64("chaos-corrupt", 0, "probability per measurement that the X-Luminati timing headers go missing or garbled")
 	chaosReset := flag.Float64("chaos-reset", 0, "probability per measurement that the Super-Proxy connection resets")
@@ -128,19 +124,6 @@ func main() {
 		HeaderCorruptProb: *chaosCorrupt,
 		ConnResetProb:     *chaosReset,
 	}
-	if *breaker > 0 {
-		// Count-based probing keeps the campaign a pure function of
-		// its seed (wall-clock probes would not).
-		cfg.Breaker = &resolver.BreakerPolicy{FailureThreshold: *breaker, ProbeEvery: 2 * *breaker}
-	}
-	var guard *cache.Cache
-	if *cacheGuard {
-		// Every run's unique name is looked up (must miss) and then
-		// marked in this shared cache; any hit means the cache-busting
-		// invariant broke and the run is skipped instead of measured.
-		guard = cache.New(cache.Config{MaxEntries: 1 << 20})
-		cfg.Cache = guard
-	}
 
 	start := time.Now()
 	var suite *experiments.Suite
@@ -179,10 +162,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "worldstudy: %-5s %d queries, %d ok, %d discarded, %d skipped, %d loss events, %d blocked\n",
 			kind, stats.Queries, stats.Successes, stats.Discards, stats.Skipped, stats.LossEvents, stats.Blocked)
-		if bs, ok := suite.Dataset.Breakers[kind]; ok {
-			fmt.Fprintf(os.Stderr, "worldstudy: %-5s breaker: %d trips, %d short circuits, %d probes, %d ended open\n",
-				kind, bs.Trips, bs.ShortCircuits, bs.Probes, bs.EndedOpen)
-		}
 	}
 	if len(suite.Dataset.SmartWins) > 0 {
 		var parts []string
@@ -192,15 +171,6 @@ func main() {
 			}
 		}
 		fmt.Fprintf(os.Stderr, "worldstudy: smart race wins: %s\n", strings.Join(parts, " "))
-	}
-	if guard != nil {
-		st := guard.Stats()
-		status := "cache busting held"
-		if st.Hits > 0 {
-			status = "CACHE-BUSTING VIOLATED (reused names skipped)"
-		}
-		fmt.Fprintf(os.Stderr, "worldstudy: cache guard: %d hits / %d lookups, %d names marked — %s\n",
-			st.Hits, st.Hits+st.Misses, guard.Len(), status)
 	}
 	if *metrics != "" {
 		if err := writeMetrics(suite.Dataset, *metrics); err != nil {

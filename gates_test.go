@@ -630,3 +630,98 @@ func docHeadings(t *testing.T, path string) map[string]bool {
 	}
 	return heads
 }
+
+// flagCommands are the commands whose flags the docs cite, each with
+// its flags recorded in cmd/<name>/testdata/flags.golden.
+var flagCommands = []string{"authdns", "dohquery", "dohsrv", "recursor", "superproxy", "worldstudy"}
+
+// TestDocsNameFlags holds every <cmd> -<flag> in the docs (docs/*.md,
+// README.md, DESIGN.md, EXPERIMENTS.md and the verify skill's SKILL.md;
+// fenced lines and inline code) to a flag of
+// cmd/<cmd>/testdata/flags.golden. The command may be written as a path
+// (bin/worldstudy, go run ./cmd/worldstudy); a go test, vet or build of
+// its package is not a run of it. Its flags are read as the flag
+// package reads them: up to the first word that is no flag, a flag that
+// is not bool taking the next word as its value unless it is written
+// -name=value. A doc that names a deleted or misspelt flag fails it.
+func TestDocsNameFlags(t *testing.T) {
+	flags := make(map[string]map[string]string) // command -> flag -> type
+	for _, cmd := range flagCommands {
+		golden, err := os.ReadFile(filepath.Join("cmd", cmd, "testdata", "flags.golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		flags[cmd] = make(map[string]string)
+		for _, line := range strings.Split(strings.TrimSpace(string(golden)), "\n") {
+			if f := strings.Fields(line); len(f) >= 2 {
+				flags[cmd][f[0]] = f[1]
+			}
+		}
+	}
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs := 0
+	for _, doc := range append(docs, "README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md") {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		md := strings.ReplaceAll(string(text), "\\\n", " ")
+		var lines []string
+		fence := false
+		for _, line := range strings.Split(md, "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fence = !fence
+			} else if fence {
+				lines = append(lines, line)
+			}
+		}
+		for _, span := range inlineSpan.FindAllString(unfenced(md), -1) {
+			lines = append(lines, strings.Join(strings.Fields(strings.Trim(span, "`")), " "))
+		}
+		for _, line := range lines {
+			words := shellWords(line)
+			built := false // inside a go test, vet or build command
+			for i, w := range words {
+				switch {
+				case w == "":
+					built = false
+				case w == "go" && i+1 < len(words) && (words[i+1] == "test" || words[i+1] == "vet" || words[i+1] == "build"):
+					built = true
+				}
+				cmd := w[strings.LastIndex(w, "/")+1:]
+				known := flags[cmd]
+				if built || known == nil {
+					continue
+				}
+				for j := i + 1; j < len(words); j++ {
+					arg := words[j]
+					if !strings.HasPrefix(arg, "-") || arg == "-" || arg == "--" {
+						break
+					}
+					// -cert/-key names two flags.
+					names, _, hasValue := strings.Cut(strings.TrimLeft(arg, "-"), "=")
+					typ := ""
+					for _, name := range strings.Split(names, "/-") {
+						refs++
+						if typ = known[name]; typ == "" {
+							t.Errorf("%s: %s -%s names no flag in cmd/%s/testdata/flags.golden\n\t%s", doc, cmd, name, cmd, line)
+						}
+					}
+					if typ == "" {
+						break
+					}
+					if typ != "bool" && !hasValue {
+						j++
+					}
+				}
+			}
+		}
+	}
+	if refs == 0 {
+		t.Error("no <cmd> -<flag> reference found in the docs")
+	}
+	t.Logf("%d flag references checked", refs)
+}

@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/anycast"
 	"repro/internal/atlas"
-	"repro/internal/cache"
 	"repro/internal/checkpoint"
 	"repro/internal/geo"
 	"repro/internal/netsim"
@@ -77,27 +76,6 @@ type Config struct {
 	// derived from Seed, so a chaos campaign is as reproducible and
 	// parallelism-invariant as a clean one.
 	Chaos proxynet.Chaos
-	// Breaker, when non-nil, arms one circuit breaker per
-	// provider×country measurement loop (DoH, DoT and DoQ). Runs
-	// short-circuited by an open breaker are counted in
-	// TransportStats.Skipped, and trip totals surface in
-	// Dataset.Breakers and the resolver_<kind>_breaker_* gauges. Use a
-	// count-based ProbeEvery schedule: wall-clock probing would make
-	// the dataset depend on host timing.
-	Breaker *resolver.BreakerPolicy
-	// Cache, when non-nil, arms the cache-busting tripwire: before
-	// each measurement run the campaign looks its unique query name up
-	// in this shared answer cache, and after issuing the run it stores
-	// a marker answer under that name. Because every run draws a fresh
-	// name, a correct campaign records zero hits and the dataset (and
-	// its CSV export) stays byte-identical to an unguarded run; a hit
-	// means a name was reused — the §4 cache-busting invariant broke —
-	// and that run is skipped (counted in TransportStats.Skipped)
-	// instead of polluting the data with a warm-cache timing. Guard
-	// totals surface as campaign_cache_guard_* gauges in Dataset.Obs.
-	// The field is a reporting/tripwire knob with no effect on the
-	// records, so it stays out of the checkpoint config key.
-	Cache *cache.Cache
 	// CheckpointDir, when set, journals every completed country so an
 	// interrupted campaign can resume without re-measuring. Records
 	// are keyed by a hash of the result-affecting configuration; a
@@ -473,7 +451,7 @@ feed:
 		// and observability — but no Atlas remedy, which would hide
 		// the missing Do53 coverage behind fresh probe data.
 		ds.Partial = true
-		finishObs(cfg, reg, ds, simTotal)
+		finishObs(reg, ds, simTotal)
 		return ds, fmt.Errorf("campaign: interrupted: %w", err)
 	}
 
@@ -489,7 +467,7 @@ feed:
 		ds.AtlasDo53Ms[ct.Code] = med
 	}
 
-	finishObs(cfg, reg, ds, simTotal)
+	finishObs(reg, ds, simTotal)
 	return ds, nil
 }
 
@@ -500,8 +478,8 @@ feed:
 // while measuring a subset remains valid for the full campaign, which
 // is exactly the interrupt-then-resume path, and disjoint shards may
 // share one journal directory (shards whose lists overlap each restore
-// or measure their own slice; Merge refuses the overlap). Parallel and Cache are
-// schedule/reporting knobs with no effect on the records; AtlasProbes
+// or measure their own slice; Merge refuses the overlap). Parallel is a
+// schedule knob with no effect on the records; AtlasProbes
 // only affects the remedy, which is recomputed on every run. The
 // leading version is the journaled record's shape: v2 since
 // ClientRecord keeps its DoT and DoQ results in Sessions, so that a v1
@@ -516,8 +494,5 @@ func configKey(cfg Config, providers []anycast.ProviderID) string {
 		fmt.Fprintf(h, "t=%s|", k)
 	}
 	fmt.Fprintf(h, "chaos=%g/%g/%g|", cfg.Chaos.ExitChurnProb, cfg.Chaos.HeaderCorruptProb, cfg.Chaos.ConnResetProb)
-	if cfg.Breaker != nil {
-		fmt.Fprintf(h, "brk=%d/%d/%d|", cfg.Breaker.FailureThreshold, cfg.Breaker.ProbeEvery, cfg.Breaker.SuccessesToClose)
-	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }

@@ -149,13 +149,6 @@ func publishDataset(reg *obs.Registry, ds *Dataset) {
 		reg.Gauge(p + "blocked").Set(float64(ts.Blocked))
 		reg.Gauge(p + "skipped").Set(float64(ts.Skipped))
 	}
-	for kind, bs := range ds.Breakers {
-		p := "resolver_" + string(kind) + "_breaker_"
-		reg.Gauge(p + "trips").Set(float64(bs.Trips))
-		reg.Gauge(p + "short_circuits").Set(float64(bs.ShortCircuits))
-		reg.Gauge(p + "probes").Set(float64(bs.Probes))
-		reg.Gauge(p + "open").Set(float64(bs.EndedOpen))
-	}
 	for kind, n := range ds.SmartWins {
 		reg.Gauge("campaign_smart_win_" + string(kind)).Set(float64(n))
 	}
@@ -211,9 +204,6 @@ type Accounting struct {
 	// loss events they absorbed (paper §3.5's drop handling, reported
 	// per transport instead of silently lost).
 	Transports map[resolver.Kind]TransportStats `json:"transports"`
-	// Breakers reports circuit-breaker activity per transport kind;
-	// empty unless Config.Breaker armed them.
-	Breakers map[resolver.Kind]BreakerStats `json:"breakers,omitempty"`
 	// SmartWins counts, per transport kind, how many (client, provider)
 	// smart races that kind won; nil unless resolver.Smart is in the
 	// transport set. Kept as accounting, summed per country like the
@@ -240,17 +230,6 @@ func (a *Accounting) add(o Accounting) {
 		t.Blocked += ts.Blocked
 		t.Skipped += ts.Skipped
 		a.Transports[kind] = t
-	}
-	for kind, bs := range o.Breakers {
-		if a.Breakers == nil {
-			a.Breakers = make(map[resolver.Kind]BreakerStats)
-		}
-		b := a.Breakers[kind]
-		b.Trips += bs.Trips
-		b.ShortCircuits += bs.ShortCircuits
-		b.Probes += bs.Probes
-		b.EndedOpen += bs.EndedOpen
-		a.Breakers[kind] = b
 	}
 	for kind, n := range o.SmartWins {
 		if a.SmartWins == nil {
@@ -288,37 +267,11 @@ type TransportStats struct {
 	Skipped int
 }
 
-// BreakerStats aggregates the per-provider×country circuit breakers
-// for one transport kind.
-type BreakerStats struct {
-	// Trips counts closed/half-open -> open transitions.
-	Trips int64
-	// ShortCircuits counts runs rejected while open (these are also in
-	// TransportStats.Skipped).
-	ShortCircuits int64
-	// Probes counts half-open probe admissions.
-	Probes int64
-	// EndedOpen counts breakers still open when their country finished
-	// — the per-target "this transport is dead here" signal.
-	EndedOpen int64
-}
-
 // finishObs publishes the finished (or partially finished) dataset's
 // gauges into reg, which holds its folded histograms, and snapshots
 // it; the snapshot is a pure function of the records and accounting,
 // so it inherits their schedule independence.
-func finishObs(cfg Config, reg *obs.Registry, ds *Dataset, simTotal proxynet.SimStats) {
+func finishObs(reg *obs.Registry, ds *Dataset, simTotal proxynet.SimStats) {
 	publishAccounting(reg, ds, simTotal)
-	if cfg.Cache != nil {
-		// Tripwire totals. Names are unique per run, so guard_hits is
-		// zero on a correct campaign; entries counts the consumed
-		// names and misses the guard lookups, both pure functions of
-		// the workload (the name->shard hash ignores scheduling, so
-		// the totals are Parallel-invariant like everything else).
-		st := cfg.Cache.Stats()
-		reg.Gauge("campaign_cache_guard_hits").Set(float64(st.Hits))
-		reg.Gauge("campaign_cache_guard_misses").Set(float64(st.Misses))
-		reg.Gauge("campaign_cache_guard_entries").Set(float64(cfg.Cache.Len()))
-	}
 	ds.Obs = reg.Snapshot()
 }

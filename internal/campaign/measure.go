@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/anycast"
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/dnswire"
 	"repro/internal/geo"
@@ -20,10 +19,6 @@ import (
 	"repro/internal/resolver"
 	"repro/internal/world"
 )
-
-// markerAddr is the answer the cache-busting tripwire stores under
-// each consumed name (TEST-NET-1, never a real measurement target).
-var markerAddr = netip.MustParseAddr("192.0.2.1")
 
 // countryRecord is what measureCountry produces for one country, and
 // its checkpoint journal payload: JSON-round-trippable (float64
@@ -54,9 +49,7 @@ func countrySeed(seed int64, code string) int64 {
 // function of the configuration.
 type nameScratch struct {
 	buf []byte
-	// names holds the query names. A name lives for its run; only the
-	// cache-busting tripwire (Config.Cache) keeps names, the name of
-	// every run it lets through, so a chunk it pins holds little else.
+	// names holds the query names. A name lives for its run.
 	names dnswire.StringChunks
 	// kept holds the records' prefixes, which live as long as the
 	// dataset: apart from the names, so that no kept string pins a
@@ -98,10 +91,9 @@ func appendHex08(b []byte, v uint64) []byte {
 
 // countryRun is what one country's measurement loops share: the
 // simulator, the accounting, and the steps every run takes around its
-// transport's own Measure call — admit before it, settle after it.
+// transport's own Measure call — a fresh name before it, settle after
+// it.
 type countryRun struct {
-	cache   *cache.Cache            // Config.Cache
-	policy  *resolver.BreakerPolicy // Config.Breaker
 	code    string
 	sim     *proxynet.Sim
 	scratch *nameScratch
@@ -111,59 +103,6 @@ type countryRun struct {
 	// lossSeen is the simulator's loss counter as of the last settled
 	// run; the difference is what the next (sequential) run absorbed.
 	lossSeen int64
-	// breakers holds one breaker per kind×provider, shared across the
-	// country's clients: a transport that is dead country-wide (blocked
-	// DoT, chaos-saturated DoH) trips after FailureThreshold consecutive
-	// failures, and the remaining runs are skipped instead of measured.
-	breakers map[breakerKey]*resolver.Breaker
-}
-
-type breakerKey struct {
-	kind resolver.Kind
-	pid  anycast.ProviderID
-}
-
-// breaker returns the kind×provider breaker, nil unless Config.Breaker
-// armed them.
-func (r *countryRun) breaker(kind resolver.Kind, pid anycast.ProviderID) *resolver.Breaker {
-	if r.policy == nil {
-		return nil
-	}
-	b := r.breakers[breakerKey{kind, pid}]
-	if b == nil {
-		if r.breakers == nil {
-			r.breakers = make(map[breakerKey]*resolver.Breaker)
-		}
-		b = resolver.NewBreaker(*r.policy)
-		r.breakers[breakerKey{kind, pid}] = b
-	}
-	return b
-}
-
-// skip counts n runs that were never issued.
-func (r *countryRun) skip(kind resolver.Kind, n int) {
-	ts := r.acct.Transports[kind]
-	ts.Skipped += n
-	r.acct.Transports[kind] = ts
-}
-
-// admit opens a measurement run: the breaker gate (brk may be nil),
-// then a fresh query name, then the cache-busting tripwire
-// (Config.Cache) — every run's fresh name must miss the shared answer
-// cache; a hit proves a name was reused, so the run is skipped rather
-// than measured warm. ok false means the run was skipped, and counted.
-func (r *countryRun) admit(kind resolver.Kind, brk *resolver.Breaker) (name string, ok bool) {
-	if brk != nil && !brk.Allow() {
-		r.skip(kind, 1)
-		return "", false
-	}
-	r.uuidSeq++
-	name = r.scratch.format(r.code, r.uuidSeq)
-	if r.cache != nil && r.cache.Get(dnswire.NewName(name), dnswire.TypeA) != nil {
-		r.skip(kind, 1)
-		return "", false
-	}
-	return name, true
 }
 
 // runOutcome is how an issued run ended.
@@ -179,21 +118,18 @@ const (
 	runPermanent
 )
 
-// runs issues the n runs of kind one client makes to one destination
-// (brk may be nil): each is admitted, measured by measure, settled and
-// counted by its outcome. first and reused are the measured runs' mean
-// times in milliseconds, got counts those runs and blocked the blocked
-// ones. measure is called, never kept, so a closure passed to it stays
-// on its caller's stack.
-func (r *countryRun) runs(kind resolver.Kind, brk *resolver.Breaker, n int, measure func(name string) (first, reused time.Duration, o runOutcome)) (first, reused float64, got, blocked int) {
+// runs issues the n runs of kind one client makes to one destination:
+// each takes the country's next unique query name, is measured by
+// measure, settled and counted by its outcome. first and reused are the
+// measured runs' mean times in milliseconds, got counts those runs and
+// blocked the blocked ones. measure is called, never kept, so a closure
+// passed to it stays on its caller's stack.
+func (r *countryRun) runs(kind resolver.Kind, n int, measure func(name string) (first, reused time.Duration, o runOutcome)) (first, reused float64, got, blocked int) {
 loop:
 	for i := range n {
-		name, ok := r.admit(kind, brk)
-		if !ok {
-			continue
-		}
-		f, re, o := measure(name)
-		r.settle(kind, brk, name, o)
+		r.uuidSeq++
+		f, re, o := measure(r.scratch.format(r.code, r.uuidSeq))
+		r.settle(kind, o)
 		switch o {
 		case runMeasured:
 			first += float64(f) / float64(time.Millisecond)
@@ -204,7 +140,9 @@ loop:
 		case runBlocked:
 			blocked++
 		case runPermanent:
-			r.skip(kind, n-i-1)
+			ts := r.acct.Transports[kind]
+			ts.Skipped += n - i - 1
+			r.acct.Transports[kind] = ts
 			break loop
 		}
 	}
@@ -215,26 +153,9 @@ loop:
 	return first, reused, got, blocked
 }
 
-// settle closes an issued run: the tripwire's marker answer goes under
-// the consumed name, the breaker hears the outcome, and the run lands
-// in exactly one accounting bucket, with the loss events it absorbed.
-func (r *countryRun) settle(kind resolver.Kind, brk *resolver.Breaker, name string, o runOutcome) {
-	if r.cache != nil {
-		qname := dnswire.NewName(name)
-		m := dnswire.NewQuery(1, qname, dnswire.TypeA).Reply()
-		m.Answers = append(m.Answers, dnswire.ResourceRecord{
-			Name: qname, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 300,
-			Data: dnswire.ARecord{Addr: markerAddr},
-		})
-		r.cache.Put(qname, dnswire.TypeA, m)
-	}
-	if brk != nil {
-		if o != runMeasured {
-			brk.Failure()
-		} else {
-			brk.Success()
-		}
-	}
+// settle closes an issued run: it lands in exactly one accounting
+// bucket, with the loss events it absorbed.
+func (r *countryRun) settle(kind resolver.Kind, o runOutcome) {
 	ts := r.acct.Transports[kind]
 	ts.Queries++
 	losses := r.sim.Stats().LossEvents
@@ -276,7 +197,7 @@ type worker struct {
 // resumed campaign re-measures it in full.
 func measureCountry(ctx context.Context, cfg Config, params netsim.Params, code string, providers []anycast.ProviderID, w *worker, out []ClientRecord) (countryRecord, error) {
 	scratch := &w.names
-	run := countryRun{cache: cfg.Cache, policy: cfg.Breaker, code: code, scratch: scratch}
+	run := countryRun{code: code, scratch: scratch}
 	run.acct.Transports = make(map[resolver.Kind]TransportStats)
 	ct, ok := world.ByCode(code)
 	if !ok {
@@ -323,7 +244,7 @@ func measureCountry(ctx context.Context, cfg Config, params netsim.Params, code 
 		if wants(resolver.DoH) {
 			for _, pid := range providers {
 				var res DoHResult
-				first, reused, got, _ := run.runs(resolver.DoH, run.breaker(resolver.DoH, pid), cfg.RunsPerClient, func(name string) (time.Duration, time.Duration, runOutcome) {
+				first, reused, got, _ := run.runs(resolver.DoH, cfg.RunsPerClient, func(name string) (time.Duration, time.Duration, runOutcome) {
 					obs, gt := sim.MeasureDoH(node, pid, name)
 					est, err := core.EstimateDoH(obs)
 					if err != nil {
@@ -340,7 +261,7 @@ func measureCountry(ctx context.Context, cfg Config, params netsim.Params, code 
 			}
 		}
 		if wants(resolver.Do53) {
-			first, _, got, _ := run.runs(resolver.Do53, nil, cfg.RunsPerClient, func(name string) (time.Duration, time.Duration, runOutcome) {
+			first, _, got, _ := run.runs(resolver.Do53, cfg.RunsPerClient, func(name string) (time.Duration, time.Duration, runOutcome) {
 				o, _ := sim.MeasureDo53(node, name)
 				v, err := core.EstimateDo53(o)
 				switch {
@@ -361,7 +282,7 @@ func measureCountry(ctx context.Context, cfg Config, params netsim.Params, code 
 				continue
 			}
 			for _, pid := range providers {
-				first, reused, got, blocked := run.runs(kind, run.breaker(kind, pid), cfg.RunsPerClient, func(name string) (time.Duration, time.Duration, runOutcome) {
+				first, reused, got, blocked := run.runs(kind, cfg.RunsPerClient, func(name string) (time.Duration, time.Duration, runOutcome) {
 					obs, gt := sim.MeasureSession(proxynet.Transport(tr), node, pid, name)
 					if obs.Blocked {
 						return 0, 0, runBlocked
@@ -388,19 +309,6 @@ func measureCountry(ctx context.Context, cfg Config, params netsim.Params, code 
 					run.acct.SmartWins[resolver.Kind(res.Winner)]++
 				}
 			}
-		}
-	}
-	if run.breakers != nil {
-		run.acct.Breakers = make(map[resolver.Kind]BreakerStats)
-		for key, b := range run.breakers {
-			bs, snap := run.acct.Breakers[key.kind], b.Snapshot()
-			bs.Trips += snap.Trips
-			bs.ShortCircuits += snap.ShortCircuits
-			bs.Probes += snap.Probes
-			if snap.State == resolver.BreakerOpen {
-				bs.EndedOpen++
-			}
-			run.acct.Breakers[key.kind] = bs
 		}
 	}
 	return countryRecord{Clients: out, Accounting: run.acct, SimStats: sim.Stats()}, nil

@@ -15,7 +15,6 @@ import (
 	"repro/internal/anycast"
 	"repro/internal/checkpoint"
 	"repro/internal/proxynet"
-	"repro/internal/resolver"
 	"repro/internal/world"
 )
 
@@ -469,14 +468,12 @@ func TestMergeSumsAccountingLikeUnsharded(t *testing.T) {
 	countries := []string{"BR", "US", "IT", "NG", "AR", "MX", "ID", "DE", "TH"}
 	cfg := fiveTransportConfig(countries...)
 	cfg.Chaos = soakChaos
-	cfg.Breaker = &resolver.BreakerPolicy{FailureThreshold: 4, ProbeEvery: 6}
 	unsharded, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := unsharded.Accounting
-	if a.DiscardedMismatch == 0 || a.DiscardedImplausible == 0 || len(a.Transports) == 0 ||
-		len(a.Breakers) == 0 || len(a.SmartWins) == 0 {
+	if a.DiscardedMismatch == 0 || a.DiscardedImplausible == 0 || len(a.Transports) == 0 || len(a.SmartWins) == 0 {
 		t.Fatalf("an accounting field is zero, so the merge could drop it unseen: %+v", a)
 	}
 

@@ -10,26 +10,19 @@ import (
 	"repro/internal/obs"
 )
 
-// Circuit breaker: the paper's campaign ran for weeks against
-// providers and countries where a transport could be entirely dead
-// (port-853 filtering, DoH blocked nationally, a churned exit). Without
-// failure isolation every configured run against a dead provider burns
-// its full timeout budget. The breaker trips per target after a run of
-// consecutive failures, short-circuits further attempts, and probes
-// periodically so a recovered target closes the circuit again.
+// Circuit breaker: a live client can face a target whose transport is
+// entirely dead (port-853 filtering, DoH blocked nationally). Without
+// failure isolation every query against it burns its full timeout
+// budget. The breaker trips per target after a run of consecutive
+// failures, short-circuits further attempts, and probes periodically
+// so a recovered target closes the circuit again.
 //
 // State machine:
 //
 //	Closed ──FailureThreshold consecutive failures──▶ Open
-//	Open ──probe due (ProbeEvery calls or ProbeInterval)──▶ HalfOpen
+//	Open ──ProbeInterval since the trip──▶ HalfOpen
 //	HalfOpen ──SuccessesToClose consecutive successes──▶ Closed
 //	HalfOpen ──any failure──▶ Open (a re-trip)
-//
-// Two probe schedules are supported: ProbeInterval is wall-clock (the
-// live-transport middleware default), ProbeEvery is call-count based —
-// fully deterministic, which is what the simulated campaign needs to
-// stay a pure function of its seed. When both are set, whichever
-// comes due first admits the probe.
 
 // ErrBreakerOpen is returned by the WithBreaker middleware for calls
 // short-circuited while the breaker is open. It counts as a skip, not
@@ -66,12 +59,8 @@ type BreakerPolicy struct {
 	// breaker (default 5).
 	FailureThreshold int
 	// ProbeInterval admits a half-open probe this long after the trip
-	// (wall-clock; default 30s when ProbeEvery is unset).
+	// (on the Now clock; default 30s).
 	ProbeInterval time.Duration
-	// ProbeEvery, when positive, admits every Nth short-circuited call
-	// as a half-open probe instead of using wall-clock time — the
-	// deterministic schedule the simulated campaign uses.
-	ProbeEvery int
 	// SuccessesToClose is the consecutive probe successes needed to
 	// close a half-open breaker (default 1).
 	SuccessesToClose int
@@ -86,7 +75,7 @@ func (p BreakerPolicy) withDefaults() BreakerPolicy {
 	if p.SuccessesToClose <= 0 {
 		p.SuccessesToClose = 1
 	}
-	if p.ProbeEvery <= 0 && p.ProbeInterval <= 0 {
+	if p.ProbeInterval <= 0 {
 		p.ProbeInterval = 30 * time.Second
 	}
 	if p.Now == nil {
@@ -95,22 +84,10 @@ func (p BreakerPolicy) withDefaults() BreakerPolicy {
 	return p
 }
 
-// BreakerSnapshot is a point-in-time view of a breaker's counters.
-type BreakerSnapshot struct {
-	// State is the current position.
-	State BreakerState
-	// Trips counts Closed/HalfOpen -> Open transitions.
-	Trips int64
-	// ShortCircuits counts calls rejected while open.
-	ShortCircuits int64
-	// Probes counts half-open probe admissions.
-	Probes int64
-}
-
 // Breaker is the failure-isolation state machine. Use it directly
-// (Allow/Success/Failure) around any operation — the campaign wraps
-// each provider×country measurement loop this way — or as a Resolver
-// middleware via WithBreaker. Safe for concurrent use.
+// (Allow/Success/Failure) around any operation — the smart racer wraps
+// each candidate this way — or as a Resolver middleware via
+// WithBreaker. Safe for concurrent use.
 type Breaker struct {
 	p BreakerPolicy
 
@@ -119,16 +96,14 @@ type Breaker struct {
 	consecFails  int
 	probeSuccess int
 	openedAt     time.Time
-	skipsSinceUp int // short circuits since the breaker last opened
 
-	// The breaker's ledger, which Snapshot reads and Instrument files in
-	// a registry.
+	// The breaker's ledger, which Instrument files in a registry.
 	trips, shortCircuits, probes *obs.Counter
 	open                         *obs.Gauge
 }
 
 // NewBreaker constructs a closed breaker. Its counters are its own, in
-// no registry: the campaign builds one breaker per provider × country.
+// no registry, until Instrument files them in one.
 func NewBreaker(p BreakerPolicy) *Breaker {
 	return &Breaker{
 		p:     p.withDefaults(),
@@ -140,9 +115,8 @@ func NewBreaker(p BreakerPolicy) *Breaker {
 // Instrument files the breaker's counters in reg under
 // resolver_<kind>_breaker_* names: _trips_total, _short_circuits_total
 // and _probes_total plus an _open gauge (1 open, 0.5 half-open, 0
-// closed). Call it before the breaker is shared; Snapshot and reg read
-// the same counts from then on. A name is one count: two breakers
-// instrumented under one kind in one registry share their Snapshot
+// closed). Call it before the breaker is shared. A name is one count:
+// two breakers instrumented under one kind in one registry share their
 // counts.
 func (b *Breaker) Instrument(reg *obs.Registry, kind Kind) {
 	b.mu.Lock()
@@ -174,7 +148,6 @@ func (b *Breaker) transition(to BreakerState) {
 	if to == BreakerOpen {
 		b.trips.Inc()
 		b.openedAt = b.p.Now()
-		b.skipsSinceUp = 0
 	}
 	if to == BreakerHalfOpen {
 		b.probeSuccess = 0
@@ -196,15 +169,7 @@ func (b *Breaker) Allow() bool {
 	case BreakerClosed, BreakerHalfOpen:
 		return true
 	default: // BreakerOpen
-		b.skipsSinceUp++
-		due := false
-		if b.p.ProbeEvery > 0 && b.skipsSinceUp >= b.p.ProbeEvery {
-			due = true
-		}
-		if b.p.ProbeInterval > 0 && b.p.Now().Sub(b.openedAt) >= b.p.ProbeInterval {
-			due = true
-		}
-		if !due {
+		if b.p.Now().Sub(b.openedAt) < b.p.ProbeInterval {
 			b.shortCircuits.Inc()
 			return false
 		}
@@ -250,18 +215,6 @@ func (b *Breaker) State() BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state
-}
-
-// Snapshot returns the breaker's counters.
-func (b *Breaker) Snapshot() BreakerSnapshot {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return BreakerSnapshot{
-		State:         b.state,
-		Trips:         b.trips.Value(),
-		ShortCircuits: b.shortCircuits.Value(),
-		Probes:        b.probes.Value(),
-	}
 }
 
 // WithBreaker wraps next so resolutions flow through b: short-circuited

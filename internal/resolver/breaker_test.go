@@ -3,7 +3,6 @@ package resolver
 import (
 	"context"
 	"errors"
-	"reflect"
 	"testing"
 	"time"
 
@@ -20,8 +19,20 @@ func trip(b *Breaker, n int) {
 	}
 }
 
+// counters reads a breaker's counters from the registry it was
+// instrumented in, keyed by name.
+func counters(reg *obs.Registry) map[string]int64 {
+	got := map[string]int64{}
+	for _, c := range reg.Snapshot().Counters {
+		got[c.Name] = c.Value
+	}
+	return got
+}
+
 func TestBreakerTripsOnConsecutiveFailures(t *testing.T) {
-	b := NewBreaker(BreakerPolicy{FailureThreshold: 3, ProbeEvery: 100})
+	reg := obs.NewRegistry()
+	b := NewBreaker(BreakerPolicy{FailureThreshold: 3, ProbeInterval: time.Hour})
+	b.Instrument(reg, DoH)
 	for i := 0; i < 2; i++ {
 		if !b.Allow() {
 			t.Fatalf("closed breaker rejected call %d", i)
@@ -42,55 +53,20 @@ func TestBreakerTripsOnConsecutiveFailures(t *testing.T) {
 	if b.State() != BreakerOpen {
 		t.Fatalf("state = %v after 3 consecutive failures", b.State())
 	}
-	if got := b.Snapshot().Trips; got != 1 {
+	if got := counters(reg)["resolver_doh_breaker_trips_total"]; got != 1 {
 		t.Errorf("trips = %d, want 1", got)
 	}
 }
 
-func TestBreakerCountBasedProbing(t *testing.T) {
-	b := NewBreaker(BreakerPolicy{FailureThreshold: 2, ProbeEvery: 3})
-	trip(b, 2)
-	if b.State() != BreakerOpen {
-		t.Fatalf("state = %v", b.State())
-	}
-	// Two short circuits, then the third call is admitted as a probe.
-	if b.Allow() || b.Allow() {
-		t.Fatal("open breaker admitted a call before the probe was due")
-	}
-	if !b.Allow() {
-		t.Fatal("probe not admitted on the ProbeEvery-th call")
-	}
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("state = %v during probe", b.State())
-	}
-	// A failed probe re-trips; the next probe window starts over.
-	b.Failure()
-	if b.State() != BreakerOpen {
-		t.Fatalf("state = %v after failed probe", b.State())
-	}
-	if b.Allow() || b.Allow() {
-		t.Fatal("re-opened breaker admitted a call early")
-	}
-	if !b.Allow() {
-		t.Fatal("second probe not admitted")
-	}
-	b.Success()
-	if b.State() != BreakerClosed {
-		t.Fatalf("state = %v after successful probe", b.State())
-	}
-	snap := b.Snapshot()
-	if snap.Trips != 2 || snap.Probes != 2 || snap.ShortCircuits != 4 {
-		t.Errorf("snapshot = %+v, want 2 trips, 2 probes, 4 short circuits", snap)
-	}
-}
-
 func TestBreakerTimeBasedProbing(t *testing.T) {
+	reg := obs.NewRegistry()
 	now := time.Unix(0, 0)
 	b := NewBreaker(BreakerPolicy{
 		FailureThreshold: 1,
 		ProbeInterval:    10 * time.Second,
 		Now:              func() time.Time { return now },
 	})
+	b.Instrument(reg, DoT)
 	trip(b, 1)
 	if b.Allow() {
 		t.Fatal("admitted before the probe interval elapsed")
@@ -102,11 +78,40 @@ func TestBreakerTimeBasedProbing(t *testing.T) {
 	if b.State() != BreakerHalfOpen {
 		t.Fatalf("state = %v", b.State())
 	}
+	// A failed probe re-trips, and the interval runs from the re-trip.
+	b.Failure()
+	if b.State() != BreakerOpen {
+		t.Fatalf("state = %v after failed probe", b.State())
+	}
+	now = now.Add(9 * time.Second)
+	if b.Allow() || b.Allow() {
+		t.Fatal("re-opened breaker admitted a call early")
+	}
+	now = now.Add(time.Second)
+	if !b.Allow() {
+		t.Fatal("second probe not admitted")
+	}
+	b.Success()
+	if b.State() != BreakerClosed {
+		t.Fatalf("state = %v after successful probe", b.State())
+	}
+	got := counters(reg)
+	if got["resolver_dot_breaker_trips_total"] != 2 || got["resolver_dot_breaker_probes_total"] != 2 ||
+		got["resolver_dot_breaker_short_circuits_total"] != 3 {
+		t.Errorf("counters = %v, want 2 trips, 2 probes, 3 short circuits", got)
+	}
 }
 
 func TestBreakerSuccessesToClose(t *testing.T) {
-	b := NewBreaker(BreakerPolicy{FailureThreshold: 1, ProbeEvery: 1, SuccessesToClose: 2})
+	now := time.Unix(0, 0)
+	b := NewBreaker(BreakerPolicy{
+		FailureThreshold: 1,
+		ProbeInterval:    time.Second,
+		SuccessesToClose: 2,
+		Now:              func() time.Time { return now },
+	})
 	trip(b, 1)
+	now = now.Add(time.Second)
 	if !b.Allow() { // probe 1
 		t.Fatal("probe not admitted")
 	}
@@ -130,7 +135,7 @@ func TestWithBreakerMiddleware(t *testing.T) {
 		calls++
 		return nil, Timing{Attempts: 1}, boom
 	})
-	b := NewBreaker(BreakerPolicy{FailureThreshold: 2, ProbeEvery: 100})
+	b := NewBreaker(BreakerPolicy{FailureThreshold: 2, ProbeInterval: time.Hour})
 	r := WithBreaker(dead, b)
 	q := Query(dnswire.NewName("x.a.com."), dnswire.TypeA)
 	ctx := context.Background()
@@ -158,7 +163,7 @@ func TestApplyWithBreakerAndRegistry(t *testing.T) {
 	})
 	reg := obs.NewRegistry()
 	r := Apply(dead, Policy{
-		Breaker:  &BreakerPolicy{FailureThreshold: 2, ProbeEvery: 1000},
+		Breaker:  &BreakerPolicy{FailureThreshold: 2, ProbeInterval: time.Hour},
 		Registry: reg,
 		Kind:     DoH,
 	})
@@ -195,32 +200,6 @@ func TestApplyWithBreakerAndRegistry(t *testing.T) {
 	}
 	if got := gauge("resolver_doh_breaker_open"); got != 1 {
 		t.Errorf("breaker_open gauge = %g, want 1", got)
-	}
-}
-
-// TestBreakerSnapshotIsItsRegistry: an instrumented breaker's Snapshot
-// reads the registry's counters, each under its documented name.
-func TestBreakerSnapshotIsItsRegistry(t *testing.T) {
-	reg := obs.NewRegistry()
-	b := NewBreaker(BreakerPolicy{FailureThreshold: 2, ProbeEvery: 3})
-	b.Instrument(reg, DoT)
-	for i := 0; i < 20; i++ { // trips, short circuits, failed probes
-		if b.Allow() {
-			b.Failure()
-		}
-	}
-	snap := b.Snapshot()
-	want := map[string]int64{
-		"resolver_dot_breaker_trips_total":          snap.Trips,
-		"resolver_dot_breaker_short_circuits_total": snap.ShortCircuits,
-		"resolver_dot_breaker_probes_total":         snap.Probes,
-	}
-	got := map[string]int64{}
-	for _, c := range reg.Snapshot().Counters {
-		got[c.Name] = c.Value
-	}
-	if !reflect.DeepEqual(got, want) || snap.Trips < 2 || snap.ShortCircuits == 0 || snap.Probes == 0 {
-		t.Errorf("registry %v, Snapshot %+v", got, snap)
 	}
 }
 

@@ -314,9 +314,11 @@ func TestStreamClientConformance(t *testing.T) {
 			srv := newPeer(t, sc.wire, func(int, int) reaction { return swallow })
 			r, closeIdle := sc.dial(t, srv.ln.Addr().String(), 5*time.Second)
 			defer closeIdle()
+			// start before the deadline is armed: an exchange that ends
+			// at the deadline then measures no less than 80ms.
+			start := time.Now()
 			short, cancel := context.WithTimeout(ctx, 80*time.Millisecond)
 			defer cancel()
-			start := time.Now()
 			_, _, err := r.Resolve(short, query(0))
 			if !errors.Is(err, context.DeadlineExceeded) {
 				t.Errorf("err = %v, want context.DeadlineExceeded", err)

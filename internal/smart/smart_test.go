@@ -215,7 +215,7 @@ func TestWinnerFailureRacesRemainder(t *testing.T) {
 func TestBreakerOpenEvictsWinnerImmediately(t *testing.T) {
 	a := &stubCand{delay: time.Millisecond}
 	b := &stubCand{delay: 2 * time.Millisecond}
-	brkA := resolver.NewBreaker(resolver.BreakerPolicy{FailureThreshold: 1, ProbeEvery: 1 << 30})
+	brkA := resolver.NewBreaker(resolver.BreakerPolicy{FailureThreshold: 1, ProbeInterval: time.Hour})
 	s, err := New(Config{
 		SmartOptions: resolver.SmartOptions{Stagger: time.Millisecond, ProbeInterval: -1},
 		Candidates: []Candidate{
