@@ -106,7 +106,7 @@ func TestMetricCatalogue(t *testing.T) {
 	resolver.PublishPolicyMetrics(reg, resolver.Do53, policy)
 
 	cfg := campaign.DefaultConfig(2021)
-	cfg.Countries, cfg.ClientScale, cfg.AtlasProbes = []string{"BR"}, 0.2, 5
+	cfg.Countries, cfg.ClientScale = []string{"BR"}, 0.2
 	cfg.Transports = []resolver.Kind{resolver.Do53, resolver.DoH, resolver.DoT, resolver.DoQ, resolver.Smart}
 	cfg.Chaos = proxynet.Chaos{ConnResetProb: 0.05}
 	ds, err := campaign.Run(cfg)

@@ -1,13 +1,23 @@
 package repro
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -725,3 +735,235 @@ func TestDocsNameFlags(t *testing.T) {
 	}
 	t.Logf("%d flag references checked", refs)
 }
+
+// knobSuffixes names the option structs TestEveryKnobHasACaller reads:
+// the exported structs of internal/ whose names end in one of these.
+var knobSuffixes = []string{"Config", "Options", "Policy", "Params", "Server", "Client"}
+
+// unsetKnobs lists, with its reason, every exported field of an option
+// struct that no non-test file outside its package sets. A field that
+// no command, example or bench/ sets, and that has no reason here, is a
+// constant beside the struct's defaults, not a field.
+var unsetKnobs = map[string]string{
+	// Test seams: a clock, a sleep or an inline refresh a test injects.
+	"resolver.BreakerPolicy.Now":      "test seam: the clock that paces probes",
+	"resolver.RetryPolicy.Sleep":      "test seam: the backoff sleep",
+	"smart.Config.NowNanos":           "test seam: the clock that paces probes and ages winners",
+	"cache.Config.SyncRefresh":        "test seam: refreshes run inline, so stale-path tests are deterministic",
+	"authserver.Server.QueryLogLimit": "ring-wrap tests: a 64-entry ring wraps where the 65536 default cannot",
+	// Set by a constructor or a DefaultConfig argument.
+	"campaign.Config.Seed":       "DefaultConfig's argument",
+	"cachestudy.Config.Seed":     "DefaultConfig's argument",
+	"webload.Config.Seed":        "DefaultConfig's argument",
+	"webload.Config.CountryCode": "DefaultConfig's argument",
+	"authserver.Server.Zone":     "NewServer's argument",
+	"dot.Server.Resolver":        "NewServer's argument",
+	"recursive.Server.Resolver":  "NewServer's argument",
+	// Read by other packages, or filled from another field.
+	"campaign.Config.OnCountryDone": "tests cancel a campaign mid-run with it and observe restores",
+	"campaign.Config.MinClients":    "read by bench/rungs.go; goes with ROADMAP item 1h",
+	"resolver.RetryPolicy.Metrics":  "Apply fills it from Policy.Metrics",
+	"netsim.Params.Providers":       "per-provider calibration, ROADMAP item 22's",
+	// The cache study's model tests vary these (TestTTLBoundsHits,
+	// TestSkewIncreasesHits, TestCentralizationImprovesHitRatio).
+	"cachestudy.Config.TTLSeconds": "metamorphic model test seam",
+	"cachestudy.Config.ZipfS":      "metamorphic model test seam",
+	"cachestudy.Config.Provider":   "metamorphic model test seam",
+}
+
+// TestEveryKnobHasACaller holds the option structs to the knob rule: an
+// exported field of an exported internal/ struct named *Config,
+// *Options, *Policy, *Params, *Server or *Client is set by some non-test
+// file outside its package, or it has a row in unsetKnobs. A field is
+// set by a composite-literal key (or an unkeyed element), by an
+// assignment, ++ or -- to it or through it, or by taking its address
+// (flag.*Var). The repo's packages are type-checked from source, so two
+// fields that share a name are told apart; the standard library comes
+// from the export data one go list names. A field without a caller and
+// without a row fails the test, and so does a row whose field is gone
+// or has found a caller.
+func TestEveryKnobHasACaller(t *testing.T) {
+	unset := uncalledKnobs(t)
+	for _, key := range unset {
+		if unsetKnobs[key] == "" {
+			t.Errorf("%s: no non-test file outside its package sets it; make it a constant or give it a row in unsetKnobs", key)
+		}
+	}
+	for key := range unsetKnobs {
+		if !slices.Contains(unset, key) {
+			t.Errorf("unsetKnobs: stale row %s: the field is gone or has a caller", key)
+		}
+	}
+}
+
+// uncalledKnobs type-checks the module's packages (their non-test files,
+// as go/build selects them) and returns, sorted, the option-struct
+// fields that no package but the declaring one sets, each written
+// <package under internal/>.<Type>.<Field>.
+func uncalledKnobs(t *testing.T) []string {
+	out, err := exec.Command("go", "list", "-export", "-deps",
+		"-json=ImportPath,Dir,Export,Standard", "./...").Output()
+	if err != nil {
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			t.Fatalf("go list: %v\n%s", err, exit.Stderr)
+		}
+		t.Fatalf("go list: %v", err)
+	}
+	type listed struct {
+		ImportPath, Dir, Export string
+		Standard                bool
+	}
+	var local []listed // dependencies first
+	export := make(map[string]string)
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var p listed
+		if err := dec.Decode(&p); err != nil {
+			t.Fatal(err)
+		}
+		if p.Standard {
+			export[p.ImportPath] = p.Export
+		} else {
+			local = append(local, p)
+		}
+	}
+
+	fset := token.NewFileSet()
+	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if f := export[path]; f != "" {
+			return os.Open(f)
+		}
+		return nil, fmt.Errorf("no export data for %s", path)
+	})
+	checked := make(map[string]*types.Package)
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if p := checked[path]; p != nil {
+			return p, nil
+		}
+		return std.Import(path)
+	})}
+
+	const internal = "repro/internal/"
+	knobs := make(map[*types.Var]string) // field -> its key
+	set := make(map[*types.Var]bool)
+	for _, p := range local {
+		bp, err := build.ImportDir(p.Dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var files []*ast.File
+		for _, name := range bp.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+		info := &types.Info{
+			Types:      make(map[ast.Expr]types.TypeAndValue),
+			Uses:       make(map[*ast.Ident]types.Object),
+			Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		}
+		pkg, err := conf.Check(p.ImportPath, fset, files, info)
+		if err != nil {
+			t.Fatalf("type-checking %s: %v", p.ImportPath, err)
+		}
+		checked[p.ImportPath] = pkg
+
+		if strings.HasPrefix(p.ImportPath, internal) {
+			scope := pkg.Scope()
+			for _, name := range scope.Names() {
+				tn, ok := scope.Lookup(name).(*types.TypeName)
+				if !ok || !tn.Exported() || !slices.ContainsFunc(knobSuffixes, func(s string) bool { return strings.HasSuffix(name, s) }) {
+					continue
+				}
+				st, ok := tn.Type().Underlying().(*types.Struct)
+				if !ok {
+					continue
+				}
+				for i := range st.NumFields() {
+					if f := st.Field(i); f.Exported() {
+						knobs[f] = strings.TrimPrefix(p.ImportPath, internal) + "." + name + "." + f.Name()
+					}
+				}
+			}
+		}
+
+		mark := func(v *types.Var) {
+			if v != nil && v.Pkg() != pkg {
+				set[v.Origin()] = true
+			}
+		}
+		// through marks every field selected on the way to what e names:
+		// a.B.C = x and &a.B[i].C set both B and C.
+		var through func(e ast.Expr)
+		through = func(e ast.Expr) {
+			switch e := e.(type) {
+			case *ast.ParenExpr:
+				through(e.X)
+			case *ast.StarExpr:
+				through(e.X)
+			case *ast.IndexExpr:
+				through(e.X)
+			case *ast.SelectorExpr:
+				if sel := info.Selections[e]; sel != nil && sel.Kind() == types.FieldVal {
+					mark(sel.Obj().(*types.Var))
+					through(e.X)
+				}
+			}
+		}
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					typ := info.TypeOf(n)
+					if ptr, ok := typ.(*types.Pointer); ok {
+						typ = ptr.Elem()
+					}
+					st, ok := typ.Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								v, _ := info.Uses[id].(*types.Var)
+								mark(v)
+							}
+						} else {
+							mark(st.Field(i))
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						through(lhs)
+					}
+				case *ast.IncDecStmt:
+					through(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						through(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+	if len(knobs) == 0 {
+		t.Fatal("no option struct found under internal/")
+	}
+	var unset []string
+	for v, key := range knobs {
+		if !set[v] {
+			unset = append(unset, key)
+		}
+	}
+	slices.Sort(unset)
+	t.Logf("%d option-struct fields, %d set by no other package", len(knobs), len(unset))
+	return unset
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

@@ -22,7 +22,6 @@ func TestEndToEndStudy(t *testing.T) {
 	}
 	cfg := campaign.DefaultConfig(4242)
 	cfg.ClientScale = 0.3
-	cfg.AtlasProbes = 6
 	suite, err := experiments.NewSuiteContext(context.Background(), cfg, 4)
 	if err != nil {
 		t.Fatal(err)

@@ -23,7 +23,6 @@ func sharedAnalysis(t testing.TB) *Analysis {
 	once.Do(func() {
 		cfg := campaign.DefaultConfig(2021)
 		cfg.ClientScale = 0.4
-		cfg.AtlasProbes = 10
 		ds, err := campaign.Run(cfg)
 		if err != nil {
 			buildErr = err

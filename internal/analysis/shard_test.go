@@ -18,7 +18,6 @@ func TestShardedAnalysisIdentical(t *testing.T) {
 	cfg := campaign.DefaultConfig(1234)
 	cfg.Countries = countries
 	cfg.ClientScale = 0.2
-	cfg.AtlasProbes = 5
 
 	unsharded, err := campaign.Run(cfg)
 	if err != nil {

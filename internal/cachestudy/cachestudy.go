@@ -13,7 +13,6 @@
 package cachestudy
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -28,113 +27,74 @@ import (
 	"repro/internal/world"
 )
 
-// Config parameterizes a cache study run.
+// Config parameterizes a cache study run. The workload's shape is the
+// study's one proposal (the constants below); the fields are the seams
+// its model tests vary.
 type Config struct {
 	// Seed drives all sampling.
 	Seed int64
-	// Countries hosts the synthetic clients; nil uses a default mix.
-	Countries []string
-	// ClientsPerCountry is the population per country.
-	ClientsPerCountry int
-	// QueriesPerClient is the workload length.
-	QueriesPerClient int
-	// Domains is the size of the domain universe.
-	Domains int
 	// ZipfS is the Zipf skew (>1; web popularity is ~1.2-2.0).
 	ZipfS float64
 	// TTLSeconds is the record TTL.
 	TTLSeconds uint32
-	// ResolversPerCountry is the number of independent ISP resolver
-	// caches per country in the distributed (Do53) architecture.
-	ResolversPerCountry int
-	// WorkloadSpan is the virtual time the workload is spread over.
-	WorkloadSpan time.Duration
 	// Provider is the DoH service used for the centralized
 	// architecture (its anycast routing decides cache sharing).
 	Provider anycast.ProviderID
-	// StaleTTL, when positive, adds a second pair of runs with
-	// RFC 8767 serve-stale enabled: expired entries answer at hit cost
-	// while a (virtual-time synchronous) background refresh
-	// repopulates them. Zero keeps the classic two-run study.
-	StaleTTL time.Duration
-	// PrefetchThreshold is the popularity-prefetch horizon for the
-	// serve-stale runs (see cache.Config.PrefetchThreshold). Only
-	// meaningful with StaleTTL set.
-	PrefetchThreshold time.Duration
 }
 
-// DefaultConfig returns a medium-size workload.
+// The workload: clientsPerCountry clients in each of countries, each
+// sending queriesPerClient queries over a universe of domains names,
+// spread over workloadSpan of virtual time. The distributed (Do53)
+// architecture gives each country resolversPerCountry independent ISP
+// resolver caches.
+const (
+	clientsPerCountry   = 40
+	queriesPerClient    = 60
+	domains             = 4000
+	resolversPerCountry = 4
+	workloadSpan        = 30 * time.Minute
+)
+
+// countries hosts the synthetic clients.
+var countries = []string{"BR", "IT", "DE", "ZA", "TH", "PL", "CO", "EG", "ES", "VN"}
+
+// DefaultConfig returns the study's configuration.
 func DefaultConfig(seed int64) Config {
 	return Config{
-		Seed:                seed,
-		Countries:           []string{"BR", "IT", "DE", "ZA", "TH", "PL", "CO", "EG", "ES", "VN"},
-		ClientsPerCountry:   40,
-		QueriesPerClient:    60,
-		Domains:             4000,
-		ZipfS:               1.3,
-		TTLSeconds:          300,
-		ResolversPerCountry: 4,
-		WorkloadSpan:        30 * time.Minute,
-		Provider:            anycast.Cloudflare,
+		Seed:       seed,
+		ZipfS:      1.3,
+		TTLSeconds: 300,
+		Provider:   anycast.Cloudflare,
 	}
 }
 
 // Result summarizes one architecture.
 type Result struct {
-	// Architecture is "do53-distributed" or "doh-centralized", with a
-	// "+stale" suffix on the serve-stale variants.
+	// Architecture is "do53-distributed" or "doh-centralized".
 	Architecture string
 	// Queries is the workload size.
 	Queries int
-	// HitRatio is cache hits / queries (fresh and stale both count:
-	// either way the client was answered from the cache).
+	// HitRatio is cache hits / queries.
 	HitRatio float64
-	// StaleRatio is stale-served answers / queries (zero unless the
-	// run had serve-stale enabled).
-	StaleRatio float64
 	// MeanMs and MedianMs are effective resolution latencies
 	// including cache effects; P95Ms and P99Ms capture the tail the
-	// paper cares about — serve-stale's whole purpose is flattening
-	// the miss spikes out of it.
+	// paper cares about.
 	MeanMs, MedianMs, P95Ms, P99Ms float64
-	// Prefetches counts popularity-driven refreshes across the run's
-	// caches.
-	Prefetches int64
 	// Caches is the number of independent cache instances.
 	Caches int
 }
 
 func (r Result) String() string {
-	s := fmt.Sprintf("%-24s caches=%3d hit=%5.1f%% mean=%6.1fms median=%6.1fms p95=%6.1fms p99=%6.1fms",
+	return fmt.Sprintf("%-24s caches=%3d hit=%5.1f%% mean=%6.1fms median=%6.1fms p95=%6.1fms p99=%6.1fms",
 		r.Architecture, r.Caches, 100*r.HitRatio, r.MeanMs, r.MedianMs, r.P95Ms, r.P99Ms)
-	if r.StaleRatio > 0 || r.Prefetches > 0 {
-		s += fmt.Sprintf(" stale=%4.1f%% prefetch=%d", 100*r.StaleRatio, r.Prefetches)
-	}
-	return s
 }
 
 // Run replays the workload against both architectures and returns the
 // two results (distributed Do53 first).
 func Run(cfg Config) ([]Result, error) {
-	if cfg.ClientsPerCountry <= 0 || cfg.QueriesPerClient <= 0 || cfg.Domains <= 0 {
-		return nil, fmt.Errorf("cachestudy: non-positive workload dimensions")
-	}
 	if cfg.ZipfS <= 1 {
 		return nil, fmt.Errorf("cachestudy: ZipfS must exceed 1")
 	}
-	if cfg.Countries == nil {
-		cfg.Countries = DefaultConfig(0).Countries
-	}
-	if cfg.ResolversPerCountry <= 0 {
-		cfg.ResolversPerCountry = 4
-	}
-	if cfg.WorkloadSpan <= 0 {
-		cfg.WorkloadSpan = 30 * time.Minute
-	}
-	if cfg.Provider == "" {
-		cfg.Provider = anycast.Cloudflare
-	}
-
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	if !anycast.Known(cfg.Provider) {
 		return nil, fmt.Errorf("cachestudy: unknown provider %q", cfg.Provider)
@@ -154,16 +114,13 @@ func Run(cfg Config) ([]Result, error) {
 		overhead    time.Duration
 	}
 	var clients []client
-	for _, code := range cfg.Countries {
-		ct, ok := world.ByCode(code)
-		if !ok {
-			return nil, fmt.Errorf("cachestudy: unknown country %q", code)
-		}
-		for i := 0; i < cfg.ClientsPerCountry; i++ {
+	for _, code := range countries {
+		ct := world.MustByCode(code)
+		for i := 0; i < clientsPerCountry; i++ {
 			pos := geo.Jitter(ct.Centroid, 400, rng.Float64(), rng.Float64())
-			resolverIdx := i % cfg.ResolversPerCountry
+			resolverIdx := i % resolversPerCountry
 			resolverPos := geo.Jitter(ct.Centroid, 120,
-				float64(resolverIdx)/float64(cfg.ResolversPerCountry), 0.4)
+				float64(resolverIdx)/float64(resolversPerCountry), 0.4)
 			pop := anycast.Catalogue()[cfg.Provider].AssignPoP(rng, pos, provider)
 			clients = append(clients, client{
 				endpoint:    netsim.Endpoint{Pos: pos, Country: ct, Residential: true},
@@ -179,7 +136,7 @@ func Run(cfg Config) ([]Result, error) {
 
 	// Shared workload: (client, domain, time) triples, identical for
 	// both architectures.
-	zipf := rand.NewZipf(rng, cfg.ZipfS, 1, uint64(cfg.Domains-1))
+	zipf := rand.NewZipf(rng, cfg.ZipfS, 1, domains-1)
 	type query struct {
 		clientIdx int
 		domain    uint64
@@ -187,11 +144,11 @@ func Run(cfg Config) ([]Result, error) {
 	}
 	var workload []query
 	for ci := range clients {
-		for q := 0; q < cfg.QueriesPerClient; q++ {
+		for q := 0; q < queriesPerClient; q++ {
 			workload = append(workload, query{
 				clientIdx: ci,
 				domain:    zipf.Uint64(),
-				at:        time.Duration(rng.Int63n(int64(cfg.WorkloadSpan))),
+				at:        time.Duration(rng.Int63n(int64(workloadSpan))),
 			})
 		}
 	}
@@ -206,39 +163,23 @@ func Run(cfg Config) ([]Result, error) {
 		return m
 	}
 
-	run := func(centralized, stale bool) Result {
+	run := func(centralized bool) Result {
 		// Virtual clock shared by every cache in this run.
 		var now time.Duration
 		clock := func() time.Time { return time.Unix(0, 0).Add(now) }
 
 		caches := map[string]*cache.Cache{}
 		cacheFor := func(key string) *cache.Cache {
-			if c, ok := caches[key]; !ok {
-				ccfg := cache.Config{MaxEntries: 1 << 16, Clock: clock}
-				if stale {
-					// SyncRefresh keeps the study deterministic: the
-					// refresh runs inline under the virtual clock, but
-					// its upstream cost is not charged to the client —
-					// that is the whole point of serve-stale.
-					ccfg.StaleTTL = cfg.StaleTTL
-					ccfg.PrefetchThreshold = cfg.PrefetchThreshold
-					ccfg.SyncRefresh = true
-				}
-				c = cache.New(ccfg)
-				if stale {
-					c.SetRefresher(func(_ context.Context, name dnswire.Name, _ dnswire.Type) (*dnswire.Message, error) {
-						return answer(name), nil
-					})
-				}
+			c, ok := caches[key]
+			if !ok {
+				c = cache.New(cache.Config{MaxEntries: 1 << 16, Clock: clock})
 				caches[key] = c
-				return c
-			} else {
-				return c
 			}
+			return c
 		}
 		runRng := rand.New(rand.NewSource(cfg.Seed + 7))
 		var latencies []float64
-		hits, stales := 0, 0
+		hits := 0
 		for _, q := range workload {
 			now = q.at
 			cl := clients[q.clientIdx]
@@ -257,11 +198,8 @@ func Run(cfg Config) ([]Result, error) {
 			}
 			store := cacheFor(cacheKey)
 			lat := model.RTT(runRng, cl.endpoint, frontEP)
-			if msg, outcome := store.Lookup(name, dnswire.TypeA); msg != nil {
+			if msg, _ := store.Lookup(name, dnswire.TypeA); msg != nil {
 				hits++
-				if outcome == cache.Stale {
-					stales++
-				}
 			} else {
 				lat += missExtra + model.RTT(runRng, frontEP, auth)
 				store.Put(name, dnswire.TypeA, answer(name))
@@ -272,19 +210,12 @@ func Run(cfg Config) ([]Result, error) {
 		if centralized {
 			arch = "doh-centralized"
 		}
-		if stale {
-			arch += "+stale"
-		}
 		sort.Float64s(latencies)
 		mean := 0.0
 		for _, l := range latencies {
 			mean += l
 		}
 		mean /= float64(len(latencies))
-		var prefetches int64
-		for _, c := range caches {
-			prefetches += c.Stats().Prefetches
-		}
 		quantile := func(p float64) float64 {
 			i := int(p * float64(len(latencies)))
 			if i >= len(latencies) {
@@ -296,19 +227,13 @@ func Run(cfg Config) ([]Result, error) {
 			Architecture: arch,
 			Queries:      len(workload),
 			HitRatio:     float64(hits) / float64(len(workload)),
-			StaleRatio:   float64(stales) / float64(len(workload)),
 			MeanMs:       mean,
 			MedianMs:     latencies[len(latencies)/2],
 			P95Ms:        quantile(0.95),
 			P99Ms:        quantile(0.99),
-			Prefetches:   prefetches,
 			Caches:       len(caches),
 		}
 	}
 
-	results := []Result{run(false, false), run(true, false)}
-	if cfg.StaleTTL > 0 || cfg.PrefetchThreshold > 0 {
-		results = append(results, run(false, true), run(true, true))
-	}
-	return results, nil
+	return []Result{run(false), run(true)}, nil
 }

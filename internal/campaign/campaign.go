@@ -34,21 +34,14 @@ import (
 type Config struct {
 	// Seed makes the whole campaign reproducible.
 	Seed int64
-	// RunsPerClient is the number of measurement runs per exit node
-	// (the paper uses 2).
-	RunsPerClient int
 	// MinClients is the per-country inclusion bar the analysis applies
 	// (analysis.New's argument; the paper's threshold is 10 clients).
 	// The campaign measures every country regardless and never reads it.
 	MinClients int
-	// MaxClients caps per-country clients (the paper saw at most 282).
-	MaxClients int
 	// ClientScale multiplies each country's exit-node weight to set
-	// its client count; zero means 1.0 (≈ 9.7k clients), and
-	// DefaultConfig's 2.7 gives ≈ 21.5k, the paper's ~22k.
+	// its client count, capped at MaxClients; zero means 1.0 (≈ 9.7k
+	// clients), and DefaultConfig's 2.7 gives ≈ 21.5k, the paper's ~22k.
 	ClientScale float64
-	// Providers lists the DoH services to measure; nil means all four.
-	Providers []anycast.ProviderID
 	// Transports selects the transports each client is measured over.
 	// Nil or empty means the paper's set: Do53 (the client's default
 	// resolver) plus DoH. Adding resolver.DoT or resolver.DoQ also runs
@@ -59,9 +52,6 @@ type Config struct {
 	// (requires at least one of DoH/DoT/DoQ in the set). Run rejects
 	// unknown kinds.
 	Transports []resolver.Kind
-	// AtlasProbes is the probe count per Super-Proxy country for the
-	// Do53 remedy.
-	AtlasProbes int
 	// Countries restricts the campaign to specific country codes;
 	// nil means every country in the world dataset.
 	Countries []string
@@ -89,18 +79,24 @@ type Config struct {
 	OnCountryDone func(code string, clients int, resumed bool)
 }
 
-// DefaultConfig reproduces the paper's campaign shape: with the
-// default scale the campaign collects on the order of the paper's
-// 22,052 unique clients.
+// The paper's campaign shape (§3): every client is measured over all
+// four DoH providers (anycast.ProviderIDs) in RunsPerClient runs, a
+// country provisions at most MaxClients exit nodes, and the Do53 remedy
+// takes AtlasProbes RIPE Atlas probes in each Super-Proxy country.
+const (
+	RunsPerClient = 2
+	MaxClients    = 282
+	AtlasProbes   = 25
+)
+
+// DefaultConfig reproduces the paper's campaign: with the default scale
+// it collects on the order of the paper's 22,052 unique clients.
 func DefaultConfig(seed int64) Config {
 	return Config{
-		Seed:          seed,
-		RunsPerClient: 2,
-		MinClients:    10,
-		MaxClients:    282,
-		ClientScale:   2.7,
-		AtlasProbes:   25,
-		Transports:    DefaultTransports(),
+		Seed:        seed,
+		MinClients:  10,
+		ClientScale: 2.7,
+		Transports:  DefaultTransports(),
 	}
 }
 
@@ -256,27 +252,8 @@ func Run(cfg Config) (*Dataset, error) {
 // not journaled: a resumed campaign re-measures them from their own
 // seeds, which is what keeps resumption byte-identical.
 func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
-	def := DefaultConfig(cfg.Seed)
-	if cfg.RunsPerClient <= 0 {
-		cfg.RunsPerClient = def.RunsPerClient
-	}
-	if cfg.MaxClients <= 0 {
-		cfg.MaxClients = def.MaxClients
-	}
-	if cfg.AtlasProbes <= 0 {
-		cfg.AtlasProbes = def.AtlasProbes
-	}
 	if cfg.ClientScale <= 0 {
 		cfg.ClientScale = 1
-	}
-	providers := cfg.Providers
-	if providers == nil {
-		providers = anycast.ProviderIDs()
-	}
-	for _, pid := range providers {
-		if !anycast.Known(pid) {
-			return nil, fmt.Errorf("campaign: unknown provider %q", pid)
-		}
 	}
 	transports, err := normalizeTransports(cfg.Transports)
 	if err != nil {
@@ -321,7 +298,7 @@ func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
 
 	var journal *checkpoint.Journal
 	if cfg.CheckpointDir != "" {
-		journal, err = checkpoint.Open(cfg.CheckpointDir, configKey(cfg, providers))
+		journal, err = checkpoint.Open(cfg.CheckpointDir, configKey(cfg))
 		if err != nil {
 			return nil, err
 		}
@@ -397,7 +374,7 @@ func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
 						return rec, true, nil
 					}
 				}
-				rec, err := measureCountry(ctx, cfg, params, code, providers, w, window(idx))
+				rec, err := measureCountry(ctx, cfg, params, code, w, window(idx))
 				if err == nil && journal != nil {
 					err = journal.Put(code, rec)
 				}
@@ -460,7 +437,7 @@ feed:
 	// the same lab endpoint.
 	at := atlas.New(cfg.Seed+1, params.Latency, netsim.Lab)
 	for _, ct := range world.SuperProxyCountries() {
-		med, err := at.CountryMedianDo53(ct.Code, cfg.AtlasProbes, 10)
+		med, err := at.CountryMedianDo53(ct.Code, AtlasProbes, 10)
 		if err != nil {
 			return nil, err
 		}
@@ -479,15 +456,15 @@ feed:
 // is exactly the interrupt-then-resume path, and disjoint shards may
 // share one journal directory (shards whose lists overlap each restore
 // or measure their own slice; Merge refuses the overlap). Parallel is a
-// schedule knob with no effect on the records; AtlasProbes
-// only affects the remedy, which is recomputed on every run. The
-// leading version is the journaled record's shape: v2 since
-// ClientRecord keeps its DoT and DoQ results in Sessions, so that a v1
-// journal is refused instead of restored with those results zeroed.
-func configKey(cfg Config, providers []anycast.ProviderID) string {
+// schedule knob with no effect on the records; the Atlas remedy is
+// recomputed on every run. The leading version is the journaled
+// record's shape: v2 since ClientRecord keeps its DoT and DoQ results in
+// Sessions, so that a v1 journal is refused instead of restored with
+// those results zeroed.
+func configKey(cfg Config) string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "v2|seed=%d|runs=%d|max=%d|scale=%g|", cfg.Seed, cfg.RunsPerClient, cfg.MaxClients, cfg.ClientScale)
-	for _, p := range providers {
+	fmt.Fprintf(h, "v2|seed=%d|runs=%d|max=%d|scale=%g|", cfg.Seed, RunsPerClient, MaxClients, cfg.ClientScale)
+	for _, p := range anycast.ProviderIDs() {
 		fmt.Fprintf(h, "p=%s|", p)
 	}
 	for _, k := range cfg.Transports {

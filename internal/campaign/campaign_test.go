@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/anycast"
+	"repro/internal/world"
 )
 
 // smallConfig runs a fast campaign over a handful of countries.
@@ -12,7 +13,6 @@ func smallConfig(countries ...string) Config {
 	cfg := DefaultConfig(1234)
 	cfg.Countries = countries
 	cfg.ClientScale = 0.2
-	cfg.AtlasProbes = 5
 	return cfg
 }
 
@@ -122,7 +122,6 @@ func TestAnalyzedCountriesThreshold(t *testing.T) {
 func TestExcludedCountriesNeverAnalyzed(t *testing.T) {
 	cfg := smallConfig("CN", "BR")
 	cfg.ClientScale = 100 // even with many clients...
-	cfg.MaxClients = 40
 	ds, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -174,13 +173,15 @@ func TestMismatchDiscardRateSmall(t *testing.T) {
 func TestClientCountsBoundedByConfig(t *testing.T) {
 	cfg := smallConfig("US")
 	cfg.ClientScale = 10 // would exceed the cap without clamping
-	cfg.MaxClients = 50
+	if n := clientsIn(cfg, world.MustByCode("US")); n != MaxClients {
+		t.Fatalf("US provisions %d clients at scale %g, want the cap, %d", n, cfg.ClientScale, MaxClients)
+	}
 	ds, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(ds.Clients) + ds.DiscardedMismatch; n > 50 {
-		t.Errorf("US clients = %d, want <= 50", n)
+	if n := len(ds.Clients) + ds.DiscardedMismatch; n > MaxClients {
+		t.Errorf("US clients = %d, want <= %d", n, MaxClients)
 	}
 }
 

@@ -51,8 +51,7 @@ func FuzzCSVRoundTrip(f *testing.F) {
 		}
 		cfg := DefaultConfig(seed)
 		cfg.Countries = countries
-		cfg.MaxClients = 6
-		cfg.AtlasProbes = 3
+		cfg.ClientScale = 0.02 // at most 5 clients a country
 		cfg.Transports = []resolver.Kind{resolver.DoH}
 		for i, kind := range fuzzColumns {
 			if mask>>i&1 == 1 {

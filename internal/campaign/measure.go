@@ -175,7 +175,7 @@ func (r *countryRun) settle(kind resolver.Kind, o runOutcome) {
 // clientsIn is the number of exit nodes the campaign provisions in ct:
 // its weight times ClientScale, capped at MaxClients, at least one.
 func clientsIn(cfg Config, ct world.Country) int {
-	return max(min(int(ct.ExitNodeWeight*cfg.ClientScale), cfg.MaxClients), 1)
+	return max(min(int(ct.ExitNodeWeight*cfg.ClientScale), MaxClients), 1)
 }
 
 // worker is one worker goroutine's reusable state. Every country the
@@ -195,7 +195,8 @@ type worker struct {
 // never moved. Cancellation is checked between clients: an abandoned
 // country returns the context error and is never journaled, so a
 // resumed campaign re-measures it in full.
-func measureCountry(ctx context.Context, cfg Config, params netsim.Params, code string, providers []anycast.ProviderID, w *worker, out []ClientRecord) (countryRecord, error) {
+func measureCountry(ctx context.Context, cfg Config, params netsim.Params, code string, w *worker, out []ClientRecord) (countryRecord, error) {
+	providers := anycast.ProviderIDs()
 	scratch := &w.names
 	run := countryRun{code: code, scratch: scratch}
 	run.acct.Transports = make(map[resolver.Kind]TransportStats)
@@ -244,7 +245,7 @@ func measureCountry(ctx context.Context, cfg Config, params netsim.Params, code 
 		if wants(resolver.DoH) {
 			for _, pid := range providers {
 				var res DoHResult
-				first, reused, got, _ := run.runs(resolver.DoH, cfg.RunsPerClient, func(name string) (time.Duration, time.Duration, runOutcome) {
+				first, reused, got, _ := run.runs(resolver.DoH, RunsPerClient, func(name string) (time.Duration, time.Duration, runOutcome) {
 					obs, gt := sim.MeasureDoH(node, pid, name)
 					est, err := core.EstimateDoH(obs)
 					if err != nil {
@@ -261,7 +262,7 @@ func measureCountry(ctx context.Context, cfg Config, params netsim.Params, code 
 			}
 		}
 		if wants(resolver.Do53) {
-			first, _, got, _ := run.runs(resolver.Do53, cfg.RunsPerClient, func(name string) (time.Duration, time.Duration, runOutcome) {
+			first, _, got, _ := run.runs(resolver.Do53, RunsPerClient, func(name string) (time.Duration, time.Duration, runOutcome) {
 				o, _ := sim.MeasureDo53(node, name)
 				v, err := core.EstimateDo53(o)
 				switch {
@@ -282,7 +283,7 @@ func measureCountry(ctx context.Context, cfg Config, params netsim.Params, code 
 				continue
 			}
 			for _, pid := range providers {
-				first, reused, got, blocked := run.runs(kind, cfg.RunsPerClient, func(name string) (time.Duration, time.Duration, runOutcome) {
+				first, reused, got, blocked := run.runs(kind, RunsPerClient, func(name string) (time.Duration, time.Duration, runOutcome) {
 					obs, gt := sim.MeasureSession(proxynet.Transport(tr), node, pid, name)
 					if obs.Blocked {
 						return 0, 0, runBlocked

@@ -78,11 +78,11 @@ func TestDo53SkippedRunsAccounted(t *testing.T) {
 	if st.Queries != clients {
 		t.Errorf("Do53 queries = %d, want %d (one per client before the permanent failure)", st.Queries, clients)
 	}
-	wantSkipped := clients * (cfg.RunsPerClient - 1)
+	wantSkipped := clients * (RunsPerClient - 1)
 	if st.Skipped != wantSkipped {
 		t.Errorf("Do53 skipped = %d, want %d", st.Skipped, wantSkipped)
 	}
-	if got, want := st.Queries+st.Skipped, clients*cfg.RunsPerClient; got != want {
+	if got, want := st.Queries+st.Skipped, clients*RunsPerClient; got != want {
 		t.Errorf("Do53 queries+skipped = %d, want %d (nothing may vanish)", got, want)
 	}
 	if st.Discards != clients {
@@ -107,8 +107,8 @@ func TestDo53SkippedRunsAccounted(t *testing.T) {
 	if st2.Skipped != 0 {
 		t.Errorf("BR Do53 skipped = %d, want 0", st2.Skipped)
 	}
-	if st2.Queries != clients2*cfg2.RunsPerClient {
-		t.Errorf("BR Do53 queries = %d, want %d", st2.Queries, clients2*cfg2.RunsPerClient)
+	if st2.Queries != clients2*RunsPerClient {
+		t.Errorf("BR Do53 queries = %d, want %d", st2.Queries, clients2*RunsPerClient)
 	}
 }
 

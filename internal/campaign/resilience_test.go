@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/anycast"
 	"repro/internal/cache"
 	"repro/internal/dnswire"
 	"repro/internal/proxynet"
@@ -47,9 +46,9 @@ func TestChaosSoak(t *testing.T) {
 
 	providers := 4 // the full catalogue
 	perKindRuns := map[resolver.Kind]int{
-		resolver.DoH:  len(ds.Clients) * providers * cfg.RunsPerClient,
-		resolver.Do53: len(ds.Clients) * cfg.RunsPerClient,
-		resolver.DoT:  len(ds.Clients) * providers * cfg.RunsPerClient,
+		resolver.DoH:  len(ds.Clients) * providers * RunsPerClient,
+		resolver.Do53: len(ds.Clients) * RunsPerClient,
+		resolver.DoT:  len(ds.Clients) * providers * RunsPerClient,
 	}
 	for kind, want := range perKindRuns {
 		ts := ds.Transports[kind]
@@ -105,9 +104,9 @@ func TestChaosSoak(t *testing.T) {
 		}
 	}
 	do53 := ds.Transports[resolver.Do53].Skipped
-	if do53 == 0 || do53 > (cfg.RunsPerClient-1)*behindProxy {
+	if do53 == 0 || do53 > (RunsPerClient-1)*behindProxy {
 		t.Errorf("Do53: Skipped = %d, want 1..%d (%d clients behind a Super Proxy)",
-			do53, (cfg.RunsPerClient-1)*behindProxy, behindProxy)
+			do53, (RunsPerClient-1)*behindProxy, behindProxy)
 	}
 }
 
@@ -269,16 +268,13 @@ func TestCheckpointKeyMismatch(t *testing.T) {
 func TestConfigKey(t *testing.T) {
 	base := smallConfig("BR")
 	base.Transports = DefaultTransports()
-	pids := anycast.ProviderIDs()
-	key := func(c Config) string { return configKey(c, pids) }
-
-	if key(base) != key(base) {
+	if configKey(base) != configKey(base) {
 		t.Error("configKey is not stable")
 	}
 	// The key this configuration had while ClientRecord journaled its
 	// DoT and DoQ results under their own field names: a journal of that
 	// shape must be refused, not restored with those results zeroed.
-	if key(base) == "5167e4a0e2de49b0" {
+	if configKey(base) == "5167e4a0e2de49b0" {
 		t.Error("a v1 journal's key still matches")
 	}
 	// Result-affecting knobs must change the key.
@@ -287,16 +283,13 @@ func TestConfigKey(t *testing.T) {
 	c.Seed++
 	perturbed["seed"] = c
 	c = base
-	c.RunsPerClient = 3
-	perturbed["runs"] = c
-	c = base
 	c.ClientScale = 0.5
 	perturbed["scale"] = c
 	c = base
 	c.Chaos = proxynet.Chaos{ExitChurnProb: 0.1}
 	perturbed["chaos"] = c
 	for name, pc := range perturbed {
-		if key(pc) == key(base) {
+		if configKey(pc) == configKey(base) {
 			t.Errorf("changing %s did not change the config key", name)
 		}
 	}
@@ -306,7 +299,7 @@ func TestConfigKey(t *testing.T) {
 	c.Countries = []string{"BR", "IT", "NG"}
 	c.Parallel = 7
 	c.CheckpointDir = "/elsewhere"
-	if key(c) != key(base) {
+	if configKey(c) != configKey(base) {
 		t.Error("schedule-only knobs changed the config key")
 	}
 }

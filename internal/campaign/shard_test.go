@@ -530,7 +530,7 @@ func TestSpoiledJournalRecordFailsTheRun(t *testing.T) {
 			if _, err := Run(c); err != nil {
 				return err
 			}
-			journal, err := checkpoint.Open(dir, configKey(cfg, anycast.ProviderIDs()))
+			journal, err := checkpoint.Open(dir, configKey(cfg))
 			if err != nil {
 				return err
 			}

@@ -132,6 +132,20 @@ func TestEstimateDoHExactWithoutJitter(t *testing.T) {
 	if d := math.Abs(ms(est.TDoHR) - ms(gt.TDoHR)); d > 1.5 {
 		t.Errorf("jitter-free tDoHR error = %.3f ms", d)
 	}
+	// Eq 6: the tunnel less its set-up and BrightData's share is the
+	// client-to-exit round trip, t1+t2+t7+t8.
+	if rtt := gt.Steps[1] + gt.Steps[2] + gt.Steps[7] + gt.Steps[8]; est.RTT != rtt {
+		t.Errorf("jitter-free RTT = %v, want t1+t2+t7+t8 = %v", est.RTT, rtt)
+	}
+	// The estimate reads only differences of the four timestamps, so
+	// moving the session's start moves none of it.
+	shifted := obs
+	for _, ts := range []*time.Duration{&shifted.TA, &shifted.TB, &shifted.TC, &shifted.TD} {
+		*ts += 250 * time.Millisecond
+	}
+	if got, err := EstimateDoH(shifted); err != nil || got != est {
+		t.Errorf("T_A..T_D shifted by 250ms: estimate %+v, %v; want %+v", got, err, est)
+	}
 }
 
 func TestEstimateDoHRejectsGarbage(t *testing.T) {

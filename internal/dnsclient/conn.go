@@ -181,10 +181,17 @@ func (p *Pool) Begin(ctx context.Context, addr string, tlsConfig *tls.Config, ti
 }
 
 // Next readies Conn for the loop body: an idle connection first, a
-// fresh one when there is none or the idle one turned out dead.
+// fresh one when there is none or the idle one turned out dead. A query
+// whose context is already done takes no connection: it fails with the
+// context's error, and the idle connection stays in the pool.
 func (a *Attempt) Next() bool {
 	switch a.step {
 	case stepBegin:
+		if a.err = a.ctx.Err(); a.err != nil {
+			a.step = stepLast
+			a.stamp()
+			return false
+		}
 		if c, ok := a.pool.take(a.tlsConfig != nil, a.addr); ok {
 			a.Conn, a.State = c.conn, c.state
 			a.step, a.Timing.Reused = stepReused, true

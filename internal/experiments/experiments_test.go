@@ -20,7 +20,6 @@ func sharedSuite(t *testing.T) *Suite {
 	once.Do(func() {
 		cfg := campaign.DefaultConfig(777)
 		cfg.ClientScale = 0.35
-		cfg.AtlasProbes = 8
 		shared, buildErr = NewSuiteContext(context.Background(), cfg, 4)
 	})
 	if buildErr != nil {
@@ -182,7 +181,6 @@ func TestReportsDeterministic(t *testing.T) {
 	cfg := campaign.DefaultConfig(99)
 	cfg.Countries = []string{"BR", "IT", "ZA", "TH", "PL", "CO", "EG", "VN"}
 	cfg.ClientScale = 0.3
-	cfg.AtlasProbes = 4
 	s1, err := NewSuiteContext(context.Background(), cfg, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +208,6 @@ func TestReportsDeterministic(t *testing.T) {
 func TestSmallStudyReportsAliasedCovariates(t *testing.T) {
 	cfg := campaign.DefaultConfig(777)
 	cfg.ClientScale = 0.05
-	cfg.AtlasProbes = 8
 	s, err := NewSuiteContext(context.Background(), cfg, 4)
 	if err != nil {
 		t.Fatal(err)

@@ -20,8 +20,8 @@ import (
 // State machine:
 //
 //	Closed ──FailureThreshold consecutive failures──▶ Open
-//	Open ──ProbeInterval since the trip──▶ HalfOpen
-//	HalfOpen ──SuccessesToClose consecutive successes──▶ Closed
+//	Open ──breakerProbeInterval since the trip──▶ HalfOpen
+//	HalfOpen ──one success──▶ Closed
 //	HalfOpen ──any failure──▶ Open (a re-trip)
 
 // ErrBreakerOpen is returned by the WithBreaker middleware for calls
@@ -53,17 +53,15 @@ func (s BreakerState) String() string {
 	}
 }
 
+// breakerProbeInterval admits a half-open probe this long after the
+// trip, on the policy's Now clock.
+const breakerProbeInterval = 30 * time.Second
+
 // BreakerPolicy parameterizes a Breaker.
 type BreakerPolicy struct {
 	// FailureThreshold is the consecutive-failure count that trips the
 	// breaker (default 5).
 	FailureThreshold int
-	// ProbeInterval admits a half-open probe this long after the trip
-	// (on the Now clock; default 30s).
-	ProbeInterval time.Duration
-	// SuccessesToClose is the consecutive probe successes needed to
-	// close a half-open breaker (default 1).
-	SuccessesToClose int
 	// Now is the clock (default time.Now; tests inject a fake).
 	Now func() time.Time
 }
@@ -71,12 +69,6 @@ type BreakerPolicy struct {
 func (p BreakerPolicy) withDefaults() BreakerPolicy {
 	if p.FailureThreshold <= 0 {
 		p.FailureThreshold = 5
-	}
-	if p.SuccessesToClose <= 0 {
-		p.SuccessesToClose = 1
-	}
-	if p.ProbeInterval <= 0 {
-		p.ProbeInterval = 30 * time.Second
 	}
 	if p.Now == nil {
 		p.Now = time.Now
@@ -91,11 +83,10 @@ func (p BreakerPolicy) withDefaults() BreakerPolicy {
 type Breaker struct {
 	p BreakerPolicy
 
-	mu           sync.Mutex
-	state        BreakerState
-	consecFails  int
-	probeSuccess int
-	openedAt     time.Time
+	mu          sync.Mutex
+	state       BreakerState
+	consecFails int
+	openedAt    time.Time
 
 	// The breaker's ledger, which Instrument files in a registry.
 	trips, shortCircuits, probes *obs.Counter
@@ -149,9 +140,6 @@ func (b *Breaker) transition(to BreakerState) {
 		b.trips.Inc()
 		b.openedAt = b.p.Now()
 	}
-	if to == BreakerHalfOpen {
-		b.probeSuccess = 0
-	}
 	if to == BreakerClosed {
 		b.consecFails = 0
 	}
@@ -169,7 +157,7 @@ func (b *Breaker) Allow() bool {
 	case BreakerClosed, BreakerHalfOpen:
 		return true
 	default: // BreakerOpen
-		if b.p.Now().Sub(b.openedAt) < b.p.ProbeInterval {
+		if b.p.Now().Sub(b.openedAt) < breakerProbeInterval {
 			b.shortCircuits.Inc()
 			return false
 		}
@@ -179,7 +167,7 @@ func (b *Breaker) Allow() bool {
 	}
 }
 
-// Success records a successful call.
+// Success records a successful call: it closes a half-open breaker.
 func (b *Breaker) Success() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -187,10 +175,7 @@ func (b *Breaker) Success() {
 	case BreakerClosed:
 		b.consecFails = 0
 	case BreakerHalfOpen:
-		b.probeSuccess++
-		if b.probeSuccess >= b.p.SuccessesToClose {
-			b.transition(BreakerClosed)
-		}
+		b.transition(BreakerClosed)
 	}
 }
 

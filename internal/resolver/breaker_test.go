@@ -19,6 +19,10 @@ func trip(b *Breaker, n int) {
 	}
 }
 
+// frozen is a clock that never moves: a tripped breaker on it stays
+// open.
+func frozen() time.Time { return time.Unix(0, 0) }
+
 // counters reads a breaker's counters from the registry it was
 // instrumented in, keyed by name.
 func counters(reg *obs.Registry) map[string]int64 {
@@ -31,7 +35,7 @@ func counters(reg *obs.Registry) map[string]int64 {
 
 func TestBreakerTripsOnConsecutiveFailures(t *testing.T) {
 	reg := obs.NewRegistry()
-	b := NewBreaker(BreakerPolicy{FailureThreshold: 3, ProbeInterval: time.Hour})
+	b := NewBreaker(BreakerPolicy{FailureThreshold: 3, Now: frozen})
 	b.Instrument(reg, DoH)
 	for i := 0; i < 2; i++ {
 		if !b.Allow() {
@@ -63,7 +67,6 @@ func TestBreakerTimeBasedProbing(t *testing.T) {
 	now := time.Unix(0, 0)
 	b := NewBreaker(BreakerPolicy{
 		FailureThreshold: 1,
-		ProbeInterval:    10 * time.Second,
 		Now:              func() time.Time { return now },
 	})
 	b.Instrument(reg, DoT)
@@ -71,7 +74,7 @@ func TestBreakerTimeBasedProbing(t *testing.T) {
 	if b.Allow() {
 		t.Fatal("admitted before the probe interval elapsed")
 	}
-	now = now.Add(11 * time.Second)
+	now = now.Add(breakerProbeInterval + time.Second)
 	if !b.Allow() {
 		t.Fatal("probe not admitted after the interval")
 	}
@@ -83,7 +86,7 @@ func TestBreakerTimeBasedProbing(t *testing.T) {
 	if b.State() != BreakerOpen {
 		t.Fatalf("state = %v after failed probe", b.State())
 	}
-	now = now.Add(9 * time.Second)
+	now = now.Add(breakerProbeInterval - time.Second)
 	if b.Allow() || b.Allow() {
 		t.Fatal("re-opened breaker admitted a call early")
 	}
@@ -102,32 +105,6 @@ func TestBreakerTimeBasedProbing(t *testing.T) {
 	}
 }
 
-func TestBreakerSuccessesToClose(t *testing.T) {
-	now := time.Unix(0, 0)
-	b := NewBreaker(BreakerPolicy{
-		FailureThreshold: 1,
-		ProbeInterval:    time.Second,
-		SuccessesToClose: 2,
-		Now:              func() time.Time { return now },
-	})
-	trip(b, 1)
-	now = now.Add(time.Second)
-	if !b.Allow() { // probe 1
-		t.Fatal("probe not admitted")
-	}
-	b.Success()
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("closed after 1 of 2 required successes")
-	}
-	if !b.Allow() { // half-open admits
-		t.Fatal("half-open rejected")
-	}
-	b.Success()
-	if b.State() != BreakerClosed {
-		t.Fatalf("state = %v after 2 successes", b.State())
-	}
-}
-
 func TestWithBreakerMiddleware(t *testing.T) {
 	boom := errors.New("dead transport")
 	var calls int
@@ -135,7 +112,7 @@ func TestWithBreakerMiddleware(t *testing.T) {
 		calls++
 		return nil, Timing{Attempts: 1}, boom
 	})
-	b := NewBreaker(BreakerPolicy{FailureThreshold: 2, ProbeInterval: time.Hour})
+	b := NewBreaker(BreakerPolicy{FailureThreshold: 2, Now: frozen})
 	r := WithBreaker(dead, b)
 	q := Query(dnswire.NewName("x.a.com."), dnswire.TypeA)
 	ctx := context.Background()
@@ -163,7 +140,7 @@ func TestApplyWithBreakerAndRegistry(t *testing.T) {
 	})
 	reg := obs.NewRegistry()
 	r := Apply(dead, Policy{
-		Breaker:  &BreakerPolicy{FailureThreshold: 2, ProbeInterval: time.Hour},
+		Breaker:  &BreakerPolicy{FailureThreshold: 2, Now: frozen},
 		Registry: reg,
 		Kind:     DoH,
 	})

@@ -328,6 +328,36 @@ func TestStreamClientConformance(t *testing.T) {
 			}
 		})
 
+		// A query whose context is done before it starts is not sent, and
+		// the pooled connection it would have taken stays in the pool.
+		t.Run(sc.name+"/context cancelled before the query", func(t *testing.T) {
+			srv := newPeer(t, sc.wire, func(int, int) reaction { return answer })
+			r, closeIdle := sc.dial(t, srv.ln.Addr().String(), 3*time.Second)
+			defer closeIdle()
+			if _, _, err := r.Resolve(ctx, query(0)); err != nil {
+				t.Fatal(err)
+			}
+			cancelled, cancel := context.WithCancel(ctx)
+			cancel()
+			if _, _, err := r.Resolve(cancelled, query(1)); !errors.Is(err, context.Canceled) {
+				t.Errorf("err = %v, want context.Canceled", err)
+			}
+			resp, timing, err := r.Resolve(ctx, query(2))
+			if err != nil || resp.Header.ID != 102 {
+				t.Fatalf("exchange after the cancelled one: %v, want the answer to 102", err)
+			}
+			wantConns := 2
+			if sc.pooled {
+				wantConns = 1
+				if !timing.Reused {
+					t.Error("the next query did not run on the pooled connection")
+				}
+			}
+			if conns, _, asked := srv.seen(); conns != wantConns || asked != 2 {
+				t.Errorf("peer saw %d connections and %d queries, want %d and 2: the cancelled query is not sent", conns, asked, wantConns)
+			}
+		})
+
 		// The known limit: only dohclient arms a hook on the context, so a
 		// bare cancel() ends a DoT or TCP exchange when the socket deadline
 		// does, not before. What every client owes is the context's error.
@@ -520,6 +550,26 @@ func TestDatagramClientConformance(t *testing.T) {
 		}
 		if elapsed := time.Since(start); elapsed > timeout*3/2 {
 			t.Errorf("the cancelled exchange took %v, want no more than its Timeout (%v)", elapsed, timeout)
+		}
+	})
+
+	t.Run("context cancelled before the query", func(t *testing.T) {
+		srv := newDatagramPeer(t, func(int) reaction { return answer })
+		r := NewDo53(srv.addr(), &dnsclient.Client{Timeout: 3 * time.Second})
+		if _, _, err := r.Resolve(ctx, query(0)); err != nil {
+			t.Fatal(err)
+		}
+		cancelled, cancel := context.WithCancel(ctx)
+		cancel()
+		if _, _, err := r.Resolve(cancelled, query(1)); !errors.Is(err, context.Canceled) {
+			t.Errorf("err = %v, want context.Canceled", err)
+		}
+		resp, _, err := r.Resolve(ctx, query(2))
+		if err != nil || resp.Header.ID != 102 {
+			t.Fatalf("exchange after the cancelled one: %v, want the answer to 102", err)
+		}
+		if sockets, asked := srv.seen(); sockets != 1 || asked != 2 {
+			t.Errorf("peer saw %d sockets and %d queries, want 1 and 2: the pooled socket, and the cancelled query not sent", sockets, asked)
 		}
 	})
 

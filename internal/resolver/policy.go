@@ -59,7 +59,7 @@ type Policy struct {
 // "use the smart package's default". Defined here (not in
 // internal/smart) so every resolver-tuning surface sits in one package;
 // see internal/smart for the consumer and its fixed constants (EWMA
-// weight, probe timeout, table size).
+// weight, probe timeout, table size, switch margin).
 type SmartOptions struct {
 	// Stagger is the happy-eyeballs delay between racing candidate
 	// launches (default 30ms). The presumed-fastest candidate starts
@@ -74,10 +74,6 @@ type SmartOptions struct {
 	// candidates, per destination (default 15s; negative disables
 	// probing).
 	ProbeInterval time.Duration
-	// SwitchMargin is the fraction of the winner's EWMA a loser must
-	// beat for the winner to switch, in (0, 1] (default 0.9: the loser
-	// must be at least 10% faster). Hysteresis against flapping.
-	SwitchMargin float64
 }
 
 // Apply wraps r with the policy's middleware stack.

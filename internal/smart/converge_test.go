@@ -171,9 +171,6 @@ func TestSmartConvergesToPerDestinationBest(t *testing.T) {
 			Stagger:       time.Hour, // each race goes to the first launch
 			ReRaceAfter:   -1,
 			ProbeInterval: interval,
-			// A loser must be 3% faster to switch: hysteresis against
-			// jitter, low enough to reach each destination's winner.
-			SwitchMargin: 0.97,
 		},
 		Candidates: cands,
 		KeyFunc:    convergeDestOf,

@@ -49,6 +49,10 @@ const (
 	// winner: one inflated sample from the incumbent is not evidence
 	// that a loser is faster.
 	minProbeSamples = 3
+	// switchMargin is the fraction of the winner's EWMA a loser must
+	// beat for the winner to switch: the loser must be at least 10%
+	// faster. Hysteresis against flapping.
+	switchMargin = 0.9
 )
 
 // Candidate is one transport entered into the race.
@@ -201,9 +205,6 @@ func New(cfg Config) (*Resolver, error) {
 	}
 	if o.ProbeInterval == 0 {
 		o.ProbeInterval = 15 * time.Second
-	}
-	if o.SwitchMargin <= 0 || o.SwitchMargin > 1 {
-		o.SwitchMargin = 0.9
 	}
 	reg := cfg.Registry
 	if reg == nil {
@@ -595,7 +596,7 @@ func (s *Resolver) maybeSwitch(e *entry, idx int) {
 	if loser == 0 || winner == 0 {
 		return
 	}
-	if float64(loser) >= float64(winner)*s.opts.SwitchMargin {
+	if float64(loser) >= float64(winner)*switchMargin {
 		return
 	}
 	if e.winner.CompareAndSwap(int32(w), int32(idx)) {

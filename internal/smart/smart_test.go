@@ -46,6 +46,10 @@ func testQuery(name string) *dnswire.Message {
 	return resolver.Query(dnswire.NewName(name), dnswire.TypeA)
 }
 
+// frozen is a clock that never moves: a tripped breaker on it stays
+// open.
+func frozen() time.Time { return time.Unix(0, 0) }
+
 // ruleWinner is the slot RaceOutcome — the rule the campaign's smart
 // column is derived with — elects for stub candidates in launch order.
 func ruleWinner(stagger time.Duration, cands ...*stubCand) int {
@@ -215,7 +219,7 @@ func TestWinnerFailureRacesRemainder(t *testing.T) {
 func TestBreakerOpenEvictsWinnerImmediately(t *testing.T) {
 	a := &stubCand{delay: time.Millisecond}
 	b := &stubCand{delay: 2 * time.Millisecond}
-	brkA := resolver.NewBreaker(resolver.BreakerPolicy{FailureThreshold: 1, ProbeInterval: time.Hour})
+	brkA := resolver.NewBreaker(resolver.BreakerPolicy{FailureThreshold: 1, Now: frozen})
 	s, err := New(Config{
 		SmartOptions: resolver.SmartOptions{Stagger: time.Millisecond, ProbeInterval: -1},
 		Candidates: []Candidate{
@@ -303,7 +307,6 @@ func TestProbeSwitchesWinner(t *testing.T) {
 		SmartOptions: resolver.SmartOptions{
 			Stagger:       2 * time.Millisecond,
 			ProbeInterval: time.Nanosecond,
-			SwitchMargin:  0.9,
 		},
 		Candidates: []Candidate{
 			{Kind: resolver.Do53, Resolver: a},

@@ -39,7 +39,7 @@ func TestSmartSoak(t *testing.T) {
 		{Kind: resolver.DoT, Resolver: mk(1500*time.Microsecond, 3)},
 	}
 	dying := &soakStub{delay: 200 * time.Microsecond}
-	brk := resolver.NewBreaker(resolver.BreakerPolicy{FailureThreshold: 3, ProbeInterval: time.Hour})
+	brk := resolver.NewBreaker(resolver.BreakerPolicy{FailureThreshold: 3, Now: frozen})
 	cands = append(cands, Candidate{Kind: resolver.DoQ, Resolver: dying, Breaker: brk})
 
 	reg := obs.NewRegistry()

@@ -112,13 +112,6 @@ func (e *ECDF) Points(n int) [][2]float64 {
 	return out
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // TwoSidedP converts a z statistic to a two-sided p-value under the
 // standard normal (a Wald test's). It is erfc(|z|/√2) directly rather
 // than 2·(1 − Φ(|z|)), which rounds to exactly 0 once |z| passes about

@@ -68,6 +68,19 @@ func TestECDF(t *testing.T) {
 	if len(pts) != 3 || pts[0][0] != 1 || pts[2][0] != 4 {
 		t.Errorf("Points = %v", pts)
 	}
+	// At distinct values a point's probability is the ECDF's there, and
+	// the last point is the whole sample.
+	for _, n := range []int{3, 0} {
+		pts := e.Points(n)
+		for _, p := range pts {
+			if p[1] != e.At(p[0]) {
+				t.Errorf("Points(%d) has (%v, %v), want P = At(%v) = %v", n, p[0], p[1], p[0], e.At(p[0]))
+			}
+		}
+		if last := pts[len(pts)-1][1]; last != 1 {
+			t.Errorf("Points(%d) ends at P = %v, want 1", n, last)
+		}
+	}
 	if _, err := NewECDF(nil); err == nil {
 		t.Error("empty ECDF accepted")
 	}

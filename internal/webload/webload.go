@@ -45,6 +45,12 @@ const (
 	// fetchMs is the non-DNS portion of the page load, used to compute
 	// DNS's share.
 	fetchMs = 1800
+	// clients sizes the workload.
+	clients = 30
+	// waves is the dependency depth (HTML -> CSS/JS -> fonts/ads).
+	waves = 3
+	// provider is the DoH service.
+	provider = anycast.Cloudflare
 )
 
 // Config parameterizes the workload.
@@ -53,23 +59,11 @@ type Config struct {
 	Seed int64
 	// CountryCode locates the client population.
 	CountryCode string
-	// Clients sizes the workload.
-	Clients int
-	// Waves is the dependency depth (HTML -> CSS/JS -> fonts/ads).
-	Waves int
-	// Provider is the DoH service.
-	Provider anycast.ProviderID
 }
 
 // DefaultConfig returns a typical-web workload in the given country.
 func DefaultConfig(seed int64, country string) Config {
-	return Config{
-		Seed:        seed,
-		CountryCode: country,
-		Clients:     30,
-		Waves:       3,
-		Provider:    anycast.Cloudflare,
-	}
+	return Config{Seed: seed, CountryCode: country}
 }
 
 // Outcome summarizes one protocol over the whole workload.
@@ -96,30 +90,21 @@ func Run(cfg Config) ([]Outcome, error) {
 	if !ok {
 		return nil, fmt.Errorf("webload: unknown country %q", cfg.CountryCode)
 	}
-	if cfg.Clients <= 0 || cfg.Waves <= 0 {
-		return nil, fmt.Errorf("webload: non-positive workload dimensions")
-	}
-	if cfg.Provider == "" {
-		cfg.Provider = anycast.Cloudflare
-	}
-	if !anycast.Known(cfg.Provider) {
-		return nil, fmt.Errorf("webload: unknown provider %q", cfg.Provider)
-	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	params := netsim.DefaultParams()
-	model, provider := &params.Latency, params.Providers.Of(cfg.Provider)
+	model, cal := &params.Latency, params.Providers.Of(provider)
 	auth := netsim.Lab
 
 	perPage := map[Protocol][]float64{}
-	for c := 0; c < cfg.Clients; c++ {
+	for c := 0; c < clients; c++ {
 		pos := geo.Jitter(ct.Centroid, 400, rng.Float64(), rng.Float64())
 		client := netsim.Endpoint{Pos: pos, Country: ct, Residential: true}
 		resolverEP := netsim.Endpoint{
 			Pos: geo.Jitter(ct.Centroid, 120, rng.Float64(), rng.Float64()), Country: ct,
 		}
 		overhead := time.Duration(ct.ResolverOverheadMs * float64(time.Millisecond))
-		pop := anycast.Catalogue()[cfg.Provider].AssignPoP(rng, pos, provider)
+		pop := anycast.Catalogue()[provider].AssignPoP(rng, pos, cal)
 		popEP := netsim.Endpoint{Pos: pop.Pos, Country: world.MustByCode(pop.CountryCode)}
 
 		do53Query := func() float64 {
@@ -130,7 +115,7 @@ func Run(cfg Config) ([]Outcome, error) {
 			return ms(lat)
 		}
 		dohQuery := func() float64 {
-			lat := model.RTT(rng, client, popEP) + provider.ServiceTime
+			lat := model.RTT(rng, client, popEP) + cal.ServiceTime
 			if rng.Float64() >= popHitProb {
 				lat += model.RTT(rng, popEP, auth)
 			}
@@ -141,16 +126,16 @@ func Run(cfg Config) ([]Outcome, error) {
 			// TCP + TLS 1.3 round trips plus the provider's setup cost.
 			return ms(model.RTT(rng, client, resolverEP)) +
 				ms(model.RTT(rng, client, popEP)) +
-				ms(model.RTT(rng, client, popEP)+provider.SetupOverhead)
+				ms(model.RTT(rng, client, popEP)+cal.SetupOverhead)
 		}
 
 		for p := 0; p < pagesPerClient; p++ {
 			nDomains := 1 + rng.Intn(meanDomains*2-1) // uniform, mean ≈ meanDomains
-			waves := splitWaves(nDomains, cfg.Waves, rng)
+			pageWaves := splitWaves(nDomains, rng)
 
 			pageDNS := func(query func() float64, setup float64) float64 {
 				total := setup
-				for _, wave := range waves {
+				for _, wave := range pageWaves {
 					// Parallel within the wave: the wave costs its max.
 					maxQ := 0.0
 					for i := 0; i < wave; i++ {
@@ -184,12 +169,9 @@ func Run(cfg Config) ([]Outcome, error) {
 	return out, nil
 }
 
-// splitWaves partitions n domains into waves: the first wave is the
-// primary domain, the rest spread over the remaining waves.
-func splitWaves(n, waves int, rng *rand.Rand) []int {
-	if waves < 1 {
-		waves = 1
-	}
+// splitWaves partitions n domains into at most waves waves: the first
+// wave is the primary domain, the rest spread over the remaining waves.
+func splitWaves(n int, rng *rand.Rand) []int {
 	out := make([]int, 0, waves)
 	out = append(out, 1)
 	n--

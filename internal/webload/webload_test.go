@@ -1,10 +1,9 @@
 package webload
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
-
-	"repro/internal/anycast"
 )
 
 func TestRunBasics(t *testing.T) {
@@ -91,16 +90,6 @@ func TestValidation(t *testing.T) {
 	if _, err := Run(DefaultConfig(5, "XX")); err == nil {
 		t.Error("unknown country accepted")
 	}
-	bad := DefaultConfig(5, "DE")
-	bad.Clients = 0
-	if _, err := Run(bad); err == nil {
-		t.Error("zero clients accepted")
-	}
-	bad2 := DefaultConfig(5, "DE")
-	bad2.Provider = anycast.ProviderID("bogus")
-	if _, err := Run(bad2); err == nil {
-		t.Error("unknown provider accepted")
-	}
 }
 
 func TestDeterministic(t *testing.T) {
@@ -120,13 +109,21 @@ func TestDeterministic(t *testing.T) {
 }
 
 func TestSplitWavesPartition(t *testing.T) {
-	cfg := DefaultConfig(7, "DE")
-	cfg.Waves = 4
-	out, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 3 {
-		t.Fatal("missing outcomes")
+	rng := rand.New(rand.NewSource(7))
+	for n := 1; n <= 2*meanDomains; n++ {
+		out := splitWaves(n, rng)
+		if len(out) == 0 || len(out) > waves || out[0] != 1 {
+			t.Fatalf("splitWaves(%d) = %v, want the primary domain first and at most %d waves", n, out, waves)
+		}
+		sum := 0
+		for _, w := range out {
+			if w < 1 {
+				t.Fatalf("splitWaves(%d) = %v has an empty wave", n, out)
+			}
+			sum += w
+		}
+		if sum != n {
+			t.Fatalf("splitWaves(%d) = %v sums to %d", n, out, sum)
+		}
 	}
 }
