@@ -745,11 +745,10 @@ var knobSuffixes = []string{"Config", "Options", "Policy", "Params", "Server", "
 // no command, example or bench/ sets, and that has no reason here, is a
 // constant beside the struct's defaults, not a field.
 var unsetKnobs = map[string]string{
-	// Test seams: a clock, a sleep or an inline refresh a test injects.
+	// Test seams: a clock or a sleep a test injects.
 	"resolver.BreakerPolicy.Now":      "test seam: the clock that paces probes",
 	"resolver.RetryPolicy.Sleep":      "test seam: the backoff sleep",
 	"smart.Config.NowNanos":           "test seam: the clock that paces probes and ages winners",
-	"cache.Config.SyncRefresh":        "test seam: refreshes run inline, so stale-path tests are deterministic",
 	"authserver.Server.QueryLogLimit": "ring-wrap tests: a 64-entry ring wraps where the 65536 default cannot",
 	// Set by a constructor or a DefaultConfig argument.
 	"campaign.Config.Seed":       "DefaultConfig's argument",

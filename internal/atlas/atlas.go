@@ -19,8 +19,6 @@ import (
 
 // Probe is one volunteer measurement host.
 type Probe struct {
-	// ID identifies the probe.
-	ID string
 	// Country hosts the probe.
 	Country world.Country
 	// Endpoint is the probe's residential attachment.
@@ -42,8 +40,6 @@ type Network struct {
 	Rand *rand.Rand
 	// Auth is the authoritative name server endpoint.
 	Auth netsim.Endpoint
-
-	counter int
 }
 
 // New builds a probe network against the given authoritative endpoint.
@@ -52,17 +48,15 @@ func New(seed int64, model netsim.LatencyModel, auth netsim.Endpoint) *Network {
 }
 
 // Probe provisions a volunteer probe in the country.
-func (n *Network) Probe(countryCode string) (*Probe, error) {
+func (n *Network) Probe(countryCode string) (Probe, error) {
 	ct, ok := world.ByCode(countryCode)
 	if !ok {
-		return nil, fmt.Errorf("atlas: unknown country %q", countryCode)
+		return Probe{}, fmt.Errorf("atlas: unknown country %q", countryCode)
 	}
-	n.counter++
 	// Volunteer probes sit behind the same mix of ISP resolvers as
 	// exit nodes, including the occasional pathological one.
 	host, resolverEP, overhead := netsim.ResidentialHost(n.Rand, ct)
-	return &Probe{
-		ID:               fmt.Sprintf("probe-%s-%05d", countryCode, n.counter),
+	return Probe{
 		Country:          ct,
 		Endpoint:         host,
 		ResolverEndpoint: resolverEP,
@@ -87,14 +81,14 @@ func (n *Network) CountryMedianDo53(countryCode string, probes, runsPerProbe int
 	if probes <= 0 || runsPerProbe <= 0 {
 		return 0, fmt.Errorf("atlas: need positive probe/run counts")
 	}
-	var vals []float64
+	vals := make([]float64, 0, probes*runsPerProbe)
 	for i := 0; i < probes; i++ {
 		p, err := n.Probe(countryCode)
 		if err != nil {
 			return 0, err
 		}
 		for r := 0; r < runsPerProbe; r++ {
-			vals = append(vals, float64(n.MeasureDo53(p))/float64(time.Millisecond))
+			vals = append(vals, float64(n.MeasureDo53(&p))/float64(time.Millisecond))
 		}
 	}
 	return stats.MustMedian(vals), nil

@@ -24,10 +24,6 @@ func TestProbeProvisioning(t *testing.T) {
 	if p.Country.Code != "DE" || !p.Endpoint.Residential {
 		t.Errorf("probe = %+v", p)
 	}
-	p2, _ := n.Probe("DE")
-	if p.ID == p2.ID {
-		t.Error("probe IDs collide")
-	}
 	if _, err := n.Probe("XX"); err == nil {
 		t.Error("unknown country accepted")
 	}
@@ -39,7 +35,7 @@ func TestMeasureDo53Positive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := n.MeasureDo53(p)
+	d := n.MeasureDo53(&p)
 	if d <= 0 || d > 5*time.Second {
 		t.Errorf("Do53 = %v", d)
 	}
@@ -56,6 +52,12 @@ func TestCountryMedianValidation(t *testing.T) {
 	}
 	if med <= 0 {
 		t.Errorf("median = %f", med)
+	}
+	// A median costs its values and the median's sorted copy: a probe
+	// is a value, and nothing names it.
+	allocs := testing.AllocsPerRun(20, func() { n.CountryMedianDo53("JP", 25, 10) })
+	if allocs > 2 {
+		t.Errorf("CountryMedianDo53 allocates %.0f times per call, want <= 2", allocs)
 	}
 }
 

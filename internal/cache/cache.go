@@ -61,8 +61,7 @@
 // is no background sweeper, wall-clock sampling, or random eviction —
 // so campaigns that thread a cache through their measurement loop
 // stay byte-identical under equal seeds. Background refreshes are the
-// one asynchronous element; Config.SyncRefresh runs them inline for
-// virtual-time studies that need that purity back.
+// one asynchronous element; Wait drains them.
 package cache
 
 import (
@@ -118,11 +117,6 @@ type Config struct {
 	// insertion triggers a background refresh before the entry
 	// expires.
 	PrefetchThreshold time.Duration
-	// SyncRefresh runs refreshes inline on the triggering Get instead
-	// of on a goroutine — deterministic mode for virtual-time studies
-	// and table-driven tests. Foreground Gets then pay the refresh
-	// cost, so leave it off in servers.
-	SyncRefresh bool
 }
 
 // Stats is a snapshot of the cache's cumulative counters.
@@ -287,7 +281,6 @@ type Cache struct {
 
 	staleTTL          time.Duration // never negative
 	prefetchThreshold time.Duration
-	syncRefresh       bool
 
 	// The cache's ledger: one obs handle per count, which Stats reads
 	// and Instrument files in a registry. Each event is one atomic add.
@@ -332,7 +325,6 @@ func New(cfg Config) *Cache {
 
 		staleTTL:          cfg.StaleTTL,
 		prefetchThreshold: cfg.PrefetchThreshold,
-		syncRefresh:       cfg.SyncRefresh,
 	}
 	if c.clock == nil {
 		c.clock = time.Now

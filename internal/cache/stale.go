@@ -57,9 +57,7 @@ func (c *Cache) refreshDue(e *entry) bool {
 // launchRefresh starts one deduplicated background refresh for k.
 // prefetch marks popularity-triggered refreshes (counted separately
 // from stale-triggered ones). The refresh holds k, never an entry, so
-// Put may recycle the entry that launched it. Callers must not hold any
-// shard lock: in SyncRefresh mode the refresh — including its Put — runs
-// inline.
+// Put may recycle the entry that launched it.
 func (c *Cache) launchRefresh(k key, prefetch bool) {
 	fnp := c.refresher.Load()
 	if fnp == nil {
@@ -76,10 +74,6 @@ func (c *Cache) launchRefresh(k key, prefetch bool) {
 
 	if prefetch {
 		c.prefetches.Inc()
-	}
-	if c.syncRefresh {
-		c.runRefresh(k, *fnp)
-		return
 	}
 	go c.runRefresh(k, *fnp)
 }

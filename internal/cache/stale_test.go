@@ -13,9 +13,9 @@ import (
 	"repro/internal/obs"
 )
 
-// newStaleCache builds a serve-stale cache on a virtual clock.
-// SyncRefresh makes refreshes run inline on the triggering Get, so
-// the table-driven lifecycle tests are deterministic.
+// newStaleCache builds a serve-stale cache on a virtual clock. Tests
+// that step through a lifecycle call Wait after each lookup, so the
+// refresh it launched has landed before the clock moves again.
 func newStaleCache(cfg Config) (*Cache, *virtualClock) {
 	clk := &virtualClock{now: time.Unix(1000, 0)}
 	cfg.Clock = clk.Now
@@ -75,7 +75,7 @@ func TestServeStaleLifecycle(t *testing.T) {
 				ttl     uint32
 			}{
 				{0, Fresh, 60},
-				{61 * time.Second, Stale, 30}, // stale served; inline refresh repopulates
+				{61 * time.Second, Stale, 30}, // stale served; the refresh repopulates
 				{0, Fresh, 60},                // next lookup is fresh again
 			},
 			wantCalls:     1,
@@ -106,10 +106,7 @@ func TestServeStaleLifecycle(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			c, clk := newStaleCache(Config{
-				StaleTTL:    2 * time.Minute,
-				SyncRefresh: true,
-			})
+			c, clk := newStaleCache(Config{StaleTTL: 2 * time.Minute})
 			var calls atomic.Int32
 			c.SetRefresher(tc.refresh(&calls))
 			name := dnswire.Name("stale.example.")
@@ -117,6 +114,7 @@ func TestServeStaleLifecycle(t *testing.T) {
 			for i, step := range tc.steps {
 				clk.Advance(step.advance)
 				msg, outcome := c.Lookup(name, dnswire.TypeA)
+				c.Wait()
 				if outcome != step.outcome {
 					t.Fatalf("step %d: outcome = %v, want %v", i, outcome, step.outcome)
 				}
@@ -270,7 +268,6 @@ func TestPrefetchPopularEntries(t *testing.T) {
 	// is left to expire.
 	c, clk := newStaleCache(Config{
 		PrefetchThreshold: 10 * time.Second,
-		SyncRefresh:       true,
 	})
 	var calls atomic.Int32
 	c.SetRefresher(func(ctx context.Context, name dnswire.Name, typ dnswire.Type) (*dnswire.Message, error) {
@@ -285,16 +282,19 @@ func TestPrefetchPopularEntries(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		c.Get(hot, dnswire.TypeA)
 	}
+	c.Wait()
 	if calls.Load() != 0 {
 		t.Fatal("prefetch fired with remaining TTL above the threshold")
 	}
 
 	clk.Advance(55 * time.Second) // 5s remaining, below the threshold
 	c.Get(cold, dnswire.TypeA)    // first hit ever: below the popularity floor
+	c.Wait()
 	if calls.Load() != 0 {
 		t.Fatal("prefetch fired for an unpopular entry")
 	}
 	c.Get(hot, dnswire.TypeA) // popular and near expiry: prefetch
+	c.Wait()
 	if calls.Load() != 1 {
 		t.Fatalf("prefetch did not fire for the popular entry (calls=%d)", calls.Load())
 	}
@@ -319,7 +319,6 @@ func TestPrefetchPopularityResetsOnRefresh(t *testing.T) {
 	// continues only while the name keeps earning it.
 	c, clk := newStaleCache(Config{
 		PrefetchThreshold: 10 * time.Second,
-		SyncRefresh:       true,
 	})
 	var calls atomic.Int32
 	c.SetRefresher(func(ctx context.Context, name dnswire.Name, typ dnswire.Type) (*dnswire.Message, error) {
@@ -333,6 +332,7 @@ func TestPrefetchPopularityResetsOnRefresh(t *testing.T) {
 	}
 	clk.Advance(55 * time.Second)
 	c.Get(name, dnswire.TypeA) // prefetch #1
+	c.Wait()
 	if calls.Load() != 1 {
 		t.Fatalf("calls = %d, want 1", calls.Load())
 	}
@@ -340,6 +340,7 @@ func TestPrefetchPopularityResetsOnRefresh(t *testing.T) {
 	// prefetches it again (one lookup is below the floor).
 	clk.Advance(55 * time.Second)
 	c.Get(name, dnswire.TypeA)
+	c.Wait()
 	if calls.Load() != 1 {
 		t.Errorf("prefetch refired without renewed popularity (calls=%d)", calls.Load())
 	}
@@ -350,7 +351,6 @@ func TestStaleInstrumentCounters(t *testing.T) {
 	c, clk := newStaleCache(Config{
 		StaleTTL:          time.Minute,
 		PrefetchThreshold: 10 * time.Second,
-		SyncRefresh:       true,
 	})
 	c.Instrument(reg, "")
 	fail := atomic.Bool{}
@@ -367,9 +367,11 @@ func TestStaleInstrumentCounters(t *testing.T) {
 	}
 	clk.Advance(55 * time.Second)
 	c.Get(name, dnswire.TypeA) // prefetch (succeeds)
+	c.Wait()
 	fail.Store(true)
 	clk.Advance(61 * time.Second)
 	c.Get(name, dnswire.TypeA) // stale serve, refresh fails
+	c.Wait()
 
 	want := map[string]int64{
 		"cache_stale_served_total": 1,

@@ -4,9 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"net/netip"
 	"slices"
+	"strconv"
 	"time"
 
 	"repro/internal/anycast"
@@ -35,71 +35,43 @@ type countryRecord struct {
 }
 
 // countrySeed derives a country's independent stream from the
-// campaign seed.
+// campaign seed: the FNV-1a hash of fmt.Sprintf("%d/%s", seed, code),
+// built on the stack.
 func countrySeed(seed int64, code string) int64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d/%s", seed, code)
-	return int64(h.Sum64() & 0x7fffffffffffffff)
+	var buf [64]byte
+	b := append(strconv.AppendInt(buf[:0], seed, 10), '/')
+	b = append(b, code...)
+	h := uint64(14695981039346656037) // FNV-1a 64-bit offset basis
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= 1099511628211 // FNV-1a 64-bit prime
+	}
+	return int64(h & 0x7fffffffffffffff)
 }
 
-// nameScratch is a worker's reusable buffer for building the per-run
-// unique query names (and each client's prefix) without fmt's
-// reflection path. Only the buffer is shared between countries; the
-// sequence counter stays per-country so the dataset remains a pure
-// function of the configuration.
-type nameScratch struct {
+// prefixScratch is a worker's reusable buffer for rendering each kept
+// client's prefix without fmt's reflection path. It is shared between
+// the worker's countries.
+type prefixScratch struct {
 	buf []byte
-	// names holds the query names. A name lives for its run.
-	names dnswire.StringChunks
 	// kept holds the records' prefixes, which live as long as the
-	// dataset: apart from the names, so that no kept string pins a
-	// chunk of dead ones.
+	// dataset.
 	kept dnswire.StringChunks
-}
-
-// format renders fmt.Sprintf("%s-%08x-m.a.com.", code, seq)
-// byte-for-byte, cut from the scratch's chunks.
-func (s *nameScratch) format(code string, seq int) string {
-	b := append(s.buf[:0], code...)
-	b = append(b, '-')
-	b = appendHex08(b, uint64(seq))
-	b = append(b, "-m.a.com."...)
-	s.buf = b
-	return s.names.Cut(b)
 }
 
 // prefix24 renders geoip.Prefix24(addr).String(), cut from the
 // chunks of kept strings.
-func (s *nameScratch) prefix24(addr netip.Addr) string {
+func (s *prefixScratch) prefix24(addr netip.Addr) string {
 	s.buf = geoip.Prefix24(addr).AppendTo(s.buf[:0])
 	return s.kept.Cut(s.buf)
 }
 
-// appendHex08 appends v as lowercase hex, zero-padded to at least
-// eight digits — the %08x verb.
-func appendHex08(b []byte, v uint64) []byte {
-	const digits = "0123456789abcdef"
-	w := 8
-	for w < 16 && v>>(4*uint(w)) != 0 {
-		w++
-	}
-	for i := w - 1; i >= 0; i-- {
-		b = append(b, digits[(v>>(4*uint(i)))&0xf])
-	}
-	return b
-}
-
 // countryRun is what one country's measurement loops share: the
-// simulator, the accounting, and the steps every run takes around its
-// transport's own Measure call — a fresh name before it, settle after
-// it.
+// simulator, the accounting, and the step every run takes after its
+// transport's own Measure call, settle.
 type countryRun struct {
-	code    string
-	sim     *proxynet.Sim
-	scratch *nameScratch
-	acct    Accounting
-	// uuidSeq numbers the country's unique query names.
-	uuidSeq int
+	sim  *proxynet.Sim
+	acct Accounting
 	// lossSeen is the simulator's loss counter as of the last settled
 	// run; the difference is what the next (sequential) run absorbed.
 	lossSeen int64
@@ -119,16 +91,16 @@ const (
 )
 
 // runs issues the n runs of kind one client makes to one destination:
-// each takes the country's next unique query name, is measured by
-// measure, settled and counted by its outcome. first and reused are the
+// each is measured by measure, settled and counted by its outcome. No
+// run carries a query name: the simulator busts caches by the legs
+// each run pays, not by a name. first and reused are the
 // measured runs' mean times in milliseconds, got counts those runs and
 // blocked the blocked ones. measure is called, never kept, so a closure
 // passed to it stays on its caller's stack.
-func (r *countryRun) runs(kind resolver.Kind, n int, measure func(name string) (first, reused time.Duration, o runOutcome)) (first, reused float64, got, blocked int) {
+func (r *countryRun) runs(kind resolver.Kind, n int, measure func() (first, reused time.Duration, o runOutcome)) (first, reused float64, got, blocked int) {
 loop:
 	for i := range n {
-		r.uuidSeq++
-		f, re, o := measure(r.scratch.format(r.code, r.uuidSeq))
+		f, re, o := measure()
 		r.settle(kind, o)
 		switch o {
 		case runMeasured:
@@ -179,14 +151,14 @@ func clientsIn(cfg Config, ct world.Country) int {
 }
 
 // worker is one worker goroutine's reusable state. Every country the
-// worker measures shares its name chunks and its exit node (whose IDs
+// worker measures shares its prefix chunks and its exit node (whose IDs
 // are cut from chunks the node carries), so that a kept client
 // allocates only its share of the chunks its record's strings are cut
 // from. fold holds its handles on the run's histograms.
 type worker struct {
-	names nameScratch
-	fold  fold
-	node  proxynet.ExitNode
+	prefixes prefixScratch
+	fold     fold
+	node     proxynet.ExitNode
 }
 
 // measureCountry provisions and measures all of one country's clients
@@ -197,8 +169,7 @@ type worker struct {
 // resumed campaign re-measures it in full.
 func measureCountry(ctx context.Context, cfg Config, params netsim.Params, code string, w *worker, out []ClientRecord) (countryRecord, error) {
 	providers := anycast.ProviderIDs()
-	scratch := &w.names
-	run := countryRun{code: code, scratch: scratch}
+	var run countryRun
 	run.acct.Transports = make(map[resolver.Kind]TransportStats)
 	ct, ok := world.ByCode(code)
 	if !ok {
@@ -237,7 +208,7 @@ func measureCountry(ctx context.Context, cfg Config, params netsim.Params, code 
 		out = append(out, ClientRecord{
 			ClientID:     node.ID,
 			CountryCode:  code,
-			Prefix:       scratch.prefix24(node.Addr),
+			Prefix:       w.prefixes.prefix24(node.Addr),
 			Pos:          node.Pos,
 			NSDistanceKm: geo.DistanceKm(node.Pos, sim.Lab.Pos),
 		})
@@ -245,8 +216,8 @@ func measureCountry(ctx context.Context, cfg Config, params netsim.Params, code 
 		if wants(resolver.DoH) {
 			for _, pid := range providers {
 				var res DoHResult
-				first, reused, got, _ := run.runs(resolver.DoH, RunsPerClient, func(name string) (time.Duration, time.Duration, runOutcome) {
-					obs, gt := sim.MeasureDoH(node, pid, name)
+				first, reused, got, _ := run.runs(resolver.DoH, RunsPerClient, func() (time.Duration, time.Duration, runOutcome) {
+					obs, gt := sim.MeasureDoH(node, pid, "")
 					est, err := core.EstimateDoH(obs)
 					if err != nil {
 						return 0, 0, runImplausible
@@ -262,8 +233,8 @@ func measureCountry(ctx context.Context, cfg Config, params netsim.Params, code 
 			}
 		}
 		if wants(resolver.Do53) {
-			first, _, got, _ := run.runs(resolver.Do53, RunsPerClient, func(name string) (time.Duration, time.Duration, runOutcome) {
-				o, _ := sim.MeasureDo53(node, name)
+			first, _, got, _ := run.runs(resolver.Do53, RunsPerClient, func() (time.Duration, time.Duration, runOutcome) {
+				o, _ := sim.MeasureDo53(node, "")
 				v, err := core.EstimateDo53(o)
 				switch {
 				case err == nil:
@@ -283,8 +254,8 @@ func measureCountry(ctx context.Context, cfg Config, params netsim.Params, code 
 				continue
 			}
 			for _, pid := range providers {
-				first, reused, got, blocked := run.runs(kind, RunsPerClient, func(name string) (time.Duration, time.Duration, runOutcome) {
-					obs, gt := sim.MeasureSession(proxynet.Transport(tr), node, pid, name)
+				first, reused, got, blocked := run.runs(kind, RunsPerClient, func() (time.Duration, time.Duration, runOutcome) {
+					obs, gt := sim.MeasureSession(proxynet.Transport(tr), node, pid, "")
 					if obs.Blocked {
 						return 0, 0, runBlocked
 					}

@@ -31,9 +31,8 @@ func TestResolverServesStaleAcrossUpstreamOutage(t *testing.T) {
 		return answer(q.Questions[0].Name, 60), nil
 	})
 	r := New(cache.New(cache.Config{
-		Clock:       clock,
-		StaleTTL:    10 * time.Minute,
-		SyncRefresh: true,
+		Clock:    clock,
+		StaleTTL: 10 * time.Minute,
 	}))
 	r.SetDefault(up)
 
@@ -55,6 +54,7 @@ func TestResolverServesStaleAcrossUpstreamOutage(t *testing.T) {
 	if !resp.Header.RecursionAvailable || resp.Header.ID != 7 {
 		t.Errorf("stale header not stamped: %+v", resp.Header)
 	}
+	r.Cache().Wait()
 	if r.Cache().Stats().RefreshFails == 0 {
 		t.Error("outage refresh attempt not recorded")
 	}

@@ -29,7 +29,7 @@ func TestWithCacheServesStaleOnDeadUpstream(t *testing.T) {
 		}
 		return cachedAnswer(q, 60), Timing{Attempts: 1}, nil
 	})
-	c := cache.New(cache.Config{Clock: clock, StaleTTL: 5 * time.Minute, SyncRefresh: true})
+	c := cache.New(cache.Config{Clock: clock, StaleTTL: 5 * time.Minute})
 	r := WithCache(next, c, nil, DoH)
 
 	q := Query("stale.example.", dnswire.TypeA)
@@ -50,6 +50,7 @@ func TestWithCacheServesStaleOnDeadUpstream(t *testing.T) {
 	if len(resp.Answers) != 1 || resp.Answers[0].TTL > 30 {
 		t.Errorf("stale answer TTL not capped: %+v", resp.Answers)
 	}
+	c.Wait()
 	if c.Stats().RefreshFails == 0 {
 		t.Error("dead-upstream refresh was not attempted/recorded")
 	}
@@ -88,7 +89,7 @@ func TestWithCacheRefresherUsesFreshQueryID(t *testing.T) {
 		}
 		return cachedAnswer(q, 60), Timing{Attempts: 1}, nil
 	})
-	c := cache.New(cache.Config{Clock: clock, StaleTTL: time.Minute, SyncRefresh: true})
+	c := cache.New(cache.Config{Clock: clock, StaleTTL: time.Minute})
 	r := WithCache(next, c, nil, DoH)
 
 	if _, _, err := r.Resolve(context.Background(), Query("id.example.", dnswire.TypeA)); err != nil {
@@ -98,6 +99,7 @@ func TestWithCacheRefresherUsesFreshQueryID(t *testing.T) {
 	if _, timing, err := r.Resolve(context.Background(), Query("id.example.", dnswire.TypeA)); err != nil || !timing.Stale {
 		t.Fatalf("stale resolve: err=%v timing=%+v", err, timing)
 	}
+	c.Wait()
 	if len(seen) != 2 {
 		t.Fatalf("upstream saw %d queries, want 2 (miss + refresh)", len(seen))
 	}
