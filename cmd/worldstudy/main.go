@@ -14,18 +14,19 @@
 //	worldstudy -timeline BR          # one measurement's 22-step breakdown
 //	worldstudy -resume ./ckpt        # journal countries; re-run skips completed ones
 //	worldstudy -chaos-churn 0.05     # inject exit-node churn into the simulation
-//	worldstudy -shard 1/3 -export ./s1   # measure shard 1 of 3 (see -merge)
-//	worldstudy -merge -export ./all ./s1 ./s2 ./s3   # combine shard exports
+//	worldstudy -shard 1/3 -resume ./ckpt # measure shard 1 of 3 into the journal
+//	worldstudy -resume ./ckpt -export ./all  # recombine: every country restored
 //
-// Sharding: `-shard i/N` deterministically measures the i-th of N
-// country partitions; run one process per shard (any machines, any
-// order), give each its own -export directory, then combine them with
-// `-merge`. The merged dataset, its CSV export, and every analysis
-// table are byte-identical to an unsharded run with the same seed.
-// Shards of one campaign may share a -resume directory. Shards never
-// coordinate while they run: overlapping specs each measure their own
-// slice, and -merge refuses exports that share a country or a client.
-// See docs/scaleout.md.
+// Sharding: `-shard i/N -resume DIR` deterministically measures the
+// i-th of N country partitions into the checkpoint journal in DIR; run
+// one process per shard (any machines, any order), sharing DIR or
+// copying each shard's *.json records into one directory. A run without
+// -shard over that directory, with the same seed, scale, transports and
+// chaos flags, restores every country and measures none: its dataset,
+// CSV export, report and -metrics file are the unsharded run's, byte
+// for byte. Shards never coordinate while they run: overlapping specs
+// each measure their own slice and write the same record for a country
+// they share. See docs/scaleout.md.
 //
 // SIGINT/SIGTERM interrupt the campaign cleanly: completed countries
 // are flushed (and journaled under -resume) and the process exits 0.
@@ -73,8 +74,7 @@ func main() {
 	chaosChurn := flag.Float64("chaos-churn", 0, "probability per measurement that the exit node churns mid-tunnel")
 	chaosCorrupt := flag.Float64("chaos-corrupt", 0, "probability per measurement that the X-Luminati timing headers go missing or garbled")
 	chaosReset := flag.Float64("chaos-reset", 0, "probability per measurement that the Super-Proxy connection resets")
-	shard := flag.String("shard", "", "i/N (1-based): measure only the i-th of N country partitions; combine the shards' exports with -merge")
-	merge := flag.Bool("merge", false, "combine shard export directories (given as arguments) into one dataset; analyses run on the merged data")
+	shard := flag.String("shard", "", "i/N (1-based): measure only the i-th of N country partitions into the -resume journal; a run without -shard over that journal recombines the shards")
 	flag.Parse()
 	wanted, err := parseOnly(*only, *extensions)
 	if err != nil {
@@ -106,8 +106,8 @@ func main() {
 	}
 	cfg.CheckpointDir = *resume
 	if *shard != "" {
-		if *merge {
-			log.Fatalf("worldstudy: -shard and -merge are different phases; run shards first, then merge their exports")
+		if *resume == "" {
+			log.Fatalf("worldstudy: -shard needs -resume DIR: shards recombine only through the journal")
 		}
 		index, total, err := parseShard(*shard)
 		if err != nil {
@@ -127,19 +127,15 @@ func main() {
 
 	start := time.Now()
 	var suite *experiments.Suite
-	var ds *campaign.Dataset
-	switch {
-	case *merge:
-		ds, err = mergeDatasets(flag.Args())
-	case *importDir != "":
-		ds, err = readDataset(*importDir)
-	default:
+	if *importDir != "" {
+		// A published release: Tables 1-2 still run fresh validation
+		// simulations, everything else reads its data.
+		var ds *campaign.Dataset
+		if ds, err = readDataset(*importDir); err == nil {
+			suite = &experiments.Suite{Config: cfg, Dataset: ds, Analysis: analysis.New(ds, *minClients), MinClients: *minClients}
+		}
+	} else {
 		suite, err = experiments.NewSuiteContext(ctx, cfg, *minClients)
-	}
-	if ds != nil {
-		// An imported or merged release: Tables 1-2 still run fresh
-		// validation simulations, everything else reads its data.
-		suite = &experiments.Suite{Config: cfg, Dataset: ds, Analysis: analysis.New(ds, *minClients), MinClients: *minClients}
 	}
 	interrupted := err != nil && errors.Is(err, context.Canceled) && suite != nil
 	if err != nil && !interrupted {
@@ -316,29 +312,6 @@ func readDataset(dir string) (*campaign.Dataset, error) {
 			return nil, fmt.Errorf("smart.csv: %w", err)
 		}
 	}
-	return ds, nil
-}
-
-// mergeDatasets loads N shard export directories and merges them into
-// one dataset (validating the shard partition) — what readDataset reads
-// from an unsharded export.
-func mergeDatasets(dirs []string) (*campaign.Dataset, error) {
-	if len(dirs) == 0 {
-		return nil, errors.New("-merge needs shard export directories as arguments")
-	}
-	parts := make([]*campaign.Dataset, len(dirs))
-	for i, dir := range dirs {
-		ds, err := readDataset(dir)
-		if err != nil {
-			return nil, fmt.Errorf("shard %s: %w", dir, err)
-		}
-		parts[i] = ds
-	}
-	ds, err := campaign.Merge(parts...)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(os.Stderr, "worldstudy: merged %d shards: %d clients\n", len(dirs), len(ds.Clients))
 	return ds, nil
 }
 

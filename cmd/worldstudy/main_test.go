@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"reflect"
 	"regexp"
 	"strings"
@@ -109,6 +110,62 @@ func TestOnlyPrintsTheNamedReports(t *testing.T) {
 	}
 	if want := []string{"=== Table 1", "=== Figure 6"}; !reflect.DeepEqual(headers, want) {
 		t.Errorf("headers = %q, want %q", headers, want)
+	}
+}
+
+// TestShardNeedsResume: a shard's countries recombine only through the
+// journal, so -shard without -resume is refused before any country is
+// measured.
+func TestShardNeedsResume(t *testing.T) {
+	out, err := command("-scale", "0.05", "-shard", "1/2").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+		t.Fatalf("-shard without -resume: err = %v, want a failing exit\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "-shard needs -resume") || strings.Contains(string(out), "campaign") {
+		t.Errorf("-shard without -resume: output lacks the reason or ran the campaign:\n%s", out)
+	}
+}
+
+// TestShardsRecombineThroughTheJournal runs a campaign unsharded, then
+// as shards 1/2 and 2/2 on one -resume directory, then without -shard
+// over that directory: the recombining run's dataset.csv,
+// atlas_do53.csv, stdout report and -metrics file are the unsharded
+// run's, byte for byte.
+func TestShardsRecombineThroughTheJournal(t *testing.T) {
+	journal := t.TempDir()
+	// run runs the campaign with extra flags, exporting into and writing
+	// its metrics beside a directory of its own, and returns that
+	// directory and its stdout.
+	run := func(extra ...string) (string, []byte) {
+		t.Helper()
+		dir := t.TempDir()
+		args := append([]string{"-seed", "11", "-scale", "0.1", "-export", dir, "-metrics", filepath.Join(dir, "metrics.txt")}, extra...)
+		var stderr bytes.Buffer
+		cmd := command(args...)
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("worldstudy %q: %v\n%s", args, err, stderr.Bytes())
+		}
+		return dir, out
+	}
+	plain, want := run()
+	run("-shard", "1/2", "-resume", journal)
+	run("-shard", "2/2", "-resume", journal)
+	joined, got := run("-resume", journal)
+	if !bytes.Equal(got, want) {
+		t.Error("the recombining run's report differs from the unsharded run's")
+	}
+	for _, name := range []string{"dataset.csv", "atlas_do53.csv", "metrics.txt"} {
+		a, errA := os.ReadFile(filepath.Join(plain, name))
+		b, errB := os.ReadFile(filepath.Join(joined, name))
+		if errA != nil || errB != nil {
+			t.Fatalf("%s: %v, %v", name, errA, errB)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("the recombining run's %s differs from the unsharded run's", name)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package repro
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -76,7 +77,8 @@ func TestEndToEndStudy(t *testing.T) {
 	}
 	// Table 3's discard-counter footer is pipeline state the release
 	// intentionally omits (the paper's dataset wouldn't carry it
-	// either); compare its data rows only.
+	// either): the imported footer says so instead of printing 0, and
+	// only the data rows are compared.
 	t3a, err := suite.Table3()
 	if err != nil {
 		t.Fatal(err)
@@ -89,6 +91,14 @@ func TestEndToEndStudy(t *testing.T) {
 		if t3a.Lines[i] != t3b.Lines[i] {
 			t.Errorf("Table 3 row %d differs: %q vs %q", i, t3a.Lines[i], t3b.Lines[i])
 		}
+	}
+	if n := suite.Dataset.DiscardedMismatch; n == 0 {
+		t.Error("the campaign discarded no clients, so an import's 0 would be right")
+	} else if got, want := t3a.Lines[len(t3a.Lines)-1], fmt.Sprintf("discarded country mismatches: %d (", n); !strings.HasPrefix(got, want) {
+		t.Errorf("Table 3 ends %q, want %q", got, want)
+	}
+	if got, want := t3b.Lines[len(t3b.Lines)-1], "discarded country mismatches: not in a CSV release"; got != want {
+		t.Errorf("imported Table 3 ends %q, want %q", got, want)
 	}
 
 	for _, gen := range []struct {

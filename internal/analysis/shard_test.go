@@ -9,10 +9,10 @@ import (
 )
 
 // TestShardedAnalysisIdentical closes the scale-out loop at the
-// analysis layer: the tables computed over a sharded-then-merged
-// dataset must equal the tables over the unsharded run — not just the
-// CSV bytes (pinned in internal/campaign), but every derived figure a
-// paper section reads.
+// analysis layer: the tables computed over a sharded campaign,
+// recombined through its journal, must equal the tables over the
+// unsharded run — not just the CSV bytes (pinned in internal/campaign),
+// but every derived figure a paper section reads.
 func TestShardedAnalysisIdentical(t *testing.T) {
 	countries := []string{"BR", "US", "IT", "NG", "AR", "MX", "ID", "DE", "TH", "TR", "PL", "ZA"}
 	cfg := campaign.DefaultConfig(1234)
@@ -24,28 +24,39 @@ func TestShardedAnalysisIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Three shards on one journal, then a run of the whole campaign over
+	// it, which restores every country.
+	dir := t.TempDir()
 	const shards = 3
-	parts := make([]*campaign.Dataset, shards)
 	for i := 0; i < shards; i++ {
-		sub, err := campaign.ShardCountries(countries, i, shards)
-		if err != nil {
+		scfg := cfg
+		var err error
+		if scfg.Countries, err = campaign.ShardCountries(countries, i, shards); err != nil {
 			t.Fatal(err)
 		}
-		scfg := cfg
-		scfg.Countries = sub
-		parts[i], err = campaign.Run(scfg)
-		if err != nil {
+		scfg.CheckpointDir = dir
+		if _, err := campaign.Run(scfg); err != nil {
 			t.Fatalf("shard %d: %v", i, err)
 		}
 	}
-	merged, err := campaign.Merge(parts...)
+	cfg.CheckpointDir = dir
+	measured := 0
+	cfg.OnCountryDone = func(code string, clients int, resumed bool) {
+		if !resumed {
+			measured++
+		}
+	}
+	recombined, err := campaign.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if measured != 0 {
+		t.Fatalf("the recombining run measured %d countries its shards had journaled", measured)
 	}
 
 	const minClients = 3
 	want := New(unsharded, minClients)
-	got := New(merged, minClients)
+	got := New(recombined, minClients)
 
 	if !reflect.DeepEqual(want.AnalyzedCountryCodes(), got.AnalyzedCountryCodes()) {
 		t.Errorf("analyzed countries differ: %v vs %v",

@@ -1,12 +1,11 @@
 // Package campaign orchestrates the paper's measurement campaign:
 // for every country in the proxy network, it provisions exit nodes
 // (10 to 282 per country, matching BrightData availability), runs two
-// measurement runs per client — each resolving a unique cache-busting
-// subdomain via all four DoH providers plus the client's default Do53
-// resolver — applies the estimator, cross-checks country labels
-// against the geolocation service (discarding mismatches, paper:
-// 0.88%), and patches the 11 Super-Proxy countries' Do53 data with
-// Atlas probe measurements.
+// measurement runs per client — each over all four DoH providers plus
+// the client's default Do53 resolver — applies the estimator,
+// cross-checks country labels against the geolocation service
+// (discarding mismatches, paper: 0.88%), and patches the 11
+// Super-Proxy countries' Do53 data with Atlas probe measurements.
 package campaign
 
 import (
@@ -225,11 +224,12 @@ type Dataset struct {
 	Accounting
 	// Obs is the campaign's observability snapshot: per-provider and
 	// per-country latency histograms, accounting gauges, and the
-	// merged simulator counters. Deterministic for a given Config
-	// regardless of Parallel.
+	// summed simulator counters. Deterministic for a given Config
+	// regardless of Parallel, and of which countries were restored
+	// from the journal.
 	Obs obs.Snapshot
 	// KeptClients counts the clients the campaign measured and kept:
-	// len(Clients) for every dataset Run, ReadCSV or Merge returns.
+	// len(Clients) for every dataset Run or ReadCSV returns.
 	KeptClients int
 	// Seed echoes the campaign seed.
 	Seed int64
@@ -275,8 +275,9 @@ func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
 
 	// Canonical country order: the dataset (and so its CSV export) is a
 	// pure function of the country SET, never of the order the caller
-	// listed it in. This is what lets Merge reassemble shard outputs
-	// into the exact byte sequence of an unsharded run.
+	// listed it in, or of whether a country was measured or restored
+	// from the journal. This is what lets a run over its shards' journal
+	// reproduce the exact byte sequence of an unsharded run.
 	countries := append([]string(nil), cfg.Countries...)
 	if countries == nil {
 		for _, ct := range world.All() {
@@ -428,7 +429,7 @@ feed:
 		// and observability — but no Atlas remedy, which would hide
 		// the missing Do53 coverage behind fresh probe data.
 		ds.Partial = true
-		finishObs(reg, ds, simTotal)
+		publish(reg, ds, simTotal)
 		return ds, fmt.Errorf("campaign: interrupted: %w", err)
 	}
 
@@ -444,7 +445,7 @@ feed:
 		ds.AtlasDo53Ms[ct.Code] = med
 	}
 
-	finishObs(reg, ds, simTotal)
+	publish(reg, ds, simTotal)
 	return ds, nil
 }
 
@@ -453,14 +454,15 @@ feed:
 // checkpoint journal may only be replayed under the same key. The
 // country list deliberately stays out of the hash: a journal written
 // while measuring a subset remains valid for the full campaign, which
-// is exactly the interrupt-then-resume path, and disjoint shards may
-// share one journal directory (shards whose lists overlap each restore
-// or measure their own slice; Merge refuses the overlap). Parallel is a
-// schedule knob with no effect on the records; the Atlas remedy is
-// recomputed on every run. The leading version is the journaled
-// record's shape: v2 since ClientRecord keeps its DoT and DoQ results in
-// Sessions, so that a v1 journal is refused instead of restored with
-// those results zeroed.
+// is exactly the interrupt-then-resume path, and it is how shards
+// recombine: they journal their slices under one key, and a run of the
+// whole campaign over their records restores every country. Shards
+// whose lists overlap write the same record for a country they share.
+// Parallel is a schedule knob with no effect on the records; the Atlas
+// remedy is recomputed on every run. The leading version is the
+// journaled record's shape: v2 since ClientRecord keeps its DoT and DoQ
+// results in Sessions, so that a v1 journal is refused instead of
+// restored with those results zeroed.
 func configKey(cfg Config) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "v2|seed=%d|runs=%d|max=%d|scale=%g|", cfg.Seed, RunsPerClient, MaxClients, cfg.ClientScale)

@@ -24,11 +24,10 @@ import (
 // A client whose DoH measurements are all invalid but whose Do53
 // baseline is valid exports as a single provider-less row (empty
 // provider and DoH columns): dropping such clients — the pre-fix
-// behavior — silently shrank the Do53 baseline on every round-trip,
-// an error a sharded export/merge pipeline would amplify once per
-// shard. ReadCSV also cross-checks that repeated rows for one client
-// carry identical metadata instead of silently keeping the first,
-// so a corrupt merge fails loudly at import.
+// behavior — silently shrank the Do53 baseline on every round-trip.
+// ReadCSV also cross-checks that repeated rows for one client carry
+// identical metadata instead of silently keeping the first, so a
+// corrupt or hand-concatenated release fails loudly at import.
 
 // csvHeader is the column layout of the main export.
 var csvHeader = []string{
@@ -145,7 +144,8 @@ var smartCSVHeader = []string{"client_id", "provider", "winner", "tsmart_ms", "t
 // WriteSmartCSV writes the derived smart-strategy side table: one row
 // per (client, provider) with a valid smart result, in the dataset's
 // client order and the canonical provider order — deterministic, so a
-// merged sharded dataset exports byte-identically to an unsharded one.
+// sharded campaign recombined through its journal exports it
+// byte-identically to an unsharded one.
 func (ds *Dataset) WriteSmartCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(smartCSVHeader); err != nil {
@@ -249,8 +249,8 @@ func (ds *Dataset) ReadSmartCSV(r io.Reader) error {
 // ReadCSV reconstructs a dataset from the main export and an optional
 // Atlas export (nil allowed). It reads both current exports (which may
 // contain provider-less rows for Do53-only clients) and older ones
-// (which never do), and rejects the corruption a bad shard merge
-// introduces: repeated client rows with mismatching metadata, a
+// (which never do), and rejects the corruption a badly joined release
+// holds: repeated client rows with mismatching metadata, a
 // provider measured twice for one client, or a provider-less row
 // coexisting with provider rows. A provider outside the catalogue (which
 // WriteCSV would never write back), a position off the globe, and a
@@ -306,7 +306,7 @@ func ReadCSV(main io.Reader, atlas io.Reader) (*Dataset, error) {
 		} else {
 			// Repeated client: every row must repeat the same metadata.
 			// Silently keeping the first — the pre-fix behavior — would
-			// let a corrupt merge (two shards disagreeing on a client's
+			// let a corrupt release (two sources disagreeing on a client's
 			// geography or Do53 baseline) import without complaint.
 			for i, v := range meta[row[0]] {
 				if row[i] != v {

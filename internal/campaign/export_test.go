@@ -91,8 +91,8 @@ func TestCSVBadRows(t *testing.T) {
 	}
 
 	// The smart side table: the winner column feeds Dataset.SmartWins
-	// and the times feed Merge's histograms, so neither may be taken on
-	// trust.
+	// and the times feed the analysis of an imported release, so neither
+	// may be taken on trust.
 	good := head + "c1,BR,10.0.0.0/24,0,0,0,1,true,cloudflare,1,1,p,BR,1,1\n"
 	smartHead := strings.Join(smartCSVHeader, ",") + "\n"
 	for name, c := range map[string]struct {
@@ -126,8 +126,7 @@ func TestCSVBadRows(t *testing.T) {
 // results are all invalid but whose Do53 baseline is valid must
 // survive the WriteCSV/ReadCSV round-trip. The pre-fix WriteCSV
 // skipped such clients entirely (it only emitted provider rows), so
-// every export/import cycle silently shrank the Do53 baseline —
-// exactly the loss a sharded merge would multiply by shard count.
+// every export/import cycle silently shrank the Do53 baseline.
 func TestCSVRoundTripDo53OnlyClient(t *testing.T) {
 	ds := &Dataset{
 		Clients: []ClientRecord{
@@ -188,7 +187,7 @@ func TestCSVRoundTripDo53OnlyClient(t *testing.T) {
 
 // TestReadCSVDuplicateMetadataMismatch pins bugfix #2: repeated rows
 // for one client must carry identical metadata columns. The pre-fix
-// reader silently kept the first row's values, so a corrupt merge
+// reader silently kept the first row's values, so a corrupt release
 // (two sources disagreeing on a client's geography or Do53 baseline)
 // imported without complaint.
 func TestReadCSVDuplicateMetadataMismatch(t *testing.T) {
@@ -220,8 +219,9 @@ func TestReadCSVDuplicateMetadataMismatch(t *testing.T) {
 }
 
 // TestReadCSVRejectsCorruptMergeShapes covers the remaining strictness
-// the merge path relies on: duplicated providers and malformed
-// provider-less rows fail loudly instead of importing garbage.
+// an import relies on: duplicated providers and malformed provider-less
+// rows, the shapes two releases joined by hand produce, fail loudly
+// instead of importing garbage.
 func TestReadCSVRejectsCorruptMergeShapes(t *testing.T) {
 	head := strings.Join(csvHeader, ",") + "\n"
 	meta := "c1,BR,10.0.0.0/24,1.0000,2.0000,3.0000,50.0000,true,"

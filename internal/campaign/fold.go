@@ -23,8 +23,8 @@ import (
 // Each finished country's clients fold straight into the registry's
 // histograms through the worker's handles. Every accumulator is an
 // atomic int64 sum, so the order countries fold in cannot show, and
-// the snapshot is identical for any Config.Parallel, with clients
-// retained or discarded. Merge folds its merged records the same way.
+// the snapshot is identical for any Config.Parallel, and for a run
+// that restores countries from the journal instead of measuring them.
 
 // msDuration converts a dataset's millisecond float back into a
 // duration for histogram observation.
@@ -125,18 +125,15 @@ func (f *fold) clients(clients []ClientRecord) {
 	}
 }
 
-// publishAccounting exports the campaign's drop accounting and the
-// merged simulator counters. Gauges, not counters: the source of
-// truth stays the Dataset, and publishing is idempotent.
-func publishAccounting(reg *obs.Registry, ds *Dataset, sim proxynet.SimStats) {
-	publishDataset(reg, ds)
-	publishSim(reg, sim)
-}
-
-// publishDataset exports the accounting a dataset itself carries —
-// the part that survives a merge or a CSV release. (The simulator
-// gauges below are per-run and only a live campaign can publish them.)
-func publishDataset(reg *obs.Registry, ds *Dataset) {
+// publish exports the dataset's drop accounting and the run's summed
+// simulator counters into reg, which holds its folded histograms, and
+// snapshots it into ds.Obs. Gauges, not counters: the source of truth
+// stays the Dataset, and publishing is idempotent. The snapshot is a
+// pure function of the records, the accounting and the simulator
+// counters, all of which a journal restores, so it inherits their
+// schedule independence and a recombining run's matches the unsharded
+// run's.
+func publish(reg *obs.Registry, ds *Dataset, sim proxynet.SimStats) {
 	reg.Gauge("campaign_clients").Set(float64(ds.KeptClients))
 	reg.Gauge("campaign_discarded_mismatch").Set(float64(ds.DiscardedMismatch))
 	reg.Gauge("campaign_discarded_implausible").Set(float64(ds.DiscardedImplausible))
@@ -155,10 +152,6 @@ func publishDataset(reg *obs.Registry, ds *Dataset) {
 	for code, med := range ds.AtlasDo53Ms {
 		reg.Gauge("campaign_atlas_do53_ms_" + code).Set(med)
 	}
-}
-
-// publishSim exports the merged per-country simulator counters.
-func publishSim(reg *obs.Registry, sim proxynet.SimStats) {
 	reg.Gauge("campaign_sim_loss_events").Set(float64(sim.LossEvents))
 	reg.Gauge("campaign_sim_dot_blocked").Set(float64(sim.DoTBlocked))
 	reg.Gauge("campaign_sim_doq_blocked").Set(float64(sim.DoQBlocked))
@@ -172,6 +165,7 @@ func publishSim(reg *obs.Registry, sim proxynet.SimStats) {
 		reg.Gauge("campaign_sim_chaos_churns").Set(float64(sim.ChaosChurns))
 		reg.Gauge("campaign_sim_chaos_header_corruptions").Set(float64(sim.ChaosHeaderCorruptions))
 	}
+	ds.Obs = reg.Snapshot()
 }
 
 // addSimStats sums two simulator snapshots.
@@ -213,8 +207,7 @@ type Accounting struct {
 	SmartWins map[resolver.Kind]int `json:"smart_wins,omitempty"`
 }
 
-// add sums o into a: the one fold, per country in Run and per part in
-// Merge.
+// add sums o into a: the one fold, per country in Run.
 func (a *Accounting) add(o Accounting) {
 	a.DiscardedMismatch += o.DiscardedMismatch
 	a.DiscardedImplausible += o.DiscardedImplausible
@@ -265,13 +258,4 @@ type TransportStats struct {
 	// the configured runs, so nothing silently vanishes from the
 	// accounting.
 	Skipped int
-}
-
-// finishObs publishes the finished (or partially finished) dataset's
-// gauges into reg, which holds its folded histograms, and snapshots
-// it; the snapshot is a pure function of the records and accounting,
-// so it inherits their schedule independence.
-func finishObs(reg *obs.Registry, ds *Dataset, simTotal proxynet.SimStats) {
-	publishAccounting(reg, ds, simTotal)
-	ds.Obs = reg.Snapshot()
 }

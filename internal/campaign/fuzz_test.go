@@ -35,8 +35,8 @@ func exportTables(t *testing.T, ds *Dataset) (main, atlas, smart []byte) {
 // picks how many of a, b, c index the world's list) and a set of
 // strategy columns: an export read back exports the same bytes, the
 // main table through ReadCSV and the smart table through ReadSmartCSV
-// on top of it, and the campaign run as two shards and merged exports
-// what the unsharded run exports.
+// on top of it, and the campaign run as two shards on one journal and
+// recombined by a run over it exports what the unsharded run exports.
 func FuzzCSVRoundTrip(f *testing.F) {
 	var codes []string
 	for _, ct := range world.All() {
@@ -79,30 +79,10 @@ func FuzzCSVRoundTrip(f *testing.F) {
 			t.Errorf("%v %v: the smart table differs after a round trip", countries, cfg.Transports)
 		}
 
-		var parts []*Dataset
-		for i := 0; i < 2; i++ {
-			sub, err := ShardCountries(countries, i, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(sub) == 0 {
-				continue // no countries would mean the whole world
-			}
-			scfg := cfg
-			scfg.Countries = sub
-			part, err := Run(scfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			parts = append(parts, part)
-		}
-		merged, err := Merge(parts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mmain, matlas, msmart := exportTables(t, merged)
+		joined := recombine(t, cfg, 2, false)
+		mmain, matlas, msmart := exportTables(t, joined)
 		if !bytes.Equal(mmain, main) || !bytes.Equal(matlas, atlas) || !bytes.Equal(msmart, smart) {
-			t.Errorf("%v %v: the merged 2-way shard exports differently from the unsharded run", countries, cfg.Transports)
+			t.Errorf("%v %v: the recombined 2-way shard exports differently from the unsharded run", countries, cfg.Transports)
 		}
 	})
 }

@@ -7,14 +7,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 
-	"repro/internal/anycast"
 	"repro/internal/checkpoint"
-	"repro/internal/proxynet"
 	"repro/internal/world"
 )
 
@@ -86,170 +85,113 @@ func TestShardCountriesPartition(t *testing.T) {
 	}
 }
 
+// recombine runs cfg's countries as shards, each journaling its slice:
+// all into one directory, or, when separate, each into a directory of
+// its own whose records are then copied into one, as from shards on
+// different machines. It returns the recombining run over that
+// directory.
+func recombine(t *testing.T, cfg Config, shards int, separate bool) *Dataset {
+	t.Helper()
+	dir := t.TempDir()
+	for i := range shards {
+		c := cfg
+		var err error
+		if c.Countries, err = ShardCountries(cfg.Countries, i, shards); err != nil {
+			t.Fatal(err)
+		}
+		if len(c.Countries) == 0 {
+			continue // no countries would mean the whole world
+		}
+		c.CheckpointDir = dir
+		if separate {
+			c.CheckpointDir = t.TempDir()
+		}
+		if _, err := Run(c); err != nil {
+			t.Fatalf("shard %d: %v", i, err)
+		}
+		if separate {
+			records, err := filepath.Glob(filepath.Join(c.CheckpointDir, "*.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rec := range records {
+				data, err := os.ReadFile(rec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, filepath.Base(rec)), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	return recombined(t, cfg, dir)
+}
+
+// recombined runs cfg over the journal in dir, which must restore every
+// one of cfg's countries and measure none.
+func recombined(t *testing.T, cfg Config, dir string) *Dataset {
+	t.Helper()
+	var restored []string
+	cfg.CheckpointDir = dir
+	cfg.OnCountryDone = func(code string, clients int, resumed bool) {
+		if resumed {
+			restored = append(restored, code)
+		}
+	}
+	ds, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("recombining run: %v", err)
+	}
+	want := slices.Clone(cfg.Countries)
+	slices.Sort(want)
+	slices.Sort(restored)
+	if !slices.Equal(restored, want) {
+		t.Errorf("recombining run restored %v from the journal, want every country %v", restored, want)
+	}
+	return ds
+}
+
+// sameDataset fails t unless got equals want in its records, its
+// accounting, its Atlas medians, its whole observability snapshot
+// (simulator gauges included) and its export bytes.
+func sameDataset(t *testing.T, got, want *Dataset) {
+	t.Helper()
+	for _, f := range []struct {
+		name      string
+		got, want any
+	}{
+		{"Clients", got.Clients, want.Clients},
+		{"Accounting", got.Accounting, want.Accounting},
+		{"AtlasDo53Ms", got.AtlasDo53Ms, want.AtlasDo53Ms},
+		{"Obs", got.Obs, want.Obs},
+	} {
+		if !reflect.DeepEqual(f.got, f.want) {
+			t.Errorf("recombined %s differ from the unsharded run's", f.name)
+		}
+	}
+	if !bytes.Equal(exportAll(t, got), exportAll(t, want)) {
+		t.Error("recombined export differs from the unsharded run's")
+	}
+}
+
 // TestShardMergeByteIdenticalCSV is the heart of the scale-out
-// contract: run the same campaign unsharded and as three shards, push
-// every shard through the CSV export/import cycle a real scale-out
-// uses, merge, and require the merged exports to be byte-identical to
-// the unsharded run's.
+// contract: run the same campaign unsharded and as three shards on one
+// journal, then recombine them with a run over that journal, which must
+// be the unsharded run in every record, count and byte it exports.
 func TestShardMergeByteIdenticalCSV(t *testing.T) {
-	countries := []string{"BR", "US", "IT", "NG", "AR", "MX", "ID", "DE", "TH"}
-	cfg := smallConfig(countries...)
+	cfg := smallConfig("BR", "US", "IT", "NG", "AR", "MX", "ID", "DE", "TH")
 	unsharded, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := exportAll(t, unsharded)
-	// The analysis/histogram comparisons below go against the reimported
-	// unsharded dataset: the shard parts pass through the CSV's
-	// 4-decimal rounding, so that — not the in-memory run — is the
-	// like-for-like reference. The byte-identity check against the
-	// in-memory run's export stays the primary contract.
-	var umain, uatlas bytes.Buffer
-	if err := unsharded.WriteCSV(&umain); err != nil {
-		t.Fatal(err)
-	}
-	if err := unsharded.WriteAtlasCSV(&uatlas); err != nil {
-		t.Fatal(err)
-	}
-	reimported, err := ReadCSV(&umain, &uatlas)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const shards = 3
-	parts := make([]*Dataset, shards)
-	for i := 0; i < shards; i++ {
-		sub, err := ShardCountries(countries, i, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scfg := cfg
-		scfg.Countries = sub
-		ds, err := Run(scfg)
-		if err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-		var main, atlas bytes.Buffer
-		if err := ds.WriteCSV(&main); err != nil {
-			t.Fatal(err)
-		}
-		if err := ds.WriteAtlasCSV(&atlas); err != nil {
-			t.Fatal(err)
-		}
-		parts[i], err = ReadCSV(&main, &atlas)
-		if err != nil {
-			t.Fatalf("shard %d reimport: %v", i, err)
-		}
-	}
-
-	merged, err := Merge(parts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := exportAll(t, merged); !bytes.Equal(got, want) {
-		t.Error("sharded-then-merged CSV differs from unsharded run")
-	}
-	if merged.KeptClients != len(unsharded.Clients) {
-		t.Errorf("merged KeptClients = %d, want %d", merged.KeptClients, len(unsharded.Clients))
-	}
-
-	// Dataset-level analysis agrees too, not just the bytes.
-	for _, code := range countries {
-		wm, wok := reimported.CountryDo53Ms(code)
-		gm, gok := merged.CountryDo53Ms(code)
-		if wok != gok || wm != gm {
-			t.Errorf("CountryDo53Ms(%s) = %v,%v; unsharded %v,%v", code, gm, gok, wm, wok)
-		}
-	}
-	if !reflect.DeepEqual(reimported.AnalyzedCountries(3, nil), merged.AnalyzedCountries(3, nil)) {
-		t.Error("analyzed country sets differ between merged and unsharded datasets")
-	}
-
-	// The merged histograms are the fold of the merged records: the
-	// same as the reimported unsharded run's.
-	whole, err := Merge(reimported)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(merged.Obs.Histograms, whole.Obs.Histograms) {
-		t.Error("merged histograms differ from the unsharded run's")
-	}
-}
-
-func TestMergeValidation(t *testing.T) {
-	mk := func() *Dataset {
-		return &Dataset{
-			Clients: []ClientRecord{
-				{ClientID: "c1", CountryCode: "BR", Do53Valid: true, Do53Ms: 10},
-			},
-			AtlasDo53Ms: map[string]float64{"US": 20},
-			KeptClients: 1,
-			Seed:        7,
-		}
-	}
-	if _, err := Merge(); err == nil {
-		t.Error("empty merge accepted")
-	}
-	if _, err := Merge(mk(), nil); err == nil {
-		t.Error("nil part accepted")
-	}
-	if _, err := Merge(mk(), mk()); err == nil {
-		t.Error("duplicate client accepted")
-	}
-	other := mk()
-	other.Clients[0].ClientID = "c2"
-	if _, err := Merge(mk(), other); err == nil {
-		t.Error("country split across parts accepted")
-	}
-	reseeded := mk()
-	reseeded.Clients[0].ClientID = "c2"
-	reseeded.Clients[0].CountryCode = "US"
-	reseeded.Seed = 8
-	if _, err := Merge(mk(), reseeded); err == nil {
-		t.Error("seed mismatch accepted")
-	}
-	badAtlas := mk()
-	badAtlas.Clients[0].ClientID = "c2"
-	badAtlas.Clients[0].CountryCode = "US"
-	badAtlas.AtlasDo53Ms["US"] = 21
-	if _, err := Merge(mk(), badAtlas); err == nil {
-		t.Error("Atlas disagreement accepted")
-	}
-
-	// Two real runs whose country lists overlap, as from shard specs
-	// that overlap: the merge names what they share.
-	left, err := Run(smallConfig("BR", "LU"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	right, err := Run(smallConfig("LU", "MT"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Merge(left, right); err == nil ||
-		!strings.Contains(err.Error(), "country LU") && !strings.Contains(err.Error(), "client "+right.Clients[0].ClientID) {
-		t.Errorf("overlapping runs merged: err = %v, want one naming LU or its first client", err)
-	}
-
-	ok := mk()
-	ok.Clients[0].ClientID = "c2"
-	ok.Clients[0].CountryCode = "US"
-	merged, err := Merge(mk(), ok)
-	if err != nil {
-		t.Fatalf("valid merge rejected: %v", err)
-	}
-	if len(merged.Clients) != 2 || merged.KeptClients != 2 {
-		t.Errorf("merged accounting wrong: %d clients, KeptClients %d", len(merged.Clients), merged.KeptClients)
-	}
-	if merged.Clients[0].CountryCode != "BR" || merged.Clients[1].CountryCode != "US" {
-		t.Errorf("merged clients not in canonical country order: %+v", merged.Clients)
-	}
+	sameDataset(t, recombine(t, cfg, 3, false), unsharded)
 }
 
 // TestShardsShareOneJournal runs the two halves of a campaign at once
 // on one checkpoint directory: disjoint shards never touch each
-// other's records, so their merge is the unsharded export byte for
-// byte. A rerun of each shard restores every one of its countries from
+// other's records, so a run over the directory recombines them into
+// the unsharded export byte for byte. A rerun of each shard restores every one of its countries from
 // the journal and exports the same bytes, and a file in the directory
 // that is no record (a stray LU.claim) changes nothing. Runs under
 // -race in the verify gate.
@@ -304,12 +246,8 @@ func TestShardsShareOneJournal(t *testing.T) {
 			t.Errorf("shard %d restored %v from a journal nobody had written", i, restored[i])
 		}
 	}
-	merged, err := Merge(parts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := exportAll(t, merged); !bytes.Equal(got, want) {
-		t.Error("shards sharing a journal merge to a different export than the unsharded run")
+	if got := exportAll(t, recombined(t, cfg, dir)); !bytes.Equal(got, want) {
+		t.Error("shards sharing a journal recombine to a different export than the unsharded run")
 	}
 
 	for i, part := range parts {
@@ -337,9 +275,9 @@ func TestShardsShareOneJournal(t *testing.T) {
 // protocol splits that work any more: countries are partitioned only
 // by ShardCountries (TestShardsShareOneJournal). Each run measures or
 // restores the whole list, so each exports the single-process bytes,
-// whichever run wrote a record first; and Merge refuses the two as
-// overlapping parts instead of taking the overlap silently. Runs under
-// -race in the verify gate.
+// whichever run wrote a record first; and a country both measured holds
+// one record, so a run over the directory restores every country and
+// exports those bytes too. Runs under -race in the verify gate.
 func TestClaimProtocolPartitionsCountries(t *testing.T) {
 	countries := []string{"BR", "US", "IT", "NG", "AR", "MX"}
 	cfg := smallConfig(countries...)
@@ -372,8 +310,8 @@ func TestClaimProtocolPartitionsCountries(t *testing.T) {
 			t.Errorf("run %d on a shared journal differs from the single-process run", i)
 		}
 	}
-	if _, err := Merge(parts...); err == nil || !strings.Contains(err.Error(), "more than one merge part") {
-		t.Errorf("overlapping runs merged: err = %v, want a client in more than one merge part", err)
+	if got := exportAll(t, recombined(t, cfg, dir)); !bytes.Equal(got, want) {
+		t.Error("a run over the overlapping runs' journal differs from the single-process run")
 	}
 }
 
@@ -431,42 +369,14 @@ func TestClaimResumeAfterCompletion(t *testing.T) {
 	}
 }
 
-// Merge returns records of its own: writing to a merged record's
-// per-provider tables reaches no part it was merged from.
-func TestMergeOwnsItsRecords(t *testing.T) {
-	a, err := Run(fiveTransportConfig("LU"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(fiveTransportConfig("MT"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := append([]ClientRecord(nil), a.Clients...)
-	merged, err := Merge(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range merged.Clients {
-		c := &merged.Clients[i]
-		c.DoH.Set(anycast.Cloudflare, DoHResult{TDoHMs: -1})
-		c.Sessions[proxynet.DoT].Set(anycast.Google, SessionResult{FirstMs: -1})
-		c.Smart.Set(anycast.Quad9, SmartResult{Winner: "merged"})
-	}
-	for i := range a.Clients {
-		if a.Clients[i] != want[i] {
-			t.Fatalf("writing to the merged dataset changed part client %d:\n got %+v\nwant %+v", i, a.Clients[i], want[i])
-		}
-	}
-}
-
-// Merge sums the shards' accounting to the unsharded run's: every
-// Accounting field, the kept-client count and every gauge but the
-// per-run simulator ones. The parts stay in memory, because a CSV
-// release carries no accounting.
+// TestMergeSumsAccountingLikeUnsharded recombines three shards of a
+// five-transport chaos campaign, on one journal and on journals of
+// their own copied into one directory: either way the recombining run
+// is the unsharded run in every accounting field, kept-client count
+// and gauge, the per-run simulator gauges included, since each record
+// journals its simulator's counters.
 func TestMergeSumsAccountingLikeUnsharded(t *testing.T) {
-	countries := []string{"BR", "US", "IT", "NG", "AR", "MX", "ID", "DE", "TH"}
-	cfg := fiveTransportConfig(countries...)
+	cfg := fiveTransportConfig("BR", "US", "IT", "NG", "AR", "MX", "ID", "DE", "TH")
 	cfg.Chaos = soakChaos
 	unsharded, err := Run(cfg)
 	if err != nil {
@@ -474,41 +384,14 @@ func TestMergeSumsAccountingLikeUnsharded(t *testing.T) {
 	}
 	a := unsharded.Accounting
 	if a.DiscardedMismatch == 0 || a.DiscardedImplausible == 0 || len(a.Transports) == 0 || len(a.SmartWins) == 0 {
-		t.Fatalf("an accounting field is zero, so the merge could drop it unseen: %+v", a)
+		t.Fatalf("an accounting field is zero, so the recombination could drop it unseen: %+v", a)
 	}
-
-	const shards = 3
-	parts := make([]*Dataset, shards)
-	for i := range parts {
-		scfg := cfg
-		if scfg.Countries, err = ShardCountries(countries, i, shards); err != nil {
-			t.Fatal(err)
+	for _, separate := range []bool{false, true} {
+		ds := recombine(t, cfg, 3, separate)
+		sameDataset(t, ds, unsharded)
+		if ds.KeptClients != unsharded.KeptClients {
+			t.Errorf("separate journals %v: KeptClients = %d, the unsharded run's %d", separate, ds.KeptClients, unsharded.KeptClients)
 		}
-		if parts[i], err = Run(scfg); err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-	}
-	merged, err := Merge(parts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(merged.Accounting, unsharded.Accounting) {
-		t.Errorf("merged accounting differs from the unsharded run's:\n got %+v\nwant %+v", merged.Accounting, unsharded.Accounting)
-	}
-	if merged.KeptClients != unsharded.KeptClients {
-		t.Errorf("merged KeptClients = %d, the unsharded run's %d", merged.KeptClients, unsharded.KeptClients)
-	}
-	gauges := func(ds *Dataset) map[string]float64 {
-		m := make(map[string]float64)
-		for _, g := range ds.Obs.Gauges {
-			if !strings.HasPrefix(g.Name, "campaign_sim_") {
-				m[g.Name] = g.Value
-			}
-		}
-		return m
-	}
-	if got, want := gauges(merged), gauges(unsharded); !reflect.DeepEqual(got, want) {
-		t.Errorf("merged gauges differ from the unsharded run's:\n got %v\nwant %v", got, want)
 	}
 }
 

@@ -100,96 +100,30 @@ func TestSmartStrategyDerived(t *testing.T) {
 }
 
 // TestSmartShardMergeByteIdenticalCSV extends the scale-out golden
-// test to the fifth strategy column: a sharded five-transport campaign,
-// round-tripped through the main + smart CSV exports and merged, must
-// export a smart side table byte-identical to the unsharded run's.
+// test to the fifth strategy column: a five-transport campaign run as
+// three shards on one journal and recombined by a run over it is the
+// unsharded run, smart wins and histograms included, and exports a
+// smart side table (smart.csv) byte-identical to the unsharded run's.
 func TestSmartShardMergeByteIdenticalCSV(t *testing.T) {
-	countries := []string{"BR", "US", "IT", "NG", "AR", "MX"}
-	cfg := fiveTransportConfig(countries...)
+	cfg := fiveTransportConfig("BR", "US", "IT", "NG", "AR", "MX")
 	unsharded, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want bytes.Buffer
+	ds := recombine(t, cfg, 3, false)
+	sameDataset(t, ds, unsharded)
+	var got, want bytes.Buffer
+	if err := ds.WriteSmartCSV(&got); err != nil {
+		t.Fatal(err)
+	}
 	if err := unsharded.WriteSmartCSV(&want); err != nil {
 		t.Fatal(err)
 	}
-
-	const shards = 3
-	parts := make([]*Dataset, shards)
-	for i := 0; i < shards; i++ {
-		sub, err := ShardCountries(countries, i, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scfg := cfg
-		scfg.Countries = sub
-		ds, err := Run(scfg)
-		if err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-		var main, atlas, smart bytes.Buffer
-		if err := ds.WriteCSV(&main); err != nil {
-			t.Fatal(err)
-		}
-		if err := ds.WriteAtlasCSV(&atlas); err != nil {
-			t.Fatal(err)
-		}
-		if err := ds.WriteSmartCSV(&smart); err != nil {
-			t.Fatal(err)
-		}
-		parts[i], err = ReadCSV(&main, &atlas)
-		if err != nil {
-			t.Fatalf("shard %d reimport: %v", i, err)
-		}
-		if err := parts[i].ReadSmartCSV(&smart); err != nil {
-			t.Fatalf("shard %d smart reimport: %v", i, err)
-		}
-	}
-	merged, err := Merge(parts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	if err := merged.WriteSmartCSV(&got); err != nil {
-		t.Fatal(err)
-	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Error("sharded-then-merged smart CSV differs from unsharded run")
+		t.Error("recombined smart CSV differs from the unsharded run's")
 	}
-	if !reflect.DeepEqual(merged.SmartWins, unsharded.SmartWins) {
-		t.Errorf("merged SmartWins = %v, unsharded %v", merged.SmartWins, unsharded.SmartWins)
-	}
-
-	// The smart histograms survive the round trip exactly: compare
-	// against the reimported unsharded dataset (same 4-decimal
-	// rounding), not the in-memory run.
-	var umain, uatlas, usmart bytes.Buffer
-	if err := unsharded.WriteCSV(&umain); err != nil {
-		t.Fatal(err)
-	}
-	if err := unsharded.WriteAtlasCSV(&uatlas); err != nil {
-		t.Fatal(err)
-	}
-	if err := unsharded.WriteSmartCSV(&usmart); err != nil {
-		t.Fatal(err)
-	}
-	reimported, err := ReadCSV(&umain, &uatlas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := reimported.ReadSmartCSV(&usmart); err != nil {
-		t.Fatal(err)
-	}
-	whole, err := Merge(reimported)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hasHistogram(merged, "campaign_smartr_"+string(anycast.ProviderIDs()[0])+"_ms") {
-		t.Error("merged snapshot missing smart latency histograms")
-	}
-	if !reflect.DeepEqual(merged.Obs.Histograms, whole.Obs.Histograms) {
-		t.Error("merged histograms differ from the unsharded run's")
+	if !hasHistogram(ds, "campaign_smartr_"+string(anycast.ProviderIDs()[0])+"_ms") {
+		t.Error("recombined snapshot missing smart latency histograms")
 	}
 }
 

@@ -115,7 +115,7 @@ go test -race -count=10 ./internal/proxynet/ -run TestConcurrentSimulatorsShareW
 step "chaos soak (short, race)"
 go test -race -run TestChaosSoak -short ./internal/campaign/
 
-step "scale-out gates (golden merge, merged accounting, shards and overlapping runs sharing one journal, a spoiled record failing its run, workers folding into one registry; race)"
+step "scale-out gates (shards recombined through one journal and through copied journals, shards and overlapping runs sharing one journal, a spoiled record failing its run, workers folding into one registry; race)"
 go test -race -run 'TestShardMergeByteIdenticalCSV|TestSmartShardMergeByteIdenticalCSV|TestMergeSumsAccountingLikeUnsharded|TestShardsShareOneJournal|TestClaimProtocolPartitionsCountries|TestSpoiledJournalRecordFailsTheRun' \
 	./internal/campaign/
 go test -race -count=10 ./internal/campaign/ -run 'TestCampaignObsDeterministicAcrossParallelism|TestObsHashPinned'
