@@ -28,6 +28,14 @@
 // each measure their own slice and write the same record for a country
 // they share. See docs/scaleout.md.
 //
+// Import: `-import DIR` analyzes a published release instead of running
+// a campaign; only Tables 1 and 2 and the extensions still simulate,
+// from -seed. The flags that shape or report on a campaign (-scale,
+// -transports, -resume, -shard, the -chaos-* three and -metrics) would
+// be ignored, so -import refuses each, by name, with exit status 2. A
+// release carries kept clients only, so the stderr summary and Table 3
+// say its mismatch count is not in a CSV release instead of printing 0.
+//
 // SIGINT/SIGTERM interrupt the campaign cleanly: completed countries
 // are flushed (and journaled under -resume) and the process exits 0.
 package main
@@ -77,6 +85,9 @@ func main() {
 	shard := flag.String("shard", "", "i/N (1-based): measure only the i-th of N country partitions into the -resume journal; a run without -shard over that journal recombines the shards")
 	flag.Parse()
 	wanted, err := parseOnly(*only, *extensions)
+	if err == nil && *importDir != "" {
+		err = importIgnores()
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "worldstudy: %v\n", err)
 		os.Exit(2)
@@ -145,12 +156,18 @@ func main() {
 	if interrupted {
 		verb = "interrupted"
 	}
-	fmt.Fprintf(os.Stderr, "worldstudy: campaign %s in %v: %d clients, %d analyzed countries, %d mismatches discarded\n",
+	// A CSV release leaves the accounting nil (Table 3 says so too): its
+	// discard count is unknown, not zero.
+	mismatches := fmt.Sprintf("%d mismatches discarded", suite.Dataset.DiscardedMismatch)
+	if suite.Dataset.Transports == nil {
+		mismatches = "mismatches discarded: not in a CSV release"
+	}
+	fmt.Fprintf(os.Stderr, "worldstudy: campaign %s in %v: %d clients, %d analyzed countries, %s\n",
 		verb,
 		time.Since(start).Round(time.Millisecond),
 		len(suite.Dataset.Clients),
 		len(suite.Analysis.AnalyzedCountryCodes()),
-		suite.Dataset.DiscardedMismatch)
+		mismatches)
 	for _, kind := range resolver.Kinds() {
 		stats, ok := suite.Dataset.Transports[kind]
 		if !ok {
@@ -240,6 +257,28 @@ func parseOnly(only string, extensions bool) (map[string]bool, error) {
 		wanted[id] = true
 	}
 	return wanted, nil
+}
+
+// campaignOnly is the flags that shape a campaign or report on one, and
+// that a -import run would therefore ignore: a release is a campaign's
+// CSV output, with no journal, no accounting and no metrics snapshot.
+// -seed is not one of them: the fresh validation runs of Tables 1 and 2
+// and the extensions draw from it.
+var campaignOnly = []string{"scale", "transports", "resume", "shard", "chaos-churn", "chaos-corrupt", "chaos-reset", "metrics"}
+
+// importIgnores returns an error naming every set flag a -import run
+// would ignore.
+func importIgnores() error {
+	var set []string
+	flag.Visit(func(f *flag.Flag) {
+		if slices.Contains(campaignOnly, f.Name) {
+			set = append(set, "-"+f.Name)
+		}
+	})
+	if len(set) == 0 {
+		return nil
+	}
+	return fmt.Errorf("-import analyzes a release and would ignore %s", strings.Join(set, ", "))
 }
 
 // writeMetrics dumps the campaign's observability snapshot ("-" means

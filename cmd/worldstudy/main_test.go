@@ -127,6 +127,53 @@ func TestShardNeedsResume(t *testing.T) {
 	}
 }
 
+// TestImportRefusesCampaignFlags: a release is a campaign's output, so
+// each flag that shapes or reports on a campaign would be ignored by
+// -import; each is refused, by name, with exit status 2, before the
+// release is read.
+func TestImportRefusesCampaignFlags(t *testing.T) {
+	release := t.TempDir()
+	for _, args := range [][]string{
+		{"-scale", "0.1"},
+		{"-transports", "doh,do53"},
+		{"-resume", t.TempDir()},
+		{"-shard", "1/2"},
+		{"-chaos-churn", "0.1"},
+		{"-chaos-corrupt", "0.1"},
+		{"-chaos-reset", "0.1"},
+		{"-metrics", "-"},
+	} {
+		out, err := command(append([]string{"-import", release}, args...)...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("-import with %s: err = %v, want exit status 2\n%s", args[0], err, out)
+		}
+		if !strings.Contains(string(out), "would ignore "+args[0]) || strings.Contains(string(out), "campaign") {
+			t.Errorf("-import with %s: output does not name it or ran the campaign:\n%s", args[0], out)
+		}
+	}
+}
+
+// TestImportSummarySaysMismatchesAreUnknown: a release carries kept
+// clients only, so the stderr summary of an imported run says its
+// mismatch count is not in the release instead of printing 0. -seed,
+// which the import's fresh validation runs read, is accepted.
+func TestImportSummarySaysMismatchesAreUnknown(t *testing.T) {
+	release := t.TempDir()
+	if out, err := command("-seed", "11", "-scale", "0.05", "-export", release, "-only", "Table 3").CombinedOutput(); err != nil {
+		t.Fatalf("export: %v\n%s", err, out)
+	}
+	cmd := command("-seed", "11", "-import", release, "-only", "Table 3")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if out, err := cmd.Output(); err != nil {
+		t.Fatalf("import: %v\n%s%s", err, stderr.Bytes(), out)
+	}
+	if !strings.Contains(stderr.String(), "analyzed countries, mismatches discarded: not in a CSV release\n") {
+		t.Errorf("the import's summary does not say its mismatches are unknown:\n%s", stderr.Bytes())
+	}
+}
+
 // TestShardsRecombineThroughTheJournal runs a campaign unsharded, then
 // as shards 1/2 and 2/2 on one -resume directory, then without -shard
 // over that directory: the recombining run's dataset.csv,

@@ -316,11 +316,12 @@ func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
 		cfg.OnCountryDone(code, clients, resumed)
 	}
 
-	// Each country is measured on its own simulator, seeded from the
-	// campaign seed and the country code. This makes the dataset a
-	// pure function of the configuration: the same records come back
-	// whether countries run serially or on N workers, and a journaled
-	// country can be loaded back verbatim on resume.
+	// Each country is measured on its worker's simulator, reset to a
+	// seed of its own from the campaign seed and the country code, as a
+	// fresh simulator would be. This makes the dataset a pure function
+	// of the configuration: the same records come back whether
+	// countries run serially or on N workers, and a journaled country
+	// can be loaded back verbatim on resume.
 	//
 	// Client records are the one order-dependent output, and each is
 	// written once: a country's client count is known before it runs,
@@ -350,7 +351,11 @@ func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w := &worker{fold: fold{reg: reg}}
+			w := &worker{
+				fold:       fold{reg: reg},
+				transports: make(map[resolver.Kind]TransportStats, len(transports)),
+				smartWins:  make(map[resolver.Kind]int),
+			}
 			// window returns the storage country idx's records go to,
 			// empty, with room for all of them.
 			window := func(idx int) []ClientRecord {
@@ -459,18 +464,22 @@ feed:
 // whole campaign over their records restores every country. Shards
 // whose lists overlap write the same record for a country they share.
 // Parallel is a schedule knob with no effect on the records; the Atlas
-// remedy is recomputed on every run. The leading version is the
-// journaled record's shape: v2 since ClientRecord keeps its DoT and DoQ
-// results in Sessions, so that a v1 journal is refused instead of
-// restored with those results zeroed.
+// remedy is recomputed on every run. The transports are hashed as a
+// set, in resolver.Kinds order: the order a flag listed them in
+// changes no record, so it must not change the key. The leading
+// version is the journaled record's shape: v2 since ClientRecord keeps
+// its DoT and DoQ results in Sessions, so that a v1 journal is refused
+// instead of restored with those results zeroed.
 func configKey(cfg Config) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "v2|seed=%d|runs=%d|max=%d|scale=%g|", cfg.Seed, RunsPerClient, MaxClients, cfg.ClientScale)
 	for _, p := range anycast.ProviderIDs() {
 		fmt.Fprintf(h, "p=%s|", p)
 	}
-	for _, k := range cfg.Transports {
-		fmt.Fprintf(h, "t=%s|", k)
+	for _, k := range resolver.Kinds() {
+		if slices.Contains(cfg.Transports, k) {
+			fmt.Fprintf(h, "t=%s|", k)
+		}
 	}
 	fmt.Fprintf(h, "chaos=%g/%g/%g|", cfg.Chaos.ExitChurnProb, cfg.Chaos.HeaderCorruptProb, cfg.Chaos.ConnResetProb)
 	return fmt.Sprintf("%016x", h.Sum64())

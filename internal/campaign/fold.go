@@ -8,6 +8,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/proxynet"
 	"repro/internal/resolver"
+	"repro/internal/world"
 )
 
 // Folding a finished country into the run: its drop accounting sums
@@ -59,6 +60,17 @@ var histNames = sync.OnceValue(func() *[anycast.NumProviders][numKinds]string {
 	return names
 })
 
+// countryHistNames is every country's DoH histogram name by code,
+// built once per process and never written.
+var countryHistNames = sync.OnceValue(func() map[string]string {
+	all := world.All()
+	names := make(map[string]string, len(all))
+	for _, ct := range all {
+		names[ct.Code] = "campaign_country_" + ct.Code + "_doh_ms"
+	}
+	return names
+})
+
 // fold observes client records into reg, holding a handle per
 // histogram so that a name is looked up once, on its first
 // observation:
@@ -98,7 +110,11 @@ func (f *fold) clients(clients []ClientRecord) {
 		c := &clients[i]
 		if f.countryDoH == nil || c.CountryCode != f.country {
 			f.country = c.CountryCode
-			f.countryDoH = f.reg.Histogram("campaign_country_"+f.country+"_doh_ms", nil)
+			name, ok := countryHistNames()[f.country]
+			if !ok {
+				name = "campaign_country_" + f.country + "_doh_ms"
+			}
+			f.countryDoH = f.reg.Histogram(name, nil)
 		}
 		for p, pid := range anycast.ProviderIDs() {
 			if res, _ := c.DoH.Get(pid); res.Valid {

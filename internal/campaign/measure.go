@@ -155,34 +155,45 @@ func clientsIn(cfg Config, ct world.Country) int {
 // are cut from chunks the node carries), so that a kept client
 // allocates only its share of the chunks its record's strings are cut
 // from. fold holds its handles on the run's histograms.
+//
+// A country's set-up is reset, not rebuilt: measureCountry reseeds the
+// worker's one simulator and clears its two accounting maps (made with
+// the worker), which the country's record then holds. That is safe because a record's maps
+// are used up before the worker takes its next country: journal.Put
+// marshals them, Accounting.add sums them, and nothing keeps them.
 type worker struct {
-	prefixes prefixScratch
-	fold     fold
-	node     proxynet.ExitNode
+	prefixes   prefixScratch
+	fold       fold
+	node       proxynet.ExitNode
+	sim        proxynet.Sim
+	transports map[resolver.Kind]TransportStats
+	smartWins  map[resolver.Kind]int
 }
 
 // measureCountry provisions and measures all of one country's clients
-// on a dedicated simulator calibrated by params, appending their records to out, which must
-// have room for clientsIn of them: the records are written in place,
-// never moved. Cancellation is checked between clients: an abandoned
-// country returns the context error and is never journaled, so a
-// resumed campaign re-measures it in full.
+// on the worker's simulator, reset to the country's seed and calibrated
+// by params, appending their records to out, which must have room for
+// clientsIn of them: the records are written in place, never moved.
+// Cancellation is checked between clients: an abandoned country
+// returns the context error and is never journaled, so a resumed
+// campaign re-measures it in full.
 func measureCountry(ctx context.Context, cfg Config, params netsim.Params, code string, w *worker, out []ClientRecord) (countryRecord, error) {
 	providers := anycast.ProviderIDs()
-	var run countryRun
-	run.acct.Transports = make(map[resolver.Kind]TransportStats)
 	ct, ok := world.ByCode(code)
 	if !ok {
 		return countryRecord{}, fmt.Errorf("campaign: unknown country %q", code)
 	}
-	sim := proxynet.NewSim(countrySeed(cfg.Seed, code))
+	clear(w.transports)
+	clear(w.smartWins)
+	sim := &w.sim
+	sim.Reset(countrySeed(cfg.Seed, code))
 	sim.Params = params
 	if cfg.Chaos.Enabled() {
 		// A chaos stream of its own, also derived from the campaign
 		// seed: per-country, deterministic, schedule-independent.
 		sim.EnableChaos(countrySeed(cfg.Seed, code+"/chaos"), cfg.Chaos)
 	}
-	run.sim = sim
+	run := countryRun{sim: sim, acct: Accounting{Transports: w.transports}}
 	locator := geoip.NewService(sim.Alloc)
 
 	wants := func(kind resolver.Kind) bool { return slices.Contains(cfg.Transports, kind) }
@@ -276,7 +287,9 @@ func measureCountry(ctx context.Context, cfg Config, params netsim.Params, code 
 				rec.Smart.Set(pid, res)
 				if res.Valid {
 					if run.acct.SmartWins == nil {
-						run.acct.SmartWins = make(map[resolver.Kind]int)
+						// Nil in a country with no valid race, so its
+						// journal record leaves smart_wins out.
+						run.acct.SmartWins = w.smartWins
 					}
 					run.acct.SmartWins[resolver.Kind(res.Winner)]++
 				}

@@ -302,6 +302,49 @@ func TestConfigKey(t *testing.T) {
 	if configKey(c) != configKey(base) {
 		t.Error("schedule-only knobs changed the config key")
 	}
+	// The transports are a set: another listing of it keeps the key, and
+	// the canonical listing keeps the key it had while the listing was
+	// hashed as given.
+	if got, want := configKey(base), "5f3ebe1d94079a73"; got != want {
+		t.Errorf("the paper's transports key to %s, want %s", got, want)
+	}
+	c = base
+	c.Transports = []resolver.Kind{resolver.DoH, resolver.Do53}
+	if configKey(c) != configKey(base) {
+		t.Error("listing the transports in another order changed the config key")
+	}
+}
+
+// TestResumeWithReorderedTransports: a journal written with one listing
+// of the transports serves a run that lists the same set in another
+// order. Every country is restored, none measured, and the dataset is
+// the journaling run's.
+func TestResumeWithReorderedTransports(t *testing.T) {
+	cfg := smallConfig("BR", "IT", "LU")
+	cfg.Transports = []resolver.Kind{resolver.Do53, resolver.DoH, resolver.DoT}
+	cfg.CheckpointDir = t.TempDir()
+	want, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Transports = []resolver.Kind{resolver.DoT, resolver.DoH, resolver.Do53}
+	restored := 0
+	cfg.OnCountryDone = func(code string, _ int, resumed bool) {
+		if !resumed {
+			t.Errorf("%s was measured again, not restored", code)
+		}
+		restored++
+	}
+	got, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored != len(cfg.Countries) {
+		t.Errorf("%d countries done, want %d", restored, len(cfg.Countries))
+	}
+	if !bytes.Equal(exportAll(t, got), exportAll(t, want)) {
+		t.Error("the reordered resume's export differs from the journaling run's")
+	}
 }
 
 // TestRunContextPreCanceled: a context canceled before the campaign

@@ -66,6 +66,14 @@ func NewAllocator(blocks int) *Allocator {
 	return &Allocator{next: make([]int, len(w.codes)), blocks: blocks}
 }
 
+// Reset clears the per-country counters: the addresses that follow are
+// a new allocator's with the same block count.
+func (a *Allocator) Reset() {
+	a.mu.Lock()
+	clear(a.next)
+	a.mu.Unlock()
+}
+
 // Next returns a fresh address in the given country's space.
 // Consecutive calls walk /24s so that clients land in many distinct
 // prefixes (the paper keys clients by /24). The first blocks×254 calls

@@ -36,6 +36,33 @@ func TestAllocatorRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAllocatorResetMatchesFresh: after handing out addresses in
+// several countries, a Reset allocator hands out what a new one with
+// the same block count does, in every country.
+func TestAllocatorResetMatchesFresh(t *testing.T) {
+	codes := []string{"BR", "US", "BR", "JP", "LU", "BR"}
+	for _, blocks := range []int{0, 16} {
+		reused := NewAllocator(blocks)
+		for i := 0; i < 300; i++ {
+			if _, err := reused.Next(codes[i%len(codes)]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reused.Reset()
+		fresh := NewAllocator(blocks)
+		for i := 0; i < 300; i++ {
+			code := codes[(i*5)%len(codes)]
+			got, err := reused.Next(code)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, _ := fresh.Next(code); got != want {
+				t.Fatalf("blocks %d, call %d (%s): a Reset allocator gave %v, a new one %v", blocks, i, code, got, want)
+			}
+		}
+	}
+}
+
 func TestAllocatorUnknownCountry(t *testing.T) {
 	a := NewAllocator(16)
 	if _, err := a.Next("XX"); err == nil {

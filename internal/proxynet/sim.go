@@ -134,14 +134,37 @@ var superProxies = sync.OnceValue(func() *superProxyTable {
 })
 
 // NewSim constructs the simulated network with the calibrated default
-// parameters.
+// parameters: a zero Sim, Reset.
 func NewSim(seed int64) *Sim {
-	return &Sim{
-		Params: netsim.DefaultParams(),
-		Rand:   rand.New(rand.NewSource(seed)),
-		Lab:    netsim.Lab,
-		Alloc:  geoip.NewAllocator(0),
+	s := new(Sim)
+	s.Reset(seed)
+	return s
+}
+
+// Reset returns s to what NewSim(seed) builds — the default Params and
+// Lab, no exit node provisioned, no address handed out, zero Stats,
+// chaos disarmed — reusing its random source, its allocator (which
+// keeps its block count) and its PoP assignment scratch, so that a
+// caller measuring one country after another resets one simulator
+// instead of building one per country. Reseeding a Rand gives the
+// stream a new one would. Like EnableChaos, it must not run
+// concurrently with a measurement.
+func (s *Sim) Reset(seed int64) {
+	if s.Rand == nil {
+		s.Rand = rand.New(rand.NewSource(seed))
+	} else {
+		s.Rand.Seed(seed)
 	}
+	if s.Alloc == nil {
+		s.Alloc = geoip.NewAllocator(0)
+	} else {
+		s.Alloc.Reset()
+	}
+	s.Params = netsim.DefaultParams()
+	s.Lab = netsim.Lab
+	s.exitCounter = 0
+	s.stats = simCounters{}
+	s.chaos = nil
 }
 
 // path builds a session path over a route of the given mean, counting

@@ -108,17 +108,17 @@ go test -race -count=5 ./internal/smart/ -run 'TestOneSlowSampleDoesNotFlipTheWi
 go test -race -count=5 ./internal/smart/ -run TestSmartConvergesToPerDestinationBest
 go test -race ./internal/serve/ -run TestStreamReadTimeoutClosesSlowloris
 
-step "shared world tables (the /24 table against its map-walking oracle on every /24, simulators measuring at once on the shared tables; race)"
+step "shared world tables (the /24 table against its map-walking oracle on every /24, simulators measuring at once on the shared tables, a worker's simulator reset between countries as a fresh one; race)"
 go test ./internal/geoip/ -run 'TestSharedTableMatchesOracle|TestAllocatorClampsBlocks'
-go test -race -count=10 ./internal/proxynet/ -run TestConcurrentSimulatorsShareWorldTables
+go test -race -count=10 ./internal/proxynet/ -run 'TestConcurrentSimulatorsShareWorldTables|TestResetSimMatchesFresh'
 
 step "chaos soak (short, race)"
 go test -race -run TestChaosSoak -short ./internal/campaign/
 
-step "scale-out gates (shards recombined through one journal and through copied journals, shards and overlapping runs sharing one journal, a spoiled record failing its run, workers folding into one registry; race)"
+step "scale-out gates (shards recombined through one journal and through copied journals, shards and overlapping runs sharing one journal, a spoiled record failing its run, workers folding into one registry and carrying their state from country to country; race)"
 go test -race -run 'TestShardMergeByteIdenticalCSV|TestSmartShardMergeByteIdenticalCSV|TestMergeSumsAccountingLikeUnsharded|TestShardsShareOneJournal|TestClaimProtocolPartitionsCountries|TestSpoiledJournalRecordFailsTheRun' \
 	./internal/campaign/
-go test -race -count=10 ./internal/campaign/ -run 'TestCampaignObsDeterministicAcrossParallelism|TestObsHashPinned'
+go test -race -count=10 ./internal/campaign/ -run 'TestCampaignObsDeterministicAcrossParallelism|TestObsHashPinned|TestParallelismDoesNotChangeResults'
 
 step "serve soak (short, race, serve.Identities exact)"
 go test -race -run TestServeSoak -short ./internal/serve/
