@@ -9,33 +9,24 @@ import (
 	"repro/internal/dnswire"
 )
 
-// TestAddrBeforeListen is the regression test for the old panic: Addr
-// on a server that never listened dereferenced a nil socket. The
-// contract is now "" before ListenAndServe, and Shutdown on an
-// unstarted server is a clean no-op.
-func TestAddrBeforeListen(t *testing.T) {
-	s := NewServer(NewZone("a.com."))
+// TestServeShutdownLifecycle drives the one lifecycle: Addr is "" and
+// Shutdown a no-op before ListenAndServe (once, Addr on a server that
+// never listened dereferenced a nil socket), queries are answered while
+// the server serves, Shutdown drains and returns nil, a later query
+// fails, and a second Shutdown returns nil.
+func TestServeShutdownLifecycle(t *testing.T) {
+	s := NewServer(testZone(t))
 	if got := s.Addr(); got != "" {
 		t.Fatalf("Addr before ListenAndServe = %q, want \"\"", got)
 	}
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatalf("Shutdown before ListenAndServe: %v", err)
 	}
-}
-
-// TestServeShutdownLifecycle drives the context-aware surface the API
-// redesign added: Serve blocks until its context dies, queries are
-// answered meanwhile, and the drain completes.
-func TestServeShutdownLifecycle(t *testing.T) {
-	s := NewServer(testZone(t))
 	if err := s.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatalf("ListenAndServe: %v", err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	served := make(chan error, 1)
-	go func() { served <- s.Serve(ctx) }()
 
-	var c dnsclient.Client
+	c := dnsclient.Client{Timeout: time.Second}
 	resp, _, err := c.Query(context.Background(), s.Addr(), "www.a.com.", dnswire.TypeA)
 	if err != nil {
 		t.Fatalf("Query while serving: %v", err)
@@ -44,17 +35,13 @@ func TestServeShutdownLifecycle(t *testing.T) {
 		t.Fatalf("rcode = %v", resp.Header.RCode)
 	}
 
-	cancel()
-	select {
-	case err := <-served:
-		if err != nil {
-			t.Fatalf("Serve: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Serve did not return after context cancel")
-	}
-	// Second shutdown is idempotent.
 	if err := s.Shutdown(context.Background()); err != nil {
-		t.Fatalf("Shutdown after Serve: %v", err)
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if _, _, err := c.Query(context.Background(), s.Addr(), "late.a.com.", dnswire.TypeA); err == nil {
+		t.Error("a query was answered after Shutdown")
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatalf("second Shutdown: %v", err)
 	}
 }

@@ -101,10 +101,6 @@ func (s *Server) ListenAndServe(addr string) error {
 // Addr returns the bound address, or "" before ListenAndServe.
 func (s *Server) Addr() string { return s.engine.Addr() }
 
-// Serve blocks until ctx is cancelled, then drains gracefully. Call
-// after ListenAndServe.
-func (s *Server) Serve(ctx context.Context) error { return s.engine.Serve(ctx) }
-
 // Shutdown gracefully stops the server: intake stops at once and
 // in-flight queries complete unless ctx expires first.
 func (s *Server) Shutdown(ctx context.Context) error {

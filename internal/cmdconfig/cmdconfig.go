@@ -100,8 +100,9 @@ func (s *Serving) Notify(ctx context.Context) context.Context {
 // signals — it drains the servers at once within -drain, and only then
 // prints rep, so the totals count the queries answered during the drain
 // and the refreshes they started. A second signal kills the process. It
-// returns the drain's error: the deadline's when a server had to be
-// forced.
+// is where a command's signal becomes the Shutdown that stops each
+// server, and it returns their errors joined: the deadline's when a
+// server had to be forced.
 func (s *Serving) Run(ctx context.Context, rep Report, servers ...interface{ Shutdown(context.Context) error }) error {
 	<-ctx.Done()
 	if s.stop != nil {

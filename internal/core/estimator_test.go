@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -160,33 +159,44 @@ func TestEstimateDoHRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestImplausibleErrorText: an implausible observation's error is
-// ErrImplausible to errors.Is and reads as the fmt.Errorf wrapping it
-// replaced did.
+// TestImplausibleErrorText: each implausible observation's error is
+// its own sentinel, ErrImplausible to errors.Is and read as
+// "core: implausible observation: <why>", and the estimators return it
+// without allocating: a campaign discards thousands of runs.
 func TestImplausibleErrorText(t *testing.T) {
 	msec := time.Millisecond
-	_, order := EstimateDoH(proxynet.DoHObservation{TA: 10, TB: 5})
-	negObs := proxynet.DoHObservation{TB: 100 * msec, TC: 100 * msec, TD: 110 * msec}
-	est, negative := EstimateDoH(negObs)
-	_, header := EstimateDo53(proxynet.Do53Observation{Tun: proxynet.TunTimeline{DNS: -5 * msec}})
+	order := proxynet.DoHObservation{TA: 10, TB: 5}
+	negative := proxynet.DoHObservation{TB: 100 * msec, TC: 100 * msec, TD: 110 * msec}
+	header := proxynet.Do53Observation{Tun: proxynet.TunTimeline{DNS: -5 * msec}}
+	_, orderErr := EstimateDoH(order)
+	est, negativeErr := EstimateDoH(negative)
+	_, headerErr := EstimateDo53(header)
 	for _, tc := range []struct {
 		err  error
-		want error
+		want string
 	}{
-		{order, fmt.Errorf("%w: timestamps out of order", ErrImplausible)},
-		{negative, fmt.Errorf("%w: negative estimate (tDoH=%v tDoHR=%v rtt=%v)",
-			ErrImplausible, est.TDoH, est.TDoHR, est.RTT)},
-		{header, fmt.Errorf("%w: header DNS value %v", ErrImplausible, -5*msec)},
+		{orderErr, "core: implausible observation: timestamps out of order"},
+		{negativeErr, "core: implausible observation: negative estimate"},
+		{headerErr, "core: implausible observation: header DNS value not positive"},
 	} {
 		if !errors.Is(tc.err, ErrImplausible) {
 			t.Errorf("errors.Is(%v, ErrImplausible) = false", tc.err)
 		}
-		if tc.err == nil || tc.err.Error() != tc.want.Error() {
+		if tc.err == nil || tc.err.Error() != tc.want {
 			t.Errorf("error %q, want %q", tc.err, tc.want)
 		}
 	}
 	if est.TDoH >= 0 {
 		t.Errorf("negative-estimate observation estimated tDoH=%v", est.TDoH)
+	}
+	for name, estimate := range map[string]func(){
+		"out of order":      func() { EstimateDoH(order) },
+		"negative estimate": func() { EstimateDoH(negative) },
+		"bad DNS header":    func() { EstimateDo53(header) },
+	} {
+		if allocs := testing.AllocsPerRun(100, estimate); allocs != 0 {
+			t.Errorf("%s: %v allocations per implausible observation, want 0", name, allocs)
+		}
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"repro/internal/dnsclient"
 	"repro/internal/dnswire"
 	"repro/internal/proxynet"
-	"repro/internal/resolver"
 )
 
 // ProxyMeasurer is the real-socket measurement client: it performs
@@ -118,32 +117,6 @@ func (m *ProxyMeasurer) MeasureDoH(ctx context.Context, dohURL string, name dnsw
 		return obs, nil, fmt.Errorf("core: decoding DoH body: %w", err)
 	}
 	return obs, msg, nil
-}
-
-// Resolver adapts the proxy measurement path to the unified
-// resolver.Resolver interface: each Resolve runs the full 22-step DoH
-// procedure (fresh tunnel + TLS session) against dohURL and maps the
-// observation's timestamps onto the per-phase Timing. Policy layers
-// (resolver.WithRetry etc.) compose on top unchanged.
-func (m *ProxyMeasurer) Resolver(dohURL string) resolver.Resolver {
-	return resolver.Func(func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, resolver.Timing, error) {
-		var t resolver.Timing
-		if len(q.Questions) == 0 {
-			return nil, t, fmt.Errorf("core: query has no question")
-		}
-		obs, msg, err := m.MeasureDoH(ctx, dohURL, q.Questions[0].Name)
-		if err != nil {
-			return nil, t, err
-		}
-		t = resolver.Timing{
-			DNSLookup: obs.Tun.DNS,
-			Connect:   obs.Tun.Connect,
-			RoundTrip: obs.TD - obs.TC,
-			Total:     obs.TD - obs.TA,
-			Attempts:  1,
-		}
-		return msg, t, nil
-	})
 }
 
 // MeasureDo53 performs the paper's Do53 measurement through the

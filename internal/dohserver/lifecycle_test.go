@@ -2,6 +2,7 @@ package dohserver
 
 import (
 	"context"
+	"crypto/tls"
 	"errors"
 	"net"
 	"net/http"
@@ -16,7 +17,8 @@ import (
 // TestServerLifecycle holds the DoH front to the lifecycle of the Do53
 // and DoT ones: Addr is "" and Shutdown a no-op before listening, a
 // bind failure is ListenAndServe's to return, queries are answered over
-// TLS while Serve blocks, cancelling drains, Shutdown is idempotent.
+// TLS while the server serves, Shutdown drains and returns nil, a later
+// query fails, and a second Shutdown returns nil.
 func TestServerLifecycle(t *testing.T) {
 	unstarted := NewServer(NewHandler(testResolver()).Mux(), nil)
 	if got := unstarted.Addr(); got != "" {
@@ -43,9 +45,6 @@ func TestServerLifecycle(t *testing.T) {
 	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatalf("ListenAndServe: %v", err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	served := make(chan error, 1)
-	go func() { served <- srv.Serve(ctx) }()
 
 	c, err := dohclient.New("https://"+srv.Addr()+DefaultPath, &dohclient.Options{InsecureTLS: true})
 	if err != nil {
@@ -60,20 +59,14 @@ func TestServerLifecycle(t *testing.T) {
 	}
 
 	// The client's connection is idle and kept alive: the drain closes it.
-	cancel()
-	select {
-	case err := <-served:
-		if err != nil {
-			t.Fatalf("Serve: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Serve did not return after context cancel")
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown: %v", err)
 	}
 	if _, _, err := c.Query(context.Background(), "late.a.com.", dnswire.TypeA); err == nil {
-		t.Error("a query was answered after the drain")
+		t.Error("a query was answered after Shutdown")
 	}
 	if err := srv.Shutdown(context.Background()); err != nil {
-		t.Fatalf("Shutdown after Serve: %v", err)
+		t.Fatalf("second Shutdown: %v", err)
 	}
 }
 
@@ -101,5 +94,19 @@ func TestServerShutdownForcesOnExpiry(t *testing.T) {
 	case <-left:
 	case <-time.After(5 * time.Second):
 		t.Fatal("the parked request outlived a forced shutdown")
+	}
+}
+
+// TestShutdownReturnsTheServingError: a server whose serving stopped by
+// itself, here on a TLS config without a certificate, reports why from
+// Shutdown, the one call a command makes after ListenAndServe.
+func TestShutdownReturnsTheServingError(t *testing.T) {
+	srv := NewServer(http.NotFoundHandler(), &tls.Config{})
+	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
+		t.Fatalf("ListenAndServe: %v", err)
+	}
+	err := srv.Shutdown(context.Background())
+	if err == nil || errors.Is(err, http.ErrServerClosed) {
+		t.Fatalf("Shutdown = %v, want the serving loop's error", err)
 	}
 }

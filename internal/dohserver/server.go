@@ -294,7 +294,7 @@ const Timeout = 15 * time.Second
 
 // Server runs an http.Handler (usually a Handler's Mux) on net/http with
 // the lifecycle of the Do53 and DoT fronts: NewServer, ListenAndServe,
-// Addr, then Serve(ctx) or Shutdown(ctx).
+// Addr, Shutdown.
 type Server struct {
 	http *http.Server
 	addr string        // "" until ListenAndServe
@@ -332,24 +332,10 @@ func (s *Server) ListenAndServe(addr string) error {
 // Addr returns the bound address, or "" before ListenAndServe.
 func (s *Server) Addr() string { return s.addr }
 
-// Serve blocks until ctx is cancelled, then drains gracefully; should
-// serving stop by itself first, it returns the cause. Call after
-// ListenAndServe.
-func (s *Server) Serve(ctx context.Context) error {
-	select {
-	case <-ctx.Done():
-		return s.Shutdown(context.Background())
-	case <-s.done:
-		if errors.Is(s.err, http.ErrServerClosed) {
-			return nil // a Shutdown elsewhere
-		}
-		return s.err
-	}
-}
-
 // Shutdown stops accepting at once and lets requests in flight complete;
 // if ctx expires first it closes the connections left and returns ctx's
-// error. It is idempotent, and a no-op before ListenAndServe.
+// error. Should serving have stopped by itself, the cause is joined to
+// what it returns. It is idempotent, and a no-op before ListenAndServe.
 func (s *Server) Shutdown(ctx context.Context) error {
 	if s.done == nil {
 		return nil
@@ -359,5 +345,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.http.Close()
 	}
 	<-s.done
+	if !errors.Is(s.err, http.ErrServerClosed) {
+		err = errors.Join(err, s.err)
+	}
 	return err
 }

@@ -9,9 +9,10 @@ import (
 	"repro/internal/tlsutil"
 )
 
-// TestServerLifecycle covers the context-aware surface: Addr is ""
-// before listening, Serve blocks until cancelled, an established
-// client keeps working while Serve runs, and Shutdown is idempotent.
+// TestServerLifecycle drives the DoT front's one lifecycle: Addr is ""
+// and Shutdown a no-op before listening, an established client is
+// answered while the server serves, Shutdown drains and returns nil, a
+// later query fails, and a second Shutdown returns nil.
 func TestServerLifecycle(t *testing.T) {
 	var unstarted Server
 	if got := unstarted.Addr(); got != "" {
@@ -22,11 +23,7 @@ func TestServerLifecycle(t *testing.T) {
 	}
 
 	srv := testServer(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	served := make(chan error, 1)
-	go func() { served <- srv.Serve(ctx) }()
-
-	c := &Client{Addr: srv.Addr(), TLSConfig: tlsutil.InsecureClientConfig()}
+	c := &Client{Addr: srv.Addr(), TLSConfig: tlsutil.InsecureClientConfig(), Timeout: time.Second}
 	defer c.Close()
 	resp, _, err := c.Query(context.Background(), "live.a.com.", dnswire.TypeA)
 	if err != nil {
@@ -36,16 +33,13 @@ func TestServerLifecycle(t *testing.T) {
 		t.Fatalf("answers = %v", resp.Answers)
 	}
 
-	cancel()
-	select {
-	case err := <-served:
-		if err != nil {
-			t.Fatalf("Serve: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Serve did not return after context cancel")
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if _, _, err := c.Query(context.Background(), "late.a.com.", dnswire.TypeA); err == nil {
+		t.Error("a query was answered after Shutdown")
 	}
 	if err := srv.Shutdown(context.Background()); err != nil {
-		t.Fatalf("Shutdown after Serve: %v", err)
+		t.Fatalf("second Shutdown: %v", err)
 	}
 }

@@ -3,7 +3,6 @@ package netsim
 import (
 	"math"
 	"math/rand"
-	"sync/atomic"
 	"time"
 )
 
@@ -26,7 +25,8 @@ type Path struct {
 
 // NewPath samples the persistent path factor for the a-b route. Each
 // loss event the path samples is added to *losses, unless losses is
-// nil.
+// nil. The add is a plain one: like rng, losses belongs to the one
+// goroutine that traverses the path.
 func (m LatencyModel) NewPath(rng *rand.Rand, a, b Endpoint, losses *int64) Path {
 	return m.PathFromMean(rng, m.MeanOneWay(a, b), losses)
 }
@@ -68,7 +68,7 @@ func (p Path) OneWay(rng *rand.Rand) time.Duration {
 	if p.lossProb > 0 && rng.Float64() < p.lossProb {
 		d += float64(p.lossPenalty)
 		if p.lossCounter != nil {
-			atomic.AddInt64(p.lossCounter, 1)
+			*p.lossCounter++
 		}
 	}
 	if d < 0 {

@@ -2,7 +2,6 @@ package proxynet
 
 import (
 	"math/rand"
-	"sync/atomic"
 	"time"
 )
 
@@ -100,13 +99,13 @@ func (s *Sim) chaosDraw() chaosEvent {
 	corrupt := churn + c.cfg.HeaderCorruptProb
 	switch {
 	case u < reset:
-		atomic.AddInt64(&s.stats.chaosResets, 1)
+		s.stats.ChaosResets++
 		return chaosReset
 	case u < churn:
-		atomic.AddInt64(&s.stats.chaosChurns, 1)
+		s.stats.ChaosChurns++
 		return chaosChurn
 	case u < corrupt:
-		atomic.AddInt64(&s.stats.chaosCorrupts, 1)
+		s.stats.ChaosHeaderCorruptions++
 		return chaosCorrupt
 	}
 	return chaosNone

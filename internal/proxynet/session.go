@@ -1,7 +1,6 @@
 package proxynet
 
 import (
-	"sync/atomic"
 	"time"
 
 	"repro/internal/anycast"
@@ -79,12 +78,16 @@ type SessionGroundTruth struct {
 // crypto ones (netsim.Handshake.Draw); EP and PA for the query; CS, SE,
 // CS, SE for the client-side timestamps.
 func (s *Sim) MeasureSession(tr Transport, node *ExitNode, pid anycast.ProviderID, queryName string) (SessionObservation, SessionGroundTruth) {
-	atomic.AddInt64(&s.stats.sessions[tr], 1)
+	runs, blocked := &s.stats.DoTMeasurements, &s.stats.DoTBlocked
+	if tr == DoQ {
+		runs, blocked = &s.stats.DoQMeasurements, &s.stats.DoQBlocked
+	}
+	*runs++
 	var obs SessionObservation
 	var gt SessionGroundTruth
 	if s.Rand.Float64() < sessionProfiles[tr].blockProb {
 		obs.Blocked = true
-		atomic.AddInt64(&s.stats.blocked[tr], 1)
+		*blocked++
 		return obs, gt
 	}
 	provider := s.Params.Providers.Of(pid)

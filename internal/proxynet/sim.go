@@ -6,7 +6,6 @@ import (
 	"net/netip"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/anycast"
@@ -42,33 +41,16 @@ type Sim struct {
 	exitCounter int
 	// assignScratch is PoP assignment's work space, reused across nodes.
 	assignScratch anycast.AssignScratch
-	stats         simCounters
+	stats         SimStats
 	// chaos holds the armed failure injector; nil until EnableChaos.
 	chaos *chaosState
 }
 
-// simCounters holds the event counters behind Stats. All fields are
-// updated atomically: campaigns read loss deltas between sequential
-// measurements, and every path a Sim builds counts its losses into
-// lossEvents.
-type simCounters struct {
-	lossEvents      int64
-	exitNodes       int64
-	dohMeasurements int64
-	do53Measure     int64
-	chaosResets     int64
-	chaosChurns     int64
-	chaosCorrupts   int64
-	// sessions and blocked count MeasureSession runs and the ones
-	// dropped by port filtering, per sessionProfiles row.
-	sessions [NumTransports]int64
-	blocked  [NumTransports]int64
-}
-
-// SimStats is a snapshot of the simulator's event counters — the
-// accounting the paper's §3.5 drop handling needs. Before this
-// existed, loss events sampled by the latency model simply vanished
-// into longer delays with no way to assert on them.
+// SimStats is the simulator's event counters — the accounting the
+// paper's §3.5 drop handling needs. A Sim counts into its own SimStats
+// with plain adds, since it draws from its own Rand and so one
+// goroutine at a time uses it; every path it builds counts its losses
+// into LossEvents.
 type SimStats struct {
 	// LossEvents counts retransmission-timeout loss events sampled on
 	// any path owned by this simulator.
@@ -92,21 +74,7 @@ type SimStats struct {
 }
 
 // Stats returns a snapshot of the simulator's event counters.
-func (s *Sim) Stats() SimStats {
-	return SimStats{
-		LossEvents:             atomic.LoadInt64(&s.stats.lossEvents),
-		DoTBlocked:             atomic.LoadInt64(&s.stats.blocked[DoT]),
-		DoQBlocked:             atomic.LoadInt64(&s.stats.blocked[DoQ]),
-		ExitNodes:              atomic.LoadInt64(&s.stats.exitNodes),
-		DoHMeasurements:        atomic.LoadInt64(&s.stats.dohMeasurements),
-		Do53Measurements:       atomic.LoadInt64(&s.stats.do53Measure),
-		DoTMeasurements:        atomic.LoadInt64(&s.stats.sessions[DoT]),
-		DoQMeasurements:        atomic.LoadInt64(&s.stats.sessions[DoQ]),
-		ChaosResets:            atomic.LoadInt64(&s.stats.chaosResets),
-		ChaosChurns:            atomic.LoadInt64(&s.stats.chaosChurns),
-		ChaosHeaderCorruptions: atomic.LoadInt64(&s.stats.chaosCorrupts),
-	}
-}
+func (s *Sim) Stats() SimStats { return s.stats }
 
 // superProxyTable is the 11 Super Proxies in code order: each one's
 // network attachment, code and precomputed position, index-aligned.
@@ -163,14 +131,14 @@ func (s *Sim) Reset(seed int64) {
 	s.Params = netsim.DefaultParams()
 	s.Lab = netsim.Lab
 	s.exitCounter = 0
-	s.stats = simCounters{}
+	s.stats = SimStats{}
 	s.chaos = nil
 }
 
 // path builds a session path over a route of the given mean, counting
 // its losses in Stats.
 func (s *Sim) path(mean time.Duration) netsim.Path {
-	return s.Params.Latency.PathFromMean(s.Rand, mean, &s.stats.lossEvents)
+	return s.Params.Latency.PathFromMean(s.Rand, mean, &s.stats.LossEvents)
 }
 
 // ExitNode is one residential vantage point, alive for the duration of
@@ -284,7 +252,7 @@ func (s *Sim) selectExitNode(countryCode string, node *ExitNode, ids *dnswire.St
 		return err
 	}
 	s.exitCounter++
-	atomic.AddInt64(&s.stats.exitNodes, 1)
+	s.stats.ExitNodes++
 	host, resolverEP, overhead := netsim.ResidentialHost(s.Rand, ct)
 	var id [32]byte
 	*node = ExitNode{
@@ -461,7 +429,7 @@ func (s *Sim) sampleProxyTimeline() ProxyTimeline {
 // Chaos draws from its own stream. TestMeasureDoHMatchesEventTimeline
 // holds this to the event-driven timeline it replaced.
 func (s *Sim) MeasureDoH(node *ExitNode, pid anycast.ProviderID, queryName string) (DoHObservation, DoHGroundTruth) {
-	atomic.AddInt64(&s.stats.dohMeasurements, 1)
+	s.stats.DoHMeasurements++
 	provider := s.Params.Providers.Of(pid)
 	route := s.route(node, pid)
 	rng := s.Rand
@@ -570,7 +538,7 @@ type Do53GroundTruth struct {
 // our authoritative server, plus the resolver's own processing
 // overhead (the paper's "default configuration" performance).
 func (s *Sim) MeasureDo53(node *ExitNode, queryName string) (Do53Observation, Do53GroundTruth) {
-	atomic.AddInt64(&s.stats.do53Measure, 1)
+	s.stats.Do53Measurements++
 	pathER := s.path(node.meanER)
 	pathRA := s.path(node.meanRA)
 

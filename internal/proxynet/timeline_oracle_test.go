@@ -2,7 +2,6 @@ package proxynet
 
 import (
 	"fmt"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,14 +17,14 @@ import (
 // distances recomputed from positions. It is the reference MeasureDoH
 // is held to.
 func (s *Sim) measureDoHEventTimeline(node *ExitNode, pid anycast.ProviderID, queryName string) (DoHObservation, DoHGroundTruth) {
-	atomic.AddInt64(&s.stats.dohMeasurements, 1)
+	s.stats.DoHMeasurements++
 	provider, cal := anycast.Catalogue()[pid], s.Params.Providers.Of(pid)
 	pop := s.PoPFor(node, pid)
 	popEndpoint := netsim.Endpoint{Pos: pop.Pos, Country: world.MustByCode(pop.CountryCode)}
 
 	// Session-persistent paths: consecutive packets on the same route
 	// are strongly correlated (Assumption 1 of the paper).
-	m, losses := &s.Params.Latency, &s.stats.lossEvents
+	m, losses := &s.Params.Latency, &s.stats.LossEvents
 	pathCS := m.NewPath(s.Rand, s.Lab, node.super, losses)         // client <-> Super Proxy
 	pathSE := m.NewPath(s.Rand, node.super, node.Endpoint, losses) // Super Proxy <-> exit
 	pathER := m.NewPath(s.Rand, node.Endpoint, node.ResolverEndpoint, losses)

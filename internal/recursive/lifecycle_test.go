@@ -10,9 +10,10 @@ import (
 	"repro/internal/dnswire"
 )
 
-// TestServerLifecycle covers the context-aware surface on the Do53
-// front end: Addr is "" before listening, Serve blocks until
-// cancelled, queries resolve while Serve runs, Shutdown is idempotent.
+// TestServerLifecycle drives the Do53 front's one lifecycle: Addr is ""
+// and Shutdown a no-op before listening, queries resolve while the
+// server serves, Shutdown drains and returns nil, a later query fails,
+// and a second Shutdown returns nil.
 func TestServerLifecycle(t *testing.T) {
 	var unstarted Server
 	if got := unstarted.Addr(); got != "" {
@@ -36,11 +37,8 @@ func TestServerLifecycle(t *testing.T) {
 	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatalf("ListenAndServe: %v", err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	served := make(chan error, 1)
-	go func() { served <- srv.Serve(ctx) }()
 
-	var c dnsclient.Client
+	c := dnsclient.Client{Timeout: time.Second}
 	resp, _, err := c.Query(context.Background(), srv.Addr(), "live.a.com.", dnswire.TypeA)
 	if err != nil {
 		t.Fatalf("Query while serving: %v", err)
@@ -49,16 +47,13 @@ func TestServerLifecycle(t *testing.T) {
 		t.Fatalf("answers = %v", resp.Answers)
 	}
 
-	cancel()
-	select {
-	case err := <-served:
-		if err != nil {
-			t.Fatalf("Serve: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Serve did not return after context cancel")
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if _, _, err := c.Query(context.Background(), srv.Addr(), "late.a.com.", dnswire.TypeA); err == nil {
+		t.Error("a query was answered after Shutdown")
 	}
 	if err := srv.Shutdown(context.Background()); err != nil {
-		t.Fatalf("Shutdown after Serve: %v", err)
+		t.Fatalf("second Shutdown: %v", err)
 	}
 }

@@ -14,7 +14,7 @@ func benchEngine(b *testing.B, opts Options) *Server {
 	if err != nil {
 		b.Fatalf("New: %v", err)
 	}
-	b.Cleanup(func() { s.Close() })
+	b.Cleanup(func() { stop(s) })
 	return s
 }
 
@@ -58,7 +58,7 @@ func BenchmarkServeStream(b *testing.B) {
 	if err != nil {
 		b.Fatalf("New: %v", err)
 	}
-	b.Cleanup(func() { s.Close() })
+	b.Cleanup(func() { stop(s) })
 	conn, err := net.Dial("tcp", s.Addr())
 	if err != nil {
 		b.Fatalf("dial: %v", err)

@@ -83,7 +83,7 @@ func TestQueryTimeoutAllocationFree(t *testing.T) {
 				}
 				t.Fatal(err)
 			}
-			defer s.Close()
+			defer stop(s)
 			_, port, _ := net.SplitHostPort(s.Addr())
 			network := "udp"
 			query := []byte("0123456789abcdef")
@@ -164,7 +164,7 @@ func TestQueryTimeoutFires(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer s.Close()
+			defer stop(s)
 			network, query := "udp", []byte("park")
 			if tc.tcp {
 				network, query = "tcp", []byte{0, 4, 'p', 'a', 'r', 'k'}
@@ -216,7 +216,7 @@ func TestQueryContextEndsWithTheQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer stop(s)
 	for round, armThisRound := range []bool{true, false, true} {
 		arm.Store(armThisRound)
 		if resp := udpExchange(t, s.Addr(), "q"); resp != "q" {

@@ -58,7 +58,7 @@ func TestAdmissionShedServfailUDP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer s.Close()
+	defer stop(s)
 
 	conn, err := net.Dial("udp", s.Addr())
 	if err != nil {
@@ -134,7 +134,7 @@ func TestAdmissionShedStream(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer s.Close()
+	defer stop(s)
 
 	conn1, err := net.Dial("tcp", s.Addr())
 	if err != nil {
@@ -261,7 +261,7 @@ func TestRateLimitSlipUDP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer s.Close()
+	defer stop(s)
 
 	conn, err := net.Dial("udp", s.Addr())
 	if err != nil {
@@ -316,7 +316,7 @@ func TestRateLimitStreamExempt(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer s.Close()
+	defer stop(s)
 	conn, err := net.Dial("tcp", s.Addr())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -358,7 +358,7 @@ func TestPanicRecoveryPacket(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer s.Close()
+	defer stop(s)
 
 	bad := dnsShaped(7, "boom")
 	conn, err := net.Dial("udp", s.Addr())
@@ -398,7 +398,7 @@ func TestPanicRecoveryStream(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer s.Close()
+	defer stop(s)
 	conn, err := net.Dial("tcp", s.Addr())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -440,7 +440,7 @@ func TestMaxConnsRejectsOverCap(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer s.Close()
+	defer stop(s)
 
 	conn1, err := net.Dial("tcp", s.Addr())
 	if err != nil {
@@ -508,7 +508,7 @@ func TestStreamWriteTimeoutUnblocksSlowReader(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer s.Close()
+	defer stop(s)
 
 	conn, err := net.Dial("tcp", s.Addr())
 	if err != nil {
@@ -556,7 +556,7 @@ func TestStreamMaxFrameBytesClosesConn(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer s.Close()
+	defer stop(s)
 
 	conn, err := net.Dial("tcp", s.Addr())
 	if err != nil {

@@ -21,11 +21,12 @@
 //     owns accept loops, per-connection framing, idle deadlines, and
 //     connection-lifetime scratch.
 //
-// Lifecycle is context-aware: New binds and starts serving, Serve
-// blocks until the context is cancelled, and Shutdown drains in-flight
-// queries before closing (forcing the issue when its context expires).
-// The servers built on it (authserver, recursive, dot) pass that
-// lifecycle through: NewServer, ListenAndServe, Addr, Serve, Shutdown.
+// Lifecycle: New binds and starts serving, and Shutdown is the one way
+// to stop: it drains in-flight queries before closing, forcing the
+// issue when its context expires. The servers built on it (authserver,
+// recursive, dot) pass that lifecycle through: NewServer,
+// ListenAndServe, Addr, Shutdown; a command's cmdconfig.Serving.Run is
+// where a signal becomes a Shutdown.
 package serve
 
 import (
@@ -297,7 +298,6 @@ type Server struct {
 	conns  map[net.Conn]struct{}
 
 	shutdownOnce sync.Once
-	shutdownCh   chan struct{}
 	waitOnce     sync.Once
 	finished     chan struct{}
 	closeOnce    sync.Once
@@ -339,8 +339,7 @@ var Identities = []obs.Identity{{
 
 // New binds addr and starts serving with the given options. The
 // returned server is live: Addr reports the bound address and queries
-// are answered until Shutdown or Close. Use Serve to block a goroutine
-// on the serving lifetime.
+// are answered until Shutdown.
 func New(addr string, opts Options) (*Server, error) {
 	if opts.Packet == nil && opts.Stream == nil {
 		return nil, errors.New("serve: Options needs a Packet or Stream handler")
@@ -365,10 +364,9 @@ func New(addr string, opts Options) (*Server, error) {
 		reg = obs.NewRegistry()
 	}
 	s := &Server{
-		opts:       opts,
-		shutdownCh: make(chan struct{}),
-		finished:   make(chan struct{}),
-		conns:      make(map[net.Conn]struct{}),
+		opts:     opts,
+		finished: make(chan struct{}),
+		conns:    make(map[net.Conn]struct{}),
 	}
 	if opts.RateLimit > 0 {
 		s.limiter = newRRLLimiter(opts.RateLimit, opts.RateBurst, opts.RateSlip)
@@ -521,50 +519,29 @@ func (s *Server) Addr() string {
 	return s.addr
 }
 
-// Serve blocks until ctx is cancelled or Shutdown/Close is called
-// elsewhere, then waits for the drain to complete. Cancelling ctx
-// triggers a full graceful drain (intake stops immediately; in-flight
-// queries finish). It returns nil after a clean shutdown.
-func (s *Server) Serve(ctx context.Context) error {
-	select {
-	case <-ctx.Done():
-		return s.Shutdown(context.Background())
-	case <-s.shutdownCh:
-		<-s.finished
-		return nil
-	}
-}
-
 // Shutdown gracefully stops the server: intake stops at once, then
 // in-flight queries (the datagram being answered, queued dispatch work,
 // the frame a stream connection is serving) run to completion and
 // their responses are written. If ctx expires first, query contexts
 // are cancelled and every socket is force-closed; Shutdown then still
-// waits for the loops to unwind before returning ctx.Err(). Shutdown
-// is idempotent and safe to call from any goroutine.
+// waits for the loops to unwind before returning ctx.Err(). Any error
+// closing the listeners is joined to what it returns. Shutdown is the
+// one way to stop a server; it is idempotent and safe to call from any
+// goroutine.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.beginShutdown()
+	var err error
 	select {
 	case <-s.finished:
 	case <-ctx.Done():
 		s.forceClose()
 		<-s.finished
-		s.closeListeners()
-		return ctx.Err()
+		err = ctx.Err()
 	}
-	s.closeListeners()
-	return nil
-}
-
-// Close force-stops the server without draining: query contexts are
-// cancelled, sockets and connections close immediately, and Close
-// waits for the loops to unwind. Prefer Shutdown.
-func (s *Server) Close() error {
-	s.beginShutdown()
-	s.forceClose()
-	<-s.finished
-	s.closeListeners()
-	return s.closeErr
+	if s.closeListeners(); s.closeErr != nil {
+		err = errors.Join(err, s.closeErr)
+	}
+	return err
 }
 
 // beginShutdown flips the server into draining mode and wakes every
@@ -573,7 +550,6 @@ func (s *Server) Close() error {
 func (s *Server) beginShutdown() {
 	s.shutdownOnce.Do(func() {
 		s.draining.Store(true)
-		close(s.shutdownCh)
 		past := time.Unix(1, 0)
 		for _, c := range s.udpConns {
 			c.SetReadDeadline(past)

@@ -20,6 +20,14 @@ func tlsDial(addr string) (net.Conn, error) {
 	return tls.Dial("tcp", addr, tlsutil.InsecureClientConfig())
 }
 
+// stop force-stops s without a drain: Shutdown with a context that is
+// already done.
+func stop(s *Server) error {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return s.Shutdown(ctx)
+}
+
 // echoPacket answers every datagram with "ok:" + the query bytes.
 func echoPacket(_ context.Context, out, raw []byte, _ netip.AddrPort) ([]byte, error) {
 	out = append(out, "ok:"...)
@@ -93,7 +101,7 @@ func TestPacketEngineEcho(t *testing.T) {
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
-			defer s.Close()
+			defer stop(s)
 			conn, err := net.Dial("udp", s.Addr())
 			if err != nil {
 				t.Fatalf("dial: %v", err)
@@ -136,7 +144,7 @@ func TestPacketEngineMultiListener(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer s.Close()
+	defer stop(s)
 	const queries = 64
 	var wg sync.WaitGroup
 	errs := make(chan error, queries)
@@ -207,7 +215,7 @@ func TestPacketEngineDropsOnNilResponse(t *testing.T) {
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
-			defer s.Close()
+			defer stop(s)
 			conn, err := net.Dial("udp", s.Addr())
 			if err != nil {
 				t.Fatalf("dial: %v", err)
@@ -225,9 +233,9 @@ func TestPacketEngineDropsOnNilResponse(t *testing.T) {
 			if string(buf[:n]) != "keep" {
 				t.Fatalf("got %q, want the dropped packets to vanish", buf[:n])
 			}
-			// The answer can arrive a moment before it is counted; Close
+			// The answer can arrive a moment before it is counted; stop
 			// returns once the serving goroutines have.
-			s.Close()
+			stop(s)
 			dropped, responses := reg.Counter("serve_dropped_total").Value(), reg.Counter("serve_responses_total").Value()
 			if dropped != 2 || responses != 1 {
 				t.Fatalf("serve_dropped_total = %d, serve_responses_total = %d, want 2 and 1", dropped, responses)
@@ -254,7 +262,7 @@ func TestPacketEngineDispatchConcurrency(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer s.Close()
+	defer stop(s)
 	start := time.Now()
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
@@ -276,7 +284,7 @@ func TestStreamEngine(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer s.Close()
+	defer stop(s)
 	conn, err := net.Dial("tcp", s.Addr())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -304,7 +312,7 @@ func TestStreamEngineTLS(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer s.Close()
+	defer stop(s)
 	conn, err := tlsDial(s.Addr())
 	if err != nil {
 		t.Fatalf("tls dial: %v", err)
@@ -330,7 +338,7 @@ func TestStreamEngineLargeResponse(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer s.Close()
+	defer stop(s)
 	conn, err := net.Dial("tcp", s.Addr())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -350,7 +358,7 @@ func TestStreamHandlerRefusalClosesConn(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer s.Close()
+	defer stop(s)
 	conn, err := net.Dial("tcp", s.Addr())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -373,7 +381,7 @@ func TestSamePortPairing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer s.Close()
+	defer stop(s)
 	if got := udpExchange(t, s.Addr(), "u"); got != "ok:u" {
 		t.Fatalf("udp: got %q", got)
 	}
@@ -393,25 +401,18 @@ func TestNewRequiresHandler(t *testing.T) {
 	}
 }
 
-func TestServeReturnsOnContextCancel(t *testing.T) {
+// TestShutdownClosesTheSocket: a server answers until Shutdown, which
+// returns nil after a clean drain and leaves no socket behind.
+func TestShutdownClosesTheSocket(t *testing.T) {
 	s, err := New("127.0.0.1:0", Options{Packet: PacketHandlerFunc(echoPacket)})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- s.Serve(ctx) }()
 	if got := udpExchange(t, s.Addr(), "pre"); got != "ok:pre" {
-		t.Fatalf("pre-cancel exchange: %q", got)
+		t.Fatalf("pre-shutdown exchange: %q", got)
 	}
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("Serve: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Serve did not return after context cancel")
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown: %v", err)
 	}
 	// The socket is gone: a fresh query gets no answer.
 	conn, err := net.Dial("udp", s.Addr())
@@ -420,7 +421,7 @@ func TestServeReturnsOnContextCancel(t *testing.T) {
 		conn.Write([]byte("post"))
 		conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
 		if _, err := conn.Read(make([]byte, 16)); err == nil {
-			t.Fatal("server still answering after Serve returned")
+			t.Fatal("server still answering after Shutdown returned")
 		}
 	}
 }

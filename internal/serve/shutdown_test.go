@@ -224,8 +224,7 @@ func TestShutdownDeadlineExceeded(t *testing.T) {
 	}
 }
 
-// TestShutdownIdempotent: a second Shutdown (and a Close after it) is
-// a cheap no-op.
+// TestShutdownIdempotent: a second Shutdown is a cheap no-op.
 func TestShutdownIdempotent(t *testing.T) {
 	s, err := New("127.0.0.1:0", Options{Packet: PacketHandlerFunc(echoPacket)})
 	if err != nil {
@@ -236,9 +235,6 @@ func TestShutdownIdempotent(t *testing.T) {
 	}
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatalf("second Shutdown: %v", err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close after Shutdown: %v", err)
 	}
 }
 

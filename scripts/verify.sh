@@ -70,9 +70,11 @@ step "the cold path (allocation budgets repeat)"
 # together: the handshake's signature is the self-signed leaf's.
 go test -count=5 ./internal/dohclient/ ./internal/dot/ -run 'TestColdExchangeAllocBudget|TestColdDoTExchangeAllocBudget'
 
-step "one singleflight, one lifecycle (the recursor's shared flights are the cache's, its TCP side answers what UDP truncates, the DoH front's lifecycle)"
+step "one singleflight, one lifecycle (the recursor's shared flights are the cache's, its TCP side answers what UDP truncates; each of the four fronts stops only by Shutdown, which drains, refuses later queries and is idempotent; race)"
 go test -race ./internal/recursive/ -run 'TestSharedFlightIsCounted|TestRecursorAnswersOverTCP'
 go test -race ./internal/dohserver/ -run 'TestServerLifecycle|TestServerShutdownForcesOnExpiry'
+go test -race -count=5 ./internal/authserver/ -run TestServeShutdownLifecycle
+go test -race -count=5 ./internal/recursive/ ./internal/dot/ ./internal/dohserver/ -run TestServerLifecycle
 
 step "a miss allocates only what it keeps (a recycled flight keeps its result, a recycled entry its answers and counts, the index's seed moves no eviction and it holds at most two slots per entry, a pooled attempt bound is each attempt's own; race)"
 go test -race -count=20 ./internal/cache/ -run TestRecycledFlightsKeepTheirResults
