@@ -30,19 +30,23 @@ import (
 // each worker resetting one simulator and one pair of maps, and the
 // names in a shared table, it read 0.34, and 3.81 under the resilience
 // tests' soakChaos, where every discarded run boxed its implausible
-// error. With those errors three sentinels built once, it reads 0.32
-// clean and 0.34 under soakChaos (the same under -race). Each row's
-// budget is its reading plus 15 %.
-// docs/performance.md "A country costs its clients" has the rules that
-// hold it; CHANGES.md has the per-site history.
+// error. With those errors three sentinels built once, it read 0.32
+// clean and 0.34 under soakChaos, while each export wrote its rows
+// through encoding/csv with a string per number. Appended in place, the
+// export costs one buffer a table, and it reads 0.255 clean and 0.284
+// under soakChaos (the same under -race). Each row's budget is its
+// reading plus 15 %.
+// docs/performance.md "A country costs its clients" and "Exporting
+// costs its bytes" have the rules that hold it; CHANGES.md has the
+// per-site history.
 func TestCampaignAllocBudget(t *testing.T) {
 	for _, row := range []struct {
 		name   string
 		chaos  proxynet.Chaos
 		budget float64
 	}{
-		{"clean", proxynet.Chaos{}, 0.37},
-		{"soakChaos", soakChaos, 0.39},
+		{"clean", proxynet.Chaos{}, 0.29},
+		{"soakChaos", soakChaos, 0.32},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			cfg := stripeConfig(t)

@@ -7,9 +7,11 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/anycast"
-	"repro/internal/dnswire"
 	"repro/internal/geo"
 	"repro/internal/resolver"
 )
@@ -42,97 +44,115 @@ var csvHeader = []string{
 // on all of them.
 const clientMetaCols = 8
 
-// formatFloats renders up to four values as the export's fixed
-// four-decimal fields. The fields are slices of one string built in buf
-// and cut from chunks — they are dead once the row is written — so rows
-// cost an allocation per chunk, not one each; buf is returned for the
-// next row.
-func formatFloats(buf []byte, chunks *dnswire.StringChunks, fields *[4]string, vals ...float64) []byte {
-	var ends [4]int
-	buf = buf[:0]
-	for i, v := range vals {
-		buf = strconv.AppendFloat(buf, v, 'f', 4, 64)
-		ends[i] = len(buf)
+// A table is appended row by row into one buffer, which spill writes
+// out past flushAt bytes and at the end: no string per row, the bytes
+// of encoding/csv's Writer (TestWriteCSVMatchesEncodingCSV).
+const flushAt = 4 << 10
+
+// newRows returns a table's row buffer holding its header.
+func newRows(header []string) []byte {
+	return endRow(appendStrings(make([]byte, 0, 2*flushAt), header...))
+}
+
+// spill writes *b to w once it holds n bytes, and empties it.
+func spill(w io.Writer, b *[]byte, n int) error {
+	if len(*b) < n {
+		return nil
 	}
-	s := chunks.Cut(buf)
-	start := 0
-	for i := range vals {
-		fields[i] = s[start:ends[i]]
-		start = ends[i]
+	_, err := w.Write(*b)
+	*b = (*b)[:0]
+	return err
+}
+
+// appendStrings and appendFloats append fields, each followed by a
+// comma; endRow turns a row's last comma into its line end.
+func appendStrings(b []byte, ss ...string) []byte {
+	for _, s := range ss {
+		b = append(appendField(b, s), ',')
 	}
-	return buf
+	return b
+}
+
+func appendFloats(b []byte, vs ...float64) []byte {
+	for _, v := range vs {
+		b = append(strconv.AppendFloat(b, v, 'f', 4, 64), ',')
+	}
+	return b
+}
+
+func endRow(b []byte) []byte {
+	b[len(b)-1] = '\n'
+	return b
+}
+
+// appendField appends s as one CSV field. Like encoding/csv's Writer, it
+// quotes a field that is `\.`, holds a comma, a quote, CR or LF, or
+// starts with a Unicode space, and doubles the quotes inside.
+func appendField(b []byte, s string) []byte {
+	r, _ := utf8.DecodeRuneInString(s)
+	if s != `\.` && !strings.ContainsAny(s, ",\"\r\n") && !unicode.IsSpace(r) {
+		return append(b, s...)
+	}
+	b = append(b, '"')
+	for i := 0; i < len(s); i++ {
+		if s[i] == '"' {
+			b = append(b, '"')
+		}
+		b = append(b, s[i])
+	}
+	return append(b, '"')
 }
 
 // WriteCSV writes one row per (client, provider) measurement, plus one
 // provider-less row for each client with a valid Do53 baseline but no
 // valid DoH result, so the Do53 sample survives the round-trip.
 func (ds *Dataset) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
-		return err
-	}
-	var (
-		buf    []byte
-		chunks dnswire.StringChunks
-		f      [4]string
-		row    = make([]string, len(csvHeader))
-
-		providers = anycast.ProviderIDs()
-	)
+	b := newRows(csvHeader)
 	for i := range ds.Clients {
 		c := &ds.Clients[i]
-		// The metadata columns are filled once per client; the provider
-		// rows below overwrite only the columns after them.
-		buf = formatFloats(buf, &chunks, &f, c.Pos.Lat, c.Pos.Lon, c.NSDistanceKm, c.Do53Ms)
-		row[0], row[1], row[2] = c.ClientID, c.CountryCode, c.Prefix
-		row[3], row[4], row[5], row[6] = f[0], f[1], f[2], f[3]
-		row[7] = strconv.FormatBool(c.Do53Valid)
-		wrote := false
-		for _, pid := range providers {
-			res, ok := c.DoH.Get(pid)
-			if !ok || !res.Valid {
-				continue
+		// The metadata columns are rendered once, as the start of the
+		// client's first row, and copied onto each later one.
+		start := len(b)
+		b = appendStrings(b, c.ClientID, c.CountryCode, c.Prefix)
+		b = appendFloats(b, c.Pos.Lat, c.Pos.Lon, c.NSDistanceKm, c.Do53Ms)
+		b = append(strconv.AppendBool(b, c.Do53Valid), ',')
+		meta, rows := len(b), 0
+		for _, pid := range anycast.ProviderIDs() {
+			if res, ok := c.DoH.Get(pid); ok && res.Valid {
+				if rows++; rows > 1 {
+					b = append(b, b[start:meta]...)
+				}
+				b = appendFloats(appendStrings(b, string(pid)), res.TDoHMs, res.TDoHRMs)
+				b = appendStrings(b, res.PoPID, res.PoPCountry)
+				b = endRow(appendFloats(b, res.PoPDistanceKm, res.NearestPoPDistanceKm))
 			}
-			buf = formatFloats(buf, &chunks, &f, res.TDoHMs, res.TDoHRMs, res.PoPDistanceKm, res.NearestPoPDistanceKm)
-			row[8], row[9], row[10] = string(pid), f[0], f[1]
-			row[11], row[12], row[13], row[14] = res.PoPID, res.PoPCountry, f[2], f[3]
-			if err := cw.Write(row); err != nil {
-				return err
-			}
-			wrote = true
 		}
-		if !wrote && c.Do53Valid {
-			for i := clientMetaCols; i < len(row); i++ {
-				row[i] = ""
-			}
-			if err := cw.Write(row); err != nil {
-				return err
-			}
+		switch {
+		case rows == 0 && c.Do53Valid:
+			b = append(b, ",,,,,,\n"...) // the seven DoH columns, empty
+		case rows == 0:
+			b = b[:start]
+		}
+		if err := spill(w, &b, flushAt); err != nil {
+			return err
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return spill(w, &b, 0)
 }
 
 // WriteAtlasCSV writes the Super-Proxy-country Do53 medians.
 func (ds *Dataset) WriteAtlasCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"country", "do53_median_ms"}); err != nil {
-		return err
-	}
+	b := newRows([]string{"country", "do53_median_ms"})
 	// Deterministic order.
-	var codes []string
+	codes := make([]string, 0, len(ds.AtlasDo53Ms))
 	for code := range ds.AtlasDo53Ms {
 		codes = append(codes, code)
 	}
 	sort.Strings(codes)
 	for _, code := range codes {
-		if err := cw.Write([]string{code, strconv.FormatFloat(ds.AtlasDo53Ms[code], 'f', 4, 64)}); err != nil {
-			return err
-		}
+		b = endRow(appendFloats(appendStrings(b, code), ds.AtlasDo53Ms[code]))
 	}
-	cw.Flush()
-	return cw.Error()
+	return spill(w, &b, 0)
 }
 
 // smartCSVHeader is the column layout of the smart-strategy side
@@ -147,34 +167,20 @@ var smartCSVHeader = []string{"client_id", "provider", "winner", "tsmart_ms", "t
 // sharded campaign recombined through its journal exports it
 // byte-identically to an unsharded one.
 func (ds *Dataset) WriteSmartCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(smartCSVHeader); err != nil {
-		return err
-	}
-	var (
-		buf    []byte
-		chunks dnswire.StringChunks
-		f      [4]string
-		row    = make([]string, len(smartCSVHeader))
-
-		providers = anycast.ProviderIDs()
-	)
+	b := newRows(smartCSVHeader)
 	for i := range ds.Clients {
 		c := &ds.Clients[i]
-		for _, pid := range providers {
-			res, ok := c.Smart.Get(pid)
-			if !ok || !res.Valid {
-				continue
-			}
-			buf = formatFloats(buf, &chunks, &f, res.TSmartMs, res.TSmartRMs)
-			row[0], row[1], row[2], row[3], row[4] = c.ClientID, string(pid), res.Winner, f[0], f[1]
-			if err := cw.Write(row); err != nil {
-				return err
+		for _, pid := range anycast.ProviderIDs() {
+			if res, ok := c.Smart.Get(pid); ok && res.Valid {
+				b = appendStrings(b, c.ClientID, string(pid), res.Winner)
+				b = endRow(appendFloats(b, res.TSmartMs, res.TSmartRMs))
 			}
 		}
+		if err := spill(w, &b, flushAt); err != nil {
+			return err
+		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return spill(w, &b, 0)
 }
 
 // ReadSmartCSV attaches a smart side table to a dataset previously
