@@ -222,9 +222,12 @@ type Dataset struct {
 	AtlasDo53Ms map[string]float64
 	// Accounting sums the countries' drop accounting.
 	Accounting
+	// SmartWins counts the valid smart races in Clients by winning
+	// kind (countSmartWins): nil when there is none.
+	SmartWins map[resolver.Kind]int
 	// Obs is the campaign's observability snapshot: per-provider and
 	// per-country latency histograms, accounting gauges, and the
-	// summed simulator counters. Deterministic for a given Config
+	// summed injected-failure counts. Deterministic for a given Config
 	// regardless of Parallel, and of which countries were restored
 	// from the journal.
 	Obs obs.Snapshot
@@ -354,7 +357,6 @@ func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
 			w := &worker{
 				fold:       fold{reg: reg},
 				transports: make(map[resolver.Kind]TransportStats, len(transports)),
-				smartWins:  make(map[resolver.Kind]int),
 			}
 			// window returns the storage country idx's records go to,
 			// empty, with room for all of them.
@@ -397,7 +399,6 @@ func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
 				kept[idx] = len(rec.Clients)
 				w.fold.clients(rec.Clients)
 				aggMu.Lock()
-				ds.KeptClients += len(rec.Clients)
 				ds.add(rec.Accounting)
 				simTotal = addSimStats(simTotal, rec.SimStats)
 				aggMu.Unlock()
@@ -428,6 +429,8 @@ feed:
 		}
 	}
 	ds.Clients = clients[:n]
+	ds.KeptClients = len(ds.Clients)
+	ds.SmartWins = countSmartWins(ds.Clients)
 
 	if err := ctx.Err(); err != nil {
 		// Partial flush: the completed countries' records, accounting,
@@ -469,7 +472,9 @@ feed:
 // changes no record, so it must not change the key. The leading
 // version is the journaled record's shape: v2 since ClientRecord keeps
 // its DoT and DoQ results in Sessions, so that a v1 journal is refused
-// instead of restored with those results zeroed.
+// instead of restored with those results zeroed. A record that still
+// carries smart_wins and an 11-key sim_stats is v2 too: the decoder
+// ignores those keys, and Run counts the win split from the records.
 func configKey(cfg Config) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "v2|seed=%d|runs=%d|max=%d|scale=%g|", cfg.Seed, RunsPerClient, MaxClients, cfg.ClientScale)

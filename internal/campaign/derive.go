@@ -131,3 +131,20 @@ func deriveSmart(rec *ClientRecord, pid anycast.ProviderID) SmartResult {
 	}
 	return SmartResult{TSmartMs: first, TSmartRMs: steady, Winner: string(kinds[winner]), Valid: true}
 }
+
+// countSmartWins counts the clients' valid smart races by winning kind,
+// nil when there is none: the one count Run and ReadSmartCSV both use.
+func countSmartWins(clients []ClientRecord) map[resolver.Kind]int {
+	var wins map[resolver.Kind]int
+	for i := range clients {
+		for _, pid := range anycast.ProviderIDs() {
+			if res, _ := clients[i].Smart.Get(pid); res.Valid {
+				if wins == nil {
+					wins = make(map[resolver.Kind]int)
+				}
+				wins[resolver.Kind(res.Winner)]++
+			}
+		}
+	}
+	return wins
+}

@@ -184,8 +184,8 @@ func (ds *Dataset) WriteSmartCSV(w io.Writer) error {
 }
 
 // ReadSmartCSV attaches a smart side table to a dataset previously
-// loaded with ReadCSV: each row's result lands on its client, and the
-// SmartWins accounting is recomputed from the winner column. Rows
+// loaded with ReadCSV: each row's result lands on its client, and
+// SmartWins is counted from the results, as Run counts it. Rows
 // naming an unknown client or a provider outside the catalogue,
 // repeating a (client, provider) pair, crediting a transport the race
 // never launches or carrying an impossible time are corruption and
@@ -230,8 +230,7 @@ func (ds *Dataset) ReadSmartCSV(r io.Reader) error {
 		if _, dup := c.Smart.Get(pid); dup {
 			return fmt.Errorf("campaign: smart CSV line %d: duplicate provider %s for client %s", lineNo, pid, row[0])
 		}
-		winner := resolver.Kind(row[2])
-		if !smartCandidate(winner) {
+		if !smartCandidate(resolver.Kind(row[2])) {
 			return fmt.Errorf("campaign: smart CSV line %d: winner %q is not a transport the race launches", lineNo, row[2])
 		}
 		tsmart, err1 := strconv.ParseFloat(row[3], 64)
@@ -244,11 +243,8 @@ func (ds *Dataset) ReadSmartCSV(r io.Reader) error {
 			return fmt.Errorf("campaign: smart CSV line %d: times %s, %s ms are not finite and non-negative", lineNo, row[3], row[4])
 		}
 		c.Smart.Set(pid, SmartResult{TSmartMs: tsmart, TSmartRMs: tsmartr, Winner: row[2], Valid: true})
-		if ds.SmartWins == nil {
-			ds.SmartWins = make(map[resolver.Kind]int)
-		}
-		ds.SmartWins[winner]++
 	}
+	ds.SmartWins = countSmartWins(ds.Clients)
 	return nil
 }
 

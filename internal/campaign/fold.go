@@ -12,14 +12,14 @@ import (
 )
 
 // Folding a finished country into the run: its drop accounting sums
-// into the dataset's (Accounting.add), and its records into the run's
-// one registry, which holds the latency histograms and, once the
-// workers finish, the accounting gauges.
-// Per-country simulators keep private counters while measuring
-// (countryRun.settle attributes loss events to individual runs by
-// sequential deltas, which a shared registry would break under
-// parallel workers), so everything here is fed from the
-// already-deterministic records and per-country accounting.
+// into the dataset's (Accounting.add), its chaos counts into the run's
+// total, and its records into the run's one registry, which holds the
+// latency histograms and, once the workers finish, the gauges. The
+// accounting and the records are the campaign's only counts, each
+// thing counted once: a client kept or dropped, a run by outcome, a
+// loss event (settle gives it to the run that absorbed it, by sequential
+// differences of the country simulator's LossEvents), a smart race won
+// (countSmartWins). The simulator counts only what chaos injected.
 //
 // Each finished country's clients fold straight into the registry's
 // histograms through the worker's handles. Every accumulator is an
@@ -141,16 +141,16 @@ func (f *fold) clients(clients []ClientRecord) {
 	}
 }
 
-// publish exports the dataset's drop accounting and the run's summed
-// simulator counters into reg, which holds its folded histograms, and
-// snapshots it into ds.Obs. Gauges, not counters: the source of truth
-// stays the Dataset, and publishing is idempotent. The snapshot is a
-// pure function of the records, the accounting and the simulator
-// counters, all of which a journal restores, so it inherits their
-// schedule independence and a recombining run's matches the unsharded
-// run's.
+// publish exports the dataset's drop accounting and smart-win split and
+// the run's summed injected-failure counts into reg, which holds its
+// folded histograms, and snapshots it into ds.Obs. Gauges, not
+// counters: the source of truth stays the Dataset, and publishing is
+// idempotent. The snapshot is a pure function of the records, the
+// accounting and the chaos counts, all of which a journal restores, so
+// it inherits their schedule independence and a recombining run's
+// matches the unsharded run's.
 func publish(reg *obs.Registry, ds *Dataset, sim proxynet.SimStats) {
-	reg.Gauge("campaign_clients").Set(float64(ds.KeptClients))
+	reg.Gauge("campaign_clients").Set(float64(len(ds.Clients)))
 	reg.Gauge("campaign_discarded_mismatch").Set(float64(ds.DiscardedMismatch))
 	reg.Gauge("campaign_discarded_implausible").Set(float64(ds.DiscardedImplausible))
 	for kind, ts := range ds.Transports {
@@ -168,14 +168,6 @@ func publish(reg *obs.Registry, ds *Dataset, sim proxynet.SimStats) {
 	for code, med := range ds.AtlasDo53Ms {
 		reg.Gauge("campaign_atlas_do53_ms_" + code).Set(med)
 	}
-	reg.Gauge("campaign_sim_loss_events").Set(float64(sim.LossEvents))
-	reg.Gauge("campaign_sim_dot_blocked").Set(float64(sim.DoTBlocked))
-	reg.Gauge("campaign_sim_doq_blocked").Set(float64(sim.DoQBlocked))
-	reg.Gauge("campaign_sim_exit_nodes").Set(float64(sim.ExitNodes))
-	reg.Gauge("campaign_sim_doh_measurements").Set(float64(sim.DoHMeasurements))
-	reg.Gauge("campaign_sim_do53_measurements").Set(float64(sim.Do53Measurements))
-	reg.Gauge("campaign_sim_dot_measurements").Set(float64(sim.DoTMeasurements))
-	reg.Gauge("campaign_sim_doq_measurements").Set(float64(sim.DoQMeasurements))
 	if sim.ChaosResets+sim.ChaosChurns+sim.ChaosHeaderCorruptions > 0 {
 		reg.Gauge("campaign_sim_chaos_resets").Set(float64(sim.ChaosResets))
 		reg.Gauge("campaign_sim_chaos_churns").Set(float64(sim.ChaosChurns))
@@ -184,16 +176,8 @@ func publish(reg *obs.Registry, ds *Dataset, sim proxynet.SimStats) {
 	ds.Obs = reg.Snapshot()
 }
 
-// addSimStats sums two simulator snapshots.
+// addSimStats sums two countries' injected-failure counts.
 func addSimStats(a, b proxynet.SimStats) proxynet.SimStats {
-	a.LossEvents += b.LossEvents
-	a.DoTBlocked += b.DoTBlocked
-	a.DoQBlocked += b.DoQBlocked
-	a.ExitNodes += b.ExitNodes
-	a.DoHMeasurements += b.DoHMeasurements
-	a.Do53Measurements += b.Do53Measurements
-	a.DoTMeasurements += b.DoTMeasurements
-	a.DoQMeasurements += b.DoQMeasurements
 	a.ChaosResets += b.ChaosResets
 	a.ChaosChurns += b.ChaosChurns
 	a.ChaosHeaderCorruptions += b.ChaosHeaderCorruptions
@@ -214,13 +198,6 @@ type Accounting struct {
 	// loss events they absorbed (paper §3.5's drop handling, reported
 	// per transport instead of silently lost).
 	Transports map[resolver.Kind]TransportStats `json:"transports"`
-	// SmartWins counts, per transport kind, how many (client, provider)
-	// smart races that kind won; nil unless resolver.Smart is in the
-	// transport set. Kept as accounting, summed per country like the
-	// discard counts, so the win split reaches the gauges without a
-	// pass over Clients; ReadSmartCSV recomputes it from the winner
-	// column.
-	SmartWins map[resolver.Kind]int `json:"smart_wins,omitempty"`
 }
 
 // add sums o into a: the one fold, per country in Run.
@@ -239,12 +216,6 @@ func (a *Accounting) add(o Accounting) {
 		t.Blocked += ts.Blocked
 		t.Skipped += ts.Skipped
 		a.Transports[kind] = t
-	}
-	for kind, n := range o.SmartWins {
-		if a.SmartWins == nil {
-			a.SmartWins = make(map[resolver.Kind]int)
-		}
-		a.SmartWins[kind] += n
 	}
 }
 

@@ -225,11 +225,11 @@ func TestExportHashPinned(t *testing.T) {
 
 // TestObsHashPinned pins the stripe campaign's observability snapshot
 // in its text exposition: every latency histogram's buckets, count and
-// sum, and every accounting and simulator gauge. Like the export hash,
-// it moves only with the records or the metric set, which no change to
-// how the histograms are folded may touch.
+// sum, and every accounting, smart-win and injected-failure gauge. Like
+// the export hash, it moves only with the records or the metric set,
+// which no change to how the histograms are folded may touch.
 func TestObsHashPinned(t *testing.T) {
-	const want = "3832afdc9cafbc88e64d1cb0567cf3556702d57cfbaddc69e89bf52068827b02"
+	const want = "dde3dc547230d71b1627e073c4d0927ee29d65c40629224df23b4989a099d597"
 	ds, err := Run(stripeConfig(t))
 	if err != nil {
 		t.Fatal(err)

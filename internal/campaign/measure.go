@@ -27,10 +27,8 @@ import (
 type countryRecord struct {
 	Clients []ClientRecord `json:"clients"`
 	Accounting
-	// SimStats is the country simulator's final counter snapshot,
-	// summed into the campaign registry by Run. Per-country sims keep
-	// private counters (settle needs sequential per-sim loss deltas),
-	// so the registry view is assembled post-hoc.
+	// SimStats is the country simulator's injected-failure counts, which
+	// neither the accounting nor the clients hold.
 	SimStats proxynet.SimStats `json:"sim_stats"`
 }
 
@@ -130,7 +128,7 @@ loop:
 func (r *countryRun) settle(kind resolver.Kind, o runOutcome) {
 	ts := r.acct.Transports[kind]
 	ts.Queries++
-	losses := r.sim.Stats().LossEvents
+	losses := r.sim.LossEvents()
 	ts.LossEvents += losses - r.lossSeen
 	r.lossSeen = losses
 	if o != runMeasured {
@@ -157,17 +155,16 @@ func clientsIn(cfg Config, ct world.Country) int {
 // from. fold holds its handles on the run's histograms.
 //
 // A country's set-up is reset, not rebuilt: measureCountry reseeds the
-// worker's one simulator and clears its two accounting maps (made with
-// the worker), which the country's record then holds. That is safe because a record's maps
-// are used up before the worker takes its next country: journal.Put
-// marshals them, Accounting.add sums them, and nothing keeps them.
+// worker's one simulator and clears its accounting map (made with the
+// worker), which the country's record then holds. That is safe because
+// a record's map is used up before the worker takes its next country:
+// journal.Put marshals it, Accounting.add sums it, and nothing keeps it.
 type worker struct {
 	prefixes   prefixScratch
 	fold       fold
 	node       proxynet.ExitNode
 	sim        proxynet.Sim
 	transports map[resolver.Kind]TransportStats
-	smartWins  map[resolver.Kind]int
 }
 
 // measureCountry provisions and measures all of one country's clients
@@ -184,7 +181,6 @@ func measureCountry(ctx context.Context, cfg Config, params netsim.Params, code 
 		return countryRecord{}, fmt.Errorf("campaign: unknown country %q", code)
 	}
 	clear(w.transports)
-	clear(w.smartWins)
 	sim := &w.sim
 	sim.Reset(countrySeed(cfg.Seed, code))
 	sim.Params = params
@@ -283,16 +279,7 @@ func measureCountry(ctx context.Context, cfg Config, params netsim.Params, code 
 		}
 		if wants(resolver.Smart) {
 			for _, pid := range providers {
-				res := deriveSmart(rec, pid)
-				rec.Smart.Set(pid, res)
-				if res.Valid {
-					if run.acct.SmartWins == nil {
-						// Nil in a country with no valid race, so its
-						// journal record leaves smart_wins out.
-						run.acct.SmartWins = w.smartWins
-					}
-					run.acct.SmartWins[resolver.Kind(res.Winner)]++
-				}
+				rec.Smart.Set(pid, deriveSmart(rec, pid))
 			}
 		}
 	}

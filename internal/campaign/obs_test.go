@@ -1,14 +1,18 @@
 package campaign
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/anycast"
+	"repro/internal/netsim"
 	"repro/internal/obs"
+	"repro/internal/proxynet"
 	"repro/internal/resolver"
 	"repro/internal/stats"
+	"repro/internal/world"
 )
 
 // The campaign's histograms answer quantiles from their buckets. On
@@ -150,6 +154,37 @@ func TestDoTBlockedRunsAccounted(t *testing.T) {
 		// fixture must actually contain it or this test is vacuous.
 		if partial == 0 {
 			t.Fatalf("no partially-blocked %s client in fixture; pick a different seed", kind)
+		}
+	}
+}
+
+// TestLossEventsAttributedOnce holds settle's per-run differences of
+// the simulator's loss counter to giving every simulated loss to
+// exactly one run: on a country measured over all four wire transports
+// with losses raised, the per-transport LossEvents sum to the
+// simulator's own count, clean and under chaos.
+func TestLossEventsAttributedOnce(t *testing.T) {
+	for _, chaos := range []proxynet.Chaos{{}, soakChaos} {
+		cfg := smallConfig("BR")
+		cfg.Transports = []resolver.Kind{resolver.Do53, resolver.DoH, resolver.DoT, resolver.DoQ}
+		cfg.Chaos = chaos
+		params := netsim.DefaultParams()
+		params.Latency.LossProb = 0.05
+		ct, _ := world.ByCode("BR")
+		w := &worker{transports: make(map[resolver.Kind]TransportStats)}
+		rec, err := measureCountry(context.Background(), cfg, params, "BR", w, make([]ClientRecord, 0, clientsIn(cfg, ct)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum int64
+		for _, kind := range cfg.Transports {
+			if rec.Transports[kind].LossEvents == 0 {
+				t.Errorf("chaos=%v: %s absorbed no loss event at LossProb %g", chaos.Enabled(), kind, params.Latency.LossProb)
+			}
+			sum += rec.Transports[kind].LossEvents
+		}
+		if got := w.sim.LossEvents(); sum != got {
+			t.Errorf("chaos=%v: the transports absorbed %d loss events, the simulator sampled %d", chaos.Enabled(), sum, got)
 		}
 	}
 }

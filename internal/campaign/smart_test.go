@@ -22,8 +22,8 @@ func fiveTransportConfig(countries ...string) Config {
 // semantics on a live campaign: the derived result must equal the
 // happy-eyeballs race over the client's measured encrypted transports
 // — winning arrival min over launch-offset + first-query time, steady
-// state the winner's reused latency — and the SmartWins accounting
-// must add up to the valid results.
+// state the winner's reused latency — and SmartWins must count the
+// valid results by winner.
 func TestSmartStrategyDerived(t *testing.T) {
 	ds, err := Run(fiveTransportConfig("BR", "US", "NG"))
 	if err != nil {

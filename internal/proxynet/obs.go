@@ -2,8 +2,9 @@ package proxynet
 
 // StepLabels names the paper's Figure-2 steps, t1..t22 at indexes
 // 1..22 (index 0 unused), for the worldstudy -timeline printer. The
-// simulator's counts are SimStats, which commands export as the
-// campaign_sim_* gauges.
+// simulator counts only what its callers cannot see: injected failures
+// (SimStats, the campaign_sim_chaos_* gauges) and sampled loss events
+// (LossEvents, which a campaign gives to the runs that absorbed them).
 var StepLabels = [23]string{
 	1:  "client -> Super Proxy (CONNECT)",
 	2:  "Super Proxy -> exit node",

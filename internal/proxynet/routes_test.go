@@ -165,6 +165,9 @@ func TestSelectExitNodeIntoMatchesFresh(t *testing.T) {
 		if g, w := reused.Stats(), fresh.Stats(); g != w {
 			t.Errorf("chaos=%v: stats %+v, want %+v", withChaos, g, w)
 		}
+		if g, w := reused.LossEvents(), fresh.LossEvents(); g != w {
+			t.Errorf("chaos=%v: %d loss events, want %d", withChaos, g, w)
+		}
 		if g, w := reused.Rand.Int63(), fresh.Rand.Int63(); g != w {
 			t.Errorf("chaos=%v: random stream diverged (next Int63 %d, want %d)", withChaos, g, w)
 		}

@@ -78,16 +78,10 @@ type SessionGroundTruth struct {
 // crypto ones (netsim.Handshake.Draw); EP and PA for the query; CS, SE,
 // CS, SE for the client-side timestamps.
 func (s *Sim) MeasureSession(tr Transport, node *ExitNode, pid anycast.ProviderID, queryName string) (SessionObservation, SessionGroundTruth) {
-	runs, blocked := &s.stats.DoTMeasurements, &s.stats.DoTBlocked
-	if tr == DoQ {
-		runs, blocked = &s.stats.DoQMeasurements, &s.stats.DoQBlocked
-	}
-	*runs++
 	var obs SessionObservation
 	var gt SessionGroundTruth
 	if s.Rand.Float64() < sessionProfiles[tr].blockProb {
 		obs.Blocked = true
-		*blocked++
 		return obs, gt
 	}
 	provider := s.Params.Providers.Of(pid)

@@ -92,10 +92,10 @@ func TestConcurrentSimulatorsShareWorldTables(t *testing.T) {
 
 // TestResetSimMatchesFresh: a campaign worker measures country after
 // country on one simulator, Reset between them. After one country with
-// chaos armed, a varied calibration and a moved lab, and one more with
-// none of them, Reset(seed) must leave nothing behind: the nodes (IDs,
-// addresses, positions), the measurements, Stats and the next Int63
-// are NewSim(seed)'s. The workers run at once, as the campaign's do;
+// chaos armed, a varied calibration (losses raised) and a moved lab,
+// and one more with none of them, Reset(seed) must leave nothing
+// behind: the nodes (IDs, addresses, positions), the measurements,
+// Stats, LossEvents and the next Int63 are NewSim(seed)'s. The workers run at once, as the campaign's do;
 // verify.sh repeats this under -race.
 func TestResetSimMatchesFresh(t *testing.T) {
 	runs := []struct {
@@ -113,6 +113,7 @@ func TestResetSimMatchesFresh(t *testing.T) {
 
 			reused := NewSim(r.seed + 1)
 			reused.Params.Latency.JitterSigma *= 2
+			reused.Params.Latency.LossProb = 0.5
 			reused.Params.Providers.Of(anycast.Cloudflare).MisrouteProb = 0.9
 			reused.Lab.Pos = geo.Point{Lat: 51.5, Lon: -0.1}
 			reused.EnableChaos(r.seed, Chaos{ExitChurnProb: 0.3, HeaderCorruptProb: 0.3, ConnResetProb: 0.3})
@@ -127,6 +128,9 @@ func TestResetSimMatchesFresh(t *testing.T) {
 			}
 			if g, w := reused.Stats(), fresh.Stats(); g != w {
 				t.Errorf("%s (seed %d): Stats after Reset\n got %+v\nwant %+v", r.code, r.seed, g, w)
+			}
+			if g, w := reused.LossEvents(), fresh.LossEvents(); g != w {
+				t.Errorf("%s (seed %d): LossEvents after Reset %d, want %d", r.code, r.seed, g, w)
 			}
 			if g, w := reused.Rand.Int63(), fresh.Rand.Int63(); g != w {
 				t.Errorf("%s (seed %d): next Int63 after Reset %d, want %d", r.code, r.seed, g, w)

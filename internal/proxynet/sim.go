@@ -41,40 +41,29 @@ type Sim struct {
 	exitCounter int
 	// assignScratch is PoP assignment's work space, reused across nodes.
 	assignScratch anycast.AssignScratch
-	stats         SimStats
+	// lossEvents counts the retransmission-timeout loss events sampled
+	// on every path this simulator builds.
+	lossEvents int64
+	stats      SimStats
 	// chaos holds the armed failure injector; nil until EnableChaos.
 	chaos *chaosState
 }
 
-// SimStats is the simulator's event counters — the accounting the
-// paper's §3.5 drop handling needs. A Sim counts into its own SimStats
-// with plain adds, since it draws from its own Rand and so one
-// goroutine at a time uses it; every path it builds counts its losses
-// into LossEvents.
+// SimStats counts the failures chaos injected, by mode (zero unless
+// EnableChaos armed them): the one thing no measurement's result shows.
 type SimStats struct {
-	// LossEvents counts retransmission-timeout loss events sampled on
-	// any path owned by this simulator.
-	LossEvents int64
-	// DoTBlocked and DoQBlocked count sessions dropped by port-853
-	// filtering (TCP for DoT, UDP for DoQ).
-	DoTBlocked, DoQBlocked int64
-	// ExitNodes counts provisioned exit nodes.
-	ExitNodes int64
-	// DoHMeasurements, Do53Measurements, DoTMeasurements, and
-	// DoQMeasurements count measurement runs by transport.
-	DoHMeasurements  int64
-	Do53Measurements int64
-	DoTMeasurements  int64
-	DoQMeasurements  int64
-	// ChaosResets, ChaosChurns, and ChaosHeaderCorruptions count
-	// injected failures by mode (zero unless EnableChaos armed them).
 	ChaosResets            int64
 	ChaosChurns            int64
 	ChaosHeaderCorruptions int64
 }
 
-// Stats returns a snapshot of the simulator's event counters.
+// Stats returns a snapshot of the injected-failure counts.
 func (s *Sim) Stats() SimStats { return s.stats }
+
+// LossEvents returns how many loss events the simulator's paths have
+// sampled since NewSim or Reset. One goroutine at a time uses a Sim, so
+// reading it after each measurement gives every loss to exactly one.
+func (s *Sim) LossEvents() int64 { return s.lossEvents }
 
 // superProxyTable is the 11 Super Proxies in code order: each one's
 // network attachment, code and precomputed position, index-aligned.
@@ -110,9 +99,9 @@ func NewSim(seed int64) *Sim {
 }
 
 // Reset returns s to what NewSim(seed) builds — the default Params and
-// Lab, no exit node provisioned, no address handed out, zero Stats,
-// chaos disarmed — reusing its random source, its allocator (which
-// keeps its block count) and its PoP assignment scratch, so that a
+// Lab, no exit node provisioned, no address handed out, zero Stats and
+// LossEvents, chaos disarmed — reusing its random source, its allocator
+// (which keeps its block count) and its PoP assignment scratch, so that a
 // caller measuring one country after another resets one simulator
 // instead of building one per country. Reseeding a Rand gives the
 // stream a new one would. Like EnableChaos, it must not run
@@ -131,14 +120,15 @@ func (s *Sim) Reset(seed int64) {
 	s.Params = netsim.DefaultParams()
 	s.Lab = netsim.Lab
 	s.exitCounter = 0
+	s.lossEvents = 0
 	s.stats = SimStats{}
 	s.chaos = nil
 }
 
 // path builds a session path over a route of the given mean, counting
-// its losses in Stats.
+// its losses in LossEvents.
 func (s *Sim) path(mean time.Duration) netsim.Path {
-	return s.Params.Latency.PathFromMean(s.Rand, mean, &s.stats.LossEvents)
+	return s.Params.Latency.PathFromMean(s.Rand, mean, &s.lossEvents)
 }
 
 // ExitNode is one residential vantage point, alive for the duration of
@@ -252,7 +242,6 @@ func (s *Sim) selectExitNode(countryCode string, node *ExitNode, ids *dnswire.St
 		return err
 	}
 	s.exitCounter++
-	s.stats.ExitNodes++
 	host, resolverEP, overhead := netsim.ResidentialHost(s.Rand, ct)
 	var id [32]byte
 	*node = ExitNode{
@@ -429,7 +418,6 @@ func (s *Sim) sampleProxyTimeline() ProxyTimeline {
 // Chaos draws from its own stream. TestMeasureDoHMatchesEventTimeline
 // holds this to the event-driven timeline it replaced.
 func (s *Sim) MeasureDoH(node *ExitNode, pid anycast.ProviderID, queryName string) (DoHObservation, DoHGroundTruth) {
-	s.stats.DoHMeasurements++
 	provider := s.Params.Providers.Of(pid)
 	route := s.route(node, pid)
 	rng := s.Rand
@@ -538,7 +526,6 @@ type Do53GroundTruth struct {
 // our authoritative server, plus the resolver's own processing
 // overhead (the paper's "default configuration" performance).
 func (s *Sim) MeasureDo53(node *ExitNode, queryName string) (Do53Observation, Do53GroundTruth) {
-	s.stats.Do53Measurements++
 	pathER := s.path(node.meanER)
 	pathRA := s.path(node.meanRA)
 

@@ -6,34 +6,6 @@ import (
 	"repro/internal/anycast"
 )
 
-func TestSimStatsCountsMeasurements(t *testing.T) {
-	sim := NewSim(2021)
-	if s := sim.Stats(); s != (SimStats{}) {
-		t.Fatalf("fresh sim has non-zero stats: %+v", s)
-	}
-	node, err := sim.SelectExitNode("US")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const runs = 40
-	for i := 0; i < runs; i++ {
-		sim.MeasureDoH(node, anycast.Cloudflare, "s.a.com.")
-		sim.MeasureDo53(node, "s.a.com.")
-		sim.MeasureSession(DoT, node, anycast.Cloudflare, "s.a.com.")
-	}
-	s := sim.Stats()
-	if s.ExitNodes != 1 {
-		t.Errorf("ExitNodes = %d, want 1", s.ExitNodes)
-	}
-	if s.DoHMeasurements != runs || s.Do53Measurements != runs || s.DoTMeasurements != runs {
-		t.Errorf("measurement counts = %d/%d/%d, want %d each",
-			s.DoHMeasurements, s.Do53Measurements, s.DoTMeasurements, runs)
-	}
-	if s.DoTBlocked < 0 || s.DoTBlocked > runs {
-		t.Errorf("DoTBlocked = %d out of range [0, %d]", s.DoTBlocked, runs)
-	}
-}
-
 func TestSimStatsCountsLossEvents(t *testing.T) {
 	sim := NewSim(7)
 	// Crank the loss probability so a short run must sample losses;
@@ -43,19 +15,24 @@ func TestSimStatsCountsLossEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := sim.Stats().LossEvents
+	before := sim.LossEvents()
 	for i := 0; i < 20; i++ {
 		sim.MeasureDoH(node, anycast.Google, "loss.a.com.")
 	}
-	after := sim.Stats().LossEvents
+	after := sim.LossEvents()
 	if after <= before {
 		t.Errorf("LossEvents did not advance (before=%d after=%d) despite LossProb=0.5", before, after)
 	}
 }
 
 func TestSimStatsDeterministicAcrossRuns(t *testing.T) {
-	run := func() SimStats {
+	type counts struct {
+		SimStats
+		loss int64
+	}
+	run := func() counts {
 		sim := NewSim(99)
+		sim.EnableChaos(99, Chaos{ExitChurnProb: 0.1, HeaderCorruptProb: 0.1, ConnResetProb: 0.1})
 		node, err := sim.SelectExitNode("BR")
 		if err != nil {
 			t.Fatal(err)
@@ -64,9 +41,13 @@ func TestSimStatsDeterministicAcrossRuns(t *testing.T) {
 			sim.MeasureDoH(node, anycast.Cloudflare, "d.a.com.")
 			sim.MeasureSession(DoT, node, anycast.Cloudflare, "d.a.com.")
 		}
-		return sim.Stats()
+		return counts{sim.Stats(), sim.LossEvents()}
 	}
-	if a, b := run(), run(); a != b {
+	a, b := run(), run()
+	if a != b {
 		t.Errorf("same-seed stats differ: %+v vs %+v", a, b)
+	}
+	if a.ChaosResets+a.ChaosChurns+a.ChaosHeaderCorruptions == 0 || a.loss == 0 {
+		t.Errorf("stats %+v count nothing to compare", a)
 	}
 }

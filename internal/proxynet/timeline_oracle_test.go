@@ -17,14 +17,13 @@ import (
 // distances recomputed from positions. It is the reference MeasureDoH
 // is held to.
 func (s *Sim) measureDoHEventTimeline(node *ExitNode, pid anycast.ProviderID, queryName string) (DoHObservation, DoHGroundTruth) {
-	s.stats.DoHMeasurements++
 	provider, cal := anycast.Catalogue()[pid], s.Params.Providers.Of(pid)
 	pop := s.PoPFor(node, pid)
 	popEndpoint := netsim.Endpoint{Pos: pop.Pos, Country: world.MustByCode(pop.CountryCode)}
 
 	// Session-persistent paths: consecutive packets on the same route
 	// are strongly correlated (Assumption 1 of the paper).
-	m, losses := &s.Params.Latency, &s.stats.LossEvents
+	m, losses := &s.Params.Latency, &s.lossEvents
 	pathCS := m.NewPath(s.Rand, s.Lab, node.super, losses)         // client <-> Super Proxy
 	pathSE := m.NewPath(s.Rand, node.super, node.Endpoint, losses) // Super Proxy <-> exit
 	pathER := m.NewPath(s.Rand, node.Endpoint, node.ResolverEndpoint, losses)
@@ -184,6 +183,9 @@ func TestMeasureDoHMatchesEventTimeline(t *testing.T) {
 				}
 				if g, w := got.Stats(), want.Stats(); g != w {
 					t.Errorf("seed %d tls12=%v chaos=%v: stats %+v, want %+v", seed, tls12, withChaos, g, w)
+				}
+				if g, w := got.LossEvents(), want.LossEvents(); g != w {
+					t.Errorf("seed %d tls12=%v chaos=%v: %d loss events, want %d", seed, tls12, withChaos, g, w)
 				}
 				if g, w := got.Rand.Int63(), want.Rand.Int63(); g != w {
 					t.Errorf("seed %d tls12=%v chaos=%v: random stream diverged (next Int63 %d, want %d)", seed, tls12, withChaos, g, w)

@@ -81,7 +81,6 @@ go test -race -count=20 ./internal/cache/ -run TestRecycledFlightsKeepTheirResul
 go test -race -count=20 ./internal/cache/ -run 'TestRecycledEntriesKeepTheirAnswers|TestRefreshFailureAfterRecycling'
 go test -race -count=20 ./internal/cache/ -run 'TestCacheIsDeterministic|TestCacheFootprint|TestRecycledEntriesKeepTheirAnswers'
 go test -race ./internal/resolver/ -run 'TestPooledBoundIsEachAttemptsOwn|TestAttemptTimeoutBoundsSilentUpstream'
-go test -race ./internal/deadline/... ./internal/recursive/... ./internal/dot/... ./internal/dnsclient/... ./internal/authserver/...
 
 step "a message has one owner (cached answers survive pool churn, race; a signal on a server's first line drains it)"
 go test -race -count=20 ./internal/recursive/ -run TestCachedAnswersSurvivePoolChurn
@@ -131,11 +130,9 @@ go test -race -run TestOverloadSoak -short ./internal/serve/
 step "cache 0-alloc gate + bench smoke"
 go test ./internal/cache/ -bench=BenchmarkCacheHit -benchtime=1x \
 	-run 'TestWarmHitAllocationFree'
-go test ./internal/cache/ -bench=BenchmarkCacheHit -benchtime=1x
 
 step "wire bench smoke"
 go test ./internal/dnswire/ -bench=BenchmarkWire -benchtime=1x -run '^$'
-go test ./internal/dnswire/ -bench=BenchmarkWire -benchtime=1x
 
 step "obs 0-alloc bench smoke"
 go test ./internal/obs/ -bench=BenchmarkObs -benchtime=1x -run '^$'
