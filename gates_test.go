@@ -36,7 +36,11 @@ import (
 // verify.sh is the one place a gate is written: a command outside it
 // that adds a mode (-race, -short, -count or -bench) must be one of its
 // lines, word for word, so a gate cannot be restated with a weaker mode
-// and drift from the one that runs.
+// and drift from the one that runs. And no two of its commands run one
+// test of one package with the same flags, the -run pattern and package
+// arguments aside: the second run would only repeat the first. (A command
+// without -run is its packages' whole suite in its mode, and is not
+// compared.)
 func TestGatesNameTests(t *testing.T) {
 	const verify = "scripts/verify.sh"
 	funcs := testFuncs(t)
@@ -45,6 +49,7 @@ func TestGatesNameTests(t *testing.T) {
 		t.Fatal(err)
 	}
 	gates := make(map[string]bool)
+	ran := make(map[string]string) // a test and its flags → the verify.sh line that runs it
 	for _, src := range append([]string{verify, ".claude/skills/verify/SKILL.md"}, docs...) {
 		text, err := os.ReadFile(src)
 		if err != nil {
@@ -63,6 +68,14 @@ func TestGatesNameTests(t *testing.T) {
 					switch {
 					case src == verify:
 						gates[key] = true
+						for _, test := range runTests(cmd, funcs) {
+							run := test + " " + strings.Join(cmd.flags, " ")
+							if first, ok := ran[run]; ok {
+								t.Errorf("%s: %s runs again with the flags it ran with in\n\t%s\n\t%s",
+									src, test, first, strings.TrimSpace(line))
+							}
+							ran[run] = strings.TrimSpace(line)
+						}
 					case cmd.mode && !gates[key]:
 						t.Errorf("%s: a go test command that adds a mode is not a line of scripts/verify.sh\n\t%s",
 							src, strings.TrimSpace(line))
@@ -160,11 +173,13 @@ func inlineCommands(md string) []string {
 
 // gateCommand is one go test invocation: its words from go on, its
 // package arguments, its patterns, each with the flag that carries it,
-// and whether it adds a mode (-race, -short, -count or -bench).
+// its other flags (name=value, sorted), and whether it adds a mode
+// (-race, -short, -count or -bench).
 type gateCommand struct {
 	words    []string
 	pkgs     []string
 	patterns []gatePattern
+	flags    []string
 	mode     bool
 }
 
@@ -205,12 +220,16 @@ func goTestCommands(line string) []gateCommand {
 			if name == "run" || name == "bench" || name == "fuzz" {
 				cmd.patterns = append(cmd.patterns, gatePattern{name, value})
 			}
+			if name != "run" {
+				cmd.flags = append(cmd.flags, name+"="+value)
+			}
 			switch name {
 			case "race", "short", "count", "bench":
 				cmd.mode = true
 			}
 		}
 		cmd.words = words[start:i]
+		slices.Sort(cmd.flags)
 		if len(cmd.pkgs) == 0 {
 			cmd.pkgs = []string{"."}
 		}
@@ -306,6 +325,30 @@ func checkPattern(t *testing.T, src, line string, pkgs []string, p gatePattern, 
 				src, p.flag, alt, strings.Join(pkgs, " "), strings.TrimSpace(line))
 		}
 	}
+}
+
+// runTests returns the tests a command's -run pattern selects, each as
+// "<dir> <name>", or none when it has no -run.
+func runTests(cmd gateCommand, funcs map[string][]string) []string {
+	var tests []string
+	for _, p := range cmd.patterns {
+		re, err := regexp.Compile(splitTop(p.expr, '/')[0])
+		if p.flag != "run" || err != nil {
+			continue
+		}
+		for dir, fns := range funcs {
+			if !slices.ContainsFunc(cmd.pkgs, func(pkg string) bool { return inPackage(dir, pkg) }) {
+				continue
+			}
+			for _, fn := range fns {
+				isTest := strings.HasPrefix(fn, "Test") || strings.HasPrefix(fn, "Fuzz") || strings.HasPrefix(fn, "Example")
+				if isTest && re.MatchString(fn) {
+					tests = append(tests, dir+" "+fn)
+				}
+			}
+		}
+	}
+	return tests
 }
 
 // inPackage reports whether dir is one of the packages a go test

@@ -11,12 +11,14 @@
 //     so concurrent resolvers do not serialize on one lock. The shard
 //     hash is unseeded, so which shard a key lands in, and so every
 //     eviction, is the same in every process.
-//   - An index of its own: a shard finds its entries through an
-//     open-addressing table of entry pointers, at most half full and
-//     grown by doubling, so an entry costs its 256 bytes and at most two
-//     8-byte slots, and the key is stored once, in the entry. The slot
-//     hash is seeded per cache, so a client cannot pick names that pile
-//     up in one probe chain (index.go).
+//   - A slab per shard: a shard keeps its entries by value in one
+//     slice, grown by doubling up to its capacity, and links them by
+//     int32 slot numbers — the LRU list, a free list, and an
+//     open-addressing index at most half full — so a cached answer is
+//     one 160-byte slot and at most two 4-byte index slots, with no
+//     allocation of its own. The key is stored once, in the entry; the
+//     slot hash is seeded per cache, so a client cannot pick names that
+//     pile up in one probe chain (index.go).
 //   - Lock-free-ish hits: the hit path takes only the shard's read
 //     lock and records recency/popularity in per-entry atomics; the
 //     LRU list is never touched on a hit. Eviction uses the classic
@@ -39,24 +41,24 @@
 //     into one upstream resolution that every waiter shares — the
 //     query-coalescing behaviour production resolvers use to survive
 //     request storms.
-//   - One owner per message: Put stores a copy of the answer in the
-//     entry's own storage, so the caller keeps its message (and may
-//     pool it).
-//   - Recycled entries: every copy out of an entry is made under its
+//   - One owner per message: Put stores the answer's header, question
+//     class, section counts and records in the entry's own fields — one
+//     record inline, a longer answer in a slice the entry keeps — so the
+//     caller keeps its message (and may pool it). Every hit copies into
+//     a message of the caller's (LookupInto), or of its own (Lookup).
+//   - Recycled slots: every copy out of an entry is made under its
 //     shard's read lock, so once Put holds the write lock nothing can
-//     read an entry it evicts or replaces, and it fills the new entry
-//     in that storage. The one exception is a hit that hands out the
-//     entry's own message (below): it marks the entry shared, and a
-//     shared entry is left to the garbage collector.
-//   - Allocation-free warm hits: a fresh Get or Lookup hit younger
-//     than one second returns the stored copy itself (TTLs need no
-//     aging yet), so the warm path stays 0 allocs/op like the obs hot
-//     path (BenchmarkCacheHit pins this). Callers must treat returned
-//     messages as read-only; one that stamps headers copies the hit
-//     into storage of its own with LookupInto, which a server front
-//     reuses across queries, so that every hit copies for free.
+//     read an entry it evicts or replaces, and it fills the new answer
+//     into that slot; the slab grows and a slot is reused only under the
+//     write lock.
+//   - Allocation-free warm hits: a LookupInto into a message the caller
+//     reuses — a server front's pooled exchange — copies the header,
+//     question and records into storage that has already grown, so the
+//     warm path stays 0 allocs/op like the obs hot path
+//     (BenchmarkCacheHit pins this). The records' names and RData stay
+//     shared with the cache and are read-only.
 //
-// Determinism: given the same sequence of Get/Put calls the cache's
+// Determinism: given the same sequence of Lookup/Put calls the cache's
 // contents and counters are a pure function of that sequence — there
 // is no background sweeper, wall-clock sampling, or random eviction —
 // so campaigns that thread a cache through their measurement loop
@@ -121,14 +123,14 @@ type Config struct {
 
 // Stats is a snapshot of the cache's cumulative counters.
 type Stats struct {
-	// Hits counts Gets served from a live (fresh) entry.
+	// Hits counts lookups served from a live (fresh) entry.
 	Hits int64
-	// Misses counts Gets that found nothing (or only a dead entry).
+	// Misses counts lookups that found nothing (or only a dead entry).
 	Misses int64
 	// NegativeHits counts the subset of Hits served from an RFC 2308
 	// negative entry (also included in Hits).
 	NegativeHits int64
-	// StaleHits counts Gets served from an expired entry inside the
+	// StaleHits counts lookups served from an expired entry inside the
 	// serve-stale window (not included in Hits).
 	StaleHits int64
 	// Evictions counts entries removed by the capacity bound (expired
@@ -157,24 +159,29 @@ type key struct {
 	typ  dnswire.Type
 }
 
-// entry is one cached answer in one allocation: the cache's own copy of
-// the message, with its question and a one-record answer inline (more
-// records go into one slice the three sections share). Every field
-// except the atomics changes only under the shard's write lock — when
-// Put fills the entry, new or recycled — which is what lets the hit
+// entry is one cached answer, a slot of its shard's slab: the answer's
+// header, its question's class (the name and type are the key's), the
+// section counts, and its records — one inline, a longer answer's all in
+// more, whose storage the slot keeps for the next answer it takes. Every
+// field except the atomics changes only under the shard's write lock —
+// when Put fills the slot, new or recycled — which is what lets the hit
 // path read them under the shard's read lock only.
 type entry struct {
-	key key
-	msg dnswire.Message
-	q   [1]dnswire.Question
-	rr  [1]dnswire.ResourceRecord
+	key   key
+	hdr   dnswire.Header
+	class dnswire.Class
+	// counts are the lengths of the question section (0 or 1) and of the
+	// answer, authority and additional sections, in that order.
+	counts [4]uint16
+	rr     [1]dnswire.ResourceRecord
+	more   []dnswire.ResourceRecord
 	// inserted and expires are offsets from the cache's epoch.
 	inserted, expires time.Duration
-	// prev and next link the entry into its shard's LRU list; the list
-	// is intrusive so an insert allocates the entry and nothing else.
-	prev, next *entry
+	// prev and next are the slots of the entry's neighbours on its shard's
+	// LRU list; a free slot's next is the next free one.
+	prev, next int32
 
-	// flags holds flagTouched, flagNegative and flagShared.
+	// flags holds flagTouched and flagNegative.
 	flags atomic.Uint32
 	// hash is key's slot hash in its shard's index (index.go).
 	hash uint32
@@ -195,9 +202,6 @@ const (
 	flagTouched uint32 = 1 << iota
 	// flagNegative marks an RFC 2308 negative answer; it never changes.
 	flagNegative
-	// flagShared marks an entry whose own message a hit handed out:
-	// Put never recycles it.
-	flagShared
 )
 
 // mark sets flag in e's flags. Hits set flags under the shard's read
@@ -210,60 +214,114 @@ func (e *entry) mark(flag uint32) {
 	}
 }
 
-// copyOf makes msg's header and sections e's own. Names and RData
-// values stay shared with msg: nothing edits them.
-func (e *entry) copyOf(msg *dnswire.Message) {
-	e.msg.Header = msg.Header
-	e.msg.Questions = append(e.q[:0], msg.Questions...)
+// fill makes msg's header, question class and records e's own, in e's
+// storage. Names and RData values stay shared with msg: nothing edits
+// them. DNS section counts are 16-bit, and so are e's.
+func (e *entry) fill(msg *dnswire.Message) {
+	e.hdr, e.class, e.counts[0] = msg.Header, 0, 0
+	if len(msg.Questions) > 0 {
+		e.class, e.counts[0] = msg.Questions[0].Class, 1
+	}
+	e.counts[1], e.counts[2], e.counts[3] = uint16(len(msg.Answers)), uint16(len(msg.Authorities)), uint16(len(msg.Additionals))
+	n := len(msg.Answers) + len(msg.Authorities) + len(msg.Additionals)
+	clear(e.more) // the last answer's names and RData
+	e.rr[0], e.more = dnswire.ResourceRecord{}, e.more[:0]
+	rrs := e.rr[:0]
+	if n > len(e.rr) {
+		rrs = e.more
+	}
+	rrs = append(append(append(rrs, msg.Answers...), msg.Authorities...), msg.Additionals...)
+	if n > len(e.rr) {
+		e.more = rrs
+	}
+}
+
+// copyInto copies e's answer into dst's own section storage (dst is
+// allocated when nil, with room for the question and two records), every
+// record's TTL lowered by dec (floored at zero) and then capped at cap.
+func (e *entry) copyInto(dst *dnswire.Message, dec, cap uint32) *dnswire.Message {
+	if dst == nil {
+		dst = new(dnswire.Message).CopyInto(nil)
+	}
+	dst.Header = e.hdr
+	dst.Questions = dst.Questions[:0]
+	if e.counts[0] > 0 {
+		dst.Questions = append(dst.Questions, dnswire.Question{Name: e.key.name, Type: e.key.typ, Class: e.class})
+	}
 	rrs := e.rr[:]
-	if n := len(msg.Answers) + len(msg.Authorities) + len(msg.Additionals); n > len(rrs) {
-		rrs = make([]dnswire.ResourceRecord, n)
+	if len(e.more) > 0 {
+		rrs = e.more
 	}
-	e.msg.Answers, rrs = carve(rrs, msg.Answers)
-	e.msg.Authorities, rrs = carve(rrs, msg.Authorities)
-	e.msg.Additionals, _ = carve(rrs, msg.Additionals)
+	an, ns := int(e.counts[1]), int(e.counts[1])+int(e.counts[2])
+	dst.Answers = append(dst.Answers[:0], rrs[:an]...)
+	dst.Authorities = append(dst.Authorities[:0], rrs[an:ns]...)
+	dst.Additionals = append(dst.Additionals[:0], rrs[ns:ns+int(e.counts[3])]...)
+	if dec == 0 && cap == noCap {
+		return dst
+	}
+	for _, rrs := range [...][]dnswire.ResourceRecord{dst.Answers, dst.Authorities, dst.Additionals} {
+		for i := range rrs {
+			rrs[i].TTL = min(rrs[i].TTL-min(rrs[i].TTL, dec), cap)
+		}
+	}
+	return dst
 }
 
-// carve copies src to the front of buf and returns the copy, capped at
-// its length so that no append reaches the next section, and the rest
-// of buf.
-func carve(buf, src []dnswire.ResourceRecord) (section, rest []dnswire.ResourceRecord) {
-	n := copy(buf, src)
-	return buf[:n:n], buf[n:]
-}
-
-// shard is one lock domain: an index of its entries plus their LRU
-// list. Hits take only the read lock; Put, eviction, and dead-entry
-// removal take the write lock.
+// shard is one lock domain: a slab of its entries, their index and their
+// LRU list. Slot 0 of the slab is no entry but the list's anchor: its
+// next is the head (most recently inserted or reprieved), its prev the
+// tail, so a slot number of 0 is "none" in the list, the free list and
+// the index alike. Hits take only the read lock; Put, eviction, and
+// dead-entry removal take the write lock, and only they grow the slab or
+// reuse a slot.
 type shard struct {
-	mu         sync.RWMutex
-	index      index
-	head, tail *entry // LRU list; head = most recently inserted/reprieved
-	max        int
+	mu    sync.RWMutex
+	slab  []entry
+	index index
+	free  int32 // the first free slot, 0 when none
+	max   int
 }
 
-func (s *shard) pushFront(e *entry) {
-	e.prev, e.next = nil, s.head
-	if s.head != nil {
-		s.head.prev = e
-	} else {
-		s.tail = e
+// minSlab is the number of entries a shard's first slab holds.
+const minSlab = 8
+
+// alloc returns a slot for a new entry: a free one, or the next of the
+// slab, which doubles when full, up to max entries and its anchor. The
+// caller holds s.mu for writing and a shard below max entries: moving
+// the entries, their atomics too, is safe because no hit can be reading
+// them.
+func (s *shard) alloc() int32 {
+	if i := s.free; i != 0 {
+		s.free = s.slab[i].next
+		return i
 	}
-	s.head = e
+	if len(s.slab) == cap(s.slab) {
+		slab := make([]entry, max(len(s.slab), 1), min(max(minSlab, 2*(cap(s.slab)-1)), s.max)+1)
+		copy(slab, s.slab)
+		s.slab = slab
+	}
+	s.slab = s.slab[:len(s.slab)+1]
+	return int32(len(s.slab) - 1)
 }
 
-func (s *shard) unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		s.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		s.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
+// release puts slot i, which holds no entry now, on the free list. Its
+// answer stays in it, unreachable, until the slot is taken again.
+func (s *shard) release(i int32) {
+	s.slab[i].next, s.free = s.free, i
+}
+
+func (s *shard) pushFront(i int32) {
+	e, anchor := &s.slab[i], &s.slab[0]
+	e.prev, e.next = 0, anchor.next
+	s.slab[anchor.next].prev = i
+	anchor.next = i
+}
+
+func (s *shard) unlink(i int32) {
+	e := &s.slab[i]
+	s.slab[e.prev].next = e.next
+	s.slab[e.next].prev = e.prev
+	e.prev, e.next = 0, 0
 }
 
 // Cache is a sharded, TTL-aware DNS message cache with optional
@@ -381,79 +439,39 @@ const (
 	Stale
 )
 
-// Get returns the cached response for (name, typ), or nil on miss.
-// TTLs are aged by the whole seconds spent in cache; a fresh hit
-// younger than one second returns the stored message itself without
-// copying (the allocation-free warm path). Returned messages are
-// shared and must be treated as read-only — a caller that stamps the
-// header takes a copy of its own with LookupInto.
-// With serve-stale enabled, Get transparently serves stale answers;
-// use Lookup when the fresh/stale distinction matters.
-func (c *Cache) Get(name dnswire.Name, typ dnswire.Type) *dnswire.Message {
-	msg, _ := c.Lookup(name, typ)
-	return msg
-}
-
-// Lookup is Get with the hit classification: (msg, Fresh) for a live
-// entry, (msg, Stale) for an expired entry inside the serve-stale
-// window (msg is a private copy with TTLs capped at staleTTLCap, and
-// a detached background refresh is triggered), and (nil, Miss)
-// otherwise.
+// Lookup returns a copy of the cached response for (name, typ) with the
+// hit classification: (msg, Fresh) for a live entry, its TTLs aged by
+// the whole seconds spent in cache; (msg, Stale) for an expired entry
+// inside the serve-stale window, its TTLs capped at staleTTLCap, and a
+// detached background refresh triggered; and (nil, Miss) otherwise. It
+// is LookupInto into a message of its own.
 func (c *Cache) Lookup(name dnswire.Name, typ dnswire.Type) (*dnswire.Message, Outcome) {
-	return c.lookup(name, typ, nil, false)
+	return c.LookupInto(name, typ, nil)
 }
 
-// LookupInto is Lookup for a caller that stamps the answer with its
-// query's identity. A hit's header and question are copied into dst, and
-// every record into dst's own section storage with its TTL aged (an
-// entry at least a second old) or capped (a stale one); the records'
+// LookupInto is Lookup into dst, for a caller that stamps the answer
+// with its query's identity. A hit's header and question are copied into
+// dst, and every record into dst's own section storage with its TTL aged
+// (an entry at least a second old) or capped (a stale one); the records'
 // names and RData stay shared with the cache and read-only. dst's
-// sections never alias a cached message, so a caller that reuses dst
-// across queries — a pooled server front — pays nothing per hit once
-// they have grown, and one that pools its answers cannot reach an entry.
-// A nil dst is allocated here, with room for the question and two
-// records. It returns dst (or the copy), or nil on a miss.
+// sections never alias the cache, so a caller that reuses dst across
+// queries — a pooled server front — pays nothing per hit once they have
+// grown, and one that pools its answers cannot reach an entry. A nil dst
+// is allocated here, with room for the question and two records. It
+// returns dst (or the copy), or nil on a miss.
 func (c *Cache) LookupInto(name dnswire.Name, typ dnswire.Type, dst *dnswire.Message) (*dnswire.Message, Outcome) {
-	return c.lookup(name, typ, dst, true)
-}
-
-// KeyName returns the cache's own spelling — the canonical key string —
-// of the presentation-form name it holds an entry for under (name, typ),
-// or "" when it holds none. It neither counts nor touches the entry: a
-// server front asks it before decoding a query, so that the decode takes
-// this string (dnswire.UnpackReplyInto) instead of allocating one, and
-// then looks the query up as usual. Probing the index with the bytes
-// allocates nothing.
-func (c *Cache) KeyName(name []byte, typ dnswire.Type) dnswire.Name {
-	s := shardOf(c, name, typ)
-	h := slotHash(maphash.Bytes(c.seed, name), typ)
-	var known dnswire.Name
-	s.mu.RLock()
-	if e := find(&s.index, h, name, typ); e != nil {
-		known = e.key.name // read under the lock: Put may recycle e
-	}
-	s.mu.RUnlock()
-	return known
-}
-
-// noCap is the TTL cap of a fresh hit: none.
-const noCap = ^uint32(0)
-
-// lookup answers (name, typ) from its entry. Every copy is made under the
-// shard's read lock, so that Put may recycle any entry it can lock: into
-// dst (allocated when nil) when into is set, and otherwise when the TTLs
-// need an edit. A fresh hit younger than a second without into is the
-// entry's own message, and marks the entry shared.
-func (c *Cache) lookup(name dnswire.Name, typ dnswire.Type, dst *dnswire.Message, into bool) (*dnswire.Message, Outcome) {
 	k := key{name.Canonical(), typ}
 	s, h := c.shardFor(k), c.hashOf(k)
 	s.mu.RLock()
-	e := find(&s.index, h, k.name, k.typ)
-	if e == nil {
+	i := find(s, h, k.name, k.typ)
+	if i == 0 {
 		s.mu.RUnlock()
 		c.misses.Inc()
 		return nil, Miss
 	}
+	// Every copy is made under the read lock, so that Put may recycle any
+	// slot it can lock.
+	e := &s.slab[i]
 	now := c.now()
 	if now < e.expires {
 		// Fresh hit: recency and popularity land in per-entry atomics,
@@ -461,12 +479,7 @@ func (c *Cache) lookup(name dnswire.Name, typ dnswire.Type, dst *dnswire.Message
 		e.mark(flagTouched)
 		hits := e.hits.Add(1)
 		negative := e.flags.Load()&flagNegative != 0
-		msg := &e.msg
-		if dec := uint32((now - e.inserted) / time.Second); into || dec > 0 {
-			msg = hitCopy(msg, dst, dec, noCap)
-		} else {
-			e.mark(flagShared)
-		}
+		msg := e.copyInto(dst, uint32((now-e.inserted)/time.Second), noCap)
 		refresh := c.prefetchThreshold > 0 && e.expires-now < c.prefetchThreshold &&
 			hits >= prefetchMinHits && c.refreshDue(e)
 		s.mu.RUnlock()
@@ -487,7 +500,7 @@ func (c *Cache) lookup(name dnswire.Name, typ dnswire.Type, dst *dnswire.Message
 		// repopulates it. The serving path never blocks on that refresh.
 		e.mark(flagTouched)
 		e.hits.Add(1)
-		msg := hitCopy(&e.msg, dst, 0, staleTTLCap)
+		msg := e.copyInto(dst, 0, staleTTLCap)
 		refresh := c.refreshDue(e)
 		s.mu.RUnlock()
 
@@ -503,8 +516,9 @@ func (c *Cache) lookup(name dnswire.Name, typ dnswire.Type, dst *dnswire.Message
 	// remove it, re-checking, since the key may have been filled afresh
 	// while unlocked.
 	s.mu.Lock()
-	if cur := find(&s.index, h, k.name, k.typ); cur != nil && now >= cur.expires+c.staleTTL {
+	if cur := find(s, h, k.name, k.typ); cur != 0 && now >= s.slab[cur].expires+c.staleTTL {
 		s.removeLocked(cur)
+		s.release(cur)
 		c.size.Add(-1)
 	}
 	s.mu.Unlock()
@@ -512,6 +526,28 @@ func (c *Cache) lookup(name dnswire.Name, typ dnswire.Type, dst *dnswire.Message
 	c.misses.Inc()
 	return nil, Miss
 }
+
+// KeyName returns the cache's own spelling — the canonical key string —
+// of the presentation-form name it holds an entry for under (name, typ),
+// or "" when it holds none. It neither counts nor touches the entry: a
+// server front asks it before decoding a query, so that the decode takes
+// this string (dnswire.UnpackReplyInto) instead of allocating one, and
+// then looks the query up as usual. Probing the index with the bytes
+// allocates nothing.
+func (c *Cache) KeyName(name []byte, typ dnswire.Type) dnswire.Name {
+	s := shardOf(c, name, typ)
+	h := slotHash(maphash.Bytes(c.seed, name), typ)
+	var known dnswire.Name
+	s.mu.RLock()
+	if i := find(s, h, name, typ); i != 0 {
+		known = s.slab[i].key.name // read under the lock: Put may recycle the slot
+	}
+	s.mu.RUnlock()
+	return known
+}
+
+// noCap is the TTL cap of a fresh hit: none.
+const noCap = ^uint32(0)
 
 // Put caches a copy of msg as the answer for (name, typ) and reports
 // whether it took it. Positive answers live for the minimum answer TTL;
@@ -521,11 +557,12 @@ func (c *Cache) lookup(name dnswire.Name, typ dnswire.Type, dst *dnswire.Message
 //
 // msg stays the caller's: once Put returns the caller may edit msg or
 // hand it to dnswire.PutMessage. Its names and RData values, which
-// nothing edits, are shared with the copy.
+// nothing edits, are shared with the copy. The copy's question is the
+// key's name and type with the class of msg's first question, if any.
 //
-// The copy is made in the storage of the entry the answer replaces or
-// the one it evicts, unless a hit has handed that entry's message out:
-// so an insert into a full shard allocates nothing.
+// The copy is made in the slot of the entry the answer replaces or the
+// one it evicts, so an insert into a full shard allocates nothing; a new
+// slot is a free one or the slab's next.
 func (c *Cache) Put(name dnswire.Name, typ dnswire.Type, msg *dnswire.Message) bool {
 	ttl, negative, ok := TTL(msg)
 	if !ok || ttl <= 0 {
@@ -537,32 +574,31 @@ func (c *Cache) Put(name dnswire.Name, typ dnswire.Type, msg *dnswire.Message) b
 	grew, evicted := int64(1), int64(0)
 	keep, reprieves := true, 0
 	s.mu.Lock()
-	var e *entry // the storage the answer takes over, if any
-	if old := find(&s.index, h, k.name, k.typ); old != nil {
+	var i int32 // the slot the answer takes over, if any
+	if old := find(s, h, k.name, k.typ); old != 0 {
 		s.removeLocked(old)
-		e, grew = old, 0
+		i, grew = old, 0
 	} else if s.index.n >= s.max {
 		// Full: evict the CLOCK victim, or the newcomer itself when every
 		// entry is referenced.
-		e, reprieves = s.victimLocked()
-		evicted, keep = 1, e != nil
-		if e != nil {
-			s.removeLocked(e)
+		i, reprieves = s.victimLocked()
+		evicted, keep = 1, i != 0
+		if keep {
+			s.removeLocked(i)
 		}
 	}
 	if keep {
-		if e == nil || e.flags.Load()&flagShared != 0 {
-			e = new(entry)
-		} else {
-			*e = entry{}
+		if i == 0 {
+			i = s.alloc()
 		}
-		e.key, e.hash, e.inserted, e.expires = k, h, now, now+time.Duration(ttl)*time.Second
+		e := &s.slab[i]
+		*e = entry{key: k, hash: h, inserted: now, expires: now + time.Duration(ttl)*time.Second, more: e.more}
 		if negative {
 			e.flags.Store(flagNegative)
 		}
-		e.copyOf(msg)
-		s.pushFront(e)
-		s.index.insert(e)
+		e.fill(msg)
+		s.pushFront(i)
+		s.index.insert(s.slab, i)
 	}
 	s.reprieveLocked(reprieves)
 	s.mu.Unlock()
@@ -591,16 +627,16 @@ func (c *Cache) publishSize() {
 // by the CLOCK algorithm, without moving anything: walking from the LRU
 // tail, the first entry whose reference bit is clear, and the count of
 // referenced entries the walk passed, each due a reprieve. When every
-// entry is referenced the newcomer itself is the victim: it returns nil
+// entry is referenced the newcomer itself is the victim: it returns 0
 // and the shard's length. The caller holds s.mu.
-func (s *shard) victimLocked() (victim *entry, reprieves int) {
-	for e := s.tail; e != nil; e = e.prev {
-		if e.flags.Load()&flagTouched == 0 {
-			return e, reprieves
+func (s *shard) victimLocked() (victim int32, reprieves int) {
+	for i := s.slab[0].prev; i != 0; i = s.slab[i].prev {
+		if s.slab[i].flags.Load()&flagTouched == 0 {
+			return i, reprieves
 		}
 		reprieves++
 	}
-	return nil, reprieves
+	return 0, reprieves
 }
 
 // reprieveLocked gives the n entries at the LRU tail their second
@@ -610,17 +646,19 @@ func (s *shard) victimLocked() (victim *entry, reprieves int) {
 // caller holds s.mu.
 func (s *shard) reprieveLocked(n int) {
 	for ; n > 0; n-- {
-		e := s.tail
+		i := s.slab[0].prev
+		e := &s.slab[i]
 		e.flags.Store(e.flags.Load() &^ flagTouched)
-		s.unlink(e)
-		s.pushFront(e)
+		s.unlink(i)
+		s.pushFront(i)
 	}
 }
 
-// removeLocked unlinks e from the shard; the caller holds s.mu.
-func (s *shard) removeLocked(e *entry) {
-	s.index.remove(e)
-	s.unlink(e)
+// removeLocked takes slot i's entry out of the index and the LRU list;
+// the caller holds s.mu.
+func (s *shard) removeLocked(i int32) {
+	s.index.remove(s.slab, i)
+	s.unlink(i)
 }
 
 // Len reports the number of live entries across all shards (including
@@ -691,20 +729,4 @@ func TTL(msg *dnswire.Message) (ttl uint32, negative bool, ok bool) {
 		}
 	}
 	return 0, false, false
-}
-
-// hitCopy is the one private copy of a hit: msg copied into dst
-// (dnswire.Message.CopyInto, allocating when dst is nil), every record's
-// TTL lowered by dec (floored at zero) and then capped at cap.
-func hitCopy(msg, dst *dnswire.Message, dec, cap uint32) *dnswire.Message {
-	dst = msg.CopyInto(dst)
-	if dec == 0 && cap == noCap {
-		return dst
-	}
-	for _, rrs := range [...][]dnswire.ResourceRecord{dst.Answers, dst.Authorities, dst.Additionals} {
-		for i := range rrs {
-			rrs[i].TTL = min(rrs[i].TTL-min(rrs[i].TTL, dec), cap)
-		}
-	}
-	return dst
 }

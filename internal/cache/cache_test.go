@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/netip"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -57,13 +58,66 @@ func newTestCache(max int) (*Cache, *virtualClock) {
 	return New(Config{MaxEntries: max, Clock: clk.Now}), clk
 }
 
+// pacer paces a soak on its fake clock by the soak's own progress
+// instead of the wall clock: each step, every worker does k operations
+// and then holds, and Step advances the clock once every worker still
+// running has done them. A worker counts each operation with Did and
+// calls Quit when it returns, so that a worker that stops early is not
+// waited for; Stop releases the held workers for good.
+type pacer struct {
+	k     int64
+	steps atomic.Int64
+	ops   []atomic.Int64
+	quit  []atomic.Bool
+	done  atomic.Bool
+}
+
+func newPacer(workers int, k int64) *pacer {
+	return &pacer{k: k, ops: make([]atomic.Int64, workers), quit: make([]atomic.Bool, workers)}
+}
+
+// Did counts an operation of worker w and holds w, once it has done the
+// step's k, until the next step or Stop.
+func (p *pacer) Did(w int) {
+	n := p.ops[w].Add(1)
+	waitUntil(func() bool { return n < (p.steps.Load()+1)*p.k || p.done.Load() })
+}
+
+func (p *pacer) Quit(w int) { p.quit[w].Store(true) }
+func (p *pacer) Stop()      { p.done.Store(true) }
+
+// Step waits until every worker still running has done the step's k
+// operations, then runs advance and starts the next step.
+func (p *pacer) Step(advance func()) {
+	due := (p.steps.Load() + 1) * p.k
+	for w := range p.ops {
+		waitUntil(func() bool { return p.quit[w].Load() || p.ops[w].Load() >= due })
+	}
+	advance()
+	p.steps.Add(1)
+}
+
+// waitUntil yields until cond holds: a wait on observable state, not on
+// the wall clock.
+func waitUntil(cond func() bool) {
+	for !cond() {
+		runtime.Gosched()
+	}
+}
+
+// get is c's answer for (name, typ), a copy of its own, or nil on a miss.
+func get(c *Cache, name dnswire.Name, typ dnswire.Type) *dnswire.Message {
+	msg, _ := c.Lookup(name, typ)
+	return msg
+}
+
 func TestPutGetCaseInsensitive(t *testing.T) {
 	c, _ := newTestCache(0)
-	if c.Get("x.a.com.", dnswire.TypeA) != nil {
+	if get(c, "x.a.com.", dnswire.TypeA) != nil {
 		t.Fatal("empty cache returned an entry")
 	}
 	c.Put("x.a.com.", dnswire.TypeA, answer("x.a.com.", 60))
-	got := c.Get("X.A.COM.", dnswire.TypeA)
+	got := get(c, "X.A.COM.", dnswire.TypeA)
 	if got == nil {
 		t.Fatal("cache miss after Put")
 	}
@@ -76,45 +130,15 @@ func TestPutGetCaseInsensitive(t *testing.T) {
 	}
 }
 
-// TestZeroAgeHitSharesStoredMessage: a Get younger than a second is the
-// cache's own copy — two of them are one pointer, not the message put,
-// and cost nothing — while an aged hit is a copy with its TTLs aged and
-// the stored message left as it was.
-func TestZeroAgeHitSharesStoredMessage(t *testing.T) {
-	c, clk := newTestCache(0)
-	msg := answer("warm.a.com.", 60)
-	if !c.Put("warm.a.com.", dnswire.TypeA, msg) {
-		t.Fatal("Put refused a 60 s answer")
-	}
-	stored, second := c.Get("warm.a.com.", dnswire.TypeA), c.Get("warm.a.com.", dnswire.TypeA)
-	if stored == nil || stored == msg || second != stored {
-		t.Errorf("sub-second hits = %p, %p for the caller's %p; want one stored copy (warm path must not copy)", stored, second, msg)
-	}
-	if n := testing.AllocsPerRun(100, func() { c.Get("warm.a.com.", dnswire.TypeA) }); n != 0 {
-		t.Errorf("sub-second hit: %.1f allocs, want 0", n)
-	}
-	clk.Advance(2 * time.Second)
-	got := c.Get("warm.a.com.", dnswire.TypeA)
-	if got == stored {
-		t.Error("aged hit returned the stored message; aging must copy")
-	}
-	if got.Answers[0].TTL != 58 {
-		t.Errorf("aged TTL = %d, want 58", got.Answers[0].TTL)
-	}
-	if stored.Answers[0].TTL != 60 {
-		t.Errorf("stored message mutated: TTL = %d", stored.Answers[0].TTL)
-	}
-}
-
 func TestExpiry(t *testing.T) {
 	c, clk := newTestCache(0)
 	c.Put("x.a.com.", dnswire.TypeA, answer("x.a.com.", 60))
 	clk.Advance(59 * time.Second)
-	if c.Get("x.a.com.", dnswire.TypeA) == nil {
+	if get(c, "x.a.com.", dnswire.TypeA) == nil {
 		t.Fatal("expired one second early")
 	}
 	clk.Advance(time.Second) // exactly at expiry: gone
-	if c.Get("x.a.com.", dnswire.TypeA) != nil {
+	if get(c, "x.a.com.", dnswire.TypeA) != nil {
 		t.Fatal("entry survived to its expiry instant")
 	}
 	if c.Len() != 0 {
@@ -151,7 +175,7 @@ func TestTTLZeroAndUncacheable(t *testing.T) {
 func TestNegativeCachingRFC2308(t *testing.T) {
 	c, clk := newTestCache(0)
 	c.Put("gone.a.com.", dnswire.TypeA, negative("gone.a.com.", 3600, 30))
-	got := c.Get("gone.a.com.", dnswire.TypeA)
+	got := get(c, "gone.a.com.", dnswire.TypeA)
 	if got == nil {
 		t.Fatal("negative answer not cached")
 	}
@@ -164,18 +188,18 @@ func TestNegativeCachingRFC2308(t *testing.T) {
 	}
 	// Lives for the SOA MINIMUM, not the SOA TTL.
 	clk.Advance(30 * time.Second)
-	if c.Get("gone.a.com.", dnswire.TypeA) != nil {
+	if get(c, "gone.a.com.", dnswire.TypeA) != nil {
 		t.Fatal("negative entry outlived SOA MINIMUM")
 	}
 
 	// When the SOA record's own TTL is below MINIMUM, the TTL caps.
 	c.Put("brief.a.com.", dnswire.TypeA, negative("brief.a.com.", 10, 300))
 	clk.Advance(9 * time.Second)
-	if c.Get("brief.a.com.", dnswire.TypeA) == nil {
+	if get(c, "brief.a.com.", dnswire.TypeA) == nil {
 		t.Fatal("capped negative entry expired early")
 	}
 	clk.Advance(time.Second)
-	if c.Get("brief.a.com.", dnswire.TypeA) != nil {
+	if get(c, "brief.a.com.", dnswire.TypeA) != nil {
 		t.Fatal("negative entry outlived its SOA TTL cap")
 	}
 }
@@ -187,15 +211,15 @@ func TestCapacityAndLRUEviction(t *testing.T) {
 	for _, n := range []dnswire.Name{"a.z.", "b.z.", "c.z."} {
 		c.Put(n, dnswire.TypeA, answer(n, 60))
 	}
-	c.Get("a.z.", dnswire.TypeA) // refresh a.z.
+	c.Lookup("a.z.", dnswire.TypeA) // refresh a.z.
 	c.Put("d.z.", dnswire.TypeA, answer("d.z.", 60))
 	if c.Len() != 3 {
 		t.Fatalf("len = %d, want 3", c.Len())
 	}
-	if c.Get("b.z.", dnswire.TypeA) != nil {
+	if get(c, "b.z.", dnswire.TypeA) != nil {
 		t.Error("LRU entry b.z. not evicted")
 	}
-	if c.Get("a.z.", dnswire.TypeA) == nil {
+	if get(c, "a.z.", dnswire.TypeA) == nil {
 		t.Error("recently used a.z. was evicted")
 	}
 	if st := c.Stats(); st.Evictions != 1 {
@@ -250,10 +274,12 @@ func TestConcurrentGetSetExpire(t *testing.T) {
 	c, clk := newTestCache(256)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
+	p := newPacer(8, 16)
 	for w := 0; w < 4; w++ {
 		wg.Add(2)
 		go func(w int) {
 			defer wg.Done()
+			defer p.Quit(2 * w)
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -262,10 +288,12 @@ func TestConcurrentGetSetExpire(t *testing.T) {
 				}
 				n := dnswire.NewName(fmt.Sprintf("k%d.example.", i%97))
 				c.Put(n, dnswire.TypeA, answer(n, uint32(1+i%5)))
+				p.Did(2 * w)
 			}
 		}(w)
 		go func(w int) {
 			defer wg.Done()
+			defer p.Quit(2*w + 1)
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -273,18 +301,19 @@ func TestConcurrentGetSetExpire(t *testing.T) {
 				default:
 				}
 				n := dnswire.NewName(fmt.Sprintf("k%d.example.", (i+w)%97))
-				if got := c.Get(n, dnswire.TypeA); got != nil && len(got.Answers) != 1 {
+				if got := get(c, n, dnswire.TypeA); got != nil && len(got.Answers) != 1 {
 					t.Error("corrupt cached message")
 					return
 				}
+				p.Did(2*w + 1)
 			}
 		}(w)
 	}
 	for i := 0; i < 50; i++ {
-		clk.Advance(500 * time.Millisecond)
-		time.Sleep(time.Millisecond)
+		p.Step(func() { clk.Advance(500 * time.Millisecond) })
 	}
 	close(stop)
+	p.Stop()
 	wg.Wait()
 	st := c.Stats()
 	if st.Hits+st.Misses == 0 || st.Puts == 0 {
@@ -335,9 +364,7 @@ func TestSingleflightCollapses(t *testing.T) {
 		}(i)
 	}
 	// Let every goroutine reach Do before releasing the leader.
-	for int(c.Stats().SharedFlights) < waiters-1 {
-		time.Sleep(time.Millisecond)
-	}
+	waitUntil(func() bool { return c.Stats().SharedFlights >= waiters-1 })
 	close(release)
 	wg.Wait()
 	if got := calls.Load(); got != 1 {
@@ -421,11 +448,11 @@ func TestInstrumentMirrorsCounters(t *testing.T) {
 	reg := obs.NewRegistry()
 	c, _ := newTestCache(2)
 	c.Instrument(reg, "")
-	c.Get("a.z.", dnswire.TypeA) // miss
+	c.Lookup("a.z.", dnswire.TypeA) // miss
 	c.Put("a.z.", dnswire.TypeA, answer("a.z.", 60))
-	c.Get("a.z.", dnswire.TypeA) // hit
+	c.Lookup("a.z.", dnswire.TypeA) // hit
 	c.Put("neg.z.", dnswire.TypeA, negative("neg.z.", 3600, 60))
-	c.Get("neg.z.", dnswire.TypeA)                   // negative hit
+	c.Lookup("neg.z.", dnswire.TypeA)                // negative hit
 	c.Put("b.z.", dnswire.TypeA, answer("b.z.", 60)) // evicts a.z.
 	c.Put("c.z.", dnswire.TypeA, answer("c.z.", 60)) // evicts neg.z.
 
@@ -476,13 +503,13 @@ func checkLedger(t *testing.T, reg *obs.Registry, c *Cache) {
 }
 
 func TestDeterministicCounters(t *testing.T) {
-	// The same Get/Put sequence yields identical stats — the property
+	// The same Lookup/Put sequence yields identical stats — the property
 	// the cached-campaign golden test leans on.
 	run := func() Stats {
 		c, clk := newTestCache(8)
 		for i := 0; i < 40; i++ {
 			n := dnswire.NewName(fmt.Sprintf("d%d.example.", i%13))
-			if c.Get(n, dnswire.TypeA) == nil {
+			if get(c, n, dnswire.TypeA) == nil {
 				c.Put(n, dnswire.TypeA, answer(n, 5))
 			}
 			if i%7 == 0 {

@@ -16,25 +16,15 @@ import (
 )
 
 // lockedLen counts entries the slow way, under every shard lock, and
-// checks each shard's list against its index on the way.
+// checks each shard's slab, list and index on the way.
 func lockedLen(t *testing.T, c *Cache) int {
 	t.Helper()
 	n := 0
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.RLock()
-		listed := 0
-		var prev *entry
-		for e := s.head; e != nil; prev, e = e, e.next {
-			if e.prev != prev || indexed(c, e.key) != e {
-				t.Fatalf("shard %d: list and index disagree at %v", i, e.key)
-			}
-			listed++
-		}
-		if prev != s.tail || listed != s.index.n {
-			t.Fatalf("shard %d: %d listed, %d indexed, tail %v", i, listed, s.index.n, s.tail)
-		}
-		n += listed
+		checkSlots(t, s)
+		n += s.index.n
 		s.mu.RUnlock()
 	}
 	return n
@@ -69,7 +59,7 @@ func TestRunningSizeMatchesShards(t *testing.T) {
 		case 0, 1:
 			c.Put(name, dnswire.TypeA, answer(name, uint32(1+rng.Intn(5))))
 		case 2:
-			c.Get(name, dnswire.TypeA)
+			c.Lookup(name, dnswire.TypeA)
 		default:
 			clock.Advance(time.Second)
 		}
@@ -88,7 +78,7 @@ func TestRunningSizeMatchesShards(t *testing.T) {
 	}
 	clock.Advance(2 * time.Second)
 	for i := 0; i < 10; i++ {
-		c.Get(dnswire.Name(fmt.Sprintf("brief%d.a.com.", i)), dnswire.TypeA)
+		c.Lookup(dnswire.Name(fmt.Sprintf("brief%d.a.com.", i)), dnswire.TypeA)
 	}
 	if c.Len() != 0 {
 		t.Fatalf("Len() = %d after every entry expired and was looked up", c.Len())
@@ -103,7 +93,7 @@ func TestRunningSizeMatchesShards(t *testing.T) {
 			for i := 0; i < 2000; i++ {
 				name := dnswire.Name(fmt.Sprintf("c%03d.a.com.", (i*7+g*31)%150))
 				if i%3 == 2 {
-					c.Get(name, dnswire.TypeA)
+					c.Lookup(name, dnswire.TypeA)
 				} else {
 					c.Put(name, dnswire.TypeA, answer(name, uint32(1+i%3)))
 				}
@@ -118,25 +108,31 @@ func TestRunningSizeMatchesShards(t *testing.T) {
 }
 
 // TestLookupCopyIsTheCallersOwn (named for the LookupCopy that LookupInto
-// replaced): whatever the entry's age, the message LookupInto returns can
-// be stamped — header, question and records — without reaching the stored
-// answer, so a caller may pool it. Into a nil dst a hit is one
-// allocation, copy and answers together; into a dst the caller reuses,
-// an aged hit is none, and dst's sections never alias the stored ones.
+// replaced): whatever the entry's age, the message Lookup or LookupInto
+// returns can be stamped — header, question and records — without
+// reaching the stored answer, so a caller may pool it. Into a nil dst a
+// hit is one allocation, copy and answers together; into a dst the
+// caller reuses, an aged hit is none, and dst's sections never alias
+// another hit's.
 func TestLookupCopyIsTheCallersOwn(t *testing.T) {
 	c, clock := newTestCache(64)
 	c.Put("own.a.com.", dnswire.TypeA, answer("own.a.com.", 300))
-	stored := c.Get("own.a.com.", dnswire.TypeA) // the entry's own message
+	stored, _ := c.Lookup("own.a.com.", dnswire.TypeA)
+	age := uint32(0)
 	stamp := func(m *dnswire.Message, id uint16) {
 		m.Header.ID = id
 		m.Questions[0].Name = "OWN.A.COM."
 	}
 	untouched := func(when string) {
 		t.Helper()
-		if stored.Header.ID != 1 || stored.Questions[0].Name != "own.a.com." || stored.Answers[0].TTL != 300 {
-			t.Fatalf("%s: the stored message changed: %v", when, stored)
+		m := get(c, "own.a.com.", dnswire.TypeA)
+		if m.Header.ID != 1 || m.Questions[0].Name != "own.a.com." || m.Answers[0].TTL != 300-age {
+			t.Fatalf("%s: the stored answer changed: %v", when, m)
 		}
 	}
+	stamp(stored, 0xD00D)
+	stored.Answers[0].TTL = 1
+	untouched("writing into a Lookup's copy")
 
 	young, outcome := c.LookupInto("own.a.com.", dnswire.TypeA, nil)
 	if outcome != Fresh || young == stored {
@@ -153,6 +149,7 @@ func TestLookupCopyIsTheCallersOwn(t *testing.T) {
 	}
 
 	clock.Advance(10 * time.Second)
+	age = 10
 	aged, _ := c.LookupInto("own.a.com.", dnswire.TypeA, nil)
 	stamp(aged, 0xCAFE)
 	untouched("stamping an aged copy")
@@ -168,7 +165,7 @@ func TestLookupCopyIsTheCallersOwn(t *testing.T) {
 		t.Fatalf("hit into dst = %p (dst %p), TTL %d", got, &dst, dst.Answers[0].TTL)
 	}
 	if &dst.Answers[0] == &stored.Answers[0] || &dst.Questions[0] == &stored.Questions[0] {
-		t.Fatal("dst's sections alias the stored message")
+		t.Fatal("dst's sections alias another hit's")
 	}
 	stamp(&dst, 0xF00D)
 	dst.Answers[0].TTL = 1
@@ -211,8 +208,8 @@ func TestKeyNameIsTheStoredSpelling(t *testing.T) {
 // TestPutCopiesTheMessage: Put keeps a copy, so the caller may edit the
 // message it put or hand it to the pool, where the next decode rewrites
 // its sections, and the entry still packs to the bytes it was put with.
-// Put reports whether it took the answer (a sub-second Get then returns
-// the copy), and a longer answer is copied whole.
+// Put reports whether it took the answer (a Lookup then returns a copy
+// of it), and a longer answer is copied whole.
 func TestPutCopiesTheMessage(t *testing.T) {
 	c, _ := newTestCache(64)
 	other, err := answer("other.a.com.", 7).Pack()
@@ -231,8 +228,8 @@ func TestPutCopiesTheMessage(t *testing.T) {
 		if !c.Put(name, dnswire.TypeA, msg) {
 			t.Fatalf("%s: Put refused it", name)
 		}
-		if stored := c.Get(name, dnswire.TypeA); stored == nil || stored == msg {
-			t.Fatalf("%s: Get = %p for the put %p", name, stored, msg)
+		if stored := get(c, name, dnswire.TypeA); stored == nil || stored == msg {
+			t.Fatalf("%s: Lookup = %p for the put %p", name, stored, msg)
 		}
 		msg.Header.ID = 0xBAD
 		msg.Questions[0].Name = "edited.a.com."
@@ -247,7 +244,7 @@ func TestPutCopiesTheMessage(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		got, err := c.Get(name, dnswire.TypeA).Pack()
+		got, err := get(c, name, dnswire.TypeA).Pack()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,51 +257,51 @@ func TestPutCopiesTheMessage(t *testing.T) {
 	}
 }
 
-// TestPutAllocatesTheEntryOnly: the LRU list is threaded through the
-// entries, so filling a shard allocates the entry and, as the shard's
-// index doubles, its slot array now and then: 1.16 per Put (it was two
-// allocations with container/list). An insert into a full shard —
-// evicting or replacing — takes over the storage of the entry it
-// removes: none. It read one before entries were recycled. The mallocs
-// are counted exactly, on one P: testing.AllocsPerRun truncates, so it
-// reads 1.16 as 1.
+// TestPutAllocatesTheEntryOnly: an entry is a slot of its shard's slab,
+// and the LRU list, the free list and the index link slots by number, so
+// filling a cache to its capacity allocates only as a shard's slab and
+// index double: 0.05 per Put. An insert into a full shard — evicting or
+// replacing — takes over the slot of the entry it removes: none. The
+// mallocs are counted exactly, on one P: testing.AllocsPerRun truncates.
 func TestPutAllocatesTheEntryOnly(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	msgs := make([]*dnswire.Message, 512)
+	msgs := make([]*dnswire.Message, 8192)
 	names := make([]dnswire.Name, len(msgs))
 	for i := range msgs {
-		names[i] = dnswire.Name(fmt.Sprintf("p%03d.a.com.", i))
+		names[i] = dnswire.Name(fmt.Sprintf("p%04d.a.com.", i))
 		msgs[i] = answer(names[i], 60)
 	}
-	const puts = 400
 	for _, row := range []struct {
 		what     string
 		capacity int
 		full     bool
 		max      float64
 	}{
-		{"a fill", 4096, false, 1.2},
+		{"a fill", 4096, false, 0.1},
 		{"an insert into a full shard", 64, true, 0},
 	} {
 		c, _ := newTestCache(row.capacity)
 		if row.full {
-			for i := range msgs {
+			for i := 0; i < 512; i++ {
 				c.Put(names[i], dnswire.TypeA, msgs[i])
 			}
 		}
+		// A fill puts until the cache holds its capacity (a shard that
+		// fills first evicts meanwhile); a full cache takes 400 puts.
+		puts := 0
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		for i := 0; i < puts; i++ {
-			c.Put(names[i], dnswire.TypeA, msgs[i])
+		for ; row.full && puts < 400 || !row.full && c.Len() < row.capacity; puts++ {
+			c.Put(names[puts], dnswire.TypeA, msgs[puts])
 		}
 		runtime.ReadMemStats(&after)
-		n := float64(after.Mallocs-before.Mallocs) / puts
-		t.Logf("Put, %s: %.3f allocs", row.what, n)
+		n := float64(after.Mallocs-before.Mallocs) / float64(puts)
+		t.Logf("Put, %s: %.3f allocs over %d puts", row.what, n, puts)
 		if n > row.max {
 			t.Errorf("Put, %s: %.3f allocs, want at most %.1f", row.what, n, row.max)
 		}
-		if st := c.Stats(); (st.Evictions == 0) == row.full {
-			t.Errorf("Put, %s: %d evictions", row.what, st.Evictions)
+		if st := c.Stats(); row.full && st.Evictions == 0 {
+			t.Errorf("Put, %s: no evictions", row.what)
 		}
 	}
 }

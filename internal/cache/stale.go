@@ -56,8 +56,8 @@ func (c *Cache) refreshDue(e *entry) bool {
 
 // launchRefresh starts one deduplicated background refresh for k.
 // prefetch marks popularity-triggered refreshes (counted separately
-// from stale-triggered ones). The refresh holds k, never an entry, so
-// Put may recycle the entry that launched it.
+// from stale-triggered ones). The refresh holds k, never a slot, so
+// Put may recycle the slot that launched it.
 func (c *Cache) launchRefresh(k key, prefetch bool) {
 	fnp := c.refresher.Load()
 	if fnp == nil {
@@ -105,8 +105,8 @@ func (c *Cache) runRefresh(k key, fn Refresher) {
 	c.refreshFails.Inc()
 	s := c.shardFor(k)
 	s.mu.RLock()
-	if e := find(&s.index, c.hashOf(k), k.name, k.typ); e != nil {
-		e.refreshFailedAt.Store(c.clock().UnixNano())
+	if i := find(s, c.hashOf(k), k.name, k.typ); i != 0 {
+		s.slab[i].refreshFailedAt.Store(c.clock().UnixNano())
 	}
 	s.mu.RUnlock()
 }

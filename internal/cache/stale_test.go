@@ -280,7 +280,7 @@ func TestPrefetchPopularEntries(t *testing.T) {
 
 	// Make hot popular while it is comfortably fresh: no prefetch yet.
 	for i := 0; i < 5; i++ {
-		c.Get(hot, dnswire.TypeA)
+		c.Lookup(hot, dnswire.TypeA)
 	}
 	c.Wait()
 	if calls.Load() != 0 {
@@ -288,12 +288,12 @@ func TestPrefetchPopularEntries(t *testing.T) {
 	}
 
 	clk.Advance(55 * time.Second) // 5s remaining, below the threshold
-	c.Get(cold, dnswire.TypeA)    // first hit ever: below the popularity floor
+	c.Lookup(cold, dnswire.TypeA) // first hit ever: below the popularity floor
 	c.Wait()
 	if calls.Load() != 0 {
 		t.Fatal("prefetch fired for an unpopular entry")
 	}
-	c.Get(hot, dnswire.TypeA) // popular and near expiry: prefetch
+	c.Lookup(hot, dnswire.TypeA) // popular and near expiry: prefetch
 	c.Wait()
 	if calls.Load() != 1 {
 		t.Fatalf("prefetch did not fire for the popular entry (calls=%d)", calls.Load())
@@ -328,10 +328,10 @@ func TestPrefetchPopularityResetsOnRefresh(t *testing.T) {
 	name := dnswire.Name("fading.example.")
 	c.Put(name, dnswire.TypeA, answer(name, 60))
 	for i := 0; i < 4; i++ {
-		c.Get(name, dnswire.TypeA)
+		c.Lookup(name, dnswire.TypeA)
 	}
 	clk.Advance(55 * time.Second)
-	c.Get(name, dnswire.TypeA) // prefetch #1
+	c.Lookup(name, dnswire.TypeA) // prefetch #1
 	c.Wait()
 	if calls.Load() != 1 {
 		t.Fatalf("calls = %d, want 1", calls.Load())
@@ -339,7 +339,7 @@ func TestPrefetchPopularityResetsOnRefresh(t *testing.T) {
 	// No further hits: when the refreshed entry nears expiry nothing
 	// prefetches it again (one lookup is below the floor).
 	clk.Advance(55 * time.Second)
-	c.Get(name, dnswire.TypeA)
+	c.Lookup(name, dnswire.TypeA)
 	c.Wait()
 	if calls.Load() != 1 {
 		t.Errorf("prefetch refired without renewed popularity (calls=%d)", calls.Load())
@@ -363,14 +363,14 @@ func TestStaleInstrumentCounters(t *testing.T) {
 	name := dnswire.Name("metrics.example.")
 	c.Put(name, dnswire.TypeA, answer(name, 60))
 	for i := 1; i < prefetchMinHits; i++ {
-		c.Get(name, dnswire.TypeA) // earn the popularity floor
+		c.Lookup(name, dnswire.TypeA) // earn the popularity floor
 	}
 	clk.Advance(55 * time.Second)
-	c.Get(name, dnswire.TypeA) // prefetch (succeeds)
+	c.Lookup(name, dnswire.TypeA) // prefetch (succeeds)
 	c.Wait()
 	fail.Store(true)
 	clk.Advance(61 * time.Second)
-	c.Get(name, dnswire.TypeA) // stale serve, refresh fails
+	c.Lookup(name, dnswire.TypeA) // stale serve, refresh fails
 	c.Wait()
 
 	want := map[string]int64{
@@ -416,10 +416,12 @@ func TestStaleSoak(t *testing.T) {
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	p := newPacer(6, 16)
 	for w := 0; w < 6; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer p.Quit(w)
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -435,14 +437,15 @@ func TestStaleSoak(t *testing.T) {
 				if outcome == Miss {
 					c.Put(n, dnswire.TypeA, answer(n, 2))
 				}
+				p.Did(w)
 			}
 		}(w)
 	}
 	for i := 0; i < 40; i++ {
-		clk.Advance(400 * time.Millisecond)
-		time.Sleep(2 * time.Millisecond)
+		p.Step(func() { clk.Advance(400 * time.Millisecond) })
 	}
 	close(stop)
+	p.Stop()
 	wg.Wait()
 	c.Wait()
 	st := c.Stats()

@@ -213,7 +213,11 @@ func TestForwardedAnswerIsNotCopiedAgain(t *testing.T) {
 		}
 		return string(b)
 	}
-	waiterWire, storedWire := pack(&waiterDst), pack(r.Cache().Get("share.a.com.", dnswire.TypeA))
+	stored := func() *dnswire.Message {
+		m, _ := r.Cache().Lookup("share.a.com.", dnswire.TypeA)
+		return m
+	}
+	waiterWire, storedWire := pack(&waiterDst), pack(stored())
 	leaderDst.Header.ID = 0xBAD
 	leaderDst.Questions[0].Name = "overwritten.a.com."
 	leaderDst.Answers[0].TTL = 1
@@ -221,7 +225,7 @@ func TestForwardedAnswerIsNotCopiedAgain(t *testing.T) {
 	if pack(&waiterDst) != waiterWire {
 		t.Error("overwriting the leader's answer changed the waiter's")
 	}
-	if pack(r.Cache().Get("share.a.com.", dnswire.TypeA)) != storedWire {
+	if pack(stored()) != storedWire {
 		t.Error("overwriting the leader's answer changed the cached entry")
 	}
 }
@@ -322,7 +326,7 @@ func TestCachedAnswersSurvivePoolChurn(t *testing.T) {
 		entries := make(map[dnswire.Name]string, names)
 		for i := 0; i < names; i++ {
 			n := name("first", i)
-			m := r.Cache().Get(n, dnswire.TypeA)
+			m, _ := r.Cache().Lookup(n, dnswire.TypeA)
 			if m == nil || len(m.Answers) != 1 || m.Answers[0].Name != n || m.Answers[0].Data != (dnswire.ARecord{Addr: addr(n)}) {
 				t.Fatalf("%s: cached %v", n, m)
 			}

@@ -415,7 +415,8 @@ func TestPooledAnswersLeaveTheCacheIntact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := c.Get(name, dnswire.TypeA).Pack()
+	stored, _ := c.Lookup(name, dnswire.TypeA)
+	want, err := stored.Pack()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +435,8 @@ func TestPooledAnswersLeaveTheCacheIntact(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := c.Get(name, dnswire.TypeA).Pack()
+	stored, _ = c.Lookup(name, dnswire.TypeA)
+	got, err := stored.Pack()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -151,7 +151,7 @@ func TestWithCacheLeaderResponseIsPrivate(t *testing.T) {
 
 	// The cached copy must still carry the upstream's answer, not some
 	// caller's stamp.
-	cached := c.Get("leader.example.", dnswire.TypeA)
+	cached, _ := c.Lookup("leader.example.", dnswire.TypeA)
 	if cached == nil || len(cached.Answers) != 1 {
 		t.Fatal("cached entry lost")
 	}

@@ -76,14 +76,13 @@ go test -race ./internal/dohserver/ -run 'TestServerLifecycle|TestServerShutdown
 go test -race -count=5 ./internal/authserver/ -run TestServeShutdownLifecycle
 go test -race -count=5 ./internal/recursive/ ./internal/dot/ ./internal/dohserver/ -run TestServerLifecycle
 
-step "a miss allocates only what it keeps (a recycled flight keeps its result, a recycled entry its answers and counts, the index's seed moves no eviction and it holds at most two slots per entry, a pooled attempt bound is each attempt's own; race)"
+step "a miss allocates only what it keeps (a recycled flight keeps its result, a recycled slot its answers and counts, a slab read while it grows and churns its Puts' bytes, the index's seed moves no eviction and it holds at most two slots per entry, a pooled attempt bound is each attempt's own; race)"
 go test -race -count=20 ./internal/cache/ -run TestRecycledFlightsKeepTheirResults
 go test -race -count=20 ./internal/cache/ -run 'TestRecycledEntriesKeepTheirAnswers|TestRefreshFailureAfterRecycling'
-go test -race -count=20 ./internal/cache/ -run 'TestCacheIsDeterministic|TestCacheFootprint|TestRecycledEntriesKeepTheirAnswers'
+go test -race -count=20 ./internal/cache/ -run 'TestCacheIsDeterministic|TestCacheFootprint|TestSlabUnderReaders'
 go test -race ./internal/resolver/ -run 'TestPooledBoundIsEachAttemptsOwn|TestAttemptTimeoutBoundsSilentUpstream'
 
 step "a message has one owner (cached answers survive pool churn, race; a signal on a server's first line drains it)"
-go test -race -count=20 ./internal/recursive/ -run TestCachedAnswersSurvivePoolChurn
 go test -race -count=20 ./internal/recursive/ -run 'TestCachedAnswersSurvivePoolChurn|TestForwardedAnswerIsNotCopiedAgain'
 go test -count=20 ./cmd/authdns/ ./cmd/recursor/ ./cmd/dohsrv/ -run TestSignalOnTheFirstLineDrains
 
@@ -91,8 +90,7 @@ step "the hit path (concurrent hits across fronts, one lookup per query, the ask
 go test -race ./internal/dohserver/ -run \
 	'TestConcurrentHitsAcrossFronts|TestFrontsCountOneLookupPerQuery|TestFrontsEchoTheAskersQuestion'
 go test -race ./internal/resolver/ -run TestWithCacheAnswersEachAskersQuestion
-go test -race -count=20 ./internal/recursive/ -run \
-	'TestConcurrentMissesCoalesced|TestWaiterContextCancellation|TestSharedFlightEchoesEachWaitersQuestion|TestHitEchoesTheAskersQuestion'
+go test -race -count=20 ./internal/recursive/ -run TestHitEchoesTheAskersQuestion
 go test -race -count=200 ./internal/recursive/ -run 'TestConcurrentMissesCoalesced|TestWaiterContextCancellation|TestSharedFlightEchoesEachWaitersQuestion'
 
 step "one ledger (every registered name and every name an identity reads is a row of docs/observability.md's table, and back; a policy stack counts attempts and failures once at its entry; race)"
